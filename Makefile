@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench wcoj-bench acyclic-bench obs-bench bench-diff fault-bench stress trace serve fmt lint ci
+.PHONY: build test race bench wcoj-bench acyclic-bench obs-bench bench-diff fault-bench relbench relbench-compare stress trace serve fmt lint ci
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,28 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff -metric peak_rows -max-regress 20 -report agm_bound /tmp/bench_acyclic_base.txt BENCH_acyclic.txt
 	$(GO) run ./cmd/benchdiff -metric ns/op -max-regress 200 /tmp/bench_obs_base.txt BENCH_obs.txt
 	$(GO) run ./cmd/benchdiff -metric ns/op -max-regress 200 /tmp/bench_fault_base.txt BENCH_fault.txt
+
+# relbench (bench/, BENCHMARK.json): the end-to-end relqueryd benchmark,
+# all five workloads with their passes interleaved, ~3 min. Leaves
+# results.json and trace.<workload>.json in bench/out (git-ignored).
+relbench:
+	$(GO) run ./bench -seed 1 -out bench/out
+
+# Run relbench at BASE (any git ref, checked out into a temporary
+# worktree) and at the working tree, then print the verdict table of
+# `bench -compare`. The count metrics (allocs, KB, peak_rows_ratio) are
+# deterministic and are what to read; the wall-clock rows need a quiet
+# machine. Exits non-zero when a metric regressed beyond its bound.
+relbench-compare:
+	@test -n "$(BASE)" || { echo "usage: make relbench-compare BASE=<git ref>" >&2; exit 2; }
+	rm -rf bench/out/base bench/out/base.src
+	git worktree prune
+	git worktree add --detach bench/out/base.src $(BASE)
+	cd bench/out/base.src && $(GO) run ./bench -seed 1 -out $(CURDIR)/bench/out/base; \
+	  status=$$?; cd $(CURDIR) && git worktree remove --force bench/out/base.src; exit $$status
+	$(MAKE) relbench
+	$(GO) run ./bench -compare bench/out/base/results.json bench/out/results.json > bench/out/verdict.txt; \
+	  status=$$?; cat bench/out/verdict.txt; exit $$status
 
 # Fault-injection stress matrix, race-enabled: the governor and fault
 # harness suites in full, then every injected failure path — cancel

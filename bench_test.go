@@ -264,7 +264,7 @@ func BenchmarkE8Acyclic(b *testing.B) {
 		rels := hubWorkload(n)
 		b.Run(fmt.Sprintf("naive/N=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := join.Multi(rels, join.Hash{}, join.Sequential, nil); err != nil {
+				if _, err := join.Multi(join.Exec{}, rels, join.Hash{}, join.Sequential); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -317,7 +317,7 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := alg.Join(left, right); err != nil {
+				if _, err := alg.Join(join.Exec{}, left, right); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -121,6 +121,7 @@ func run(args []string) error {
 	if err != nil {
 		return usageError(fs, "%v", err)
 	}
+	limits.MaxIntermediateRows = *budget
 	src := *query
 	if *queryFile != "" {
 		data, err := os.ReadFile(*queryFile)
@@ -156,7 +157,7 @@ func run(args []string) error {
 	}
 
 	if *explain {
-		ev := algebra.Evaluator{Algorithm: alg, Order: order, MaxIntermediate: *budget, AutoWCOJ: auto, AutoYannakakis: auto, Limits: limits, Admit: *admit, Degrade: *degrade}
+		ev := algebra.Evaluator{Algorithm: alg, Order: order, AutoWCOJ: auto, AutoYannakakis: auto, Limits: limits, Admit: *admit, Degrade: *degrade}
 		plan, err := algebra.ExplainWith(&ev, expr, db)
 		if err != nil {
 			return err
@@ -210,17 +211,16 @@ func run(args []string) error {
 			collector = &obs.Collector{}
 		}
 		ev := algebra.Evaluator{
-			Algorithm:       alg,
-			Order:           order,
-			MaxIntermediate: *budget,
-			Parallelism:     opts.Parallelism,
-			Cache:           opts.Cache,
-			AutoWCOJ:        opts.AutoWCOJ,
-			AutoYannakakis:  opts.AutoYannakakis,
-			Collector:       collector,
-			Limits:          limits,
-			Admit:           *admit,
-			Degrade:         *degrade,
+			Algorithm:      alg,
+			Order:          order,
+			Parallelism:    opts.Parallelism,
+			Cache:          opts.Cache,
+			AutoWCOJ:       opts.AutoWCOJ,
+			AutoYannakakis: opts.AutoYannakakis,
+			Collector:      collector,
+			Limits:         limits,
+			Admit:          *admit,
+			Degrade:        *degrade,
 		}
 		if opts.Parallelism > 1 && !joinFlagSet {
 			ev.Algorithm = nil

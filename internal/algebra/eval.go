@@ -77,22 +77,15 @@ type Evaluator struct {
 	Algorithm join.Algorithm
 	// Order sequences n-ary joins (join.Greedy or join.Sequential).
 	Order join.Order
-	// MaxIntermediate, when positive, aborts evaluation with
-	// ErrBudgetExceeded as soon as any intermediate relation exceeds that
-	// many tuples. It is the guard rail for exponential blow-up.
-	//
-	// The field predates Limits and is folded into
-	// Limits.MaxIntermediateRows (the tighter of the two wins); new code
-	// should set Limits directly.
-	MaxIntermediate int
 	// Limits bounds the evaluation with the resource governor: a
 	// wall-clock deadline, a final-result row cap, the intermediate-row
-	// budget and an estimated-memory budget. Every join strategy checks
-	// the governor cooperatively at tuple-batch granularity, so
-	// violations abort mid-join with a typed sentinel (governor.ErrDeadline,
-	// ErrRowBudget, ErrMemBudget, ErrCanceled) rather than after
-	// materializing. The zero Limits (with a background context) keeps the
-	// engine on its ungoverned zero-overhead path.
+	// budget (the guard rail for exponential blow-up; exceeding it aborts
+	// with ErrBudgetExceeded) and an estimated-memory budget. Every join
+	// strategy checks the governor cooperatively at tuple-batch
+	// granularity, so violations abort mid-join with a typed sentinel
+	// (governor.ErrDeadline, ErrRowBudget, ErrMemBudget, ErrCanceled)
+	// rather than after materializing. The zero Limits (with a background
+	// context) keeps the engine on its ungoverned zero-overhead path.
 	Limits governor.Limits
 	// Admit, when true, turns on pre-flight admission control: before a
 	// join node runs on the greedy binary planner, its predicted peak
@@ -133,12 +126,6 @@ type Evaluator struct {
 	// join.Yannakakis{} to force the strategy on every join node instead
 	// (cyclic nodes then use its pairwise-reduced binary fallback).
 	AutoYannakakis bool
-	// SemijoinPrefilter, when true, runs pairwise semijoin reduction to
-	// fixpoint over each n-ary join's inputs before joining. The filter is
-	// always sound; it is complete (removes every dangling tuple) exactly
-	// for acyclic joins. It cannot tame the paper's gadget queries — their
-	// intermediate blow-up arises from recombination, not dangling tuples.
-	SemijoinPrefilter bool
 	// Cache, when true, memoizes structurally identical subexpressions
 	// within one Eval call (common-subexpression elimination), keyed by
 	// the rendered expression text. The memo does not outlive the call —
@@ -165,9 +152,7 @@ type Evaluator struct {
 	// and metric calls reduce to nil checks, with no allocation or clock
 	// reads (see BenchmarkE9ParallelEval's traced/untraced pairs).
 	//
-	// Collector supersedes the removed Stats field (and the deprecated
-	// join.Stats shim): it observes everything Stats did and more, with
-	// race-free mid-run snapshots (Collector.Metrics.Snapshot).
+	// Snapshots are race-free mid-run (Collector.Metrics.Snapshot).
 	Collector *obs.Collector
 	// Registry, when non-nil, aggregates every EvalContext outcome —
 	// success or violation — into process-wide telemetry: wall time into
@@ -199,38 +184,6 @@ func (ev *Evaluator) algorithm() join.Algorithm {
 	return join.Hash{}
 }
 
-// limits resolves the evaluation's effective limits, folding the legacy
-// MaxIntermediate field into the governor's intermediate-row budget (the
-// tighter of the two wins).
-func (ev *Evaluator) limits() governor.Limits {
-	l := ev.Limits
-	if ev.MaxIntermediate > 0 && (l.MaxIntermediateRows == 0 || ev.MaxIntermediate < l.MaxIntermediateRows) {
-		l.MaxIntermediateRows = ev.MaxIntermediate
-	}
-	return l
-}
-
-// observeGoverned enforces the governor's row and memory budgets against
-// one materialized relation.
-func observeGoverned(gov *governor.Governor, r *relation.Relation) error {
-	if gov == nil {
-		return nil
-	}
-	if err := gov.CheckRows(r.Len()); err != nil {
-		return err
-	}
-	return gov.ChargeBytes(relationBytes(r))
-}
-
-// relationBytes is the governor's memory model for one materialized
-// relation: a coarse per-value estimate (string header + small payload)
-// plus per-tuple overhead. Deliberately simple and deterministic — the
-// budget bounds an estimate of cumulative materialization, not RSS.
-func relationBytes(r *relation.Relation) int64 {
-	const bytesPerValue, bytesPerTuple = 24, 48
-	return int64(r.Len()) * int64(r.Scheme().Len()*bytesPerValue+bytesPerTuple)
-}
-
 // Eval computes e(db). Operand references are checked against the
 // database: the named relation must exist and its scheme must be set-equal
 // to the operand's declared scheme.
@@ -251,7 +204,7 @@ func (ev *Evaluator) EvalContext(ctx context.Context, e Expr, db relation.Databa
 	if ev.Registry != nil {
 		start = time.Now() // clock read only when telemetry is on
 	}
-	gov := governor.New(ctx, ev.limits()).WithMetrics(ev.Collector.M())
+	gov := governor.New(ctx, ev.Limits).WithMetrics(ev.Collector.M())
 	var memo *memoTable
 	if ev.Cache {
 		memo = newMemoTable()
@@ -406,21 +359,14 @@ func (ev *Evaluator) evalNode(e Expr, db relation.Database, memo *memoTable, sp 
 			return nil, err
 		}
 		ev.Collector.M().ObserveIntermediate(out.Len())
-		if err := observeGoverned(gov, out); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return join.Exec{Gov: gov}.Materialized(out)
 
 	case *Join:
 		args, err := ev.evalArgs(x.Args(), db, memo, sp, gov)
 		if err != nil {
 			return nil, err
 		}
-		out, err := ev.multi(args, sp, gov)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		return ev.multi(args, sp, gov)
 
 	default:
 		return nil, fmt.Errorf("algebra: unknown expression type %T", e)
@@ -483,256 +429,94 @@ func (ev *Evaluator) multi(args []*relation.Relation, sp *obs.Span, gov *governo
 		}
 		sp.SetInputs(ins)
 	}
-	if ev.SemijoinPrefilter && len(args) > 1 {
-		reduced, _, err := join.ReduceFixpoint(args)
-		if err != nil {
-			return nil, err
-		}
-		args = reduced
-	}
-	alg := ev.algorithm()
-	if m := ev.Collector.M(); m != nil {
-		if ma, ok := alg.(join.Metered); ok {
-			alg = ma.WithMetrics(m)
-		}
-		if len(args) == 1 {
-			// join.Multi passes a single input through without a binary
-			// join; fold it into the intermediate statistics anyway.
-			m.ObserveIntermediate(args[0].Len())
-		}
-	}
-	if gov != nil {
-		if ga, ok := alg.(join.Governed); ok {
-			alg = ga.WithGovernor(gov)
-		}
-	}
-	if len(args) > 1 {
-		y, forcedY := alg.(join.Yannakakis)
-		if forcedY || (ev.AutoYannakakis && len(args) > 2) {
-			// A binary join's only intermediate is its own output, so the
-			// full reducer has nothing to save there — auto mode runs GYO
-			// detection on 3+-ary nodes only. Forced mode always detects:
-			// two edges are trivially acyclic.
-			if join.Acyclic(join.SchemesOf(args)) {
-				if !forcedY {
-					y = join.Yannakakis{Metrics: ev.Collector.M(), Gov: gov}
-				}
-				return ev.multiYannakakis(y, args, sp, gov)
-			}
-			// Cyclic: record the verdict and fall through — to the AGM
-			// blow-up check under auto, or (forced) to the binary planner
-			// over the algorithm's pairwise-reduced joins.
-			sp.SetStructure(obs.StructureCyclic)
-		}
-		if g, forced := alg.(join.Generic); forced {
-			return ev.multiGeneric(g, args, sp, gov)
-		}
-		if ev.AutoWCOJ && len(args) > 2 {
-			// Binary joins cannot exceed their own AGM bound, so only
-			// 3+-ary nodes can blow up past the n-ary bound. The peak is
-			// predicted two ways: System R estimates (catches workloads
-			// whose statistics already promise large intermediates) and
-			// the worst-case AGM bound of each greedy accumulator
-			// (catches the Lemma 1 gadgets, whose correlations defeat
-			// the independence assumption behind the estimates).
-			if bound := join.AGMBoundOf(args); bound > 0 {
-				peak := max(join.PredictedPeakGreedy(args), join.WorstCasePeakGreedy(args))
-				if peak > bound {
-					return ev.multiGeneric(join.Generic{Metrics: ev.Collector.M(), Gov: gov}, args, sp, gov)
-				}
-			}
-		}
-	}
-	return ev.multiBinary(args, sp, gov, alg, ev.Order)
+	x := join.Exec{Gov: gov, Metrics: ev.Collector.M(), Span: sp}
+	return ev.run(x, args, ev.choose(args, sp), ev.Order)
 }
 
-// multiBinary runs the binary-join planner tail of multi: the admission
-// gate, span annotation, per-join governance, and the plan itself, with
-// strategy panics recovered to errors. It is also the graceful-degradation
-// retry target.
-func (ev *Evaluator) multiBinary(args []*relation.Relation, sp *obs.Span, gov *governor.Governor, alg join.Algorithm, order join.Order) (*relation.Relation, error) {
-	if ev.Admit && len(args) > 1 {
+// choose picks the strategy for one join node: the configured algorithm
+// unless an auto flag routes the node to an output-bounded strategy.
+func (ev *Evaluator) choose(args []*relation.Relation, sp *obs.Span) join.Algorithm {
+	alg := ev.algorithm()
+	// A binary join's only intermediate is its own output: it cannot
+	// exceed its own AGM bound, and the full reducer has nothing to save
+	// there — the auto flags look at 3+-ary nodes only.
+	if len(args) < 3 {
+		return alg
+	}
+	if ev.AutoYannakakis {
+		if join.Acyclic(join.SchemesOf(args)) {
+			return join.Yannakakis{}
+		}
+		// Cyclic: record the verdict and fall through to the AGM blow-up
+		// check.
+		sp.SetStructure(obs.StructureCyclic)
+	}
+	if ev.AutoWCOJ {
+		// The peak is predicted two ways: System R estimates (catches
+		// workloads whose statistics already promise large intermediates)
+		// and the worst-case AGM bound of each greedy accumulator (catches
+		// the Lemma 1 gadgets, whose correlations defeat the independence
+		// assumption behind the estimates).
+		if bound := join.AGMBoundOf(args); bound > 0 && join.GreedyPeak(args) > bound {
+			return join.Generic{}
+		}
+	}
+	return alg
+}
+
+// run is the tail every join node goes through: the admission gate, span
+// annotation, the strategy itself with panics recovered to errors, and
+// graceful degradation.
+func (ev *Evaluator) run(x join.Exec, args []*relation.Relation, alg join.Algorithm, order join.Order) (*relation.Relation, error) {
+	onePass := join.OnePass(alg)
+	if ev.Admit && !onePass && len(args) > 1 {
 		// Pre-flight admission: reject before any join work when the
 		// binary planner's predicted peak intermediate already exceeds
-		// the budget. The output-bounded strategies never reach here —
-		// their peak is capped by their own output, so they are admitted
-		// and guarded mid-flight by the row budget instead.
-		peak := max(join.PredictedPeakGreedy(args), join.WorstCasePeakGreedy(args))
-		if err := gov.Admit(peak, 0); err != nil {
+		// the budget. The one-pass strategies' peak is capped by their own
+		// output, so they are admitted and guarded mid-flight by the row
+		// budget instead.
+		if err := x.Gov.Admit(join.GreedyPeak(args), 0); err != nil {
 			return nil, err
 		}
 	}
-	if sp != nil {
-		// The AGM bound is a function of the joined inputs (post
-		// prefilter — those are the relations actually joined).
-		sp.SetAGMBound(join.AGMBoundOf(args))
+	if x.Span != nil {
+		x.Span.SetAGMBound(join.AGMBoundOf(args))
 		workers := 0
-		if p, ok := alg.(join.Parallel); ok {
+		if p, ok := alg.(interface{ EffectiveWorkers() int }); ok {
 			workers = p.EffectiveWorkers()
 		}
-		sp.SetAlgorithm(alg.Name(), workers)
-		// Record every binary-join output inside this n-ary node: the
-		// paper's blow-up lives in these intermediates, not in the node's
-		// final output. Wrapped inside the budget guard so a blown-up
-		// intermediate is recorded even when it aborts evaluation.
-		alg = spanObserver{inner: alg, sp: sp}
+		x.Span.SetAlgorithm(alg.Name(), workers)
 	}
-	if gov != nil {
-		alg = governedAlgorithm{inner: alg, gov: gov}
+	out, err := safeMulti(x, args, alg, order)
+	if err != nil && onePass && ev.Degrade && !governor.Violated(err) {
+		// Graceful degradation: a one-pass strategy failed with a genuine
+		// engine error — never a governor violation; retrying after a
+		// deadline or budget kill on a strategy with weaker guarantees
+		// would only dig deeper — so the node is retried once on the
+		// greedy binary path with the default hash join. The retry's own
+		// failure (including a budget kill of the greedier plan)
+		// propagates.
+		x.Metrics.Degraded()
+		x.Span.SetDegraded()
+		out, rerr := ev.run(x, args, join.Hash{}, join.Greedy)
+		if rerr != nil {
+			return nil, fmt.Errorf("algebra: degraded retry failed: %w (original failure: %w)", rerr, err)
+		}
+		return out, nil
 	}
-	return safeJoin("binary join plan", func() (*relation.Relation, error) {
-		return join.Multi(args, alg, order, nil)
-	})
+	return out, err
 }
 
-// safeJoin runs one join strategy with panic recovery: a crash inside a
-// strategy (or injected by the fault harness) surfaces as an error —
-// preserving error payloads for errors.As — instead of killing the
-// process.
-func safeJoin(what string, fn func() (*relation.Relation, error)) (out *relation.Relation, err error) {
+// safeMulti is join.Multi with panic recovery: a crash inside a strategy
+// (or injected by the fault harness) surfaces as a join.ErrPanic error
+// instead of killing the process.
+func safeMulti(x join.Exec, args []*relation.Relation, alg join.Algorithm, order join.Order) (out *relation.Relation, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if e, ok := rec.(error); ok {
-				err = fmt.Errorf("algebra: %s panicked: %w", what, e)
-			} else {
-				err = fmt.Errorf("algebra: %s panicked: %v", what, rec)
-			}
-			out = nil
+			out, err = nil, join.Recovered(alg.Name()+" join", rec)
 		}
 	}()
-	return fn()
-}
-
-// degrade is the graceful-degradation ladder: when a wcoj or yannakakis
-// strategy fails with a genuine engine error (never a governor
-// violation — retrying after a deadline or budget kill would only dig
-// deeper), and the evaluator opts in via Degrade, the node is retried
-// once on the greedy binary path with the default hash join. The retry
-// is recorded in the degraded_evals metric and on the span; its own
-// failure (including a budget kill of the greedier plan) propagates.
-func (ev *Evaluator) degrade(cause error, args []*relation.Relation, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error, bool) {
-	if !ev.Degrade || governor.Violated(cause) {
-		return nil, nil, false
-	}
-	ev.Collector.M().Degraded()
-	sp.SetDegraded()
-	var alg join.Algorithm = join.Hash{Metrics: ev.Collector.M(), Gov: gov}
-	out, err := ev.multiBinary(args, sp, gov, alg, join.Greedy)
-	if err != nil {
-		return nil, fmt.Errorf("algebra: degraded retry failed: %w (original failure: %w)", err, cause), true
-	}
-	return out, nil, true
-}
-
-// multiGeneric evaluates an n-ary join node with the worst-case-optimal
-// generic join: one attribute-at-a-time pass, no binary intermediates, so
-// the node's peak materialization is its own output — by construction at
-// most the AGM bound the span records. A strategy failure (engine error
-// or recovered panic) degrades to the greedy binary path when the
-// evaluator opts in.
-func (ev *Evaluator) multiGeneric(g join.Generic, args []*relation.Relation, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
-	if sp != nil {
-		sp.SetAGMBound(join.AGMBoundOf(args))
-		sp.SetAlgorithm(g.Name(), 0)
-	}
-	var gs join.GenericStats
-	out, err := safeJoin("wcoj strategy", func() (*relation.Relation, error) {
-		var err error
-		out, stats, err := g.JoinAllStats(args)
-		gs = stats
-		return out, err
-	})
-	if err != nil {
-		if dout, derr, degraded := ev.degrade(err, args, sp, gov); degraded {
-			return dout, derr
-		}
-		return nil, err
-	}
-	if sp != nil {
-		sp.ObservePeak(out.Len())
-		sp.SetWCOJ(gs.Candidates, gs.Intersections)
-	}
-	if err := observeGoverned(gov, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// multiYannakakis evaluates an α-acyclic n-ary join node with Yannakakis'
-// algorithm: full semijoin reduction along the GYO join tree, then joins
-// that never outgrow the output. Every relation the algorithm
-// materializes — each semijoin result and each tree join — is folded into
-// the span's MaxIntermediate and checked against the budget, so the
-// output-boundedness claim is visible in (and enforced on) the trace.
-func (ev *Evaluator) multiYannakakis(y join.Yannakakis, args []*relation.Relation, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
-	if sp != nil {
-		sp.SetAGMBound(join.AGMBoundOf(args))
-		sp.SetAlgorithm(y.Name(), 0)
-		sp.SetStructure(obs.StructureAcyclic)
-	}
-	observe := func(r *relation.Relation) error {
-		sp.ObservePeak(r.Len())
-		return observeGoverned(gov, r)
-	}
-	var ys join.YannakakisStats
-	out, err := safeJoin("yannakakis strategy", func() (*relation.Relation, error) {
-		var err error
-		out, stats, err := y.JoinAllStats(args, observe)
-		ys = stats
-		return out, err
-	})
-	if err != nil {
-		if dout, derr, degraded := ev.degrade(err, args, sp, gov); degraded {
-			return dout, derr
-		}
-		return nil, err
-	}
-	if sp != nil {
-		sp.ObservePeak(out.Len())
-		sp.SetYannakakis(ys.Semijoins, ys.ReducedRows)
-	}
-	return out, nil
-}
-
-// spanObserver wraps an Algorithm and folds every binary-join output into
-// the owning join span's MaxIntermediate.
-type spanObserver struct {
-	inner join.Algorithm
-	sp    *obs.Span
-}
-
-func (s spanObserver) Name() string { return s.inner.Name() }
-
-func (s spanObserver) Join(l, r *relation.Relation) (*relation.Relation, error) {
-	out, err := s.inner.Join(l, r)
-	if err != nil {
-		return nil, err
-	}
-	s.sp.ObservePeak(out.Len())
-	return out, nil
-}
-
-// governedAlgorithm wraps an Algorithm and enforces the governor's row
-// and memory budgets on every binary-join result. The join algorithms
-// also check the row budget mid-join at batch granularity; this wrapper
-// is the authoritative post-join check (the batch checks can trail the
-// last partial batch) and the memory-accounting point.
-type governedAlgorithm struct {
-	inner join.Algorithm
-	gov   *governor.Governor
-}
-
-func (ga governedAlgorithm) Name() string { return ga.inner.Name() }
-
-func (ga governedAlgorithm) Join(l, r *relation.Relation) (*relation.Relation, error) {
-	out, err := ga.inner.Join(l, r)
-	if err != nil {
-		return nil, err
-	}
-	if err := observeGoverned(ga.gov, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return join.Multi(x, args, alg, order)
 }
 
 // Eval evaluates e(db) with default settings (hash join, greedy order).

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
@@ -148,12 +149,12 @@ func TestEvalBudget(t *testing.T) {
 		MustOperand("L", relation.MustScheme("A")),
 		MustOperand("R", relation.MustScheme("B")),
 	)
-	ev := Evaluator{MaxIntermediate: 10}
+	ev := Evaluator{Limits: governor.Limits{MaxIntermediateRows: 10}}
 	_, err := ev.Eval(e, db)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)
 	}
-	ev = Evaluator{MaxIntermediate: 16}
+	ev = Evaluator{Limits: governor.Limits{MaxIntermediateRows: 16}}
 	if _, err := ev.Eval(e, db); err != nil {
 		t.Errorf("budget 16 failed: %v", err)
 	}
@@ -162,7 +163,7 @@ func TestEvalBudget(t *testing.T) {
 func TestEvalBudgetOnProjection(t *testing.T) {
 	db := relation.Single("T", mkrel(t, "A B", "1 1", "2 2", "3 3"))
 	e := MustProject(relation.MustScheme("A"), MustOperand("T", relation.MustScheme("A", "B")))
-	ev := Evaluator{MaxIntermediate: 2}
+	ev := Evaluator{Limits: governor.Limits{MaxIntermediateRows: 2}}
 	if _, err := ev.Eval(e, db); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -194,50 +195,6 @@ func TestEvalMultiRelationDatabase(t *testing.T) {
 	}
 	if !got.Equal(mkrel(t, "A B C", "1 x p", "2 y q")) {
 		t.Errorf("Eval = %v", got.Sorted())
-	}
-}
-
-func TestEvalSemijoinPrefilter(t *testing.T) {
-	// Hub workload: without the prefilter the first join materializes all
-	// pairs; with it, the empty-matching third relation empties everything
-	// first.
-	db := relation.NewDatabase()
-	l := mkrel(t, "A B")
-	r := mkrel(t, "B C")
-	for i := 0; i < 20; i++ {
-		l.MustAdd(relation.TupleOf(string(rune('a'+i)), "hub"))
-		r.MustAdd(relation.TupleOf("hub", string(rune('A'+i))))
-	}
-	db.Put("L", l)
-	db.Put("R", r)
-	db.Put("S", mkrel(t, "C D", "nomatch z"))
-	e := MustJoin(
-		MustOperand("L", relation.MustScheme("A", "B")),
-		MustOperand("R", relation.MustScheme("B", "C")),
-		MustOperand("S", relation.MustScheme("C", "D")),
-	)
-	plain, filtered := &obs.Collector{}, &obs.Collector{}
-	evPlain := Evaluator{Order: join.Sequential, Collector: plain}
-	got1, err := evPlain.Eval(e, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evFiltered := Evaluator{Order: join.Sequential, Collector: filtered, SemijoinPrefilter: true}
-	got2, err := evFiltered.Eval(e, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got1.Equal(got2) {
-		t.Fatal("prefilter changed the result")
-	}
-	if got1.Len() != 0 {
-		t.Fatalf("result = %d tuples, want 0", got1.Len())
-	}
-	if maxI := plain.Metrics.Snapshot().MaxIntermediate; maxI < 400 {
-		t.Errorf("plain max intermediate = %d, expected the 20x20 blowup", maxI)
-	}
-	if maxI := filtered.Metrics.Snapshot().MaxIntermediate; maxI != 0 {
-		t.Errorf("filtered max intermediate = %d, want 0", maxI)
 	}
 }
 

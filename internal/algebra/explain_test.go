@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/relation"
 )
 
@@ -70,7 +71,7 @@ func TestExplainWithBudget(t *testing.T) {
 		MustOperand("L", relation.MustScheme("A")),
 		MustOperand("R", relation.MustScheme("B")),
 	)
-	ev := Evaluator{MaxIntermediate: 2}
+	ev := Evaluator{Limits: governor.Limits{MaxIntermediateRows: 2}}
 	if _, err := ExplainWith(&ev, e, db); err == nil {
 		t.Error("budget violation not propagated")
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
@@ -163,7 +164,7 @@ func TestExplainAnalyzeCacheHit(t *testing.T) {
 
 func TestExplainAnalyzeError(t *testing.T) {
 	e, db := chainQuery(t)
-	ev := Evaluator{MaxIntermediate: 1}
+	ev := Evaluator{Limits: governor.Limits{MaxIntermediateRows: 1}}
 	if _, err := ExplainAnalyzeWith(&ev, e, db); err == nil {
 		t.Fatal("budget 1 should have failed ExplainAnalyze")
 	}

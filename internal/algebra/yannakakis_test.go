@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
@@ -318,7 +319,7 @@ func TestAutoSelectorEdgeCases(t *testing.T) {
 // the full reducer's materializations.
 func TestYannakakisBudgetEnforced(t *testing.T) {
 	db, e := danglingPath(t, 8)
-	ev := Evaluator{Algorithm: join.Yannakakis{}, Order: join.Greedy, MaxIntermediate: 2}
+	ev := Evaluator{Algorithm: join.Yannakakis{}, Order: join.Greedy, Limits: governor.Limits{MaxIntermediateRows: 2}}
 	_, err := ev.Eval(e, db)
 	if err == nil {
 		t.Fatal("budget 2 not enforced under yannakakis")

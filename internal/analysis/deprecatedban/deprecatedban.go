@@ -1,11 +1,9 @@
 // Package deprecatedban flags uses of symbols carrying a "Deprecated:"
 // notice anywhere in the module.
 //
-// Invariant guarded: a deprecated shim (today: join.Stats and the
-// relquery.JoinStats alias) stays compilable while callers migrate, but
-// must not gain new callers — otherwise the shim can never be deleted
-// and two half-equivalent APIs drift apart (join.Stats really did drift
-// from obs.Metrics until PR 2 made it a delegating shim). Uses are
+// Invariant guarded: a deprecated shim stays compilable while callers
+// migrate, but must not gain new callers — otherwise the shim can never
+// be deleted and two half-equivalent APIs drift apart. Uses are
 // allowed in exactly two places: inside the symbol's defining package
 // (the shim's own implementation and tests), and inside declarations
 // that are themselves deprecated (a deprecated alias may reference a

@@ -53,10 +53,16 @@ func TestLoadAndRunOnModulePackage(t *testing.T) {
 	if funcs == 0 {
 		t.Error("no function declarations seen in internal/join")
 	}
-	// The deprecation registry is fed from the loaded sources, so it
-	// must know the join.Stats shim.
-	if _, ok := prog.Deprecated.Lookup("relquery/internal/join.Stats"); !ok {
-		t.Error("deprecation registry is missing relquery/internal/join.Stats")
+	// The deprecation registry is fed from the loaded sources. The module
+	// itself carries no deprecated symbol any more, so the check loads
+	// deprecatedban's fixture package through the same pipeline.
+	const dep = "relquery/internal/analysis/deprecatedban/testdata/src/dep"
+	fixture, err := LoadPackages(root, "./internal/analysis/deprecatedban/testdata/src/dep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fixture.Deprecated.Lookup(dep + ".OldThing"); !ok {
+		t.Errorf("deprecation registry is missing %s.OldThing", dep)
 	}
 }
 

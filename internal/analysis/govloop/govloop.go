@@ -86,8 +86,10 @@ func isGovernorMethod(fn *types.Func) bool {
 	return framework.IsNamed(sig.Recv().Type(), "governor", "Governor")
 }
 
-func isGovernorPtr(t types.Type) bool {
-	return t != nil && framework.IsNamed(t, "governor", "Governor")
+// carriesGovernor reports whether t is *governor.Governor or the
+// join.Exec a governor travels in.
+func carriesGovernor(t types.Type) bool {
+	return t != nil && (framework.IsNamed(t, "governor", "Governor") || framework.IsNamed(t, "join", "Exec"))
 }
 
 type checker struct {
@@ -127,12 +129,12 @@ func (c *checker) governorInScope(fd *ast.FuncDecl) bool {
 	obj, ok := c.pass.Info.Defs[fd.Name].(*types.Func)
 	if ok {
 		sig := obj.Type().(*types.Signature)
-		if recv := sig.Recv(); recv != nil && isGovernorPtr(recv.Type()) {
+		if recv := sig.Recv(); recv != nil && carriesGovernor(recv.Type()) {
 			return true
 		}
 		params := sig.Params()
 		for i := 0; i < params.Len(); i++ {
-			if isGovernorPtr(params.At(i).Type()) {
+			if carriesGovernor(params.At(i).Type()) {
 				return true
 			}
 		}
@@ -146,7 +148,7 @@ func (c *checker) governorInScope(fd *ast.FuncDecl) bool {
 		if !ok {
 			return true
 		}
-		if isGovernorPtr(c.pass.Info.TypeOf(expr)) {
+		if carriesGovernor(c.pass.Info.TypeOf(expr)) {
 			found = true
 			return false
 		}
@@ -203,31 +205,20 @@ func (c *checker) checkLoop(at ast.Node, body *ast.BlockStmt, what string) {
 	c.pass.Reportf(at.Pos(), "%s has no reachable governor Tick/Check: tick per tuple, pass the governor down, or annotate //lint:ungoverned <reason>", what)
 }
 
-// delegatesGovernor reports whether any call or composite literal under
-// n hands a *governor.Governor to other code — the engine's idiom for
-// "the callee governs on our behalf" (sub-evaluators take Gov fields,
-// helpers take governor parameters).
+// delegatesGovernor reports whether any call under n passes the governor
+// on as an argument — the engine's one idiom for "the callee governs on
+// our behalf" (strategies take a join.Exec, helpers a governor).
 func delegatesGovernor(pass *framework.Pass, n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		switch y := x.(type) {
-		case *ast.CallExpr:
-			for _, arg := range y.Args {
-				if isGovernorPtr(pass.Info.TypeOf(arg)) {
+		if call, ok := x.(*ast.CallExpr); ok && !found {
+			for _, arg := range call.Args {
+				if carriesGovernor(pass.Info.TypeOf(arg)) {
 					found = true
-					return false
 				}
 			}
-		case *ast.KeyValueExpr:
-			if isGovernorPtr(pass.Info.TypeOf(y.Value)) {
-				found = true
-				return false
-			}
 		}
-		return true
+		return !found
 	})
 	return found
 }

@@ -46,6 +46,47 @@ func Delegated(g *governor.Governor, rows []relation.Tuple, sink func(*governor.
 	return nil
 }
 
+// Exec mimics join.Exec: the governor travels inside it.
+type Exec struct {
+	Gov *governor.Governor
+}
+
+func ExecUngoverned(x Exec, rows []relation.Tuple) int {
+	n := 0
+	for range rows { // want `range over tuples has no reachable governor Tick/Check`
+		n++
+	}
+	return n
+}
+
+func ExecTicked(x Exec, rows []relation.Tuple) error {
+	for range rows {
+		if err := x.Gov.Tick(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DelegatedExec hands the whole Exec to the callee, as a strategy does
+// to an inner join.
+func DelegatedExec(x Exec, rows []relation.Tuple, sink func(Exec) error) error {
+	for range rows {
+		if err := sink(x); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// LiteralIsNotDelegation: storing the governor in a struct literal hands
+// it to nobody — only a call argument delegates.
+func LiteralIsNotDelegation(g *governor.Governor, rows []relation.Tuple) {
+	for range rows { // want `range over tuples has no reachable governor Tick/Check`
+		_ = hashJoin{Gov: g}
+	}
+}
+
 // NoGovernor has nothing to tick: exempt.
 func NoGovernor(rows []relation.Tuple) int {
 	n := 0

@@ -57,11 +57,15 @@ func runE7(cfg *Config) error {
 
 		// Each measurement runs under its own obs.Collector and reads the
 		// blow-up from the metrics snapshot; the span tree doubles as the
-		// -trace artifact. (Earlier revisions read the deprecated
-		// join.Stats here.)
+		// -trace artifact. The experiment's own budget applies unless the
+		// configured limits are tighter.
+		limits := cfg.Limits
+		if limits.MaxIntermediateRows == 0 || budget < limits.MaxIntermediateRows {
+			limits.MaxIntermediateRows = budget
+		}
 		measure := func(order join.Order) (string, int, *obs.Trace) {
 			col := &obs.Collector{}
-			ev := algebra.Evaluator{Order: order, MaxIntermediate: budget, Collector: col, Limits: cfg.Limits, Registry: cfg.Registry}
+			ev := algebra.Evaluator{Order: order, Collector: col, Limits: limits, Registry: cfg.Registry}
 			_, err := ev.Eval(phi, c.Database())
 			if err != nil {
 				if errors.Is(err, algebra.ErrBudgetExceeded) {
@@ -126,7 +130,7 @@ func runE8(cfg *Config) error {
 
 		var m obs.Metrics
 		start := time.Now()
-		naive, err := join.Multi(rels, join.Hash{Metrics: &m}, join.Sequential, nil)
+		naive, err := join.Multi(join.Exec{Metrics: &m}, rels, join.Hash{}, join.Sequential)
 		if err != nil {
 			return err
 		}

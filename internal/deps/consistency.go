@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"relquery/internal/algebra"
+	"relquery/internal/join"
 	"relquery/internal/relation"
 	"relquery/internal/tableau"
 )
@@ -120,7 +121,7 @@ func UniversalInstance(rels []*relation.Relation) (*relation.Relation, bool, err
 	}
 	u := rels[0]
 	for _, r := range rels[1:] {
-		u, err = u.Join(r)
+		u, err = join.Hash{}.Join(join.Exec{}, u, r)
 		if err != nil {
 			return nil, false, err
 		}

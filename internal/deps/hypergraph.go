@@ -70,7 +70,7 @@ func AcyclicJoin(rels []*relation.Relation) (*relation.Relation, error) {
 	if !join.Acyclic(edges) {
 		return nil, fmt.Errorf("deps: acyclic join requires an acyclic hypergraph (schemes %v)", edges)
 	}
-	return join.Yannakakis{}.JoinAll(rels)
+	return join.Yannakakis{}.JoinAll(join.Exec{}, rels)
 }
 
 // HoldsIn reports whether the relation satisfies the join dependency:

@@ -233,7 +233,7 @@ func (g *Governor) Fail(err error) error {
 
 // Tick is the per-tuple cooperative checkpoint: it counts one unit of
 // work and, every CheckEvery-th call, performs the full
-// cancellation/deadline check. Governed loops call it unconditionally —
+// cancellation/deadline check. Hot loops call it unconditionally —
 // the nil receiver returns nil immediately.
 func (g *Governor) Tick() error {
 	if g == nil {

@@ -35,7 +35,7 @@ func BenchmarkBinaryJoin(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/rows=%d", name, rows), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := alg.Join(left, right); err != nil {
+					if _, err := alg.Join(Exec{}, left, right); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -55,7 +55,7 @@ func BenchmarkMultiOrder(b *testing.B) {
 	for _, order := range []Order{Sequential, Greedy} {
 		b.Run(order.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Multi(inputs, Hash{}, order, nil); err != nil {
+				if _, err := Multi(Exec{}, inputs, Hash{}, order); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -83,6 +83,14 @@ func WorstCasePeakGreedy(inputs []*relation.Relation) float64 {
 	return worst
 }
 
+// GreedyPeak is max(PredictedPeakGreedy, WorstCasePeakGreedy) from one
+// run of the simulation: the peak the admission gate and the wcoj
+// auto-selector compare against their budgets.
+func GreedyPeak(inputs []*relation.Relation) float64 {
+	est, worst := greedyPeaks(inputs)
+	return max(est, worst)
+}
+
 // greedyPeaks runs the shared greedy-plan simulation and returns both the
 // System R estimated peak and the worst-case (AGM) peak over intermediate
 // accumulators.
@@ -183,11 +191,11 @@ func greedyPeaks(inputs []*relation.Relation) (estPeak, worstPeak float64) {
 // PlanEstimated orders an n-ary join greedily by ESTIMATED intermediate
 // size (instead of Greedy's actual-size product): repeatedly join the pair
 // with the smallest estimate, preferring pairs that share attributes. It
-// returns the join result; stats (optional) records actual intermediate
+// returns the join result; x.Metrics records the actual intermediate
 // sizes so callers can compare prediction against reality.
-func PlanEstimated(inputs []*relation.Relation, alg Algorithm, stats *Stats) (*relation.Relation, error) {
+func PlanEstimated(x Exec, inputs []*relation.Relation, alg Algorithm) (*relation.Relation, error) {
 	if len(inputs) == 0 {
-		return Multi(inputs, alg, Greedy, stats) // delegate the error
+		return Multi(x, inputs, alg, Greedy) // delegate the error
 	}
 	pending := make([]*relation.Relation, len(inputs))
 	copy(pending, inputs)
@@ -197,11 +205,10 @@ func PlanEstimated(inputs []*relation.Relation, alg Algorithm, stats *Stats) (*r
 	}
 	for len(pending) > 1 {
 		bi, bj := pickPairEstimated(pending, pstats)
-		joined, err := alg.Join(pending[bi], pending[bj])
+		joined, err := alg.Join(x, pending[bi], pending[bj])
 		if err != nil {
 			return nil, err
 		}
-		stats.observe(joined)
 		pending = append(pending[:bj], pending[bj+1:]...)
 		pstats = append(pstats[:bj], pstats[bj+1:]...)
 		pending[bi] = joined

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -30,7 +31,7 @@ func TestEstimateJoinSizeExactOnKeys(t *testing.T) {
 	l := rel(t, "A K", "1 k1", "2 k2", "3 k1")
 	r := rel(t, "K B", "k1 x", "k2 y")
 	est := EstimateJoinSize(l.Scheme(), Analyze(l), r.Scheme(), Analyze(r))
-	got, err := (Hash{}).Join(l, r)
+	got, err := (Hash{}).Join(Exec{}, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,26 +53,26 @@ func TestPlanEstimatedMatchesGreedy(t *testing.T) {
 		rel(t, "B C", "x p", "y q"),
 		rel(t, "C D", "p 7", "q 8", "q 9"),
 	}
-	want, err := Multi(chain, Hash{}, Greedy, nil)
+	want, err := Multi(Exec{}, chain, Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats Stats
-	got, err := PlanEstimated(chain, Hash{}, &stats)
+	var m obs.Metrics
+	got, err := PlanEstimated(Exec{Metrics: &m}, chain, Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
 		t.Errorf("PlanEstimated result differs from greedy")
 	}
-	if joins, _, _ := stats.Snapshot(); joins != 2 {
+	if joins := m.Snapshot().Joins; joins != 2 {
 		t.Errorf("Joins = %d", joins)
 	}
-	if _, err := PlanEstimated(nil, Hash{}, nil); err == nil {
+	if _, err := PlanEstimated(Exec{}, nil, Hash{}); err == nil {
 		t.Error("empty input accepted")
 	}
 	one := []*relation.Relation{rel(t, "A", "1")}
-	single, err := PlanEstimated(one, Hash{}, nil)
+	single, err := PlanEstimated(Exec{}, one, Hash{})
 	if err != nil || single.Len() != 1 {
 		t.Errorf("single input: %v %v", single, err)
 	}
@@ -86,11 +87,11 @@ func TestQuickPlanEstimatedCorrect(t *testing.T) {
 			randomRelation(rng, relation.MustScheme("C", "D"), 8),
 			randomRelation(rng, relation.MustScheme("A", "D"), 8),
 		}
-		want, err := Multi(rels, Hash{}, Greedy, nil)
+		want, err := Multi(Exec{}, rels, Hash{}, Greedy)
 		if err != nil {
 			return false
 		}
-		got, err := PlanEstimated(rels, Hash{}, nil)
+		got, err := PlanEstimated(Exec{}, rels, Hash{})
 		if err != nil {
 			return false
 		}
@@ -122,12 +123,12 @@ func TestPlanEstimatedAvoidsSkewTrap(t *testing.T) {
 		r2.MustAdd(relation.TupleOf("hub", cval(j)))
 	}
 	r3.MustAdd(relation.TupleOf(cval(0), "z"))
-	var est, greedy Stats
-	wantRel, err := Multi([]*relation.Relation{r1, r2, r3}, Hash{}, Greedy, &greedy)
+	var est, greedy obs.Metrics
+	wantRel, err := Multi(Exec{Metrics: &greedy}, []*relation.Relation{r1, r2, r3}, Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRel, err := PlanEstimated([]*relation.Relation{r1, r2, r3}, Hash{}, &est)
+	gotRel, err := PlanEstimated(Exec{Metrics: &est}, []*relation.Relation{r1, r2, r3}, Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +137,7 @@ func TestPlanEstimatedAvoidsSkewTrap(t *testing.T) {
 	}
 	// The estimated plan joins R2*R3 first (selective), never building the
 	// N*N hub blowup that a wrong order pays.
-	_, estMax, _ := est.Snapshot()
-	_, greedyMax, _ := greedy.Snapshot()
+	estMax, greedyMax := int(est.Snapshot().MaxIntermediate), int(greedy.Snapshot().MaxIntermediate)
 	if estMax > greedyMax {
 		t.Errorf("estimated plan worse than greedy: %d > %d", estMax, greedyMax)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -202,11 +203,12 @@ func FuzzGYO(f *testing.F) {
 		for i, e := range edges {
 			rels[i] = randomRelation(rng, e, 4)
 		}
-		want, err := Multi(rels, Hash{}, Greedy, nil)
+		want, err := Multi(Exec{}, rels, Hash{}, Greedy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRel, stats, err := Yannakakis{}.JoinAllStats(rels, nil)
+		sp := &obs.Span{}
+		gotRel, err := Yannakakis{}.JoinAll(Exec{Span: sp}, rels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,8 +216,8 @@ func FuzzGYO(f *testing.F) {
 			t.Fatalf("Yannakakis join differs from greedy hash plan: %v vs %v",
 				gotRel.Sorted(), want.Sorted())
 		}
-		if len(edges) > 1 && stats.Acyclic != got {
-			t.Fatalf("JoinAllStats acyclic=%v, GYO said %v", stats.Acyclic, got)
+		if len(edges) > 1 && (sp.Structure == obs.StructureAcyclic) != got {
+			t.Fatalf("JoinAll recorded structure=%q, GYO said acyclic=%v", sp.Structure, got)
 		}
 
 		if got {

@@ -1,12 +1,13 @@
 // Package join provides natural-join algorithms (nested-loop, hash,
-// sort-merge) and an n-ary join executor with a greedy planner, together
-// with execution statistics.
+// sort-merge, parallel hash, worst-case-optimal generic, Yannakakis) and
+// an n-ary join executor with a greedy planner.
 //
-// The statistics exist because the paper's central phenomenon is that the
-// *intermediate* results of a project–join expression can be inherently,
-// exponentially larger than both the input relation and the final result
-// (Cosmadakis 1983, Introduction). Stats.MaxIntermediate makes that
-// blow-up measurable; experiment E7 plots it.
+// Every join runs under an Exec — governor, metrics, span — because the
+// paper's central phenomenon is that the *intermediate* results of a
+// project–join expression can be inherently, exponentially larger than
+// both the input relation and the final result (Cosmadakis 1983,
+// Introduction). Exec.Materialized is where each of those intermediates
+// is measured and budgeted; experiment E7 plots the result.
 package join
 
 import (
@@ -14,40 +15,15 @@ import (
 	"sort"
 
 	"relquery/internal/fault"
-	"relquery/internal/governor"
-	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
 // Algorithm computes the natural join of two relations.
 type Algorithm interface {
-	// Name identifies the algorithm in stats and CLI flags.
+	// Name identifies the algorithm in metrics, spans and CLI flags.
 	Name() string
-	// Join returns l ∗ r.
-	Join(l, r *relation.Relation) (*relation.Relation, error)
-}
-
-// Metered is implemented by algorithms that can report per-evaluation
-// counters (tuples built/probed/emitted, partitions, fallbacks) into an
-// obs.Metrics. WithMetrics returns a copy of the algorithm wired to m;
-// the algebra evaluator uses it to attach its collector without the
-// caller naming a concrete algorithm type. All algorithms in this
-// package are Metered.
-type Metered interface {
-	Algorithm
-	WithMetrics(m *obs.Metrics) Algorithm
-}
-
-// MultiAlgorithm is implemented by algorithms that join all inputs of an
-// n-ary join node in one pass instead of as a tree of binary joins. The
-// algebra evaluator routes join nodes through JoinAll when the selected
-// algorithm provides it, bypassing the greedy binary planner — the seam
-// the worst-case-optimal Generic join plugs into.
-type MultiAlgorithm interface {
-	Algorithm
-	// JoinAll returns the natural join of all inputs. Zero inputs is an
-	// error; one input passes through unchanged, like Multi.
-	JoinAll(inputs []*relation.Relation) (*relation.Relation, error)
+	// Join returns l ∗ r, governed, metered and traced by x.
+	Join(x Exec, l, r *relation.Relation) (*relation.Relation, error)
 }
 
 // ByName returns the algorithm with the given name ("hash", "sortmerge",
@@ -141,32 +117,17 @@ func (k keyExtractor) values(t relation.Tuple) relation.Tuple {
 
 // NestedLoop is the textbook O(|l|·|r|) join. It is the reference
 // implementation the other algorithms are tested against.
-type NestedLoop struct {
-	// Metrics, when non-nil, receives per-join counters: probed counts
-	// the |l|·|r| pairs examined, built is 0 (no build structure).
-	Metrics *obs.Metrics
-	// Gov, when non-nil, is ticked once per examined pair, so a canceled
-	// or over-budget evaluation aborts mid-scan.
-	Gov *governor.Governor
-}
+//
+// Metrics: probed counts the |l|·|r| pairs examined, built is 0 (no build
+// structure). The governor is ticked once per examined pair, so a
+// canceled or over-budget evaluation aborts mid-scan.
+type NestedLoop struct{}
 
 // Name implements Algorithm.
 func (NestedLoop) Name() string { return "nestedloop" }
 
-// WithMetrics implements Metered.
-func (nl NestedLoop) WithMetrics(m *obs.Metrics) Algorithm {
-	nl.Metrics = m
-	return nl
-}
-
-// WithGovernor implements Governed.
-func (nl NestedLoop) WithGovernor(g *governor.Governor) Algorithm {
-	nl.Gov = g
-	return nl
-}
-
 // Join implements Algorithm.
-func (nl NestedLoop) Join(l, r *relation.Relation) (*relation.Relation, error) {
+func (NestedLoop) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
 	shared := l.Scheme().Intersect(r.Scheme())
 	kl := newKeyExtractor(l.Scheme(), shared)
@@ -180,12 +141,12 @@ func (nl NestedLoop) Join(l, r *relation.Relation) (*relation.Relation, error) {
 		r.Each(func(rt relation.Tuple) bool {
 			if n%checkBatch == 0 {
 				fault.Hit(fault.JoinBatch)
-				if err = nl.Gov.CheckRows(out.Len()); err != nil {
+				if err = x.Gov.CheckRows(out.Len()); err != nil {
 					return false
 				}
 			}
 			n++
-			if err = nl.Gov.Tick(); err != nil {
+			if err = x.Gov.Tick(); err != nil {
 				return false
 			}
 			if kr.key(rt) == lk {
@@ -200,55 +161,26 @@ func (nl NestedLoop) Join(l, r *relation.Relation) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	nl.Metrics.JoinWork(0, l.Len()*r.Len(), out.Len())
-	nl.Metrics.ObserveJoin(out.Len())
-	return out, nil
+	x.Metrics.JoinWork(0, l.Len()*r.Len(), out.Len())
+	x.Metrics.ObserveJoin(out.Len())
+	return x.Materialized(out)
 }
 
 // Hash is a classic build/probe hash join on the shared attributes,
 // building on the smaller input.
-type Hash struct {
-	// Metrics, when non-nil, receives per-join counters: built counts
-	// build-side rows, probed counts probe-side rows.
-	Metrics *obs.Metrics
-	// Gov, when non-nil, is ticked once per build and probe tuple, with a
-	// row-budget check per probe batch, so one oversized hash join dies
-	// mid-probe instead of after materializing.
-	Gov *governor.Governor
-}
+//
+// Metrics: built counts build-side rows, probed counts probe-side rows.
+// The governor is ticked once per build and probe tuple, with a
+// row-budget check per probe batch, so one oversized hash join dies
+// mid-probe instead of after materializing.
+type Hash struct{}
 
 // Name implements Algorithm.
 func (Hash) Name() string { return "hash" }
 
-// WithMetrics implements Metered.
-func (h Hash) WithMetrics(m *obs.Metrics) Algorithm {
-	h.Metrics = m
-	return h
-}
-
-// WithGovernor implements Governed.
-func (h Hash) WithGovernor(g *governor.Governor) Algorithm {
-	h.Gov = g
-	return h
-}
-
 // Join implements Algorithm.
-func (h Hash) Join(l, r *relation.Relation) (*relation.Relation, error) {
+func (Hash) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
-	out, err := h.join(l, r)
-	if err != nil {
-		return nil, err
-	}
-	built, probed := l.Len(), r.Len()
-	if built > probed {
-		built, probed = probed, built
-	}
-	h.Metrics.JoinWork(built, probed, out.Len())
-	h.Metrics.ObserveJoin(out.Len())
-	return out, nil
-}
-
-func (h Hash) join(l, r *relation.Relation) (*relation.Relation, error) {
 	shared := l.Scheme().Intersect(r.Scheme())
 	kl := newKeyExtractor(l.Scheme(), shared)
 	kr := newKeyExtractor(r.Scheme(), shared)
@@ -267,7 +199,7 @@ func (h Hash) join(l, r *relation.Relation) (*relation.Relation, error) {
 	table := make(map[string][]relation.Tuple, build.Len())
 	var err error
 	build.Each(func(t relation.Tuple) bool {
-		if err = h.Gov.Tick(); err != nil {
+		if err = x.Gov.Tick(); err != nil {
 			return false
 		}
 		k := keyBuild.key(t)
@@ -281,19 +213,19 @@ func (h Hash) join(l, r *relation.Relation) (*relation.Relation, error) {
 	probe.Each(func(pt relation.Tuple) bool {
 		if n%checkBatch == 0 {
 			fault.Hit(fault.JoinBatch)
-			if err = h.Gov.CheckRows(out.Len()); err != nil {
+			if err = x.Gov.CheckRows(out.Len()); err != nil {
 				return false
 			}
 		}
 		n++
-		if err = h.Gov.Tick(); err != nil {
+		if err = x.Gov.Tick(); err != nil {
 			return false
 		}
 		// One probe tuple can match the entire build side under key
 		// skew, so the emit loop ticks per output tuple: the per-probe
 		// Tick above bounds nothing once a single bucket dominates.
 		for _, bt := range table[keyProbe.key(pt)] {
-			if err = h.Gov.Tick(); err != nil {
+			if err = x.Gov.Tick(); err != nil {
 				return false
 			}
 			var ot relation.Tuple
@@ -311,38 +243,24 @@ func (h Hash) join(l, r *relation.Relation) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	x.Metrics.JoinWork(build.Len(), probe.Len(), out.Len())
+	x.Metrics.ObserveJoin(out.Len())
+	return x.Materialized(out)
 }
 
 // SortMerge sorts both inputs on the shared-attribute key and merges
 // matching groups.
-type SortMerge struct {
-	// Metrics, when non-nil, receives per-join counters: built counts the
-	// rows sorted (both sides), probed counts the rows consumed by the
-	// merge.
-	Metrics *obs.Metrics
-	// Gov, when non-nil, is ticked once per collected row and per emitted
-	// pair, with a row-budget check per output batch.
-	Gov *governor.Governor
-}
+//
+// Metrics: built counts the rows sorted (both sides), probed counts the
+// rows consumed by the merge. The governor is ticked once per collected
+// row and per emitted pair, with a row-budget check per output batch.
+type SortMerge struct{}
 
 // Name implements Algorithm.
 func (SortMerge) Name() string { return "sortmerge" }
 
-// WithMetrics implements Metered.
-func (sm SortMerge) WithMetrics(m *obs.Metrics) Algorithm {
-	sm.Metrics = m
-	return sm
-}
-
-// WithGovernor implements Governed.
-func (sm SortMerge) WithGovernor(g *governor.Governor) Algorithm {
-	sm.Gov = g
-	return sm
-}
-
 // Join implements Algorithm.
-func (sm SortMerge) Join(l, r *relation.Relation) (*relation.Relation, error) {
+func (SortMerge) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
 	shared := l.Scheme().Intersect(r.Scheme())
 	kl := newKeyExtractor(l.Scheme(), shared)
@@ -358,7 +276,7 @@ func (sm SortMerge) Join(l, r *relation.Relation) (*relation.Relation, error) {
 		rows := make([]keyed, 0, rel.Len())
 		var err error
 		rel.Each(func(t relation.Tuple) bool {
-			if err = sm.Gov.Tick(); err != nil {
+			if err = x.Gov.Tick(); err != nil {
 				return false
 			}
 			rows = append(rows, keyed{key: ke.values(t), t: t})
@@ -400,12 +318,12 @@ func (sm SortMerge) Join(l, r *relation.Relation) (*relation.Relation, error) {
 				for b := j; b < j2; b++ {
 					if n%checkBatch == 0 {
 						fault.Hit(fault.JoinBatch)
-						if err := sm.Gov.CheckRows(out.Len()); err != nil {
+						if err := x.Gov.CheckRows(out.Len()); err != nil {
 							return nil, err
 						}
 					}
 					n++
-					if err := sm.Gov.Tick(); err != nil {
+					if err := x.Gov.Tick(); err != nil {
 						return nil, err
 					}
 					if _, err := out.Add(c.combine(ls[a].t, rs[b].t)); err != nil {
@@ -416,7 +334,7 @@ func (sm SortMerge) Join(l, r *relation.Relation) (*relation.Relation, error) {
 			i, j = i2, j2
 		}
 	}
-	sm.Metrics.JoinWork(l.Len()+r.Len(), l.Len()+r.Len(), out.Len())
-	sm.Metrics.ObserveJoin(out.Len())
-	return out, nil
+	x.Metrics.JoinWork(l.Len()+r.Len(), l.Len()+r.Len(), out.Len())
+	x.Metrics.ObserveJoin(out.Len())
+	return x.Materialized(out)
 }

@@ -69,7 +69,7 @@ func TestParallelCancelDrainsWorkers(t *testing.T) {
 			l, r := leakInputs(t, tc.distinct)
 			// Confirm the workload actually selects the intended strategy.
 			var probe obs.Metrics
-			if _, err := (Parallel{Workers: 4, Metrics: &probe}).Join(l, r); err != nil {
+			if _, err := (Parallel{Workers: 4}).Join(Exec{Metrics: &probe}, l, r); err != nil {
 				t.Fatal(err)
 			}
 			if n := tc.wantChoice(probe.Snapshot()); n != 1 {
@@ -84,7 +84,7 @@ func TestParallelCancelDrainsWorkers(t *testing.T) {
 			defer restore()
 			gov := governor.New(ctx, governor.Limits{})
 			before := runtime.NumGoroutine()
-			_, err := (Parallel{Workers: 4, Gov: gov}).Join(l, r)
+			_, err := (Parallel{Workers: 4}).Join(Exec{Gov: gov}, l, r)
 			if !errors.Is(err, governor.ErrCanceled) {
 				t.Fatalf("want governor.ErrCanceled, got %v", err)
 			}
@@ -112,7 +112,7 @@ func TestParallelWorkerPanicDrains(t *testing.T) {
 			}))
 			defer restore()
 			before := runtime.NumGoroutine()
-			_, err := (Parallel{Workers: 4}).Join(l, r)
+			_, err := (Parallel{Workers: 4}).Join(Exec{}, l, r)
 			if err == nil {
 				t.Fatal("worker panic did not surface as an error")
 			}
@@ -138,7 +138,7 @@ func TestParallelPeersDrainOnStickyFailure(t *testing.T) {
 		Point: fault.ParallelWorker, N: 2, Act: fault.Call, Func: cancel,
 	}))
 	gov := governor.New(ctx, governor.Limits{})
-	_, err := (Parallel{Workers: 4, Gov: gov}).Join(l, r)
+	_, err := (Parallel{Workers: 4}).Join(Exec{Gov: gov}, l, r)
 	restore()
 	if !errors.Is(err, governor.ErrCanceled) {
 		t.Fatalf("want governor.ErrCanceled, got %v", err)
@@ -150,11 +150,11 @@ func TestParallelPeersDrainOnStickyFailure(t *testing.T) {
 	// A fresh governor on a live context runs the same join to completion
 	// and matches the sequential hash join exactly.
 	gov2 := governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 1 << 20})
-	got, err := (Parallel{Workers: 4, Gov: gov2}).Join(l, r)
+	got, err := (Parallel{Workers: 4}).Join(Exec{Gov: gov2}, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (Hash{}).Join(l, r)
+	want, err := (Hash{}).Join(Exec{}, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,60 +3,8 @@ package join
 import (
 	"fmt"
 
-	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
-
-// Stats accumulates execution statistics across a (possibly n-ary) join.
-// Because the paper's hardness proofs all work by making intermediate
-// results explode, MaxIntermediate is the headline number.
-//
-// Stats is now a thin shim over obs.Metrics: every counter lives in the
-// atomic Metrics underneath, so a Stats shared across the parallel
-// evaluator's workers is race-free even when snapshotted mid-run.
-//
-// Deprecated: new code should attach an obs.Collector to the evaluator
-// (or pass an obs.Metrics to a Metered algorithm) instead. obs.Metrics
-// carries the same counters and more (per-algorithm tuple traffic,
-// partition/fallback counts, cache counters). Stats is kept only so
-// pre-obs callers compile unchanged; DESIGN.md ("Machine-checked
-// invariants") schedules its removal, and the deprecatedban analyzer
-// keeps it from gaining new callers in the meantime.
-type Stats struct {
-	m obs.Metrics
-}
-
-func (s *Stats) observe(r *relation.Relation) {
-	if s == nil {
-		return
-	}
-	s.m.ObserveJoin(r.Len())
-}
-
-// Observe records an externally produced intermediate relation (used by the
-// algebra evaluator for projection nodes).
-func (s *Stats) Observe(r *relation.Relation) {
-	if s == nil {
-		return
-	}
-	s.m.ObserveIntermediate(r.Len())
-}
-
-// Snapshot returns a consistent copy of the counters: the number of binary
-// joins performed, the largest cardinality of any relation produced while
-// executing (including the final result), and the total number of tuples
-// across all intermediate results.
-func (s *Stats) Snapshot() (joins, maxIntermediate, intermediateTuples int) {
-	snap := s.m.Snapshot()
-	return int(snap.Joins), int(snap.MaxIntermediate), int(snap.IntermediateTuples)
-}
-
-// String renders the statistics compactly.
-func (s *Stats) String() string {
-	joins, maxI, total := s.Snapshot()
-	return fmt.Sprintf("joins=%d max_intermediate=%d intermediate_tuples=%d",
-		joins, maxI, total)
-}
 
 // Order decides the sequence in which an n-ary join combines its inputs.
 type Order int
@@ -97,54 +45,75 @@ func OrderByName(name string) (Order, error) {
 	}
 }
 
-// Multi computes the natural join of all inputs using alg for each binary
-// join, combining in the given order. Stats, when non-nil, accumulates
-// execution statistics. Joining zero relations is an error (the neutral
-// element — the relation over the empty scheme holding the empty tuple —
-// is almost never what a caller wants); joining one relation returns it
-// unchanged.
-func Multi(inputs []*relation.Relation, alg Algorithm, order Order, stats *Stats) (*relation.Relation, error) {
+// nary is implemented by the strategies that join all inputs of an n-ary
+// node in one pass (Generic, Yannakakis) instead of as a plan of binary
+// joins.
+type nary interface {
+	JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation, error)
+}
+
+// onePass returns alg's one-pass form, or nil when alg only joins
+// pairwise. It is the only n-ary capability check in the tree.
+func onePass(alg Algorithm) nary {
+	n, _ := alg.(nary)
+	return n
+}
+
+// OnePass reports whether Multi hands alg all inputs of a node at once
+// instead of planning binary joins. The one-pass strategies bound their
+// intermediates by their output, which is what admission control and
+// graceful degradation need to know about a strategy.
+func OnePass(alg Algorithm) bool { return onePass(alg) != nil }
+
+// Multi computes the natural join of all inputs under x: in one pass when
+// alg is a one-pass strategy, else with alg for each binary join,
+// combining in the given order. Joining zero relations is an error (the
+// neutral element — the relation over the empty scheme holding the empty
+// tuple — is almost never what a caller wants); joining one relation
+// returns it unchanged, folded into the intermediate statistics.
+func Multi(x Exec, inputs []*relation.Relation, alg Algorithm, order Order) (*relation.Relation, error) {
 	switch len(inputs) {
 	case 0:
 		return nil, fmt.Errorf("join: Multi requires at least one input")
 	case 1:
-		stats.Observe(inputs[0])
+		x.Metrics.ObserveIntermediate(inputs[0].Len())
 		return inputs[0], nil
+	}
+	if n := onePass(alg); n != nil {
+		return n.JoinAll(x, inputs)
 	}
 	switch order {
 	case Sequential:
-		return multiSequential(inputs, alg, stats)
+		return multiSequential(x, inputs, alg)
 	case Greedy:
-		return multiGreedy(inputs, alg, stats)
+		return multiGreedy(x, inputs, alg)
 	default:
 		return nil, fmt.Errorf("join: unknown order %v", order)
 	}
 }
 
-func multiSequential(inputs []*relation.Relation, alg Algorithm, stats *Stats) (*relation.Relation, error) {
+func multiSequential(x Exec, inputs []*relation.Relation, alg Algorithm) (*relation.Relation, error) {
 	acc := inputs[0]
 	for _, next := range inputs[1:] {
 		var err error
-		acc, err = alg.Join(acc, next)
+		acc, err = alg.Join(x, acc, next)
 		if err != nil {
 			return nil, err
 		}
-		stats.observe(acc)
 	}
 	return acc, nil
 }
 
-func multiGreedy(inputs []*relation.Relation, alg Algorithm, stats *Stats) (*relation.Relation, error) {
+func multiGreedy(x Exec, inputs []*relation.Relation, alg Algorithm) (*relation.Relation, error) {
 	pending := make([]*relation.Relation, len(inputs))
 	copy(pending, inputs)
 
 	for len(pending) > 1 {
 		bi, bj := pickPair(pending)
-		joined, err := alg.Join(pending[bi], pending[bj])
+		joined, err := alg.Join(x, pending[bi], pending[bj])
 		if err != nil {
 			return nil, err
 		}
-		stats.observe(joined)
 		// Remove bj first (bj > bi), then replace bi.
 		pending = append(pending[:bj], pending[bj+1:]...)
 		pending[bi] = joined

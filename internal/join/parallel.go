@@ -7,7 +7,6 @@ import (
 
 	"relquery/internal/fault"
 	"relquery/internal/governor"
-	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -40,6 +39,10 @@ import (
 // a single empty key) or inputs below MinParallelRows — fall back to the
 // sequential Hash join.
 //
+// Metrics: built and probed count build- and probe-side rows, and the
+// strategy chosen is recorded as a partitioned join (with its bucket
+// count), a broadcast join, or a sequential fallback.
+//
 // Failure semantics: workers poll the shared governor per tuple, so the
 // first checkpoint violation (cancel, deadline, row budget) is sticky
 // and every other worker drains within one batch of it. A panic on a
@@ -51,15 +54,6 @@ type Parallel struct {
 	// Workers is the number of partitions and worker goroutines;
 	// values < 1 mean runtime.GOMAXPROCS(0).
 	Workers int
-	// Metrics, when non-nil, receives per-join counters: built and probed
-	// count build- and probe-side rows, and the strategy chosen is
-	// recorded as a partitioned join (with its bucket count), a broadcast
-	// join, or a sequential fallback.
-	Metrics *obs.Metrics
-	// Gov, when non-nil, is polled by every worker per tuple; its sticky
-	// failure is what lets workers drain promptly after a peer trips a
-	// checkpoint or panics.
-	Gov *governor.Governor
 }
 
 // MinParallelRows is the combined input size below which Parallel
@@ -74,18 +68,6 @@ const PartitionKeyFactor = 8
 
 // Name implements Algorithm.
 func (Parallel) Name() string { return "parallel" }
-
-// WithMetrics implements Metered.
-func (p Parallel) WithMetrics(m *obs.Metrics) Algorithm {
-	p.Metrics = m
-	return p
-}
-
-// WithGovernor implements Governed.
-func (p Parallel) WithGovernor(g *governor.Governor) Algorithm {
-	p.Gov = g
-	return p
-}
 
 func (p Parallel) workers() int {
 	if p.Workers < 1 {
@@ -126,18 +108,18 @@ func (f *firstFail) fail(err error) {
 // every worker goroutine.
 func (f *firstFail) recoverTo(what string) {
 	if rec := recover(); rec != nil {
-		f.fail(recoveredError(what, rec))
+		f.fail(Recovered(what, rec))
 	}
 }
 
 // Join implements Algorithm.
-func (p Parallel) Join(l, r *relation.Relation) (*relation.Relation, error) {
+func (p Parallel) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
 	shared := l.Scheme().Intersect(r.Scheme())
 	w := p.workers()
 	if w <= 1 || shared.Len() == 0 || l.Len()+r.Len() < MinParallelRows {
-		p.Metrics.SequentialFallback()
-		return Hash{Metrics: p.Metrics, Gov: p.Gov}.Join(l, r)
+		x.Metrics.SequentialFallback()
+		return Hash{}.Join(x, l, r)
 	}
 
 	kl := newKeyExtractor(l.Scheme(), shared)
@@ -156,7 +138,7 @@ func (p Parallel) Join(l, r *relation.Relation) (*relation.Relation, error) {
 	table := make(map[string][]relation.Tuple, build.Len())
 	var err error
 	build.Each(func(t relation.Tuple) bool {
-		if err = p.Gov.Tick(); err != nil {
+		if err = x.Gov.Tick(); err != nil {
 			return false
 		}
 		k := keyBuild.key(t)
@@ -167,14 +149,14 @@ func (p Parallel) Join(l, r *relation.Relation) (*relation.Relation, error) {
 		return nil, err
 	}
 
-	ff := &firstFail{gov: p.Gov}
+	ff := &firstFail{gov: x.Gov}
 	var tuples [][]relation.Tuple
 	if len(table) >= PartitionKeyFactor*w {
-		p.Metrics.Partitioned(w)
-		tuples = p.partitioned(table, probe, keyProbe, c, buildIsLeft, w, ff)
+		x.Metrics.Partitioned(w)
+		tuples = partitioned(table, probe, keyProbe, c, buildIsLeft, w, ff)
 	} else {
-		p.Metrics.Broadcast()
-		tuples = p.broadcast(table, probe, keyProbe, c, buildIsLeft, w, ff)
+		x.Metrics.Broadcast()
+		tuples = broadcast(table, probe, keyProbe, c, buildIsLeft, w, ff)
 	}
 	if ff.err != nil {
 		return nil, ff.err
@@ -188,18 +170,18 @@ func (p Parallel) Join(l, r *relation.Relation) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Gov.CheckRows(out.Len()); err != nil {
+	if err := x.Gov.CheckRows(out.Len()); err != nil {
 		return nil, err
 	}
-	p.Metrics.JoinWork(build.Len(), probe.Len(), out.Len())
-	p.Metrics.ObserveJoin(out.Len())
-	return out, nil
+	x.Metrics.JoinWork(build.Len(), probe.Len(), out.Len())
+	x.Metrics.ObserveJoin(out.Len())
+	return x.Materialized(out)
 }
 
 // broadcast shares the build table read-only across workers and splits
 // the probe side into w contiguous chunks. Emission order is exactly the
 // sequential hash join's probe order.
-func (p Parallel) broadcast(table map[string][]relation.Tuple, probe *relation.Relation, keyProbe keyExtractor, c combiner, buildIsLeft bool, w int, ff *firstFail) [][]relation.Tuple {
+func broadcast(table map[string][]relation.Tuple, probe *relation.Relation, keyProbe keyExtractor, c combiner, buildIsLeft bool, w int, ff *firstFail) [][]relation.Tuple {
 	total := probe.Len()
 	chunk := (total + w - 1) / w
 	tuples := make([][]relation.Tuple, w)
@@ -217,7 +199,7 @@ func (p Parallel) broadcast(table map[string][]relation.Tuple, probe *relation.R
 			fault.Hit(fault.ParallelWorker)
 			var ts []relation.Tuple
 			for i := lo; i < hi; i++ {
-				if err := p.Gov.Tick(); err != nil {
+				if err := ff.gov.Tick(); err != nil {
 					ff.fail(err)
 					return
 				}
@@ -233,7 +215,7 @@ func (p Parallel) broadcast(table map[string][]relation.Tuple, probe *relation.R
 
 // partitioned splits the build table and the probe side into w buckets
 // by key hash and joins bucket pairs on the worker pool.
-func (p Parallel) partitioned(table map[string][]relation.Tuple, probe *relation.Relation, keyProbe keyExtractor, c combiner, buildIsLeft bool, w int, ff *firstFail) [][]relation.Tuple {
+func partitioned(table map[string][]relation.Tuple, probe *relation.Relation, keyProbe keyExtractor, c combiner, buildIsLeft bool, w int, ff *firstFail) [][]relation.Tuple {
 	// Scatter the already-built table into per-bucket mini-tables
 	// without re-serializing any key.
 	miniTables := make([]map[string][]relation.Tuple, w)
@@ -244,7 +226,7 @@ func (p Parallel) partitioned(table map[string][]relation.Tuple, probe *relation
 		b := bucketOf(k, w)
 		miniTables[b][k] = ts
 	}
-	probeBuckets := partition(probe, keyProbe, w, p.Gov, ff)
+	probeBuckets := partition(probe, keyProbe, w, ff)
 	if ff.err != nil {
 		return nil
 	}
@@ -259,7 +241,7 @@ func (p Parallel) partitioned(table map[string][]relation.Tuple, probe *relation
 			fault.Hit(fault.ParallelWorker)
 			var ts []relation.Tuple
 			for _, kt := range probeBuckets[b] {
-				if err := p.Gov.Tick(); err != nil {
+				if err := ff.gov.Tick(); err != nil {
 					ff.fail(err)
 					return
 				}
@@ -290,7 +272,7 @@ func emitMatches(matches []relation.Tuple, pt relation.Tuple, c combiner, buildI
 // and scatters into private sub-buckets; concatenating sub-buckets in
 // worker order preserves the relation's tuple order within every bucket,
 // which keeps the overall join deterministic.
-func partition(rel *relation.Relation, ke keyExtractor, n int, gov *governor.Governor, ff *firstFail) [][]keyedTuple {
+func partition(rel *relation.Relation, ke keyExtractor, n int, ff *firstFail) [][]keyedTuple {
 	total := rel.Len()
 	chunk := (total + n - 1) / n
 	sub := make([][][]keyedTuple, n) // sub[worker][bucket]
@@ -308,7 +290,7 @@ func partition(rel *relation.Relation, ke keyExtractor, n int, gov *governor.Gov
 			fault.Hit(fault.ParallelWorker)
 			mine := make([][]keyedTuple, n)
 			for i := lo; i < hi; i++ {
-				if err := gov.Tick(); err != nil {
+				if err := ff.gov.Tick(); err != nil {
 					ff.fail(err)
 					return
 				}

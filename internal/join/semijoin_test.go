@@ -59,7 +59,7 @@ func TestQuickReduceFixpointPreservesJoin(t *testing.T) {
 		r2 := randomRelation(rng, relation.MustScheme("B", "C"), 10)
 		r3 := randomRelation(rng, relation.MustScheme("A", "C"), 10) // cyclic!
 		rels := []*relation.Relation{r1, r2, r3}
-		want, err := Multi(rels, Hash{}, Greedy, nil)
+		want, err := Multi(Exec{}, rels, Hash{}, Greedy)
 		if err != nil {
 			return false
 		}
@@ -67,7 +67,7 @@ func TestQuickReduceFixpointPreservesJoin(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Multi(reduced, Hash{}, Greedy, nil)
+		got, err := Multi(Exec{}, reduced, Hash{}, Greedy)
 		if err != nil {
 			return false
 		}

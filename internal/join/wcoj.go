@@ -6,7 +6,6 @@ import (
 
 	"relquery/internal/fault"
 	"relquery/internal/governor"
-	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -33,66 +32,35 @@ import (
 // relation, and intersecting a new attribute is a walk over the distinct
 // values of the smallest range with binary-search narrowing in the
 // others.
-type Generic struct {
-	// Metrics, when non-nil, receives per-join counters: built counts the
-	// rows indexed into sorted tries, probed counts candidate values
-	// examined, and the wcoj-specific candidate/intersection counters.
-	Metrics *obs.Metrics
-	// Gov, when non-nil, is ticked during trie construction and once per
-	// candidate value of the binding search, with a row-budget check as
-	// output bindings accumulate, so even a search that stays under the
-	// AGM bound dies promptly on cancel or budget violation.
-	Gov *governor.Governor
-}
-
-// GenericStats reports one generic join's search effort.
-type GenericStats struct {
-	// Candidates counts the distinct candidate values enumerated across
-	// all attribute intersections (each was tested against every other
-	// relation containing the attribute).
-	Candidates int
-	// Intersections counts the attribute-level intersection passes — one
-	// per node of the binding search tree.
-	Intersections int
-}
+//
+// Metrics: built counts the rows indexed into sorted tries, probed counts
+// candidate values examined, plus the wcoj candidate/intersection
+// counters, which JoinAll also records on the span. The governor is
+// ticked during trie construction and once per candidate value of the
+// binding search, with a row-budget check as output bindings accumulate,
+// so even a search that stays under the AGM bound dies promptly on cancel
+// or budget violation.
+type Generic struct{}
 
 // Name implements Algorithm.
 func (Generic) Name() string { return "wcoj" }
 
-// WithMetrics implements Metered.
-func (g Generic) WithMetrics(m *obs.Metrics) Algorithm {
-	g.Metrics = m
-	return g
-}
-
-// WithGovernor implements Governed.
-func (g Generic) WithGovernor(gov *governor.Governor) Algorithm {
-	g.Gov = gov
-	return g
-}
-
 // Join implements Algorithm; a binary generic join is simply the two-input
 // case of JoinAll.
-func (g Generic) Join(l, r *relation.Relation) (*relation.Relation, error) {
-	return g.JoinAll([]*relation.Relation{l, r})
+func (g Generic) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
+	return g.JoinAll(x, []*relation.Relation{l, r})
 }
 
-// JoinAll implements MultiAlgorithm.
-func (g Generic) JoinAll(inputs []*relation.Relation) (*relation.Relation, error) {
-	out, _, err := g.JoinAllStats(inputs)
-	return out, err
-}
-
-// JoinAllStats is JoinAll returning the search-effort counters, for trace
-// spans. Like Multi, joining zero relations is an error and a single
-// relation passes through unchanged.
-func (g Generic) JoinAllStats(inputs []*relation.Relation) (*relation.Relation, GenericStats, error) {
+// JoinAll joins all inputs in one attribute-at-a-time pass. Like Multi,
+// joining zero relations is an error and a single relation passes through
+// unchanged.
+func (Generic) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
 	switch len(inputs) {
 	case 0:
-		return nil, GenericStats{}, fmt.Errorf("join: JoinAll requires at least one input")
+		return nil, fmt.Errorf("join: JoinAll requires at least one input")
 	case 1:
-		return inputs[0], GenericStats{}, nil
+		return inputs[0], nil
 	}
 	// Output scheme: left-to-right union, matching the binary combiners.
 	outScheme := inputs[0].Scheme()
@@ -103,10 +71,10 @@ func (g Generic) JoinAllStats(inputs []*relation.Relation) (*relation.Relation, 
 		if r.Empty() {
 			empty, err := relation.FromDistinctTuples(outScheme)
 			if err != nil {
-				return nil, GenericStats{}, err
+				return nil, err
 			}
-			g.Metrics.ObserveJoin(0)
-			return empty, GenericStats{}, nil
+			x.Metrics.ObserveJoin(0)
+			return x.Materialized(empty)
 		}
 	}
 
@@ -114,31 +82,31 @@ func (g Generic) JoinAllStats(inputs []*relation.Relation) (*relation.Relation, 
 	tries := make([]*sortedTrie, len(inputs))
 	indexed := 0
 	for i, r := range inputs {
-		t, err := newSortedTrie(r, order, g.Gov)
+		t, err := newSortedTrie(r, order, x.Gov)
 		if err != nil {
-			return nil, GenericStats{}, err
+			return nil, err
 		}
 		tries[i] = t
 		indexed += r.Len()
 	}
 	j := newGenericJoin(outScheme, order, tries)
-	j.gov = g.Gov
+	j.gov = x.Gov
 	j.search(0)
 	if j.err != nil {
-		return nil, GenericStats{}, j.err
+		return nil, j.err
 	}
 
 	// Distinct bindings yield distinct output tuples, so the result
 	// assembles without re-deduplication.
 	out, err := relation.FromDistinctTuples(outScheme, j.tuples)
 	if err != nil {
-		return nil, GenericStats{}, err
+		return nil, err
 	}
-	gs := GenericStats{Candidates: j.candidates, Intersections: j.intersections}
-	g.Metrics.JoinWork(indexed, j.candidates, out.Len())
-	g.Metrics.ObserveJoin(out.Len())
-	g.Metrics.WCOJ(gs.Candidates, gs.Intersections)
-	return out, gs, nil
+	x.Metrics.JoinWork(indexed, j.candidates, out.Len())
+	x.Metrics.ObserveJoin(out.Len())
+	x.Metrics.WCOJ(j.candidates, j.intersections)
+	x.Span.SetWCOJ(j.candidates, j.intersections)
+	return x.Materialized(out)
 }
 
 // attributeOrder fixes the global attribute order the tries and the
@@ -381,7 +349,6 @@ func upperBound(rows [][]relation.Value, lo, hi, d int, v relation.Value) int {
 }
 
 var (
-	_ Algorithm      = Generic{}
-	_ Metered        = Generic{}
-	_ MultiAlgorithm = Generic{}
+	_ Algorithm = Generic{}
+	_ nary      = Generic{}
 )

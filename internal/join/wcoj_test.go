@@ -14,7 +14,7 @@ import (
 // with on every input.
 func multiHash(t *testing.T, inputs []*relation.Relation) *relation.Relation {
 	t.Helper()
-	out, err := Multi(inputs, Hash{}, Greedy, nil)
+	out, err := Multi(Exec{}, inputs, Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,8 @@ func TestGenericMatchesMultiOnFixedCases(t *testing.T) {
 	for name, inputs := range cases {
 		t.Run(name, func(t *testing.T) {
 			want := multiHash(t, inputs)
-			got, gs, err := Generic{}.JoinAllStats(inputs)
+			sp := &obs.Span{}
+			got, err := Generic{}.JoinAll(Exec{Span: sp}, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,24 +74,27 @@ func TestGenericMatchesMultiOnFixedCases(t *testing.T) {
 			if !got.Scheme().Equal(want.Scheme()) {
 				t.Fatalf("scheme %v, want set-equal to %v", got.Scheme(), want.Scheme())
 			}
-			if got.Len() > 0 && (gs.Intersections == 0 || gs.Candidates == 0) {
-				t.Errorf("non-empty join reported no search effort: %+v", gs)
+			if got.Len() > 0 && (sp.Intersections == 0 || sp.Candidates == 0) {
+				t.Errorf("non-empty join reported no search effort: candidates=%d intersections=%d", sp.Candidates, sp.Intersections)
+			}
+			if sp.MaxIntermediate != got.Len() {
+				t.Errorf("span peak = %d, want the output's %d rows", sp.MaxIntermediate, got.Len())
 			}
 		})
 	}
 }
 
 func TestGenericEdgeCases(t *testing.T) {
-	if _, err := (Generic{}).JoinAll(nil); err == nil {
+	if _, err := (Generic{}).JoinAll(Exec{}, nil); err == nil {
 		t.Error("JoinAll(nil) succeeded")
 	}
 	one := rel(t, "A", "1")
-	got, err := Generic{}.JoinAll([]*relation.Relation{one})
+	got, err := Generic{}.JoinAll(Exec{}, []*relation.Relation{one})
 	if err != nil || !got.Equal(one) {
 		t.Errorf("JoinAll(single) = %v, %v", got, err)
 	}
 	empty := rel(t, "B C")
-	out, err := Generic{}.JoinAll([]*relation.Relation{one, empty, rel(t, "C D", "p 7")})
+	out, err := Generic{}.JoinAll(Exec{}, []*relation.Relation{one, empty, rel(t, "C D", "p 7")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +111,11 @@ func TestGenericEdgeCases(t *testing.T) {
 func TestGenericBinaryAlgorithm(t *testing.T) {
 	l := bigRel(11, relation.MustScheme("K", "A"), 300, 17)
 	r := bigRel(12, relation.MustScheme("K", "B"), 400, 17)
-	want, err := Hash{}.Join(l, r)
+	want, err := Hash{}.Join(Exec{}, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Generic{}.Join(l, r)
+	got, err := Generic{}.Join(Exec{}, l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +151,7 @@ func TestQuickGenericMatchesMulti(t *testing.T) {
 			randRel("C A", 1+rng.Intn(20), 4),
 		}
 		want := multiHash(t, inputs)
-		got, err := Generic{}.JoinAll(inputs)
+		got, err := Generic{}.JoinAll(Exec{}, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +170,7 @@ func TestGenericNeverExceedsAGM(t *testing.T) {
 		bigRel(22, relation.MustScheme("B", "C"), 200, 13),
 		bigRel(23, relation.MustScheme("A", "C"), 200, 13),
 	}
-	out, err := Generic{}.JoinAll(inputs)
+	out, err := Generic{}.JoinAll(Exec{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +181,12 @@ func TestGenericNeverExceedsAGM(t *testing.T) {
 
 func TestGenericMetrics(t *testing.T) {
 	var m obs.Metrics
-	alg, ok := Generic{}.WithMetrics(&m).(Generic)
-	if !ok {
-		t.Fatal("WithMetrics changed the concrete type")
-	}
 	inputs := []*relation.Relation{
 		rel(t, "A B", "1 x", "2 y"),
 		rel(t, "B C", "x p", "y q"),
 		rel(t, "A C", "1 p", "2 q"),
 	}
-	out, err := alg.JoinAll(inputs)
+	out, err := Generic{}.JoinAll(Exec{Metrics: &m}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

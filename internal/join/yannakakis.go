@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"relquery/internal/fault"
-	"relquery/internal/governor"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
@@ -26,164 +25,115 @@ import (
 // On acyclic inputs Yannakakis does neither — semijoins only shrink, and
 // the tree joins never outgrow the output.
 //
-// On a cyclic hypergraph the algorithm does not apply; JoinAll then
-// falls back to the greedy binary plan over semijoin-reduced pairwise
-// joins (sound for any join), so the type is safe to force on arbitrary
-// queries via -join=yannakakis. The algebra evaluator detects the cyclic
-// case up front and routes it through its normal binary path instead, so
-// budgets and span accounting stay uniform.
-type Yannakakis struct {
-	// Metrics, when non-nil, receives per-join counters: each semijoin
-	// pass's output cardinality, the tree joins' tuple traffic (via the
-	// inner hash join), and the per-evaluation yannakakis counters.
-	Metrics *obs.Metrics
-	// Gov, when non-nil, is ticked inside every semijoin sweep and every
-	// tree join (via the governed inner hash join), so both full-reducer
-	// passes and the final joins abort at tuple granularity.
-	Gov *governor.Governor
-}
-
-// YannakakisStats reports one acyclic join's full-reducer effort.
-type YannakakisStats struct {
-	// Acyclic records the GYO verdict: false means the hypergraph was
-	// cyclic and the greedy-binary fallback produced the result.
-	Acyclic bool
-	// Semijoins counts the semijoin passes executed by the full reducer
-	// (bottom-up plus top-down; 2·(edges−1) on acyclic inputs).
-	Semijoins int
-	// InputRows totals the input cardinalities before reduction.
-	InputRows int
-	// ReducedRows totals the cardinalities surviving the full reducer —
-	// the "semijoin-pass cardinality" EXPLAIN ANALYZE reports. Dangling
-	// tuples are exactly InputRows − ReducedRows.
-	ReducedRows int
-}
+// On a cyclic hypergraph the algorithm does not apply; JoinAll then falls
+// back to the greedy binary plan over pairwise-reduced joins (Join: one
+// semijoin each way, then a hash join of the reduced sides) — sound for
+// any join, just without the output-boundedness guarantee — so the type
+// is safe to force on arbitrary queries via -join=yannakakis.
+//
+// Metrics: each semijoin pass's output cardinality, the tree joins' tuple
+// traffic (via the inner hash join) and the yannakakis join counter;
+// JoinAll also records the GYO verdict and the full reducer's effort on
+// the span. The governor is ticked inside every semijoin sweep and every
+// tree join, so both full-reducer passes and the final joins abort at
+// tuple granularity, and every semijoin result and tree join goes through
+// Exec.Materialized — which is what makes the output-boundedness visible
+// in, and enforced on, the trace.
+type Yannakakis struct{}
 
 // Name implements Algorithm.
 func (Yannakakis) Name() string { return "yannakakis" }
 
-// WithMetrics implements Metered.
-func (y Yannakakis) WithMetrics(m *obs.Metrics) Algorithm {
-	y.Metrics = m
-	return y
-}
-
-// WithGovernor implements Governed.
-func (y Yannakakis) WithGovernor(g *governor.Governor) Algorithm {
-	y.Gov = g
-	return y
-}
-
 // Join implements Algorithm; two relations are always α-acyclic, so a
 // binary Yannakakis join is a pairwise full reduction (one semijoin each
 // way) followed by a hash join of the reduced sides.
-func (y Yannakakis) Join(l, r *relation.Relation) (*relation.Relation, error) {
-	return y.JoinAll([]*relation.Relation{l, r})
-}
-
-// JoinAll implements MultiAlgorithm.
-func (y Yannakakis) JoinAll(inputs []*relation.Relation) (*relation.Relation, error) {
-	out, _, err := y.JoinAllStats(inputs, nil)
+func (y Yannakakis) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
+	inputs := []*relation.Relation{l, r}
+	tree, _ := JoinTreeOf(SchemesOf(inputs))
+	out, _, _, err := y.joinTree(x, inputs, tree)
 	return out, err
 }
 
-// JoinAllStats is JoinAll returning the full-reducer counters for trace
-// spans. observe, when non-nil, is called with every relation the
-// algorithm materializes — each semijoin result and each join along the
-// tree — and a non-nil return aborts evaluation (the evaluator's budget
-// and peak-tracking hook). Like Multi, joining zero relations is an
-// error and a single relation passes through unchanged.
-func (y Yannakakis) JoinAllStats(inputs []*relation.Relation, observe func(*relation.Relation) error) (*relation.Relation, YannakakisStats, error) {
-	fault.Hit(fault.JoinStart)
-	if err := y.Gov.Check(); err != nil {
-		return nil, YannakakisStats{}, err
-	}
+// JoinAll joins all inputs along their GYO join tree, recording the
+// verdict and the full reducer's effort on the span. Like Multi, joining
+// zero relations is an error and a single relation passes through
+// unchanged.
+func (y Yannakakis) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation, error) {
 	switch len(inputs) {
 	case 0:
-		return nil, YannakakisStats{}, fmt.Errorf("join: JoinAll requires at least one input")
+		return nil, fmt.Errorf("join: JoinAll requires at least one input")
 	case 1:
-		return inputs[0], YannakakisStats{Acyclic: true, InputRows: inputs[0].Len(), ReducedRows: inputs[0].Len()}, nil
-	}
-	stats := YannakakisStats{}
-	for _, r := range inputs {
-		stats.InputRows += r.Len()
+		return inputs[0], nil
 	}
 	tree, ok := JoinTreeOf(SchemesOf(inputs))
 	if !ok {
-		// Cyclic: no join tree exists. Fall back to the greedy binary
-		// plan with pairwise-reduced joins — sound for any join, just
-		// without the acyclic output-boundedness guarantee.
-		var alg Algorithm = Hash{Metrics: y.Metrics, Gov: y.Gov}
-		if observe != nil {
-			alg = observedAlgorithm{inner: alg, observe: observe}
-		}
-		out, err := Multi(inputs, alg, Greedy, nil)
-		return out, stats, err
+		x.Span.SetStructure(obs.StructureCyclic)
+		return multiGreedy(x, inputs, y)
 	}
-	stats.Acyclic = true
-
-	reduced, semijoins, err := y.fullReduce(inputs, tree, observe)
+	x.Span.SetStructure(obs.StructureAcyclic)
+	out, semijoins, reducedRows, err := y.joinTree(x, inputs, tree)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	stats.Semijoins = semijoins
-	for _, r := range reduced {
-		stats.ReducedRows += r.Len()
-	}
+	x.Span.SetYannakakis(semijoins, reducedRows)
+	return out, nil
+}
 
-	// Join children into parents along the tree, leaves first: with the
-	// relations fully reduced, every intermediate tuple extends to an
-	// output tuple, so no step outgrows the output.
-	alg := Hash{Metrics: y.Metrics, Gov: y.Gov}
-	acc := make([]*relation.Relation, len(reduced))
-	copy(acc, reduced)
+// joinTree runs the full reducer over the join tree and then joins
+// children into parents along it, leaves first: with the relations fully
+// reduced, every intermediate tuple extends to an output tuple, so no
+// step outgrows the output. It also returns the number of semijoin passes
+// and the total cardinality surviving them (the "semijoin-pass
+// cardinality" EXPLAIN ANALYZE reports; the inputs' total minus this is
+// the dangling tuples removed).
+func (Yannakakis) joinTree(x Exec, inputs []*relation.Relation, tree *JoinTree) (out *relation.Relation, semijoins, reducedRows int, err error) {
+	fault.Hit(fault.JoinStart)
+	if err := x.Gov.Check(); err != nil {
+		return nil, 0, 0, err
+	}
+	acc, semijoins, err := fullReduce(x, inputs, tree)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	for _, r := range acc {
+		reducedRows += r.Len()
+	}
 	for _, i := range tree.Order {
 		p := tree.Parent[i]
 		if p < 0 {
 			continue
 		}
-		joined, err := alg.Join(acc[p], acc[i])
+		acc[p], err = Hash{}.Join(x, acc[p], acc[i])
 		if err != nil {
-			return nil, stats, err
+			return nil, 0, 0, err
 		}
-		if observe != nil {
-			if err := observe(joined); err != nil {
-				return nil, stats, err
-			}
-		}
-		acc[p] = joined
 	}
 	root := tree.Root()
 	if root < 0 {
-		return nil, stats, fmt.Errorf("join: internal error: join tree has no root")
+		return nil, 0, 0, fmt.Errorf("join: internal error: join tree has no root")
 	}
-	y.Metrics.Yannakakis()
-	return acc[root], stats, nil
+	x.Metrics.Yannakakis()
+	return acc[root], semijoins, reducedRows, nil
 }
 
 // fullReduce runs the two semijoin sweeps over the join tree: leaf to
 // root (parent ⋉ child, in ear-removal order), then root to leaf (child
 // ⋉ parent, reversed). After both sweeps the relations are globally
 // consistent: every remaining tuple participates in at least one output
-// tuple. observe (optional) sees every semijoin result.
-func (y Yannakakis) fullReduce(rels []*relation.Relation, tree *JoinTree, observe func(*relation.Relation) error) ([]*relation.Relation, int, error) {
+// tuple.
+func fullReduce(x Exec, rels []*relation.Relation, tree *JoinTree) ([]*relation.Relation, int, error) {
 	out := make([]*relation.Relation, len(rels))
 	copy(out, rels)
 	semijoins := 0
 	reduce := func(dst, src int) error {
-		reduced, err := SemijoinWith(out[dst], out[src], y.Gov)
+		reduced, err := SemijoinWith(out[dst], out[src], x.Gov)
 		if err != nil {
 			return err
 		}
 		semijoins++
-		y.Metrics.Semijoin(reduced.Len())
-		if observe != nil {
-			if err := observe(reduced); err != nil {
-				return err
-			}
-		}
-		out[dst] = reduced
-		return nil
+		x.Metrics.Semijoin(reduced.Len())
+		out[dst], err = x.Materialized(reduced)
+		return err
 	}
 	for _, i := range tree.Order {
 		if p := tree.Parent[i]; p >= 0 {
@@ -214,31 +164,10 @@ func FullReduce(rels []*relation.Relation) ([]*relation.Relation, int, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("join: full reduction requires an acyclic join (schemes %v)", edges)
 	}
-	return Yannakakis{}.fullReduce(rels, tree, nil)
-}
-
-// observedAlgorithm wraps an Algorithm and reports every join output to
-// an observe hook, aborting when the hook errors.
-type observedAlgorithm struct {
-	inner   Algorithm
-	observe func(*relation.Relation) error
-}
-
-func (o observedAlgorithm) Name() string { return o.inner.Name() }
-
-func (o observedAlgorithm) Join(l, r *relation.Relation) (*relation.Relation, error) {
-	out, err := o.inner.Join(l, r)
-	if err != nil {
-		return nil, err
-	}
-	if err := o.observe(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return fullReduce(Exec{}, rels, tree)
 }
 
 var (
-	_ Algorithm      = Yannakakis{}
-	_ Metered        = Yannakakis{}
-	_ MultiAlgorithm = Yannakakis{}
+	_ Algorithm = Yannakakis{}
+	_ nary      = Yannakakis{}
 )

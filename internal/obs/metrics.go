@@ -33,9 +33,8 @@ import (
 )
 
 // Metrics accumulates evaluation-wide counters. All updates are atomic, so
-// one Metrics can be shared by the parallel evaluator's workers and — the
-// fix over the old mutex-plus-exported-fields join.Stats — snapshotted
-// race-free while evaluation is still running.
+// one Metrics can be shared by the parallel evaluator's workers and
+// snapshotted race-free while evaluation is still running.
 //
 // All methods are nil-safe no-ops, per the package's zero-overhead
 // contract.

@@ -5,6 +5,7 @@ import (
 
 	"relquery/internal/algebra"
 	"relquery/internal/cnf"
+	"relquery/internal/join"
 	"relquery/internal/relation"
 )
 
@@ -67,7 +68,7 @@ func Theorem1(g, gPrime *cnf.Formula) (*Theorem1Instance, error) {
 		return nil, fmt.Errorf("reduction: theorem 1, G': %w", err)
 	}
 
-	combined, err := cg.R.Join(cgp.R)
+	combined, err := join.Hash{}.Join(join.Exec{}, cg.R, cgp.R)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +128,7 @@ func conjecturedResult(cg, cgp *Construction) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return py.Join(pyPrime)
+	return join.Hash{}.Join(join.Exec{}, py, pyPrime)
 }
 
 // Database returns the single-relation database of the instance.

@@ -307,9 +307,11 @@ func (r *Relation) Equal(o *Relation) bool {
 //
 //	r ∗ o = { t over scheme(r) ∪ scheme(o) : t[scheme(r)] ∈ r, t[scheme(o)] ∈ o }
 //
-// using a hash join on the shared attributes. This is the package's
-// canonical join; package join provides alternative algorithms and an
-// n-ary planner.
+// using a hash join on the shared attributes. This is the reference
+// implementation — the independent oracle the join package's tests
+// compare every strategy against — not an engine path: production code
+// joins through package join, whose algorithms run governed, metered and
+// traced under a join.Exec.
 func (r *Relation) Join(o *Relation) (*Relation, error) {
 	shared := r.scheme.Intersect(o.scheme)
 	outScheme := r.scheme.Union(o.scheme)

@@ -231,7 +231,7 @@ func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr
 			args = append(args, r)
 		}
 	}
-	predicted := max(join.PredictedPeakGreedy(args), join.WorstCasePeakGreedy(args))
+	predicted := join.GreedyPeak(args)
 	agm := join.AGMBoundOf(args)
 	bounded := 0.0
 	switch q.strategy {
@@ -262,8 +262,9 @@ func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr
 
 // writeEvalError maps a failed evaluation to a status code: governor
 // sentinels carry resource semantics (429 admission, 504 deadline, 413
-// row/memory budget, 499 client cancel); everything else is the
-// client's 400 — the engine rejected the query, not the server.
+// row/memory budget, 499 client cancel); a recovered engine panic is the
+// server's fault, 500; everything else is the client's 400 — the engine
+// rejected the query, not the server.
 func (s *Server) writeEvalError(w http.ResponseWriter, q *queryRequest, t *tenant, err error) {
 	switch {
 	case errors.Is(err, governor.ErrAdmission):
@@ -279,6 +280,8 @@ func (s *Server) writeEvalError(w http.ResponseWriter, q *queryRequest, t *tenan
 		writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
 	case errors.Is(err, governor.ErrCanceled):
 		writeError(w, StatusClientClosedRequest, "%v", err)
+	case errors.Is(err, join.ErrPanic):
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	}

@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"relquery/internal/fault"
 	"relquery/internal/governor"
 	"relquery/internal/relation"
 	"relquery/internal/telemetry"
@@ -484,5 +486,43 @@ func TestStreamedResultRoundTrips(t *testing.T) {
 	}
 	if name != "result" || rel.Len() != 12000 {
 		t.Errorf("parsed %q with %d rows, want result with 12000", name, rel.Len())
+	}
+}
+
+// TestEnginePanicIs500 injects a panic into the wcoj binding search and
+// into a parallel-join worker: the recovered crash must reach the client
+// as 500 with the JSON error envelope — the server's fault, not the
+// query's — and the same server must answer the next request.
+func TestEnginePanicIs500(t *testing.T) {
+	for _, tc := range []struct {
+		strategy string
+		point    fault.Point
+	}{
+		{"wcoj", fault.WCOJSearch},
+		{"parallel", fault.ParallelWorker},
+	} {
+		t.Run(tc.strategy, func(t *testing.T) {
+			if tc.strategy == "parallel" && runtime.GOMAXPROCS(0) < 2 {
+				t.Skip("one worker: the parallel join falls back to the sequential hash join")
+			}
+			_, ts := newTestServer(t)
+			restore := fault.Set(fault.NewScript(fault.Rule{Point: tc.point, Act: fault.Panic}))
+			resp := postQuery(t, ts, "acme", chainQuery, "strategy="+tc.strategy)
+			restore()
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("status %d, want 500; body: %s", resp.StatusCode, readBody(t, resp))
+			}
+			var body errorBody
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
+				t.Fatalf("500 body is not the JSON error envelope: %v %+v", err, body)
+			}
+			resp = postQuery(t, ts, "acme", chainQuery, "strategy="+tc.strategy+"&count=1")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("request after the panic: status %d: %s", resp.StatusCode, readBody(t, resp))
+			}
+			if got := strings.TrimSpace(readBody(t, resp)); got != "12000" {
+				t.Errorf("request after the panic counted %q rows, want 12000", got)
+			}
+		})
 	}
 }

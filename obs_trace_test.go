@@ -175,8 +175,8 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 }
 
 // TestTraceSnapshotWhileRunning snapshots collector metrics concurrently
-// with a parallelism-8 traced evaluation — the race the deprecated
-// join.Stats had. Run under -race in CI.
+// with a parallelism-8 traced evaluation — the race a mutex-free counter
+// struct would have. Run under -race in CI.
 func TestTraceSnapshotWhileRunning(t *testing.T) {
 	c, err := reduction.New(lemma1Families(t)["xorchain"])
 	if err != nil {

@@ -103,11 +103,11 @@ func TestLemma1ParallelJoinIdentical(t *testing.T) {
 				accSeq, accPar := legs[0], legs[0]
 				for i, leg := range legs[1:] {
 					var err error
-					accSeq, err = (join.Hash{}).Join(accSeq, leg)
+					accSeq, err = (join.Hash{}).Join(join.Exec{}, accSeq, leg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					accPar, err = par.Join(accPar, leg)
+					accPar, err = par.Join(join.Exec{}, accPar, leg)
 					if err != nil {
 						t.Fatal(err)
 					}

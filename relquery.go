@@ -99,11 +99,6 @@ type (
 	Join = algebra.Join
 	// Evaluator materializes expressions with pluggable join strategy.
 	Evaluator = algebra.Evaluator
-	// JoinStats accumulates intermediate-result statistics.
-	//
-	// Deprecated: attach a Collector to the Evaluator and read
-	// Collector.Metrics instead; see internal/obs.
-	JoinStats = join.Stats
 )
 
 // Observability (see internal/obs).
