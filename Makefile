@@ -64,9 +64,9 @@ obs-bench:
 	  echo "========================================================================"; \
 	  echo; \
 	  echo "Regenerate with: make obs-bench"; \
-	  echo "sequential/parallel-* run with no Collector (the production"; \
+	  echo "sequential/workers=N run with no Collector (the production"; \
 	  echo "fast path); *-traced attach a fresh obs.Collector per eval;"; \
-	  echo "parallel-8-registry additionally publishes every evaluation"; \
+	  echo "workers=8-registry additionally publishes every evaluation"; \
 	  echo "into a process-wide obs.Registry (histograms + trace ring),"; \
 	  echo "the path behind the telemetry server's /metrics endpoint."; \
 	  echo; \

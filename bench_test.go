@@ -332,6 +332,9 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 // ahead of sequential on both families; the cached variant ahead again
 // when the expression repeats subexpressions.
 //
+// Configurations are named workers=N, not parallel-N: cmd/benchdiff reads
+// a trailing -N as the GOMAXPROCS suffix go test appends.
+//
 // The -traced variants re-run a configuration with a fresh obs.Collector
 // per evaluation; comparing each pair measures the observability layer's
 // overhead, which the nil-collector fast path must keep within noise
@@ -367,15 +370,15 @@ func BenchmarkE9ParallelEval(b *testing.B) {
 			registry bool
 		}{
 			{"sequential", algebra.EvalOptions{}, false, false},
-			{"parallel-1", algebra.EvalOptions{Parallelism: 1}, false, false},
-			{"parallel-8", algebra.EvalOptions{Parallelism: 8}, false, false},
-			{"parallel-8-cache", algebra.EvalOptions{Parallelism: 8, Cache: true}, false, false},
+			{"workers=1", algebra.EvalOptions{Parallelism: 1}, false, false},
+			{"workers=8", algebra.EvalOptions{Parallelism: 8}, false, false},
+			{"workers=8-cache", algebra.EvalOptions{Parallelism: 8, Cache: true}, false, false},
 			{"sequential-traced", algebra.EvalOptions{}, true, false},
-			{"parallel-8-traced", algebra.EvalOptions{Parallelism: 8}, true, false},
+			{"workers=8-traced", algebra.EvalOptions{Parallelism: 8}, true, false},
 			// The -registry variant adds the process-wide telemetry
 			// publish (histograms + totals fold + trace ring) on top of
 			// tracing — the cost of feeding /metrics, per evaluation.
-			{"parallel-8-registry", algebra.EvalOptions{Parallelism: 8}, true, true},
+			{"workers=8-registry", algebra.EvalOptions{Parallelism: 8}, true, true},
 		} {
 			reg := obs.NewRegistry()
 			b.Run(fmt.Sprintf("%s/%s", fam.name, cfg.name), func(b *testing.B) {

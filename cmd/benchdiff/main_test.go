@@ -36,10 +36,44 @@ func TestParseLine(t *testing.T) {
 	if metrics["peak_rows"] != 257 || metrics["agm_bound"] != 289 || metrics["ns/op"] != 123 {
 		t.Errorf("metrics = %v", metrics)
 	}
+	// A sub-benchmark name ending in digits keeps them, whether go test
+	// appended a CPU suffix (GOMAXPROCS > 1) or not (GOMAXPROCS = 1) —
+	// which holds for "workers=8" and cannot hold for "parallel-8".
+	for _, line := range []string{
+		"BenchmarkX/fam/workers=8 \t 10 \t 123 ns/op",
+		"BenchmarkX/fam/workers=8-2 \t 10 \t 123 ns/op",
+		"BenchmarkX/fam/workers=8-16 \t 10 \t 123 ns/op",
+	} {
+		if name, _, ok := parseLine(line); !ok || name != "BenchmarkX/fam/workers=8" {
+			t.Errorf("parseLine(%q) names it %q (ok=%v), want BenchmarkX/fam/workers=8", line, name, ok)
+		}
+	}
 	for _, bad := range []string{"", "PASS", "ok   relquery  0.024s", "goos: linux", "peak_rows is the largest"} {
 		if _, _, ok := parseLine(bad); ok {
 			t.Errorf("non-benchmark line %q parsed", bad)
 		}
+	}
+}
+
+// TestBaselineMatchesAcrossGOMAXPROCS: a baseline recorded at one
+// GOMAXPROCS must line up, row for row, with a run at another — the
+// workers=1 and workers=8 rows neither collapse into one key at
+// GOMAXPROCS=1 nor go missing at GOMAXPROCS=2.
+func TestBaselineMatchesAcrossGOMAXPROCS(t *testing.T) {
+	const one = `
+BenchmarkE9/fam/sequential   10   100 ns/op
+BenchmarkE9/fam/workers=1    10   110 ns/op
+BenchmarkE9/fam/workers=8    10   120 ns/op
+`
+	two := strings.NewReplacer("sequential ", "sequential-2 ", "workers=1 ", "workers=1-2 ", "workers=8 ", "workers=8-2 ").Replace(one)
+	base, cur := writeBench(t, "base.txt", one), writeBench(t, "cur.txt", two)
+	rows, err := parseFile(base)
+	if err != nil || len(rows) != 3 {
+		t.Fatalf("GOMAXPROCS=1 file parsed into %d rows (err %v), want 3", len(rows), err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-metric", "ns/op", "-max-regress", "20", base, cur}, &out); err != nil {
+		t.Fatalf("same numbers at GOMAXPROCS 1 and 2 did not line up: %v\n%s", err, out.String())
 	}
 }
 

@@ -49,6 +49,7 @@ type listPackage struct {
 	Export       string
 	ForTest      string
 	Standard     bool
+	DepOnly      bool // listed only as a dependency of the patterns
 	GoFiles      []string
 	CgoFiles     []string
 	TestGoFiles  []string
@@ -60,7 +61,7 @@ type listPackage struct {
 func goList(dir string, patterns []string) ([]listPackage, error) {
 	args := []string{
 		"list", "-export", "-deps", "-test",
-		"-json=Dir,ImportPath,Name,Export,ForTest,Standard,GoFiles,CgoFiles,TestGoFiles,XTestGoFiles",
+		"-json=Dir,ImportPath,Name,Export,ForTest,Standard,DepOnly,GoFiles,CgoFiles,TestGoFiles,XTestGoFiles",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -199,7 +200,12 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 			}
 			prog.Pkgs = append(prog.Pkgs, pkg)
 		}
-		if len(p.XTestGoFiles) > 0 {
+		// A dependency's external test package is left out: nothing can
+		// import it, so it adds nothing to the registry, and it may use
+		// its package's export_test.go helpers, which only the
+		// test-augmented export data — built for matched packages only —
+		// carries.
+		if len(p.XTestGoFiles) > 0 && !p.DepOnly {
 			pkg, err := prog.checkPackage(p.ImportPath+"_test", p.Dir, p.XTestGoFiles)
 			if err != nil {
 				return nil, err

@@ -83,7 +83,7 @@ func streamDistinct(phi algebra.Expr, db relation.Database, stopAt int, b Budget
 	if err != nil {
 		return 0, false, err
 	}
-	seen := make(map[string]struct{})
+	var seen relation.TupleSet
 	bc := budgetCounter{limit: b.MaxTuples, gov: b.Gov}
 	budgetHit := false
 	stopped := false
@@ -92,13 +92,9 @@ func streamDistinct(phi algebra.Expr, db relation.Database, stopAt int, b Budget
 			budgetHit = true
 			return false
 		}
-		key := tp.Key()
-		if _, ok := seen[key]; !ok {
-			seen[key] = struct{}{}
-			if stopAt > 0 && len(seen) >= stopAt {
-				stopped = true
-				return false
-			}
+		if _, fresh := seen.Add(tp); fresh && stopAt > 0 && seen.Len() >= stopAt {
+			stopped = true
+			return false
 		}
 		return true
 	})
@@ -111,7 +107,7 @@ func streamDistinct(phi algebra.Expr, db relation.Database, stopAt int, b Budget
 	if budgetHit {
 		return 0, false, fmt.Errorf("%w: visited %d tuples counting |φ(R)|", ErrBudget, bc.visited)
 	}
-	return len(seen), !stopped, nil
+	return seen.Len(), !stopped, nil
 }
 
 // CountMaterialized computes |φ(db)| by materializing with the algebra

@@ -84,7 +84,7 @@ func containedIn(phi1 algebra.Expr, db1 relation.Database, phi2 algebra.Expr, db
 		return Comparison{}, err
 	}
 	bc := budgetCounter{limit: b.MaxTuples, gov: b.Gov}
-	seen := make(map[string]struct{})
+	var seen relation.TupleSet
 	out := Comparison{Holds: true}
 	var innerErr error
 	budgetHit := false
@@ -93,11 +93,9 @@ func containedIn(phi1 algebra.Expr, db1 relation.Database, phi2 algebra.Expr, db
 			budgetHit = true
 			return false
 		}
-		key := tp.Key()
-		if _, ok := seen[key]; ok {
+		if _, fresh := seen.Add(tp); !fresh {
 			return true
 		}
-		seen[key] = struct{}{}
 		nt := relation.NamedTuple{Scheme: s1, Vals: tp}
 		ok, err := t2.MemberGov(nt, db2, b.Gov)
 		if err != nil {

@@ -22,7 +22,7 @@ func Enumerate(phi algebra.Expr, db relation.Database, b Budget, yield func(rela
 	if err != nil {
 		return err
 	}
-	seen := make(map[string]struct{})
+	var seen relation.TupleSet
 	bc := budgetCounter{limit: b.MaxTuples, gov: b.Gov}
 	budgetHit := false
 	err = tb.StreamGov(db, b.Gov, func(tp relation.Tuple) bool {
@@ -30,11 +30,9 @@ func Enumerate(phi algebra.Expr, db relation.Database, b Budget, yield func(rela
 			budgetHit = true
 			return false
 		}
-		key := tp.Key()
-		if _, dup := seen[key]; dup {
+		if _, fresh := seen.Add(tp); !fresh {
 			return true
 		}
-		seen[key] = struct{}{}
 		return yield(tp.Clone())
 	})
 	if err != nil {

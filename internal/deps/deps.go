@@ -51,17 +51,19 @@ func (fd FD) HoldsIn(r *relation.Relation) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	seen := make(map[string]string, r.Len())
+	// image[i] is the To-projection of the first tuple carrying the i-th
+	// distinct From-projection; every later one must repeat it.
+	var seen relation.TupleSet
+	var image []relation.Tuple
 	holds := true
 	r.Each(func(t relation.Tuple) bool {
-		k := keyProj(t).Key()
-		v := valProj(t).Key()
-		if prev, ok := seen[k]; ok && prev != v {
+		v := valProj(t)
+		if i, fresh := seen.Add(keyProj(t)); fresh {
+			image = append(image, v)
+		} else if !image[i].Equal(v) {
 			holds = false
-			return false
 		}
-		seen[k] = v
-		return true
+		return holds
 	})
 	return holds, nil
 }

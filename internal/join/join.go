@@ -85,34 +85,37 @@ func (c combiner) combine(left, right relation.Tuple) relation.Tuple {
 	return t
 }
 
-// keyExtractor pulls the shared-attribute key out of a tuple.
-type keyExtractor struct {
-	pos []int
+// sides is a binary hash join, oriented: build on the smaller input (ties
+// build left), probe the other, stitch matches in left, right order.
+type sides struct {
+	combiner
+	build, probe       *relation.Relation
+	keyBuild, keyProbe keyCols
+	buildIsLeft        bool
 }
 
-func newKeyExtractor(s, shared relation.Scheme) keyExtractor {
-	pos := make([]int, shared.Len())
-	for i := 0; i < shared.Len(); i++ {
-		j, _ := s.Pos(shared.Attr(i))
-		pos[i] = j
+func orient(l, r *relation.Relation) sides {
+	shared := l.Scheme().Intersect(r.Scheme())
+	s := sides{
+		combiner: newCombiner(l.Scheme(), r.Scheme()),
+		build:    l, keyBuild: newKeyCols(l.Scheme(), shared),
+		probe: r, keyProbe: newKeyCols(r.Scheme(), shared),
+		buildIsLeft: true,
 	}
-	return keyExtractor{pos: pos}
+	if r.Len() < l.Len() {
+		s.build, s.probe = s.probe, s.build
+		s.keyBuild, s.keyProbe = s.keyProbe, s.keyBuild
+		s.buildIsLeft = false
+	}
+	return s
 }
 
-func (k keyExtractor) key(t relation.Tuple) string {
-	sub := make(relation.Tuple, len(k.pos))
-	for i, j := range k.pos {
-		sub[i] = t[j]
+// pair is the output tuple of a matching build and probe tuple.
+func (s *sides) pair(bt, pt relation.Tuple) relation.Tuple {
+	if s.buildIsLeft {
+		return s.combine(bt, pt)
 	}
-	return sub.Key()
-}
-
-func (k keyExtractor) values(t relation.Tuple) relation.Tuple {
-	sub := make(relation.Tuple, len(k.pos))
-	for i, j := range k.pos {
-		sub[i] = t[j]
-	}
-	return sub
+	return s.combine(pt, bt)
 }
 
 // NestedLoop is the textbook O(|l|·|r|) join. It is the reference
@@ -130,14 +133,13 @@ func (NestedLoop) Name() string { return "nestedloop" }
 func (NestedLoop) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
 	shared := l.Scheme().Intersect(r.Scheme())
-	kl := newKeyExtractor(l.Scheme(), shared)
-	kr := newKeyExtractor(r.Scheme(), shared)
+	kl := newKeyCols(l.Scheme(), shared)
+	kr := newKeyCols(r.Scheme(), shared)
 	c := newCombiner(l.Scheme(), r.Scheme())
 	out := relation.New(c.out)
 	var err error
 	n := 0
 	l.Each(func(lt relation.Tuple) bool {
-		lk := kl.key(lt)
 		r.Each(func(rt relation.Tuple) bool {
 			if n%checkBatch == 0 {
 				fault.Hit(fault.JoinBatch)
@@ -149,7 +151,7 @@ func (NestedLoop) Join(x Exec, l, r *relation.Relation) (*relation.Relation, err
 			if err = x.Gov.Tick(); err != nil {
 				return false
 			}
-			if kr.key(rt) == lk {
+			if sameKey(lt, kl, rt, kr) {
 				if _, err = out.Add(c.combine(lt, rt)); err != nil {
 					return false
 				}
@@ -181,39 +183,19 @@ func (Hash) Name() string { return "hash" }
 // Join implements Algorithm.
 func (Hash) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
-	shared := l.Scheme().Intersect(r.Scheme())
-	kl := newKeyExtractor(l.Scheme(), shared)
-	kr := newKeyExtractor(r.Scheme(), shared)
-	c := newCombiner(l.Scheme(), r.Scheme())
-	out := relation.New(c.out)
-
-	// Build on the smaller input (ties build left), probe the other.
-	build, probe := l, r
-	keyBuild, keyProbe := kl, kr
-	buildIsLeft := true
-	if r.Len() < l.Len() {
-		build, probe = r, l
-		keyBuild, keyProbe = kr, kl
-		buildIsLeft = false
-	}
-	table := make(map[string][]relation.Tuple, build.Len())
-	var err error
-	build.Each(func(t relation.Tuple) bool {
-		if err = x.Gov.Tick(); err != nil {
-			return false
-		}
-		k := keyBuild.key(t)
-		table[k] = append(table[k], t)
-		return true
-	})
+	s := orient(l, r)
+	table, err := buildTable(x.Gov, s.build, s.keyBuild)
 	if err != nil {
 		return nil, err
 	}
+	// A natural-join output tuple determines its source pair, so the
+	// output is duplicate-free as emitted: no dedup, no index.
+	var tuples []relation.Tuple
 	n := 0
-	probe.Each(func(pt relation.Tuple) bool {
+	s.probe.Each(func(pt relation.Tuple) bool {
 		if n%checkBatch == 0 {
 			fault.Hit(fault.JoinBatch)
-			if err = x.Gov.CheckRows(out.Len()); err != nil {
+			if err = x.Gov.CheckRows(len(tuples)); err != nil {
 				return false
 			}
 		}
@@ -224,26 +206,22 @@ func (Hash) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 		// One probe tuple can match the entire build side under key
 		// skew, so the emit loop ticks per output tuple: the per-probe
 		// Tick above bounds nothing once a single bucket dominates.
-		for _, bt := range table[keyProbe.key(pt)] {
+		for i := table.first(pt.HashOf(s.keyProbe), pt, s.keyProbe); i >= 0; i = table.after(i) {
 			if err = x.Gov.Tick(); err != nil {
 				return false
 			}
-			var ot relation.Tuple
-			if buildIsLeft {
-				ot = c.combine(bt, pt)
-			} else {
-				ot = c.combine(pt, bt)
-			}
-			if _, err = out.Add(ot); err != nil {
-				return false
-			}
+			tuples = append(tuples, s.pair(s.build.Tuple(i), pt))
 		}
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	x.Metrics.JoinWork(build.Len(), probe.Len(), out.Len())
+	out, err := relation.FromDistinctTuples(s.out, tuples)
+	if err != nil {
+		return nil, err
+	}
+	x.Metrics.JoinWork(s.build.Len(), s.probe.Len(), out.Len())
 	x.Metrics.ObserveJoin(out.Len())
 	return x.Materialized(out)
 }
@@ -263,16 +241,15 @@ func (SortMerge) Name() string { return "sortmerge" }
 func (SortMerge) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
 	shared := l.Scheme().Intersect(r.Scheme())
-	kl := newKeyExtractor(l.Scheme(), shared)
-	kr := newKeyExtractor(r.Scheme(), shared)
+	kl := newKeyCols(l.Scheme(), shared)
+	kr := newKeyCols(r.Scheme(), shared)
 	c := newCombiner(l.Scheme(), r.Scheme())
-	out := relation.New(c.out)
 
 	type keyed struct {
 		key relation.Tuple
 		t   relation.Tuple
 	}
-	collect := func(rel *relation.Relation, ke keyExtractor) ([]keyed, error) {
+	collect := func(rel *relation.Relation, ke keyCols) ([]keyed, error) {
 		rows := make([]keyed, 0, rel.Len())
 		var err error
 		rel.Each(func(t relation.Tuple) bool {
@@ -297,6 +274,9 @@ func (SortMerge) Join(x Exec, l, r *relation.Relation) (*relation.Relation, erro
 		return nil, err
 	}
 
+	// Each (left, right) pair is emitted once, so the output is
+	// duplicate-free as emitted.
+	var tuples []relation.Tuple
 	i, j, n := 0, 0, 0
 	for i < len(ls) && j < len(rs) {
 		switch {
@@ -318,7 +298,7 @@ func (SortMerge) Join(x Exec, l, r *relation.Relation) (*relation.Relation, erro
 				for b := j; b < j2; b++ {
 					if n%checkBatch == 0 {
 						fault.Hit(fault.JoinBatch)
-						if err := x.Gov.CheckRows(out.Len()); err != nil {
+						if err := x.Gov.CheckRows(len(tuples)); err != nil {
 							return nil, err
 						}
 					}
@@ -326,13 +306,15 @@ func (SortMerge) Join(x Exec, l, r *relation.Relation) (*relation.Relation, erro
 					if err := x.Gov.Tick(); err != nil {
 						return nil, err
 					}
-					if _, err := out.Add(c.combine(ls[a].t, rs[b].t)); err != nil {
-						return nil, err
-					}
+					tuples = append(tuples, c.combine(ls[a].t, rs[b].t))
 				}
 			}
 			i, j = i2, j2
 		}
+	}
+	out, err := relation.FromDistinctTuples(c.out, tuples)
+	if err != nil {
+		return nil, err
 	}
 	x.Metrics.JoinWork(l.Len()+r.Len(), l.Len()+r.Len(), out.Len())
 	x.Metrics.ObserveJoin(out.Len())

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"hash/fnv"
 	"runtime"
 	"sync"
 
@@ -13,11 +12,12 @@ import (
 // Parallel is a parallel hash join with two execution strategies chosen
 // by the shape of the key domain:
 //
-//   - partitioned: both inputs are hash-partitioned on the
-//     shared-attribute key into one bucket per worker, bucket pairs are
-//     joined by a worker pool, and the per-bucket results are merged in
-//     bucket order. Used when the build side has enough distinct keys
-//     (≥ PartitionKeyFactor × workers) for the buckets to balance.
+//   - partitioned: the probe side is partitioned on the hash of the
+//     shared-attribute key into one bucket per worker, so each worker
+//     probes a disjoint slice of the key domain (and of the shared build
+//     table), and the per-bucket results are merged in bucket order. Used
+//     when the build side has enough distinct keys (≥ PartitionKeyFactor
+//     × workers) for the buckets to balance.
 //   - broadcast: the build-side hash table is built once and shared
 //     read-only by all workers, and the probe side is split into
 //     contiguous chunks. Used when the key domain is small or skewed —
@@ -33,7 +33,7 @@ import (
 //
 // A natural join of sets never produces duplicate tuples (an output
 // tuple determines its left and right source tuples), so workers emit
-// without deduplicating; the merge still verifies key disjointness.
+// without deduplicating.
 //
 // Joins that cannot benefit — no shared attributes (a cross product has
 // a single empty key) or inputs below MinParallelRows — fall back to the
@@ -80,11 +80,11 @@ func (p Parallel) workers() int {
 // (resolving the GOMAXPROCS default), for trace annotation.
 func (p Parallel) EffectiveWorkers() int { return p.workers() }
 
-// keyedTuple carries a tuple together with its serialized join key so the
-// key is computed exactly once, during partitioning.
+// keyedTuple carries a tuple together with the hash of its join key so
+// the key is hashed exactly once, during partitioning.
 type keyedTuple struct {
-	key string
-	t   relation.Tuple
+	hash uint64
+	t    relation.Tuple
 }
 
 // firstFail collects the first failure across a join's worker pool and,
@@ -122,41 +122,21 @@ func (p Parallel) Join(x Exec, l, r *relation.Relation) (*relation.Relation, err
 		return Hash{}.Join(x, l, r)
 	}
 
-	kl := newKeyExtractor(l.Scheme(), shared)
-	kr := newKeyExtractor(r.Scheme(), shared)
-	c := newCombiner(l.Scheme(), r.Scheme())
-
 	// Build on the smaller input, as the sequential hash join does.
-	build, probe := l, r
-	keyBuild, keyProbe := kl, kr
-	buildIsLeft := true
-	if r.Len() < l.Len() {
-		build, probe = r, l
-		keyBuild, keyProbe = kr, kl
-		buildIsLeft = false
-	}
-	table := make(map[string][]relation.Tuple, build.Len())
-	var err error
-	build.Each(func(t relation.Tuple) bool {
-		if err = x.Gov.Tick(); err != nil {
-			return false
-		}
-		k := keyBuild.key(t)
-		table[k] = append(table[k], t)
-		return true
-	})
+	s := orient(l, r)
+	table, err := buildTable(x.Gov, s.build, s.keyBuild)
 	if err != nil {
 		return nil, err
 	}
 
 	ff := &firstFail{gov: x.Gov}
 	var tuples [][]relation.Tuple
-	if len(table) >= PartitionKeyFactor*w {
+	if table.keys() >= PartitionKeyFactor*w {
 		x.Metrics.Partitioned(w)
-		tuples = partitioned(table, probe, keyProbe, c, buildIsLeft, w, ff)
+		tuples = partitioned(table, &s, w, ff)
 	} else {
 		x.Metrics.Broadcast()
-		tuples = broadcast(table, probe, keyProbe, c, buildIsLeft, w, ff)
+		tuples = broadcast(table, &s, w, ff)
 	}
 	if ff.err != nil {
 		return nil, ff.err
@@ -165,15 +145,15 @@ func (p Parallel) Join(x Exec, l, r *relation.Relation) (*relation.Relation, err
 	// are necessarily distinct (a natural-join output tuple determines
 	// its source pair, and each pair is processed by exactly one
 	// worker), so FromDistinctTuples assembles the result without
-	// cloning, key serialization or index construction.
-	out, err := relation.FromDistinctTuples(c.out, tuples...)
+	// cloning, hashing or index construction.
+	out, err := relation.FromDistinctTuples(s.out, tuples...)
 	if err != nil {
 		return nil, err
 	}
 	if err := x.Gov.CheckRows(out.Len()); err != nil {
 		return nil, err
 	}
-	x.Metrics.JoinWork(build.Len(), probe.Len(), out.Len())
+	x.Metrics.JoinWork(s.build.Len(), s.probe.Len(), out.Len())
 	x.Metrics.ObserveJoin(out.Len())
 	return x.Materialized(out)
 }
@@ -181,8 +161,8 @@ func (p Parallel) Join(x Exec, l, r *relation.Relation) (*relation.Relation, err
 // broadcast shares the build table read-only across workers and splits
 // the probe side into w contiguous chunks. Emission order is exactly the
 // sequential hash join's probe order.
-func broadcast(table map[string][]relation.Tuple, probe *relation.Relation, keyProbe keyExtractor, c combiner, buildIsLeft bool, w int, ff *firstFail) [][]relation.Tuple {
-	total := probe.Len()
+func broadcast(table *hashTable, s *sides, w int, ff *firstFail) [][]relation.Tuple {
+	total := s.probe.Len()
 	chunk := (total + w - 1) / w
 	tuples := make([][]relation.Tuple, w)
 	var wg sync.WaitGroup
@@ -203,8 +183,8 @@ func broadcast(table map[string][]relation.Tuple, probe *relation.Relation, keyP
 					ff.fail(err)
 					return
 				}
-				pt := probe.Tuple(i)
-				ts = emitMatches(table[keyProbe.key(pt)], pt, c, buildIsLeft, ts)
+				pt := s.probe.Tuple(i)
+				ts = emitMatches(table, pt.HashOf(s.keyProbe), pt, s, ts)
 			}
 			tuples[wi] = ts
 		}(wi, lo, hi)
@@ -213,20 +193,10 @@ func broadcast(table map[string][]relation.Tuple, probe *relation.Relation, keyP
 	return tuples
 }
 
-// partitioned splits the build table and the probe side into w buckets
-// by key hash and joins bucket pairs on the worker pool.
-func partitioned(table map[string][]relation.Tuple, probe *relation.Relation, keyProbe keyExtractor, c combiner, buildIsLeft bool, w int, ff *firstFail) [][]relation.Tuple {
-	// Scatter the already-built table into per-bucket mini-tables
-	// without re-serializing any key.
-	miniTables := make([]map[string][]relation.Tuple, w)
-	for b := range miniTables {
-		miniTables[b] = make(map[string][]relation.Tuple)
-	}
-	for k, ts := range table {
-		b := bucketOf(k, w)
-		miniTables[b][k] = ts
-	}
-	probeBuckets := partition(probe, keyProbe, w, ff)
+// partitioned splits the probe side into w buckets by key hash and probes
+// the shared build table with one worker per bucket.
+func partitioned(table *hashTable, s *sides, w int, ff *firstFail) [][]relation.Tuple {
+	probeBuckets := partition(s.probe, s.keyProbe, w, ff)
 	if ff.err != nil {
 		return nil
 	}
@@ -245,7 +215,7 @@ func partitioned(table map[string][]relation.Tuple, probe *relation.Relation, ke
 					ff.fail(err)
 					return
 				}
-				ts = emitMatches(miniTables[b][kt.key], kt.t, c, buildIsLeft, ts)
+				ts = emitMatches(table, kt.hash, kt.t, s, ts)
 			}
 			tuples[b] = ts
 		}(b)
@@ -254,25 +224,21 @@ func partitioned(table map[string][]relation.Tuple, probe *relation.Relation, ke
 	return tuples
 }
 
-// emitMatches combines the probe tuple with every matching build tuple,
-// appending the fresh output tuples.
-func emitMatches(matches []relation.Tuple, pt relation.Tuple, c combiner, buildIsLeft bool, tuples []relation.Tuple) []relation.Tuple {
-	for _, m := range matches {
-		if buildIsLeft {
-			tuples = append(tuples, c.combine(m, pt))
-		} else {
-			tuples = append(tuples, c.combine(pt, m))
-		}
+// emitMatches combines probe tuple pt, whose key hashes to h, with every
+// matching build tuple in build order, appending the fresh output tuples.
+func emitMatches(table *hashTable, h uint64, pt relation.Tuple, s *sides, tuples []relation.Tuple) []relation.Tuple {
+	for i := table.first(h, pt, s.keyProbe); i >= 0; i = table.after(i) {
+		tuples = append(tuples, s.pair(s.build.Tuple(i), pt))
 	}
 	return tuples
 }
 
 // partition scatters rel into n buckets by hash of the join key,
-// computing keys in parallel. Each worker takes a contiguous index range
+// hashing in parallel. Each worker takes a contiguous index range
 // and scatters into private sub-buckets; concatenating sub-buckets in
 // worker order preserves the relation's tuple order within every bucket,
 // which keeps the overall join deterministic.
-func partition(rel *relation.Relation, ke keyExtractor, n int, ff *firstFail) [][]keyedTuple {
+func partition(rel *relation.Relation, ke keyCols, n int, ff *firstFail) [][]keyedTuple {
 	total := rel.Len()
 	chunk := (total + n - 1) / n
 	sub := make([][][]keyedTuple, n) // sub[worker][bucket]
@@ -295,9 +261,9 @@ func partition(rel *relation.Relation, ke keyExtractor, n int, ff *firstFail) []
 					return
 				}
 				t := rel.Tuple(i)
-				k := ke.key(t)
-				b := bucketOf(k, n)
-				mine[b] = append(mine[b], keyedTuple{key: k, t: t})
+				h := t.HashOf(ke)
+				b := h % uint64(n)
+				mine[b] = append(mine[b], keyedTuple{hash: h, t: t})
 			}
 			sub[wi] = mine
 		}(wi, lo, hi)
@@ -323,12 +289,6 @@ func partition(rel *relation.Relation, ke keyExtractor, n int, ff *firstFail) []
 		buckets[b] = bucket
 	}
 	return buckets
-}
-
-func bucketOf(key string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
 }
 
 var _ Algorithm = Parallel{}

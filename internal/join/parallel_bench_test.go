@@ -73,9 +73,10 @@ func familyWorkloads(b *testing.B) []struct {
 
 // BenchmarkParallelGadgetFold compares the sequential hash join against
 // the partitioned parallel join at 1, 2 and 8 workers on the
-// cnf/families gadget folds. Expected shape: parallel/w=1 ≈ hash
-// (fallback overhead only); parallel/w=8 well under sequential hash on
-// the larger families.
+// cnf/families gadget folds. Expected shape: workers=1 ≈ hash
+// (fallback overhead only); workers=8 well under sequential hash on
+// the larger families. (The names say workers=N, not parallel-N:
+// cmd/benchdiff reads a trailing -N as the GOMAXPROCS suffix.)
 func BenchmarkParallelGadgetFold(b *testing.B) {
 	for _, fam := range familyWorkloads(b) {
 		legs := gadgetLegs(b, fam.g)
@@ -84,9 +85,9 @@ func BenchmarkParallelGadgetFold(b *testing.B) {
 			alg  join.Algorithm
 		}{
 			{"hash", join.Hash{}},
-			{"parallel-1", join.Parallel{Workers: 1}},
-			{"parallel-2", join.Parallel{Workers: 2}},
-			{"parallel-8", join.Parallel{Workers: 8}},
+			{"workers=1", join.Parallel{Workers: 1}},
+			{"workers=2", join.Parallel{Workers: 2}},
+			{"workers=8", join.Parallel{Workers: 8}},
 		}
 		for _, a := range algs {
 			b.Run(fmt.Sprintf("%s/%s", fam.name, a.name), func(b *testing.B) {

@@ -19,76 +19,27 @@ func Semijoin(r, s *relation.Relation) (*relation.Relation, error) {
 func SemijoinWith(r, s *relation.Relation, g *governor.Governor) (*relation.Relation, error) {
 	fault.Hit(fault.Semijoin)
 	shared := r.Scheme().Intersect(s.Scheme())
-	keyR, err := projectionKeys(r.Scheme(), shared)
+	keyR, keyS := newKeyCols(r.Scheme(), shared), newKeyCols(s.Scheme(), shared)
+	table, err := buildTable(g, s, keyS)
 	if err != nil {
 		return nil, err
 	}
-	keyS, err := projectionKeys(s.Scheme(), shared)
-	if err != nil {
-		return nil, err
-	}
-	keys := make(map[string]struct{}, s.Len())
-	var loopErr error
-	s.Each(func(t relation.Tuple) bool {
-		if loopErr = g.Tick(); loopErr != nil {
-			return false
-		}
-		keys[keyS(t)] = struct{}{}
-		return true
-	})
-	if loopErr != nil {
-		return nil, loopErr
-	}
-	out := relation.New(r.Scheme())
+	// The result is a subset of a set: duplicate-free as selected, and
+	// its tuples are r's own, shared rather than copied.
+	var kept []relation.Tuple
 	r.Each(func(t relation.Tuple) bool {
-		if loopErr = g.Tick(); loopErr != nil {
+		if err = g.Tick(); err != nil {
 			return false
 		}
-		if _, ok := keys[keyR(t)]; ok {
-			if _, err := out.Add(t); err != nil {
-				loopErr = err
-				return false
-			}
+		if table.first(t.HashOf(keyR), t, keyR) >= 0 {
+			kept = append(kept, t)
 		}
 		return true
 	})
-	if loopErr != nil {
-		return nil, loopErr
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
-}
-
-// projectionKeys builds a closure mapping a tuple to the encoding of its
-// projection onto `onto`.
-func projectionKeys(src, onto relation.Scheme) (func(relation.Tuple) string, error) {
-	pos := make([]int, onto.Len())
-	for i := 0; i < onto.Len(); i++ {
-		p, ok := src.Pos(onto.Attr(i))
-		if !ok {
-			return nil, errAttrMissing(onto.Attr(i), src)
-		}
-		pos[i] = p
-	}
-	return func(t relation.Tuple) string {
-		sub := make(relation.Tuple, len(pos))
-		for i, p := range pos {
-			sub[i] = t[p]
-		}
-		return sub.Key()
-	}, nil
-}
-
-func errAttrMissing(a relation.Attribute, s relation.Scheme) error {
-	return &attrError{attr: a, scheme: s}
-}
-
-type attrError struct {
-	attr   relation.Attribute
-	scheme relation.Scheme
-}
-
-func (e *attrError) Error() string {
-	return "join: attribute " + string(e.attr) + " not in scheme " + e.scheme.String()
+	return relation.FromDistinctTuples(r.Scheme(), kept)
 }
 
 // ReduceFixpoint runs pairwise semijoin reduction to fixpoint: every

@@ -1,0 +1,107 @@
+package join
+
+import (
+	"relquery/internal/governor"
+	"relquery/internal/relation"
+)
+
+// keyCols are the positions of a join's shared attributes in one input's
+// tuples, in the shared scheme's order — the join key, read in place.
+type keyCols []int
+
+func newKeyCols(s, shared relation.Scheme) keyCols {
+	pos := make(keyCols, shared.Len())
+	for i := 0; i < shared.Len(); i++ {
+		j, _ := s.Pos(shared.Attr(i))
+		pos[i] = j
+	}
+	return pos
+}
+
+// sameKey reports whether t (key columns kt) and u (key columns ku) agree
+// on every shared attribute.
+func sameKey(t relation.Tuple, kt keyCols, u relation.Tuple, ku keyCols) bool {
+	for i, c := range kt {
+		if t[c] != u[ku[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// values copies the key out of t, for the sort-merge join's sort.
+func (k keyCols) values(t relation.Tuple) relation.Tuple {
+	sub := make(relation.Tuple, len(k))
+	for i, j := range k {
+		sub[i] = t[j]
+	}
+	return sub
+}
+
+// hashTable is the build side of a hash join or semijoin: the rows of one
+// relation grouped by join key, with no key materialized. A key-free
+// relation.Index maps the hash of a row's key columns to a group; a group
+// is confirmed by comparing key columns with its first row, and its rows
+// are chained in insertion order, so a probe walks its matches in the
+// order the build relation holds them. Everything lives in five flat
+// slices, whatever the number of keys. Read-only once built, so the
+// parallel join's workers share one.
+type hashTable struct {
+	rel  *relation.Relation
+	cols keyCols
+	ix   relation.Index // hash of the key columns -> group id
+	head []int32        // group -> its first row
+	tail []int32        // group -> its last row so far
+	next []int32        // row -> the next row of its group, -1 at the end
+}
+
+// buildTable groups rel's rows by the key columns cols, ticking g once
+// per row.
+func buildTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*hashTable, error) {
+	t := &hashTable{rel: rel, cols: cols, next: make([]int32, rel.Len())}
+	for i := range t.next {
+		if err := g.Tick(); err != nil {
+			return nil, err
+		}
+		row := rel.Tuple(i)
+		h := row.HashOf(cols)
+		t.next[i] = -1
+		if grp := t.group(h, row, cols); grp >= 0 {
+			t.next[t.tail[grp]] = int32(i)
+			t.tail[grp] = int32(i)
+			continue
+		}
+		t.ix.Insert(h)
+		t.head = append(t.head, int32(i))
+		t.tail = append(t.tail, int32(i))
+	}
+	return t, nil
+}
+
+// keys returns the number of distinct join keys on the build side.
+func (t *hashTable) keys() int { return len(t.head) }
+
+// group returns the group whose key equals that of u (key columns ku,
+// hashing to h), or -1.
+func (t *hashTable) group(h uint64, u relation.Tuple, ku keyCols) int {
+	for grp, p := t.ix.Seek(h); grp >= 0; grp, p = t.ix.Next(h, p) {
+		if sameKey(t.rel.Tuple(int(t.head[grp])), t.cols, u, ku) {
+			return grp
+		}
+	}
+	return -1
+}
+
+// first returns the first build row matching probe tuple u (key columns
+// ku, hashing to h), or -1; after follows the chain:
+//
+//	for i := t.first(h, u, ku); i >= 0; i = t.after(i) { … t.rel.Tuple(i) … }
+func (t *hashTable) first(h uint64, u relation.Tuple, ku keyCols) int {
+	if grp := t.group(h, u, ku); grp >= 0 {
+		return int(t.head[grp])
+	}
+	return -1
+}
+
+// after returns the build row following row i in its group, or -1.
+func (t *hashTable) after(i int) int { return int(t.next[i]) }

@@ -215,7 +215,12 @@ type genericJoin struct {
 	order  []relation.Attribute
 	tries  []*sortedTrie
 	parts  [][]int     // parts[k]: tries whose scheme contains order[k]
+	depth  [][]int     // depth[k][i]: trie level of order[k] in trie parts[k][i]
 	ranges []trieRange // current range per trie
+	// saved[k][i] is the range of trie parts[k][i] on entry to level k,
+	// restored on the way out. One slice per level, allocated once: level
+	// k is on the recursion stack at most once.
+	saved  [][]trieRange
 	bind   []relation.Value
 	outPos []int // output column -> order index
 	tuples []relation.Tuple
@@ -235,12 +240,16 @@ func newGenericJoin(out relation.Scheme, order []relation.Attribute, tries []*so
 		rank[a] = k
 	}
 	parts := make([][]int, len(order))
+	depth := make([][]int, len(order))
+	saved := make([][]trieRange, len(order))
 	for k, a := range order {
 		for i, tr := range tries {
-			if _, ok := tr.depthOf[a]; ok {
+			if d, ok := tr.depthOf[a]; ok {
 				parts[k] = append(parts[k], i)
+				depth[k] = append(depth[k], d)
 			}
 		}
+		saved[k] = make([]trieRange, len(parts[k]))
 	}
 	ranges := make([]trieRange, len(tries))
 	for i, tr := range tries {
@@ -254,7 +263,9 @@ func newGenericJoin(out relation.Scheme, order []relation.Attribute, tries []*so
 		order:  order,
 		tries:  tries,
 		parts:  parts,
+		depth:  depth,
 		ranges: ranges,
+		saved:  saved,
 		bind:   make([]relation.Value, len(order)),
 		outPos: outPos,
 	}
@@ -280,11 +291,9 @@ func (j *genericJoin) search(k int) {
 		}
 		return
 	}
-	attr := j.order[k]
-	parts := j.parts[k]
+	parts, depth, saved := j.parts[k], j.depth[k], j.saved[k]
 	fault.Hit(fault.WCOJSearch)
 
-	saved := make([]trieRange, len(parts))
 	seedIdx := 0
 	for i, p := range parts {
 		saved[i] = j.ranges[p]
@@ -294,7 +303,7 @@ func (j *genericJoin) search(k int) {
 	}
 	seed := parts[seedIdx]
 	st := j.tries[seed]
-	d := st.depthOf[attr]
+	d := depth[seedIdx]
 	j.intersections++
 
 	lo, hi := saved[seedIdx].lo, saved[seedIdx].hi
@@ -313,7 +322,7 @@ func (j *genericJoin) search(k int) {
 				continue
 			}
 			tp := j.tries[p]
-			dp := tp.depthOf[attr]
+			dp := depth[i]
 			nlo := lowerBound(tp.rows, saved[i].lo, saved[i].hi, dp, v)
 			nhi := upperBound(tp.rows, nlo, saved[i].hi, dp, v)
 			if nlo == nhi {

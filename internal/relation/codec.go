@@ -27,14 +27,21 @@ import (
 
 // Fingerprint returns a deterministic content hash of the relation: two
 // relations fingerprint equal exactly when they hold the same set of
-// tuples over the same scheme (column order included). It is the cache
-// key ingredient used by the algebra evaluator's subexpression cache —
-// an expression evaluated against relations with unchanged fingerprints
-// must produce the same result.
+// tuples over the same scheme (column order included), however they were
+// built. It is the cache key ingredient used by the algebra evaluator's
+// subexpression cache — an expression evaluated against relations with
+// unchanged fingerprints must produce the same result.
 //
-// The hash is order-independent: each tuple's length-prefixed key is
-// hashed separately and the 64-bit digests are combined commutatively,
-// so Fingerprint costs one pass over the tuples with no sorting.
+// The hash is order-independent: each tuple's digest is its Tuple.Hash
+// (value bytes with the value boundaries mixed in — no serialized key)
+// and the 64-bit digests are combined commutatively, with no sorting.
+//
+// It is memoized on the relation. Relations only grow, so a memo that
+// covers len(tuples) rows is current: on an unchanged relation
+// Fingerprint is one atomic load and allocates nothing, and after Adds
+// it folds in only the new rows. That makes SubexprCache.key cost
+// O(operands) per node per request rather than O(rows). Concurrent calls
+// are safe: racing callers compute the same memo and either store wins.
 //
 // The commutative fold is cancellation-resistant: each digest d
 // contributes both to a wrapping sum and to an XOR of d rotated by its
@@ -47,21 +54,36 @@ import (
 // digest-dependent rotated system over GF(2)^64, which no longer
 // factors into independent per-bit equations.
 func Fingerprint(r *Relation) string {
+	old := r.fp.Load()
+	if old != nil && old.rows == len(r.tuples) {
+		return old.text
+	}
+	fp := fingerprint{}
+	if old != nil {
+		fp = *old
+	}
+	for _, t := range r.tuples[fp.rows:] {
+		d := t.Hash()
+		fp.sum += d
+		fp.rot ^= bits.RotateLeft64(d, int(d&63))
+	}
+	fp.rows = len(r.tuples)
 	h := fnv.New64a()
 	h.Write([]byte(r.scheme.String()))
-	schemeSum := h.Sum64()
-	var tupleSum, tupleRot uint64
-	for _, t := range r.tuples {
-		th := fnv.New64a()
-		th.Write([]byte(t.Key()))
-		d := th.Sum64()
-		tupleSum += d
-		tupleRot ^= bits.RotateLeft64(d, int(d&63))
-	}
-	return strconv.FormatUint(schemeSum, 16) + "-" +
-		strconv.FormatUint(tupleSum, 16) + "-" +
-		strconv.FormatUint(tupleRot, 16) + "-" +
-		strconv.Itoa(len(r.tuples))
+	fp.text = strconv.FormatUint(h.Sum64(), 16) + "-" +
+		strconv.FormatUint(fp.sum, 16) + "-" +
+		strconv.FormatUint(fp.rot, 16) + "-" +
+		strconv.Itoa(fp.rows)
+	r.fp.Store(&fp)
+	return fp.text
+}
+
+// fingerprint is Fingerprint's memo: the fold over the first rows tuples
+// and its rendering as scheme-sum-rot-len.
+type fingerprint struct {
+	rows     int
+	sum, rot uint64
+	text     string
 }
 
 // FingerprintDatabase fingerprints the named relations of db, rendering
@@ -86,19 +108,35 @@ func FingerprintDatabase(db Database, names []string) string {
 	return b.String()
 }
 
-// WriteRelation writes r as a single "relation <name> ... end" block.
+// WriteRelation writes r as a single "relation <name> ... end" block,
+// rows in sorted order.
 func WriteRelation(w io.Writer, name string, r *Relation) error {
+	return StreamRelation(w, name, r, 0, nil)
+}
+
+// StreamRelation is WriteRelation for a consumer that wants rows as they
+// are ready: after every `every` rows (when every > 0) it flushes its
+// buffer into w and calls flushed, so a large result streams instead of
+// buffering whole. The rows are a sorted view of r's own tuples, not
+// copies of them.
+func StreamRelation(w io.Writer, name string, r *Relation, every int, flushed func()) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "relation %s\n", name)
 	fmt.Fprintln(bw, r.Scheme().String())
-	for _, t := range r.Sorted() {
-		for i, v := range t {
-			if i > 0 {
+	for i, t := range r.sortedView() {
+		for j, v := range t {
+			if j > 0 {
 				bw.WriteByte(' ')
 			}
 			bw.WriteString(string(v))
 		}
 		bw.WriteByte('\n')
+		if every > 0 && (i+1)%every == 0 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+			flushed()
+		}
 	}
 	fmt.Fprintln(bw, "end")
 	return bw.Flush()
@@ -165,7 +203,7 @@ func ReadDatabase(r io.Reader) (Database, error) {
 			if len(vals) != scheme.Len() {
 				return nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme %v has %d attributes", lineno, len(vals), scheme, scheme.Len())
 			}
-			if _, err := rel.Add(TupleOf(vals...)); err != nil {
+			if _, err := rel.add(TupleOf(vals...), true); err != nil {
 				return nil, fmt.Errorf("relation: line %d: %w", lineno, err)
 			}
 		}
@@ -249,7 +287,7 @@ func readBare(text string) (name string, rel *Relation, err error) {
 		if len(vals) != scheme.Len() {
 			return "", nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme has %d attributes", i+1, len(vals), scheme.Len())
 		}
-		if _, err := out.Add(TupleOf(vals...)); err != nil {
+		if _, err := out.add(TupleOf(vals...), true); err != nil {
 			return "", nil, fmt.Errorf("relation: line %d: %w", i+1, err)
 		}
 	}

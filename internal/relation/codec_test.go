@@ -153,7 +153,7 @@ func oldXORFingerprint(r *Relation) string {
 	var tupleSum uint64
 	for _, t := range r.tuples {
 		th := fnv.New64a()
-		th.Write([]byte(t.Key()))
+		th.Write([]byte(t.key()))
 		tupleSum ^= th.Sum64()
 	}
 	return strconv.FormatUint(schemeSum, 16) + "-" +
@@ -179,7 +179,7 @@ func TestFingerprintXORCancellationRegression(t *testing.T) {
 	for i := range vals {
 		vals[i] = fmt.Sprintf("v%03d", i)
 		th := fnv.New64a()
-		th.Write([]byte(TupleOf(vals[i]).Key()))
+		th.Write([]byte(TupleOf(vals[i]).key()))
 		digests[i] = th.Sum64()
 	}
 

@@ -4,48 +4,59 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Relation is a finite set of tuples over a fixed scheme. Tuples are kept
 // in insertion order for stable iteration, with a hash index enforcing set
 // semantics (adding a duplicate is a no-op).
 //
-// Relations built by FromDistinctTuples defer index construction until
-// the first operation that needs it (Contains, Add, ...) — the parallel
-// join produces provably duplicate-free output, and its intermediates
-// are often only ever scanned, never probed. The lazy build is guarded
-// by a sync.Once, preserving the contract below.
+// The index is key-free: an open-addressing table (Index) from the
+// 64-bit Tuple.Hash to the tuple's position, holding no copy of the
+// tuple in any form. Add and Contains hash the probe tuple, walk the
+// candidates with that hash and confirm one with Tuple.Equal, so a
+// collision costs a comparison and never an answer, and neither
+// allocates beyond Add's copy of a new tuple.
 //
-// A Relation is not safe for concurrent mutation; concurrent reads are
-// fine.
+// Relations built by New, FromTuples, FromRows and the codec index every
+// tuple as it is added. Relations built by FromDistinctTuples — join and
+// semijoin outputs, duplicate-free by construction — skip the index and
+// build it on the first operation that needs it (Contains, Add, ...):
+// such intermediates are often only ever scanned, never probed. The lazy
+// build is guarded by a sync.Once, preserving the contract below.
+//
+// A Relation is not safe for concurrent mutation; concurrent reads
+// (Fingerprint included) are fine.
 type Relation struct {
 	scheme    Scheme
 	tuples    []Tuple
-	index     map[string]int // tuple key -> position in tuples; nil until built
-	indexOnce sync.Once      // guards the lazy build for FromDistinctTuples relations
+	index     Index     // hash -> position in tuples; trails tuples until ensureIndex
+	indexOnce sync.Once // guards the lazy build for FromDistinctTuples relations
+	// fp memoizes Fingerprint. Relations only grow, so the memo is
+	// current exactly when it covers len(tuples) rows.
+	fp atomic.Pointer[fingerprint]
 }
 
 // New returns an empty relation over the given scheme.
 func New(scheme Scheme) *Relation {
-	return &Relation{scheme: scheme, index: make(map[string]int)}
+	return &Relation{scheme: scheme}
 }
 
-// ensureIndex returns the tuple-key index, building it on first use for
+// ensureIndex returns the position index, completing it on first use for
 // relations assembled by FromDistinctTuples. Safe under concurrent
 // reads: the once serializes the build, and for eagerly indexed
-// relations the guarded closure is a no-op.
-func (r *Relation) ensureIndex() map[string]int {
+// relations the guarded closure finds nothing to do.
+func (r *Relation) ensureIndex() *Index {
 	r.indexOnce.Do(func() {
-		if r.index != nil {
+		if r.index.Len() == len(r.tuples) {
 			return
 		}
-		idx := make(map[string]int, len(r.tuples))
-		for i, t := range r.tuples {
-			idx[t.Key()] = i
+		r.index.reserve(len(r.tuples))
+		for _, t := range r.tuples[r.index.Len():] {
+			r.index.Insert(t.Hash())
 		}
-		r.index = idx
 	})
-	return r.index
+	return &r.index
 }
 
 // FromTuples builds a relation over scheme containing the given tuples
@@ -65,24 +76,30 @@ func FromTuples(scheme Scheme, tuples []Tuple) (*Relation, error) {
 // caller guarantees to be pairwise distinct — the merge fast path of the
 // parallel join, whose output provably contains no duplicates (an output
 // tuple of a natural join determines its source pair). Tuples are not
-// cloned and no keys are serialized: the index is built lazily on first
-// use, so a result that is only ever scanned never pays for it. The
-// relation takes ownership of the given tuples; callers must not modify
-// them afterwards. Passing duplicate tuples violates set semantics
-// silently — use New/Add when distinctness is not guaranteed.
+// cloned or hashed: the index is built lazily on first use, so a result
+// that is only ever scanned never pays for it. The relation takes
+// ownership of the given tuples — and, when there is exactly one batch,
+// of the batch slice itself; callers must not modify either afterwards.
+// Passing duplicate tuples violates set semantics silently — use New/Add
+// when distinctness is not guaranteed.
 func FromDistinctTuples(scheme Scheme, parts ...[]Tuple) (*Relation, error) {
 	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	r := &Relation{scheme: scheme, tuples: make([]Tuple, 0, total)}
 	for _, part := range parts {
+		total += len(part)
 		for _, t := range part {
 			if len(t) != scheme.Len() {
 				return nil, fmt.Errorf("relation: tuple %v has arity %d, scheme %v has arity %d", t, len(t), scheme, scheme.Len())
 			}
-			r.tuples = append(r.tuples, t)
 		}
+	}
+	r := &Relation{scheme: scheme}
+	if len(parts) == 1 {
+		r.tuples = parts[0]
+		return r, nil
+	}
+	r.tuples = make([]Tuple, 0, total)
+	for _, part := range parts {
+		r.tuples = append(r.tuples, part...)
 	}
 	return r, nil
 }
@@ -91,7 +108,7 @@ func FromDistinctTuples(scheme Scheme, parts ...[]Tuple) (*Relation, error) {
 func FromRows(scheme Scheme, rows ...[]string) (*Relation, error) {
 	r := New(scheme)
 	for _, row := range rows {
-		if _, err := r.Add(TupleOf(row...)); err != nil {
+		if _, err := r.add(TupleOf(row...), true); err != nil {
 			return nil, err
 		}
 	}
@@ -109,18 +126,25 @@ func (r *Relation) Empty() bool { return len(r.tuples) == 0 }
 
 // Add inserts tuple t, returning true if it was new and false if it was
 // already present. It reports an error when the tuple's arity does not
-// match the scheme.
-func (r *Relation) Add(t Tuple) (bool, error) {
+// match the scheme. The relation stores a copy; the caller keeps t.
+func (r *Relation) Add(t Tuple) (bool, error) { return r.add(t, false) }
+
+// add is Add; owned says the caller built t and hands it over, so a new
+// tuple is kept as is instead of copied.
+func (r *Relation) add(t Tuple, owned bool) (bool, error) {
 	if len(t) != r.scheme.Len() {
 		return false, fmt.Errorf("relation: tuple %v has arity %d, scheme %v has arity %d", t, len(t), r.scheme, r.scheme.Len())
 	}
-	idx := r.ensureIndex()
-	k := t.Key()
-	if _, ok := idx[k]; ok {
+	ix := r.ensureIndex()
+	h := t.Hash()
+	if ix.find(r.tuples, t, h) >= 0 {
 		return false, nil
 	}
-	idx[k] = len(r.tuples)
-	r.tuples = append(r.tuples, t.Clone())
+	if !owned {
+		t = t.Clone()
+	}
+	r.tuples = append(r.tuples, t)
+	ix.Insert(h)
 	return true, nil
 }
 
@@ -139,8 +163,7 @@ func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.scheme.Len() {
 		return false
 	}
-	_, ok := r.ensureIndex()[t.Key()]
-	return ok
+	return r.ensureIndex().find(r.tuples, t, t.Hash()) >= 0
 }
 
 // ContainsNamed reports whether the named tuple, which may list its
@@ -180,9 +203,20 @@ func (r *Relation) Tuples() []Tuple {
 	return out
 }
 
-// Sorted returns the tuples in deterministic lexicographic order.
+// Sorted returns a copy of the tuples in deterministic lexicographic
+// order.
 func (r *Relation) Sorted() []Tuple {
 	out := r.Tuples()
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}
+
+// sortedView is Sorted without the per-tuple copies: a fresh slice of row
+// headers over the relation's own tuples, for in-package readers (the
+// codec, Render) that only read them.
+func (r *Relation) sortedView() []Tuple {
+	out := make([]Tuple, len(r.tuples))
+	copy(out, r.tuples)
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
@@ -223,11 +257,16 @@ func (r *Relation) Project(onto Scheme) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Hash and compare the projected columns in place: only a projection
+	// not seen before is built.
 	out := New(onto)
 	for _, t := range r.tuples {
-		if _, err := out.Add(p.apply(t)); err != nil {
-			return nil, err
+		h := t.HashOf(p.idx)
+		if out.index.findOf(out.tuples, t, p.idx, h) >= 0 {
+			continue
 		}
+		out.tuples = append(out.tuples, p.apply(t))
+		out.index.Insert(h)
 	}
 	return out, nil
 }
@@ -307,7 +346,9 @@ func (r *Relation) Equal(o *Relation) bool {
 //
 //	r ∗ o = { t over scheme(r) ∪ scheme(o) : t[scheme(r)] ∈ r, t[scheme(o)] ∈ o }
 //
-// using a hash join on the shared attributes. This is the reference
+// using a hash join on the shared attributes, keyed by the serialized
+// Tuple.key string — deliberately not by Tuple.Hash, so it shares no
+// machinery with the engine it checks. This is the reference
 // implementation — the independent oracle the join package's tests
 // compare every strategy against — not an engine path: production code
 // joins through package join, whose algorithms run governed, metered and
@@ -346,7 +387,7 @@ func (r *Relation) Join(o *Relation) (*Relation, error) {
 
 	table := make(map[string][]Tuple, build.Len())
 	for _, t := range build.tuples {
-		k := keyBuild.apply(t).Key()
+		k := keyBuild.apply(t).key()
 		table[k] = append(table[k], t)
 	}
 
@@ -361,7 +402,7 @@ func (r *Relation) Join(o *Relation) (*Relation, error) {
 		return err
 	}
 	for _, t := range probe.tuples {
-		k := keyProbe.apply(t).Key()
+		k := keyProbe.apply(t).key()
 		for _, m := range table[k] {
 			var err error
 			if buildIsLeft {

@@ -40,7 +40,7 @@ func TestTupleKeyNoCollision(t *testing.T) {
 	// ("ab","c") and ("a","bc") must not collide under Key encoding.
 	a := TupleOf("ab", "c")
 	b := TupleOf("a", "bc")
-	if a.Key() == b.Key() {
+	if a.key() == b.key() {
 		t.Fatal("key collision")
 	}
 	r := rel(t, "A B")

@@ -20,9 +20,9 @@ func Render(r *Relation, opts RenderOptions) string {
 	for i := 0; i < r.scheme.Len(); i++ {
 		widths[i] = len(r.scheme.Attr(i))
 	}
-	rows := r.Tuples()
+	rows := r.tuples
 	if opts.SortRows {
-		rows = r.Sorted()
+		rows = r.sortedView()
 	}
 	for _, t := range rows {
 		for i, v := range t {

@@ -57,9 +57,12 @@ func (t Tuple) Less(u Tuple) bool {
 	return len(t) < len(u)
 }
 
-// Key encodes the tuple as a string usable as a map key. The encoding is
+// key encodes the tuple as a string usable as a map key. The encoding is
 // length-prefixed so that values containing arbitrary bytes cannot collide.
-func (t Tuple) Key() string {
+// Nothing in the engine uses it — tuples are hashed (Tuple.Hash), not
+// printed; it remains for the reference oracle Relation.Join and the
+// fingerprint regression test, which need an independent encoding.
+func (t Tuple) key() string {
 	var b strings.Builder
 	for _, v := range t {
 		b.WriteString(strconv.Itoa(len(v)))

@@ -293,26 +293,17 @@ func (s *Server) writeEvalError(w http.ResponseWriter, q *queryRequest, t *tenan
 func streamResult(w http.ResponseWriter, expr algebra.Expr, out *relation.Relation) {
 	const flushEvery = 1024
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	flusher, _ := w.(http.Flusher)
+	flush := func() {}
+	if flusher, ok := w.(http.Flusher); ok {
+		flush = flusher.Flush
+	}
+	// The codec buffers through bw too (bufio.NewWriter returns a
+	// bufio.Writer it is handed), so header and block share one buffer.
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s\n# %d tuples over %v\n", expr, out.Len(), out.Scheme())
-	fmt.Fprintln(bw, "relation result")
-	fmt.Fprintln(bw, out.Scheme().String())
-	for i, t := range out.Sorted() {
-		for j, v := range t {
-			if j > 0 {
-				bw.WriteByte(' ')
-			}
-			bw.WriteString(string(v))
-		}
-		bw.WriteByte('\n')
-		if flusher != nil && (i+1)%flushEvery == 0 {
-			_ = bw.Flush()
-			flusher.Flush()
-		}
-	}
-	fmt.Fprintln(bw, "end")
-	_ = bw.Flush()
+	// The status line is on the wire; a failed write means the client is
+	// gone, and there is nobody left to tell.
+	_ = relation.StreamRelation(bw, "result", out, flushEvery, flush)
 }
 
 // dedupe returns names with duplicates removed, order preserved.

@@ -116,16 +116,14 @@ func newSearchOpts(t *Tableau, db relation.Database, opts SearchOptions) (*valua
 			}
 		}
 		// Distinct projections onto the relevant columns.
-		seen := make(map[string]struct{}, r.Len())
+		var seen relation.TupleSet
 		var patterns []relation.Tuple
 		r.Each(func(tuple relation.Tuple) bool {
 			proj := make(relation.Tuple, len(cols))
 			for k, c := range cols {
 				proj[k] = tuple[c]
 			}
-			key := proj.Key()
-			if _, dup := seen[key]; !dup {
-				seen[key] = struct{}{}
+			if _, fresh := seen.Add(proj); fresh {
 				patterns = append(patterns, proj)
 			}
 			return true
