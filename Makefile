@@ -129,7 +129,7 @@ relbench-compare:
 stress:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/governor/
 	$(GO) test -race -count=1 \
-	  -run 'Cancel|Panic|Degrad|Drain|Governor|Admission|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted' \
+	  -run 'Cancel|Panic|Degrad|Drain|Governor|Admi|JoinNodeReads|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted' \
 	  ./internal/algebra/ ./internal/join/ ./internal/sat/ .
 
 # Regenerate BENCH_fault.txt: the cost of a compiled-in injection site

@@ -82,7 +82,7 @@ func BenchmarkFullReducerDirect(b *testing.B) {
 	b.Run("greedy-hash", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := join.Multi(join.Exec{}, rels, join.Hash{}, join.Greedy); err != nil {
+			if _, err := join.Multi(join.Exec{}, join.NewPlan(rels...), join.Hash{}, join.Greedy); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -90,7 +90,7 @@ func BenchmarkFullReducerDirect(b *testing.B) {
 	b.Run("yannakakis", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := (join.Yannakakis{}).JoinAll(join.Exec{}, rels); err != nil {
+			if _, err := (join.Yannakakis{}).JoinAll(join.Exec{}, join.NewPlan(rels...)); err != nil {
 				b.Fatal(err)
 			}
 		}

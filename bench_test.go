@@ -264,7 +264,7 @@ func BenchmarkE8Acyclic(b *testing.B) {
 		rels := hubWorkload(n)
 		b.Run(fmt.Sprintf("naive/N=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := join.Multi(join.Exec{}, rels, join.Hash{}, join.Sequential); err != nil {
+				if _, err := join.Multi(join.Exec{}, join.NewPlan(rels...), join.Hash{}, join.Sequential); err != nil {
 					b.Fatal(err)
 				}
 			}

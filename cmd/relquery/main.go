@@ -156,9 +156,41 @@ func run(args []string) error {
 		expr = rewritten
 	}
 
+	// One evaluator, built from the parsed flags, serves -explain and
+	// -engine materialize alike. A collector is attached only when some
+	// observability output was requested: a nil collector keeps the engine
+	// on its zero-overhead fast path. -serve implies one — the telemetry
+	// endpoints are only interesting with metrics and traces behind them.
+	var collector *obs.Collector
+	if *analyze || *tracePath != "" || *metrics || *stats || *serveAddr != "" {
+		collector = &obs.Collector{}
+	}
+	ev := &algebra.Evaluator{
+		Order:          order,
+		Parallelism:    *parallel,
+		Cache:          *cache,
+		AutoWCOJ:       auto,
+		AutoYannakakis: auto,
+		Collector:      collector,
+		Limits:         limits,
+		Admit:          *admit,
+		Degrade:        *degrade,
+	}
+	// When the parallel engine is on and -join was left at its default,
+	// let the evaluator pick the partitioned parallel hash join; an
+	// explicit -join always wins.
+	joinFlagSet := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "join" {
+			joinFlagSet = true
+		}
+	})
+	if *parallel <= 1 || joinFlagSet {
+		ev.Algorithm = alg
+	}
+
 	if *explain {
-		ev := algebra.Evaluator{Algorithm: alg, Order: order, AutoWCOJ: auto, AutoYannakakis: auto, Limits: limits, Admit: *admit, Degrade: *degrade}
-		plan, err := algebra.ExplainWith(&ev, expr, db)
+		plan, err := algebra.ExplainWith(ev, expr, db)
 		if err != nil {
 			return err
 		}
@@ -191,40 +223,6 @@ func run(args []string) error {
 	var result *relation.Relation
 	switch *engine {
 	case "materialize":
-		opts := algebra.EvalOptions{Parallelism: *parallel, Cache: *cache, AutoWCOJ: auto, AutoYannakakis: auto}
-		// When the parallel engine is on and -join was left at its
-		// default, let the evaluator pick the partitioned parallel hash
-		// join; an explicit -join always wins.
-		joinFlagSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "join" {
-				joinFlagSet = true
-			}
-		})
-		// Attach a collector only when some observability output was
-		// requested: a nil collector keeps the engine on its
-		// zero-overhead fast path. -serve implies one — the telemetry
-		// endpoints are only interesting with metrics and traces behind
-		// them.
-		var collector *obs.Collector
-		if *analyze || *tracePath != "" || *metrics || *stats || *serveAddr != "" {
-			collector = &obs.Collector{}
-		}
-		ev := algebra.Evaluator{
-			Algorithm:      alg,
-			Order:          order,
-			Parallelism:    opts.Parallelism,
-			Cache:          opts.Cache,
-			AutoWCOJ:       opts.AutoWCOJ,
-			AutoYannakakis: opts.AutoYannakakis,
-			Collector:      collector,
-			Limits:         limits,
-			Admit:          *admit,
-			Degrade:        *degrade,
-		}
-		if opts.Parallelism > 1 && !joinFlagSet {
-			ev.Algorithm = nil
-		}
 		if *serveAddr != "" {
 			ev.Registry = obs.NewRegistry()
 			srv, err := telemetry.Start(*serveAddr, ev.Registry)
@@ -275,7 +273,7 @@ func run(args []string) error {
 		if *stats {
 			snap := collector.Metrics.Snapshot()
 			fmt.Fprintf(os.Stderr, "engine=materialize join=%s order=%s parallel=%d cache=%v joins=%d max_intermediate=%d intermediate_tuples=%d\n",
-				ev.AlgorithmName(), order, opts.Parallelism, opts.Cache,
+				ev.AlgorithmName(), order, *parallel, *cache,
 				snap.Joins, snap.MaxIntermediate, snap.IntermediateTuples)
 		}
 		if *analyze {

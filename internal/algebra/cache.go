@@ -76,13 +76,6 @@ func (c *SubexprCache) do(e Expr, db relation.Database, compute func() (*relatio
 	return r, false, nil
 }
 
-// Stats reports cache hits, misses and resident entries.
-func (c *SubexprCache) Stats() (hits, misses, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.entries)
-}
-
 // Counters reports the cache's lifetime counters: hits, misses, entries
 // invalidated by Reset, and resident entries. Unlike the per-evaluation
 // obs.Metrics cache counters (which also count per-call memo hits), these

@@ -107,8 +107,9 @@ type Evaluator struct {
 	Degrade bool
 	// AutoWCOJ, when true, lets each n-ary join node of three or more
 	// inputs switch to the worst-case-optimal generic join (join.Generic)
-	// when the greedy binary planner's estimated peak intermediate
-	// (join.PredictedPeakGreedy) exceeds the node's AGM output bound —
+	// when the greedy binary planner's predicted peak intermediate
+	// (join.Plan.Peak: the larger of the System R estimate and the
+	// worst-case greedy AGM peak) exceeds the node's AGM output bound —
 	// the regime of the paper's Lemma 1 gadgets, where every binary plan
 	// is predicted to materialize more than the n-ary output justifies.
 	// Nodes below that threshold keep the configured binary algorithm.
@@ -430,21 +431,24 @@ func (ev *Evaluator) multi(args []*relation.Relation, sp *obs.Span, gov *governo
 		sp.SetInputs(ins)
 	}
 	x := join.Exec{Gov: gov, Metrics: ev.Collector.M(), Span: sp}
-	return ev.run(x, args, ev.choose(args, sp), ev.Order)
+	// The node's one plan: the selector, the admission gate, the span
+	// annotation, the strategy and a degraded retry all read it.
+	p := join.NewPlan(args...)
+	return ev.run(x, p, ev.choose(p, sp), ev.Order)
 }
 
 // choose picks the strategy for one join node: the configured algorithm
 // unless an auto flag routes the node to an output-bounded strategy.
-func (ev *Evaluator) choose(args []*relation.Relation, sp *obs.Span) join.Algorithm {
+func (ev *Evaluator) choose(p *join.Plan, sp *obs.Span) join.Algorithm {
 	alg := ev.algorithm()
 	// A binary join's only intermediate is its own output: it cannot
 	// exceed its own AGM bound, and the full reducer has nothing to save
 	// there — the auto flags look at 3+-ary nodes only.
-	if len(args) < 3 {
+	if len(p.Inputs) < 3 {
 		return alg
 	}
 	if ev.AutoYannakakis {
-		if join.Acyclic(join.SchemesOf(args)) {
+		if _, acyclic := p.JoinTree(); acyclic {
 			return join.Yannakakis{}
 		}
 		// Cyclic: record the verdict and fall through to the AGM blow-up
@@ -457,7 +461,7 @@ func (ev *Evaluator) choose(args []*relation.Relation, sp *obs.Span) join.Algori
 		// and the worst-case AGM bound of each greedy accumulator (catches
 		// the Lemma 1 gadgets, whose correlations defeat the independence
 		// assumption behind the estimates).
-		if bound := join.AGMBoundOf(args); bound > 0 && join.GreedyPeak(args) > bound {
+		if bound := p.AGMBound(); bound > 0 && p.Peak() > bound {
 			return join.Generic{}
 		}
 	}
@@ -467,27 +471,27 @@ func (ev *Evaluator) choose(args []*relation.Relation, sp *obs.Span) join.Algori
 // run is the tail every join node goes through: the admission gate, span
 // annotation, the strategy itself with panics recovered to errors, and
 // graceful degradation.
-func (ev *Evaluator) run(x join.Exec, args []*relation.Relation, alg join.Algorithm, order join.Order) (*relation.Relation, error) {
+func (ev *Evaluator) run(x join.Exec, p *join.Plan, alg join.Algorithm, order join.Order) (*relation.Relation, error) {
 	onePass := join.OnePass(alg)
-	if ev.Admit && !onePass && len(args) > 1 {
+	if ev.Admit && !onePass && len(p.Inputs) > 1 {
 		// Pre-flight admission: reject before any join work when the
 		// binary planner's predicted peak intermediate already exceeds
 		// the budget. The one-pass strategies' peak is capped by their own
 		// output, so they are admitted and guarded mid-flight by the row
 		// budget instead.
-		if err := x.Gov.Admit(join.GreedyPeak(args), 0); err != nil {
+		if err := x.Gov.Admit(p, false); err != nil {
 			return nil, err
 		}
 	}
 	if x.Span != nil {
-		x.Span.SetAGMBound(join.AGMBoundOf(args))
+		x.Span.SetAGMBound(p.AGMBound())
 		workers := 0
-		if p, ok := alg.(interface{ EffectiveWorkers() int }); ok {
-			workers = p.EffectiveWorkers()
+		if w, ok := alg.(interface{ EffectiveWorkers() int }); ok {
+			workers = w.EffectiveWorkers()
 		}
 		x.Span.SetAlgorithm(alg.Name(), workers)
 	}
-	out, err := safeMulti(x, args, alg, order)
+	out, err := safeMulti(x, p, alg, order)
 	if err != nil && onePass && ev.Degrade && !governor.Violated(err) {
 		// Graceful degradation: a one-pass strategy failed with a genuine
 		// engine error — never a governor violation; retrying after a
@@ -498,7 +502,7 @@ func (ev *Evaluator) run(x join.Exec, args []*relation.Relation, alg join.Algori
 		// propagates.
 		x.Metrics.Degraded()
 		x.Span.SetDegraded()
-		out, rerr := ev.run(x, args, join.Hash{}, join.Greedy)
+		out, rerr := ev.run(x, p, join.Hash{}, join.Greedy)
 		if rerr != nil {
 			return nil, fmt.Errorf("algebra: degraded retry failed: %w (original failure: %w)", rerr, err)
 		}
@@ -510,13 +514,13 @@ func (ev *Evaluator) run(x join.Exec, args []*relation.Relation, alg join.Algori
 // safeMulti is join.Multi with panic recovery: a crash inside a strategy
 // (or injected by the fault harness) surfaces as a join.ErrPanic error
 // instead of killing the process.
-func safeMulti(x join.Exec, args []*relation.Relation, alg join.Algorithm, order join.Order) (out *relation.Relation, err error) {
+func safeMulti(x join.Exec, p *join.Plan, alg join.Algorithm, order join.Order) (out *relation.Relation, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			out, err = nil, join.Recovered(alg.Name()+" join", rec)
 		}
 	}()
-	return join.Multi(x, args, alg, order)
+	return join.Multi(x, p, alg, order)
 }
 
 // Eval evaluates e(db) with default settings (hash join, greedy order).

@@ -30,7 +30,7 @@ func Explain(e Expr, db relation.Database) (string, error) {
 }
 
 // ExplainWith is Explain under a caller-configured evaluator (budget, join
-// algorithm, prefilter).
+// algorithm, order).
 func ExplainWith(ev *Evaluator, e Expr, db relation.Database) (string, error) {
 	var b strings.Builder
 	if _, err := explainNode(ev, e, db, &b, "", ""); err != nil {

@@ -135,7 +135,7 @@ func TestMemoComputeOnceUnderParallelism(t *testing.T) {
 	if _, err := ev2.Eval(e, db); err != nil {
 		t.Fatal(err)
 	}
-	_, misses, entries := cache.Stats()
+	_, misses, _, entries := cache.Counters()
 	// Distinct composite subexpressions: the two projection legs and the
 	// top-level join = 3.
 	if misses != 3 || entries != 3 {
@@ -145,7 +145,7 @@ func TestMemoComputeOnceUnderParallelism(t *testing.T) {
 	if _, err := ev2.Eval(e, db); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses2, _ := cache.Stats()
+	hits, misses2, _, _ := cache.Counters()
 	if misses2 != 3 {
 		t.Fatalf("second eval recomputed: misses %d", misses2)
 	}

@@ -130,7 +130,7 @@ func runE8(cfg *Config) error {
 
 		var m obs.Metrics
 		start := time.Now()
-		naive, err := join.Multi(join.Exec{Metrics: &m}, rels, join.Hash{}, join.Sequential)
+		naive, err := join.Multi(join.Exec{Metrics: &m}, join.NewPlan(rels...), join.Hash{}, join.Sequential)
 		if err != nil {
 			return err
 		}

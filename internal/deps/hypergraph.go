@@ -66,11 +66,11 @@ func AcyclicJoin(rels []*relation.Relation) (*relation.Relation, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("deps: AcyclicJoin of zero relations")
 	}
-	edges := join.SchemesOf(rels)
-	if !join.Acyclic(edges) {
-		return nil, fmt.Errorf("deps: acyclic join requires an acyclic hypergraph (schemes %v)", edges)
+	p := join.NewPlan(rels...)
+	if _, acyclic := p.JoinTree(); !acyclic {
+		return nil, fmt.Errorf("deps: acyclic join requires an acyclic hypergraph (schemes %v)", join.SchemesOf(rels))
 	}
-	return join.Yannakakis{}.JoinAll(join.Exec{}, rels)
+	return join.Yannakakis{}.JoinAll(join.Exec{}, p)
 }
 
 // HoldsIn reports whether the relation satisfies the join dependency:

@@ -50,8 +50,8 @@ const (
 	// WCOJSearch is crossed once per attribute-intersection pass of the
 	// worst-case-optimal generic join.
 	WCOJSearch Point = "wcoj.search"
-	// Semijoin is crossed once per semijoin pass (Yannakakis sweeps and
-	// the pairwise prefilter).
+	// Semijoin is crossed once per semijoin pass (Yannakakis' sweeps and
+	// pairwise reductions).
 	Semijoin Point = "semijoin.pass"
 	// EvalNode is crossed once per algebra operator evaluation.
 	EvalNode Point = "algebra.node"

@@ -4,14 +4,14 @@
 //
 // The package exists because the paper proves that query evaluation can
 // blow up super-polynomially with no warning (Cosmadakis 1983, Lemma 1),
-// and the repo already computes the warning signs — AGM bounds
-// (internal/join/agm.go), greedy-plan peak predictions
-// (join.PredictedPeakGreedy / join.WorstCasePeakGreedy) and the decide
-// budget — but, before this package, nothing could stop an evaluation
-// once started. A Governor threads a context.Context and a Limits through
-// the whole stack; every join strategy checks it cooperatively at
-// tuple-batch granularity, so a runaway evaluation dies with a typed,
-// errors.Is-able sentinel instead of running to completion or OOM.
+// and the repo already computes the warning signs — the AGM bound and
+// the greedy plan's predicted peak of every join node (join.Plan) and the
+// decide budget — but, before this package, nothing could stop an
+// evaluation once started. A Governor threads a context.Context and a
+// Limits through the whole stack; every join strategy checks it
+// cooperatively at tuple-batch granularity, so a runaway evaluation dies
+// with a typed, errors.Is-able sentinel instead of running to completion
+// or OOM.
 //
 // Atserias–Grohe–Marx size bounds are the principled basis for the
 // admission-control half: when the n-ary AGM bound or the worst-case
@@ -318,29 +318,67 @@ func (g *Governor) BytesCharged() int64 {
 	return g.bytes.Load()
 }
 
+// Prediction is what admission control asks of a join node's plan
+// (*join.Plan; the governor sits below the join package). Both numbers
+// are computed when first asked for, so the order Admit asks in decides
+// what a request pays.
+type Prediction interface {
+	// AGMBound is the node's n-ary AGM output bound, 0 when it has none.
+	AGMBound() float64
+	// Peak is the greedy binary plan's predicted peak intermediate: the
+	// larger of the statistics estimate and the worst-case greedy AGM
+	// peak. Computing it scans every input row.
+	Peak() float64
+}
+
 // Admit is the pre-flight admission gate for one n-ary join node: it
 // rejects — before any join work runs — when the node's predicted peak
-// intermediate (the larger of the statistics estimate and the worst-case
-// greedy AGM peak) exceeds MaxIntermediateRows, unless the chosen
-// strategy's own peak stays within budget (boundedPeak, e.g. the n-ary
-// AGM bound for a worst-case-optimal join; pass 0 when the strategy
-// offers no such bound). With no MaxIntermediateRows, admission always
-// passes.
-func (g *Governor) Admit(predictedPeak, boundedPeak float64) error {
+// intermediate exceeds MaxIntermediateRows. A strategy that is
+// outputBounded (wcoj, yannakakis, and the auto selector that routes
+// blow-ups to them) never materializes past the node's AGM bound, so it
+// is admitted on the bound alone whenever 0 < bound ≤ budget, without
+// asking for the peak. With no MaxIntermediateRows, admission always
+// passes and asks for nothing. A rejection is an *AdmissionError.
+func (g *Governor) Admit(p Prediction, outputBounded bool) error {
 	if g == nil {
 		return nil
 	}
 	max := g.limits.MaxIntermediateRows
-	if max <= 0 || predictedPeak <= float64(max) {
+	if max <= 0 {
 		return nil
 	}
-	if boundedPeak > 0 && boundedPeak <= float64(max) {
+	if outputBounded {
+		if bound := p.AGMBound(); bound > 0 && bound <= float64(max) {
+			return nil
+		}
+	}
+	peak := p.Peak()
+	if peak <= float64(max) {
 		return nil
 	}
-	return g.fail(fmt.Errorf(
-		"%w: predicted peak intermediate ≈%.0f rows > budget %d (reject before running; override with -admit=false)",
-		ErrAdmission, predictedPeak, max))
+	return g.fail(&AdmissionError{PredictedPeak: peak, AGMBound: p.AGMBound(), Budget: max})
 }
+
+// AdmissionError is an ErrAdmission rejection carrying the numbers it was
+// decided on, for callers that report them (relqueryd's 429 body).
+// errors.Is(err, ErrAdmission) sees through it.
+type AdmissionError struct {
+	// PredictedPeak is the rejected plan's predicted peak intermediate and
+	// AGMBound its n-ary AGM bound, both in rows.
+	PredictedPeak, AGMBound float64
+	// Budget is the intermediate-row budget the peak exceeded.
+	Budget int
+}
+
+// Error implements error.
+func (e *AdmissionError) Error() string {
+	return fmt.Sprintf(
+		"%v: predicted peak intermediate ≈%.0f rows > budget %d (reject before running; override with -admit=false)",
+		ErrAdmission, e.PredictedPeak, e.Budget)
+}
+
+// Unwrap exposes the sentinel to errors.Is.
+func (e *AdmissionError) Unwrap() error { return ErrAdmission }
 
 // Violation is a governance failure annotated with the partial obs span
 // tree at the time of death, so EXPLAIN ANALYZE can render where the

@@ -26,7 +26,7 @@ func TestNilGovernorNoOps(t *testing.T) {
 	if err := g.ChargeBytes(1 << 40); err != nil {
 		t.Errorf("nil ChargeBytes = %v", err)
 	}
-	if err := g.Admit(1e18, 0); err != nil {
+	if err := g.Admit(&prediction{peak: 1e18}, false); err != nil {
 		t.Errorf("nil Admit = %v", err)
 	}
 	if err := g.Err(); err != nil {
@@ -137,21 +137,57 @@ func TestMemBudget(t *testing.T) {
 	}
 }
 
+// prediction is a Prediction of fixed numbers that records what Admit
+// asked it for.
+type prediction struct {
+	peak, bound           float64
+	askedPeak, askedBound int
+}
+
+func (p *prediction) Peak() float64     { p.askedPeak++; return p.peak }
+func (p *prediction) AGMBound() float64 { p.askedBound++; return p.bound }
+
 func TestAdmit(t *testing.T) {
-	g := New(context.Background(), Limits{MaxIntermediateRows: 100})
-	if err := g.Admit(50, 0); err != nil {
-		t.Errorf("Admit under budget = %v", err)
+	limits := Limits{MaxIntermediateRows: 100}
+	cases := []struct {
+		name          string
+		peak, bound   float64
+		outputBounded bool
+		reject        bool
+		askedPeak     int
+	}{
+		{name: "under budget", peak: 50, askedPeak: 1},
+		{name: "bounded strategy, bound under budget: peak never asked for", peak: 1000, bound: 80, outputBounded: true},
+		{name: "bound under budget but strategy unbounded", peak: 1000, bound: 80, reject: true, askedPeak: 1},
+		{name: "bounded strategy, bound also over", peak: 1000, bound: 500, outputBounded: true, reject: true, askedPeak: 1},
+		{name: "bounded strategy without a bound", peak: 1000, outputBounded: true, reject: true, askedPeak: 1},
+		{name: "bounded strategy, bound over, peak under", peak: 50, bound: 500, outputBounded: true, askedPeak: 1},
 	}
-	if err := g.Admit(1000, 80); err != nil {
-		t.Errorf("Admit with bounded strategy peak under budget = %v", err)
+	for _, tc := range cases {
+		p := &prediction{peak: tc.peak, bound: tc.bound}
+		err := New(context.Background(), limits).Admit(p, tc.outputBounded)
+		if p.askedPeak != tc.askedPeak {
+			t.Errorf("%s: asked for the peak %d times, want %d", tc.name, p.askedPeak, tc.askedPeak)
+		}
+		if !tc.reject {
+			if err != nil {
+				t.Errorf("%s: Admit = %v, want admitted", tc.name, err)
+			}
+			continue
+		}
+		var ae *AdmissionError
+		if !errors.Is(err, ErrAdmission) || !errors.As(err, &ae) {
+			t.Errorf("%s: Admit = %v, want an *AdmissionError wrapping ErrAdmission", tc.name, err)
+			continue
+		}
+		if ae.PredictedPeak != tc.peak || ae.AGMBound != tc.bound || ae.Budget != 100 {
+			t.Errorf("%s: rejection carries %+v, want peak %v bound %v budget 100", tc.name, *ae, tc.peak, tc.bound)
+		}
 	}
-	g2 := New(context.Background(), Limits{MaxIntermediateRows: 100})
-	if err := g2.Admit(1000, 0); !errors.Is(err, ErrAdmission) {
-		t.Errorf("Admit(1000, 0) = %v, want ErrAdmission", err)
-	}
-	g3 := New(context.Background(), Limits{MaxIntermediateRows: 100})
-	if err := g3.Admit(1000, 500); !errors.Is(err, ErrAdmission) {
-		t.Errorf("Admit(1000, 500) = %v, want ErrAdmission (bounded peak also over)", err)
+	// No intermediate-row budget: admitted without asking for anything.
+	p := &prediction{peak: 1e18}
+	if err := New(context.Background(), Limits{MaxRows: 1}).Admit(p, false); err != nil || p.askedPeak+p.askedBound != 0 {
+		t.Errorf("unbudgeted Admit = %v after %d reads, want nil after none", err, p.askedPeak+p.askedBound)
 	}
 }
 
@@ -238,7 +274,7 @@ func TestViolationCounting(t *testing.T) {
 
 	// Admission rejection on a second evaluation sharing the metrics.
 	g2 := New(context.Background(), Limits{MaxIntermediateRows: 10}).WithMetrics(&m)
-	if err := g2.Admit(1e6, 0); !errors.Is(err, ErrAdmission) {
+	if err := g2.Admit(&prediction{peak: 1e6}, false); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("Admit = %v, want ErrAdmission", err)
 	}
 

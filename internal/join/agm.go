@@ -75,17 +75,6 @@ func FractionalCover(schemes []relation.Scheme, sizes []int) ([]float64, float64
 	return x, math.Exp2(opt)
 }
 
-// AGMBoundOf is AGMBound over materialized relations.
-func AGMBoundOf(rels []*relation.Relation) float64 {
-	schemes := make([]relation.Scheme, len(rels))
-	sizes := make([]int, len(rels))
-	for i, r := range rels {
-		schemes[i] = r.Scheme()
-		sizes[i] = r.Len()
-	}
-	return AGMBound(schemes, sizes)
-}
-
 const lpEps = 1e-9
 
 // solveCovering solves the fractional covering LP

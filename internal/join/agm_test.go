@@ -124,7 +124,7 @@ func TestAGMBoundDominatesActualJoin(t *testing.T) {
 			}
 			rels[i] = r
 		}
-		out, err := Multi(Exec{}, rels, Hash{}, Greedy)
+		out, err := Multi(Exec{}, NewPlan(rels...), Hash{}, Greedy)
 		if err != nil {
 			t.Fatal(err)
 		}

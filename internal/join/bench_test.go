@@ -55,7 +55,7 @@ func BenchmarkMultiOrder(b *testing.B) {
 	for _, order := range []Order{Sequential, Greedy} {
 		b.Run(order.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Multi(Exec{}, inputs, Hash{}, order); err != nil {
+				if _, err := Multi(Exec{}, NewPlan(inputs...), Hash{}, order); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,64 +40,17 @@ func Analyze(r *relation.Relation) ColumnStats {
 	return s
 }
 
-// EstimateJoinSize predicts |l ∗ r| from the two relations' statistics and
-// schemes: |l|·|r| / ∏_{a shared} max(V(a,l), V(a,r)).
-func EstimateJoinSize(lScheme relation.Scheme, l ColumnStats, rScheme relation.Scheme, r ColumnStats) float64 {
-	est := float64(l.Rows) * float64(r.Rows)
-	shared := lScheme.Intersect(rScheme)
-	for _, a := range shared.Attrs() {
-		vl, vr := l.Distinct[a], r.Distinct[a]
-		if vl < vr {
-			vl = vr
-		}
-		if vl > 1 {
-			est /= float64(vl)
-		}
-	}
-	return est
-}
-
-// PredictedPeakGreedy simulates the greedy binary planner purely over
-// System R estimates — no joins are executed — and returns the largest
-// intermediate result a binary plan over these inputs is predicted to
-// materialize. The worst-case-optimal auto-selector compares it against
-// the n-ary AGM bound: a predicted peak above the bound means every
-// binary combination step is expected to build more tuples than the
-// n-ary output can justify, the regime of the paper's Lemma 1 gadgets.
-// Inputs with fewer than two relations predict no intermediates (0).
-func PredictedPeakGreedy(inputs []*relation.Relation) float64 {
-	est, _ := greedyPeaks(inputs)
-	return est
-}
-
-// WorstCasePeakGreedy simulates the same greedy pairing but scores each
-// intermediate accumulator by the AGM bound of the base relations merged
-// into it — the largest result a binary plan could be FORCED to
-// materialize at that step, independent of the data's correlations. The
-// estimate-based peak misses the Lemma 1 gadgets precisely because their
-// correlations break System R's independence assumption; the worst-case
-// peak does not. The final accumulator (the full input set) is excluded:
-// its bound is the n-ary AGM bound itself, which no plan can avoid.
-func WorstCasePeakGreedy(inputs []*relation.Relation) float64 {
-	_, worst := greedyPeaks(inputs)
-	return worst
-}
-
-// GreedyPeak is max(PredictedPeakGreedy, WorstCasePeakGreedy) from one
-// run of the simulation: the peak the admission gate and the wcoj
-// auto-selector compare against their budgets.
-func GreedyPeak(inputs []*relation.Relation) float64 {
-	est, worst := greedyPeaks(inputs)
-	return max(est, worst)
-}
-
-// greedyPeaks runs the shared greedy-plan simulation and returns both the
-// System R estimated peak and the worst-case (AGM) peak over intermediate
-// accumulators.
-func greedyPeaks(inputs []*relation.Relation) (estPeak, worstPeak float64) {
+// simulateGreedy runs the greedy binary planner over statistics instead
+// of relations — the same pairing rule as pickPair, scored by estimated
+// instead of actual sizes — and returns both the System R estimated peak
+// and the worst-case (AGM) peak over intermediate accumulators. Analyze
+// scans every row of every input: Plan.Peaks is the only caller.
+func (p *Plan) simulateGreedy() (estPeak, worstPeak float64) {
+	inputs := p.Inputs
 	if len(inputs) < 2 {
 		return 0, 0
 	}
+	edges, inputSizes := p.hypergraph()
 	type estRel struct {
 		scheme   relation.Scheme
 		rows     float64
@@ -120,7 +73,7 @@ func greedyPeaks(inputs []*relation.Relation) (estPeak, worstPeak float64) {
 		for a, v := range s.Distinct {
 			d[a] = float64(v)
 		}
-		pending[i] = estRel{scheme: r.Scheme(), rows: float64(s.Rows), distinct: d}
+		pending[i] = estRel{scheme: edges[i], rows: float64(s.Rows), distinct: d}
 		base[i] = []int{i}
 	}
 	// subsetBound is the AGM bound of the base relations an accumulator
@@ -129,15 +82,15 @@ func greedyPeaks(inputs []*relation.Relation) (estPeak, worstPeak float64) {
 		schemes := make([]relation.Scheme, len(idx))
 		sizes := make([]int, len(idx))
 		for k, i := range idx {
-			schemes[k] = inputs[i].Scheme()
-			sizes[k] = inputs[i].Len()
+			schemes[k] = edges[i]
+			sizes[k] = inputSizes[i]
 		}
 		return AGMBound(schemes, sizes)
 	}
 	peak := 0.0
 	for len(pending) > 1 {
-		// Mirror pickPairEstimated: prefer shared-attribute pairs, then
-		// the smallest estimated join size.
+		// Prefer shared-attribute pairs, then the smallest estimated join
+		// size.
 		bestI, bestJ := 0, 1
 		bestShared := false
 		bestCost := -1.0
@@ -186,58 +139,4 @@ func greedyPeaks(inputs []*relation.Relation) (estPeak, worstPeak float64) {
 		base[bestI] = mergedBase
 	}
 	return peak, worstPeak
-}
-
-// PlanEstimated orders an n-ary join greedily by ESTIMATED intermediate
-// size (instead of Greedy's actual-size product): repeatedly join the pair
-// with the smallest estimate, preferring pairs that share attributes. It
-// returns the join result; x.Metrics records the actual intermediate
-// sizes so callers can compare prediction against reality.
-func PlanEstimated(x Exec, inputs []*relation.Relation, alg Algorithm) (*relation.Relation, error) {
-	if len(inputs) == 0 {
-		return Multi(x, inputs, alg, Greedy) // delegate the error
-	}
-	pending := make([]*relation.Relation, len(inputs))
-	copy(pending, inputs)
-	pstats := make([]ColumnStats, len(inputs))
-	for i, r := range pending {
-		pstats[i] = Analyze(r)
-	}
-	for len(pending) > 1 {
-		bi, bj := pickPairEstimated(pending, pstats)
-		joined, err := alg.Join(x, pending[bi], pending[bj])
-		if err != nil {
-			return nil, err
-		}
-		pending = append(pending[:bj], pending[bj+1:]...)
-		pstats = append(pstats[:bj], pstats[bj+1:]...)
-		pending[bi] = joined
-		pstats[bi] = Analyze(joined)
-	}
-	return pending[0], nil
-}
-
-// pickPairEstimated chooses the pair with the smallest estimated join
-// size, preferring shared-attribute pairs over cross products.
-func pickPairEstimated(rels []*relation.Relation, stats []ColumnStats) (int, int) {
-	bestI, bestJ := 0, 1
-	bestShared := false
-	bestCost := -1.0
-	for i := 0; i < len(rels); i++ {
-		for j := i + 1; j < len(rels); j++ {
-			shared := !rels[i].Scheme().Disjoint(rels[j].Scheme())
-			cost := EstimateJoinSize(rels[i].Scheme(), stats[i], rels[j].Scheme(), stats[j])
-			better := false
-			switch {
-			case shared && !bestShared:
-				better = true
-			case shared == bestShared && (bestCost < 0 || cost < bestCost):
-				better = true
-			}
-			if better {
-				bestI, bestJ, bestShared, bestCost = i, j, shared, cost
-			}
-		}
-	}
-	return bestI, bestJ
 }

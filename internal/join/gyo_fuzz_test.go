@@ -168,9 +168,10 @@ func acyclicOracle(edges []relation.Scheme) bool {
 // FuzzGYO cross-checks the GYO reduction and the Yannakakis strategy on
 // random hypergraphs: the verdict must agree with the brute-force
 // spanning-tree oracle, a returned join tree must itself witness
-// acyclicity, the strategy's JoinAll must equal the greedy hash plan, and
-// on acyclic inputs the full reducer must leave exactly the projections
-// of the join (global consistency).
+// acyclicity, the strategy's JoinAll must equal the greedy hash plan, the
+// plan it ran on must agree with the standalone planners, and on acyclic
+// inputs the full reducer must leave exactly the projections of the join
+// (global consistency).
 func FuzzGYO(f *testing.F) {
 	f.Add(byte(0b000011), byte(0b000110), byte(0b001100), byte(0), byte(0), int64(1)) // chain
 	f.Add(byte(0b000011), byte(0b000110), byte(0b000101), byte(0), byte(0), int64(2)) // triangle
@@ -203,15 +204,17 @@ func FuzzGYO(f *testing.F) {
 		for i, e := range edges {
 			rels[i] = randomRelation(rng, e, 4)
 		}
-		want, err := Multi(Exec{}, rels, Hash{}, Greedy)
+		want, err := Multi(Exec{}, NewPlan(rels...), Hash{}, Greedy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sp := &obs.Span{}
-		gotRel, err := Yannakakis{}.JoinAll(Exec{Span: sp}, rels)
+		p := NewPlan(rels...)
+		gotRel, err := Yannakakis{}.JoinAll(Exec{Span: sp}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkPlanParity(t, p)
 		if !gotRel.Equal(want) {
 			t.Fatalf("Yannakakis join differs from greedy hash plan: %v vs %v",
 				gotRel.Sorted(), want.Sorted())

@@ -152,11 +152,11 @@ func TestMultiSequentialMatchesGreedy(t *testing.T) {
 		rel(t, "B C", "x p", "y q"),
 		rel(t, "C D", "p 7", "q 8", "q 9"),
 	}
-	seq, err := Multi(Exec{}, chain, Hash{}, Sequential)
+	seq, err := Multi(Exec{}, NewPlan(chain...), Hash{}, Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := Multi(Exec{}, chain, Hash{}, Greedy)
+	greedy, err := Multi(Exec{}, NewPlan(chain...), Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func TestMultiSequentialMatchesGreedy(t *testing.T) {
 }
 
 func TestMultiEdgeCases(t *testing.T) {
-	if _, err := Multi(Exec{}, nil, Hash{}, Greedy); err == nil {
+	if _, err := Multi(Exec{}, NewPlan(), Hash{}, Greedy); err == nil {
 		t.Error("Multi(nil) succeeded")
 	}
 	one := rel(t, "A", "1")
-	got, err := Multi(Exec{}, []*relation.Relation{one}, Hash{}, Greedy)
+	got, err := Multi(Exec{}, NewPlan(one), Hash{}, Greedy)
 	if err != nil || !got.Equal(one) {
 		t.Errorf("Multi(single) = %v, %v", got, err)
 	}
@@ -189,10 +189,10 @@ func TestMultiStats(t *testing.T) {
 	var seqMetrics, greedyMetrics obs.Metrics
 	// Sequential order satA * satB first: cross product of satellites.
 	inputs := []*relation.Relation{satA, satB, center}
-	if _, err := Multi(Exec{Metrics: &seqMetrics}, inputs, Hash{}, Sequential); err != nil {
+	if _, err := Multi(Exec{Metrics: &seqMetrics}, NewPlan(inputs...), Hash{}, Sequential); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Multi(Exec{Metrics: &greedyMetrics}, inputs, Hash{}, Greedy); err != nil {
+	if _, err := Multi(Exec{Metrics: &greedyMetrics}, NewPlan(inputs...), Hash{}, Greedy); err != nil {
 		t.Fatal(err)
 	}
 	seq, greedy := seqMetrics.Snapshot(), greedyMetrics.Snapshot()
@@ -211,7 +211,7 @@ func TestGreedyPrefersSharedAttributes(t *testing.T) {
 	b := rel(t, "B Y", "2 v") // size 1, disjoint from a
 	c := rel(t, "A B", "1 2", "1 3", "9 9")
 	var m obs.Metrics
-	got, err := Multi(Exec{Metrics: &m}, []*relation.Relation{a, b, c}, Hash{}, Greedy)
+	got, err := Multi(Exec{Metrics: &m}, NewPlan(a, b, c), Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}

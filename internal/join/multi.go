@@ -49,7 +49,7 @@ func OrderByName(name string) (Order, error) {
 // node in one pass (Generic, Yannakakis) instead of as a plan of binary
 // joins.
 type nary interface {
-	JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation, error)
+	JoinAll(x Exec, p *Plan) (*relation.Relation, error)
 }
 
 // onePass returns alg's one-pass form, or nil when alg only joins
@@ -65,13 +65,14 @@ func onePass(alg Algorithm) nary {
 // graceful degradation need to know about a strategy.
 func OnePass(alg Algorithm) bool { return onePass(alg) != nil }
 
-// Multi computes the natural join of all inputs under x: in one pass when
-// alg is a one-pass strategy, else with alg for each binary join,
-// combining in the given order. Joining zero relations is an error (the
-// neutral element — the relation over the empty scheme holding the empty
-// tuple — is almost never what a caller wants); joining one relation
-// returns it unchanged, folded into the intermediate statistics.
-func Multi(x Exec, inputs []*relation.Relation, alg Algorithm, order Order) (*relation.Relation, error) {
+// Multi computes the natural join of the plan's inputs under x: in one
+// pass when alg is a one-pass strategy, else with alg for each binary
+// join, combining in the given order. Joining zero relations is an error
+// (the neutral element — the relation over the empty scheme holding the
+// empty tuple — is almost never what a caller wants); joining one
+// relation returns it unchanged, folded into the intermediate statistics.
+func Multi(x Exec, p *Plan, alg Algorithm, order Order) (*relation.Relation, error) {
+	inputs := p.Inputs
 	switch len(inputs) {
 	case 0:
 		return nil, fmt.Errorf("join: Multi requires at least one input")
@@ -80,7 +81,7 @@ func Multi(x Exec, inputs []*relation.Relation, alg Algorithm, order Order) (*re
 		return inputs[0], nil
 	}
 	if n := onePass(alg); n != nil {
-		return n.JoinAll(x, inputs)
+		return n.JoinAll(x, p)
 	}
 	switch order {
 	case Sequential:

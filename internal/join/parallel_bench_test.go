@@ -93,7 +93,7 @@ func BenchmarkParallelGadgetFold(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", fam.name, a.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := join.Multi(join.Exec{}, legs, a.alg, join.Sequential); err != nil {
+					if _, err := join.Multi(join.Exec{}, join.NewPlan(legs...), a.alg, join.Sequential); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -155,12 +155,12 @@ func TestParallelMulti(t *testing.T) {
 	r2 := bigRel(10, relation.MustScheme("K", "B"), 600, 25)
 	r3 := bigRel(11, relation.MustScheme("A", "C"), 600, 600)
 	inputs := []*relation.Relation{r1, r2, r3}
-	want, err := Multi(Exec{}, inputs, Hash{}, Greedy)
+	want, err := Multi(Exec{}, NewPlan(inputs...), Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var m obs.Metrics
-	got, err := Multi(Exec{Metrics: &m}, inputs, Parallel{Workers: 8}, Greedy)
+	got, err := Multi(Exec{Metrics: &m}, NewPlan(inputs...), Parallel{Workers: 8}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}

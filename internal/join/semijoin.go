@@ -41,38 +41,3 @@ func SemijoinWith(r, s *relation.Relation, g *governor.Governor) (*relation.Rela
 	}
 	return relation.FromDistinctTuples(r.Scheme(), kept)
 }
-
-// ReduceFixpoint runs pairwise semijoin reduction to fixpoint: every
-// relation is repeatedly semijoined against every other until nothing
-// shrinks. The reduction is sound for any join (a removed tuple joins with
-// nothing on some shared scheme, so it cannot contribute to the result)
-// but complete only for acyclic joins — deps.FullReduce is the two-sweep
-// version with that guarantee. It returns the reduced relations and the
-// number of passes performed.
-func ReduceFixpoint(rels []*relation.Relation) ([]*relation.Relation, int, error) {
-	out := make([]*relation.Relation, len(rels))
-	copy(out, rels)
-	passes := 0
-	for {
-		passes++
-		changed := false
-		for i := range out {
-			for j := range out {
-				if i == j || out[i].Scheme().Disjoint(out[j].Scheme()) {
-					continue
-				}
-				reduced, err := Semijoin(out[i], out[j])
-				if err != nil {
-					return nil, passes, err
-				}
-				if reduced.Len() < out[i].Len() {
-					out[i] = reduced
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return out, passes, nil
-		}
-	}
-}

@@ -48,14 +48,15 @@ func (Generic) Name() string { return "wcoj" }
 // Join implements Algorithm; a binary generic join is simply the two-input
 // case of JoinAll.
 func (g Generic) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
-	return g.JoinAll(x, []*relation.Relation{l, r})
+	return g.JoinAll(x, NewPlan(l, r))
 }
 
-// JoinAll joins all inputs in one attribute-at-a-time pass. Like Multi,
-// joining zero relations is an error and a single relation passes through
-// unchanged.
-func (Generic) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation, error) {
+// JoinAll joins all of the plan's inputs in one attribute-at-a-time pass.
+// Like Multi, joining zero relations is an error and a single relation
+// passes through unchanged.
+func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
+	inputs := p.Inputs
 	switch len(inputs) {
 	case 0:
 		return nil, fmt.Errorf("join: JoinAll requires at least one input")
@@ -78,7 +79,7 @@ func (Generic) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation,
 		}
 	}
 
-	order := attributeOrder(inputs, outScheme)
+	order := attributeOrder(p, outScheme)
 	tries := make([]*sortedTrie, len(inputs))
 	indexed := 0
 	for i, r := range inputs {
@@ -116,24 +117,19 @@ func (Generic) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation,
 // cover mass = the attribute sits in the relations the AGM bound charges,
 // so binding it early prunes against the bound), then by union-scheme
 // position for determinism.
-func attributeOrder(inputs []*relation.Relation, union relation.Scheme) []relation.Attribute {
-	schemes := make([]relation.Scheme, len(inputs))
-	sizes := make([]int, len(inputs))
-	for i, r := range inputs {
-		schemes[i] = r.Scheme()
-		sizes[i] = r.Len()
-	}
-	cover, _ := FractionalCover(schemes, sizes)
+func attributeOrder(p *Plan, union relation.Scheme) []relation.Attribute {
+	schemes, _ := p.hypergraph()
+	cover, _ := p.Cover()
 
 	attrs := union.Attrs()
 	count := make([]int, len(attrs))
 	mass := make([]float64, len(attrs))
-	for p, a := range attrs {
+	for k, a := range attrs {
 		for i, sc := range schemes {
 			if sc.Has(a) {
-				count[p]++
+				count[k]++
 				if cover != nil {
-					mass[p] += cover[i]
+					mass[k] += cover[i]
 				}
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // with on every input.
 func multiHash(t *testing.T, inputs []*relation.Relation) *relation.Relation {
 	t.Helper()
-	out, err := Multi(Exec{}, inputs, Hash{}, Greedy)
+	out, err := Multi(Exec{}, NewPlan(inputs...), Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestGenericMatchesMultiOnFixedCases(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := multiHash(t, inputs)
 			sp := &obs.Span{}
-			got, err := Generic{}.JoinAll(Exec{Span: sp}, inputs)
+			got, err := Generic{}.JoinAll(Exec{Span: sp}, NewPlan(inputs...))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,16 +85,16 @@ func TestGenericMatchesMultiOnFixedCases(t *testing.T) {
 }
 
 func TestGenericEdgeCases(t *testing.T) {
-	if _, err := (Generic{}).JoinAll(Exec{}, nil); err == nil {
+	if _, err := (Generic{}).JoinAll(Exec{}, NewPlan()); err == nil {
 		t.Error("JoinAll(nil) succeeded")
 	}
 	one := rel(t, "A", "1")
-	got, err := Generic{}.JoinAll(Exec{}, []*relation.Relation{one})
+	got, err := Generic{}.JoinAll(Exec{}, NewPlan(one))
 	if err != nil || !got.Equal(one) {
 		t.Errorf("JoinAll(single) = %v, %v", got, err)
 	}
 	empty := rel(t, "B C")
-	out, err := Generic{}.JoinAll(Exec{}, []*relation.Relation{one, empty, rel(t, "C D", "p 7")})
+	out, err := Generic{}.JoinAll(Exec{}, NewPlan(one, empty, rel(t, "C D", "p 7")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestQuickGenericMatchesMulti(t *testing.T) {
 			randRel("C A", 1+rng.Intn(20), 4),
 		}
 		want := multiHash(t, inputs)
-		got, err := Generic{}.JoinAll(Exec{}, inputs)
+		got, err := Generic{}.JoinAll(Exec{}, NewPlan(inputs...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestGenericNeverExceedsAGM(t *testing.T) {
 		bigRel(22, relation.MustScheme("B", "C"), 200, 13),
 		bigRel(23, relation.MustScheme("A", "C"), 200, 13),
 	}
-	out, err := Generic{}.JoinAll(Exec{}, inputs)
+	out, err := Generic{}.JoinAll(Exec{}, NewPlan(inputs...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestGenericMetrics(t *testing.T) {
 		rel(t, "B C", "x p", "y q"),
 		rel(t, "A C", "1 p", "2 q"),
 	}
-	out, err := Generic{}.JoinAll(Exec{Metrics: &m}, inputs)
+	out, err := Generic{}.JoinAll(Exec{Metrics: &m}, NewPlan(inputs...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,24 +48,25 @@ func (Yannakakis) Name() string { return "yannakakis" }
 // binary Yannakakis join is a pairwise full reduction (one semijoin each
 // way) followed by a hash join of the reduced sides.
 func (y Yannakakis) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
-	inputs := []*relation.Relation{l, r}
-	tree, _ := JoinTreeOf(SchemesOf(inputs))
-	out, _, _, err := y.joinTree(x, inputs, tree)
+	p := NewPlan(l, r)
+	tree, _ := p.JoinTree()
+	out, _, _, err := y.joinTree(x, p.Inputs, tree)
 	return out, err
 }
 
-// JoinAll joins all inputs along their GYO join tree, recording the
-// verdict and the full reducer's effort on the span. Like Multi, joining
-// zero relations is an error and a single relation passes through
-// unchanged.
-func (y Yannakakis) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation, error) {
+// JoinAll joins all of the plan's inputs along its GYO join tree,
+// recording the verdict and the full reducer's effort on the span. Like
+// Multi, joining zero relations is an error and a single relation passes
+// through unchanged.
+func (y Yannakakis) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
+	inputs := p.Inputs
 	switch len(inputs) {
 	case 0:
 		return nil, fmt.Errorf("join: JoinAll requires at least one input")
 	case 1:
 		return inputs[0], nil
 	}
-	tree, ok := JoinTreeOf(SchemesOf(inputs))
+	tree, ok := p.JoinTree()
 	if !ok {
 		x.Span.SetStructure(obs.StructureCyclic)
 		return multiGreedy(x, inputs, y)
@@ -156,13 +157,11 @@ func fullReduce(x Exec, rels []*relation.Relation, tree *JoinTree) ([]*relation.
 // FullReduce runs Yannakakis' full reducer over an acyclic join and
 // returns the reduced relations together with the number of semijoins
 // performed. It reports an error when the relations' scheme hypergraph
-// is cyclic — pairwise reduction to fixpoint (ReduceFixpoint) is the
-// sound-but-incomplete alternative there.
+// is cyclic.
 func FullReduce(rels []*relation.Relation) ([]*relation.Relation, int, error) {
-	edges := SchemesOf(rels)
-	tree, ok := JoinTreeOf(edges)
+	tree, ok := NewPlan(rels...).JoinTree()
 	if !ok {
-		return nil, 0, fmt.Errorf("join: full reduction requires an acyclic join (schemes %v)", edges)
+		return nil, 0, fmt.Errorf("join: full reduction requires an acyclic join (schemes %v)", SchemesOf(rels))
 	}
 	return fullReduce(Exec{}, rels, tree)
 }

@@ -17,7 +17,7 @@ func TestYannakakisChainWithDanglingTuples(t *testing.T) {
 	r2 := rel(t, "B C", "x p", "dead2 q")
 	r3 := rel(t, "C D", "p 7", "q 8")
 	m, sp := &obs.Metrics{}, &obs.Span{}
-	out, err := Yannakakis{}.JoinAll(Exec{Metrics: m, Span: sp}, []*relation.Relation{r1, r2, r3})
+	out, err := Yannakakis{}.JoinAll(Exec{Metrics: m, Span: sp}, NewPlan(r1, r2, r3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,12 @@ func TestYannakakisCyclicFallback(t *testing.T) {
 	r1 := rel(t, "A B", "1 2", "2 3")
 	r2 := rel(t, "B C", "2 3", "3 1")
 	r3 := rel(t, "A C", "1 3", "2 1")
-	want, err := Multi(Exec{}, []*relation.Relation{r1, r2, r3}, Hash{}, Greedy)
+	want, err := Multi(Exec{}, NewPlan(r1, r2, r3), Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, sp := &obs.Metrics{}, &obs.Span{}
-	out, err := Yannakakis{}.JoinAll(Exec{Metrics: m, Span: sp}, []*relation.Relation{r1, r2, r3})
+	out, err := Yannakakis{}.JoinAll(Exec{Metrics: m, Span: sp}, NewPlan(r1, r2, r3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestYannakakisBinaryAndSingle(t *testing.T) {
 	if !out.Equal(rel(t, "A B C", "1 x p")) {
 		t.Errorf("binary join = %v", out.Sorted())
 	}
-	single, err := Yannakakis{}.JoinAll(Exec{}, []*relation.Relation{r1})
+	single, err := Yannakakis{}.JoinAll(Exec{}, NewPlan(r1))
 	if err != nil || single != r1 {
 		t.Errorf("single input: %v, %v", single, err)
 	}
-	if _, err := (Yannakakis{}).JoinAll(Exec{}, nil); err == nil {
+	if _, err := (Yannakakis{}).JoinAll(Exec{}, NewPlan()); err == nil {
 		t.Error("zero inputs accepted")
 	}
 }
@@ -102,12 +102,12 @@ func TestYannakakisDisconnectedComponents(t *testing.T) {
 	r1 := rel(t, "A B", "1 x", "2 dead")
 	r2 := rel(t, "B C", "x p")
 	r3 := rel(t, "D", "d1", "d2")
-	want, err := Multi(Exec{}, []*relation.Relation{r1, r2, r3}, Hash{}, Greedy)
+	want, err := Multi(Exec{}, NewPlan(r1, r2, r3), Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := &obs.Span{}
-	out, err := Yannakakis{}.JoinAll(Exec{Span: sp}, []*relation.Relation{r1, r2, r3})
+	out, err := Yannakakis{}.JoinAll(Exec{Span: sp}, NewPlan(r1, r2, r3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestYannakakisEmptyRelationEmptiesJoin(t *testing.T) {
 	r2 := rel(t, "B C") // empty
 	r3 := rel(t, "C D", "p 7")
 	sp := &obs.Span{}
-	out, err := Yannakakis{}.JoinAll(Exec{Span: sp}, []*relation.Relation{r1, r2, r3})
+	out, err := Yannakakis{}.JoinAll(Exec{Span: sp}, NewPlan(r1, r2, r3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestYannakakisBudgetAborts(t *testing.T) {
 	r3 := rel(t, "C D", "p 7", "q 8")
 	m := &obs.Metrics{}
 	gov := governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 1})
-	_, err := Yannakakis{}.JoinAll(Exec{Gov: gov, Metrics: m}, []*relation.Relation{r1, r2, r3})
+	_, err := Yannakakis{}.JoinAll(Exec{Gov: gov, Metrics: m}, NewPlan(r1, r2, r3))
 	if !errors.Is(err, governor.ErrRowBudget) {
 		t.Errorf("budget violation not propagated: %v", err)
 	}

@@ -201,7 +201,8 @@ func (m *Metrics) WCOJ(candidates, intersections int) {
 }
 
 // Semijoin records one semijoin pass producing out tuples (the full
-// reducer's sweeps and the pairwise fixpoint prefilter both report here).
+// reducer's sweeps and the pairwise reductions of Yannakakis' binary
+// joins report here).
 func (m *Metrics) Semijoin(out int) {
 	if m == nil {
 		return
@@ -333,7 +334,7 @@ type MetricsSnapshot struct {
 	// full reducer over an acyclic join tree.
 	YannakakisJoins int64 `json:"yannakakis_joins"`
 	// Semijoins counts semijoin passes (full-reducer sweeps and the
-	// pairwise fixpoint prefilter).
+	// pairwise reductions of Yannakakis' binary joins).
 	Semijoins int64 `json:"semijoins"`
 	// SemijoinRows totals the output cardinalities of all semijoin
 	// passes — the per-pass cardinality trail of the full reducer.

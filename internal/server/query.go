@@ -145,11 +145,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	limits := q.limitsFor(t)
 
 	// Pre-flight admission on the base relations the expression touches:
-	// the same max(PredictedPeakGreedy, WorstCasePeakGreedy) threshold
-	// the engine's per-node gate uses, applied before any work runs. The
-	// n-ary AGM bound passes output-bounded strategies (wcoj, yannakakis,
-	// and auto — which routes blow-ups to them) under the bounded-peak
-	// rule of governor.Admit.
+	// the same governor.Admit gate over the same join.Plan predictions the
+	// engine's per-node gate uses, applied before any work runs.
 	if rejected := s.admit(w, q, expr, db, t, limits); rejected {
 		return
 	}
@@ -195,7 +192,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	wall := time.Since(start)
 	s.metrics.evalDone(t.name)
 	if err != nil {
-		s.writeEvalError(w, q, t, err)
+		s.writeEvalError(w, t, err)
 		return
 	}
 
@@ -221,8 +218,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 // the rejection to the registry (violation counter + latency) so
 // /metrics shows rejected load next to executed load.
 func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr, db relation.Database, t *tenant, limits governor.Limits) bool {
-	budget := limits.MaxIntermediateRows
-	if budget <= 0 {
+	if limits.MaxIntermediateRows <= 0 {
 		return false
 	}
 	var args []*relation.Relation
@@ -231,33 +227,37 @@ func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr
 			args = append(args, r)
 		}
 	}
-	predicted := join.GreedyPeak(args)
-	agm := join.AGMBoundOf(args)
-	bounded := 0.0
+	outputBounded := false
 	switch q.strategy {
 	case "wcoj", "yannakakis", "auto":
 		// Output-bounded strategies never materialize past the n-ary AGM
 		// bound; auto routes predicted blow-ups to them.
-		bounded = agm
+		outputBounded = true
 	}
 	collector := &obs.Collector{}
 	gov := governor.New(context.Background(), limits).WithMetrics(collector.M())
 	start := time.Now()
-	err := gov.Admit(predicted, bounded)
+	err := gov.Admit(join.NewPlan(args...), outputBounded)
 	if err == nil {
 		return false
 	}
-	s.metrics.admissionRejects.Add(1)
 	s.metrics.evalDone(t.name)
 	s.reg.Observe(collector.Trace(), time.Since(start))
-	writeJSON(w, http.StatusTooManyRequests, admissionReject{
-		Error:         err.Error(),
-		Tenant:        t.name,
-		PredictedPeak: predicted,
-		AGMBound:      agm,
-		Budget:        budget,
-	})
+	s.writeAdmissionReject(w, t, err)
 	return true
+}
+
+// writeAdmissionReject answers 429 for a rejection from either gate —
+// the server's or the engine's per-node one — with the numbers the
+// *governor.AdmissionError in err's chain was decided on.
+func (s *Server) writeAdmissionReject(w http.ResponseWriter, t *tenant, err error) {
+	s.metrics.admissionRejects.Add(1)
+	body := admissionReject{Error: err.Error(), Tenant: t.name, Budget: t.limits.MaxIntermediateRows}
+	var ae *governor.AdmissionError
+	if errors.As(err, &ae) {
+		body.PredictedPeak, body.AGMBound = ae.PredictedPeak, ae.AGMBound
+	}
+	writeJSON(w, http.StatusTooManyRequests, body)
 }
 
 // writeEvalError maps a failed evaluation to a status code: governor
@@ -265,15 +265,10 @@ func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr
 // row/memory budget, 499 client cancel); a recovered engine panic is the
 // server's fault, 500; everything else is the client's 400 — the engine
 // rejected the query, not the server.
-func (s *Server) writeEvalError(w http.ResponseWriter, q *queryRequest, t *tenant, err error) {
+func (s *Server) writeEvalError(w http.ResponseWriter, t *tenant, err error) {
 	switch {
 	case errors.Is(err, governor.ErrAdmission):
-		s.metrics.admissionRejects.Add(1)
-		writeJSON(w, http.StatusTooManyRequests, admissionReject{
-			Error:  err.Error(),
-			Tenant: t.name,
-			Budget: t.limits.MaxIntermediateRows,
-		})
+		s.writeAdmissionReject(w, t, err)
 	case errors.Is(err, governor.ErrDeadline):
 		writeError(w, http.StatusGatewayTimeout, "%v", err)
 	case errors.Is(err, governor.ErrRowBudget), errors.Is(err, governor.ErrMemBudget):

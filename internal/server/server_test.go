@@ -128,6 +128,45 @@ func TestTwoTenantAdmission(t *testing.T) {
 	}
 }
 
+// TestBothGatesAnswer429WithTheirNumbers: the 429 body carries the AGM
+// bound and the predicted peak the error string quotes whichever gate
+// rejected. A self-join — every query of the paper — deduplicates to one
+// operand, so the server gate is vacuous there and the rejection comes
+// from the engine's per-node gate through writeEvalError.
+func TestBothGatesAnswer429WithTheirNumbers(t *testing.T) {
+	s, ts := newTestServer(t)
+	tri := relation.New(relation.MustScheme("A", "B", "C"))
+	for i := 0; i < 60; i++ { // each pair of legs can be forced to 60·60 rows
+		tri.MustAdd(relation.TupleOf(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i), fmt.Sprintf("c%d", i)))
+	}
+	s.Load("free", relation.Single("T", tri))
+
+	for _, tc := range []struct{ gate, query, params string }{
+		{"server", chainQuery, "strategy=hash"},
+		{"engine", "pi[A B](T) * pi[B C](T) * pi[A C](T)", "strategy=hash"},
+	} {
+		resp := postQuery(t, ts, "free", tc.query, tc.params)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s gate: status %d, want 429; body: %s", tc.gate, resp.StatusCode, readBody(t, resp))
+		}
+		var reject admissionReject
+		if err := json.NewDecoder(resp.Body).Decode(&reject); err != nil {
+			t.Fatalf("%s gate: decoding 429 body: %v", tc.gate, err)
+		}
+		if reject.AGMBound <= 0 || reject.Budget != 2_000 || reject.Tenant != "free" {
+			t.Errorf("%s gate: 429 body %+v, want a non-zero agm_bound_rows, budget 2000, tenant free", tc.gate, reject)
+		}
+		quoted := fmt.Sprintf("≈%.0f rows", reject.PredictedPeak)
+		if reject.PredictedPeak <= float64(reject.Budget) || !strings.Contains(reject.Error, quoted) {
+			t.Errorf("%s gate: predicted_peak_rows = %v, error %q; want the peak the error quotes, over budget",
+				tc.gate, reject.PredictedPeak, reject.Error)
+		}
+	}
+	if got := s.metrics.admissionRejects.Load(); got != 2 {
+		t.Errorf("admission rejects counted = %d, want 2", got)
+	}
+}
+
 // TestRepeatedQueryHitsSharedCache submits the same query twice and
 // checks the shared cross-request subexpression cache served the second
 // evaluation, both in the response header and in /metrics.

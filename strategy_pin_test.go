@@ -3,7 +3,9 @@ package relquery_test
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"relquery/internal/algebra"
@@ -145,10 +147,11 @@ func outermostJoin(sp *obs.Span) *obs.Span {
 	return nil
 }
 
-// TestGreedyPeakIsOneSimulation: join.GreedyPeak, which the admission
-// gates and the wcoj auto-selector use, is bit-identical to the larger of
-// the two peaks the replay reads separately.
-func TestGreedyPeakIsOneSimulation(t *testing.T) {
+// TestPlanMatchesStandalonePlanners: on the pinned families' join inputs,
+// the facts of one join.Plan — which the selector, both admission gates,
+// the span and the strategies read — are bit-identical to what the
+// standalone planners compute from scratch, and what the replay reads.
+func TestPlanMatchesStandalonePlanners(t *testing.T) {
 	inputs := map[string][]*relation.Relation{}
 	for name, g := range lemma1Families(t) {
 		c, err := reduction.New(g)
@@ -171,9 +174,74 @@ func TestGreedyPeakIsOneSimulation(t *testing.T) {
 		}
 	}
 	for name, rels := range inputs {
-		want := max(join.PredictedPeakGreedy(rels), join.WorstCasePeakGreedy(rels))
-		if got := join.GreedyPeak(rels); got != want || got == 0 {
-			t.Errorf("%s: GreedyPeak = %v, want max(predicted, worst case) = %v", name, got, want)
+		p := join.NewPlan(rels...)
+		schemes := join.SchemesOf(rels)
+		sizes := make([]int, len(rels))
+		for i, r := range rels {
+			sizes[i] = r.Len()
+		}
+		tree, acyclic := p.JoinTree()
+		if wantTree, want := join.JoinTreeOf(schemes); acyclic != want || !reflect.DeepEqual(tree, wantTree) {
+			t.Errorf("%s: plan tree = %+v, %v; JoinTreeOf = %+v, %v", name, tree, acyclic, wantTree, want)
+		}
+		cover, bound := p.Cover()
+		if wantCover, wantBound := join.FractionalCover(schemes, sizes); bound != wantBound || !reflect.DeepEqual(cover, wantCover) {
+			t.Errorf("%s: plan cover = %v, %v; FractionalCover = %v, %v", name, cover, bound, wantCover, wantBound)
+		}
+		if want := join.AGMBoundOf(rels); p.AGMBound() != want || want == 0 {
+			t.Errorf("%s: plan bound = %v, AGMBoundOf = %v", name, p.AGMBound(), want)
+		}
+		est, worst := p.Peaks()
+		if wantEst, wantWorst := join.PredictedPeakGreedy(rels), join.WorstCasePeakGreedy(rels); est != wantEst || worst != wantWorst {
+			t.Errorf("%s: plan peaks = %v, %v; standalone = %v, %v", name, est, worst, wantEst, wantWorst)
+		}
+		if got := p.Peak(); got != max(est, worst) || got == 0 {
+			t.Errorf("%s: plan peak = %v, want max(%v, %v)", name, got, est, worst)
+		}
+	}
+}
+
+// TestAutoPlansEachNodeOnce: a traced -join=auto evaluation of one cyclic
+// gadget join node runs GYO, the cover LP and the greedy simulation once
+// each. Before the node had one join.Plan, the selector, the span
+// annotation and the generic join's attribute order each solved the LP
+// again (and collected the schemes again): 688, 3182 and 4829 allocations
+// on these three gadgets against 594, 2946 and 4501 now. The ceilings sit
+// between.
+func TestAutoPlansEachNodeOnce(t *testing.T) {
+	ceilings := map[string]float64{"paper": 640, "xorchain": 3060, "pigeonhole": 4660}
+	for name, g := range lemma1Families(t) {
+		c, err := reduction.New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legs, err := benchGadgetLegs(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := relation.NewDatabase()
+		operands := make([]algebra.Expr, len(legs))
+		for i, leg := range legs {
+			legName := fmt.Sprintf("L%d", i)
+			db.Put(legName, leg)
+			operands[i] = algebra.MustOperand(legName, leg.Scheme())
+		}
+		node, err := algebra.JoinAll(operands...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			col := &obs.Collector{}
+			ev := algebra.Evaluator{AutoWCOJ: true, AutoYannakakis: true, Collector: col}
+			if _, err := ev.Eval(node, db); err != nil {
+				t.Fatal(err)
+			}
+			if j := outermostJoin(col.Trace().Root()); j.Algorithm != "wcoj" || j.AGMBound == 0 {
+				t.Fatalf("%s: node ran %q with agm %v, want wcoj under its AGM bound", name, j.Algorithm, j.AGMBound)
+			}
+		})
+		if allocs > ceilings[name] {
+			t.Errorf("%s: traced auto evaluation allocates %v times, ceiling %v", name, allocs, ceilings[name])
 		}
 	}
 }

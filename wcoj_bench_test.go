@@ -143,7 +143,7 @@ func BenchmarkGenericJoinDirect(b *testing.B) {
 	b.Run("greedy-hash", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := join.Multi(join.Exec{}, legs, join.Hash{}, join.Greedy); err != nil {
+			if _, err := join.Multi(join.Exec{}, join.NewPlan(legs...), join.Hash{}, join.Greedy); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -151,7 +151,7 @@ func BenchmarkGenericJoinDirect(b *testing.B) {
 	b.Run("wcoj", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := (join.Generic{}).JoinAll(join.Exec{}, legs); err != nil {
+			if _, err := (join.Generic{}).JoinAll(join.Exec{}, join.NewPlan(legs...)); err != nil {
 				b.Fatal(err)
 			}
 		}
