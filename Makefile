@@ -124,12 +124,13 @@ relbench-compare:
 # mid-join, worker panic and drain, sticky-failure broadcast, graceful
 # degradation, admission rejection, deadline kill — across all four
 # join strategies, the three SAT solvers, and the xorchain2 Lemma 1
-# acceptance gadget. CI runs this as its own job; `make stress`
+# acceptance gadget, plus eight goroutines planning one cold join node
+# through shared join.Facts. CI runs this as its own job; `make stress`
 # reproduces it locally.
 stress:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/governor/
 	$(GO) test -race -count=1 \
-	  -run 'Cancel|Panic|Degrad|Drain|Governor|Admi|JoinNodeReads|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted' \
+	  -run 'Cancel|Panic|Degrad|Drain|Governor|Admi|JoinNodeReads|PlansOnce|PlansComputeOnce|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted' \
 	  ./internal/algebra/ ./internal/join/ ./internal/sat/ .
 
 # Regenerate BENCH_fault.txt: the cost of a compiled-in injection site

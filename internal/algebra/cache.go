@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 
+	"relquery/internal/join"
+	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -18,6 +20,14 @@ import (
 // times, and every decider that re-evaluates φ_G against an unchanged
 // R_G reuses each leg instead of recomputing it.
 //
+// Under the same key the cache keeps each join node's planning facts
+// (join.Facts: GYO tree, cover and AGM bound, simulated peaks): they are
+// functions of the node's inputs, which the key determines, so a later
+// request for the same expression over the same content plans nothing —
+// and, like a result, a fact needs no invalidation: an upload changes a
+// fingerprint and misses. Facts steer the strategy choice and admission,
+// never an answer, so even a colliding fingerprint cannot corrupt one.
+//
 // A SubexprCache is safe for concurrent use; the parallel evaluator's
 // workers share one. Only successful evaluations are cached (errors may
 // depend on per-call budgets). The zero value is not ready — use
@@ -25,39 +35,102 @@ import (
 type SubexprCache struct {
 	mu            sync.Mutex
 	entries       map[string]*relation.Relation
+	facts         map[string]*join.Facts
 	hits          int
 	misses        int
 	invalidations int
 }
 
+// factsMax bounds resident plan facts; past it they are dropped wholesale.
+// An entry is its key and a hundred-odd bytes, so the bound only guards
+// against an adversarial stream of distinct expressions.
+const factsMax = 4096
+
 // NewSubexprCache returns an empty cache.
 func NewSubexprCache() *SubexprCache {
-	return &SubexprCache{entries: make(map[string]*relation.Relation)}
+	return &SubexprCache{entries: make(map[string]*relation.Relation), facts: make(map[string]*join.Facts)}
 }
 
-// key builds the cache key for evaluating e against db.
-func (c *SubexprCache) key(e Expr, db relation.Database) string {
+// contentKey is the cache key of a node against db: the node's text, then
+// the name and fingerprint of every relation it references, in first-use
+// order. An empty text keys the join of the bare operands themselves.
+func contentKey(text string, operands []string, db relation.Database) string {
+	const missing = "!missing"
+	fingerprint := func(name string) string {
+		if r, ok := db[name]; ok {
+			return relation.Fingerprint(r)
+		}
+		return missing // the evaluation will fail; the key stays deterministic
+	}
+	size := len(text)
+	for _, name := range operands {
+		size += len(name) + len(fingerprint(name)) + 2
+	}
 	var b strings.Builder
-	b.WriteString(e.String())
-	b.WriteByte('\x00')
-	b.WriteString(relation.FingerprintDatabase(db, e.Operands()))
+	b.Grow(size)
+	b.WriteString(text)
+	for _, name := range operands {
+		b.WriteByte('\x00')
+		b.WriteString(name)
+		b.WriteByte('=')
+		b.WriteString(fingerprint(name))
+	}
 	return b.String()
 }
 
-// Do returns the cached result for (e, db) or computes, stores and
-// returns it. Concurrent callers with the same key may both compute (the
-// per-call memo already collapses duplicates within one evaluation); the
-// last writer wins, which is harmless because equal keys imply equal
-// results.
-func (c *SubexprCache) Do(e Expr, db relation.Database, compute func() (*relation.Relation, error)) (*relation.Relation, error) {
-	r, _, err := c.do(e, db, compute)
-	return r, err
+// plan returns the plan of the join node keyed key over inputs, its facts
+// taken from the store — or entered into it, the first time — and whether
+// they were there, which it also reports to m. A nil cache plans from
+// nothing and reports nothing.
+func (c *SubexprCache) plan(key string, m *obs.Metrics, inputs []*relation.Relation) (*join.Plan, bool) {
+	if c == nil {
+		p := join.NewPlan(inputs...)
+		p.Metrics = m
+		return p, false
+	}
+	c.mu.Lock()
+	facts, hit := c.facts[key]
+	if !hit {
+		if len(c.facts) >= factsMax {
+			clear(c.facts)
+		}
+		facts = new(join.Facts)
+		c.facts[key] = facts
+	}
+	c.mu.Unlock()
+	m.PlanFacts(hit)
+	p := facts.Plan(inputs...)
+	p.Metrics = m
+	return p, hit
 }
 
-// do is Do exposing whether the result was served from the cache, for
-// the evaluator's trace spans and metrics.
-func (c *SubexprCache) do(e Expr, db relation.Database, compute func() (*relation.Relation, error)) (*relation.Relation, bool, error) {
-	k := c.key(e, db)
+// OperandPlan returns the plan of the natural join of the base relations e
+// references, in first-use order — the flattened n-ary join relqueryd's
+// pre-queue admission gate asks about — over stored facts like any join
+// node's. A nil cache plans from nothing.
+func (c *SubexprCache) OperandPlan(e Expr, db relation.Database, m *obs.Metrics) *join.Plan {
+	operands := e.Operands()
+	inputs := make([]*relation.Relation, 0, len(operands))
+	for _, name := range operands {
+		if r, ok := db[name]; ok {
+			inputs = append(inputs, r)
+		}
+	}
+	key := ""
+	if c != nil {
+		key = contentKey("", operands, db)
+	}
+	p, _ := c.plan(key, m, inputs)
+	return p
+}
+
+// do returns the cached result for key or computes, stores and returns
+// it, and reports whether it was served from the cache, for the
+// evaluator's trace spans and metrics. Concurrent callers with the same
+// key may both compute (the per-call memo already collapses duplicates
+// within one evaluation); the last writer wins, which is harmless because
+// equal keys imply equal results.
+func (c *SubexprCache) do(k string, compute func() (*relation.Relation, error)) (*relation.Relation, bool, error) {
 	c.mu.Lock()
 	if r, ok := c.entries[k]; ok {
 		c.hits++
@@ -86,9 +159,10 @@ func (c *SubexprCache) Counters() (hits, misses, invalidations, entries int) {
 	return c.hits, c.misses, c.invalidations, len(c.entries)
 }
 
-// Reset drops every entry, keeping the hit/miss counters and counting the
-// dropped entries as invalidations. It returns the number of entries
-// dropped.
+// Reset drops every result, keeping the hit/miss counters and counting
+// the dropped entries as invalidations, and returns the number dropped. It
+// is about memory: results are whole relations. The plan facts stay — they
+// are small, bounded in number and exactly as valid as before.
 func (c *SubexprCache) Reset() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -241,13 +241,11 @@ func (ev *Evaluator) newSpan(parent *obs.Span, e Expr) *obs.Span {
 	if ev.Collector == nil {
 		return nil
 	}
-	op := spanOp(e)
-	label := nodeLabel(e)
 	var sp *obs.Span
 	if parent == nil {
-		sp = ev.Collector.Start(op, label)
+		sp = ev.Collector.Start(spanOp(e), e.label())
 	} else {
-		sp = parent.Child(op, label)
+		sp = parent.Child(spanOp(e), e.label())
 	}
 	sp.SetSchemeWidth(e.Scheme().Len())
 	return sp
@@ -281,21 +279,24 @@ func (ev *Evaluator) eval(e Expr, db relation.Database, memo *memoTable, sp *obs
 	}
 	// Operands are cheap lookups; only memoize composite nodes.
 	if _, isOp := e.(*Operand); isOp || (memo == nil && ev.SharedCache == nil) {
-		r, err := ev.evalNode(e, db, memo, sp, gov)
+		r, err := ev.evalNode(e, "", db, memo, sp, gov)
 		return ev.finishSpan(sp, "", r, err)
 	}
 	cacheStatus := obs.CacheMiss
 	compute := func() (*relation.Relation, error) {
 		if ev.SharedCache != nil {
-			r, hit, err := ev.SharedCache.do(e, db, func() (*relation.Relation, error) {
-				return ev.evalNode(e, db, memo, sp, gov)
+			// Built once per node: the result's key here and, for a join
+			// that misses, its plan facts' key in multi.
+			key := contentKey(e.String(), e.Operands(), db)
+			r, hit, err := ev.SharedCache.do(key, func() (*relation.Relation, error) {
+				return ev.evalNode(e, key, db, memo, sp, gov)
 			})
 			if hit {
 				cacheStatus = obs.CacheHit
 			}
 			return r, err
 		}
-		return ev.evalNode(e, db, memo, sp, gov)
+		return ev.evalNode(e, "", db, memo, sp, gov)
 	}
 	var r *relation.Relation
 	var err error
@@ -334,7 +335,9 @@ func (ev *Evaluator) finishSpan(sp *obs.Span, cacheStatus string, r *relation.Re
 	return r, nil
 }
 
-func (ev *Evaluator) evalNode(e Expr, db relation.Database, memo *memoTable, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
+// evalNode computes one node from its children. key is the node's content
+// key when a shared cache is attached, else empty.
+func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, memo *memoTable, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
 	switch x := e.(type) {
 	case *Operand:
 		r, err := db.Get(x.Name())
@@ -367,7 +370,7 @@ func (ev *Evaluator) evalNode(e Expr, db relation.Database, memo *memoTable, sp 
 		if err != nil {
 			return nil, err
 		}
-		return ev.multi(args, sp, gov)
+		return ev.multi(args, key, sp, gov)
 
 	default:
 		return nil, fmt.Errorf("algebra: unknown expression type %T", e)
@@ -420,9 +423,10 @@ func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, memo *memoTabl
 	return args, nil
 }
 
-// multi joins args, aborting mid-plan — and, under a governor, mid-join —
-// as soon as any checkpoint trips.
-func (ev *Evaluator) multi(args []*relation.Relation, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
+// multi joins args, the inputs of the join node keyed key, aborting
+// mid-plan — and, under a governor, mid-join — as soon as any checkpoint
+// trips.
+func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
 	if sp != nil {
 		ins := make([]int, len(args))
 		for i, a := range args {
@@ -432,8 +436,11 @@ func (ev *Evaluator) multi(args []*relation.Relation, sp *obs.Span, gov *governo
 	}
 	x := join.Exec{Gov: gov, Metrics: ev.Collector.M(), Span: sp}
 	// The node's one plan: the selector, the admission gate, the span
-	// annotation, the strategy and a degraded retry all read it.
-	p := join.NewPlan(args...)
+	// annotation, the strategy and a degraded retry all read it. With a
+	// shared cache its facts outlive the request, so the same node over
+	// the same content finds them computed.
+	p, known := ev.SharedCache.plan(key, x.Metrics, args)
+	sp.SetPlanKnown(known)
 	return ev.run(x, p, ev.choose(p, sp), ev.Order)
 }
 

@@ -41,7 +41,7 @@ func ExplainWith(ev *Evaluator, e Expr, db relation.Database) (string, error) {
 
 // explainNode renders one node and returns its materialized value.
 func explainNode(ev *Evaluator, e Expr, db relation.Database, b *strings.Builder, prefix, childPrefix string) (*relation.Relation, error) {
-	label := nodeLabel(e)
+	label := e.label()
 	var children []Expr
 	switch x := e.(type) {
 	case *Project:
@@ -202,19 +202,5 @@ func renderSpan(b *strings.Builder, sp *obs.Span, prefix, childPrefix string) {
 			connector, nextIndent = "└─ ", "   "
 		}
 		renderSpan(b, c, childPrefix+connector, childPrefix+nextIndent)
-	}
-}
-
-// nodeLabel renders a node header without descending into subtrees.
-func nodeLabel(e Expr) string {
-	switch x := e.(type) {
-	case *Operand:
-		return x.Name()
-	case *Project:
-		return "pi[" + x.Onto().String() + "]"
-	case *Join:
-		return fmt.Sprintf("* (natural join, %d inputs)", len(x.Args()))
-	default:
-		return fmt.Sprintf("%T", e)
 	}
 }

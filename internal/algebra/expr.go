@@ -17,13 +17,17 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"relquery/internal/relation"
 )
 
 // Expr is a project–join relational expression. Implementations are
-// Operand, Project and Join. An Expr is immutable after construction.
+// Operand, Project and Join. An Expr is immutable after construction, so
+// a composite node renders its text, collects its operands and words its
+// span label once, when it is built; the accessors hand back the stored
+// values, which callers must not modify.
 type Expr interface {
 	// Scheme returns the target relation scheme trs(e) of the expression.
 	Scheme() relation.Scheme
@@ -33,15 +37,17 @@ type Expr interface {
 	// String renders the expression in the package's text syntax.
 	String() string
 
-	appendOperands(seen map[string]bool, out *[]string)
-	write(b *strings.Builder, parenthesizeJoin bool)
+	// label is the node's header without its subtrees: what its trace span
+	// and its EXPLAIN line are called.
+	label() string
 }
 
 // Operand is a reference to a named database relation over a known scheme
 // (the paper's relation-scheme operand).
 type Operand struct {
-	name   string
-	scheme relation.Scheme
+	name     string
+	scheme   relation.Scheme
+	operands []string // the name, alone
 }
 
 // NewOperand builds an operand reference. The name must be non-empty.
@@ -49,7 +55,7 @@ func NewOperand(name string, scheme relation.Scheme) (*Operand, error) {
 	if name == "" {
 		return nil, fmt.Errorf("algebra: operand name must be non-empty")
 	}
-	return &Operand{name: name, scheme: scheme}, nil
+	return &Operand{name: name, scheme: scheme, operands: []string{name}}, nil
 }
 
 // MustOperand is NewOperand for statically known operands; it panics on
@@ -69,24 +75,19 @@ func (o *Operand) Name() string { return o.name }
 func (o *Operand) Scheme() relation.Scheme { return o.scheme }
 
 // Operands implements Expr.
-func (o *Operand) Operands() []string { return []string{o.name} }
-
-func (o *Operand) appendOperands(seen map[string]bool, out *[]string) {
-	if !seen[o.name] {
-		seen[o.name] = true
-		*out = append(*out, o.name)
-	}
-}
+func (o *Operand) Operands() []string { return o.operands }
 
 // String implements Expr.
 func (o *Operand) String() string { return o.name }
 
-func (o *Operand) write(b *strings.Builder, _ bool) { b.WriteString(o.name) }
+func (o *Operand) label() string { return o.name }
 
 // Project is the projection π_onto(of).
 type Project struct {
 	onto relation.Scheme
 	of   Expr
+
+	text, head string
 }
 
 // NewProject builds π_onto(of), checking that every attribute of onto
@@ -101,7 +102,8 @@ func NewProject(onto relation.Scheme, of Expr) (*Project, error) {
 			return nil, fmt.Errorf("algebra: cannot project onto %q: not in target scheme %v", a, child)
 		}
 	}
-	return &Project{onto: onto, of: of}, nil
+	head := "pi[" + onto.String() + "]"
+	return &Project{onto: onto, of: of, text: head + "(" + of.String() + ")", head: head}, nil
 }
 
 // MustProject is NewProject for statically valid projections; it panics on
@@ -124,22 +126,12 @@ func (p *Project) Of() Expr { return p.of }
 func (p *Project) Scheme() relation.Scheme { return p.onto }
 
 // Operands implements Expr.
-func (p *Project) Operands() []string { return operandsOf(p) }
-
-func (p *Project) appendOperands(seen map[string]bool, out *[]string) {
-	p.of.appendOperands(seen, out)
-}
+func (p *Project) Operands() []string { return p.of.Operands() }
 
 // String implements Expr.
-func (p *Project) String() string { return render(p) }
+func (p *Project) String() string { return p.text }
 
-func (p *Project) write(b *strings.Builder, _ bool) {
-	b.WriteString("pi[")
-	b.WriteString(p.onto.String())
-	b.WriteString("](")
-	p.of.write(b, false)
-	b.WriteString(")")
-}
+func (p *Project) label() string { return p.head }
 
 // Join is the natural join of two or more expressions, written
 // e₁ ∗ e₂ ∗ … ∗ e_k. Nested joins are kept flat: the constructor splices
@@ -148,6 +140,9 @@ func (p *Project) write(b *strings.Builder, _ bool) {
 type Join struct {
 	args   []Expr
 	scheme relation.Scheme
+
+	text, head string
+	operands   []string
 }
 
 // NewJoin builds the join of the given expressions. At least two arguments
@@ -167,11 +162,23 @@ func NewJoin(args ...Expr) (*Join, error) {
 			flat = append(flat, a)
 		}
 	}
-	scheme := flat[0].Scheme()
-	for _, a := range flat[1:] {
-		scheme = scheme.Union(a.Scheme())
+	j := &Join{args: flat, scheme: flat[0].Scheme(), head: fmt.Sprintf("* (natural join, %d inputs)", len(flat))}
+	// An argument is never itself a join, so the text needs no parentheses.
+	var text strings.Builder
+	for i, a := range flat {
+		if i > 0 {
+			j.scheme = j.scheme.Union(a.Scheme())
+			text.WriteString(" * ")
+		}
+		text.WriteString(a.String())
+		for _, name := range a.Operands() {
+			if !slices.Contains(j.operands, name) {
+				j.operands = append(j.operands, name)
+			}
+		}
 	}
-	return &Join{args: flat, scheme: scheme}, nil
+	j.text = text.String()
+	return j, nil
 }
 
 // MustJoin is NewJoin for statically valid joins; it panics on error.
@@ -203,43 +210,12 @@ func (j *Join) Args() []Expr { return j.args }
 func (j *Join) Scheme() relation.Scheme { return j.scheme }
 
 // Operands implements Expr.
-func (j *Join) Operands() []string { return operandsOf(j) }
-
-func (j *Join) appendOperands(seen map[string]bool, out *[]string) {
-	for _, a := range j.args {
-		a.appendOperands(seen, out)
-	}
-}
+func (j *Join) Operands() []string { return j.operands }
 
 // String implements Expr.
-func (j *Join) String() string { return render(j) }
+func (j *Join) String() string { return j.text }
 
-func (j *Join) write(b *strings.Builder, parenthesize bool) {
-	if parenthesize {
-		b.WriteString("(")
-	}
-	for i, a := range j.args {
-		if i > 0 {
-			b.WriteString(" * ")
-		}
-		a.write(b, true)
-	}
-	if parenthesize {
-		b.WriteString(")")
-	}
-}
-
-func operandsOf(e Expr) []string {
-	var out []string
-	e.appendOperands(make(map[string]bool), &out)
-	return out
-}
-
-func render(e Expr) string {
-	var b strings.Builder
-	e.write(&b, false)
-	return b.String()
-}
+func (j *Join) label() string { return j.head }
 
 // Equal reports structural equality of two expressions: same shape, same
 // operand names and schemes (in order), same projection schemes (in

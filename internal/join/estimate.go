@@ -9,35 +9,17 @@ import (
 // shared attribute, by the larger of the two distinct-value counts —
 // assuming uniformity and inclusion, the textbook selectivity model.
 
-// ColumnStats holds per-attribute distinct-value counts for one relation.
-type ColumnStats struct {
-	// Rows is the relation's cardinality.
-	Rows int
-	// Distinct maps each attribute to its number of distinct values.
-	Distinct map[relation.Attribute]int
-}
-
-// Analyze computes column statistics for a relation in one pass.
-func Analyze(r *relation.Relation) ColumnStats {
-	s := ColumnStats{
-		Rows:     r.Len(),
-		Distinct: make(map[relation.Attribute]int, r.Scheme().Len()),
-	}
-	scheme := r.Scheme()
-	sets := make([]map[relation.Value]struct{}, scheme.Len())
-	for i := range sets {
-		sets[i] = make(map[relation.Value]struct{})
-	}
-	r.Each(func(t relation.Tuple) bool {
-		for i, v := range t {
-			sets[i][v] = struct{}{}
+// Analyze counts the distinct values of each column of r into distinct
+// (one entry per column, in scheme order): one scan of r per column,
+// through the one set, emptied before each.
+func Analyze(r *relation.Relation, set map[relation.Value]struct{}, distinct []float64) {
+	for c := range distinct {
+		clear(set)
+		for i := 0; i < r.Len(); i++ {
+			set[r.Tuple(i)[c]] = struct{}{}
 		}
-		return true
-	})
-	for i := 0; i < scheme.Len(); i++ {
-		s.Distinct[scheme.Attr(i)] = len(sets[i])
+		distinct[c] = float64(len(set))
 	}
-	return s
 }
 
 // simulateGreedy runs the greedy binary planner over statistics instead
@@ -45,49 +27,48 @@ func Analyze(r *relation.Relation) ColumnStats {
 // instead of actual sizes — and returns both the System R estimated peak
 // and the worst-case (AGM) peak over intermediate accumulators. Analyze
 // scans every row of every input: Plan.Peaks is the only caller.
+//
+// An accumulator lives in the slot of its leftmost base input: its
+// attributes (left operand's first, then the right's new ones — the order
+// the estimate divides in), their bitset, a dense distinct count per
+// attribute number, and the chain of base inputs merged into it. A merge
+// rewrites the left slot in place, so nothing is allocated per candidate
+// pair or per merge, and every float operation happens in the order it
+// always has: the peaks are bit-identical to the Scheme-and-map version's.
 func (p *Plan) simulateGreedy() (estPeak, worstPeak float64) {
-	inputs := p.Inputs
-	if len(inputs) < 2 {
+	n := len(p.Inputs)
+	if n < 2 {
 		return 0, 0
 	}
-	edges, inputSizes := p.hypergraph()
-	type estRel struct {
-		scheme   relation.Scheme
-		rows     float64
-		distinct map[relation.Attribute]float64
+	h := p.hypergraph()
+	width, words := h.nattrs, h.words
+	ints := make([]int, n*width+5*n)
+	attrs, ints := ints[:n*width], ints[n*width:] // slot s: attrs[s*width:][:count[s]]
+	count, last, next, pending, base := ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:4*n], ints[4*n:]
+	floats := make([]float64, n*width+n+width)
+	distinct, rows, column := floats[:n*width], floats[n*width:n*width+n], floats[n*width+n:]
+	bits := append([]uint64(nil), h.bits...)
+	set := make(map[relation.Value]struct{})
+	for s, r := range p.Inputs {
+		count[s] = copy(attrs[s*width:], h.attrs[s])
+		last[s], next[s], pending[s] = s, -1, s
+		rows[s] = float64(r.Len())
+		Analyze(r, set, column[:count[s]])
+		for c, a := range h.attrs[s] {
+			distinct[s*width+a] = column[c]
+		}
 	}
-	estimate := func(l, r estRel) float64 {
-		est := l.rows * r.rows
-		for _, a := range l.scheme.Intersect(r.scheme).Attrs() {
-			if v := max(l.distinct[a], r.distinct[a]); v > 1 {
-				est /= v
+	estimate := func(l, r int) float64 {
+		est := rows[l] * rows[r]
+		for _, a := range attrs[l*width:][:count[l]] {
+			if h.has(bits, r, a) {
+				if v := max(distinct[l*width+a], distinct[r*width+a]); v > 1 {
+					est /= v
+				}
 			}
 		}
 		return est
 	}
-	pending := make([]estRel, len(inputs))
-	base := make([][]int, len(inputs))
-	for i, r := range inputs {
-		s := Analyze(r)
-		d := make(map[relation.Attribute]float64, len(s.Distinct))
-		for a, v := range s.Distinct {
-			d[a] = float64(v)
-		}
-		pending[i] = estRel{scheme: edges[i], rows: float64(s.Rows), distinct: d}
-		base[i] = []int{i}
-	}
-	// subsetBound is the AGM bound of the base relations an accumulator
-	// holds.
-	subsetBound := func(idx []int) float64 {
-		schemes := make([]relation.Scheme, len(idx))
-		sizes := make([]int, len(idx))
-		for k, i := range idx {
-			schemes[k] = edges[i]
-			sizes[k] = inputSizes[i]
-		}
-		return AGMBound(schemes, sizes)
-	}
-	peak := 0.0
 	for len(pending) > 1 {
 		// Prefer shared-attribute pairs, then the smallest estimated join
 		// size.
@@ -96,8 +77,12 @@ func (p *Plan) simulateGreedy() (estPeak, worstPeak float64) {
 		bestCost := -1.0
 		for i := 0; i < len(pending); i++ {
 			for j := i + 1; j < len(pending); j++ {
-				shared := !pending[i].scheme.Disjoint(pending[j].scheme)
-				cost := estimate(pending[i], pending[j])
+				l, r := pending[i], pending[j]
+				shared := false
+				for w := 0; w < words && !shared; w++ {
+					shared = bits[l*words+w]&bits[r*words+w] != 0
+				}
+				cost := estimate(l, r)
 				switch {
 				case shared && !bestShared,
 					shared == bestShared && (bestCost < 0 || cost < bestCost):
@@ -107,36 +92,39 @@ func (p *Plan) simulateGreedy() (estPeak, worstPeak float64) {
 		}
 		l, r := pending[bestI], pending[bestJ]
 		est := estimate(l, r)
-		if est > peak {
-			peak = est
+		if est > estPeak {
+			estPeak = est
 		}
-		merged := estRel{
-			scheme:   l.scheme.Union(r.scheme),
-			rows:     est,
-			distinct: make(map[relation.Attribute]float64, l.scheme.Len()+r.scheme.Len()),
-		}
-		for _, a := range merged.scheme.Attrs() {
-			v := 0.0
-			switch {
-			case l.scheme.Has(a) && r.scheme.Has(a):
-				v = min(l.distinct[a], r.distinct[a])
-			case l.scheme.Has(a):
-				v = l.distinct[a]
-			default:
-				v = r.distinct[a]
+		for _, a := range attrs[r*width:][:count[r]] {
+			v := distinct[r*width+a]
+			if h.has(bits, l, a) {
+				v = min(distinct[l*width+a], v)
+			} else {
+				attrs[l*width+count[l]] = a
+				count[l]++
 			}
-			merged.distinct[a] = min(v, max(est, 1))
+			distinct[l*width+a] = v
 		}
-		mergedBase := append(append([]int{}, base[bestI]...), base[bestJ]...)
+		for w := 0; w < words; w++ {
+			bits[l*words+w] |= bits[r*words+w]
+		}
+		for _, a := range attrs[l*width:][:count[l]] {
+			distinct[l*width+a] = min(distinct[l*width+a], max(est, 1))
+		}
+		rows[l] = est
+		next[last[l]] = r // r's chain of base inputs follows l's
+		last[l] = last[r]
 		if len(pending) > 2 { // intermediate, not the final full-set result
-			if wc := subsetBound(mergedBase); wc > worstPeak {
+			// The AGM bound of the base relations the accumulator holds.
+			merged := base[:0]
+			for i := l; i >= 0; i = next[i] {
+				merged = append(merged, i)
+			}
+			if _, wc := h.cover(merged, false, p.Metrics); wc > worstPeak {
 				worstPeak = wc
 			}
 		}
 		pending = append(pending[:bestJ], pending[bestJ+1:]...)
-		base = append(base[:bestJ], base[bestJ+1:]...)
-		pending[bestI] = merged
-		base[bestI] = mergedBase
 	}
-	return peak, worstPeak
+	return estPeak, worstPeak
 }

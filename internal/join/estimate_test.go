@@ -8,17 +8,15 @@ import (
 )
 
 func TestAnalyze(t *testing.T) {
-	r := rel(t, "A B", "1 x", "2 x", "2 y")
-	s := Analyze(r)
-	if s.Rows != 3 {
-		t.Errorf("Rows = %d", s.Rows)
+	set := map[relation.Value]struct{}{"stale": {}}
+	distinct := make([]float64, 2)
+	Analyze(rel(t, "A B", "1 x", "2 x", "2 y", "3 y"), set, distinct)
+	if distinct[0] != 3 || distinct[1] != 2 {
+		t.Errorf("distinct = %v, want [3 2]", distinct)
 	}
-	if s.Distinct["A"] != 2 || s.Distinct["B"] != 2 {
-		t.Errorf("Distinct = %v", s.Distinct)
-	}
-	empty := Analyze(relation.New(relation.MustScheme("A")))
-	if empty.Rows != 0 || empty.Distinct["A"] != 0 {
-		t.Errorf("empty stats = %+v", empty)
+	Analyze(relation.New(relation.MustScheme("A")), set, distinct[:1])
+	if distinct[0] != 0 {
+		t.Errorf("empty relation: distinct = %v, want 0", distinct[0])
 	}
 }
 

@@ -1,36 +1,33 @@
 package join
 
 import (
+	"sync"
+
+	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
-// Plan is what is known about one n-ary join node before it runs: its
-// materialized inputs and the planning facts derived from them — the GYO
-// join tree (and with it the α-acyclicity verdict), the minimizing
-// fractional edge cover with its AGM bound, and the greedy binary plan's
-// simulated peaks. The bound and the cover depend only on the node's
-// hypergraph and input cardinalities (Atserias–Grohe–Marx), the tree only
-// on the hypergraph, so each has one value per node; the strategy
-// selector, the admission gates, the span annotation, the generic join's
-// attribute order and Yannakakis' sweeps all read them here instead of
-// deriving them again.
+// Facts is what is known about one n-ary join node before it runs, apart
+// from the inputs themselves: the GYO join tree (and with it the
+// α-acyclicity verdict), the minimizing fractional edge cover with its AGM
+// bound, and the greedy binary plan's simulated peaks. The tree depends
+// only on the node's hypergraph, the bound and the cover on the hypergraph
+// and the input cardinalities (Atserias–Grohe–Marx), the peaks on those
+// plus per-column distinct counts — all functions of the inputs' content,
+// none of the request, and all held by input index: a Facts references no
+// relation, so it may outlive the inputs it was computed from and serve
+// every later plan over equal ones (algebra.SubexprCache keeps them by
+// content key across requests).
 //
-// Every fact is computed on first read and memoized, never eagerly: which
-// facts a node needs depends on the strategy it ends up on. An acyclic
-// node under the auto selector is decided by GYO alone and must not pay
-// the simulation's full scan of every input row (Analyze); an untraced,
-// un-admitted binary plan reads nothing at all.
-//
-// A Plan belongs to one execution of one join node — the degraded retry
-// included — and is not safe for concurrent use.
-type Plan struct {
-	// Inputs are the node's materialized arguments, in argument order.
-	Inputs []*relation.Relation
-
-	edges []relation.Scheme
-	sizes []int
-
-	treeDone, coverDone, peaksDone bool
+// Every fact is computed on first read and published once: which facts a
+// node needs depends on the strategy it ends up on. An acyclic node under
+// the auto selector is decided by GYO alone and must not pay the
+// simulation's scan of every input row (Analyze); an untraced, un-admitted
+// binary plan reads nothing at all. Any number of plans may read one Facts
+// concurrently; the first reader of a fact computes it from its own inputs
+// and nothing writes it afterwards. The zero Facts knows nothing yet.
+type Facts struct {
+	treeOnce, coverOnce, peaksOnce sync.Once
 
 	tree       *JoinTree
 	cover      []float64
@@ -38,43 +35,61 @@ type Plan struct {
 	est, worst float64
 }
 
-// NewPlan returns the plan of the natural join of inputs. It computes
-// nothing.
-func NewPlan(inputs ...*relation.Relation) *Plan { return &Plan{Inputs: inputs} }
+// Plan returns the plan of the natural join of inputs that reads and
+// completes f. The inputs must be the ones f describes, in the same order.
+func (f *Facts) Plan(inputs ...*relation.Relation) *Plan {
+	return &Plan{Inputs: inputs, facts: f}
+}
 
-// hypergraph returns the join hypergraph's edges — the input schemes —
-// and the input cardinalities, both in input order.
-func (p *Plan) hypergraph() ([]relation.Scheme, []int) {
-	if p.edges == nil {
-		p.edges = SchemesOf(p.Inputs)
-		p.sizes = make([]int, len(p.Inputs))
+// Plan is one execution's view of one n-ary join node: its materialized
+// inputs and the node's Facts. The strategy selector, the admission gates,
+// the span annotation, the generic join's attribute order and Yannakakis'
+// sweeps all read the facts here instead of deriving them again. A Plan
+// belongs to one execution — the degraded retry included — and is not safe
+// for concurrent use; its Facts is.
+type Plan struct {
+	// Inputs are the node's materialized arguments, in argument order.
+	Inputs []*relation.Relation
+	// Metrics, when non-nil, counts the cover LPs this plan solves.
+	Metrics *obs.Metrics
+
+	facts *Facts
+	hg    *hypergraph
+}
+
+// NewPlan returns the plan of the natural join of inputs over facts of its
+// own. It computes nothing.
+func NewPlan(inputs ...*relation.Relation) *Plan { return new(Facts).Plan(inputs...) }
+
+// hypergraph returns the join hypergraph in index form, built on the first
+// read of a fact nobody has computed yet.
+func (p *Plan) hypergraph() *hypergraph {
+	if p.hg == nil {
+		sizes := make([]int, len(p.Inputs))
 		for i, r := range p.Inputs {
-			p.sizes[i] = r.Len()
+			sizes[i] = r.Len()
 		}
+		p.hg = newHypergraph(SchemesOf(p.Inputs), sizes)
 	}
-	return p.edges, p.sizes
+	return p.hg
 }
 
 // JoinTree returns the GYO join tree of the inputs and true when the
 // node is α-acyclic, nil and false when it is cyclic (see JoinTreeOf).
+// The tree is shared: callers must not modify it.
 func (p *Plan) JoinTree() (*JoinTree, bool) {
-	if !p.treeDone {
-		edges, _ := p.hypergraph()
-		p.tree, _ = JoinTreeOf(edges)
-		p.treeDone = true
-	}
-	return p.tree, p.tree != nil
+	f := p.facts
+	f.treeOnce.Do(func() { f.tree, _ = JoinTreeOf(p.hypergraph().schemes) })
+	return f.tree, f.tree != nil
 }
 
 // Cover returns the minimizing fractional edge cover, one weight per
 // input, and the AGM bound it yields (see FractionalCover). The slice is
-// the memoized one: callers must not modify it.
+// shared: callers must not modify it.
 func (p *Plan) Cover() ([]float64, float64) {
-	if !p.coverDone {
-		p.cover, p.bound = FractionalCover(p.hypergraph())
-		p.coverDone = true
-	}
-	return p.cover, p.bound
+	f := p.facts
+	f.coverOnce.Do(func() { f.cover, f.bound = p.hypergraph().cover(nil, true, p.Metrics) })
+	return f.cover, f.bound
 }
 
 // AGMBound returns the AGM worst-case cardinality bound of the join.
@@ -87,11 +102,9 @@ func (p *Plan) AGMBound() float64 {
 // the System R estimate (see PredictedPeakGreedy) and the worst case
 // over intermediate accumulators (see WorstCasePeakGreedy).
 func (p *Plan) Peaks() (est, worst float64) {
-	if !p.peaksDone {
-		p.est, p.worst = p.simulateGreedy()
-		p.peaksDone = true
-	}
-	return p.est, p.worst
+	f := p.facts
+	f.peaksOnce.Do(func() { f.est, f.worst = p.simulateGreedy() })
+	return f.est, f.worst
 }
 
 // Peak returns the larger of the two simulated peaks: the number the

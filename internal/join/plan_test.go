@@ -4,10 +4,35 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"relquery/internal/governor"
+	"relquery/internal/obs"
 )
+
+// known reports whether read returns a fact that has already been
+// computed: reading one allocates nothing, while GYO, the cover LP and the
+// greedy simulation each allocate.
+func known(read func()) bool {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	read()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs == before.Mallocs
+}
+
+// knownFacts is which facts p's Facts holds. It computes the ones it finds
+// missing, so it is the last thing to ask of a plan.
+func knownFacts(p *Plan) (f struct{ hypergraph, tree, cover, peaks bool }) {
+	f.hypergraph = p.hg != nil
+	f.tree = known(func() { p.JoinTree() })
+	f.cover = known(func() { p.Cover() })
+	f.peaks = known(func() { p.Peaks() })
+	return f
+}
 
 // checkPlanParity holds every fact of p to the standalone planner that
 // computes it from scratch, whatever p has already been used for.
@@ -82,7 +107,7 @@ func TestPlanComputesEachFactOnce(t *testing.T) {
 // the cover — and none of them the greedy simulation, which scans every
 // input row.
 func TestPlanIsLazy(t *testing.T) {
-	type computed struct{ hypergraph, tree, cover, peaks bool }
+	type computed = struct{ hypergraph, tree, cover, peaks bool }
 	cases := []struct {
 		name string
 		alg  Algorithm
@@ -97,7 +122,7 @@ func TestPlanIsLazy(t *testing.T) {
 			if _, err := Multi(Exec{}, p, tc.alg, Greedy); err != nil {
 				t.Fatal(err)
 			}
-			if got := (computed{p.edges != nil, p.treeDone, p.coverDone, p.peaksDone}); got != tc.want {
+			if got := knownFacts(p); got != tc.want {
 				t.Errorf("%s computed %+v, want %+v", tc.name, got, tc.want)
 			}
 		}
@@ -112,8 +137,8 @@ func TestAdmitReadsBoundBeforePeak(t *testing.T) {
 		return governor.New(context.Background(), governor.Limits{MaxIntermediateRows: budget}).Admit(p, outputBounded)
 	}
 	p := trianglePlan(t) // bound 8, worst-case greedy peak 16
-	if err := admit(p, 9, true); err != nil || p.peaksDone {
-		t.Errorf("bounded admit = %v, simulated = %v; want admitted on the bound alone", err, p.peaksDone)
+	if err := admit(p, 9, true); err != nil || knownFacts(p).peaks {
+		t.Errorf("bounded admit = %v; want admitted on the bound alone, without the simulation", err)
 	}
 	p = trianglePlan(t)
 	err := admit(p, 1, true)
@@ -123,5 +148,89 @@ func TestAdmitReadsBoundBeforePeak(t *testing.T) {
 	}
 	if ae.PredictedPeak != p.Peak() || ae.AGMBound != p.AGMBound() || ae.AGMBound == 0 || ae.Budget != 1 {
 		t.Errorf("rejection carries %+v, want peak %v and bound %v", *ae, p.Peak(), p.AGMBound())
+	}
+}
+
+// TestFactsAreCompletedNotRecomputed: a later plan over the same Facts
+// finds what an earlier one computed — the tree a forced Yannakakis node
+// left — and adds only what it reads itself; a third finds everything and
+// solves no LP.
+func TestFactsAreCompletedNotRecomputed(t *testing.T) {
+	facts := new(Facts)
+	inputs := trianglePlan(t).Inputs
+	tree, _ := facts.Plan(inputs...).JoinTree()
+
+	m := &obs.Metrics{}
+	second := facts.Plan(inputs...)
+	second.Metrics = m
+	if again, _ := second.JoinTree(); again != tree || !known(func() { second.JoinTree() }) {
+		t.Error("the second plan computed the tree again")
+	}
+	if known(func() { second.Cover() }) || known(func() { second.Peaks() }) {
+		t.Error("a tree-only Facts already held a cover or peaks")
+	}
+	solved := m.Planning().CoverLPSolves
+	if solved != 2 { // the n-ary LP and the one intermediate accumulator of three inputs
+		t.Errorf("completing the facts solved %d LPs, want 2", solved)
+	}
+	checkPlanParity(t, second)
+
+	third := facts.Plan(inputs...)
+	third.Metrics = m
+	if got := knownFacts(third); !got.tree || !got.cover || !got.peaks || got.hypergraph {
+		t.Errorf("a plan over complete facts computed something: %+v", got)
+	}
+	if m.Planning().CoverLPSolves != solved {
+		t.Error("a plan over complete facts solved an LP")
+	}
+	cover, _ := second.Cover()
+	if again, _ := third.Cover(); &again[0] != &cover[0] {
+		t.Error("the third plan's cover is not the published one")
+	}
+}
+
+// TestFactsConcurrentPlansComputeOnce: eight goroutines plan the same cold
+// node through one Facts, each over its own Plan. Every fact is computed
+// by exactly one of them — two LPs in all — and everyone reads the one
+// published tree and cover; -race proves nothing is written after that.
+func TestFactsConcurrentPlansComputeOnce(t *testing.T) {
+	facts := new(Facts)
+	inputs := trianglePlan(t).Inputs
+	want := NewPlan(inputs...)
+	wantTree, _ := want.JoinTree()
+	wantCover, wantBound := want.Cover()
+	wantEst, wantWorst := want.Peaks()
+
+	m := &obs.Metrics{}
+	const goroutines = 8
+	trees := make([]*JoinTree, goroutines)
+	covers := make([][]float64, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p := facts.Plan(inputs...)
+			p.Metrics = m
+			var bound float64
+			trees[g], _ = p.JoinTree()
+			covers[g], bound = p.Cover()
+			est, worst := p.Peaks()
+			if bound != wantBound || est != wantEst || worst != wantWorst {
+				t.Errorf("goroutine %d: bound %v peaks %v %v, want %v %v %v", g, bound, est, worst, wantBound, wantEst, wantWorst)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if solved := m.Planning().CoverLPSolves; solved != 2 {
+		t.Errorf("%d goroutines solved %d LPs between them, want 2", goroutines, solved)
+	}
+	for g := range trees {
+		if trees[g] != trees[0] || &covers[g][0] != &covers[0][0] {
+			t.Fatalf("goroutine %d read its own tree or cover", g)
+		}
+	}
+	if !reflect.DeepEqual(trees[0], wantTree) || !reflect.DeepEqual(covers[0], wantCover) {
+		t.Errorf("published tree %+v cover %v, want %+v %v", trees[0], covers[0], wantTree, wantCover)
 	}
 }

@@ -118,7 +118,7 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 // so binding it early prunes against the bound), then by union-scheme
 // position for determinism.
 func attributeOrder(p *Plan, union relation.Scheme) []relation.Attribute {
-	schemes, _ := p.hypergraph()
+	schemes := p.hypergraph().schemes
 	cover, _ := p.Cover()
 
 	attrs := union.Attrs()

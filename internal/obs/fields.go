@@ -30,6 +30,7 @@ const (
 	FieldSemijoins       = "semijoins"
 	FieldReducedRows     = "reduced_rows"
 	FieldDegraded        = "degraded"
+	FieldPlan            = "plan"
 	FieldError           = "error"
 
 	// EXPLAIN ANALYZE short tokens.
@@ -67,6 +68,9 @@ const (
 	SeriesCacheHits           = "relquery_cache_hits_total"
 	SeriesCacheMisses         = "relquery_cache_misses_total"
 	SeriesCacheInvalidations  = "relquery_cache_invalidations_total"
+	SeriesPlanFactsHits       = "relquery_plan_facts_hits_total"
+	SeriesPlanFactsMisses     = "relquery_plan_facts_misses_total"
+	SeriesCoverLPSolves       = "relquery_cover_lp_solves_total"
 	SeriesGovernorViolations  = "relquery_governor_violations_total"
 	SeriesFaultFirings        = "relquery_fault_firings_total"
 	SeriesPeakGauge           = "relquery_peak_intermediate_rows_gauge"

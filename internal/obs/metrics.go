@@ -71,6 +71,10 @@ type Metrics struct {
 	cacheHits          atomic.Int64
 	cacheMisses        atomic.Int64
 	cacheInvalidations atomic.Int64
+
+	planFactsHits   atomic.Int64
+	planFactsMisses atomic.Int64
+	coverLPSolves   atomic.Int64
 }
 
 // Governor-violation kinds, one per sentinel in internal/governor. The
@@ -254,6 +258,61 @@ func (m *Metrics) CacheInvalidated(n int) {
 		return
 	}
 	m.cacheInvalidations.Add(int64(n))
+}
+
+// PlanFacts records one join node taking its plan from a facts store: a
+// hit when the store already held the node's facts, whatever of them had
+// been computed.
+func (m *Metrics) PlanFacts(hit bool) {
+	if m == nil {
+		return
+	}
+	if hit {
+		m.planFactsHits.Add(1)
+	} else {
+		m.planFactsMisses.Add(1)
+	}
+}
+
+// CoverLPSolved records n fractional edge cover LPs solved while planning
+// join nodes: a node's n-ary LP and one per greedy accumulator of its
+// simulation.
+func (m *Metrics) CoverLPSolved(n int) {
+	if m == nil {
+		return
+	}
+	m.coverLPSolves.Add(int64(n))
+}
+
+// Planning returns the planning counters, the zero snapshot for a nil
+// receiver. They are kept apart from MetricsSnapshot, which describes what
+// an evaluation did to the data and is the same whether or not the plan
+// was already known.
+func (m *Metrics) Planning() PlanningSnapshot {
+	if m == nil {
+		return PlanningSnapshot{}
+	}
+	return PlanningSnapshot{
+		FactsHits:     m.planFactsHits.Load(),
+		FactsMisses:   m.planFactsMisses.Load(),
+		CoverLPSolves: m.coverLPSolves.Load(),
+	}
+}
+
+// PlanningSnapshot is a plain-value copy of a Metrics' planning counters.
+type PlanningSnapshot struct {
+	// FactsHits counts join nodes whose planning facts a store already
+	// held; FactsMisses those it held nothing for.
+	FactsHits   int64 `json:"facts_hits"`
+	FactsMisses int64 `json:"facts_misses"`
+	// CoverLPSolves counts the fractional edge cover LPs solved.
+	CoverLPSolves int64 `json:"cover_lp_solves"`
+}
+
+func (s *PlanningSnapshot) fold(o PlanningSnapshot) {
+	s.FactsHits += o.FactsHits
+	s.FactsMisses += o.FactsMisses
+	s.CoverLPSolves += o.CoverLPSolves
 }
 
 // Snapshot returns a consistent-enough copy of the counters: each field is

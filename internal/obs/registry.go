@@ -137,6 +137,7 @@ type Registry struct {
 	mu     sync.Mutex
 	evals  int64
 	totals MetricsSnapshot
+	plans  PlanningSnapshot
 	// traces is a circular buffer of the most recent span trees: it grows
 	// by append until it reaches the effective cap, after which each new
 	// trace overwrites the oldest slot in place — a single store per
@@ -222,6 +223,7 @@ func (r *Registry) Observe(t *Trace, wall time.Duration) {
 		return
 	}
 	r.totals.fold(t.Metrics)
+	r.plans.fold(t.Planning)
 	switch n := r.ringCap(); {
 	case n <= 0:
 		// Retention disabled.
@@ -271,11 +273,12 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		return RegistrySnapshot{}
 	}
 	r.mu.Lock()
-	evals, totals, held := r.evals, r.totals, len(r.traces)
+	evals, totals, plans, held := r.evals, r.totals, r.plans, len(r.traces)
 	r.mu.Unlock()
 	return RegistrySnapshot{
 		Evals:      evals,
 		Metrics:    totals,
+		Planning:   plans,
 		Latency:    r.latency.Snapshot(),
 		PeakRows:   r.peakRows.Snapshot(),
 		AGMRatio:   r.agmRatio.Snapshot(),
@@ -304,6 +307,8 @@ type RegistrySnapshot struct {
 	// Metrics holds the counters summed across evaluations
 	// (MaxIntermediate is the maximum, not a sum).
 	Metrics MetricsSnapshot `json:"metrics"`
+	// Planning holds the planning counters summed across evaluations.
+	Planning PlanningSnapshot `json:"planning"`
 	// Latency distributes evaluation wall time, in seconds.
 	Latency HistogramSnapshot `json:"latency_seconds"`
 	// PeakRows distributes each evaluation's largest intermediate

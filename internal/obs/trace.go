@@ -98,6 +98,10 @@ type Span struct {
 	// yannakakis) failed and whose result came from a greedy-binary
 	// retry; Algorithm then names the fallback that actually ran.
 	Degraded bool `json:"degraded,omitempty"`
+	// Plan is CacheHit on a join span whose planning facts (join tree, AGM
+	// bound, predicted peaks) a facts store already held, so that the node
+	// planned nothing it found there.
+	Plan string `json:"plan,omitempty"`
 	// Err records the node's evaluation error, if any (budget aborts show
 	// up here).
 	Err string `json:"error,omitempty"`
@@ -220,6 +224,15 @@ func (s *Span) SetDegraded() {
 	s.Degraded = true
 }
 
+// SetPlanKnown records whether a facts store already held the join
+// node's planning facts.
+func (s *Span) SetPlanKnown(known bool) {
+	if s == nil || !known {
+		return
+	}
+	s.Plan = CacheHit
+}
+
 // SetAGMBound records the AGM worst-case output bound for a join span.
 func (s *Span) SetAGMBound(bound float64) {
 	if s == nil {
@@ -289,7 +302,7 @@ func (c *Collector) Trace() *Trace {
 	roots := make([]*Span, len(c.roots))
 	copy(roots, c.roots)
 	c.mu.Unlock()
-	return &Trace{Roots: roots, Metrics: c.Metrics.Snapshot()}
+	return &Trace{Roots: roots, Metrics: c.Metrics.Snapshot(), Planning: c.Metrics.Planning()}
 }
 
 // Trace is a finished evaluation's span tree plus its metrics, the
@@ -300,6 +313,8 @@ type Trace struct {
 	Roots []*Span `json:"trace"`
 	// Metrics is the counters snapshot taken with the trace.
 	Metrics MetricsSnapshot `json:"metrics"`
+	// Planning is the planning counters taken with the trace.
+	Planning PlanningSnapshot `json:"planning"`
 }
 
 // Root returns the first (usually only) root span, or nil.

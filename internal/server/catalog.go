@@ -52,7 +52,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	for _, t := range s.tenantList() {
 		info := tenantInfo{
 			Name:      t.name,
-			Relations: t.size(),
+			Relations: len(t.snapshot().db),
 			Budget:    t.limits.MaxIntermediateRows,
 			MaxRows:   t.limits.MaxRows,
 			MaxMemory: t.limits.MaxMemoryBytes,
@@ -95,7 +95,7 @@ func (s *Server) handlePutRelation(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetRelation(w http.ResponseWriter, r *http.Request) {
 	t := s.tenant(r.PathValue("tenant"))
 	name := r.PathValue("name")
-	rel, ok := t.get(name)
+	rel, ok := t.snapshot().db[name]
 	if !ok {
 		writeError(w, http.StatusNotFound, "tenant %q has no relation %q", t.name, name)
 		return

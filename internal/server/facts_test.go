@@ -1,0 +1,144 @@
+package server
+
+import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"relquery/internal/obs"
+	"relquery/internal/relation"
+	"relquery/internal/telemetry"
+)
+
+// triangleQuery is cyclic and has three inputs, so a cold auto request
+// solves the n-ary cover LP and runs the greedy simulation (Analyze over
+// every leg, one subset LP); the simulation is the only caller of
+// Analyze and always solves an LP on three or more inputs, so a request
+// that solves no LP scanned no rows to plan.
+const triangleQuery = "pi[A B](T) * pi[B C](T) * pi[A C](T)"
+
+func triangle(rows int) *relation.Relation {
+	tri := relation.New(relation.MustScheme("A", "B", "C"))
+	for i := 0; i < rows; i++ {
+		tri.MustAdd(relation.TupleOf(fmt.Sprint(i%5), fmt.Sprint(i%8), fmt.Sprint(i%11)))
+	}
+	return tri
+}
+
+func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	metrics, err := telemetry.ParseMetrics(resp.Body)
+	if err != nil {
+		t.Fatalf("parsing /metrics: %v", err)
+	}
+	return metrics
+}
+
+// planning is how far the three planning counters moved across do.
+func planning(t *testing.T, ts *httptest.Server, do func()) (hits, misses, lps float64) {
+	t.Helper()
+	before := scrape(t, ts)
+	do()
+	after := scrape(t, ts)
+	delta := func(series string) float64 { return after[series] - before[series] }
+	return delta(obs.SeriesPlanFactsHits), delta(obs.SeriesPlanFactsMisses), delta(obs.SeriesCoverLPSolves)
+}
+
+func putRelation(t *testing.T, ts *httptest.Server, tenant, name string, r *relation.Relation) {
+	t.Helper()
+	var body bytes.Buffer
+	if err := relation.WriteRelation(&body, name, r); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/tenants/"+tenant+"/relations/"+name, &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT %s: status %d", name, resp.StatusCode)
+	}
+}
+
+func resetCache(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/cache/reset", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+}
+
+// TestWarmRequestPlansNothing: the second of two identical requests finds
+// every planning fact in the store — across a /v1/cache/reset, which drops
+// the results and forces the evaluation to run again — and answers with
+// the same bytes. Facts are keyed by content: a changed leg misses and
+// plans again, the same content uploaded again hits.
+func TestWarmRequestPlansNothing(t *testing.T) {
+	s, ts := newTestServer(t)
+	s.Load("acme", relation.Single("T", triangle(40)))
+	query := func() (status int, rows, body string) {
+		resp := postQuery(t, ts, "acme", triangleQuery, "")
+		return resp.StatusCode, resp.Header.Get("X-Relquery-Rows"), readBody(t, resp)
+	}
+
+	var coldBody string
+	_, misses, lps := planning(t, ts, func() {
+		var status int
+		if status, _, coldBody = query(); status != http.StatusOK {
+			t.Fatalf("cold query: status %d: %s", status, coldBody)
+		}
+	})
+	if misses < 1 || lps < 2 {
+		t.Fatalf("cold request: %v facts misses, %v LPs; want the node planned from nothing", misses, lps)
+	}
+
+	resetCache(t, ts)
+	evaluated := scrape(t, ts)[obs.SeriesJoins]
+	hits, misses, lps := planning(t, ts, func() {
+		if status, _, body := query(); status != http.StatusOK || body != coldBody {
+			t.Errorf("warm query: status %d, body identical = %v", status, body == coldBody)
+		}
+	})
+	if scrape(t, ts)[obs.SeriesJoins] == evaluated {
+		t.Fatal("the warm request was answered from the result cache: it proves nothing about planning")
+	}
+	if hits < 1 || misses != 0 || lps != 0 {
+		t.Errorf("warm request: %v hits, %v misses, %v LPs; want ≥ 1, 0, 0", hits, misses, lps)
+	}
+
+	// A changed leg: new fingerprint, new key, new answer.
+	_, coldRows, _ := query()
+	putRelation(t, ts, "acme", "T", triangle(41))
+	_, misses, lps = planning(t, ts, func() {
+		if status, rows, _ := query(); status != http.StatusOK || rows == coldRows {
+			t.Errorf("query after the upload: status %d, rows %s (before: %s)", status, rows, coldRows)
+		}
+	})
+	if misses < 1 || lps < 2 {
+		t.Errorf("after a changed leg: %v misses, %v LPs; want the node planned again", misses, lps)
+	}
+
+	// The old content back: the facts computed for it are still there.
+	putRelation(t, ts, "acme", "T", triangle(40))
+	resetCache(t, ts)
+	hits, misses, lps = planning(t, ts, func() {
+		if status, _, body := query(); status != http.StatusOK || body != coldBody {
+			t.Errorf("query after re-uploading the first content: status %d, body identical = %v", status, body == coldBody)
+		}
+	})
+	if hits < 1 || misses != 0 || lps != 0 {
+		t.Errorf("after re-uploading the first content: %v hits, %v misses, %v LPs; want ≥ 1, 0, 0", hits, misses, lps)
+	}
+}

@@ -99,6 +99,6 @@ func (s *Server) writeServerMetrics(w io.Writer) {
 
 	header(obs.SeriesServerCatalogRelations, "gauge", "Relations resident per tenant catalog.")
 	for _, t := range s.tenantList() {
-		fmt.Fprintf(w, "%s{tenant=%q} %d\n", obs.SeriesServerCatalogRelations, t.name, t.size())
+		fmt.Fprintf(w, "%s{tenant=%q} %d\n", obs.SeriesServerCatalogRelations, t.name, len(t.snapshot().db))
 	}
 }

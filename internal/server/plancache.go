@@ -23,17 +23,25 @@ const planCacheMax = 4096
 // not the plan cache's.
 type planCache struct {
 	mu      sync.Mutex
-	entries map[string]algebra.Expr
+	entries map[planKey]algebra.Expr
 	hits    int64
 	misses  int64
 }
 
+// planKey is built from strings the request already holds — the catalog
+// version's signature and the query text — so a lookup allocates nothing.
+type planKey struct {
+	sig, src string
+	optimize bool
+}
+
 func newPlanCache() *planCache {
-	return &planCache{entries: make(map[string]algebra.Expr)}
+	return &planCache{entries: make(map[planKey]algebra.Expr)}
 }
 
 // schemeSignature renders the catalog's relation names and schemes in
-// name order — the part of the database a parse depends on.
+// name order — the part of the database a parse depends on. A catalog
+// version carries it from the upload that made it.
 func schemeSignature(db relation.Database) string {
 	var b strings.Builder
 	for _, name := range db.Names() {
@@ -45,13 +53,10 @@ func schemeSignature(db relation.Database) string {
 	return b.String()
 }
 
-// get returns the cached plan for (src, db's schemes, optimize) or
+// get returns the cached plan for (src, cat's schemes, optimize) or
 // parses, stores and returns it.
-func (c *planCache) get(src string, db relation.Database, optimize bool) (algebra.Expr, error) {
-	key := schemeSignature(db) + "\x00" + src
-	if optimize {
-		key = "O\x00" + key
-	}
+func (c *planCache) get(src string, cat *catalog, optimize bool) (algebra.Expr, error) {
+	key := planKey{sig: cat.sig, src: src, optimize: optimize}
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -60,7 +65,7 @@ func (c *planCache) get(src string, db relation.Database, optimize bool) (algebr
 	}
 	c.misses++
 	c.mu.Unlock()
-	e, err := algebra.ParseForDatabase(src, db)
+	e, err := algebra.ParseForDatabase(src, cat.db)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +76,7 @@ func (c *planCache) get(src string, db relation.Database, optimize bool) (algebr
 	}
 	c.mu.Lock()
 	if len(c.entries) >= planCacheMax {
-		c.entries = make(map[string]algebra.Expr)
+		c.entries = make(map[planKey]algebra.Expr)
 	}
 	c.entries[key] = e
 	c.mu.Unlock()

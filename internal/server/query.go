@@ -136,18 +136,20 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 		bodyError(w, err)
 		return
 	}
-	db := t.snapshot()
-	expr, err := s.plans.get(q.src, db, q.optimize)
+	cat := t.snapshot()
+	db := cat.db
+	expr, err := s.plans.get(q.src, cat, q.optimize)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	limits := q.limitsFor(t)
+	collector := &obs.Collector{}
 
 	// Pre-flight admission on the base relations the expression touches:
 	// the same governor.Admit gate over the same join.Plan predictions the
 	// engine's per-node gate uses, applied before any work runs.
-	if rejected := s.admit(w, q, expr, db, t, limits); rejected {
+	if rejected := s.admit(w, q, expr, db, t, limits, collector); rejected {
 		return
 	}
 
@@ -165,7 +167,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
 
-	collector := &obs.Collector{}
 	ev := algebra.EvalOptions{
 		Parallelism:    s.cfg.Parallelism,
 		Cache:          true,
@@ -216,16 +217,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 // admit runs the server-level admission gate and, when the query is
 // over budget, writes the 429 and reports true. The gate also charges
 // the rejection to the registry (violation counter + latency) so
-// /metrics shows rejected load next to executed load.
-func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr, db relation.Database, t *tenant, limits governor.Limits) bool {
+// /metrics shows rejected load next to executed load. collector is the
+// request's: what the gate plans is counted with what the evaluation does.
+func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr, db relation.Database, t *tenant, limits governor.Limits, collector *obs.Collector) bool {
 	if limits.MaxIntermediateRows <= 0 {
 		return false
-	}
-	var args []*relation.Relation
-	for _, name := range dedupe(expr.Operands()) {
-		if r, ok := db[name]; ok {
-			args = append(args, r)
-		}
 	}
 	outputBounded := false
 	switch q.strategy {
@@ -234,10 +230,9 @@ func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr
 		// bound; auto routes predicted blow-ups to them.
 		outputBounded = true
 	}
-	collector := &obs.Collector{}
 	gov := governor.New(context.Background(), limits).WithMetrics(collector.M())
 	start := time.Now()
-	err := gov.Admit(join.NewPlan(args...), outputBounded)
+	err := gov.Admit(s.shared.OperandPlan(expr, db, collector.M()), outputBounded)
 	if err == nil {
 		return false
 	}
@@ -299,18 +294,4 @@ func streamResult(w http.ResponseWriter, expr algebra.Expr, out *relation.Relati
 	// The status line is on the wire; a failed write means the client is
 	// gone, and there is nobody left to tell.
 	_ = relation.StreamRelation(bw, "result", out, flushEvery, flush)
-}
-
-// dedupe returns names with duplicates removed, order preserved.
-func dedupe(names []string) []string {
-	seen := make(map[string]struct{}, len(names))
-	out := names[:0:0]
-	for _, n := range names {
-		if _, ok := seen[n]; ok {
-			continue
-		}
-		seen[n] = struct{}{}
-		out = append(out, n)
-	}
-	return out
 }

@@ -5,75 +5,76 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"relquery/internal/governor"
 	"relquery/internal/relation"
 )
 
-// tenant is one named catalog plus its resource limits. Relations are
-// immutable once loaded — uploads replace the map entry, never mutate a
-// *Relation — so a query evaluates against a cheap shallow snapshot of
-// the map while uploads proceed.
+// catalog is one version of a tenant's relations with the signature of
+// their schemes (the parse cache's key). Neither is modified once the
+// version is installed, and relations are immutable once loaded, so a query
+// evaluates against the version it picked up while uploads install later
+// ones.
+type catalog struct {
+	db  relation.Database
+	sig string
+}
+
+// tenant is one named catalog plus its resource limits. The catalog is
+// copy-on-write: an upload or drop builds the next version — map and
+// signature — under mu, and a query takes the current one with a single
+// pointer load.
 type tenant struct {
 	name   string
 	limits governor.Limits
 
-	mu sync.RWMutex
-	db relation.Database
+	mu  sync.Mutex // serializes writers
+	cat atomic.Pointer[catalog]
 }
 
 func newTenant(name string, limits governor.Limits) *tenant {
-	return &tenant{name: name, limits: limits, db: relation.NewDatabase()}
+	t := &tenant{name: name, limits: limits}
+	t.cat.Store(&catalog{db: relation.NewDatabase()})
+	return t
 }
 
-// snapshot returns a shallow copy of the catalog: the evaluation sees a
-// consistent set of relation pointers regardless of concurrent uploads.
-func (t *tenant) snapshot() relation.Database {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	db := make(relation.Database, len(t.db))
-	for name, r := range t.db {
+// snapshot returns the current catalog version.
+func (t *tenant) snapshot() *catalog { return t.cat.Load() }
+
+// update installs the version that edit makes out of a copy of the
+// current one.
+func (t *tenant) update(edit func(relation.Database)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := t.cat.Load().db
+	db := make(relation.Database, len(old)+1)
+	for name, r := range old {
 		db[name] = r
 	}
-	return db
+	edit(db)
+	t.cat.Store(&catalog{db: db, sig: schemeSignature(db)})
 }
 
 func (t *tenant) put(name string, r *relation.Relation) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.db.Put(name, r)
+	t.update(func(db relation.Database) { db.Put(name, r) })
 }
 
-func (t *tenant) get(name string) (*relation.Relation, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r, ok := t.db[name]
-	return r, ok
-}
-
-func (t *tenant) drop(name string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.db[name]; !ok {
-		return false
-	}
-	delete(t.db, name)
-	return true
-}
-
-func (t *tenant) size() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.db)
+func (t *tenant) drop(name string) (found bool) {
+	t.update(func(db relation.Database) {
+		_, found = db[name]
+		delete(db, name)
+	})
+	return found
 }
 
 // loadAll installs every relation of db into the catalog.
 func (t *tenant) loadAll(db relation.Database) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for name, r := range db {
-		t.db.Put(name, r)
-	}
+	t.update(func(into relation.Database) {
+		for name, r := range db {
+			into.Put(name, r)
+		}
+	})
 }
 
 // ParseTenantSpec parses one -tenant flag value:
@@ -131,10 +132,9 @@ type relationInfo struct {
 
 // listing renders the catalog in name order.
 func (t *tenant) listing() []relationInfo {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]relationInfo, 0, len(t.db))
-	for name, r := range t.db {
+	db := t.snapshot().db
+	out := make([]relationInfo, 0, len(db))
+	for name, r := range db {
 		out = append(out, relationInfo{
 			Name:        name,
 			Rows:        r.Len(),

@@ -160,6 +160,9 @@ func spanArgs(sp *obs.Span) map[string]any {
 	if sp.Degraded {
 		args[obs.FieldDegraded] = true
 	}
+	if sp.Plan != "" {
+		args[obs.FieldPlan] = sp.Plan
+	}
 	if sp.Err != "" {
 		args[obs.FieldError] = sp.Err
 	}

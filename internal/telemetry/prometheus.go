@@ -61,6 +61,18 @@ func WriteMetrics(w io.Writer, snap obs.RegistrySnapshot, firings map[fault.Poin
 		fmt.Fprintf(bw, "%s %d\n", c.name, c.get(snap.Metrics))
 	}
 
+	for _, c := range []struct {
+		name, help string
+		value      int64
+	}{
+		{obs.SeriesPlanFactsHits, "Join nodes whose planning facts were already stored.", snap.Planning.FactsHits},
+		{obs.SeriesPlanFactsMisses, "Join nodes planned from nothing.", snap.Planning.FactsMisses},
+		{obs.SeriesCoverLPSolves, "Fractional edge cover LPs solved while planning.", snap.Planning.CoverLPSolves},
+	} {
+		writeHeader(bw, c.name, "counter", c.help)
+		fmt.Fprintf(bw, "%s %d\n", c.name, c.value)
+	}
+
 	writeHeader(bw, obs.SeriesGovernorViolations, "counter",
 		"Governance violations by sentinel (one per tripped evaluation).")
 	for _, vc := range snap.Metrics.ViolationCounts() {

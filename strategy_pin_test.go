@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -147,11 +148,10 @@ func outermostJoin(sp *obs.Span) *obs.Span {
 	return nil
 }
 
-// TestPlanMatchesStandalonePlanners: on the pinned families' join inputs,
-// the facts of one join.Plan — which the selector, both admission gates,
-// the span and the strategies read — are bit-identical to what the
-// standalone planners compute from scratch, and what the replay reads.
-func TestPlanMatchesStandalonePlanners(t *testing.T) {
+// pinnedJoinInputs is the inputs of one n-ary join node per pinned family:
+// φ_G's projection legs for the Lemma 1 gadgets, the catalog's relations
+// for the acyclic shapes.
+func pinnedJoinInputs(t *testing.T) map[string][]*relation.Relation {
 	inputs := map[string][]*relation.Relation{}
 	for name, g := range lemma1Families(t) {
 		c, err := reduction.New(g)
@@ -173,6 +173,79 @@ func TestPlanMatchesStandalonePlanners(t *testing.T) {
 			inputs[name] = append(inputs[name], r)
 		}
 	}
+	return inputs
+}
+
+// factsPin is every planning fact of one join node, floats by their bits
+// (see internal/join's TestPlanFactsPinned, which pins the same record on
+// fuzzed hypergraphs).
+type factsPin struct {
+	Parent []int    `json:"parent,omitempty"` // nil: cyclic
+	Order  []int    `json:"order,omitempty"`
+	Cover  []uint64 `json:"cover,omitempty"`
+	Bound  uint64   `json:"bound"`
+	Est    uint64   `json:"est"`
+	Worst  uint64   `json:"worst"`
+}
+
+func pinFacts(p *join.Plan) factsPin {
+	var pin factsPin
+	if tree, ok := p.JoinTree(); ok {
+		pin.Parent, pin.Order = tree.Parent, tree.Order
+	}
+	cover, bound := p.Cover()
+	for _, x := range cover {
+		pin.Cover = append(pin.Cover, math.Float64bits(x))
+	}
+	est, worst := p.Peaks()
+	pin.Bound, pin.Est, pin.Worst = math.Float64bits(bound), math.Float64bits(est), math.Float64bits(worst)
+	return pin
+}
+
+// TestFamilyPlanFactsPinned holds tree, cover, bound and both peaks of the
+// pinned families' join nodes to testdata/plan_facts_pin.json, recorded at
+// 2404f4a with -update-strategy-pin — before the greedy simulation and the
+// cover LP were rewritten to stop allocating per pair — bit for bit.
+func TestFamilyPlanFactsPinned(t *testing.T) {
+	const path = "testdata/plan_facts_pin.json"
+	got, warm := map[string]factsPin{}, map[string]factsPin{}
+	for name, rels := range pinnedJoinInputs(t) {
+		facts := new(join.Facts)
+		got[name] = pinFacts(facts.Plan(rels...))
+		warm[name] = pinFacts(facts.Plan(rels...))
+	}
+	if *updateStrategyPin {
+		data, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]factsPin
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("plan facts moved:\n got  %+v\n want %+v", got, want)
+	}
+	if !reflect.DeepEqual(warm, want) {
+		t.Errorf("a second plan over the same facts read:\n got  %+v\n want %+v", warm, want)
+	}
+}
+
+// TestPlanMatchesStandalonePlanners: on the pinned families' join inputs,
+// the facts of one join.Plan — which the selector, both admission gates,
+// the span and the strategies read — are bit-identical to what the
+// standalone planners compute from scratch, and what the replay reads.
+func TestPlanMatchesStandalonePlanners(t *testing.T) {
+	inputs := pinnedJoinInputs(t)
 	for name, rels := range inputs {
 		p := join.NewPlan(rels...)
 		schemes := join.SchemesOf(rels)
@@ -201,35 +274,43 @@ func TestPlanMatchesStandalonePlanners(t *testing.T) {
 	}
 }
 
+// gadgetNode is one n-ary join node over φ_G's materialized legs, each leg
+// an operand of its own in db.
+func gadgetNode(t *testing.T, g *cnf.Formula) (algebra.Expr, relation.Database) {
+	c, err := reduction.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs, err := benchGadgetLegs(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := relation.NewDatabase()
+	operands := make([]algebra.Expr, len(legs))
+	for i, leg := range legs {
+		legName := fmt.Sprintf("L%d", i)
+		db.Put(legName, leg)
+		operands[i] = algebra.MustOperand(legName, leg.Scheme())
+	}
+	node, err := algebra.JoinAll(operands...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return node, db
+}
+
 // TestAutoPlansEachNodeOnce: a traced -join=auto evaluation of one cyclic
-// gadget join node runs GYO, the cover LP and the greedy simulation once
-// each. Before the node had one join.Plan, the selector, the span
-// annotation and the generic join's attribute order each solved the LP
-// again (and collected the schemes again): 688, 3182 and 4829 allocations
-// on these three gadgets against 594, 2946 and 4501 now. The ceilings sit
-// between.
+// gadget join node that knows nothing yet runs GYO, the cover LP and the
+// greedy simulation once each, and none of them allocates per candidate
+// pair, per merge or per LP: 282, 853 and 1085 allocations on these three
+// gadgets. With one join.Plan per node but Scheme-and-map planners it was
+// 594, 2946 and 4501; before that, with the selector, the span annotation
+// and the generic join's attribute order each solving the LP again, 688,
+// 3182 and 4829. The ceilings sit between the first row and the second.
 func TestAutoPlansEachNodeOnce(t *testing.T) {
-	ceilings := map[string]float64{"paper": 640, "xorchain": 3060, "pigeonhole": 4660}
+	ceilings := map[string]float64{"paper": 320, "xorchain": 1000, "pigeonhole": 1300}
 	for name, g := range lemma1Families(t) {
-		c, err := reduction.New(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legs, err := benchGadgetLegs(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := relation.NewDatabase()
-		operands := make([]algebra.Expr, len(legs))
-		for i, leg := range legs {
-			legName := fmt.Sprintf("L%d", i)
-			db.Put(legName, leg)
-			operands[i] = algebra.MustOperand(legName, leg.Scheme())
-		}
-		node, err := algebra.JoinAll(operands...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		node, db := gadgetNode(t, g)
 		allocs := testing.AllocsPerRun(5, func() {
 			col := &obs.Collector{}
 			ev := algebra.Evaluator{AutoWCOJ: true, AutoYannakakis: true, Collector: col}
@@ -242,6 +323,37 @@ func TestAutoPlansEachNodeOnce(t *testing.T) {
 		})
 		if allocs > ceilings[name] {
 			t.Errorf("%s: traced auto evaluation allocates %v times, ceiling %v", name, allocs, ceilings[name])
+		}
+	}
+}
+
+// TestWarmAutoCostsWhatItPicks: once a shared cache holds a cyclic gadget
+// node's facts, a traced auto evaluation of it — its result dropped before
+// every run, as /v1/cache/reset does, so the join really runs — allocates
+// what the forced wcoj it picks allocates: the selector reads three
+// memoized numbers. When every request planned its nodes from nothing the
+// gap was 306, 2048 and 3341 allocations on these gadgets.
+func TestWarmAutoCostsWhatItPicks(t *testing.T) {
+	for name, g := range lemma1Families(t) {
+		node, db := gadgetNode(t, g)
+		warm := func(ev algebra.Evaluator) float64 {
+			ev.SharedCache = algebra.NewSubexprCache()
+			return testing.AllocsPerRun(5, func() { // its warm-up run fills the facts
+				ev.SharedCache.Reset()
+				ev.Collector = &obs.Collector{}
+				if _, err := ev.Eval(node, db); err != nil {
+					t.Fatal(err)
+				}
+				if j := outermostJoin(ev.Collector.Trace().Root()); j.Algorithm != "wcoj" || j.AGMBound == 0 {
+					t.Fatalf("%s: node ran %q with agm %v, want wcoj under its AGM bound", name, j.Algorithm, j.AGMBound)
+				}
+			})
+		}
+		auto := warm(algebra.Evaluator{AutoWCOJ: true, AutoYannakakis: true})
+		wcoj := warm(algebra.Evaluator{Algorithm: join.Generic{}})
+		t.Logf("%s: warm auto %v allocations, warm forced wcoj %v", name, auto, wcoj)
+		if auto > wcoj+4 {
+			t.Errorf("%s: warm auto evaluation allocates %v times, the wcoj it picks %v", name, auto, wcoj)
 		}
 	}
 }
