@@ -125,13 +125,16 @@ relbench-compare:
 # degradation, admission rejection, deadline kill — across all four
 # join strategies, the three SAT solvers, and the xorchain2 Lemma 1
 # acceptance gadget, plus eight goroutines planning one cold join node
-# through shared join.Facts. CI runs this as its own job; `make stress`
-# reproduces it locally.
+# through shared join.Facts, and the compute-once store (algebra.Memo)
+# under concurrent callers, in-process and through relqueryd: identical
+# cold requests computing each node once, a waiter leaving at its own
+# deadline, a leader's failure staying the leader's, the resident bound.
+# CI runs this as its own job; `make stress` reproduces it locally.
 stress:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/governor/
 	$(GO) test -race -count=1 \
-	  -run 'Cancel|Panic|Degrad|Drain|Governor|Admi|JoinNodeReads|PlansOnce|PlansComputeOnce|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted' \
-	  ./internal/algebra/ ./internal/join/ ./internal/sat/ .
+	  -run 'Cancel|Panic|Degrad|Drain|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted' \
+	  ./internal/algebra/ ./internal/join/ ./internal/sat/ ./internal/server/ .
 
 # Regenerate BENCH_fault.txt: the cost of a compiled-in injection site
 # when no script is registered (the production configuration — must be

@@ -52,7 +52,6 @@ func run(args []string, out *os.File) error {
 		addr       = fs.String("addr", ":8080", "listen address")
 		parallel   = fs.Int("parallel", 0, "per-evaluation worker count (<=1 sequential)")
 		workers    = fs.Int("workers", 0, "max concurrently executing queries (0 default, <0 unbounded)")
-		cache      = fs.Bool("cache", true, "shared cross-request subexpression cache")
 		traceCap   = fs.Int("trace-cap", 0, "trace ring capacity (0 keeps the registry default)")
 		defBudget  = fs.String("default-budget", "", "default intermediate-row budget (k/m/g suffixes)")
 		defTimeout = fs.String("default-timeout", "", "default per-evaluation deadline (e.g. 2s)")
@@ -69,7 +68,6 @@ func run(args []string, out *os.File) error {
 	cfg := server.Config{
 		Parallelism:   *parallel,
 		MaxConcurrent: *workers,
-		DisableCache:  !*cache,
 		TraceCap:      *traceCap,
 		Tenants:       make(map[string]governor.Limits),
 	}

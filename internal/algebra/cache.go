@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"strings"
-	"sync"
 
 	"relquery/internal/join"
 	"relquery/internal/obs"
@@ -28,27 +27,36 @@ import (
 // fingerprint and misses. Facts steer the strategy choice and admission,
 // never an answer, so even a colliding fingerprint cannot corrupt one.
 //
-// A SubexprCache is safe for concurrent use; the parallel evaluator's
-// workers share one. Only successful evaluations are cached (errors may
-// depend on per-call budgets). The zero value is not ready — use
-// NewSubexprCache.
+// Both stores are Memos, under its rules. A SubexprCache is safe for
+// concurrent use — every request of a relqueryd process shares one. The zero
+// value is not ready — use NewSubexprCache.
 type SubexprCache struct {
-	mu            sync.Mutex
-	entries       map[string]*relation.Relation
-	facts         map[string]*join.Facts
-	hits          int
-	misses        int
-	invalidations int
+	results *Memo[string, *relation.Relation]
+	// facts is nil in the cache EvalContext makes for one call (Evaluator.
+	// Cache): a node repeated inside a call is a result hit and plans nothing.
+	facts *Memo[string, *join.Facts]
 }
 
-// factsMax bounds resident plan facts; past it they are dropped wholesale.
-// An entry is its key and a hundred-odd bytes, so the bound only guards
-// against an adversarial stream of distinct expressions.
+// resultsMax bounds a shared cache's resident results, in values (rows ×
+// arity over the stored relations): roughly 100 MB of tuples held outside
+// every tenant's budget, so a constant and not a tenant's to set. relbench's
+// heaviest pass (cyclic_greedy, 2.2 M values) reaches half of it.
+const resultsMax = 4 << 20
+
+// factsMax bounds resident plan facts, in entries. An entry is its key and a
+// hundred-odd bytes, so the bound only guards against an adversarial stream
+// of distinct expressions.
 const factsMax = 4096
 
 // NewSubexprCache returns an empty cache.
-func NewSubexprCache() *SubexprCache {
-	return &SubexprCache{entries: make(map[string]*relation.Relation), facts: make(map[string]*join.Facts)}
+func NewSubexprCache() *SubexprCache { return newSubexprCache(resultsMax) }
+
+func newSubexprCache(maxValues int64) *SubexprCache {
+	values := func(r *relation.Relation) int64 { return int64(r.Len()) * int64(r.Scheme().Len()) }
+	return &SubexprCache{
+		results: NewMemo[string](maxValues, values),
+		facts:   NewMemo[string, *join.Facts](factsMax, nil),
+	}
 }
 
 // contentKey is the cache key of a node against db: the node's text, then
@@ -80,24 +88,15 @@ func contentKey(text string, operands []string, db relation.Database) string {
 
 // plan returns the plan of the join node keyed key over inputs, its facts
 // taken from the store — or entered into it, the first time — and whether
-// they were there, which it also reports to m. A nil cache plans from
-// nothing and reports nothing.
+// they were there, which it also reports to m. Without a facts store it
+// plans from nothing and reports nothing.
 func (c *SubexprCache) plan(key string, m *obs.Metrics, inputs []*relation.Relation) (*join.Plan, bool) {
-	if c == nil {
+	if c == nil || c.facts == nil {
 		p := join.NewPlan(inputs...)
 		p.Metrics = m
 		return p, false
 	}
-	c.mu.Lock()
-	facts, hit := c.facts[key]
-	if !hit {
-		if len(c.facts) >= factsMax {
-			clear(c.facts)
-		}
-		facts = new(join.Facts)
-		c.facts[key] = facts
-	}
-	c.mu.Unlock()
+	facts, hit, _ := c.facts.Do(nil, key, func() (*join.Facts, error) { return new(join.Facts), nil })
 	m.PlanFacts(hit)
 	p := facts.Plan(inputs...)
 	p.Metrics = m
@@ -107,7 +106,7 @@ func (c *SubexprCache) plan(key string, m *obs.Metrics, inputs []*relation.Relat
 // OperandPlan returns the plan of the natural join of the base relations e
 // references, in first-use order — the flattened n-ary join relqueryd's
 // pre-queue admission gate asks about — over stored facts like any join
-// node's. A nil cache plans from nothing.
+// node's.
 func (c *SubexprCache) OperandPlan(e Expr, db relation.Database, m *obs.Metrics) *join.Plan {
 	operands := e.Operands()
 	inputs := make([]*relation.Relation, 0, len(operands))
@@ -116,100 +115,19 @@ func (c *SubexprCache) OperandPlan(e Expr, db relation.Database, m *obs.Metrics)
 			inputs = append(inputs, r)
 		}
 	}
-	key := ""
-	if c != nil {
-		key = contentKey("", operands, db)
-	}
-	p, _ := c.plan(key, m, inputs)
+	p, _ := c.plan(contentKey("", operands, db), m, inputs)
 	return p
 }
 
-// do returns the cached result for key or computes, stores and returns
-// it, and reports whether it was served from the cache, for the
-// evaluator's trace spans and metrics. Concurrent callers with the same
-// key may both compute (the per-call memo already collapses duplicates
-// within one evaluation); the last writer wins, which is harmless because
-// equal keys imply equal results.
-func (c *SubexprCache) do(k string, compute func() (*relation.Relation, error)) (*relation.Relation, bool, error) {
-	c.mu.Lock()
-	if r, ok := c.entries[k]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return r, true, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-	r, err := compute()
-	if err != nil {
-		return nil, false, err
-	}
-	c.mu.Lock()
-	c.entries[k] = r
-	c.mu.Unlock()
-	return r, false, nil
-}
-
-// Counters reports the cache's lifetime counters: hits, misses, entries
-// invalidated by Reset, and resident entries. Unlike the per-evaluation
-// obs.Metrics cache counters (which also count per-call memo hits), these
-// describe only this shared cache.
+// Counters reports the result store's lifetime counters: hits, misses,
+// entries dropped by Reset or by the bound, and resident entries. A node
+// repeated inside one evaluation counts like one repeated across two.
 func (c *SubexprCache) Counters() (hits, misses, invalidations, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.invalidations, len(c.entries)
+	hits, misses, invalidations, entries, _ = c.results.Counters()
+	return hits, misses, invalidations, entries
 }
 
-// Reset drops every result, keeping the hit/miss counters and counting
-// the dropped entries as invalidations, and returns the number dropped. It
-// is about memory: results are whole relations. The plan facts stay — they
-// are small, bounded in number and exactly as valid as before.
-func (c *SubexprCache) Reset() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := len(c.entries)
-	c.invalidations += dropped
-	c.entries = make(map[string]*relation.Relation)
-	return dropped
-}
-
-// memoTable is the per-Eval-call memo: concurrency-safe and
-// compute-once. When two parallel workers request the same subexpression
-// the second blocks until the first finishes, so each distinct
-// subexpression is evaluated exactly once per call.
-type memoTable struct {
-	mu      sync.Mutex
-	entries map[string]*memoEntry
-}
-
-type memoEntry struct {
-	done chan struct{}
-	r    *relation.Relation
-	err  error
-}
-
-func newMemoTable() *memoTable {
-	return &memoTable{entries: make(map[string]*memoEntry)}
-}
-
-// do returns the memoized result for key, computing it via compute on
-// first request, and reports whether the result was served from the memo
-// (true exactly when this call did not run compute). Safe for concurrent
-// use; deadlock-free because the compute graph follows the expression
-// tree (a computation only ever waits on strictly smaller
-// subexpressions). Compute-once even under parallel evaluation: the
-// second requester of a key blocks on the first's channel, so hit/miss
-// counts derived from the returned flag are deterministic.
-func (m *memoTable) do(key string, compute func() (*relation.Relation, error)) (*relation.Relation, bool, error) {
-	m.mu.Lock()
-	if e, ok := m.entries[key]; ok {
-		m.mu.Unlock()
-		<-e.done
-		return e.r, true, e.err
-	}
-	e := &memoEntry{done: make(chan struct{})}
-	m.entries[key] = e
-	m.mu.Unlock()
-	e.r, e.err = compute()
-	close(e.done)
-	return e.r, false, e.err
-}
+// Reset drops every result, keeping the counters, and returns the number
+// dropped. It is about memory: results are whole relations. The plan facts
+// stay — they are small, bounded in number and exactly as valid as before.
+func (c *SubexprCache) Reset() int { return c.results.Drop() }

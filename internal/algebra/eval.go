@@ -23,13 +23,12 @@ type EvalOptions struct {
 	// hash join (join.Parallel) with this many workers. Values <= 1 mean
 	// fully sequential evaluation.
 	Parallelism int
-	// Cache memoizes structurally identical subexpressions within each
-	// Eval call (see Evaluator.Cache).
+	// Cache evaluates each distinct subexpression once per Eval call (see
+	// Evaluator.Cache).
 	Cache bool
-	// SharedCache, when non-nil, memoizes subexpression results across
-	// Eval calls and callers, keyed by expression text plus relation
-	// fingerprints (see Evaluator.SharedCache). relqueryd threads one
-	// process-wide cache through every request here.
+	// SharedCache, when non-nil, does so across Eval calls and callers
+	// (see Evaluator.SharedCache). relqueryd threads one process-wide cache
+	// through every request here.
 	SharedCache *SubexprCache
 	// AutoWCOJ lets blow-up-prone n-ary join nodes switch to the
 	// worst-case-optimal generic join (see Evaluator.AutoWCOJ).
@@ -127,11 +126,9 @@ type Evaluator struct {
 	// join.Yannakakis{} to force the strategy on every join node instead
 	// (cyclic nodes then use its pairwise-reduced binary fallback).
 	AutoYannakakis bool
-	// Cache, when true, memoizes structurally identical subexpressions
-	// within one Eval call (common-subexpression elimination), keyed by
-	// the rendered expression text. The memo does not outlive the call —
-	// the database may change between calls. The memo is compute-once
-	// even under parallel evaluation.
+	// Cache, when true and no SharedCache is set, gives each Eval call a
+	// SubexprCache of its own (common-subexpression elimination). It does
+	// not outlive the call and is unbounded.
 	Cache bool
 	// Parallelism, when > 1, evaluates independent join subtrees
 	// concurrently on a worker pool of this size and makes the default
@@ -141,10 +138,10 @@ type Evaluator struct {
 	// order-deterministic, and the Collector's metrics are atomic. <= 1
 	// means sequential — the zero value preserves pre-parallel behavior.
 	Parallelism int
-	// SharedCache, when non-nil, memoizes subexpression results across
-	// Eval calls, keyed by expression text plus the content fingerprints
-	// of the referenced relations (relation.Fingerprint), so entries
-	// survive only as long as the underlying relations are unchanged.
+	// SharedCache, when non-nil, is the call's cache instead: a composite
+	// subexpression is evaluated once per content across Eval calls and
+	// concurrent callers, keyed by its text plus the fingerprints of the
+	// relations it references, so a changed relation misses.
 	SharedCache *SubexprCache
 	// Collector, when non-nil, records a span per operator (cardinalities,
 	// scheme width, wall time, join algorithm, cache status, worker count,
@@ -206,11 +203,13 @@ func (ev *Evaluator) EvalContext(ctx context.Context, e Expr, db relation.Databa
 		start = time.Now() // clock read only when telemetry is on
 	}
 	gov := governor.New(ctx, ev.Limits).WithMetrics(ev.Collector.M())
-	var memo *memoTable
-	if ev.Cache {
-		memo = newMemoTable()
+	// One cache per call: the shared one, else its own under Cache, else none.
+	if ev.SharedCache == nil && ev.Cache {
+		call := *ev
+		call.SharedCache = &SubexprCache{results: NewMemo[string, *relation.Relation](0, nil)} // unbounded: it dies with the call
+		ev = &call
 	}
-	r, err := ev.eval(e, db, memo, ev.newSpan(nil, e), gov)
+	r, err := ev.eval(e, db, ev.newSpan(nil, e), gov)
 	if err == nil {
 		err = gov.CheckOutput(r.Len())
 	}
@@ -264,52 +263,31 @@ func spanOp(e Expr) string {
 	}
 }
 
-// eval computes one node, recording its span (sp may be nil: tracing
-// off). A node served from the per-call memo or the shared cache gets a
-// span with cache status "hit" and no children — its subtree was not
-// executed. Every node is a governor checkpoint, so cancellation reaches
-// even join-free expressions; only *successful* node results enter the
-// caches (both cache layers skip storing errors), so an aborted
-// evaluation can never poison a cache with a partial relation.
-func (ev *Evaluator) eval(e Expr, db relation.Database, memo *memoTable, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
+// eval computes one node, recording its span (sp may be nil: tracing off). A
+// node served from the call's cache gets a span with cache status "hit" and
+// no children — its subtree was not executed here. Every node is a governor
+// checkpoint, so cancellation reaches even join-free expressions; a failed
+// node is not cached (Memo), so an aborted evaluation leaves nothing partial.
+func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
 	sp.Begin()
 	fault.Hit(fault.EvalNode)
 	if err := gov.Check(); err != nil {
 		return ev.finishSpan(sp, "", nil, err)
 	}
 	// Operands are cheap lookups; only memoize composite nodes.
-	if _, isOp := e.(*Operand); isOp || (memo == nil && ev.SharedCache == nil) {
-		r, err := ev.evalNode(e, "", db, memo, sp, gov)
+	if _, isOp := e.(*Operand); isOp || ev.SharedCache == nil {
+		r, err := ev.evalNode(e, "", db, sp, gov)
 		return ev.finishSpan(sp, "", r, err)
 	}
+	// Built once per node: the result's key here and, for a join that
+	// misses, its plan facts' key in multi.
+	key := contentKey(e.String(), e.Operands(), db)
+	r, hit, err := ev.SharedCache.results.Do(gov, key, func() (*relation.Relation, error) {
+		return ev.evalNode(e, key, db, sp, gov)
+	})
 	cacheStatus := obs.CacheMiss
-	compute := func() (*relation.Relation, error) {
-		if ev.SharedCache != nil {
-			// Built once per node: the result's key here and, for a join
-			// that misses, its plan facts' key in multi.
-			key := contentKey(e.String(), e.Operands(), db)
-			r, hit, err := ev.SharedCache.do(key, func() (*relation.Relation, error) {
-				return ev.evalNode(e, key, db, memo, sp, gov)
-			})
-			if hit {
-				cacheStatus = obs.CacheHit
-			}
-			return r, err
-		}
-		return ev.evalNode(e, "", db, memo, sp, gov)
-	}
-	var r *relation.Relation
-	var err error
-	if memo != nil {
-		var hit bool
-		r, hit, err = memo.do(e.String(), compute)
-		if hit {
-			cacheStatus = obs.CacheHit
-		}
-	} else {
-		r, err = compute()
-	}
-	if cacheStatus == obs.CacheHit {
+	if hit {
+		cacheStatus = obs.CacheHit
 		ev.Collector.M().CacheHit()
 	} else {
 		ev.Collector.M().CacheMiss()
@@ -336,8 +314,8 @@ func (ev *Evaluator) finishSpan(sp *obs.Span, cacheStatus string, r *relation.Re
 }
 
 // evalNode computes one node from its children. key is the node's content
-// key when a shared cache is attached, else empty.
-func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, memo *memoTable, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
+// key when the call has a cache, else empty.
+func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
 	switch x := e.(type) {
 	case *Operand:
 		r, err := db.Get(x.Name())
@@ -351,7 +329,7 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, memo *me
 		return r, nil
 
 	case *Project:
-		child, err := ev.eval(x.Of(), db, memo, ev.newSpan(sp, x.Of()), gov)
+		child, err := ev.eval(x.Of(), db, ev.newSpan(sp, x.Of()), gov)
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +344,7 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, memo *me
 		return join.Exec{Gov: gov}.Materialized(out)
 
 	case *Join:
-		args, err := ev.evalArgs(x.Args(), db, memo, sp, gov)
+		args, err := ev.evalArgs(x.Args(), db, sp, gov)
 		if err != nil {
 			return nil, err
 		}
@@ -381,13 +359,13 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, memo *me
 // worker pool of ev.Parallelism when the parallel engine is on, else in
 // order. The pool bounds this node's fan-out; nested join nodes each get
 // their own pool, so total goroutines can exceed Parallelism briefly,
-// but every worker makes progress (the memo's waiting is well-founded on
+// but every worker makes progress (the cache's waiting is well-founded on
 // the expression tree) so there is no deadlock.
-func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, memo *memoTable, sp *obs.Span, gov *governor.Governor) ([]*relation.Relation, error) {
+func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, gov *governor.Governor) ([]*relation.Relation, error) {
 	args := make([]*relation.Relation, len(exprs))
 	if ev.Parallelism <= 1 || len(exprs) < 2 {
 		for i, a := range exprs {
-			r, err := ev.eval(a, db, memo, ev.newSpan(sp, a), gov)
+			r, err := ev.eval(a, db, ev.newSpan(sp, a), gov)
 			if err != nil {
 				return nil, err
 			}
@@ -411,7 +389,7 @@ func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, memo *memoTabl
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			args[i], errs[i] = ev.eval(a, db, memo, spans[i], gov)
+			args[i], errs[i] = ev.eval(a, db, spans[i], gov)
 		}(i, a)
 	}
 	wg.Wait()

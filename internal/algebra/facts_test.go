@@ -15,7 +15,7 @@ import (
 // workload's join node, for asking what earlier evaluations left there.
 func storedPlan(t *testing.T, shared *SubexprCache, e Expr, db relation.Database) *join.Plan {
 	t.Helper()
-	facts, ok := shared.facts[contentKey(e.String(), e.Operands(), db)]
+	facts, ok, _ := shared.facts.Do(nil, contentKey(e.String(), e.Operands(), db), func() (*join.Facts, error) { return new(join.Facts), nil })
 	if !ok {
 		t.Fatal("the shared cache holds no facts for the node")
 	}
@@ -140,18 +140,22 @@ func TestConcurrentColdNodePlansOnce(t *testing.T) {
 func TestFactsStoreIsBounded(t *testing.T) {
 	shared := NewSubexprCache()
 	inputs := chainPlan(t).Inputs
+	resident := func() int {
+		_, _, _, entries, _ := shared.facts.Counters()
+		return entries
+	}
 	for i := 0; i < factsMax+factsMax/2; i++ {
 		if _, hit := shared.plan(fmt.Sprintf("distinct-%d", i), nil, inputs); hit {
 			t.Fatalf("key %d was never entered, yet hit", i)
 		}
-		if len(shared.facts) > factsMax {
-			t.Fatalf("%d resident facts after %d distinct nodes, cap %d", len(shared.facts), i+1, factsMax)
+		if resident() > factsMax {
+			t.Fatalf("%d resident facts after %d distinct nodes, cap %d", resident(), i+1, factsMax)
 		}
 	}
-	if len(shared.facts) != factsMax/2 {
-		t.Errorf("%d resident facts, want the %d entered since the store was last dropped", len(shared.facts), factsMax/2)
+	if resident() != factsMax/2 {
+		t.Errorf("%d resident facts, want the %d entered since the store was last dropped", resident(), factsMax/2)
 	}
-	if shared.Reset(); len(shared.facts) != factsMax/2 {
+	if shared.Reset(); resident() != factsMax/2 {
 		t.Error("Reset dropped plan facts")
 	}
 }

@@ -202,7 +202,7 @@ func TestCacheCounters(t *testing.T) {
 // test expressed through the observability counters: with a triplicated
 // leg evaluated at parallelism 8, the metrics must show exactly one miss
 // per distinct composite node and one hit per duplicate request —
-// deterministically, because the per-call memo blocks duplicate
+// deterministically, because the call's cache blocks duplicate
 // requesters instead of racing them.
 func TestComputeOnceCountersUnderParallelism(t *testing.T) {
 	r := randomWideRel(t, 9, []string{"A", "B", "C"}, 400, 10)

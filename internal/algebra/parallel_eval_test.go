@@ -115,7 +115,7 @@ func TestParallelEvalStats(t *testing.T) {
 	}
 }
 
-// TestMemoComputeOnceUnderParallelism verifies the per-call memo's
+// TestMemoComputeOnceUnderParallelism verifies the cache's
 // compute-once guarantee: with duplicated legs evaluated concurrently,
 // each distinct subexpression must be evaluated exactly once.
 func TestMemoComputeOnceUnderParallelism(t *testing.T) {

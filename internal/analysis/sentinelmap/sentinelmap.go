@@ -30,7 +30,7 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name: "sentinelmap",
-	Doc:  "HTTP packages using the governor must map every governor.Err* sentinel and never WriteHeader after a body write",
+	Doc:  "HTTP packages using the governor must map every governor.Err* sentinel and join.ErrPanic, and never WriteHeader after a body write",
 	Run:  run,
 }
 
@@ -142,13 +142,31 @@ func checkSentinels(pass *framework.Pass, files []*ast.File, gov *types.Package)
 		}
 	}
 	sort.Strings(missing)
-	if len(missing) == 0 {
-		return
-	}
 	pos := governorImportPos(pass, gov)
 	for _, name := range missing {
 		pass.Reportf(pos, "sentinel %s.%s has no HTTP status mapping in this package: every governor sentinel must map to a deliberate status", gov.Name(), name)
 	}
+	if !usesPanicSentinel(pass, files) {
+		pass.Reportf(pos, "sentinel join.ErrPanic has no HTTP status mapping in this package: a recovered engine panic is the server's fault, not the catch-all's bad query")
+	}
+}
+
+// usesPanicSentinel reports whether the production files reference
+// join.ErrPanic. The join package is matched by name, as the governor is:
+// a mapping site that never imports it has not mapped its sentinel.
+func usesPanicSentinel(pass *framework.Pass, files []*ast.File) bool {
+	found := false
+	for _, file := range files {
+		ast.Inspect(file, func(x ast.Node) bool {
+			if id, ok := x.(*ast.Ident); ok && id.Name == "ErrPanic" {
+				if v, ok := pass.Info.Uses[id].(*types.Var); ok && v.Pkg() != nil && v.Pkg().Name() == "join" {
+					found = true
+				}
+			}
+			return !found
+		})
+	}
+	return found
 }
 
 // governorImportPos anchors sentinel findings on the governor import

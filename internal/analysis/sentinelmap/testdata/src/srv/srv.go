@@ -1,5 +1,6 @@
 // Fixture for sentinelmap: an HTTP package mapping governor sentinels,
-// with two of the five missing and a WriteHeader-after-write bug.
+// with two of the five and the recovered-panic sentinel missing, and a
+// WriteHeader-after-write bug.
 package srv
 
 import (
@@ -7,7 +8,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"relquery/internal/governor" // want `sentinel governor\.ErrMemBudget has no HTTP status mapping` `sentinel governor\.ErrRowBudget has no HTTP status mapping`
+	"relquery/internal/governor" // want `sentinel governor\.ErrMemBudget has no HTTP status mapping` `sentinel governor\.ErrRowBudget has no HTTP status mapping` `sentinel join\.ErrPanic has no HTTP status mapping`
 )
 
 // WriteErr maps three of the five sentinels; the budget pair falls

@@ -1,14 +1,14 @@
-// Negative fixture for sentinelmap: every sentinel mapped, every write
-// ordered. No findings expected.
-package srvok
+// Seeded-bug fixture for sentinelmap: relqueryd's status mapping as it
+// stood before a recovered engine panic had a status of its own — all five
+// governor sentinels handled, join.ErrPanic left to the catch-all, so a
+// crash in a join strategy told the client its query was bad.
+package srvpanic
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 
-	"relquery/internal/governor"
-	"relquery/internal/join"
+	"relquery/internal/governor" // want `sentinel join\.ErrPanic has no HTTP status mapping`
 )
 
 func WriteErr(w http.ResponseWriter, err error) {
@@ -21,10 +21,7 @@ func WriteErr(w http.ResponseWriter, err error) {
 		w.WriteHeader(http.StatusRequestEntityTooLarge)
 	case errors.Is(err, governor.ErrCanceled):
 		w.WriteHeader(499)
-	case errors.Is(err, join.ErrPanic):
-		w.WriteHeader(http.StatusInternalServerError)
 	default:
 		w.WriteHeader(http.StatusBadRequest)
 	}
-	fmt.Fprintf(w, "error: %v", err)
 }

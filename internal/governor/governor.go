@@ -266,9 +266,45 @@ func (g *Governor) Check() error {
 		return g.fail(fmt.Errorf("%w: %w", ErrCanceled, context.Cause(g.ctx)))
 	}
 	if !g.deadline.IsZero() && time.Now().After(g.deadline) {
-		return g.fail(fmt.Errorf("%w: evaluation ran past %v budget", ErrDeadline, g.limits.Deadline))
+		return g.expired()
 	}
 	return nil
+}
+
+func (g *Governor) expired() error {
+	return g.fail(fmt.Errorf("%w: evaluation ran past %v budget", ErrDeadline, g.limits.Deadline))
+}
+
+// Wait blocks until done is closed or this evaluation's own context or
+// deadline ends, whichever comes first, and returns the violation in the
+// latter case. It is how an evaluation waits on work another evaluation is
+// doing (a compute-once store's in-flight entry): the other side's limits
+// are not this side's. A nil governor just waits; work already done costs
+// no timer.
+func (g *Governor) Wait(done <-chan struct{}) error {
+	if g == nil {
+		<-done
+		return nil
+	}
+	select {
+	case <-done:
+		return nil
+	default:
+	}
+	var timeout <-chan time.Time
+	if !g.deadline.IsZero() {
+		t := time.NewTimer(time.Until(g.deadline))
+		defer t.Stop()
+		timeout = t.C
+	}
+	select {
+	case <-done:
+		return nil
+	case <-g.ctx.Done():
+		return g.Check()
+	case <-timeout:
+		return g.expired()
+	}
 }
 
 // CheckRows enforces MaxIntermediateRows against one materialized

@@ -331,3 +331,32 @@ func TestWithMetricsNilSafety(t *testing.T) {
 		t.Errorf("CheckOutput = %v, want ErrRowBudget (counting disabled, checks live)", err)
 	}
 }
+
+// TestWait: Wait returns nil once done closes, and the governor's own
+// violation when its deadline or context ends first; a nil governor just
+// waits.
+func TestWait(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	never := make(chan struct{})
+
+	var ungoverned *Governor
+	if err := ungoverned.Wait(closed); err != nil {
+		t.Errorf("nil governor: %v", err)
+	}
+	if err := New(context.Background(), Limits{Deadline: time.Hour}).Wait(closed); err != nil {
+		t.Errorf("done already closed: %v", err)
+	}
+	g := New(context.Background(), Limits{Deadline: 5 * time.Millisecond})
+	if err := g.Wait(never); !errors.Is(err, ErrDeadline) {
+		t.Errorf("deadline first: %v, want ErrDeadline", err)
+	}
+	if err := g.Err(); !errors.Is(err, ErrDeadline) {
+		t.Errorf("the violation is not sticky: Err() = %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(5*time.Millisecond, cancel)
+	if err := New(ctx, Limits{}).Wait(never); !errors.Is(err, ErrCanceled) {
+		t.Errorf("cancellation first: %v, want ErrCanceled", err)
+	}
+}

@@ -234,8 +234,8 @@ func (m *Metrics) Degraded() {
 	m.degradedEvals.Add(1)
 }
 
-// CacheHit records a subexpression served from a cache (the per-call memo
-// or the shared fingerprint-keyed cache) without re-evaluation.
+// CacheHit records a subexpression served from the evaluation's cache
+// without re-evaluation.
 func (m *Metrics) CacheHit() {
 	if m == nil {
 		return

@@ -65,9 +65,20 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// knownTenant returns the tenant the route names, or answers 404 and
+// returns nil: reading or deleting does not create a tenant.
+func (s *Server) knownTenant(w http.ResponseWriter, r *http.Request) *tenant {
+	t := s.lookup(r.PathValue("tenant"))
+	if t == nil {
+		writeError(w, http.StatusNotFound, "no tenant %q", r.PathValue("tenant"))
+	}
+	return t
+}
+
 func (s *Server) handleListRelations(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(r.PathValue("tenant"))
-	writeJSON(w, http.StatusOK, t.listing())
+	if t := s.knownTenant(w, r); t != nil {
+		writeJSON(w, http.StatusOK, t.listing())
+	}
 }
 
 // handlePutRelation uploads one relation in the codec text format —
@@ -93,7 +104,10 @@ func (s *Server) handlePutRelation(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetRelation(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(r.PathValue("tenant"))
+	t := s.knownTenant(w, r)
+	if t == nil {
+		return
+	}
 	name := r.PathValue("name")
 	rel, ok := t.snapshot().db[name]
 	if !ok {
@@ -105,7 +119,10 @@ func (s *Server) handleGetRelation(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDropRelation(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(r.PathValue("tenant"))
+	t := s.knownTenant(w, r)
+	if t == nil {
+		return
+	}
 	name := r.PathValue("name")
 	if !t.drop(name) {
 		writeError(w, http.StatusNotFound, "tenant %q has no relation %q", t.name, name)
@@ -131,9 +148,5 @@ func (s *Server) handleLoadCatalog(w http.ResponseWriter, r *http.Request) {
 // after bulk reloads; entries are fingerprint-keyed so this is about
 // memory, not soundness).
 func (s *Server) handleCacheReset(w http.ResponseWriter, r *http.Request) {
-	dropped := 0
-	if s.shared != nil {
-		dropped = s.shared.Reset()
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"dropped": dropped})
+	writeJSON(w, http.StatusOK, map[string]int{"dropped": s.shared.Reset()})
 }

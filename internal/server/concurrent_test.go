@@ -13,7 +13,7 @@ import (
 // at once — admitted queries, rejected queries, and telemetry scrapes
 // (/metrics, /debug/traces, catalog listings) — and checks every
 // response is well-formed. Run under -race this is the data-race proof
-// for the shared plan cache, the shared subexpression cache, the tenant
+// for the shared parse cache, the shared subexpression cache, the tenant
 // catalogs and the trace ring's circular buffer.
 func TestConcurrentQueriesAndScrapes(t *testing.T) {
 	_, ts := newTestServer(t)

@@ -77,7 +77,7 @@ func (s *Server) writeServerMetrics(w io.Writer) {
 		fmt.Fprintf(w, "%s{tenant=%q} %d\n", obs.SeriesServerTenantEvals, name, counts[name])
 	}
 
-	ph, pm, pe := s.plans.counters()
+	ph, pm, _, pe, _ := s.plans.Counters()
 	header(obs.SeriesServerPlanCacheHits, "counter", "Plan cache hits (parsed expression reused).")
 	sample(obs.SeriesServerPlanCacheHits, ph)
 	header(obs.SeriesServerPlanCacheMisses, "counter", "Plan cache misses.")
@@ -85,17 +85,15 @@ func (s *Server) writeServerMetrics(w io.Writer) {
 	header(obs.SeriesServerPlanCacheEntries, "gauge", "Resident parsed plans.")
 	sample(obs.SeriesServerPlanCacheEntries, pe)
 
-	if s.shared != nil {
-		hits, misses, invalidations, entries := s.shared.Counters()
-		header(obs.SeriesServerSharedCacheHits, "counter", "Shared subexpression cache hits across requests.")
-		sample(obs.SeriesServerSharedCacheHits, hits)
-		header(obs.SeriesServerSharedCacheMisses, "counter", "Shared subexpression cache misses.")
-		sample(obs.SeriesServerSharedCacheMisses, misses)
-		header(obs.SeriesServerSharedCacheInval, "counter", "Shared cache entries dropped by /v1/cache/reset.")
-		sample(obs.SeriesServerSharedCacheInval, invalidations)
-		header(obs.SeriesServerSharedCacheSize, "gauge", "Resident shared cache entries.")
-		sample(obs.SeriesServerSharedCacheSize, entries)
-	}
+	hits, misses, invalidations, entries := s.shared.Counters()
+	header(obs.SeriesServerSharedCacheHits, "counter", "Shared subexpression cache hits across requests.")
+	sample(obs.SeriesServerSharedCacheHits, hits)
+	header(obs.SeriesServerSharedCacheMisses, "counter", "Shared subexpression cache misses.")
+	sample(obs.SeriesServerSharedCacheMisses, misses)
+	header(obs.SeriesServerSharedCacheInval, "counter", "Shared cache entries dropped by /v1/cache/reset or by the resident-weight bound.")
+	sample(obs.SeriesServerSharedCacheInval, invalidations)
+	header(obs.SeriesServerSharedCacheSize, "gauge", "Resident shared cache entries.")
+	sample(obs.SeriesServerSharedCacheSize, entries)
 
 	header(obs.SeriesServerCatalogRelations, "gauge", "Relations resident per tenant catalog.")
 	for _, t := range s.tenantList() {

@@ -19,6 +19,7 @@ package server
 
 import (
 	"net/http"
+	"sort"
 	"sync"
 
 	"relquery/internal/algebra"
@@ -37,6 +38,10 @@ const DefaultMaxConcurrent = 8
 // DefaultMaxBodyBytes caps catalog upload bodies when
 // Config.MaxBodyBytes is zero.
 const DefaultMaxBodyBytes = 64 << 20
+
+// planCacheMax bounds resident parsed expressions, in entries. They are
+// tiny: the bound only guards against a stream of distinct query texts.
+const planCacheMax = 4096
 
 // maxQueryBytes caps query text bodies: expressions are small; anything
 // larger is a mistake or abuse.
@@ -59,10 +64,6 @@ type Config struct {
 	// MaxConcurrent bounds concurrently executing evaluations across all
 	// tenants; 0 means DefaultMaxConcurrent, negative means unbounded.
 	MaxConcurrent int
-	// DisableCache turns off the shared cross-request subexpression
-	// cache (on by default — it is the plan-cache half of ROADMAP item 3
-	// and is sound because cache keys carry relation fingerprints).
-	DisableCache bool
 	// Registry receives every evaluation for /metrics and /debug/traces;
 	// nil creates a fresh one.
 	Registry *obs.Registry
@@ -80,7 +81,7 @@ type Server struct {
 	cfg    Config
 	reg    *obs.Registry
 	shared *algebra.SubexprCache
-	plans  *planCache
+	plans  *algebra.Memo[planKey, algebra.Expr]
 	sem    chan struct{}
 
 	mu      sync.RWMutex
@@ -103,11 +104,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
-		plans:   newPlanCache(),
+		shared:  algebra.NewSubexprCache(),
+		plans:   algebra.NewMemo[planKey, algebra.Expr](planCacheMax, nil),
 		tenants: make(map[string]*tenant),
-	}
-	if !cfg.DisableCache {
-		s.shared = algebra.NewSubexprCache()
 	}
 	if n := cfg.MaxConcurrent; n >= 0 {
 		if n == 0 {
@@ -132,17 +131,25 @@ func (s *Server) Load(tenant string, db relation.Database) {
 	s.tenant(tenant).loadAll(db)
 }
 
-// tenant returns the named tenant, creating it with the default limits
-// on first use. An empty name resolves to "default".
-func (s *Server) tenant(name string) *tenant {
+// lookup returns the named tenant, or nil when there is none. An empty
+// name resolves to "default".
+func (s *Server) lookup(name string) *tenant {
 	if name == "" {
 		name = "default"
 	}
 	s.mu.RLock()
-	t := s.tenants[name]
-	s.mu.RUnlock()
-	if t != nil {
+	defer s.mu.RUnlock()
+	return s.tenants[name]
+}
+
+// tenant returns the named tenant, creating it with the default limits on
+// first use. Only uploads and queries may: reads and deletes use lookup.
+func (s *Server) tenant(name string) *tenant {
+	if t := s.lookup(name); t != nil {
 		return t
+	}
+	if name == "" {
+		name = "default"
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -153,19 +160,20 @@ func (s *Server) tenant(name string) *tenant {
 	if !ok {
 		limits = s.cfg.DefaultLimits
 	}
-	t = newTenant(name, limits)
+	t := newTenant(name, limits)
 	s.tenants[name] = t
 	return t
 }
 
-// tenantNames returns the known tenants in sorted order.
+// tenantList returns the known tenants in name order.
 func (s *Server) tenantList() []*tenant {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]*tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		out = append(out, t)
 	}
+	s.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 

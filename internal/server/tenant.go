@@ -39,6 +39,20 @@ func newTenant(name string, limits governor.Limits) *tenant {
 	return t
 }
 
+// schemeSignature renders the catalog's relation names and schemes in
+// name order — the part of the database a parse depends on. A catalog
+// version carries it from the upload that made it.
+func schemeSignature(db relation.Database) string {
+	var b strings.Builder
+	for _, name := range db.Names() {
+		b.WriteString(name)
+		b.WriteByte('(')
+		b.WriteString(db[name].Scheme().String())
+		b.WriteString(");")
+	}
+	return b.String()
+}
+
 // snapshot returns the current catalog version.
 func (t *tenant) snapshot() *catalog { return t.cat.Load() }
 
