@@ -182,9 +182,7 @@ fmt:
 # The full static-analysis gate: go vet, staticcheck (when installed —
 # CI always installs it; locally the step is skipped with a notice so
 # the target works offline), and relquery's own analyzer suite
-# (cmd/relquerylint), run against the committed baseline ratchet: new
-# findings fail, baselined findings warn, stale baseline entries fail
-# until the baseline is regenerated (it can only shrink).
+# (cmd/relquerylint), which fails on any finding.
 lint:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -192,7 +190,7 @@ lint:
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
-	$(GO) run ./cmd/relquerylint -baseline lint.baseline ./...
+	$(GO) run ./cmd/relquerylint ./...
 
 # Everything the CI workflow gates on, runnable locally before a push.
 ci: build fmt lint test race stress bench

@@ -292,9 +292,9 @@ func hubWorkload(n int) []*relation.Relation {
 	return []*relation.Relation{r1, r2, r3}
 }
 
-// BenchmarkJoinAlgorithms compares the three binary join algorithms on a
-// many-to-many workload. Expected shape: hash and sort-merge scale near-
-// linearly in input+output, nested-loop quadratically.
+// BenchmarkJoinAlgorithms compares the join algorithms as binary joins on a
+// many-to-many workload. Expected shape: all scale near-linearly in
+// input+output.
 func BenchmarkJoinAlgorithms(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	mk := func(scheme relation.Scheme, rows, keys int) *relation.Relation {

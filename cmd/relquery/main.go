@@ -81,20 +81,6 @@ func run(args []string) error {
 	if *parallel < 0 {
 		return usageError(fs, "-parallel must be a non-negative worker count, got %d", *parallel)
 	}
-	// -join=auto keeps the default binary algorithm but turns on the
-	// evaluator's three-way selector per n-ary join node: α-acyclic nodes
-	// run Yannakakis' full reducer, cyclic nodes whose binary plan's
-	// estimated peak intermediate exceeds the AGM bound run the
-	// worst-case-optimal generic join, and the rest keep the binary plan.
-	auto := *algName == "auto"
-	var alg join.Algorithm
-	if !auto {
-		var err error
-		alg, err = join.ByName(*algName)
-		if err != nil {
-			return usageError(fs, "-join: unknown strategy %q (valid strategies: %s)", *algName, strings.Join(join.StrategyNames(), ", "))
-		}
-	}
 	order, err := join.OrderByName(*orderName)
 	if err != nil {
 		return usageError(fs, "-order: unknown order %q (want greedy or sequential)", *orderName)
@@ -122,6 +108,38 @@ func run(args []string) error {
 		return usageError(fs, "%v", err)
 	}
 	limits.MaxIntermediateRows = *budget
+	// One evaluator, built from the parsed flags, serves -explain and
+	// -engine materialize alike. A collector is attached only when some
+	// observability output was requested: a nil collector keeps the engine
+	// on its zero-overhead fast path. -serve implies one — the telemetry
+	// endpoints are only interesting with metrics and traces behind them.
+	var collector *obs.Collector
+	if *analyze || *tracePath != "" || *metrics || *stats || *serveAddr != "" {
+		collector = &obs.Collector{}
+	}
+	ev := &algebra.Evaluator{
+		Order:       order,
+		Parallelism: *parallel,
+		Cache:       *cache,
+		Collector:   collector,
+		Limits:      limits,
+		Admit:       *admit,
+		Degrade:     *degrade,
+	}
+	// When the parallel engine is on and -join was left at its default,
+	// the evaluator picks the partitioned parallel hash join; an explicit
+	// -join always wins.
+	joinFlagSet := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "join" {
+			joinFlagSet = true
+		}
+	})
+	if *parallel <= 1 || joinFlagSet {
+		if err := ev.SetStrategy(*algName); err != nil {
+			return usageError(fs, "-join: %v", err)
+		}
+	}
 	src := *query
 	if *queryFile != "" {
 		data, err := os.ReadFile(*queryFile)
@@ -154,39 +172,6 @@ func run(args []string) error {
 			fmt.Fprintf(os.Stderr, "optimized: %s\n", rewritten)
 		}
 		expr = rewritten
-	}
-
-	// One evaluator, built from the parsed flags, serves -explain and
-	// -engine materialize alike. A collector is attached only when some
-	// observability output was requested: a nil collector keeps the engine
-	// on its zero-overhead fast path. -serve implies one — the telemetry
-	// endpoints are only interesting with metrics and traces behind them.
-	var collector *obs.Collector
-	if *analyze || *tracePath != "" || *metrics || *stats || *serveAddr != "" {
-		collector = &obs.Collector{}
-	}
-	ev := &algebra.Evaluator{
-		Order:          order,
-		Parallelism:    *parallel,
-		Cache:          *cache,
-		AutoWCOJ:       auto,
-		AutoYannakakis: auto,
-		Collector:      collector,
-		Limits:         limits,
-		Admit:          *admit,
-		Degrade:        *degrade,
-	}
-	// When the parallel engine is on and -join was left at its default,
-	// let the evaluator pick the partitioned parallel hash join; an
-	// explicit -join always wins.
-	joinFlagSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "join" {
-			joinFlagSet = true
-		}
-	})
-	if *parallel <= 1 || joinFlagSet {
-		ev.Algorithm = alg
 	}
 
 	if *explain {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"relquery/internal/join"
 	"relquery/internal/obs"
 )
 
@@ -48,7 +49,7 @@ func TestRunQueryFile(t *testing.T) {
 
 func TestRunJoinAlgorithmsAndOrders(t *testing.T) {
 	db := writeFile(t, "db.rel", testDB)
-	for _, alg := range []string{"hash", "sortmerge", "nestedloop", "yannakakis", "auto"} {
+	for _, alg := range join.StrategyNames() {
 		for _, order := range []string{"greedy", "sequential"} {
 			err := run([]string{"-db", db, "-query", "pi[A B](T) * pi[B C](T)",
 				"-join", alg, "-order", order, "-stats", "-count"})

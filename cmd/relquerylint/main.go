@@ -3,21 +3,15 @@
 //
 // Usage:
 //
-//	relquerylint [-list] [-format text|sarif] [-baseline file] [-write-baseline] [packages]
+//	relquerylint [-list] [-format text|sarif] [packages]
 //
 // Packages default to ./... relative to the current directory. With
-// -baseline, findings recorded in the baseline file are demoted to
-// warnings (the debt ledger); new findings still fail, and stale
-// entries — recorded findings that no longer fire — also fail, so the
-// ledger can only shrink: regenerate it with -write-baseline to claim
-// the progress. With -format=sarif the report is a SARIF 2.1.0 log on
-// stdout (fresh findings level "error", baselined "warning") for
-// upload to code-scanning UIs.
+// -format=sarif the report is a SARIF 2.1.0 log on stdout for upload to
+// code-scanning UIs.
 //
-// Exit status: 0 when the tree is clean (or every finding is
-// baselined), 1 when any fresh finding or stale baseline entry exists,
-// 2 on a loading or internal error — the same convention as go vet, so
-// CI can gate on it directly.
+// Exit status: 0 when the tree is clean, 1 on any finding, 2 on a loading
+// or internal error — the same convention as go vet, so CI can gate on it
+// directly.
 package main
 
 import (
@@ -38,10 +32,8 @@ func run(args []string, stdout io.Writer) int {
 	flags := flag.NewFlagSet("relquerylint", flag.ContinueOnError)
 	list := flags.Bool("list", false, "list the analyzers in the suite and exit")
 	format := flags.String("format", "text", "report format: text or sarif")
-	baselinePath := flags.String("baseline", "", "baseline file: recorded findings warn instead of failing")
-	writeBaseline := flags.Bool("write-baseline", false, "write current findings to the baseline file and exit")
 	flags.Usage = func() {
-		fmt.Fprintln(flags.Output(), "usage: relquerylint [-list] [-format text|sarif] [-baseline file] [-write-baseline] [packages]")
+		fmt.Fprintln(flags.Output(), "usage: relquerylint [-list] [-format text|sarif] [packages]")
 		flags.PrintDefaults()
 	}
 	if err := flags.Parse(args); err != nil {
@@ -86,64 +78,18 @@ func run(args []string, stdout io.Writer) int {
 		return 2
 	}
 
-	if *writeBaseline {
-		path := *baselinePath
-		if path == "" {
-			path = "lint.baseline"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "relquerylint:", err)
-			return 2
-		}
-		werr := framework.WriteBaseline(f, diags, root)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "relquerylint:", werr)
-			return 2
-		}
-		fmt.Fprintf(stdout, "relquerylint: wrote %d finding(s) to %s\n", len(diags), path)
-		return 0
-	}
-
-	fresh, baselined, stale := diags, []framework.Diagnostic(nil), 0
-	if *baselinePath != "" {
-		b, err := framework.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "relquerylint:", err)
-			return 2
-		}
-		fresh, baselined, stale = b.Apply(diags, root)
-	}
-
 	if *format == "sarif" {
-		if err := framework.WriteSARIF(stdout, analyzers, fresh, baselined, root); err != nil {
+		if err := framework.WriteSARIF(stdout, analyzers, diags, root); err != nil {
 			fmt.Fprintln(os.Stderr, "relquerylint:", err)
 			return 2
 		}
 	} else {
-		for _, d := range fresh {
+		for _, d := range diags {
 			fmt.Fprintln(stdout, d.String())
 		}
-		for _, d := range baselined {
-			fmt.Fprintf(stdout, "%s [baselined]\n", d.String())
-		}
 	}
-	if stale > 0 {
-		fmt.Fprintf(os.Stderr, "relquerylint: %d baseline entr%s no longer fire%s — the ratchet only shrinks; regenerate with -write-baseline\n",
-			stale, plural(stale, "y", "ies"), plural(stale, "s", ""))
-	}
-	if len(fresh) > 0 || stale > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -82,66 +81,6 @@ func TestSARIFOnModule(t *testing.T) {
 	}
 	if n := len(log.Runs[0].Results); n != 0 {
 		t.Errorf("clean module produced %d SARIF results, want 0", n)
-	}
-}
-
-// TestBaselineRatchet: a stale baseline entry (recorded finding that no
-// longer fires) must fail the run — the ledger only shrinks — and an
-// empty baseline must pass a clean tree.
-func TestBaselineRatchet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	chdirModuleRoot(t)
-	dir := t.TempDir()
-
-	stale := filepath.Join(dir, "stale.baseline")
-	content := "# relquerylint baseline v1\n" +
-		"govloop\tinternal/join/join.go\trange over tuples has no reachable governor Tick/Check: long since fixed\n"
-	if err := os.WriteFile(stale, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if code := run([]string{"-baseline", stale, "./..."}, &out); code != 1 {
-		t.Errorf("stale baseline entry = exit %d, want 1 (ratchet must force regeneration)", code)
-	}
-
-	empty := filepath.Join(dir, "empty.baseline")
-	if err := os.WriteFile(empty, []byte("# relquerylint baseline v1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if code := run([]string{"-baseline", empty, "./..."}, &out); code != 0 {
-		t.Errorf("empty baseline on clean tree = exit %d, want 0:\n%s", code, out.String())
-	}
-}
-
-// TestWriteBaseline: -write-baseline round-trips — the written file
-// loads, carries the version header, and (on a clean tree) records
-// nothing.
-func TestWriteBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	chdirModuleRoot(t)
-	path := filepath.Join(t.TempDir(), "lint.baseline")
-	var out bytes.Buffer
-	if code := run([]string{"-baseline", path, "-write-baseline", "./..."}, &out); code != 0 {
-		t.Fatalf("-write-baseline = exit %d, want 0:\n%s", code, out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), "# relquerylint baseline v1") {
-		t.Errorf("baseline missing version header:\n%s", data)
-	}
-	b, err := framework.LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 0 {
-		t.Errorf("clean tree wrote %d baseline entries, want 0", b.Len())
 	}
 }
 

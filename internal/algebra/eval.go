@@ -3,6 +3,7 @@ package algebra
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -12,61 +13,6 @@ import (
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
-
-// EvalOptions is the engine-tuning knob threaded from the CLI and the
-// decide layer down to the evaluator. The zero value selects the
-// sequential engine with no caching — exactly the pre-parallel behavior.
-type EvalOptions struct {
-	// Parallelism > 1 turns on the parallel engine: independent
-	// subtrees of each join node evaluate concurrently on a worker pool
-	// of this size, and binary joins default to the partitioned parallel
-	// hash join (join.Parallel) with this many workers. Values <= 1 mean
-	// fully sequential evaluation.
-	Parallelism int
-	// Cache evaluates each distinct subexpression once per Eval call (see
-	// Evaluator.Cache).
-	Cache bool
-	// SharedCache, when non-nil, does so across Eval calls and callers
-	// (see Evaluator.SharedCache). relqueryd threads one process-wide cache
-	// through every request here.
-	SharedCache *SubexprCache
-	// AutoWCOJ lets blow-up-prone n-ary join nodes switch to the
-	// worst-case-optimal generic join (see Evaluator.AutoWCOJ).
-	AutoWCOJ bool
-	// AutoYannakakis routes α-acyclic n-ary join nodes to Yannakakis'
-	// algorithm (see Evaluator.AutoYannakakis).
-	AutoYannakakis bool
-	// Collector, when non-nil, traces the evaluation (see
-	// Evaluator.Collector).
-	Collector *obs.Collector
-	// Registry, when non-nil, receives each evaluation's outcome for
-	// process-wide telemetry (see Evaluator.Registry).
-	Registry *obs.Registry
-	// Limits bounds the evaluation — deadline, row budgets, memory model
-	// (see Evaluator.Limits). The zero Limits is unlimited.
-	Limits governor.Limits
-	// Admit turns on pre-flight admission control (see Evaluator.Admit).
-	Admit bool
-	// Degrade turns on graceful degradation (see Evaluator.Degrade).
-	Degrade bool
-}
-
-// NewEvaluator returns an evaluator configured by the options, with
-// default join algorithm and order.
-func (o EvalOptions) NewEvaluator() *Evaluator {
-	return &Evaluator{
-		Parallelism:    o.Parallelism,
-		Cache:          o.Cache,
-		SharedCache:    o.SharedCache,
-		AutoWCOJ:       o.AutoWCOJ,
-		AutoYannakakis: o.AutoYannakakis,
-		Collector:      o.Collector,
-		Registry:       o.Registry,
-		Limits:         o.Limits,
-		Admit:          o.Admit,
-		Degrade:        o.Degrade,
-	}
-}
 
 // Evaluator materializes project–join expressions against a database. The
 // zero value is ready to use: hash joins, greedy join ordering, no
@@ -159,6 +105,40 @@ type Evaluator struct {
 	// the /debug/traces ring. Nil (the zero value) publishes nothing and
 	// costs one nil check per evaluation.
 	Registry *obs.Registry
+}
+
+// EvalOptions is the Evaluator under the name option-passing callers (the
+// CLIs, the decide layer, relbench) configure it by: one declaration, so a
+// field is written once.
+type EvalOptions = Evaluator
+
+// NewEvaluator returns a copy of the options to evaluate with; the caller
+// owns it and may go on setting fields.
+func (ev Evaluator) NewEvaluator() *Evaluator { return &ev }
+
+// SetStrategy configures the evaluator for one of join.StrategyNames — the
+// only place a strategy name becomes behaviour: "auto" turns on the per-node
+// three-way selector over the default binary algorithm, any other name forces
+// that join.Algorithm on every join node.
+func (ev *Evaluator) SetStrategy(name string) error {
+	if name == "auto" {
+		ev.Algorithm, ev.AutoWCOJ, ev.AutoYannakakis = nil, true, true
+		return nil
+	}
+	alg, err := join.ByName(name)
+	if err != nil {
+		return fmt.Errorf("unknown strategy %q (valid strategies: %s)", name, strings.Join(join.StrategyNames(), ", "))
+	}
+	ev.Algorithm, ev.AutoWCOJ, ev.AutoYannakakis = alg, false, false
+	return nil
+}
+
+// OutputBounded reports whether no join node of this evaluator is expected
+// to materialize past its AGM output bound: every node runs a one-pass
+// strategy, or the selector routes each predicted blow-up to one. It is what
+// governor.Admit asks of a strategy.
+func (ev *Evaluator) OutputBounded() bool {
+	return ev.AutoWCOJ || join.OnePass(ev.algorithm())
 }
 
 // ErrBudgetExceeded is returned (wrapped) when evaluation exceeds the

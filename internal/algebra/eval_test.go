@@ -94,13 +94,12 @@ func TestEvalAllAlgorithmsAndOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algName := range join.Names() {
-		alg, err := join.ByName(algName)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, algName := range join.StrategyNames() {
 		for _, order := range []join.Order{join.Sequential, join.Greedy} {
-			ev := Evaluator{Algorithm: alg, Order: order}
+			ev := Evaluator{Order: order}
+			if err := ev.SetStrategy(algName); err != nil {
+				t.Fatal(err)
+			}
 			got, err := ev.Eval(e, db)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", algName, order, err)
@@ -109,6 +108,10 @@ func TestEvalAllAlgorithmsAndOrders(t *testing.T) {
 				t.Errorf("%s/%v disagrees with default", algName, order)
 			}
 		}
+	}
+	var ev Evaluator
+	if err := ev.SetStrategy("nestedloop"); err == nil {
+		t.Error("SetStrategy accepted a name outside join.StrategyNames()")
 	}
 }
 

@@ -11,11 +11,10 @@ import (
 	"relquery/internal/relation"
 )
 
-// Explain evaluates the expression bottom-up and renders its operator tree
-// with the actual cardinality of every node — the library's EXPLAIN
-// ANALYZE. The tree makes the paper's phenomenon visible at a glance: on
-// the gadget queries the join node's row count dwarfs both its inputs and
-// the projection above it.
+// Explain evaluates the expression once and renders its operator tree
+// with the actual cardinality of every node. The tree makes the paper's
+// phenomenon visible at a glance: on the gadget queries the join node's row
+// count dwarfs both its inputs and the projection above it.
 //
 //	pi[A C]                                   rows=4
 //	└─ *                                      rows=5
@@ -30,45 +29,31 @@ func Explain(e Expr, db relation.Database) (string, error) {
 }
 
 // ExplainWith is Explain under a caller-configured evaluator (budget, join
-// algorithm, order).
+// algorithm, order). It is ExplainAnalyze reduced to label and rows=, with
+// the call's caches off so that every node executes and the span tree is
+// the syntactic tree.
 func ExplainWith(ev *Evaluator, e Expr, db relation.Database) (string, error) {
-	var b strings.Builder
-	if _, err := explainNode(ev, e, db, &b, "", ""); err != nil {
+	call := *ev
+	call.Cache, call.SharedCache = false, nil
+	t, err := call.traced(context.Background(), e, db)
+	if err != nil {
 		return "", err
 	}
+	var b strings.Builder
+	renderSpan(&b, t.Root(), "", "", false)
 	return b.String(), nil
 }
 
-// explainNode renders one node and returns its materialized value.
-func explainNode(ev *Evaluator, e Expr, db relation.Database, b *strings.Builder, prefix, childPrefix string) (*relation.Relation, error) {
-	label := e.label()
-	var children []Expr
-	switch x := e.(type) {
-	case *Project:
-		children = []Expr{x.Of()}
-	case *Join:
-		children = x.Args()
+// traced evaluates e under a fresh collector, leaving ev's own untouched,
+// and returns the trace of what executed. On a governor violation the trace
+// is the partial span tree executed up to the abort.
+func (ev *Evaluator) traced(ctx context.Context, e Expr, db relation.Database) (*obs.Trace, error) {
+	call := *ev
+	call.Collector = &obs.Collector{}
+	if _, err := call.EvalContext(ctx, e, db); err != nil {
+		return governor.TraceOf(err), err
 	}
-
-	// Evaluate children first (post-order), collecting their relations,
-	// but print this node before its subtree for the usual EXPLAIN shape.
-	// Two passes: compute sizes via a single evaluation of this node and
-	// recursion for children.
-	rel, err := ev.Eval(e, db)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(b, "%s%-42s "+obs.FieldRows+"=%d\n", prefix, label, rel.Len())
-	for i, c := range children {
-		connector, nextIndent := "├─ ", "│  "
-		if i == len(children)-1 {
-			connector, nextIndent = "└─ ", "   "
-		}
-		if _, err := explainNode(ev, c, db, b, childPrefix+connector, childPrefix+nextIndent); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
+	return call.Collector.Trace(), nil
 }
 
 // ExplainAnalyze evaluates the expression once under a tracing collector
@@ -87,10 +72,10 @@ func explainNode(ev *Evaluator, e Expr, db relation.Database, b *strings.Builder
 //	   └─ pi[B C]                             rows=3 width=2 wall=9µs in=[3]
 //	      └─ T                                rows=3 width=3 wall=1µs
 //
-// Unlike Explain — which re-evaluates every subtree and renders the
-// syntactic tree — ExplainAnalyze evaluates the query exactly once and
-// renders what actually executed: a subtree served from a cache appears
-// as a single node marked cache=hit with no children. An n-ary join node
+// Unlike Explain, which turns the caches off to render the syntactic tree,
+// ExplainAnalyze renders what executed under the evaluator as configured: a
+// subtree served from a cache appears as a single node marked cache=hit
+// with no children. An n-ary join node
 // whose intermediate binary joins grew past its final output also shows
 // peak=N, the paper's blow-up number for that node.
 func ExplainAnalyze(e Expr, db relation.Database) (string, error) {
@@ -100,7 +85,7 @@ func ExplainAnalyze(e Expr, db relation.Database) (string, error) {
 
 // ExplainAnalyzeWith is ExplainAnalyze under a caller-configured
 // evaluator (budget, join algorithm, order, parallelism, caching). The
-// evaluator's Collector is replaced for the duration of the call.
+// call traces into a collector of its own, not the evaluator's.
 //
 // When evaluation dies on a resource-governor violation (deadline, row
 // or memory budget, cancellation), the error is returned together with
@@ -118,18 +103,8 @@ func ExplainAnalyzeWith(ev *Evaluator, e Expr, db relation.Database) (string, er
 // governor violation it returns the partial span tree alongside the
 // error (see ExplainAnalyzeWith).
 func ExplainAnalyzeContext(ctx context.Context, ev *Evaluator, e Expr, db relation.Database) (string, error) {
-	saved := ev.Collector
-	c := &obs.Collector{}
-	ev.Collector = c
-	_, err := ev.EvalContext(ctx, e, db)
-	ev.Collector = saved
-	if err != nil {
-		if t := governor.TraceOf(err); t != nil {
-			return RenderTrace(t), err
-		}
-		return "", err
-	}
-	return RenderTrace(c.Trace()), nil
+	t, err := ev.traced(ctx, e, db)
+	return RenderTrace(t), err
 }
 
 // RenderTrace renders a trace's span tree in the EXPLAIN ANALYZE text
@@ -140,7 +115,7 @@ func RenderTrace(t *obs.Trace) string {
 		return ""
 	}
 	for _, root := range t.Roots {
-		renderSpan(&b, root, "", "")
+		renderSpan(&b, root, "", "", true)
 	}
 	// Governance footer, only when the governor actually intervened —
 	// clean evaluations keep the classic tree-only output.
@@ -154,14 +129,29 @@ func RenderTrace(t *obs.Trace) string {
 	return b.String()
 }
 
-// renderSpan renders one span and recurses over its children.
-func renderSpan(b *strings.Builder, sp *obs.Span, prefix, childPrefix string) {
+// renderSpan renders one span — label and rows=, plus the observed
+// statistics when analyze is set — and recurses over its children.
+func renderSpan(b *strings.Builder, sp *obs.Span, prefix, childPrefix string, analyze bool) {
 	if sp == nil {
 		return
 	}
-	fmt.Fprintf(b, "%s%-42s "+obs.FieldRows+"=%d "+obs.FieldWidth+"=%d "+obs.FieldWall+"=%s",
-		prefix, sp.Label, sp.OutputRows, sp.SchemeWidth,
-		sp.Wall().Round(time.Microsecond))
+	fmt.Fprintf(b, "%s%-42s "+obs.FieldRows+"=%d", prefix, sp.Label, sp.OutputRows)
+	if analyze {
+		renderStats(b, sp)
+	}
+	b.WriteByte('\n')
+	for i, c := range sp.Children {
+		connector, nextIndent := "├─ ", "│  "
+		if i == len(sp.Children)-1 {
+			connector, nextIndent = "└─ ", "   "
+		}
+		renderSpan(b, c, childPrefix+connector, childPrefix+nextIndent, analyze)
+	}
+}
+
+// renderStats appends a span's EXPLAIN ANALYZE annotations to its line.
+func renderStats(b *strings.Builder, sp *obs.Span) {
+	fmt.Fprintf(b, " "+obs.FieldWidth+"=%d "+obs.FieldWall+"=%s", sp.SchemeWidth, sp.Wall().Round(time.Microsecond))
 	if len(sp.InputRows) > 0 {
 		fmt.Fprintf(b, " "+obs.FieldInputs+"=%v", sp.InputRows)
 	}
@@ -194,13 +184,5 @@ func renderSpan(b *strings.Builder, sp *obs.Span, prefix, childPrefix string) {
 	}
 	if sp.Err != "" {
 		fmt.Fprintf(b, " "+obs.FieldError+"=%q", sp.Err)
-	}
-	b.WriteByte('\n')
-	for i, c := range sp.Children {
-		connector, nextIndent := "├─ ", "│  "
-		if i == len(sp.Children)-1 {
-			connector, nextIndent = "└─ ", "   "
-		}
-		renderSpan(b, c, childPrefix+connector, childPrefix+nextIndent)
 	}
 }

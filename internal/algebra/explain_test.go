@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"relquery/internal/governor"
+	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -15,9 +16,15 @@ func TestExplainShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Explain(e, db)
+	ev := Evaluator{Registry: obs.NewRegistry()}
+	out, err := ExplainWith(&ev, e, db)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One evaluation renders all six nodes: the join ran once, not once per
+	// ancestor.
+	if snap := ev.Registry.Snapshot(); snap.Evals != 1 || snap.Metrics.Joins != 1 {
+		t.Errorf("Explain ran %d evaluations and %d joins, want 1 and 1", snap.Evals, snap.Metrics.Joins)
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 6 { // pi, join, pi, T, pi, T

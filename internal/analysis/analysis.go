@@ -9,7 +9,6 @@ package analysis
 
 import (
 	"relquery/internal/analysis/atomicobs"
-	"relquery/internal/analysis/deprecatedban"
 	"relquery/internal/analysis/errwrapcheck"
 	"relquery/internal/analysis/framework"
 	"relquery/internal/analysis/govloop"
@@ -24,7 +23,6 @@ import (
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		atomicobs.Analyzer,
-		deprecatedban.Analyzer,
 		errwrapcheck.Analyzer,
 		govloop.Analyzer,
 		nilrecv.Analyzer,

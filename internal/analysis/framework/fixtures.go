@@ -2,8 +2,6 @@ package framework
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -34,14 +32,13 @@ func RunFixtures(t *testing.T, testdata string, a *Analyzer, pkgs ...string) {
 	var diags []Diagnostic
 	for _, pkg := range loaded {
 		pass := &Pass{
-			Analyzer:   a,
-			Fset:       prog.Fset,
-			Path:       pkg.Path,
-			Files:      pkg.Files,
-			Pkg:        pkg.Types,
-			Info:       pkg.Info,
-			Deprecated: prog.Deprecated,
-			diags:      &diags,
+			Analyzer: a,
+			Fset:     prog.Fset,
+			Path:     pkg.Path,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+			diags:    &diags,
 		}
 		if err := a.Run(pass); err != nil {
 			t.Fatalf("%s: %s: %v", a.Name, pkg.Path, err)
@@ -51,15 +48,13 @@ func RunFixtures(t *testing.T, testdata string, a *Analyzer, pkgs ...string) {
 	checkWants(t, prog.Fset, loaded, diags)
 }
 
-// moduleList caches one `go list -export -deps -test ./...` run (and the
-// module deprecation registry built from parsed module sources) per test
+// moduleList caches one `go list -export -deps -test ./...` run per test
 // process: every fixture load shares the same export closure.
 var moduleList struct {
-	once       sync.Once
-	err        error
-	root       string
-	exports    map[string]string
-	deprecated *Deprecations
+	once    sync.Once
+	err     error
+	root    string
+	exports map[string]string
 }
 
 func loadModuleList() error {
@@ -81,24 +76,6 @@ func loadModuleList() error {
 		}
 		moduleList.root = root
 		moduleList.exports = buildExports(listed)
-		// Deprecation notices live in doc comments, which export data
-		// does not carry: parse module sources (syntax only) to index
-		// them, so fixtures can exercise bans on real module symbols.
-		reg := &Deprecations{}
-		fset := token.NewFileSet()
-		for _, p := range listed {
-			if p.Standard || p.ForTest != "" || strings.HasSuffix(p.ImportPath, ".test") {
-				continue
-			}
-			var files []*ast.File
-			for _, name := range append(append([]string{}, p.GoFiles...), p.TestGoFiles...) {
-				if f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments); err == nil {
-					files = append(files, f)
-				}
-			}
-			collectDeprecations(reg, p.ImportPath, files)
-		}
-		moduleList.deprecated = reg
 	})
 	return moduleList.err
 }
@@ -115,12 +92,8 @@ func loadFixtures(testdata string, pkgs []string) (*Program, []*Package, error) 
 		exports[k] = v
 	}
 	prog := &Program{
-		Fset:       token.NewFileSet(),
-		Deprecated: &Deprecations{},
-		exports:    exports,
-	}
-	for k, v := range moduleList.deprecated.byKey {
-		prog.Deprecated.add(k, v)
+		Fset:    token.NewFileSet(),
+		exports: exports,
 	}
 	ei := newExportImporter(prog.Fset, moduleList.root, prog.exports)
 	ei.overrides = make(map[string]*types.Package)
@@ -147,7 +120,6 @@ func loadFixtures(testdata string, pkgs []string) (*Program, []*Package, error) 
 			return nil, nil, err
 		}
 		ei.overrides[name] = pkg.Types
-		collectDeprecations(prog.Deprecated, name, pkg.Files)
 		prog.Pkgs = append(prog.Pkgs, pkg)
 		loaded = append(loaded, pkg)
 	}

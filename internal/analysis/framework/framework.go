@@ -6,9 +6,8 @@
 // metadata — is reachable with go/parser, go/types and the go command.
 //
 // The model mirrors go/analysis deliberately: an Analyzer is a named Run
-// function over a Pass; a Pass carries one package's files, types and an
-// aggregated view of module-wide facts (currently the deprecated-symbol
-// registry); diagnostics are (position, message) pairs. Analyzer test
+// function over a Pass; a Pass carries one package's files and types;
+// diagnostics are (position, message) pairs. Analyzer test
 // fixtures use the analysistest convention: files under testdata/src/<pkg>
 // annotated with `// want "regexp"` comments (see RunFixtures).
 //
@@ -27,7 +26,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // An Analyzer describes one invariant check. Run is invoked once per
@@ -59,9 +57,6 @@ type Pass struct {
 	Pkg *types.Package
 	// Info holds the type-checker's results for Files.
 	Info *types.Info
-	// Deprecated indexes every `// Deprecated:` symbol of the enclosing
-	// program (module source plus fixtures), keyed by SymbolKey.
-	Deprecated *Deprecations
 
 	diags *[]Diagnostic
 }
@@ -124,70 +119,6 @@ func WalkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// Deprecations indexes the program's deprecated symbols. Keys are built
-// by SymbolKey; values are the first line of the deprecation notice.
-type Deprecations struct {
-	byKey map[string]string
-}
-
-// Lookup returns the deprecation notice for key, if any.
-func (d *Deprecations) Lookup(key string) (string, bool) {
-	if d == nil {
-		return "", false
-	}
-	msg, ok := d.byKey[key]
-	return msg, ok
-}
-
-// add records one deprecated symbol.
-func (d *Deprecations) add(key, msg string) {
-	if d.byKey == nil {
-		d.byKey = make(map[string]string)
-	}
-	if _, dup := d.byKey[key]; !dup {
-		d.byKey[key] = msg
-	}
-}
-
-// SymbolKey names a top-level symbol, method or struct field in a form
-// stable across separate type-checks: "pkgpath.Name",
-// "pkgpath.Type.Method" or "pkgpath.Type.Field". It returns "" for
-// objects that cannot be keyed (builtins, locals, interface embeds).
-func SymbolKey(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil {
-		return ""
-	}
-	pkg := obj.Pkg().Path()
-	switch o := obj.(type) {
-	case *types.Func:
-		if recv := o.Type().(*types.Signature).Recv(); recv != nil {
-			if named := namedOf(recv.Type()); named != nil {
-				return pkg + "." + named.Obj().Name() + "." + o.Name()
-			}
-			return ""
-		}
-		return pkg + "." + o.Name()
-	case *types.Var:
-		if o.IsField() {
-			// Field keys need the owning type, which the object alone
-			// does not carry; callers key fields via FieldKey instead.
-			return ""
-		}
-		return pkg + "." + o.Name()
-	case *types.TypeName, *types.Const:
-		return pkg + "." + obj.Name()
-	}
-	return ""
-}
-
-// FieldKey names a struct field given its owning named type.
-func FieldKey(owner *types.Named, field string) string {
-	if owner == nil || owner.Obj().Pkg() == nil {
-		return ""
-	}
-	return owner.Obj().Pkg().Path() + "." + owner.Obj().Name() + "." + field
-}
-
 // namedOf unwraps pointers and aliases down to a named type, or nil.
 func namedOf(t types.Type) *types.Named {
 	for {
@@ -218,132 +149,4 @@ func IsNamed(t types.Type, pkgName, typeName string) bool {
 		return false
 	}
 	return n.Obj().Pkg().Name() == pkgName && n.Obj().Name() == typeName
-}
-
-// deprecationOf extracts the first "Deprecated:" line from a comment
-// group, or "".
-func deprecationOf(groups ...*ast.CommentGroup) string {
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, line := range strings.Split(g.Text(), "\n") {
-			line = strings.TrimSpace(line)
-			if strings.HasPrefix(line, "Deprecated:") {
-				return line
-			}
-		}
-	}
-	return ""
-}
-
-// DeclDeprecated reports whether the top-level declaration enclosing pos
-// in file carries a Deprecated: notice. Uses inside deprecated
-// declarations are exempt from deprecation findings: a deprecated shim
-// may reference other deprecated symbols.
-func DeclDeprecated(file *ast.File, pos token.Pos) bool {
-	for _, decl := range file.Decls {
-		if decl.Pos() <= pos && pos <= decl.End() {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				return deprecationOf(d.Doc) != ""
-			case *ast.GenDecl:
-				if deprecationOf(d.Doc) != "" {
-					return true
-				}
-				for _, spec := range d.Specs {
-					if spec.Pos() <= pos && pos <= spec.End() {
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							return deprecationOf(s.Doc, s.Comment) != ""
-						case *ast.ValueSpec:
-							return deprecationOf(s.Doc, s.Comment) != ""
-						}
-					}
-				}
-			}
-			return false
-		}
-	}
-	return false
-}
-
-// collectDeprecations scans one package's syntax for Deprecated: notices
-// on top-level declarations, methods and struct fields, adding them to d
-// under the given package path.
-func collectDeprecations(d *Deprecations, pkgPath string, files []*ast.File) {
-	for _, file := range files {
-		for _, decl := range file.Decls {
-			switch dd := decl.(type) {
-			case *ast.FuncDecl:
-				msg := deprecationOf(dd.Doc)
-				if msg == "" {
-					continue
-				}
-				if dd.Recv != nil && len(dd.Recv.List) == 1 {
-					if recv := recvTypeName(dd.Recv.List[0].Type); recv != "" {
-						d.add(pkgPath+"."+recv+"."+dd.Name.Name, msg)
-					}
-					continue
-				}
-				d.add(pkgPath+"."+dd.Name.Name, msg)
-			case *ast.GenDecl:
-				declMsg := deprecationOf(dd.Doc)
-				for _, spec := range dd.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						msg := deprecationOf(s.Doc, s.Comment)
-						if msg == "" {
-							msg = declMsg
-						}
-						if msg != "" {
-							d.add(pkgPath+"."+s.Name.Name, msg)
-						}
-						if st, ok := s.Type.(*ast.StructType); ok {
-							collectFieldDeprecations(d, pkgPath, s.Name.Name, st)
-						}
-					case *ast.ValueSpec:
-						msg := deprecationOf(s.Doc, s.Comment)
-						if msg == "" {
-							msg = declMsg
-						}
-						if msg == "" {
-							continue
-						}
-						for _, name := range s.Names {
-							d.add(pkgPath+"."+name.Name, msg)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func collectFieldDeprecations(d *Deprecations, pkgPath, typeName string, st *ast.StructType) {
-	for _, f := range st.Fields.List {
-		msg := deprecationOf(f.Doc, f.Comment)
-		if msg == "" {
-			continue
-		}
-		for _, name := range f.Names {
-			d.add(pkgPath+"."+typeName+"."+name.Name, msg)
-		}
-	}
-}
-
-// recvTypeName extracts the receiver base type name from a receiver type
-// expression (T, *T, T[P], *T[P]).
-func recvTypeName(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.StarExpr:
-		return recvTypeName(t.X)
-	case *ast.IndexExpr:
-		return recvTypeName(t.X)
-	case *ast.IndexListExpr:
-		return recvTypeName(t.X)
-	}
-	return ""
 }

@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
-	"strings"
 	"testing"
 )
 
@@ -52,17 +51,6 @@ func TestLoadAndRunOnModulePackage(t *testing.T) {
 	}
 	if funcs == 0 {
 		t.Error("no function declarations seen in internal/join")
-	}
-	// The deprecation registry is fed from the loaded sources. The module
-	// itself carries no deprecated symbol any more, so the check loads
-	// deprecatedban's fixture package through the same pipeline.
-	const dep = "relquery/internal/analysis/deprecatedban/testdata/src/dep"
-	fixture, err := LoadPackages(root, "./internal/analysis/deprecatedban/testdata/src/dep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fixture.Deprecated.Lookup(dep + ".OldThing"); !ok {
-		t.Errorf("deprecation registry is missing %s.OldThing", dep)
 	}
 }
 
@@ -156,81 +144,5 @@ func TestWalkStack(t *testing.T) {
 	if visited != 3 { // file, ident (package name is not a Decl)... func decl
 		// file, funcdecl, and the package name ident
 		t.Errorf("pruned walk visited %d nodes, want 3", visited)
-	}
-}
-
-const deprSrc = `package p
-
-// Deprecated: use New instead.
-type Old struct {
-	// Deprecated: use Size instead.
-	Count int
-	Size  int
-}
-
-// Run runs.
-//
-// Deprecated: use Walk instead.
-func (o *Old) Run() {}
-
-// Deprecated: gone.
-var V, W int
-
-// Deprecated: use F.
-func G() { V = 1 }
-
-func F() {}
-`
-
-func TestCollectDeprecations(t *testing.T) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "p.go", deprSrc, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &Deprecations{}
-	collectDeprecations(d, "example.com/p", []*ast.File{file})
-	for key, wantSub := range map[string]string{
-		"example.com/p.Old":       "use New",
-		"example.com/p.Old.Count": "use Size",
-		"example.com/p.Old.Run":   "use Walk",
-		"example.com/p.V":         "gone",
-		"example.com/p.W":         "gone",
-		"example.com/p.G":         "use F",
-	} {
-		msg, ok := d.Lookup(key)
-		if !ok {
-			t.Errorf("missing deprecation for %s", key)
-			continue
-		}
-		if !strings.Contains(msg, wantSub) {
-			t.Errorf("%s notice = %q, want substring %q", key, msg, wantSub)
-		}
-	}
-	if _, ok := d.Lookup("example.com/p.Old.Size"); ok {
-		t.Error("non-deprecated field Size indexed")
-	}
-	if _, ok := d.Lookup("example.com/p.F"); ok {
-		t.Error("non-deprecated func F indexed")
-	}
-
-	// DeclDeprecated: a position inside G's body is inside a deprecated
-	// declaration; one inside F is not.
-	var gPos, fPos token.Pos
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok {
-			switch fd.Name.Name {
-			case "G":
-				gPos = fd.Body.Pos()
-			case "F":
-				fPos = fd.Body.Pos()
-			}
-		}
-	}
-	if !DeclDeprecated(file, gPos) {
-		t.Error("body of deprecated G not recognized")
-	}
-	if DeclDeprecated(file, fPos) {
-		t.Error("body of plain F misclassified as deprecated")
 	}
 }

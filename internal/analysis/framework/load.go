@@ -30,12 +30,11 @@ type Package struct {
 	Info *types.Info
 }
 
-// A Program is a loaded set of packages sharing one FileSet, one export
-// map and one deprecated-symbol registry.
+// A Program is a loaded set of packages sharing one FileSet and one
+// export map.
 type Program struct {
-	Fset       *token.FileSet
-	Pkgs       []*Package
-	Deprecated *Deprecations
+	Fset *token.FileSet
+	Pkgs []*Package
 
 	exports map[string]string
 	imp     types.Importer
@@ -167,8 +166,7 @@ func (ei *exportImporter) Import(path string) (*types.Package, error) {
 
 // LoadPackages loads, parses and type-checks every module package matched
 // by patterns (run from dir, which must be inside the module), including
-// test files, and builds the module-wide deprecated-symbol registry.
-// Dependencies resolve from compiled export data, so only the matched
+// test files. Dependencies resolve from compiled export data, so only the matched
 // packages are type-checked from source.
 func LoadPackages(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
@@ -179,9 +177,8 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 		return nil, err
 	}
 	prog := &Program{
-		Fset:       token.NewFileSet(),
-		Deprecated: &Deprecations{},
-		exports:    buildExports(listed),
+		Fset:    token.NewFileSet(),
+		exports: buildExports(listed),
 	}
 	prog.imp = newExportImporter(prog.Fset, dir, prog.exports)
 
@@ -200,8 +197,7 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 			}
 			prog.Pkgs = append(prog.Pkgs, pkg)
 		}
-		// A dependency's external test package is left out: nothing can
-		// import it, so it adds nothing to the registry, and it may use
+		// A dependency's external test package is left out: it may use
 		// its package's export_test.go helpers, which only the
 		// test-augmented export data — built for matched packages only —
 		// carries.
@@ -212,9 +208,6 @@ func LoadPackages(dir string, patterns ...string) (*Program, error) {
 			}
 			prog.Pkgs = append(prog.Pkgs, pkg)
 		}
-	}
-	for _, pkg := range prog.Pkgs {
-		collectDeprecations(prog.Deprecated, pkg.Types.Path(), pkg.Files)
 	}
 	return prog, nil
 }
@@ -251,14 +244,13 @@ func (prog *Program) Run(analyzers ...*Analyzer) ([]Diagnostic, error) {
 	for _, pkg := range prog.Pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer:   a,
-				Fset:       prog.Fset,
-				Path:       pkg.Path,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				Info:       pkg.Info,
-				Deprecated: prog.Deprecated,
-				diags:      &diags,
+				Analyzer: a,
+				Fset:     prog.Fset,
+				Path:     pkg.Path,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				Info:     pkg.Info,
+				diags:    &diags,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

@@ -7,11 +7,9 @@ import (
 )
 
 // SARIF 2.1.0 output: the minimal static-analysis interchange subset —
-// one run, one rule per analyzer, one result per diagnostic — that
-// GitHub code scanning and SARIF viewers accept. Fresh findings carry
-// level "error"; findings matched by the committed baseline are demoted
-// to "warning" so the ratchet's debt stays visible without failing the
-// build.
+// one run, one rule per analyzer, one result per diagnostic, every
+// result at level "error" — that GitHub code scanning and SARIF viewers
+// accept.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
@@ -70,9 +68,8 @@ type sarifRegion struct {
 }
 
 // RelPath returns path relative to root in slash form, or path
-// unchanged when it does not sit under root. Baseline keys and SARIF
-// artifact URIs both use this form so reports are stable across
-// checkouts.
+// unchanged when it does not sit under root. SARIF artifact URIs use this
+// form so reports are stable across checkouts.
 func RelPath(root, path string) string {
 	if root == "" {
 		return filepath.ToSlash(path)
@@ -84,11 +81,11 @@ func RelPath(root, path string) string {
 	return filepath.ToSlash(rel)
 }
 
-// WriteSARIF writes fresh and baselined diagnostics as one SARIF 2.1.0
-// run for the given analyzer suite. File paths are reported relative to
+// WriteSARIF writes the diagnostics as one SARIF 2.1.0 run for the given
+// analyzer suite. File paths are reported relative to
 // root with uriBaseId %SRCROOT%, the SARIF convention for
 // repository-relative locations.
-func WriteSARIF(w io.Writer, analyzers []*Analyzer, fresh, baselined []Diagnostic, root string) error {
+func WriteSARIF(w io.Writer, analyzers []*Analyzer, diags []Diagnostic, root string) error {
 	driver := sarifDriver{Name: "relquerylint"}
 	ruleIndex := make(map[string]int, len(analyzers))
 	for _, a := range analyzers {
@@ -99,8 +96,8 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, fresh, baselined []Diagnosti
 		})
 	}
 
-	results := make([]sarifResult, 0, len(fresh)+len(baselined))
-	add := func(d Diagnostic, level string) {
+	results := make([]sarifResult, 0, len(diags))
+	for _, d := range diags {
 		idx, ok := ruleIndex[d.Analyzer]
 		if !ok {
 			// Diagnostics from analyzers outside the suite still get a
@@ -115,7 +112,7 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, fresh, baselined []Diagnosti
 		results = append(results, sarifResult{
 			RuleID:    d.Analyzer,
 			RuleIndex: idx,
-			Level:     level,
+			Level:     "error",
 			Message:   sarifMessage{Text: d.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysicalLocation{
@@ -130,12 +127,6 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, fresh, baselined []Diagnosti
 				},
 			}},
 		})
-	}
-	for _, d := range fresh {
-		add(d, "error")
-	}
-	for _, d := range baselined {
-		add(d, "warning")
 	}
 
 	enc := json.NewEncoder(w)

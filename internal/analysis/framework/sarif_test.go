@@ -3,19 +3,30 @@ package framework
 import (
 	"bytes"
 	"encoding/json"
+	"go/token"
 	"testing"
 )
+
+func diag(analyzer, file string, line int, msg string) Diagnostic {
+	return Diagnostic{
+		Pos:      token.Position{Filename: file, Line: line, Column: 1},
+		Analyzer: analyzer,
+		Message:  msg,
+	}
+}
 
 func TestWriteSARIF(t *testing.T) {
 	analyzers := []*Analyzer{
 		{Name: "govloop", Doc: "loops must tick"},
 		{Name: "nilrecv", Doc: "guard the receiver"},
 	}
-	fresh := []Diagnostic{diag("govloop", "/repo/a.go", 10, "loop has no tick")}
-	baselined := []Diagnostic{diag("nilrecv", "/repo/b.go", 5, "deref before guard")}
+	diags := []Diagnostic{
+		diag("govloop", "/repo/a.go", 10, "loop has no tick"),
+		diag("nilrecv", "/repo/b.go", 5, "deref before guard"),
+	}
 
 	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, analyzers, fresh, baselined, "/repo"); err != nil {
+	if err := WriteSARIF(&buf, analyzers, diags, "/repo"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -68,9 +79,10 @@ func TestWriteSARIF(t *testing.T) {
 	if len(run.Results) != 2 {
 		t.Fatalf("results = %d, want 2", len(run.Results))
 	}
-	levels := map[string]string{}
 	for _, r := range run.Results {
-		levels[r.RuleID] = r.Level
+		if r.Level != "error" {
+			t.Errorf("result %s: level %q, want error", r.RuleID, r.Level)
+		}
 		if r.RuleIndex < 0 || r.RuleIndex >= len(run.Tool.Driver.Rules) ||
 			run.Tool.Driver.Rules[r.RuleIndex].ID != r.RuleID {
 			t.Errorf("result %s: ruleIndex %d does not point at its rule", r.RuleID, r.RuleIndex)
@@ -83,16 +95,13 @@ func TestWriteSARIF(t *testing.T) {
 			t.Errorf("result %s missing location: %+v", r.RuleID, loc)
 		}
 	}
-	if levels["govloop"] != "error" || levels["nilrecv"] != "warning" {
-		t.Errorf("levels = %v, want fresh=error baselined=warning", levels)
-	}
 }
 
 // TestWriteSARIFUnknownRule: diagnostics from outside the suite still
 // get a rule so the log stays self-contained.
 func TestWriteSARIFUnknownRule(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteSARIF(&buf, nil, []Diagnostic{diag("mystery", "/r/a.go", 1, "m")}, nil, "/r")
+	err := WriteSARIF(&buf, nil, []Diagnostic{diag("mystery", "/r/a.go", 1, "m")}, "/r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,5 +121,18 @@ func TestWriteSARIFUnknownRule(t *testing.T) {
 	}
 	if len(log.Runs[0].Tool.Driver.Rules) != 1 || log.Runs[0].Tool.Driver.Rules[0].ID != "mystery" {
 		t.Errorf("unknown analyzer did not get an auto-added rule: %+v", log.Runs[0].Tool.Driver.Rules)
+	}
+}
+
+func TestRelPath(t *testing.T) {
+	cases := []struct{ root, path, want string }{
+		{"/repo", "/repo/internal/a.go", "internal/a.go"},
+		{"/repo", "/elsewhere/b.go", "/elsewhere/b.go"},
+		{"", "/abs/c.go", "/abs/c.go"},
+	}
+	for _, c := range cases {
+		if got := RelPath(c.root, c.path); got != c.want {
+			t.Errorf("RelPath(%q, %q) = %q, want %q", c.root, c.path, got, c.want)
+		}
 	}
 }

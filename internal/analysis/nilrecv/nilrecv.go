@@ -101,18 +101,8 @@ func receiverObj(pass *framework.Pass, fd *ast.FuncDecl, typeNames map[string]bo
 func checkMethod(pass *framework.Pass, fd *ast.FuncDecl, recv *types.Var) {
 	typeName := recv.Type().(*types.Pointer).Elem().(*types.Named).Obj().Name()
 	for _, stmt := range fd.Body.List {
-		if ifs, ok := stmt.(*ast.IfStmt); ok && ifs.Init == nil {
-			if isNilCheck(pass, ifs.Cond, recv, token.EQL) {
-				return // guarded: if recv == nil [|| ...] { ... }
-			}
-			if isNilCheck(pass, ifs.Cond, recv, token.NEQ) {
-				// if recv != nil { ... }: the then-body is safe; only an
-				// else branch (the nil path) can still dereference.
-				if ifs.Else == nil {
-					continue
-				}
-				stmt = ifs.Else
-			}
+		if ifs, ok := stmt.(*ast.IfStmt); ok && ifs.Init == nil && isNilGuard(pass, ifs.Cond, recv) {
+			return // guarded: if recv == nil [|| ...] { ... }
 		}
 		if bad := firstDeref(pass, stmt, recv); bad != nil {
 			pass.Reportf(bad.Pos(),
@@ -123,21 +113,20 @@ func checkMethod(pass *framework.Pass, fd *ast.FuncDecl, recv *types.Var) {
 	}
 }
 
-// isNilCheck reports whether cond's leftmost &&/|| operand is
-// `recv <op> nil`. Later operands of the chain may dereference the
-// receiver freely: short-circuit evaluation has already excluded (for
-// ||, committed for &&) the nil case when they run.
-func isNilCheck(pass *framework.Pass, cond ast.Expr, recv *types.Var, op token.Token) bool {
+// isNilGuard reports whether cond's leftmost || operand is `recv == nil`.
+// Later operands of the chain may dereference the receiver freely:
+// short-circuit evaluation has already excluded the nil case when they run.
+func isNilGuard(pass *framework.Pass, cond ast.Expr, recv *types.Var) bool {
 	for {
 		bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 		if !ok {
 			return false
 		}
-		if bin.Op == token.LOR || bin.Op == token.LAND {
+		if bin.Op == token.LOR {
 			cond = bin.X
 			continue
 		}
-		if bin.Op != op {
+		if bin.Op != token.EQL {
 			return false
 		}
 		x, y := ast.Unparen(bin.X), ast.Unparen(bin.Y)
@@ -160,11 +149,10 @@ func isNil(pass *framework.Pass, e ast.Expr) bool {
 }
 
 // firstDeref returns the first expression under n that dereferences
-// recv: a field selection, an explicit *recv, or a call to one of its
-// value-receiver methods (which copies through the pointer).
-// Pointer-receiver method calls and passing recv as an argument are
-// delegation — the callee owns the nil check — and storing or
-// comparing the pointer itself never touches the pointee.
+// recv: a field selection or an explicit *recv. Method calls on recv and
+// passing it as an argument are delegation — the callee owns the nil
+// check — and storing or comparing the pointer itself never touches the
+// pointee.
 func firstDeref(pass *framework.Pass, n ast.Node, recv *types.Var) ast.Node {
 	var bad ast.Node
 	ast.Inspect(n, func(x ast.Node) bool {
@@ -181,26 +169,9 @@ func firstDeref(pass *framework.Pass, n ast.Node, recv *types.Var) ast.Node {
 			if !isObj(pass, ast.Unparen(y.X), recv) {
 				return true
 			}
-			sel, ok := pass.Info.Selections[y]
-			if !ok {
-				return true
-			}
-			switch sel.Kind() {
-			case types.FieldVal:
+			if sel, ok := pass.Info.Selections[y]; ok && sel.Kind() == types.FieldVal {
 				bad = y
 				return false
-			case types.MethodVal:
-				fn, ok := sel.Obj().(*types.Func)
-				if !ok {
-					return true
-				}
-				sig := fn.Type().(*types.Signature)
-				if sig.Recv() != nil {
-					if _, ptr := sig.Recv().Type().(*types.Pointer); !ptr {
-						bad = y // value-receiver method: implicit *recv copy
-						return false
-					}
-				}
 			}
 		}
 		return true

@@ -28,31 +28,6 @@ func (c *Collector) ChainGuard() int {
 	return len(c.spans)
 }
 
-// WrapperGuard: the non-nil branch owns every dereference.
-func (c *Collector) WrapperGuard() {
-	if c != nil {
-		c.on = true
-	}
-}
-
-// DerefAfterWrapper leaks past the wrapper: c may still be nil on the
-// return statement.
-func (c *Collector) DerefAfterWrapper() bool {
-	if c != nil {
-		c.on = true
-	}
-	return c.on // want `\(\*Collector\)\.DerefAfterWrapper dereferences the receiver before the nil guard`
-}
-
-// ElseDeref dereferences on the proven-nil path.
-func (c *Collector) ElseDeref() int {
-	if c != nil {
-		return len(c.spans)
-	} else {
-		return len(c.spans) // want `\(\*Collector\)\.ElseDeref dereferences the receiver before the nil guard`
-	}
-}
-
 // Delegate only forwards the receiver: the callee owns the nil check.
 func (c *Collector) Delegate() {
 	use(c)
@@ -70,18 +45,6 @@ func (c *Collector) unguardedInternal() int {
 }
 
 func use(c *Collector) {}
-
-type Trace struct {
-	id int
-}
-
-// ID has a value receiver: calling it auto-dereferences the pointer.
-func (t Trace) ID() int { return t.id }
-
-// Describe trips the implicit dereference of the value-receiver call.
-func (t *Trace) Describe() int {
-	return t.ID() // want `\(\*Trace\)\.Describe dereferences the receiver before the nil guard`
-}
 
 type Registry struct {
 	n int

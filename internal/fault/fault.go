@@ -41,8 +41,7 @@ const (
 	// before any work.
 	JoinStart Point = "join.start"
 	// JoinBatch is crossed once per tuple batch inside the sequential
-	// algorithms' hot loops (hash probe, nested-loop scan, sort-merge
-	// emit).
+	// hash join's probe loop.
 	JoinBatch Point = "join.batch"
 	// ParallelWorker is crossed by every parallel hash-join worker
 	// goroutine as it starts a chunk or bucket.

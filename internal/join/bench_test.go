@@ -22,8 +22,7 @@ func benchRelation(rng *rand.Rand, scheme relation.Scheme, rows, keys int) *rela
 }
 
 // BenchmarkBinaryJoin compares the algorithms across input sizes.
-// Expected shape: nested-loop quadratic, hash and sort-merge near-linear
-// in |input| + |output|.
+// Expected shape: near-linear in |input| + |output| for every algorithm.
 func BenchmarkBinaryJoin(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, rows := range []int{100, 400} {

@@ -29,15 +29,6 @@ func sameKey(t relation.Tuple, kt keyCols, u relation.Tuple, ku keyCols) bool {
 	return true
 }
 
-// values copies the key out of t, for the sort-merge join's sort.
-func (k keyCols) values(t relation.Tuple) relation.Tuple {
-	sub := make(relation.Tuple, len(k))
-	for i, j := range k {
-		sub[i] = t[j]
-	}
-	return sub
-}
-
 // hashTable is the build side of a hash join or semijoin: the rows of one
 // relation grouped by join key, with no key materialized. A key-free
 // relation.Index maps the hash of a row's key columns to a group; a group

@@ -151,10 +151,9 @@ func (m *Metrics) observeIntermediate(rows int) {
 	}
 }
 
-// JoinWork records one binary join's tuple traffic. The exact meaning of
-// built/probed is per algorithm (hash: build-side and probe-side rows;
-// nested loop: 0 and pairs examined; sort-merge: rows sorted and rows
-// merged); emitted is always the output cardinality.
+// JoinWork records one binary join's tuple traffic: built and probed are
+// the hash join's build-side and probe-side rows, emitted is the output
+// cardinality.
 func (m *Metrics) JoinWork(built, probed, emitted int) {
 	if m == nil {
 		return

@@ -7,7 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
+	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -32,20 +33,16 @@ const TenantHeader = "X-Relquery-Tenant"
 // queryRequest is one parsed query submission.
 type queryRequest struct {
 	src      string
-	strategy string // one of servedStrategies
-	order    join.Order
+	strategy string // one of join.StrategyNames
+	// ev is the request's one evaluator: ?strategy= and ?order= configure it
+	// here, serveQuery adds what the server and the tenant decide, and both
+	// admission gates read it.
+	ev       algebra.Evaluator
 	timeout  time.Duration
 	analyze  bool // EXPLAIN ANALYZE output instead of tuples
 	count    bool // cardinality only
 	optimize bool
 }
-
-// servedStrategies are the ?strategy= values relqueryd accepts: the auto
-// selector, what it can pick, and the parallel hash join. nestedloop and
-// sortmerge, which auto never picks and no benchmark row favours, stay with
-// the CLI and the oracle tests: a tenant may not ask a shared process for a
-// quadratic join.
-var servedStrategies = []string{"hash", "parallel", "wcoj", "yannakakis", "auto"}
 
 // parseQueryRequest decodes the body (raw expression text) and the
 // tuning query parameters.
@@ -57,24 +54,24 @@ func parseQueryRequest(r *http.Request) (*queryRequest, error) {
 	q := &queryRequest{
 		src:      strings.TrimSpace(string(body)),
 		strategy: "auto",
-		order:    join.Greedy,
 	}
+	q.ev.Order = join.Greedy
 	if q.src == "" {
 		return nil, errors.New("empty query body (POST the expression text, e.g. pi[A C](pi[A B](T) * pi[B C](T)))")
 	}
 	params := r.URL.Query()
 	if v := params.Get("strategy"); v != "" {
-		if !slices.Contains(servedStrategies, v) {
-			return nil, fmt.Errorf("strategy: %q is not served (served: %s)", v, strings.Join(servedStrategies, ", "))
-		}
 		q.strategy = v
+	}
+	if err := q.ev.SetStrategy(q.strategy); err != nil {
+		return nil, fmt.Errorf("strategy: %w", err)
 	}
 	if v := params.Get("order"); v != "" {
 		order, err := join.OrderByName(v)
 		if err != nil {
 			return nil, fmt.Errorf("order: %w", err)
 		}
-		q.order = order
+		q.ev.Order = order
 	}
 	if v := params.Get("timeout"); v != "" {
 		d, err := governor.ParseTimeout(v)
@@ -90,9 +87,26 @@ func parseQueryRequest(r *http.Request) (*queryRequest, error) {
 	default:
 		return nil, fmt.Errorf("explain: unknown mode %q (want analyze)", v)
 	}
-	q.count = params.Get("count") != ""
-	q.optimize = params.Get("optimize") != ""
+	if q.count, err = boolParam(params, "count"); err != nil {
+		return nil, err
+	}
+	if q.optimize, err = boolParam(params, "optimize"); err != nil {
+		return nil, err
+	}
 	return q, nil
+}
+
+// boolParam reads an on/off query parameter: absent or empty is off.
+func boolParam(params url.Values, name string) (bool, error) {
+	v := params.Get(name)
+	if v == "" {
+		return false, nil
+	}
+	on, err := strconv.ParseBool(v)
+	if err != nil {
+		return false, fmt.Errorf("%s: %q is not a boolean (want 1, 0, true or false)", name, v)
+	}
+	return on, nil
 }
 
 // limitsFor tightens the tenant's limits with the request's own timeout:
@@ -172,13 +186,18 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	limits := q.limitsFor(t)
-	collector := &obs.Collector{}
+	ev := &q.ev
+	ev.Parallelism = s.cfg.Parallelism
+	ev.SharedCache = s.shared
+	ev.Collector = &obs.Collector{}
+	ev.Registry = s.reg
+	ev.Limits = q.limitsFor(t)
+	ev.Admit = true
 
 	// Pre-flight admission on the base relations the expression touches:
 	// the same governor.Admit gate over the same join.Plan predictions the
 	// engine's per-node gate uses, applied before any work runs.
-	if rejected := s.admit(w, q, expr, db, t, limits, collector); rejected {
+	if rejected := s.admit(w, ev, expr, db, t); rejected {
 		return
 	}
 
@@ -196,26 +215,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
 
-	ev := algebra.EvalOptions{
-		Parallelism:    s.cfg.Parallelism,
-		SharedCache:    s.shared,
-		AutoWCOJ:       q.strategy == "auto",
-		AutoYannakakis: q.strategy == "auto",
-		Collector:      collector,
-		Registry:       s.reg,
-		Limits:         limits,
-		Admit:          true,
-	}.NewEvaluator()
-	ev.Order = q.order
-	if q.strategy != "auto" {
-		alg, err := join.ByName(q.strategy)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		ev.Algorithm = alg
-	}
-
 	start := time.Now()
 	out, err := ev.EvalContext(r.Context(), expr, db)
 	wall := time.Since(start)
@@ -228,12 +227,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	w.Header().Set("X-Relquery-Rows", fmt.Sprint(out.Len()))
 	w.Header().Set("X-Relquery-Wall", wall.String())
 	w.Header().Set("X-Relquery-Strategy", q.strategy)
-	snap := collector.Metrics.Snapshot()
+	snap := ev.Collector.Metrics.Snapshot()
 	w.Header().Set("X-Relquery-Cache-Hits", fmt.Sprint(snap.CacheHits))
 	switch {
 	case q.analyze:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = io.WriteString(w, algebra.RenderTrace(collector.Trace()))
+		_, _ = io.WriteString(w, algebra.RenderTrace(ev.Collector.Trace()))
 	case q.count:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "%d\n", out.Len())
@@ -242,30 +241,25 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	}
 }
 
-// admit runs the server-level admission gate and, when the query is
-// over budget, writes the 429 and reports true. The gate also charges
-// the rejection to the registry (violation counter + latency) so
-// /metrics shows rejected load next to executed load. collector is the
-// request's: what the gate plans is counted with what the evaluation does.
-func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr, db relation.Database, t *tenant, limits governor.Limits, collector *obs.Collector) bool {
-	if limits.MaxIntermediateRows <= 0 {
+// admit runs the server-level admission gate for the request's evaluator
+// and, when the query is over budget, writes the 429 and reports true. The
+// gate also charges the rejection to the registry (violation counter +
+// latency) so /metrics shows rejected load next to executed load; what it
+// plans is counted on the evaluator's collector, with what the evaluation
+// does.
+func (s *Server) admit(w http.ResponseWriter, ev *algebra.Evaluator, expr algebra.Expr, db relation.Database, t *tenant) bool {
+	if ev.Limits.MaxIntermediateRows <= 0 {
 		return false
 	}
-	outputBounded := false
-	switch q.strategy {
-	case "wcoj", "yannakakis", "auto":
-		// Output-bounded strategies never materialize past the n-ary AGM
-		// bound; auto routes predicted blow-ups to them.
-		outputBounded = true
-	}
-	gov := governor.New(context.Background(), limits).WithMetrics(collector.M())
+	metrics := ev.Collector.M()
+	gov := governor.New(context.Background(), ev.Limits).WithMetrics(metrics)
 	start := time.Now()
-	err := gov.Admit(s.shared.OperandPlan(expr, db, collector.M()), outputBounded)
+	err := gov.Admit(s.shared.OperandPlan(expr, db, metrics), ev.OutputBounded())
 	if err == nil {
 		return false
 	}
 	s.metrics.evalDone(t.name)
-	s.reg.Observe(collector.Trace(), time.Since(start))
+	s.reg.Observe(ev.Collector.Trace(), time.Since(start))
 	s.writeAdmissionReject(w, t, err)
 	return true
 }

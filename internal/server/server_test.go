@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"relquery/internal/algebra"
 	"relquery/internal/fault"
 	"relquery/internal/governor"
+	"relquery/internal/join"
 	"relquery/internal/relation"
 	"relquery/internal/telemetry"
 )
@@ -244,14 +246,39 @@ func TestRequestTimeoutTightensOnly(t *testing.T) {
 	}
 }
 
-// TestQueryVariants exercises count, explain=analyze and strategy
-// selection on an admitted tenant.
+// TestQueryVariants exercises count, optimize and explain=analyze on an
+// admitted tenant. ?count= and ?optimize= are booleans, not presence flags:
+// =0 is off.
 func TestQueryVariants(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	resp := postQuery(t, ts, "acme", chainQuery, "count=1")
-	if body := strings.TrimSpace(readBody(t, resp)); body != "12000" {
-		t.Errorf("count body = %q, want 12000", body)
+	for _, on := range []string{"count=1", "count=true"} {
+		resp := postQuery(t, ts, "acme", chainQuery, on)
+		if body := strings.TrimSpace(readBody(t, resp)); body != "12000" {
+			t.Errorf("?%s body = %q, want 12000", on, body)
+		}
+	}
+	resp := postQuery(t, ts, "acme", chainQuery, "count=0")
+	if body := readBody(t, resp); !strings.HasPrefix(body, "# "+chainQuery+"\n# 12000 tuples") {
+		t.Errorf("?count=0 did not stream the result: %.80q", body)
+	}
+
+	// The streamed header names the evaluated expression, so it shows
+	// whether the optimizer rewrote it.
+	const pushdown = "pi[A](R1 * R2)"
+	header := func(params string) string {
+		resp := postQuery(t, ts, "acme", pushdown, params)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("?%s: status %d: %s", params, resp.StatusCode, readBody(t, resp))
+		}
+		line, _, _ := strings.Cut(readBody(t, resp), "\n")
+		return line
+	}
+	if got := header("optimize=0"); got != "# "+pushdown {
+		t.Errorf("?optimize=0 evaluated %q, want the expression as written", got)
+	}
+	if got := header("optimize=1"); got == "# "+pushdown {
+		t.Errorf("?optimize=1 evaluated the expression as written: %q", got)
 	}
 
 	resp = postQuery(t, ts, "acme", chainQuery, "explain=analyze")
@@ -261,31 +288,50 @@ func TestQueryVariants(t *testing.T) {
 	if body := readBody(t, resp); !strings.Contains(body, "join") {
 		t.Errorf("EXPLAIN ANALYZE output does not mention a join:\n%s", body)
 	}
+}
 
-	for _, strategy := range []string{"hash", "parallel", "yannakakis", "wcoj", "auto"} {
-		resp := postQuery(t, ts, "acme", chainQuery, "strategy="+strategy+"&count=1")
+// TestStrategyTable: join.StrategyNames() is the one strategy table. Every
+// entry resolves and is served, nothing else is, and the evaluator answers
+// admission's question — are the strategy's intermediates bounded by its
+// output? — as the switch on names in server.admit used to.
+func TestStrategyTable(t *testing.T) {
+	_, ts := newTestServer(t)
+
+	outputBounded := map[string]bool{"hash": false, "parallel": false, "wcoj": true, "yannakakis": true, "auto": true}
+	names := join.StrategyNames()
+	if len(names) != len(outputBounded) {
+		t.Fatalf("join.StrategyNames() = %v, want the %d names of %v", names, len(outputBounded), outputBounded)
+	}
+	for _, name := range names {
+		var ev algebra.Evaluator
+		if err := ev.SetStrategy(name); err != nil {
+			t.Fatalf("SetStrategy(%q): %v", name, err)
+		}
+		if want, ok := outputBounded[name]; !ok || ev.OutputBounded() != want {
+			t.Errorf("%s: OutputBounded() = %v, want %v (known name: %v)", name, ev.OutputBounded(), want, ok)
+		}
+		resp := postQuery(t, ts, "acme", chainQuery, "strategy="+name+"&count=1")
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("strategy=%s: status %d: %s", strategy, resp.StatusCode, readBody(t, resp))
+			t.Fatalf("strategy=%s: status %d: %s", name, resp.StatusCode, readBody(t, resp))
 		}
 		if body := strings.TrimSpace(readBody(t, resp)); body != "12000" {
-			t.Errorf("strategy=%s count = %q, want 12000", strategy, body)
+			t.Errorf("strategy=%s count = %q, want 12000", name, body)
 		}
 	}
 
-	// The quadratic strategies exist in the engine (the CLI and the oracle
-	// tests use them) but a tenant may not ask a shared server for one.
-	for _, strategy := range []string{"nosuch", "nestedloop", "sortmerge"} {
-		resp = postQuery(t, ts, "acme", chainQuery, "strategy="+strategy)
+	for _, name := range []string{"nosuch", "nestedloop", "sortmerge"} {
+		resp := postQuery(t, ts, "acme", chainQuery, "strategy="+name)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("strategy=%s: status %d, want 400", strategy, resp.StatusCode)
+			t.Errorf("strategy=%s: status %d, want 400", name, resp.StatusCode)
 		}
-		if body := readBody(t, resp); !strings.Contains(body, "hash, parallel, wcoj, yannakakis, auto") {
-			t.Errorf("strategy=%s: 400 body does not list the served strategies: %s", strategy, body)
+		if body := readBody(t, resp); !strings.Contains(body, strings.Join(names, ", ")) {
+			t.Errorf("strategy=%s: 400 body does not list the served strategies: %s", name, body)
 		}
 	}
 }
 
-// TestQueryErrors checks parse failures and empty bodies map to 400.
+// TestQueryErrors checks parse failures, empty bodies and malformed
+// parameters map to 400.
 func TestQueryErrors(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp := postQuery(t, ts, "acme", "R1 * Nope", "")
@@ -299,6 +345,12 @@ func TestQueryErrors(t *testing.T) {
 	resp = postQuery(t, ts, "acme", "pi[", "")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("syntax error: status %d, want 400", resp.StatusCode)
+	}
+	for _, params := range []string{"count=yes", "optimize=on"} {
+		resp = postQuery(t, ts, "acme", chainQuery, params)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("?%s: status %d, want 400", params, resp.StatusCode)
+		}
 	}
 }
 

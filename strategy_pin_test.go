@@ -39,9 +39,8 @@ type strategyPin struct {
 // budget-checked somewhere it was not, or no longer is.
 func TestStrategyObservationsPinned(t *testing.T) {
 	type workload struct {
-		expr   algebra.Expr
-		db     relation.Database
-		gadget bool
+		expr algebra.Expr
+		db   relation.Database
 	}
 	workloads := map[string]workload{}
 	lemma1 := lemma1Families(t)
@@ -54,10 +53,10 @@ func TestStrategyObservationsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		workloads[name] = workload{phi, c.Database(), true}
+		workloads[name] = workload{phi, c.Database()}
 	}
 	for name, fam := range acyclicFamilies(t) {
-		workloads[name] = workload{fam.expr, fam.db, false}
+		workloads[name] = workload{fam.expr, fam.db}
 	}
 
 	forced := func(name string) algebra.Evaluator {
@@ -69,8 +68,6 @@ func TestStrategyObservationsPinned(t *testing.T) {
 	}
 	strategies := map[string]algebra.Evaluator{
 		"hash":       forced("hash"),
-		"sortmerge":  forced("sortmerge"),
-		"nestedloop": forced("nestedloop"),
 		"parallel-8": {Order: join.Greedy, Parallelism: 8},
 		"wcoj":       forced("wcoj"),
 		"yannakakis": forced("yannakakis"),
@@ -80,9 +77,6 @@ func TestStrategyObservationsPinned(t *testing.T) {
 	got := map[string]strategyPin{}
 	for wname, w := range workloads {
 		for sname, ev := range strategies {
-			if testing.Short() && sname == "nestedloop" && w.gadget {
-				continue // |l|·|r| pairs per join on the gadgets: minutes under -race
-			}
 			col := &obs.Collector{}
 			ev.Collector = col
 			if _, err := ev.Eval(w.expr, w.db); err != nil {
@@ -125,7 +119,7 @@ func TestStrategyObservationsPinned(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) && !testing.Short() {
+	if len(got) != len(want) {
 		t.Errorf("%d evaluations, pinned table has %d", len(got), len(want))
 	}
 	for key, g := range got {
