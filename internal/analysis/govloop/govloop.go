@@ -8,12 +8,18 @@
 // exactly the unbounded work the governor exists to bound, and no test
 // catches it until a production query hangs past its deadline.
 //
-// The analyzer flags for/range loops over tuple collections (slices of
-// relation.Tuple, and Relation.Each callbacks, whose bodies are loop
-// bodies in all but syntax) inside the engine packages when the
-// enclosing function has a governor in scope but the loop body cannot
-// reach a governor method: directly, through same-package helpers, or
-// by delegating the governor itself into a callee. Loops that are
+// The analyzer flags loops over tuple collections inside the engine
+// packages when the enclosing function has a governor in scope but the
+// loop body cannot reach a governor method: directly, through
+// same-package helpers, or by delegating the governor itself into a
+// callee. Four shapes count as such a loop: a range over a slice of
+// relation.Tuple; a Relation.Each callback, whose body is a loop body in
+// all but syntax; a counted loop over a relation's rows — bounded by
+// Relation.Len() or reading Relation.Tuple(i) at its own index variable,
+// the shape of a count-first probe pass; and an index-chain loop, whose
+// post statement advances a variable through a call on itself (for i :=
+// table.first(…); i >= 0; i = table.after(i)) — the hash join's bucket
+// walk, as long as the build side under key skew. Loops that are
 // genuinely cardinality-bounded can be annotated
 // `//lint:ungoverned <reason>` — the reason is required, so the waiver
 // documents itself.
@@ -22,6 +28,7 @@ package govloop
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"relquery/internal/analysis/framework"
 )
@@ -59,6 +66,11 @@ func run(pass *framework.Pass) error {
 	}
 	reach := framework.NewReachability(pass, isGovernorMethod)
 	for _, file := range pass.Files {
+		// A test that compares two results row by row under a zero Exec is
+		// not an engine loop.
+		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+			continue
+		}
 		dirs := framework.Directives(pass.Fset, file)
 		c := &checker{pass: pass, reach: reach, dirs: dirs}
 		for _, decl := range file.Decls {
@@ -110,8 +122,18 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.RangeStmt:
-			if c.isTupleRange(x) {
+			switch {
+			case c.isTupleRange(x):
 				c.checkLoop(x, x.Body, "range over tuples")
+			case c.isRowLoop(x.X, x.Body, x.Key, x.Value):
+				c.checkLoop(x, x.Body, "counted loop over relation rows")
+			}
+		case *ast.ForStmt:
+			switch {
+			case isChainLoop(x):
+				c.checkLoop(x, x.Body, "index-chain loop")
+			case c.isRowLoop(x.Cond, x.Body, initVars(x)...):
+				c.checkLoop(x, x.Body, "counted loop over relation rows")
 			}
 		case *ast.CallExpr:
 			if body := eachCallbackBody(c.pass, x); body != nil {
@@ -172,14 +194,101 @@ func (c *checker) isTupleRange(rng *ast.RangeStmt) bool {
 	return framework.IsNamed(slice.Elem(), "relation", "Tuple")
 }
 
+// isRowLoop reports whether a loop with the given bound expression (a for
+// statement's condition, a range statement's operand), body and own
+// variables walks a relation's rows by position: the bound calls
+// Relation.Len(), or the body reads Relation.Tuple(e) with e built from
+// one of the loop's variables.
+func (c *checker) isRowLoop(bound ast.Expr, body *ast.BlockStmt, vars ...ast.Expr) bool {
+	own := make(map[types.Object]bool)
+	for _, v := range vars {
+		if id, ok := v.(*ast.Ident); ok {
+			if obj := c.pass.Info.ObjectOf(id); obj != nil {
+				own[obj] = true
+			}
+		}
+	}
+	found := false
+	if bound != nil {
+		ast.Inspect(bound, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && relationMethod(c.pass, call) == "Len" {
+				found = true
+			}
+			return !found
+		})
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		if call, ok := n.(*ast.CallExpr); ok && relationMethod(c.pass, call) == "Tuple" && len(call.Args) == 1 {
+			ast.Inspect(call.Args[0], func(a ast.Node) bool {
+				if id, ok := a.(*ast.Ident); ok && own[c.pass.Info.ObjectOf(id)] {
+					found = true
+				}
+				return !found
+			})
+		}
+		return !found
+	})
+	return found
+}
+
+// relationMethod returns the name of the relation.Relation method call
+// invokes, or "".
+func relationMethod(pass *framework.Pass, call *ast.CallExpr) string {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !framework.IsNamed(pass.Info.TypeOf(sel.X), "relation", "Relation") {
+		return ""
+	}
+	return sel.Sel.Name
+}
+
+// initVars returns the variables a for statement's init clause assigns.
+func initVars(loop *ast.ForStmt) []ast.Expr {
+	if init, ok := loop.Init.(*ast.AssignStmt); ok {
+		return init.Lhs
+	}
+	return nil
+}
+
+// isChainLoop reports whether loop's post statement advances a variable
+// through a call that takes the variable itself (i = t.after(i); id, p =
+// ix.Next(h, p)): a walk along a chain of indices, whose length no
+// condition in sight bounds.
+func isChainLoop(loop *ast.ForStmt) bool {
+	post, ok := loop.Post.(*ast.AssignStmt)
+	if !ok {
+		return false
+	}
+	assigned := make(map[string]bool)
+	for _, lhs := range post.Lhs {
+		if id, ok := lhs.(*ast.Ident); ok {
+			assigned[id.Name] = true
+		}
+	}
+	found := false
+	for _, rhs := range post.Rhs {
+		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+		if !ok {
+			continue
+		}
+		for _, arg := range call.Args {
+			ast.Inspect(arg, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && assigned[id.Name] {
+					found = true
+				}
+				return !found
+			})
+		}
+	}
+	return found
+}
+
 // eachCallbackBody returns the function-literal body of a
 // Relation.Each(func(t Tuple) bool) call, or nil when call is not one.
 func eachCallbackBody(pass *framework.Pass, call *ast.CallExpr) *ast.BlockStmt {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Each" || len(call.Args) != 1 {
-		return nil
-	}
-	if !framework.IsNamed(pass.Info.TypeOf(sel.X), "relation", "Relation") {
+	if relationMethod(pass, call) != "Each" || len(call.Args) != 1 {
 		return nil
 	}
 	lit, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit)

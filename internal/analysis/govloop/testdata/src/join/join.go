@@ -127,6 +127,83 @@ func EachTicked(g *governor.Governor, r *relation.Relation) error {
 	return err
 }
 
+// CountedUngoverned walks a relation's rows by position — the count pass
+// of a count-first join — without a tick.
+func CountedUngoverned(g *governor.Governor, r *relation.Relation) int {
+	n := 0
+	for i := 0; i < r.Len(); i++ { // want `counted loop over relation rows has no reachable governor Tick/Check`
+		n++
+	}
+	return n
+}
+
+// CountedByTuple never mentions Len in its condition; reading Tuple at
+// the loop's own variable is what makes it a row loop.
+func CountedByTuple(g *governor.Governor, r *relation.Relation, ids []int32, lo, hi int) int {
+	n := 0
+	for p := lo; p < hi; p++ { // want `counted loop over relation rows has no reachable governor Tick/Check`
+		n += len(r.Tuple(p))
+	}
+	for _, id := range ids { // want `counted loop over relation rows has no reachable governor Tick/Check`
+		n += len(r.Tuple(int(id)))
+	}
+	return n
+}
+
+func CountedTicked(g *governor.Governor, r *relation.Relation) error {
+	for i := 0; i < r.Len(); i++ {
+		if err := g.Tick(); err != nil {
+			return err
+		}
+		_ = r.Tuple(i)
+	}
+	return nil
+}
+
+// CountedElsewhere indexes something that is not a relation: exempt.
+func CountedElsewhere(g *governor.Governor, r *relation.Relation, widths []int) int {
+	n := 0
+	for i := range widths {
+		n += widths[i] + len(r.Tuple(0))
+	}
+	return n
+}
+
+// table mimics join.hashTable: rows chained through an index slice.
+type table struct{ next []int32 }
+
+func (t *table) first() int      { return 0 }
+func (t *table) after(i int) int { return int(t.next[i]) }
+
+// ChainUngoverned is the hash join's bucket walk with its Tick lost: under
+// key skew one chain is the whole build side.
+func ChainUngoverned(g *governor.Governor, t *table) int {
+	n := 0
+	for i := t.first(); i >= 0; i = t.after(i) { // want `index-chain loop has no reachable governor Tick/Check`
+		n++
+	}
+	return n
+}
+
+func ChainTicked(g *governor.Governor, t *table) error {
+	for i := t.first(); i >= 0; i = t.after(i) {
+		if err := g.Tick(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ChainNoGovernor has nothing to tick: exempt, like the table's own
+// candidate walk.
+func ChainNoGovernor(t *table) int {
+	n := 0
+	for i := t.first(); i >= 0; i = t.after(i) {
+		n++
+	}
+	return n
+}
+
 // Waived documents why the loop is cardinality-bounded.
 func Waived(g *governor.Governor, rows []relation.Tuple) {
 	//lint:ungoverned fixture rows are bounded by construction

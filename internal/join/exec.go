@@ -30,34 +30,40 @@ type Exec struct {
 }
 
 // Materialized accounts for one relation a join has just materialized —
-// a binary join's output, a semijoin result, an n-ary join's output: its
-// cardinality is folded into the span's peak, checked against the row
-// budget and charged to the memory budget. Every strategy hands every
-// relation it builds to this method; the paper's blow-up lives in exactly
-// these intermediates. The in-loop batch checks can trail the last
-// partial batch, so this is the authoritative row check. It returns r, or
-// nil and the governor's sentinel when a budget is blown.
+// a semijoin result, a generic join's output, a projection: Sized, on a
+// relation that exists already because its producer could not count its
+// rows before building them. It returns r, or nil and the governor's
+// sentinel when a budget is blown.
 func (x Exec) Materialized(r *relation.Relation) (*relation.Relation, error) {
-	x.Span.ObservePeak(r.Len())
-	if x.Gov == nil {
-		return r, nil
-	}
-	if err := x.Gov.CheckRows(r.Len()); err != nil {
-		return nil, err
-	}
-	if err := x.Gov.ChargeBytes(relationBytes(r)); err != nil {
+	if err := x.Sized(r.Len(), r.Scheme().Len()); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// relationBytes is the governor's memory model for one materialized
-// relation: a coarse per-value estimate (string header + small payload)
-// plus per-tuple overhead. Deliberately simple and deterministic — the
-// budget bounds an estimate of cumulative materialization, not RSS.
-func relationBytes(r *relation.Relation) int64 {
+// Sized accounts for one materialized relation of the given cardinality
+// and arity: the cardinality is folded into the span's peak, checked
+// against the row budget and charged to the memory budget. Every relation
+// a strategy builds is accounted for here exactly once; the paper's
+// blow-up lives in exactly these intermediates. A count-first producer
+// (the hash joins) calls it on the count, before a single row exists, so a
+// join over budget dies holding its probe bookkeeping and not a relation;
+// the others reach it through Materialized. The in-loop batch checks can
+// trail the last partial batch, so this is the authoritative row check.
+func (x Exec) Sized(rows, arity int) error {
+	x.Span.ObservePeak(rows)
+	if x.Gov == nil {
+		return nil
+	}
+	if err := x.Gov.CheckRows(rows); err != nil {
+		return err
+	}
+	// The governor's memory model for one materialized relation: a coarse
+	// per-value estimate (string header + small payload) plus per-tuple
+	// overhead. Deliberately simple and deterministic — the budget bounds
+	// an estimate of cumulative materialization, not RSS.
 	const bytesPerValue, bytesPerTuple = 24, 48
-	return int64(r.Len()) * int64(r.Scheme().Len()*bytesPerValue+bytesPerTuple)
+	return x.Gov.ChargeBytes(int64(rows) * int64(arity*bytesPerValue+bytesPerTuple))
 }
 
 // checkBatch is how many tuples a governed loop processes between

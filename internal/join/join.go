@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"relquery/internal/fault"
+	"relquery/internal/governor"
 	"relquery/internal/relation"
 )
 
@@ -73,15 +74,6 @@ func newCombiner(l, r relation.Scheme) combiner {
 	return combiner{out: out, restPos: pos}
 }
 
-func (c combiner) combine(left, right relation.Tuple) relation.Tuple {
-	t := make(relation.Tuple, 0, c.out.Len())
-	t = append(t, left...)
-	for _, j := range c.restPos {
-		t = append(t, right[j])
-	}
-	return t
-}
-
 // sides is a binary hash join, oriented: build on the smaller input (ties
 // build left), probe the other, stitch matches in left, right order.
 type sides struct {
@@ -107,21 +99,36 @@ func orient(l, r *relation.Relation) sides {
 	return s
 }
 
-// pair is the output tuple of a matching build and probe tuple.
-func (s *sides) pair(bt, pt relation.Tuple) relation.Tuple {
-	if s.buildIsLeft {
-		return s.combine(bt, pt)
+// emit appends to b the output rows of probe tuple pt, whose first match
+// is build row first (-1 for none): one per match, in build order,
+// stitched in left, right order.
+func (s *sides) emit(g *governor.Governor, b *relation.Builder, table *hashTable, first int, pt relation.Tuple) error {
+	for i := first; i >= 0; i = table.after(i) {
+		// One probe tuple can match the entire build side under key
+		// skew, so the emit loop ticks per output tuple: a per-probe
+		// Tick bounds nothing once a single bucket dominates.
+		if err := g.Tick(); err != nil {
+			return err
+		}
+		if s.buildIsLeft {
+			b.Concat(s.build.Tuple(i), pt, s.restPos)
+		} else {
+			b.Concat(pt, s.build.Tuple(i), s.restPos)
+		}
 	}
-	return s.combine(pt, bt)
+	return nil
 }
 
 // Hash is a classic build/probe hash join on the shared attributes,
-// building on the smaller input.
+// building on the smaller input. It counts before it materializes: the
+// probe pass only looks each probe row's matches up, so the output's
+// cardinality is known — and checked against the row and memory budgets —
+// before the output is allocated, at exactly that size, and filled.
 //
 // Metrics: built counts build-side rows, probed counts probe-side rows.
-// The governor is ticked once per build and probe tuple, with a
-// row-budget check per probe batch, so one oversized hash join dies
-// mid-probe instead of after materializing.
+// The governor is ticked once per build and probe tuple and once per
+// output tuple, with a row-budget check per probe batch, so one oversized
+// hash join dies mid-probe, before it has materialized a row.
 type Hash struct{}
 
 // Name implements Algorithm.
@@ -135,40 +142,38 @@ func (Hash) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The count pass: heads[p] is probe row p's first match (table.after
+	// walks the rest), rows the matches so far — the output's cardinality,
+	// known before a single output row exists.
+	heads := make([]int32, s.probe.Len())
+	rows := 0
+	for p := 0; p < s.probe.Len(); p++ {
+		if p%checkBatch == 0 {
+			fault.Hit(fault.JoinBatch)
+			if err := x.Gov.CheckRows(rows); err != nil {
+				return nil, err
+			}
+		}
+		if err := x.Gov.Tick(); err != nil {
+			return nil, err
+		}
+		pt := s.probe.Tuple(p)
+		first, n := table.matches(pt.HashOf(s.keyProbe), pt, s.keyProbe)
+		heads[p] = int32(first)
+		rows += n
+	}
+	x.Metrics.JoinWork(s.build.Len(), s.probe.Len(), rows)
+	x.Metrics.ObserveJoin(rows)
+	if err := x.Sized(rows, s.out.Len()); err != nil {
+		return nil, err
+	}
 	// A natural-join output tuple determines its source pair, so the
 	// output is duplicate-free as emitted: no dedup, no index.
-	var tuples []relation.Tuple
-	n := 0
-	s.probe.Each(func(pt relation.Tuple) bool {
-		if n%checkBatch == 0 {
-			fault.Hit(fault.JoinBatch)
-			if err = x.Gov.CheckRows(len(tuples)); err != nil {
-				return false
-			}
+	b := relation.NewBuilder(s.out, rows)
+	for p := 0; p < s.probe.Len(); p++ {
+		if err := s.emit(x.Gov, b, table, int(heads[p]), s.probe.Tuple(p)); err != nil {
+			return nil, err
 		}
-		n++
-		if err = x.Gov.Tick(); err != nil {
-			return false
-		}
-		// One probe tuple can match the entire build side under key
-		// skew, so the emit loop ticks per output tuple: the per-probe
-		// Tick above bounds nothing once a single bucket dominates.
-		for i := table.first(pt.HashOf(s.keyProbe), pt, s.keyProbe); i >= 0; i = table.after(i) {
-			if err = x.Gov.Tick(); err != nil {
-				return false
-			}
-			tuples = append(tuples, s.pair(s.build.Tuple(i), pt))
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
-	out, err := relation.FromDistinctTuples(s.out, tuples)
-	if err != nil {
-		return nil, err
-	}
-	x.Metrics.JoinWork(s.build.Len(), s.probe.Len(), out.Len())
-	x.Metrics.ObserveJoin(out.Len())
-	return x.Materialized(out)
+	return b.Relation(), nil
 }

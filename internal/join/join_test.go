@@ -1,12 +1,16 @@
 package join
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"relquery/internal/governor"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
@@ -244,25 +248,92 @@ func TestOrderByName(t *testing.T) {
 
 // TestZeroExecAllocatesNothing is the nil fast path as a test: joining
 // under the zero Exec allocates what the join itself needs and nothing
-// for a governor, metrics or span that are not there. Since the build
-// table and the output stopped serializing tuple keys that is one
-// allocation per output tuple (4096 here) plus a constant for the table's
-// flat slices and the growth of the output slice — 4143 measured, where
-// the string-keyed join took 18170.
+// for a governor, metrics or span that are not there. Since the join
+// counts before it materializes, what it needs is a constant number of
+// flat slices for the table and the probe pass, the growth steps of the
+// table's per-key slices, and the output's header slice and backing
+// arrays — 45 measured for 4096 output tuples, where one make per output
+// tuple took 4143 and the string-keyed join 18170.
 func TestZeroExecAllocatesNothing(t *testing.T) {
-	l := relation.New(relation.MustScheme("A", "B"))
-	r := relation.New(relation.MustScheme("B", "C"))
-	for i := 0; i < 256; i++ {
-		l.MustAdd(relation.TupleOf(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i%16)))
-		r.MustAdd(relation.TupleOf(fmt.Sprintf("b%d", i%16), fmt.Sprintf("c%d", i)))
-	}
-	const ceiling = 4096 + 64
+	l, r := skewedPair(256, 16)
+	const ceiling = 64
 	got := testing.AllocsPerRun(20, func() {
-		if _, err := (Hash{}).Join(Exec{}, l, r); err != nil {
-			t.Fatal(err)
+		if out, err := (Hash{}).Join(Exec{}, l, r); err != nil || out.Len() != 4096 {
+			t.Fatal(out, err)
 		}
 	})
+	t.Logf("Hash{}.Join(Exec{}, …) allocates %v times per join of 4096 output tuples", got)
 	if got > ceiling {
 		t.Errorf("Hash{}.Join(Exec{}, …) allocates %v times per join of 4096 output tuples, ceiling %d", got, ceiling)
+	}
+}
+
+// skewedPair returns L(A,B) and R(B,C) of n rows each over keys distinct
+// join keys: every key matches n/keys rows on either side.
+func skewedPair(n, keys int) (l, r *relation.Relation) {
+	l = relation.New(relation.MustScheme("A", "B"))
+	r = relation.New(relation.MustScheme("B", "C"))
+	for i := 0; i < n; i++ {
+		l.MustAdd(relation.TupleOf(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i%keys)))
+		r.MustAdd(relation.TupleOf(fmt.Sprintf("b%d", i%keys), fmt.Sprintf("c%d", i)))
+	}
+	return l, r
+}
+
+// TestOverBudgetJoinDiesBeforeItMaterializes: the budgets precede the
+// allocation. A fully skewed 2000 × 2000 join — one key, four million
+// matches — under a 10 000-row budget is killed by the first batch check
+// of the count pass, which has seen 256 probe rows and 512 000 matches by
+// then; it has allocated the build table and the probe pass's flat
+// slices, a few bytes per input row, and not one output row (when the
+// probe emitted as it went, those 512 000 matches were 37 MB of tuples
+// before the check saw them). The memory budget is charged on the same
+// count, and a budget of exactly the output lets a join through.
+func TestOverBudgetJoinDiesBeforeItMaterializes(t *testing.T) {
+	l, r := skewedPair(2000, 1)
+	for _, alg := range []Algorithm{Hash{}, Parallel{Workers: 4}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		gov := governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 10_000})
+		_, err := alg.Join(Exec{Gov: gov}, l, r)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, governor.ErrRowBudget) {
+			t.Fatalf("%s: want governor.ErrRowBudget, got %v", alg.Name(), err)
+		}
+		const perMatch = 3*16 + 24 // one output row of three values and its header
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > 512_000*perMatch/100 {
+			t.Errorf("%s: the killed join allocated %d bytes; one output row per match seen would be %d", alg.Name(), spent, 512_000*perMatch)
+		}
+		gov = governor.New(context.Background(), governor.Limits{MaxMemoryBytes: 1 << 20})
+		if _, err := alg.Join(Exec{Gov: gov}, l, r); !errors.Is(err, governor.ErrMemBudget) {
+			t.Errorf("%s: want governor.ErrMemBudget under a 1 MB budget, got %v", alg.Name(), err)
+		}
+		sl, sr := skewedPair(200, 1)
+		gov = governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 40_000})
+		if out, err := alg.Join(Exec{Gov: gov}, sl, sr); err != nil || out.Len() != 40_000 {
+			t.Errorf("%s: 200 × 200 under a budget of exactly its output: %v, %v", alg.Name(), out, err)
+		}
+	}
+}
+
+// TestOnePassProducersAllocatePerRelation: the generic join and the
+// semijoin allocate per flat slice and per growth step on 4096-row
+// inputs — no trie row, no output row and no kept-row header of its own.
+func TestOnePassProducersAllocatePerRelation(t *testing.T) {
+	const rows = 4096
+	l, r := skewedPair(rows, rows)
+	for name, run := range map[string]func() (*relation.Relation, error){
+		"Generic.JoinAll": func() (*relation.Relation, error) { return Generic{}.JoinAll(Exec{}, NewPlan(l, r)) },
+		"SemijoinWith":    func() (*relation.Relation, error) { return SemijoinWith(l, r, nil) },
+	} {
+		got := testing.AllocsPerRun(5, func() {
+			if out, err := run(); err != nil || out.Len() != rows {
+				t.Fatal(name, out, err)
+			}
+		})
+		t.Logf("%s: %v allocations for %d rows", name, got, rows)
+		if got > rows/16 {
+			t.Errorf("%s allocates %v times for %d rows in and out, ceiling %d", name, got, rows, rows/16)
+		}
 	}
 }

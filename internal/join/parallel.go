@@ -9,21 +9,24 @@ import (
 	"relquery/internal/relation"
 )
 
-// Parallel is a parallel hash join with two execution strategies chosen
-// by the shape of the key domain:
+// Parallel is a parallel hash join. The build-side hash table is built
+// once and shared read-only by all workers, which run two passes with one
+// barrier between them: a count pass that looks every probe row's matches
+// up, after which the output's cardinality is known, checked against the
+// budgets and allocated once; and an emit pass in which every worker
+// fills its own part of that output. How the probe rows are dealt to the
+// emit workers depends on the shape of the key domain:
 //
-//   - partitioned: the probe side is partitioned on the hash of the
+//   - partitioned: the probe rows are scattered on the hash of the
 //     shared-attribute key into one bucket per worker, so each worker
-//     probes a disjoint slice of the key domain (and of the shared build
-//     table), and the per-bucket results are merged in bucket order. Used
-//     when the build side has enough distinct keys (≥ PartitionKeyFactor
-//     × workers) for the buckets to balance.
-//   - broadcast: the build-side hash table is built once and shared
-//     read-only by all workers, and the probe side is split into
-//     contiguous chunks. Used when the key domain is small or skewed —
-//     the regime of the paper's gadget relations, whose shared columns
-//     range over a handful of symbols, where key partitioning would
-//     funnel everything through one bucket.
+//     emits a disjoint slice of the key domain, and the parts are laid
+//     out in bucket order. Used when the build side has enough distinct
+//     keys (≥ PartitionKeyFactor × workers) for the buckets to balance.
+//   - broadcast: the probe side is split into contiguous chunks. Used
+//     when the key domain is small or skewed — the regime of the paper's
+//     gadget relations, whose shared columns range over a handful of
+//     symbols, where key partitioning would funnel everything through
+//     one bucket.
 //
 // Both strategies are deterministic regardless of goroutine scheduling:
 // chunk and bucket boundaries are pure functions of the inputs and the
@@ -43,13 +46,13 @@ import (
 // strategy chosen is recorded as a partitioned join (with its bucket
 // count), a broadcast join, or a sequential fallback.
 //
-// Failure semantics: workers poll the shared governor per tuple, so the
-// first checkpoint violation (cancel, deadline, row budget) is sticky
-// and every other worker drains within one batch of it. A panic on a
-// worker goroutine is recovered on that goroutine, recorded as the
-// evaluation's failure, and surfaces as an error from Join — never a
-// crashed process. All workers are joined (wg.Wait) before Join returns,
-// so no goroutine outlives the call, even on failure.
+// Failure semantics: workers poll the shared governor per probe tuple and
+// per output tuple, so the first checkpoint violation (cancel, deadline,
+// row budget) is sticky and every other worker drains within one batch
+// of it. A panic on a worker goroutine is recovered on that goroutine,
+// recorded as the evaluation's failure, and surfaces as an error from
+// Join — never a crashed process. All workers are joined (wg.Wait) before
+// Join returns, so no goroutine outlives the call, even on failure.
 type Parallel struct {
 	// Workers is the number of partitions and worker goroutines;
 	// values < 1 mean runtime.GOMAXPROCS(0).
@@ -79,13 +82,6 @@ func (p Parallel) workers() int {
 // EffectiveWorkers reports the worker count the join will actually use
 // (resolving the GOMAXPROCS default), for trace annotation.
 func (p Parallel) EffectiveWorkers() int { return p.workers() }
-
-// keyedTuple carries a tuple together with the hash of its join key so
-// the key is hashed exactly once, during partitioning.
-type keyedTuple struct {
-	hash uint64
-	t    relation.Tuple
-}
 
 // firstFail collects the first failure across a join's worker pool and,
 // when a governor is attached, makes it the evaluation's sticky failure
@@ -129,166 +125,161 @@ func (p Parallel) Join(x Exec, l, r *relation.Relation) (*relation.Relation, err
 		return nil, err
 	}
 
+	// Count first, like Hash: the workers look every probe row's matches
+	// up, the counts are summed and checked against the budgets, and only
+	// then is the output allocated — once, at its exact size — and filled
+	// by the same workers, each writing its own part of it.
 	ff := &firstFail{gov: x.Gov}
-	var tuples [][]relation.Tuple
+	heads := make([]int32, s.probe.Len())
+	var buckets [][]int32 // partitioned only: probe rows by key hash
 	if table.keys() >= PartitionKeyFactor*w {
 		x.Metrics.Partitioned(w)
-		tuples = partitioned(table, &s, w, ff)
+		buckets = make([][]int32, w)
 	} else {
 		x.Metrics.Broadcast()
-		tuples = broadcast(table, &s, w, ff)
 	}
+	counts := probeAll(table, &s, heads, buckets, w, ff)
 	if ff.err != nil {
 		return nil, ff.err
 	}
-	// Merge in worker order. Output tuples from different chunks/buckets
-	// are necessarily distinct (a natural-join output tuple determines
-	// its source pair, and each pair is processed by exactly one
-	// worker), so FromDistinctTuples assembles the result without
-	// cloning, hashing or index construction.
-	out, err := relation.FromDistinctTuples(s.out, tuples...)
-	if err != nil {
+	rows := 0
+	for _, n := range counts {
+		rows += n
+	}
+	if err := x.Gov.CheckRows(rows); err != nil {
 		return nil, err
 	}
-	if err := x.Gov.CheckRows(out.Len()); err != nil {
+	x.Metrics.JoinWork(s.build.Len(), s.probe.Len(), rows)
+	x.Metrics.ObserveJoin(rows)
+	if err := x.Sized(rows, s.out.Len()); err != nil {
 		return nil, err
 	}
-	x.Metrics.JoinWork(s.build.Len(), s.probe.Len(), out.Len())
-	x.Metrics.ObserveJoin(out.Len())
-	return x.Materialized(out)
-}
-
-// broadcast shares the build table read-only across workers and splits
-// the probe side into w contiguous chunks. Emission order is exactly the
-// sequential hash join's probe order.
-func broadcast(table *hashTable, s *sides, w int, ff *firstFail) [][]relation.Tuple {
-	total := s.probe.Len()
-	chunk := (total + w - 1) / w
-	tuples := make([][]relation.Tuple, w)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		lo := min(wi*chunk, total)
-		hi := min(lo+chunk, total)
-		if lo >= hi {
-			continue // total < w: trailing workers have no rows
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			defer ff.recoverTo("parallel broadcast worker")
-			fault.Hit(fault.ParallelWorker)
-			var ts []relation.Tuple
-			for i := lo; i < hi; i++ {
-				if err := ff.gov.Tick(); err != nil {
-					ff.fail(err)
-					return
-				}
-				pt := s.probe.Tuple(i)
-				ts = emitMatches(table, pt.HashOf(s.keyProbe), pt, s, ts)
-			}
-			tuples[wi] = ts
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-	return tuples
-}
-
-// partitioned splits the probe side into w buckets by key hash and probes
-// the shared build table with one worker per bucket.
-func partitioned(table *hashTable, s *sides, w int, ff *firstFail) [][]relation.Tuple {
-	probeBuckets := partition(s.probe, s.keyProbe, w, ff)
+	b := relation.NewBuilder(s.out, rows)
+	emitAll(table, &s, heads, buckets, counts, b, ff)
 	if ff.err != nil {
-		return nil
+		return nil, ff.err
 	}
+	return b.Relation(), nil
+}
 
-	tuples := make([][]relation.Tuple, w)
+// emitAll is the emit pass: one worker per non-empty entry of counts
+// fills its own part of b — counts[wi] rows — from the probe rows of
+// bucket wi (partitioned) or of chunk wi (broadcast, buckets nil). Output
+// tuples of different workers are necessarily distinct (a natural-join
+// output tuple determines its source pair, and each pair is emitted by
+// exactly one worker), so the parts assemble into the result in worker
+// order without hashing or index construction.
+func emitAll(table *hashTable, s *sides, heads []int32, buckets [][]int32, counts []int, b *relation.Builder, ff *firstFail) {
 	var wg sync.WaitGroup
-	for b := 0; b < w; b++ {
+	for wi, n := range counts {
+		if n == 0 {
+			continue
+		}
+		part := b.Part(n)
 		wg.Add(1)
-		go func(b int) {
+		go func() {
 			defer wg.Done()
-			defer ff.recoverTo("parallel partitioned worker")
+			defer ff.recoverTo("parallel emit worker")
 			fault.Hit(fault.ParallelWorker)
-			var ts []relation.Tuple
-			for _, kt := range probeBuckets[b] {
-				if err := ff.gov.Tick(); err != nil {
+			if buckets != nil {
+				for _, p := range buckets[wi] {
+					if err := s.emit(ff.gov, part, table, int(heads[p]), s.probe.Tuple(int(p))); err != nil {
+						ff.fail(err)
+						return
+					}
+				}
+				return
+			}
+			lo, hi := chunkOf(wi, len(counts), len(heads))
+			for p := lo; p < hi; p++ {
+				if err := s.emit(ff.gov, part, table, int(heads[p]), s.probe.Tuple(p)); err != nil {
 					ff.fail(err)
 					return
 				}
-				ts = emitMatches(table, kt.hash, kt.t, s, ts)
 			}
-			tuples[b] = ts
-		}(b)
+		}()
 	}
 	wg.Wait()
-	return tuples
 }
 
-// emitMatches combines probe tuple pt, whose key hashes to h, with every
-// matching build tuple in build order, appending the fresh output tuples.
-func emitMatches(table *hashTable, h uint64, pt relation.Tuple, s *sides, tuples []relation.Tuple) []relation.Tuple {
-	for i := table.first(h, pt, s.keyProbe); i >= 0; i = table.after(i) {
-		tuples = append(tuples, s.pair(s.build.Tuple(i), pt))
+// chunkOf returns worker wi's contiguous share [lo, hi) of total rows
+// split over w workers; trailing workers get nothing when total < w.
+func chunkOf(wi, w, total int) (lo, hi int) {
+	chunk := (total + w - 1) / w
+	lo = min(wi*chunk, total)
+	return lo, min(lo+chunk, total)
+}
+
+// probeAll is the count pass: w workers each take a contiguous chunk of
+// the probe side, look every row's matches up in the shared read-only
+// build table (heads[p] = first match, as Hash does) and return their
+// match counts per output part.
+//
+// With buckets nil (broadcast) worker wi's part is its own chunk, so
+// emission order is exactly the sequential hash join's probe order. With
+// buckets non-nil (partitioned) the probe rows are also scattered by the
+// hash of their join key into one bucket — one output part — per worker:
+// each worker scatters into private sub-buckets, and concatenating those
+// in worker order preserves the relation's tuple order within every
+// bucket, which keeps the join deterministic.
+func probeAll(table *hashTable, s *sides, heads []int32, buckets [][]int32, w int, ff *firstFail) []int {
+	type scatter struct {
+		counts []int     // counts[b]: this worker's matches that go to part b
+		rows   [][]int32 // partitioned only; rows[b]: its probe rows of bucket b
 	}
-	return tuples
-}
-
-// partition scatters rel into n buckets by hash of the join key,
-// hashing in parallel. Each worker takes a contiguous index range
-// and scatters into private sub-buckets; concatenating sub-buckets in
-// worker order preserves the relation's tuple order within every bucket,
-// which keeps the overall join deterministic.
-func partition(rel *relation.Relation, ke keyCols, n int, ff *firstFail) [][]keyedTuple {
-	total := rel.Len()
-	chunk := (total + n - 1) / n
-	sub := make([][][]keyedTuple, n) // sub[worker][bucket]
+	subs := make([]scatter, w)
 	var wg sync.WaitGroup
-	for wi := 0; wi < n; wi++ {
-		lo := min(wi*chunk, total)
-		hi := min(lo+chunk, total)
+	for wi := range subs {
+		sub := &subs[wi]
+		sub.counts = make([]int, w)
+		if buckets != nil {
+			sub.rows = make([][]int32, w)
+		}
+		lo, hi := chunkOf(wi, w, len(heads))
 		if lo >= hi {
-			continue // total < n: trailing workers have no rows
+			continue
 		}
 		wg.Add(1)
-		go func(wi, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			defer ff.recoverTo("parallel partition worker")
+			defer ff.recoverTo("parallel probe worker")
 			fault.Hit(fault.ParallelWorker)
-			mine := make([][]keyedTuple, n)
-			for i := lo; i < hi; i++ {
+			for p := lo; p < hi; p++ {
 				if err := ff.gov.Tick(); err != nil {
 					ff.fail(err)
 					return
 				}
-				t := rel.Tuple(i)
-				h := t.HashOf(ke)
-				b := h % uint64(n)
-				mine[b] = append(mine[b], keyedTuple{hash: h, t: t})
+				pt := s.probe.Tuple(p)
+				h := pt.HashOf(s.keyProbe)
+				first, m := table.matches(h, pt, s.keyProbe)
+				heads[p] = int32(first)
+				part := wi
+				if buckets != nil {
+					part = int(h % uint64(w))
+					sub.rows[part] = append(sub.rows[part], int32(p))
+				}
+				sub.counts[part] += m
 			}
-			sub[wi] = mine
-		}(wi, lo, hi)
+		}()
 	}
 	wg.Wait()
-
-	buckets := make([][]keyedTuple, n)
-	for b := 0; b < n; b++ {
-		size := 0
-		for wi := 0; wi < n; wi++ {
-			if sub[wi] == nil {
-				continue // worker wi had an empty chunk
-			}
-			size += len(sub[wi][b])
+	counts := make([]int, w)
+	for _, sub := range subs {
+		for b, n := range sub.counts {
+			counts[b] += n
 		}
-		bucket := make([]keyedTuple, 0, size)
-		for wi := 0; wi < n; wi++ {
-			if sub[wi] == nil {
-				continue
-			}
-			bucket = append(bucket, sub[wi][b]...)
-		}
-		buckets[b] = bucket
 	}
-	return buckets
+	for b := range buckets {
+		size := 0
+		for _, sub := range subs {
+			size += len(sub.rows[b])
+		}
+		buckets[b] = make([]int32, 0, size)
+		for _, sub := range subs {
+			buckets[b] = append(buckets[b], sub.rows[b]...)
+		}
+	}
+	return counts
 }
 
 var _ Algorithm = Parallel{}

@@ -24,20 +24,24 @@ func SemijoinWith(r, s *relation.Relation, g *governor.Governor) (*relation.Rela
 	if err != nil {
 		return nil, err
 	}
-	// The result is a subset of a set: duplicate-free as selected, and
-	// its tuples are r's own, shared rather than copied.
-	var kept []relation.Tuple
-	r.Each(func(t relation.Tuple) bool {
-		if err = g.Tick(); err != nil {
-			return false
+	// Count first: collect the positions of the rows kept, then build
+	// headers of exactly that size over them. The result is a subset of a
+	// set — duplicate-free as selected — and its tuples are r's own,
+	// shared rather than copied.
+	var ids []int32
+	for i, n := 0, r.Len(); i < n; i++ {
+		if err := g.Tick(); err != nil {
+			return nil, err
 		}
-		if table.first(t.HashOf(keyR), t, keyR) >= 0 {
-			kept = append(kept, t)
+		t := r.Tuple(i)
+		if first, _ := table.matches(t.HashOf(keyR), t, keyR); first >= 0 {
+			ids = append(ids, int32(i))
 		}
-		return true
-	})
-	if err != nil {
-		return nil, err
+	}
+	kept := make([]relation.Tuple, len(ids))
+	//lint:ungoverned one header copy per row the scan above ticked for
+	for k, i := range ids {
+		kept[k] = r.Tuple(int(i))
 	}
 	return relation.FromDistinctTuples(r.Scheme(), kept)
 }

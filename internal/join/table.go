@@ -34,7 +34,7 @@ func sameKey(t relation.Tuple, kt keyCols, u relation.Tuple, ku keyCols) bool {
 // relation.Index maps the hash of a row's key columns to a group; a group
 // is confirmed by comparing key columns with its first row, and its rows
 // are chained in insertion order, so a probe walks its matches in the
-// order the build relation holds them. Everything lives in five flat
+// order the build relation holds them. Everything lives in six flat
 // slices, whatever the number of keys. Read-only once built, so the
 // parallel join's workers share one.
 type hashTable struct {
@@ -43,6 +43,7 @@ type hashTable struct {
 	ix   relation.Index // hash of the key columns -> group id
 	head []int32        // group -> its first row
 	tail []int32        // group -> its last row so far
+	size []int32        // group -> its number of rows
 	next []int32        // row -> the next row of its group, -1 at the end
 }
 
@@ -60,11 +61,13 @@ func buildTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*ha
 		if grp := t.group(h, row, cols); grp >= 0 {
 			t.next[t.tail[grp]] = int32(i)
 			t.tail[grp] = int32(i)
+			t.size[grp]++
 			continue
 		}
 		t.ix.Insert(h)
 		t.head = append(t.head, int32(i))
 		t.tail = append(t.tail, int32(i))
+		t.size = append(t.size, 1)
 	}
 	return t, nil
 }
@@ -83,15 +86,19 @@ func (t *hashTable) group(h uint64, u relation.Tuple, ku keyCols) int {
 	return -1
 }
 
-// first returns the first build row matching probe tuple u (key columns
-// ku, hashing to h), or -1; after follows the chain:
+// matches returns the first build row matching probe tuple u (key columns
+// ku, hashing to h), or -1, and how many build rows match; after follows
+// the chain:
 //
-//	for i := t.first(h, u, ku); i >= 0; i = t.after(i) { … t.rel.Tuple(i) … }
-func (t *hashTable) first(h uint64, u relation.Tuple, ku keyCols) int {
+//	for i, _ := t.matches(h, u, ku); i >= 0; i = t.after(i) { … t.rel.Tuple(i) … }
+//
+// The count is what lets a join learn its output cardinality from one
+// lookup per probe row, before it builds a row.
+func (t *hashTable) matches(h uint64, u relation.Tuple, ku keyCols) (first, n int) {
 	if grp := t.group(h, u, ku); grp >= 0 {
-		return int(t.head[grp])
+		return int(t.head[grp]), int(t.size[grp])
 	}
-	return -1
+	return -1, 0
 }
 
 // after returns the build row following row i in its group, or -1.

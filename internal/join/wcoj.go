@@ -2,7 +2,9 @@ package join
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"relquery/internal/fault"
 	"relquery/internal/governor"
@@ -26,12 +28,13 @@ import (
 // stays small, so the attribute-at-a-time join side-steps the blow-up
 // entirely (experiment E7, BENCH_wcoj.txt).
 //
-// Each relation is indexed as a sorted trie: its tuples, with columns
-// permuted into the global attribute order, sorted lexicographically. A
-// partial binding then corresponds to a contiguous row range per
-// relation, and intersecting a new attribute is a walk over the distinct
-// values of the smallest range with binary-search narrowing in the
-// others.
+// Each relation is indexed as a sorted trie: its tuples sorted
+// lexicographically with their columns read in the global attribute order
+// — a permutation of row positions over the relation's own rows, nothing
+// copied. A partial binding then corresponds to a contiguous range of the
+// permutation per relation, and intersecting a new attribute is a walk
+// over the distinct values of the smallest range with binary-search
+// narrowing in the others.
 //
 // Metrics: built counts the rows indexed into sorted tries, probed counts
 // candidate values examined, plus the wcoj candidate/intersection
@@ -97,12 +100,7 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 		return nil, j.err
 	}
 
-	// Distinct bindings yield distinct output tuples, so the result
-	// assembles without re-deduplication.
-	out, err := relation.FromDistinctTuples(outScheme, j.tuples)
-	if err != nil {
-		return nil, err
-	}
+	out := j.out.Relation()
 	x.Metrics.JoinWork(indexed, j.candidates, out.Len())
 	x.Metrics.ObserveJoin(out.Len())
 	x.Metrics.WCOJ(j.candidates, j.intersections)
@@ -155,51 +153,48 @@ func attributeOrder(p *Plan, union relation.Scheme) []relation.Attribute {
 	return order
 }
 
-// sortedTrie is one relation's trie view: tuples with columns permuted
-// into the global attribute order (restricted to the relation's scheme)
-// and sorted lexicographically, so every partial binding corresponds to a
-// contiguous row range and each trie level is a sorted value column.
+// sortedTrie is one relation's trie view: the positions of its rows,
+// sorted lexicographically by the columns cols — the relation's columns in
+// the global attribute order — so every partial binding corresponds to a
+// contiguous range of perm and each trie level is a sorted value column,
+// read in place as rel.Tuple(perm[i])[cols[d]].
 type sortedTrie struct {
-	depthOf map[relation.Attribute]int
-	rows    [][]relation.Value
+	rel  *relation.Relation
+	cols []int   // trie level -> column of rel
+	perm []int32 // sorted position -> row of rel
+}
+
+// at returns the value at trie level d of the i-th row in sorted order.
+func (t *sortedTrie) at(i, d int) relation.Value {
+	return t.rel.Tuple(int(t.perm[i]))[t.cols[d]]
 }
 
 func newSortedTrie(r *relation.Relation, order []relation.Attribute, gov *governor.Governor) (*sortedTrie, error) {
 	sc := r.Scheme()
-	depthOf := make(map[relation.Attribute]int, sc.Len())
-	cols := make([]int, 0, sc.Len())
+	t := &sortedTrie{rel: r, cols: make([]int, 0, sc.Len()), perm: make([]int32, r.Len())}
 	for _, a := range order {
 		if j, ok := sc.Pos(a); ok {
-			depthOf[a] = len(cols)
-			cols = append(cols, j)
+			t.cols = append(t.cols, j)
 		}
 	}
-	rows := make([][]relation.Value, 0, r.Len())
-	var err error
-	r.Each(func(t relation.Tuple) bool {
-		if err = gov.Tick(); err != nil {
-			return false
+	for i := range t.perm {
+		if err := gov.Tick(); err != nil {
+			return nil, err
 		}
-		row := make([]relation.Value, len(cols))
-		for d, j := range cols {
-			row[d] = t[j]
-		}
-		rows = append(rows, row)
-		return true
-	})
-	if err != nil {
-		return nil, err
+		t.perm[i] = int32(i)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+	// cols covers every column of r and r's rows are distinct, so the
+	// order is total: an unstable sort is deterministic.
+	slices.SortFunc(t.perm, func(x, y int32) int {
+		a, b := r.Tuple(int(x)), r.Tuple(int(y))
+		for _, c := range t.cols {
+			if a[c] != b[c] {
+				return strings.Compare(string(a[c]), string(b[c]))
 			}
 		}
-		return false
+		return 0
 	})
-	return &sortedTrie{depthOf: depthOf, rows: rows}, nil
+	return t, nil
 }
 
 // trieRange is a half-open row range [lo, hi) of one trie — the tuples
@@ -219,7 +214,9 @@ type genericJoin struct {
 	saved  [][]trieRange
 	bind   []relation.Value
 	outPos []int // output column -> order index
-	tuples []relation.Tuple
+	// out collects the output rows. A binding search cannot know its
+	// count before it ends, so the builder grows in slabs.
+	out *relation.Builder
 
 	candidates    int
 	intersections int
@@ -238,18 +235,22 @@ func newGenericJoin(out relation.Scheme, order []relation.Attribute, tries []*so
 	parts := make([][]int, len(order))
 	depth := make([][]int, len(order))
 	saved := make([][]trieRange, len(order))
+	// A trie's levels follow the global order, so the level of order[k] in
+	// a trie is the number of earlier attributes the trie also has.
+	level := make([]int, len(tries))
 	for k, a := range order {
 		for i, tr := range tries {
-			if d, ok := tr.depthOf[a]; ok {
+			if tr.rel.Scheme().Has(a) {
 				parts[k] = append(parts[k], i)
-				depth[k] = append(depth[k], d)
+				depth[k] = append(depth[k], level[i])
+				level[i]++
 			}
 		}
 		saved[k] = make([]trieRange, len(parts[k]))
 	}
 	ranges := make([]trieRange, len(tries))
 	for i, tr := range tries {
-		ranges[i] = trieRange{0, len(tr.rows)}
+		ranges[i] = trieRange{0, len(tr.perm)}
 	}
 	outPos := make([]int, out.Len())
 	for i := 0; i < out.Len(); i++ {
@@ -264,6 +265,7 @@ func newGenericJoin(out relation.Scheme, order []relation.Attribute, tries []*so
 		saved:  saved,
 		bind:   make([]relation.Value, len(order)),
 		outPos: outPos,
+		out:    relation.NewBuilder(out, -1),
 	}
 }
 
@@ -277,13 +279,11 @@ func (j *genericJoin) search(k int) {
 		return
 	}
 	if k == len(j.order) {
-		t := make(relation.Tuple, len(j.outPos))
-		for i, oi := range j.outPos {
-			t[i] = j.bind[oi]
-		}
-		j.tuples = append(j.tuples, t)
-		if len(j.tuples)%checkBatch == 0 {
-			j.err = j.gov.CheckRows(len(j.tuples))
+		// Distinct bindings yield distinct output tuples, so the result
+		// assembles without deduplication.
+		j.out.Gather(j.bind, j.outPos)
+		if j.out.Len()%checkBatch == 0 {
+			j.err = j.gov.CheckRows(j.out.Len())
 		}
 		return
 	}
@@ -307,8 +307,8 @@ func (j *genericJoin) search(k int) {
 		if j.err = j.gov.Tick(); j.err != nil {
 			return
 		}
-		v := st.rows[lo][d]
-		vhi := upperBound(st.rows, lo, hi, d, v)
+		v := st.at(lo, d)
+		vhi := upperBound(st, lo, hi, d, v)
 		j.candidates++
 
 		ok := true
@@ -319,8 +319,8 @@ func (j *genericJoin) search(k int) {
 			}
 			tp := j.tries[p]
 			dp := depth[i]
-			nlo := lowerBound(tp.rows, saved[i].lo, saved[i].hi, dp, v)
-			nhi := upperBound(tp.rows, nlo, saved[i].hi, dp, v)
+			nlo := lowerBound(tp, saved[i].lo, saved[i].hi, dp, v)
+			nhi := upperBound(tp, nlo, saved[i].hi, dp, v)
 			if nlo == nhi {
 				ok = false
 				break
@@ -343,14 +343,14 @@ func (j *genericJoin) search(k int) {
 
 // lowerBound returns the first index in [lo, hi) whose column-d value is
 // ≥ v (hi when none).
-func lowerBound(rows [][]relation.Value, lo, hi, d int, v relation.Value) int {
-	return lo + sort.Search(hi-lo, func(i int) bool { return rows[lo+i][d] >= v })
+func lowerBound(t *sortedTrie, lo, hi, d int, v relation.Value) int {
+	return lo + sort.Search(hi-lo, func(i int) bool { return t.at(lo+i, d) >= v })
 }
 
 // upperBound returns the first index in [lo, hi) whose column-d value is
 // > v (hi when none).
-func upperBound(rows [][]relation.Value, lo, hi, d int, v relation.Value) int {
-	return lo + sort.Search(hi-lo, func(i int) bool { return rows[lo+i][d] > v })
+func upperBound(t *sortedTrie, lo, hi, d int, v relation.Value) int {
+	return lo + sort.Search(hi-lo, func(i int) bool { return t.at(lo+i, d) > v })
 }
 
 var (

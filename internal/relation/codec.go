@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // The text format read and written here is line-oriented:
@@ -123,8 +124,8 @@ func StreamRelation(w io.Writer, name string, r *Relation, every int, flushed fu
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "relation %s\n", name)
 	fmt.Fprintln(bw, r.Scheme().String())
-	for i, t := range r.sortedView() {
-		for j, v := range t {
+	for i, row := range r.sortedOrder() {
+		for j, v := range r.tuples[row] {
 			if j > 0 {
 				bw.WriteByte(' ')
 			}
@@ -192,19 +193,15 @@ func ReadDatabase(r io.Reader) (Database, error) {
 		}
 		rel := New(scheme)
 		for {
-			row, ok := next()
+			line, ok := next()
 			if !ok {
 				return nil, fmt.Errorf("relation: relation %q not terminated by \"end\"", name)
 			}
-			if row == "end" {
+			if line == "end" {
 				break
 			}
-			vals := strings.Fields(row)
-			if len(vals) != scheme.Len() {
-				return nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme %v has %d attributes", lineno, len(vals), scheme, scheme.Len())
-			}
-			if _, err := rel.add(TupleOf(vals...), true); err != nil {
-				return nil, fmt.Errorf("relation: line %d: %w", lineno, err)
+			if n := rel.addLine(line); n != scheme.Len() {
+				return nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme %v has %d attributes", lineno, n, scheme, scheme.Len())
 			}
 		}
 		db.Put(name, rel)
@@ -235,12 +232,8 @@ func ReadRelation(r io.Reader) (name string, rel *Relation, err error) {
 	text := string(data)
 	// Decide on the first meaningful (non-blank, non-comment) line.
 	first := ""
-	for _, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line != "" && !strings.HasPrefix(line, "#") {
-			first = line
-			break
-		}
+	for rest := text; rest != "" && first == ""; {
+		first, rest = cutLine(rest)
 	}
 	if fields := strings.Fields(first); len(fields) == 2 && fields[0] == "relation" {
 		db, blockErr := ReadDatabase(strings.NewReader(text))
@@ -265,34 +258,74 @@ func ReadRelation(r io.Reader) (name string, rel *Relation, err error) {
 // readBare parses the bare form: a scheme line followed by tuple lines
 // until EOF. The returned name is always "".
 func readBare(text string) (name string, rel *Relation, err error) {
-	lines := strings.Split(text, "\n")
-	var scheme Scheme
-	haveScheme := false
 	var out *Relation
-	for i, raw := range lines {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
+	for lineno := 1; text != ""; lineno++ {
+		var line string
+		line, text = cutLine(text)
+		if line == "" {
 			continue
 		}
-		if !haveScheme {
-			scheme, err = SchemeOf(line)
+		if out == nil {
+			scheme, err := SchemeOf(line)
 			if err != nil {
-				return "", nil, fmt.Errorf("relation: line %d: %w", i+1, err)
+				return "", nil, fmt.Errorf("relation: line %d: %w", lineno, err)
 			}
 			out = New(scheme)
-			haveScheme = true
 			continue
 		}
-		vals := strings.Fields(line)
-		if len(vals) != scheme.Len() {
-			return "", nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme has %d attributes", i+1, len(vals), scheme.Len())
-		}
-		if _, err := out.add(TupleOf(vals...), true); err != nil {
-			return "", nil, fmt.Errorf("relation: line %d: %w", i+1, err)
+		if n := out.addLine(line); n != out.scheme.Len() {
+			return "", nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme has %d attributes", lineno, n, out.scheme.Len())
 		}
 	}
-	if !haveScheme {
+	if out == nil {
 		return "", nil, fmt.Errorf("relation: empty input")
 	}
 	return "", out, nil
+}
+
+// cutLine cuts text at its first newline and returns the line before it,
+// trimmed, with a comment line read as blank, and the text after it.
+func cutLine(text string) (line, rest string) {
+	line, rest, _ = strings.Cut(text, "\n")
+	line = strings.TrimSpace(line)
+	if strings.HasPrefix(line, "#") {
+		line = ""
+	}
+	return line, rest
+}
+
+// addLine adds the tuple written on line — its whitespace-separated
+// fields, split exactly as strings.Fields splits them — and returns the
+// number of fields. The fields are split straight into the store's next
+// row, with no []string and no copy in between; the values are substrings
+// of line. A line whose field count is not the scheme's arity adds
+// nothing (the caller reports it), and neither does a duplicate: either
+// way the row goes back to the store.
+func (r *Relation) addLine(line string) int {
+	row := r.next(r.scheme.Len())
+	n, start := 0, -1
+	field := func(end int) {
+		if n < len(row) {
+			row[n] = Value(line[start:end])
+		}
+		n++
+		start = -1
+	}
+	for i, c := range line {
+		switch {
+		case !unicode.IsSpace(c):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			field(i)
+		}
+	}
+	if start >= 0 {
+		field(len(line))
+	}
+	if n == len(row) {
+		r.commit(row)
+	}
+	return n
 }

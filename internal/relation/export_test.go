@@ -11,3 +11,15 @@ func CollideAllHashes(t testing.TB) {
 	hashMask = 0
 	t.Cleanup(func() { hashMask = old })
 }
+
+// AlignTo exposes alignTo, whose result no exported method returns, to the
+// producer table of the view-safety test. (A function, not a method: the
+// lint loader's export data cannot add a method to a type that package
+// join's export data has already declared.)
+func AlignTo(r *Relation, target Scheme) (*Relation, error) { return r.alignTo(target) }
+
+// AppendTo appends v to the borrowed row t and drops the result: what a
+// careless reader might do, and what tuplealias would flag outside this
+// package. With cap(t) == len(t) it copies t; otherwise it writes the
+// value after t in t's backing array.
+func AppendTo(t Tuple, v Value) { _ = append(t, v) }

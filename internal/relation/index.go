@@ -97,13 +97,15 @@ func (ix *Index) find(rows []Tuple, t Tuple, h uint64) int {
 	return -1
 }
 
-// findOf is find for the projection of t onto cols, which is not built:
-// a row matches when row[i] == t[cols[i]] for every i.
-func (ix *Index) findOf(rows []Tuple, t Tuple, cols []int, h uint64) int {
+// findOf is find among projections onto cols, none of which is built:
+// id names the projection of rows[firsts[id]], and it matches the
+// projection of t when the two rows agree on every column of cols.
+func (ix *Index) findOf(rows []Tuple, firsts []int32, t Tuple, cols []int, h uint64) int {
 next:
 	for id, p := ix.Seek(h); id >= 0; id, p = ix.Next(h, p) {
-		for i, c := range cols {
-			if rows[id][i] != t[c] {
+		row := rows[firsts[id]]
+		for _, c := range cols {
+			if row[c] != t[c] {
 				continue next
 			}
 		}
@@ -114,12 +116,13 @@ next:
 
 // TupleSet is a set of tuples in insertion order — a Relation without a
 // scheme, for the seen-sets of the deciders, the tableau search and the
-// dependency checks. It is the relation's own row store: an Index over a
-// tuple slice, deduplicating by hash and Tuple.Equal. The zero TupleSet
-// is empty and ready to use; it is not safe for concurrent mutation.
+// dependency checks. It is the relation's own row store: an Index over
+// rows carved from slabs, deduplicating by hash and Tuple.Equal. The zero
+// TupleSet is empty and ready to use; it is not safe for concurrent
+// mutation.
 type TupleSet struct {
-	tuples []Tuple
-	ix     Index
+	rowStore
+	ix Index
 }
 
 // Len returns the number of distinct tuples added.
@@ -133,6 +136,6 @@ func (s *TupleSet) Add(t Tuple) (pos int, added bool) {
 	if i := s.ix.find(s.tuples, t, h); i >= 0 {
 		return i, false
 	}
-	s.tuples = append(s.tuples, t.Clone())
+	s.copyRow(t)
 	return s.ix.Insert(h), true
 }

@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -18,18 +18,23 @@ import (
 // collision costs a comparison and never an answer, and neither
 // allocates beyond Add's copy of a new tuple.
 //
+// The rows themselves live in backing arrays the relation owns (rowStore,
+// store.go): every stored Tuple is a cap == len view into one of them,
+// never a heap object of its own.
+//
 // Relations built by New, FromTuples, FromRows and the codec index every
-// tuple as it is added. Relations built by FromDistinctTuples — join and
-// semijoin outputs, duplicate-free by construction — skip the index and
-// build it on the first operation that needs it (Contains, Add, ...):
-// such intermediates are often only ever scanned, never probed. The lazy
-// build is guarded by a sync.Once, preserving the contract below.
+// tuple as it is added. Relations whose rows are distinct by construction
+// — a Builder's (join outputs), FromDistinctTuples' (semijoin outputs),
+// Clone's and a column permutation's — skip the index and build it on the
+// first operation that needs it (Contains, Add, ...): such intermediates
+// are often only ever scanned, never probed. The lazy build is guarded by
+// a sync.Once, preserving the contract below.
 //
 // A Relation is not safe for concurrent mutation; concurrent reads
 // (Fingerprint included) are fine.
 type Relation struct {
-	scheme    Scheme
-	tuples    []Tuple
+	scheme Scheme
+	rowStore
 	index     Index     // hash -> position in tuples; trails tuples until ensureIndex
 	indexOnce sync.Once // guards the lazy build for FromDistinctTuples relations
 	// fp memoizes Fingerprint. Relations only grow, so the memo is
@@ -43,7 +48,7 @@ func New(scheme Scheme) *Relation {
 }
 
 // ensureIndex returns the position index, completing it on first use for
-// relations assembled by FromDistinctTuples. Safe under concurrent
+// relations assembled from distinct rows. Safe under concurrent
 // reads: the once serializes the build, and for eagerly indexed
 // relations the guarded closure finds nothing to do.
 func (r *Relation) ensureIndex() *Index {
@@ -64,6 +69,7 @@ func (r *Relation) ensureIndex() *Index {
 // match the scheme.
 func FromTuples(scheme Scheme, tuples []Tuple) (*Relation, error) {
 	r := New(scheme)
+	r.reserve(len(tuples))
 	for _, t := range tuples {
 		if _, err := r.Add(t); err != nil {
 			return nil, err
@@ -82,6 +88,12 @@ func FromTuples(scheme Scheme, tuples []Tuple) (*Relation, error) {
 // of the batch slice itself; callers must not modify either afterwards.
 // Passing duplicate tuples violates set semantics silently — use New/Add
 // when distinctness is not guaranteed.
+//
+// It is the constructor for a selection of another relation's own rows (a
+// semijoin result): the rows stay shared, only the header slice is new.
+// A producer that builds new rows writes them through a Builder instead,
+// so that the relation owns their memory; tuples handed to
+// FromDistinctTuples should be cap == len views like every stored row.
 func FromDistinctTuples(scheme Scheme, parts ...[]Tuple) (*Relation, error) {
 	total := 0
 	for _, part := range parts {
@@ -104,13 +116,21 @@ func FromDistinctTuples(scheme Scheme, parts ...[]Tuple) (*Relation, error) {
 	return r, nil
 }
 
-// FromRows is a convenience constructor taking rows of plain strings.
+// FromRows is a convenience constructor taking rows of plain strings
+// (duplicates collapse).
 func FromRows(scheme Scheme, rows ...[]string) (*Relation, error) {
 	r := New(scheme)
-	for _, row := range rows {
-		if _, err := r.add(TupleOf(row...), true); err != nil {
-			return nil, err
+	r.reserve(len(rows))
+	r.index.reserve(len(rows))
+	for _, vals := range rows {
+		if len(vals) != scheme.Len() {
+			return nil, r.arityError(TupleOf(vals...))
 		}
+		row := r.next(len(vals))
+		for i, v := range vals {
+			row[i] = Value(v)
+		}
+		r.commit(row)
 	}
 	return r, nil
 }
@@ -127,25 +147,36 @@ func (r *Relation) Empty() bool { return len(r.tuples) == 0 }
 // Add inserts tuple t, returning true if it was new and false if it was
 // already present. It reports an error when the tuple's arity does not
 // match the scheme. The relation stores a copy; the caller keeps t.
-func (r *Relation) Add(t Tuple) (bool, error) { return r.add(t, false) }
-
-// add is Add; owned says the caller built t and hands it over, so a new
-// tuple is kept as is instead of copied.
-func (r *Relation) add(t Tuple, owned bool) (bool, error) {
+func (r *Relation) Add(t Tuple) (bool, error) {
 	if len(t) != r.scheme.Len() {
-		return false, fmt.Errorf("relation: tuple %v has arity %d, scheme %v has arity %d", t, len(t), r.scheme, r.scheme.Len())
+		return false, r.arityError(t)
 	}
 	ix := r.ensureIndex()
 	h := t.Hash()
 	if ix.find(r.tuples, t, h) >= 0 {
 		return false, nil
 	}
-	if !owned {
-		t = t.Clone()
-	}
-	r.tuples = append(r.tuples, t)
+	r.copyRow(t)
 	ix.Insert(h)
 	return true, nil
+}
+
+func (r *Relation) arityError(t Tuple) error {
+	return fmt.Errorf("relation: tuple %v has arity %d, scheme %v has arity %d", t, len(t), r.scheme, r.scheme.Len())
+}
+
+// commit is Add for a row the caller filled in place: row must be what
+// r.next just returned. A new row is kept where it is; a duplicate is
+// handed back to the store, whose next row reuses its memory.
+func (r *Relation) commit(row Tuple) bool {
+	ix := r.ensureIndex()
+	h := row.Hash()
+	if ix.find(r.tuples, row, h) >= 0 {
+		return false
+	}
+	r.push(row)
+	ix.Insert(h)
+	return true
 }
 
 // MustAdd is Add for statically known tuples; it panics on arity errors.
@@ -194,40 +225,44 @@ func (r *Relation) Each(fn func(Tuple) bool) {
 	}
 }
 
-// Tuples returns a copy of the tuple list in insertion order.
-func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, len(r.tuples))
-	for i, t := range r.tuples {
-		out[i] = t.Clone()
+// Tuples returns a copy of the tuple list in insertion order. The copies
+// are the caller's to modify; they share one backing array, each a cap ==
+// len view of it.
+func (r *Relation) Tuples() []Tuple { return r.copyRows().tuples }
+
+// copyRows returns a store holding copies of r's rows in one backing array.
+func (r *Relation) copyRows() (s rowStore) {
+	s.reserve(len(r.tuples))
+	for _, t := range r.tuples {
+		s.copyRow(t)
 	}
-	return out
+	return s
 }
 
 // Sorted returns a copy of the tuples in deterministic lexicographic
 // order.
 func (r *Relation) Sorted() []Tuple {
 	out := r.Tuples()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, Tuple.compare)
 	return out
 }
 
-// sortedView is Sorted without the per-tuple copies: a fresh slice of row
-// headers over the relation's own tuples, for in-package readers (the
-// codec, Render) that only read them.
-func (r *Relation) sortedView() []Tuple {
-	out := make([]Tuple, len(r.tuples))
-	copy(out, r.tuples)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+// sortedOrder is Sorted without the copies: the positions of the
+// relation's own tuples in lexicographic order, for in-package readers
+// (the codec, Render) that only read them. Rows are distinct, so the
+// order is total and an unstable sort is deterministic.
+func (r *Relation) sortedOrder() []int32 {
+	order := make([]int32, len(r.tuples))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return r.tuples[a].compare(r.tuples[b]) })
+	return order
 }
 
 // Clone returns an independent copy of the relation.
 func (r *Relation) Clone() *Relation {
-	c := New(r.scheme)
-	for _, t := range r.tuples {
-		c.MustAdd(t)
-	}
-	return c
+	return &Relation{scheme: r.scheme, rowStore: r.copyRows()}
 }
 
 // alignTo returns r's tuples rewritten into the column order of target,
@@ -243,9 +278,11 @@ func (r *Relation) alignTo(target Scheme) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A column permutation of distinct rows is distinct.
 	out := New(target)
+	out.reserve(len(r.tuples))
 	for _, t := range r.tuples {
-		out.MustAdd(p.apply(t))
+		out.gather(t, p.idx)
 	}
 	return out, nil
 }
@@ -257,16 +294,23 @@ func (r *Relation) Project(onto Scheme) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Hash and compare the projected columns in place: only a projection
-	// not seen before is built.
+	// Count first: hash and compare the projected columns in place,
+	// noting the source row of each projection not seen before — the
+	// index's candidates are confirmed against those source rows — and
+	// only then build exactly the distinct rows.
 	out := New(onto)
-	for _, t := range r.tuples {
+	var firsts []int32
+	for i, t := range r.tuples {
 		h := t.HashOf(p.idx)
-		if out.index.findOf(out.tuples, t, p.idx, h) >= 0 {
+		if out.index.findOf(r.tuples, firsts, t, p.idx, h) >= 0 {
 			continue
 		}
-		out.tuples = append(out.tuples, p.apply(t))
+		firsts = append(firsts, int32(i))
 		out.index.Insert(h)
+	}
+	out.reserve(len(firsts))
+	for _, i := range firsts {
+		out.gather(r.tuples[i], p.idx)
 	}
 	return out, nil
 }

@@ -20,11 +20,7 @@ func Render(r *Relation, opts RenderOptions) string {
 	for i := 0; i < r.scheme.Len(); i++ {
 		widths[i] = len(r.scheme.Attr(i))
 	}
-	rows := r.tuples
-	if opts.SortRows {
-		rows = r.sortedView()
-	}
-	for _, t := range rows {
+	for _, t := range r.tuples {
 		for i, v := range t {
 			if len(v) > widths[i] {
 				widths[i] = len(v)
@@ -48,8 +44,13 @@ func Render(r *Relation, opts RenderOptions) string {
 		b.WriteByte('\n')
 	}
 	writeRow(func(i int) string { return string(r.scheme.Attr(i)) })
-	for _, t := range rows {
-		t := t
+	if opts.SortRows {
+		for _, row := range r.sortedOrder() {
+			writeRow(func(i int) string { return string(r.tuples[row][i]) })
+		}
+		return b.String()
+	}
+	for _, t := range r.tuples {
 		writeRow(func(i int) string { return string(t[i]) })
 	}
 	return b.String()

@@ -10,6 +10,12 @@ import (
 // given by the Scheme it is paired with (vals[i] is the value of scheme
 // attribute i). Pairing a tuple with a scheme of a different length is an
 // arity error that the Relation methods report.
+//
+// A Tuple a Relation hands out (Tuple, Each) is a view into a backing
+// array the relation owns, shared with every other reader: it must not be
+// written. Its cap equals its len, so an append copies it instead of
+// reaching the next row. TupleOf, Clone and Relation.Tuples return tuples
+// the caller owns.
 type Tuple []Value
 
 // TupleOf builds a tuple from plain strings, in scheme order.
@@ -44,17 +50,16 @@ func (t Tuple) Equal(u Tuple) bool {
 // Less orders tuples lexicographically by value; shorter tuples order
 // before longer ones when they share a prefix. It gives relations a
 // deterministic rendering order.
-func (t Tuple) Less(u Tuple) bool {
-	n := len(t)
-	if len(u) < n {
-		n = len(u)
-	}
-	for i := 0; i < n; i++ {
-		if t[i] != u[i] {
-			return t[i] < u[i]
+func (t Tuple) Less(u Tuple) bool { return t.compare(u) < 0 }
+
+// compare is Less as a three-way comparison, for slices.SortFunc.
+func (t Tuple) compare(u Tuple) int {
+	for i := 0; i < len(t) && i < len(u); i++ {
+		if c := strings.Compare(string(t[i]), string(u[i])); c != 0 {
+			return c
 		}
 	}
-	return len(t) < len(u)
+	return len(t) - len(u)
 }
 
 // key encodes the tuple as a string usable as a map key. The encoding is
