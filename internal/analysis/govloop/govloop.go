@@ -104,6 +104,28 @@ func carriesGovernor(t types.Type) bool {
 	return t != nil && (framework.IsNamed(t, "governor", "Governor") || framework.IsNamed(t, "join", "Exec"))
 }
 
+// holdsGovernor reports whether t carries a governor or is a struct (or a
+// pointer to one) with a field that does — the tree join's executor state,
+// whose methods reach the governor through the receiver.
+func holdsGovernor(t types.Type) bool {
+	if carriesGovernor(t) {
+		return true
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	s, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < s.NumFields(); i++ {
+		if carriesGovernor(s.Field(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
 type checker struct {
 	pass  *framework.Pass
 	reach *framework.Reachability
@@ -112,9 +134,9 @@ type checker struct {
 
 // checkFunc flags ungoverned tuple loops in one declared function. The
 // check only applies when a governor is in scope — as a parameter, the
-// receiver, or any expression mentioned in the body (an evaluator's
-// Gov field, a local) — because without one there is nothing the loop
-// could tick.
+// receiver or a field of the receiver, or any expression mentioned in the
+// body (an evaluator's Gov field, a local) — because without one there is
+// nothing the loop could tick.
 func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	if !c.governorInScope(fd) {
 		return
@@ -145,13 +167,14 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 }
 
 // governorInScope reports whether fd has a *governor.Governor reachable
-// by name: in its signature (receiver included) or as any typed
-// expression in its body.
+// by name: in its signature (the receiver's fields included, so that a
+// method does not leave the analyzer's sight by losing its only Tick) or as
+// any typed expression in its body.
 func (c *checker) governorInScope(fd *ast.FuncDecl) bool {
 	obj, ok := c.pass.Info.Defs[fd.Name].(*types.Func)
 	if ok {
 		sig := obj.Type().(*types.Signature)
-		if recv := sig.Recv(); recv != nil && carriesGovernor(recv.Type()) {
+		if recv := sig.Recv(); recv != nil && holdsGovernor(recv.Type()) {
 			return true
 		}
 		params := sig.Params()

@@ -62,3 +62,12 @@ func CopyInto(t relation.Tuple) {
 func Append(t relation.Tuple) relation.Tuple {
 	return append(t, "x") // want `append to a relation\.Tuple received across a package boundary`
 }
+
+// Collected: the n-ary builder method takes its source rows and copies out
+// of them, so a tree join never holds a writable row of the output — and a
+// row it read through Relation.Tuple to hand over is still borrowed.
+func Collected(b *relation.Builder, r, s *relation.Relation) {
+	row := r.Tuple(0)
+	b.Collect([]relation.Tuple{row, s.Tuple(0)}, []relation.Ref{{Src: 0, Col: 0}, {Src: 1, Col: 1}})
+	row[0] = "x" // want `writes into a relation\.Tuple received across a package boundary`
+}

@@ -248,6 +248,79 @@ func FuzzGYO(f *testing.F) {
 	})
 }
 
+// FuzzAcyclicJoin holds the tree join to the reference oracle on every
+// acyclic hypergraph the generator draws, with relations large and skewed
+// enough for fat groups, dead groups and whole dead branches: JoinAll must
+// equal the fold of relation.Relation.Join, the full reducer must leave
+// exactly the join's projections, and the count pass must have learned the
+// output's cardinality — the number of rows then built — from the marks.
+func FuzzAcyclicJoin(f *testing.F) {
+	f.Add(byte(0b000011), byte(0b000110), byte(0b001100), byte(0), byte(0), byte(12), byte(2), int64(1))        // chain, skewed
+	f.Add(byte(0b000011), byte(0b000101), byte(0b001001), byte(0b010001), byte(0), byte(20), byte(3), int64(2)) // star
+	f.Add(byte(0b000111), byte(0b001001), byte(0b010010), byte(0b100100), byte(0), byte(30), byte(4), int64(3)) // snowflake
+	f.Add(byte(0b000011), byte(0b001100), byte(0b110000), byte(0), byte(0), byte(6), byte(7), int64(4))         // cartesian
+	f.Add(byte(0b000011), byte(0b000011), byte(0b000110), byte(0b000110), byte(0), byte(40), byte(1), int64(5)) // repeated schemes
+	f.Fuzz(func(t *testing.T, m1, m2, m3, m4, m5, maxRows, domain byte, seed int64) {
+		var edges []relation.Scheme
+		for _, m := range []byte{m1, m2, m3, m4, m5} {
+			if m &= 0b111111; m != 0 {
+				edges = append(edges, maskEdge(t, m))
+			}
+		}
+		tree, ok := JoinTreeOf(edges)
+		if !ok || len(edges) < 2 {
+			t.Skip("not an acyclic join")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		rels := make([]*relation.Relation, len(edges))
+		for i, e := range edges {
+			rels[i] = relation.New(e)
+			for k, n := 0, rng.Intn(int(maxRows%48)+1); k < n; k++ {
+				row := make(relation.Tuple, e.Len())
+				for c := range row {
+					row[c] = relation.Value('0' + byte(rng.Intn(int(domain%8)+1)))
+				}
+				rels[i].MustAdd(row)
+			}
+		}
+		want := rels[0]
+		for _, r := range rels[1:] {
+			var err error
+			if want, err = want.Join(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := Yannakakis{}.JoinAll(Exec{}, NewPlan(rels...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("tree join over %v: %v, the oracle has %v", edges, got.Sorted(), want.Sorted())
+		}
+		reduced, _, err := FullReduce(rels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tj := newTreeJoin(Exec{}, rels, tree)
+		if err := tj.mark(); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range reduced {
+			proj, err := want.Project(edges[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Equal(proj) || tj.rows[i] != proj.Len() {
+				t.Fatalf("input %d over %v: reduced to %v (%d rows marked live), the join's projection is %v",
+					i, edges, r.Sorted(), tj.rows[i], proj.Sorted())
+			}
+		}
+		if total, err := tj.count(); err != nil || total != got.Len() {
+			t.Fatalf("counted %d output rows (%v) over %v, built %d", total, err, edges, got.Len())
+		}
+	})
+}
+
 // TestAcyclicOracleSelfCheck pins the oracle on known shapes so FuzzGYO
 // is not testing GYO against a broken referee.
 func TestAcyclicOracleSelfCheck(t *testing.T) {

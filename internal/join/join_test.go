@@ -324,7 +324,7 @@ func TestOnePassProducersAllocatePerRelation(t *testing.T) {
 	l, r := skewedPair(rows, rows)
 	for name, run := range map[string]func() (*relation.Relation, error){
 		"Generic.JoinAll": func() (*relation.Relation, error) { return Generic{}.JoinAll(Exec{}, NewPlan(l, r)) },
-		"SemijoinWith":    func() (*relation.Relation, error) { return SemijoinWith(l, r, nil) },
+		"Semijoin":        func() (*relation.Relation, error) { return Semijoin(l, r) },
 	} {
 		got := testing.AllocsPerRun(5, func() {
 			if out, err := run(); err != nil || out.Len() != rows {

@@ -120,7 +120,7 @@ func (p Parallel) Join(x Exec, l, r *relation.Relation) (*relation.Relation, err
 
 	// Build on the smaller input, as the sequential hash join does.
 	s := orient(l, r)
-	table, err := buildTable(x.Gov, s.build, s.keyBuild)
+	table, err := buildTable(x.Gov, s.build, s.keyBuild, nil)
 	if err != nil {
 		return nil, err
 	}

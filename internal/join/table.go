@@ -47,11 +47,14 @@ type hashTable struct {
 	next []int32        // row -> the next row of its group, -1 at the end
 }
 
-// buildTable groups rel's rows by the key columns cols, ticking g once
-// per row.
-func buildTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*hashTable, error) {
+// buildTable groups rel's rows — those not in skip, when skip is not nil —
+// by the key columns cols, ticking g once per row grouped.
+func buildTable(g *governor.Governor, rel *relation.Relation, cols keyCols, skip bitset) (*hashTable, error) {
 	t := &hashTable{rel: rel, cols: cols, next: make([]int32, rel.Len())}
 	for i := range t.next {
+		if skip != nil && skip.has(i) {
+			continue
+		}
 		if err := g.Tick(); err != nil {
 			return nil, err
 		}
@@ -103,3 +106,9 @@ func (t *hashTable) matches(h uint64, u relation.Tuple, ku keyCols) (first, n in
 
 // after returns the build row following row i in its group, or -1.
 func (t *hashTable) after(i int) int { return int(t.next[i]) }
+
+// bitset marks rows of one relation by position.
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }

@@ -3,6 +3,11 @@ package join
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"relquery/internal/governor"
@@ -166,5 +171,187 @@ func TestFullReduceRejectsCyclic(t *testing.T) {
 	out, n, err := FullReduce(nil)
 	if err != nil || len(out) != 0 || n != 0 {
 		t.Errorf("FullReduce(nil) = %v, %d, %v", out, n, err)
+	}
+}
+
+// uniquePath returns the path R1(A,B) ∗ R2(B,C) ∗ R3(C,D) of rows rows
+// each with unique keys: nothing dangles, and the join has rows rows.
+func uniquePath(rows int) []*relation.Relation {
+	r1, r2 := skewedPair(rows, rows)
+	r3 := relation.New(relation.MustScheme("C", "D"))
+	for i := 0; i < rows; i++ {
+		r3.MustAdd(relation.TupleOf(fmt.Sprintf("c%d", i), fmt.Sprintf("d%d", i)))
+	}
+	return []*relation.Relation{r1, r2, r3}
+}
+
+// TestTreeJoinBuildsOneTablePerEdge: a three-relation path allocates what
+// two hash tables allocate, the output's own backing arrays and a constant
+// — not a table per semijoin pass and per tree join (six), not a relation
+// per pass, not a tree-join intermediate. The constant does not grow with
+// the inputs: between 1 024 and 4 096 rows only the output's arrays do.
+func TestTreeJoinBuildsOneTablePerEdge(t *testing.T) {
+	besides := map[int]float64{}
+	for _, rows := range []int{1024, 4096} {
+		rels := uniquePath(rows)
+		table := testing.AllocsPerRun(5, func() {
+			if _, err := buildTable(nil, rels[1], keyCols{0}, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		p := NewPlan(rels...)
+		p.JoinTree()
+		got := testing.AllocsPerRun(5, func() {
+			if out, err := (Yannakakis{}).JoinAll(Exec{}, p); err != nil || out.Len() != rows {
+				t.Fatal(out, err)
+			}
+		})
+		besides[rows] = got - 2*table
+		t.Logf("%d rows: %v allocations, %v per table", rows, got, table)
+		if besides[rows] < 0 || besides[rows] > 48 {
+			t.Errorf("%d rows: %v allocations against %v per table: not two tables and a constant", rows, got, table)
+		}
+	}
+	if grew := besides[4096] - besides[1024]; grew > 16 {
+		t.Errorf("allocations besides the tables grew by %v from 1024 to 4096 rows", grew)
+	}
+}
+
+// danglingPath and danglingStar are the acyclic blow-up families at scale
+// n: n+1 output rows, and n dangling tuples on each of two relations that
+// a binary plan joins into n² rows first.
+func danglingPath(n int) []*relation.Relation {
+	r1 := relation.New(relation.MustScheme("A", "B"))
+	r2 := relation.New(relation.MustScheme("B", "C"))
+	r3 := relation.New(relation.MustScheme("C", "D"))
+	for i := 0; i < n; i++ {
+		r1.MustAdd(relation.TupleOf(fmt.Sprintf("a%d", i), "b0"))
+		r2.MustAdd(relation.TupleOf("b0", fmt.Sprintf("c%d", i)))
+		r3.MustAdd(relation.TupleOf("c*", fmt.Sprintf("d%d", i)))
+	}
+	r1.MustAdd(relation.TupleOf("a*", "b1"))
+	r2.MustAdd(relation.TupleOf("b1", "c*"))
+	r3.MustAdd(relation.TupleOf("c*", fmt.Sprintf("d%d", n)))
+	return []*relation.Relation{r1, r2, r3}
+}
+
+func danglingStar(n int) []*relation.Relation {
+	l1 := relation.New(relation.MustScheme("A", "B"))
+	l2 := relation.New(relation.MustScheme("A", "C"))
+	l3 := relation.New(relation.MustScheme("A", "D"))
+	for i := 0; i < n; i++ {
+		l1.MustAdd(relation.TupleOf("h0", fmt.Sprintf("b%d", i)))
+		l2.MustAdd(relation.TupleOf("h0", fmt.Sprintf("c%d", i)))
+		l3.MustAdd(relation.TupleOf("h1", fmt.Sprintf("d%d", i)))
+	}
+	l1.MustAdd(relation.TupleOf("h1", "b*"))
+	l2.MustAdd(relation.TupleOf("h1", "c*"))
+	l3.MustAdd(relation.TupleOf("h1", fmt.Sprintf("d%d", n)))
+	return []*relation.Relation{l1, l2, l3}
+}
+
+// checkCounter is a context that counts the governor's full checkpoints:
+// one per governor.CheckEvery ticks, plus the explicit ones.
+type checkCounter struct {
+	context.Context
+	checks *atomic.Int64
+}
+
+func (c checkCounter) Err() error {
+	c.checks.Add(1)
+	return c.Context.Err()
+}
+
+// TestTreeJoinWorkIsLinear: on the dangling families the whole evaluation
+// — both sweeps, the count and the enumeration — ticks a constant number
+// of times per input and output row. A marked tree has no dead ends, so
+// the enumeration visits nothing it does not emit, and no pass rescans
+// what an earlier one deleted.
+func TestTreeJoinWorkIsLinear(t *testing.T) {
+	const n = 8192
+	for name, rels := range map[string][]*relation.Relation{"path": danglingPath(n), "star": danglingStar(n)} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var checks atomic.Int64
+		gov := governor.New(checkCounter{ctx, &checks}, governor.Limits{})
+		out, err := Yannakakis{}.JoinAll(Exec{Gov: gov}, NewPlan(rels...))
+		if err != nil || out.Len() != n+1 {
+			t.Fatal(name, out, err)
+		}
+		work := 3*(n+1) + out.Len() // input + output
+		ticks := int(checks.Load()) * governor.CheckEvery
+		t.Logf("%s: at most %d ticks for %d rows in and out", name, ticks, work)
+		if ticks > 4*work {
+			t.Errorf("%s: %d ticks for %d rows in and out", name, ticks, work)
+		}
+	}
+}
+
+// TestOverBudgetTreeJoinDiesBeforeItMaterializes is the acyclic twin of
+// TestOverBudgetJoinDiesBeforeItMaterializes: a star of two 2 000-row legs
+// on one hub value has four million output rows, and under a 10 000-row
+// budget it is refused on the count, holding its two tables and its marks
+// and not one output row. The memory budget is charged on the same count,
+// and a budget of exactly the output lets a join through.
+func TestOverBudgetTreeJoinDiesBeforeItMaterializes(t *testing.T) {
+	star := func(n int) *Plan {
+		l, r := skewedPair(n, 1) // L(A,B), R(B,C): every row on the key b0
+		return NewPlan(rel(t, "B", "b0"), l, r)
+	}
+	p := star(2000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gov := governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 10_000})
+	_, err := Yannakakis{}.JoinAll(Exec{Gov: gov}, p)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, governor.ErrRowBudget) {
+		t.Fatalf("want governor.ErrRowBudget, got %v", err)
+	}
+	const perRow = 3*16 + 24 // one output row of three values and its header
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 4_000_000*perRow/1000 {
+		t.Errorf("the refused join allocated %d bytes; its output would be %d", spent, 4_000_000*perRow)
+	}
+	gov = governor.New(context.Background(), governor.Limits{MaxMemoryBytes: 1 << 20})
+	if _, err := (Yannakakis{}).JoinAll(Exec{Gov: gov}, p); !errors.Is(err, governor.ErrMemBudget) {
+		t.Errorf("want governor.ErrMemBudget under a 1 MB budget, got %v", err)
+	}
+	gov = governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 40_000})
+	if out, err := (Yannakakis{}).JoinAll(Exec{Gov: gov}, star(200)); err != nil || out.Len() != 40_000 {
+		t.Errorf("200 × 200 under a budget of exactly its output: %v, %v", out, err)
+	}
+}
+
+// TestTreeJoinCountSaturates: four 65 536-row relations on disjoint
+// schemes have 2⁶⁴ output rows — a count that wraps to exactly 0, which a
+// wrapping executor would answer with an empty relation. The count
+// saturates instead and the join is refused: by the row budget when there
+// is one, and as an error of its own when there is none.
+func TestTreeJoinCountSaturates(t *testing.T) {
+	var rels []*relation.Relation
+	for _, a := range []relation.Attribute{"A", "B", "C", "D"} {
+		r := relation.New(relation.MustScheme(a))
+		for i := 0; i < 1<<16; i++ {
+			r.MustAdd(relation.TupleOf(strconv.Itoa(i)))
+		}
+		rels = append(rels, r)
+	}
+	p := NewPlan(rels...)
+	tree, ok := p.JoinTree()
+	if !ok {
+		t.Fatal("disjoint schemes are acyclic")
+	}
+	tj := newTreeJoin(Exec{}, rels, tree)
+	if err := tj.mark(); err != nil {
+		t.Fatal(err)
+	}
+	if total, err := tj.count(); err != nil || total != math.MaxInt {
+		t.Fatalf("count() = %d, %v; want it saturated at math.MaxInt", total, err)
+	}
+	if out, err := (Yannakakis{}).JoinAll(Exec{}, p); err == nil || governor.Violated(err) {
+		t.Errorf("ungoverned: want an overflow error, got %v, %v", out, err)
+	}
+	gov := governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 1 << 20})
+	if _, err := (Yannakakis{}).JoinAll(Exec{Gov: gov}, p); !errors.Is(err, governor.ErrRowBudget) {
+		t.Errorf("under a row budget: want governor.ErrRowBudget, got %v", err)
 	}
 }

@@ -229,7 +229,13 @@ func ReadRelation(r io.Reader) (name string, rel *Relation, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	text := string(data)
+	return ParseRelation(string(data))
+}
+
+// ParseRelation is ReadRelation for a caller that holds the whole text
+// already — an upload handler that read the body into one buffer of the
+// declared length. The relation's values are substrings of text.
+func ParseRelation(text string) (name string, rel *Relation, err error) {
 	// Decide on the first meaningful (non-blank, non-comment) line.
 	first := ""
 	for rest := text; rest != "" && first == ""; {

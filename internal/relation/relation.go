@@ -24,7 +24,7 @@ import (
 //
 // Relations built by New, FromTuples, FromRows and the codec index every
 // tuple as it is added. Relations whose rows are distinct by construction
-// — a Builder's (join outputs), FromDistinctTuples' (semijoin outputs),
+// — a Builder's (join and semijoin outputs), FromDistinctTuples',
 // Clone's and a column permutation's — skip the index and build it on the
 // first operation that needs it (Contains, Add, ...): such intermediates
 // are often only ever scanned, never probed. The lazy build is guarded by
@@ -40,6 +40,10 @@ type Relation struct {
 	// fp memoizes Fingerprint. Relations only grow, so the memo is
 	// current exactly when it covers len(tuples) rows.
 	fp atomic.Pointer[fingerprint]
+	// sorted memoizes sortedOrder under the same rule, so Add needs no
+	// invalidation: an immutable relation — a cached result served again
+	// and again — is sorted once.
+	sorted atomic.Pointer[[]int32]
 }
 
 // New returns an empty relation over the given scheme.
@@ -242,21 +246,31 @@ func (r *Relation) copyRows() (s rowStore) {
 // Sorted returns a copy of the tuples in deterministic lexicographic
 // order.
 func (r *Relation) Sorted() []Tuple {
-	out := r.Tuples()
-	slices.SortFunc(out, Tuple.compare)
-	return out
+	var s rowStore
+	s.reserve(len(r.tuples))
+	for _, i := range r.sortedOrder() {
+		s.copyRow(r.tuples[i])
+	}
+	return s.tuples
 }
 
 // sortedOrder is Sorted without the copies: the positions of the
 // relation's own tuples in lexicographic order, for in-package readers
-// (the codec, Render) that only read them. Rows are distinct, so the
-// order is total and an unstable sort is deterministic.
+// (the codec, Render) that only read them — the order is shared with every
+// other reader of the relation and must not be written. Rows are distinct,
+// so the order is total and an unstable sort is deterministic. Computed
+// once per relation and length; concurrent first readers may each compute
+// it, and publish equal orders.
 func (r *Relation) sortedOrder() []int32 {
+	if memo := r.sorted.Load(); memo != nil && len(*memo) == len(r.tuples) {
+		return *memo
+	}
 	order := make([]int32, len(r.tuples))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(a, b int32) int { return r.tuples[a].compare(r.tuples[b]) })
+	r.sorted.Store(&order)
 	return order
 }
 

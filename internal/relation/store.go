@@ -164,6 +164,24 @@ func (b *Builder) Concat(left, right Tuple, rest []int) {
 	b.rows.push(row)
 }
 
+// Ref names one value among several source tuples: column Col of the
+// Src-th of them.
+type Ref struct{ Src, Col int }
+
+// Collect appends the row (srcs[from[0].Src][from[0].Col], …): an n-ary
+// join's output tuple, each column read from the input row that supplies
+// it; from must name one source value per attribute of the scheme.
+func (b *Builder) Collect(srcs []Tuple, from []Ref) {
+	if len(from) != b.scheme.Len() {
+		panic(fmt.Sprintf("relation: Builder.Collect of %d columns into scheme %v", len(from), b.scheme))
+	}
+	row := b.rows.next(len(from))
+	for i, f := range from {
+		row[i] = srcs[f.Src][f.Col]
+	}
+	b.rows.push(row)
+}
+
 // Part splits off the builder's next rows rows as a builder of their own,
 // which must be given exactly that many. Parts of one builder share only
 // its header slice, each writing its own window of it, so each may be

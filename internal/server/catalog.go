@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 
 	"relquery/internal/relation"
 )
@@ -37,6 +39,21 @@ func bodyError(w http.ResponseWriter, err error) {
 		return
 	}
 	writeError(w, http.StatusBadRequest, "%v", err)
+}
+
+// readUpload reads an upload into one string, once: the buffer is sized from
+// the declared Content-Length (negative when there is none, and then it
+// grows as it fills), so a truthful client costs its body and a small copy
+// window, with no doubling and no second copy into a string. The
+// declaration is a hint only — a body longer than declared grows the
+// buffer, a shorter one leaves it part empty.
+func readUpload(body io.Reader, declared int64) (string, error) {
+	var text strings.Builder
+	if declared > 0 {
+		text.Grow(int(declared))
+	}
+	_, err := io.CopyBuffer(&text, body, make([]byte, 4<<10))
+	return text.String(), err
 }
 
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
@@ -89,7 +106,12 @@ func (s *Server) handleListRelations(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePutRelation(w http.ResponseWriter, r *http.Request) {
 	t := s.tenant(r.PathValue("tenant"))
 	name := r.PathValue("name")
-	_, rel, err := relation.ReadRelation(http.MaxBytesReader(w, r.Body, s.maxBody()))
+	text, err := readUpload(http.MaxBytesReader(w, r.Body, s.maxBody()), min(r.ContentLength, s.maxBody()))
+	if err != nil {
+		bodyError(w, err)
+		return
+	}
+	_, rel, err := relation.ParseRelation(text)
 	if err != nil {
 		bodyError(w, err)
 		return

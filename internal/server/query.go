@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"relquery/internal/algebra"
@@ -299,19 +300,33 @@ func (s *Server) writeEvalError(w http.ResponseWriter, t *tenant, err error) {
 	}
 }
 
+// responseWriters pools the 4 KB buffers results are streamed through. A
+// pooled writer is always reset to nil, so the pool never pins a
+// ResponseWriter — or the connection behind it — past its request.
+var responseWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+
 // streamResult writes the result in the relation codec's block form —
 // reloadable through the same upload path — flushing every flushEvery
 // rows so large results stream instead of buffering whole.
 func streamResult(w http.ResponseWriter, expr algebra.Expr, out *relation.Relation) {
+	bw := responseWriters.Get().(*bufio.Writer)
+	streamThrough(bw, w, expr, out)
+	responseWriters.Put(bw)
+}
+
+// streamThrough is streamResult through the given buffer, which it points
+// at w for exactly as long as it runs.
+func streamThrough(bw *bufio.Writer, w http.ResponseWriter, expr algebra.Expr, out *relation.Relation) {
 	const flushEvery = 1024
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	flush := func() {}
 	if flusher, ok := w.(http.Flusher); ok {
 		flush = flusher.Flush
 	}
+	bw.Reset(w)
+	defer bw.Reset(nil)
 	// The codec buffers through bw too (bufio.NewWriter returns a
 	// bufio.Writer it is handed), so header and block share one buffer.
-	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s\n# %d tuples over %v\n", expr, out.Len(), out.Scheme())
 	// The status line is on the wire; a failed write means the client is
 	// gone, and there is nobody left to tell.

@@ -148,6 +148,7 @@ func (s *valuationSearch) compatible(i int, pattern relation.Tuple) bool {
 // candidates counts row i's compatible patterns, stopping at limit.
 func (s *valuationSearch) candidates(i, limit int) int {
 	count := 0
+	//lint:ungoverned one scan of one row's patterns per search node; run ticks once per node, before pickRow calls this
 	for _, p := range s.rows[i].patterns {
 		if s.compatible(i, p) {
 			count++
