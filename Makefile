@@ -53,20 +53,22 @@ acyclic-bench:
 	} | tee BENCH_acyclic.txt
 
 # Regenerate BENCH_obs.txt: the observability layer's cost on the E9
-# gadget families — the nil-collector fast path (sequential/parallel
-# configs), tracing (-traced), and the process-wide telemetry registry
-# publish (-registry, ISSUE 8). The zero-overhead contract says the
-# untraced configurations must stay at the engine's raw speed; the
-# registry variant bounds the per-evaluation cost of feeding /metrics.
+# gadget families — the nil-collector fast path (sequential), the
+# per-call subexpression cache (-cache), tracing (-traced), and the
+# process-wide telemetry registry publish (-registry, ISSUE 8). The
+# zero-overhead contract says the untraced configuration must stay at
+# the engine's raw speed; the registry variant bounds the per-evaluation
+# cost of feeding /metrics.
 obs-bench:
 	{ \
 	  echo "Observability overhead on the E9 families (ISSUE 3 / ISSUE 8 acceptance)"; \
 	  echo "========================================================================"; \
 	  echo; \
 	  echo "Regenerate with: make obs-bench"; \
-	  echo "sequential/workers=N run with no Collector (the production"; \
-	  echo "fast path); *-traced attach a fresh obs.Collector per eval;"; \
-	  echo "workers=8-registry additionally publishes every evaluation"; \
+	  echo "sequential runs with no Collector (the production fast path);"; \
+	  echo "sequential-cache adds a per-call subexpression cache;"; \
+	  echo "sequential-traced attaches a fresh obs.Collector per eval;"; \
+	  echo "sequential-registry additionally publishes every evaluation"; \
 	  echo "into a process-wide obs.Registry (histograms + trace ring),"; \
 	  echo "the path behind the telemetry server's /metrics endpoint."; \
 	  echo; \
@@ -76,16 +78,18 @@ obs-bench:
 	  echo "reallocated and copied the whole ring per eviction (1.1us/768B"; \
 	  echo "at cap 32 up to 43.6us/82KB at cap 4096 before the fix)."; \
 	  echo; \
-	  $(GO) test -run '^$$' -bench 'E9ParallelEval' -benchtime 10x -count 1 -benchmem .; \
+	  $(GO) test -run '^$$' -bench 'E9Eval' -benchtime 10x -count 1 -benchmem .; \
 	  $(GO) test -run '^$$' -bench 'RegistryObserveTraceRing' -count 1 -benchmem ./internal/obs/; \
 	} | tee BENCH_obs.txt
 
 # Compare freshly-generated bench output against the committed baselines.
 # peak_rows gates the join-strategy files at >20% (deterministic row
-# counts); ns/op gates the obs/fault overhead files at >200% — wall time
-# is machine-noisy, so the gate only catches contract-breaking changes
-# (a lock or allocation on a nil fast path is a 10x+ jump, not 3x). This
-# is the check the CI bench-regression job runs.
+# counts); allocs/op gates the obs/fault overhead files at >2% — a
+# count, stable at -count 1, where ns/op on a shared box is noise
+# (BENCH_acyclic's snowflake row has auto at 26 µs over the 15 µs
+# strategy it delegates to). An allocation on a nil fast path is what
+# the zero-overhead contract forbids, and it shows here. This is the
+# check the CI bench-regression job runs.
 bench-diff:
 	cp BENCH_wcoj.txt /tmp/bench_wcoj_base.txt
 	cp BENCH_acyclic.txt /tmp/bench_acyclic_base.txt
@@ -94,8 +98,8 @@ bench-diff:
 	$(MAKE) wcoj-bench acyclic-bench obs-bench fault-bench
 	$(GO) run ./cmd/benchdiff -metric peak_rows -max-regress 20 -report agm_bound /tmp/bench_wcoj_base.txt BENCH_wcoj.txt
 	$(GO) run ./cmd/benchdiff -metric peak_rows -max-regress 20 -report agm_bound /tmp/bench_acyclic_base.txt BENCH_acyclic.txt
-	$(GO) run ./cmd/benchdiff -metric ns/op -max-regress 200 /tmp/bench_obs_base.txt BENCH_obs.txt
-	$(GO) run ./cmd/benchdiff -metric ns/op -max-regress 200 /tmp/bench_fault_base.txt BENCH_fault.txt
+	$(GO) run ./cmd/benchdiff -metric allocs/op -max-regress 2 /tmp/bench_obs_base.txt BENCH_obs.txt
+	$(GO) run ./cmd/benchdiff -metric allocs/op -max-regress 2 /tmp/bench_fault_base.txt BENCH_fault.txt
 
 # relbench (bench/, BENCHMARK.json): the end-to-end relqueryd benchmark,
 # all five workloads with their passes interleaved, ~3 min. Leaves
@@ -121,9 +125,9 @@ relbench-compare:
 
 # Fault-injection stress matrix, race-enabled: the governor and fault
 # harness suites in full, then every injected failure path — cancel
-# mid-join, worker panic and drain, sticky-failure broadcast, graceful
-# degradation, admission rejection, deadline kill — across all four
-# join strategies, the three SAT solvers, and the xorchain2 Lemma 1
+# mid-join, engine panic, graceful degradation, admission rejection,
+# deadline kill — across all three join strategies, the three SAT
+# solvers, and the xorchain2 Lemma 1
 # acceptance gadget, plus eight goroutines planning one cold join node
 # through shared join.Facts, and the compute-once store (algebra.Memo)
 # under concurrent callers, in-process and through relqueryd: identical
@@ -133,7 +137,7 @@ relbench-compare:
 stress:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/governor/
 	$(GO) test -race -count=1 \
-	  -run 'Cancel|Panic|Degrad|Drain|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted' \
+	  -run 'Cancel|Panic|Degrad|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted' \
 	  ./internal/algebra/ ./internal/join/ ./internal/sat/ ./internal/server/ .
 
 # Regenerate BENCH_fault.txt: the cost of a compiled-in injection site

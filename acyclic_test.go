@@ -146,8 +146,7 @@ func toAttrs(names []string) []relation.Attribute {
 // each acyclic family the greedy binary plan materializes scale²+1
 // tuples, while -join=auto detects acyclicity, runs Yannakakis, stays
 // within output + largest input, and produces a byte-identical result —
-// also when forced via -join=yannakakis and under parallelism 8 (the CI
-// race job runs this file with -race).
+// also when forced via -join=yannakakis.
 func TestYannakakisKillsAcyclicBlowup(t *testing.T) {
 	for name, fam := range acyclicFamilies(t) {
 		t.Run(name, func(t *testing.T) {
@@ -215,17 +214,6 @@ func TestYannakakisKillsAcyclicBlowup(t *testing.T) {
 			}
 			if renderAs(t, fgot, want.Scheme()) != relation.RenderSorted(want) {
 				t.Fatal("forced yannakakis rendering differs from sequential engine")
-			}
-
-			// Parallelism 8 with the auto selector: child subtrees evaluate
-			// concurrently, the n-ary node still full-reduces. Under -race.
-			par := algebra.Evaluator{Order: join.Greedy, AutoWCOJ: true, AutoYannakakis: true, Parallelism: 8, Collector: &obs.Collector{}}
-			pgot, err := par.Eval(fam.expr, fam.db)
-			if err != nil {
-				t.Fatalf("parallelism 8: %v", err)
-			}
-			if renderAs(t, pgot, want.Scheme()) != relation.RenderSorted(want) {
-				t.Fatal("parallelism 8 rendering differs from sequential engine")
 			}
 
 			// Left-to-right sequential order parity: a different binary

@@ -325,21 +325,15 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 	}
 }
 
-// BenchmarkE9ParallelEval compares the sequential materializing engine
-// against the parallel engine (partitioned hash join + concurrent
-// subtree evaluation) on cnf/families gadget workloads. Expected shape:
-// parallelism 1 ≈ sequential (fallback overhead only); parallelism 8
-// ahead of sequential on both families; the cached variant ahead again
-// when the expression repeats subexpressions.
-//
-// Configurations are named workers=N, not parallel-N: cmd/benchdiff reads
-// a trailing -N as the GOMAXPROCS suffix go test appends.
-//
-// The -traced variants re-run a configuration with a fresh obs.Collector
-// per evaluation; comparing each pair measures the observability layer's
-// overhead, which the nil-collector fast path must keep within noise
-// (≤ 2%, see BENCH_obs.txt for the recorded before/after numbers).
-func BenchmarkE9ParallelEval(b *testing.B) {
+// BenchmarkE9Eval runs the materializing engine on cnf/families gadget
+// workloads, and prices what can be attached to it. sequential is the
+// nil-collector fast path; -cache gives each evaluation its own
+// subexpression cache (Evaluator.Cache); -traced a fresh obs.Collector,
+// so the pair measures the observability layer's overhead (BENCH_obs.txt
+// has the recorded numbers); -registry adds, on top of tracing, the
+// process-wide telemetry publish (histograms + totals fold + trace ring):
+// the cost of feeding /metrics, per evaluation.
+func BenchmarkE9Eval(b *testing.B) {
 	xor, err := cnf.XorChain(2, true)
 	if err != nil {
 		b.Fatal(err)
@@ -370,15 +364,9 @@ func BenchmarkE9ParallelEval(b *testing.B) {
 			registry bool
 		}{
 			{"sequential", algebra.EvalOptions{}, false, false},
-			{"workers=1", algebra.EvalOptions{Parallelism: 1}, false, false},
-			{"workers=8", algebra.EvalOptions{Parallelism: 8}, false, false},
-			{"workers=8-cache", algebra.EvalOptions{Parallelism: 8, Cache: true}, false, false},
+			{"sequential-cache", algebra.EvalOptions{Cache: true}, false, false},
 			{"sequential-traced", algebra.EvalOptions{}, true, false},
-			{"workers=8-traced", algebra.EvalOptions{Parallelism: 8}, true, false},
-			// The -registry variant adds the process-wide telemetry
-			// publish (histograms + totals fold + trace ring) on top of
-			// tracing — the cost of feeding /metrics, per evaluation.
-			{"workers=8-registry", algebra.EvalOptions{Parallelism: 8}, true, true},
+			{"sequential-registry", algebra.EvalOptions{}, true, true},
 		} {
 			reg := obs.NewRegistry()
 			b.Run(fmt.Sprintf("%s/%s", fam.name, cfg.name), func(b *testing.B) {

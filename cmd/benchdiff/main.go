@@ -133,7 +133,7 @@ func parseFile(path string) (map[string]map[string]float64, error) {
 // GOMAXPROCS=1, where it appends nothing — so a trailing "-N" is taken
 // for that suffix, and a sub-benchmark must not itself be named
 // "…-<digits>": at GOMAXPROCS=1 "parallel-1" and "parallel-8" would both
-// parse as "parallel". The repo's benchmarks say "workers=8" instead.
+// parse as "parallel". Say "workers=8" instead.
 func parseLine(line string) (string, map[string]float64, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {

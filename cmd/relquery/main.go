@@ -50,13 +50,12 @@ func run(args []string) error {
 		budget    = fs.Int("budget", 0, "abort if any intermediate relation exceeds this many tuples (0 = unlimited)")
 		stats     = fs.Bool("stats", false, "print evaluation statistics to stderr")
 		countOnly = fs.Bool("count", false, "print only the result cardinality")
-		parallel  = fs.Int("parallel", 0, "worker count for the materializing engine: >1 evaluates join subtrees concurrently and uses the partitioned parallel hash join (unless -join is set explicitly); <=1 is sequential")
 		cache     = fs.Bool("cache", false, "memoize repeated subexpressions (keyed by expression text and relation fingerprint)")
 		optimize  = fs.Bool("optimize", false, "rewrite the expression (projection pushdown etc.) before evaluating")
 		explain   = fs.Bool("explain", false, "print the operator tree with actual cardinalities instead of the result")
 		analyze   = fs.Bool("explain-analyze", false, "evaluate once and print the executed operator tree annotated with observed stats and AGM bounds instead of the result")
 		tracePath = fs.String("trace", "", "write a JSON evaluation trace (span tree + metrics) to this file, or \"-\" for stdout")
-		metrics   = fs.Bool("metrics", false, "print per-evaluation metrics (tuple traffic, partitions, cache counters) to stderr")
+		metrics   = fs.Bool("metrics", false, "print per-evaluation metrics (tuple traffic, cache counters) to stderr")
 		pprofPre  = fs.String("pprof", "", "capture profiles around evaluation into <prefix>.cpu.pprof and <prefix>.mem.pprof")
 		contains  = fs.String("contains", "", "instead of evaluating, test whether this whitespace-separated tuple (in target-scheme order) is in the result")
 		timeout   = fs.String("timeout", "", "wall-clock deadline for the materializing engine, as a duration (250ms, 2s, 1m30s) or seconds; empty or 0 = none")
@@ -78,9 +77,6 @@ func run(args []string) error {
 	}
 	// Validate engine knobs up front: a bad flag should fail with a usage
 	// message before any file is read, not as a late engine error.
-	if *parallel < 0 {
-		return usageError(fs, "-parallel must be a non-negative worker count, got %d", *parallel)
-	}
 	order, err := join.OrderByName(*orderName)
 	if err != nil {
 		return usageError(fs, "-order: unknown order %q (want greedy or sequential)", *orderName)
@@ -118,27 +114,15 @@ func run(args []string) error {
 		collector = &obs.Collector{}
 	}
 	ev := &algebra.Evaluator{
-		Order:       order,
-		Parallelism: *parallel,
-		Cache:       *cache,
-		Collector:   collector,
-		Limits:      limits,
-		Admit:       *admit,
-		Degrade:     *degrade,
+		Order:     order,
+		Cache:     *cache,
+		Collector: collector,
+		Limits:    limits,
+		Admit:     *admit,
+		Degrade:   *degrade,
 	}
-	// When the parallel engine is on and -join was left at its default,
-	// the evaluator picks the partitioned parallel hash join; an explicit
-	// -join always wins.
-	joinFlagSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "join" {
-			joinFlagSet = true
-		}
-	})
-	if *parallel <= 1 || joinFlagSet {
-		if err := ev.SetStrategy(*algName); err != nil {
-			return usageError(fs, "-join: %v", err)
-		}
+	if err := ev.SetStrategy(*algName); err != nil {
+		return usageError(fs, "-join: %v", err)
 	}
 	src := *query
 	if *queryFile != "" {
@@ -257,8 +241,8 @@ func run(args []string) error {
 		}
 		if *stats {
 			snap := collector.Metrics.Snapshot()
-			fmt.Fprintf(os.Stderr, "engine=materialize join=%s order=%s parallel=%d cache=%v joins=%d max_intermediate=%d intermediate_tuples=%d\n",
-				ev.AlgorithmName(), order, *parallel, *cache,
+			fmt.Fprintf(os.Stderr, "engine=materialize join=%s order=%s cache=%v joins=%d max_intermediate=%d intermediate_tuples=%d\n",
+				ev.AlgorithmName(), order, *cache,
 				snap.Joins, snap.MaxIntermediate, snap.IntermediateTuples)
 		}
 		if *analyze {

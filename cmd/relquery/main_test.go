@@ -95,7 +95,6 @@ func TestRunErrors(t *testing.T) {
 		{"-db", db, "-query", "T", "-join", "bogus"},
 		{"-db", db, "-query", "T", "-order", "bogus"},
 		{"-db", "/does/not/exist", "-query", "T"},
-		{"-db", db, "-query", "T", "-parallel", "-1"},
 		{"-db", db, "-query", "T", "-engine", "tableau", "-explain-analyze"},
 		{"-db", db, "-query", "T", "-engine", "tableau", "-metrics"},
 		{"-db", db, "-query", "T", "-engine", "tableau", "-trace", "-"},
@@ -104,6 +103,10 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("case %d (%v): no error", i, args)
 		}
+	}
+	// There is no -parallel: asking for workers is an error, not a no-op.
+	if err := run([]string{"-db", db, "-query", "T", "-parallel", "2"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-parallel 2: %v, want flag provided but not defined", err)
 	}
 }
 
@@ -126,9 +129,9 @@ func TestRunExplainAnalyze(t *testing.T) {
 	if err := run([]string{"-db", db, "-query", "pi[A](pi[A B](T) * pi[B C](T))", "-explain-analyze"}); err != nil {
 		t.Error(err)
 	}
-	// The parallel engine and caching must trace too.
+	// Caching must trace too.
 	if err := run([]string{"-db", db, "-query", "pi[A B](T) * pi[B C](T)",
-		"-parallel", "4", "-cache", "-explain-analyze"}); err != nil {
+		"-cache", "-explain-analyze"}); err != nil {
 		t.Error(err)
 	}
 }

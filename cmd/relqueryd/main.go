@@ -50,7 +50,6 @@ func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("relqueryd", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
-		parallel   = fs.Int("parallel", 0, "per-evaluation worker count (<=1 sequential)")
 		workers    = fs.Int("workers", 0, "max concurrently executing queries (0 default, <0 unbounded)")
 		traceCap   = fs.Int("trace-cap", 0, "trace ring capacity (0 keeps the registry default)")
 		defBudget  = fs.String("default-budget", "", "default intermediate-row budget (k/m/g suffixes)")
@@ -66,7 +65,6 @@ func run(args []string, out *os.File) error {
 	}
 
 	cfg := server.Config{
-		Parallelism:   *parallel,
 		MaxConcurrent: *workers,
 		TraceCap:      *traceCap,
 		Tenants:       make(map[string]governor.Limits),

@@ -118,6 +118,10 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+	// There is no -parallel: asking for workers is an error, not a no-op.
+	if err := run([]string{"-parallel", "2"}, os.Stdout); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-parallel 2: %v, want flag provided but not defined", err)
+	}
 }
 
 // TestExampleCatalogNumbers pins the example catalog to the admission

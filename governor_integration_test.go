@@ -181,7 +181,6 @@ func TestXorChain2DeadlineKill(t *testing.T) {
 		ev   algebra.Evaluator
 	}{
 		{"greedy", algebra.Evaluator{Order: join.Greedy}},
-		{"parallel", algebra.Evaluator{Order: join.Greedy, Parallelism: 4}},
 		{"wcoj", algebra.Evaluator{Order: join.Greedy, Algorithm: join.Generic{}}},
 		{"yannakakis", algebra.Evaluator{Order: join.Greedy, Algorithm: join.Yannakakis{}}},
 	} {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"relquery/internal/fault"
@@ -76,13 +75,9 @@ type Evaluator struct {
 	// SubexprCache of its own (common-subexpression elimination). It does
 	// not outlive the call and is unbounded.
 	Cache bool
-	// Parallelism, when > 1, evaluates independent join subtrees
-	// concurrently on a worker pool of this size and makes the default
-	// join algorithm the partitioned parallel hash join
-	// (join.Parallel{Workers: Parallelism}). Results are identical to
-	// sequential evaluation: relations are sets, every operator is
-	// order-deterministic, and the Collector's metrics are atomic. <= 1
-	// means sequential — the zero value preserves pre-parallel behavior.
+	// Parallelism is read by nothing: an evaluation runs on the goroutine
+	// that called it. The field stays because bench/replay.go names it and
+	// bench/ is the frozen benchmark contract.
 	Parallelism int
 	// SharedCache, when non-nil, is the call's cache instead: a composite
 	// subexpression is evaluated once per content across Eval calls and
@@ -90,11 +85,11 @@ type Evaluator struct {
 	// relations it references, so a changed relation misses.
 	SharedCache *SubexprCache
 	// Collector, when non-nil, records a span per operator (cardinalities,
-	// scheme width, wall time, join algorithm, cache status, worker count,
-	// AGM bound) and evaluation-wide counters into an obs trace. Nil — the
-	// zero value — keeps the engine on its uninstrumented fast path: span
-	// and metric calls reduce to nil checks, with no allocation or clock
-	// reads (see BenchmarkE9ParallelEval's traced/untraced pairs).
+	// scheme width, wall time, join algorithm, cache status, AGM bound)
+	// and evaluation-wide counters into an obs trace. Nil — the zero
+	// value — keeps the engine on its uninstrumented fast path: span and
+	// metric calls reduce to nil checks, with no allocation or clock
+	// reads (see BenchmarkE9Eval's traced/untraced pairs).
 	//
 	// Snapshots are race-free mid-run (Collector.Metrics.Snapshot).
 	Collector *obs.Collector
@@ -148,16 +143,12 @@ func (ev *Evaluator) OutputBounded() bool {
 var ErrBudgetExceeded = governor.ErrRowBudget
 
 // AlgorithmName names the binary-join algorithm the evaluator will
-// actually use, resolving the nil default ("hash", or "parallel" when
-// Parallelism > 1).
+// actually use, resolving the nil default ("hash").
 func (ev *Evaluator) AlgorithmName() string { return ev.algorithm().Name() }
 
 func (ev *Evaluator) algorithm() join.Algorithm {
 	if ev.Algorithm != nil {
 		return ev.Algorithm
-	}
-	if ev.Parallelism > 1 {
-		return join.Parallel{Workers: ev.Parallelism}
 	}
 	return join.Hash{}
 }
@@ -214,8 +205,8 @@ func (ev *Evaluator) violation(err error) error {
 
 // newSpan opens the span for node e under parent (a root span when parent
 // is nil). It returns nil — and allocates nothing — when no collector is
-// attached. Spans for a join's arguments are created sequentially before
-// the parallel fan-out, so Children order always matches argument order.
+// attached. A join's arguments are evaluated in order, so Children order
+// always matches argument order.
 func (ev *Evaluator) newSpan(parent *obs.Span, e Expr) *obs.Span {
 	if ev.Collector == nil {
 		return nil
@@ -335,48 +326,15 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 	}
 }
 
-// evalArgs evaluates a join node's argument subtrees — concurrently on a
-// worker pool of ev.Parallelism when the parallel engine is on, else in
-// order. The pool bounds this node's fan-out; nested join nodes each get
-// their own pool, so total goroutines can exceed Parallelism briefly,
-// but every worker makes progress (the cache's waiting is well-founded on
-// the expression tree) so there is no deadlock.
+// evalArgs evaluates a join node's argument subtrees, in order.
 func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, gov *governor.Governor) ([]*relation.Relation, error) {
 	args := make([]*relation.Relation, len(exprs))
-	if ev.Parallelism <= 1 || len(exprs) < 2 {
-		for i, a := range exprs {
-			r, err := ev.eval(a, db, ev.newSpan(sp, a), gov)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = r
-		}
-		return args, nil
-	}
-	// Child spans are created here, in argument order, before any worker
-	// starts: the trace's child order stays deterministic under
-	// concurrency.
-	spans := make([]*obs.Span, len(exprs))
 	for i, a := range exprs {
-		spans[i] = ev.newSpan(sp, a)
-	}
-	sem := make(chan struct{}, ev.Parallelism)
-	errs := make([]error, len(exprs))
-	var wg sync.WaitGroup
-	for i, a := range exprs {
-		wg.Add(1)
-		go func(i int, a Expr) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			args[i], errs[i] = ev.eval(a, db, spans[i], gov)
-		}(i, a)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		r, err := ev.eval(a, db, ev.newSpan(sp, a), gov)
 		if err != nil {
 			return nil, err
 		}
+		args[i] = r
 	}
 	return args, nil
 }
@@ -450,11 +408,7 @@ func (ev *Evaluator) run(x join.Exec, p *join.Plan, alg join.Algorithm, order jo
 	}
 	if x.Span != nil {
 		x.Span.SetAGMBound(p.AGMBound())
-		workers := 0
-		if w, ok := alg.(interface{ EffectiveWorkers() int }); ok {
-			workers = w.EffectiveWorkers()
-		}
-		x.Span.SetAlgorithm(alg.Name(), workers)
+		x.Span.SetAlgorithm(alg.Name())
 	}
 	out, err := safeMulti(x, p, alg, order)
 	if err != nil && onePass && ev.Degrade && !governor.Violated(err) {

@@ -235,3 +235,33 @@ func TestEvalCacheSharesSubexpressions(t *testing.T) {
 		t.Errorf("cached Joins = %d, want 2", joins)
 	}
 }
+
+// TestSharedCacheInvalidation: mutating a referenced relation changes
+// its fingerprint, so the cache must miss rather than serve stale data.
+func TestSharedCacheInvalidation(t *testing.T) {
+	r := mkrel(t, "A B", "1 x", "2 y")
+	db := relation.Single("T", r)
+	op := MustOperand("T", r.Scheme())
+	e := MustJoin(
+		MustProject(relation.MustScheme("A"), op),
+		MustProject(relation.MustScheme("B"), op),
+	)
+	cache := NewSubexprCache()
+	ev := Evaluator{Cache: true, SharedCache: cache}
+	first, err := ev.Eval(e, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() != 4 {
+		t.Fatalf("first eval: %d tuples, want 4", first.Len())
+	}
+	// Mutate T: the cached legs are now stale.
+	r.MustAdd(relation.TupleOf("3", "z"))
+	second, err := ev.Eval(e, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Len() != 9 {
+		t.Fatalf("after mutation: %d tuples, want 9 (stale cache?)", second.Len())
+	}
+}

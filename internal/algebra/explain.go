@@ -84,7 +84,7 @@ func ExplainAnalyze(e Expr, db relation.Database) (string, error) {
 }
 
 // ExplainAnalyzeWith is ExplainAnalyze under a caller-configured
-// evaluator (budget, join algorithm, order, parallelism, caching). The
+// evaluator (budget, join algorithm, order, caching). The
 // call traces into a collector of its own, not the evaluator's.
 //
 // When evaluation dies on a resource-governor violation (deadline, row
@@ -157,9 +157,6 @@ func renderStats(b *strings.Builder, sp *obs.Span) {
 	}
 	if sp.Algorithm != "" {
 		fmt.Fprintf(b, " "+obs.FieldAlg+"=%s", sp.Algorithm)
-	}
-	if sp.Workers > 0 {
-		fmt.Fprintf(b, " "+obs.FieldWorkers+"=%d", sp.Workers)
 	}
 	if sp.Structure != "" {
 		fmt.Fprintf(b, " "+obs.FieldStructure+"=%s", sp.Structure)

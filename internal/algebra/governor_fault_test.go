@@ -19,7 +19,7 @@ import (
 // many governor tick batches (governor.CheckEvery) and several fault
 // injection points: ~12k output tuples from ~1.4k input tuples. Being a
 // chain it is α-acyclic, so the same expression drives the greedy binary,
-// parallel, wcoj and yannakakis strategies.
+// wcoj and yannakakis strategies.
 func chainWorkload(t testing.TB) (Expr, relation.Database) {
 	t.Helper()
 	r1 := relation.New(relation.MustScheme("A", "B"))
@@ -53,16 +53,13 @@ type evalStrategy struct {
 	mk    func() *Evaluator
 }
 
-// evalStrategies returns the four join strategies the governor must
-// interrupt: greedy binary hash, parallel hash, worst-case-optimal
-// generic, and Yannakakis.
+// evalStrategies returns the three join strategies the governor must
+// interrupt: greedy binary hash, worst-case-optimal generic, and
+// Yannakakis.
 func evalStrategies() []evalStrategy {
 	return []evalStrategy{
 		{"greedy-hash", fault.JoinBatch, func() *Evaluator {
 			return &Evaluator{Order: join.Greedy}
-		}},
-		{"parallel", fault.ParallelWorker, func() *Evaluator {
-			return &Evaluator{Order: join.Greedy, Parallelism: 4}
 		}},
 		{"wcoj", fault.WCOJSearch, func() *Evaluator {
 			return &Evaluator{Order: join.Greedy, Algorithm: join.Generic{}}
@@ -102,7 +99,7 @@ func chainBaselines(t *testing.T, e Expr, db relation.Database) map[string]strin
 }
 
 // TestCancelMidJoinParity is the cancellation parity suite: for each of
-// the four strategies, a fault rule cancels the evaluation's context from
+// the strategies, a fault rule cancels the evaluation's context from
 // inside the strategy's own hot loop. The evaluation must die with the
 // typed governor.ErrCanceled sentinel, must not poison the shared
 // subexpression cache with a partial relation, and a rerun against the

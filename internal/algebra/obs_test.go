@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -80,42 +82,6 @@ func TestEvalTraceSpans(t *testing.T) {
 	if snap.MaxIntermediate != 3 {
 		t.Errorf("metrics MaxIntermediate = %d, want 3", snap.MaxIntermediate)
 	}
-}
-
-// TestTraceParallelMatchesSequential: the span tree collected under the
-// parallel engine has the same shape and per-node cardinalities as the
-// sequential engine's (child order is pinned to argument order).
-func TestTraceParallelMatchesSequential(t *testing.T) {
-	r := randomWideRel(t, 5, []string{"A", "B", "C", "D"}, 400, 10)
-	db := relation.Single("T", r)
-	op := MustOperand("T", r.Scheme())
-	e := legsExpr(t, op, [][]string{{"A", "B"}, {"B", "C"}, {"C", "D"}})
-
-	trace := func(par int) *obs.Span {
-		col := &obs.Collector{}
-		ev := Evaluator{Parallelism: par, Collector: col}
-		if _, err := ev.Eval(e, db); err != nil {
-			t.Fatal(err)
-		}
-		return col.Trace().Root()
-	}
-	seq, par := trace(0), trace(8)
-	var compare func(path string, a, b *obs.Span)
-	compare = func(path string, a, b *obs.Span) {
-		if a.Op != b.Op || a.Label != b.Label {
-			t.Fatalf("%s: node mismatch: %s %q vs %s %q", path, a.Op, a.Label, b.Op, b.Label)
-		}
-		if a.OutputRows != b.OutputRows {
-			t.Errorf("%s (%s): rows %d (seq) vs %d (parallel)", path, a.Label, a.OutputRows, b.OutputRows)
-		}
-		if len(a.Children) != len(b.Children) {
-			t.Fatalf("%s: child count %d vs %d", path, len(a.Children), len(b.Children))
-		}
-		for i := range a.Children {
-			compare(path+"/"+a.Children[i].Label, a.Children[i], b.Children[i])
-		}
-	}
-	compare("root", seq, par)
 }
 
 func TestExplainAnalyzeFormat(t *testing.T) {
@@ -198,13 +164,31 @@ func TestCacheCounters(t *testing.T) {
 	}
 }
 
-// TestComputeOnceCountersUnderParallelism is the compute-once regression
-// test expressed through the observability counters: with a triplicated
-// leg evaluated at parallelism 8, the metrics must show exactly one miss
-// per distinct composite node and one hit per duplicate request —
-// deterministically, because the call's cache blocks duplicate
-// requesters instead of racing them.
-func TestComputeOnceCountersUnderParallelism(t *testing.T) {
+// randomWideRel builds a relation of up to rows random rows over the given
+// attributes, each value drawn from vals symbols.
+func randomWideRel(t *testing.T, seed int64, attrs []string, rows, vals int) *relation.Relation {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	s, err := relation.SchemeOf(strings.Join(attrs, " "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := relation.New(s)
+	for i := 0; i < rows; i++ {
+		row := make([]string, len(attrs))
+		for j := range row {
+			row[j] = fmt.Sprintf("v%d", rng.Intn(vals))
+		}
+		r.MustAdd(relation.TupleOf(row...))
+	}
+	return r
+}
+
+// TestComputeOnceCounters is the compute-once regression test expressed
+// through the observability counters: with a triplicated leg under a
+// per-call cache, the metrics must show exactly one miss per distinct
+// composite node and one hit per duplicate request.
+func TestComputeOnceCounters(t *testing.T) {
 	r := randomWideRel(t, 9, []string{"A", "B", "C"}, 400, 10)
 	db := relation.Single("T", r)
 	op := MustOperand("T", r.Scheme())
@@ -212,18 +196,15 @@ func TestComputeOnceCountersUnderParallelism(t *testing.T) {
 	other := MustProject(relation.MustScheme("B", "C"), op)
 	e := MustJoin(leg, other, leg, leg)
 
-	for run := 0; run < 5; run++ {
-		col := &obs.Collector{}
-		ev := Evaluator{Parallelism: 8, Cache: true, Collector: col}
-		if _, err := ev.Eval(e, db); err != nil {
-			t.Fatal(err)
-		}
-		snap := col.Metrics.Snapshot()
-		// Cached (composite) evaluations: join ×1, leg ×3, other ×1.
-		// Distinct: 3 misses; the two duplicate leg requests must hit.
-		if snap.CacheMisses != 3 || snap.CacheHits != 2 {
-			t.Fatalf("run %d: cache hits=%d misses=%d, want 2/3 (leg recomputed?)",
-				run, snap.CacheHits, snap.CacheMisses)
-		}
+	col := &obs.Collector{}
+	ev := Evaluator{Cache: true, Collector: col}
+	if _, err := ev.Eval(e, db); err != nil {
+		t.Fatal(err)
+	}
+	snap := col.Metrics.Snapshot()
+	// Cached (composite) evaluations: join ×1, leg ×3, other ×1.
+	// Distinct: 3 misses; the two duplicate leg requests must hit.
+	if snap.CacheMisses != 3 || snap.CacheHits != 2 {
+		t.Fatalf("cache hits=%d misses=%d, want 2/3 (leg recomputed?)", snap.CacheHits, snap.CacheMisses)
 	}
 }

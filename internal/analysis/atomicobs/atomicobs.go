@@ -1,9 +1,10 @@
 // Package atomicobs flags non-atomic access to struct fields of
 // sync/atomic types.
 //
-// Invariant guarded: obs.Metrics is the one counter set shared by every
-// worker of a parallel evaluation, and its race-freedom rests entirely
-// on each field being touched only through its atomic methods
+// Invariant guarded: obs.Metrics is written by a running evaluation while
+// /metrics and the registry snapshot it from other goroutines, and its
+// race-freedom rests entirely on each field being touched only through
+// its atomic methods
 // (Add/Load/CompareAndSwap/...). Copying such a field, assigning to it,
 // or comparing it reads or writes the value non-atomically: the racy
 // read may tear, and — worse — a copied counter silently forks the
@@ -23,7 +24,7 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "atomicobs",
 	Doc: "flags reads or writes of sync/atomic-typed struct fields outside " +
-		"their atomic methods; counters shared across workers must never be " +
+		"their atomic methods; counters shared across goroutines must never be " +
 		"copied, assigned or compared directly",
 	Run: run,
 }

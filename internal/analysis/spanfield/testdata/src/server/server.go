@@ -8,7 +8,7 @@ import "relquery/internal/obs"
 var _ = obs.FieldRows
 
 // Single-word keys double as ordinary JSON fields here: allowed.
-var jsonFields = []string{"error", "cache", "workers"}
+var jsonFields = []string{"error", "cache", "algorithm"}
 
 var dup = "max_intermediate" // want `span-field literal "max_intermediate" duplicates the canonical table: use obs\.FieldMaxIntermediate`
 

@@ -12,7 +12,7 @@ var ok = map[string]any{
 
 var dup = map[string]any{
 	"output_rows": 3, // want `span-field literal "output_rows" duplicates the canonical table: use obs\.FieldOutputRows`
-	"workers":     2, // want `span-field literal "workers" duplicates the canonical table: use obs\.FieldWorkers`
+	"algorithm":   2, // want `span-field literal "algorithm" duplicates the canonical table: use obs\.FieldAlgorithm`
 }
 
 // Series names are a reserved namespace, known or not.

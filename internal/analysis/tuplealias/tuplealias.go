@@ -4,12 +4,12 @@
 // Invariant guarded: a Tuple handed out by package relation — via
 // Relation.Tuple, Tuples, Each callbacks, or any exported signature — is
 // shared, not owned. The subexpression cache returns the *same* relation
-// to every consumer, and the parallel evaluator fans the same relation
-// out to concurrent workers; one in-place write through an aliased tuple
+// to every consumer, and relqueryd's concurrent requests read one catalog
+// relation at once; one in-place write through an aliased tuple
 // silently corrupts every other reader (and, because Relation's dedup
 // index hashes tuple contents, the owning relation's set semantics too).
 // That breaks the Lemma 1 parity tests in the worst way: results change
-// only under caching or parallelism. Mutating code must Clone first.
+// only under caching or concurrent requests. Mutating code must Clone first.
 package tuplealias
 
 import (

@@ -112,8 +112,8 @@ func streamDistinct(phi algebra.Expr, db relation.Database, stopAt int, b Budget
 
 // CountMaterialized computes |φ(db)| by materializing with the algebra
 // evaluator — the naive comparison point for the benchmarks. It uses the
-// evaluator's default sequential join strategy; CountMaterializedWith
-// exposes the parallel engine.
+// evaluator's default join strategy; CountMaterializedWith takes any
+// other configuration.
 func CountMaterialized(phi algebra.Expr, db relation.Database) (int, error) {
 	return CountMaterializedWith(phi, db, algebra.EvalOptions{})
 }

@@ -10,15 +10,12 @@ import (
 // the algebra engine. Unlike the streaming procedures in this package
 // (whose space stays polynomial), these compute φ(db) by actually
 // joining, so they inherit the paper's exponential intermediate blow-up
-// — but they are the routes that benefit from algebra.EvalOptions:
-// parallel partitioned joins, parallel subtree fan-out and subexpression
-// caching.
+// — but they are the routes that benefit from algebra.EvalOptions: the
+// output-bounded join strategies and subexpression caching.
 
 // MaterializeJoin computes φ(db) with the materializing algebra engine
-// configured by opts. The zero EvalOptions reproduces the sequential
-// engine exactly; opts.Parallelism > 1 runs the partitioned parallel
-// engine, which produces an identical relation (set semantics make the
-// result order-independent).
+// configured by opts; the zero EvalOptions is the default engine (hash
+// joins, greedy order, no cache).
 func MaterializeJoin(phi algebra.Expr, db relation.Database, opts algebra.EvalOptions) (*relation.Relation, error) {
 	return opts.NewEvaluator().Eval(phi, db)
 }

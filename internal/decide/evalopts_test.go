@@ -14,20 +14,18 @@ func TestMaterializeJoinTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{0, 4} {
-		got, tr, err := MaterializeJoinTraced(phi, db, algebra.EvalOptions{Parallelism: par})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("parallelism %d: traced result differs", par)
-		}
-		root := tr.Root()
-		if root == nil || root.Op != obs.OpProject || root.OutputRows != want.Len() {
-			t.Fatalf("parallelism %d: root span = %+v, want project with %d rows", par, root, want.Len())
-		}
-		if tr.Metrics.Joins == 0 {
-			t.Fatalf("parallelism %d: no joins recorded", par)
-		}
+	got, tr, err := MaterializeJoinTraced(phi, db, algebra.EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("traced result differs")
+	}
+	root := tr.Root()
+	if root == nil || root.Op != obs.OpProject || root.OutputRows != want.Len() {
+		t.Fatalf("root span = %+v, want project with %d rows", root, want.Len())
+	}
+	if tr.Metrics.Joins == 0 {
+		t.Fatal("no joins recorded")
 	}
 }

@@ -43,9 +43,6 @@ const (
 	// JoinBatch is crossed once per tuple batch inside the sequential
 	// hash join's probe loop.
 	JoinBatch Point = "join.batch"
-	// ParallelWorker is crossed by every parallel hash-join worker
-	// goroutine as it starts a chunk or bucket.
-	ParallelWorker Point = "parallel.worker"
 	// WCOJSearch is crossed once per attribute-intersection pass of the
 	// worst-case-optimal generic join.
 	WCOJSearch Point = "wcoj.search"
@@ -58,14 +55,14 @@ const (
 
 // Points lists every injection site, for matrix tests.
 func Points() []Point {
-	return []Point{JoinStart, JoinBatch, ParallelWorker, WCOJSearch, Semijoin, EvalNode}
+	return []Point{JoinStart, JoinBatch, WCOJSearch, Semijoin, EvalNode}
 }
 
 // Injector reacts to the engine crossing an injection point. Fire runs
 // on the engine goroutine that crossed the site: it may sleep (slow
 // operator), panic (crash in strategy), or cancel a context it closes
-// over (cancel mid-join). It must be safe for concurrent use — parallel
-// workers cross sites concurrently.
+// over (cancel mid-join). It must be safe for concurrent use — relqueryd's
+// concurrent requests cross sites concurrently.
 type Injector interface {
 	Fire(p Point)
 }

@@ -95,12 +95,12 @@ func TestScriptConcurrentCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				Hit(ParallelWorker)
+				Hit(EvalNode)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := s.Count(ParallelWorker); got != 8000 {
+	if got := s.Count(EvalNode); got != 8000 {
 		t.Fatalf("Count = %d, want 8000", got)
 	}
 }

@@ -97,11 +97,10 @@ func (l Limits) Enabled() bool {
 const CheckEvery = 256
 
 // Governor carries one evaluation's context and limits through the
-// engine. A single Governor is shared by every goroutine of one
-// evaluation (all state is atomic); violations are sticky — once any
-// checkpoint trips, every subsequent checkpoint returns the same error,
-// which is what lets parallel workers drain promptly after a first
-// failure.
+// engine. Violations are sticky — once any checkpoint trips, every
+// subsequent checkpoint returns the same error. All state is atomic, so a
+// checkpoint is safe from any goroutine, though the engine only calls them
+// from the one running the evaluation.
 //
 // The nil *Governor is the ungoverned evaluation: every method no-ops.
 type Governor struct {
@@ -158,8 +157,7 @@ func (g *Governor) Context() context.Context {
 	return g.ctx
 }
 
-// Err returns the sticky violation, or nil. Parallel workers poll it to
-// drain promptly after another worker trips a checkpoint.
+// Err returns the sticky violation, or nil.
 func (g *Governor) Err() error {
 	if g == nil {
 		return nil
@@ -217,18 +215,6 @@ func (g *Governor) fail(err error) error {
 		return err
 	}
 	return g.failure.Load().err
-}
-
-// Fail records err as the evaluation's sticky failure (first writer
-// wins) and returns the failure in effect. Engines use it to broadcast a
-// failure the governor's own checkpoints cannot see — a recovered worker
-// panic — so sibling workers drain on their next poll. A nil governor or
-// nil err passes err through unchanged.
-func (g *Governor) Fail(err error) error {
-	if g == nil || err == nil {
-		return err
-	}
-	return g.fail(err)
 }
 
 // Tick is the per-tuple cooperative checkpoint: it counts one unit of

@@ -301,21 +301,6 @@ func TestViolationCounting(t *testing.T) {
 	}
 }
 
-// TestFailEngineErrorNotCounted: Fail with a non-sentinel engine error
-// (a recovered panic, say) latches the failure but is not a governance
-// violation.
-func TestFailEngineErrorNotCounted(t *testing.T) {
-	var m obs.Metrics
-	g := New(context.Background(), Limits{MaxRows: 1}).WithMetrics(&m)
-	boom := errors.New("worker panic")
-	if err := g.Fail(boom); !errors.Is(err, boom) {
-		t.Fatalf("Fail = %v, want the engine error", err)
-	}
-	if got := m.Snapshot().ViolationsTotal(); got != 0 {
-		t.Errorf("ViolationsTotal = %d, want 0 for non-sentinel failures", got)
-	}
-}
-
 // TestWithMetricsNilSafety: WithMetrics is chainable off nil governors
 // (the ungoverned path) and tolerates nil metrics.
 func TestWithMetricsNilSafety(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"relquery/internal/cnf"
 	"relquery/internal/join"
+	"relquery/internal/reduction"
 	"relquery/internal/relation"
 )
 
@@ -62,6 +63,34 @@ func BenchmarkMultiOrder(b *testing.B) {
 			}
 		})
 	}
+}
+
+// gadgetLegs materializes the projection legs of φ_G(R_G): π_F(R_G) and
+// each π_{T_j}(R_G).
+func gadgetLegs(b *testing.B, g *cnf.Formula) []*relation.Relation {
+	b.Helper()
+	c, err := reduction.New(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	legs := []*relation.Relation{}
+	f, err := c.R.Project(c.FScheme())
+	if err != nil {
+		b.Fatal(err)
+	}
+	legs = append(legs, f)
+	for j := 1; j <= c.M(); j++ {
+		tj, err := c.TJScheme(j)
+		if err != nil {
+			b.Fatal(err)
+		}
+		leg, err := c.R.Project(tj)
+		if err != nil {
+			b.Fatal(err)
+		}
+		legs = append(legs, leg)
+	}
+	return legs
 }
 
 // BenchmarkPlanFacts is what an auto node or an admission gate pays to know

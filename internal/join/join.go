@@ -1,6 +1,6 @@
-// Package join provides natural-join algorithms (hash, parallel hash,
-// worst-case-optimal generic, Yannakakis) and an n-ary join executor with a
-// greedy planner.
+// Package join provides natural-join algorithms (hash, worst-case-optimal
+// generic, Yannakakis) and an n-ary join executor with a greedy planner. A
+// join runs on the goroutine that called it; the package starts none.
 //
 // Every join runs under an Exec — governor, metrics, span — because the
 // paper's central phenomenon is that the *intermediate* results of a
@@ -32,8 +32,6 @@ func ByName(name string) (Algorithm, error) {
 	switch name {
 	case "hash":
 		return Hash{}, nil
-	case "parallel":
-		return Parallel{}, nil
 	case "wcoj":
 		return Generic{}, nil
 	case "yannakakis":
@@ -44,9 +42,9 @@ func ByName(name string) (Algorithm, error) {
 }
 
 // Names lists the available algorithm names: the strategies the auto
-// selector can pick, plus the parallel hash join.
+// selector can pick.
 func Names() []string {
-	return []string{"hash", "parallel", "wcoj", "yannakakis"}
+	return []string{"hash", "wcoj", "yannakakis"}
 }
 
 // StrategyNames lists every value relquery's -join and relqueryd's

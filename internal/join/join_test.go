@@ -53,8 +53,10 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q).Name() = %q", n, a.Name())
 		}
 	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Error("ByName(bogus) succeeded")
+	for _, gone := range []string{"bogus", "parallel"} {
+		if _, err := ByName(gone); err == nil {
+			t.Errorf("ByName(%s) succeeded", gone)
+		}
 	}
 }
 
@@ -291,28 +293,27 @@ func skewedPair(n, keys int) (l, r *relation.Relation) {
 // count, and a budget of exactly the output lets a join through.
 func TestOverBudgetJoinDiesBeforeItMaterializes(t *testing.T) {
 	l, r := skewedPair(2000, 1)
-	for _, alg := range []Algorithm{Hash{}, Parallel{Workers: 4}} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		gov := governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 10_000})
-		_, err := alg.Join(Exec{Gov: gov}, l, r)
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, governor.ErrRowBudget) {
-			t.Fatalf("%s: want governor.ErrRowBudget, got %v", alg.Name(), err)
-		}
-		const perMatch = 3*16 + 24 // one output row of three values and its header
-		if spent := after.TotalAlloc - before.TotalAlloc; spent > 512_000*perMatch/100 {
-			t.Errorf("%s: the killed join allocated %d bytes; one output row per match seen would be %d", alg.Name(), spent, 512_000*perMatch)
-		}
-		gov = governor.New(context.Background(), governor.Limits{MaxMemoryBytes: 1 << 20})
-		if _, err := alg.Join(Exec{Gov: gov}, l, r); !errors.Is(err, governor.ErrMemBudget) {
-			t.Errorf("%s: want governor.ErrMemBudget under a 1 MB budget, got %v", alg.Name(), err)
-		}
-		sl, sr := skewedPair(200, 1)
-		gov = governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 40_000})
-		if out, err := alg.Join(Exec{Gov: gov}, sl, sr); err != nil || out.Len() != 40_000 {
-			t.Errorf("%s: 200 × 200 under a budget of exactly its output: %v, %v", alg.Name(), out, err)
-		}
+	alg := Hash{}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gov := governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 10_000})
+	_, err := alg.Join(Exec{Gov: gov}, l, r)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, governor.ErrRowBudget) {
+		t.Fatalf("%s: want governor.ErrRowBudget, got %v", alg.Name(), err)
+	}
+	const perMatch = 3*16 + 24 // one output row of three values and its header
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 512_000*perMatch/100 {
+		t.Errorf("%s: the killed join allocated %d bytes; one output row per match seen would be %d", alg.Name(), spent, 512_000*perMatch)
+	}
+	gov = governor.New(context.Background(), governor.Limits{MaxMemoryBytes: 1 << 20})
+	if _, err := alg.Join(Exec{Gov: gov}, l, r); !errors.Is(err, governor.ErrMemBudget) {
+		t.Errorf("%s: want governor.ErrMemBudget under a 1 MB budget, got %v", alg.Name(), err)
+	}
+	sl, sr := skewedPair(200, 1)
+	gov = governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 40_000})
+	if out, err := alg.Join(Exec{Gov: gov}, sl, sr); err != nil || out.Len() != 40_000 {
+		t.Errorf("%s: 200 × 200 under a budget of exactly its output: %v, %v", alg.Name(), out, err)
 	}
 }
 

@@ -35,8 +35,7 @@ func sameKey(t relation.Tuple, kt keyCols, u relation.Tuple, ku keyCols) bool {
 // is confirmed by comparing key columns with its first row, and its rows
 // are chained in insertion order, so a probe walks its matches in the
 // order the build relation holds them. Everything lives in six flat
-// slices, whatever the number of keys. Read-only once built, so the
-// parallel join's workers share one.
+// slices, whatever the number of keys. Read-only once built.
 type hashTable struct {
 	rel  *relation.Relation
 	cols keyCols

@@ -10,6 +10,20 @@ import (
 	"relquery/internal/relation"
 )
 
+// bigRel builds a two-column relation of rows rows with a controllable
+// number of distinct values in its first column.
+func bigRel(seed int64, scheme relation.Scheme, rows, keys int) *relation.Relation {
+	rng := rand.New(rand.NewSource(seed))
+	r := relation.New(scheme)
+	for i := 0; i < rows; i++ {
+		r.MustAdd(relation.TupleOf(
+			fmt.Sprintf("k%d", rng.Intn(keys)),
+			fmt.Sprintf("v%d", i),
+		))
+	}
+	return r
+}
+
 // multiHash is the binary-plan reference the generic join must agree
 // with on every input.
 func multiHash(t *testing.T, inputs []*relation.Relation) *relation.Relation {

@@ -20,7 +20,6 @@ const (
 	FieldSchemeWidth     = "scheme_width"
 	FieldInputRows       = "input_rows"
 	FieldAlgorithm       = "algorithm"
-	FieldWorkers         = "workers"
 	FieldCache           = "cache"
 	FieldAGMBound        = "agm_bound"
 	FieldMaxIntermediate = "max_intermediate"
@@ -48,35 +47,31 @@ const (
 // /metrics exposition). SeriesGovernorViolations carries the sentinel
 // label; SeriesFaultFirings the injection-point label.
 const (
-	SeriesEvals               = "relquery_evals_total"
-	SeriesJoins               = "relquery_joins_total"
-	SeriesIntermediateTuples  = "relquery_intermediate_tuples_total"
-	SeriesTuplesBuilt         = "relquery_tuples_built_total"
-	SeriesTuplesProbed        = "relquery_tuples_probed_total"
-	SeriesTuplesEmitted       = "relquery_tuples_emitted_total"
-	SeriesPartitionedJoins    = "relquery_partitioned_joins_total"
-	SeriesPartitions          = "relquery_partitions_total"
-	SeriesBroadcastJoins      = "relquery_broadcast_joins_total"
-	SeriesSequentialFallbacks = "relquery_sequential_fallbacks_total"
-	SeriesWCOJJoins           = "relquery_wcoj_joins_total"
-	SeriesWCOJCandidates      = "relquery_wcoj_candidates_total"
-	SeriesWCOJIntersections   = "relquery_wcoj_intersections_total"
-	SeriesYannakakisJoins     = "relquery_yannakakis_joins_total"
-	SeriesSemijoins           = "relquery_semijoins_total"
-	SeriesSemijoinRows        = "relquery_semijoin_rows_total"
-	SeriesDegradedEvals       = "relquery_degraded_evals_total"
-	SeriesCacheHits           = "relquery_cache_hits_total"
-	SeriesCacheMisses         = "relquery_cache_misses_total"
-	SeriesCacheInvalidations  = "relquery_cache_invalidations_total"
-	SeriesPlanFactsHits       = "relquery_plan_facts_hits_total"
-	SeriesPlanFactsMisses     = "relquery_plan_facts_misses_total"
-	SeriesCoverLPSolves       = "relquery_cover_lp_solves_total"
-	SeriesGovernorViolations  = "relquery_governor_violations_total"
-	SeriesFaultFirings        = "relquery_fault_firings_total"
-	SeriesPeakGauge           = "relquery_peak_intermediate_rows_gauge"
-	SeriesLatencyHist         = "relquery_eval_latency_seconds"
-	SeriesPeakRowsHist        = "relquery_peak_intermediate_rows"
-	SeriesAGMRatioHist        = "relquery_peak_agm_ratio"
+	SeriesEvals              = "relquery_evals_total"
+	SeriesJoins              = "relquery_joins_total"
+	SeriesIntermediateTuples = "relquery_intermediate_tuples_total"
+	SeriesTuplesBuilt        = "relquery_tuples_built_total"
+	SeriesTuplesProbed       = "relquery_tuples_probed_total"
+	SeriesTuplesEmitted      = "relquery_tuples_emitted_total"
+	SeriesWCOJJoins          = "relquery_wcoj_joins_total"
+	SeriesWCOJCandidates     = "relquery_wcoj_candidates_total"
+	SeriesWCOJIntersections  = "relquery_wcoj_intersections_total"
+	SeriesYannakakisJoins    = "relquery_yannakakis_joins_total"
+	SeriesSemijoins          = "relquery_semijoins_total"
+	SeriesSemijoinRows       = "relquery_semijoin_rows_total"
+	SeriesDegradedEvals      = "relquery_degraded_evals_total"
+	SeriesCacheHits          = "relquery_cache_hits_total"
+	SeriesCacheMisses        = "relquery_cache_misses_total"
+	SeriesCacheInvalidations = "relquery_cache_invalidations_total"
+	SeriesPlanFactsHits      = "relquery_plan_facts_hits_total"
+	SeriesPlanFactsMisses    = "relquery_plan_facts_misses_total"
+	SeriesCoverLPSolves      = "relquery_cover_lp_solves_total"
+	SeriesGovernorViolations = "relquery_governor_violations_total"
+	SeriesFaultFirings       = "relquery_fault_firings_total"
+	SeriesPeakGauge          = "relquery_peak_intermediate_rows_gauge"
+	SeriesLatencyHist        = "relquery_eval_latency_seconds"
+	SeriesPeakRowsHist       = "relquery_peak_intermediate_rows"
+	SeriesAGMRatioHist       = "relquery_peak_agm_ratio"
 )
 
 // Prometheus series of the relqueryd query server (internal/server

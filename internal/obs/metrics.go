@@ -20,7 +20,7 @@
 // calls methods unconditionally. With no collector attached the entire
 // layer reduces to nil checks — no allocation, no clock reads, no atomics
 // — which is what keeps the instrumented engine within noise of the
-// uninstrumented one (see BenchmarkE9ParallelEval and BENCH_obs.txt).
+// uninstrumented one (see BenchmarkE9Eval and BENCH_obs.txt).
 //
 // obs sits below every engine package: it imports only the standard
 // library, so internal/join, internal/algebra and internal/decide can all
@@ -33,8 +33,8 @@ import (
 )
 
 // Metrics accumulates evaluation-wide counters. All updates are atomic, so
-// one Metrics can be shared by the parallel evaluator's workers and
-// snapshotted race-free while evaluation is still running.
+// one Metrics can be snapshotted race-free — by /metrics, say — while the
+// evaluation writing it is still running.
 //
 // All methods are nil-safe no-ops, per the package's zero-overhead
 // contract.
@@ -46,11 +46,6 @@ type Metrics struct {
 	tuplesBuilt   atomic.Int64
 	tuplesProbed  atomic.Int64
 	tuplesEmitted atomic.Int64
-
-	partitionedJoins    atomic.Int64
-	partitions          atomic.Int64
-	broadcastJoins      atomic.Int64
-	sequentialFallbacks atomic.Int64
 
 	wcojJoins         atomic.Int64
 	wcojCandidates    atomic.Int64
@@ -161,34 +156,6 @@ func (m *Metrics) JoinWork(built, probed, emitted int) {
 	m.tuplesBuilt.Add(int64(built))
 	m.tuplesProbed.Add(int64(probed))
 	m.tuplesEmitted.Add(int64(emitted))
-}
-
-// Partitioned records that a parallel join ran the partitioned strategy
-// over the given number of buckets.
-func (m *Metrics) Partitioned(buckets int) {
-	if m == nil {
-		return
-	}
-	m.partitionedJoins.Add(1)
-	m.partitions.Add(int64(buckets))
-}
-
-// Broadcast records that a parallel join fell back to the broadcast
-// strategy (shared build table, chunked probe side).
-func (m *Metrics) Broadcast() {
-	if m == nil {
-		return
-	}
-	m.broadcastJoins.Add(1)
-}
-
-// SequentialFallback records that a parallel join delegated to the
-// sequential hash join (tiny inputs or no shared attributes).
-func (m *Metrics) SequentialFallback() {
-	if m == nil {
-		return
-	}
-	m.sequentialFallbacks.Add(1)
 }
 
 // WCOJ records one worst-case-optimal generic join with its search
@@ -330,10 +297,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		TuplesBuilt:         m.tuplesBuilt.Load(),
 		TuplesProbed:        m.tuplesProbed.Load(),
 		TuplesEmitted:       m.tuplesEmitted.Load(),
-		PartitionedJoins:    m.partitionedJoins.Load(),
-		Partitions:          m.partitions.Load(),
-		BroadcastJoins:      m.broadcastJoins.Load(),
-		SequentialFallbacks: m.sequentialFallbacks.Load(),
 		WCOJJoins:           m.wcojJoins.Load(),
 		WCOJCandidates:      m.wcojCandidates.Load(),
 		WCOJIntersections:   m.wcojIntersections.Load(),
@@ -370,15 +333,6 @@ type MetricsSnapshot struct {
 	TuplesProbed int64 `json:"tuples_probed"`
 	// TuplesEmitted counts rows emitted by binary joins.
 	TuplesEmitted int64 `json:"tuples_emitted"`
-	// PartitionedJoins counts parallel joins that ran partitioned.
-	PartitionedJoins int64 `json:"partitioned_joins"`
-	// Partitions totals the buckets used by partitioned joins.
-	Partitions int64 `json:"partitions"`
-	// BroadcastJoins counts parallel joins that ran broadcast.
-	BroadcastJoins int64 `json:"broadcast_joins"`
-	// SequentialFallbacks counts parallel joins that delegated to the
-	// sequential hash join.
-	SequentialFallbacks int64 `json:"sequential_fallbacks"`
 	// WCOJJoins counts n-ary joins run by the worst-case-optimal generic
 	// join.
 	WCOJJoins int64 `json:"wcoj_joins"`
@@ -462,10 +416,6 @@ func (s *MetricsSnapshot) fold(o MetricsSnapshot) {
 	s.TuplesBuilt += o.TuplesBuilt
 	s.TuplesProbed += o.TuplesProbed
 	s.TuplesEmitted += o.TuplesEmitted
-	s.PartitionedJoins += o.PartitionedJoins
-	s.Partitions += o.Partitions
-	s.BroadcastJoins += o.BroadcastJoins
-	s.SequentialFallbacks += o.SequentialFallbacks
 	s.WCOJJoins += o.WCOJJoins
 	s.WCOJCandidates += o.WCOJCandidates
 	s.WCOJIntersections += o.WCOJIntersections
@@ -488,14 +438,12 @@ func (s MetricsSnapshot) String() string {
 	return fmt.Sprintf(
 		"joins=%d "+FieldMaxIntermediate+"=%d intermediate_tuples=%d "+
 			"built=%d probed=%d emitted=%d "+
-			"partitioned=%d partitions=%d broadcast=%d seq_fallback=%d "+
 			"wcoj=%d wcoj_candidates=%d wcoj_intersections=%d "+
 			"yannakakis=%d "+FieldSemijoins+"=%d semijoin_rows=%d "+FieldDegraded+"=%d "+
 			"viol_deadline=%d viol_canceled=%d viol_row_budget=%d viol_mem_budget=%d viol_admission=%d "+
 			"cache_hits=%d cache_misses=%d cache_invalidations=%d",
 		s.Joins, s.MaxIntermediate, s.IntermediateTuples,
 		s.TuplesBuilt, s.TuplesProbed, s.TuplesEmitted,
-		s.PartitionedJoins, s.Partitions, s.BroadcastJoins, s.SequentialFallbacks,
 		s.WCOJJoins, s.WCOJCandidates, s.WCOJIntersections,
 		s.YannakakisJoins, s.Semijoins, s.SemijoinRows, s.DegradedEvals,
 		s.ViolationsDeadline, s.ViolationsCanceled, s.ViolationsRowBudget,

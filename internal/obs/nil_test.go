@@ -70,7 +70,7 @@ func TestNilCollectorChain(t *testing.T) {
 		t.Fatalf("nil span Child = %v, want nil", child)
 	}
 	sp.Begin()
-	sp.SetAlgorithm("hash", 4)
+	sp.SetAlgorithm("hash")
 	sp.ObservePeak(100)
 	sp.Finish(10)
 	if got := sp.Wall(); got != 0 {

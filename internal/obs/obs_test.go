@@ -27,9 +27,6 @@ func TestNilSafety(t *testing.T) {
 	m.ObserveJoin(3)
 	m.ObserveIntermediate(5)
 	m.JoinWork(1, 2, 3)
-	m.Partitioned(8)
-	m.Broadcast()
-	m.SequentialFallback()
 	m.WCOJ(3, 4)
 	m.Semijoin(5)
 	m.Yannakakis()
@@ -69,7 +66,7 @@ func TestNilSafety(t *testing.T) {
 	sp.Finish(7)
 	sp.SetSchemeWidth(2)
 	sp.SetInputs([]int{1, 2})
-	sp.SetAlgorithm("hash", 4)
+	sp.SetAlgorithm("hash")
 	sp.SetCache(CacheHit)
 	sp.SetAGMBound(64)
 	sp.ObservePeak(9)
@@ -88,10 +85,6 @@ func TestMetricsCounters(t *testing.T) {
 	m.ObserveJoin(40)
 	m.ObserveIntermediate(25)
 	m.JoinWork(3, 7, 50)
-	m.Partitioned(8)
-	m.Partitioned(8)
-	m.Broadcast()
-	m.SequentialFallback()
 	m.WCOJ(6, 11)
 	m.Semijoin(3)
 	m.Semijoin(0)
@@ -113,10 +106,6 @@ func TestMetricsCounters(t *testing.T) {
 		TuplesBuilt:         3,
 		TuplesProbed:        7,
 		TuplesEmitted:       50,
-		PartitionedJoins:    2,
-		Partitions:          16,
-		BroadcastJoins:      1,
-		SequentialFallbacks: 1,
 		WCOJJoins:           1,
 		WCOJCandidates:      6,
 		WCOJIntersections:   11,
@@ -192,7 +181,7 @@ func TestSpanTreeAndJSON(t *testing.T) {
 	r.Begin()
 	r.Finish(4)
 	j.SetInputs([]int{3, 4})
-	j.SetAlgorithm("hash", 0)
+	j.SetAlgorithm("hash")
 	j.SetAGMBound(12)
 	j.Finish(5)
 	root.SetInputs([]int{5})

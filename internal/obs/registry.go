@@ -19,7 +19,7 @@ const (
 )
 
 // Histogram is a fixed-size log₂-bucketed histogram with atomic counters:
-// concurrent Observe calls from parallel evaluations need no lock, and a
+// concurrent Observe calls from concurrent evaluations need no lock, and a
 // Snapshot taken mid-run is race-free. The zero Histogram is ready to
 // use; all methods are nil-safe no-ops, per the package's zero-overhead
 // contract.

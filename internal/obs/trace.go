@@ -34,10 +34,8 @@ const (
 // cache gets a span with Cache == CacheHit and no children — the subtree
 // was not executed.
 //
-// Spans are created by the evaluator strictly in argument order (before
-// any worker goroutine starts), so Children order is deterministic even
-// under parallel evaluation; concurrent mutation of a span's fields is
-// confined to the single goroutine evaluating that node.
+// Spans are created by the evaluator strictly in argument order, and a
+// span's fields are written only by the goroutine running the evaluation.
 //
 // All methods are nil-safe no-ops, per the package's zero-overhead
 // contract.
@@ -64,9 +62,6 @@ type Span struct {
 	WallNanos int64 `json:"wall_ns"`
 	// Algorithm names the binary-join algorithm used (join spans only).
 	Algorithm string `json:"algorithm,omitempty"`
-	// Workers is the parallel worker count in effect (join spans, parallel
-	// engine only).
-	Workers int `json:"workers,omitempty"`
 	// Cache is CacheHit or CacheMiss when subexpression caching was on.
 	Cache string `json:"cache,omitempty"`
 	// AGMBound is the Atserias–Grohe–Marx worst-case output bound for a
@@ -113,8 +108,7 @@ type Span struct {
 }
 
 // Child appends and returns a new child span. Callers must create the
-// children of one span from a single goroutine (the evaluator creates
-// them before fanning out workers).
+// children of one span from a single goroutine.
 func (s *Span) Child(op, label string) *Span {
 	if s == nil {
 		return nil
@@ -160,13 +154,12 @@ func (s *Span) SetInputs(rows []int) {
 	s.InputRows = rows
 }
 
-// SetAlgorithm records the join algorithm and parallel worker count.
-func (s *Span) SetAlgorithm(name string, workers int) {
+// SetAlgorithm records the join algorithm.
+func (s *Span) SetAlgorithm(name string) {
 	if s == nil {
 		return
 	}
 	s.Algorithm = name
-	s.Workers = workers
 }
 
 // SetCache records the node's cache status (CacheHit or CacheMiss).

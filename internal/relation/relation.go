@@ -83,9 +83,8 @@ func FromTuples(scheme Scheme, tuples []Tuple) (*Relation, error) {
 }
 
 // FromDistinctTuples assembles a relation from tuple batches that the
-// caller guarantees to be pairwise distinct — the merge fast path of the
-// parallel join, whose output provably contains no duplicates (an output
-// tuple of a natural join determines its source pair). Tuples are not
+// caller guarantees to be pairwise distinct — a natural join's output, say,
+// where an output tuple determines its source pair. Tuples are not
 // cloned or hashed: the index is built lazily on first use, so a result
 // that is only ever scanned never pays for it. The relation takes
 // ownership of the given tuples — and, when there is exactly one batch,

@@ -182,19 +182,6 @@ func (b *Builder) Collect(srcs []Tuple, from []Ref) {
 	b.rows.push(row)
 }
 
-// Part splits off the builder's next rows rows as a builder of their own,
-// which must be given exactly that many. Parts of one builder share only
-// its header slice, each writing its own window of it, so each may be
-// filled by its own goroutine; their rows appear in the relation in the
-// order the parts were split off. Only a builder created with a row count
-// has parts.
-func (b *Builder) Part(rows int) *Builder {
-	n := len(b.rows.tuples)
-	b.rows.tuples = b.rows.tuples[:n+rows]
-	b.rows.reserved -= rows
-	return &Builder{scheme: b.scheme, rows: rowStore{tuples: b.rows.tuples[n : n : n+rows], reserved: rows, fixed: true}}
-}
-
 // Relation returns the relation built. Like FromDistinctTuples it hashes
 // nothing: the dedup index is built on the first operation that needs it.
 // The builder must not be used afterwards.

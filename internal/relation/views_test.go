@@ -32,17 +32,6 @@ func TestStoredRowsAreViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Past MinParallelRows, and with enough join keys for the partitioned path.
-	wide, err := relation.FromRows(relation.MustScheme("A", "D"), func() [][]string {
-		out := make([][]string, 300)
-		for i := range out {
-			out[i] = []string{fmt.Sprint("a", i), fmt.Sprint("d", i%3)}
-		}
-		return out
-	}()...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var block bytes.Buffer
 	if err := relation.WriteRelation(&block, "R", base); err != nil {
 		t.Fatal(err)
@@ -79,16 +68,13 @@ func TestStoredRowsAreViews(t *testing.T) {
 			_, r, err := relation.ReadRelation(strings.NewReader(bare))
 			return must(r, err)
 		}(),
-		"Project":            must(base.Project(relation.MustScheme("C", "B"))),
-		"alignTo":            must(relation.AlignTo(base, relation.MustScheme("C", "A", "B"))),
-		"Hash":               joined(join.Hash{}, base, other),
-		"Parallel/1":         joined(join.Parallel{Workers: 1}, base, wide),
-		"Parallel/8":         joined(join.Parallel{Workers: 8}, base, wide),
-		"Parallel/broadcast": joined(join.Parallel{Workers: 8}, base, other),
-		"wcoj":               joined(join.Generic{}, base, other),
-		"Yannakakis":         joined(join.Yannakakis{}, base, other),
-		"Semijoin":           must(join.Semijoin(base, other)),
-		"Clone":              base.Clone(),
+		"Project":    must(base.Project(relation.MustScheme("C", "B"))),
+		"alignTo":    must(relation.AlignTo(base, relation.MustScheme("C", "A", "B"))),
+		"Hash":       joined(join.Hash{}, base, other),
+		"wcoj":       joined(join.Generic{}, base, other),
+		"Yannakakis": joined(join.Yannakakis{}, base, other),
+		"Semijoin":   must(join.Semijoin(base, other)),
+		"Clone":      base.Clone(),
 	}
 	for name, r := range producers {
 		if r.Len() < 2 {

@@ -171,7 +171,7 @@ func (s *Server) handleTenantQuery(w http.ResponseWriter, r *http.Request) {
 
 // serveQuery runs one query for one tenant: parse (plan cache), admit
 // (tenant budget vs predicted peak), queue (worker pool), evaluate
-// (parallel engine + shared subexpression cache, published to the
+// (on this goroutine, over the shared subexpression cache, published to the
 // registry), stream the result.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	s.metrics.requests.Add(1)
@@ -188,7 +188,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 		return
 	}
 	ev := &q.ev
-	ev.Parallelism = s.cfg.Parallelism
 	ev.SharedCache = s.shared
 	ev.Collector = &obs.Collector{}
 	ev.Registry = s.reg
@@ -225,11 +224,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 		return
 	}
 
-	w.Header().Set("X-Relquery-Rows", fmt.Sprint(out.Len()))
+	w.Header().Set("X-Relquery-Rows", strconv.Itoa(out.Len()))
 	w.Header().Set("X-Relquery-Wall", wall.String())
 	w.Header().Set("X-Relquery-Strategy", q.strategy)
 	snap := ev.Collector.Metrics.Snapshot()
-	w.Header().Set("X-Relquery-Cache-Hits", fmt.Sprint(snap.CacheHits))
+	w.Header().Set("X-Relquery-Cache-Hits", strconv.FormatInt(snap.CacheHits, 10))
 	switch {
 	case q.analyze:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -4,7 +4,7 @@
 // text results — all running on the production layers the repo already
 // owns. Every request is threaded through per-tenant governor.Limits
 // with pre-flight admission control (the AGM-bound budget the paper
-// motivates), a bounded worker pool over the parallel engine, a shared
+// motivates), a bounded worker pool of one-goroutine evaluations, a shared
 // cross-request subexpression cache made sound by collision-resistant
 // relation fingerprints, and a process-wide obs.Registry served by the
 // embedded telemetry mux.
@@ -57,9 +57,10 @@ type Config struct {
 	// Tenants maps tenant names to their resource limits. Tenants not
 	// listed here are created on first use with DefaultLimits.
 	Tenants map[string]governor.Limits
-	// Parallelism is the per-evaluation worker count handed to the
-	// parallel engine (algebra.EvalOptions.Parallelism); <= 1 evaluates
-	// sequentially.
+	// Parallelism is read by nothing: the server's concurrency is
+	// MaxConcurrent requests, each evaluated on its own goroutine. The field
+	// stays because bench/load.go names it and bench/ is the frozen
+	// benchmark contract.
 	Parallelism int
 	// MaxConcurrent bounds concurrently executing evaluations across all
 	// tenants; 0 means DefaultMaxConcurrent, negative means unbounded.

@@ -6,7 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -297,7 +297,7 @@ func TestQueryVariants(t *testing.T) {
 func TestStrategyTable(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	outputBounded := map[string]bool{"hash": false, "parallel": false, "wcoj": true, "yannakakis": true, "auto": true}
+	outputBounded := map[string]bool{"hash": false, "wcoj": true, "yannakakis": true, "auto": true}
 	names := join.StrategyNames()
 	if len(names) != len(outputBounded) {
 		t.Fatalf("join.StrategyNames() = %v, want the %d names of %v", names, len(outputBounded), outputBounded)
@@ -319,12 +319,12 @@ func TestStrategyTable(t *testing.T) {
 		}
 	}
 
-	for _, name := range []string{"nosuch", "nestedloop", "sortmerge"} {
+	for _, name := range []string{"nosuch", "nestedloop", "sortmerge", "parallel"} {
 		resp := postQuery(t, ts, "acme", chainQuery, "strategy="+name)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("strategy=%s: status %d, want 400", name, resp.StatusCode)
 		}
-		if body := readBody(t, resp); !strings.Contains(body, strings.Join(names, ", ")) {
+		if body := readBody(t, resp); !strings.Contains(body, "hash, wcoj, yannakakis, auto") {
 			t.Errorf("strategy=%s: 400 body does not list the served strategies: %s", name, body)
 		}
 	}
@@ -588,7 +588,7 @@ func TestStreamedResultRoundTrips(t *testing.T) {
 }
 
 // TestEnginePanicIs500 injects a panic into the wcoj binding search and
-// into a parallel-join worker: the recovered crash must reach the client
+// into the hash join's probe loop: the recovered crash must reach the client
 // as 500 with the JSON error envelope — the server's fault, not the
 // query's — and the same server must answer the next request.
 func TestEnginePanicIs500(t *testing.T) {
@@ -597,12 +597,9 @@ func TestEnginePanicIs500(t *testing.T) {
 		point    fault.Point
 	}{
 		{"wcoj", fault.WCOJSearch},
-		{"parallel", fault.ParallelWorker},
+		{"hash", fault.JoinBatch},
 	} {
 		t.Run(tc.strategy, func(t *testing.T) {
-			if tc.strategy == "parallel" && runtime.GOMAXPROCS(0) < 2 {
-				t.Skip("one worker: the parallel join falls back to the sequential hash join")
-			}
 			_, ts := newTestServer(t)
 			restore := fault.Set(fault.NewScript(fault.Rule{Point: tc.point, Act: fault.Panic}))
 			resp := postQuery(t, ts, "acme", chainQuery, "strategy="+tc.strategy)
@@ -622,5 +619,35 @@ func TestEnginePanicIs500(t *testing.T) {
 				t.Errorf("request after the panic counted %q rows, want 12000", got)
 			}
 		})
+	}
+}
+
+// TestConfigParallelismIsInert: Config.Parallelism is kept for the benchmark
+// contract (bench/load.go sets it) and read by nothing — a server configured
+// with 8 streams the same result and the same EXPLAIN ANALYZE, wall time
+// aside, as one configured with 0. The join is binary, so auto leaves it to
+// the evaluator's default algorithm.
+func TestConfigParallelismIsInert(t *testing.T) {
+	const query = "R1 * R2"
+	wall := regexp.MustCompile(`wall=\S+`)
+	answer := func(parallelism int) (result, analyzed string) {
+		s := New(Config{Parallelism: parallelism})
+		s.Load("acme", chainDB())
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		resp := postQuery(t, ts, "acme", query, "explain=analyze")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain=analyze: status %d", resp.StatusCode)
+		}
+		analyzed = wall.ReplaceAllString(readBody(t, resp), "wall=-")
+		return readBody(t, postQuery(t, ts, "acme", query, "")), analyzed
+	}
+	result, analyzed := answer(0)
+	result8, analyzed8 := answer(8)
+	if !strings.Contains(result, "a599") || result8 != result {
+		t.Errorf("Parallelism: 8 changed the response body (%d bytes, %d with 0)", len(result8), len(result))
+	}
+	if !strings.Contains(analyzed, "alg=hash") || analyzed8 != analyzed {
+		t.Errorf("Parallelism: 8 changed EXPLAIN ANALYZE:\n%s\nwant\n%s", analyzed8, analyzed)
 	}
 }

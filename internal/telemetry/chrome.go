@@ -130,9 +130,6 @@ func spanArgs(sp *obs.Span) map[string]any {
 	if sp.Algorithm != "" {
 		args[obs.FieldAlgorithm] = sp.Algorithm
 	}
-	if sp.Workers > 0 {
-		args[obs.FieldWorkers] = sp.Workers
-	}
 	if sp.Cache != "" {
 		args[obs.FieldCache] = sp.Cache
 	}

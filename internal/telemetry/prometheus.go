@@ -29,10 +29,6 @@ var counters = []counterSeries{
 	{obs.SeriesTuplesBuilt, "Tuples inserted into join build sides.", func(m obs.MetricsSnapshot) int64 { return m.TuplesBuilt }},
 	{obs.SeriesTuplesProbed, "Tuples driven through join probe sides.", func(m obs.MetricsSnapshot) int64 { return m.TuplesProbed }},
 	{obs.SeriesTuplesEmitted, "Tuples emitted by join operators.", func(m obs.MetricsSnapshot) int64 { return m.TuplesEmitted }},
-	{obs.SeriesPartitionedJoins, "Parallel partitioned hash joins.", func(m obs.MetricsSnapshot) int64 { return m.PartitionedJoins }},
-	{obs.SeriesPartitions, "Partitions created by parallel joins.", func(m obs.MetricsSnapshot) int64 { return m.Partitions }},
-	{obs.SeriesBroadcastJoins, "Parallel broadcast joins.", func(m obs.MetricsSnapshot) int64 { return m.BroadcastJoins }},
-	{obs.SeriesSequentialFallbacks, "Parallel joins that fell back to sequential.", func(m obs.MetricsSnapshot) int64 { return m.SequentialFallbacks }},
 	{obs.SeriesWCOJJoins, "Worst-case-optimal generic joins.", func(m obs.MetricsSnapshot) int64 { return m.WCOJJoins }},
 	{obs.SeriesWCOJCandidates, "Candidate values enumerated by generic joins.", func(m obs.MetricsSnapshot) int64 { return m.WCOJCandidates }},
 	{obs.SeriesWCOJIntersections, "Attribute intersections performed by generic joins.", func(m obs.MetricsSnapshot) int64 { return m.WCOJIntersections }},

@@ -175,8 +175,8 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 }
 
 // TestTraceSnapshotWhileRunning snapshots collector metrics concurrently
-// with a parallelism-8 traced evaluation — the race a mutex-free counter
-// struct would have. Run under -race in CI.
+// with a traced evaluation, as /metrics does — the race a counter struct
+// without atomics would have. Run under -race in CI.
 func TestTraceSnapshotWhileRunning(t *testing.T) {
 	c, err := reduction.New(lemma1Families(t)["xorchain"])
 	if err != nil {
@@ -210,7 +210,7 @@ func TestTraceSnapshotWhileRunning(t *testing.T) {
 			}
 		}
 	}()
-	ev := algebra.Evaluator{Order: join.Greedy, Parallelism: 8, Cache: true, Collector: col}
+	ev := algebra.Evaluator{Order: join.Greedy, Cache: true, Collector: col}
 	_, err = ev.Eval(phi, db)
 	close(stop)
 	<-done

@@ -68,7 +68,6 @@ func TestStrategyObservationsPinned(t *testing.T) {
 	}
 	strategies := map[string]algebra.Evaluator{
 		"hash":       forced("hash"),
-		"parallel-8": {Order: join.Greedy, Parallelism: 8},
 		"wcoj":       forced("wcoj"),
 		"yannakakis": forced("yannakakis"),
 		"auto":       {Order: join.Greedy, AutoWCOJ: true, AutoYannakakis: true},

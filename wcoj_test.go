@@ -5,11 +5,40 @@ import (
 	"testing"
 
 	"relquery/internal/algebra"
+	"relquery/internal/cnf"
 	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/reduction"
 	"relquery/internal/relation"
 )
+
+// lemma1Families returns the gadget workloads every strategy must
+// reproduce exactly: the paper's worked example plus structured families
+// from cnf.
+func lemma1Families(t *testing.T) map[string]*cnf.Formula {
+	t.Helper()
+	// Family sizes are deliberately small: materializing φ_G(R_G) blows
+	// up exponentially in m (that is the paper's theorem), so XorChain(2)
+	// (m=8) and Pigeonhole(1) (m=10) are already thousands of
+	// intermediate tuples — plenty for the greedy plan to blow up on while
+	// keeping the race-instrumented run fast.
+	families := map[string]*cnf.Formula{
+		"paper": cnf.PaperExample(),
+	}
+	xor, err := cnf.XorChain(2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xor, _ = cnf.Compact(xor)
+	families["xorchain"] = xor
+	php, err := cnf.Pigeonhole(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	php, _ = cnf.Compact(php)
+	families["pigeonhole"] = php
+	return families
+}
 
 // renderAs renders r with its columns permuted into s's order. The
 // generic join emits the join node's declared trs(φ) column order
@@ -44,8 +73,7 @@ func wcojSpans(sp *obs.Span) []*obs.Span {
 // Lemma 1 blow-up families the greedy binary plan materializes a peak
 // intermediate far above the final output, while -join=wcoj never
 // materializes more than the join node's own AGM bound — and still
-// produces a byte-identical result, including under parallelism 8 (the
-// CI race job runs this file with -race).
+// produces a byte-identical result.
 func TestWCOJKillsLemma1Blowup(t *testing.T) {
 	blowupFamilies := 0
 	for name, g := range lemma1Families(t) {
@@ -123,17 +151,6 @@ func TestWCOJKillsLemma1Blowup(t *testing.T) {
 					t.Errorf("wcoj peak %d did not improve on greedy peak %d", wcojPeak, greedyPeak)
 				}
 				blowupFamilies++
-			}
-
-			// Parallelism 8: child subtrees evaluate concurrently while the
-			// n-ary node still runs the generic join. Exercised under -race.
-			par := algebra.Evaluator{Algorithm: join.Generic{}, Order: join.Greedy, Parallelism: 8, Collector: &obs.Collector{}}
-			pgot, err := par.Eval(phi, db)
-			if err != nil {
-				t.Fatalf("parallelism 8: %v", err)
-			}
-			if renderAs(t, pgot, want.Scheme()) != relation.RenderSorted(want) {
-				t.Fatal("parallelism 8 wcoj rendering differs from sequential engine")
 			}
 		})
 	}
