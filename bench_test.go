@@ -332,7 +332,12 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 // so the pair measures the observability layer's overhead (BENCH_obs.txt
 // has the recorded numbers); -registry adds, on top of tracing, the
 // process-wide telemetry publish (histograms + totals fold + trace ring):
-// the cost of feeding /metrics, per evaluation.
+// the cost of feeding /metrics, per evaluation. The wcoj pair forces the
+// generic join through a shared cache: -cold gives every evaluation a new
+// cache, so every join node plans — cover LP, attribute order, shape —
+// from nothing; -warm resets one cache's results between evaluations and
+// keeps its plan facts, relqueryd's steady state, where the generic join
+// derives nothing from the schemes.
 func BenchmarkE9Eval(b *testing.B) {
 	xor, err := cnf.XorChain(2, true)
 	if err != nil {
@@ -357,18 +362,23 @@ func BenchmarkE9Eval(b *testing.B) {
 			b.Fatal(err)
 		}
 		db := c.Database()
+		wcoj := algebra.EvalOptions{Algorithm: join.Generic{}}
 		for _, cfg := range []struct {
-			name     string
-			opts     algebra.EvalOptions
-			traced   bool
-			registry bool
+			name         string
+			opts         algebra.EvalOptions
+			traced       bool
+			registry     bool
+			shared, warm bool // a shared cache; the same one, reset, every evaluation
 		}{
-			{"sequential", algebra.EvalOptions{}, false, false},
-			{"sequential-cache", algebra.EvalOptions{Cache: true}, false, false},
-			{"sequential-traced", algebra.EvalOptions{}, true, false},
-			{"sequential-registry", algebra.EvalOptions{}, true, true},
+			{"sequential", algebra.EvalOptions{}, false, false, false, false},
+			{"sequential-cache", algebra.EvalOptions{Cache: true}, false, false, false, false},
+			{"sequential-traced", algebra.EvalOptions{}, true, false, false, false},
+			{"sequential-registry", algebra.EvalOptions{}, true, true, false, false},
+			{"wcoj-cold", wcoj, false, false, true, false},
+			{"wcoj-warm", wcoj, false, false, true, true},
 		} {
 			reg := obs.NewRegistry()
+			cache := algebra.NewSubexprCache()
 			b.Run(fmt.Sprintf("%s/%s", fam.name, cfg.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -378,6 +388,16 @@ func BenchmarkE9Eval(b *testing.B) {
 					}
 					if cfg.registry {
 						opts.Registry = reg
+					}
+					if cfg.shared {
+						b.StopTimer()
+						if cfg.warm {
+							cache.Reset()
+						} else {
+							cache = algebra.NewSubexprCache()
+						}
+						opts.SharedCache = cache
+						b.StartTimer()
 					}
 					ev := opts.NewEvaluator()
 					ev.Order = join.Greedy

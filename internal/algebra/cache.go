@@ -41,11 +41,19 @@ type SubexprCache struct {
 // arity over the stored relations): roughly 100 MB of tuples held outside
 // every tenant's budget, so a constant and not a tenant's to set. relbench's
 // heaviest pass (cyclic_greedy, 2.2 M values) reaches half of it.
+//
+// The weight is the rows alone. A resident result can also pin the access
+// paths later joins memoized on it (relation.Path): at most two edge
+// tables, each 4 B per row plus at most 64 B per distinct key (head, size,
+// and the index's hashes and slots, with their growth slack) — up to
+// 136 B per row when every key is distinct, against 16 B per value and a
+// 24 B header per row for the tuples themselves. The paths live and die
+// with the result, so the bound on the rows bounds them too.
 const resultsMax = 4 << 20
 
-// factsMax bounds resident plan facts, in entries. An entry is its key and a
-// hundred-odd bytes, so the bound only guards against an adversarial stream
-// of distinct expressions.
+// factsMax bounds resident plan facts, in entries. An entry is its key and
+// under a kilobyte — a one-pass join's shape is the bulk of it — so the
+// bound only guards against an adversarial stream of distinct expressions.
 const factsMax = 4096
 
 // NewSubexprCache returns an empty cache.

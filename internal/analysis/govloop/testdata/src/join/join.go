@@ -204,6 +204,33 @@ func ChainNoGovernor(t *table) int {
 	return n
 }
 
+// liveChain mimics the tree join's per-request chain of a group's live
+// rows: a slice of row indices walked in place, no method in sight.
+type liveChain struct{ head, next []int32 }
+
+// LiveChainUngoverned walks the chain through a slice read; the
+// conversion around it is the call that makes it an index chain.
+func LiveChainUngoverned(g *governor.Governor, c *liveChain) int {
+	n := 0
+	for r := int(c.head[0]); r >= 0; r = int(c.next[r]) { // want `index-chain loop has no reachable governor Tick/Check`
+		n++
+	}
+	return n
+}
+
+// LiveChainTicked ticks per link, the dead ones it skips included.
+func LiveChainTicked(g *governor.Governor, c *liveChain, dead []bool) error {
+	for r := int(c.head[0]); r >= 0; r = int(c.next[r]) {
+		if err := g.Tick(); err != nil {
+			return err
+		}
+		if dead[r] {
+			continue
+		}
+	}
+	return nil
+}
+
 // Waived documents why the loop is cardinality-bounded.
 func Waived(g *governor.Governor, rows []relation.Tuple) {
 	//lint:ungoverned fixture rows are bounded by construction

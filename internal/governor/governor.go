@@ -157,17 +157,6 @@ func (g *Governor) Context() context.Context {
 	return g.ctx
 }
 
-// Err returns the sticky violation, or nil.
-func (g *Governor) Err() error {
-	if g == nil {
-		return nil
-	}
-	if f := g.failure.Load(); f != nil {
-		return f.err
-	}
-	return nil
-}
-
 // WithMetrics attaches an obs.Metrics to the governor: when the sticky
 // failure latch first trips on a governance sentinel, the matching
 // violation counter is incremented — exactly once per evaluation, so the
@@ -185,8 +174,7 @@ func (g *Governor) WithMetrics(m *obs.Metrics) *Governor {
 }
 
 // violationKind maps a violation chain to its obs counter kind, or ""
-// for non-sentinel errors (Fail broadcasts engine errors too — those are
-// failures, not governance violations).
+// for an error that is not a governance sentinel.
 func violationKind(err error) string {
 	switch {
 	case errors.Is(err, ErrDeadline):

@@ -29,9 +29,6 @@ func TestNilGovernorNoOps(t *testing.T) {
 	if err := g.Admit(&prediction{peak: 1e18}, false); err != nil {
 		t.Errorf("nil Admit = %v", err)
 	}
-	if err := g.Err(); err != nil {
-		t.Errorf("nil Err = %v", err)
-	}
 	if g.Context() == nil {
 		t.Error("nil Context() = nil, want Background")
 	}
@@ -69,8 +66,8 @@ func TestCancelSurfacesErrCanceled(t *testing.T) {
 	if err2 := g.Tick(); !errors.Is(err2, ErrCanceled) {
 		t.Errorf("Tick after violation = %v, want ErrCanceled", err2)
 	}
-	if err2 := g.Err(); !errors.Is(err2, ErrCanceled) {
-		t.Errorf("Err() = %v, want ErrCanceled", err2)
+	if err2 := g.Check(); !errors.Is(err2, ErrCanceled) {
+		t.Errorf("Check after violation = %v, want ErrCanceled", err2)
 	}
 }
 
@@ -270,7 +267,7 @@ func TestViolationCounting(t *testing.T) {
 	}
 	_ = g.CheckRows(12)
 	_ = g.Tick()
-	_ = g.Err()
+	_ = g.Check()
 
 	// Admission rejection on a second evaluation sharing the metrics.
 	g2 := New(context.Background(), Limits{MaxIntermediateRows: 10}).WithMetrics(&m)
@@ -336,8 +333,8 @@ func TestWait(t *testing.T) {
 	if err := g.Wait(never); !errors.Is(err, ErrDeadline) {
 		t.Errorf("deadline first: %v, want ErrDeadline", err)
 	}
-	if err := g.Err(); !errors.Is(err, ErrDeadline) {
-		t.Errorf("the violation is not sticky: Err() = %v", err)
+	if err := g.Tick(); !errors.Is(err, ErrDeadline) {
+		t.Errorf("the violation is not sticky: Tick() = %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(5*time.Millisecond, cancel)

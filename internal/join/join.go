@@ -136,7 +136,7 @@ func (Hash) Name() string { return "hash" }
 func (Hash) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
 	s := orient(l, r)
-	table, err := buildTable(x.Gov, s.build, s.keyBuild, nil)
+	table, err := buildTable(x.Gov, s.build, s.keyBuild)
 	if err != nil {
 		return nil, err
 	}

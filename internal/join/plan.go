@@ -19,6 +19,12 @@ import (
 // every later plan over equal ones (algebra.SubexprCache keeps them by
 // content key across requests).
 //
+// The facts also hold each one-pass join's shape: what the tree join
+// (treeShape) and the generic join (genericShape) derive from the schemes,
+// the tree and the cover alone — output scheme, column sources, attribute
+// order and the index maps over it — so a warm plan runs either join
+// without rebuilding anything that is not a function of the rows.
+//
 // Every fact is computed on first read and published once: which facts a
 // node needs depends on the strategy it ends up on. An acyclic node under
 // the auto selector is decided by GYO alone and must not pay the
@@ -27,12 +33,15 @@ import (
 // concurrently; the first reader of a fact computes it from its own inputs
 // and nothing writes it afterwards. The zero Facts knows nothing yet.
 type Facts struct {
-	treeOnce, coverOnce, peaksOnce sync.Once
+	treeOnce, coverOnce, peaksOnce  sync.Once
+	treeShapeOnce, genericShapeOnce sync.Once
 
-	tree       *JoinTree
-	cover      []float64
-	bound      float64
-	est, worst float64
+	tree         *JoinTree
+	cover        []float64
+	bound        float64
+	est, worst   float64
+	treeShape    *treeShape
+	genericShape *genericShape
 }
 
 // Plan returns the plan of the natural join of inputs that reads and

@@ -34,26 +34,24 @@ func sameKey(t relation.Tuple, kt keyCols, u relation.Tuple, ku keyCols) bool {
 // relation.Index maps the hash of a row's key columns to a group; a group
 // is confirmed by comparing key columns with its first row, and its rows
 // are chained in insertion order, so a probe walks its matches in the
-// order the build relation holds them. Everything lives in six flat
-// slices, whatever the number of keys. Read-only once built.
+// order the build relation holds them. Everything lives in five flat
+// slices, whatever the number of keys. Read-only once built — which is
+// what lets edgeTable share one among every join over its relation.
 type hashTable struct {
 	rel  *relation.Relation
 	cols keyCols
 	ix   relation.Index // hash of the key columns -> group id
 	head []int32        // group -> its first row
-	tail []int32        // group -> its last row so far
 	size []int32        // group -> its number of rows
 	next []int32        // row -> the next row of its group, -1 at the end
 }
 
-// buildTable groups rel's rows — those not in skip, when skip is not nil —
-// by the key columns cols, ticking g once per row grouped.
-func buildTable(g *governor.Governor, rel *relation.Relation, cols keyCols, skip bitset) (*hashTable, error) {
+// buildTable groups rel's rows by the key columns cols, ticking g once per
+// row.
+func buildTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*hashTable, error) {
 	t := &hashTable{rel: rel, cols: cols, next: make([]int32, rel.Len())}
+	var tail []int32 // group -> its last row so far
 	for i := range t.next {
-		if skip != nil && skip.has(i) {
-			continue
-		}
 		if err := g.Tick(); err != nil {
 			return nil, err
 		}
@@ -61,17 +59,29 @@ func buildTable(g *governor.Governor, rel *relation.Relation, cols keyCols, skip
 		h := row.HashOf(cols)
 		t.next[i] = -1
 		if grp := t.group(h, row, cols); grp >= 0 {
-			t.next[t.tail[grp]] = int32(i)
-			t.tail[grp] = int32(i)
+			t.next[tail[grp]] = int32(i)
+			tail[grp] = int32(i)
 			t.size[grp]++
 			continue
 		}
 		t.ix.Insert(h)
 		t.head = append(t.head, int32(i))
-		t.tail = append(t.tail, int32(i))
+		tail = append(tail, int32(i))
 		t.size = append(t.size, 1)
 	}
 	return t, nil
+}
+
+// edgeTable is buildTable as a fact of rel: built over all of rel's rows
+// on first use and memoized on rel (relation.Path), so every later join
+// over the same relation under the same key — the next request over an
+// unchanged catalog relation, the next evaluation of a cached result —
+// finds it built. A caller that needs only some rows filters by liveness
+// as it walks; the table itself never depends on a request. The hash join
+// does not use it: its build side is a fresh intermediate in every
+// measured workload, and a memo would only make cached results pin more.
+func edgeTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*hashTable, error) {
+	return relation.Path(rel, cols, func() (*hashTable, error) { return buildTable(g, rel, cols) })
 }
 
 // keys returns the number of distinct join keys on the build side.

@@ -66,34 +66,27 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	case 1:
 		return inputs[0], nil
 	}
-	// Output scheme: left-to-right union, matching the binary combiners.
-	outScheme := inputs[0].Scheme()
-	for _, r := range inputs[1:] {
-		outScheme = outScheme.Union(r.Scheme())
-	}
 	for _, r := range inputs {
 		if r.Empty() {
-			empty, err := relation.FromDistinctTuples(outScheme)
-			if err != nil {
-				return nil, err
-			}
+			// Without the shape: it needs the cover, and an empty join
+			// has nothing to order.
 			x.Metrics.ObserveJoin(0)
-			return x.Materialized(empty)
+			return x.Materialized(relation.New(unionScheme(inputs)))
 		}
 	}
 
-	order := attributeOrder(p, outScheme)
+	shape := p.genericShape()
 	tries := make([]*sortedTrie, len(inputs))
 	indexed := 0
 	for i, r := range inputs {
-		t, err := newSortedTrie(r, order, x.Gov)
+		t, err := newSortedTrie(r, shape.cols[i], x.Gov)
 		if err != nil {
 			return nil, err
 		}
 		tries[i] = t
 		indexed += r.Len()
 	}
-	j := newGenericJoin(outScheme, order, tries)
+	j := newGenericJoin(shape, tries)
 	j.gov = x.Gov
 	j.search(0)
 	if j.err != nil {
@@ -106,6 +99,68 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	x.Metrics.WCOJ(j.candidates, j.intersections)
 	x.Span.SetWCOJ(j.candidates, j.intersections)
 	return x.Materialized(out)
+}
+
+// unionScheme returns the output scheme of joining inputs: the
+// left-to-right union, matching the binary combiners.
+func unionScheme(inputs []*relation.Relation) relation.Scheme {
+	out := inputs[0].Scheme()
+	for _, r := range inputs[1:] {
+		out = out.Union(r.Scheme())
+	}
+	return out
+}
+
+// genericShape is what the generic join derives from the node's schemes
+// and cover alone, so a node's Facts holds it (Plan.genericShape) and a
+// warm plan derives none of it again: the output scheme, the global
+// attribute order, each input's trie levels, and the search's index maps
+// over the order. Read-only once built.
+type genericShape struct {
+	out    relation.Scheme
+	order  []relation.Attribute
+	cols   [][]int // input -> its columns in the attribute order: its trie's levels
+	parts  [][]int // parts[k]: the inputs whose scheme contains order[k]
+	depth  [][]int // depth[k][i]: the trie level of order[k] in input parts[k][i]
+	outPos []int   // output column -> its index in order
+}
+
+// genericShape returns the generic join's shape of the plan's node,
+// computing it — and with it the cover — on the first read like every
+// fact.
+func (p *Plan) genericShape() *genericShape {
+	f := p.facts
+	f.genericShapeOnce.Do(func() { f.genericShape = newGenericShape(p) })
+	return f.genericShape
+}
+
+func newGenericShape(p *Plan) *genericShape {
+	out := unionScheme(p.Inputs)
+	order := attributeOrder(p, out)
+	s := &genericShape{
+		out:    out,
+		order:  order,
+		cols:   make([][]int, len(p.Inputs)),
+		parts:  make([][]int, len(order)),
+		depth:  make([][]int, len(order)),
+		outPos: make([]int, out.Len()),
+	}
+	// A trie's levels follow the global order, so the level of order[k] in
+	// a trie is the number of earlier attributes the trie also has.
+	for k, a := range order {
+		for i, r := range p.Inputs {
+			if c, ok := r.Scheme().Pos(a); ok {
+				s.parts[k] = append(s.parts[k], i)
+				s.depth[k] = append(s.depth[k], len(s.cols[i]))
+				s.cols[i] = append(s.cols[i], c)
+			}
+		}
+	}
+	for k, a := range order {
+		c, _ := out.Pos(a)
+		s.outPos[c] = k
+	}
+	return s
 }
 
 // attributeOrder fixes the global attribute order the tries and the
@@ -160,7 +215,7 @@ func attributeOrder(p *Plan, union relation.Scheme) []relation.Attribute {
 // read in place as rel.Tuple(perm[i])[cols[d]].
 type sortedTrie struct {
 	rel  *relation.Relation
-	cols []int   // trie level -> column of rel
+	cols []int   // trie level -> column of rel; the shape's, not to be written
 	perm []int32 // sorted position -> row of rel
 }
 
@@ -169,14 +224,8 @@ func (t *sortedTrie) at(i, d int) relation.Value {
 	return t.rel.Tuple(int(t.perm[i]))[t.cols[d]]
 }
 
-func newSortedTrie(r *relation.Relation, order []relation.Attribute, gov *governor.Governor) (*sortedTrie, error) {
-	sc := r.Scheme()
-	t := &sortedTrie{rel: r, cols: make([]int, 0, sc.Len()), perm: make([]int32, r.Len())}
-	for _, a := range order {
-		if j, ok := sc.Pos(a); ok {
-			t.cols = append(t.cols, j)
-		}
-	}
+func newSortedTrie(r *relation.Relation, cols []int, gov *governor.Governor) (*sortedTrie, error) {
+	t := &sortedTrie{rel: r, cols: cols, perm: make([]int32, r.Len())}
 	for i := range t.perm {
 		if err := gov.Tick(); err != nil {
 			return nil, err
@@ -201,19 +250,17 @@ func newSortedTrie(r *relation.Relation, order []relation.Attribute, gov *govern
 // compatible with the current partial binding.
 type trieRange struct{ lo, hi int }
 
-// genericJoin is the state of one attribute-at-a-time binding search.
+// genericJoin is the state of one attribute-at-a-time binding search
+// over its node's shape.
 type genericJoin struct {
-	order  []relation.Attribute
+	shape  *genericShape
 	tries  []*sortedTrie
-	parts  [][]int     // parts[k]: tries whose scheme contains order[k]
-	depth  [][]int     // depth[k][i]: trie level of order[k] in trie parts[k][i]
 	ranges []trieRange // current range per trie
 	// saved[k][i] is the range of trie parts[k][i] on entry to level k,
-	// restored on the way out. One slice per level, allocated once: level
-	// k is on the recursion stack at most once.
-	saved  [][]trieRange
-	bind   []relation.Value
-	outPos []int // output column -> order index
+	// restored on the way out. One slice per level, carved from one array:
+	// level k is on the recursion stack at most once.
+	saved [][]trieRange
+	bind  []relation.Value
 	// out collects the output rows. A binding search cannot know its
 	// count before it ends, so the builder grows in slabs.
 	out *relation.Builder
@@ -227,45 +274,27 @@ type genericJoin struct {
 	err error
 }
 
-func newGenericJoin(out relation.Scheme, order []relation.Attribute, tries []*sortedTrie) *genericJoin {
-	rank := make(map[relation.Attribute]int, len(order))
-	for k, a := range order {
-		rank[a] = k
+func newGenericJoin(shape *genericShape, tries []*sortedTrie) *genericJoin {
+	n := 0
+	for _, part := range shape.parts {
+		n += len(part)
 	}
-	parts := make([][]int, len(order))
-	depth := make([][]int, len(order))
-	saved := make([][]trieRange, len(order))
-	// A trie's levels follow the global order, so the level of order[k] in
-	// a trie is the number of earlier attributes the trie also has.
-	level := make([]int, len(tries))
-	for k, a := range order {
-		for i, tr := range tries {
-			if tr.rel.Scheme().Has(a) {
-				parts[k] = append(parts[k], i)
-				depth[k] = append(depth[k], level[i])
-				level[i]++
-			}
-		}
-		saved[k] = make([]trieRange, len(parts[k]))
+	flat := make([]trieRange, n)
+	saved := make([][]trieRange, len(shape.order))
+	for k, part := range shape.parts {
+		saved[k], flat = flat[:len(part):len(part)], flat[len(part):]
 	}
 	ranges := make([]trieRange, len(tries))
 	for i, tr := range tries {
 		ranges[i] = trieRange{0, len(tr.perm)}
 	}
-	outPos := make([]int, out.Len())
-	for i := 0; i < out.Len(); i++ {
-		outPos[i] = rank[out.Attr(i)]
-	}
 	return &genericJoin{
-		order:  order,
+		shape:  shape,
 		tries:  tries,
-		parts:  parts,
-		depth:  depth,
 		ranges: ranges,
 		saved:  saved,
-		bind:   make([]relation.Value, len(order)),
-		outPos: outPos,
-		out:    relation.NewBuilder(out, -1),
+		bind:   make([]relation.Value, len(shape.order)),
+		out:    relation.NewBuilder(shape.out, -1),
 	}
 }
 
@@ -278,16 +307,16 @@ func (j *genericJoin) search(k int) {
 	if j.err != nil {
 		return
 	}
-	if k == len(j.order) {
+	if k == len(j.shape.order) {
 		// Distinct bindings yield distinct output tuples, so the result
 		// assembles without deduplication.
-		j.out.Gather(j.bind, j.outPos)
+		j.out.Gather(j.bind, j.shape.outPos)
 		if j.out.Len()%checkBatch == 0 {
 			j.err = j.gov.CheckRows(j.out.Len())
 		}
 		return
 	}
-	parts, depth, saved := j.parts[k], j.depth[k], j.saved[k]
+	parts, depth, saved := j.shape.parts[k], j.shape.depth[k], j.saved[k]
 	fault.Hit(fault.WCOJSearch)
 
 	seedIdx := 0

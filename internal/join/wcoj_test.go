@@ -193,6 +193,38 @@ func TestGenericNeverExceedsAGM(t *testing.T) {
 	}
 }
 
+// TestWarmGenericJoinDerivesNoShape: a plan over facts an earlier
+// evaluation completed runs the generic join on the facts' shape — no
+// output scheme, attribute order or index map rebuilt, and with them no
+// hypergraph, the order's input — and allocates only what depends on the
+// rows: the tries' permutations, the search's ranges and binding, and
+// the output.
+func TestWarmGenericJoinDerivesNoShape(t *testing.T) {
+	facts := new(Facts)
+	inputs := trianglePlan(t).Inputs
+	cold, err := Generic{}.JoinAll(Exec{}, facts.Plan(inputs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := facts.Plan(inputs...)
+	out, err := Generic{}.JoinAll(Exec{}, warm)
+	if err != nil || !out.Equal(cold) || !out.Scheme().SameOrder(cold.Scheme()) {
+		t.Fatalf("warm join = %v, %v; cold %v", out, err, cold)
+	}
+	if warm.hg != nil {
+		t.Error("the warm plan built the hypergraph: it derived the shape again")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := (Generic{}).JoinAll(Exec{}, facts.Plan(inputs...)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a warm generic join over the triangle allocates %v times", allocs)
+	if allocs > 24 { // 20 measured, 62 when every request derived the shape
+		t.Errorf("a warm generic join allocates %v times", allocs)
+	}
+}
+
 func TestGenericMetrics(t *testing.T) {
 	var m obs.Metrics
 	inputs := []*relation.Relation{

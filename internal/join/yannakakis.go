@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"relquery/internal/fault"
 	"relquery/internal/obs"
@@ -51,9 +52,7 @@ func (Yannakakis) Name() string { return "yannakakis" }
 // binary Yannakakis join is joinTree on a two-node tree: one semijoin
 // each way, then the count and the enumeration of the reduced pair.
 func (y Yannakakis) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
-	p := NewPlan(l, r)
-	tree, _ := p.JoinTree()
-	out, _, _, err := joinTree(x, p.Inputs, tree)
+	out, _, _, err := joinTree(x, NewPlan(l, r))
 	return out, err
 }
 
@@ -69,13 +68,12 @@ func (y Yannakakis) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	case 1:
 		return inputs[0], nil
 	}
-	tree, ok := p.JoinTree()
-	if !ok {
+	if _, ok := p.JoinTree(); !ok {
 		x.Span.SetStructure(obs.StructureCyclic)
 		return multiGreedy(x, inputs, y)
 	}
 	x.Span.SetStructure(obs.StructureAcyclic)
-	out, semijoins, reducedRows, err := joinTree(x, inputs, tree)
+	out, semijoins, reducedRows, err := joinTree(x, p)
 	if err != nil {
 		return nil, err
 	}
@@ -83,21 +81,22 @@ func (y Yannakakis) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	return out, nil
 }
 
-// joinTree joins the inputs along the join tree in three passes over one
-// hash table per tree edge (treeJoin): mark deletes every dangling tuple,
-// count learns the output's cardinality — and runs the row check and the
-// byte charge on it — before an output row exists, enumerate writes the
-// output once, at that size. It also returns the number of semijoin
-// passes and the total cardinality surviving them (the "semijoin-pass
-// cardinality" EXPLAIN ANALYZE reports; the inputs' total minus this is
-// the dangling tuples removed).
-func joinTree(x Exec, inputs []*relation.Relation, tree *JoinTree) (out *relation.Relation, semijoins, reducedRows int, err error) {
+// joinTree joins the inputs of p, an acyclic node, along its join tree in
+// three passes over one hash table per tree edge (treeJoin): mark deletes
+// every dangling tuple, count learns the output's cardinality — and runs
+// the row check and the byte charge on it — before an output row exists,
+// enumerate writes the output once, at that size. It also returns the
+// number of semijoin passes and the total cardinality surviving them (the
+// "semijoin-pass cardinality" EXPLAIN ANALYZE reports; the inputs' total
+// minus this is the dangling tuples removed).
+func joinTree(x Exec, p *Plan) (out *relation.Relation, semijoins, reducedRows int, err error) {
 	fault.Hit(fault.JoinStart)
 	if err := x.Gov.Check(); err != nil {
 		return nil, 0, 0, err
 	}
-	root := tree.Root()
-	t := newTreeJoin(x, inputs, tree)
+	tree, _ := p.JoinTree()
+	root, shape := tree.Root(), p.treeShape()
+	t := newTreeJoin(x, p.Inputs, tree, shape)
 	if err := t.mark(); err != nil {
 		return nil, 0, 0, err
 	}
@@ -108,7 +107,6 @@ func joinTree(x Exec, inputs []*relation.Relation, tree *JoinTree) (out *relatio
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	scheme := t.scheme()
 	x.Metrics.JoinWork(reducedRows-t.rows[root], t.rows[root], total)
 	x.Metrics.ObserveJoin(total)
 	if total == math.MaxInt {
@@ -119,10 +117,10 @@ func joinTree(x Exec, inputs []*relation.Relation, tree *JoinTree) (out *relatio
 		}
 		return nil, 0, 0, fmt.Errorf("join: the output's cardinality overflows int")
 	}
-	if err := x.Sized(total, scheme.Len()); err != nil {
+	if err := x.Sized(total, shape.out.Len()); err != nil {
 		return nil, 0, 0, err
 	}
-	out, err = t.enumerate(scheme, total)
+	out, err = t.enumerate(total)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -130,19 +128,95 @@ func joinTree(x Exec, inputs []*relation.Relation, tree *JoinTree) (out *relatio
 	return out, t.semijoins, reducedRows, nil
 }
 
+// treeShape is what the tree join derives from the node's schemes and
+// join tree alone, so a node's Facts holds it (Plan.treeShape) and a warm
+// plan derives none of it again: the output scheme — each child's scheme
+// united into its parent's along the ear-removal order — the input and
+// column every output column is read from, each input's children, and
+// each tree edge's key. Read-only once built.
+type treeShape struct {
+	out  relation.Scheme
+	from []relation.Ref // output column -> the input (Src) and column it is read from
+	kids [][]int        // input -> its children in the tree
+	// key[i] and childKey[i] are the positions of the attributes input i
+	// shares with its parent, in the parent's scheme and in i's; unused at
+	// the root.
+	key, childKey []keyCols
+}
+
+func newTreeShape(schemes []relation.Scheme, tree *JoinTree) *treeShape {
+	n := len(schemes)
+	s := &treeShape{kids: make([][]int, n), key: make([]keyCols, n), childKey: make([]keyCols, n)}
+	for i, p := range tree.Parent {
+		if p < 0 {
+			continue
+		}
+		s.kids[p] = append(s.kids[p], i)
+		for c := 0; c < schemes[p].Len(); c++ {
+			if at, ok := schemes[i].Pos(schemes[p].Attr(c)); ok {
+				s.key[i], s.childKey[i] = append(s.key[i], c), append(s.childKey[i], at)
+			}
+		}
+	}
+	root := tree.Root()
+	if root < 0 {
+		return s
+	}
+	acc := slices.Clone(schemes)
+	for _, i := range tree.Order {
+		if p := tree.Parent[i]; p >= 0 {
+			acc[p] = acc[p].Union(acc[i])
+		}
+	}
+	s.out = acc[root]
+	// An output column is read from the first input in root-first order
+	// that has it: the odometer's digits are tree.Order reversed.
+	s.from = make([]relation.Ref, s.out.Len())
+	for c := range s.from {
+		for k := len(tree.Order) - 1; ; k-- {
+			if at, ok := schemes[tree.Order[k]].Pos(s.out.Attr(c)); ok {
+				s.from[c] = relation.Ref{Src: tree.Order[k], Col: at}
+				break
+			}
+		}
+	}
+	return s
+}
+
+// treeShape returns the tree join's shape of the plan's node, which must
+// be acyclic, computing it on the first read like every fact.
+func (p *Plan) treeShape() *treeShape {
+	f := p.facts
+	f.treeShapeOnce.Do(func() {
+		tree, _ := p.JoinTree()
+		f.treeShape = newTreeShape(SchemesOf(p.Inputs), tree)
+	})
+	return f.treeShape
+}
+
 // treeJoin is one evaluation of an acyclic join along its join tree, and
 // the owner of everything the passes share. Nothing a pass produces is a
-// relation: a deleted tuple is a bit set in its input's dead set, and
-// each tree edge has one hash table — the child's live rows grouped on
-// the attributes it shares with its parent, built once, when the child's
-// own children have reduced it. The table stays valid to the end because
-// a child's rows die either before it is built (the up-sweep, from below)
-// or by whole groups afterwards (the down-sweep, from above): a group
-// whose count is non-zero holds live rows only.
+// relation: a deleted tuple is a bit set in its input's dead set. Each
+// tree edge has one hash table — the child's rows, all of them, grouped
+// on the attributes it shares with its parent — and the table is a fact
+// of the child relation (edgeTable), not of the request: the next
+// evaluation over the same relation finds it built.
+//
+// What the request keeps is which rows of a group are alive. A child's
+// rows die either before its edge's up pass (in its own children's
+// up-sweeps) or by whole groups afterwards (the down-sweep, from above:
+// a group whose count is non-zero holds no row of that kind). Only the
+// first kind needs filtering, and the walks must not pay for it: the
+// enumeration walks a group once per parent row pointing at it, so a
+// group of one live and n dead rows under n parents would cost n² links.
+// So up gives every edge its live chains: the table's own when the child
+// has lost no row yet, else chains of the live rows alone, derived once
+// (4 B per child row), and every later pass walks those.
 type treeJoin struct {
 	x         Exec
 	rels      []*relation.Relation
 	tree      *JoinTree
+	shape     *treeShape
 	dead      []bitset // per input: the rows a pass has deleted
 	rows      []int    // per input: how many it has not
 	edges     []edge   // per input: its edge to its parent; unused at the root
@@ -151,9 +225,13 @@ type treeJoin struct {
 
 // edge is one tree edge, seen from the child.
 type edge struct {
-	table *hashTable // the child's live rows, grouped on the shared attributes
-	key   keyCols    // the shared attributes' positions in the parent
-	group []int32    // live parent row -> its group of table
+	table *hashTable // the child's rows grouped on the shared attributes, shared with other requests
+	// head and next chain each group's rows that were alive at up: head
+	// is per group, its first such row or -1, and next per child row, the
+	// following one or -1. They are the table's own head and next when
+	// every row was, and must not be written.
+	head, next []int32
+	group      []int32 // live parent row -> its group of table
 	// count is per group: after the down-sweep, 1 when a live parent row
 	// points at the group and 0 when none does (the group is dead); after
 	// the count pass, the number of output rows the child's subtree
@@ -161,9 +239,12 @@ type edge struct {
 	count []int
 }
 
-func newTreeJoin(x Exec, rels []*relation.Relation, tree *JoinTree) *treeJoin {
+// after returns the live row following child row r in its group, or -1.
+func (e *edge) after(r int) int { return int(e.next[r]) }
+
+func newTreeJoin(x Exec, rels []*relation.Relation, tree *JoinTree, shape *treeShape) *treeJoin {
 	t := &treeJoin{
-		x: x, rels: rels, tree: tree,
+		x: x, rels: rels, tree: tree, shape: shape,
 		dead:  make([]bitset, len(rels)),
 		rows:  make([]int, len(rels)),
 		edges: make([]edge, len(rels)),
@@ -198,20 +279,18 @@ func (t *treeJoin) mark() error {
 	return nil
 }
 
-// up is the semijoin pass parent ⋉ child. It builds the edge's table over
-// the child's live rows, looks each live parent row's group up once and
-// remembers it, and deletes the parent rows that have none.
+// up is the semijoin pass parent ⋉ child. It takes the child's table on
+// the edge's key, chains its live rows, looks each live parent row's group
+// up once and remembers it, and deletes the parent rows whose group has no
+// live row.
 func (t *treeJoin) up(i, p int) error {
 	fault.Hit(fault.Semijoin)
-	e, parent, child := &t.edges[i], t.rels[p], t.rels[i]
-	var keyChild keyCols
-	for c := 0; c < parent.Scheme().Len(); c++ {
-		if at, ok := child.Scheme().Pos(parent.Scheme().Attr(c)); ok {
-			e.key, keyChild = append(e.key, c), append(keyChild, at)
-		}
-	}
+	e, parent, key := &t.edges[i], t.rels[p], t.shape.key[i]
 	var err error
-	if e.table, err = buildTable(t.x.Gov, child, keyChild, t.dead[i]); err != nil {
+	if e.table, err = edgeTable(t.x.Gov, t.rels[i], t.shape.childKey[i]); err != nil {
+		return err
+	}
+	if err := t.chainLive(i); err != nil {
 		return err
 	}
 	e.group = make([]int32, parent.Len())
@@ -223,7 +302,10 @@ func (t *treeJoin) up(i, p int) error {
 			return err
 		}
 		row := parent.Tuple(r)
-		grp := e.table.group(row.HashOf(e.key), row, e.key)
+		grp := e.table.group(row.HashOf(key), row, key)
+		if grp >= 0 && e.head[grp] < 0 {
+			grp = -1
+		}
 		if grp < 0 {
 			t.dead[p].set(r)
 			t.rows[p]--
@@ -233,13 +315,43 @@ func (t *treeJoin) up(i, p int) error {
 	return t.reduced(p)
 }
 
-// down is the semijoin pass child ⋉ parent, over the table up built: it
+// chainLive sets edge i's live chains: the table's own when input i has
+// lost no row, else its live rows chained per group, one tick per row.
+func (t *treeJoin) chainLive(i int) error {
+	e := &t.edges[i]
+	if t.rows[i] == t.rels[i].Len() {
+		e.head, e.next = e.table.head, e.table.next
+		return nil
+	}
+	e.head, e.next = make([]int32, e.table.keys()), make([]int32, t.rels[i].Len())
+	for grp, first := range e.table.head {
+		e.head[grp] = -1
+		last := -1
+		for r := int(first); r >= 0; r = e.table.after(r) {
+			if err := t.x.Gov.Tick(); err != nil {
+				return err
+			}
+			if t.dead[i].has(r) {
+				continue
+			}
+			if last < 0 {
+				e.head[grp] = int32(r)
+			} else {
+				e.next[last] = int32(r)
+			}
+			e.next[r], last = -1, r
+		}
+	}
+	return nil
+}
+
+// down is the semijoin pass child ⋉ parent, over the chains up made: it
 // flags the groups a live parent row points at and deletes the others,
 // whole chains at a time.
 func (t *treeJoin) down(i, p int) error {
 	fault.Hit(fault.Semijoin)
 	e := &t.edges[i]
-	e.count = make([]int, e.table.keys())
+	e.count = make([]int, len(e.head))
 	for r := 0; r < t.rels[p].Len(); r++ {
 		if t.dead[p].has(r) {
 			continue
@@ -249,11 +361,11 @@ func (t *treeJoin) down(i, p int) error {
 		}
 		e.count[e.group[r]] = 1
 	}
-	for grp, first := range e.table.head {
+	for grp, first := range e.head {
 		if e.count[grp] != 0 {
 			continue
 		}
-		for r := int(first); r >= 0; r = e.table.after(r) {
+		for r := int(first); r >= 0; r = e.after(r) {
 			if err := t.x.Gov.Tick(); err != nil {
 				return err
 			}
@@ -302,7 +414,7 @@ func (t *treeJoin) survivors(i int) (*relation.Relation, error) {
 // walked, so nothing is kept per row. On a marked tree no factor is zero:
 // there are no dead ends to count.
 func (t *treeJoin) count() (int, error) {
-	kids := t.kids()
+	kids := t.shape.kids
 	weight := func(i, r int) int {
 		w := 1
 		for _, c := range kids[i] {
@@ -320,12 +432,12 @@ func (t *treeJoin) count() (int, error) {
 			continue
 		}
 		e := &t.edges[i]
-		for grp, first := range e.table.head {
+		for grp, first := range e.head {
 			if e.count[grp] == 0 {
 				continue
 			}
 			n := 0
-			for r := int(first); r >= 0; r = e.table.after(r) {
+			for r := int(first); r >= 0; r = e.after(r) {
 				if err := t.x.Gov.Tick(); err != nil {
 					return 0, err
 				}
@@ -351,51 +463,19 @@ func (t *treeJoin) count() (int, error) {
 	return total, nil
 }
 
-// kids lists each input's children in the join tree.
-func (t *treeJoin) kids() [][]int {
-	kids := make([][]int, len(t.rels))
-	for i, p := range t.tree.Parent {
-		if p >= 0 {
-			kids[p] = append(kids[p], i)
-		}
-	}
-	return kids
-}
-
-// scheme returns the output's scheme: each child's scheme united into its
-// parent's along the ear-removal order.
-func (t *treeJoin) scheme() relation.Scheme {
-	acc := SchemesOf(t.rels)
-	for _, i := range t.tree.Order {
-		if p := t.tree.Parent[i]; p >= 0 {
-			acc[p] = acc[p].Union(acc[i])
-		}
-	}
-	return acc[t.tree.Root()]
-}
-
-// enumerate writes the output, total rows over scheme: an odometer over
-// the tree, root first. Its digit for an input is the current row of the
-// group the input's parent's current row points at; advancing a digit
-// resets the later ones, whose groups may have changed with it. Every
-// setting of the digits is an output row — a marked tree has no dead
-// ends — so the rows come out root-row-major, each written once, straight
-// into a relation of exactly the counted size.
-func (t *treeJoin) enumerate(scheme relation.Scheme, total int) (*relation.Relation, error) {
+// enumerate writes the output, total rows over the shape's scheme: an
+// odometer over the tree, root first. Its digit for an input is the
+// current row of the group the input's parent's current row points at;
+// advancing a digit resets the later ones, whose groups may have changed
+// with it. Every setting of the digits is an output row — a marked tree
+// has no dead ends — so the rows come out root-row-major, each written
+// once, straight into a relation of exactly the counted size.
+func (t *treeJoin) enumerate(total int) (*relation.Relation, error) {
 	order, parent := t.tree.Order, t.tree.Parent
 	last := len(order) - 1
 	root := order[last]
 	// The digits, most significant first, are order reversed: parents
 	// come before their children.
-	from := make([]relation.Ref, scheme.Len())
-	for c := range from {
-		for k := last; ; k-- {
-			if at, ok := t.rels[order[k]].Scheme().Pos(scheme.Attr(c)); ok {
-				from[c] = relation.Ref{Src: order[k], Col: at}
-				break
-			}
-		}
-	}
 	at := make([]int, len(order))             // input -> its current row
 	cur := make([]relation.Tuple, len(order)) // the same, as tuples
 	// rewind sets the digits order[k], order[k-1], … to the first rows of
@@ -404,11 +484,11 @@ func (t *treeJoin) enumerate(scheme relation.Scheme, total int) (*relation.Relat
 		for ; k >= 0; k-- {
 			i := order[k]
 			e := &t.edges[i]
-			at[i] = int(e.table.head[e.group[at[parent[i]]]])
+			at[i] = int(e.head[e.group[at[parent[i]]]])
 			cur[i] = t.rels[i].Tuple(at[i])
 		}
 	}
-	b := relation.NewBuilder(scheme, total)
+	b := relation.NewBuilder(t.shape.out, total)
 	for r := 0; r < t.rels[root].Len(); r++ {
 		if t.dead[root].has(r) {
 			continue
@@ -422,13 +502,13 @@ func (t *treeJoin) enumerate(scheme relation.Scheme, total int) (*relation.Relat
 			if err := t.x.Gov.Tick(); err != nil {
 				return nil, err
 			}
-			b.Collect(cur, from)
+			b.Collect(cur, t.shape.from)
 			// Advance the least significant digit that has a next row;
 			// when none has, this root row is done.
 			done = true
 			for k := 0; k < last && done; k++ {
 				i := order[k]
-				if next := t.edges[i].table.after(at[i]); next >= 0 {
+				if next := t.edges[i].after(at[i]); next >= 0 {
 					at[i], cur[i] = next, t.rels[i].Tuple(next)
 					rewind(k - 1)
 					done = false
@@ -444,11 +524,12 @@ func (t *treeJoin) enumerate(scheme relation.Scheme, total int) (*relation.Relat
 // returned as it is — together with the number of semijoins performed.
 // It reports an error when the relations' scheme hypergraph is cyclic.
 func FullReduce(rels []*relation.Relation) ([]*relation.Relation, int, error) {
-	tree, ok := NewPlan(rels...).JoinTree()
+	p := NewPlan(rels...)
+	tree, ok := p.JoinTree()
 	if !ok {
 		return nil, 0, fmt.Errorf("join: full reduction requires an acyclic join (schemes %v)", SchemesOf(rels))
 	}
-	t := newTreeJoin(Exec{}, rels, tree)
+	t := newTreeJoin(Exec{}, rels, tree, p.treeShape())
 	if err := t.mark(); err != nil {
 		return nil, t.semijoins, err
 	}
@@ -467,7 +548,8 @@ func FullReduce(rels []*relation.Relation) ([]*relation.Relation, int, error) {
 // two-node tree with r at the root. When the schemes are disjoint, the
 // result is r itself if s is nonempty and empty otherwise.
 func Semijoin(r, s *relation.Relation) (*relation.Relation, error) {
-	t := newTreeJoin(Exec{}, []*relation.Relation{r, s}, &JoinTree{Parent: []int{-1, 0}, Order: []int{1, 0}})
+	rels, tree := []*relation.Relation{r, s}, &JoinTree{Parent: []int{-1, 0}, Order: []int{1, 0}}
+	t := newTreeJoin(Exec{}, rels, tree, newTreeShape(SchemesOf(rels), tree))
 	if err := t.up(1, 0); err != nil {
 		return nil, err
 	}

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -185,35 +187,135 @@ func uniquePath(rows int) []*relation.Relation {
 	return []*relation.Relation{r1, r2, r3}
 }
 
-// TestTreeJoinBuildsOneTablePerEdge: a three-relation path allocates what
-// two hash tables allocate, the output's own backing arrays and a constant
-// — not a table per semijoin pass and per tree join (six), not a relation
-// per pass, not a tree-join intermediate. The constant does not grow with
-// the inputs: between 1 024 and 4 096 rows only the output's arrays do.
-func TestTreeJoinBuildsOneTablePerEdge(t *testing.T) {
+// clones returns n independent copies of rels: relations equal to rels
+// with no access path memoized on them, like a fresh upload.
+func clones(rels []*relation.Relation, n int) [][]*relation.Relation {
+	out := make([][]*relation.Relation, n)
+	for k := range out {
+		for _, r := range rels {
+			out[k] = append(out[k], r.Clone())
+		}
+	}
+	return out
+}
+
+// TestWarmTreeJoinHashesNoRow: the edge tables are facts of the inputs
+// and the shape a fact of the node, so a second JoinAll over the same
+// relations allocates a constant and the output's own arrays — no table,
+// and nothing that grows with the inputs between 1 024 and 4 096 rows —
+// where a cold one over fresh copies also builds a table per edge.
+func TestWarmTreeJoinHashesNoRow(t *testing.T) {
 	besides := map[int]float64{}
 	for _, rows := range []int{1024, 4096} {
 		rels := uniquePath(rows)
 		table := testing.AllocsPerRun(5, func() {
-			if _, err := buildTable(nil, rels[1], keyCols{0}, nil); err != nil {
+			if _, err := buildTable(nil, rels[1], keyCols{0}); err != nil {
 				t.Fatal(err)
 			}
 		})
+		fresh, k := clones(rels, 6), 0
+		cold := testing.AllocsPerRun(5, func() {
+			if out, err := (Yannakakis{}).JoinAll(Exec{}, NewPlan(fresh[k]...)); err != nil || out.Len() != rows {
+				t.Fatal(out, err)
+			}
+			k++
+		})
 		p := NewPlan(rels...)
-		p.JoinTree()
-		got := testing.AllocsPerRun(5, func() {
-			if out, err := (Yannakakis{}).JoinAll(Exec{}, p); err != nil || out.Len() != rows {
+		var out *relation.Relation
+		warm := testing.AllocsPerRun(5, func() {
+			var err error
+			if out, err = (Yannakakis{}).JoinAll(Exec{}, p); err != nil || out.Len() != rows {
 				t.Fatal(out, err)
 			}
 		})
-		besides[rows] = got - 2*table
-		t.Logf("%d rows: %v allocations, %v per table", rows, got, table)
-		if besides[rows] < 0 || besides[rows] > 48 {
-			t.Errorf("%d rows: %v allocations against %v per table: not two tables and a constant", rows, got, table)
+		output := testing.AllocsPerRun(5, func() { out.Clone() })
+		besides[rows] = warm - output
+		t.Logf("%d rows: cold %v allocations, warm %v, %v per table, %v for a copy of the output", rows, cold, warm, table, output)
+		if cold-warm < 2*table {
+			t.Errorf("%d rows: cold %v against warm %v allocations: the warm join built a table (%v each)", rows, cold, warm, table)
+		}
+		if besides[rows] > 16 { // 13 measured: the marks, the per-edge arrays, the odometer
+			t.Errorf("%d rows: warm join allocates %v besides its output", rows, besides[rows])
 		}
 	}
-	if grew := besides[4096] - besides[1024]; grew > 16 {
-		t.Errorf("allocations besides the tables grew by %v from 1024 to 4096 rows", grew)
+	if grew := besides[4096] - besides[1024]; grew != 0 {
+		t.Errorf("warm allocations besides the output grew by %v from 1024 to 4096 rows", grew)
+	}
+}
+
+// builds reports whether looking rel's edge table on cols up builds one,
+// leaving nothing behind: the lookup runs under a governor that has
+// already failed, so the build's first row aborts it unpublished.
+func builds(t *testing.T, rel *relation.Relation, cols keyCols) bool {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := governor.New(ctx, governor.Limits{})
+	if err := g.Check(); err == nil {
+		t.Fatal("a canceled governor passed its check")
+	}
+	_, err := edgeTable(g, rel, cols)
+	return err != nil
+}
+
+// TestEdgeTableIsAFactOfItsRelation: a relation joined as a child under
+// two key sets holds both tables, and a join under a third key set drops
+// them. (The memo's own rules — Add, a copy, a failed build — are
+// relation.TestPathMemo's.)
+func TestEdgeTableIsAFactOfItsRelation(t *testing.T) {
+	r := rel(t, "A B", "1 x", "2 x", "3 y")
+	// As a child under key A, then under key B.
+	for _, parent := range []*relation.Relation{rel(t, "A C", "1 p", "3 q"), rel(t, "B D", "x 7")} {
+		if _, err := (Yannakakis{}).Join(Exec{}, r, parent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds(t, r, keyCols{0}) || builds(t, r, keyCols{1}) {
+		t.Fatal("a relation joined as a child under two key sets holds fewer than two tables")
+	}
+	if _, err := (Yannakakis{}).Join(Exec{}, r, rel(t, "A B E", "1 x e")); err != nil {
+		t.Fatal(err)
+	}
+	if builds(t, r, keyCols{0, 1}) || !builds(t, r, keyCols{0}) || !builds(t, r, keyCols{1}) {
+		t.Error("a third key set did not replace both tables")
+	}
+	if !builds(t, r.Clone(), keyCols{0, 1}) {
+		t.Error("a copy of the relation — an upload — came with its table")
+	}
+}
+
+// TestTreeJoinConcurrentFirstUse: eight goroutines join the same cold
+// relations at once, through one Facts. Each builds the edge tables or
+// finds them, one of each is published, every answer is the oracle's,
+// and -race proves a published table is never written.
+func TestTreeJoinConcurrentFirstUse(t *testing.T) {
+	rels := danglingPath(512)
+	want := rels[0]
+	for _, r := range rels[1:] {
+		var err error
+		if want, err = want.Join(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	facts := new(Facts)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := (Yannakakis{}).JoinAll(Exec{}, facts.Plan(rels...))
+			if err != nil || !out.Equal(want) {
+				t.Errorf("concurrent join: %v, %v", out, err)
+			}
+		}()
+	}
+	wg.Wait()
+	p := facts.Plan(rels...)
+	tree, _ := p.JoinTree()
+	for i, parent := range tree.Parent {
+		if parent >= 0 && builds(t, rels[i], p.treeShape().childKey[i]) {
+			t.Errorf("input %d: no edge table published", i)
+		}
 	}
 }
 
@@ -287,6 +389,60 @@ func TestTreeJoinWorkIsLinear(t *testing.T) {
 	}
 }
 
+// deadUnderLive is the path P(A,B) → C(B,X) → D(X) at scale n, with
+// Q(A) under P to keep A from being an ear, so that GYO roots the tree
+// at P. D keeps one row of C alive, so C loses n rows in its own child's
+// up-sweep — before its edge to P exists — and every one of P's n rows
+// points at the one group of C that holds the live row among n dead ones.
+// The output has n rows.
+func deadUnderLive(n int) []*relation.Relation {
+	d := relation.New(relation.MustScheme("X"))
+	c := relation.New(relation.MustScheme("B", "X"))
+	p := relation.New(relation.MustScheme("A", "B"))
+	q := relation.New(relation.MustScheme("A"))
+	d.MustAdd(relation.TupleOf("x0"))
+	for i := 0; i <= n; i++ {
+		c.MustAdd(relation.TupleOf("b0", fmt.Sprintf("x%d", i)))
+	}
+	for i := 0; i < n; i++ {
+		p.MustAdd(relation.TupleOf(fmt.Sprintf("a%d", i), "b0"))
+		q.MustAdd(relation.TupleOf(fmt.Sprintf("a%d", i)))
+	}
+	return []*relation.Relation{d, c, p, q}
+}
+
+// TestTreeJoinSkipsRowsDeadBeforeTheirEdge: the edge table of C is built
+// over all of C's rows, the n dead ones included, and the enumeration
+// walks C's group once per row of P. It stays linear in input plus output
+// — cold and warm — because the walks follow the request's chain of live
+// rows, not the table's: following the table's and skipping dead links
+// costs n² ticks here.
+func TestTreeJoinSkipsRowsDeadBeforeTheirEdge(t *testing.T) {
+	for _, n := range []int{1024, 8192} {
+		rels := deadUnderLive(n)
+		p := NewPlan(rels...)
+		if tree, _ := p.JoinTree(); !reflect.DeepEqual(tree.Parent, []int{1, 2, -1, 2}) {
+			t.Fatalf("join tree %+v, want D under C under P", tree)
+		}
+		for _, temperature := range []string{"cold", "warm"} {
+			ctx, cancel := context.WithCancel(context.Background()) // cancelable: New returns no governor for Background
+			defer cancel()
+			var checks atomic.Int64
+			gov := governor.New(checkCounter{ctx, &checks}, governor.Limits{})
+			out, err := Yannakakis{}.JoinAll(Exec{Gov: gov}, p)
+			if err != nil || out.Len() != n {
+				t.Fatal(temperature, out, err)
+			}
+			work := 1 + (n + 1) + 2*n + out.Len() // input + output
+			ticks := int(checks.Load()) * governor.CheckEvery
+			t.Logf("n = %d, %s: at most %d ticks for %d rows in and out", n, temperature, ticks, work)
+			if ticks > 4*work {
+				t.Errorf("n = %d, %s: %d ticks for %d rows in and out", n, temperature, ticks, work)
+			}
+		}
+	}
+}
+
 // TestOverBudgetTreeJoinDiesBeforeItMaterializes is the acyclic twin of
 // TestOverBudgetJoinDiesBeforeItMaterializes: a star of two 2 000-row legs
 // on one hub value has four million output rows, and under a 10 000-row
@@ -340,7 +496,7 @@ func TestTreeJoinCountSaturates(t *testing.T) {
 	if !ok {
 		t.Fatal("disjoint schemes are acyclic")
 	}
-	tj := newTreeJoin(Exec{}, rels, tree)
+	tj := newTreeJoin(Exec{}, rels, tree, p.treeShape())
 	if err := tj.mark(); err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,10 @@ func readBare(text string) (name string, rel *Relation, err error) {
 			continue
 		}
 		if out == nil {
-			scheme, err := SchemeOf(line)
+			// The attribute names are copied out of text: unlike the values,
+			// they outlive the relation, in the plan facts of every join over
+			// it, and must not pin the whole upload.
+			scheme, err := SchemeOf(strings.Clone(line))
 			if err != nil {
 				return "", nil, fmt.Errorf("relation: line %d: %w", lineno, err)
 			}

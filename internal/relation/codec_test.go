@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -78,6 +79,31 @@ A B
 	}
 	if r.Len() != 2 || r.Scheme().String() != "A B" {
 		t.Errorf("parsed %v", r)
+	}
+}
+
+// TestParsedSchemeDoesNotPinTheText: an upload's values are substrings of
+// its text, which lives as long as the relation; its attribute names are
+// copies, because schemes outlive the relation in the plan facts of every
+// join over it (join.Facts) and would otherwise keep every old upload of a
+// churning catalog alive.
+func TestParsedSchemeDoesNotPinTheText(t *testing.T) {
+	text := "Alpha Beta\n1 x\n2 y\n"
+	_, r, err := ParseRelation(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	within := func(s string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(text)))
+		return p >= lo && p < lo+uintptr(len(text))
+	}
+	for i := 0; i < r.Scheme().Len(); i++ {
+		if within(string(r.Scheme().Attr(i))) {
+			t.Errorf("attribute %q is a substring of the upload", r.Scheme().Attr(i))
+		}
+	}
+	if !within(string(r.Tuple(0)[1])) {
+		t.Error("values are copies of the upload: the zero-copy read is gone, and this test with it")
 	}
 }
 

@@ -101,15 +101,9 @@ func TestFingerprintMemo(t *testing.T) {
 	// and whenever it was first fingerprinted.
 	fresh := New(s)
 	r.Each(func(tp Tuple) bool { fresh.MustAdd(tp); return true })
-	distinct, err := FromDistinctTuples(s, r.Tuples()[:20], r.Tuples()[20:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	lone, err := FromDistinctTuples(s, r.Tuples())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, o := range map[string]*Relation{"New+Add": fresh, "FromDistinctTuples": distinct, "FromDistinctTuples, one batch": lone} {
+	built := NewBuilder(s, r.Len())
+	r.Each(func(tp Tuple) bool { built.Concat(tp, nil, nil); return true })
+	for name, o := range map[string]*Relation{"New+Add": fresh, "Builder": built.Relation(), "Clone": r.Clone()} {
 		if got := Fingerprint(o); got != after {
 			t.Errorf("%s relation fingerprints %s, want %s", name, got, after)
 		}
@@ -125,10 +119,11 @@ func TestFingerprintConcurrent(t *testing.T) {
 	for i := range rows {
 		rows[i] = TupleOf(fmt.Sprint(i))
 	}
-	r, err := FromDistinctTuples(s, rows)
-	if err != nil {
-		t.Fatal(err)
+	b := NewBuilder(s, len(rows))
+	for _, row := range rows {
+		b.Concat(row, nil, nil)
 	}
+	r := b.Relation()
 	got := make([]string, 8)
 	var wg sync.WaitGroup
 	for g := range got {

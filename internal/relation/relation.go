@@ -24,11 +24,11 @@ import (
 //
 // Relations built by New, FromTuples, FromRows and the codec index every
 // tuple as it is added. Relations whose rows are distinct by construction
-// — a Builder's (join and semijoin outputs), FromDistinctTuples',
-// Clone's and a column permutation's — skip the index and build it on the
-// first operation that needs it (Contains, Add, ...): such intermediates
-// are often only ever scanned, never probed. The lazy build is guarded by
-// a sync.Once, preserving the contract below.
+// — a Builder's (join outputs), Clone's and a column permutation's — skip
+// the index and build it on the first operation that needs it (Contains,
+// Add, ...): such intermediates are often only ever scanned, never
+// probed. The lazy build is guarded by a sync.Once, preserving the
+// contract below.
 //
 // A Relation is not safe for concurrent mutation; concurrent reads
 // (Fingerprint included) are fine.
@@ -36,7 +36,7 @@ type Relation struct {
 	scheme Scheme
 	rowStore
 	index     Index     // hash -> position in tuples; trails tuples until ensureIndex
-	indexOnce sync.Once // guards the lazy build for FromDistinctTuples relations
+	indexOnce sync.Once // guards the lazy build for Builder relations
 	// fp memoizes Fingerprint. Relations only grow, so the memo is
 	// current exactly when it covers len(tuples) rows.
 	fp atomic.Pointer[fingerprint]
@@ -44,6 +44,9 @@ type Relation struct {
 	// invalidation: an immutable relation — a cached result served again
 	// and again — is sorted once.
 	sorted atomic.Pointer[[]int32]
+	// paths memoizes Path under the same rule: a join's grouping of an
+	// unchanged catalog relation is built by its first request only.
+	paths atomic.Pointer[accessPaths]
 }
 
 // New returns an empty relation over the given scheme.
@@ -78,43 +81,6 @@ func FromTuples(scheme Scheme, tuples []Tuple) (*Relation, error) {
 		if _, err := r.Add(t); err != nil {
 			return nil, err
 		}
-	}
-	return r, nil
-}
-
-// FromDistinctTuples assembles a relation from tuple batches that the
-// caller guarantees to be pairwise distinct — a natural join's output, say,
-// where an output tuple determines its source pair. Tuples are not
-// cloned or hashed: the index is built lazily on first use, so a result
-// that is only ever scanned never pays for it. The relation takes
-// ownership of the given tuples — and, when there is exactly one batch,
-// of the batch slice itself; callers must not modify either afterwards.
-// Passing duplicate tuples violates set semantics silently — use New/Add
-// when distinctness is not guaranteed.
-//
-// It is the constructor for a selection of another relation's own rows (a
-// semijoin result): the rows stay shared, only the header slice is new.
-// A producer that builds new rows writes them through a Builder instead,
-// so that the relation owns their memory; tuples handed to
-// FromDistinctTuples should be cap == len views like every stored row.
-func FromDistinctTuples(scheme Scheme, parts ...[]Tuple) (*Relation, error) {
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-		for _, t := range part {
-			if len(t) != scheme.Len() {
-				return nil, fmt.Errorf("relation: tuple %v has arity %d, scheme %v has arity %d", t, len(t), scheme, scheme.Len())
-			}
-		}
-	}
-	r := &Relation{scheme: scheme}
-	if len(parts) == 1 {
-		r.tuples = parts[0]
-		return r, nil
-	}
-	r.tuples = make([]Tuple, 0, total)
-	for _, part := range parts {
-		r.tuples = append(r.tuples, part...)
 	}
 	return r, nil
 }

@@ -182,8 +182,8 @@ func (b *Builder) Collect(srcs []Tuple, from []Ref) {
 	b.rows.push(row)
 }
 
-// Relation returns the relation built. Like FromDistinctTuples it hashes
-// nothing: the dedup index is built on the first operation that needs it.
+// Relation returns the relation built. It hashes nothing: the dedup index
+// is built on the first operation that needs it.
 // The builder must not be used afterwards.
 func (b *Builder) Relation() *Relation {
 	b.rows.fixed = false

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 	"relquery/internal/telemetry"
@@ -140,5 +142,62 @@ func TestWarmRequestPlansNothing(t *testing.T) {
 	})
 	if hits < 1 || misses != 0 || lps != 0 {
 		t.Errorf("after re-uploading the first content: %v hits, %v misses, %v LPs; want ≥ 1, 0, 0", hits, misses, lps)
+	}
+}
+
+// TestWarmQueryBuildsNoTable: the tree join's edge tables are facts of the
+// catalog relations, so across a /v1/cache/reset a second query over an
+// unchanged catalog builds none, and a PUT of one relation rebuilds that
+// relation's table and no other. Measured in bytes allocated while the
+// query is answered: the chain R1 ∗ R2 ∗ R3 joins R1 and R3 as children
+// of R2, n rows each, so a table is a megabyte or so — its row chain, its
+// group arrays and index with their growth — against tens of kilobytes
+// for everything else a one-row answer costs.
+func TestWarmQueryBuildsNoTable(t *testing.T) {
+	const n = 20_000
+	leg := func(a, b string) *relation.Relation {
+		r := relation.New(relation.MustScheme(relation.Attribute(a), relation.Attribute(b)))
+		for i := 0; i < n; i++ {
+			r.MustAdd(relation.TupleOf(fmt.Sprintf("%s%d", a, i), fmt.Sprintf("%s%d", b, i)))
+		}
+		return r
+	}
+	db := relation.NewDatabase()
+	db.Put("R1", leg("A", "B"))
+	db.Put("R2", leg("B", "C"))
+	r3 := relation.New(relation.MustScheme("C", "D"))
+	for i := 0; i < n; i++ {
+		r3.MustAdd(relation.TupleOf(fmt.Sprintf("x%d", i), fmt.Sprintf("D%d", i)))
+	}
+	r3.MustAdd(relation.TupleOf("C0", "D*")) // the one row of R2 ∗ R3
+	db.Put("R3", r3)
+	s := New(Config{Tenants: map[string]governor.Limits{"acme": {}}})
+	s.Load("acme", db)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	query := func() uint64 {
+		t.Helper()
+		resetCache(t, ts)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := postQuery(t, ts, "acme", chainQuery, "strategy=yannakakis")
+		body := readBody(t, resp)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Relquery-Rows") != "1" {
+			t.Fatalf("status %d, %s rows: %.200s", resp.StatusCode, resp.Header.Get("X-Relquery-Rows"), body)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cold, warm := query(), query()
+	putRelation(t, ts, "acme", "R3", r3) // the same content, as a new relation
+	put, again := query(), query()
+	tables := cold - warm
+	t.Logf("bytes allocated: cold %d, warm %d, after the PUT %d, then %d", cold, warm, put, again)
+	if warm > tables/4 || again > tables/4 {
+		t.Errorf("a query over an unchanged catalog allocated %d and %d bytes against %d for the cold one's two tables", warm, again, tables)
+	}
+	if rebuilt := put - warm; rebuilt < tables/4 || rebuilt > 3*tables/4 {
+		t.Errorf("after a PUT of R3 the query allocated %d bytes more than a warm one: not one table of two (%d)", rebuilt, tables)
 	}
 }
