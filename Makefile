@@ -132,13 +132,14 @@ relbench-compare:
 # through shared join.Facts, and the compute-once store (algebra.Memo)
 # under concurrent callers, in-process and through relqueryd: identical
 # cold requests computing each node once, a waiter leaving at its own
-# deadline, a leader's failure staying the leader's, the resident bound.
+# deadline, a leader's failure staying the leader's, the resident bound,
+# and the relqueryd binary end to end, its 429 included.
 # CI runs this as its own job; `make stress` reproduces it locally.
 stress:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/governor/
 	$(GO) test -race -count=1 \
-	  -run 'Cancel|Panic|Degrad|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted' \
-	  ./internal/algebra/ ./internal/join/ ./internal/sat/ ./internal/server/ .
+	  -run 'Cancel|Panic|Degrad|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted|RunEndToEnd' \
+	  ./internal/algebra/ ./internal/join/ ./internal/sat/ ./internal/server/ ./cmd/relqueryd/ .
 
 # Regenerate BENCH_fault.txt: the cost of a compiled-in injection site
 # when no script is registered (the production configuration — must be
@@ -159,8 +160,9 @@ fault-bench:
 	} | tee BENCH_fault.txt
 
 # Run relqueryd locally with the example two-tenant configuration:
-# acme's budget admits the example chain join, free's rejects it with
-# 429 + the predicted-peak numbers. See examples/relqueryd/README.md
+# both tenants get the example chain join's 400 rows under the default
+# strategy; free's budget refuses its greedy binary plan (?strategy=hash)
+# with 429 + the predicted-peak numbers. See examples/relqueryd/README.md
 # for the curl session.
 serve:
 	$(GO) run ./cmd/relqueryd -addr :8080 \

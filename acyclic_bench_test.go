@@ -10,8 +10,10 @@ package relquery_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"relquery/internal/algebra"
+	"relquery/internal/governor"
 	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
@@ -28,7 +30,9 @@ import (
 // from the second iteration on the yannakakis and auto rows find them
 // built — a server's steady state over an unchanged catalog. Their /cold
 // twins evaluate over fresh copies of the relations, made outside the
-// timer, and build every table.
+// timer, and build every table. yannakakis/governed is the yannakakis row
+// under a live governor (a 30 s deadline no run reaches): against the
+// ungoverned row it prices the tick in the tree join's hot loops.
 func BenchmarkAcyclicYannakakis(b *testing.B) {
 	families, err := buildAcyclicFamilies()
 	if err != nil {
@@ -53,6 +57,9 @@ func BenchmarkAcyclicYannakakis(b *testing.B) {
 			{"yannakakis/cold", func() algebra.Evaluator {
 				return algebra.Evaluator{Algorithm: join.Yannakakis{}, Order: join.Greedy}
 			}, true},
+			{"yannakakis/governed", func() algebra.Evaluator {
+				return algebra.Evaluator{Algorithm: join.Yannakakis{}, Order: join.Greedy, Limits: governor.Limits{Deadline: 30 * time.Second}}
+			}, false},
 			{"auto", func() algebra.Evaluator {
 				return algebra.Evaluator{Order: join.Greedy, AutoWCOJ: true, AutoYannakakis: true}
 			}, false},

@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"relquery/internal/algebra"
 	"relquery/internal/cnf"
 	"relquery/internal/core"
 	"relquery/internal/decide"
 	"relquery/internal/deps"
+	"relquery/internal/governor"
 	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/qbf"
@@ -337,7 +339,8 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 // cache, so every join node plans — cover LP, attribute order, shape —
 // from nothing; -warm resets one cache's results between evaluations and
 // keeps its plan facts, relqueryd's steady state, where the generic join
-// derives nothing from the schemes.
+// derives nothing from the schemes. -governed is sequential under a live
+// governor (a 30 s deadline no run reaches): the price of the tick.
 func BenchmarkE9Eval(b *testing.B) {
 	xor, err := cnf.XorChain(2, true)
 	if err != nil {
@@ -374,6 +377,7 @@ func BenchmarkE9Eval(b *testing.B) {
 			{"sequential-cache", algebra.EvalOptions{Cache: true}, false, false, false, false},
 			{"sequential-traced", algebra.EvalOptions{}, true, false, false, false},
 			{"sequential-registry", algebra.EvalOptions{}, true, true, false, false},
+			{"sequential-governed", algebra.EvalOptions{Limits: governor.Limits{Deadline: 30 * time.Second}}, false, false, false, false},
 			{"wcoj-cold", wcoj, false, false, true, false},
 			{"wcoj-warm", wcoj, false, false, true, true},
 		} {

@@ -27,6 +27,8 @@ func freePort(t *testing.T) string {
 // TestRunEndToEnd boots the full binary path — flag parsing, tenant
 // specs, startup catalog load, HTTP serving — fires the example
 // two-tenant admission scenario at it, and shuts it down with SIGINT.
+// free's 429 comes first: once a result is cached it is served to any
+// tenant without being evaluated, so without being admitted.
 func TestRunEndToEnd(t *testing.T) {
 	addr := freePort(t)
 	done := make(chan error, 1)
@@ -56,37 +58,34 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 
 	query := "pi[A D](R1 * R2 * R3)"
-	resp, err := http.Post(base+"/v1/tenants/acme/query?count=1", "text/plain", strings.NewReader(query))
-	if err != nil {
-		t.Fatal(err)
+	post := func(tenant, params string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/tenants/"+tenant+"/query?"+params, "text/plain", strings.NewReader(query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, strings.TrimSpace(string(body))
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "400" {
-		t.Errorf("acme query: status %d body %q, want 200 / 400 rows", resp.StatusCode, body)
+	status, body := post("free", "strategy=hash")
+	if status != http.StatusTooManyRequests || !strings.Contains(body, "predicted_peak_rows") {
+		t.Errorf("free under hash: status %d body %q, want 429 with predicted_peak_rows", status, body)
 	}
-
-	resp, err = http.Post(base+"/v1/tenants/free/query", "text/plain", strings.NewReader(query))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("free query: status %d body %q, want 429", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "predicted_peak_rows") {
-		t.Errorf("429 body missing predicted_peak_rows: %s", body)
+	for _, tenant := range []string{"free", "acme"} {
+		if status, body := post(tenant, "count=1"); status != http.StatusOK || body != "400" {
+			t.Errorf("%s under auto: status %d body %q, want 200 / 400 rows", tenant, status, body)
+		}
 	}
 
-	resp, err = http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
+	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{"relquery_evals_total", "relqueryd_admission_rejects_total 1"} {
-		if !strings.Contains(string(body), want) {
+		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
@@ -124,9 +123,10 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-// TestExampleCatalogNumbers pins the example catalog to the admission
-// numbers the README quotes (predicted peak 1600 > free's 500 budget,
-// within acme's 10k).
+// TestExampleCatalogNumbers checks the example catalog the README's
+// admission numbers are quoted on (predicted peak 1600 > free's 500 budget,
+// within acme's 10k) is there; internal/server's TestTwoTenantAdmission
+// pins the numbers themselves.
 func TestExampleCatalogNumbers(t *testing.T) {
 	f, err := os.Open("../../examples/relqueryd/catalog.rel")
 	if err != nil {

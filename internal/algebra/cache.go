@@ -69,7 +69,7 @@ func newSubexprCache(maxValues int64) *SubexprCache {
 
 // contentKey is the cache key of a node against db: the node's text, then
 // the name and fingerprint of every relation it references, in first-use
-// order. An empty text keys the join of the bare operands themselves.
+// order.
 func contentKey(text string, operands []string, db relation.Database) string {
 	const missing = "!missing"
 	fingerprint := func(name string) string {
@@ -109,22 +109,6 @@ func (c *SubexprCache) plan(key string, m *obs.Metrics, inputs []*relation.Relat
 	p := facts.Plan(inputs...)
 	p.Metrics = m
 	return p, hit
-}
-
-// OperandPlan returns the plan of the natural join of the base relations e
-// references, in first-use order — the flattened n-ary join relqueryd's
-// pre-queue admission gate asks about — over stored facts like any join
-// node's.
-func (c *SubexprCache) OperandPlan(e Expr, db relation.Database, m *obs.Metrics) *join.Plan {
-	operands := e.Operands()
-	inputs := make([]*relation.Relation, 0, len(operands))
-	for _, name := range operands {
-		if r, ok := db[name]; ok {
-			inputs = append(inputs, r)
-		}
-	}
-	p, _ := c.plan(contentKey("", operands, db), m, inputs)
-	return p
 }
 
 // Counters reports the result store's lifetime counters: hits, misses,

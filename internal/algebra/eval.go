@@ -128,14 +128,6 @@ func (ev *Evaluator) SetStrategy(name string) error {
 	return nil
 }
 
-// OutputBounded reports whether no join node of this evaluator is expected
-// to materialize past its AGM output bound: every node runs a one-pass
-// strategy, or the selector routes each predicted blow-up to one. It is what
-// governor.Admit asks of a strategy.
-func (ev *Evaluator) OutputBounded() bool {
-	return ev.AutoWCOJ || join.OnePass(ev.algorithm())
-}
-
 // ErrBudgetExceeded is returned (wrapped) when evaluation exceeds the
 // Evaluator's intermediate-row budget. It is the governor's row-budget
 // sentinel under its historical algebra name, so errors.Is works with
@@ -402,7 +394,7 @@ func (ev *Evaluator) run(x join.Exec, p *join.Plan, alg join.Algorithm, order jo
 		// the budget. The one-pass strategies' peak is capped by their own
 		// output, so they are admitted and guarded mid-flight by the row
 		// budget instead.
-		if err := x.Gov.Admit(p, false); err != nil {
+		if err := x.Gov.Admit(p); err != nil {
 			return nil, err
 		}
 	}

@@ -14,18 +14,26 @@
 // or OOM.
 //
 // Atserias–Grohe–Marx size bounds are the principled basis for the
-// admission-control half: when the n-ary AGM bound or the worst-case
-// greedy peak already exceeds the intermediate-row budget, the query is
-// rejected before any join runs (ErrAdmission) rather than killed
+// admission-control half: when a join node's predicted greedy peak,
+// capped by AGM bounds, already exceeds the intermediate-row budget, the
+// node is rejected before it runs (ErrAdmission) rather than killed
 // after the fact.
 //
 // # Zero-overhead contract
 //
 // Mirroring internal/obs: every method is safe to call on a nil
 // *Governor and does nothing there. Ungoverned evaluation threads a nil
-// governor and the entire layer reduces to nil checks — no atomics, no
-// clock reads. A live governor amortizes its clock reads over CheckEvery
-// ticks, so even governed hot loops pay one atomic add per tuple batch.
+// governor and the entire layer reduces to nil checks — no clock reads.
+// A live governor amortizes its clock reads over CheckEvery ticks, so a
+// governed hot loop pays an increment and a compare per tuple.
+//
+// # Ownership
+//
+// A Governor belongs to one evaluation, and an evaluation runs on one
+// goroutine: the engine starts none. Its counters and its sticky failure
+// are plain fields. Work two evaluations share keeps each on its own
+// governor: a compute-once waiter blocks in Wait on its own, and
+// concurrent first builders of a shared access path each tick their own.
 //
 // governor sits below every engine package: it imports only the standard
 // library and internal/obs (for the partial span tree a Violation
@@ -37,7 +45,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"relquery/internal/obs"
@@ -93,14 +100,16 @@ func (l Limits) Enabled() bool {
 // per tuple (or unit of work), and the governor performs the real
 // context/deadline check every CheckEvery-th tick. The value trades
 // cancellation latency (at most CheckEvery tuples of extra work) against
-// per-tuple overhead (one atomic add).
+// per-tuple overhead (an increment and a compare).
 const CheckEvery = 256
 
 // Governor carries one evaluation's context and limits through the
 // engine. Violations are sticky — once any checkpoint trips, every
-// subsequent checkpoint returns the same error. All state is atomic, so a
-// checkpoint is safe from any goroutine, though the engine only calls them
-// from the one running the evaluation.
+// subsequent checkpoint returns the same error.
+//
+// One evaluation, one goroutine: a Governor is used only by the goroutine
+// running the evaluation it was made for, so its state needs no
+// synchronization. Never hand one to another goroutine.
 //
 // The nil *Governor is the ungoverned evaluation: every method no-ops.
 type Governor struct {
@@ -112,13 +121,11 @@ type Governor struct {
 	// sentinel that tripped — when the sticky failure latch first trips.
 	metrics *obs.Metrics
 
-	ticks atomic.Int64
-	bytes atomic.Int64
-	// failure holds the first violation (*governedErr) once tripped.
-	failure atomic.Pointer[governedErr]
+	ticks int64
+	bytes int64
+	// failure is the first violation, once tripped.
+	failure error
 }
-
-type governedErr struct{ err error }
 
 // New returns a Governor enforcing limits under ctx. A nil result is
 // returned when ctx is context.Background() (or nil) and no limit is
@@ -163,8 +170,7 @@ func (g *Governor) Context() context.Context {
 // counters read as "evaluations killed, by sentinel" and an admission
 // rejection is as visible as a mid-flight kill. A nil governor or nil
 // metrics passes through unchanged, preserving the zero-overhead path.
-// WithMetrics returns its receiver for call chaining; it must be called
-// before the governor is shared across goroutines.
+// WithMetrics returns its receiver for call chaining.
 func (g *Governor) WithMetrics(m *obs.Metrics) *Governor {
 	if g == nil || m == nil {
 		return g
@@ -192,17 +198,17 @@ func violationKind(err error) string {
 	}
 }
 
-// fail records err as the sticky violation (first writer wins), counts
+// fail records err as the sticky violation (the first error wins), counts
 // it into the attached metrics, and returns the violation in effect.
 func (g *Governor) fail(err error) error {
-	ge := &governedErr{err: err}
-	if g.failure.CompareAndSwap(nil, ge) {
-		if kind := violationKind(err); kind != "" {
-			g.metrics.Violation(kind)
-		}
-		return err
+	if g.failure != nil {
+		return g.failure
 	}
-	return g.failure.Load().err
+	g.failure = err
+	if kind := violationKind(err); kind != "" {
+		g.metrics.Violation(kind)
+	}
+	return err
 }
 
 // Tick is the per-tuple cooperative checkpoint: it counts one unit of
@@ -213,11 +219,9 @@ func (g *Governor) Tick() error {
 	if g == nil {
 		return nil
 	}
-	if g.ticks.Add(1)%CheckEvery != 0 {
-		if f := g.failure.Load(); f != nil {
-			return f.err
-		}
-		return nil
+	g.ticks++
+	if g.ticks%CheckEvery != 0 {
+		return g.failure
 	}
 	return g.Check()
 }
@@ -230,8 +234,8 @@ func (g *Governor) Check() error {
 	if g == nil {
 		return nil
 	}
-	if f := g.failure.Load(); f != nil {
-		return f.err
+	if g.failure != nil {
+		return g.failure
 	}
 	if err := g.ctx.Err(); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -313,25 +317,17 @@ func (g *Governor) ChargeBytes(n int64) error {
 	if g == nil || n <= 0 {
 		return nil
 	}
-	total := g.bytes.Add(n)
-	if max := g.limits.MaxMemoryBytes; max > 0 && total > max {
-		return g.fail(fmt.Errorf("%w: ≈%d bytes materialized > budget %d", ErrMemBudget, total, max))
+	g.bytes += n
+	if max := g.limits.MaxMemoryBytes; max > 0 && g.bytes > max {
+		return g.fail(fmt.Errorf("%w: ≈%d bytes materialized > budget %d", ErrMemBudget, g.bytes, max))
 	}
 	return nil
 }
 
-// BytesCharged reports the cumulative materialized-byte estimate.
-func (g *Governor) BytesCharged() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.bytes.Load()
-}
-
 // Prediction is what admission control asks of a join node's plan
 // (*join.Plan; the governor sits below the join package). Both numbers
-// are computed when first asked for, so the order Admit asks in decides
-// what a request pays.
+// are computed when first asked for: Admit asks for the peak, and for the
+// bound only to report a rejection.
 type Prediction interface {
 	// AGMBound is the node's n-ary AGM output bound, 0 when it has none.
 	AGMBound() float64
@@ -341,26 +337,18 @@ type Prediction interface {
 	Peak() float64
 }
 
-// Admit is the pre-flight admission gate for one n-ary join node: it
-// rejects — before any join work runs — when the node's predicted peak
-// intermediate exceeds MaxIntermediateRows. A strategy that is
-// outputBounded (wcoj, yannakakis, and the auto selector that routes
-// blow-ups to them) never materializes past the node's AGM bound, so it
-// is admitted on the bound alone whenever 0 < bound ≤ budget, without
-// asking for the peak. With no MaxIntermediateRows, admission always
-// passes and asks for nothing. A rejection is an *AdmissionError.
-func (g *Governor) Admit(p Prediction, outputBounded bool) error {
+// Admit is the pre-flight admission gate for one join node bound for the
+// greedy binary planner: it rejects — before any join work runs — when
+// the node's predicted peak intermediate exceeds MaxIntermediateRows.
+// With no MaxIntermediateRows, admission always passes and asks for
+// nothing. A rejection is an *AdmissionError.
+func (g *Governor) Admit(p Prediction) error {
 	if g == nil {
 		return nil
 	}
 	max := g.limits.MaxIntermediateRows
 	if max <= 0 {
 		return nil
-	}
-	if outputBounded {
-		if bound := p.AGMBound(); bound > 0 && bound <= float64(max) {
-			return nil
-		}
 	}
 	peak := p.Peak()
 	if peak <= float64(max) {
@@ -382,9 +370,7 @@ type AdmissionError struct {
 
 // Error implements error.
 func (e *AdmissionError) Error() string {
-	return fmt.Sprintf(
-		"%v: predicted peak intermediate ≈%.0f rows > budget %d (reject before running; override with -admit=false)",
-		ErrAdmission, e.PredictedPeak, e.Budget)
+	return fmt.Sprintf("%v: predicted peak intermediate ≈%.0f rows > budget %d", ErrAdmission, e.PredictedPeak, e.Budget)
 }
 
 // Unwrap exposes the sentinel to errors.Is.

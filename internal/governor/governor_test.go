@@ -3,6 +3,7 @@ package governor
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func TestNilGovernorNoOps(t *testing.T) {
 	if err := g.ChargeBytes(1 << 40); err != nil {
 		t.Errorf("nil ChargeBytes = %v", err)
 	}
-	if err := g.Admit(&prediction{peak: 1e18}, false); err != nil {
+	if err := g.Admit(&prediction{peak: 1e18}); err != nil {
 		t.Errorf("nil Admit = %v", err)
 	}
 	if g.Context() == nil {
@@ -129,8 +130,8 @@ func TestMemBudget(t *testing.T) {
 	if err := g.ChargeBytes(500); !errors.Is(err, ErrMemBudget) {
 		t.Fatalf("second charge = %v, want ErrMemBudget", err)
 	}
-	if g.BytesCharged() != 1100 {
-		t.Errorf("BytesCharged = %d, want 1100", g.BytesCharged())
+	if err := g.ChargeBytes(1); err == nil || !strings.Contains(err.Error(), "≈1100 bytes") {
+		t.Errorf("after the trip: %v, want the sticky violation quoting ≈1100 bytes", err)
 	}
 }
 
@@ -147,24 +148,20 @@ func (p *prediction) AGMBound() float64 { p.askedBound++; return p.bound }
 func TestAdmit(t *testing.T) {
 	limits := Limits{MaxIntermediateRows: 100}
 	cases := []struct {
-		name          string
-		peak, bound   float64
-		outputBounded bool
-		reject        bool
-		askedPeak     int
+		name        string
+		peak, bound float64
+		reject      bool
 	}{
-		{name: "under budget", peak: 50, askedPeak: 1},
-		{name: "bounded strategy, bound under budget: peak never asked for", peak: 1000, bound: 80, outputBounded: true},
-		{name: "bound under budget but strategy unbounded", peak: 1000, bound: 80, reject: true, askedPeak: 1},
-		{name: "bounded strategy, bound also over", peak: 1000, bound: 500, outputBounded: true, reject: true, askedPeak: 1},
-		{name: "bounded strategy without a bound", peak: 1000, outputBounded: true, reject: true, askedPeak: 1},
-		{name: "bounded strategy, bound over, peak under", peak: 50, bound: 500, outputBounded: true, askedPeak: 1},
+		{name: "under budget: the bound is never asked for", peak: 50, bound: 500},
+		{name: "at budget", peak: 100, bound: 80},
+		{name: "over budget, bound under", peak: 1000, bound: 80, reject: true},
+		{name: "over budget without a bound", peak: 1000, reject: true},
 	}
 	for _, tc := range cases {
 		p := &prediction{peak: tc.peak, bound: tc.bound}
-		err := New(context.Background(), limits).Admit(p, tc.outputBounded)
-		if p.askedPeak != tc.askedPeak {
-			t.Errorf("%s: asked for the peak %d times, want %d", tc.name, p.askedPeak, tc.askedPeak)
+		err := New(context.Background(), limits).Admit(p)
+		if p.askedPeak != 1 || (p.askedBound != 0) != tc.reject {
+			t.Errorf("%s: asked for the peak %d and the bound %d times, want once and only on a rejection", tc.name, p.askedPeak, p.askedBound)
 		}
 		if !tc.reject {
 			if err != nil {
@@ -183,7 +180,7 @@ func TestAdmit(t *testing.T) {
 	}
 	// No intermediate-row budget: admitted without asking for anything.
 	p := &prediction{peak: 1e18}
-	if err := New(context.Background(), Limits{MaxRows: 1}).Admit(p, false); err != nil || p.askedPeak+p.askedBound != 0 {
+	if err := New(context.Background(), Limits{MaxRows: 1}).Admit(p); err != nil || p.askedPeak+p.askedBound != 0 {
 		t.Errorf("unbudgeted Admit = %v after %d reads, want nil after none", err, p.askedPeak+p.askedBound)
 	}
 }
@@ -232,27 +229,6 @@ func TestWrapContextErr(t *testing.T) {
 	}
 }
 
-func TestStickyAcrossGoroutines(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	g := New(ctx, Limits{})
-	cancel()
-	done := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		go func() {
-			var err error
-			for j := 0; j < 4*CheckEvery && err == nil; j++ {
-				err = g.Tick()
-			}
-			done <- err
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		if err := <-done; !errors.Is(err, ErrCanceled) {
-			t.Fatalf("worker %d saw %v, want ErrCanceled", i, err)
-		}
-	}
-}
-
 // TestViolationCounting: each evaluation counts its violation exactly
 // once, keyed by the sentinel that tripped, even though the sticky latch
 // keeps re-reporting the same error at every later checkpoint.
@@ -271,7 +247,7 @@ func TestViolationCounting(t *testing.T) {
 
 	// Admission rejection on a second evaluation sharing the metrics.
 	g2 := New(context.Background(), Limits{MaxIntermediateRows: 10}).WithMetrics(&m)
-	if err := g2.Admit(&prediction{peak: 1e6}, false); !errors.Is(err, ErrAdmission) {
+	if err := g2.Admit(&prediction{peak: 1e6}); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("Admit = %v, want ErrAdmission", err)
 	}
 

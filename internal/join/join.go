@@ -161,10 +161,11 @@ func (Hash) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 		rows += n
 	}
 	x.Metrics.JoinWork(s.build.Len(), s.probe.Len(), rows)
-	x.Metrics.ObserveJoin(rows)
 	if err := x.Sized(rows, s.out.Len()); err != nil {
 		return nil, err
 	}
+	// Only a count the budget accepted becomes an intermediate.
+	x.Metrics.ObserveJoin(rows)
 	// A natural-join output tuple determines its source pair, so the
 	// output is duplicate-free as emitted: no dedup, no index.
 	b := relation.NewBuilder(s.out, rows)

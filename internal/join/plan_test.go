@@ -129,19 +129,17 @@ func TestPlanIsLazy(t *testing.T) {
 	}
 }
 
-// TestAdmitReadsBoundBeforePeak: an output-bounded strategy whose AGM
-// bound fits the budget is admitted without the greedy simulation; a
-// rejection carries both of the plan's numbers.
-func TestAdmitReadsBoundBeforePeak(t *testing.T) {
-	admit := func(p *Plan, budget int, outputBounded bool) error {
-		return governor.New(context.Background(), governor.Limits{MaxIntermediateRows: budget}).Admit(p, outputBounded)
+// TestAdmissionCarriesPlanNumbers: a plan the budget admits is admitted on
+// its peak, and a rejection carries both of the plan's numbers.
+func TestAdmissionCarriesPlanNumbers(t *testing.T) {
+	admit := func(p *Plan, budget int) error {
+		return governor.New(context.Background(), governor.Limits{MaxIntermediateRows: budget}).Admit(p)
 	}
 	p := trianglePlan(t) // bound 8, worst-case greedy peak 16
-	if err := admit(p, 9, true); err != nil || knownFacts(p).peaks {
-		t.Errorf("bounded admit = %v; want admitted on the bound alone, without the simulation", err)
+	if err := admit(p, 16); err != nil {
+		t.Errorf("admit at the peak = %v, want admitted", err)
 	}
-	p = trianglePlan(t)
-	err := admit(p, 1, true)
+	err := admit(p, 1)
 	var ae *governor.AdmissionError
 	if !errors.Is(err, governor.ErrAdmission) || !errors.As(err, &ae) {
 		t.Fatalf("admit over budget = %v, want an AdmissionError", err)

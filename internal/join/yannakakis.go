@@ -108,7 +108,6 @@ func joinTree(x Exec, p *Plan) (out *relation.Relation, semijoins, reducedRows i
 		return nil, 0, 0, err
 	}
 	x.Metrics.JoinWork(reducedRows-t.rows[root], t.rows[root], total)
-	x.Metrics.ObserveJoin(total)
 	if total == math.MaxInt {
 		// More rows than an int counts: over any budget there is, and not
 		// a size to ask the allocator for when there is none.
@@ -120,6 +119,8 @@ func joinTree(x Exec, p *Plan) (out *relation.Relation, semijoins, reducedRows i
 	if err := x.Sized(total, shape.out.Len()); err != nil {
 		return nil, 0, 0, err
 	}
+	// Only a count the budget accepted becomes an intermediate.
+	x.Metrics.ObserveJoin(total)
 	out, err = t.enumerate(total)
 	if err != nil {
 		return nil, 0, 0, err

@@ -65,7 +65,7 @@ func (s *Server) writeServerMetrics(w io.Writer) {
 	header(obs.SeriesServerRequests, "counter", "HTTP requests handled by the query endpoint.")
 	sample(obs.SeriesServerRequests, s.metrics.requests.Load())
 
-	header(obs.SeriesServerAdmissionRejects, "counter", "Queries rejected pre-flight by the tenant budget (HTTP 429).")
+	header(obs.SeriesServerAdmissionRejects, "counter", "Queries whose join node the tenant budget refused before it ran (HTTP 429).")
 	sample(obs.SeriesServerAdmissionRejects, s.metrics.admissionRejects.Load())
 
 	header(obs.SeriesServerInflight, "gauge", "Queries currently holding a worker-pool slot.")

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -36,8 +35,7 @@ type queryRequest struct {
 	src      string
 	strategy string // one of join.StrategyNames
 	// ev is the request's one evaluator: ?strategy= and ?order= configure it
-	// here, serveQuery adds what the server and the tenant decide, and both
-	// admission gates read it.
+	// here, serveQuery adds what the server and the tenant decide.
 	ev       algebra.Evaluator
 	timeout  time.Duration
 	analyze  bool // EXPLAIN ANALYZE output instead of tuples
@@ -169,10 +167,10 @@ func (s *Server) handleTenantQuery(w http.ResponseWriter, r *http.Request) {
 	s.serveQuery(w, r, s.tenant(r.PathValue("tenant")))
 }
 
-// serveQuery runs one query for one tenant: parse (plan cache), admit
-// (tenant budget vs predicted peak), queue (worker pool), evaluate
-// (on this goroutine, over the shared subexpression cache, published to the
-// registry), stream the result.
+// serveQuery runs one query for one tenant: parse (plan cache), queue
+// (worker pool), evaluate (on this goroutine, over the shared subexpression
+// cache, published to the registry, each join node admitted against the
+// tenant budget before it runs), stream the result.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	s.metrics.requests.Add(1)
 	q, err := parseQueryRequest(r)
@@ -181,7 +179,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 		return
 	}
 	cat := t.snapshot()
-	db := cat.db
 	expr, err := s.parse(q, cat)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -193,13 +190,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	ev.Registry = s.reg
 	ev.Limits = q.limitsFor(t)
 	ev.Admit = true
-
-	// Pre-flight admission on the base relations the expression touches:
-	// the same governor.Admit gate over the same join.Plan predictions the
-	// engine's per-node gate uses, applied before any work runs.
-	if rejected := s.admit(w, ev, expr, db, t); rejected {
-		return
-	}
 
 	// Worker pool: bound concurrently executing evaluations. Waiters hold
 	// no engine resources; a context that dies in the queue costs 503.
@@ -216,7 +206,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	defer s.metrics.inflight.Add(-1)
 
 	start := time.Now()
-	out, err := ev.EvalContext(r.Context(), expr, db)
+	out, err := ev.EvalContext(r.Context(), expr, cat.db)
 	wall := time.Since(start)
 	s.metrics.evalDone(t.name)
 	if err != nil {
@@ -241,32 +231,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	}
 }
 
-// admit runs the server-level admission gate for the request's evaluator
-// and, when the query is over budget, writes the 429 and reports true. The
-// gate also charges the rejection to the registry (violation counter +
-// latency) so /metrics shows rejected load next to executed load; what it
-// plans is counted on the evaluator's collector, with what the evaluation
-// does.
-func (s *Server) admit(w http.ResponseWriter, ev *algebra.Evaluator, expr algebra.Expr, db relation.Database, t *tenant) bool {
-	if ev.Limits.MaxIntermediateRows <= 0 {
-		return false
-	}
-	metrics := ev.Collector.M()
-	gov := governor.New(context.Background(), ev.Limits).WithMetrics(metrics)
-	start := time.Now()
-	err := gov.Admit(s.shared.OperandPlan(expr, db, metrics), ev.OutputBounded())
-	if err == nil {
-		return false
-	}
-	s.metrics.evalDone(t.name)
-	s.reg.Observe(ev.Collector.Trace(), time.Since(start))
-	s.writeAdmissionReject(w, t, err)
-	return true
-}
-
-// writeAdmissionReject answers 429 for a rejection from either gate —
-// the server's or the engine's per-node one — with the numbers the
-// *governor.AdmissionError in err's chain was decided on.
+// writeAdmissionReject answers 429 for a join node the engine's admission
+// gate refused, with the numbers the *governor.AdmissionError in err's
+// chain was decided on.
 func (s *Server) writeAdmissionReject(w http.ResponseWriter, t *tenant, err error) {
 	s.metrics.admissionRejects.Add(1)
 	body := admissionReject{Error: err.Error(), Tenant: t.name, Budget: t.limits.MaxIntermediateRows}

@@ -3,7 +3,7 @@
 // query submission with per-request strategy selection, and streamed
 // text results — all running on the production layers the repo already
 // owns. Every request is threaded through per-tenant governor.Limits
-// with pre-flight admission control (the AGM-bound budget the paper
+// with per-node admission control (the AGM-bound budget the paper
 // motivates), a bounded worker pool of one-goroutine evaluations, a shared
 // cross-request subexpression cache made sound by collision-resistant
 // relation fingerprints, and a process-wide obs.Registry served by the
@@ -11,10 +11,14 @@
 //
 // The package closes ROADMAP item 3: Cosmadakis' hardness results are
 // about arbitrary queries hitting a shared engine, and this is the
-// shared engine — admission rejects the queries whose predicted peak
-// (max of the System R greedy simulation and the worst-case AGM greedy
-// peak) already exceeds the tenant's intermediate-row budget, before
-// any join runs, with HTTP 429 carrying the numbers.
+// shared engine. Admission judges the plan that runs, one join node at a
+// time: a node bound for the greedy binary planner is refused before it
+// runs when its predicted peak (max of the System R greedy simulation and
+// the worst-case AGM greedy peak) exceeds the tenant's intermediate-row
+// budget, with HTTP 429 carrying the numbers; a one-pass node (wcoj,
+// yannakakis) runs under the same budget as a row check, and an acyclic
+// one is refused with 413 on its exact output count before any row
+// exists.
 package server
 
 import (

@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -46,8 +49,8 @@ const chainQuery = "R1 * R2 * R3"
 
 // newTestServer starts a relqueryd with two tenants on opposite sides
 // of the chain workload's predicted peak — acme's budget admits it,
-// free's rejects it — plus a "slow" tenant whose deadline is
-// unmeetable. Every tenant gets the same catalog.
+// free's refuses it under ?strategy=hash — plus a "slow" tenant whose
+// deadline is unmeetable. Every tenant gets the same catalog.
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(Config{
@@ -89,79 +92,119 @@ func readBody(t *testing.T, resp *http.Response) string {
 	return string(b)
 }
 
-// TestTwoTenantAdmission is the headline multi-tenancy property: the
-// same query against the same data is admitted for the tenant whose
-// intermediate-row budget covers its predicted peak and rejected
-// pre-flight with 429 — carrying the numbers — for the tenant whose
-// budget does not.
-func TestTwoTenantAdmission(t *testing.T) {
-	_, ts := newTestServer(t)
-
-	resp := postQuery(t, ts, "acme", chainQuery, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("acme (budget 1m): status %d, want 200; body: %s", resp.StatusCode, readBody(t, resp))
+// exampleServer serves examples/relqueryd/catalog.rel as `make serve` does:
+// to acme on a 10k intermediate-row budget and to free on 500. Both also get
+// R4(D,E), two rows per D value of R3, which makes R1 ∗ R2 ∗ R3 ∗ R4 an
+// acyclic chain of 800 rows, and T(A,B,C), 60 rows on which each pair of
+// the legs of pi[A B](T) ∗ pi[B C](T) ∗ pi[A C](T) can be forced to 3 600.
+func exampleServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	f, err := os.Open("../../examples/relqueryd/catalog.rel")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rows := resp.Header.Get("X-Relquery-Rows"); rows != "12000" {
-		t.Errorf("acme X-Relquery-Rows = %q, want 12000", rows)
+	defer f.Close()
+	db, err := relation.ReadDatabase(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	resp = postQuery(t, ts, "free", chainQuery, "")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("free (budget 2k): status %d, want 429; body: %s", resp.StatusCode, readBody(t, resp))
-	}
-	var reject admissionReject
-	if err := json.NewDecoder(resp.Body).Decode(&reject); err != nil {
-		t.Fatalf("decoding 429 body: %v", err)
-	}
-	if reject.Tenant != "free" {
-		t.Errorf("429 tenant = %q, want free", reject.Tenant)
-	}
-	if reject.Budget != 2_000 {
-		t.Errorf("429 budget = %d, want 2000", reject.Budget)
-	}
-	if reject.PredictedPeak <= float64(reject.Budget) {
-		t.Errorf("429 predicted_peak_rows = %v, want > budget %d", reject.PredictedPeak, reject.Budget)
-	}
-	if reject.AGMBound <= 0 {
-		t.Errorf("429 agm_bound_rows = %v, want > 0", reject.AGMBound)
-	}
-	if !strings.Contains(reject.Error, "predicted peak") {
-		t.Errorf("429 error %q does not mention the predicted peak", reject.Error)
-	}
-}
-
-// TestBothGatesAnswer429WithTheirNumbers: the 429 body carries the AGM
-// bound and the predicted peak the error string quotes whichever gate
-// rejected. A self-join — every query of the paper — deduplicates to one
-// operand, so the server gate is vacuous there and the rejection comes
-// from the engine's per-node gate through writeEvalError.
-func TestBothGatesAnswer429WithTheirNumbers(t *testing.T) {
-	s, ts := newTestServer(t)
+	r4 := relation.New(relation.MustScheme("D", "E"))
 	tri := relation.New(relation.MustScheme("A", "B", "C"))
-	for i := 0; i < 60; i++ { // each pair of legs can be forced to 60·60 rows
+	for i := 0; i < 60; i++ {
+		if i < 40 {
+			r4.MustAdd(relation.TupleOf(fmt.Sprintf("d%d", i), fmt.Sprintf("e%d", i)))
+			r4.MustAdd(relation.TupleOf(fmt.Sprintf("d%d", i), fmt.Sprintf("f%d", i)))
+		}
 		tri.MustAdd(relation.TupleOf(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i), fmt.Sprintf("c%d", i)))
 	}
-	s.Load("free", relation.Single("T", tri))
+	db.Put("R4", r4)
+	db.Put("T", tri)
+	s := New(Config{Tenants: map[string]governor.Limits{
+		"acme": {MaxIntermediateRows: 10_000, Deadline: 30 * time.Second},
+		"free": {MaxIntermediateRows: 500},
+	}})
+	s.Load("acme", db)
+	s.Load("free", db)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
 
-	for _, tc := range []struct{ gate, query, params string }{
-		{"server", chainQuery, "strategy=hash"},
-		{"engine", "pi[A B](T) * pi[B C](T) * pi[A C](T)", "strategy=hash"},
+// TestTwoTenantAdmission is the headline multi-tenancy property, on the
+// example catalog: admission judges the plan that runs. The example query's
+// greedy binary plan peaks at ≈1 600 rows, so free (budget 500) is refused
+// it with 429 and the numbers under ?strategy=hash; under auto, wcoj and
+// yannakakis nothing outgrows the 400-row answer, and free gets what acme
+// gets. The gate refuses a node, not a query: a self-join — every query of
+// the paper — is refused on its own join node's numbers, a cold acyclic
+// join over budget dies with 413 on its exact count before any row exists,
+// and acme's cached result is served to free without being evaluated.
+func TestTwoTenantAdmission(t *testing.T) {
+	const (
+		example  = "pi[A D](R1 * R2 * R3)"
+		selfJoin = "pi[A B](T) * pi[B C](T) * pi[A C](T)"
+	)
+	s, ts := exampleServer(t)
+	want := readBody(t, postQuery(t, ts, "acme", example, "strategy=hash"))
+	if !strings.Contains(want, "# 400 tuples") {
+		t.Fatalf("acme under hash: %.120q, want 400 tuples", want)
+	}
+
+	for _, tc := range []struct {
+		name, query, params string
+		status              int
+		warm                bool // acme has just answered the query
+		peak, bound         float64
+	}{
+		{name: "hash", query: example, params: "strategy=hash", status: http.StatusTooManyRequests, peak: 1600, bound: 2400},
+		{name: "auto", query: example, status: http.StatusOK},
+		{name: "wcoj", query: example, params: "strategy=wcoj", status: http.StatusOK},
+		{name: "yannakakis", query: example, params: "strategy=yannakakis", status: http.StatusOK},
+		{name: "self-join", query: selfJoin, params: "strategy=hash", status: http.StatusTooManyRequests, peak: 3600},
+		{name: "cold acyclic over budget", query: "R1 * R2 * R3 * R4", status: http.StatusRequestEntityTooLarge},
+		{name: "acme's result", query: example, params: "strategy=hash", status: http.StatusOK, warm: true},
 	} {
+		s.shared.Reset()
+		if tc.warm {
+			postQuery(t, ts, "acme", tc.query, tc.params)
+		}
 		resp := postQuery(t, ts, "free", tc.query, tc.params)
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("%s gate: status %d, want 429; body: %s", tc.gate, resp.StatusCode, readBody(t, resp))
+		body := readBody(t, resp)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d; body: %.200s", tc.name, resp.StatusCode, tc.status, body)
+			continue
 		}
-		var reject admissionReject
-		if err := json.NewDecoder(resp.Body).Decode(&reject); err != nil {
-			t.Fatalf("%s gate: decoding 429 body: %v", tc.gate, err)
-		}
-		if reject.AGMBound <= 0 || reject.Budget != 2_000 || reject.Tenant != "free" {
-			t.Errorf("%s gate: 429 body %+v, want a non-zero agm_bound_rows, budget 2000, tenant free", tc.gate, reject)
-		}
-		quoted := fmt.Sprintf("≈%.0f rows", reject.PredictedPeak)
-		if reject.PredictedPeak <= float64(reject.Budget) || !strings.Contains(reject.Error, quoted) {
-			t.Errorf("%s gate: predicted_peak_rows = %v, error %q; want the peak the error quotes, over budget",
-				tc.gate, reject.PredictedPeak, reject.Error)
+		switch tc.status {
+		case http.StatusOK:
+			if body != want {
+				t.Errorf("%s: body %.120q, want acme's 400 rows", tc.name, body)
+			}
+			if hits := resp.Header.Get("X-Relquery-Cache-Hits"); (hits != "0") != tc.warm {
+				t.Errorf("%s: X-Relquery-Cache-Hits = %s, want a hit exactly when acme answered first", tc.name, hits)
+			}
+		case http.StatusTooManyRequests:
+			var reject admissionReject
+			if err := json.Unmarshal([]byte(body), &reject); err != nil {
+				t.Fatalf("%s: decoding 429 body: %v", tc.name, err)
+			}
+			if reject.Tenant != "free" || reject.Budget != 500 {
+				t.Errorf("%s: 429 body %+v, want tenant free, budget 500", tc.name, reject)
+			}
+			if math.Round(reject.PredictedPeak) != tc.peak || !strings.Contains(reject.Error, fmt.Sprintf("≈%.0f rows", tc.peak)) {
+				t.Errorf("%s: predicted_peak_rows %v, error %q; want ≈%v in both", tc.name, reject.PredictedPeak, reject.Error, tc.peak)
+			}
+			if tc.bound > 0 && math.Round(reject.AGMBound) != tc.bound || reject.AGMBound <= 0 {
+				t.Errorf("%s: agm_bound_rows %v, want %v (non-zero)", tc.name, reject.AGMBound, tc.bound)
+			}
+		case http.StatusRequestEntityTooLarge:
+			var e errorBody
+			if err := json.Unmarshal([]byte(body), &e); err != nil || !strings.Contains(e.Error, "800 rows > budget 500") {
+				t.Errorf("%s: 413 body %q (%v) does not quote the exact count", tc.name, body, err)
+			}
+			traces := s.reg.Traces()
+			if peak := traces[len(traces)-1].Metrics.MaxIntermediate; peak != 0 {
+				t.Errorf("%s: the refused evaluation materialized a %d-row intermediate, want none", tc.name, peak)
+			}
 		}
 	}
 	if got := s.metrics.admissionRejects.Load(); got != 2 {
@@ -291,24 +334,18 @@ func TestQueryVariants(t *testing.T) {
 }
 
 // TestStrategyTable: join.StrategyNames() is the one strategy table. Every
-// entry resolves and is served, nothing else is, and the evaluator answers
-// admission's question — are the strategy's intermediates bounded by its
-// output? — as the switch on names in server.admit used to.
+// entry resolves and is served, nothing else is.
 func TestStrategyTable(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	outputBounded := map[string]bool{"hash": false, "wcoj": true, "yannakakis": true, "auto": true}
 	names := join.StrategyNames()
-	if len(names) != len(outputBounded) {
-		t.Fatalf("join.StrategyNames() = %v, want the %d names of %v", names, len(outputBounded), outputBounded)
+	if want := []string{"hash", "wcoj", "yannakakis", "auto"}; !slices.Equal(names, want) {
+		t.Fatalf("join.StrategyNames() = %v, want %v", names, want)
 	}
 	for _, name := range names {
 		var ev algebra.Evaluator
 		if err := ev.SetStrategy(name); err != nil {
 			t.Fatalf("SetStrategy(%q): %v", name, err)
-		}
-		if want, ok := outputBounded[name]; !ok || ev.OutputBounded() != want {
-			t.Errorf("%s: OutputBounded() = %v, want %v (known name: %v)", name, ev.OutputBounded(), want, ok)
 		}
 		resp := postQuery(t, ts, "acme", chainQuery, "strategy="+name+"&count=1")
 		if resp.StatusCode != http.StatusOK {
@@ -359,7 +396,7 @@ func TestQueryErrors(t *testing.T) {
 func TestUnscopedQueryRoute(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/query", strings.NewReader(chainQuery))
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/query?strategy=hash", strings.NewReader(chainQuery))
 	req.Header.Set(TenantHeader, "free")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -367,7 +404,7 @@ func TestUnscopedQueryRoute(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("header tenant=free: status %d, want 429", resp.StatusCode)
+		t.Errorf("header tenant=free, ?strategy=hash: status %d, want 429", resp.StatusCode)
 	}
 
 	resp2, err := http.Post(ts.URL+"/v1/query?tenant=acme", "text/plain", strings.NewReader(chainQuery))
