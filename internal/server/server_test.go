@@ -212,6 +212,45 @@ func TestTwoTenantAdmission(t *testing.T) {
 	}
 }
 
+// TestBothGatesAnswer429WithTheirNumbers: the 429 body carries the AGM
+// bound and the predicted peak the error string quotes, for a join of
+// distinct relations and for a self-join alike. Both are refused by the
+// engine's per-node gate and answered through writeEvalError; a self-join
+// — every query of the paper — is judged on its own join node's numbers.
+func TestBothGatesAnswer429WithTheirNumbers(t *testing.T) {
+	s, ts := newTestServer(t)
+	tri := relation.New(relation.MustScheme("A", "B", "C"))
+	for i := 0; i < 60; i++ { // each pair of legs can be forced to 60·60 rows
+		tri.MustAdd(relation.TupleOf(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i), fmt.Sprintf("c%d", i)))
+	}
+	s.Load("free", relation.Single("T", tri))
+
+	for _, tc := range []struct{ name, query, params string }{
+		{"chain", chainQuery, "strategy=hash"},
+		{"self-join", "pi[A B](T) * pi[B C](T) * pi[A C](T)", "strategy=hash"},
+	} {
+		resp := postQuery(t, ts, "free", tc.query, tc.params)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d, want 429; body: %s", tc.name, resp.StatusCode, readBody(t, resp))
+		}
+		var reject admissionReject
+		if err := json.NewDecoder(resp.Body).Decode(&reject); err != nil {
+			t.Fatalf("%s: decoding 429 body: %v", tc.name, err)
+		}
+		if reject.AGMBound <= 0 || reject.Budget != 2_000 || reject.Tenant != "free" {
+			t.Errorf("%s: 429 body %+v, want a non-zero agm_bound_rows, budget 2000, tenant free", tc.name, reject)
+		}
+		quoted := fmt.Sprintf("≈%.0f rows", reject.PredictedPeak)
+		if reject.PredictedPeak <= float64(reject.Budget) || !strings.Contains(reject.Error, quoted) {
+			t.Errorf("%s: predicted_peak_rows = %v, error %q; want the peak the error quotes, over budget",
+				tc.name, reject.PredictedPeak, reject.Error)
+		}
+	}
+	if got := s.metrics.admissionRejects.Load(); got != 2 {
+		t.Errorf("admission rejects counted = %d, want 2", got)
+	}
+}
+
 // TestRepeatedQueryHitsSharedCache submits the same query twice and
 // checks the shared cross-request subexpression cache served the second
 // evaluation, both in the response header and in /metrics.
