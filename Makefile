@@ -129,7 +129,9 @@ relbench-compare:
 # deadline kill — across all three join strategies, the three SAT
 # solvers, and the xorchain2 Lemma 1
 # acceptance gadget, plus eight goroutines planning one cold join node
-# through shared join.Facts, and the compute-once store (algebra.Memo)
+# through shared join.Facts, concurrent first users of one relation's
+# access paths (projections, tries, edge tables) publishing each once,
+# and the compute-once store (algebra.Memo)
 # under concurrent callers, in-process and through relqueryd: identical
 # cold requests computing each node once, a waiter leaving at its own
 # deadline, a leader's failure staying the leader's, the resident bound,
@@ -138,8 +140,8 @@ relbench-compare:
 stress:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/governor/
 	$(GO) test -race -count=1 \
-	  -run 'Cancel|Panic|Degrad|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted|RunEndToEnd' \
-	  ./internal/algebra/ ./internal/join/ ./internal/sat/ ./internal/server/ ./cmd/relqueryd/ .
+	  -run 'Cancel|Panic|Degrad|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|ConcurrentFirstUse|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted|RunEndToEnd' \
+	  ./internal/algebra/ ./internal/join/ ./internal/relation/ ./internal/sat/ ./internal/server/ ./cmd/relqueryd/ .
 
 # Regenerate BENCH_fault.txt: the cost of a compiled-in injection site
 # when no script is registered (the production configuration — must be

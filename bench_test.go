@@ -334,13 +334,17 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 // so the pair measures the observability layer's overhead (BENCH_obs.txt
 // has the recorded numbers); -registry adds, on top of tracing, the
 // process-wide telemetry publish (histograms + totals fold + trace ring):
-// the cost of feeding /metrics, per evaluation. The wcoj pair forces the
-// generic join through a shared cache: -cold gives every evaluation a new
-// cache, so every join node plans — cover LP, attribute order, shape —
-// from nothing; -warm resets one cache's results between evaluations and
-// keeps its plan facts, relqueryd's steady state, where the generic join
-// derives nothing from the schemes. -governed is sequential under a live
-// governor (a 30 s deadline no run reaches): the price of the tick.
+// the cost of feeding /metrics, per evaluation. Every configuration but
+// wcoj-cold evaluates over one R_G, so from the second evaluation on its
+// legs are the projections the first left on it (Relation.Projection). The
+// wcoj pair forces the generic join through a shared cache: -cold gives
+// every evaluation a new cache and a fresh copy of R_G, so every join node
+// plans — cover LP, attribute order, shape — and projects and sorts its
+// legs from nothing; -warm resets one cache's results between evaluations
+// and keeps its plan facts and R_G's, relqueryd's steady state, where the
+// generic join derives nothing from the schemes and sorts no trie.
+// -governed is sequential under a live governor (a 30 s deadline no run
+// reaches): the price of the tick.
 func BenchmarkE9Eval(b *testing.B) {
 	xor, err := cnf.XorChain(2, true)
 	if err != nil {
@@ -393,19 +397,23 @@ func BenchmarkE9Eval(b *testing.B) {
 					if cfg.registry {
 						opts.Registry = reg
 					}
+					evalDB := db
 					if cfg.shared {
 						b.StopTimer()
 						if cfg.warm {
 							cache.Reset()
 						} else {
 							cache = algebra.NewSubexprCache()
+							// A copy of R_G has no facts: the legs are projected
+							// and their tries sorted again.
+							evalDB = relation.Single(c.OperandName(), c.R.Clone())
 						}
 						opts.SharedCache = cache
 						b.StartTimer()
 					}
 					ev := opts.NewEvaluator()
 					ev.Order = join.Greedy
-					if _, err := ev.Eval(phi, db); err != nil {
+					if _, err := ev.Eval(phi, evalDB); err != nil {
 						b.Fatal(err)
 					}
 				}

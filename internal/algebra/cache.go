@@ -14,10 +14,12 @@ import (
 // references, so a hit is sound even when the database has been mutated
 // between calls: a changed relation changes its fingerprint and misses.
 //
-// This is what makes the repeated legs of the paper's gadget queries
-// cheap: φ_G = π_F(T) ∗ ∏*_j π_{T_j}(T) projects the same relation m+1
-// times, and every decider that re-evaluates φ_G against an unchanged
-// R_G reuses each leg instead of recomputing it.
+// Operands and projections of operands are not entries: they are the
+// database's relations and facts of them (relation.Relation.Projection),
+// found on the relation itself, so the m+1 legs of the paper's
+// φ_G = π_F(T) ∗ ∏*_j π_{T_j}(T) are projected once per version of R_G
+// whatever the cache, and an entry is a node that joins or projects a
+// join.
 //
 // Under the same key the cache keeps each join node's planning facts
 // (join.Facts: GYO tree, cover and AGM bound, simulated peaks): they are
@@ -40,15 +42,14 @@ type SubexprCache struct {
 // resultsMax bounds a shared cache's resident results, in values (rows ×
 // arity over the stored relations): roughly 100 MB of tuples held outside
 // every tenant's budget, so a constant and not a tenant's to set. relbench's
-// heaviest pass (cyclic_greedy, 2.2 M values) reaches half of it.
+// heaviest pass (cyclic_greedy or cyclic_auto: 300 answers of φ_G) holds
+// 1.67 M values, 2.2 M while the legs were entries too.
 //
 // The weight is the rows alone. A resident result can also pin the access
-// paths later joins memoized on it (relation.Path): at most two edge
-// tables, each 4 B per row plus at most 64 B per distinct key (head, size,
-// and the index's hashes and slots, with their growth slack) — up to
-// 136 B per row when every key is distinct, against 16 B per value and a
-// 24 B header per row for the tuples themselves. The paths live and die
-// with the result, so the bound on the rows bounds them too.
+// paths later joins memoized on it (relation.Path), tries and edge
+// tables, but those weigh at most a fixed multiple of the
+// result's own rows together, and live and die with it, so the bound on
+// the rows bounds them too.
 const resultsMax = 4 << 20
 
 // factsMax bounds resident plan facts, in entries. An entry is its key and

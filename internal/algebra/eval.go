@@ -82,7 +82,9 @@ type Evaluator struct {
 	// SharedCache, when non-nil, is the call's cache instead: a composite
 	// subexpression is evaluated once per content across Eval calls and
 	// concurrent callers, keyed by its text plus the fingerprints of the
-	// relations it references, so a changed relation misses.
+	// relations it references, so a changed relation misses. A projection
+	// of an operand is no entry: it is a fact of its relation, found there
+	// with or without a cache (Relation.Projection).
 	SharedCache *SubexprCache
 	// Collector, when non-nil, records a span per operator (cardinalities,
 	// scheme width, wall time, join algorithm, cache status, AGM bound)
@@ -237,8 +239,10 @@ func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, gov *gover
 	if err := gov.Check(); err != nil {
 		return ev.finishSpan(sp, "", nil, err)
 	}
-	// Operands are cheap lookups; only memoize composite nodes.
-	if _, isOp := e.(*Operand); isOp || ev.SharedCache == nil {
+	// Operands and their projections are lookups — a catalog relation and
+	// a fact of it (Relation.Projection) — so one relation has one home;
+	// only the other composite nodes are memoized.
+	if lookup(e) || ev.SharedCache == nil {
 		r, err := ev.evalNode(e, "", db, sp, gov)
 		return ev.finishSpan(sp, "", r, err)
 	}
@@ -299,10 +303,16 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 		if sp != nil {
 			sp.SetInputs([]int{child.Len()})
 		}
-		out, err := child.Project(x.Onto())
+		var out *relation.Relation
+		if lookup(x) {
+			out, err = child.Projection(x.Onto())
+		} else {
+			out, err = child.Project(x.Onto())
+		}
 		if err != nil {
 			return nil, err
 		}
+		// Charged like any materialization, found or built.
 		ev.Collector.M().ObserveIntermediate(out.Len())
 		return join.Exec{Gov: gov}.Materialized(out)
 
@@ -316,6 +326,20 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 	default:
 		return nil, fmt.Errorf("algebra: unknown expression type %T", e)
 	}
+}
+
+// lookup reports whether e is a stored relation or a projection of one:
+// a catalog relation or a fact of it, found on the relation after its
+// first use rather than computed per request.
+func lookup(e Expr) bool {
+	switch x := e.(type) {
+	case *Operand:
+		return true
+	case *Project:
+		_, stored := x.Of().(*Operand)
+		return stored
+	}
+	return false
 }
 
 // evalArgs evaluates a join node's argument subtrees, in order.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"relquery/internal/governor"
+	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
@@ -144,23 +145,24 @@ func TestCacheCounters(t *testing.T) {
 	if _, err := ev.Eval(e, db); err != nil {
 		t.Fatal(err)
 	}
-	// Composite nodes: root projection, join, two legs = 4 distinct.
-	if hits, misses, inval, entries := cache.Counters(); hits != 0 || misses != 4 || inval != 0 || entries != 4 {
-		t.Fatalf("after first eval: hits=%d misses=%d invalidations=%d entries=%d, want 0/4/0/4",
+	// Composite nodes: the root projection and the join = 2 distinct. The
+	// two legs project the operand: facts of T, not entries.
+	if hits, misses, inval, entries := cache.Counters(); hits != 0 || misses != 2 || inval != 0 || entries != 2 {
+		t.Fatalf("after first eval: hits=%d misses=%d invalidations=%d entries=%d, want 0/2/0/2",
 			hits, misses, inval, entries)
 	}
 	if _, err := ev.Eval(e, db); err != nil {
 		t.Fatal(err)
 	}
 	// The second eval is served at the root: one hit, nothing recomputed.
-	if hits, misses, _, _ := cache.Counters(); hits != 1 || misses != 4 {
-		t.Fatalf("after second eval: hits=%d misses=%d, want 1/4", hits, misses)
+	if hits, misses, _, _ := cache.Counters(); hits != 1 || misses != 2 {
+		t.Fatalf("after second eval: hits=%d misses=%d, want 1/2", hits, misses)
 	}
-	if dropped := cache.Reset(); dropped != 4 {
-		t.Fatalf("Reset dropped %d entries, want 4", dropped)
+	if dropped := cache.Reset(); dropped != 2 {
+		t.Fatalf("Reset dropped %d entries, want 2", dropped)
 	}
-	if _, _, inval, entries := cache.Counters(); inval != 4 || entries != 0 {
-		t.Fatalf("after Reset: invalidations=%d entries=%d, want 4/0", inval, entries)
+	if _, _, inval, entries := cache.Counters(); inval != 2 || entries != 0 {
+		t.Fatalf("after Reset: invalidations=%d entries=%d, want 2/0", inval, entries)
 	}
 }
 
@@ -184,10 +186,21 @@ func randomWideRel(t *testing.T, seed int64, attrs []string, rows, vals int) *re
 	return r
 }
 
-// TestComputeOnceCounters is the compute-once regression test expressed
-// through the observability counters: with a triplicated leg under a
-// per-call cache, the metrics must show exactly one miss per distinct
-// composite node and one hit per duplicate request.
+// joinRecorder is the hash join, noting every input it is handed.
+type joinRecorder struct {
+	join.Hash
+	inputs []*relation.Relation
+}
+
+func (j *joinRecorder) Join(x join.Exec, l, r *relation.Relation) (*relation.Relation, error) {
+	j.inputs = append(j.inputs, l, r)
+	return j.Hash.Join(x, l, r)
+}
+
+// TestComputeOnceCounters is the compute-once regression test: with a
+// triplicated leg under a per-call cache, the metrics show one miss for the
+// one composite node, the join, and the leg is computed once — every
+// occurrence is the same relation, the fact of T that Projection serves.
 func TestComputeOnceCounters(t *testing.T) {
 	r := randomWideRel(t, 9, []string{"A", "B", "C"}, 400, 10)
 	db := relation.Single("T", r)
@@ -197,14 +210,21 @@ func TestComputeOnceCounters(t *testing.T) {
 	e := MustJoin(leg, other, leg, leg)
 
 	col := &obs.Collector{}
-	ev := Evaluator{Cache: true, Collector: col}
+	rec := &joinRecorder{}
+	ev := Evaluator{Cache: true, Collector: col, Algorithm: rec, Order: join.Sequential}
 	if _, err := ev.Eval(e, db); err != nil {
 		t.Fatal(err)
 	}
 	snap := col.Metrics.Snapshot()
-	// Cached (composite) evaluations: join ×1, leg ×3, other ×1.
-	// Distinct: 3 misses; the two duplicate leg requests must hit.
-	if snap.CacheMisses != 3 || snap.CacheHits != 2 {
-		t.Fatalf("cache hits=%d misses=%d, want 2/3 (leg recomputed?)", snap.CacheHits, snap.CacheMisses)
+	if snap.CacheMisses != 1 || snap.CacheHits != 0 {
+		t.Fatalf("cache hits=%d misses=%d, want 0/1: only the join is a cached node", snap.CacheHits, snap.CacheMisses)
+	}
+	// Left to right: leg ∗ other, then the accumulator ∗ leg, twice.
+	fact, err := r.Projection(leg.Onto())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.inputs; len(got) != 6 || got[0] != fact || got[3] != fact || got[5] != fact {
+		t.Fatalf("the three occurrences of the leg were not one relation, T's projection fact: %v", got)
 	}
 }

@@ -78,10 +78,19 @@ func buildTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*ha
 // unchanged catalog relation, the next evaluation of a cached result —
 // finds it built. A caller that needs only some rows filters by liveness
 // as it walks; the table itself never depends on a request. The hash join
-// does not use it: its build side is a fresh intermediate in every
-// measured workload, and a memo would only make cached results pin more.
+// builds its table per call: its build side is most often an intermediate
+// of the request, on which a memo would only make cached results pin more,
+// and where it is a stored fact — the greedy plan's first join over φ_G's
+// legs, two projections of R_G — the table is built per request all the
+// same.
 func edgeTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*hashTable, error) {
 	return relation.Path(rel, cols, func() (*hashTable, error) { return buildTable(g, rel, cols) })
+}
+
+// Bytes is what the table holds: its row chain, its group arrays and its
+// index, growth slack included.
+func (t *hashTable) Bytes() int64 {
+	return 4*int64(cap(t.next)+cap(t.head)+cap(t.size)) + t.ix.Bytes()
 }
 
 // keys returns the number of distinct join keys on the build side.

@@ -31,18 +31,19 @@ import (
 // Each relation is indexed as a sorted trie: its tuples sorted
 // lexicographically with their columns read in the global attribute order
 // — a permutation of row positions over the relation's own rows, nothing
-// copied. A partial binding then corresponds to a contiguous range of the
-// permutation per relation, and intersecting a new attribute is a walk
-// over the distinct values of the smallest range with binary-search
-// narrowing in the others.
+// copied, and a fact of the relation (trieOf): the next join over it in the
+// same attribute order sorts nothing. A partial binding then corresponds to
+// a contiguous range of the permutation per relation, and intersecting a
+// new attribute is a walk over the distinct values of the smallest range
+// with binary-search narrowing in the others.
 //
-// Metrics: built counts the rows indexed into sorted tries, probed counts
-// candidate values examined, plus the wcoj candidate/intersection
-// counters, which JoinAll also records on the span. The governor is
-// ticked during trie construction and once per candidate value of the
-// binding search, with a row-budget check as output bindings accumulate,
-// so even a search that stays under the AGM bound dies promptly on cancel
-// or budget violation.
+// Metrics: built counts the rows indexed into sorted tries, whether this
+// join sorted them or found them sorted, probed counts candidate values
+// examined, plus the wcoj candidate/intersection counters, which JoinAll
+// also records on the span. The governor is ticked during a trie's first
+// construction and once per candidate value of the binding search, with a
+// row-budget check as output bindings accumulate, so even a search that
+// stays under the AGM bound dies promptly on cancel or budget violation.
 type Generic struct{}
 
 // Name implements Algorithm.
@@ -79,7 +80,7 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	tries := make([]*sortedTrie, len(inputs))
 	indexed := 0
 	for i, r := range inputs {
-		t, err := newSortedTrie(r, shape.cols[i], x.Gov)
+		t, err := trieOf(r, shape.cols[i], x.Gov)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +213,7 @@ func attributeOrder(p *Plan, union relation.Scheme) []relation.Attribute {
 // sorted lexicographically by the columns cols — the relation's columns in
 // the global attribute order — so every partial binding corresponds to a
 // contiguous range of perm and each trie level is a sorted value column,
-// read in place as rel.Tuple(perm[i])[cols[d]].
+// read in place as rel.Tuple(perm[i])[cols[d]]. Read-only once built.
 type sortedTrie struct {
 	rel  *relation.Relation
 	cols []int   // trie level -> column of rel; the shape's, not to be written
@@ -222,6 +223,17 @@ type sortedTrie struct {
 // at returns the value at trie level d of the i-th row in sorted order.
 func (t *sortedTrie) at(i, d int) relation.Value {
 	return t.rel.Tuple(int(t.perm[i]))[t.cols[d]]
+}
+
+// Bytes is what the trie holds: its permutation.
+func (t *sortedTrie) Bytes() int64 { return 4 * int64(cap(t.perm)) }
+
+// trieOf is newSortedTrie as a fact of r: built on first use, ticking gov,
+// and memoized on r (relation.Path), so every later join over r whose
+// attribute order reads r's columns the same way — the next request over a
+// catalog relation or a projection of one — finds it sorted.
+func trieOf(r *relation.Relation, cols []int, gov *governor.Governor) (*sortedTrie, error) {
+	return relation.Path(r, cols, func() (*sortedTrie, error) { return newSortedTrie(r, cols, gov) })
 }
 
 func newSortedTrie(r *relation.Relation, cols []int, gov *governor.Governor) (*sortedTrie, error) {

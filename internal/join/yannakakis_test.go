@@ -258,26 +258,37 @@ func builds(t *testing.T, rel *relation.Relation, cols keyCols) bool {
 	return err != nil
 }
 
+// ballast is a path of n bytes and nothing else.
+type ballast int64
+
+func (b ballast) Bytes() int64 { return int64(b) }
+
 // TestEdgeTableIsAFactOfItsRelation: a relation joined as a child under
-// two key sets holds both tables, and a join under a third key set drops
-// them. (The memo's own rules — Add, a copy, a failed build — are
+// three key sets holds all three tables, and once more paths would take
+// what it holds past its weight bound, a new one replaces them all. (The
+// memo's own rules — the bound, Add, a copy, a failed build — are
 // relation.TestPathMemo's.)
 func TestEdgeTableIsAFactOfItsRelation(t *testing.T) {
 	r := rel(t, "A B", "1 x", "2 x", "3 y")
-	// As a child under key A, then under key B.
-	for _, parent := range []*relation.Relation{rel(t, "A C", "1 p", "3 q"), rel(t, "B D", "x 7")} {
+	// As a child under key A, under key B, then under both.
+	for _, parent := range []*relation.Relation{rel(t, "A C", "1 p", "3 q"), rel(t, "B D", "x 7"), rel(t, "A B E", "1 x e")} {
 		if _, err := (Yannakakis{}).Join(Exec{}, r, parent); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if builds(t, r, keyCols{0}) || builds(t, r, keyCols{1}) {
-		t.Fatal("a relation joined as a child under two key sets holds fewer than two tables")
+	if builds(t, r, keyCols{0}) || builds(t, r, keyCols{1}) || builds(t, r, keyCols{0, 1}) {
+		t.Fatal("a relation joined as a child under three key sets holds fewer than three tables")
 	}
-	if _, err := (Yannakakis{}).Join(Exec{}, r, rel(t, "A B E", "1 x e")); err != nil {
-		t.Fatal(err)
+	// Paths of half the relation's own weight each, until the tables go.
+	fillers := 0
+	for ; !builds(t, r, keyCols{0}); fillers++ {
+		if fillers == 20 {
+			t.Fatal("ten times the relation's weight in paths did not displace its tables")
+		}
+		relation.Path(r, []int{-1, fillers}, func() (ballast, error) { return ballast(r.Bytes() / 2), nil })
 	}
-	if builds(t, r, keyCols{0, 1}) || !builds(t, r, keyCols{0}) || !builds(t, r, keyCols{1}) {
-		t.Error("a third key set did not replace both tables")
+	if fillers == 0 || !builds(t, r, keyCols{1}) || !builds(t, r, keyCols{0, 1}) {
+		t.Errorf("after %d paths of half the relation's weight: the tables left no room, or some stayed", fillers)
 	}
 	if !builds(t, r.Clone(), keyCols{0, 1}) {
 		t.Error("a copy of the relation — an upload — came with its table")

@@ -20,6 +20,10 @@ type Index struct {
 // Len returns the number of ids inserted.
 func (ix *Index) Len() int { return len(ix.hashes) }
 
+// Bytes reports what the index holds: its slots and its hashes, growth
+// slack included.
+func (ix *Index) Bytes() int64 { return 4*int64(len(ix.slots)) + 8*int64(cap(ix.hashes)) }
+
 // reserve sizes the table for n ids, so inserting up to n never rehashes.
 func (ix *Index) reserve(n int) {
 	if n > cap(ix.hashes) {

@@ -44,8 +44,9 @@ type Relation struct {
 	// invalidation: an immutable relation — a cached result served again
 	// and again — is sorted once.
 	sorted atomic.Pointer[[]int32]
-	// paths memoizes Path under the same rule: a join's grouping of an
-	// unchanged catalog relation is built by its first request only.
+	// paths memoizes Path under the same rule: a projection of an
+	// unchanged catalog relation, and a join's grouping or trie over it,
+	// is built by its first request only.
 	paths atomic.Pointer[accessPaths]
 }
 
@@ -267,12 +268,18 @@ func (r *Relation) alignTo(target Scheme) (*Relation, error) {
 }
 
 // Project computes π_onto(r), the set of restrictions of r's tuples to the
-// attributes of onto (which must all belong to r's scheme).
+// attributes of onto (which must all belong to r's scheme). The result is
+// new and the caller's; Projection is the shared one.
 func (r *Relation) Project(onto Scheme) (*Relation, error) {
 	p, err := projectionOnto(r.scheme, onto)
 	if err != nil {
 		return nil, err
 	}
+	return r.project(onto, p.idx), nil
+}
+
+// project is π over the columns cols of r, named onto.
+func (r *Relation) project(onto Scheme, cols []int) *Relation {
 	// Count first: hash and compare the projected columns in place,
 	// noting the source row of each projection not seen before — the
 	// index's candidates are confirmed against those source rows — and
@@ -280,8 +287,8 @@ func (r *Relation) Project(onto Scheme) (*Relation, error) {
 	out := New(onto)
 	var firsts []int32
 	for i, t := range r.tuples {
-		h := t.HashOf(p.idx)
-		if out.index.findOf(r.tuples, firsts, t, p.idx, h) >= 0 {
+		h := t.HashOf(cols)
+		if out.index.findOf(r.tuples, firsts, t, cols, h) >= 0 {
 			continue
 		}
 		firsts = append(firsts, int32(i))
@@ -289,9 +296,44 @@ func (r *Relation) Project(onto Scheme) (*Relation, error) {
 	}
 	out.reserve(len(firsts))
 	for _, i := range firsts {
-		out.gather(r.tuples[i], p.idx)
+		out.gather(r.tuples[i], cols)
 	}
-	return out, nil
+	return out
+}
+
+// Projection is π_onto(r) as a fact of r: built on first use and memoized
+// on r as an access path (Path) keyed by onto's column positions, so every
+// later projection of an unchanged r onto the same columns — the next
+// request's leg over a catalog relation — is the same relation, with the
+// paths later joins memoized on it. It is shared: it must not be modified.
+// Its attribute names are r's own, so it pins nothing of whoever asked.
+func (r *Relation) Projection(onto Scheme) (*Relation, error) {
+	var buf [64]int // the positions of any but the widest projection, off the heap
+	cols, err := positionsOf(r.scheme, onto, buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	p, err := Path(r, cols, func() (projected, error) {
+		attrs := make([]Attribute, len(cols))
+		for i, c := range cols {
+			attrs[i] = r.scheme.attrs[c]
+		}
+		return projected{r.project(MustScheme(attrs...), cols)}, nil
+	})
+	return p.Relation, err
+}
+
+// projected is a projection as a path of the relation it projects: its
+// rows and the dedup index project builds as it counts.
+type projected struct{ *Relation }
+
+func (p projected) Bytes() int64 { return p.Relation.Bytes() + p.index.Bytes() }
+
+// Bytes reports what r's rows occupy: a slice header per row and a Value
+// header per cell. It counts neither the strings the values point to, which
+// r shares with wherever it read them, nor r's index or paths.
+func (r *Relation) Bytes() int64 {
+	return int64(len(r.tuples)) * (tupleBytes + int64(r.scheme.Len()*valueBytes))
 }
 
 // Union returns r ∪ o over r's column order. The schemes must be set-equal.

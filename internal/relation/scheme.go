@@ -230,16 +230,25 @@ type projection struct {
 // projectionOnto computes the column mapping for projecting src onto onto.
 // Every attribute of onto must occur in src.
 func projectionOnto(src, onto Scheme) (projection, error) {
-	p := projection{target: onto, idx: make([]int, onto.Len())}
+	idx, err := positionsOf(src, onto, make([]int, 0, onto.Len()))
+	if err != nil {
+		return projection{}, err
+	}
+	return projection{target: onto, idx: idx}, nil
+}
+
+// positionsOf appends to cols the position in src of each attribute of
+// onto, in onto's order. Every attribute of onto must occur in src.
+func positionsOf(src, onto Scheme, cols []int) ([]int, error) {
 	for i := 0; i < onto.Len(); i++ {
 		a := onto.Attr(i)
 		j, ok := src.Pos(a)
 		if !ok {
-			return projection{}, fmt.Errorf("relation: cannot project: attribute %q not in source scheme %v", a, src)
+			return nil, fmt.Errorf("relation: cannot project: attribute %q not in source scheme %v", a, src)
 		}
-		p.idx[i] = j
+		cols = append(cols, j)
 	}
-	return p, nil
+	return cols, nil
 }
 
 // apply projects tuple t (over the source scheme) onto the target scheme.

@@ -55,6 +55,7 @@ const (
 	chunkBytes = 32 << 10
 
 	valueBytes = int(unsafe.Sizeof(Value("")))
+	tupleBytes = int64(unsafe.Sizeof(Tuple(nil)))
 )
 
 // reserve promises the store, which must be empty, exactly rows rows: the

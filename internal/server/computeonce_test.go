@@ -46,10 +46,11 @@ func blockNthNode(t *testing.T, n int64) (entered, release chan struct{}) {
 }
 
 // TestConcurrentIdenticalMissesComputeOnce: eight identical cold requests
-// at once evaluate each composite node of the query once between them —
-// the three legs and the join — and the other seven are served the root.
-// Every node evaluation is slowed so the requests overlap; the counts are
-// exact under any interleaving.
+// at once evaluate the query's one composite node, the join, once between
+// them, and the other seven are served it. (The three legs are facts of T,
+// not cache entries: TestConcurrentFirstQueriesShareProjections.) Every
+// node evaluation is slowed so the requests overlap; the counts are exact
+// under any interleaving.
 func TestConcurrentIdenticalMissesComputeOnce(t *testing.T) {
 	s, ts := newTestServer(t)
 	s.Load("acme", relation.Single("T", triangle(40)))
@@ -72,9 +73,66 @@ func TestConcurrentIdenticalMissesComputeOnce(t *testing.T) {
 	after := scrape(t, ts)
 	misses := after[obs.SeriesServerSharedCacheMisses] - before[obs.SeriesServerSharedCacheMisses]
 	hits := after[obs.SeriesServerSharedCacheHits] - before[obs.SeriesServerSharedCacheHits]
-	if misses != 4 || hits != requests-1 {
-		t.Errorf("%d identical cold requests: %v shared-cache misses, %v hits; want the 4 composite nodes computed once and %d requests served the root",
+	if misses != 1 || hits != requests-1 {
+		t.Errorf("%d identical cold requests: %v shared-cache misses, %v hits; want the join computed once and %d requests served it",
 			requests, misses, hits, requests-1)
+	}
+}
+
+// TestQueryConcurrentFirstUse: eight first queries at once, each its own
+// text — so none waits on another's node — but all over the three legs of
+// triangleQuery, project the catalog relation concurrently, and under
+// -race prove that a projection and the tries on it are published without
+// a lock: every answer is byte-identical below its header line, and each
+// leg is left as one fact of T.
+func TestQueryConcurrentFirstUse(t *testing.T) {
+	s, ts := newTestServer(t)
+	tri := triangle(40)
+	s.Load("acme", relation.Single("T", tri))
+	restore := fault.Set(fault.NewScript(fault.Rule{Point: fault.EvalNode, Every: true, Act: fault.Sleep, Delay: time.Millisecond}))
+	defer restore()
+
+	legs := []string{"pi[A B](T)", "pi[B C](T)", "pi[A C](T)"}
+	bodies := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		// A rotation of the legs, then i/3 more copies of one: eight texts.
+		args := append(append([]string(nil), legs[i%3:]...), legs[:i%3]...)
+		for k := 0; k < i/3; k++ {
+			args = append(args, legs[0])
+		}
+		src := "pi[A B C](" + strings.Join(args, " * ") + ")"
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/tenants/acme/query", "text/plain", strings.NewReader(src))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d, %v", src, resp.StatusCode, err)
+			}
+			_, bodies[i], _ = strings.Cut(string(body), "\n")
+		}()
+	}
+	wg.Wait()
+	for i, body := range bodies {
+		if body != bodies[0] {
+			t.Errorf("query %d answered\n%s\nquery 0\n%s", i, body, bodies[0])
+		}
+	}
+	for _, leg := range []relation.Scheme{relation.MustScheme("A", "B"), relation.MustScheme("B", "C"), relation.MustScheme("A", "C")} {
+		fact, err := tri.Projection(leg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := tri.Project(leg)
+		if again, _ := tri.Projection(leg); again != fact || !fact.Equal(want) {
+			t.Errorf("after the concurrent queries π_{%v}(T) is no single fact holding Project's rows", leg)
+		}
 	}
 }
 

@@ -3,13 +3,17 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
 
+	"relquery/internal/algebra"
+	"relquery/internal/cnf"
 	"relquery/internal/governor"
 	"relquery/internal/obs"
+	"relquery/internal/reduction"
 	"relquery/internal/relation"
 	"relquery/internal/telemetry"
 )
@@ -199,5 +203,82 @@ func TestWarmQueryBuildsNoTable(t *testing.T) {
 	}
 	if rebuilt := put - warm; rebuilt < tables/4 || rebuilt > 3*tables/4 {
 		t.Errorf("after a PUT of R3 the query allocated %d bytes more than a warm one: not one table of two (%d)", rebuilt, tables)
+	}
+}
+
+// gadget is the Lemma 1 construction of a random 3CNF with m clauses over
+// n variables, every one of them used.
+func gadget(t *testing.T, n, m int) *reduction.Construction {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(m)))
+	var g *cnf.Formula
+	for g == nil || !g.AllVarsUsed() {
+		var err error
+		if g, err = cnf.Random3CNF(rng, n, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := reduction.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestWarmQueryBuildsNoProjection: φ_G's m+1 legs are projections of R_G,
+// facts of the catalog relation, and so are the generic join's tries on
+// them; across a /v1/cache/reset a second φ_G query over an unchanged R_G
+// builds no projection and sorts no trie, and a PUT of R_G with the same
+// content, a new relation, builds them again. Measured in bytes allocated
+// while the query is answered, against what the legs and their tries hold.
+func TestWarmQueryBuildsNoProjection(t *testing.T) {
+	c := gadget(t, 8, 14) // R_G: 99 rows × 114 columns
+	phi, err := c.PhiG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Tenants: map[string]governor.Limits{"acme": {}}})
+	s.Load("acme", c.Database())
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	var body string
+	query := func() uint64 {
+		t.Helper()
+		resetCache(t, ts)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := postQuery(t, ts, "acme", phi.String(), "strategy=wcoj")
+		got := readBody(t, resp)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusOK || (body != "" && got != body) {
+			t.Fatalf("status %d, body identical to the first = %v: %.200s", resp.StatusCode, got == body, got)
+		}
+		body = got
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cold, warm, again := query(), query(), query()
+	putRelation(t, ts, "acme", c.OperandName(), c.R) // the same content, as a new relation
+	put := query()
+
+	// What the legs and their tries hold: the least a build allocates.
+	var facts uint64
+	for _, leg := range phi.(*algebra.Join).Args() {
+		p, err := c.R.Projection(leg.Scheme())
+		if err != nil {
+			t.Fatal(err)
+		}
+		facts += uint64(p.Bytes() + 4*int64(p.Len()))
+	}
+	t.Logf("R_G %d×%d; bytes allocated: cold %d, warm %d, again %d, after the PUT %d; legs and tries hold %d",
+		c.R.Len(), c.R.Scheme().Len(), cold, warm, again, put, facts)
+	// The PUT's query plans nothing either (same content, same plan facts):
+	// what it allocates beyond a warm one is the legs and tries.
+	if put < again+facts {
+		t.Errorf("the query after the PUT allocated %d bytes, a warm one %d: the warm one built legs or tries of %d, or the PUT's did not", put, again, facts)
+	}
+	// Two warm queries differ by tens of kilobytes of pooled buffers.
+	if again > warm+facts/2 || warm > again+facts/2 {
+		t.Errorf("two warm queries allocated %d and %d bytes: one of them built legs or tries of %d", warm, again, facts)
 	}
 }
