@@ -135,13 +135,16 @@ relbench-compare:
 # under concurrent callers, in-process and through relqueryd: identical
 # cold requests computing each node once, a waiter leaving at its own
 # deadline, a leader's failure staying the leader's, the resident bound,
-# and the relqueryd binary end to end, its 429 included.
+# and the relqueryd binary end to end, its 429 included. Last, the
+# telemetry that crosses goroutines: concurrent requests publishing into
+# one obs.Registry while /metrics is scraped (the registry's one lock;
+# a collector, its metrics and its spans stay with their evaluation).
 # CI runs this as its own job; `make stress` reproduces it locally.
 stress:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/governor/
 	$(GO) test -race -count=1 \
-	  -run 'Cancel|Panic|Degrad|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|ConcurrentFirstUse|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted|RunEndToEnd' \
-	  ./internal/algebra/ ./internal/join/ ./internal/relation/ ./internal/sat/ ./internal/server/ ./cmd/relqueryd/ .
+	  -run 'Cancel|Panic|Degrad|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|ConcurrentFirstUse|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted|RunEndToEnd|Concurrent|Scrape' \
+	  ./internal/algebra/ ./internal/join/ ./internal/relation/ ./internal/sat/ ./internal/server/ ./internal/obs/ ./internal/telemetry/ ./cmd/relqueryd/ .
 
 # Regenerate BENCH_fault.txt: the cost of a compiled-in injection site
 # when no script is registered (the production configuration — must be

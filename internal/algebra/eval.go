@@ -93,7 +93,8 @@ type Evaluator struct {
 	// metric calls reduce to nil checks, with no allocation or clock
 	// reads (see BenchmarkE9Eval's traced/untraced pairs).
 	//
-	// Snapshots are race-free mid-run (Collector.Metrics.Snapshot).
+	// The collector belongs to the goroutine calling Eval: read it
+	// (Collector.Trace, Collector.Metrics.Snapshot) once Eval returns.
 	Collector *obs.Collector
 	// Registry, when non-nil, aggregates every EvalContext outcome —
 	// success or violation — into process-wide telemetry: wall time into

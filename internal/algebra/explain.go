@@ -59,7 +59,7 @@ func (ev *Evaluator) traced(ctx context.Context, e Expr, db relation.Database) (
 // ExplainAnalyze evaluates the expression once under a tracing collector
 // and renders the executed operator tree annotated with observed
 // statistics: per-node cardinality, scheme width, wall time, join
-// algorithm and worker count, cache status, and — for join nodes — the
+// algorithm, cache status, and — for join nodes — the
 // AGM worst-case size bound next to the observed size. On the paper's
 // gadget queries the join node's rows dwarf the tree above and below it,
 // and the AGM column shows how close the blow-up sits to the theoretical

@@ -8,7 +8,6 @@
 package analysis
 
 import (
-	"relquery/internal/analysis/atomicobs"
 	"relquery/internal/analysis/errwrapcheck"
 	"relquery/internal/analysis/framework"
 	"relquery/internal/analysis/govloop"
@@ -22,7 +21,6 @@ import (
 // All returns every analyzer in the suite, in the order they report.
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
-		atomicobs.Analyzer,
 		errwrapcheck.Analyzer,
 		govloop.Analyzer,
 		nilrecv.Analyzer,

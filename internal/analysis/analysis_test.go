@@ -20,7 +20,7 @@ func TestAll(t *testing.T) {
 		seen[a.Name] = true
 	}
 	for _, name := range []string{
-		"atomicobs", "errwrapcheck", "govloop", "nilrecv",
+		"errwrapcheck", "govloop", "nilrecv",
 		"schemecanon", "sentinelmap", "spanfield", "tuplealias",
 	} {
 		if !seen[name] {

@@ -33,7 +33,6 @@ var contract = map[string]map[string]bool{
 		"Collector": true,
 		"Metrics":   true,
 		"Registry":  true,
-		"Histogram": true,
 		"Span":      true,
 		"Trace":     true,
 	},

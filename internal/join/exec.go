@@ -14,15 +14,15 @@ import (
 // node it runs under. It is the first argument of every Algorithm.Join,
 // JoinAll and Multi call, passed by value. The zero Exec is ungoverned,
 // unmetered and untraced, and costs nil checks only: every use of the
-// three pointers is nil-safe, with no allocation, clock read or atomic
-// write behind a nil.
+// three pointers is nil-safe, with no allocation or clock read behind a
+// nil.
 type Exec struct {
 	// Gov is ticked at tuple granularity and checked at batch granularity
 	// by every strategy, so a canceled context, an expired deadline or a
 	// blown budget aborts mid-join with a typed governor sentinel.
 	Gov *governor.Governor
 	// Metrics receives the per-join counters (tuples built/probed/emitted,
-	// partitions, fallbacks, semijoins, wcoj and yannakakis effort).
+	// semijoins, wcoj and yannakakis effort).
 	Metrics *obs.Metrics
 	// Span is the join node's trace span: peak materialization, and the
 	// structure and search-effort annotations of the n-ary strategies.

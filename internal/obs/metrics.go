@@ -6,9 +6,9 @@
 // results exponentially larger than input and output (Cosmadakis 1983,
 // Introduction) — is invisible from a query's result alone. A Collector
 // attached to an algebra.Evaluator records, per operator, the observed
-// cardinalities, wall time, join algorithm, cache status and worker count,
-// and accumulates evaluation-wide counters (tuples built/probed/emitted,
-// partitions, broadcast and sequential fallbacks, cache hits/misses).
+// cardinalities, wall time, join algorithm and cache status, and
+// accumulates evaluation-wide counters (tuples built/probed/emitted,
+// semijoins, wcoj and yannakakis effort, cache hits/misses).
 // algebra.ExplainAnalyze renders the span tree; cmd/relquery -trace emits
 // it as JSON.
 //
@@ -18,58 +18,33 @@
 // nothing there. Instrumented code therefore needs no conditionals: it
 // threads a possibly-nil *Collector (or *Span, or *Metrics) through and
 // calls methods unconditionally. With no collector attached the entire
-// layer reduces to nil checks — no allocation, no clock reads, no atomics
-// — which is what keeps the instrumented engine within noise of the
-// uninstrumented one (see BenchmarkE9Eval and BENCH_obs.txt).
+// layer reduces to nil checks — no allocation, no clock reads — which is
+// what keeps the instrumented engine within noise of the uninstrumented
+// one (see BenchmarkE9Eval and BENCH_obs.txt).
+//
+// # Ownership
+//
+// An evaluation runs on one goroutine, and a Collector, its Metrics and
+// its span tree belong to that goroutine: they are plain fields with no
+// lock, read once the evaluation is over (Collector.Trace). The Registry
+// is the one value shared across evaluations, and its one mutex guards
+// all of it.
 //
 // obs sits below every engine package: it imports only the standard
 // library, so internal/join, internal/algebra and internal/decide can all
 // report into it without cycles.
 package obs
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// Metrics accumulates evaluation-wide counters. All updates are atomic, so
-// one Metrics can be snapshotted race-free — by /metrics, say — while the
-// evaluation writing it is still running.
+// Metrics accumulates evaluation-wide counters. It is written by the
+// goroutine running the evaluation and read when that evaluation is done.
 //
 // All methods are nil-safe no-ops, per the package's zero-overhead
 // contract.
 type Metrics struct {
-	joins              atomic.Int64
-	maxIntermediate    atomic.Int64
-	intermediateTuples atomic.Int64
-
-	tuplesBuilt   atomic.Int64
-	tuplesProbed  atomic.Int64
-	tuplesEmitted atomic.Int64
-
-	wcojJoins         atomic.Int64
-	wcojCandidates    atomic.Int64
-	wcojIntersections atomic.Int64
-
-	yannakakisJoins atomic.Int64
-	semijoins       atomic.Int64
-	semijoinRows    atomic.Int64
-
-	degradedEvals atomic.Int64
-
-	violationDeadline  atomic.Int64
-	violationCanceled  atomic.Int64
-	violationRowBudget atomic.Int64
-	violationMemBudget atomic.Int64
-	violationAdmission atomic.Int64
-
-	cacheHits          atomic.Int64
-	cacheMisses        atomic.Int64
-	cacheInvalidations atomic.Int64
-
-	planFactsHits   atomic.Int64
-	planFactsMisses atomic.Int64
-	coverLPSolves   atomic.Int64
+	counts MetricsSnapshot
+	plans  PlanningSnapshot
 }
 
 // Governor-violation kinds, one per sentinel in internal/governor. The
@@ -95,23 +70,23 @@ func ViolationKinds() []string {
 // Violation* constant). The governor calls it exactly once per
 // evaluation — when its sticky failure latch first trips — so the
 // counters read as "evaluations killed, by sentinel". Unknown kinds are
-// ignored: the governor's Fail broadcast also carries non-governance
-// engine errors, which are not violations.
+// ignored: a kind names a governor sentinel, and any other error is not
+// a violation.
 func (m *Metrics) Violation(kind string) {
 	if m == nil {
 		return
 	}
 	switch kind {
 	case ViolationDeadline:
-		m.violationDeadline.Add(1)
+		m.counts.ViolationsDeadline++
 	case ViolationCanceled:
-		m.violationCanceled.Add(1)
+		m.counts.ViolationsCanceled++
 	case ViolationRowBudget:
-		m.violationRowBudget.Add(1)
+		m.counts.ViolationsRowBudget++
 	case ViolationMemBudget:
-		m.violationMemBudget.Add(1)
+		m.counts.ViolationsMemBudget++
 	case ViolationAdmission:
-		m.violationAdmission.Add(1)
+		m.counts.ViolationsAdmission++
 	}
 }
 
@@ -121,7 +96,7 @@ func (m *Metrics) ObserveJoin(out int) {
 	if m == nil {
 		return
 	}
-	m.joins.Add(1)
+	m.counts.Joins++
 	m.observeIntermediate(out)
 }
 
@@ -137,13 +112,8 @@ func (m *Metrics) ObserveIntermediate(rows int) {
 
 func (m *Metrics) observeIntermediate(rows int) {
 	n := int64(rows)
-	m.intermediateTuples.Add(n)
-	for {
-		cur := m.maxIntermediate.Load()
-		if n <= cur || m.maxIntermediate.CompareAndSwap(cur, n) {
-			return
-		}
-	}
+	m.counts.IntermediateTuples += n
+	m.counts.MaxIntermediate = max(m.counts.MaxIntermediate, n)
 }
 
 // JoinWork records one binary join's tuple traffic: built and probed are
@@ -153,9 +123,9 @@ func (m *Metrics) JoinWork(built, probed, emitted int) {
 	if m == nil {
 		return
 	}
-	m.tuplesBuilt.Add(int64(built))
-	m.tuplesProbed.Add(int64(probed))
-	m.tuplesEmitted.Add(int64(emitted))
+	m.counts.TuplesBuilt += int64(built)
+	m.counts.TuplesProbed += int64(probed)
+	m.counts.TuplesEmitted += int64(emitted)
 }
 
 // WCOJ records one worst-case-optimal generic join with its search
@@ -165,9 +135,9 @@ func (m *Metrics) WCOJ(candidates, intersections int) {
 	if m == nil {
 		return
 	}
-	m.wcojJoins.Add(1)
-	m.wcojCandidates.Add(int64(candidates))
-	m.wcojIntersections.Add(int64(intersections))
+	m.counts.WCOJJoins++
+	m.counts.WCOJCandidates += int64(candidates)
+	m.counts.WCOJIntersections += int64(intersections)
 }
 
 // Semijoin records one semijoin pass producing out tuples (the full
@@ -177,8 +147,8 @@ func (m *Metrics) Semijoin(out int) {
 	if m == nil {
 		return
 	}
-	m.semijoins.Add(1)
-	m.semijoinRows.Add(int64(out))
+	m.counts.Semijoins++
+	m.counts.SemijoinRows += int64(out)
 }
 
 // Yannakakis records one acyclic n-ary join evaluated by the full
@@ -187,7 +157,7 @@ func (m *Metrics) Yannakakis() {
 	if m == nil {
 		return
 	}
-	m.yannakakisJoins.Add(1)
+	m.counts.YannakakisJoins++
 }
 
 // Degraded records one graceful degradation: a wcoj or yannakakis join
@@ -197,7 +167,7 @@ func (m *Metrics) Degraded() {
 	if m == nil {
 		return
 	}
-	m.degradedEvals.Add(1)
+	m.counts.DegradedEvals++
 }
 
 // CacheHit records a subexpression served from the evaluation's cache
@@ -206,7 +176,7 @@ func (m *Metrics) CacheHit() {
 	if m == nil {
 		return
 	}
-	m.cacheHits.Add(1)
+	m.counts.CacheHits++
 }
 
 // CacheMiss records a subexpression that had to be evaluated.
@@ -214,7 +184,7 @@ func (m *Metrics) CacheMiss() {
 	if m == nil {
 		return
 	}
-	m.cacheMisses.Add(1)
+	m.counts.CacheMisses++
 }
 
 // CacheInvalidated records n cache entries dropped (shared-cache reset or
@@ -223,7 +193,7 @@ func (m *Metrics) CacheInvalidated(n int) {
 	if m == nil {
 		return
 	}
-	m.cacheInvalidations.Add(int64(n))
+	m.counts.CacheInvalidations += int64(n)
 }
 
 // PlanFacts records one join node taking its plan from a facts store: a
@@ -234,9 +204,9 @@ func (m *Metrics) PlanFacts(hit bool) {
 		return
 	}
 	if hit {
-		m.planFactsHits.Add(1)
+		m.plans.FactsHits++
 	} else {
-		m.planFactsMisses.Add(1)
+		m.plans.FactsMisses++
 	}
 }
 
@@ -247,22 +217,18 @@ func (m *Metrics) CoverLPSolved(n int) {
 	if m == nil {
 		return
 	}
-	m.coverLPSolves.Add(int64(n))
+	m.plans.CoverLPSolves += int64(n)
 }
 
-// Planning returns the planning counters, the zero snapshot for a nil
-// receiver. They are kept apart from MetricsSnapshot, which describes what
-// an evaluation did to the data and is the same whether or not the plan
-// was already known.
+// Planning returns a copy of the planning counters, the zero snapshot for
+// a nil receiver. They are kept apart from MetricsSnapshot, which
+// describes what an evaluation did to the data and is the same whether or
+// not the plan was already known.
 func (m *Metrics) Planning() PlanningSnapshot {
 	if m == nil {
 		return PlanningSnapshot{}
 	}
-	return PlanningSnapshot{
-		FactsHits:     m.planFactsHits.Load(),
-		FactsMisses:   m.planFactsMisses.Load(),
-		CoverLPSolves: m.coverLPSolves.Load(),
-	}
+	return m.plans
 }
 
 // PlanningSnapshot is a plain-value copy of a Metrics' planning counters.
@@ -281,42 +247,17 @@ func (s *PlanningSnapshot) fold(o PlanningSnapshot) {
 	s.CoverLPSolves += o.CoverLPSolves
 }
 
-// Snapshot returns a consistent-enough copy of the counters: each field is
-// read atomically, so reading concurrently with a running evaluation is
-// race-free (fields may be mutually skewed by in-flight updates, which is
-// inherent to any non-stop-the-world snapshot). The zero snapshot is
-// returned for a nil receiver.
+// Snapshot returns a copy of the counters, the zero snapshot for a nil
+// receiver.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	if m == nil {
 		return MetricsSnapshot{}
 	}
-	return MetricsSnapshot{
-		Joins:               m.joins.Load(),
-		MaxIntermediate:     m.maxIntermediate.Load(),
-		IntermediateTuples:  m.intermediateTuples.Load(),
-		TuplesBuilt:         m.tuplesBuilt.Load(),
-		TuplesProbed:        m.tuplesProbed.Load(),
-		TuplesEmitted:       m.tuplesEmitted.Load(),
-		WCOJJoins:           m.wcojJoins.Load(),
-		WCOJCandidates:      m.wcojCandidates.Load(),
-		WCOJIntersections:   m.wcojIntersections.Load(),
-		YannakakisJoins:     m.yannakakisJoins.Load(),
-		Semijoins:           m.semijoins.Load(),
-		SemijoinRows:        m.semijoinRows.Load(),
-		DegradedEvals:       m.degradedEvals.Load(),
-		ViolationsDeadline:  m.violationDeadline.Load(),
-		ViolationsCanceled:  m.violationCanceled.Load(),
-		ViolationsRowBudget: m.violationRowBudget.Load(),
-		ViolationsMemBudget: m.violationMemBudget.Load(),
-		ViolationsAdmission: m.violationAdmission.Load(),
-		CacheHits:           m.cacheHits.Load(),
-		CacheMisses:         m.cacheMisses.Load(),
-		CacheInvalidations:  m.cacheInvalidations.Load(),
-	}
+	return m.counts
 }
 
-// MetricsSnapshot is a plain-value copy of a Metrics, ready for JSON
-// encoding or printing.
+// MetricsSnapshot is a plain-value copy of a Metrics' counters, ready for
+// JSON encoding or printing.
 type MetricsSnapshot struct {
 	// Joins is the number of binary joins performed.
 	Joins int64 `json:"joins"`
@@ -408,9 +349,7 @@ func (s MetricsSnapshot) ViolationsTotal() int64 {
 // intermediate takes the maximum. It is the Registry's cross-evaluation
 // aggregation step.
 func (s *MetricsSnapshot) fold(o MetricsSnapshot) {
-	if o.MaxIntermediate > s.MaxIntermediate {
-		s.MaxIntermediate = o.MaxIntermediate
-	}
+	s.MaxIntermediate = max(s.MaxIntermediate, o.MaxIntermediate)
 	s.Joins += o.Joins
 	s.IntermediateTuples += o.IntermediateTuples
 	s.TuplesBuilt += o.TuplesBuilt

@@ -52,7 +52,6 @@ func TestNilReceiversNoOp(t *testing.T) {
 	callAllOnNil(t, (*obs.Collector)(nil))
 	callAllOnNil(t, (*obs.Metrics)(nil))
 	callAllOnNil(t, (*obs.Registry)(nil))
-	callAllOnNil(t, (*obs.Histogram)(nil))
 	callAllOnNil(t, (*obs.Span)(nil))
 	callAllOnNil(t, (*obs.Trace)(nil))
 }

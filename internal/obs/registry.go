@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -18,15 +17,12 @@ const (
 	histZeroExp = 32
 )
 
-// Histogram is a fixed-size log₂-bucketed histogram with atomic counters:
-// concurrent Observe calls from concurrent evaluations need no lock, and a
-// Snapshot taken mid-run is race-free. The zero Histogram is ready to
-// use; all methods are nil-safe no-ops, per the package's zero-overhead
-// contract.
-type Histogram struct {
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-	buckets [histBuckets]atomic.Int64
+// histogram is a fixed-size log₂-bucketed histogram. Only a Registry
+// holds one, and its mutex guards it. The zero histogram is ready to use.
+type histogram struct {
+	count   int64
+	sum     float64
+	buckets [histBuckets]int64
 }
 
 // bucketIndex maps an observation to its bucket: the smallest i whose
@@ -52,44 +48,29 @@ func bucketIndex(v float64) int {
 // bucketBound is bucket i's inclusive upper bound.
 func bucketBound(i int) float64 { return math.Ldexp(1, i-histZeroExp) }
 
-// Observe folds one observation into the histogram. NaN is ignored;
+// observe folds one observation into the histogram. NaN is ignored;
 // non-positive values land in the lowest bucket.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) {
+func (h *histogram) observe(v float64) {
+	if math.IsNaN(v) {
 		return
 	}
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	h.buckets[bucketIndex(v)]++
+	h.count++
+	h.sum += v
 }
 
-// Snapshot returns a plain-value copy of the histogram. Like
-// Metrics.Snapshot, each field is read atomically; a mid-run snapshot may
-// be mutually skewed by in-flight updates. The zero snapshot is returned
-// for a nil receiver.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{
-		Count: h.count.Load(),
-		Sum:   math.Float64frombits(h.sumBits.Load()),
-	}
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
+// snapshot returns a plain-value copy of the histogram.
+func (h *histogram) snapshot() HistogramSnapshot {
+	s := HistogramSnapshot{Count: h.count, Sum: h.sum}
+	for i, n := range h.buckets {
+		if n > 0 {
 			s.Buckets = append(s.Buckets, HistogramBucket{UpperBound: bucketBound(i), Count: n})
 		}
 	}
 	return s
 }
 
-// HistogramSnapshot is a plain-value copy of a Histogram: only non-empty
+// HistogramSnapshot is a plain-value copy of a histogram: only non-empty
 // buckets, in increasing upper-bound order, with per-bucket (not
 // cumulative) counts. Exporters derive cumulative le-series from it.
 type HistogramSnapshot struct {
@@ -119,22 +100,25 @@ const DefaultTraceCap = 32
 // process-wide Registry backs the telemetry server's /metrics and
 // /debug/traces endpoints while per-evaluation Collectors come and go.
 //
+// Evaluations on many goroutines publish into one Registry, so mu guards
+// every field: a Snapshot sees each Observe whole or not at all.
+//
 // The zero Registry is ready to use. All methods are nil-safe no-ops, per
 // the package's zero-overhead contract: an evaluator with no registry
 // attached pays only nil checks.
 type Registry struct {
+	mu sync.Mutex
 	// latency distributes evaluation wall time, in seconds.
-	latency Histogram
+	latency histogram
 	// peakRows distributes each evaluation's largest intermediate
 	// cardinality — the paper's blow-up number, per evaluation.
-	peakRows Histogram
+	peakRows histogram
 	// agmRatio distributes each evaluation's worst observed-peak/AGM-bound
 	// ratio: how close the workload sits to the theoretical ceiling, and
 	// the number that shows whether the AGM-guided selector keeps peaks
 	// near the bound across a workload.
-	agmRatio Histogram
+	agmRatio histogram
 
-	mu     sync.Mutex
 	evals  int64
 	totals MetricsSnapshot
 	plans  PlanningSnapshot
@@ -209,18 +193,16 @@ func (r *Registry) Observe(t *Trace, wall time.Duration) {
 	if r == nil {
 		return
 	}
-	r.latency.Observe(wall.Seconds())
-	if t != nil {
-		r.peakRows.Observe(float64(t.Metrics.MaxIntermediate))
-		if ratio := maxAGMRatio(t.Roots); ratio > 0 {
-			r.agmRatio.Observe(ratio)
-		}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.evals++
+	r.latency.observe(wall.Seconds())
 	if t == nil {
 		return
+	}
+	r.peakRows.observe(float64(t.Metrics.MaxIntermediate))
+	if ratio := maxAGMRatio(t.Roots); ratio > 0 {
+		r.agmRatio.observe(ratio)
 	}
 	r.totals.fold(t.Metrics)
 	r.plans.fold(t.Planning)
@@ -273,16 +255,15 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		return RegistrySnapshot{}
 	}
 	r.mu.Lock()
-	evals, totals, plans, held := r.evals, r.totals, r.plans, len(r.traces)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
 	return RegistrySnapshot{
-		Evals:      evals,
-		Metrics:    totals,
-		Planning:   plans,
-		Latency:    r.latency.Snapshot(),
-		PeakRows:   r.peakRows.Snapshot(),
-		AGMRatio:   r.agmRatio.Snapshot(),
-		TracesHeld: held,
+		Evals:      r.evals,
+		Metrics:    r.totals,
+		Planning:   r.plans,
+		Latency:    r.latency.snapshot(),
+		PeakRows:   r.peakRows.snapshot(),
+		AGMRatio:   r.agmRatio.snapshot(),
+		TracesHeld: len(r.traces),
 	}
 }
 

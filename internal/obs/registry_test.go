@@ -10,11 +10,11 @@ import (
 )
 
 func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
+	var h histogram
 	for _, v := range []float64{0, -1, 0.5, 1, 1.5, 2, 1024, math.NaN(), 1e30} {
-		h.Observe(v)
+		h.observe(v)
 	}
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.Count != 8 { // NaN ignored
 		t.Fatalf("Count = %d, want 8", s.Count)
 	}
@@ -168,21 +168,27 @@ func TestRegistryTraceRingBounded(t *testing.T) {
 }
 
 // TestRegistryConcurrent hammers one registry from many goroutines while
-// snapshots are being taken — the cross-evaluation analogue of
-// TestSnapshotConcurrent, run under -race by CI.
+// snapshots are being taken, as concurrent relqueryd requests and /metrics
+// scrapes do; run under -race by CI. One lock guards the counters and the
+// histograms together, so every mid-run snapshot sees each evaluation
+// whole: the latency histogram never counts one the evals total has not.
 func TestRegistryConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	const workers, perWorker = 8, 200
-	stop := make(chan struct{})
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(done)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				_ = reg.Snapshot()
-				_ = reg.Traces()
 			}
+			if s := reg.Snapshot(); s.Latency.Count != s.Evals {
+				t.Errorf("mid-run snapshot: Latency.Count = %d, Evals = %d", s.Latency.Count, s.Evals)
+				return
+			}
+			_ = reg.Traces()
 		}
 	}()
 	var wg sync.WaitGroup
@@ -192,12 +198,14 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				tr := &Trace{Metrics: MetricsSnapshot{Joins: 1, MaxIntermediate: int64(w*perWorker + i)}}
-				reg.Observe(tr, time.Duration(i)*time.Microsecond)
+				// A power of two, so the float sum is exact in any order.
+				reg.Observe(tr, 2*time.Second)
 			}
 		}(w)
 	}
 	wg.Wait()
 	close(stop)
+	<-done
 
 	s := reg.Snapshot()
 	if s.Evals != workers*perWorker {
@@ -212,35 +220,14 @@ func TestRegistryConcurrent(t *testing.T) {
 	if s.Latency.Count != workers*perWorker {
 		t.Errorf("Latency.Count = %d, want %d", s.Latency.Count, workers*perWorker)
 	}
+	if s.Latency.Sum != 2*workers*perWorker {
+		t.Errorf("Latency.Sum = %g, want %d", s.Latency.Sum, 2*workers*perWorker)
+	}
+	if b := s.Latency.Buckets; len(b) != 1 || b[0].UpperBound != 2 || b[0].Count != workers*perWorker {
+		t.Errorf("Latency.Buckets = %v, want all in le=2", b)
+	}
 	if s.TracesHeld != DefaultTraceCap {
 		t.Errorf("TracesHeld = %d, want the default cap %d", s.TracesHeld, DefaultTraceCap)
-	}
-}
-
-// TestHistogramConcurrent checks the CAS-accumulated sum under contention.
-func TestHistogramConcurrent(t *testing.T) {
-	var h Histogram
-	const workers, perWorker = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				h.Observe(2)
-			}
-		}()
-	}
-	wg.Wait()
-	s := h.Snapshot()
-	if s.Count != workers*perWorker {
-		t.Errorf("Count = %d, want %d", s.Count, workers*perWorker)
-	}
-	if s.Sum != 2*workers*perWorker {
-		t.Errorf("Sum = %g, want %d", s.Sum, 2*workers*perWorker)
-	}
-	if len(s.Buckets) != 1 || s.Buckets[0].UpperBound != 2 || s.Buckets[0].Count != workers*perWorker {
-		t.Errorf("Buckets = %v, want all in le=2", s.Buckets)
 	}
 }
 

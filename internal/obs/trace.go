@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -103,20 +102,16 @@ type Span struct {
 	// Children are the executed child operators, in argument order.
 	Children []*Span `json:"children,omitempty"`
 
-	mu    sync.Mutex
 	start time.Time
 }
 
-// Child appends and returns a new child span. Callers must create the
-// children of one span from a single goroutine.
+// Child appends and returns a new child span.
 func (s *Span) Child(op, label string) *Span {
 	if s == nil {
 		return nil
 	}
 	c := &Span{Op: op, Label: label}
-	s.mu.Lock()
 	s.Children = append(s.Children, c)
-	s.mu.Unlock()
 	return c
 }
 
@@ -252,14 +247,13 @@ func (s *Span) Wall() time.Duration {
 
 // Collector gathers one (or more) evaluations' spans and metrics. The
 // zero value is ready to use; a nil *Collector is a valid "tracing off"
-// collector on which every method no-ops. A Collector must not be reused
-// across concurrent Eval calls that should produce separate traces — use
-// one Collector per traced evaluation.
+// collector on which every method no-ops. Like the evaluation it
+// records, a Collector belongs to one goroutine: use one Collector per
+// traced evaluation, never one across concurrent Eval calls.
 type Collector struct {
 	// Metrics accumulates the evaluation-wide counters.
 	Metrics Metrics
 
-	mu    sync.Mutex
 	roots []*Span
 }
 
@@ -269,9 +263,7 @@ func (c *Collector) Start(op, label string) *Span {
 		return nil
 	}
 	s := &Span{Op: op, Label: label}
-	c.mu.Lock()
 	c.roots = append(c.roots, s)
-	c.mu.Unlock()
 	return s
 }
 
@@ -284,17 +276,15 @@ func (c *Collector) M() *Metrics {
 	return &c.Metrics
 }
 
-// Trace snapshots the collector into a serializable Trace. The span
-// pointers are shared, not copied: take the trace after evaluation
-// finishes (or accept in-flight spans).
+// Trace snapshots the collector into a serializable Trace. The root list
+// is copied, so a later Start does not show in it; the span pointers are
+// shared, so take the trace after the evaluation finishes.
 func (c *Collector) Trace() *Trace {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
 	roots := make([]*Span, len(c.roots))
 	copy(roots, c.roots)
-	c.mu.Unlock()
 	return &Trace{Roots: roots, Metrics: c.Metrics.Snapshot(), Planning: c.Metrics.Planning()}
 }
 

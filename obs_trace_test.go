@@ -173,48 +173,3 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 		t.Error("metrics lost in JSON round trip")
 	}
 }
-
-// TestTraceSnapshotWhileRunning snapshots collector metrics concurrently
-// with a traced evaluation, as /metrics does — the race a counter struct
-// without atomics would have. Run under -race in CI.
-func TestTraceSnapshotWhileRunning(t *testing.T) {
-	c, err := reduction.New(lemma1Families(t)["xorchain"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	phi, err := c.PhiG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := c.Database()
-
-	col := &obs.Collector{}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	var last obs.MetricsSnapshot
-	go func() {
-		defer close(done)
-		for {
-			// Counters are monotone; a mid-run snapshot may be skewed across
-			// fields but must never go backwards per field.
-			snap := col.Metrics.Snapshot()
-			if snap.Joins < last.Joins || snap.TuplesEmitted < last.TuplesEmitted {
-				t.Error("mid-run snapshot went backwards")
-				return
-			}
-			last = snap
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-	}()
-	ev := algebra.Evaluator{Order: join.Greedy, Cache: true, Collector: col}
-	_, err = ev.Eval(phi, db)
-	close(stop)
-	<-done
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -20,13 +20,15 @@ import (
 )
 
 // TestEnginePackagesStartNoGoroutine: an evaluation runs on the goroutine
-// that called it. The four engine packages contain no go statement, so a
-// row type, an access path or an enumerator written against them has one
+// that called it. The engine packages contain no go statement, so a row
+// type, an access path or an enumerator written against them has one
 // thread of control to reason about; relqueryd's concurrency is across
-// requests.
+// requests. The same rule lets the governor and internal/obs keep plain
+// fields: an evaluation's governor, collector, metrics and spans are
+// written by the evaluating goroutine only.
 func TestEnginePackagesStartNoGoroutine(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, dir := range []string{"internal/join", "internal/algebra", "internal/relation", "internal/governor"} {
+	for _, dir := range []string{"internal/join", "internal/algebra", "internal/relation", "internal/governor", "internal/obs"} {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -111,7 +111,7 @@ type (
 	// Trace is a finished evaluation's span tree plus metrics snapshot;
 	// Trace.WriteJSON emits the cmd/relquery -trace format.
 	Trace = obs.Trace
-	// EvalMetrics is the per-evaluation atomic counter set.
+	// EvalMetrics is the per-evaluation counter set.
 	EvalMetrics = obs.Metrics
 	// EvalMetricsSnapshot is a plain-value copy of EvalMetrics.
 	EvalMetricsSnapshot = obs.MetricsSnapshot
