@@ -58,12 +58,12 @@ func (x Exec) Sized(rows, arity int) error {
 	if err := x.Gov.CheckRows(rows); err != nil {
 		return err
 	}
-	// The governor's memory model for one materialized relation: a coarse
-	// per-value estimate (string header + small payload) plus per-tuple
-	// overhead. Deliberately simple and deterministic — the budget bounds
-	// an estimate of cumulative materialization, not RSS.
-	const bytesPerValue, bytesPerTuple = 24, 48
-	return x.Gov.ChargeBytes(int64(rows) * int64(arity*bytesPerValue+bytesPerTuple))
+	// The governor's memory model for one materialized relation: what its
+	// rows occupy in a relation's backing arrays, charged before they
+	// exist. The strings the values point to are not charged: a join's or
+	// a projection's output shares them with its inputs. The budget bounds
+	// cumulative materialization, not RSS.
+	return x.Gov.ChargeBytes(int64(rows) * relation.RowBytes(arity))
 }
 
 // checkBatch is how many tuples a governed loop processes between

@@ -38,7 +38,7 @@ import (
 // and the 64-bit digests are combined commutatively, with no sorting.
 //
 // It is memoized on the relation. Relations only grow, so a memo that
-// covers len(tuples) rows is current: on an unchanged relation
+// covers all n rows is current: on an unchanged relation
 // Fingerprint is one atomic load and allocates nothing, and after Adds
 // it folds in only the new rows. That makes SubexprCache.key cost
 // O(operands) per node per request rather than O(rows). Concurrent calls
@@ -56,19 +56,19 @@ import (
 // factors into independent per-bit equations.
 func Fingerprint(r *Relation) string {
 	old := r.fp.Load()
-	if old != nil && old.rows == len(r.tuples) {
+	if old != nil && old.rows == r.n {
 		return old.text
 	}
 	fp := fingerprint{}
 	if old != nil {
 		fp = *old
 	}
-	for _, t := range r.tuples[fp.rows:] {
-		d := t.Hash()
+	for i := fp.rows; i < r.n; i++ {
+		d := r.at(i).Hash()
 		fp.sum += d
 		fp.rot ^= bits.RotateLeft64(d, int(d&63))
 	}
-	fp.rows = len(r.tuples)
+	fp.rows = r.n
 	h := fnv.New64a()
 	h.Write([]byte(r.scheme.String()))
 	fp.text = strconv.FormatUint(h.Sum64(), 16) + "-" +
@@ -125,7 +125,7 @@ func StreamRelation(w io.Writer, name string, r *Relation, every int, flushed fu
 	fmt.Fprintf(bw, "relation %s\n", name)
 	fmt.Fprintln(bw, r.Scheme().String())
 	for i, row := range r.sortedOrder() {
-		for j, v := range r.tuples[row] {
+		for j, v := range r.at(int(row)) {
 			if j > 0 {
 				bw.WriteByte(' ')
 			}
@@ -279,7 +279,11 @@ func readBare(text string) (name string, rel *Relation, err error) {
 			if err != nil {
 				return "", nil, fmt.Errorf("relation: line %d: %w", lineno, err)
 			}
+			// Count first: no more rows than lines are left.
 			out = New(scheme)
+			rows := strings.Count(text, "\n") + 1
+			out.reserve(rows)
+			out.index.reserve(rows)
 			continue
 		}
 		if n := out.addLine(line); n != out.scheme.Len() {
@@ -311,7 +315,7 @@ func cutLine(text string) (line, rest string) {
 // nothing (the caller reports it), and neither does a duplicate: either
 // way the row goes back to the store.
 func (r *Relation) addLine(line string) int {
-	row := r.next(r.scheme.Len())
+	row := r.next()
 	n, start := 0, -1
 	field := func(end int) {
 		if n < len(row) {

@@ -177,14 +177,14 @@ func oldXORFingerprint(r *Relation) string {
 	h.Write([]byte(r.scheme.String()))
 	schemeSum := h.Sum64()
 	var tupleSum uint64
-	for _, t := range r.tuples {
+	for i := 0; i < r.n; i++ {
 		th := fnv.New64a()
-		th.Write([]byte(t.key()))
+		th.Write([]byte(r.at(i).key()))
 		tupleSum ^= th.Sum64()
 	}
 	return strconv.FormatUint(schemeSum, 16) + "-" +
 		strconv.FormatUint(tupleSum, 16) + "-" +
-		strconv.Itoa(len(r.tuples))
+		strconv.Itoa(r.n)
 }
 
 // TestFingerprintXORCancellationRegression engineers two disjoint

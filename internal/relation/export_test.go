@@ -21,7 +21,7 @@ func AlignTo(r *Relation, target Scheme) (*Relation, error) { return r.alignTo(t
 // PathBytes reports what r's access paths weigh together now, and the most
 // they may weigh.
 func PathBytes(r *Relation) (held, budget int64) {
-	if memo := r.paths.Load(); memo != nil && memo.rows == len(r.tuples) {
+	if memo := r.paths.Load(); memo != nil && memo.rows == r.n {
 		held = memo.bytes
 	}
 	return held, pathBudget * r.Bytes()

@@ -1,5 +1,7 @@
 package relation
 
+import "fmt"
+
 // Index is a key-free hash table: it maps 64-bit hashes to the dense ids
 // 0, 1, 2, … it hands out in insertion order, and stores nothing else.
 // What an id names — a row of a relation, a group of build rows sharing a
@@ -92,9 +94,9 @@ func (ix *Index) Next(h uint64, p int) (id, next int) {
 
 // find returns the position in rows — the rows the ids of ix name — of
 // the tuple equal to t, whose hash is h, or -1.
-func (ix *Index) find(rows []Tuple, t Tuple, h uint64) int {
+func (ix *Index) find(rows *rowStore, t Tuple, h uint64) int {
 	for id, p := ix.Seek(h); id >= 0; id, p = ix.Next(h, p) {
-		if rows[id].Equal(t) {
+		if rows.at(id).Equal(t) {
 			return id
 		}
 	}
@@ -104,10 +106,10 @@ func (ix *Index) find(rows []Tuple, t Tuple, h uint64) int {
 // findOf is find among projections onto cols, none of which is built:
 // id names the projection of rows[firsts[id]], and it matches the
 // projection of t when the two rows agree on every column of cols.
-func (ix *Index) findOf(rows []Tuple, firsts []int32, t Tuple, cols []int, h uint64) int {
+func (ix *Index) findOf(rows *rowStore, firsts []int32, t Tuple, cols []int, h uint64) int {
 next:
 	for id, p := ix.Seek(h); id >= 0; id, p = ix.Next(h, p) {
-		row := rows[firsts[id]]
+		row := rows.at(int(firsts[id]))
 		for _, c := range cols {
 			if row[c] != t[c] {
 				continue next
@@ -121,23 +123,28 @@ next:
 // TupleSet is a set of tuples in insertion order — a Relation without a
 // scheme, for the seen-sets of the deciders, the tableau search and the
 // dependency checks. It is the relation's own row store: an Index over
-// rows carved from slabs, deduplicating by hash and Tuple.Equal. The zero
-// TupleSet is empty and ready to use; it is not safe for concurrent
-// mutation.
+// rows carved from slabs, deduplicating by hash and Tuple.Equal. Its
+// tuples all have the width of the first one added. The zero TupleSet is
+// empty and ready to use; it is not safe for concurrent mutation.
 type TupleSet struct {
 	rowStore
 	ix Index
 }
 
 // Len returns the number of distinct tuples added.
-func (s *TupleSet) Len() int { return len(s.tuples) }
+func (s *TupleSet) Len() int { return s.n }
 
 // Add inserts a copy of t unless an equal tuple is present, returning
 // the tuple's position in insertion order and whether it was new. The
 // caller keeps ownership of t.
 func (s *TupleSet) Add(t Tuple) (pos int, added bool) {
+	if s.n == 0 && s.per == 0 {
+		s.width = len(t)
+	} else if len(t) != s.width {
+		panic(fmt.Sprintf("relation: TupleSet of %d-value tuples given %v", s.width, t))
+	}
 	h := t.Hash()
-	if i := s.ix.find(s.tuples, t, h); i >= 0 {
+	if i := s.ix.find(&s.rowStore, t, h); i >= 0 {
 		return i, false
 	}
 	s.copyRow(t)

@@ -13,17 +13,18 @@ type Sized interface{ Bytes() int64 }
 // lists pays rebuilds, not memory; a path heavier than the budget on its
 // own is built for its caller and not kept. The two measured shapes:
 //
-//   - R_G at relbench scale, 50 rows × 37 columns, weighs 30.8 KB. The
-//     m+1 = 8 projections φ_G takes of it hold 0.91–0.95 of its values;
-//     with their own row headers and dedup indexes they weigh 1.18–1.22
-//     times R_G (five gadgets). The tries on them are paths of the
-//     projections, not of R_G: 4 B per projected row.
-//   - A 1 025-row leg of two columns weighs 57.4 KB, and one edge table on
-//     it with every key distinct — its row chain, group arrays and index,
-//     growth slack included — weighs 1.12 times that; two key sets, 2.24.
+//   - R_G at relbench scale, 50 rows × 37 columns, weighs 30.4 KB. The
+//     m+1 = 8 projections φ_G takes of it hold 0.93 of its values; with
+//     their dedup indexes they weigh 1.12 times R_G. The tries on them are
+//     paths of the projections, not of R_G: 4 B per projected row.
+//   - A 1 025-row leg of two columns, read from a bare upload, weighs 32.8
+//     KB, and one edge table on it with every key distinct — its row
+//     chain, group arrays and index, growth slack included — weighs 1.95
+//     times that; two key sets, 3.9.
 //
-// Four holds both at once (3.4) on one relation.
-const pathBudget = 4
+// Five holds two key sets on a leg with a projection or a trie beside
+// them.
+const pathBudget = 5
 
 // accessPaths is what Path memoizes on a relation: a list of paths, the
 // newest first, each built over the relation's first rows rows; bytes is
@@ -40,7 +41,7 @@ type accessPaths struct {
 // Path returns the access path on the columns cols that build makes from
 // r's rows — a join's hash grouping, a projection — memoized on r under the
 // rule Fingerprint and the sorted view follow: the memo is current exactly
-// while it covers len(tuples), so an Add needs no invalidation and a new
+// while it covers all of r's rows, so an Add needs no invalidation and a new
 // relation (an upload, a fresh result) starts with none; its lifetime is
 // r's, and what it holds is bounded by r's own size (pathBudget). A path is
 // keyed by its columns and its type, and must be read-only once built:
@@ -49,7 +50,7 @@ type accessPaths struct {
 // build fails nothing is published.
 func Path[T Sized](r *Relation, cols []int, build func() (T, error)) (T, error) {
 	loaded := r.paths.Load()
-	if v, ok := lookupPath[T](loaded, len(r.tuples), cols); ok {
+	if v, ok := lookupPath[T](loaded, r.n, cols); ok {
 		return v, nil
 	}
 	v, err := build()
@@ -60,17 +61,17 @@ func Path[T Sized](r *Relation, cols []int, build func() (T, error)) (T, error) 
 	if weight > limit {
 		return v, nil
 	}
-	mine := &accessPaths{rows: len(r.tuples), cols: slices.Clone(cols), path: v}
+	mine := &accessPaths{rows: r.n, cols: slices.Clone(cols), path: v}
 	for {
 		mine.bytes, mine.next = weight, nil
-		if loaded != nil && loaded.rows == len(r.tuples) && loaded.bytes+weight <= limit {
+		if loaded != nil && loaded.rows == r.n && loaded.bytes+weight <= limit {
 			mine.bytes, mine.next = loaded.bytes+weight, loaded
 		}
 		if r.paths.CompareAndSwap(loaded, mine) {
 			return v, nil
 		}
 		loaded = r.paths.Load()
-		if theirs, ok := lookupPath[T](loaded, len(r.tuples), cols); ok {
+		if theirs, ok := lookupPath[T](loaded, r.n, cols); ok {
 			return theirs, nil
 		}
 	}

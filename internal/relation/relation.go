@@ -19,8 +19,9 @@ import (
 // allocates beyond Add's copy of a new tuple.
 //
 // The rows themselves live in backing arrays the relation owns (rowStore,
-// store.go): every stored Tuple is a cap == len view into one of them,
-// never a heap object of its own.
+// store.go), arity-strided and without a header per row: the Tuple a
+// reader gets is a cap == len view cut into one of them on demand, never a
+// heap object of its own.
 //
 // Relations built by New, FromTuples, FromRows and the codec index every
 // tuple as it is added. Relations whose rows are distinct by construction
@@ -35,10 +36,10 @@ import (
 type Relation struct {
 	scheme Scheme
 	rowStore
-	index     Index     // hash -> position in tuples; trails tuples until ensureIndex
+	index     Index     // hash -> row position; trails the rows until ensureIndex
 	indexOnce sync.Once // guards the lazy build for Builder relations
 	// fp memoizes Fingerprint. Relations only grow, so the memo is
-	// current exactly when it covers len(tuples) rows.
+	// current exactly when it covers all n rows.
 	fp atomic.Pointer[fingerprint]
 	// sorted memoizes sortedOrder under the same rule, so Add needs no
 	// invalidation: an immutable relation — a cached result served again
@@ -52,7 +53,7 @@ type Relation struct {
 
 // New returns an empty relation over the given scheme.
 func New(scheme Scheme) *Relation {
-	return &Relation{scheme: scheme}
+	return &Relation{scheme: scheme, rowStore: rowStore{width: scheme.Len()}}
 }
 
 // ensureIndex returns the position index, completing it on first use for
@@ -61,12 +62,12 @@ func New(scheme Scheme) *Relation {
 // relations the guarded closure finds nothing to do.
 func (r *Relation) ensureIndex() *Index {
 	r.indexOnce.Do(func() {
-		if r.index.Len() == len(r.tuples) {
+		if r.index.Len() == r.n {
 			return
 		}
-		r.index.reserve(len(r.tuples))
-		for _, t := range r.tuples[r.index.Len():] {
-			r.index.Insert(t.Hash())
+		r.index.reserve(r.n)
+		for i := r.index.Len(); i < r.n; i++ {
+			r.index.Insert(r.at(i).Hash())
 		}
 	})
 	return &r.index
@@ -96,7 +97,7 @@ func FromRows(scheme Scheme, rows ...[]string) (*Relation, error) {
 		if len(vals) != scheme.Len() {
 			return nil, r.arityError(TupleOf(vals...))
 		}
-		row := r.next(len(vals))
+		row := r.next()
 		for i, v := range vals {
 			row[i] = Value(v)
 		}
@@ -109,10 +110,10 @@ func FromRows(scheme Scheme, rows ...[]string) (*Relation, error) {
 func (r *Relation) Scheme() Scheme { return r.scheme }
 
 // Len returns the number of tuples (the paper's |R|).
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.n }
 
 // Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return len(r.tuples) == 0 }
+func (r *Relation) Empty() bool { return r.n == 0 }
 
 // Add inserts tuple t, returning true if it was new and false if it was
 // already present. It reports an error when the tuple's arity does not
@@ -123,7 +124,7 @@ func (r *Relation) Add(t Tuple) (bool, error) {
 	}
 	ix := r.ensureIndex()
 	h := t.Hash()
-	if ix.find(r.tuples, t, h) >= 0 {
+	if ix.find(&r.rowStore, t, h) >= 0 {
 		return false, nil
 	}
 	r.copyRow(t)
@@ -141,10 +142,10 @@ func (r *Relation) arityError(t Tuple) error {
 func (r *Relation) commit(row Tuple) bool {
 	ix := r.ensureIndex()
 	h := row.Hash()
-	if ix.find(r.tuples, row, h) >= 0 {
+	if ix.find(&r.rowStore, row, h) >= 0 {
 		return false
 	}
-	r.push(row)
+	r.push()
 	ix.Insert(h)
 	return true
 }
@@ -164,7 +165,7 @@ func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.scheme.Len() {
 		return false
 	}
-	return r.ensureIndex().find(r.tuples, t, t.Hash()) >= 0
+	return r.ensureIndex().find(&r.rowStore, t, t.Hash()) >= 0
 }
 
 // ContainsNamed reports whether the named tuple, which may list its
@@ -181,15 +182,15 @@ func (r *Relation) ContainsNamed(nt NamedTuple) bool {
 	return r.Contains(p.apply(nt.Vals))
 }
 
-// Tuple returns the i-th tuple in insertion order. The returned slice must
-// not be modified.
-func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
+// Tuple returns the i-th tuple in insertion order: a view of the
+// relation's storage, which must not be modified.
+func (r *Relation) Tuple(i int) Tuple { return r.at(i) }
 
 // Each calls fn for every tuple in insertion order until fn returns false.
 // The tuple passed to fn must not be modified.
 func (r *Relation) Each(fn func(Tuple) bool) {
-	for _, t := range r.tuples {
-		if !fn(t) {
+	for i := 0; i < r.n; i++ {
+		if !fn(r.at(i)) {
 			return
 		}
 	}
@@ -198,26 +199,27 @@ func (r *Relation) Each(fn func(Tuple) bool) {
 // Tuples returns a copy of the tuple list in insertion order. The copies
 // are the caller's to modify; they share one backing array, each a cap ==
 // len view of it.
-func (r *Relation) Tuples() []Tuple { return r.copyRows().tuples }
-
-// copyRows returns a store holding copies of r's rows in one backing array.
-func (r *Relation) copyRows() (s rowStore) {
-	s.reserve(len(r.tuples))
-	for _, t := range r.tuples {
-		s.copyRow(t)
-	}
-	return s
-}
+func (r *Relation) Tuples() []Tuple { return r.copies(nil) }
 
 // Sorted returns a copy of the tuples in deterministic lexicographic
 // order.
-func (r *Relation) Sorted() []Tuple {
-	var s rowStore
-	s.reserve(len(r.tuples))
-	for _, i := range r.sortedOrder() {
-		s.copyRow(r.tuples[i])
+func (r *Relation) Sorted() []Tuple { return r.copies(r.sortedOrder()) }
+
+// copies returns copies of r's rows, in insertion order or at the
+// positions order lists, cut from one backing array.
+func (r *Relation) copies(order []int32) []Tuple {
+	w := r.width
+	out := make([]Tuple, r.n)
+	vals := make([]Value, r.n*w)
+	for i := range out {
+		j := i
+		if order != nil {
+			j = int(order[i])
+		}
+		out[i] = vals[i*w : (i+1)*w : (i+1)*w]
+		copy(out[i], r.at(j))
 	}
-	return s.tuples
+	return out
 }
 
 // sortedOrder is Sorted without the copies: the positions of the
@@ -228,21 +230,36 @@ func (r *Relation) Sorted() []Tuple {
 // once per relation and length; concurrent first readers may each compute
 // it, and publish equal orders.
 func (r *Relation) sortedOrder() []int32 {
-	if memo := r.sorted.Load(); memo != nil && len(*memo) == len(r.tuples) {
+	if memo := r.sorted.Load(); memo != nil && len(*memo) == r.n {
 		return *memo
 	}
-	order := make([]int32, len(r.tuples))
+	order := make([]int32, r.n)
+	rows := sortRows.Get().(*[]Tuple)
+	views := slices.Grow((*rows)[:0], r.n)[:r.n]
 	for i := range order {
-		order[i] = int32(i)
+		order[i], views[i] = int32(i), r.at(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return r.tuples[a].compare(r.tuples[b]) })
+	slices.SortFunc(order, func(a, b int32) int { return views[a].compare(views[b]) })
+	clear(views) // a pooled view must not pin r
+	*rows = views
+	sortRows.Put(rows)
 	r.sorted.Store(&order)
 	return order
 }
 
+// sortRows holds the row views a sort compares: cut once per row instead
+// of twice per comparison, in a buffer that outlives the sort, so sorting
+// costs no header per row either.
+var sortRows = sync.Pool{New: func() any { return new([]Tuple) }}
+
 // Clone returns an independent copy of the relation.
 func (r *Relation) Clone() *Relation {
-	return &Relation{scheme: r.scheme, rowStore: r.copyRows()}
+	out := New(r.scheme)
+	out.reserve(r.n)
+	for i := 0; i < r.n; i++ {
+		out.copyRow(r.at(i))
+	}
+	return out
 }
 
 // alignTo returns r's tuples rewritten into the column order of target,
@@ -260,9 +277,9 @@ func (r *Relation) alignTo(target Scheme) (*Relation, error) {
 	}
 	// A column permutation of distinct rows is distinct.
 	out := New(target)
-	out.reserve(len(r.tuples))
-	for _, t := range r.tuples {
-		out.gather(t, p.idx)
+	out.reserve(r.n)
+	for i := 0; i < r.n; i++ {
+		out.gather(r.at(i), p.idx)
 	}
 	return out, nil
 }
@@ -286,9 +303,10 @@ func (r *Relation) project(onto Scheme, cols []int) *Relation {
 	// only then build exactly the distinct rows.
 	out := New(onto)
 	var firsts []int32
-	for i, t := range r.tuples {
+	for i := 0; i < r.n; i++ {
+		t := r.at(i)
 		h := t.HashOf(cols)
-		if out.index.findOf(r.tuples, firsts, t, cols, h) >= 0 {
+		if out.index.findOf(&r.rowStore, firsts, t, cols, h) >= 0 {
 			continue
 		}
 		firsts = append(firsts, int32(i))
@@ -296,7 +314,7 @@ func (r *Relation) project(onto Scheme, cols []int) *Relation {
 	}
 	out.reserve(len(firsts))
 	for _, i := range firsts {
-		out.gather(r.tuples[i], cols)
+		out.gather(r.at(int(i)), cols)
 	}
 	return out
 }
@@ -329,12 +347,11 @@ type projected struct{ *Relation }
 
 func (p projected) Bytes() int64 { return p.Relation.Bytes() + p.index.Bytes() }
 
-// Bytes reports what r's rows occupy: a slice header per row and a Value
-// header per cell. It counts neither the strings the values point to, which
-// r shares with wherever it read them, nor r's index or paths.
-func (r *Relation) Bytes() int64 {
-	return int64(len(r.tuples)) * (tupleBytes + int64(r.scheme.Len()*valueBytes))
-}
+// Bytes reports what r's rows occupy: their backing arrays — a Value
+// header per cell, and the tail the last array keeps for rows to come —
+// and the chunk directory. It counts neither the strings the values point
+// to, which r shares with wherever it read them, nor r's index or paths.
+func (r *Relation) Bytes() int64 { return r.rowStore.bytes() }
 
 // Union returns r ∪ o over r's column order. The schemes must be set-equal.
 func (r *Relation) Union(o *Relation) (*Relation, error) {
@@ -343,8 +360,8 @@ func (r *Relation) Union(o *Relation) (*Relation, error) {
 		return nil, err
 	}
 	out := r.Clone()
-	for _, t := range ao.tuples {
-		out.MustAdd(t)
+	for i := 0; i < ao.n; i++ {
+		out.MustAdd(ao.at(i))
 	}
 	return out, nil
 }
@@ -357,8 +374,8 @@ func (r *Relation) Intersect(o *Relation) (*Relation, error) {
 		return nil, err
 	}
 	out := New(r.scheme)
-	for _, t := range r.tuples {
-		if ao.Contains(t) {
+	for i := 0; i < r.n; i++ {
+		if t := r.at(i); ao.Contains(t) {
 			out.MustAdd(t)
 		}
 	}
@@ -373,8 +390,8 @@ func (r *Relation) Difference(o *Relation) (*Relation, error) {
 		return nil, err
 	}
 	out := New(r.scheme)
-	for _, t := range r.tuples {
-		if !ao.Contains(t) {
+	for i := 0; i < r.n; i++ {
+		if t := r.at(i); !ao.Contains(t) {
 			out.MustAdd(t)
 		}
 	}
@@ -388,8 +405,8 @@ func (r *Relation) SubsetOf(o *Relation) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	for _, t := range ar.tuples {
-		if !o.Contains(t) {
+	for i := 0; i < ar.n; i++ {
+		if !o.Contains(ar.at(i)) {
 			return false, nil
 		}
 	}
@@ -451,7 +468,8 @@ func (r *Relation) Join(o *Relation) (*Relation, error) {
 	}
 
 	table := make(map[string][]Tuple, build.Len())
-	for _, t := range build.tuples {
+	for i := 0; i < build.n; i++ {
+		t := build.at(i)
 		k := keyBuild.apply(t).key()
 		table[k] = append(table[k], t)
 	}
@@ -466,7 +484,8 @@ func (r *Relation) Join(o *Relation) (*Relation, error) {
 		_, err := out.Add(joined)
 		return err
 	}
-	for _, t := range probe.tuples {
+	for i := 0; i < probe.n; i++ {
+		t := probe.at(i)
 		k := keyProbe.apply(t).key()
 		for _, m := range table[k] {
 			var err error
@@ -492,8 +511,8 @@ func (r *Relation) ActiveDomain() map[Attribute][]Value {
 	for i := 0; i < r.scheme.Len(); i++ {
 		seen[r.scheme.Attr(i)] = make(map[Value]bool)
 	}
-	for _, t := range r.tuples {
-		for i, v := range t {
+	for row := 0; row < r.n; row++ {
+		for i, v := range r.at(row) {
 			a := r.scheme.Attr(i)
 			if !seen[a][v] {
 				seen[a][v] = true

@@ -20,8 +20,8 @@ func Render(r *Relation, opts RenderOptions) string {
 	for i := 0; i < r.scheme.Len(); i++ {
 		widths[i] = len(r.scheme.Attr(i))
 	}
-	for _, t := range r.tuples {
-		for i, v := range t {
+	for row := 0; row < r.n; row++ {
+		for i, v := range r.at(row) {
 			if len(v) > widths[i] {
 				widths[i] = len(v)
 			}
@@ -46,11 +46,13 @@ func Render(r *Relation, opts RenderOptions) string {
 	writeRow(func(i int) string { return string(r.scheme.Attr(i)) })
 	if opts.SortRows {
 		for _, row := range r.sortedOrder() {
-			writeRow(func(i int) string { return string(r.tuples[row][i]) })
+			t := r.at(int(row))
+			writeRow(func(i int) string { return string(t[i]) })
 		}
 		return b.String()
 	}
-	for _, t := range r.tuples {
+	for row := 0; row < r.n; row++ {
+		t := r.at(row)
 		writeRow(func(i int) string { return string(t[i]) })
 	}
 	return b.String()

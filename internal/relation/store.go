@@ -2,51 +2,68 @@ package relation
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"unsafe"
 )
 
-// Row storage. A stored row is not its own heap object: it is a view
-// s[i:i+k:i+k] into a backing array its relation owns, with cap == len so
-// that an append on a row reallocates instead of reaching its neighbour.
-// rowStore is the only place rows are carved, on one rule:
+// Row storage. A stored row has no header: nothing is kept per row. Row i
+// of a store is width consecutive values at a place fixed by i alone, in
+// one of a few backing arrays the store owns, and the row a reader gets
+// (at) is a view cut there on demand, with cap == len so that an append on
+// a row reallocates instead of reaching its neighbour. rowStore is the
+// only place rows are carved and read.
+//
+// The layout: rows are grouped in chunks of per rows each, so row i is
+// row i mod per of chunk i / per (locate), and the store keeps one slice
+// header per chunk, not one per row — 24 bytes, three sevenths of a
+// two-column row. The arithmetic is small enough that reading a row
+// inlines into its caller.
+//
+// The rule:
 //
 //   - a producer that can learn its row count before it builds a row
-//     (hash join, Project, Clone, alignTo, Tuples, FromRows) reserves
-//     exactly that many rows: one header slice, and backing arrays that
-//     hold exactly the rows, in chunks of at most chunkBytes;
-//   - a producer that cannot (Add of a caller's tuple, the codec's
-//     readers, the generic join's emit) grows in slabs that are never
-//     copied: a few rows first, doubling, capped at slabBytes.
+//     (hash join, tree join, Project, Clone, alignTo, FromRows, the codec's
+//     parser of a whole text) reserves exactly that many rows: a chunk is
+//     as large as chunkBytes allows, and the last one holds exactly the
+//     rows left;
+//   - a producer that cannot (Add of a caller's tuple, the streaming codec
+//     reader, the generic join's emit) grows in slabs: a chunk is as large
+//     as slabBytes allows, allocated whole when its first row is carved
+//     and never copied.
 //
 // Go's allocator is already byte-exact for rows up to 256 B, so a slab
-// saves mallocs but costs bytes — a half-empty tail slab per relation.
+// saves mallocs but costs bytes — a partly empty tail slab per relation.
 // Count-first is what pays for it; no slab where a count is available
-// (DESIGN.md, "Relation storage", has the measurements).
+// (DESIGN.md, "Relation storage", has the measurements). A store that
+// outgrows its reservation — an Add to a Clone — grows the short chunk the
+// reservation ended in by doubling it, the one copy the store makes.
 //
 // A row handed out by the store pins its backing array for as long as
-// anything holds the row: one slab of at most slabBytes, or one chunk of
-// at most chunkBytes of a relation that was itself admitted under the
-// governor.
+// anything holds the row: one slab or chunk of at most chunkBytes, of a
+// relation that was itself admitted under the governor.
 type rowStore struct {
-	tuples   []Tuple
-	free     []Value // uncarved tail of the newest backing array
-	reserved int     // rows reserve promised that have no backing array yet
-	slab     int     // rows the last slab was sized for; 0 before the first
-	fixed    bool    // a counted Builder: outgrowing the reservation is a bug, not a slab
+	width  int       // values per row: the stride
+	n      int       // rows stored
+	chunks [][]Value // chunk c's rows, cap == len; the last may be short of per rows
+	per    int       // rows of a whole chunk; 0 before the first is laid out
+	magic  uint64    // ⌈2⁶⁴ / per⌉: locate divides by per with one multiplication
+	// reserved counts the rows reserve promised that have no backing array
+	// yet; limit is the rows promised, which a counted Builder (fixed)
+	// must not outgrow.
+	reserved int
+	limit    int
+	fixed    bool
 }
 
 const (
-	// slabBytes caps a slab: large enough that a 1 025-row, two-column
-	// upload takes 5 backing arrays instead of 1 025, small enough that
-	// the unused tail of a relation's last slab stays under the 2 % the
-	// benchmark allows alloc_kb_per_request to move. One value short of
-	// 8 KB, because the allocator prefixes an array of pointers with a
-	// header word, which would push a full 8 KB into its 9 472-byte class.
+	// slabBytes caps a chunk of a store that grows: large enough that a
+	// 1 025-row, two-column relation takes 5 backing arrays instead of
+	// 1 025, small enough that the unused tail of a relation's last slab
+	// stays under the 2 % the benchmark allows alloc_kb_per_request to
+	// move. One value short of 8 KB, because the allocator prefixes an
+	// array of pointers with a header word, which would push a full 8 KB
+	// into its 9 472-byte class.
 	slabBytes = 8<<10 - valueBytes
-	// slabStartRows is the first slab's size: most intermediates of the
-	// paper's gadget queries hold a handful of rows.
-	slabStartRows = 4
 	// chunkBytes caps one backing array of a reservation at the
 	// allocator's largest size class. Anything larger is rounded up to
 	// whole 8 KB pages — 1 025 rows of four columns, 65 600 bytes, would
@@ -54,115 +71,164 @@ const (
 	// last chunk.
 	chunkBytes = 32 << 10
 
-	valueBytes = int(unsafe.Sizeof(Value("")))
-	tupleBytes = int64(unsafe.Sizeof(Tuple(nil)))
+	valueBytes  = int(unsafe.Sizeof(Value("")))
+	headerBytes = int64(unsafe.Sizeof([]Value(nil))) // one chunk's entry in the directory
 )
 
+// RowBytes is what one row of the given arity occupies in a relation's
+// backing arrays: a Value header per cell, and nothing per row.
+func RowBytes(arity int) int64 { return int64(arity * valueBytes) }
+
+// layout fixes the chunk size: chunks of at most limit bytes, and of two
+// rows at least, since a divisor of 1 has no magic. Rows of width 0 take
+// no memory and all share one empty chunk.
+func (s *rowStore) layout(limit int) {
+	s.per = 1 << 31
+	if s.width > 0 {
+		s.per = max(limit/(s.width*valueBytes), 2)
+	}
+	s.magic = ^uint64(0)/uint64(s.per) + 1
+}
+
+// locate returns the chunk row i lies in and its place there, in rows:
+// i / per and i mod per, the division exact for every row index below 2³²
+// (Lemire, Kaser and Kurz, "Faster remainder by direct computation",
+// 2019).
+func (s *rowStore) locate(i int) (c, o int) {
+	q, _ := bits.Mul64(s.magic, uint64(i))
+	return int(q), i - int(q)*s.per
+}
+
+// at returns row i, a view into the store's backing arrays.
+func (s *rowStore) at(i int) Tuple {
+	if uint(i) >= uint(s.n) {
+		panic("relation: row index out of range")
+	}
+	c, o := s.locate(i)
+	o *= s.width
+	return s.chunks[c][o : o+s.width : o+s.width]
+}
+
 // reserve promises the store, which must be empty, exactly rows rows: the
-// header slice is sized now, the backing arrays as rows are carved.
+// chunk directory is sized now, the backing arrays as rows are carved.
 func (s *rowStore) reserve(rows int) {
-	s.tuples = make([]Tuple, 0, rows)
-	s.reserved = rows
+	s.reserved, s.limit = rows, rows
+	if rows == 0 {
+		return
+	}
+	s.layout(chunkBytes)
+	c, _ := s.locate(rows - 1)
+	s.chunks = make([][]Value, 0, c+1)
 }
 
 // next returns the row the store would carve next — width values, cap ==
 // len, zeroed or stale — without committing it: until push, a second call
 // returns the same memory. That is how a producer fills a row, finds it a
 // duplicate and hands it back.
-func (s *rowStore) next(width int) Tuple {
-	if width == 0 {
-		return Tuple{} // the empty tuple needs no memory
-	}
-	if len(s.free) < width {
-		if rows := min(s.reserved, max(chunkBytes/(width*valueBytes), 1)); rows > 0 {
-			s.reserved -= rows
-			s.free = make([]Value, rows*width)
-		} else {
-			s.slab = min(max(2*s.slab, slabStartRows), max(slabBytes/(width*valueBytes), 1))
-			// Grow rounds the capacity up to the allocator's size class;
-			// the slack is paid for either way, so carve it too.
-			s.free = slices.Grow([]Value(nil), s.slab*width)
-			s.free = s.free[:cap(s.free)]
-		}
-	}
-	return s.free[:width:width]
-}
-
-// push commits row, which must be what next just returned, as the last row.
-func (s *rowStore) push(row Tuple) {
-	if s.fixed && len(s.tuples) == cap(s.tuples) {
+func (s *rowStore) next() Tuple {
+	if s.fixed && s.n == s.limit {
 		panic("relation: Builder given more rows than it was created for")
 	}
-	s.free = s.free[len(row):]
-	s.tuples = append(s.tuples, row)
+	if s.per == 0 {
+		s.layout(slabBytes)
+	}
+	w := s.width
+	c, o := s.locate(s.n)
+	switch {
+	case c == len(s.chunks):
+		// A new chunk: whole, or as much of it as reserved rows fill.
+		rows := s.per
+		if s.reserved > 0 {
+			rows = min(rows, s.reserved)
+			s.reserved -= rows
+		}
+		s.chunks = append(s.chunks, make([]Value, rows*w))
+	case (o+1)*w > len(s.chunks[c]):
+		// The reservation ended inside this chunk: double it.
+		grown := make([]Value, min(s.per, 2*o)*w)
+		copy(grown, s.chunks[c])
+		s.chunks[c] = grown
+	}
+	o *= w
+	return s.chunks[c][o : o+w : o+w]
 }
+
+// push commits the row next just returned as the last row.
+func (s *rowStore) push() { s.n++ }
 
 // copyRow stores a copy of t.
 func (s *rowStore) copyRow(t Tuple) {
-	row := s.next(len(t))
-	copy(row, t)
-	s.push(row)
+	copy(s.next(), t)
+	s.push()
 }
 
 // gather stores the row (src[cols[0]], src[cols[1]], …).
 func (s *rowStore) gather(src Tuple, cols []int) {
-	row := s.next(len(cols))
+	row := s.next()
 	for i, c := range cols {
 		row[i] = src[c]
 	}
-	s.push(row)
+	s.push()
+}
+
+// bytes reports what the store occupies: its backing arrays, whole, and
+// its chunk directory.
+func (s *rowStore) bytes() int64 {
+	held := headerBytes * int64(cap(s.chunks))
+	for _, chunk := range s.chunks {
+		held += int64(cap(chunk) * valueBytes)
+	}
+	return held
 }
 
 // Builder assembles a relation whose rows the caller guarantees to be
 // pairwise distinct — a join's output, which determines its source pair —
-// writing them straight into backing arrays the relation will own. It
-// never hands out a row to fill: each method takes its sources, so no
-// writable row crosses the package boundary.
+// writing them straight into backing arrays the relation will own. It is
+// that relation, under construction: it never hands out a row to fill —
+// each method takes its sources — so no writable row crosses the package
+// boundary.
 //
 // NewBuilder with a row count reserves exactly that many rows; that is
 // the form for every producer that can count before it builds. A negative
 // count means the count is unknowable and the builder grows in slabs.
-type Builder struct {
-	scheme Scheme
-	rows   rowStore
-}
+type Builder Relation
 
 // NewBuilder returns a builder for a relation over scheme that will hold
 // exactly rows rows, or an unknown number when rows < 0.
 func NewBuilder(scheme Scheme, rows int) *Builder {
-	b := &Builder{scheme: scheme}
+	b := (*Builder)(New(scheme))
 	if rows >= 0 {
-		b.rows.reserve(rows)
-		b.rows.fixed = true
+		b.reserve(rows)
+		b.fixed = true
 	}
 	return b
 }
 
 // Len returns the number of rows built so far.
-func (b *Builder) Len() int { return len(b.rows.tuples) }
+func (b *Builder) Len() int { return b.n }
 
 // Gather appends the row (src[cols[0]], src[cols[1]], …); cols must name
 // one source column per attribute of the scheme.
 func (b *Builder) Gather(src Tuple, cols []int) {
-	if len(cols) != b.scheme.Len() {
+	if len(cols) != b.width {
 		panic(fmt.Sprintf("relation: Builder.Gather of %d columns into scheme %v", len(cols), b.scheme))
 	}
-	b.rows.gather(src, cols)
+	b.gather(src, cols)
 }
 
 // Concat appends the row left ++ (right[rest[0]], right[rest[1]], …): a
 // natural join's output tuple, all of left's columns and then the columns
 // of right that left does not have.
 func (b *Builder) Concat(left, right Tuple, rest []int) {
-	row := b.rows.next(b.scheme.Len())
-	if len(left)+len(rest) != len(row) {
+	if len(left)+len(rest) != b.width {
 		panic(fmt.Sprintf("relation: Builder.Concat of %d+%d columns into scheme %v", len(left), len(rest), b.scheme))
 	}
+	row := b.next()
 	n := copy(row, left)
 	for i, c := range rest {
 		row[n+i] = right[c]
 	}
-	b.rows.push(row)
+	b.push()
 }
 
 // Ref names one value among several source tuples: column Col of the
@@ -173,20 +239,20 @@ type Ref struct{ Src, Col int }
 // join's output tuple, each column read from the input row that supplies
 // it; from must name one source value per attribute of the scheme.
 func (b *Builder) Collect(srcs []Tuple, from []Ref) {
-	if len(from) != b.scheme.Len() {
+	if len(from) != b.width {
 		panic(fmt.Sprintf("relation: Builder.Collect of %d columns into scheme %v", len(from), b.scheme))
 	}
-	row := b.rows.next(len(from))
+	row := b.next()
 	for i, f := range from {
 		row[i] = srcs[f.Src][f.Col]
 	}
-	b.rows.push(row)
+	b.push()
 }
 
 // Relation returns the relation built. It hashes nothing: the dedup index
 // is built on the first operation that needs it.
 // The builder must not be used afterwards.
 func (b *Builder) Relation() *Relation {
-	b.rows.fixed = false
-	return &Relation{scheme: b.scheme, rowStore: b.rows}
+	b.fixed = false
+	return (*Relation)(b)
 }

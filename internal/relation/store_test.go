@@ -15,8 +15,8 @@ import (
 // TestDuplicateHandsItsRowBack: a duplicate — an Add of a present tuple,
 // an upload line that repeats an earlier one — takes no row from the
 // store, wherever it falls relative to a slab boundary: the store's next
-// row is the memory the duplicate was offered, and every row already
-// stored keeps its values.
+// row is the memory the duplicate was offered, no chunk is carved that the
+// next row does not need, and every row already stored keeps its values.
 func TestDuplicateHandsItsRowBack(t *testing.T) {
 	s := MustScheme("A", "B", "C")
 	line := func(i int) string { return fmt.Sprintf("a%d\tb%d  c%d", i, i, i) }
@@ -26,29 +26,28 @@ func TestDuplicateHandsItsRowBack(t *testing.T) {
 	} {
 		r := New(s)
 		slabs := 0
-		for i := 0; i < 600; i++ {
+		for i := 0; i < 1200; i++ {
 			if n := r.addLine(line(i)); n != s.Len() {
 				t.Fatalf("%s: line %d split into %d fields", name, i, n)
 			}
-			if len(r.free) < s.Len() {
+			if _, o := r.locate(r.n); o == 0 {
 				slabs++ // row i filled its slab: the duplicate below meets the boundary
 			}
-			free := len(r.free)
 			addDup(r)
-			offered := r.next(s.Len())
+			offered := r.next()
 			addDup(r)
-			if again := r.next(s.Len()); &again[0] != &offered[0] {
+			if again := r.next(); &again[0] != &offered[0] {
 				t.Fatalf("%s: after row %d a duplicate moved the store's next row", name, i)
 			}
-			if len(r.free) < free {
-				t.Fatalf("%s: after row %d a duplicate consumed %d values", name, i, free-len(r.free))
+			if c, _ := r.locate(r.n); len(r.chunks) != c+1 || r.n != i+1 {
+				t.Fatalf("%s: after row %d a duplicate took a row or carved a chunk (%d rows, %d chunks)", name, i, r.n, len(r.chunks))
 			}
 		}
 		if slabs < 4 {
-			t.Fatalf("%s: 600 rows opened %d slabs; the case never met a boundary", name, slabs)
+			t.Fatalf("%s: 1 200 rows opened %d slabs; the case never met a boundary", name, slabs)
 		}
-		if r.Len() != 600 {
-			t.Fatalf("%s: %d rows, want 600", name, r.Len())
+		if r.Len() != 1200 {
+			t.Fatalf("%s: %d rows, want 1 200", name, r.Len())
 		}
 		for i := 0; i < r.Len(); i++ {
 			if want := TupleOf(fmt.Sprint("a", i), fmt.Sprint("b", i), fmt.Sprint("c", i)); !r.Tuple(i).Equal(want) {
@@ -58,28 +57,105 @@ func TestDuplicateHandsItsRowBack(t *testing.T) {
 	}
 }
 
-// TestBackingArraysAreBounded pins the two sizes a shared row can pin: a
-// slab never exceeds slabBytes (plus the allocator's rounding), a chunk of
-// a reservation never chunkBytes.
-func TestBackingArraysAreBounded(t *testing.T) {
-	for _, width := range []int{1, 3, 40, 600} {
-		var slabbed, reserved rowStore
-		reserved.reserve(5000)
-		row := make(Tuple, width)
-		for i := 0; i < 5000; i++ {
-			for name, s := range map[string]*rowStore{"slab": &slabbed, "chunk": &reserved} {
-				fresh := len(s.free) < width
-				s.copyRow(row)
-				limit := map[string]int{"slab": slabBytes, "chunk": chunkBytes}[name]
-				// One row is the least an array can hold; the allocator's size
-				// classes round up by at most an eighth.
-				if got := (len(s.free) + width) * valueBytes; fresh && got > max(limit, width*valueBytes)*9/8 {
-					t.Fatalf("width %d: %s of %d bytes, limit %d", width, name, got, limit)
+// TestLocateCoversEveryRowOnce: under every chunk size a store can take,
+// the multiplication that stands in for the division by it places each
+// row index exactly where i / per and i mod per would.
+func TestLocateCoversEveryRowOnce(t *testing.T) {
+	for _, width := range []int{0, 1, 2, 3, 7, 37, 600, 3000} {
+		for _, limit := range []int{slabBytes, chunkBytes} {
+			s := rowStore{width: width}
+			s.layout(limit)
+			for _, i := range []int{0, 1, s.per - 1, s.per, s.per + 1, 1<<31 - 1, 1<<32 - 1} {
+				if c, o := s.locate(i); c != i/s.per || o != i%s.per {
+					t.Fatalf("width %d, limit %d: row %d placed at %d of chunk %d, chunks of %d rows", width, limit, i, o, c, s.per)
+				}
+			}
+			for i := 0; i < 200_000; i++ {
+				if c, o := s.locate(i); c != i/s.per || o != i%s.per {
+					t.Fatalf("width %d, limit %d: row %d placed at %d of chunk %d, chunks of %d rows", width, limit, i, o, c, s.per)
 				}
 			}
 		}
-		if reserved.slab != 0 {
-			t.Errorf("width %d: a reservation of exactly its rows fell back to slabs", width)
+	}
+}
+
+// TestBackingArraysAreBounded pins the two sizes a shared row can pin: a
+// slab or chunk of a store that grows never exceeds slabBytes, one of a
+// reservation never chunkBytes, unless two rows alone are larger; and a
+// reservation holds exactly its rows.
+func TestBackingArraysAreBounded(t *testing.T) {
+	for _, width := range []int{1, 3, 40, 600} {
+		slabbed, reserved := rowStore{width: width}, rowStore{width: width}
+		reserved.reserve(5000)
+		row := make(Tuple, width)
+		for i := 0; i < 5000; i++ {
+			row[0] = Value(fmt.Sprint(i))
+			slabbed.copyRow(row)
+			reserved.copyRow(row)
+		}
+		for name, s := range map[string]*rowStore{"slab": &slabbed, "chunk": &reserved} {
+			limit := max(map[string]int{"slab": slabBytes, "chunk": chunkBytes}[name], 2*width*valueBytes)
+			for c, chunk := range s.chunks {
+				if got := len(chunk) * valueBytes; got > limit {
+					t.Errorf("width %d: %s %d of %d bytes, limit %d", width, name, c, got, limit)
+				}
+			}
+			for i := 0; i < 5000; i++ {
+				if got := s.at(i); len(got) != width || cap(got) != width || got[0] != Value(fmt.Sprint(i)) {
+					t.Fatalf("width %d: %s row %d is %d values (cap %d) starting %q", width, name, i, len(got), cap(got), got[0])
+				}
+			}
+		}
+		if got, want := reserved.bytes()-headerBytes*int64(cap(reserved.chunks)), int64(5000*width*valueBytes); got != want || reserved.reserved != 0 {
+			t.Errorf("width %d: a reservation of 5 000 rows holds %d bytes of rows, want exactly %d", width, got, want)
+		}
+	}
+}
+
+// TestRowsCostTheirCells: a relation keeps nothing per row beyond its
+// cells. Out of every count-first producer, a 4 096-row, three-column
+// relation occupies its 196 608 bytes of values and a chunk directory —
+// Bytes says so, and building it allocates no more (a []Tuple header per
+// row would be another 98 304).
+func TestRowsCostTheirCells(t *testing.T) {
+	const rows, cells = 4096, 4096 * 3 * 16
+	abc := MustScheme("A", "B", "C")
+	vals := make([][]string, rows)
+	var bare strings.Builder
+	bare.WriteString("A B C\n")
+	for i := range vals {
+		vals[i] = []string{fmt.Sprint("a", i), fmt.Sprint("b", i%64), fmt.Sprint("c", i%5)}
+		fmt.Fprintf(&bare, "a%d b%d c%d\n", i, i%64, i%5)
+	}
+	base, err := FromRows(abc, vals...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func() *Relation{
+		"Clone":   base.Clone,
+		"alignTo": func() *Relation { r, _ := base.alignTo(MustScheme("C", "B", "A")); return r },
+		"Builder": func() *Relation {
+			b := NewBuilder(abc, rows)
+			for i := 0; i < rows; i++ {
+				b.Gather(base.Tuple(i), []int{0, 1, 2})
+			}
+			return b.Relation()
+		},
+		"ParseRelation": func() *Relation { _, r, _ := ParseRelation(bare.String()); return r },
+	} {
+		r := build()
+		if got := r.Bytes(); got < cells || got > cells+256 {
+			t.Errorf("%s: %d rows of three values occupy %d bytes, want %d and a directory", name, r.Len(), got, cells)
+		}
+		if name == "ParseRelation" {
+			continue // the parser's index and scanner are its own
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > cells+1024 {
+			t.Errorf("%s: building %d rows of three values allocated %d bytes, %d beyond the cells", name, rows, spent, int(spent)-cells)
 		}
 	}
 }
