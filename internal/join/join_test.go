@@ -302,7 +302,7 @@ func TestOverBudgetJoinDiesBeforeItMaterializes(t *testing.T) {
 	if !errors.Is(err, governor.ErrRowBudget) {
 		t.Fatalf("%s: want governor.ErrRowBudget, got %v", alg.Name(), err)
 	}
-	const perMatch = 3*16 + 24 // one output row of three values and its header
+	const perMatch = 3 * 16 // one output row of three values
 	if spent := after.TotalAlloc - before.TotalAlloc; spent > 512_000*perMatch/100 {
 		t.Errorf("%s: the killed join allocated %d bytes; one output row per match seen would be %d", alg.Name(), spent, 512_000*perMatch)
 	}
@@ -314,6 +314,19 @@ func TestOverBudgetJoinDiesBeforeItMaterializes(t *testing.T) {
 	gov = governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 40_000})
 	if out, err := alg.Join(Exec{Gov: gov}, sl, sr); err != nil || out.Len() != 40_000 {
 		t.Errorf("%s: 200 × 200 under a budget of exactly its output: %v, %v", alg.Name(), out, err)
+	}
+	// The memory charge is what the output's rows occupy, 16 bytes a cell
+	// and nothing per row: a budget of exactly that lets the join through,
+	// one byte less refuses it.
+	if got := relation.RowBytes(3); got != 48 {
+		t.Fatalf("a row of three values is charged %d bytes, want 48", got)
+	}
+	charge := 40_000 * relation.RowBytes(3)
+	for budget, want := range map[int64]error{charge: nil, charge - 1: governor.ErrMemBudget} {
+		gov = governor.New(context.Background(), governor.Limits{MaxMemoryBytes: budget})
+		if _, err := alg.Join(Exec{Gov: gov}, sl, sr); !errors.Is(err, want) {
+			t.Errorf("%s: 200 × 200 under a memory budget of %d bytes: want %v, got %v", alg.Name(), budget, want, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"relquery/internal/fault"
 	"relquery/internal/governor"
@@ -30,10 +31,10 @@ import (
 //
 // Each relation is indexed as a sorted trie: its tuples sorted
 // lexicographically with their columns read in the global attribute order
-// — a permutation of row positions over the relation's own rows, nothing
-// copied, and a fact of the relation (trieOf): the next join over it in the
-// same attribute order sorts nothing. A partial binding then corresponds to
-// a contiguous range of the permutation per relation, and intersecting a
+// — views of the relation's own rows in sorted order, no value copied, and
+// a fact of the relation (trieOf): the next join over it in the same
+// attribute order sorts nothing. A partial binding then corresponds to a
+// contiguous range of the sorted rows per relation, and intersecting a
 // new attribute is a walk over the distinct values of the smallest range
 // with binary-search narrowing in the others.
 //
@@ -209,24 +210,30 @@ func attributeOrder(p *Plan, union relation.Scheme) []relation.Attribute {
 	return order
 }
 
-// sortedTrie is one relation's trie view: the positions of its rows,
-// sorted lexicographically by the columns cols — the relation's columns in
-// the global attribute order — so every partial binding corresponds to a
-// contiguous range of perm and each trie level is a sorted value column,
-// read in place as rel.Tuple(perm[i])[cols[d]]. Read-only once built.
+// sortedTrie is one relation's trie view: views of its rows, sorted
+// lexicographically by the columns cols — the relation's columns in the
+// global attribute order — so every partial binding corresponds to a
+// contiguous range of rows and each trie level is a sorted value column,
+// read in place as rows[i][cols[d]]. Read-only once built.
+//
+// The trie keeps a view per row, where a relation keeps none: the binding
+// search is binary-search probes and little else, and a probe through a
+// view is two loads where one through the relation's row store locates a
+// chunk first. Held as a permutation of row positions (4 bytes a row
+// instead of 24), reading a probe was 39 % of a warm search's CPU
+// profile, 11 % of it locating the chunk.
 type sortedTrie struct {
-	rel  *relation.Relation
-	cols []int   // trie level -> column of rel; the shape's, not to be written
-	perm []int32 // sorted position -> row of rel
+	cols []int            // trie level -> column of the relation; the shape's, not to be written
+	rows []relation.Tuple // sorted position -> a row of the relation
 }
 
 // at returns the value at trie level d of the i-th row in sorted order.
-func (t *sortedTrie) at(i, d int) relation.Value {
-	return t.rel.Tuple(int(t.perm[i]))[t.cols[d]]
-}
+func (t *sortedTrie) at(i, d int) relation.Value { return t.rows[i][t.cols[d]] }
 
-// Bytes is what the trie holds: its permutation.
-func (t *sortedTrie) Bytes() int64 { return 4 * int64(cap(t.perm)) }
+// Bytes is what the trie holds: a view per row.
+func (t *sortedTrie) Bytes() int64 {
+	return int64(unsafe.Sizeof(relation.Tuple(nil))) * int64(cap(t.rows))
+}
 
 // trieOf is newSortedTrie as a fact of r: built on first use, ticking gov,
 // and memoized on r (relation.Path), so every later join over r whose
@@ -237,17 +244,16 @@ func trieOf(r *relation.Relation, cols []int, gov *governor.Governor) (*sortedTr
 }
 
 func newSortedTrie(r *relation.Relation, cols []int, gov *governor.Governor) (*sortedTrie, error) {
-	t := &sortedTrie{rel: r, cols: cols, perm: make([]int32, r.Len())}
-	for i := range t.perm {
+	t := &sortedTrie{cols: cols, rows: make([]relation.Tuple, r.Len())}
+	for i := range t.rows {
 		if err := gov.Tick(); err != nil {
 			return nil, err
 		}
-		t.perm[i] = int32(i)
+		t.rows[i] = r.Tuple(i)
 	}
 	// cols covers every column of r and r's rows are distinct, so the
 	// order is total: an unstable sort is deterministic.
-	slices.SortFunc(t.perm, func(x, y int32) int {
-		a, b := r.Tuple(int(x)), r.Tuple(int(y))
+	slices.SortFunc(t.rows, func(a, b relation.Tuple) int {
 		for _, c := range t.cols {
 			if a[c] != b[c] {
 				return strings.Compare(string(a[c]), string(b[c]))
@@ -298,7 +304,7 @@ func newGenericJoin(shape *genericShape, tries []*sortedTrie) *genericJoin {
 	}
 	ranges := make([]trieRange, len(tries))
 	for i, tr := range tries {
-		ranges[i] = trieRange{0, len(tr.perm)}
+		ranges[i] = trieRange{0, len(tr.rows)}
 	}
 	return &genericJoin{
 		shape:  shape,

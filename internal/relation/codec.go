@@ -279,11 +279,17 @@ func readBare(text string) (name string, rel *Relation, err error) {
 			if err != nil {
 				return "", nil, fmt.Errorf("relation: line %d: %w", lineno, err)
 			}
-			// Count first: no more rows than lines are left.
+			// Count first: no more rows than lines are left, nor than the
+			// bytes left can write — a row's line is at least two bytes a
+			// value. Blank, comment and duplicate lines make no row, so the
+			// reservation is fitted to the rows at the end, and the dedup
+			// index grows with the rows rather than with the lines.
+			lines := strings.Count(text, "\n")
+			if !strings.HasSuffix(text, "\n") {
+				lines++
+			}
 			out = New(scheme)
-			rows := strings.Count(text, "\n") + 1
-			out.reserve(rows)
-			out.index.reserve(rows)
+			out.reserve(min(lines, len(text)/(2*scheme.Len())+1))
 			continue
 		}
 		if n := out.addLine(line); n != out.scheme.Len() {
@@ -293,6 +299,7 @@ func readBare(text string) (name string, rel *Relation, err error) {
 	if out == nil {
 		return "", nil, fmt.Errorf("relation: empty input")
 	}
+	out.fit()
 	return "", out, nil
 }
 

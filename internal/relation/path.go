@@ -16,7 +16,8 @@ type Sized interface{ Bytes() int64 }
 //   - R_G at relbench scale, 50 rows × 37 columns, weighs 30.4 KB. The
 //     m+1 = 8 projections φ_G takes of it hold 0.93 of its values; with
 //     their dedup indexes they weigh 1.12 times R_G. The tries on them are
-//     paths of the projections, not of R_G: 4 B per projected row.
+//     paths of the projections, not of R_G: a 24 B view per projected
+//     row, 0.75 times a two-column projection and less for wider ones.
 //   - A 1 025-row leg of two columns, read from a bare upload, weighs 32.8
 //     KB, and one edge table on it with every key distinct — its row
 //     chain, group arrays and index, growth slack included — weighs 1.95

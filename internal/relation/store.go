@@ -121,6 +121,26 @@ func (s *rowStore) reserve(rows int) {
 	s.chunks = make([][]Value, 0, c+1)
 }
 
+// fit gives back what a reservation promised and no row used — an upload's
+// blank, comment and duplicate lines: the chunk directory is cut to the
+// chunks carved, and a last chunk at least half empty to the rows in it.
+// A reservation estimated from outside input must end here, so that what
+// the store keeps follows its rows, not the estimate.
+func (s *rowStore) fit() {
+	s.reserved, s.limit = 0, s.n
+	if s.n == 0 {
+		s.chunks = nil
+		return
+	}
+	c, o := s.locate(s.n - 1)
+	if c+1 < cap(s.chunks) {
+		s.chunks = append(make([][]Value, 0, c+1), s.chunks[:c+1]...)
+	}
+	if used := (o + 1) * s.width; 2*used <= len(s.chunks[c]) {
+		s.chunks[c] = append(make([]Value, 0, used), s.chunks[c][:used]...)
+	}
+}
+
 // next returns the row the store would carve next — width values, cap ==
 // len, zeroed or stale — without committing it: until push, a second call
 // returns the same memory. That is how a producer fills a row, finds it a

@@ -160,6 +160,38 @@ func TestRowsCostTheirCells(t *testing.T) {
 	}
 }
 
+// TestUploadCostsItsRowsNotItsLines: the bare codec reserves rows from the
+// text's line count, and a line need not make a row. A text of one row and
+// 2¹⁷ blank, comment or duplicate lines parses into a relation that keeps
+// one row's worth — rows, directory and dedup index — and parsing it
+// allocates at most the one chunk the reservation carved before it was
+// fitted, where sizing the store and the index by the lines would cost
+// megabytes.
+func TestUploadCostsItsRowsNotItsLines(t *testing.T) {
+	const lines = 1 << 17
+	for name, filler := range map[string]string{
+		"blank":     "\n",
+		"comment":   "# -\n",
+		"duplicate": "a0 b0\n",
+		"spaces":    "          \n",
+	} {
+		text := "A B\na0 b0\n" + strings.Repeat(filler, lines)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, r, err := ParseRelation(text)
+		runtime.ReadMemStats(&after)
+		if err != nil || r.Len() != 1 {
+			t.Fatalf("%s: %v, %v", name, r, err)
+		}
+		if kept := r.Bytes() + r.index.Bytes(); kept > 256 {
+			t.Errorf("%s: a one-row relation keeps %d bytes", name, kept)
+		}
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > 2*chunkBytes {
+			t.Errorf("%s: parsing %d bytes into one row allocated %d bytes", name, len(text), spent)
+		}
+	}
+}
+
 // TestSortedOrderIsLexicographic: the permutation sort behind
 // WriteRelation, StreamRelation and Render produces the order sort.Slice
 // over Tuple.Less produced — the order every golden pins.
