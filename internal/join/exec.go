@@ -30,7 +30,7 @@ type Exec struct {
 }
 
 // Materialized accounts for one relation a join has just materialized —
-// a semijoin result, a generic join's output, a projection: Sized, on a
+// a semijoin result, an empty generic join, a projection: Sized, on a
 // relation that exists already because its producer could not count its
 // rows before building them. It returns r, or nil and the governor's
 // sentinel when a budget is blown.
@@ -50,7 +50,13 @@ func (x Exec) Materialized(r *relation.Relation) (*relation.Relation, error) {
 // join over budget dies holding its probe bookkeeping and not a relation;
 // the others reach it through Materialized. The in-loop batch checks can
 // trail the last partial batch, so this is the authoritative row check.
-func (x Exec) Sized(rows, arity int) error {
+func (x Exec) Sized(rows, arity int) error { return x.grown(rows, 0, arity) }
+
+// grown is Sized for a relation whose producer charged its first charged
+// rows to the memory budget batch by batch as it built them — the generic
+// join, which cannot count first: only the rest is charged here, so the
+// relation is charged exactly once in total.
+func (x Exec) grown(rows, charged, arity int) error {
 	x.Span.ObservePeak(rows)
 	if x.Gov == nil {
 		return nil
@@ -63,7 +69,7 @@ func (x Exec) Sized(rows, arity int) error {
 	// exist. The strings the values point to are not charged: a join's or
 	// a projection's output shares them with its inputs. The budget bounds
 	// cumulative materialization, not RSS.
-	return x.Gov.ChargeBytes(int64(rows) * relation.RowBytes(arity))
+	return x.Gov.ChargeBytes(int64(rows-charged) * relation.RowBytes(arity))
 }
 
 // checkBatch is how many tuples a governed loop processes between

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -248,12 +249,35 @@ func FuzzGYO(f *testing.F) {
 	})
 }
 
+// checkOrder holds an answer to its sorted mark: a BornSorted answer's
+// insertion order is the order a real sort of its rows finds (a Clone
+// carries no mark, so sorting it sorts), and any answer's Sorted() is
+// strictly ascending.
+func checkOrder(t *testing.T, what string, r *relation.Relation) {
+	t.Helper()
+	if r.BornSorted() {
+		for i, want := range r.Clone().Sorted() {
+			if got := r.Tuple(i); !got.Equal(want) {
+				t.Fatalf("%s is marked sorted, but row %d of %d is %v, sorted %v", what, i, r.Len(), got, want)
+			}
+		}
+	}
+	rows := r.Sorted()
+	for i := 1; i < len(rows); i++ {
+		if !rows[i-1].Less(rows[i]) {
+			t.Fatalf("%s: Sorted() has %v before %v", what, rows[i-1], rows[i])
+		}
+	}
+}
+
 // FuzzAcyclicJoin holds the tree join to the reference oracle on every
 // acyclic hypergraph the generator draws, with relations large and skewed
-// enough for fat groups, dead groups and whole dead branches: JoinAll —
-// cold, and again over the tables the first run memoized — must equal the
-// fold of relation.Relation.Join, the full reducer must leave
-// exactly the join's projections, and the count pass must have learned the
+// enough for fat groups, dead groups and whole dead branches, and trees
+// whose nodes have several children: JoinAll — cold, and again over the
+// tables the first run memoized — must equal the fold of
+// relation.Relation.Join and come out born sorted, the hash join's answer
+// must carry no mark and still sort, the full reducer must leave exactly
+// the join's projections, and the count pass must have learned the
 // output's cardinality — the number of rows then built — from the marks.
 func FuzzAcyclicJoin(f *testing.F) {
 	f.Add(byte(0b000011), byte(0b000110), byte(0b001100), byte(0), byte(0), byte(12), byte(2), int64(1))        // chain, skewed
@@ -261,6 +285,7 @@ func FuzzAcyclicJoin(f *testing.F) {
 	f.Add(byte(0b000111), byte(0b001001), byte(0b010010), byte(0b100100), byte(0), byte(30), byte(4), int64(3)) // snowflake
 	f.Add(byte(0b000011), byte(0b001100), byte(0b110000), byte(0), byte(0), byte(6), byte(7), int64(4))         // cartesian
 	f.Add(byte(0b000011), byte(0b000011), byte(0b000110), byte(0b000110), byte(0), byte(40), byte(1), int64(5)) // repeated schemes
+	f.Add(byte(0b000111), byte(0b001001), byte(0b011000), byte(0b100010), byte(0), byte(30), byte(3), int64(6)) // two children, one with a child
 	f.Fuzz(func(t *testing.T, m1, m2, m3, m4, m5, maxRows, domain byte, seed int64) {
 		var edges []relation.Scheme
 		for _, m := range []byte{m1, m2, m3, m4, m5} {
@@ -303,7 +328,29 @@ func FuzzAcyclicJoin(f *testing.F) {
 			if !got.Equal(want) {
 				t.Fatalf("%s tree join over %v: %v, the oracle has %v", temperature, edges, got.Sorted(), want.Sorted())
 			}
+			if !got.BornSorted() {
+				t.Fatalf("%s tree join over %v: the answer is not marked sorted", temperature, edges)
+			}
+			checkOrder(t, fmt.Sprintf("%s tree join over %v", temperature, edges), got)
 		}
+		// A born-sorted answer as the root of a further tree join: joined
+		// with an input it already covers, it comes back whole, in order.
+		again, err := (Yannakakis{}).Join(Exec{}, got, rels[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Equal(got) || !again.BornSorted() {
+			t.Fatalf("the tree join over %v joined with its first input: %v, marked %v", edges, again.Sorted(), again.BornSorted())
+		}
+		checkOrder(t, fmt.Sprintf("the tree join over %v joined with its first input", edges), again)
+		hashed, err := Multi(Exec{}, NewPlan(rels...), Hash{}, Greedy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hashed.BornSorted() {
+			t.Fatalf("hash join over %v: the answer is marked sorted", edges)
+		}
+		checkOrder(t, fmt.Sprintf("hash join over %v", edges), hashed)
 		reduced, _, err := FullReduce(rels)
 		if err != nil {
 			t.Fatal(err)

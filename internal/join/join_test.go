@@ -330,6 +330,46 @@ func TestOverBudgetJoinDiesBeforeItMaterializes(t *testing.T) {
 	}
 }
 
+// TestOverBudgetGenericJoinDiesWithinABatch: the generic join cannot
+// count before it builds, so it charges its output to the memory budget a
+// batch at a time as the search builds it. Under a budget of a tenth of
+// its 40 000 rows it dies with ErrMemBudget holding at most one batch past
+// the budget, not the whole output; its total charge is exactly what the
+// rows occupy, so a budget of exactly that lets it through and one byte
+// less refuses it, also when the last batch is partial (40 000 = 156 ×
+// 256 + 64).
+func TestOverBudgetGenericJoinDiesWithinABatch(t *testing.T) {
+	l, r := skewedPair(200, 1)
+	charge := 40_000 * relation.RowBytes(3)
+	budget := charge / 10
+	gov := governor.New(context.Background(), governor.Limits{MaxMemoryBytes: budget})
+	p := NewPlan(l, r)
+	shape := p.genericShape()
+	tries := make([]*sortedTrie, len(p.Inputs))
+	for i, in := range p.Inputs {
+		var err error
+		if tries[i], err = trieOf(in, shape.cols[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j := newGenericJoin(shape, tries)
+	j.gov = gov
+	j.search(0)
+	if !errors.Is(j.err, governor.ErrMemBudget) {
+		t.Fatalf("a search over a memory budget of a tenth of its output: want ErrMemBudget, got %v", j.err)
+	}
+	if built, most := j.out.Len(), int(budget/relation.RowBytes(3))+checkBatch; built > most {
+		t.Errorf("the killed search built %d rows; the budget holds %d, one batch past it %d", built, budget/relation.RowBytes(3), most)
+	}
+	for budget, want := range map[int64]error{charge: nil, charge - 1: governor.ErrMemBudget} {
+		gov := governor.New(context.Background(), governor.Limits{MaxMemoryBytes: budget})
+		out, err := Generic{}.JoinAll(Exec{Gov: gov}, NewPlan(l, r))
+		if !errors.Is(err, want) || err == nil && out.Len() != 40_000 {
+			t.Errorf("200 × 200 generic join under a memory budget of %d bytes: want %v, got %v", budget, want, err)
+		}
+	}
+}
+
 // TestOnePassProducersAllocatePerRelation: the generic join and the
 // semijoin allocate per flat slice and per growth step on 4096-row
 // inputs — no trie row, no output row and no kept-row header of its own.

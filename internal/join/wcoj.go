@@ -29,6 +29,13 @@ import (
 // stays small, so the attribute-at-a-time join side-steps the blow-up
 // entirely (experiment E7, BENCH_wcoj.txt).
 //
+// The global attribute order is the output scheme's column order
+// (attributeOrder). Generic Join's work stays within the AGM bound
+// whatever the order (Ngo–Ré–Rudra's analysis of the NPRR family), and in
+// this one the search meets the output's rows in lexicographic order: the
+// answer is born sorted (relation.Builder.SortedRelation), and no reader
+// of it ever sorts it.
+//
 // Each relation is indexed as a sorted trie: its tuples sorted
 // lexicographically with their columns read in the global attribute order
 // — views of the relation's own rows in sorted order, no value copied, and
@@ -43,8 +50,10 @@ import (
 // examined, plus the wcoj candidate/intersection counters, which JoinAll
 // also records on the span. The governor is ticked during a trie's first
 // construction and once per candidate value of the binding search, with a
-// row-budget check as output bindings accumulate, so even a search that
-// stays under the AGM bound dies promptly on cancel or budget violation.
+// row-budget check and a memory charge for the batch just built as output
+// bindings accumulate, so even a search that stays under the AGM bound
+// dies promptly on cancel or budget violation, at most a batch of rows
+// past its budget.
 type Generic struct{}
 
 // Name implements Algorithm.
@@ -70,8 +79,6 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	}
 	for _, r := range inputs {
 		if r.Empty() {
-			// Without the shape: it needs the cover, and an empty join
-			// has nothing to order.
 			x.Metrics.ObserveJoin(0)
 			return x.Materialized(relation.New(unionScheme(inputs)))
 		}
@@ -95,12 +102,16 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 		return nil, j.err
 	}
 
-	out := j.out.Relation()
+	out := j.out.SortedRelation()
 	x.Metrics.JoinWork(indexed, j.candidates, out.Len())
 	x.Metrics.ObserveJoin(out.Len())
 	x.Metrics.WCOJ(j.candidates, j.intersections)
 	x.Span.SetWCOJ(j.candidates, j.intersections)
-	return x.Materialized(out)
+	// The search charged every whole batch as it built it.
+	if err := x.grown(out.Len(), out.Len()-out.Len()%checkBatch, out.Scheme().Len()); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // unionScheme returns the output scheme of joining inputs: the
@@ -114,43 +125,40 @@ func unionScheme(inputs []*relation.Relation) relation.Scheme {
 }
 
 // genericShape is what the generic join derives from the node's schemes
-// and cover alone, so a node's Facts holds it (Plan.genericShape) and a
-// warm plan derives none of it again: the output scheme, the global
-// attribute order, each input's trie levels, and the search's index maps
-// over the order. Read-only once built.
+// alone, so a node's Facts holds it (Plan.genericShape) and a warm plan
+// derives none of it again: the output scheme, the global attribute order,
+// each input's trie levels, and the search's index maps over the order.
+// Read-only once built.
 type genericShape struct {
-	out    relation.Scheme
-	order  []relation.Attribute
-	cols   [][]int // input -> its columns in the attribute order: its trie's levels
-	parts  [][]int // parts[k]: the inputs whose scheme contains order[k]
-	depth  [][]int // depth[k][i]: the trie level of order[k] in input parts[k][i]
-	outPos []int   // output column -> its index in order
+	out   relation.Scheme
+	order []relation.Attribute
+	cols  [][]int // input -> its columns in the attribute order: its trie's levels
+	parts [][]int // parts[k]: the inputs whose scheme contains order[k]
+	depth [][]int // depth[k][i]: the trie level of order[k] in input parts[k][i]
 }
 
 // genericShape returns the generic join's shape of the plan's node,
-// computing it — and with it the cover — on the first read like every
-// fact.
+// computing it on the first read like every fact.
 func (p *Plan) genericShape() *genericShape {
 	f := p.facts
-	f.genericShapeOnce.Do(func() { f.genericShape = newGenericShape(p) })
+	f.genericShapeOnce.Do(func() { f.genericShape = newGenericShape(p.Inputs) })
 	return f.genericShape
 }
 
-func newGenericShape(p *Plan) *genericShape {
-	out := unionScheme(p.Inputs)
-	order := attributeOrder(p, out)
+func newGenericShape(inputs []*relation.Relation) *genericShape {
+	out := unionScheme(inputs)
+	order := attributeOrder(out)
 	s := &genericShape{
-		out:    out,
-		order:  order,
-		cols:   make([][]int, len(p.Inputs)),
-		parts:  make([][]int, len(order)),
-		depth:  make([][]int, len(order)),
-		outPos: make([]int, out.Len()),
+		out:   out,
+		order: order,
+		cols:  make([][]int, len(inputs)),
+		parts: make([][]int, len(order)),
+		depth: make([][]int, len(order)),
 	}
 	// A trie's levels follow the global order, so the level of order[k] in
 	// a trie is the number of earlier attributes the trie also has.
 	for k, a := range order {
-		for i, r := range p.Inputs {
+		for i, r := range inputs {
 			if c, ok := r.Scheme().Pos(a); ok {
 				s.parts[k] = append(s.parts[k], i)
 				s.depth[k] = append(s.depth[k], len(s.cols[i]))
@@ -158,57 +166,24 @@ func newGenericShape(p *Plan) *genericShape {
 			}
 		}
 	}
-	for k, a := range order {
-		c, _ := out.Pos(a)
-		s.outPos[c] = k
-	}
 	return s
 }
 
 // attributeOrder fixes the global attribute order the tries and the
-// binding search share: attributes shared by more relations come first
-// (they constrain the search most), ties broken by the total fractional
-// edge-cover weight of the relations containing the attribute (heavier
-// cover mass = the attribute sits in the relations the AGM bound charges,
-// so binding it early prunes against the bound), then by union-scheme
-// position for determinism.
-func attributeOrder(p *Plan, union relation.Scheme) []relation.Attribute {
-	schemes := p.hypergraph().schemes
-	cover, _ := p.Cover()
-
-	attrs := union.Attrs()
-	count := make([]int, len(attrs))
-	mass := make([]float64, len(attrs))
-	for k, a := range attrs {
-		for i, sc := range schemes {
-			if sc.Has(a) {
-				count[k]++
-				if cover != nil {
-					mass[k] += cover[i]
-				}
-			}
-		}
-	}
-	pos := make([]int, len(attrs))
-	for i := range pos {
-		pos[i] = i
-	}
-	sort.SliceStable(pos, func(x, y int) bool {
-		i, j := pos[x], pos[y]
-		if count[i] != count[j] {
-			return count[i] > count[j]
-		}
-		if mass[i] != mass[j] {
-			return mass[i] > mass[j]
-		}
-		return i < j
-	})
-	order := make([]relation.Attribute, len(attrs))
-	for x, i := range pos {
-		order[x] = attrs[i]
-	}
-	return order
-}
+// binding search share: the output scheme's column order. The search
+// extends a binding one attribute at a time and walks each attribute's
+// candidate values in ascending order, so in this order a complete
+// binding is the output row itself and the bindings arrive in
+// lexicographic order — Tuple.compare's, the order every reader of an
+// answer wants. Any order keeps the search within the AGM bound, and this
+// one needs neither the cover nor the hypergraph, so a forced wcoj node
+// computes neither. The order still matters below the bound: against the
+// heuristic it replaced (attributes in more relations first, then by
+// cover mass) it examines fewer candidates on the larger Lemma 1 gadgets,
+// and on an acyclic path with a dangling hub it is quadratic where that
+// one was linear — a node the auto selector sends to the tree join
+// (EXPERIMENTS.md, "Answers born in order").
+func attributeOrder(out relation.Scheme) []relation.Attribute { return out.Attrs() }
 
 // sortedTrie is one relation's trie view: views of its rows, sorted
 // lexicographically by the columns cols — the relation's columns in the
@@ -326,11 +301,14 @@ func (j *genericJoin) search(k int) {
 		return
 	}
 	if k == len(j.shape.order) {
-		// Distinct bindings yield distinct output tuples, so the result
-		// assembles without deduplication.
-		j.out.Gather(j.bind, j.shape.outPos)
+		// The order is the output's columns, so the binding is the output
+		// row; distinct bindings are distinct rows, and the result
+		// assembles without deduplication, in lexicographic order.
+		j.out.Concat(j.bind, nil, nil)
 		if j.out.Len()%checkBatch == 0 {
-			j.err = j.gov.CheckRows(j.out.Len())
+			if j.err = j.gov.CheckRows(j.out.Len()); j.err == nil {
+				j.err = j.gov.ChargeBytes(checkBatch * relation.RowBytes(len(j.bind)))
+			}
 		}
 		return
 	}

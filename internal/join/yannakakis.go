@@ -133,12 +133,21 @@ func joinTree(x Exec, p *Plan) (out *relation.Relation, semijoins, reducedRows i
 // join tree alone, so a node's Facts holds it (Plan.treeShape) and a warm
 // plan derives none of it again: the output scheme — each child's scheme
 // united into its parent's along the ear-removal order — the input and
-// column every output column is read from, each input's children, and
-// each tree edge's key. Read-only once built.
+// column every output column is read from, each input's children, the
+// inputs in preorder, and each tree edge's key. Read-only once built.
+//
+// The output's columns come in blocks, one per input in preorder: the
+// root's scheme, then each child's subtree in turn, children in
+// ear-removal order, a child contributing the attributes it does not
+// share with its parent. By the running-intersection property an
+// attribute a child shares with anything outside its subtree is in its
+// parent, so the blocks partition the columns, and the rows of one group
+// of a child — equal on its key — differ in its block.
 type treeShape struct {
 	out  relation.Scheme
 	from []relation.Ref // output column -> the input (Src) and column it is read from
-	kids [][]int        // input -> its children in the tree
+	kids [][]int        // input -> its children in the tree, in ear-removal order
+	pre  []int          // the inputs in preorder, the root first: the output's blocks
 	// key[i] and childKey[i] are the positions of the attributes input i
 	// shares with its parent, in the parent's scheme and in i's; unused at
 	// the root.
@@ -148,11 +157,23 @@ type treeShape struct {
 func newTreeShape(schemes []relation.Scheme, tree *JoinTree) *treeShape {
 	n := len(schemes)
 	s := &treeShape{kids: make([][]int, n), key: make([]keyCols, n), childKey: make([]keyCols, n)}
-	for i, p := range tree.Parent {
+	// The children lists and the preorder are carved from one array: n-1
+	// children, then n inputs.
+	flat := make([]int, 0, 2*n)
+	for p := range s.kids {
+		start := len(flat)
+		for _, i := range tree.Order {
+			if tree.Parent[i] == p {
+				flat = append(flat, i)
+			}
+		}
+		s.kids[p] = flat[start:len(flat):len(flat)]
+	}
+	for _, i := range tree.Order {
+		p := tree.Parent[i]
 		if p < 0 {
 			continue
 		}
-		s.kids[p] = append(s.kids[p], i)
 		for c := 0; c < schemes[p].Len(); c++ {
 			if at, ok := schemes[i].Pos(schemes[p].Attr(c)); ok {
 				s.key[i], s.childKey[i] = append(s.key[i], c), append(s.childKey[i], at)
@@ -170,18 +191,29 @@ func newTreeShape(schemes []relation.Scheme, tree *JoinTree) *treeShape {
 		}
 	}
 	s.out = acc[root]
-	// An output column is read from the first input in root-first order
-	// that has it: the odometer's digits are tree.Order reversed.
+	s.pre = appendPreorder(flat[len(flat):len(flat)], s.kids, root)
+	// An output column is read from the first input in preorder that has
+	// it: the input whose block holds it.
 	s.from = make([]relation.Ref, s.out.Len())
 	for c := range s.from {
-		for k := len(tree.Order) - 1; ; k-- {
-			if at, ok := schemes[tree.Order[k]].Pos(s.out.Attr(c)); ok {
-				s.from[c] = relation.Ref{Src: tree.Order[k], Col: at}
+		for _, i := range s.pre {
+			if at, ok := schemes[i].Pos(s.out.Attr(c)); ok {
+				s.from[c] = relation.Ref{Src: i, Col: at}
 				break
 			}
 		}
 	}
 	return s
+}
+
+// appendPreorder appends the subtree of input i to pre in preorder:
+// i, then each child's subtree in the order kids lists them.
+func appendPreorder(pre []int, kids [][]int, i int) []int {
+	pre = append(pre, i)
+	for _, c := range kids[i] {
+		pre = appendPreorder(pre, kids, c)
+	}
+	return pre
 }
 
 // treeShape returns the tree join's shape of the plan's node, which must
@@ -226,13 +258,17 @@ type treeJoin struct {
 
 // edge is one tree edge, seen from the child.
 type edge struct {
-	table *hashTable // the child's rows grouped on the shared attributes, shared with other requests
+	table *treeTable // the child's rows grouped on the shared attributes, shared with other requests
 	// head and next chain each group's rows that were alive at up: head
 	// is per group, its first such row or -1, and next per child row, the
 	// following one or -1. They are the table's own head and next when
 	// every row was, and must not be written.
 	head, next []int32
-	group      []int32 // live parent row -> its group of table
+	// live is nil when every row was alive at up. Otherwise it is per
+	// group: the group's live rows in order, derived by the enumeration
+	// when it first reaches the group (treeJoin.inOrder).
+	live  [][]int32
+	group []int32 // live parent row -> its group of table
 	// count is per group: after the down-sweep, 1 when a live parent row
 	// points at the group and 0 when none does (the group is dead); after
 	// the count pass, the number of output rows the child's subtree
@@ -325,6 +361,7 @@ func (t *treeJoin) chainLive(i int) error {
 		return nil
 	}
 	e.head, e.next = make([]int32, e.table.keys()), make([]int32, t.rels[i].Len())
+	e.live = make([][]int32, e.table.keys())
 	for grp, first := range e.table.head {
 		e.head[grp] = -1
 		last := -1
@@ -465,37 +502,74 @@ func (t *treeJoin) count() (int, error) {
 }
 
 // enumerate writes the output, total rows over the shape's scheme: an
-// odometer over the tree, root first. Its digit for an input is the
-// current row of the group the input's parent's current row points at;
-// advancing a digit resets the later ones, whose groups may have changed
-// with it. Every setting of the digits is an output row — a marked tree
-// has no dead ends — so the rows come out root-row-major, each written
-// once, straight into a relation of exactly the counted size.
+// odometer over the tree whose digits, most significant first, are the
+// inputs in preorder — the order of the output's column blocks. A digit
+// walks the live rows of the group its parent's current row points at,
+// and a parent precedes its children, so advancing a digit resets the
+// later ones, whose groups may have changed with it. Every setting of the
+// digits is an output row — a marked tree has no dead ends — so the rows
+// come out each written once, straight into a relation of exactly the
+// counted size.
+//
+// And they come out sorted. The root's rows are walked in its sorted
+// order, and every group's in its child's (inOrder); the rows of a group
+// are equal on the key and differ in the child's block, so each digit
+// steps through its block's values in ascending order. Two output rows
+// first differ in the block of the first digit on which they differ — the
+// earlier digits, and with them that digit's group, being equal — so the
+// odometer's order is lexicographic order on the output's columns, and
+// the result is born sorted.
 func (t *treeJoin) enumerate(total int) (*relation.Relation, error) {
-	order, parent := t.tree.Order, t.tree.Parent
-	last := len(order) - 1
-	root := order[last]
-	// The digits, most significant first, are order reversed: parents
-	// come before their children.
-	at := make([]int, len(order))             // input -> its current row
-	cur := make([]relation.Tuple, len(order)) // the same, as tuples
-	// rewind sets the digits order[k], order[k-1], … to the first rows of
+	pre, parent := t.shape.pre, t.tree.Parent
+	// digit is one input's place: the rows it walks, and which of them
+	// is current.
+	type digit struct {
+		rows []int32
+		k    int
+	}
+	digits := make([]digit, len(pre))
+	at := func(i int) int { return int(digits[i].rows[digits[i].k]) }
+	cur := make([]relation.Tuple, len(pre)) // input -> its current row
+	// rewind sets the digits pre[k], pre[k+1], … to the first rows of
 	// their groups.
-	rewind := func(k int) {
-		for ; k >= 0; k-- {
-			i := order[k]
-			e := &t.edges[i]
-			at[i] = int(e.head[e.group[at[parent[i]]]])
-			cur[i] = t.rels[i].Tuple(at[i])
+	rewind := func(k int) error {
+		for ; k < len(pre); k++ {
+			i := pre[k]
+			rows, err := t.inOrder(i, int(t.edges[i].group[at(parent[i])]))
+			if err != nil {
+				return err
+			}
+			digits[i] = digit{rows: rows}
+			cur[i] = t.rels[i].Tuple(int(rows[0]))
 		}
+		return nil
 	}
 	b := relation.NewBuilder(t.shape.out, total)
-	for r := 0; r < t.rels[root].Len(); r++ {
+	root := pre[0]
+	// The root's digit is one row of its sorted order. A born-sorted root
+	// has no order to point into and is walked in store order, each row
+	// through the one slot of born.
+	order := t.rels[root].SortedOrder()
+	var born []int32
+	if order == nil {
+		born = make([]int32, 1)
+	}
+	for k := 0; k < t.rels[root].Len(); k++ {
+		var rows []int32
+		if born != nil {
+			born[0], rows = int32(k), born
+		} else {
+			rows = order[k : k+1]
+		}
+		r := int(rows[0])
 		if t.dead[root].has(r) {
 			continue
 		}
-		at[root], cur[root] = r, t.rels[root].Tuple(r)
-		rewind(last - 1)
+		digits[root] = digit{rows: rows}
+		cur[root] = t.rels[root].Tuple(r)
+		if err := rewind(1); err != nil {
+			return nil, err
+		}
 		for done := false; !done; {
 			if b.Len()%checkBatch == 0 {
 				fault.Hit(fault.JoinBatch)
@@ -507,17 +581,47 @@ func (t *treeJoin) enumerate(total int) (*relation.Relation, error) {
 			// Advance the least significant digit that has a next row;
 			// when none has, this root row is done.
 			done = true
-			for k := 0; k < last && done; k++ {
-				i := order[k]
-				if next := t.edges[i].after(at[i]); next >= 0 {
-					at[i], cur[i] = next, t.rels[i].Tuple(next)
-					rewind(k - 1)
+			for x := len(pre) - 1; x > 0 && done; x-- {
+				i := pre[x]
+				if d := &digits[i]; d.k+1 < len(d.rows) {
+					d.k++
+					cur[i] = t.rels[i].Tuple(at(i))
+					if err := rewind(x + 1); err != nil {
+						return nil, err
+					}
 					done = false
 				}
 			}
 		}
 	}
-	return b.Relation(), nil
+	return b.SortedRelation(), nil
+}
+
+// inOrder returns the live rows of group grp of input i's edge, in the
+// order of input i's rows. A group the enumeration reaches has lost rows
+// only before i's up pass — a later death takes a whole group — so with no
+// such loss it is the table's group (treeTable.inOrder), and otherwise
+// that group less its dead rows, derived on the enumeration's first visit
+// to it, one tick per row.
+func (t *treeJoin) inOrder(i, grp int) ([]int32, error) {
+	e := &t.edges[i]
+	rows := e.table.inOrder(grp)
+	if e.live == nil {
+		return rows, nil
+	}
+	if e.live[grp] == nil {
+		kept := make([]int32, 0, len(rows))
+		for _, r := range rows {
+			if err := t.x.Gov.Tick(); err != nil {
+				return nil, err
+			}
+			if !t.dead[i].has(int(r)) {
+				kept = append(kept, r)
+			}
+		}
+		e.live[grp] = kept
+	}
+	return e.live[grp], nil
 }
 
 // FullReduce runs Yannakakis' full reducer over an acyclic join and

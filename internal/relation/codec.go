@@ -119,13 +119,18 @@ func WriteRelation(w io.Writer, name string, r *Relation) error {
 // are ready: after every `every` rows (when every > 0) it flushes its
 // buffer into w and calls flushed, so a large result streams instead of
 // buffering whole. The rows are a sorted view of r's own tuples, not
-// copies of them.
+// copies of them; a BornSorted relation is walked in store order.
 func StreamRelation(w io.Writer, name string, r *Relation, every int, flushed func()) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "relation %s\n", name)
 	fmt.Fprintln(bw, r.Scheme().String())
-	for i, row := range r.sortedOrder() {
-		for j, v := range r.at(int(row)) {
+	order := r.SortedOrder()
+	for i := 0; i < r.n; i++ {
+		row := i
+		if order != nil {
+			row = int(order[i])
+		}
+		for j, v := range r.at(row) {
 			if j > 0 {
 				bw.WriteByte(' ')
 			}

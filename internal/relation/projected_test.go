@@ -90,10 +90,32 @@ func fold(t *testing.T, r *relation.Relation, e algebra.Expr) *relation.Relation
 	return want
 }
 
+// checkOrder holds an answer to its sorted mark: a BornSorted answer's
+// insertion order is the order a real sort of its rows finds (a Clone
+// carries no mark, so sorting it sorts), and any answer's Sorted() is
+// strictly ascending.
+func checkOrder(t *testing.T, what string, r *relation.Relation) {
+	t.Helper()
+	if r.BornSorted() {
+		for i, want := range r.Clone().Sorted() {
+			if got := r.Tuple(i); !got.Equal(want) {
+				t.Fatalf("%s is marked sorted, but row %d of %d is %v, sorted %v", what, i, r.Len(), got, want)
+			}
+		}
+	}
+	rows := r.Sorted()
+	for i := 1; i < len(rows); i++ {
+		if !rows[i-1].Less(rows[i]) {
+			t.Fatalf("%s: Sorted() has %v before %v", what, rows[i-1], rows[i])
+		}
+	}
+}
+
 // checkProjectedJoins evaluates the exprs over r with every strategy,
 // with no cache and with a shared one: each cold — over a copy of r with
 // no facts, so each query finds the facts the ones before it left — and
-// then warm. Every answer must be the fold's.
+// then warm. Every answer must be the fold's, and in order: a non-empty
+// generic join's answer is born sorted, a hash plan's is not and sorts.
 func checkProjectedJoins(t *testing.T, r *relation.Relation, exprs []algebra.Expr) {
 	t.Helper()
 	want := make([]*relation.Relation, len(exprs))
@@ -123,6 +145,12 @@ func checkProjectedJoins(t *testing.T, r *relation.Relation, exprs []algebra.Exp
 						t.Fatalf("%s %s, shared cache %v: %v over %d rows of %v gives %v, the fold %v",
 							temperature, strategy, shared, e, r.Len(), r.Scheme(), got.Sorted(), want[i].Sorted())
 					}
+					what := fmt.Sprintf("%s %s, shared cache %v: %v", temperature, strategy, shared, e)
+					_, isJoin := e.(*algebra.Join)
+					if born := got.BornSorted(); strategy == "hash" && born || strategy == "wcoj" && isJoin && got.Len() > 0 && !born {
+						t.Fatalf("%s: the answer's sorted mark is %v", what, born)
+					}
+					checkOrder(t, what, got)
 				}
 			}
 		}

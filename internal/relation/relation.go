@@ -41,10 +41,15 @@ type Relation struct {
 	// fp memoizes Fingerprint. Relations only grow, so the memo is
 	// current exactly when it covers all n rows.
 	fp atomic.Pointer[fingerprint]
-	// sorted memoizes sortedOrder under the same rule, so Add needs no
+	// sorted memoizes SortedOrder under the same rule, so Add needs no
 	// invalidation: an immutable relation — a cached result served again
 	// and again — is sorted once.
 	sorted atomic.Pointer[[]int32]
+	// bornSorted is the mark of a producer that built r's rows in
+	// lexicographic order (Builder.SortedRelation): the rows it built, plus
+	// one, so that the zero value marks nothing. Like the memos it holds
+	// exactly while it covers all n rows, so an Add clears it.
+	bornSorted int
 	// paths memoizes Path under the same rule: a projection of an
 	// unchanged catalog relation, and a join's grouping or trie over it,
 	// is built by its first request only.
@@ -203,10 +208,10 @@ func (r *Relation) Tuples() []Tuple { return r.copies(nil) }
 
 // Sorted returns a copy of the tuples in deterministic lexicographic
 // order.
-func (r *Relation) Sorted() []Tuple { return r.copies(r.sortedOrder()) }
+func (r *Relation) Sorted() []Tuple { return r.copies(r.SortedOrder()) }
 
-// copies returns copies of r's rows, in insertion order or at the
-// positions order lists, cut from one backing array.
+// copies returns copies of r's rows, in insertion order or, when order is
+// not nil, at the positions order lists, cut from one backing array.
 func (r *Relation) copies(order []int32) []Tuple {
 	w := r.width
 	out := make([]Tuple, r.n)
@@ -222,14 +227,23 @@ func (r *Relation) copies(order []int32) []Tuple {
 	return out
 }
 
-// sortedOrder is Sorted without the copies: the positions of the
-// relation's own tuples in lexicographic order, for in-package readers
-// (the codec, Render) that only read them — the order is shared with every
-// other reader of the relation and must not be written. Rows are distinct,
-// so the order is total and an unstable sort is deterministic. Computed
-// once per relation and length; concurrent first readers may each compute
-// it, and publish equal orders.
-func (r *Relation) sortedOrder() []int32 {
+// BornSorted reports whether r's rows are stored in lexicographic order
+// because the producer that built them says so (Builder.SortedRelation),
+// and r has gained no row since.
+func (r *Relation) BornSorted() bool { return r.bornSorted == r.n+1 }
+
+// SortedOrder is Sorted without the copies: the positions of the
+// relation's own tuples in lexicographic order, or nil when r is
+// BornSorted and insertion order is that order — a reader walks
+// Tuple(i) then, and no permutation exists. The order is shared with
+// every other reader of the relation and must not be written. Rows are
+// distinct, so the order is total and an unstable sort is deterministic.
+// Computed once per relation and length; concurrent first readers may
+// each compute it, and publish equal orders.
+func (r *Relation) SortedOrder() []int32 {
+	if r.BornSorted() {
+		return nil
+	}
 	if memo := r.sorted.Load(); memo != nil && len(*memo) == r.n {
 		return *memo
 	}
@@ -239,7 +253,7 @@ func (r *Relation) sortedOrder() []int32 {
 	for i := range order {
 		order[i], views[i] = int32(i), r.at(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return views[a].compare(views[b]) })
+	slices.SortFunc(order, func(a, b int32) int { return views[a].Compare(views[b]) })
 	clear(views) // a pooled view must not pin r
 	*rows = views
 	sortRows.Put(rows)

@@ -44,14 +44,15 @@ func Render(r *Relation, opts RenderOptions) string {
 		b.WriteByte('\n')
 	}
 	writeRow(func(i int) string { return string(r.scheme.Attr(i)) })
+	var order []int32 // nil: insertion order, also for a BornSorted relation
 	if opts.SortRows {
-		for _, row := range r.sortedOrder() {
-			t := r.at(int(row))
-			writeRow(func(i int) string { return string(t[i]) })
-		}
-		return b.String()
+		order = r.SortedOrder()
 	}
-	for row := 0; row < r.n; row++ {
+	for k := 0; k < r.n; k++ {
+		row := k
+		if order != nil {
+			row = int(order[k])
+		}
 		t := r.at(row)
 		writeRow(func(i int) string { return string(t[i]) })
 	}

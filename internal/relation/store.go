@@ -227,15 +227,6 @@ func NewBuilder(scheme Scheme, rows int) *Builder {
 // Len returns the number of rows built so far.
 func (b *Builder) Len() int { return b.n }
 
-// Gather appends the row (src[cols[0]], src[cols[1]], …); cols must name
-// one source column per attribute of the scheme.
-func (b *Builder) Gather(src Tuple, cols []int) {
-	if len(cols) != b.width {
-		panic(fmt.Sprintf("relation: Builder.Gather of %d columns into scheme %v", len(cols), b.scheme))
-	}
-	b.gather(src, cols)
-}
-
 // Concat appends the row left ++ (right[rest[0]], right[rest[1]], …): a
 // natural join's output tuple, all of left's columns and then the columns
 // of right that left does not have.
@@ -275,4 +266,15 @@ func (b *Builder) Collect(srcs []Tuple, from []Ref) {
 func (b *Builder) Relation() *Relation {
 	b.fixed = false
 	return (*Relation)(b)
+}
+
+// SortedRelation is Relation for a producer that built its rows in
+// lexicographic order — the generic join searching in output column order,
+// the tree join enumerating in its column layout: the result is marked
+// BornSorted, so reading it sorted sorts nothing. A producer that cannot
+// guarantee the order must call Relation.
+func (b *Builder) SortedRelation() *Relation {
+	r := b.Relation()
+	r.bornSorted = r.n + 1
+	return r
 }

@@ -137,7 +137,7 @@ func TestRowsCostTheirCells(t *testing.T) {
 		"Builder": func() *Relation {
 			b := NewBuilder(abc, rows)
 			for i := 0; i < rows; i++ {
-				b.Gather(base.Tuple(i), []int{0, 1, 2})
+				b.Concat(base.Tuple(i), nil, nil)
 			}
 			return b.Relation()
 		},
@@ -284,6 +284,71 @@ func TestSortedOrderIsMemoized(t *testing.T) {
 	}
 	if !strings.HasPrefix(again.String(), "relation R\nA B\n! before every digit\n") {
 		t.Errorf("after an Add, WriteRelation starts %q", again.String()[:40])
+	}
+}
+
+// TestBornSortedMark: a Builder result its producer marks sorted is read
+// in store order — SortedOrder builds no permutation, and writing, Sorted
+// and RenderSorted follow insertion order at no cost of a sort — while an
+// unmarked one (Builder.Relation, an empty New) sorts as before. Like the
+// memos, the mark covers a length: an Add after it clears it, and the
+// relation sorts again.
+func TestBornSortedMark(t *testing.T) {
+	const rows = 1025
+	build := func() *Builder {
+		b := NewBuilder(MustScheme("A", "B"), rows)
+		for i := 0; i < rows; i++ {
+			b.Concat(TupleOf(fmt.Sprintf("%04d", i), fmt.Sprint("v", i%17)), nil, nil)
+		}
+		return b
+	}
+	if r := build().Relation(); r.BornSorted() || r.SortedOrder() == nil {
+		t.Error("Builder.Relation carries the sorted mark")
+	}
+	if New(MustScheme("A")).BornSorted() {
+		t.Error("an empty relation carries the sorted mark")
+	}
+
+	r := build().SortedRelation()
+	if !r.BornSorted() || r.SortedOrder() != nil {
+		t.Fatal("Builder.SortedRelation is not marked, or has a permutation")
+	}
+	var want bytes.Buffer
+	if err := WriteRelation(&want, "R", r.Clone()); err != nil { // a Clone is unmarked: this one sorts
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriter(io.Discard) // adopted by the codec: no buffer of its own
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := WriteRelation(bw, "R", r); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if spent := after.TotalAlloc - before.TotalAlloc; spent >= rows*4 {
+		t.Errorf("writing a born-sorted relation allocated %d bytes: a permutation's worth", spent)
+	}
+	var got bytes.Buffer
+	if err := StreamRelation(&got, "R", r, 100, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("a born-sorted relation streams other bytes than its sorted clone")
+	}
+	if RenderSorted(r) != RenderSorted(r.Clone()) {
+		t.Error("a born-sorted relation renders other text than its sorted clone")
+	}
+	for i, tp := range r.Sorted() {
+		if !tp.Equal(r.Tuple(i)) {
+			t.Fatalf("Sorted()[%d] = %v, not row %d", i, tp, i)
+		}
+	}
+
+	r.MustAdd(TupleOf("!", "before every digit"))
+	if r.BornSorted() {
+		t.Fatal("the mark survived an Add")
+	}
+	if sorted := r.Sorted(); !sorted[0].Equal(TupleOf("!", "before every digit")) {
+		t.Errorf("after an Add, Sorted() starts %v", sorted[0])
 	}
 }
 

@@ -50,10 +50,10 @@ func (t Tuple) Equal(u Tuple) bool {
 // Less orders tuples lexicographically by value; shorter tuples order
 // before longer ones when they share a prefix. It gives relations a
 // deterministic rendering order.
-func (t Tuple) Less(u Tuple) bool { return t.compare(u) < 0 }
+func (t Tuple) Less(u Tuple) bool { return t.Compare(u) < 0 }
 
-// compare is Less as a three-way comparison, for slices.SortFunc.
-func (t Tuple) compare(u Tuple) int {
+// Compare is Less as a three-way comparison, for slices.SortFunc.
+func (t Tuple) Compare(u Tuple) int {
 	for i := 0; i < len(t) && i < len(u); i++ {
 		if c := strings.Compare(string(t[i]), string(u[i])); c != 0 {
 			return c
