@@ -84,7 +84,9 @@ obs-bench:
 
 # Compare freshly-generated bench output against the committed baselines.
 # peak_rows gates the join-strategy files at >20% (deterministic row
-# counts); allocs/op gates the obs/fault overhead files at >2% — a
+# counts), and B/op gates them at >10% — the bytes a plan allocates are
+# what its intermediates cost, and a representation that copies values
+# again shows there first; allocs/op gates the obs/fault overhead files at >2% — a
 # count, stable at -count 1, where ns/op on a shared box is noise
 # (BENCH_acyclic's snowflake row has auto at 26 µs over the 15 µs
 # strategy it delegates to). An allocation on a nil fast path is what
@@ -98,6 +100,8 @@ bench-diff:
 	$(MAKE) wcoj-bench acyclic-bench obs-bench fault-bench
 	$(GO) run ./cmd/benchdiff -metric peak_rows -max-regress 20 -report agm_bound /tmp/bench_wcoj_base.txt BENCH_wcoj.txt
 	$(GO) run ./cmd/benchdiff -metric peak_rows -max-regress 20 -report agm_bound /tmp/bench_acyclic_base.txt BENCH_acyclic.txt
+	$(GO) run ./cmd/benchdiff -metric B/op -max-regress 10 /tmp/bench_wcoj_base.txt BENCH_wcoj.txt
+	$(GO) run ./cmd/benchdiff -metric B/op -max-regress 10 /tmp/bench_acyclic_base.txt BENCH_acyclic.txt
 	$(GO) run ./cmd/benchdiff -metric allocs/op -max-regress 2 /tmp/bench_obs_base.txt BENCH_obs.txt
 	$(GO) run ./cmd/benchdiff -metric allocs/op -max-regress 2 /tmp/bench_fault_base.txt BENCH_fault.txt
 

@@ -43,13 +43,15 @@ func (x Exec) Materialized(r *relation.Relation) (*relation.Relation, error) {
 
 // Sized accounts for one materialized relation of the given cardinality
 // and arity: the cardinality is folded into the span's peak, checked
-// against the row budget and charged to the memory budget. Every relation
-// a strategy builds is accounted for here exactly once; the paper's
-// blow-up lives in exactly these intermediates. A count-first producer
-// (the hash joins) calls it on the count, before a single row exists, so a
-// join over budget dies holding its probe bookkeeping and not a relation;
-// the others reach it through Materialized. The in-loop batch checks can
-// trail the last partial batch, so this is the authoritative row check.
+// against the row budget and charged to the memory budget at what its
+// rows occupy in a relation's backing arrays (relation.RowBytes). Every
+// relation a strategy builds is accounted for here exactly once; the
+// paper's blow-up lives in exactly these intermediates. A count-first
+// producer (the hash join's answer, the tree join) calls it on the count,
+// before a single row exists, so a join over budget dies holding its probe
+// bookkeeping and not a relation; the others reach it through
+// Materialized. The in-loop batch checks can trail the last partial batch,
+// so this is the authoritative row check.
 func (x Exec) Sized(rows, arity int) error { return x.grown(rows, 0, arity) }
 
 // grown is Sized for a relation whose producer charged its first charged
@@ -57,6 +59,17 @@ func (x Exec) Sized(rows, arity int) error { return x.grown(rows, 0, arity) }
 // join, which cannot count first: only the rest is charged here, so the
 // relation is charged exactly once in total.
 func (x Exec) grown(rows, charged, arity int) error {
+	return x.counted(rows, int64(rows-charged)*relation.RowBytes(arity))
+}
+
+// counted accounts for one intermediate of the given cardinality that
+// occupies bytes: the peak, the row check and the memory charge of Sized.
+// A binary plan's intermediate, which holds row ids and not values, is
+// charged here directly at what its ids occupy; everything else comes
+// through Sized. The strings the values point to are never charged: a
+// join's or a projection's output shares them with its inputs. The budget
+// bounds cumulative materialization, not RSS.
+func (x Exec) counted(rows int, bytes int64) error {
 	x.Span.ObservePeak(rows)
 	if x.Gov == nil {
 		return nil
@@ -64,12 +77,7 @@ func (x Exec) grown(rows, charged, arity int) error {
 	if err := x.Gov.CheckRows(rows); err != nil {
 		return err
 	}
-	// The governor's memory model for one materialized relation: what its
-	// rows occupy in a relation's backing arrays, charged before they
-	// exist. The strings the values point to are not charged: a join's or
-	// a projection's output shares them with its inputs. The budget bounds
-	// cumulative materialization, not RSS.
-	return x.Gov.ChargeBytes(int64(rows-charged) * relation.RowBytes(arity))
+	return x.Gov.ChargeBytes(bytes)
 }
 
 // checkBatch is how many tuples a governed loop processes between

@@ -166,13 +166,31 @@ func acyclicOracle(edges []relation.Scheme) bool {
 	}
 }
 
-// FuzzGYO cross-checks the GYO reduction and the Yannakakis strategy on
-// random hypergraphs: the verdict must agree with the brute-force
-// spanning-tree oracle, a returned join tree must itself witness
-// acyclicity, the strategy's JoinAll must equal the greedy hash plan, the
-// plan it ran on must agree with the standalone planners, and on acyclic
-// inputs the full reducer must leave exactly the projections of the join
-// (global consistency).
+// oracleJoin is the reference answer of a join: the fold of
+// relation.Relation.Join, string-keyed, over rels left to right — no
+// code of this package on the way.
+func oracleJoin(t *testing.T, rels []*relation.Relation) *relation.Relation {
+	t.Helper()
+	want := rels[0]
+	for _, r := range rels[1:] {
+		var err error
+		if want, err = want.Join(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// FuzzGYO cross-checks the GYO reduction and the joins on random
+// hypergraphs: the verdict must agree with the brute-force spanning-tree
+// oracle, a returned join tree must itself witness acyclicity, the
+// greedy and sequential hash plans and Yannakakis' JoinAll must each
+// equal the fold of relation.Relation.Join, the plan JoinAll ran on must
+// agree with the standalone planners, and on acyclic inputs the full
+// reducer must leave exactly the projections of the join (global
+// consistency). One seed in four runs with every tuple hashing to 0, so
+// the hash plan's and the tree join's tables group on key comparison
+// alone.
 func FuzzGYO(f *testing.F) {
 	f.Add(byte(0b000011), byte(0b000110), byte(0b001100), byte(0), byte(0), int64(1)) // chain
 	f.Add(byte(0b000011), byte(0b000110), byte(0b000101), byte(0), byte(0), int64(2)) // triangle
@@ -198,16 +216,27 @@ func FuzzGYO(f *testing.F) {
 			return
 		}
 
-		// Data parity: Yannakakis (full reducer on acyclic inputs, binary
-		// fallback on cyclic ones) must agree with the greedy hash plan.
+		// Data parity: the hash plans in both orders and Yannakakis (full
+		// reducer on acyclic inputs, binary fallback on cyclic ones) must
+		// agree with the reference fold.
+		if seed&3 == 0 {
+			relation.CollideAllHashes(t)
+		}
 		rng := rand.New(rand.NewSource(seed))
 		rels := make([]*relation.Relation, len(edges))
 		for i, e := range edges {
 			rels[i] = randomRelation(rng, e, 4)
 		}
-		want, err := Multi(Exec{}, NewPlan(rels...), Hash{}, Greedy)
-		if err != nil {
-			t.Fatal(err)
+		want := oracleJoin(t, rels)
+		for _, order := range []Order{Greedy, Sequential} {
+			hashed, err := Multi(Exec{}, NewPlan(rels...), Hash{}, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hashed.Equal(want) {
+				t.Fatalf("%v hash plan over %v differs from the fold of Relation.Join: %v vs %v",
+					order, edges, hashed.Sorted(), want.Sorted())
+			}
 		}
 		sp := &obs.Span{}
 		p := NewPlan(rels...)
@@ -217,8 +246,8 @@ func FuzzGYO(f *testing.F) {
 		}
 		checkPlanParity(t, p)
 		if !gotRel.Equal(want) {
-			t.Fatalf("Yannakakis join differs from greedy hash plan: %v vs %v",
-				gotRel.Sorted(), want.Sorted())
+			t.Fatalf("Yannakakis join over %v differs from the fold of Relation.Join: %v vs %v",
+				edges, gotRel.Sorted(), want.Sorted())
 		}
 		if len(edges) > 1 && (sp.Structure == obs.StructureAcyclic) != got {
 			t.Fatalf("JoinAll recorded structure=%q, GYO said acyclic=%v", sp.Structure, got)
@@ -309,13 +338,7 @@ func FuzzAcyclicJoin(f *testing.F) {
 				rels[i].MustAdd(row)
 			}
 		}
-		want := rels[0]
-		for _, r := range rels[1:] {
-			var err error
-			if want, err = want.Join(r); err != nil {
-				t.Fatal(err)
-			}
-		}
+		want := oracleJoin(t, rels)
 		// Cold, then warm: the second evaluation reads the edge tables the
 		// first left on the inputs and the shape it left in the facts.
 		p := NewPlan(rels...)

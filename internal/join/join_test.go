@@ -179,6 +179,182 @@ func TestMultiSequentialMatchesGreedy(t *testing.T) {
 	}
 }
 
+// TestHashPlanEdgeCases runs the binary hash plan, in both orders, on the
+// shapes where row ids and values could part: a zero-arity input with no
+// row and with its one row, an empty input in the middle of the plan, one
+// relation given twice, a cartesian component, a two-input node and a
+// key of two columns read from two different inputs — also
+// with every tuple hashing to 0, so the tables group on key comparison
+// alone. Each answer must equal the fold of Relation.Join, and must be the
+// fold of two-input Hash.Join over the same pairs row for row, in the
+// same column order, with the same join counters: that is the order and
+// the accounting the plan had when its intermediates were relations.
+func TestHashPlanEdgeCases(t *testing.T) {
+	ab := rel(t, "A B", "1 x", "2 x", "3 y")
+	bc := rel(t, "B C", "x p", "x q", "y p", "z r")
+	cd := rel(t, "C D", "p 7", "q 8", "q 9")
+	cases := []struct {
+		name string
+		rels []*relation.Relation
+	}{
+		{"zero-arity, empty", []*relation.Relation{ab, rel(t, ""), bc}},
+		{"zero-arity, one row", []*relation.Relation{ab, rel(t, "", ""), bc, cd}}, // the join's neutral element
+		{"empty in the middle", []*relation.Relation{ab, rel(t, "B C"), cd}},
+		{"one relation twice", []*relation.Relation{ab, bc, ab, cd}},
+		{"cartesian component", []*relation.Relation{ab, rel(t, "E F", "e f", "g h"), bc, cd}},
+		{"two inputs", []*relation.Relation{ab, bc}},
+		{"two inputs, disjoint", []*relation.Relation{ab, cd}},
+		{"a two-column key", []*relation.Relation{ab, bc, rel(t, "A C D", "1 p 7", "1 q 7", "3 p 9", "3 q 9")}},
+	}
+	for _, collide := range []bool{false, true} {
+		for _, tc := range cases {
+			rels := tc.rels
+			t.Run(fmt.Sprintf("%s/collide=%v", tc.name, collide), func(t *testing.T) {
+				if collide {
+					relation.CollideAllHashes(t)
+				}
+				want := oracleJoin(t, rels)
+				for _, order := range []Order{Sequential, Greedy} {
+					var planned, folded obs.Metrics
+					got, err := Multi(Exec{Metrics: &planned}, NewPlan(rels...), Hash{}, order)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pairwise, err := fold(Exec{Metrics: &folded}, rels, Hash{}, order)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("%v: %v, the oracle has %v", order, got.Sorted(), want.Sorted())
+					}
+					if !got.Scheme().SameOrder(pairwise.Scheme()) || got.Len() != pairwise.Len() {
+						t.Fatalf("%v: scheme %v and %d rows, the pairwise fold has %v and %d", order, got.Scheme(), got.Len(), pairwise.Scheme(), pairwise.Len())
+					}
+					for i := 0; i < got.Len(); i++ {
+						if !got.Tuple(i).Equal(pairwise.Tuple(i)) {
+							t.Fatalf("%v: row %d is %v, the pairwise fold's is %v", order, i, got.Tuple(i), pairwise.Tuple(i))
+						}
+					}
+					if p, f := planned.Snapshot(), folded.Snapshot(); p != f {
+						t.Errorf("%v: the plan counted %+v, the pairwise fold %+v", order, p, f)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestHashJoinEmissionOrder pins the order a two-input hash join writes
+// its rows in, the order every step of a binary plan keeps: build on the
+// smaller side, the left one on a tie; then probe row by probe row, each
+// probe row's matches in build order, stitched left columns first.
+func TestHashJoinEmissionOrder(t *testing.T) {
+	l := rel(t, "A B", "1 x", "2 y", "3 x")
+	cases := []struct {
+		name string
+		r    *relation.Relation
+		want []string
+	}{
+		// Three rows each: a tie, so the table is on l and r probes.
+		{"tie builds left", rel(t, "B C", "y p", "x q", "x r"), []string{"2 y p", "1 x q", "3 x q", "1 x r", "3 x r"}},
+		// r is smaller: the table is on r and l probes.
+		{"smaller right builds right", rel(t, "B C", "x q", "x p"), []string{"1 x q", "1 x p", "3 x q", "3 x p"}},
+		// l is smaller: the table is on l and r probes.
+		{"smaller left builds left", rel(t, "B C", "x q", "y p", "x p", "z s"), []string{"1 x q", "3 x q", "2 y p", "1 x p", "3 x p"}},
+	}
+	for _, tc := range cases {
+		got, err := Hash{}.Join(Exec{}, l, tc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != len(tc.want) {
+			t.Fatalf("%s: %d rows, want %d", tc.name, got.Len(), len(tc.want))
+		}
+		for i, w := range tc.want {
+			if row := relation.TupleOf(strings.Fields(w)...); !got.Tuple(i).Equal(row) {
+				t.Errorf("%s: row %d is %v, want %v", tc.name, i, got.Tuple(i), row)
+			}
+		}
+	}
+}
+
+// chargeRecorder is Hash as a fold's binary algorithm, recording what the
+// binary plan charges for each step the fold takes: an intermediate its
+// ids — four bytes per row per input it covers — and the last step, the
+// answer, its values.
+type chargeRecorder struct {
+	covers map[*relation.Relation]int
+	steps  []*relation.Relation
+}
+
+func (c *chargeRecorder) Name() string { return "hash" }
+
+func (c *chargeRecorder) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
+	out, err := Hash{}.Join(x, l, r)
+	if err == nil {
+		c.covers[out] = max(c.covers[l], 1) + max(c.covers[r], 1)
+		c.steps = append(c.steps, out)
+	}
+	return out, err
+}
+
+// charges returns the plan's total memory charge and its peak.
+func (c *chargeRecorder) charges() (bytes int64, peak int) {
+	for k, out := range c.steps {
+		if k == len(c.steps)-1 {
+			bytes += int64(out.Len()) * relation.RowBytes(out.Scheme().Len())
+		} else {
+			bytes += int64(out.Len()) * 4 * int64(c.covers[out])
+		}
+		peak = max(peak, out.Len())
+	}
+	return bytes, peak
+}
+
+// TestGreedyPlanChargesIdsNotValues: a greedy plan over four inputs of a
+// cycle, whose intermediates outgrow its answer, is charged per
+// intermediate row four bytes per input it covers and per answer row its
+// values. A memory budget of exactly the sum of those charges lets it
+// through and one byte less refuses it. The row budget's kill point and
+// the span's peak are what they are for a fold of two-input joins.
+func TestGreedyPlanChargesIdsNotValues(t *testing.T) {
+	rels := []*relation.Relation{
+		rel(t, "A B", "a1 b", "a2 b", "a3 b"),
+		rel(t, "B C", "b c1", "b c2", "b c3"),
+		rel(t, "C D", "c1 d", "c2 d", "c3 d"),
+		rel(t, "A D", "a1 d", "a1 e", "a2 e", "a3 e", "a4 d", "a4 e", "a5 d", "a5 e", "a6 d", "a6 e"),
+	}
+	rec := &chargeRecorder{covers: map[*relation.Relation]int{}}
+	sp := &obs.Span{}
+	if _, err := fold(Exec{Span: sp}, rels, rec, Greedy); err != nil {
+		t.Fatal(err)
+	}
+	charge, peak := rec.charges()
+	if last := rec.steps[len(rec.steps)-1].Len(); len(rec.steps) < 3 || peak <= last {
+		t.Fatalf("the plan's steps %d, peak %d, answer %d: the case proves nothing", len(rec.steps), peak, last)
+	}
+	t.Logf("%d steps, peak %d rows, charged %d bytes", len(rec.steps), peak, charge)
+	run := func(limits governor.Limits) (*obs.Span, error) {
+		sp := &obs.Span{}
+		_, err := Multi(Exec{Gov: governor.New(context.Background(), limits), Span: sp}, NewPlan(rels...), Hash{}, Greedy)
+		return sp, err
+	}
+	for budget, want := range map[int64]error{charge: nil, charge - 1: governor.ErrMemBudget} {
+		if _, err := run(governor.Limits{MaxMemoryBytes: budget}); !errors.Is(err, want) {
+			t.Errorf("under a memory budget of %d bytes (the charges sum to %d): want %v, got %v", budget, charge, want, err)
+		}
+	}
+	for budget, want := range map[int]error{peak: nil, peak - 1: governor.ErrRowBudget} {
+		got, err := run(governor.Limits{MaxIntermediateRows: budget})
+		if !errors.Is(err, want) {
+			t.Errorf("under a row budget of %d (the peak is %d): want %v, got %v", budget, peak, want, err)
+		}
+		if err == nil && (got.MaxIntermediate != peak || sp.MaxIntermediate != peak) {
+			t.Errorf("span peak %d, the fold's %d, want %d", got.MaxIntermediate, sp.MaxIntermediate, peak)
+		}
+	}
+}
+
 func TestMultiEdgeCases(t *testing.T) {
 	if _, err := Multi(Exec{}, NewPlan(), Hash{}, Greedy); err == nil {
 		t.Error("Multi(nil) succeeded")
@@ -254,8 +430,10 @@ func TestOrderByName(t *testing.T) {
 // counts before it materializes, what it needs is a constant number of
 // flat slices for the table and the probe pass, the growth steps of the
 // table's per-key slices, and the output's header slice and backing
-// arrays — 45 measured for 4096 output tuples, where one make per output
-// tuple took 4143 and the string-keyed join 18170.
+// arrays — 53 measured for 4096 output tuples (45 before the join became
+// the one-step case of the binary plan, whose operands and column refs
+// are a few small slices), where one make per output tuple took 4143 and
+// the string-keyed join 18170.
 func TestZeroExecAllocatesNothing(t *testing.T) {
 	l, r := skewedPair(256, 16)
 	const ceiling = 64

@@ -2,7 +2,9 @@ package join
 
 import (
 	"fmt"
+	"slices"
 
+	"relquery/internal/fault"
 	"relquery/internal/relation"
 )
 
@@ -66,11 +68,13 @@ func onePass(alg Algorithm) nary {
 func OnePass(alg Algorithm) bool { return onePass(alg) != nil }
 
 // Multi computes the natural join of the plan's inputs under x: in one
-// pass when alg is a one-pass strategy, else with alg for each binary
-// join, combining in the given order. Joining zero relations is an error
-// (the neutral element — the relation over the empty scheme holding the
-// empty tuple — is almost never what a caller wants); joining one
-// relation returns it unchanged, folded into the intermediate statistics.
+// pass when alg is a one-pass strategy, else as a plan of binary joins
+// combined in the given order — for Hash, a plan whose intermediates are
+// row ids (hashPlan); for any other binary algorithm, a fold of its Join.
+// Joining zero relations is an error (the neutral element — the relation
+// over the empty scheme holding the empty tuple — is almost never what a
+// caller wants); joining one relation returns it unchanged, folded into
+// the intermediate statistics.
 func Multi(x Exec, p *Plan, alg Algorithm, order Order) (*relation.Relation, error) {
 	inputs := p.Inputs
 	switch len(inputs) {
@@ -83,57 +87,50 @@ func Multi(x Exec, p *Plan, alg Algorithm, order Order) (*relation.Relation, err
 	if n := onePass(alg); n != nil {
 		return n.JoinAll(x, p)
 	}
-	switch order {
-	case Sequential:
-		return multiSequential(x, inputs, alg)
-	case Greedy:
-		return multiGreedy(x, inputs, alg)
-	default:
+	if order != Sequential && order != Greedy {
 		return nil, fmt.Errorf("join: unknown order %v", order)
 	}
-}
-
-func multiSequential(x Exec, inputs []*relation.Relation, alg Algorithm) (*relation.Relation, error) {
-	acc := inputs[0]
-	for _, next := range inputs[1:] {
-		var err error
-		acc, err = alg.Join(x, acc, next)
-		if err != nil {
-			return nil, err
-		}
+	if _, ok := alg.(Hash); ok {
+		return hashPlan(x, inputs, order)
 	}
-	return acc, nil
+	return fold(x, inputs, alg, order)
 }
 
-func multiGreedy(x Exec, inputs []*relation.Relation, alg Algorithm) (*relation.Relation, error) {
-	pending := make([]*relation.Relation, len(inputs))
-	copy(pending, inputs)
-
+// fold joins inputs pairwise with alg.Join, in the given order, each
+// intermediate a relation: the binary plan of an algorithm that only
+// joins two relations — Yannakakis' cyclic fallback, a test's wrapper.
+func fold(x Exec, inputs []*relation.Relation, alg Algorithm, order Order) (*relation.Relation, error) {
+	pending := slices.Clone(inputs)
 	for len(pending) > 1 {
-		bi, bj := pickPair(pending)
-		joined, err := alg.Join(x, pending[bi], pending[bj])
+		i, j := 0, 1
+		if order == Greedy {
+			i, j = pickPair(len(pending), func(a, b int) (bool, int) {
+				return !pending[a].Scheme().Disjoint(pending[b].Scheme()), pending[a].Len() * pending[b].Len()
+			})
+		}
+		joined, err := alg.Join(x, pending[i], pending[j])
 		if err != nil {
 			return nil, err
 		}
-		// Remove bj first (bj > bi), then replace bi.
-		pending = append(pending[:bj], pending[bj+1:]...)
-		pending[bi] = joined
+		pending = slices.Delete(pending, j, j+1)
+		pending[i] = joined
 	}
 	return pending[0], nil
 }
 
-// pickPair chooses the next pair to join: among pairs whose schemes share
-// at least one attribute, the one with the smallest size product; if no
-// pair shares attributes, the overall smallest product (an unavoidable
-// cross product). Returns indices with i < j.
-func pickPair(rels []*relation.Relation) (int, int) {
+// pickPair chooses the next pair to join among n pending relations, of
+// which pair(i, j) tells whether i and j share an attribute and the
+// product of their sizes: among pairs that share one, the one with the
+// smallest product; if no pair does, the overall smallest product (an
+// unavoidable cross product). Ties go to the first pair in (i, j) order.
+// Returns indices with i < j.
+func pickPair(n int, pair func(i, j int) (shared bool, cost int)) (int, int) {
 	bestI, bestJ := 0, 1
 	bestShared := false
 	bestCost := -1
-	for i := 0; i < len(rels); i++ {
-		for j := i + 1; j < len(rels); j++ {
-			shared := !rels[i].Scheme().Disjoint(rels[j].Scheme())
-			cost := rels[i].Len() * rels[j].Len()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			shared, cost := pair(i, j)
 			better := false
 			switch {
 			case shared && !bestShared:
@@ -147,4 +144,301 @@ func pickPair(rels []*relation.Relation) (int, int) {
 		}
 	}
 	return bestI, bestJ
+}
+
+// idBytes is what an intermediate of a binary plan holds per row per
+// input it covers: one row id.
+const idBytes = 4
+
+// operand is one side of a step of a binary plan: a plan input, or an
+// intermediate a step built. An intermediate holds no values: each of its
+// rows is one row id into each input it covers, and its columns are refs
+// into those inputs' rows, so a row of a φ_G intermediate — up to 37
+// values, 592 bytes — is at most 8 ids, 32 bytes.
+type operand struct {
+	rels []*relation.Relation // the inputs covered; a row is one row of each
+	// ids holds row r's row of rels[s] at ids[r*len(rels)+s]; nil for a
+	// plan input, whose row r is its own row r.
+	ids   []int32
+	n     int            // rows
+	attrs []int          // the columns' attribute numbers, in output order
+	from  []relation.Ref // column c is column from[c].Col of rels[from[c].Src]'s row
+	set   []uint64       // attrs as a bitset
+}
+
+// load sets dst[s] to row r's row of rels[s], for every source s.
+func (o *operand) load(r int, dst []relation.Tuple) {
+	if o.ids == nil {
+		dst[0] = o.rels[0].Tuple(r)
+		return
+	}
+	k := len(o.rels)
+	for s, id := range o.ids[r*k : (r+1)*k] {
+		dst[s] = o.rels[s].Tuple(int(id))
+	}
+}
+
+// put writes row r's ids to the front of w and returns the rest of w.
+func (o *operand) put(r int, w []int32) []int32 {
+	if o.ids == nil {
+		w[0] = int32(r)
+		return w[1:]
+	}
+	k := len(o.rels)
+	return w[copy(w, o.ids[r*k:(r+1)*k]):]
+}
+
+func (o *operand) has(a int) bool { return o.set[a/64]&(1<<(a%64)) != 0 }
+
+// shares reports whether o and u have an attribute in common.
+func (o *operand) shares(u *operand) bool {
+	for w, bits := range o.set {
+		if bits&u.set[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// binaryPlan is one run of a binary plan for Hash over a node's inputs:
+// each step builds a table on its smaller side, counts the output, and
+// either writes it as row ids — an intermediate — or, at the last step,
+// collects the answer's values from the input rows the ids name. The
+// intermediates are the paper's blow-up; only the answer holds values.
+type binaryPlan struct {
+	x Exec
+	// Scratch of one input row per source: a build row, a probe row, a
+	// candidate group's first row.
+	build, probe, cand []relation.Tuple
+	// The step at hand's table and each of its probe rows' first match
+	// (-1 for none): a step's are dead once its output is written, so
+	// every step reuses the arrays of the one before.
+	table idTable
+	heads []int32
+}
+
+// hashPlan joins inputs (at least two) pairwise in the given order,
+// build on the smaller side of each step, ties building left. Every step
+// is the count-first hash join: the build pass, then a probe pass that
+// counts the output — checked against the row budget and charged to the
+// memory budget before it exists — then the output, probe row by probe
+// row, each probe row's matches in build order, stitched in left, right
+// order: the rows, and their order, that a fold of two-input hash joins
+// over the same pairs writes. Only the charge differs: an intermediate is
+// charged its ids, not values (Exec.counted).
+func hashPlan(x Exec, inputs []*relation.Relation, order Order) (*relation.Relation, error) {
+	pl, pending := newBinaryPlan(x, inputs)
+	for len(pending) > 2 {
+		i, j := 0, 1
+		if order == Greedy {
+			i, j = pickPair(len(pending), func(a, b int) (bool, int) {
+				return pending[a].shares(pending[b]), pending[a].n * pending[b].n
+			})
+		}
+		joined, err := pl.intermediate(pending[i], pending[j])
+		if err != nil {
+			return nil, err
+		}
+		pending = slices.Delete(pending, j, j+1)
+		pending[i] = joined
+	}
+	return pl.answer(pending[0], pending[1])
+}
+
+// newBinaryPlan numbers the inputs' attributes — an attribute's number is
+// the position of its first occurrence among all the inputs' columns, so
+// no map is built — and returns the plan with one operand per input.
+func newBinaryPlan(x Exec, inputs []*relation.Relation) (*binaryPlan, []*operand) {
+	k, total, widest := len(inputs), 0, 0
+	for _, in := range inputs {
+		total += in.Scheme().Len()
+		widest = max(widest, in.Scheme().Len())
+	}
+	words := (total + 63) / 64
+	pl := &binaryPlan{x: x}
+	tuples := make([]relation.Tuple, 3*k)
+	pl.build, pl.probe, pl.cand = tuples[:k:k], tuples[k:2*k:2*k], tuples[2*k:]
+	identity := make([]relation.Ref, widest) // an input's own columns
+	for c := range identity {
+		identity[c] = relation.Ref{Col: c}
+	}
+	numbers, sets := make([]int, total), make([]uint64, k*words)
+	ops, pending := make([]operand, k), make([]*operand, k)
+	base := 0
+	for i, in := range inputs {
+		sc := in.Scheme()
+		o := &ops[i]
+		*o = operand{
+			rels: inputs[i : i+1 : i+1], n: in.Len(),
+			attrs: numbers[base : base+sc.Len() : base+sc.Len()],
+			from:  identity[:sc.Len():sc.Len()],
+			set:   sets[i*words : (i+1)*words : (i+1)*words],
+		}
+		for c := range o.attrs {
+			o.attrs[c] = base + c
+			for _, prev := range ops[:i] {
+				if at, ok := prev.rels[0].Scheme().Pos(sc.Attr(c)); ok {
+					o.attrs[c] = prev.attrs[at]
+					break
+				}
+			}
+			a := o.attrs[c]
+			o.set[a/64] |= 1 << (a % 64)
+		}
+		pending[i] = o
+		base += sc.Len()
+	}
+	return pl, pending
+}
+
+// step is one binary join of a plan, counted and not yet written; its
+// table and probe heads are the plan's.
+type step struct {
+	out          *operand // the output's sources and columns; no rows yet
+	build, probe *operand
+	buildIsLeft  bool
+	rows         int // the output's cardinality
+}
+
+// join runs step l ∗ r up to its count: the table over the smaller side
+// (ties build left), keyed on the shared attributes in l's column order,
+// and one lookup per probe row, ticking the governor per row and checking
+// the row budget per batch.
+func (pl *binaryPlan) join(l, r *operand) (step, error) {
+	fault.Hit(fault.JoinStart)
+	x := pl.x
+	s := step{out: combine(l, r), build: l, probe: r, buildIsLeft: true}
+	var keyL, keyR []relation.Ref
+	for c, a := range l.attrs {
+		if r.has(a) {
+			keyL = append(keyL, l.from[c])
+			keyR = append(keyR, r.from[slices.Index(r.attrs, a)])
+		}
+	}
+	keyBuild, keyProbe := keyL, keyR
+	if r.n < l.n {
+		s.build, s.probe, s.buildIsLeft = r, l, false
+		keyBuild, keyProbe = keyR, keyL
+	}
+	if err := pl.table.build(x.Gov, s.build, keyBuild, pl.build, pl.cand); err != nil {
+		return step{}, err
+	}
+	pl.heads = slices.Grow(pl.heads[:0], s.probe.n)[:s.probe.n]
+	for p := range pl.heads {
+		if p%checkBatch == 0 {
+			fault.Hit(fault.JoinBatch)
+			if err := x.Gov.CheckRows(s.rows); err != nil {
+				return step{}, err
+			}
+		}
+		if err := x.Gov.Tick(); err != nil {
+			return step{}, err
+		}
+		s.probe.load(p, pl.probe)
+		first, n := pl.table.matches(relation.HashRefs(pl.probe, keyProbe), pl.probe, keyProbe)
+		pl.heads[p] = int32(first)
+		s.rows += n
+	}
+	x.Metrics.JoinWork(s.build.n, s.probe.n, s.rows)
+	return s, nil
+}
+
+// combine returns the operand l ∗ r without rows: the sources of l, then
+// those of r; the columns of l, then those of r that l does not have.
+func combine(l, r *operand) *operand {
+	kl := len(l.rels)
+	out := &operand{
+		rels:  append(append(make([]*relation.Relation, 0, kl+len(r.rels)), l.rels...), r.rels...),
+		attrs: append(make([]int, 0, len(l.attrs)+len(r.attrs)), l.attrs...),
+		from:  append(make([]relation.Ref, 0, len(l.attrs)+len(r.attrs)), l.from...),
+		set:   make([]uint64, len(l.set)),
+	}
+	for c, a := range r.attrs {
+		if !l.has(a) {
+			f := r.from[c]
+			f.Src += kl
+			out.attrs, out.from = append(out.attrs, a), append(out.from, f)
+		}
+	}
+	for w := range out.set {
+		out.set[w] = l.set[w] | r.set[w]
+	}
+	return out
+}
+
+// intermediate joins l and r into an operand of row ids, charged for its
+// ids before they exist.
+func (pl *binaryPlan) intermediate(l, r *operand) (*operand, error) {
+	s, err := pl.join(l, r)
+	if err != nil {
+		return nil, err
+	}
+	out, x := s.out, pl.x
+	k := len(out.rels)
+	if err := x.counted(s.rows, int64(s.rows)*idBytes*int64(k)); err != nil {
+		return nil, err
+	}
+	// Only a count the budget accepted becomes an intermediate.
+	x.Metrics.ObserveJoin(s.rows)
+	out.n, out.ids = s.rows, make([]int32, s.rows*k)
+	w := out.ids
+	for p := range pl.heads {
+		for i := int(pl.heads[p]); i >= 0; i = pl.table.after(i) {
+			// One probe row can match the entire build side under key
+			// skew, so the loop ticks per output row.
+			if err := x.Gov.Tick(); err != nil {
+				return nil, err
+			}
+			if s.buildIsLeft {
+				w = s.probe.put(p, s.build.put(i, w))
+			} else {
+				w = s.build.put(i, s.probe.put(p, w))
+			}
+		}
+	}
+	return out, nil
+}
+
+// answer joins l and r, the last step, into the node's answer: a relation
+// whose values are collected from the input rows the operands' ids name
+// (relation.Builder.Collect), sized on the count like every hash join's
+// output. A natural-join output row determines its source rows, so the
+// answer is duplicate-free as written: no dedup, no index.
+func (pl *binaryPlan) answer(l, r *operand) (*relation.Relation, error) {
+	s, err := pl.join(l, r)
+	if err != nil {
+		return nil, err
+	}
+	out, x := s.out, pl.x
+	attrs := make([]relation.Attribute, len(out.from))
+	for c, f := range out.from {
+		attrs[c] = out.rels[f.Src].Scheme().Attr(f.Col)
+	}
+	scheme, err := relation.NewScheme(attrs...)
+	if err != nil {
+		return nil, err
+	}
+	if err := x.Sized(s.rows, scheme.Len()); err != nil {
+		return nil, err
+	}
+	x.Metrics.ObserveJoin(s.rows)
+	// The answer's sources: l's, then r's, as out numbers them.
+	srcs := make([]relation.Tuple, len(out.rels))
+	left, right := srcs[:len(l.rels)], srcs[len(l.rels):]
+	buildRow, probeRow := left, right
+	if !s.buildIsLeft {
+		buildRow, probeRow = right, left
+	}
+	b := relation.NewBuilder(scheme, s.rows)
+	for p := range pl.heads {
+		s.probe.load(p, probeRow)
+		for i := int(pl.heads[p]); i >= 0; i = pl.table.after(i) {
+			if err := x.Gov.Tick(); err != nil {
+				return nil, err
+			}
+			s.build.load(i, buildRow)
+			b.Collect(srcs, out.from)
+		}
+	}
+	return b.Relation(), nil
 }

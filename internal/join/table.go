@@ -50,17 +50,8 @@ type hashTable struct {
 	next []int32        // row -> the next row of its group, -1 at the end
 }
 
-// buildTable groups rel's rows by the key columns cols, ticking g once per
+// build groups rel's rows by the key columns cols, ticking g once per
 // row.
-func buildTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*hashTable, error) {
-	t := new(hashTable)
-	if err := t.build(g, rel, cols); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// build is buildTable into t.
 func (t *hashTable) build(g *governor.Governor, rel *relation.Relation, cols keyCols) error {
 	t.rel, t.cols, t.next = rel, cols, make([]int32, rel.Len())
 	var tail []int32 // group -> its last row so far
@@ -70,22 +61,30 @@ func (t *hashTable) build(g *governor.Governor, rel *relation.Relation, cols key
 		}
 		row := rel.Tuple(i)
 		h := row.HashOf(cols)
-		t.next[i] = -1
-		if grp := t.group(h, row, cols); grp >= 0 {
-			t.next[tail[grp]] = int32(i)
-			tail[grp] = int32(i)
-			t.size[grp]++
-			continue
-		}
-		t.ix.Insert(h)
-		t.head = append(t.head, int32(i))
-		tail = append(tail, int32(i))
-		t.size = append(t.size, 1)
+		tail = t.file(i, h, t.group(h, row, cols), tail)
 	}
 	return nil
 }
 
-// edgeTable is buildTable as a fact of rel: built over all of rel's rows
+// file chains row i, whose key hashes to h, at the end of group grp, or
+// opens a new group for it when grp < 0; tail holds each group's last row
+// so far and is returned grown. It is how every table grows, whatever its
+// rows are.
+func (t *hashTable) file(i int, h uint64, grp int, tail []int32) []int32 {
+	t.next[i] = -1
+	if grp >= 0 {
+		t.next[tail[grp]] = int32(i)
+		tail[grp] = int32(i)
+		t.size[grp]++
+		return tail
+	}
+	t.ix.Insert(h)
+	t.head = append(t.head, int32(i))
+	t.size = append(t.size, 1)
+	return append(tail, int32(i))
+}
+
+// edgeTable is a hashTable built as a fact of rel: over all of rel's rows
 // on first use and memoized on rel (relation.Path), so every later join
 // over the same relation under the same key — the next request over an
 // unchanged catalog relation, the next evaluation of a cached result —
@@ -94,11 +93,11 @@ func (t *hashTable) build(g *governor.Governor, rel *relation.Relation, cols key
 // also reads each group it enumerates in the relation's row order
 // (treeTable.inOrder), sorted on first use and kept with the table, so
 // the order is paid once per relation version and only for groups a
-// request reaches. The hash join builds its table per call: its build
-// side is most often an intermediate of the request, on which a memo
-// would only make cached results pin more, and where it is a stored fact
-// — the greedy plan's first join over φ_G's legs, two projections of R_G
-// — the table is built per request all the same.
+// request reaches. The hash join builds its table per call (idTable): its
+// build side is most often an intermediate of the request, row ids that
+// no memo could key, and where it is a stored fact — the greedy plan's
+// first join over φ_G's legs, two projections of R_G — the table is built
+// per request all the same.
 func edgeTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*treeTable, error) {
 	return relation.Path(rel, cols, func() (*treeTable, error) {
 		t := new(treeTable)
@@ -198,3 +197,67 @@ type bitset []uint64
 
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+
+// sameRefs is sameKey for rows held as row ids: whether the row whose
+// input rows are s (key read through ks) and the one whose input rows are
+// u (key read through ku) agree on every shared attribute.
+func sameRefs(s []relation.Tuple, ks []relation.Ref, u []relation.Tuple, ku []relation.Ref) bool {
+	for i, f := range ks {
+		if g := ku[i]; s[f.Src][f.Col] != u[g.Src][g.Col] {
+			return false
+		}
+	}
+	return true
+}
+
+// idTable is the build side of one step of a binary plan: a hashTable's
+// groups and chains over the rows of an operand, whose key is read
+// through refs into the input rows each of its rows holds the ids of
+// (operand.load) — a key no row of values ever held.
+type idTable struct {
+	hashTable
+	side *operand
+	key  []relation.Ref   // the key, in the step's shared-attribute order
+	cand []relation.Tuple // scratch: a candidate group's first row's input rows
+	tail []int32          // group -> its last row so far
+}
+
+// build groups side's rows by key, ticking g once per row; row and cand
+// are scratch of one input row per source. It empties the table first and
+// keeps its arrays: a plan builds one table per step in one idTable, so
+// only the largest is allocated.
+func (t *idTable) build(g *governor.Governor, side *operand, key []relation.Ref, row, cand []relation.Tuple) error {
+	t.side, t.key, t.cand = side, key, cand
+	t.next = slices.Grow(t.next[:0], side.n)[:side.n]
+	t.head, t.size, t.tail = t.head[:0], t.size[:0], t.tail[:0]
+	t.ix.Reset()
+	for i := range t.next {
+		if err := g.Tick(); err != nil {
+			return err
+		}
+		side.load(i, row)
+		h := relation.HashRefs(row, key)
+		t.tail = t.file(i, h, t.group(h, row, key), t.tail)
+	}
+	return nil
+}
+
+// group returns the group whose key equals that of the row whose input
+// rows are u (key refs ku, hashing to h), or -1.
+func (t *idTable) group(h uint64, u []relation.Tuple, ku []relation.Ref) int {
+	for grp, p := t.ix.Seek(h); grp >= 0; grp, p = t.ix.Next(h, p) {
+		t.side.load(int(t.head[grp]), t.cand)
+		if sameRefs(t.cand, t.key, u, ku) {
+			return grp
+		}
+	}
+	return -1
+}
+
+// matches is hashTable.matches for a row whose input rows are u.
+func (t *idTable) matches(h uint64, u []relation.Tuple, ku []relation.Ref) (first, n int) {
+	if grp := t.group(h, u, ku); grp >= 0 {
+		return int(t.head[grp]), int(t.size[grp])
+	}
+	return -1, 0
+}

@@ -115,7 +115,7 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 }
 
 // unionScheme returns the output scheme of joining inputs: the
-// left-to-right union, matching the binary combiners.
+// left-to-right union, the column layout of a sequential binary plan.
 func unionScheme(inputs []*relation.Relation) relation.Scheme {
 	out := inputs[0].Scheme()
 	for _, r := range inputs[1:] {

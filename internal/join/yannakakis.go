@@ -70,7 +70,7 @@ func (y Yannakakis) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	}
 	if _, ok := p.JoinTree(); !ok {
 		x.Span.SetStructure(obs.StructureCyclic)
-		return multiGreedy(x, inputs, y)
+		return fold(x, inputs, y, Greedy)
 	}
 	x.Span.SetStructure(obs.StructureAcyclic)
 	out, semijoins, reducedRows, err := joinTree(x, p)

@@ -209,7 +209,7 @@ func TestWarmTreeJoinHashesNoRow(t *testing.T) {
 	for _, rows := range []int{1024, 4096} {
 		rels := uniquePath(rows)
 		table := testing.AllocsPerRun(5, func() {
-			if _, err := buildTable(nil, rels[1], keyCols{0}); err != nil {
+			if err := new(hashTable).build(nil, rels[1], keyCols{0}); err != nil {
 				t.Fatal(err)
 			}
 		})

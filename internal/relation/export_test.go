@@ -1,17 +1,5 @@
 package relation
 
-import "testing"
-
-// CollideAllHashes makes every tuple hash 0 for the rest of the test, so
-// every Index — the relation's, TupleSet's, the join tables' — is one
-// probe chain and set semantics rest on value comparison alone. For the
-// external test package, which can drive package join on top.
-func CollideAllHashes(t testing.TB) {
-	old := hashMask
-	hashMask = 0
-	t.Cleanup(func() { hashMask = old })
-}
-
 // AlignTo exposes alignTo, whose result no exported method returns, to the
 // producer table of the view-safety test. (A function, not a method: the
 // lint loader's export data cannot add a method to a type that package

@@ -23,8 +23,21 @@ const (
 
 // hashMask is the seam of the total-collision tests: clearing it makes
 // every tuple hash 0, so each index degenerates to one probe chain and
-// set semantics rest on the value comparison alone. Only tests write it.
+// set semantics rest on the value comparison alone. Only tests write it,
+// through CollideAllHashes.
 var hashMask = ^uint64(0)
+
+// CollideAllHashes makes every tuple hash 0 until t's cleanup runs, so
+// every Index — the relation's, TupleSet's, the join tables' — is one
+// probe chain and set semantics rest on value comparison alone. It is a
+// test seam, exported for the tests of the packages built on this one;
+// t is the test's testing.TB. The hash is global: a test that calls it
+// must not run in parallel with one that hashes.
+func CollideAllHashes(t interface{ Cleanup(func()) }) {
+	old := hashMask
+	hashMask = 0
+	t.Cleanup(func() { hashMask = old })
+}
 
 // hashValue folds one value into h: FNV-1a over its bytes, then a
 // boundary step over its length with a rotation and a second multiplier,
@@ -66,6 +79,18 @@ func (t Tuple) HashOf(cols []int) uint64 {
 	h := uint64(hashOffset)
 	for _, c := range cols {
 		h = hashValue(h, t[c])
+	}
+	return hashFinish(h)
+}
+
+// HashRefs returns the hash of the tuple (srcs[from[0].Src][from[0].Col],
+// srcs[from[1].Src][from[1].Col], …) without building it: the Hash of
+// the row Builder.Collect(srcs, from) would write. A join whose rows are
+// row ids into its inputs hashes its key through it.
+func HashRefs(srcs []Tuple, from []Ref) uint64 {
+	h := uint64(hashOffset)
+	for _, f := range from {
+		h = hashValue(h, srcs[f.Src][f.Col])
 	}
 	return hashFinish(h)
 }

@@ -45,6 +45,26 @@ func TestHashOfIsHashOfProjection(t *testing.T) {
 	}
 }
 
+// TestHashRefsIsHashOfCollectedRow: hashing a key read through refs into
+// several source rows equals hashing the row Builder.Collect builds from
+// the same refs — what a join over row ids relies on to group its rows
+// the way a join over values would.
+func TestHashRefsIsHashOfCollectedRow(t *testing.T) {
+	srcs := []Tuple{TupleOf("p", ""), TupleOf(), TupleOf("qq", "r", "p")}
+	for _, from := range [][]Ref{{}, {{0, 0}}, {{2, 0}, {0, 1}}, {{2, 2}, {0, 0}, {2, 1}}, {{0, 1}, {0, 1}}} {
+		attrs := make([]Attribute, len(from))
+		for i := range attrs {
+			attrs[i] = Attribute(fmt.Sprint("A", i))
+		}
+		b := NewBuilder(MustScheme(attrs...), 1)
+		b.Collect(srcs, from)
+		row := b.Relation().Tuple(0)
+		if got, want := HashRefs(srcs, from), row.Hash(); got != want {
+			t.Errorf("HashRefs(%v) = %x, the collected row %v hashes to %x", from, got, row, want)
+		}
+	}
+}
+
 // TestIndexUnderTotalCollision drives Index and TupleSet with one hash
 // for everything: ids stay dense and every entry stays reachable.
 func TestIndexUnderTotalCollision(t *testing.T) {
@@ -75,6 +95,37 @@ func TestIndexUnderTotalCollision(t *testing.T) {
 	}
 	if set.Len() != 10 {
 		t.Errorf("TupleSet holds %d tuples, want 10", set.Len())
+	}
+}
+
+// TestIndexReset: a reset index finds nothing, hands out ids from 0
+// again, and keeps its arrays — what lets a binary plan build a table per
+// step in one set of them.
+func TestIndexReset(t *testing.T) {
+	var ix Index
+	for i := 0; i < 100; i++ {
+		ix.Insert(uint64(i))
+	}
+	held := ix.Bytes()
+	ix.Reset()
+	if ix.Len() != 0 || ix.Bytes() != held {
+		t.Fatalf("after Reset: Len %d, %d bytes held, want 0 and %d", ix.Len(), ix.Bytes(), held)
+	}
+	if id, _ := ix.Seek(7); id != -1 {
+		t.Fatalf("Seek after Reset found id %d", id)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		ix.Reset()
+		for i := 0; i < 100; i++ {
+			if id := ix.Insert(uint64(i * 3)); id != i {
+				t.Fatalf("Insert #%d after Reset returned id %d", i, id)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("refilling a reset index allocates %v times, want 0", n)
+	}
+	if id, _ := ix.Seek(9); id != 3 {
+		t.Errorf("Seek(9) = %d, want 3", id)
 	}
 }
 

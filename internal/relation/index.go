@@ -26,6 +26,13 @@ func (ix *Index) Len() int { return len(ix.hashes) }
 // slack included.
 func (ix *Index) Bytes() int64 { return 4*int64(len(ix.slots)) + 8*int64(cap(ix.hashes)) }
 
+// Reset empties the index and keeps its arrays, so a caller that builds
+// one table after another allocates only for the largest.
+func (ix *Index) Reset() {
+	clear(ix.slots)
+	ix.hashes = ix.hashes[:0]
+}
+
 // reserve sizes the table for n ids, so inserting up to n never rehashes.
 func (ix *Index) reserve(n int) {
 	if n > cap(ix.hashes) {

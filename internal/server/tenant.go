@@ -98,9 +98,11 @@ func (t *tenant) loadAll(db relation.Database) {
 // where budget caps intermediate rows (the admission threshold), timeout
 // is the per-evaluation deadline, max-rows caps the final result, and
 // mem caps estimated materialized bytes: each materialized row is charged
-// relation.RowBytes of its arity, 16 bytes a value (DESIGN.md §12 has
-// what that changed for existing specs). Every key is optional; row
-// values accept the k/m/g (×1000) suffixes of governor.ParseRows.
+// relation.RowBytes of its arity, 16 bytes a value, except a greedy binary
+// plan's intermediate row, which holds no values and is charged 4 bytes
+// per input it covers (DESIGN.md §12 has what each change meant for
+// existing specs). Every key is optional; row values accept the k/m/g
+// (×1000) suffixes of governor.ParseRows.
 func ParseTenantSpec(spec string) (string, governor.Limits, error) {
 	name, opts, ok := strings.Cut(spec, ":")
 	name = strings.TrimSpace(name)
