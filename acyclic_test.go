@@ -7,11 +7,13 @@
 package relquery_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"relquery/internal/algebra"
+	"relquery/internal/governor"
 	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/reduction"
@@ -263,5 +265,92 @@ func TestAcyclicExplainAnalyze(t *testing.T) {
 	}
 	if strings.Contains(text, "alg=yannakakis") {
 		t.Errorf("cyclic gadget routed to yannakakis:\n%s", text)
+	}
+}
+
+// TestYannakakisCyclicFallbackIsTheHashPlan: on a cyclic node Yannakakis'
+// output bound does not hold, and JoinAll runs the greedy hash plan. On a
+// triangle and on xorchain2's legs it writes the hash plan's rows in the
+// hash plan's order, counts what the hash plan counts, and under a memory
+// budget stops at the same byte — its intermediates are charged as row
+// ids, not values — while the span still says cyclic.
+func TestYannakakisCyclicFallbackIsTheHashPlan(t *testing.T) {
+	c, err := reduction.New(lemma1Families(t)["xorchain"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs, err := benchGadgetLegs(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every pair over 0..5 whose sum is even, on each edge of A, B, C.
+	triangle := make([]*relation.Relation, 3)
+	for i, edge := range [][]relation.Attribute{{"A", "B"}, {"B", "C"}, {"A", "C"}} {
+		triangle[i] = relation.New(relation.MustScheme(edge...))
+		for u := 0; u < 6; u++ {
+			for v := u % 2; v < 6; v += 2 {
+				triangle[i].MustAdd(relation.TupleOf(fmt.Sprint(u), fmt.Sprint(v)))
+			}
+		}
+	}
+	for name, rels := range map[string][]*relation.Relation{"triangle": triangle, "xorchain2": legs} {
+		t.Run(name, func(t *testing.T) {
+			hash := func(x join.Exec) (*relation.Relation, error) {
+				return join.Multi(x, join.NewPlan(rels...), join.Hash{}, join.Greedy)
+			}
+			yannakakis := func(x join.Exec) (*relation.Relation, error) {
+				return join.Yannakakis{}.JoinAll(x, join.NewPlan(rels...))
+			}
+			run := func(f func(join.Exec) (*relation.Relation, error), budget int64) (*relation.Relation, obs.MetricsSnapshot, *obs.Span, error) {
+				m, sp := &obs.Metrics{}, &obs.Span{}
+				gov := governor.New(context.Background(), governor.Limits{MaxMemoryBytes: budget})
+				out, err := f(join.Exec{Gov: gov, Metrics: m, Span: sp})
+				return out, m.Snapshot(), sp, err
+			}
+			want, wantM, _, err := run(hash, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotM, sp, err := run(yannakakis, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sp.Structure != obs.StructureCyclic {
+				t.Errorf("span structure %q, want %q", sp.Structure, obs.StructureCyclic)
+			}
+			if !got.Scheme().SameOrder(want.Scheme()) || got.Len() != want.Len() {
+				t.Fatalf("scheme %v and %d rows, the hash plan's %v and %d", got.Scheme(), got.Len(), want.Scheme(), want.Len())
+			}
+			for i := 0; i < got.Len(); i++ {
+				if !got.Tuple(i).Equal(want.Tuple(i)) {
+					t.Fatalf("row %d is %v, the hash plan's %v", i, got.Tuple(i), want.Tuple(i))
+				}
+			}
+			if gotM != wantM {
+				t.Errorf("the fallback counted %v\nthe hash plan %v", gotM, wantM)
+			}
+			if wantM.Joins < 2 {
+				t.Fatalf("%d joins: the plan has no intermediate to charge", wantM.Joins)
+			}
+			// The hash plan's total charge: the least budget it completes
+			// under.
+			lo, hi := int64(0), int64(1)<<40
+			for hi-lo > 1 {
+				mid := lo + (hi-lo)/2
+				if _, _, _, err := run(hash, mid); err == nil {
+					hi = mid
+				} else {
+					lo = mid
+				}
+			}
+			charge := hi
+			for _, budget := range []int64{charge, charge - 1, charge / 2} {
+				_, _, _, herr := run(hash, budget)
+				_, _, _, yerr := run(yannakakis, budget)
+				if (budget == charge) != (herr == nil) || fmt.Sprint(herr) != fmt.Sprint(yerr) {
+					t.Errorf("under a memory budget of %d bytes (the hash plan's charge is %d): the hash plan %v, the fallback %v", budget, charge, herr, yerr)
+				}
+			}
+		})
 	}
 }

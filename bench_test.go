@@ -319,7 +319,7 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := alg.Join(join.Exec{}, left, right); err != nil {
+				if _, err := join.Multi(join.Exec{}, join.NewPlan(left, right), alg, join.Greedy); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -61,7 +61,6 @@ func run(args []string) error {
 		timeout   = fs.String("timeout", "", "wall-clock deadline for the materializing engine, as a duration (250ms, 2s, 1m30s) or seconds; empty or 0 = none")
 		maxRows   = fs.String("max-rows", "", "abort when the final result exceeds this many rows (optional k/m/g suffix; 0 = unlimited)")
 		admit     = fs.Bool("admit", false, "pre-flight admission control: reject a join whose predicted peak intermediate exceeds -budget instead of running it (output-bounded strategies are always admitted)")
-		degrade   = fs.Bool("degrade", false, "graceful degradation: retry a failed wcoj/yannakakis join node once on the greedy binary path")
 		serveAddr = fs.String("serve", "", "serve telemetry over HTTP on this address (host:port) for the duration of the run: /metrics (Prometheus text), /debug/pprof/, /debug/traces (Chrome trace-event JSON)")
 		linger    = fs.Duration("serve-linger", 0, "keep the -serve endpoints up this long after evaluation finishes, so the final state can be scraped or loaded in Perfetto")
 		traceFmt  = fs.String("trace-format", "json", "format for -trace output: json (span tree + metrics) or chrome (trace-event JSON loadable in Perfetto or chrome://tracing)")
@@ -96,8 +95,8 @@ func run(args []string) error {
 	if *linger > 0 && *serveAddr == "" {
 		return usageError(fs, "-serve-linger requires -serve")
 	}
-	if *engine == "tableau" && (*timeout != "" || *maxRows != "" || *admit || *degrade) {
-		return usageError(fs, "-timeout, -max-rows, -admit and -degrade require -engine materialize")
+	if *engine == "tableau" && (*timeout != "" || *maxRows != "" || *admit) {
+		return usageError(fs, "-timeout, -max-rows and -admit require -engine materialize")
 	}
 	limits, err := governor.ParseLimits(*timeout, *maxRows, 0, 0)
 	if err != nil {
@@ -119,7 +118,6 @@ func run(args []string) error {
 		Collector: collector,
 		Limits:    limits,
 		Admit:     *admit,
-		Degrade:   *degrade,
 	}
 	if err := ev.SetStrategy(*algName); err != nil {
 		return usageError(fs, "-join: %v", err)

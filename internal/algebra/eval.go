@@ -14,12 +14,14 @@ import (
 )
 
 // Evaluator materializes project–join expressions against a database. The
-// zero value is ready to use: hash joins, greedy join ordering, no
-// statistics.
+// zero value is ready to use: hash joins in sequential order (join.Order's
+// zero value), no statistics.
 type Evaluator struct {
-	// Algorithm performs each binary join; nil means join.Hash.
+	// Algorithm is the strategy every join node runs; nil means join.Hash.
 	Algorithm join.Algorithm
-	// Order sequences n-ary joins (join.Greedy or join.Sequential).
+	// Order sequences the binary plan's joins: join.Sequential, the zero
+	// value, joins left to right as written; join.Greedy picks the
+	// cheapest pair first.
 	Order join.Order
 	// Limits bounds the evaluation with the resource governor: a
 	// wall-clock deadline, a final-result row cap, the intermediate-row
@@ -42,13 +44,6 @@ type Evaluator struct {
 	// execution. False (the default) is the override: mis-predicted
 	// queries run and the mid-flight checkpoints catch real violations.
 	Admit bool
-	// Degrade, when true, retries a join node once on the greedy binary
-	// path (hash join, greedy order) when its wcoj or yannakakis strategy
-	// fails with an engine error or a recovered panic. Governor
-	// violations never degrade — retrying after a deadline or budget kill
-	// on a strategy with *weaker* guarantees would only dig deeper. Each
-	// retry is recorded in the degraded_evals metric and marks the span.
-	Degrade bool
 	// AutoWCOJ, when true, lets each n-ary join node of three or more
 	// inputs switch to the worst-case-optimal generic join (join.Generic)
 	// when the greedy binary planner's predicted peak intermediate
@@ -69,7 +64,7 @@ type Evaluator struct {
 	// the -join=auto three-way selector: acyclic → yannakakis, cyclic with
 	// predicted blow-up → wcoj, else greedy binary. Set Algorithm to
 	// join.Yannakakis{} to force the strategy on every join node instead
-	// (cyclic nodes then use its pairwise-reduced binary fallback).
+	// (cyclic nodes then run the greedy hash plan).
 	AutoYannakakis bool
 	// Cache, when true and no SharedCache is set, gives each Eval call a
 	// SubexprCache of its own (common-subexpression elimination). It does
@@ -369,12 +364,12 @@ func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, 
 	}
 	x := join.Exec{Gov: gov, Metrics: ev.Collector.M(), Span: sp}
 	// The node's one plan: the selector, the admission gate, the span
-	// annotation, the strategy and a degraded retry all read it. With a
-	// shared cache its facts outlive the request, so the same node over
-	// the same content finds them computed.
+	// annotation and the strategy all read it. With a shared cache its
+	// facts outlive the request, so the same node over the same content
+	// finds them computed.
 	p, known := ev.SharedCache.plan(key, x.Metrics, args)
 	sp.SetPlanKnown(known)
-	return ev.run(x, p, ev.choose(p, sp), ev.Order)
+	return ev.run(x, p, ev.choose(p, sp))
 }
 
 // choose picks the strategy for one join node: the configured algorithm
@@ -409,14 +404,12 @@ func (ev *Evaluator) choose(p *join.Plan, sp *obs.Span) join.Algorithm {
 }
 
 // run is the tail every join node goes through: the admission gate, span
-// annotation, the strategy itself with panics recovered to errors, and
-// graceful degradation.
-func (ev *Evaluator) run(x join.Exec, p *join.Plan, alg join.Algorithm, order join.Order) (*relation.Relation, error) {
-	onePass := join.OnePass(alg)
-	if ev.Admit && !onePass && len(p.Inputs) > 1 {
+// annotation, and the strategy itself with panics recovered to errors.
+func (ev *Evaluator) run(x join.Exec, p *join.Plan, alg join.Algorithm) (*relation.Relation, error) {
+	if _, binary := alg.(join.Hash); binary && ev.Admit && len(p.Inputs) > 1 {
 		// Pre-flight admission: reject before any join work when the
-		// binary planner's predicted peak intermediate already exceeds
-		// the budget. The one-pass strategies' peak is capped by their own
+		// binary plan's predicted peak intermediate already exceeds the
+		// budget. The one-pass strategies' peak is capped by their own
 		// output, so they are admitted and guarded mid-flight by the row
 		// budget instead.
 		if err := x.Gov.Admit(p); err != nil {
@@ -427,24 +420,7 @@ func (ev *Evaluator) run(x join.Exec, p *join.Plan, alg join.Algorithm, order jo
 		x.Span.SetAGMBound(p.AGMBound())
 		x.Span.SetAlgorithm(alg.Name())
 	}
-	out, err := safeMulti(x, p, alg, order)
-	if err != nil && onePass && ev.Degrade && !governor.Violated(err) {
-		// Graceful degradation: a one-pass strategy failed with a genuine
-		// engine error — never a governor violation; retrying after a
-		// deadline or budget kill on a strategy with weaker guarantees
-		// would only dig deeper — so the node is retried once on the
-		// greedy binary path with the default hash join. The retry's own
-		// failure (including a budget kill of the greedier plan)
-		// propagates.
-		x.Metrics.Degraded()
-		x.Span.SetDegraded()
-		out, rerr := ev.run(x, p, join.Hash{}, join.Greedy)
-		if rerr != nil {
-			return nil, fmt.Errorf("algebra: degraded retry failed: %w (original failure: %w)", rerr, err)
-		}
-		return out, nil
-	}
-	return out, err
+	return safeMulti(x, p, alg, ev.Order)
 }
 
 // safeMulti is join.Multi with panic recovery: a crash inside a strategy
@@ -459,7 +435,8 @@ func safeMulti(x join.Exec, p *join.Plan, alg join.Algorithm, order join.Order) 
 	return join.Multi(x, p, alg, order)
 }
 
-// Eval evaluates e(db) with default settings (hash join, greedy order).
+// Eval evaluates e(db) with default settings (hash join, sequential
+// order).
 func Eval(e Expr, db relation.Database) (*relation.Relation, error) {
 	ev := Evaluator{}
 	return ev.Eval(e, db)

@@ -115,6 +115,47 @@ func TestEvalAllAlgorithmsAndOrders(t *testing.T) {
 	}
 }
 
+// TestZeroEvaluatorJoinsSequentially: the zero Evaluator joins in
+// join.Sequential order, Order's zero value, not greedily. On a star whose
+// satellites come first the two orders count different joins — the
+// sequential plan's first step is the satellites' cross product — and the
+// zero Evaluator counts the sequential plan's.
+func TestZeroEvaluatorJoinsSequentially(t *testing.T) {
+	db := relation.NewDatabase()
+	var ops []Expr
+	var rels []*relation.Relation
+	for _, leg := range []struct {
+		name string
+		r    *relation.Relation
+	}{
+		{"SA", mkrel(t, "A", "1", "2", "3")},
+		{"SB", mkrel(t, "B", "1", "2", "3")},
+		{"C", mkrel(t, "A B", "1 1", "2 2")},
+	} {
+		db.Put(leg.name, leg.r)
+		ops, rels = append(ops, MustOperand(leg.name, leg.r.Scheme())), append(rels, leg.r)
+	}
+	want := map[join.Order]obs.MetricsSnapshot{}
+	for _, order := range []join.Order{join.Sequential, join.Greedy} {
+		var m obs.Metrics
+		if _, err := join.Multi(join.Exec{Metrics: &m}, join.NewPlan(rels...), join.Hash{}, order); err != nil {
+			t.Fatal(err)
+		}
+		want[order] = m.Snapshot()
+	}
+	if want[join.Sequential] == want[join.Greedy] {
+		t.Fatalf("both orders count %v: the case proves nothing", want[join.Greedy])
+	}
+	col := &obs.Collector{}
+	ev := Evaluator{Collector: col}
+	if _, err := ev.Eval(MustJoin(ops...), db); err != nil {
+		t.Fatal(err)
+	}
+	if got := col.Metrics.Snapshot(); got != want[join.Sequential] {
+		t.Errorf("the zero Evaluator counted %v\nthe sequential plan %v", got, want[join.Sequential])
+	}
+}
+
 func TestEvalStats(t *testing.T) {
 	r := mkrel(t, "A B C", "1 x p", "2 x q")
 	db := relation.Single("T", r)

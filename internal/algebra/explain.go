@@ -119,12 +119,12 @@ func RenderTrace(t *obs.Trace) string {
 	}
 	// Governance footer, only when the governor actually intervened —
 	// clean evaluations keep the classic tree-only output.
-	if m := t.Metrics; m.ViolationsTotal()+m.DegradedEvals > 0 {
+	if m := t.Metrics; m.ViolationsTotal() > 0 {
 		b.WriteString("governor: violations")
 		for _, vc := range m.ViolationCounts() {
 			fmt.Fprintf(&b, " %s=%d", vc.Kind, vc.Count)
 		}
-		fmt.Fprintf(&b, " "+obs.FieldDegraded+"=%d\n", m.DegradedEvals)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
@@ -175,9 +175,6 @@ func renderStats(b *strings.Builder, sp *obs.Span) {
 	}
 	if sp.Cache != "" {
 		fmt.Fprintf(b, " "+obs.FieldCache+"=%s", sp.Cache)
-	}
-	if sp.Degraded {
-		b.WriteString(" " + obs.FieldDegraded)
 	}
 	if sp.Err != "" {
 		fmt.Fprintf(b, " "+obs.FieldError+"=%q", sp.Err)

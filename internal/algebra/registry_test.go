@@ -122,7 +122,7 @@ func TestRenderTraceGovernorFooter(t *testing.T) {
 	render := RenderTrace(col2.Trace())
 	if !strings.Contains(render, "governor: violations") ||
 		!strings.Contains(render, "row_budget=1") ||
-		!strings.Contains(render, "degraded=0") {
+		!strings.HasSuffix(render, " admission=0\n") {
 		t.Fatalf("violation trace missing governor footer:\n%s", render)
 	}
 }

@@ -188,8 +188,8 @@ func TestAutoCyclicRouting(t *testing.T) {
 }
 
 // TestForcedYannakakis covers -join=yannakakis: acyclic nodes run the
-// full reducer, cyclic nodes fall back to the binary planner over the
-// strategy's pairwise-reduced joins — same result either way.
+// full reducer, cyclic nodes fall back to the greedy hash plan — same
+// result either way.
 func TestForcedYannakakis(t *testing.T) {
 	db, e := danglingPath(t, 4)
 	want, err := (&Evaluator{Order: join.Greedy}).Eval(e, db)
@@ -209,7 +209,7 @@ func TestForcedYannakakis(t *testing.T) {
 		t.Fatal("forced yannakakis did not produce a yannakakis span")
 	}
 
-	// Cyclic: forced strategy is still sound via pairwise fallback.
+	// Cyclic: forced strategy is still sound via the hash plan fallback.
 	tri := relation.NewDatabase()
 	tri.Put("R", mkrel(t, "A B", "1 1", "1 2"))
 	tri.Put("S", mkrel(t, "B C", "1 1", "2 1"))

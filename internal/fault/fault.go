@@ -8,7 +8,7 @@
 // a strategy, an operator that suddenly goes slow — is exercised by
 // tests rather than hoped-for. Production code never registers an
 // injector; tests register a Script, run the engine, and assert the
-// typed error (or the graceful degradation) that must result.
+// typed error that must result.
 //
 // # Zero-overhead contract
 //
@@ -46,8 +46,7 @@ const (
 	// WCOJSearch is crossed once per attribute-intersection pass of the
 	// worst-case-optimal generic join.
 	WCOJSearch Point = "wcoj.search"
-	// Semijoin is crossed once per semijoin pass (Yannakakis' sweeps and
-	// pairwise reductions).
+	// Semijoin is crossed once per semijoin pass of Yannakakis' sweeps.
 	Semijoin Point = "semijoin.pass"
 	// EvalNode is crossed once per algebra operator evaluation.
 	EvalNode Point = "algebra.node"

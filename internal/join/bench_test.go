@@ -37,7 +37,7 @@ func BenchmarkBinaryJoin(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/rows=%d", name, rows), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := alg.Join(join.Exec{}, left, right); err != nil {
+					if _, err := join.Multi(join.Exec{}, join.NewPlan(left, right), alg, join.Greedy); err != nil {
 						b.Fatal(err)
 					}
 				}

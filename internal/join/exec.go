@@ -11,7 +11,7 @@ import (
 
 // Exec is the execution context of one join: the resource governor its
 // hot loops poll, the metrics its counters go to and the span of the join
-// node it runs under. It is the first argument of every Algorithm.Join,
+// node it runs under. It is the first argument of every Hash.Join,
 // JoinAll and Multi call, passed by value. The zero Exec is ungoverned,
 // unmetered and untraced, and costs nil checks only: every use of the
 // three pointers is nil-safe, with no allocation or clock read behind a

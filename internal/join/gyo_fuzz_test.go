@@ -217,7 +217,7 @@ func FuzzGYO(f *testing.F) {
 		}
 
 		// Data parity: the hash plans in both orders and Yannakakis (full
-		// reducer on acyclic inputs, binary fallback on cyclic ones) must
+		// reducer on acyclic inputs, the greedy hash plan on cyclic ones) must
 		// agree with the reference fold.
 		if seed&3 == 0 {
 			relation.CollideAllHashes(t)
@@ -358,7 +358,7 @@ func FuzzAcyclicJoin(f *testing.F) {
 		}
 		// A born-sorted answer as the root of a further tree join: joined
 		// with an input it already covers, it comes back whole, in order.
-		again, err := (Yannakakis{}).Join(Exec{}, got, rels[0])
+		again, err := (Yannakakis{}).JoinAll(Exec{}, NewPlan(got, rels[0]))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,12 +22,15 @@ import (
 	"relquery/internal/relation"
 )
 
-// Algorithm computes the natural join of two relations.
+// Algorithm is a join strategy: Hash, Generic or Yannakakis. The set is
+// closed by its unexported method, the one Multi runs a strategy through,
+// so Multi has no branch for a strategy it does not know.
 type Algorithm interface {
 	// Name identifies the algorithm in metrics, spans and CLI flags.
 	Name() string
-	// Join returns l ∗ r, governed, metered and traced by x.
-	Join(x Exec, l, r *relation.Relation) (*relation.Relation, error)
+	// joinAll joins the plan's inputs, at least two, under x; order
+	// sequences the steps of the binary plan, which only Hash runs.
+	joinAll(x Exec, p *Plan, order Order) (*relation.Relation, error)
 }
 
 // ByName returns the algorithm with the given name (one of Names).
@@ -75,7 +78,15 @@ type Hash struct{}
 // Name implements Algorithm.
 func (Hash) Name() string { return "hash" }
 
-// Join implements Algorithm.
+// Join returns l ∗ r, governed, metered and traced by x: the two-input
+// case of Multi.
 func (Hash) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
 	return hashPlan(x, []*relation.Relation{l, r}, Sequential)
+}
+
+func (Hash) joinAll(x Exec, p *Plan, order Order) (*relation.Relation, error) {
+	if order != Sequential && order != Greedy {
+		return nil, fmt.Errorf("join: unknown order %v", order)
+	}
+	return hashPlan(x, p.Inputs, order)
 }

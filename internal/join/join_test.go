@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -99,7 +100,7 @@ func TestAlgorithmsAgreeOnFixedCases(t *testing.T) {
 	}
 	for _, alg := range allAlgorithms(t) {
 		for _, tc := range cases {
-			got, err := alg.Join(Exec{}, tc.l, tc.r)
+			got, err := Multi(Exec{}, NewPlan(tc.l, tc.r), alg, Greedy)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", alg.Name(), tc.name, err)
 			}
@@ -143,7 +144,7 @@ func TestQuickAlgorithmsAgreeWithNestedLoop(t *testing.T) {
 			return false
 		}
 		for _, alg := range algs {
-			got, err := alg.Join(Exec{}, l, r)
+			got, err := Multi(Exec{}, NewPlan(l, r), alg, Greedy)
 			if err != nil || !got.Equal(ref) {
 				t.Logf("%s disagrees with Relation.Join on\n%v\n%v", alg.Name(), l.Sorted(), r.Sorted())
 				return false
@@ -185,10 +186,10 @@ func TestMultiSequentialMatchesGreedy(t *testing.T) {
 // relation given twice, a cartesian component, a two-input node and a
 // key of two columns read from two different inputs — also
 // with every tuple hashing to 0, so the tables group on key comparison
-// alone. Each answer must equal the fold of Relation.Join, and must be the
-// fold of two-input Hash.Join over the same pairs row for row, in the
-// same column order, with the same join counters: that is the order and
-// the accounting the plan had when its intermediates were relations.
+// alone. Each answer must equal the fold of Relation.Join, and must be
+// foldHash's row for row, in the same column order, with the same join
+// counters: that is the order and the accounting the plan had when its
+// intermediates were relations.
 func TestHashPlanEdgeCases(t *testing.T) {
 	ab := rel(t, "A B", "1 x", "2 x", "3 y")
 	bc := rel(t, "B C", "x p", "x q", "y p", "z r")
@@ -220,7 +221,7 @@ func TestHashPlanEdgeCases(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pairwise, err := fold(Exec{Metrics: &folded}, rels, Hash{}, order)
+					pairwise, err := foldHash(Exec{Metrics: &folded}, rels, order, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -278,24 +279,43 @@ func TestHashJoinEmissionOrder(t *testing.T) {
 	}
 }
 
-// chargeRecorder is Hash as a fold's binary algorithm, recording what the
-// binary plan charges for each step the fold takes: an intermediate its
-// ids — four bytes per row per input it covers — and the last step, the
-// answer, its values.
+// foldHash is the reference the binary plan must match: a fold of
+// two-input Hash.Join over the pairs the plan picks in the given order,
+// every intermediate a relation of values. step, when non-nil, sees each
+// step's inputs and output.
+func foldHash(x Exec, inputs []*relation.Relation, order Order, step func(l, r, out *relation.Relation)) (*relation.Relation, error) {
+	pending := slices.Clone(inputs)
+	for len(pending) > 1 {
+		i, j := 0, 1
+		if order == Greedy {
+			i, j = pickPair(len(pending), func(a, b int) (bool, int) {
+				return !pending[a].Scheme().Disjoint(pending[b].Scheme()), pending[a].Len() * pending[b].Len()
+			})
+		}
+		joined, err := Hash{}.Join(x, pending[i], pending[j])
+		if err != nil {
+			return nil, err
+		}
+		if step != nil {
+			step(pending[i], pending[j], joined)
+		}
+		pending = slices.Delete(pending, j, j+1)
+		pending[i] = joined
+	}
+	return pending[0], nil
+}
+
+// chargeRecorder records, for each step of foldHash, what the binary plan
+// charges for it: an intermediate its ids — four bytes per row per input
+// it covers — and the last step, the answer, its values.
 type chargeRecorder struct {
 	covers map[*relation.Relation]int
 	steps  []*relation.Relation
 }
 
-func (c *chargeRecorder) Name() string { return "hash" }
-
-func (c *chargeRecorder) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
-	out, err := Hash{}.Join(x, l, r)
-	if err == nil {
-		c.covers[out] = max(c.covers[l], 1) + max(c.covers[r], 1)
-		c.steps = append(c.steps, out)
-	}
-	return out, err
+func (c *chargeRecorder) step(l, r, out *relation.Relation) {
+	c.covers[out] = max(c.covers[l], 1) + max(c.covers[r], 1)
+	c.steps = append(c.steps, out)
 }
 
 // charges returns the plan's total memory charge and its peak.
@@ -326,7 +346,7 @@ func TestGreedyPlanChargesIdsNotValues(t *testing.T) {
 	}
 	rec := &chargeRecorder{covers: map[*relation.Relation]int{}}
 	sp := &obs.Span{}
-	if _, err := fold(Exec{Span: sp}, rels, rec, Greedy); err != nil {
+	if _, err := foldHash(Exec{Span: sp}, rels, Greedy, rec.step); err != nil {
 		t.Fatal(err)
 	}
 	charge, peak := rec.charges()

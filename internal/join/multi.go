@@ -47,34 +47,13 @@ func OrderByName(name string) (Order, error) {
 	}
 }
 
-// nary is implemented by the strategies that join all inputs of an n-ary
-// node in one pass (Generic, Yannakakis) instead of as a plan of binary
-// joins.
-type nary interface {
-	JoinAll(x Exec, p *Plan) (*relation.Relation, error)
-}
-
-// onePass returns alg's one-pass form, or nil when alg only joins
-// pairwise. It is the only n-ary capability check in the tree.
-func onePass(alg Algorithm) nary {
-	n, _ := alg.(nary)
-	return n
-}
-
-// OnePass reports whether Multi hands alg all inputs of a node at once
-// instead of planning binary joins. The one-pass strategies bound their
-// intermediates by their output, which is what admission control and
-// graceful degradation need to know about a strategy.
-func OnePass(alg Algorithm) bool { return onePass(alg) != nil }
-
 // Multi computes the natural join of the plan's inputs under x: in one
-// pass when alg is a one-pass strategy, else as a plan of binary joins
-// combined in the given order — for Hash, a plan whose intermediates are
-// row ids (hashPlan); for any other binary algorithm, a fold of its Join.
-// Joining zero relations is an error (the neutral element — the relation
-// over the empty scheme holding the empty tuple — is almost never what a
-// caller wants); joining one relation returns it unchanged, folded into
-// the intermediate statistics.
+// pass for Generic and Yannakakis, and for Hash as the binary plan whose
+// intermediates are row ids (hashPlan), its steps combined in the given
+// order. Joining zero relations is an error (the neutral element — the
+// relation over the empty scheme holding the empty tuple — is almost never
+// what a caller wants); joining one relation returns it unchanged, folded
+// into the intermediate statistics.
 func Multi(x Exec, p *Plan, alg Algorithm, order Order) (*relation.Relation, error) {
 	inputs := p.Inputs
 	switch len(inputs) {
@@ -84,38 +63,7 @@ func Multi(x Exec, p *Plan, alg Algorithm, order Order) (*relation.Relation, err
 		x.Metrics.ObserveIntermediate(inputs[0].Len())
 		return inputs[0], nil
 	}
-	if n := onePass(alg); n != nil {
-		return n.JoinAll(x, p)
-	}
-	if order != Sequential && order != Greedy {
-		return nil, fmt.Errorf("join: unknown order %v", order)
-	}
-	if _, ok := alg.(Hash); ok {
-		return hashPlan(x, inputs, order)
-	}
-	return fold(x, inputs, alg, order)
-}
-
-// fold joins inputs pairwise with alg.Join, in the given order, each
-// intermediate a relation: the binary plan of an algorithm that only
-// joins two relations — Yannakakis' cyclic fallback, a test's wrapper.
-func fold(x Exec, inputs []*relation.Relation, alg Algorithm, order Order) (*relation.Relation, error) {
-	pending := slices.Clone(inputs)
-	for len(pending) > 1 {
-		i, j := 0, 1
-		if order == Greedy {
-			i, j = pickPair(len(pending), func(a, b int) (bool, int) {
-				return !pending[a].Scheme().Disjoint(pending[b].Scheme()), pending[a].Len() * pending[b].Len()
-			})
-		}
-		joined, err := alg.Join(x, pending[i], pending[j])
-		if err != nil {
-			return nil, err
-		}
-		pending = slices.Delete(pending, j, j+1)
-		pending[i] = joined
-	}
-	return pending[0], nil
+	return alg.joinAll(x, p, order)
 }
 
 // pickPair chooses the next pair to join among n pending relations, of

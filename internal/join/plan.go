@@ -54,8 +54,8 @@ func (f *Facts) Plan(inputs ...*relation.Relation) *Plan {
 // inputs and the node's Facts. The strategy selector, the admission gates,
 // the span annotation, the generic join's attribute order and Yannakakis'
 // sweeps all read the facts here instead of deriving them again. A Plan
-// belongs to one execution — the degraded retry included — and is not safe
-// for concurrent use; its Facts is.
+// belongs to one execution and is not safe for concurrent use; its Facts
+// is.
 type Plan struct {
 	// Inputs are the node's materialized arguments, in argument order.
 	Inputs []*relation.Relation

@@ -13,15 +13,6 @@ import (
 // tuples, in the shared scheme's order — the join key, read in place.
 type keyCols []int
 
-func newKeyCols(s, shared relation.Scheme) keyCols {
-	pos := make(keyCols, shared.Len())
-	for i := 0; i < shared.Len(); i++ {
-		j, _ := s.Pos(shared.Attr(i))
-		pos[i] = j
-	}
-	return pos
-}
-
 // sameKey reports whether t (key columns kt) and u (key columns ku) agree
 // on every shared attribute.
 func sameKey(t relation.Tuple, kt keyCols, u relation.Tuple, ku keyCols) bool {
@@ -174,21 +165,6 @@ func (t *hashTable) group(h uint64, u relation.Tuple, ku keyCols) int {
 	return -1
 }
 
-// matches returns the first build row matching probe tuple u (key columns
-// ku, hashing to h), or -1, and how many build rows match; after follows
-// the chain:
-//
-//	for i, _ := t.matches(h, u, ku); i >= 0; i = t.after(i) { … t.rel.Tuple(i) … }
-//
-// The count is what lets a join learn its output cardinality from one
-// lookup per probe row, before it builds a row.
-func (t *hashTable) matches(h uint64, u relation.Tuple, ku keyCols) (first, n int) {
-	if grp := t.group(h, u, ku); grp >= 0 {
-		return int(t.head[grp]), int(t.size[grp])
-	}
-	return -1, 0
-}
-
 // after returns the build row following row i in its group, or -1.
 func (t *hashTable) after(i int) int { return int(t.next[i]) }
 
@@ -254,7 +230,10 @@ func (t *idTable) group(h uint64, u []relation.Tuple, ku []relation.Ref) int {
 	return -1
 }
 
-// matches is hashTable.matches for a row whose input rows are u.
+// matches returns the first build row matching the row whose input rows
+// are u (key refs ku, hashing to h), or -1, and how many build rows match;
+// after follows the chain. The count is what lets a join learn its output
+// cardinality from one lookup per probe row, before it builds a row.
 func (t *idTable) matches(h uint64, u []relation.Tuple, ku []relation.Ref) (first, n int) {
 	if grp := t.group(h, u, ku); grp >= 0 {
 		return int(t.head[grp]), int(t.size[grp])

@@ -59,10 +59,8 @@ type Generic struct{}
 // Name implements Algorithm.
 func (Generic) Name() string { return "wcoj" }
 
-// Join implements Algorithm; a binary generic join is simply the two-input
-// case of JoinAll.
-func (g Generic) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
-	return g.JoinAll(x, NewPlan(l, r))
+func (g Generic) joinAll(x Exec, p *Plan, _ Order) (*relation.Relation, error) {
+	return g.JoinAll(x, p)
 }
 
 // JoinAll joins all of the plan's inputs in one attribute-at-a-time pass.
@@ -377,8 +375,3 @@ func lowerBound(t *sortedTrie, lo, hi, d int, v relation.Value) int {
 func upperBound(t *sortedTrie, lo, hi, d int, v relation.Value) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return t.at(lo+i, d) > v })
 }
-
-var (
-	_ Algorithm = Generic{}
-	_ nary      = Generic{}
-)

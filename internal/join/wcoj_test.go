@@ -120,8 +120,8 @@ func TestGenericEdgeCases(t *testing.T) {
 	}
 }
 
-// TestGenericBinaryAlgorithm exercises Generic through the plain binary
-// Algorithm interface the rest of the engine uses.
+// TestGenericBinaryAlgorithm exercises Generic on a two-input node
+// through Multi, the entry point the rest of the engine uses.
 func TestGenericBinaryAlgorithm(t *testing.T) {
 	l := bigRel(11, relation.MustScheme("K", "A"), 300, 17)
 	r := bigRel(12, relation.MustScheme("K", "B"), 400, 17)
@@ -129,7 +129,7 @@ func TestGenericBinaryAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Generic{}.Join(Exec{}, l, r)
+	got, err := Multi(Exec{}, NewPlan(l, r), Generic{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}

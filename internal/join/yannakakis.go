@@ -29,11 +29,12 @@ import (
 // On acyclic inputs Yannakakis does neither — semijoins only shrink, and
 // the tree joins never outgrow the output.
 //
-// On a cyclic hypergraph the algorithm does not apply; JoinAll then falls
-// back to the greedy binary plan over pairwise-reduced joins (Join: the
-// same executor on a two-node tree) — sound for any join, just without
-// the output-boundedness guarantee — so the type is safe to force on
-// arbitrary queries via -join=yannakakis.
+// On a cyclic hypergraph the algorithm does not apply — its output bound
+// holds on acyclic hypergraphs only — and JoinAll runs the engine's one
+// binary plan instead: Hash's greedy plan, whose intermediates are row
+// ids (hashPlan). That is sound for any join, just without the
+// output-boundedness guarantee, so the type is safe to force on arbitrary
+// queries via -join=yannakakis; the span still says cyclic.
 //
 // Metrics: each semijoin pass's surviving cardinality, one join whose
 // built side is the reduced non-root rows and whose probed side the
@@ -48,19 +49,16 @@ type Yannakakis struct{}
 // Name implements Algorithm.
 func (Yannakakis) Name() string { return "yannakakis" }
 
-// Join implements Algorithm; two relations are always α-acyclic, so a
-// binary Yannakakis join is joinTree on a two-node tree: one semijoin
-// each way, then the count and the enumeration of the reduced pair.
-func (y Yannakakis) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
-	out, _, _, err := joinTree(x, NewPlan(l, r))
-	return out, err
+func (y Yannakakis) joinAll(x Exec, p *Plan, _ Order) (*relation.Relation, error) {
+	return y.JoinAll(x, p)
 }
 
 // JoinAll joins all of the plan's inputs along its GYO join tree,
-// recording the verdict and the full reducer's effort on the span. Like
+// recording the verdict and the full reducer's effort on the span; a
+// cyclic plan's inputs it joins on the greedy hash plan. Like
 // Multi, joining zero relations is an error and a single relation passes
 // through unchanged.
-func (y Yannakakis) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
+func (Yannakakis) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	inputs := p.Inputs
 	switch len(inputs) {
 	case 0:
@@ -70,7 +68,7 @@ func (y Yannakakis) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	}
 	if _, ok := p.JoinTree(); !ok {
 		x.Span.SetStructure(obs.StructureCyclic)
-		return fold(x, inputs, y, Greedy)
+		return hashPlan(x, inputs, Greedy)
 	}
 	x.Span.SetStructure(obs.StructureAcyclic)
 	out, semijoins, reducedRows, err := joinTree(x, p)
@@ -660,8 +658,3 @@ func Semijoin(r, s *relation.Relation) (*relation.Relation, error) {
 	}
 	return t.survivors(0)
 }
-
-var (
-	_ Algorithm = Yannakakis{}
-	_ nary      = Yannakakis{}
-)

@@ -69,11 +69,10 @@ func TestYannakakisCyclicFallback(t *testing.T) {
 	if sp.Structure != obs.StructureCyclic {
 		t.Errorf("triangle recorded structure=%q", sp.Structure)
 	}
-	// The fallback is a binary plan of pairwise-reduced joins: two joins,
-	// each preceded by a semijoin each way, and no full-reducer
-	// annotation on the span.
-	if snap := m.Snapshot(); snap.Joins != 2 || snap.Semijoins != 4 || snap.YannakakisJoins != 2 {
-		t.Errorf("fallback metrics: joins=%d semijoins=%d yannakakis=%d, want 2/4/2", snap.Joins, snap.Semijoins, snap.YannakakisJoins)
+	// The fallback is the greedy hash plan: two joins, no semijoin, no
+	// tree join, and no full-reducer annotation on the span.
+	if snap := m.Snapshot(); snap.Joins != 2 || snap.Semijoins != 0 || snap.YannakakisJoins != 0 {
+		t.Errorf("fallback metrics: joins=%d semijoins=%d yannakakis=%d, want 2/0/0", snap.Joins, snap.Semijoins, snap.YannakakisJoins)
 	}
 	if sp.Semijoins != 0 || sp.ReducedRows != 0 {
 		t.Errorf("fallback annotated the span: semijoins=%d reduced=%d", sp.Semijoins, sp.ReducedRows)
@@ -86,7 +85,7 @@ func TestYannakakisCyclicFallback(t *testing.T) {
 func TestYannakakisBinaryAndSingle(t *testing.T) {
 	r1 := rel(t, "A B", "1 x", "2 y")
 	r2 := rel(t, "B C", "x p")
-	out, err := Yannakakis{}.Join(Exec{}, r1, r2)
+	out, err := Yannakakis{}.JoinAll(Exec{}, NewPlan(r1, r2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +271,7 @@ func TestEdgeTableIsAFactOfItsRelation(t *testing.T) {
 	r := rel(t, "A B", "1 x", "2 x", "3 y")
 	// As a child under key A, under key B, then under both.
 	for _, parent := range []*relation.Relation{rel(t, "A C", "1 p", "3 q"), rel(t, "B D", "x 7"), rel(t, "A B E", "1 x e")} {
-		if _, err := (Yannakakis{}).Join(Exec{}, r, parent); err != nil {
+		if _, err := (Yannakakis{}).JoinAll(Exec{}, NewPlan(r, parent)); err != nil {
 			t.Fatal(err)
 		}
 	}

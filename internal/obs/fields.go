@@ -28,7 +28,6 @@ const (
 	FieldStructure       = "structure"
 	FieldSemijoins       = "semijoins"
 	FieldReducedRows     = "reduced_rows"
-	FieldDegraded        = "degraded"
 	FieldPlan            = "plan"
 	FieldError           = "error"
 
@@ -59,7 +58,6 @@ const (
 	SeriesYannakakisJoins    = "relquery_yannakakis_joins_total"
 	SeriesSemijoins          = "relquery_semijoins_total"
 	SeriesSemijoinRows       = "relquery_semijoin_rows_total"
-	SeriesDegradedEvals      = "relquery_degraded_evals_total"
 	SeriesCacheHits          = "relquery_cache_hits_total"
 	SeriesCacheMisses        = "relquery_cache_misses_total"
 	SeriesCacheInvalidations = "relquery_cache_invalidations_total"

@@ -141,8 +141,7 @@ func (m *Metrics) WCOJ(candidates, intersections int) {
 }
 
 // Semijoin records one semijoin pass producing out tuples (the full
-// reducer's sweeps and the pairwise reductions of Yannakakis' binary
-// joins report here).
+// reducer's sweeps report here).
 func (m *Metrics) Semijoin(out int) {
 	if m == nil {
 		return
@@ -158,16 +157,6 @@ func (m *Metrics) Yannakakis() {
 		return
 	}
 	m.counts.YannakakisJoins++
-}
-
-// Degraded records one graceful degradation: a wcoj or yannakakis join
-// node failed (engine error or recovered panic) and was retried on the
-// greedy binary path.
-func (m *Metrics) Degraded() {
-	if m == nil {
-		return
-	}
-	m.counts.DegradedEvals++
 }
 
 // CacheHit records a subexpression served from the evaluation's cache
@@ -286,15 +275,11 @@ type MetricsSnapshot struct {
 	// YannakakisJoins counts n-ary joins evaluated by the Yannakakis
 	// full reducer over an acyclic join tree.
 	YannakakisJoins int64 `json:"yannakakis_joins"`
-	// Semijoins counts semijoin passes (full-reducer sweeps and the
-	// pairwise reductions of Yannakakis' binary joins).
+	// Semijoins counts the full reducer's semijoin passes.
 	Semijoins int64 `json:"semijoins"`
 	// SemijoinRows totals the output cardinalities of all semijoin
 	// passes — the per-pass cardinality trail of the full reducer.
 	SemijoinRows int64 `json:"semijoin_rows"`
-	// DegradedEvals counts join nodes whose wcoj/yannakakis strategy
-	// failed and was retried on the greedy binary path.
-	DegradedEvals int64 `json:"degraded_evals"`
 	// ViolationsDeadline counts evaluations killed by the wall-clock
 	// deadline (governor.ErrDeadline).
 	ViolationsDeadline int64 `json:"violations_deadline"`
@@ -361,7 +346,6 @@ func (s *MetricsSnapshot) fold(o MetricsSnapshot) {
 	s.YannakakisJoins += o.YannakakisJoins
 	s.Semijoins += o.Semijoins
 	s.SemijoinRows += o.SemijoinRows
-	s.DegradedEvals += o.DegradedEvals
 	s.ViolationsDeadline += o.ViolationsDeadline
 	s.ViolationsCanceled += o.ViolationsCanceled
 	s.ViolationsRowBudget += o.ViolationsRowBudget
@@ -378,13 +362,13 @@ func (s MetricsSnapshot) String() string {
 		"joins=%d "+FieldMaxIntermediate+"=%d intermediate_tuples=%d "+
 			"built=%d probed=%d emitted=%d "+
 			"wcoj=%d wcoj_candidates=%d wcoj_intersections=%d "+
-			"yannakakis=%d "+FieldSemijoins+"=%d semijoin_rows=%d "+FieldDegraded+"=%d "+
+			"yannakakis=%d "+FieldSemijoins+"=%d semijoin_rows=%d "+
 			"viol_deadline=%d viol_canceled=%d viol_row_budget=%d viol_mem_budget=%d viol_admission=%d "+
 			"cache_hits=%d cache_misses=%d cache_invalidations=%d",
 		s.Joins, s.MaxIntermediate, s.IntermediateTuples,
 		s.TuplesBuilt, s.TuplesProbed, s.TuplesEmitted,
 		s.WCOJJoins, s.WCOJCandidates, s.WCOJIntersections,
-		s.YannakakisJoins, s.Semijoins, s.SemijoinRows, s.DegradedEvals,
+		s.YannakakisJoins, s.Semijoins, s.SemijoinRows,
 		s.ViolationsDeadline, s.ViolationsCanceled, s.ViolationsRowBudget,
 		s.ViolationsMemBudget, s.ViolationsAdmission,
 		s.CacheHits, s.CacheMisses, s.CacheInvalidations)

@@ -32,7 +32,6 @@ func TestNilSafety(t *testing.T) {
 	m.CacheHit()
 	m.CacheMiss()
 	m.CacheInvalidated(2)
-	m.Degraded()
 	m.Violation(ViolationDeadline)
 	m.Violation("not-a-kind")
 	if snap := m.Snapshot(); snap != (MetricsSnapshot{}) {

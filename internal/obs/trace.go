@@ -88,10 +88,6 @@ type Span struct {
 	// ReducedRows totals the input cardinalities surviving the full
 	// reducer; InputRows' sum minus this is the dangling tuples removed.
 	ReducedRows int `json:"reduced_rows,omitempty"`
-	// Degraded marks a join span whose original strategy (wcoj or
-	// yannakakis) failed and whose result came from a greedy-binary
-	// retry; Algorithm then names the fallback that actually ran.
-	Degraded bool `json:"degraded,omitempty"`
 	// Plan is CacheHit on a join span whose planning facts (join tree, AGM
 	// bound, predicted peaks) a facts store already held, so that the node
 	// planned nothing it found there.
@@ -202,14 +198,6 @@ func (s *Span) SetYannakakis(semijoins, reducedRows int) {
 	}
 	s.Semijoins = semijoins
 	s.ReducedRows = reducedRows
-}
-
-// SetDegraded marks the span as served by a graceful-degradation retry.
-func (s *Span) SetDegraded() {
-	if s == nil {
-		return
-	}
-	s.Degraded = true
 }
 
 // SetPlanKnown records whether a facts store already held the join

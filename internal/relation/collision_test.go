@@ -95,14 +95,14 @@ func TestSetSemanticsUnderTotalCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []join.Algorithm{join.Hash{}, join.Generic{}, join.Yannakakis{}} {
-		got, err := alg.Join(join.Exec{}, l, r)
+		got, err := join.Multi(join.Exec{}, join.NewPlan(l, r), alg, join.Greedy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(ref) {
 			t.Errorf("%s join differs from the reference: %d vs %d tuples", alg.Name(), got.Len(), ref.Len())
 		}
-		got, err = alg.Join(join.Exec{}, bigL, bigR)
+		got, err = join.Multi(join.Exec{}, join.NewPlan(bigL, bigR), alg, join.Greedy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func TestStoredRowsAreViews(t *testing.T) {
 	}
 	joined := func(alg join.Algorithm, l, r *relation.Relation) *relation.Relation {
 		t.Helper()
-		return must(alg.Join(join.Exec{}, l, r))
+		return must(join.Multi(join.Exec{}, join.NewPlan(l, r), alg, join.Greedy))
 	}
 	producers := map[string]*relation.Relation{
 		"New/Add": func() *relation.Relation {
@@ -128,7 +128,7 @@ func TestEmptySchemeHoldsOneEmptyTuple(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range []join.Algorithm{join.Hash{}, join.Generic{}} {
-			both, err := alg.Join(join.Exec{}, unit, unit.Clone())
+			both, err := join.Multi(join.Exec{}, join.NewPlan(unit, unit.Clone()), alg, join.Greedy)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -154,9 +154,6 @@ func spanArgs(sp *obs.Span) map[string]any {
 	if sp.ReducedRows > 0 {
 		args[obs.FieldReducedRows] = sp.ReducedRows
 	}
-	if sp.Degraded {
-		args[obs.FieldDegraded] = true
-	}
 	if sp.Plan != "" {
 		args[obs.FieldPlan] = sp.Plan
 	}

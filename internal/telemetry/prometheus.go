@@ -35,7 +35,6 @@ var counters = []counterSeries{
 	{obs.SeriesYannakakisJoins, "Acyclic joins evaluated via Yannakakis.", func(m obs.MetricsSnapshot) int64 { return m.YannakakisJoins }},
 	{obs.SeriesSemijoins, "Semijoin passes (Yannakakis sweeps and prefilters).", func(m obs.MetricsSnapshot) int64 { return m.Semijoins }},
 	{obs.SeriesSemijoinRows, "Rows removed by semijoin passes.", func(m obs.MetricsSnapshot) int64 { return m.SemijoinRows }},
-	{obs.SeriesDegradedEvals, "Evaluations served by a graceful-degradation retry.", func(m obs.MetricsSnapshot) int64 { return m.DegradedEvals }},
 	{obs.SeriesCacheHits, "Subexpression cache hits.", func(m obs.MetricsSnapshot) int64 { return m.CacheHits }},
 	{obs.SeriesCacheMisses, "Subexpression cache misses.", func(m obs.MetricsSnapshot) int64 { return m.CacheMisses }},
 	{obs.SeriesCacheInvalidations, "Subexpression cache entries invalidated.", func(m obs.MetricsSnapshot) int64 { return m.CacheInvalidations }},
