@@ -18,8 +18,9 @@ bench:
 
 # Regenerate BENCH_wcoj.txt: the greedy-vs-wcoj comparison on the
 # Lemma 1 blow-up families, with the per-configuration peak_rows and
-# agm_bound metrics that show the intermediate collapse. CI uploads the
-# file as an artifact.
+# agm_bound metrics that show the intermediate collapse, and the cold and
+# warm planning of one gadget join node. CI uploads the file as an
+# artifact.
 wcoj-bench:
 	{ \
 	  echo "Worst-case-optimal generic join vs greedy binary plan (ISSUE 4)"; \
@@ -30,8 +31,11 @@ wcoj-bench:
 	  echo "(trace MaxIntermediate/OutputRows); agm_bound is the root join"; \
 	  echo "node's AGM bound. The wcoj/auto rows must keep peak_rows at or"; \
 	  echo "below the final output — never the greedy plan's blow-up."; \
+	  echo "PlanFacts is one gadget node's planning (AGM bound and peaks),"; \
+	  echo "cold and warm; its B/op is the AGM LP's tableau."; \
 	  echo; \
 	  $(GO) test -run '^$$' -bench 'WCOJLemma1|GenericJoinDirect' -benchtime 10x -count 1 -benchmem .; \
+	  $(GO) test -run '^$$' -bench 'PlanFacts' -benchtime 200x -count 1 -benchmem ./internal/join; \
 	} | tee BENCH_wcoj.txt
 
 # Regenerate BENCH_acyclic.txt: the greedy-vs-yannakakis comparison on

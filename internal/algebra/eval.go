@@ -396,7 +396,7 @@ func (ev *Evaluator) choose(p *join.Plan, sp *obs.Span) join.Algorithm {
 		// and the worst-case AGM bound of each greedy accumulator (catches
 		// the Lemma 1 gadgets, whose correlations defeat the independence
 		// assumption behind the estimates).
-		if bound := p.AGMBound(); bound > 0 && p.Peak() > bound {
+		if p.PeakAboveBound() {
 			return join.Generic{}
 		}
 	}

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 // memoized reports whether read returns a fact its plan has already
 // computed: reading a memoized fact allocates nothing, while GYO, the
-// cover LP and the greedy simulation each allocate.
+// AGM LP on a fresh plan and the greedy simulation each allocate.
 func memoized(read func()) bool {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
@@ -71,7 +72,29 @@ func TestJoinNodeReadsOnlyWhatItNeeds(t *testing.T) {
 	if _, err := hash.run(x, p, hash.choose(p, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if memoized(func() { p.Peaks() }) || memoized(func() { p.AGMBound() }) || memoized(func() { p.JoinTree() }) {
+	// The bound is asked before the peaks: an LP that finds its scratch
+	// tableau already sized by the simulation's LPs allocates nothing.
+	if memoized(func() { p.AGMBound() }) || memoized(func() { p.Peaks() }) || memoized(func() { p.JoinTree() }) {
 		t.Error("an untraced, un-admitted hash node computed a planning fact")
+	}
+}
+
+// TestTieKeepsTheBinaryPlan: on this cyclic node the greedy plan's worst
+// peak — the accumulator of the two 3-row inputs, 3·3 rows — equals the
+// node's AGM bound, 9, and the two LPs round to either side of it. Under
+// auto the node keeps the binary algorithm: a tie is no blow-up.
+func TestTieKeepsTheBinaryPlan(t *testing.T) {
+	p := join.NewPlan(
+		mkrel(t, "A C", "0 0", "1 0", "e e"),
+		mkrel(t, "B C D", "e 1 e", "e e e", "1 0 1"),
+		mkrel(t, "A D", "0 1", "0 e", "1 e", "1 0", "e 1", "e 0"),
+		mkrel(t, "A B C", "e e 0", "0 e 0", "1 0 1", "1 0 e", "1 1 0"),
+	)
+	if peak, bound := p.Peak(), p.AGMBound(); peak <= bound || math.Abs(peak-9) > 1e-12 || math.Abs(bound-9) > 1e-12 {
+		t.Fatalf("peak %v, bound %v: want a tie at 9 that rounding puts the peak above", peak, bound)
+	}
+	auto := &Evaluator{AutoWCOJ: true, AutoYannakakis: true}
+	if alg := auto.choose(p, nil); alg.Name() != "hash" {
+		t.Errorf("auto sent a tie node to %s, want hash", alg.Name())
 	}
 }

@@ -109,13 +109,3 @@ func streamDistinct(phi algebra.Expr, db relation.Database, stopAt int, b Budget
 	}
 	return seen.Len(), !stopped, nil
 }
-
-// CountMaterialized computes |φ(db)| by materializing with the algebra
-// evaluator — the naive comparison point for the benchmarks. It uses the
-// evaluator's default join strategy; CountMaterializedWith takes any
-// other configuration.
-func CountMaterialized(phi algebra.Expr, db relation.Database) (int, error) {
-	return CountMaterializedWith(phi, db, algebra.EvalOptions{})
-}
-
-var _ = relation.Tuple(nil) // keep relation import for doc references

@@ -14,31 +14,21 @@ import (
 // join satisfies |R₁ ∗ … ∗ R_k| ≤ ∏ |R_i|^{x_i}, and the minimum over
 // fractional covers is tight in the worst case over instances with the
 // given sizes. The minimizing cover is a linear program, solved here
-// exactly in log space with a small dense two-phase simplex.
+// exactly in log space as its dual, a packing LP that is feasible at
+// y = 0, by one pass of a small dense simplex from the slack basis.
 //
 // The bound is the natural yardstick for the paper's blow-up phenomenon:
 // Cosmadakis' gadgets drive intermediate joins toward this worst case
 // while input and output stay linear, and EXPLAIN ANALYZE prints the
 // bound next to each join node's observed cardinality.
 
-// AGMBound returns the AGM worst-case cardinality bound for the natural
-// join of relations with the given schemes and sizes. It returns 0 when
-// any input is empty (the join is empty) or the slices are empty or
-// mismatched, and 1 when every scheme is empty (the join holds at most
-// the empty tuple).
-func AGMBound(schemes []relation.Scheme, sizes []int) float64 {
-	_, bound := FractionalCover(schemes, sizes)
-	return bound
-}
-
 // FractionalCover returns a minimizing fractional edge cover x — one
 // weight per relation, with Σ_{i: a ∈ scheme_i} x_i ≥ 1 for every
-// attribute a — together with the resulting AGM bound ∏ |R_i|^{x_i}. The
-// cover is what the worst-case-optimal join's attribute order consults:
-// attributes covered by heavily weighted relations are the ones the bound
-// charges. Degenerate inputs follow AGMBound: a nil cover with bound 0
-// for empty/mismatched slices or any empty relation, an all-zero cover
-// with bound 1 when every scheme is empty.
+// attribute a — together with the resulting AGM bound ∏ |R_i|^{x_i}.
+// Degenerate inputs: a nil cover with bound 0 for empty or mismatched
+// slices or any empty relation (the join is empty), an all-zero cover with
+// bound 1 when every scheme is empty (the join holds at most the empty
+// tuple).
 func FractionalCover(schemes []relation.Scheme, sizes []int) ([]float64, float64) {
 	if len(schemes) != len(sizes) {
 		return nil, 0
@@ -65,10 +55,10 @@ type hypergraph struct {
 	tab     []float64 // tableau, row-major
 	cost    []float64
 	basis   []int
-	rows    []int // rows[r]: the attribute constraint r covers
-	edges   []int // the LP's columns when the caller passes none
+	cols    []int // cols[j]: the attribute LP column j stands for
+	edges   []int // the LP's rows when the caller passes none
 	inBasis []bool
-	hasRow  []bool
+	hasCol  []bool
 }
 
 func newHypergraph(schemes []relation.Scheme, sizes []int) *hypergraph {
@@ -110,28 +100,32 @@ func (h *hypergraph) has(bits []uint64, i, a int) bool {
 
 const lpEps = 1e-9
 
-// cover solves the fractional edge cover LP of the sub-hypergraph on the
-// given edges (nil: all of them)
+// cover solves the AGM LP of the sub-hypergraph on the given edges (nil:
+// all of them) as the packing dual of the fractional edge cover LP
 //
-//	min Σ log₂|R_i|·x_i   subject to   Σ_{i: a ∈ edge_i} x_i ≥ 1 per attribute a,  x ≥ 0
+//	max Σ_a y_a   subject to   Σ_{a ∈ edge_i} y_a ≤ log₂|R_i| per given edge i,  y ≥ 0
 //
 // and returns the AGM bound 2^optimum and, when wantCover is set, an
-// optimal x (one weight per given edge). Degenerate inputs follow
-// FractionalCover. The solver is a dense two-phase primal simplex with
-// Bland's rule over one flat tableau, ample for the tiny instances a join
-// node produces (k relations × a few dozen attributes); constraints are
-// taken in first-occurrence order of their attributes over the given
-// edges, which fixes the pivoting sequence and so the exact floats. Each
-// LP that reaches the solver is counted on solves.
+// optimal cover x (one weight per given edge): by LP duality the packing
+// optimum is the cover optimum, and x is the final reduced costs of the
+// slack columns. Degenerate inputs follow FractionalCover. Every
+// right-hand side log₂|R_i| is ≥ 0, so y = 0 — the slack basis — is
+// feasible and one primal simplex pass with Bland's rule over one flat
+// tableau solves the LP, ample for the tiny instances a join node produces
+// (k relations × a few dozen attributes). The tableau has one row per
+// given edge, in the given order, and one column per attribute in
+// first-occurrence order over the given edges, which fixes the pivoting
+// sequence and so the exact floats. Each LP that reaches the solver is
+// counted on solves.
 func (h *hypergraph) cover(edges []int, wantCover bool, solves *obs.Metrics) ([]float64, float64) {
 	if h.tab == nil {
 		m, k := h.nattrs, len(h.schemes)
-		h.tab = make([]float64, m*(k+2*m+1))
-		h.cost = make([]float64, k+2*m)
-		h.inBasis = make([]bool, k+2*m+m)
-		h.inBasis, h.hasRow = h.inBasis[:k+2*m], h.inBasis[k+2*m:]
-		h.basis = make([]int, 2*m+k)
-		h.basis, h.rows, h.edges = h.basis[:m], h.basis[m:2*m:2*m], h.basis[2*m:]
+		h.tab = make([]float64, k*(m+k+1)+m+k)
+		h.tab, h.cost = h.tab[:k*(m+k+1)], h.tab[k*(m+k+1):]
+		h.inBasis = make([]bool, m+k+m)
+		h.inBasis, h.hasCol = h.inBasis[:m+k], h.inBasis[m+k:]
+		h.basis = make([]int, k+m+k)
+		h.basis, h.cols, h.edges = h.basis[:k], h.basis[k:k+m:k+m], h.basis[k+m:]
 		for i := range h.edges {
 			h.edges[i] = i
 		}
@@ -147,13 +141,13 @@ func (h *hypergraph) cover(edges []int, wantCover bool, solves *obs.Metrics) ([]
 			return nil, 0
 		}
 	}
-	clear(h.hasRow)
-	rows := h.rows[:0]
+	clear(h.hasCol)
+	cols := h.cols[:0]
 	for _, i := range edges {
 		for _, a := range h.attrs[i] {
-			if !h.hasRow[a] {
-				h.hasRow[a] = true
-				rows = append(rows, a)
+			if !h.hasCol[a] {
+				h.hasCol[a] = true
+				cols = append(cols, a)
 			}
 		}
 	}
@@ -161,82 +155,53 @@ func (h *hypergraph) cover(edges []int, wantCover bool, solves *obs.Metrics) ([]
 	if wantCover {
 		x = make([]float64, len(edges))
 	}
-	if len(rows) == 0 {
+	if len(cols) == 0 {
 		return x, 1
 	}
 
 	solves.CoverLPSolved(1)
-	m := len(rows)  // constraints
-	k := len(edges) // structural variables
-	n := k + m + m  // x, surplus, artificial
+	m := len(cols)  // y
+	k := len(edges) // constraints, one slack each
+	n := m + k      // y, slack
 	stride := n + 1 // … and the right-hand side
-	// Tableau rows: cover·x − s + t = 1; initial basis = artificials.
-	tab, basis, cost := h.tab[:m*stride], h.basis[:m], h.cost[:n]
+	// Tableau rows: packing·y + s = log₂|R_i|; initial basis = slacks.
+	tab, basis, cost := h.tab[:k*stride], h.basis[:k], h.cost[:n]
 	clear(tab)
-	for r, a := range rows {
+	for r, i := range edges {
 		row := tab[r*stride : (r+1)*stride]
-		for j, i := range edges {
+		for j, a := range cols {
 			if h.has(h.bits, i, a) {
 				row[j] = 1
 			}
 		}
-		row[k+r] = -1  // surplus
-		row[k+m+r] = 1 // artificial
-		row[n] = 1     // rhs
-		basis[r] = k + m + r
+		row[m+r] = 1 // slack
+		row[n] = math.Log2(float64(h.sizes[i]))
+		basis[r] = m + r
 	}
-
-	// Phase 1: drive the artificials to zero.
 	clear(cost)
-	for j := k + m; j < n; j++ {
-		cost[j] = 1
+	for j := range cols {
+		cost[j] = -1 // max Σ y is min −Σ y
 	}
-	h.simplexMin(tab, basis, cost, n)
-
-	// Pivot any basic artificial (necessarily at value 0 — the LP is
-	// feasible: x = 1 covers every attribute) out of the basis, or drop its
-	// row as redundant.
-	for r := 0; r < m; r++ {
-		if basis[r] < k+m {
-			continue
-		}
-		row := tab[r*stride : (r+1)*stride]
-		pivoted := false
-		for j := 0; j < k+m; j++ {
-			if math.Abs(row[j]) > lpEps {
-				pivot(tab, stride, basis, r, j)
-				pivoted = true
-				break
-			}
-		}
-		if !pivoted {
-			clear(row) // redundant constraint: never pivots again
-		}
-	}
-
-	// Phase 2: optimize the real objective, artificials barred.
-	clear(cost)
-	for j, i := range edges {
-		cost[j] = math.Log2(float64(h.sizes[i]))
-	}
-	h.simplexMin(tab, basis, cost, k+m)
+	h.simplexMin(tab, basis, cost)
 
 	opt := 0.0
-	for r := 0; r < m; r++ {
-		value := tab[r*stride+n]
-		opt += cost[basis[r]] * value
-		if wantCover && basis[r] < k {
-			x[basis[r]] = value
+	for r, b := range basis {
+		if b >= m {
+			continue // a basic slack costs nothing
+		}
+		opt += tab[r*stride+n]
+		// x_i is slack i's reduced cost, 0 − Σ_r cost[basis[r]]·tab[r][m+i].
+		for i := range x {
+			x[i] += tab[r*stride+m+i]
 		}
 	}
 	return x, math.Exp2(opt)
 }
 
 // simplexMin runs primal simplex iterations minimizing c over the current
-// tableau until no reduced cost is negative. Only columns below enterable
-// may enter the basis. Bland's rule (lowest eligible index) guarantees
-// termination.
-func (h *hypergraph) simplexMin(tab []float64, basis []int, c []float64, enterable int) {
+// tableau, whose basis must be feasible, until no reduced cost is
+// negative. Bland's rule (lowest eligible index) guarantees termination.
+func (h *hypergraph) simplexMin(tab []float64, basis []int, c []float64) {
 	m, n := len(basis), len(c)
 	stride := n + 1
 	inBasis := h.inBasis[:n]
@@ -246,7 +211,7 @@ func (h *hypergraph) simplexMin(tab []float64, basis []int, c []float64, enterab
 	}
 	for iter := 0; iter < 10_000; iter++ {
 		enter := -1
-		for j := 0; j < enterable; j++ {
+		for j := 0; j < n; j++ {
 			if inBasis[j] {
 				continue
 			}
@@ -273,7 +238,7 @@ func (h *hypergraph) simplexMin(tab []float64, basis []int, c []float64, enterab
 			}
 		}
 		if leave < 0 {
-			return // unbounded direction; cannot lower a w ≥ 0 covering objective
+			return // unbounded; cannot happen: every y_a sits in some edge's row
 		}
 		inBasis[basis[leave]] = false
 		inBasis[enter] = true

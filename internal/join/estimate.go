@@ -23,18 +23,19 @@ func Analyze(r *relation.Relation, set map[relation.Value]struct{}, distinct []f
 }
 
 // simulateGreedy runs the greedy binary planner over statistics instead
-// of relations — the same pairing rule as pickPair, scored by estimated
-// instead of actual sizes — and returns both the System R estimated peak
-// and the worst-case (AGM) peak over intermediate accumulators. Analyze
-// scans every row of every input: Plan.Peaks is the only caller.
+// of relations — pickPair's rule, scored by estimated join sizes instead
+// of products of actual sizes — and returns both the System R estimated
+// peak and the worst-case (AGM) peak over intermediate accumulators.
+// Analyze scans every row of every input: Plan.Peaks is the only caller.
 //
 // An accumulator lives in the slot of its leftmost base input: its
 // attributes (left operand's first, then the right's new ones — the order
 // the estimate divides in), their bitset, a dense distinct count per
 // attribute number, and the chain of base inputs merged into it. A merge
 // rewrites the left slot in place, so nothing is allocated per candidate
-// pair or per merge, and every float operation happens in the order it
-// always has: the peaks are bit-identical to the Scheme-and-map version's.
+// pair or per merge, and every estimate's float operations happen in the
+// order they always have: the estimated peak is bit-identical to the
+// Scheme-and-map version's.
 func (p *Plan) simulateGreedy() (estPeak, worstPeak float64) {
 	n := len(p.Inputs)
 	if n < 2 {
@@ -70,26 +71,14 @@ func (p *Plan) simulateGreedy() (estPeak, worstPeak float64) {
 		return est
 	}
 	for len(pending) > 1 {
-		// Prefer shared-attribute pairs, then the smallest estimated join
-		// size.
-		bestI, bestJ := 0, 1
-		bestShared := false
-		bestCost := -1.0
-		for i := 0; i < len(pending); i++ {
-			for j := i + 1; j < len(pending); j++ {
-				l, r := pending[i], pending[j]
-				shared := false
-				for w := 0; w < words && !shared; w++ {
-					shared = bits[l*words+w]&bits[r*words+w] != 0
-				}
-				cost := estimate(l, r)
-				switch {
-				case shared && !bestShared,
-					shared == bestShared && (bestCost < 0 || cost < bestCost):
-					bestI, bestJ, bestShared, bestCost = i, j, shared, cost
-				}
+		bestI, bestJ := pickPair(len(pending), func(i, j int) (bool, float64) {
+			l, r := pending[i], pending[j]
+			shared := false
+			for w := 0; w < words && !shared; w++ {
+				shared = bits[l*words+w]&bits[r*words+w] != 0
 			}
-		}
+			return shared, estimate(l, r)
+		})
 		l, r := pending[bestI], pending[bestJ]
 		est := estimate(l, r)
 		if est > estPeak {

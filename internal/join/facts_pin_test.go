@@ -15,10 +15,10 @@ import (
 
 var updateFactsPin = flag.Bool("update-facts-pin", false, "rewrite testdata/facts_pin.json from this build")
 
-// factsPin is every planning fact of one join node, floats by their bits:
-// the strategy selector, both admission gates and the generic join's
-// attribute order branch on them, so a rewrite of the planner has to
-// reproduce them exactly, not approximately.
+// factsPin is every planning fact of one join node and the cover
+// FractionalCover returns for it, floats by their bits: the strategy
+// selector and both admission gates branch on the facts, so a rewrite of
+// the planner has to reproduce them exactly, not approximately.
 type factsPin struct {
 	Parent []int    `json:"parent,omitempty"` // nil: cyclic
 	Order  []int    `json:"order,omitempty"`
@@ -33,12 +33,16 @@ func pinFacts(p *Plan) factsPin {
 	if tree, ok := p.JoinTree(); ok {
 		pin.Parent, pin.Order = tree.Parent, tree.Order
 	}
-	cover, bound := p.Cover()
+	sizes := make([]int, len(p.Inputs))
+	for i, r := range p.Inputs {
+		sizes[i] = r.Len()
+	}
+	cover, _ := FractionalCover(SchemesOf(p.Inputs), sizes)
 	for _, x := range cover {
 		pin.Cover = append(pin.Cover, math.Float64bits(x))
 	}
 	est, worst := p.Peaks()
-	pin.Bound, pin.Est, pin.Worst = math.Float64bits(bound), math.Float64bits(est), math.Float64bits(worst)
+	pin.Bound, pin.Est, pin.Worst = math.Float64bits(p.AGMBound()), math.Float64bits(est), math.Float64bits(worst)
 	return pin
 }
 
@@ -72,10 +76,12 @@ func fuzzedNodes(t *testing.T) map[string][]*relation.Relation {
 }
 
 // TestPlanFactsPinned holds tree, cover, bound and both peaks of the
-// fuzzed nodes to testdata/facts_pin.json, recorded at 2404f4a — before
-// the greedy simulation moved to plan-local attribute indices and the
-// cover LP to one flat tableau — both for a plan that computes them and
-// for a second plan that finds them computed.
+// fuzzed nodes to testdata/facts_pin.json, both for a plan that computes
+// them and for a second plan that finds them computed. Tree and estimated
+// peak are as recorded at 2404f4a, before the greedy simulation moved to
+// plan-local attribute indices; bound, worst-case peak and cover were
+// re-recorded with -update-facts-pin when the AGM LP became its packing
+// dual, which moved them in the last bits only.
 func TestPlanFactsPinned(t *testing.T) {
 	const path = "testdata/facts_pin.json"
 	nodes := fuzzedNodes(t)

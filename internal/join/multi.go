@@ -68,14 +68,15 @@ func Multi(x Exec, p *Plan, alg Algorithm, order Order) (*relation.Relation, err
 
 // pickPair chooses the next pair to join among n pending relations, of
 // which pair(i, j) tells whether i and j share an attribute and the
-// product of their sizes: among pairs that share one, the one with the
-// smallest product; if no pair does, the overall smallest product (an
+// cost of joining them — the product of their sizes here, the estimated
+// join size in the greedy simulation: among pairs that share one, the one
+// with the smallest cost; if no pair does, the overall smallest cost (an
 // unavoidable cross product). Ties go to the first pair in (i, j) order.
-// Returns indices with i < j.
-func pickPair(n int, pair func(i, j int) (shared bool, cost int)) (int, int) {
+// Costs are never negative. Returns indices with i < j.
+func pickPair[C int | float64](n int, pair func(i, j int) (shared bool, cost C)) (int, int) {
 	bestI, bestJ := 0, 1
 	bestShared := false
-	bestCost := -1
+	bestCost := C(-1)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			shared, cost := pair(i, j)

@@ -9,21 +9,21 @@ import (
 
 // Facts is what is known about one n-ary join node before it runs, apart
 // from the inputs themselves: the GYO join tree (and with it the
-// α-acyclicity verdict), the minimizing fractional edge cover with its AGM
-// bound, and the greedy binary plan's simulated peaks. The tree depends
-// only on the node's hypergraph, the bound and the cover on the hypergraph
-// and the input cardinalities (Atserias–Grohe–Marx), the peaks on those
-// plus per-column distinct counts — all functions of the inputs' content,
-// none of the request, and all held by input index: a Facts references no
-// relation, so it may outlive the inputs it was computed from and serve
-// every later plan over equal ones (algebra.SubexprCache keeps them by
-// content key across requests).
+// α-acyclicity verdict), the AGM bound, and the greedy binary plan's
+// simulated peaks. The tree depends only on the node's hypergraph, the
+// bound on the hypergraph and the input cardinalities
+// (Atserias–Grohe–Marx), the peaks on those plus per-column distinct
+// counts — all functions of the inputs' content, none of the request, and
+// all held by input index: a Facts references no relation, so it may
+// outlive the inputs it was computed from and serve every later plan over
+// equal ones (algebra.SubexprCache keeps them by content key across
+// requests).
 //
 // The facts also hold each one-pass join's shape: what the tree join
-// (treeShape) and the generic join (genericShape) derive from the schemes,
-// the tree and the cover alone — output scheme, column sources, attribute
-// order and the index maps over it — so a warm plan runs either join
-// without rebuilding anything that is not a function of the rows.
+// (treeShape) and the generic join (genericShape) derive from the schemes
+// and the tree alone — output scheme, column sources, attribute order and
+// the index maps over it — so a warm plan runs either join without
+// rebuilding anything that is not a function of the rows.
 //
 // Every fact is computed on first read and published once: which facts a
 // node needs depends on the strategy it ends up on. An acyclic node under
@@ -33,11 +33,10 @@ import (
 // concurrently; the first reader of a fact computes it from its own inputs
 // and nothing writes it afterwards. The zero Facts knows nothing yet.
 type Facts struct {
-	treeOnce, coverOnce, peaksOnce  sync.Once
+	treeOnce, boundOnce, peaksOnce  sync.Once
 	treeShapeOnce, genericShapeOnce sync.Once
 
 	tree         *JoinTree
-	cover        []float64
 	bound        float64
 	est, worst   float64
 	treeShape    *treeShape
@@ -52,8 +51,7 @@ func (f *Facts) Plan(inputs ...*relation.Relation) *Plan {
 
 // Plan is one execution's view of one n-ary join node: its materialized
 // inputs and the node's Facts. The strategy selector, the admission gates,
-// the span annotation, the generic join's attribute order and Yannakakis'
-// sweeps all read the facts here instead of deriving them again. A Plan
+// the span annotation and the one-pass joins all read the facts here instead of deriving them again. A Plan
 // belongs to one execution and is not safe for concurrent use; its Facts
 // is.
 type Plan struct {
@@ -92,19 +90,12 @@ func (p *Plan) JoinTree() (*JoinTree, bool) {
 	return f.tree, f.tree != nil
 }
 
-// Cover returns the minimizing fractional edge cover, one weight per
-// input, and the AGM bound it yields (see FractionalCover). The slice is
-// shared: callers must not modify it.
-func (p *Plan) Cover() ([]float64, float64) {
-	f := p.facts
-	f.coverOnce.Do(func() { f.cover, f.bound = p.hypergraph().cover(nil, true, p.Metrics) })
-	return f.cover, f.bound
-}
-
-// AGMBound returns the AGM worst-case cardinality bound of the join.
+// AGMBound returns the AGM worst-case cardinality bound of the join (see
+// FractionalCover).
 func (p *Plan) AGMBound() float64 {
-	_, bound := p.Cover()
-	return bound
+	f := p.facts
+	f.boundOnce.Do(func() { _, f.bound = p.hypergraph().cover(nil, false, p.Metrics) })
+	return f.bound
 }
 
 // Peaks returns the two peaks of the greedy binary plan's simulation:
@@ -117,11 +108,22 @@ func (p *Plan) Peaks() (est, worst float64) {
 }
 
 // Peak returns the larger of the two simulated peaks: the number the
-// admission gates compare against the intermediate-row budget and the
-// auto selector compares against the AGM bound.
+// admission gates compare against the intermediate-row budget and
+// PeakAboveBound against the AGM bound.
 func (p *Plan) Peak() float64 {
 	est, worst := p.Peaks()
 	return max(est, worst)
+}
+
+// PeakAboveBound reports whether the greedy binary plan is predicted to
+// materialize more rows than the whole join can hold: Peak above a
+// non-zero AGM bound by more than the LP's own precision. Both numbers
+// are LP results, so a peak that equals the bound — an accumulator that
+// already holds the join's worst case — may land on either side of it by
+// rounding; such a tie reads as not above.
+func (p *Plan) PeakAboveBound() bool {
+	bound := p.AGMBound()
+	return bound > 0 && p.Peak() > bound*(1+lpEps)
 }
 
 // AGMBoundOf is Plan.AGMBound over materialized relations.

@@ -13,7 +13,7 @@ import (
 )
 
 // known reports whether read returns a fact that has already been
-// computed: reading one allocates nothing, while GYO, the cover LP and the
+// computed: reading one allocates nothing, while GYO, the AGM LP and the
 // greedy simulation each allocate.
 func known(read func()) bool {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -26,10 +26,10 @@ func known(read func()) bool {
 
 // knownFacts is which facts p's Facts holds. It computes the ones it finds
 // missing, so it is the last thing to ask of a plan.
-func knownFacts(p *Plan) (f struct{ hypergraph, tree, cover, peaks bool }) {
+func knownFacts(p *Plan) (f struct{ hypergraph, tree, bound, peaks bool }) {
 	f.hypergraph = p.hg != nil
 	f.tree = known(func() { p.JoinTree() })
-	f.cover = known(func() { p.Cover() })
+	f.bound = known(func() { p.AGMBound() })
 	f.peaks = known(func() { p.Peaks() })
 	return f
 }
@@ -47,12 +47,12 @@ func checkPlanParity(t *testing.T, p *Plan) {
 	if wantTree, want := JoinTreeOf(edges); acyclic != want || !reflect.DeepEqual(tree, wantTree) {
 		t.Errorf("plan tree = %+v, %v; JoinTreeOf = %+v, %v", tree, acyclic, wantTree, want)
 	}
-	cover, bound := p.Cover()
-	if wantCover, wantBound := FractionalCover(edges, sizes); bound != wantBound || !reflect.DeepEqual(cover, wantCover) {
-		t.Errorf("plan cover = %v, %v; FractionalCover = %v, %v", cover, bound, wantCover, wantBound)
+	bound := p.AGMBound()
+	if _, want := FractionalCover(edges, sizes); bound != want {
+		t.Errorf("plan bound = %v, FractionalCover = %v", bound, want)
 	}
-	if got, want := p.AGMBound(), AGMBoundOf(p.Inputs); got != want {
-		t.Errorf("plan bound = %v, AGMBoundOf = %v", got, want)
+	if want := AGMBoundOf(p.Inputs); bound != want {
+		t.Errorf("plan bound = %v, AGMBoundOf = %v", bound, want)
 	}
 	est, worst := p.Peaks()
 	if wantEst, wantWorst := PredictedPeakGreedy(p.Inputs), WorstCasePeakGreedy(p.Inputs); est != wantEst || worst != wantWorst {
@@ -80,17 +80,13 @@ func chainPlan(t *testing.T) *Plan {
 }
 
 // TestPlanComputesEachFactOnce: a second read hands back the memoized
-// tree and cover themselves, not equal recomputations.
+// tree itself, not an equal recomputation.
 func TestPlanComputesEachFactOnce(t *testing.T) {
 	for name, p := range map[string]*Plan{"triangle": trianglePlan(t), "chain": chainPlan(t)} {
 		tree, _ := p.JoinTree()
-		cover, _ := p.Cover()
 		checkPlanParity(t, p)
 		if again, _ := p.JoinTree(); again != tree {
 			t.Errorf("%s: second JoinTree read is a different tree", name)
-		}
-		if again, _ := p.Cover(); &again[0] != &cover[0] {
-			t.Errorf("%s: second Cover read is a different slice", name)
 		}
 		if allocs := testing.AllocsPerRun(10, func() {
 			p.JoinTree()
@@ -104,11 +100,10 @@ func TestPlanComputesEachFactOnce(t *testing.T) {
 
 // TestPlanIsLazy: each strategy computes only the facts it reads. The
 // binary plan reads none, Yannakakis only the tree, and the generic join
-// none either — its attribute order is the output's column order, not a
-// function of the cover — and none of them the greedy simulation, which
-// scans every input row.
+// none either — its attribute order is the output's column order — and
+// none of them the greedy simulation, which scans every input row.
 func TestPlanIsLazy(t *testing.T) {
-	type computed = struct{ hypergraph, tree, cover, peaks bool }
+	type computed = struct{ hypergraph, tree, bound, peaks bool }
 	cases := []struct {
 		name string
 		alg  Algorithm
@@ -165,8 +160,8 @@ func TestFactsAreCompletedNotRecomputed(t *testing.T) {
 	if again, _ := second.JoinTree(); again != tree || !known(func() { second.JoinTree() }) {
 		t.Error("the second plan computed the tree again")
 	}
-	if known(func() { second.Cover() }) || known(func() { second.Peaks() }) {
-		t.Error("a tree-only Facts already held a cover or peaks")
+	if known(func() { second.AGMBound() }) || known(func() { second.Peaks() }) {
+		t.Error("a tree-only Facts already held a bound or peaks")
 	}
 	solved := m.Planning().CoverLPSolves
 	if solved != 2 { // the n-ary LP and the one intermediate accumulator of three inputs
@@ -176,34 +171,29 @@ func TestFactsAreCompletedNotRecomputed(t *testing.T) {
 
 	third := facts.Plan(inputs...)
 	third.Metrics = m
-	if got := knownFacts(third); !got.tree || !got.cover || !got.peaks || got.hypergraph {
+	if got := knownFacts(third); !got.tree || !got.bound || !got.peaks || got.hypergraph {
 		t.Errorf("a plan over complete facts computed something: %+v", got)
 	}
 	if m.Planning().CoverLPSolves != solved {
 		t.Error("a plan over complete facts solved an LP")
-	}
-	cover, _ := second.Cover()
-	if again, _ := third.Cover(); &again[0] != &cover[0] {
-		t.Error("the third plan's cover is not the published one")
 	}
 }
 
 // TestFactsConcurrentPlansComputeOnce: eight goroutines plan the same cold
 // node through one Facts, each over its own Plan. Every fact is computed
 // by exactly one of them — two LPs in all — and everyone reads the one
-// published tree and cover; -race proves nothing is written after that.
+// published tree and bound; -race proves nothing is written after that.
 func TestFactsConcurrentPlansComputeOnce(t *testing.T) {
 	facts := new(Facts)
 	inputs := trianglePlan(t).Inputs
 	want := NewPlan(inputs...)
 	wantTree, _ := want.JoinTree()
-	wantCover, wantBound := want.Cover()
+	wantBound := want.AGMBound()
 	wantEst, wantWorst := want.Peaks()
 
 	m := &obs.Metrics{}
 	const goroutines = 8
 	trees := make([]*JoinTree, goroutines)
-	covers := make([][]float64, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -211,9 +201,8 @@ func TestFactsConcurrentPlansComputeOnce(t *testing.T) {
 			defer wg.Done()
 			p := facts.Plan(inputs...)
 			p.Metrics = m
-			var bound float64
 			trees[g], _ = p.JoinTree()
-			covers[g], bound = p.Cover()
+			bound := p.AGMBound()
 			est, worst := p.Peaks()
 			if bound != wantBound || est != wantEst || worst != wantWorst {
 				t.Errorf("goroutine %d: bound %v peaks %v %v, want %v %v %v", g, bound, est, worst, wantBound, wantEst, wantWorst)
@@ -225,11 +214,11 @@ func TestFactsConcurrentPlansComputeOnce(t *testing.T) {
 		t.Errorf("%d goroutines solved %d LPs between them, want 2", goroutines, solved)
 	}
 	for g := range trees {
-		if trees[g] != trees[0] || &covers[g][0] != &covers[0][0] {
-			t.Fatalf("goroutine %d read its own tree or cover", g)
+		if trees[g] != trees[0] {
+			t.Fatalf("goroutine %d read its own tree", g)
 		}
 	}
-	if !reflect.DeepEqual(trees[0], wantTree) || !reflect.DeepEqual(covers[0], wantCover) {
-		t.Errorf("published tree %+v cover %v, want %+v %v", trees[0], covers[0], wantTree, wantCover)
+	if !reflect.DeepEqual(trees[0], wantTree) {
+		t.Errorf("published tree %+v, want %+v", trees[0], wantTree)
 	}
 }

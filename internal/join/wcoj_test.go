@@ -248,54 +248,102 @@ func TestGenericMetrics(t *testing.T) {
 
 // TestFractionalCover checks the LP's witness: the returned weights form
 // a feasible fractional edge cover whose objective reproduces the bound.
+// A case with a subset poses the LP of those edges alone, as the greedy
+// simulation does for each accumulator.
 func TestFractionalCover(t *testing.T) {
 	cases := []struct {
-		specs []string
-		sizes []int
-		bound float64
+		specs  []string
+		sizes  []int
+		subset []int // nil: every edge
+		bound  float64
 	}{
-		{[]string{"A B", "B C"}, []int{3, 4}, 12},                    // chain: product
-		{[]string{"A B", "B C", "A C"}, []int{4, 4, 4}, 8},           // triangle: n^{3/2}
-		{[]string{"A", "A"}, []int{5, 7}, 5},                         // duplicate-ish: min side covers
-		{[]string{"A B", "A B", "A B"}, []int{6, 3, 9}, 3},           // duplicate schemes: smallest
-		{[]string{"A", "B"}, []int{2, 3}, 6},                         // cross product
-		{[]string{"A B C"}, []int{11}, 11},                           // single relation
-		{[]string{"A B", "B C", "C D", "D A"}, []int{2, 2, 2, 2}, 4}, // 4-cycle
+		{[]string{"A B", "B C"}, []int{3, 4}, nil, 12},                               // chain: product
+		{[]string{"A B", "B C", "A C"}, []int{4, 4, 4}, nil, 8},                      // triangle: n^{3/2}
+		{[]string{"A", "A"}, []int{5, 7}, nil, 5},                                    // duplicate-ish: min side covers
+		{[]string{"A B", "A B", "A B"}, []int{6, 3, 9}, nil, 3},                      // duplicate schemes: smallest
+		{[]string{"A", "B"}, []int{2, 3}, nil, 6},                                    // cross product
+		{[]string{"A B C"}, []int{11}, nil, 11},                                      // single relation
+		{[]string{"A B", "B C", "C D", "D A"}, []int{2, 2, 2, 2}, nil, 4},            // 4-cycle
+		{[]string{"A B", "B C", "A C"}, []int{1, 4, 4}, nil, 4},                      // one-row relation: zero right-hand side
+		{[]string{"A B", "B C", "B C"}, []int{4, 9, 2}, nil, 8},                      // duplicate edges of different sizes
+		{[]string{"A B", "B C", "A C", "A D"}, []int{4, 4, 4, 5}, nil, 20},           // D held by one edge only
+		{[]string{"A B", "B C", "A C", "C D"}, []int{4, 4, 4, 3}, []int{0, 1, 2}, 8}, // subset LP: the triangle
 	}
 	for _, tc := range cases {
-		x, bound := FractionalCover(schemes(t, tc.specs...), tc.sizes)
-		if math.Abs(bound-tc.bound) > 1e-6*tc.bound {
-			t.Errorf("%v %v: bound = %g, want %g", tc.specs, tc.sizes, bound, tc.bound)
+		scs := schemes(t, tc.specs...)
+		edges, sizes := scs, tc.sizes // the LP's edges
+		var x []float64
+		var bound float64
+		if tc.subset == nil {
+			x, bound = FractionalCover(scs, tc.sizes)
+		} else {
+			x, bound = newHypergraph(scs, tc.sizes).cover(tc.subset, true, nil)
+			edges, sizes = nil, nil
+			for _, i := range tc.subset {
+				edges, sizes = append(edges, scs[i]), append(sizes, tc.sizes[i])
+			}
+		}
+		if math.Abs(bound-tc.bound) > 1e-9*tc.bound {
+			t.Errorf("%v %v %v: bound = %g, want %g", tc.specs, tc.sizes, tc.subset, bound, tc.bound)
 			continue
 		}
-		if len(x) != len(tc.sizes) {
-			t.Fatalf("%v: cover has %d weights for %d relations", tc.specs, len(x), len(tc.sizes))
+		checkCover(t, fmt.Sprint(tc.specs, tc.subset), edges, sizes, x, bound)
+	}
+}
+
+// TestFuzzedCoversAreWitnesses holds FractionalCover's x on every fuzzed
+// node to what an optimal cover is: non-negative, covering every
+// attribute, and reproducing the bound.
+func TestFuzzedCoversAreWitnesses(t *testing.T) {
+	for name, rels := range fuzzedNodes(t) {
+		scs := SchemesOf(rels)
+		sizes := make([]int, len(rels))
+		for i, r := range rels {
+			sizes[i] = r.Len()
 		}
-		scs := schemes(t, tc.specs...)
-		// Feasibility: every attribute covered with total weight ≥ 1.
-		attrs := relation.MustScheme()
-		for _, sc := range scs {
-			attrs = attrs.Union(sc)
-		}
-		for _, a := range attrs.Attrs() {
-			total := 0.0
-			for i, sc := range scs {
-				if sc.Has(a) {
-					total += x[i]
-				}
+		x, bound := FractionalCover(scs, sizes)
+		if bound == 0 {
+			if x != nil {
+				t.Errorf("%s: bound 0 with cover %v", name, x)
 			}
-			if total < 1-1e-6 {
-				t.Errorf("%v: attribute %s covered with weight %g < 1 by %v", tc.specs, a, total, x)
+			continue
+		}
+		checkCover(t, name, scs, sizes, x, bound)
+	}
+}
+
+// checkCover holds x to a fractional edge cover of scs — one weight ≥ 0
+// per scheme, Σ_{i ∋ a} x_i ≥ 1 for every attribute a — whose objective
+// ∏ sizes_i^{x_i} is bound.
+func checkCover(t *testing.T, name string, scs []relation.Scheme, sizes []int, x []float64, bound float64) {
+	t.Helper()
+	if len(x) != len(sizes) {
+		t.Fatalf("%s: cover has %d weights for %d relations", name, len(x), len(sizes))
+	}
+	attrs := relation.MustScheme()
+	for i, sc := range scs {
+		attrs = attrs.Union(sc)
+		if x[i] < -1e-12 {
+			t.Errorf("%s: negative weight %g in %v", name, x[i], x)
+		}
+	}
+	for _, a := range attrs.Attrs() {
+		total := 0.0
+		for i, sc := range scs {
+			if sc.Has(a) {
+				total += x[i]
 			}
 		}
-		// Objective: ∏ |R_i|^{x_i} equals the bound.
-		obj := 0.0
-		for i, s := range tc.sizes {
-			obj += x[i] * math.Log2(float64(s))
+		if total < 1-1e-9 {
+			t.Errorf("%s: attribute %s covered with weight %g < 1 by %v", name, a, total, x)
 		}
-		if math.Abs(math.Exp2(obj)-bound) > 1e-6*bound {
-			t.Errorf("%v: cover objective %g, bound %g", tc.specs, math.Exp2(obj), bound)
-		}
+	}
+	obj := 0.0
+	for i, s := range sizes {
+		obj += x[i] * math.Log2(float64(s))
+	}
+	if got := math.Exp2(obj); math.Abs(got-bound) > 1e-9*bound {
+		t.Errorf("%s: cover objective %g, bound %g", name, got, bound)
 	}
 }
 
