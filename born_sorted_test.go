@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -26,24 +25,25 @@ func bornInOrder(r *relation.Relation) bool {
 
 // TestAnswersAreBornSorted: no sort runs for a generic-join answer (each
 // Lemma 1 family) or a tree-join answer (each acyclic family). The answer
-// is marked sorted and is in order; streaming it allocates no
-// permutation — at least 4 bytes a row less than streaming an unmarked
-// copy of it, which sorts — and writes the copy's bytes. A hash-join
-// answer carries no mark and sorts when it is streamed.
+// is marked sorted and is in order; streaming it builds no permutation —
+// it makes fewer allocations than streaming an unmarked copy of it, which
+// sorts — and writes the copy's bytes. A hash-join answer carries no mark
+// and sorts when it is streamed: a fresh copy of it makes more
+// allocations than the answer once its order is memoized.
 func TestAnswersAreBornSorted(t *testing.T) {
 	bw := bufio.NewWriter(io.Discard) // adopted by the codec: no buffer of its own
-	// spent is the bytes streaming each of rs allocates, on average over
-	// them: one stream alone is within the noise of the runtime's own.
-	spent := func(rs ...*relation.Relation) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for _, r := range rs {
-			if err := relation.StreamRelation(bw, "result", r, 0, nil); err != nil {
+	// allocs is how many allocations streaming each of rs makes, on
+	// average over them. A count, not a byte total: the runtime's own
+	// allocations move a byte total between runs, and they do not add one
+	// allocation to every stream.
+	allocs := func(rs []*relation.Relation) float64 {
+		k := 0
+		return testing.AllocsPerRun(len(rs)-1, func() {
+			if err := relation.StreamRelation(bw, "result", rs[k], 0, nil); err != nil {
 				t.Fatal(err)
 			}
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / uint64(len(rs))
+			k++
+		})
 	}
 	const streams = 32
 	check := func(t *testing.T, expr algebra.Expr, db relation.Database, strategy string, born bool) {
@@ -56,25 +56,24 @@ func TestAnswersAreBornSorted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		permutation := uint64(4 * got.Len())
+		same, copies := make([]*relation.Relation, streams), make([]*relation.Relation, streams)
+		for i := range copies {
+			same[i], copies[i] = got, got.Clone()
+		}
 		if !born {
 			if got.BornSorted() {
 				t.Fatalf("%s: the answer is marked sorted", strategy)
 			}
-			if cost := spent(got); cost < permutation {
-				t.Errorf("%s: streaming the answer allocated %d bytes, less than its permutation's %d", strategy, cost, permutation)
+			if memo, sorting := allocs(same), allocs(copies); sorting <= memo {
+				t.Errorf("%s: streaming a fresh copy of the answer made %v allocations, the answer with its order memoized %v: no permutation was built", strategy, sorting, memo)
 			}
 			return
 		}
 		if !bornInOrder(got) {
 			t.Fatalf("%s: the answer is not born sorted", strategy)
 		}
-		same, copies := make([]*relation.Relation, streams), make([]*relation.Relation, streams)
-		for i := range copies {
-			same[i], copies[i] = got, got.Clone()
-		}
-		if own, sorting := spent(same...), spent(copies...); own+permutation > sorting {
-			t.Errorf("%s: streaming the answer allocated %d bytes, an unmarked copy %d: a permutation (%d) was built", strategy, own, sorting, permutation)
+		if own, sorting := allocs(same), allocs(copies); own >= sorting {
+			t.Errorf("%s: streaming the answer made %v allocations, an unmarked copy %v: a permutation was built", strategy, own, sorting)
 		}
 		var a, b bytes.Buffer
 		if err := relation.WriteRelation(&a, "result", got); err != nil {

@@ -306,8 +306,9 @@ func checkOrder(t *testing.T, what string, r *relation.Relation) {
 // tables the first run memoized — must equal the fold of
 // relation.Relation.Join and come out born sorted, the hash join's answer
 // must carry no mark and still sort, the full reducer must leave exactly
-// the join's projections, and the count pass must have learned the
-// output's cardinality — the number of rows then built — from the marks.
+// the join's projections, the count pass must have learned the output's
+// cardinality — the number of rows then built — from the marks, and the
+// search that writes them must stay linear in reduced input plus output.
 func FuzzAcyclicJoin(f *testing.F) {
 	f.Add(byte(0b000011), byte(0b000110), byte(0b001100), byte(0), byte(0), byte(12), byte(2), int64(1))        // chain, skewed
 	f.Add(byte(0b000011), byte(0b000101), byte(0b001001), byte(0b010001), byte(0), byte(20), byte(3), int64(2)) // star
@@ -392,8 +393,21 @@ func FuzzAcyclicJoin(f *testing.F) {
 					i, edges, r.Sorted(), tj.rows[i], proj.Sorted())
 			}
 		}
-		if total, err := tj.count(); err != nil || total != got.Len() {
+		total, err := tj.count()
+		if err != nil || total != got.Len() {
 			t.Fatalf("counted %d output rows (%v) over %v, built %d", total, err, edges, got.Len())
+		}
+		// The search over the reduced inputs meets no dead end: it examines
+		// at most arity × (reduced input + output) candidate values.
+		if _, err := tj.search(total); err != nil {
+			t.Fatal(err)
+		}
+		live := 0
+		for _, n := range tj.rows {
+			live += n
+		}
+		if bound := got.Scheme().Len() * (live + total); tj.candidates > bound {
+			t.Fatalf("the search over %v examined %d candidates; arity × (reduced input + output) is %d", edges, tj.candidates, bound)
 		}
 	})
 }

@@ -543,14 +543,15 @@ func TestOverBudgetGenericJoinDiesWithinABatch(t *testing.T) {
 	gov := governor.New(context.Background(), governor.Limits{MaxMemoryBytes: budget})
 	p := NewPlan(l, r)
 	shape := p.genericShape()
-	tries := make([]*sortedTrie, len(p.Inputs))
+	tries := make([]sortedTrie, len(p.Inputs))
 	for i, in := range p.Inputs {
-		var err error
-		if tries[i], err = trieOf(in, shape.cols[i], nil); err != nil {
+		trie, err := trieOf(in, shape.cols[i], nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		tries[i] = *trie
 	}
-	j := newGenericJoin(shape, tries)
+	j := newGenericJoin(shape, tries, -1)
 	j.gov = gov
 	j.search(0)
 	if !errors.Is(j.err, governor.ErrMemBudget) {

@@ -2,8 +2,6 @@ package join
 
 import (
 	"slices"
-	"sync/atomic"
-	"unsafe"
 
 	"relquery/internal/governor"
 	"relquery/internal/relation"
@@ -81,21 +79,18 @@ func (t *hashTable) file(i int, h uint64, grp int, tail []int32) []int32 {
 // unchanged catalog relation, the next evaluation of a cached result —
 // finds it built. A caller that needs only some rows filters by liveness
 // as it walks; the table itself never depends on a request. The tree join
-// also reads each group it enumerates in the relation's row order
-// (treeTable.inOrder), sorted on first use and kept with the table, so
-// the order is paid once per relation version and only for groups a
-// request reaches. The hash join builds its table per call (idTable): its
-// build side is most often an intermediate of the request, row ids that
-// no memo could key, and where it is a stored fact — the greedy plan's
-// first join over φ_G's legs, two projections of R_G — the table is built
-// per request all the same.
-func edgeTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*treeTable, error) {
-	return relation.Path(rel, cols, func() (*treeTable, error) {
-		t := new(treeTable)
+// reads it in its reducer and count passes only: its search reads the
+// trie facts beside it (trieOf). The hash join builds its table per call
+// (idTable): its build side is most often an intermediate of the request,
+// row ids that no memo could key, and where it is a stored fact — the
+// greedy plan's first join over φ_G's legs, two projections of R_G — the
+// table is built per request all the same.
+func edgeTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*hashTable, error) {
+	return relation.Path(rel, cols, func() (*hashTable, error) {
+		t := new(hashTable)
 		if err := t.build(g, rel, cols); err != nil {
 			return nil, err
 		}
-		t.sorted = make([]atomic.Pointer[[]int32], t.keys())
 		return t, nil
 	})
 }
@@ -104,51 +99,6 @@ func edgeTable(g *governor.Governor, rel *relation.Relation, cols keyCols) (*tre
 // index, growth slack included.
 func (t *hashTable) Bytes() int64 {
 	return 4*int64(cap(t.next)+cap(t.head)+cap(t.size)) + t.ix.Bytes()
-}
-
-// treeTable is an edge table: a hashTable over all of a child's rows, and
-// the order of each of its groups once a tree join has needed it.
-type treeTable struct {
-	hashTable
-	// sorted holds, per group of two rows or more, its rows in the order
-	// of the relation's rows, once inOrder has needed them.
-	sorted []atomic.Pointer[[]int32]
-}
-
-// Bytes is what the table holds, and the most its sorted groups can hold
-// — a row each — besides their slots.
-func (t *treeTable) Bytes() int64 {
-	return t.hashTable.Bytes() + int64(unsafe.Sizeof(t.sorted[0]))*int64(cap(t.sorted)) + 4*int64(len(t.next))
-}
-
-// inOrder returns the rows of group grp in the order of the relation's
-// rows (Tuple.Compare): sorted the first time a tree join enumerates the
-// group, and shared from then on. A group no request reaches — the
-// dangling rows an upload brings — is never sorted. The rows must not be
-// written.
-func (t *treeTable) inOrder(grp int) []int32 {
-	if t.size[grp] == 1 {
-		return t.head[grp : grp+1 : grp+1]
-	}
-	if rows := t.sorted[grp].Load(); rows != nil {
-		return *rows
-	}
-	// The sort permutes indexes into the chain, each row's view cut once
-	// beside it, not twice per comparison.
-	chain, views := make([]int32, 0, t.size[grp]), make([]relation.Tuple, 0, t.size[grp])
-	for r := int(t.head[grp]); r >= 0; r = t.after(r) {
-		chain, views = append(chain, int32(r)), append(views, t.rel.Tuple(r))
-	}
-	rows := make([]int32, len(chain))
-	for k := range rows {
-		rows[k] = int32(k)
-	}
-	slices.SortFunc(rows, func(a, b int32) int { return views[a].Compare(views[b]) })
-	for k, c := range rows {
-		rows[k] = chain[c]
-	}
-	t.sorted[grp].Store(&rows)
-	return rows
 }
 
 // keys returns the number of distinct join keys on the build side.

@@ -29,12 +29,15 @@ import (
 // stays small, so the attribute-at-a-time join side-steps the blow-up
 // entirely (experiment E7, BENCH_wcoj.txt).
 //
-// The global attribute order is the output scheme's column order
-// (attributeOrder). Generic Join's work stays within the AGM bound
-// whatever the order (Ngo–Ré–Rudra's analysis of the NPRR family), and in
-// this one the search meets the output's rows in lexicographic order: the
-// answer is born sorted (relation.Builder.SortedRelation), and no reader
-// of it ever sorts it.
+// The global attribute order is the output scheme's column order, and the
+// search walks each attribute's values in ascending order, so a complete
+// binding is the output row itself and the answer is born sorted
+// (relation.Builder.SortedRelation). Any order keeps the work within the
+// AGM bound (Ngo–Ré–Rudra), and this one needs neither cover nor
+// hypergraph. On an acyclic path with a dangling hub it is quadratic,
+// because dead rows reach the search; the auto selector sends such a node
+// to Yannakakis, whose tree join runs this same search over the rows its
+// full reducer left alive (EXPERIMENTS.md, "One search").
 //
 // Each relation is indexed as a sorted trie: its tuples sorted
 // lexicographically with their columns read in the global attribute order
@@ -83,17 +86,17 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	}
 
 	shape := p.genericShape()
-	tries := make([]*sortedTrie, len(inputs))
+	tries := make([]sortedTrie, len(inputs))
 	indexed := 0
 	for i, r := range inputs {
 		t, err := trieOf(r, shape.cols[i], x.Gov)
 		if err != nil {
 			return nil, err
 		}
-		tries[i] = t
+		tries[i] = *t
 		indexed += r.Len()
 	}
-	j := newGenericJoin(shape, tries)
+	j := newGenericJoin(shape, tries, -1)
 	j.gov = x.Gov
 	j.search(0)
 	if j.err != nil {
@@ -123,65 +126,63 @@ func unionScheme(inputs []*relation.Relation) relation.Scheme {
 }
 
 // genericShape is what the generic join derives from the node's schemes
-// alone, so a node's Facts holds it (Plan.genericShape) and a warm plan
-// derives none of it again: the output scheme, the global attribute order,
-// each input's trie levels, and the search's index maps over the order.
-// Read-only once built.
+// and its output scheme alone, so a node's Facts holds it
+// (Plan.genericShape, and the tree join's treeShape) and a warm plan
+// derives none of it again: the output scheme, whose column order is the
+// global attribute order, each input's trie levels, and the search's
+// index maps over the order. Read-only once built.
 type genericShape struct {
-	out   relation.Scheme
-	order []relation.Attribute
-	cols  [][]int // input -> its columns in the attribute order: its trie's levels
-	parts [][]int // parts[k]: the inputs whose scheme contains order[k]
-	depth [][]int // depth[k][i]: the trie level of order[k] in input parts[k][i]
+	out  relation.Scheme
+	cols [][]int // input -> its columns in the attribute order: its trie's levels
+	// Level k of the search binds out.Attr(k). The inputs whose scheme
+	// contains it are parts[at[k]:at[k+1]], and depth[at[k]+i] is its trie
+	// level in input parts[at[k]+i]. The levels of every input, at, parts
+	// and depth are carved from one array.
+	at, parts, depth []int
 }
 
 // genericShape returns the generic join's shape of the plan's node,
 // computing it on the first read like every fact.
 func (p *Plan) genericShape() *genericShape {
 	f := p.facts
-	f.genericShapeOnce.Do(func() { f.genericShape = newGenericShape(p.Inputs) })
+	f.genericShapeOnce.Do(func() {
+		s := newGenericShape(SchemesOf(p.Inputs), unionScheme(p.Inputs))
+		f.genericShape = &s
+	})
 	return f.genericShape
 }
 
-func newGenericShape(inputs []*relation.Relation) *genericShape {
-	out := unionScheme(inputs)
-	order := attributeOrder(out)
-	s := &genericShape{
-		out:   out,
-		order: order,
-		cols:  make([][]int, len(inputs)),
-		parts: make([][]int, len(order)),
-		depth: make([][]int, len(order)),
+// newGenericShape returns the shape of a search over inputs of the given
+// schemes in the column order of out, which holds every attribute of
+// every scheme: the generic join's own order is the inputs' left-to-right
+// union, the tree join's its blocks in preorder (treeShape).
+func newGenericShape(schemes []relation.Scheme, out relation.Scheme) genericShape {
+	n := 0 // (input, attribute) incidences: the trie levels of all inputs
+	for _, sc := range schemes {
+		n += sc.Len()
 	}
-	// A trie's levels follow the global order, so the level of order[k] in
-	// a trie is the number of earlier attributes the trie also has.
-	for k, a := range order {
-		for i, r := range inputs {
-			if c, ok := r.Scheme().Pos(a); ok {
-				s.parts[k] = append(s.parts[k], i)
-				s.depth[k] = append(s.depth[k], len(s.cols[i]))
+	s := genericShape{out: out, cols: make([][]int, len(schemes))}
+	flat := make([]int, 3*n+out.Len()+1)
+	s.parts, s.depth, s.at, flat = flat[:n], flat[n:2*n], flat[2*n:2*n+out.Len()+1], flat[2*n+out.Len()+1:]
+	for i, sc := range schemes {
+		s.cols[i], flat = flat[:0:sc.Len()], flat[sc.Len():]
+	}
+	// A trie's levels follow the global order, so the level of an
+	// attribute in a trie is the number of earlier attributes it also has.
+	m := 0
+	for k := 0; k < out.Len(); k++ {
+		s.at[k] = m
+		for i, sc := range schemes {
+			if c, ok := sc.Pos(out.Attr(k)); ok {
+				s.parts[m], s.depth[m] = i, len(s.cols[i])
 				s.cols[i] = append(s.cols[i], c)
+				m++
 			}
 		}
 	}
+	s.at[out.Len()] = m
 	return s
 }
-
-// attributeOrder fixes the global attribute order the tries and the
-// binding search share: the output scheme's column order. The search
-// extends a binding one attribute at a time and walks each attribute's
-// candidate values in ascending order, so in this order a complete
-// binding is the output row itself and the bindings arrive in
-// lexicographic order — Tuple.compare's, the order every reader of an
-// answer wants. Any order keeps the search within the AGM bound, and this
-// one needs neither the cover nor the hypergraph, so a forced wcoj node
-// computes neither. The order still matters below the bound: against the
-// heuristic it replaced (attributes in more relations first, then by
-// cover mass) it examines fewer candidates on the larger Lemma 1 gadgets,
-// and on an acyclic path with a dangling hub it is quadratic where that
-// one was linear — a node the auto selector sends to the tree join
-// (EXPERIMENTS.md, "Answers born in order").
-func attributeOrder(out relation.Scheme) []relation.Attribute { return out.Attrs() }
 
 // sortedTrie is one relation's trie view: views of its rows, sorted
 // lexicographically by the columns cols — the relation's columns in the
@@ -224,8 +225,14 @@ func newSortedTrie(r *relation.Relation, cols []int, gov *governor.Governor) (*s
 		}
 		t.rows[i] = r.Tuple(i)
 	}
-	// cols covers every column of r and r's rows are distinct, so the
-	// order is total: an unstable sort is deterministic.
+	t.sort()
+	return t, nil
+}
+
+// sort orders the trie's rows lexicographically by its columns. They
+// cover every column of the relation and its rows are distinct, so the
+// order is total: an unstable sort is deterministic.
+func (t *sortedTrie) sort() {
 	slices.SortFunc(t.rows, func(a, b relation.Tuple) int {
 		for _, c := range t.cols {
 			if a[c] != b[c] {
@@ -234,7 +241,6 @@ func newSortedTrie(r *relation.Relation, cols []int, gov *governor.Governor) (*s
 		}
 		return 0
 	})
-	return t, nil
 }
 
 // trieRange is a half-open row range [lo, hi) of one trie — the tuples
@@ -245,16 +251,19 @@ type trieRange struct{ lo, hi int }
 // over its node's shape.
 type genericJoin struct {
 	shape  *genericShape
-	tries  []*sortedTrie
-	ranges []trieRange // current range per trie
-	// saved[k][i] is the range of trie parts[k][i] on entry to level k,
-	// restored on the way out. One slice per level, carved from one array:
-	// level k is on the recursion stack at most once.
-	saved [][]trieRange
+	tries  []sortedTrie // copies of the tries' headers
+	ranges []trieRange  // current range per trie
+	// saved[at[k]+i] is the range of trie parts[at[k]+i] on entry to level
+	// k, restored on the way out: level k is on the recursion stack at
+	// most once. Carved from one array with ranges.
+	saved []trieRange
 	bind  []relation.Value
-	// out collects the output rows. A binding search cannot know its
-	// count before it ends, so the builder grows in slabs.
-	out *relation.Builder
+	// out collects the output rows: exactly as many as the caller counted
+	// and charged to the memory budget before the search (counted, the
+	// tree join), or, in slabs, a count unknown until the search ends,
+	// each batch charged as it is built.
+	out     *relation.Builder
+	counted bool
 
 	candidates    int
 	intersections int
@@ -265,52 +274,42 @@ type genericJoin struct {
 	err error
 }
 
-func newGenericJoin(shape *genericShape, tries []*sortedTrie) *genericJoin {
-	n := 0
-	for _, part := range shape.parts {
-		n += len(part)
-	}
-	flat := make([]trieRange, n)
-	saved := make([][]trieRange, len(shape.order))
-	for k, part := range shape.parts {
-		saved[k], flat = flat[:len(part):len(part)], flat[len(part):]
-	}
-	ranges := make([]trieRange, len(tries))
+// newGenericJoin returns the search over tries in the order of shape,
+// writing into a builder of exactly rows rows when the caller counted
+// them first, or of an unknown number when rows < 0.
+func newGenericJoin(shape *genericShape, tries []sortedTrie, rows int) genericJoin {
+	flat := make([]trieRange, len(tries)+len(shape.parts))
+	ranges := flat[:len(tries)]
 	for i, tr := range tries {
 		ranges[i] = trieRange{0, len(tr.rows)}
 	}
-	return &genericJoin{
-		shape:  shape,
-		tries:  tries,
-		ranges: ranges,
-		saved:  saved,
-		bind:   make([]relation.Value, len(shape.order)),
-		out:    relation.NewBuilder(shape.out, -1),
+	return genericJoin{
+		shape:   shape,
+		tries:   tries,
+		ranges:  ranges,
+		saved:   flat[len(tries):],
+		bind:    make([]relation.Value, shape.out.Len()),
+		out:     relation.NewBuilder(shape.out, rows),
+		counted: rows >= 0,
 	}
 }
 
 // search extends the binding with the k-th attribute: it walks the
 // distinct candidate values of the relation with the smallest compatible
 // range and narrows every other relation containing the attribute by
-// binary search, recursing only while all of them stay non-empty. A
-// governor violation latches j.err and unwinds the whole recursion.
+// binary search, extending the binding only while all of them stay
+// non-empty. A governor violation latches j.err and unwinds the whole
+// recursion.
 func (j *genericJoin) search(k int) {
 	if j.err != nil {
 		return
 	}
-	if k == len(j.shape.order) {
-		// The order is the output's columns, so the binding is the output
-		// row; distinct bindings are distinct rows, and the result
-		// assembles without deduplication, in lexicographic order.
-		j.out.Concat(j.bind, nil, nil)
-		if j.out.Len()%checkBatch == 0 {
-			if j.err = j.gov.CheckRows(j.out.Len()); j.err == nil {
-				j.err = j.gov.ChargeBytes(checkBatch * relation.RowBytes(len(j.bind)))
-			}
-		}
+	if k == len(j.bind) { // no attribute at all: the empty row
+		j.emit()
 		return
 	}
-	parts, depth, saved := j.shape.parts[k], j.shape.depth[k], j.saved[k]
+	lv, end := j.shape.at[k], j.shape.at[k+1]
+	parts, depth, saved := j.shape.parts[lv:end], j.shape.depth[lv:end], j.saved[lv:end]
 	fault.Hit(fault.WCOJSearch)
 
 	seedIdx := 0
@@ -321,7 +320,7 @@ func (j *genericJoin) search(k int) {
 		}
 	}
 	seed := parts[seedIdx]
-	st := j.tries[seed]
+	st := &j.tries[seed]
 	d := depth[seedIdx]
 	j.intersections++
 
@@ -340,19 +339,20 @@ func (j *genericJoin) search(k int) {
 				j.ranges[p] = trieRange{lo, vhi}
 				continue
 			}
-			tp := j.tries[p]
-			dp := depth[i]
+			tp, dp := &j.tries[p], depth[i]
 			nlo := lowerBound(tp, saved[i].lo, saved[i].hi, dp, v)
-			nhi := upperBound(tp, nlo, saved[i].hi, dp, v)
-			if nlo == nhi {
-				ok = false
+			if ok = nlo < saved[i].hi && tp.at(nlo, dp) == v; !ok {
 				break
 			}
-			j.ranges[p] = trieRange{nlo, nhi}
+			j.ranges[p] = trieRange{nlo, upperBound(tp, nlo, saved[i].hi, dp, v)}
 		}
 		if ok {
 			j.bind[k] = v
-			j.search(k + 1)
+			if k+1 < len(j.bind) {
+				j.search(k + 1)
+			} else {
+				j.emit()
+			}
 			if j.err != nil {
 				return
 			}
@@ -364,14 +364,39 @@ func (j *genericJoin) search(k int) {
 	}
 }
 
+// emit writes the complete binding. The order is the output's columns, so
+// the binding is the output row; distinct bindings are distinct rows, and
+// the result assembles without deduplication, in lexicographic order.
+func (j *genericJoin) emit() {
+	j.out.Concat(j.bind, nil, nil)
+	if j.out.Len()%checkBatch == 0 {
+		if j.err = j.gov.CheckRows(j.out.Len()); j.err == nil && !j.counted {
+			j.err = j.gov.ChargeBytes(checkBatch * relation.RowBytes(len(j.bind)))
+		}
+	}
+}
+
 // lowerBound returns the first index in [lo, hi) whose column-d value is
 // ≥ v (hi when none).
 func lowerBound(t *sortedTrie, lo, hi, d int, v relation.Value) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return t.at(lo+i, d) >= v })
 }
 
-// upperBound returns the first index in [lo, hi) whose column-d value is
-// > v (hi when none).
+// upperBound returns the first index in (lo, hi) whose column-d value is
+// > v, or hi; the value at lo must be v, and [lo, hi) must agree on the
+// trie's earlier levels, as every range of the search does. It gallops
+// from lo, so the cost is logarithmic in the rows holding v, not in the
+// range; at the trie's last level, where the relation's rows are
+// distinct, v's run is one row and costs no comparison.
 func upperBound(t *sortedTrie, lo, hi, d int, v relation.Value) int {
-	return lo + sort.Search(hi-lo, func(i int) bool { return t.at(lo+i, d) > v })
+	if d == len(t.cols)-1 {
+		return lo + 1
+	}
+	step := 1
+	for lo+step < hi && t.at(lo+step, d) == v {
+		lo += step
+		step *= 2
+	}
+	hi = min(lo+step, hi) // the value at lo is v, and the answer is in (lo, hi]
+	return lo + 1 + sort.Search(hi-lo-1, func(i int) bool { return t.at(lo+1+i, d) != v })
 }

@@ -14,20 +14,21 @@ import (
 // Yannakakis evaluates α-acyclic n-ary natural joins with Yannakakis'
 // algorithm: GYO ear removal yields a join tree, a leaf-to-root plus
 // root-to-leaf semijoin sweep (the "full reducer") deletes every dangling
-// tuple, and the reduced relations are then joined along the tree. After
-// full reduction every tuple of every relation extends to at least one
-// output tuple, so the tree can be walked without a dead end: the output
-// is counted, and then written, with no intermediate relation at all —
-// evaluation is linear in input plus output, the Durand–Grandjean
+// tuple, and the reduced relations are then joined. After full reduction
+// every tuple of every relation extends to at least one output tuple: the
+// output is counted along the tree, and then written by the generic
+// join's search over the live rows in a column order the tree fixes, which
+// meets no dead end — no intermediate relation at all, and evaluation
+// linear in input plus output up to the search's log, the Durand–Grandjean
 // tractable frontier of exactly the problem the paper proves hard for
 // general (cyclic) queries.
 //
 // The contrast with the other strategies: the greedy binary planner can
 // be forced to materialize dangling combinations exponentially larger
 // than the output, and the worst-case-optimal Generic join, while never
-// exceeding the AGM bound, still sorts every input into a trie up front.
-// On acyclic inputs Yannakakis does neither — semijoins only shrink, and
-// the tree joins never outgrow the output.
+// exceeding the AGM bound, lets dangling rows into its search. On acyclic
+// inputs Yannakakis does neither — semijoins only shrink, and the one
+// search sees only rows of the output.
 //
 // On a cyclic hypergraph the algorithm does not apply — its output bound
 // holds on acyclic hypergraphs only — and JoinAll runs the engine's one
@@ -40,8 +41,8 @@ import (
 // built side is the reduced non-root rows and whose probed side the
 // reduced root rows, and the yannakakis join counter; JoinAll also records
 // the GYO verdict and the full reducer's effort on the span. The governor
-// is ticked per row in every pass, so the sweeps, the count and the
-// enumeration abort at tuple granularity, and every semijoin pass and the
+// is ticked per row in every pass and per candidate of the search, so the
+// sweeps, the count and the search abort at tuple granularity, and every semijoin pass and the
 // output go through Exec.Sized — which is what makes the
 // output-boundedness visible in, and enforced on, the trace.
 type Yannakakis struct{}
@@ -79,11 +80,11 @@ func (Yannakakis) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	return out, nil
 }
 
-// joinTree joins the inputs of p, an acyclic node, along its join tree in
-// three passes over one hash table per tree edge (treeJoin): mark deletes
-// every dangling tuple, count learns the output's cardinality — and runs
-// the row check and the byte charge on it — before an output row exists,
-// enumerate writes the output once, at that size. It also returns the
+// joinTree joins the inputs of p, an acyclic node, along its join tree
+// (treeJoin): mark deletes every dangling tuple, count learns the
+// output's cardinality — and runs the row check and the byte charge on it
+// — before an output row exists, and the generic join's search over the
+// live rows writes the output once, at that size. It also returns the
 // number of semijoin passes and the total cardinality surviving them (the
 // "semijoin-pass cardinality" EXPLAIN ANALYZE reports; the inputs' total
 // minus this is the dangling tuples removed).
@@ -119,8 +120,7 @@ func joinTree(x Exec, p *Plan) (out *relation.Relation, semijoins, reducedRows i
 	}
 	// Only a count the budget accepted becomes an intermediate.
 	x.Metrics.ObserveJoin(total)
-	out, err = t.enumerate(total)
-	if err != nil {
+	if out, err = t.search(total); err != nil {
 		return nil, 0, 0, err
 	}
 	x.Metrics.Yannakakis()
@@ -129,23 +129,22 @@ func joinTree(x Exec, p *Plan) (out *relation.Relation, semijoins, reducedRows i
 
 // treeShape is what the tree join derives from the node's schemes and
 // join tree alone, so a node's Facts holds it (Plan.treeShape) and a warm
-// plan derives none of it again: the output scheme — each child's scheme
-// united into its parent's along the ear-removal order — the input and
-// column every output column is read from, each input's children, the
-// inputs in preorder, and each tree edge's key. Read-only once built.
+// plan derives none of it again: each input's children, each tree edge's
+// key, and the output scheme with the search's maps over it. Read-only
+// once built.
 //
 // The output's columns come in blocks, one per input in preorder: the
 // root's scheme, then each child's subtree in turn, children in
 // ear-removal order, a child contributing the attributes it does not
 // share with its parent. By the running-intersection property an
 // attribute a child shares with anything outside its subtree is in its
-// parent, so the blocks partition the columns, and the rows of one group
-// of a child — equal on its key — differ in its block.
+// parent, so the blocks partition the columns, and every input's
+// attributes outside its own block are in its parent's scheme. That is
+// the order the search binds attributes in: an input's block is reached
+// only once its parent's row is fixed.
 type treeShape struct {
-	out  relation.Scheme
-	from []relation.Ref // output column -> the input (Src) and column it is read from
-	kids [][]int        // input -> its children in the tree, in ear-removal order
-	pre  []int          // the inputs in preorder, the root first: the output's blocks
+	genericShape
+	kids [][]int // input -> its children in the tree, in ear-removal order
 	// key[i] and childKey[i] are the positions of the attributes input i
 	// shares with its parent, in the parent's scheme and in i's; unused at
 	// the root.
@@ -155,9 +154,8 @@ type treeShape struct {
 func newTreeShape(schemes []relation.Scheme, tree *JoinTree) *treeShape {
 	n := len(schemes)
 	s := &treeShape{kids: make([][]int, n), key: make([]keyCols, n), childKey: make([]keyCols, n)}
-	// The children lists and the preorder are carved from one array: n-1
-	// children, then n inputs.
-	flat := make([]int, 0, 2*n)
+	// The children lists are carved from one array of n-1 children.
+	flat := make([]int, 0, n)
 	for p := range s.kids {
 		start := len(flat)
 		for _, i := range tree.Order {
@@ -178,40 +176,18 @@ func newTreeShape(schemes []relation.Scheme, tree *JoinTree) *treeShape {
 			}
 		}
 	}
-	root := tree.Root()
-	if root < 0 {
-		return s
-	}
+	// Uniting each subtree into its parent along the ear-removal order,
+	// children before their parent and the root last, lays the blocks out
+	// in preorder.
 	acc := slices.Clone(schemes)
 	for _, i := range tree.Order {
 		if p := tree.Parent[i]; p >= 0 {
 			acc[p] = acc[p].Union(acc[i])
-		}
-	}
-	s.out = acc[root]
-	s.pre = appendPreorder(flat[len(flat):len(flat)], s.kids, root)
-	// An output column is read from the first input in preorder that has
-	// it: the input whose block holds it.
-	s.from = make([]relation.Ref, s.out.Len())
-	for c := range s.from {
-		for _, i := range s.pre {
-			if at, ok := schemes[i].Pos(s.out.Attr(c)); ok {
-				s.from[c] = relation.Ref{Src: i, Col: at}
-				break
-			}
+		} else {
+			s.genericShape = newGenericShape(schemes, acc[i])
 		}
 	}
 	return s
-}
-
-// appendPreorder appends the subtree of input i to pre in preorder:
-// i, then each child's subtree in the order kids lists them.
-func appendPreorder(pre []int, kids [][]int, i int) []int {
-	pre = append(pre, i)
-	for _, c := range kids[i] {
-		pre = appendPreorder(pre, kids, c)
-	}
-	return pre
 }
 
 // treeShape returns the tree join's shape of the plan's node, which must
@@ -233,59 +209,61 @@ func (p *Plan) treeShape() *treeShape {
 // of the child relation (edgeTable), not of the request: the next
 // evaluation over the same relation finds it built.
 //
-// What the request keeps is which rows of a group are alive. A child's
-// rows die either before its edge's up pass (in its own children's
-// up-sweeps) or by whole groups afterwards (the down-sweep, from above:
-// a group whose count is non-zero holds no row of that kind). Only the
-// first kind needs filtering, and the walks must not pay for it: the
-// enumeration walks a group once per parent row pointing at it, so a
-// group of one live and n dead rows under n parents would cost n² links.
-// So up gives every edge its live chains: the table's own when the child
-// has lost no row yet, else chains of the live rows alone, derived once
-// (4 B per child row), and every later pass walks those.
+// What the request keeps is which rows are alive, and per edge each live
+// parent row's group and a number per group. Each pass walks a group's
+// chain at most once, skipping the rows that died before it, so the dead
+// rows a shared table holds cost each pass at most one step apiece: no
+// walk repeats per parent row — the output is written by a search over
+// the live rows alone (search), not by walking the groups.
 type treeJoin struct {
-	x         Exec
-	rels      []*relation.Relation
-	tree      *JoinTree
-	shape     *treeShape
-	dead      []bitset // per input: the rows a pass has deleted
-	rows      []int    // per input: how many it has not
-	edges     []edge   // per input: its edge to its parent; unused at the root
-	semijoins int
+	x          Exec
+	rels       []*relation.Relation
+	tree       *JoinTree
+	shape      *treeShape
+	dead       []bitset // per input: the rows a pass has deleted
+	rows       []int    // per input: how many it has not
+	edges      []edge   // per input: its edge to its parent; unused at the root
+	semijoins  int
+	candidates int // values the search examined
 }
 
 // edge is one tree edge, seen from the child.
 type edge struct {
-	table *treeTable // the child's rows grouped on the shared attributes, shared with other requests
-	// head and next chain each group's rows that were alive at up: head
-	// is per group, its first such row or -1, and next per child row, the
-	// following one or -1. They are the table's own head and next when
-	// every row was, and must not be written.
-	head, next []int32
-	// live is nil when every row was alive at up. Otherwise it is per
-	// group: the group's live rows in order, derived by the enumeration
-	// when it first reaches the group (treeJoin.inOrder).
-	live  [][]int32
-	group []int32 // live parent row -> its group of table
-	// count is per group: after the down-sweep, 1 when a live parent row
-	// points at the group and 0 when none does (the group is dead); after
-	// the count pass, the number of output rows the child's subtree
-	// contributes per parent row pointing at it.
+	table *hashTable // the child's rows grouped on the shared attributes, shared with other requests
+	group []int32    // live parent row -> its group of table
+	// count is per group: after the up pass, 1 when the group holds a
+	// live row; after the down-sweep, 1 when a live parent row points at
+	// the group and 0 when none does (the group is dead); after the count
+	// pass, the number of output rows the child's subtree contributes per
+	// parent row pointing at it.
 	count []int
 }
 
-// after returns the live row following child row r in its group, or -1.
-func (e *edge) after(r int) int { return int(e.next[r]) }
-
-func newTreeJoin(x Exec, rels []*relation.Relation, tree *JoinTree, shape *treeShape) *treeJoin {
-	t := &treeJoin{
+func newTreeJoin(x Exec, rels []*relation.Relation, tree *JoinTree, shape *treeShape) treeJoin {
+	t := treeJoin{
 		x: x, rels: rels, tree: tree, shape: shape,
 		dead:  make([]bitset, len(rels)),
 		rows:  make([]int, len(rels)),
 		edges: make([]edge, len(rels)),
 	}
+	// The dead sets are carved from one array, and so are the edges'
+	// group arrays, one slot per row of the parent.
+	words, slots := 0, 0
 	for i, r := range rels {
-		t.dead[i], t.rows[i] = make(bitset, (r.Len()+63)/64), r.Len()
+		words += (r.Len() + 63) / 64
+		if p := tree.Parent[i]; p >= 0 {
+			slots += rels[p].Len()
+		}
+	}
+	dead, groups := make(bitset, words), make([]int32, slots)
+	for i, r := range rels {
+		n := (r.Len() + 63) / 64
+		t.dead[i], dead = dead[:n:n], dead[n:]
+		t.rows[i] = r.Len()
+		if p := tree.Parent[i]; p >= 0 {
+			n = rels[p].Len()
+			t.edges[i].group, groups = groups[:n:n], groups[n:]
+		}
 	}
 	return t
 }
@@ -315,9 +293,9 @@ func (t *treeJoin) mark() error {
 }
 
 // up is the semijoin pass parent ⋉ child. It takes the child's table on
-// the edge's key, chains its live rows, looks each live parent row's group
-// up once and remembers it, and deletes the parent rows whose group has no
-// live row.
+// the edge's key, flags the groups that hold a live row, looks each live
+// parent row's group up once and remembers it, and deletes the parent
+// rows whose group is not flagged.
 func (t *treeJoin) up(i, p int) error {
 	fault.Hit(fault.Semijoin)
 	e, parent, key := &t.edges[i], t.rels[p], t.shape.key[i]
@@ -325,10 +303,18 @@ func (t *treeJoin) up(i, p int) error {
 	if e.table, err = edgeTable(t.x.Gov, t.rels[i], t.shape.childKey[i]); err != nil {
 		return err
 	}
-	if err := t.chainLive(i); err != nil {
-		return err
+	e.count = make([]int, e.table.keys())
+	for grp, first := range e.table.head {
+		for r := int(first); r >= 0; r = e.table.after(r) {
+			if !t.dead[i].has(r) {
+				e.count[grp] = 1
+				break
+			}
+			if err := t.x.Gov.Tick(); err != nil {
+				return err
+			}
+		}
 	}
-	e.group = make([]int32, parent.Len())
 	for r := 0; r < parent.Len(); r++ {
 		if t.dead[p].has(r) {
 			continue
@@ -338,10 +324,7 @@ func (t *treeJoin) up(i, p int) error {
 		}
 		row := parent.Tuple(r)
 		grp := e.table.group(row.HashOf(key), row, key)
-		if grp >= 0 && e.head[grp] < 0 {
-			grp = -1
-		}
-		if grp < 0 {
+		if grp < 0 || e.count[grp] == 0 {
 			t.dead[p].set(r)
 			t.rows[p]--
 		}
@@ -350,44 +333,12 @@ func (t *treeJoin) up(i, p int) error {
 	return t.reduced(p)
 }
 
-// chainLive sets edge i's live chains: the table's own when input i has
-// lost no row, else its live rows chained per group, one tick per row.
-func (t *treeJoin) chainLive(i int) error {
-	e := &t.edges[i]
-	if t.rows[i] == t.rels[i].Len() {
-		e.head, e.next = e.table.head, e.table.next
-		return nil
-	}
-	e.head, e.next = make([]int32, e.table.keys()), make([]int32, t.rels[i].Len())
-	e.live = make([][]int32, e.table.keys())
-	for grp, first := range e.table.head {
-		e.head[grp] = -1
-		last := -1
-		for r := int(first); r >= 0; r = e.table.after(r) {
-			if err := t.x.Gov.Tick(); err != nil {
-				return err
-			}
-			if t.dead[i].has(r) {
-				continue
-			}
-			if last < 0 {
-				e.head[grp] = int32(r)
-			} else {
-				e.next[last] = int32(r)
-			}
-			e.next[r], last = -1, r
-		}
-	}
-	return nil
-}
-
-// down is the semijoin pass child ⋉ parent, over the chains up made: it
-// flags the groups a live parent row points at and deletes the others,
-// whole chains at a time.
+// down is the semijoin pass child ⋉ parent: it flags the groups a live
+// parent row points at and deletes the live rows of the others.
 func (t *treeJoin) down(i, p int) error {
 	fault.Hit(fault.Semijoin)
 	e := &t.edges[i]
-	e.count = make([]int, len(e.head))
+	clear(e.count)
 	for r := 0; r < t.rels[p].Len(); r++ {
 		if t.dead[p].has(r) {
 			continue
@@ -397,16 +348,18 @@ func (t *treeJoin) down(i, p int) error {
 		}
 		e.count[e.group[r]] = 1
 	}
-	for grp, first := range e.head {
+	for grp, first := range e.table.head {
 		if e.count[grp] != 0 {
 			continue
 		}
-		for r := int(first); r >= 0; r = e.after(r) {
+		for r := int(first); r >= 0; r = e.table.after(r) {
 			if err := t.x.Gov.Tick(); err != nil {
 				return err
 			}
-			t.dead[i].set(r)
-			t.rows[i]--
+			if !t.dead[i].has(r) {
+				t.dead[i].set(r)
+				t.rows[i]--
+			}
 		}
 	}
 	return t.reduced(i)
@@ -468,14 +421,17 @@ func (t *treeJoin) count() (int, error) {
 			continue
 		}
 		e := &t.edges[i]
-		for grp, first := range e.head {
+		for grp, first := range e.table.head {
 			if e.count[grp] == 0 {
 				continue
 			}
 			n := 0
-			for r := int(first); r >= 0; r = e.after(r) {
+			for r := int(first); r >= 0; r = e.table.after(r) {
 				if err := t.x.Gov.Tick(); err != nil {
 					return 0, err
+				}
+				if t.dead[i].has(r) {
+					continue
 				}
 				if n += weight(i, r); n < 0 {
 					n = math.MaxInt
@@ -499,127 +455,69 @@ func (t *treeJoin) count() (int, error) {
 	return total, nil
 }
 
-// enumerate writes the output, total rows over the shape's scheme: an
-// odometer over the tree whose digits, most significant first, are the
-// inputs in preorder — the order of the output's column blocks. A digit
-// walks the live rows of the group its parent's current row points at,
-// and a parent precedes its children, so advancing a digit resets the
-// later ones, whose groups may have changed with it. Every setting of the
-// digits is an output row — a marked tree has no dead ends — so the rows
-// come out each written once, straight into a relation of exactly the
-// counted size.
-//
-// And they come out sorted. The root's rows are walked in its sorted
-// order, and every group's in its child's (inOrder); the rows of a group
-// are equal on the key and differ in the child's block, so each digit
-// steps through its block's values in ascending order. Two output rows
-// first differ in the block of the first digit on which they differ — the
-// earlier digits, and with them that digit's group, being equal — so the
-// odometer's order is lexicographic order on the output's columns, and
-// the result is born sorted.
-func (t *treeJoin) enumerate(total int) (*relation.Relation, error) {
-	pre, parent := t.shape.pre, t.tree.Parent
-	// digit is one input's place: the rows it walks, and which of them
-	// is current.
-	type digit struct {
-		rows []int32
-		k    int
+// search writes the output, total rows over the shape's scheme, with the
+// generic join's search over the inputs' live rows (tries) in the shape's
+// column order, into a relation of exactly that size, born sorted. A
+// marked tree has no dead ends, and in this order the search meets none:
+// an input's block is bound only after its parent's row is fixed, and
+// every live row extends to an output row. Its work is linear in the live
+// rows plus the output, times the arity and a log (FuzzAcyclicJoin pins
+// the candidates examined).
+func (t *treeJoin) search(total int) (*relation.Relation, error) {
+	if total == 0 {
+		// Nothing lives; the search must not run, since over nullary
+		// schemes it binds the empty row whatever its tries hold.
+		return relation.NewBuilder(t.shape.out, 0).SortedRelation(), nil
 	}
-	digits := make([]digit, len(pre))
-	at := func(i int) int { return int(digits[i].rows[digits[i].k]) }
-	cur := make([]relation.Tuple, len(pre)) // input -> its current row
-	// rewind sets the digits pre[k], pre[k+1], … to the first rows of
-	// their groups.
-	rewind := func(k int) error {
-		for ; k < len(pre); k++ {
-			i := pre[k]
-			rows, err := t.inOrder(i, int(t.edges[i].group[at(parent[i])]))
-			if err != nil {
-				return err
-			}
-			digits[i] = digit{rows: rows}
-			cur[i] = t.rels[i].Tuple(int(rows[0]))
-		}
-		return nil
+	tries, err := t.tries()
+	if err != nil {
+		return nil, err
 	}
-	b := relation.NewBuilder(t.shape.out, total)
-	root := pre[0]
-	// The root's digit is one row of its sorted order. A born-sorted root
-	// has no order to point into and is walked in store order, each row
-	// through the one slot of born.
-	order := t.rels[root].SortedOrder()
-	var born []int32
-	if order == nil {
-		born = make([]int32, 1)
+	j := newGenericJoin(&t.shape.genericShape, tries, total)
+	j.gov = t.x.Gov
+	j.search(0)
+	t.candidates = j.candidates
+	if j.err != nil {
+		return nil, j.err
 	}
-	for k := 0; k < t.rels[root].Len(); k++ {
-		var rows []int32
-		if born != nil {
-			born[0], rows = int32(k), born
-		} else {
-			rows = order[k : k+1]
-		}
-		r := int(rows[0])
-		if t.dead[root].has(r) {
-			continue
-		}
-		digits[root] = digit{rows: rows}
-		cur[root] = t.rels[root].Tuple(r)
-		if err := rewind(1); err != nil {
-			return nil, err
-		}
-		for done := false; !done; {
-			if b.Len()%checkBatch == 0 {
-				fault.Hit(fault.JoinBatch)
-			}
-			if err := t.x.Gov.Tick(); err != nil {
-				return nil, err
-			}
-			b.Collect(cur, t.shape.from)
-			// Advance the least significant digit that has a next row;
-			// when none has, this root row is done.
-			done = true
-			for x := len(pre) - 1; x > 0 && done; x-- {
-				i := pre[x]
-				if d := &digits[i]; d.k+1 < len(d.rows) {
-					d.k++
-					cur[i] = t.rels[i].Tuple(at(i))
-					if err := rewind(x + 1); err != nil {
-						return nil, err
-					}
-					done = false
-				}
-			}
-		}
-	}
-	return b.SortedRelation(), nil
+	return j.out.SortedRelation(), nil
 }
 
-// inOrder returns the live rows of group grp of input i's edge, in the
-// order of input i's rows. A group the enumeration reaches has lost rows
-// only before i's up pass — a later death takes a whole group — so with no
-// such loss it is the table's group (treeTable.inOrder), and otherwise
-// that group less its dead rows, derived on the enumeration's first visit
-// to it, one tick per row.
-func (t *treeJoin) inOrder(i, grp int) ([]int32, error) {
-	e := &t.edges[i]
-	rows := e.table.inOrder(grp)
-	if e.live == nil {
-		return rows, nil
+// tries returns the search's trie over each input: its trie fact
+// (trieOf), shared with every request, when it lost no row; else a trie
+// of its live rows alone, views cut from one array and sorted for this
+// request, one tick per row. Dead rows never reach the search.
+func (t *treeJoin) tries() ([]sortedTrie, error) {
+	tries, live := make([]sortedTrie, len(t.rels)), 0
+	for i, r := range t.rels {
+		if t.rows[i] < r.Len() {
+			live += t.rows[i]
+		}
 	}
-	if e.live[grp] == nil {
-		kept := make([]int32, 0, len(rows))
-		for _, r := range rows {
+	views := make([]relation.Tuple, 0, live)
+	for i, r := range t.rels {
+		if t.rows[i] == r.Len() {
+			fact, err := trieOf(r, t.shape.cols[i], t.x.Gov)
+			if err != nil {
+				return nil, err
+			}
+			tries[i] = *fact
+			continue
+		}
+		from := len(views)
+		for k := 0; k < r.Len(); k++ {
+			if t.dead[i].has(k) {
+				continue
+			}
 			if err := t.x.Gov.Tick(); err != nil {
 				return nil, err
 			}
-			if !t.dead[i].has(int(r)) {
-				kept = append(kept, r)
-			}
+			views = append(views, r.Tuple(k))
 		}
-		e.live[grp] = kept
+		tries[i] = sortedTrie{cols: t.shape.cols[i], rows: views[from:len(views):len(views)]}
+		tries[i].sort()
 	}
-	return e.live[grp], nil
+	return tries, nil
 }
 
 // FullReduce runs Yannakakis' full reducer over an acyclic join and

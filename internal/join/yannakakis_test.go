@@ -233,7 +233,7 @@ func TestWarmTreeJoinHashesNoRow(t *testing.T) {
 		if cold-warm < 2*table {
 			t.Errorf("%d rows: cold %v against warm %v allocations: the warm join built a table (%v each)", rows, cold, warm, table)
 		}
-		if besides[rows] > 16 { // 13 measured: the marks, the per-edge arrays, the odometer
+		if besides[rows] > 10 { // 10 measured: the marks, the per-edge arrays, the search's tries and ranges
 			t.Errorf("%d rows: warm join allocates %v besides its output", rows, besides[rows])
 		}
 	}
@@ -247,14 +247,27 @@ func TestWarmTreeJoinHashesNoRow(t *testing.T) {
 // already failed, so the build's first row aborts it unpublished.
 func builds(t *testing.T, rel *relation.Relation, cols keyCols) bool {
 	t.Helper()
+	_, err := edgeTable(failed(t), rel, cols)
+	return err != nil
+}
+
+// sorts is builds for rel's trie on cols.
+func sorts(t *testing.T, rel *relation.Relation, cols []int) bool {
+	t.Helper()
+	_, err := trieOf(rel, cols, failed(t))
+	return err != nil
+}
+
+// failed returns a governor that has already failed its check.
+func failed(t *testing.T) *governor.Governor {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := governor.New(ctx, governor.Limits{})
 	if err := g.Check(); err == nil {
 		t.Fatal("a canceled governor passed its check")
 	}
-	_, err := edgeTable(g, rel, cols)
-	return err != nil
+	return g
 }
 
 // ballast is a path of n bytes and nothing else.
@@ -295,9 +308,12 @@ func TestEdgeTableIsAFactOfItsRelation(t *testing.T) {
 }
 
 // TestTreeJoinConcurrentFirstUse: eight goroutines join the same cold
-// relations at once, through one Facts. Each builds the edge tables or
-// finds them, one of each is published, every answer is the oracle's,
-// and -race proves a published table is never written.
+// relations at once, through one Facts. Each builds the edge tables, and
+// the trie of the input that loses no row, or finds them; one of each is
+// published, every answer is the oracle's, and -race proves a published
+// table or trie is never written. The inputs that lose rows are searched
+// through tries of their live rows, and no trie of all their rows is
+// built.
 func TestTreeJoinConcurrentFirstUse(t *testing.T) {
 	rels := danglingPath(512)
 	want := rels[0]
@@ -326,6 +342,18 @@ func TestTreeJoinConcurrentFirstUse(t *testing.T) {
 		if parent >= 0 && builds(t, rels[i], p.treeShape().childKey[i]) {
 			t.Errorf("input %d: no edge table published", i)
 		}
+	}
+	reduced, _, err := FullReduce(rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reduced {
+		if kept := r == rels[i]; kept == sorts(t, rels[i], p.treeShape().cols[i]) {
+			t.Errorf("input %d (lost no row: %v): a trie of all its rows published: %v", i, kept, !kept)
+		}
+	}
+	if reduced[2] != rels[2] || reduced[0] == rels[0] {
+		t.Fatal("the dangling path's last input lost rows or its first did not")
 	}
 }
 
@@ -375,10 +403,10 @@ func (c checkCounter) Err() error {
 }
 
 // TestTreeJoinWorkIsLinear: on the dangling families the whole evaluation
-// — both sweeps, the count and the enumeration — ticks a constant number
-// of times per input and output row. A marked tree has no dead ends, so
-// the enumeration visits nothing it does not emit, and no pass rescans
-// what an earlier one deleted.
+// — both sweeps, the count, the live rows' tries and the search — ticks a
+// constant number of times per input and output row. A marked tree has no
+// dead ends, so the search visits nothing it does not emit, and no pass
+// rescans what an earlier one deleted.
 func TestTreeJoinWorkIsLinear(t *testing.T) {
 	const n = 8192
 	for name, rels := range map[string][]*relation.Relation{"path": danglingPath(n), "star": danglingStar(n)} {
@@ -422,11 +450,11 @@ func deadUnderLive(n int) []*relation.Relation {
 }
 
 // TestTreeJoinSkipsRowsDeadBeforeTheirEdge: the edge table of C is built
-// over all of C's rows, the n dead ones included, and the enumeration
-// walks C's group once per row of P. It stays linear in input plus output
-// — cold and warm — because the walks follow the request's chain of live
-// rows, not the table's: following the table's and skipping dead links
-// costs n² ticks here.
+// over all of C's rows, the n dead ones included, and every row of P
+// points at the group that holds them. It stays linear in input plus
+// output — cold and warm — because the passes after C's loss walk the
+// request's chain of live rows, not the table's, and the search reads a
+// trie of C's live rows alone, never one of all its rows.
 func TestTreeJoinSkipsRowsDeadBeforeTheirEdge(t *testing.T) {
 	for _, n := range []int{1024, 8192} {
 		rels := deadUnderLive(n)
@@ -484,6 +512,23 @@ func TestOverBudgetTreeJoinDiesBeforeItMaterializes(t *testing.T) {
 	gov = governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 40_000})
 	if out, err := (Yannakakis{}).JoinAll(Exec{Gov: gov}, star(200)); err != nil || out.Len() != 40_000 {
 		t.Errorf("200 × 200 under a budget of exactly its output: %v, %v", out, err)
+	}
+}
+
+// TestTreeJoinChargesItsOutputOnce: the tree join charges the memory
+// budget for each semijoin pass's survivors and for its output, the output
+// on its count: the search that then writes the rows, counted already,
+// charges nothing more. A budget of exactly that lets the 200 × 200 join
+// through and one byte less refuses it.
+func TestTreeJoinChargesItsOutputOnce(t *testing.T) {
+	l, r := skewedPair(200, 1)
+	charge := 2*200*relation.RowBytes(2) + 40_000*relation.RowBytes(3) // up, down, the output
+	for budget, want := range map[int64]error{charge: nil, charge - 1: governor.ErrMemBudget} {
+		gov := governor.New(context.Background(), governor.Limits{MaxMemoryBytes: budget})
+		out, err := Yannakakis{}.JoinAll(Exec{Gov: gov}, NewPlan(l, r))
+		if !errors.Is(err, want) || err == nil && out.Len() != 40_000 {
+			t.Errorf("200 × 200 tree join under a memory budget of %d bytes: want %v, got %v", budget, want, err)
+		}
 	}
 }
 
