@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"relquery/internal/algebra"
+	"relquery/internal/decide"
 	"relquery/internal/governor"
 	"relquery/internal/join"
 	"relquery/internal/obs"
@@ -171,15 +172,11 @@ func run(args []string) error {
 		if len(vals) != target.Len() {
 			return fmt.Errorf("-contains: %d values for target scheme %v (arity %d)", len(vals), target, target.Len())
 		}
-		tb, err := tableau.New(expr)
-		if err != nil {
-			return err
-		}
 		nt := relation.NamedTuple{Scheme: target, Vals: relation.TupleOf(vals...)}
 		// -timeout governs the membership search too: the valuation tree
 		// is exponential in the worst case, so it polls at node
 		// granularity like every other engine.
-		ok, err := tb.MemberGov(nt, db, governor.New(context.Background(), limits))
+		ok, err := decide.MemberBudget(nt, expr, db, decide.Budget{Gov: governor.New(context.Background(), limits)})
 		if err != nil {
 			return err
 		}

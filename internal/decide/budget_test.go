@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// TestBudgetBoundary pins the budget contract of the cardinality
-// procedures: Budget{MaxTuples: k} answers definitively whenever k
-// visited tuples suffice to decide, and otherwise returns a wrapped
-// ErrBudget — never a definitive answer the truncated search cannot
-// justify. Each case self-calibrates the deciding visit (the smallest
-// sufficient budget) and then checks the three boundary budgets: exactly
-// at, one below, one above.
+// TestBudgetBoundary pins the budget contract of the procedures that
+// stop Enumerate's stream: Budget{MaxTuples: k} answers definitively
+// whenever k visited tuples suffice to decide, and otherwise returns a
+// wrapped ErrBudget — never a definitive answer the truncated search
+// cannot justify. Each case self-calibrates the deciding visit (the
+// smallest sufficient budget) and then checks the three boundary
+// budgets: exactly at, one below, one above.
 func TestBudgetBoundary(t *testing.T) {
 	db := testDB(t)
 	// π_AC(π_AB(T) ∗ π_BC(T)) streams 5 valuation tuples, 4 distinct —
@@ -32,6 +32,18 @@ func TestBudgetBoundary(t *testing.T) {
 		{"CardAtMost exhaustive yes", func(b Budget) (any, error) { return CardAtMost(phi, db, 4, b) }, true},
 		{"CardBetween", func(b Budget) (any, error) { return CardBetween(phi, db, 2, 4, b) }, true},
 		{"Count", func(b Budget) (any, error) { return Count(phi, db, b) }, 4},
+		{"ResultSubset early no", func(b Budget) (any, error) {
+			cmp, err := ResultSubset(phi, db, mkrel(t, "A C", "1 p"), b)
+			return cmp.Holds, err
+		}, false},
+		{"ResultSubset exhaustive yes", func(b Budget) (any, error) {
+			cmp, err := ResultSubset(phi, db, mkrel(t, "A C", "1 p", "1 q", "2 p", "2 q"), b)
+			return cmp.Holds, err
+		}, true},
+		{"ContainedFixedRelation", func(b Budget) (any, error) {
+			cmp, err := ContainedFixedRelation(phi, phi, db, b)
+			return cmp.Holds, err
+		}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,10 +110,10 @@ func TestBudgetErrorCountsOnlyExaminedTuples(t *testing.T) {
 	}
 }
 
-// TestStreamDistinctDecidesOnFinalVisit builds the sharpest boundary:
-// the query's deciding tuple is its LAST valuation visit, so the
-// sufficient budget equals the total stream length and one less must
-// refuse.
+// TestStreamDistinctDecidesOnFinalVisit builds the sharpest boundary on
+// Enumerate's stream: the query's deciding tuple is its LAST valuation
+// visit, so the sufficient budget equals the total stream length and one
+// less must refuse.
 func TestStreamDistinctDecidesOnFinalVisit(t *testing.T) {
 	db := testDB(t)
 	phi := expr(t, "pi[A C](pi[A B](T) * pi[B C](T))", db)

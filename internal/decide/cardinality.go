@@ -5,13 +5,12 @@ import (
 
 	"relquery/internal/algebra"
 	"relquery/internal/relation"
-	"relquery/internal/tableau"
 )
 
-// The cardinality procedures implement Theorem 2's problems. They stream
-// tableau valuations and deduplicate on the fly, so space is bounded by
-// the number of DISTINCT tuples seen (at most d+1 for the bounded
-// variants), never by intermediate join sizes.
+// The cardinality procedures implement Theorem 2's problems and Theorem
+// 3's count. Each is one Enumerate stream stopped by count, so space is
+// bounded by the number of DISTINCT tuples seen (at most d+1 for the
+// bounded variants), never by intermediate join sizes.
 
 // CardAtLeast decides d ≤ |φ(db)| — NP-complete (guess d distinct tuples;
 // here: enumerate until d distinct tuples have been seen).
@@ -19,21 +18,8 @@ func CardAtLeast(phi algebra.Expr, db relation.Database, d int, b Budget) (bool,
 	if d <= 0 {
 		return true, nil
 	}
-	distinct, exhausted, err := streamDistinct(phi, db, d, b)
-	if err != nil {
-		return false, err
-	}
-	if distinct >= d {
-		return true, nil
-	}
-	// streamDistinct stops early only on reaching d distinct tuples
-	// (handled above) or on the budget (an error); fewer than d distinct
-	// without exhausting the valuation tree would be a definitive "no"
-	// the search cannot justify.
-	if !exhausted {
-		return false, fmt.Errorf("decide: internal error: bounded search stopped with %d < %d distinct tuples", distinct, d)
-	}
-	return false, nil
+	n, err := count(phi, db, d, b)
+	return err == nil && n >= d, err
 }
 
 // CardAtMost decides |φ(db)| ≤ d — co-NP-complete (refute by finding d+1
@@ -42,70 +28,40 @@ func CardAtMost(phi algebra.Expr, db relation.Database, d int, b Budget) (bool, 
 	if d < 0 {
 		return false, fmt.Errorf("decide: negative cardinality bound %d", d)
 	}
-	distinct, _, err := streamDistinct(phi, db, d+1, b)
-	if err != nil {
-		return false, err
-	}
-	return distinct <= d, nil
+	n, err := count(phi, db, d+1, b)
+	return err == nil && n <= d, err
 }
 
 // CardBetween decides d1 ≤ |φ(db)| ≤ d2 — Dᵖ-complete (Theorem 2), the
-// conjunction of an NP and a co-NP question.
+// conjunction of an NP and a co-NP question, answered by one stream
+// stopped at d2+1 distinct tuples.
 func CardBetween(phi algebra.Expr, db relation.Database, d1, d2 int, b Budget) (bool, error) {
 	if d1 > d2 {
 		return false, fmt.Errorf("decide: empty window [%d, %d]", d1, d2)
 	}
-	atLeast, err := CardAtLeast(phi, db, d1, b)
-	if err != nil || !atLeast {
-		return false, err
+	if d2 < 0 {
+		return false, fmt.Errorf("decide: negative cardinality bound %d", d2)
 	}
-	return CardAtMost(phi, db, d2, b)
+	n, err := count(phi, db, d2+1, b)
+	return err == nil && d1 <= n && n <= d2, err
 }
 
 // Count computes |φ(db)| exactly — the #P-hard enumeration problem of
-// Theorem 3 — by streaming all valuations and deduplicating.
+// Theorem 3 — by streaming every distinct tuple.
 func Count(phi algebra.Expr, db relation.Database, b Budget) (int, error) {
-	distinct, exhausted, err := streamDistinct(phi, db, 0, b)
+	return count(phi, db, 0, b)
+}
+
+// count streams φ(db) and returns how many distinct tuples it saw,
+// stopping once it has seen stop of them (0 = never stop early).
+func count(phi algebra.Expr, db relation.Database, stop int, b Budget) (int, error) {
+	n := 0
+	err := Enumerate(phi, db, b, func(relation.Tuple) bool {
+		n++
+		return n != stop
+	})
 	if err != nil {
 		return 0, err
 	}
-	if !exhausted {
-		return 0, fmt.Errorf("decide: internal error: unbounded count stopped early")
-	}
-	return distinct, nil
-}
-
-// streamDistinct streams φ(db) counting distinct tuples, stopping once
-// `stopAt` distinct tuples have been seen (0 = never stop early).
-// exhausted reports whether the full valuation tree was explored.
-func streamDistinct(phi algebra.Expr, db relation.Database, stopAt int, b Budget) (distinct int, exhausted bool, err error) {
-	tb, err := tableau.New(phi)
-	if err != nil {
-		return 0, false, err
-	}
-	var seen relation.TupleSet
-	bc := budgetCounter{limit: b.MaxTuples, gov: b.Gov}
-	budgetHit := false
-	stopped := false
-	err = tb.StreamGov(db, b.Gov, func(tp relation.Tuple) bool {
-		if !bc.tick() {
-			budgetHit = true
-			return false
-		}
-		if _, fresh := seen.Add(tp); fresh && stopAt > 0 && seen.Len() >= stopAt {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	if bc.err != nil {
-		return 0, false, bc.err
-	}
-	if budgetHit {
-		return 0, false, fmt.Errorf("%w: visited %d tuples counting |φ(R)|", ErrBudget, bc.visited)
-	}
-	return seen.Len(), !stopped, nil
+	return n, nil
 }

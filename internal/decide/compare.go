@@ -13,8 +13,7 @@ import (
 // oracle whether the right side produces it.
 
 // ContainedFixedRelation decides φ₁(db) ⊆ φ₂(db) — Theorem 4's problem.
-// The expressions' target schemes must be set-equal for containment to
-// hold (a scheme mismatch yields false with no witness).
+// Over set-unequal target schemes it holds exactly when φ₁(db) is empty.
 func ContainedFixedRelation(phi1, phi2 algebra.Expr, db relation.Database, b Budget) (Comparison, error) {
 	return containedIn(phi1, db, phi2, db, b)
 }
@@ -65,77 +64,46 @@ func Compare(phi1 algebra.Expr, db1 relation.Database, phi2 algebra.Expr, db2 re
 // containedIn decides φ₁(db1) ⊆ φ₂(db2) by streaming the left side and
 // membership-testing each distinct tuple on the right.
 func containedIn(phi1 algebra.Expr, db1 relation.Database, phi2 algebra.Expr, db2 relation.Database, b Budget) (Comparison, error) {
-	s1, s2 := phi1.Scheme(), phi2.Scheme()
-	if !s1.Equal(s2) {
-		// Different attribute sets: containment can only hold when the
-		// left side is empty.
-		empty, err := isEmpty(phi1, db1, b)
-		if err != nil {
-			return Comparison{}, err
-		}
-		return Comparison{Holds: empty}, nil
-	}
-	t1, err := tableau.New(phi1)
-	if err != nil {
-		return Comparison{}, err
-	}
 	t2, err := tableau.New(phi2)
 	if err != nil {
 		return Comparison{}, err
 	}
-	bc := budgetCounter{limit: b.MaxTuples, gov: b.Gov}
-	var seen relation.TupleSet
+	s1 := phi1.Scheme()
+	return subset(s1, phi2.Scheme(), func(yield func(relation.Tuple) bool) error {
+		return Enumerate(phi1, db1, b, yield)
+	}, func(tp relation.Tuple) (bool, error) {
+		return t2.MemberGov(relation.NamedTuple{Scheme: s1, Vals: tp}, db2, b.Gov)
+	})
+}
+
+// subset decides X ⊆ Y: each streams X's tuples (over scheme sx), in
+// tests one for membership in Y, and the first tuple not in Y stops the
+// stream as the witness. It is the one scheme rule of every comparison:
+// when sx and sy are set-unequal no tuple of X can be in Y, so X ⊆ Y
+// holds exactly when X is empty, X's first tuple is the witness
+// otherwise, and in is not asked.
+func subset(sx, sy relation.Scheme, each func(yield func(relation.Tuple) bool) error, in func(relation.Tuple) (bool, error)) (Comparison, error) {
+	if !sx.Equal(sy) {
+		in = func(relation.Tuple) (bool, error) { return false, nil }
+	}
 	out := Comparison{Holds: true}
-	var innerErr error
-	budgetHit := false
-	err = t1.StreamGov(db1, b.Gov, func(tp relation.Tuple) bool {
-		if !bc.tick() {
-			budgetHit = true
-			return false
-		}
-		if _, fresh := seen.Add(tp); !fresh {
-			return true
-		}
-		nt := relation.NamedTuple{Scheme: s1, Vals: tp}
-		ok, err := t2.MemberGov(nt, db2, b.Gov)
+	var inErr error
+	err := each(func(tp relation.Tuple) bool {
+		ok, err := in(tp)
 		if err != nil {
-			innerErr = err
+			inErr = err
 			return false
 		}
 		if !ok {
-			out = Comparison{Holds: false, Witness: tp.Clone(), WitnessScheme: s1}
-			return false
+			out = Comparison{Witness: tp, WitnessScheme: sx}
 		}
-		return true
+		return ok
 	})
+	if err == nil {
+		err = inErr
+	}
 	if err != nil {
 		return Comparison{}, err
 	}
-	if innerErr != nil {
-		return Comparison{}, innerErr
-	}
-	if bc.err != nil {
-		return Comparison{}, bc.err
-	}
-	if budgetHit {
-		return Comparison{}, errBudget("deciding containment", bc.visited)
-	}
 	return out, nil
-}
-
-// isEmpty reports whether φ(db) has no tuples.
-func isEmpty(phi algebra.Expr, db relation.Database, b Budget) (bool, error) {
-	tb, err := tableau.New(phi)
-	if err != nil {
-		return false, err
-	}
-	empty := true
-	err = tb.StreamGov(db, b.Gov, func(relation.Tuple) bool {
-		empty = false
-		return false
-	})
-	if err != nil {
-		return false, err
-	}
-	return empty, nil
 }

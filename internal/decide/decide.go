@@ -12,9 +12,10 @@
 // becomes a backtracking search for a valuation (tableau.Member), a co-NP
 // refutation becomes a streaming search for a witness tuple, and a Π₂ᵖ
 // test becomes a ∀-loop over one query's output with an NP-oracle call per
-// tuple. Everything streams: no procedure ever materializes an
-// intermediate join, so space stays polynomial while time may be
-// exponential — the honest trade the paper's results allow.
+// tuple. Every procedure that walks φ(R) is a stopping rule on one
+// stream, Enumerate. Nothing materializes an intermediate join, so space
+// stays polynomial while time may be exponential — the honest trade the
+// paper's results allow.
 package decide
 
 import (
@@ -58,20 +59,22 @@ type budgetCounter struct {
 	limit   int
 	visited int
 	gov     *governor.Governor
-	err     error // governor violation that stopped the search, if any
+	err     error // budget or governor violation that stopped the search
 }
 
 // tick admits one more visited tuple, refusing once the limit is
-// reached or the governor reports a violation (latched in err). The gate
-// runs before the counter moves, so a refused tuple is never counted:
-// visited reports exactly how many tuples were examined, and a search
-// that decides on its k-th visit succeeds under Budget{MaxTuples: k}.
+// reached or the governor reports a violation; either refusal is latched
+// in err. The gate runs before the counter moves, so a refused tuple is
+// never counted: the error reports exactly how many tuples were examined,
+// and a search that decides on its k-th visit succeeds under
+// Budget{MaxTuples: k}.
 func (b *budgetCounter) tick() bool {
 	if err := b.gov.Tick(); err != nil {
 		b.err = err
 		return false
 	}
 	if b.limit > 0 && b.visited >= b.limit {
+		b.err = fmt.Errorf("%w: visited %d tuples of φ(R)", ErrBudget, b.visited)
 		return false
 	}
 	b.visited++
@@ -115,16 +118,9 @@ type Comparison struct {
 //	(co-NP part) φ(db) ⊆ r: stream φ(db)'s tuples hunting for one
 //	             outside r, succeeding when the search exhausts.
 func ResultEquals(phi algebra.Expr, db relation.Database, r *relation.Relation, b Budget) (Comparison, error) {
-	if !r.Scheme().Equal(phi.Scheme()) {
-		// Schemes differ: never equal; any tuple of either side witnesses.
-		return Comparison{Holds: false}, nil
-	}
 	sub, err := ConjecturedSubset(r, phi, db, b)
-	if err != nil {
-		return Comparison{}, err
-	}
-	if !sub.Holds {
-		return sub, nil
+	if err != nil || !sub.Holds {
+		return sub, err
 	}
 	return ResultSubset(phi, db, r, b)
 }
@@ -139,77 +135,28 @@ func ConjecturedSubset(r *relation.Relation, phi algebra.Expr, db relation.Datab
 	if err != nil {
 		return Comparison{}, err
 	}
-	out := Comparison{Holds: true}
-	var loopErr error
-	r.Each(func(tp relation.Tuple) bool {
-		nt := relation.NamedTuple{Scheme: r.Scheme(), Vals: tp}
-		ok, err := tb.MemberGov(nt, db, b.Gov)
-		if err != nil {
-			loopErr = err
-			return false
-		}
-		if !ok {
-			out = Comparison{Holds: false, Witness: tp, WitnessScheme: r.Scheme()}
-			return false
-		}
-		return true
+	return subset(r.Scheme(), phi.Scheme(), func(yield func(relation.Tuple) bool) error {
+		r.Each(yield)
+		return nil
+	}, func(tp relation.Tuple) (bool, error) {
+		return tb.MemberGov(relation.NamedTuple{Scheme: r.Scheme(), Vals: tp}, db, b.Gov)
 	})
-	if loopErr != nil {
-		return Comparison{}, loopErr
-	}
-	return out, nil
 }
 
 // ResultSubset decides φ(db) ⊆ r (the co-NP half of Theorem 1): it
 // streams result tuples until one falls outside r.
 func ResultSubset(phi algebra.Expr, db relation.Database, r *relation.Relation, b Budget) (Comparison, error) {
-	if !r.Scheme().Equal(phi.Scheme()) {
-		return Comparison{Holds: false}, nil
-	}
-	tb, err := tableau.New(phi)
-	if err != nil {
-		return Comparison{}, err
-	}
-	aligned, err := alignToTarget(r, phi.Scheme())
-	if err != nil {
-		return Comparison{}, err
-	}
-	bc := budgetCounter{limit: b.MaxTuples, gov: b.Gov}
-	out := Comparison{Holds: true}
-	budgetHit := false
-	err = tb.StreamGov(db, b.Gov, func(tp relation.Tuple) bool {
-		if !bc.tick() {
-			budgetHit = true
-			return false
+	target := phi.Scheme()
+	aligned := r
+	if r.Scheme().Equal(target) && !r.Scheme().SameOrder(target) {
+		var err error
+		if aligned, err = r.Project(target); err != nil {
+			return Comparison{}, err
 		}
-		if !aligned.Contains(tp) {
-			out = Comparison{Holds: false, Witness: tp.Clone(), WitnessScheme: phi.Scheme()}
-			return false
-		}
-		return true
+	}
+	return subset(target, r.Scheme(), func(yield func(relation.Tuple) bool) error {
+		return Enumerate(phi, db, b, yield)
+	}, func(tp relation.Tuple) (bool, error) {
+		return aligned.Contains(tp), nil
 	})
-	if err != nil {
-		return Comparison{}, err
-	}
-	if bc.err != nil {
-		return Comparison{}, bc.err
-	}
-	if budgetHit {
-		return Comparison{}, fmt.Errorf("%w: visited %d tuples deciding φ(R) ⊆ r", ErrBudget, bc.visited)
-	}
-	return out, nil
-}
-
-// alignToTarget rewrites r's tuples into the column order of target
-// (set-equal schemes).
-func alignToTarget(r *relation.Relation, target relation.Scheme) (*relation.Relation, error) {
-	if r.Scheme().SameOrder(target) {
-		return r, nil
-	}
-	return r.Project(target)
-}
-
-// errBudget builds a wrapped budget error.
-func errBudget(doing string, visited int) error {
-	return fmt.Errorf("%w: visited %d tuples %s", ErrBudget, visited, doing)
 }

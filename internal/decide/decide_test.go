@@ -375,3 +375,80 @@ func TestResultSubsetSchemeMismatch(t *testing.T) {
 		t.Errorf("mismatched schemes: %+v %v", cmp, err)
 	}
 }
+
+// TestSchemeRuleForEveryComparison holds the five comparisons to one rule
+// over set-unequal schemes: X ⊆ Y holds exactly when X is empty, X's
+// first tuple witnesses the failure otherwise, and equality is both
+// containments.
+func TestSchemeRuleForEveryComparison(t *testing.T) {
+	db := relation.NewDatabase()
+	db.Put("T", mkrel(t, "A B", "1 x"))
+	db.Put("E", mkrel(t, "A B"))
+	db.Put("U", mkrel(t, "A C", "1 p"))
+	db.Put("F", mkrel(t, "A C"))
+	// Sides are T or E over A B, and U, F or a relation r over A C.
+	side := func(empty bool, full, none string) algebra.Expr {
+		if empty {
+			return expr(t, none, db)
+		}
+		return expr(t, full, db)
+	}
+	rel := func(empty bool) *relation.Relation {
+		if empty {
+			return mkrel(t, "A C")
+		}
+		return mkrel(t, "A C", "1 p")
+	}
+	// Each side's one tuple is 1 x (over A B) or 1 p (over A C); a
+	// witness is the left side's tuple unless that side is empty.
+	procs := []struct {
+		name        string
+		equal       bool
+		left, right relation.Value
+		run         func(leftEmpty, rightEmpty bool) (Comparison, error)
+	}{
+		{"ConjecturedSubset", false, "p", "x", func(l, r bool) (Comparison, error) {
+			return ConjecturedSubset(rel(l), side(r, "T", "E"), db, Budget{})
+		}},
+		{"ResultSubset", false, "x", "p", func(l, r bool) (Comparison, error) {
+			return ResultSubset(side(l, "T", "E"), db, rel(r), Budget{})
+		}},
+		// ResultEquals tests r ⊆ φ(db) first, so r is its left side.
+		{"ResultEquals", true, "p", "x", func(l, r bool) (Comparison, error) {
+			return ResultEquals(side(r, "T", "E"), db, rel(l), Budget{})
+		}},
+		{"ContainedFixedRelation", false, "x", "p", func(l, r bool) (Comparison, error) {
+			return ContainedFixedRelation(side(l, "T", "E"), side(r, "U", "F"), db, Budget{})
+		}},
+		{"EquivalentFixedRelation", true, "x", "p", func(l, r bool) (Comparison, error) {
+			return EquivalentFixedRelation(side(l, "T", "E"), side(r, "U", "F"), db, Budget{})
+		}},
+	}
+	for _, p := range procs {
+		for _, c := range []struct {
+			name                  string
+			leftEmpty, rightEmpty bool
+		}{{"left empty", true, false}, {"right empty", false, true}, {"both", true, true}, {"neither", false, false}} {
+			t.Run(p.name+"/"+c.name, func(t *testing.T) {
+				want := c.leftEmpty && (!p.equal || c.rightEmpty)
+				cmp, err := p.run(c.leftEmpty, c.rightEmpty)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cmp.Holds != want {
+					t.Fatalf("holds = %v, want %v", cmp.Holds, want)
+				}
+				if want {
+					return
+				}
+				first := p.left
+				if c.leftEmpty {
+					first = p.right
+				}
+				if len(cmp.Witness) != 2 || cmp.WitnessScheme.Len() != 2 || cmp.Witness[1] != first {
+					t.Fatalf("witness %v over %v, want the tuple 1 %s", cmp.Witness, cmp.WitnessScheme, first)
+				}
+			})
+		}
+	}
+}

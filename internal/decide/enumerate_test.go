@@ -82,19 +82,3 @@ func TestFirst(t *testing.T) {
 		t.Error("negative count accepted")
 	}
 }
-
-func TestMaterializeMatchesEval(t *testing.T) {
-	db := testDB(t)
-	phi := expr(t, "pi[A C](pi[A B](T) * pi[B C](T))", db)
-	want, err := algebra.Eval(phi, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Materialize(phi, db, Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Errorf("Materialize = %v, want %v", got.Sorted(), want.Sorted())
-	}
-}

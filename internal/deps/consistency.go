@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"relquery/internal/algebra"
+	"relquery/internal/decide"
 	"relquery/internal/join"
 	"relquery/internal/relation"
-	"relquery/internal/tableau"
 )
 
 // Universal-instance testing, after Honeyman, Ladner and Yannakakis
@@ -47,11 +47,11 @@ func PairwiseConsistent(rels []*relation.Relation) (bool, error) {
 }
 
 // Consistent reports whether the database has a universal instance. The
-// relations' schemes may overlap arbitrarily. The check streams the join
-// ∗Rᵢ through the tableau engine (space bounded by input and output) and
-// tests π_{Xᵢ}(∗R) = Rᵢ in both directions:
+// relations' schemes may overlap arbitrarily. The check never
+// materializes the join ∗Rᵢ and tests π_{Xᵢ}(∗R) = Rᵢ in both directions:
 //
-//   - Rᵢ ⊆ π_{Xᵢ}(∗R): a tableau membership search per tuple (NP side);
+//   - Rᵢ ⊆ π_{Xᵢ}(∗R): decide.ConjecturedSubset, a tableau membership
+//     search per tuple (NP side);
 //   - π_{Xᵢ}(∗R) ⊆ Rᵢ: automatic, since every join tuple projects into
 //     the relation it came from.
 func Consistent(rels []*relation.Relation) (bool, error) {
@@ -78,30 +78,9 @@ func Consistent(rels []*relation.Relation) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		tb, err := tableau.New(proj)
-		if err != nil {
+		sub, err := decide.ConjecturedSubset(r, proj, db, decide.Budget{})
+		if err != nil || !sub.Holds {
 			return false, err
-		}
-		ok := true
-		var innerErr error
-		r.Each(func(tp relation.Tuple) bool {
-			nt := relation.NamedTuple{Scheme: r.Scheme(), Vals: tp}
-			member, err := tb.Member(nt, db)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if !member {
-				ok = false
-				return false
-			}
-			return true
-		})
-		if innerErr != nil {
-			return false, innerErr
-		}
-		if !ok {
-			return false, nil
 		}
 	}
 	return true, nil

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"relquery/internal/algebra"
+	"relquery/internal/decide"
 	"relquery/internal/join"
 	"relquery/internal/relation"
-	"relquery/internal/tableau"
 )
 
 // Hypergraph is the scheme hypergraph of a join query: one hyperedge per
@@ -77,8 +77,8 @@ func AcyclicJoin(rels []*relation.Relation) (*relation.Relation, error) {
 // ∗π_{Y_i}(R) = R. Since R ⊆ ∗π_{Y_i}(R) always holds (every tuple of R
 // rejoins from its own projections), only the reverse containment is
 // checked. For acyclic JDs the check runs in polynomial time via
-// Yannakakis evaluation; for cyclic JDs it streams the join of projections
-// through a tableau search, hunting for a recombined tuple outside R —
+// Yannakakis evaluation; for cyclic JDs decide.ResultSubset streams the
+// join of projections, hunting for a recombined tuple outside R —
 // space stays bounded, but time may be exponential: the problem is
 // co-NP-complete in general, as the paper (after Maier–Sagiv–Yannakakis)
 // proves.
@@ -123,8 +123,9 @@ func (jd JD) Check(r *relation.Relation) (holds bool, witness relation.Tuple, er
 	return jd.checkCyclic(r)
 }
 
-// checkCyclic streams the join of projections via a tableau valuation
-// search, stopping at the first recombined tuple outside r.
+// checkCyclic decides ∗π_{Yᵢ}(R) ⊆ R with decide.ResultSubset, which
+// streams the join of projections through a tableau valuation search and
+// stops at the first recombined tuple outside r.
 func (jd JD) checkCyclic(r *relation.Relation) (bool, relation.Tuple, error) {
 	const operand = "R"
 	op, err := algebra.NewOperand(operand, r.Scheme())
@@ -133,40 +134,23 @@ func (jd JD) checkCyclic(r *relation.Relation) (bool, relation.Tuple, error) {
 	}
 	args := make([]algebra.Expr, len(jd.Components))
 	for i, c := range jd.Components {
-		p, err := algebra.NewProject(c, op)
-		if err != nil {
+		if args[i], err = algebra.NewProject(c, op); err != nil {
 			return false, nil, err
 		}
-		args[i] = p
 	}
 	join, err := algebra.JoinAll(args...)
 	if err != nil {
 		return false, nil, err
 	}
-	tb, err := tableau.New(join)
+	cmp, err := decide.ResultSubset(join, relation.Single(operand, r), r, decide.Budget{})
 	if err != nil {
 		return false, nil, err
 	}
-	db := relation.Single(operand, r)
+	if cmp.Holds {
+		return true, nil, nil
+	}
 	// The join's target scheme is set-equal to r's scheme (the JD's
-	// components cover it) but may order columns differently; witnesses
-	// are realigned to r's column order before being returned.
-	var witness relation.Tuple
-	err = tb.Stream(db, func(tp relation.Tuple) bool {
-		nt := relation.NamedTuple{Scheme: tb.Target, Vals: tp}
-		if !r.ContainsNamed(nt) {
-			aligned, perr := nt.Project(r.Scheme())
-			if perr == nil {
-				witness = aligned.Vals
-			} else {
-				witness = tp.Clone()
-			}
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return false, nil, err
-	}
-	return witness == nil, witness, nil
+	// components cover it) but may order columns differently.
+	w, err := relation.NamedTuple{Scheme: cmp.WitnessScheme, Vals: cmp.Witness}.Project(r.Scheme())
+	return false, w.Vals, err
 }

@@ -333,3 +333,35 @@ func TestSearchOptionsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamYieldsTuplesTheCalleeMayKeep pins Stream's contract that
+// every yielded tuple is freshly allocated: a caller that keeps each
+// tuple without copying still holds the tuples it was given once the
+// search has moved on and finished.
+func TestStreamYieldsTuplesTheCalleeMayKeep(t *testing.T) {
+	db := relation.Single("T", mkrel(t, "A B C", "1 x p", "2 x q", "2 y q", "3 y r"))
+	e, err := algebra.ParseForDatabase("pi[A C](pi[A B](T) * pi[B C](T))", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := New(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept, copies []relation.Tuple
+	if err := tb.Stream(db, func(tp relation.Tuple) bool {
+		kept = append(kept, tp)
+		copies = append(copies, tp.Clone())
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) < 2 {
+		t.Fatalf("stream yielded %d tuples, want several", len(kept))
+	}
+	for i := range kept {
+		if !kept[i].Equal(copies[i]) {
+			t.Errorf("tuple %d changed after the stream: %v, yielded as %v", i, kept[i], copies[i])
+		}
+	}
+}

@@ -66,11 +66,7 @@ type searchRow struct {
 	patterns []relation.Tuple
 }
 
-func newSearch(t *Tableau, db relation.Database) (*valuationSearch, error) {
-	return newSearchOpts(t, db, SearchOptions{})
-}
-
-func newSearchOpts(t *Tableau, db relation.Database, opts SearchOptions) (*valuationSearch, error) {
+func newSearch(t *Tableau, db relation.Database, opts SearchOptions) (*valuationSearch, error) {
 	s := &valuationSearch{
 		t:       t,
 		rows:    make([]searchRow, len(t.Rows)),
@@ -275,7 +271,7 @@ func (t *Tableau) MemberGov(nt relation.NamedTuple, db relation.Database, gov *g
 	if !nt.Scheme.Equal(t.Target) {
 		return false, fmt.Errorf("tableau: tuple scheme %v does not match target %v", nt.Scheme, t.Target)
 	}
-	s, err := newSearch(t, db)
+	s, err := newSearch(t, db, SearchOptions{})
 	if err != nil {
 		return false, err
 	}
@@ -308,7 +304,8 @@ func (t *Tableau) MemberGov(nt relation.NamedTuple, db relation.Database, gov *g
 // tuples MAY still be yielded (distinct valuations can share a summary
 // image), so callers needing set semantics must deduplicate; callers
 // searching for a witness (e.g. "is there a result tuple outside r?") can
-// stop early by returning false.
+// stop early by returning false. Every yielded tuple is freshly
+// allocated: yield may keep it without copying.
 func (t *Tableau) Stream(db relation.Database, yield func(relation.Tuple) bool) error {
 	return t.StreamGov(db, nil, yield)
 }
@@ -318,7 +315,7 @@ func (t *Tableau) Stream(db relation.Database, yield func(relation.Tuple) bool) 
 // branches between yields, which per-yield checkpoints cannot see — and
 // surfaces as the typed error. A nil governor is the ungoverned Stream.
 func (t *Tableau) StreamGov(db relation.Database, gov *governor.Governor, yield func(relation.Tuple) bool) error {
-	s, err := newSearch(t, db)
+	s, err := newSearch(t, db, SearchOptions{})
 	if err != nil {
 		return err
 	}
@@ -327,18 +324,6 @@ func (t *Tableau) StreamGov(db relation.Database, gov *governor.Governor, yield 
 		return yield(s.summaryTuple())
 	})
 	return s.govErr
-}
-
-// StreamWith is Stream with explicit search options — the ablation hook.
-func (t *Tableau) StreamWith(db relation.Database, opts SearchOptions, yield func(relation.Tuple) bool) error {
-	s, err := newSearchOpts(t, db, opts)
-	if err != nil {
-		return err
-	}
-	s.run(func() bool {
-		return yield(s.summaryTuple())
-	})
-	return nil
 }
 
 // Eval materializes φ(db) from the tableau — an alternative to
@@ -351,18 +336,16 @@ func (t *Tableau) Eval(db relation.Database) (*relation.Relation, error) {
 
 // EvalWith is Eval with explicit search options — the ablation hook.
 func (t *Tableau) EvalWith(db relation.Database, opts SearchOptions) (*relation.Relation, error) {
-	out := relation.New(t.Target)
-	var addErr error
-	err := t.StreamWith(db, opts, func(tp relation.Tuple) bool {
-		if _, err := out.Add(tp); err != nil {
-			addErr = err
-			return false
-		}
-		return true
-	})
+	s, err := newSearch(t, db, opts)
 	if err != nil {
 		return nil, err
 	}
+	out := relation.New(t.Target)
+	var addErr error
+	s.run(func() bool {
+		_, addErr = out.Add(s.summaryTuple())
+		return addErr == nil
+	})
 	if addErr != nil {
 		return nil, addErr
 	}
