@@ -134,8 +134,9 @@ relbench-compare:
 # Fault-injection stress matrix, race-enabled: the governor and fault
 # harness suites in full, then every injected failure path — cancel
 # mid-join, engine panic, admission rejection, deadline kill — across
-# all three join strategies, the three SAT solvers, and the xorchain2
-# Lemma 1 acceptance gadget, plus eight goroutines planning one cold join node
+# all three join strategies, the three SAT solvers and two model counters
+# (satreduce's -check searches too), and the xorchain2 Lemma 1
+# acceptance gadget, plus eight goroutines planning one cold join node
 # through shared join.Facts, concurrent first users of one relation's
 # access paths (projections, tries, edge tables) publishing each once,
 # and the compute-once store (algebra.Memo)
@@ -150,8 +151,8 @@ relbench-compare:
 stress:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/governor/
 	$(GO) test -race -count=1 \
-	  -run 'Cancel|Panic|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|ConcurrentFirstUse|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted|RunEndToEnd|Concurrent|Scrape' \
-	  ./internal/algebra/ ./internal/join/ ./internal/relation/ ./internal/sat/ ./internal/server/ ./internal/obs/ ./internal/telemetry/ ./cmd/relqueryd/ .
+	  -run 'Cancel|Panic|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|ConcurrentFirstUse|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted|Solvers|RunEndToEnd|Concurrent|Scrape' \
+	  ./internal/algebra/ ./internal/join/ ./internal/relation/ ./internal/sat/ ./internal/server/ ./internal/obs/ ./internal/telemetry/ ./cmd/relqueryd/ ./cmd/satreduce/ .
 
 # Regenerate BENCH_fault.txt: the cost of a compiled-in injection site
 # when no script is registered (the production configuration — must be

@@ -85,11 +85,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("forall-exists(query route): %v   [%s]\n", res.Answer, res.Route)
 		if *check {
-			direct, err := qbf.Solve(inst)
-			if err != nil {
-				return err
-			}
-			if err := report(res.Answer == direct.Holds, fmt.Sprintf("qbf solver says %v", direct.Holds)); err != nil {
+			if err := crossCheck(ctx, "forall", inst, res.Answer); err != nil {
 				return err
 			}
 		}
@@ -112,51 +108,70 @@ func run(args []string) error {
 		fmt.Printf("# φ_G:\n%s\n", phi)
 	}
 
+	var answer any
 	switch *decide {
 	case "":
+		return nil
 	case "sat":
 		res, err := core.SATViaMembershipContext(ctx, normalized)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("satisfiable(query route): %v   [%s]\n", res.Answer, res.Route)
-		if *check {
-			direct, _, err := sat.SatisfiableContext(ctx, normalized)
-			if err != nil {
-				return err
-			}
-			return report(res.Answer == direct, fmt.Sprintf("dpll says %v", direct))
-		}
+		answer = res.Answer
 	case "unsat":
 		res, err := core.UNSATViaFixpointContext(ctx, normalized)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("unsatisfiable(query route): %v   [%s]\n", res.Answer, res.Route)
-		if *check {
-			direct, _, err := sat.SatisfiableContext(ctx, normalized)
-			if err != nil {
-				return err
-			}
-			return report(res.Answer == !direct, fmt.Sprintf("dpll says satisfiable=%v", direct))
-		}
+		answer = res.Answer
 	case "count":
 		n, err := core.CountModelsViaQueryContext(ctx, normalized)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("models(query route): %d   [a(G) = |φ_G(R_G)| − 7m − 1]\n", n)
-		if *check {
-			direct, err := sat.CountModels(normalized)
-			if err != nil {
-				return err
-			}
-			return report(n == direct, fmt.Sprintf("component counter says %d", direct))
-		}
+		answer = n
 	default:
 		return fmt.Errorf("unknown -decide %q (want sat, unsat or count)", *decide)
 	}
-	return nil
+	if !*check {
+		return nil
+	}
+	return crossCheck(ctx, *decide, &qbf.Instance{G: normalized}, answer)
+}
+
+// crossCheck decides mode — sat, unsat, count or forall — by the direct
+// logic-side search and reports whether it agrees with the query route's
+// answer. All four searches run under one governor for ctx: DPLL for sat
+// and unsat, the component counter for count, and the ∀-loop over DPLL
+// for forall.
+func crossCheck(ctx context.Context, mode string, inst *qbf.Instance, answer any) error {
+	gov := governor.New(ctx, governor.Limits{})
+	dpll := sat.DPLL{Gov: gov}
+	switch mode {
+	case "forall":
+		direct, err := qbf.SolveWith(inst, dpll)
+		if err != nil {
+			return err
+		}
+		return report(answer == direct.Holds, fmt.Sprintf("qbf solver says %v", direct.Holds))
+	case "count":
+		direct, err := sat.ComponentCounter{Gov: gov}.Count(inst.G)
+		if err != nil {
+			return err
+		}
+		return report(answer == direct, fmt.Sprintf("component counter says %d", direct))
+	}
+	direct, _, err := dpll.Solve(inst.G)
+	if err != nil {
+		return err
+	}
+	if mode == "unsat" {
+		return report(answer == !direct, fmt.Sprintf("dpll says satisfiable=%v", direct))
+	}
+	return report(answer == direct, fmt.Sprintf("dpll says %v", direct))
 }
 
 func loadFormula(path, inline string) (*cnf.Formula, error) {

@@ -1,9 +1,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"relquery/internal/cnf"
+	"relquery/internal/governor"
+	"relquery/internal/qbf"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -71,5 +78,37 @@ func TestRunForall(t *testing.T) {
 	}
 	if err := run([]string{"-formula", "(x1+x2+x3)(~x1+x2+~x3)(x1+~x2+x3)", "-forall", "zero"}); err == nil {
 		t.Error("bad -forall accepted")
+	}
+}
+
+// TestCrossCheckHonorsDeadline runs every -check search under an
+// already-expired -timeout context: each must stop with
+// governor.ErrDeadline instead of running to completion. PHP(5) keeps
+// DPLL and the ∀-loop's first oracle call busy, and the 14-variable
+// parity chain (29 variables) the component counter, for
+// well over one governor.CheckEvery batch.
+func TestCrossCheckHonorsDeadline(t *testing.T) {
+	hard, err := cnf.Pigeonhole(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	countable, err := cnf.XorChain(14, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, tc := range []struct {
+		mode string
+		inst *qbf.Instance
+	}{
+		{"sat", &qbf.Instance{G: hard}},
+		{"unsat", &qbf.Instance{G: hard}},
+		{"count", &qbf.Instance{G: countable}},
+		{"forall", &qbf.Instance{G: hard, Universal: []int{1}}},
+	} {
+		if err := crossCheck(ctx, tc.mode, tc.inst, false); !errors.Is(err, governor.ErrDeadline) {
+			t.Errorf("%s: want governor.ErrDeadline, got %v", tc.mode, err)
+		}
 	}
 }

@@ -155,15 +155,6 @@ func (g *Governor) Limits() Limits {
 	return g.limits
 }
 
-// Context returns the governor's context (context.Background for nil),
-// for layers — like the SAT solver — that take a context directly.
-func (g *Governor) Context() context.Context {
-	if g == nil {
-		return context.Background()
-	}
-	return g.ctx
-}
-
 // WithMetrics attaches an obs.Metrics to the governor: when the sticky
 // failure latch first trips on a governance sentinel, the matching
 // violation counter is incremented — exactly once per evaluation, so the
@@ -412,21 +403,4 @@ func TraceOf(err error) *obs.Trace {
 		return v.Trace
 	}
 	return nil
-}
-
-// WrapContextErr translates a bare context error into the matching
-// governor sentinel chain, for layers that consult a context directly
-// (the SAT solver's search loops). Non-context errors pass through
-// unchanged; nil stays nil.
-func WrapContextErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, context.DeadlineExceeded):
-		return fmt.Errorf("%w: context deadline passed", ErrDeadline)
-	case errors.Is(err, context.Canceled):
-		return fmt.Errorf("%w: %w", ErrCanceled, err)
-	default:
-		return err
-	}
 }

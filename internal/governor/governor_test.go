@@ -30,9 +30,6 @@ func TestNilGovernorNoOps(t *testing.T) {
 	if err := g.Admit(&prediction{peak: 1e18}); err != nil {
 		t.Errorf("nil Admit = %v", err)
 	}
-	if g.Context() == nil {
-		t.Error("nil Context() = nil, want Background")
-	}
 }
 
 func TestNewReturnsNilWhenUngoverned(t *testing.T) {
@@ -211,22 +208,6 @@ func TestViolationCarriesTraceAndUnwraps(t *testing.T) {
 func g0RowErr() error {
 	g := New(context.Background(), Limits{MaxIntermediateRows: 1})
 	return g.CheckRows(2)
-}
-
-func TestWrapContextErr(t *testing.T) {
-	if err := WrapContextErr(nil); err != nil {
-		t.Errorf("WrapContextErr(nil) = %v", err)
-	}
-	if err := WrapContextErr(context.DeadlineExceeded); !errors.Is(err, ErrDeadline) {
-		t.Errorf("deadline wrap = %v, want ErrDeadline", err)
-	}
-	if err := WrapContextErr(context.Canceled); !errors.Is(err, ErrCanceled) {
-		t.Errorf("cancel wrap = %v, want ErrCanceled", err)
-	}
-	plain := errors.New("boom")
-	if err := WrapContextErr(plain); !errors.Is(err, plain) {
-		t.Errorf("plain error mangled: %v", err)
-	}
 }
 
 // TestViolationCounting: each evaluation counts its violation exactly

@@ -10,26 +10,59 @@ import (
 	"relquery/internal/governor"
 )
 
-// contextSolvers lists every solver whose search must honor a context.
-func contextSolvers() map[string]ContextSolver {
-	return map[string]ContextSolver{
-		"dpll":    DPLL{},
-		"watched": WatchedDPLL{},
-		"brute":   BruteForce{},
+// search is one logic-side search on f under gov: a solver's verdict as
+// 1 or 0, or a counter's count.
+type search func(gov *governor.Governor, f *cnf.Formula) (int64, error)
+
+// solverSearch runs a solver and checks the model behind a "satisfiable"
+// verdict.
+func solverSearch(s func(*governor.Governor) Solver) search {
+	return func(gov *governor.Governor, f *cnf.Formula) (int64, error) {
+		ok, model, err := s(gov).Solve(f)
+		if err != nil || !ok {
+			return 0, err
+		}
+		if !f.Eval(model) {
+			return 0, errors.New("satisfiable verdict with a non-model")
+		}
+		return 1, nil
+	}
+}
+
+func counterSearch(c func(*governor.Governor) Counter) search {
+	return func(gov *governor.Governor, f *cnf.Formula) (int64, error) {
+		return c(gov).Count(f)
+	}
+}
+
+// governedSearches lists every solver and counter whose search must
+// honor its governor.
+func governedSearches() map[string]search {
+	return map[string]search{
+		"dpll":       solverSearch(func(g *governor.Governor) Solver { return DPLL{Gov: g} }),
+		"watched":    solverSearch(func(g *governor.Governor) Solver { return WatchedDPLL{Gov: g} }),
+		"brute":      solverSearch(func(g *governor.Governor) Solver { return BruteForce{Gov: g} }),
+		"component":  counterSearch(func(g *governor.Governor) Counter { return ComponentCounter{Gov: g} }),
+		"brutecount": counterSearch(func(g *governor.Governor) Counter { return BruteCounter{Gov: g} }),
 	}
 }
 
 // hardUnsatFormula returns a pigeonhole instance whose search runs for
-// well over CheckNodes steps on the named solver, so a dead context is
-// guaranteed to be polled mid-search. The sizes are per-solver: the DPLL
-// searches need PHP(5) to outlast one poll batch, while BruteForce — an
-// exhaustive enumeration capped at MaxBruteVars variables — gets PHP(2)
-// (15 variables, 2¹⁵ assignments, polls every 1024).
-func hardUnsatFormula(t *testing.T, solver string) *cnf.Formula {
+// well over governor.CheckEvery steps on the named search, so a dead
+// context is guaranteed to be polled mid-search. The sizes are
+// per-search: the DPLL searches need PHP(5) to outlast a poll batch; the
+// brute-force solver and counter — exhaustive enumerations capped at
+// MaxBruteVars variables — get PHP(2) (15 variables, 2¹⁵ assignments, a
+// poll every 256); and the component counter, capped there too, gets
+// PHP(6) before its 3CNF conversion (42 variables, several batches).
+func hardUnsatFormula(t *testing.T, search string) *cnf.Formula {
 	t.Helper()
 	holes := 5
-	if solver == "brute" {
+	switch search {
+	case "brute", "brutecount":
 		holes = 2
+	case "component":
+		return rawPigeonhole(6)
 	}
 	f, err := cnf.Pigeonhole(holes)
 	if err != nil {
@@ -38,9 +71,45 @@ func hardUnsatFormula(t *testing.T, solver string) *cnf.Formula {
 	return f
 }
 
-// TestSolveContextBackgroundMatchesSolve verifies SolveContext under a
-// background context is exactly Solve: same satisfiability verdict and a
-// model that satisfies the formula.
+// rawPigeonhole is PHP(holes) as cnf.Pigeonhole builds it before the 3CNF
+// conversion: a clause of width holes per pigeon, then a clause of width
+// 2 per pair of pigeons sharing a hole.
+func rawPigeonhole(holes int) *cnf.Formula {
+	pigeons := holes + 1
+	v := func(p, h int) cnf.Lit { return cnf.Lit(p*holes + h + 1) }
+	f := &cnf.Formula{NumVars: pigeons * holes}
+	for p := 0; p < pigeons; p++ {
+		c := make(cnf.Clause, holes)
+		for h := range c {
+			c[h] = v(p, h)
+		}
+		f.Clauses = append(f.Clauses, c)
+	}
+	for h := 0; h < holes; h++ {
+		for p := 0; p < pigeons; p++ {
+			for q := p + 1; q < pigeons; q++ {
+				f.Clauses = append(f.Clauses, cnf.Clause{v(p, h).Neg(), v(q, h).Neg()})
+			}
+		}
+	}
+	return f
+}
+
+// govern returns the governor for ctx, failing the test when ctx can
+// never end: governor.New returns nil then, and the search would run
+// ungoverned.
+func govern(t *testing.T, ctx context.Context) *governor.Governor {
+	t.Helper()
+	gov := governor.New(ctx, governor.Limits{})
+	if gov == nil {
+		t.Fatal("governor.New returned nil for a context that can end")
+	}
+	return gov
+}
+
+// TestSolveContextBackgroundMatchesSolve verifies every search under a
+// live context is exactly the ungoverned search: same verdict or count,
+// no error, and a model that satisfies the formula.
 func TestSolveContextBackgroundMatchesSolve(t *testing.T) {
 	sat1, err := cnf.Parse("(x1 + x2 + x3)(~x1 + x2 + ~x3)(x1 + ~x2 + x3)")
 	if err != nil {
@@ -50,36 +119,35 @@ func TestSolveContextBackgroundMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, f := range []*cnf.Formula{sat1, xor, cnf.PaperExample()} {
-		for name, s := range contextSolvers() {
-			wantSat, _, wantErr := s.Solve(f)
-			gotSat, model, gotErr := SolveContext(context.Background(), s, f)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s: Solve err=%v, SolveContext err=%v", name, wantErr, gotErr)
+		for name, s := range governedSearches() {
+			want, wantErr := s(nil, f)
+			got, gotErr := s(govern(t, ctx), f)
+			if wantErr != nil || gotErr != nil {
+				t.Fatalf("%s: ungoverned err=%v, governed err=%v", name, wantErr, gotErr)
 			}
-			if wantSat != gotSat {
-				t.Fatalf("%s: Solve says sat=%v, SolveContext says %v", name, wantSat, gotSat)
-			}
-			if gotSat && !f.Eval(model) {
-				t.Fatalf("%s: SolveContext returned a non-model", name)
+			if want != got {
+				t.Fatalf("%s: ungoverned says %d, governed says %d", name, want, got)
 			}
 		}
 	}
 }
 
-// TestSolveContextCanceledMidSearch runs each solver on a resolution-hard
+// TestSolveContextCanceledMidSearch runs each search on a resolution-hard
 // unsatisfiable instance under an already-canceled context: the search
 // must abort with the typed governor.ErrCanceled sentinel instead of
 // running to completion.
 func TestSolveContextCanceledMidSearch(t *testing.T) {
-	for name, s := range contextSolvers() {
+	for name, s := range governedSearches() {
 		t.Run(name, func(t *testing.T) {
 			f := hardUnsatFormula(t, name)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			sat, _, err := s.SolveContext(ctx, f)
+			got, err := s(govern(t, ctx), f)
 			if err == nil {
-				t.Fatalf("search completed (sat=%v) despite canceled context", sat)
+				t.Fatalf("search completed (result %d) despite canceled context", got)
 			}
 			if !errors.Is(err, governor.ErrCanceled) {
 				t.Fatalf("want governor.ErrCanceled, got %v", err)
@@ -92,13 +160,13 @@ func TestSolveContextCanceledMidSearch(t *testing.T) {
 // deadline: the abort must carry governor.ErrDeadline, unifying SAT
 // timeouts with the query engine's sentinel family.
 func TestSolveContextDeadline(t *testing.T) {
-	for name, s := range contextSolvers() {
+	for name, s := range governedSearches() {
 		t.Run(name, func(t *testing.T) {
 			f := hardUnsatFormula(t, name)
 			ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 			defer cancel()
 			<-ctx.Done()
-			_, _, err := s.SolveContext(ctx, f)
+			_, err := s(govern(t, ctx), f)
 			if !errors.Is(err, governor.ErrDeadline) {
 				t.Fatalf("want governor.ErrDeadline, got %v", err)
 			}
@@ -106,59 +174,32 @@ func TestSolveContextDeadline(t *testing.T) {
 	}
 }
 
-// TestSatisfiableContext covers the package-level helper: live contexts
-// solve, dead contexts surface the sentinel.
-func TestSatisfiableContext(t *testing.T) {
-	f := cnf.PaperExample()
-	sat, model, err := SatisfiableContext(context.Background(), f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat && !f.Eval(model) {
-		t.Fatal("SatisfiableContext returned a non-model")
-	}
-	wantSat, _, err := (DPLL{}).Solve(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat != wantSat {
-		t.Fatalf("SatisfiableContext says sat=%v, Solve says %v", sat, wantSat)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := SatisfiableContext(ctx, hardUnsatFormula(t, "dpll")); !errors.Is(err, governor.ErrCanceled) {
-		t.Fatalf("want governor.ErrCanceled, got %v", err)
-	}
-}
-
 // TestSolverInterruptedIsReusable verifies an aborted search leaves no
-// sticky state behind: a fresh SolveContext on a live context agrees with
-// the direct solver.
+// sticky state behind: a fresh search under a live context agrees with
+// the ungoverned one.
 func TestSolverInterruptedIsReusable(t *testing.T) {
 	f, err := cnf.XorChain(6, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range contextSolvers() {
+	for name, s := range governedSearches() {
 		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			// The xorchain may be solved in under one poll batch; only the
 			// hard instance guarantees an abort, so tolerate either outcome
 			// here — the point is the run after it.
-			_, _, _ = s.SolveContext(ctx, f)
+			_, _ = s(govern(t, ctx), f)
 
-			wantSat, _, wantErr := s.Solve(f)
-			gotSat, model, gotErr := s.SolveContext(context.Background(), f)
+			live, stop := context.WithCancel(context.Background())
+			defer stop()
+			want, wantErr := s(nil, f)
+			got, gotErr := s(govern(t, live), f)
 			if wantErr != nil || gotErr != nil {
 				t.Fatalf("unexpected errors: %v / %v", wantErr, gotErr)
 			}
-			if wantSat != gotSat {
-				t.Fatalf("%s disagrees after an interrupted run: %v vs %v", name, gotSat, wantSat)
-			}
-			if gotSat && !f.Eval(model) {
-				t.Fatal("non-model returned after interrupted run")
+			if want != got {
+				t.Fatalf("%s disagrees after an interrupted run: %d vs %d", name, got, want)
 			}
 		})
 	}

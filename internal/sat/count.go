@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"relquery/internal/cnf"
+	"relquery/internal/governor"
 )
 
 // Counter computes the exact number of satisfying assignments of a
@@ -18,13 +19,16 @@ type Counter interface {
 }
 
 // BruteCounter counts by enumerating all 2^n assignments.
-type BruteCounter struct{}
+type BruteCounter struct {
+	// Gov is ticked once per assignment tried; nil is ungoverned.
+	Gov *governor.Governor
+}
 
 // Name implements Counter.
 func (BruteCounter) Name() string { return "brute" }
 
 // Count implements Counter.
-func (BruteCounter) Count(f *cnf.Formula) (int64, error) {
+func (b BruteCounter) Count(f *cnf.Formula) (int64, error) {
 	if f.NumVars > MaxBruteVars {
 		return 0, fmt.Errorf("sat: brute counting limited to %d variables, formula has %d", MaxBruteVars, f.NumVars)
 	}
@@ -32,6 +36,9 @@ func (BruteCounter) Count(f *cnf.Formula) (int64, error) {
 	var count int64
 	total := uint64(1) << uint(f.NumVars)
 	for mask := uint64(0); mask < total; mask++ {
+		if err := b.Gov.Tick(); err != nil {
+			return 0, err
+		}
 		a.FromBits(mask)
 		if f.Eval(a) {
 			count++
@@ -44,13 +51,16 @@ func (BruteCounter) Count(f *cnf.Formula) (int64, error) {
 // connected-component decomposition (independent sub-formulas multiply).
 // Pure-literal elimination is deliberately absent: it preserves
 // satisfiability but not model counts.
-type ComponentCounter struct{}
+type ComponentCounter struct {
+	// Gov is ticked once per search node; nil is ungoverned.
+	Gov *governor.Governor
+}
 
 // Name implements Counter.
 func (ComponentCounter) Name() string { return "component" }
 
 // Count implements Counter.
-func (ComponentCounter) Count(f *cnf.Formula) (int64, error) {
+func (cc ComponentCounter) Count(f *cnf.Formula) (int64, error) {
 	if f.NumVars > MaxBruteVars {
 		return 0, fmt.Errorf("sat: counting limited to %d variables, formula has %d (results are int64)", MaxBruteVars, f.NumVars)
 	}
@@ -60,7 +70,12 @@ func (ComponentCounter) Count(f *cnf.Formula) (int64, error) {
 	}
 	clauses := make([]cnf.Clause, len(f.Clauses))
 	copy(clauses, f.Clauses)
-	return countRec(clauses, owned), nil
+	r := countRun{gov: cc.Gov}
+	n := r.count(clauses, owned)
+	if r.err != nil {
+		return 0, r.err
+	}
+	return n, nil
 }
 
 // CountModels counts models of f with the default counter.
@@ -68,9 +83,24 @@ func CountModels(f *cnf.Formula) (int64, error) {
 	return ComponentCounter{}.Count(f)
 }
 
-// countRec counts assignments to the owned variables satisfying clauses,
-// which mention only owned variables.
-func countRec(clauses []cnf.Clause, owned []int) int64 {
+// countRun is one ComponentCounter run: gov is ticked once per search
+// node, and err latches the violation that stopped the search (the
+// recursion unwinds through its counts, so the error travels out of band).
+type countRun struct {
+	gov *governor.Governor
+	err error
+}
+
+// count counts assignments to the owned variables satisfying clauses,
+// which mention only owned variables. Once err is set it returns 0.
+func (r *countRun) count(clauses []cnf.Clause, owned []int) int64 {
+	if r.err != nil {
+		return 0
+	}
+	if err := r.gov.Tick(); err != nil {
+		r.err = err
+		return 0
+	}
 	// Simplify by unit propagation.
 	for {
 		unit := cnf.Lit(0)
@@ -104,7 +134,7 @@ func countRec(clauses []cnf.Clause, owned []int) int64 {
 			for _, v := range vars {
 				inClauses[v] = true
 			}
-			total *= countRec(comp, vars)
+			total *= r.count(comp, vars)
 			if total == 0 {
 				return 0
 			}
@@ -132,8 +162,8 @@ func countRec(clauses []cnf.Clause, owned []int) int64 {
 		}
 	}
 	rest := remove(owned, best)
-	return countRec(substitute(clauses, cnf.Lit(best)), rest) +
-		countRec(substitute(clauses, cnf.Lit(-best)), rest)
+	return r.count(substitute(clauses, cnf.Lit(best)), rest) +
+		r.count(substitute(clauses, cnf.Lit(-best)), rest)
 }
 
 // substitute applies literal l := true: satisfied clauses vanish, the

@@ -2,20 +2,29 @@ package sat
 
 import (
 	"relquery/internal/cnf"
+	"relquery/internal/governor"
 )
 
 // DPLL is a Davis–Putnam–Logemann–Loveland solver: depth-first search with
 // unit propagation, pure-literal elimination and a most-occurrences
 // branching heuristic. It handles arbitrary CNF, not just 3CNF.
-type DPLL struct{}
+type DPLL struct {
+	// Gov is ticked once per search node; nil is ungoverned.
+	Gov *governor.Governor
+}
 
 // Name implements Solver.
 func (DPLL) Name() string { return "dpll" }
 
 // Solve implements Solver.
-func (DPLL) Solve(f *cnf.Formula) (bool, cnf.Assignment, error) {
+func (d DPLL) Solve(f *cnf.Formula) (bool, cnf.Assignment, error) {
 	s := newState(f)
-	if solve(s) {
+	s.gov = d.Gov
+	sat := solve(s)
+	if s.err != nil {
+		return false, nil, s.err
+	}
+	if sat {
 		return true, s.model(), nil
 	}
 	return false, nil, nil
@@ -25,7 +34,7 @@ func solve(s *state) bool {
 	if s.err != nil {
 		return false
 	}
-	if err := s.gate.tick(); err != nil {
+	if err := s.gov.Tick(); err != nil {
 		s.err = err
 		return false
 	}

@@ -8,14 +8,6 @@ import (
 	"relquery/internal/governor"
 )
 
-// Compile-time ratchet: the SAT poll batch must stay within 4× the tuple
-// engines' governor granularity (governor.CheckEvery). SAT nodes are
-// cheaper than tuples, so a wider batch is fine — but if someone widens
-// CheckNodes past this bound, cancellation latency silently diverges
-// from the rest of the module and this constant goes negative, which a
-// uint conversion refuses to compile.
-const _ = uint(4*governor.CheckEvery - CheckNodes)
-
 // countingContext wraps a cancelable context and counts Err polls, so a
 // test can observe *when* a solver looks at its context, not just that
 // it eventually aborts. After failAfter polls (0 = never) it cancels the
@@ -40,57 +32,56 @@ func (c *countingContext) Err() error {
 	return c.Context.Err()
 }
 
-// TestSolversPollPeriodically runs each context-aware solver to
+// TestSolversPollPeriodically runs each governed solver and counter to
 // completion on an instance that outlasts several poll batches and
 // asserts the context was polled more than once mid-search. This is the
 // dynamic face of the govloop invariant: the inner search loop really
-// does reach a poll every CheckNodes steps, rather than checking only
-// on entry and exit.
+// does reach a poll every governor.CheckEvery steps, rather than
+// checking only on entry and exit.
 func TestSolversPollPeriodically(t *testing.T) {
-	for name, s := range contextSolvers() {
+	for name, s := range governedSearches() {
 		t.Run(name, func(t *testing.T) {
 			f := hardUnsatFormula(t, name)
 			ctx := newCountingContext(0)
 			defer ctx.cancel()
-			sat, _, err := s.SolveContext(ctx, f)
+			got, err := s(govern(t, ctx), f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sat {
-				t.Fatal("pigeonhole instance reported satisfiable")
+			if got != 0 {
+				t.Fatalf("pigeonhole instance reported satisfiable (result %d)", got)
 			}
 			if ctx.polls < 2 {
-				t.Fatalf("solver polled the context %d times over a search of well over %d steps; want periodic polls, not just entry/exit",
-					ctx.polls, 2*CheckNodes)
+				t.Fatalf("search polled the context %d times over a search of well over %d steps; want periodic polls, not just entry/exit",
+					ctx.polls, 2*governor.CheckEvery)
 			}
 		})
 	}
 }
 
 // TestSolversAbortWithinOneBatch cancels the context at a known poll and
-// asserts each solver stops at that poll instead of searching on: the
-// poll count after the abort stays within a small unwind allowance, so
-// cancellation latency is bounded by one CheckNodes batch of search
-// steps plus teardown.
+// asserts each solver and counter stops at that poll instead of
+// searching on: the poll count after the abort stays within a small
+// unwind allowance, so cancellation latency is bounded by one
+// governor.CheckEvery batch of search steps plus teardown.
 func TestSolversAbortWithinOneBatch(t *testing.T) {
-	// Poll 2 is the latest injection point every solver reaches on its
-	// hard instance: DPLL's unit propagation finishes PHP(5) in exactly
-	// two batches, while the watched and brute searches run for many.
+	// Poll 2 is an injection point every search reaches on its hard
+	// instance: each runs for several batches.
 	const failAfter = 2
-	for name, s := range contextSolvers() {
+	for name, s := range governedSearches() {
 		t.Run(name, func(t *testing.T) {
 			f := hardUnsatFormula(t, name)
 			ctx := newCountingContext(failAfter)
 			defer ctx.cancel()
-			_, _, err := s.SolveContext(ctx, f)
+			_, err := s(govern(t, ctx), f)
 			if !errors.Is(err, governor.ErrCanceled) {
 				t.Fatalf("want governor.ErrCanceled, got %v", err)
 			}
 			if ctx.polls < failAfter {
-				t.Fatalf("solver finished after %d polls, before the injected cancellation at poll %d", ctx.polls, failAfter)
+				t.Fatalf("search finished after %d polls, before the injected cancellation at poll %d", ctx.polls, failAfter)
 			}
 			if ctx.polls > failAfter+2 {
-				t.Fatalf("solver polled %d times after cancellation fired at poll %d; it kept searching past the batch that observed expiry",
+				t.Fatalf("search polled %d times after cancellation fired at poll %d; it kept searching past the batch that observed expiry",
 					ctx.polls-failAfter, failAfter)
 			}
 		})

@@ -6,13 +6,17 @@
 //
 // Everything here is exhaustive search with pruning — the honest
 // realization of the nondeterministic machines the paper's membership
-// proofs assume.
+// proofs assume. Every solver and counter carries a Gov field and ticks
+// it once per search node, so a logic-side search stops on the same
+// governor.CheckEvery batch, with the same sentinels, as a join; a nil
+// Gov is ungoverned.
 package sat
 
 import (
 	"fmt"
 
 	"relquery/internal/cnf"
+	"relquery/internal/governor"
 )
 
 // MaxBruteVars bounds exhaustive enumeration: counts and masks are held in
@@ -30,18 +34,24 @@ type Solver interface {
 
 // BruteForce tries all 2^n assignments in increasing bit order. It is the
 // reference implementation the DPLL solver is tested against.
-type BruteForce struct{}
+type BruteForce struct {
+	// Gov is ticked once per assignment tried; nil is ungoverned.
+	Gov *governor.Governor
+}
 
 // Name implements Solver.
 func (BruteForce) Name() string { return "brute" }
 
 // Solve implements Solver.
-func (BruteForce) Solve(f *cnf.Formula) (bool, cnf.Assignment, error) {
+func (b BruteForce) Solve(f *cnf.Formula) (bool, cnf.Assignment, error) {
 	if f.NumVars > MaxBruteVars {
 		return false, nil, fmt.Errorf("sat: brute force limited to %d variables, formula has %d", MaxBruteVars, f.NumVars)
 	}
 	a := cnf.NewAssignment(f.NumVars)
 	for mask := uint64(0); ; mask++ {
+		if err := b.Gov.Tick(); err != nil {
+			return false, nil, err
+		}
 		a.FromBits(mask)
 		if f.Eval(a) {
 			return true, a.Clone(), nil
@@ -81,11 +91,11 @@ type state struct {
 	assign  []value // 1-indexed: assign[v] for variable v
 	numVars int
 
-	// gate, when non-nil, is polled once per search node; err latches the
-	// context error that aborted the search (the recursion unwinds through
-	// boolean returns, so the error travels out of band).
-	gate *ctxGate
-	err  error
+	// gov is ticked once per search node; err latches the violation that
+	// stopped the search (the recursion unwinds through boolean returns,
+	// so the error travels out of band).
+	gov *governor.Governor
+	err error
 }
 
 func newState(f *cnf.Formula) *state {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"relquery/internal/cnf"
+	"relquery/internal/governor"
 )
 
 // WatchedDPLL is an iterative DPLL solver with the two-watched-literals
@@ -15,19 +16,16 @@ import (
 // decision); there is no clause learning — the solver is meant as a
 // faster, independently implemented cross-check for the recursive DPLL,
 // not a CDCL competitor.
-type WatchedDPLL struct{}
+type WatchedDPLL struct {
+	// Gov is ticked once per search round; nil is ungoverned.
+	Gov *governor.Governor
+}
 
 // Name implements Solver.
 func (WatchedDPLL) Name() string { return "watched" }
 
 // Solve implements Solver.
 func (w WatchedDPLL) Solve(f *cnf.Formula) (bool, cnf.Assignment, error) {
-	return w.solveGated(f, nil)
-}
-
-// solveGated is the shared search driver; a nil gate means no context to
-// honor.
-func (WatchedDPLL) solveGated(f *cnf.Formula, gate *ctxGate) (bool, cnf.Assignment, error) {
 	s, sat, err := newWatchedSolver(f)
 	if err != nil {
 		return false, nil, err
@@ -35,7 +33,7 @@ func (WatchedDPLL) solveGated(f *cnf.Formula, gate *ctxGate) (bool, cnf.Assignme
 	if !sat {
 		return false, nil, nil
 	}
-	s.gate = gate
+	s.gov = w.Gov
 	// Assert the initial unit clauses; they are forced at the root, so a
 	// conflict here (or while propagating them) is final.
 	for _, l := range s.initUnits {
@@ -76,10 +74,10 @@ type watchedSolver struct {
 	initUnits []cnf.Lit // unit clauses, asserted before the search starts
 	varOrder  []int     // static decision order, most frequent first
 
-	// gate, when non-nil, is polled once per search round; err latches
-	// the context error that stopped the search.
-	gate *ctxGate
-	err  error
+	// gov is ticked once per search round; err latches the violation
+	// that stopped the search.
+	gov *governor.Governor
+	err error
 }
 
 // newWatchedSolver loads the formula: deduplicates literals, drops
@@ -225,7 +223,7 @@ func (s *watchedSolver) propagate() bool {
 // search runs the DPLL loop: propagate, decide, backtrack on conflict.
 func (s *watchedSolver) search() bool {
 	for {
-		if err := s.gate.tick(); err != nil {
+		if err := s.gov.Tick(); err != nil {
 			s.err = err
 			return false
 		}
