@@ -173,9 +173,9 @@ func run(args []string) error {
 			return fmt.Errorf("-contains: %d values for target scheme %v (arity %d)", len(vals), target, target.Len())
 		}
 		nt := relation.NamedTuple{Scheme: target, Vals: relation.TupleOf(vals...)}
-		// -timeout governs the membership search too: the valuation tree
-		// is exponential in the worst case, so it polls at node
-		// granularity like every other engine.
+		// -timeout governs the membership search too: it is exponential
+		// in the worst case, so it polls per candidate value like every
+		// other engine.
 		ok, err := decide.MemberBudget(nt, expr, db, decide.Budget{Gov: governor.New(context.Background(), limits)})
 		if err != nil {
 			return err

@@ -65,7 +65,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	normalized, err := normalize(g)
+	normalized, err := cnf.Normalize(g)
 	if err != nil {
 		return err
 	}
@@ -190,20 +190,6 @@ func loadFormula(path, inline string) (*cnf.Formula, error) {
 		return cnf.ParseDIMACS(strings.NewReader(text))
 	}
 	return cnf.Parse(text)
-}
-
-// normalize mirrors the atlas' preprocessing: pad to three clauses and
-// compact unused variables, then insist on reduction form.
-func normalize(g *cnf.Formula) (*cnf.Formula, error) {
-	g2, err := cnf.EnsureMinClauses(g, 3)
-	if err != nil {
-		return nil, err
-	}
-	g3, _ := cnf.Compact(g2)
-	if err := g3.CheckReductionForm(); err != nil {
-		return nil, err
-	}
-	return g3, nil
 }
 
 func report(agree bool, detail string) error {

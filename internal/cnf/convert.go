@@ -156,3 +156,18 @@ func EnsureMinClauses(f *Formula, min int) (*Formula, error) {
 	}
 	return PadWithFreshClauses(f, min-len(f.Clauses))
 }
+
+// Normalize brings a formula into the paper's reduction form, padding to
+// three clauses and compacting unused variables. It fails on formulas that
+// are not 3CNF with distinct in-clause variables.
+func Normalize(g *Formula) (*Formula, error) {
+	g2, err := EnsureMinClauses(g, 3)
+	if err != nil {
+		return nil, err
+	}
+	g3, _ := Compact(g2)
+	if err := g3.CheckReductionForm(); err != nil {
+		return nil, err
+	}
+	return g3, nil
+}

@@ -31,21 +31,6 @@ type Result struct {
 	Route string
 }
 
-// normalize brings a formula into the paper's reduction form, padding to
-// three clauses and compacting unused variables. It fails on formulas that
-// are not 3CNF with distinct in-clause variables.
-func normalize(g *cnf.Formula) (*cnf.Formula, error) {
-	g2, err := cnf.EnsureMinClauses(g, 3)
-	if err != nil {
-		return nil, err
-	}
-	g3, _ := cnf.Compact(g2)
-	if err := g3.CheckReductionForm(); err != nil {
-		return nil, err
-	}
-	return g3, nil
-}
-
 // SATViaMembership decides satisfiability of g through Proposition 1 and
 // Yannakakis' NP-complete membership problem: G is satisfiable iff
 // u_G ∈ π_Y(φ_G(R_G)).
@@ -54,10 +39,10 @@ func SATViaMembership(g *cnf.Formula) (Result, error) {
 }
 
 // SATViaMembershipContext is SATViaMembership under a context: the NP
-// valuation search polls the deadline/cancellation at node granularity
-// and aborts with the governor sentinels.
+// search polls the deadline/cancellation per candidate value and aborts
+// with the governor sentinels.
 func SATViaMembershipContext(ctx context.Context, g *cnf.Formula) (Result, error) {
-	g, err := normalize(g)
+	g, err := cnf.Normalize(g)
 	if err != nil {
 		return Result{}, err
 	}
@@ -92,7 +77,7 @@ func UNSATViaFixpoint(g *cnf.Formula) (Result, error) {
 // streaming decision honors ctx's deadline and cancellation via the
 // resource governor, surfacing governor.ErrDeadline / ErrCanceled.
 func UNSATViaFixpointContext(ctx context.Context, g *cnf.Formula) (Result, error) {
-	g, err := normalize(g)
+	g, err := cnf.Normalize(g)
 	if err != nil {
 		return Result{}, err
 	}
@@ -115,11 +100,11 @@ func UNSATViaFixpointContext(ctx context.Context, g *cnf.Formula) (Result, error
 // unsatisfiable" — the Dᵖ-complete 3SAT-3UNSAT problem — through
 // Theorem 1: the conjunction holds iff φ_{G,G′}(R_{G,G′}) = r_{G,G′}.
 func SATAndUNSATViaResultEquals(g, gPrime *cnf.Formula) (Result, error) {
-	g, err := normalize(g)
+	g, err := cnf.Normalize(g)
 	if err != nil {
 		return Result{}, err
 	}
-	gPrime, err = normalize(gPrime)
+	gPrime, err = cnf.Normalize(gPrime)
 	if err != nil {
 		return Result{}, err
 	}
@@ -138,11 +123,11 @@ func SATAndUNSATViaResultEquals(g, gPrime *cnf.Formula) (Result, error) {
 // Theorem 2's cardinality window: it holds iff
 // β(β′+1)+1 ≤ |φ(R)| ≤ β(β′+1)+β′.
 func SATAndUNSATViaCardinality(g, gPrime *cnf.Formula) (Result, error) {
-	g, err := normalize(g)
+	g, err := cnf.Normalize(g)
 	if err != nil {
 		return Result{}, err
 	}
-	gPrime, err = normalize(gPrime)
+	gPrime, err = cnf.Normalize(gPrime)
 	if err != nil {
 		return Result{}, err
 	}
@@ -166,7 +151,7 @@ func CountModelsViaQuery(g *cnf.Formula) (int64, error) {
 // CountModelsViaQueryContext is CountModelsViaQuery under a context (see
 // UNSATViaFixpointContext).
 func CountModelsViaQueryContext(ctx context.Context, g *cnf.Formula) (int64, error) {
-	g, err := normalize(g)
+	g, err := cnf.Normalize(g)
 	if err != nil {
 		return 0, err
 	}
@@ -240,7 +225,7 @@ func Q3SATViaRelationComparison(inst *qbf.Instance) (Result, error) {
 // tableau engine and comparing against R_G ∪ R̃_G; it reports a
 // descriptive error on any mismatch.
 func VerifyLemma1(g *cnf.Formula) error {
-	g, err := normalize(g)
+	g, err := cnf.Normalize(g)
 	if err != nil {
 		return err
 	}
@@ -275,7 +260,7 @@ func VerifyLemma1(g *cnf.Formula) error {
 // by the query route itself plus the SAT solver must agree; any
 // disagreement is reported).
 func VerifyProposition1(g *cnf.Formula, satisfiable bool) error {
-	g, err := normalize(g)
+	g, err := cnf.Normalize(g)
 	if err != nil {
 		return err
 	}
@@ -323,7 +308,7 @@ func VerifyProposition1(g *cnf.Formula, satisfiable bool) error {
 // construction for inspection. It is the shared workhorse of the
 // experiment drivers.
 func EvalGadget(g *cnf.Formula) (*reduction.Construction, *relation.Relation, error) {
-	g, err := normalize(g)
+	g, err := cnf.Normalize(g)
 	if err != nil {
 		return nil, nil, err
 	}

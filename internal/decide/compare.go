@@ -72,7 +72,7 @@ func containedIn(phi1 algebra.Expr, db1 relation.Database, phi2 algebra.Expr, db
 	return subset(s1, phi2.Scheme(), func(yield func(relation.Tuple) bool) error {
 		return Enumerate(phi1, db1, b, yield)
 	}, func(tp relation.Tuple) (bool, error) {
-		return t2.MemberGov(relation.NamedTuple{Scheme: s1, Vals: tp}, db2, b.Gov)
+		return t2.Member(relation.NamedTuple{Scheme: s1, Vals: tp}, db2, b.Gov)
 	})
 }
 

@@ -1,5 +1,5 @@
 // Package decide implements the decision procedures whose complexity the
-// paper characterizes, as exhaustive search over tableau valuations:
+// paper characterizes, as searches for tableau valuations:
 //
 //	Member                  t ∈ φ(R)            NP       (Proposition 2)
 //	ResultEquals            φ(R) = r            Dᵖ       (Theorem 1)
@@ -9,13 +9,14 @@
 //	ContainedFixedQuery     φ(R₁) ⊆ φ(R₂)       Π₂ᵖ      (Theorem 5)
 //
 // Each procedure mirrors the membership proof in the paper: an NP "guess"
-// becomes a backtracking search for a valuation (tableau.Member), a co-NP
-// refutation becomes a streaming search for a witness tuple, and a Π₂ᵖ
-// test becomes a ∀-loop over one query's output with an NP-oracle call per
-// tuple. Every procedure that walks φ(R) is a stopping rule on one
-// stream, Enumerate. Nothing materializes an intermediate join, so space
-// stays polynomial while time may be exponential — the honest trade the
-// paper's results allow.
+// becomes a search for a valuation stopped at the first one
+// (tableau.Member), a co-NP refutation a stream hunting for a witness
+// tuple, and a Π₂ᵖ test a ∀-loop over one query's output with an NP-oracle
+// call per tuple. Both run the generic join's search over the tableau's
+// rows (tableau.Stream), and every procedure that walks φ(R) is a
+// stopping rule on one stream, Enumerate. Nothing materializes an
+// intermediate join: space is the operands' projections and their tries,
+// while time may be exponential — the honest trade the paper allows.
 package decide
 
 import (
@@ -87,16 +88,16 @@ func Member(nt relation.NamedTuple, phi algebra.Expr, db relation.Database) (boo
 	return MemberBudget(nt, phi, db, Budget{})
 }
 
-// MemberBudget is Member under a Budget's governor: the valuation
-// search honors the deadline and cancellation at node granularity, so a
-// hard instance aborts with governor.ErrDeadline/ErrCanceled instead of
-// searching to exhaustion.
+// MemberBudget is Member under a Budget's governor: the search honors
+// the deadline and cancellation per candidate value, so a hard instance
+// aborts with governor.ErrDeadline/ErrCanceled instead of searching to
+// exhaustion.
 func MemberBudget(nt relation.NamedTuple, phi algebra.Expr, db relation.Database, b Budget) (bool, error) {
 	tb, err := tableau.New(phi)
 	if err != nil {
 		return false, err
 	}
-	return tb.MemberGov(nt, db, b.Gov)
+	return tb.Member(nt, db, b.Gov)
 }
 
 // Comparison is the outcome of a relation-valued comparison, carrying a
@@ -139,7 +140,7 @@ func ConjecturedSubset(r *relation.Relation, phi algebra.Expr, db relation.Datab
 		r.Each(yield)
 		return nil
 	}, func(tp relation.Tuple) (bool, error) {
-		return tb.MemberGov(relation.NamedTuple{Scheme: r.Scheme(), Vals: tp}, db, b.Gov)
+		return tb.Member(relation.NamedTuple{Scheme: r.Scheme(), Vals: tp}, db, b.Gov)
 	})
 }
 

@@ -25,7 +25,7 @@ func Enumerate(phi algebra.Expr, db relation.Database, b Budget, yield func(rela
 	}
 	var seen relation.TupleSet
 	bc := budgetCounter{limit: b.MaxTuples, gov: b.Gov}
-	err = tb.StreamGov(db, b.Gov, func(tp relation.Tuple) bool {
+	err = tb.Stream(db, b.Gov, func(tp relation.Tuple) bool {
 		if !bc.tick() {
 			return false
 		}

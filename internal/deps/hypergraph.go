@@ -124,7 +124,7 @@ func (jd JD) Check(r *relation.Relation) (holds bool, witness relation.Tuple, er
 }
 
 // checkCyclic decides ∗π_{Yᵢ}(R) ⊆ R with decide.ResultSubset, which
-// streams the join of projections through a tableau valuation search and
+// streams the join of projections through the tableau's search and
 // stops at the first recombined tuple outside r.
 func (jd JD) checkCyclic(r *relation.Relation) (bool, relation.Tuple, error) {
 	const operand = "R"

@@ -551,7 +551,7 @@ func TestOverBudgetGenericJoinDiesWithinABatch(t *testing.T) {
 		}
 		tries[i] = *trie
 	}
-	j := newGenericJoin(shape, tries, -1)
+	j := newGenericJoin(shape, tries, -1, nil)
 	j.gov = gov
 	j.search(0)
 	if !errors.Is(j.err, governor.ErrMemBudget) {

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -96,7 +97,7 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 		tries[i] = *t
 		indexed += r.Len()
 	}
-	j := newGenericJoin(shape, tries, -1)
+	j := newGenericJoin(shape, tries, -1, nil)
 	j.gov = x.Gov
 	j.search(0)
 	if j.err != nil {
@@ -113,6 +114,62 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Search streams the bindings of a conjunctive query with the generic
+// join's search: atom i reads rels[i] through its trie fact, with its
+// columns named by vars[i]. A binding lists a value for each attribute of order,
+// which holds exactly the attributes of the vars, and its first
+// len(fixed) values are fixed. yield gets each binding, in ascending
+// order and in a slice the search reuses, and returns false to stop. gov
+// is checked on entry, as joinTree does, and ticked per candidate.
+func Search(gov *governor.Governor, rels []*relation.Relation, vars []relation.Scheme, order relation.Scheme, fixed []relation.Value, yield func([]relation.Value) bool) error {
+	if err := gov.Check(); err != nil {
+		return err
+	}
+	for _, r := range rels {
+		if r.Empty() {
+			return nil
+		}
+	}
+	shape := newGenericShape(vars, order)
+	tries := make([]sortedTrie, len(rels))
+	for i, r := range rels {
+		t, err := trieOf(r, shape.cols[i], gov)
+		if err != nil {
+			return err
+		}
+		tries[i] = *t
+	}
+	j := newGenericJoin(&shape, tries, 0, yield)
+	j.gov = gov
+	if j.fix(fixed) {
+		j.search(len(fixed))
+	}
+	if errors.Is(j.err, errStopped) {
+		return nil
+	}
+	return j.err
+}
+
+// fix binds the first len(fixed) attributes of the order to fixed's
+// values, narrowing every trie holding one of them to the rows that
+// agree, and reports whether every trie still has such a row. The fixed
+// attributes come first, so they are each trie's first levels.
+func (j *genericJoin) fix(fixed []relation.Value) bool {
+	for k, v := range fixed {
+		lv, end := j.shape.at[k], j.shape.at[k+1]
+		for i, p := range j.shape.parts[lv:end] {
+			t, d, r := &j.tries[p], j.shape.depth[lv+i], j.ranges[p]
+			lo := lowerBound(t, r.lo, r.hi, d, v)
+			if lo == r.hi || t.at(lo, d) != v {
+				return false
+			}
+			j.ranges[p] = trieRange{lo, upperBound(t, lo, r.hi, d, v)}
+		}
+		j.bind[k] = v
+	}
+	return true
 }
 
 // unionScheme returns the output scheme of joining inputs: the
@@ -258,10 +315,12 @@ type genericJoin struct {
 	// most once. Carved from one array with ranges.
 	saved []trieRange
 	bind  []relation.Value
-	// out collects the output rows: exactly as many as the caller counted
-	// and charged to the memory budget before the search (counted, the
-	// tree join), or, in slabs, a count unknown until the search ends,
-	// each batch charged as it is built.
+	// yield, when set, receives every complete binding (Search). Else out
+	// collects the output rows: exactly as many as the caller counted and
+	// charged to the memory budget before the search (counted, the tree
+	// join), or, in slabs, a count unknown until the search ends, each
+	// batch charged as it is built.
+	yield   func([]relation.Value) bool
 	out     *relation.Builder
 	counted bool
 
@@ -274,24 +333,31 @@ type genericJoin struct {
 	err error
 }
 
+// errStopped latches a search whose yield asked it to stop.
+var errStopped = errors.New("join: search stopped")
+
 // newGenericJoin returns the search over tries in the order of shape,
-// writing into a builder of exactly rows rows when the caller counted
-// them first, or of an unknown number when rows < 0.
-func newGenericJoin(shape *genericShape, tries []sortedTrie, rows int) genericJoin {
+// yielding each binding to yield or, when yield is nil, writing it into a
+// builder of exactly rows rows when the caller counted them first, or of
+// an unknown number when rows < 0.
+func newGenericJoin(shape *genericShape, tries []sortedTrie, rows int, yield func([]relation.Value) bool) genericJoin {
 	flat := make([]trieRange, len(tries)+len(shape.parts))
 	ranges := flat[:len(tries)]
 	for i, tr := range tries {
 		ranges[i] = trieRange{0, len(tr.rows)}
 	}
-	return genericJoin{
-		shape:   shape,
-		tries:   tries,
-		ranges:  ranges,
-		saved:   flat[len(tries):],
-		bind:    make([]relation.Value, shape.out.Len()),
-		out:     relation.NewBuilder(shape.out, rows),
-		counted: rows >= 0,
+	j := genericJoin{
+		shape:  shape,
+		tries:  tries,
+		ranges: ranges,
+		saved:  flat[len(tries):],
+		bind:   make([]relation.Value, shape.out.Len()),
+		yield:  yield,
 	}
+	if yield == nil {
+		j.out, j.counted = relation.NewBuilder(shape.out, rows), rows >= 0
+	}
+	return j
 }
 
 // search extends the binding with the k-th attribute: it walks the
@@ -364,10 +430,16 @@ func (j *genericJoin) search(k int) {
 	}
 }
 
-// emit writes the complete binding. The order is the output's columns, so
+// emit yields or writes the complete binding. The order is the output's columns, so
 // the binding is the output row; distinct bindings are distinct rows, and
 // the result assembles without deduplication, in lexicographic order.
 func (j *genericJoin) emit() {
+	if j.yield != nil {
+		if !j.yield(j.bind) {
+			j.err = errStopped
+		}
+		return
+	}
 	j.out.Concat(j.bind, nil, nil)
 	if j.out.Len()%checkBatch == 0 {
 		if j.err = j.gov.CheckRows(j.out.Len()); j.err == nil && !j.counted {

@@ -473,7 +473,7 @@ func (t *treeJoin) search(total int) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := newGenericJoin(&t.shape.genericShape, tries, total)
+	j := newGenericJoin(&t.shape.genericShape, tries, total, nil)
 	j.gov = t.x.Gov
 	j.search(0)
 	t.candidates = j.candidates

@@ -79,63 +79,16 @@ func BenchmarkMember(b *testing.B) {
 		Vals: relation.TupleOf("nope", "nada")}
 	b.Run("hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tb.Member(hit, db); err != nil {
+			if _, err := tb.Member(hit, db, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tb.Member(miss, db); err != nil {
+			if _, err := tb.Member(miss, db, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkTableauAblation quantifies the two search optimizations on the
-// paper's gadget query (the design choices DESIGN.md calls out). Expected
-// shape: full < static-order < no-pushdown; disabling pushdown is
-// catastrophic on queries with many projected-away columns.
-func BenchmarkTableauAblation(b *testing.B) {
-	// A medium chain query where both optimizations matter.
-	rng := rand.New(rand.NewSource(3))
-	scheme := relation.MustScheme("A", "B", "C", "D", "E")
-	r := relation.New(scheme)
-	for i := 0; i < 120; i++ {
-		r.MustAdd(relation.TupleOf(
-			fmt.Sprintf("%d", rng.Intn(6)),
-			fmt.Sprintf("%d", rng.Intn(6)),
-			fmt.Sprintf("%d", rng.Intn(6)),
-			fmt.Sprintf("%d", rng.Intn(6)),
-			fmt.Sprintf("%d", rng.Intn(6)),
-		))
-	}
-	db := relation.Single("T", r)
-	e, err := algebra.ParseForDatabase("pi[A E](pi[A B](T) * pi[B C](T) * pi[C D](T) * pi[D E](T))", db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tb, err := New(e)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		opts SearchOptions
-	}{
-		{"full", SearchOptions{}},
-		{"static_order", SearchOptions{StaticOrder: true}},
-		{"no_pushdown", SearchOptions{NoProjectionPushdown: true}},
-		{"neither", SearchOptions{StaticOrder: true, NoProjectionPushdown: true}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := tb.EvalWith(db, tc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

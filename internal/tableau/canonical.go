@@ -80,5 +80,5 @@ func (t *Tableau) ContainedInViaCanonical(u *Tableau) (bool, error) {
 			return false, fmt.Errorf("tableau: query mentions operand %q absent from the other query", row.Operand)
 		}
 	}
-	return u.Member(t.FrozenSummary(), db)
+	return u.Member(t.FrozenSummary(), db, nil)
 }

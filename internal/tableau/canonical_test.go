@@ -23,7 +23,7 @@ func TestCanonicalDatabaseShape(t *testing.T) {
 		t.Fatalf("canonical relation has %d rows, want 2", r.Len())
 	}
 	// The frozen summary is produced by the query on its own canonical db.
-	ok, err := tb.Member(tb.FrozenSummary(), db)
+	ok, err := tb.Member(tb.FrozenSummary(), db, nil)
 	if err != nil || !ok {
 		t.Errorf("frozen summary not in own canonical result: %v %v", ok, err)
 	}

@@ -96,11 +96,11 @@ func (t *Tableau) EquivalentTo(u *Tableau) (bool, error) {
 // reverse containment, yields equivalence). The result is the classic
 // minimal tableau, unique up to variable renaming.
 func (t *Tableau) Minimize() (*Tableau, error) {
-	cur := t.clone()
+	cur := t.Clone()
 	for {
 		removed := false
 		for i := 0; i < len(cur.Rows); i++ {
-			candidate := cur.clone()
+			candidate := cur.Clone()
 			candidate.Rows = append(candidate.Rows[:i], candidate.Rows[i+1:]...)
 			if !summaryCovered(candidate) {
 				continue

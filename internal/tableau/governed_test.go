@@ -32,9 +32,10 @@ func crossDB(t *testing.T) (algebra.Expr, relation.Database) {
 }
 
 // TestStreamGovCanceled aborts a 4096-valuation enumeration with a
-// pre-canceled context: StreamGov must stop within one poll batch and
+// pre-canceled context: Stream must stop within one poll batch and
 // surface governor.ErrCanceled instead of silently returning a
-// truncated stream.
+// truncated stream. A search that would finish inside one poll batch
+// fails too, on entry, and so does Member.
 func TestStreamGovCanceled(t *testing.T) {
 	expr, db := crossDB(t)
 	tb, err := New(expr)
@@ -45,7 +46,7 @@ func TestStreamGovCanceled(t *testing.T) {
 	cancel()
 	gov := governor.New(ctx, governor.Limits{})
 	yields := 0
-	err = tb.StreamGov(db, gov, func(relation.Tuple) bool {
+	err = tb.Stream(db, gov, func(relation.Tuple) bool {
 		yields++
 		return true
 	})
@@ -55,10 +56,27 @@ func TestStreamGovCanceled(t *testing.T) {
 	if yields >= 4096 {
 		t.Fatal("search ran to exhaustion despite the canceled context")
 	}
+	small := relation.Single("T", relation.New(relation.MustScheme("A")))
+	small["T"].MustAdd(relation.TupleOf("a"))
+	tb, err = New(algebra.MustOperand("T", small["T"].Scheme()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tb.Stream(small, gov, func(relation.Tuple) bool {
+		yields = -1
+		return true
+	})
+	if !errors.Is(err, governor.ErrCanceled) || yields < 0 {
+		t.Fatalf("a one-row stream under a canceled context: want governor.ErrCanceled and no yield, got %v", err)
+	}
+	hit := relation.NamedTuple{Scheme: small["T"].Scheme(), Vals: relation.TupleOf("a")}
+	if ok, err := tb.Member(hit, small, gov); !errors.Is(err, governor.ErrCanceled) || ok {
+		t.Fatalf("a one-row membership test under a canceled context: want governor.ErrCanceled, got %v, %v", ok, err)
+	}
 }
 
 // TestStreamGovNilMatchesStream verifies the nil governor is exactly
-// the ungoverned Stream: same tuples, same count.
+// an unlimited one: same tuples, same count.
 func TestStreamGovNilMatchesStream(t *testing.T) {
 	expr, db := crossDB(t)
 	tb, err := New(expr)
@@ -67,7 +85,7 @@ func TestStreamGovNilMatchesStream(t *testing.T) {
 	}
 	count := func(gov *governor.Governor) (int, error) {
 		n := 0
-		err := tb.StreamGov(db, gov, func(relation.Tuple) bool {
+		err := tb.Stream(db, gov, func(relation.Tuple) bool {
 			n++
 			return true
 		})

@@ -12,9 +12,10 @@
 //	φ(db) = { ρ(summary) : ρ maps variables to values such that every
 //	          row's image is a tuple of its operand's relation }.
 //
-// The package provides tableau construction from an algebra.Expr,
-// valuation search (membership testing — the simulated NP guess), a
-// streaming enumerator of φ(db) used by the Dᵖ/Π₂ᵖ deciders, and
+// The package builds the tableau of an algebra.Expr and compiles it onto
+// the generic join's search (join.Search) for membership testing — the
+// simulated NP guess — and for the stream of φ(db) under the Dᵖ/Π₂ᵖ
+// deciders. What stays symbolic is here too: canonical databases, and
 // Chandra–Merlin homomorphism containment and minimization of queries.
 package tableau
 
@@ -120,7 +121,7 @@ func (t *Tableau) build(e algebra.Expr) (map[relation.Attribute]Var, error) {
 			// attributes across the whole tableau built so far.
 			for a, v := range argSummary {
 				if existing, ok := summary[a]; ok {
-					t.substitute(v, existing)
+					t.Unify(v, existing)
 				} else {
 					summary[a] = v
 				}
@@ -137,20 +138,6 @@ func (t *Tableau) fresh() Var {
 	v := t.nextVar
 	t.nextVar++
 	return v
-}
-
-// substitute replaces variable from with to in every row.
-func (t *Tableau) substitute(from, to Var) {
-	if from == to {
-		return
-	}
-	for _, row := range t.Rows {
-		for i, v := range row.Vars {
-			if v == from {
-				row.Vars[i] = to
-			}
-		}
-	}
 }
 
 // String renders the tableau with the summary first, e.g.
@@ -190,17 +177,21 @@ func (t *Tableau) Vars() []Var {
 	return out
 }
 
-// Clone returns a deep, independent copy of the tableau.
-func (t *Tableau) Clone() *Tableau { return t.clone() }
-
 // Unify replaces variable from with variable to throughout the tableau —
-// rows and summary. It is the primitive the FD chase (package deps) is
+// rows and summary. It is how a natural join identifies the variables of
+// shared attributes, and the primitive the FD chase (package deps) is
 // built on.
 func (t *Tableau) Unify(from, to Var) {
 	if from == to {
 		return
 	}
-	t.substitute(from, to)
+	for _, row := range t.Rows {
+		for i, v := range row.Vars {
+			if v == from {
+				row.Vars[i] = to
+			}
+		}
+	}
 	for i, v := range t.Summary {
 		if v == from {
 			t.Summary[i] = to
@@ -208,8 +199,8 @@ func (t *Tableau) Unify(from, to Var) {
 	}
 }
 
-// clone returns a deep copy of the tableau.
-func (t *Tableau) clone() *Tableau {
+// Clone returns a deep, independent copy of the tableau.
+func (t *Tableau) Clone() *Tableau {
 	c := &Tableau{
 		Target:  t.Target,
 		Summary: append([]Var(nil), t.Summary...),

@@ -88,7 +88,8 @@ func TestJoinUnifiesSharedAttributes(t *testing.T) {
 func TestTableauEvalMatchesAlgebraEval(t *testing.T) {
 	r := mkrel(t, "A B C", "1 x p", "2 x q", "2 y q")
 	u := mkrel(t, "C D", "p 7", "q 8")
-	db := relation.Database{"T": r, "U": u}
+	v, w := mkrel(t, "E F", "e f"), mkrel(t, "E F")
+	db := relation.Database{"T": r, "U": u, "V": v, "W": w}
 	exprs := []string{
 		"T",
 		"pi[A B](T)",
@@ -97,6 +98,12 @@ func TestTableauEvalMatchesAlgebraEval(t *testing.T) {
 		"T * U",
 		"pi[A D](T * U)",
 		"pi[A C](T) * U * pi[B C](T)",
+		// V's and W's rows have no relevant variable: W, being empty,
+		// empties the result, and V does not.
+		"pi[A](T * V)",
+		"pi[A](T * W)",
+		"pi[](T)",
+		"pi[](T * W)",
 	}
 	for _, src := range exprs {
 		e, err := algebra.ParseForDatabase(src, db)
@@ -187,7 +194,7 @@ func TestMemberMatchesEval(t *testing.T) {
 	for _, a := range []string{"1", "2"} {
 		for _, c := range []string{"p", "q"} {
 			nt := relation.NamedTuple{Scheme: relation.MustScheme("A", "C"), Vals: relation.TupleOf(a, c)}
-			got, err := tb.Member(nt, db)
+			got, err := tb.Member(nt, db, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,9 +203,34 @@ func TestMemberMatchesEval(t *testing.T) {
 			}
 		}
 	}
+	// The self-join over T's projections onto A B and B C, fixed to each
+	// tuple of the active domain: (2 y p) is in both projections value by
+	// value, but its fixed prefix conflicts, since (y p) ∉ π_BC(T).
+	join, err := New(parse(t, "pi[A B](T) * pi[B C](T)", abcScheme))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := algebra.Eval(parse(t, "pi[A B](T) * pi[B C](T)", abcScheme), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []string{"1", "2"} {
+		for _, b := range []string{"x", "y"} {
+			for _, c := range []string{"p", "q"} {
+				nt := relation.NamedTuple{Scheme: abcScheme["T"], Vals: relation.TupleOf(a, b, c)}
+				got, err := join.Member(nt, db, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != full.ContainsNamed(nt) {
+					t.Errorf("self-join Member(%s %s %s) = %v, eval says %v", a, b, c, got, full.ContainsNamed(nt))
+				}
+			}
+		}
+	}
 	// Wrong scheme errors.
 	bad := relation.NamedTuple{Scheme: relation.MustScheme("A", "Z"), Vals: relation.TupleOf("1", "1")}
-	if _, err := tb.Member(bad, db); err == nil {
+	if _, err := tb.Member(bad, db, nil); err == nil {
 		t.Error("mismatched scheme accepted")
 	}
 }
@@ -215,7 +247,7 @@ func TestMemberReorderedScheme(t *testing.T) {
 		t.Fatal(err)
 	}
 	nt := relation.NamedTuple{Scheme: relation.MustScheme("B", "A"), Vals: relation.TupleOf("x", "1")}
-	ok, err := tb.Member(nt, db)
+	ok, err := tb.Member(nt, db, nil)
 	if err != nil || !ok {
 		t.Errorf("Member reordered = %v, %v", ok, err)
 	}
@@ -236,7 +268,7 @@ func TestStreamProjectionPushdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := tb.Stream(db, func(relation.Tuple) bool {
+	if err := tb.Stream(db, nil, func(relation.Tuple) bool {
 		count++
 		return true
 	}); err != nil {
@@ -261,7 +293,7 @@ func TestStreamDuplicatesAcrossRowsAndEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := tb.Stream(db, func(tp relation.Tuple) bool {
+	if err := tb.Stream(db, nil, func(tp relation.Tuple) bool {
 		if tp[0] != "1" {
 			t.Errorf("unexpected tuple %v", tp)
 		}
@@ -275,7 +307,7 @@ func TestStreamDuplicatesAcrossRowsAndEarlyStop(t *testing.T) {
 	}
 	// Early stop.
 	count = 0
-	if err := tb.Stream(db, func(relation.Tuple) bool {
+	if err := tb.Stream(db, nil, func(relation.Tuple) bool {
 		count++
 		return false
 	}); err != nil {
@@ -301,36 +333,11 @@ func TestTableauOperandValidation(t *testing.T) {
 	if _, err := tb.Eval(db); err == nil {
 		t.Error("wrong operand scheme accepted")
 	}
-}
-
-func TestSearchOptionsAgree(t *testing.T) {
-	// Every ablation configuration must produce the same result set.
-	r := mkrel(t, "A B C", "1 x p", "2 x q", "2 y q", "1 y p")
-	db := relation.Single("T", r)
-	e, err := algebra.ParseForDatabase("pi[A C](pi[A B](T) * pi[B C](T))", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := tb.Eval(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []SearchOptions{
-		{StaticOrder: true},
-		{NoProjectionPushdown: true},
-		{StaticOrder: true, NoProjectionPushdown: true},
-	} {
-		got, err := tb.EvalWith(db, opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		if !got.Equal(ref) {
-			t.Errorf("%+v: result differs", opts)
-		}
+	// A variable unified across two attributes of one row, outside the
+	// one-attribute scoping of variables.
+	tb.Unify(tb.Rows[0].Vars[1], tb.Rows[0].Vars[0])
+	if _, err := tb.Eval(relation.Single("T", mkrel(t, "A B C", "1 1 p"))); err == nil {
+		t.Error("a row repeating a variable accepted")
 	}
 }
 
@@ -349,7 +356,7 @@ func TestStreamYieldsTuplesTheCalleeMayKeep(t *testing.T) {
 		t.Fatal(err)
 	}
 	var kept, copies []relation.Tuple
-	if err := tb.Stream(db, func(tp relation.Tuple) bool {
+	if err := tb.Stream(db, nil, func(tp relation.Tuple) bool {
 		kept = append(kept, tp)
 		copies = append(copies, tp.Clone())
 		return true

@@ -156,10 +156,11 @@ type (
 )
 
 var (
-	// NewTableau builds the tableau of an expression. Tableau.Eval
-	// materializes a query with space bounded by input and output;
-	// Tableau.Member is the paper's Proposition 2 NP membership test;
-	// Tableau.ContainedIn is Chandra–Merlin all-databases containment.
+	// NewTableau builds the tableau of an expression. Tableau.Eval and
+	// Tableau.Member, the paper's Proposition 2 NP membership test, run
+	// the generic join's search over the operands' projections, so no
+	// intermediate join is held; Tableau.ContainedIn is Chandra–Merlin
+	// all-databases containment.
 	NewTableau = tableau.New
 )
 
