@@ -148,11 +148,14 @@ relbench-compare:
 # telemetry that crosses goroutines: concurrent requests publishing into
 # one obs.Registry while /metrics is scraped (the registry's one lock;
 # a collector, its metrics and its spans stay with their evaluation).
+# And answers streamed to the wire: parity with the built answer, the
+# store-on-second-sight rule, mid-stream failures and concurrent first
+# sights.
 # CI runs this as its own job; `make stress` reproduces it locally.
 stress:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/governor/
 	$(GO) test -race -count=1 \
-	  -run 'Cancel|Panic|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|ConcurrentFirstUse|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted|Solvers|RunEndToEnd|Concurrent|Scrape' \
+	  -run 'Cancel|Panic|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|ConcurrentFirstUse|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted|Solvers|RunEndToEnd|Concurrent|Scrape|Stream' \
 	  ./internal/algebra/ ./internal/join/ ./internal/relation/ ./internal/sat/ ./internal/decide/ ./internal/tableau/ ./internal/server/ ./internal/obs/ ./internal/telemetry/ ./cmd/relqueryd/ ./cmd/satreduce/ .
 
 # Regenerate BENCH_fault.txt: the cost of a compiled-in injection site

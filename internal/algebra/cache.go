@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"strings"
+	"sync/atomic"
 
 	"relquery/internal/join"
 	"relquery/internal/obs"
@@ -37,6 +38,9 @@ type SubexprCache struct {
 	// facts is nil in the cache EvalContext makes for one call (Evaluator.
 	// Cache): a node repeated inside a call is a result hit and plans nothing.
 	facts *Memo[string, *join.Facts]
+	// written counts the answers streamed past the results (Evaluator.
+	// EvalTo): misses that left nothing behind.
+	written atomic.Int64
 }
 
 // resultsMax bounds a shared cache's resident results, in values (rows ×
@@ -112,12 +116,25 @@ func (c *SubexprCache) plan(key string, m *obs.Metrics, inputs []*relation.Relat
 	return p, hit
 }
 
+// seen reports whether the plan facts of the node keyed key are in the
+// store: whether that node was asked for over this content before. Without
+// a facts store nothing has been seen.
+func (c *SubexprCache) seen(key string) bool { return c.facts != nil && c.facts.Has(key) }
+
+// streamed counts an answer written without passing through the results.
+func (c *SubexprCache) streamed() {
+	if c != nil {
+		c.written.Add(1)
+	}
+}
+
 // Counters reports the result store's lifetime counters: hits, misses,
 // entries dropped by Reset or by the bound, and resident entries. A node
-// repeated inside one evaluation counts like one repeated across two.
+// repeated inside one evaluation counts like one repeated across two, and
+// an answer streamed past the store counts as a miss.
 func (c *SubexprCache) Counters() (hits, misses, invalidations, entries int) {
 	hits, misses, invalidations, entries, _ = c.results.Counters()
-	return hits, misses, invalidations, entries
+	return hits, misses + int(c.written.Load()), invalidations, entries
 }
 
 // Reset drops every result, keeping the counters, and returns the number

@@ -159,6 +159,36 @@ func (ev *Evaluator) Eval(e Expr, db relation.Database) (*relation.Relation, err
 // died. A background context with zero Limits keeps the whole governance
 // layer on its nil fast path.
 func (ev *Evaluator) EvalContext(ctx context.Context, e Expr, db relation.Database) (*relation.Relation, error) {
+	return ev.evaluate(ctx, e, db, nil)
+}
+
+// EvalTo is EvalContext writing the answer into sink instead of returning
+// it: Begin with the answer's scheme and cardinality, then its rows in
+// sorted order. An answer the process has not seen is not built at all
+// when the tree join can write it: a root join node whose plan facts the
+// shared cache did not know — the first sight of this expression over
+// this content — and that runs the tree join streams its rows into sink as
+// its search finds them, and stores nothing. Every other answer is
+// materialized and stored as EvalContext would, then replayed into sink
+// (relation.Replay). So an answer is stored the second time it is asked
+// for, and served from the store from the third (DESIGN.md, "Caching").
+// A streaming node is evaluated outside the result store, so no other
+// request ever waits on how fast this one's sink takes its rows.
+//
+// An error after Begin leaves sink holding part of the answer; which
+// errors can come that late is the tree join's search's: the governor's
+// deadline and cancellation, and a recovered engine panic.
+func (ev *Evaluator) EvalTo(ctx context.Context, e Expr, db relation.Database, sink relation.Sink) error {
+	r, err := ev.evaluate(ctx, e, db, sink)
+	if err == nil && r != nil && sink != nil {
+		relation.Replay(r, sink)
+	}
+	return err
+}
+
+// evaluate is EvalContext, offering the root join node the sink out
+// (EvalTo): it returns no relation and no error when the answer went there.
+func (ev *Evaluator) evaluate(ctx context.Context, e Expr, db relation.Database, out relation.Sink) (*relation.Relation, error) {
 	var start time.Time
 	if ev.Registry != nil {
 		start = time.Now() // clock read only when telemetry is on
@@ -170,8 +200,12 @@ func (ev *Evaluator) EvalContext(ctx context.Context, e Expr, db relation.Databa
 		call.SharedCache = &SubexprCache{results: NewMemo[string, *relation.Relation](0, nil)} // unbounded: it dies with the call
 		ev = &call
 	}
-	r, err := ev.eval(e, db, ev.newSpan(nil, e), gov)
-	if err == nil {
+	var w *written
+	if out != nil {
+		w = &written{Sink: out}
+	}
+	r, err := ev.eval(e, db, ev.newSpan(nil, e), gov, w)
+	if r != nil { // else it streamed, and the join checked its size before the first row
 		err = gov.CheckOutput(r.Len())
 	}
 	if ev.Registry != nil {
@@ -229,24 +263,34 @@ func spanOp(e Expr) string {
 // no children — its subtree was not executed here. Every node is a governor
 // checkpoint, so cancellation reaches even join-free expressions; a failed
 // node is not cached (Memo), so an aborted evaluation leaves nothing partial.
-func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
+// out is the root's sink (EvalTo) and nil below the root. A root join
+// node the shared cache has not seen, and that may run the tree join, is
+// evaluated outside the result store, so that its answer can stream into
+// out (multi) while no other request waits on it; it returns no relation
+// when it did.
+func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, gov *governor.Governor, out *written) (*relation.Relation, error) {
 	sp.Begin()
 	fault.Hit(fault.EvalNode)
 	if err := gov.Check(); err != nil {
-		return ev.finishSpan(sp, "", nil, err)
+		return ev.finishSpan(sp, "", nil, nil, err)
 	}
 	// Operands and their projections are lookups — a catalog relation and
 	// a fact of it (Relation.Projection) — so one relation has one home;
 	// only the other composite nodes are memoized.
 	if lookup(e) || ev.SharedCache == nil {
-		r, err := ev.evalNode(e, "", db, sp, gov)
-		return ev.finishSpan(sp, "", r, err)
+		r, err := ev.evalNode(e, "", db, sp, gov, out)
+		return ev.finishSpan(sp, "", r, out, err)
 	}
 	// Built once per node: the result's key here and, for a join that
 	// misses, its plan facts' key in multi.
 	key := contentKey(e.String(), e.Operands(), db)
+	if _, isJoin := e.(*Join); isJoin && out != nil && ev.mayTreeJoin() && !ev.SharedCache.seen(key) {
+		ev.Collector.M().CacheMiss()
+		r, err := ev.evalNode(e, key, db, sp, gov, out)
+		return ev.finishSpan(sp, obs.CacheMiss, r, out, err)
+	}
 	r, hit, err := ev.SharedCache.results.Do(gov, key, func() (*relation.Relation, error) {
-		return ev.evalNode(e, key, db, sp, gov)
+		return ev.evalNode(e, key, db, sp, gov, nil)
 	})
 	cacheStatus := obs.CacheMiss
 	if hit {
@@ -255,18 +299,21 @@ func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, gov *gover
 	} else {
 		ev.Collector.M().CacheMiss()
 	}
-	return ev.finishSpan(sp, cacheStatus, r, err)
+	return ev.finishSpan(sp, cacheStatus, r, nil, err)
 }
 
 // finishSpan closes sp with the node's outcome and passes the result
-// through.
-func (ev *Evaluator) finishSpan(sp *obs.Span, cacheStatus string, r *relation.Relation, err error) (*relation.Relation, error) {
+// through. A node that succeeded without a relation wrote its rows into
+// out.
+func (ev *Evaluator) finishSpan(sp *obs.Span, cacheStatus string, r *relation.Relation, out *written, err error) (*relation.Relation, error) {
 	if sp != nil {
 		sp.SetCache(cacheStatus)
 		sp.SetErr(err)
 		rows := 0
 		if r != nil {
 			rows = r.Len()
+		} else if err == nil && out != nil {
+			rows = out.rows
 		}
 		sp.Finish(rows)
 	}
@@ -277,8 +324,8 @@ func (ev *Evaluator) finishSpan(sp *obs.Span, cacheStatus string, r *relation.Re
 }
 
 // evalNode computes one node from its children. key is the node's content
-// key when the call has a cache, else empty.
-func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
+// key when the call has a cache, else empty; out is as for eval.
+func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.Span, gov *governor.Governor, out *written) (*relation.Relation, error) {
 	switch x := e.(type) {
 	case *Operand:
 		r, err := db.Get(x.Name())
@@ -292,7 +339,8 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 		return r, nil
 
 	case *Project:
-		child, err := ev.eval(x.Of(), db, ev.newSpan(sp, x.Of()), gov)
+		sp.Reserve(1, Size(x)-1)
+		child, err := ev.eval(x.Of(), db, ev.newSpan(sp, x.Of()), gov, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -313,11 +361,12 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 		return join.Exec{Gov: gov}.Materialized(out)
 
 	case *Join:
+		sp.Reserve(len(x.Args()), Size(x)-1)
 		args, err := ev.evalArgs(x.Args(), db, sp, gov)
 		if err != nil {
 			return nil, err
 		}
-		return ev.multi(args, key, sp, gov)
+		return ev.multi(args, key, sp, gov, out)
 
 	default:
 		return nil, fmt.Errorf("algebra: unknown expression type %T", e)
@@ -342,7 +391,7 @@ func lookup(e Expr) bool {
 func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, gov *governor.Governor) ([]*relation.Relation, error) {
 	args := make([]*relation.Relation, len(exprs))
 	for i, a := range exprs {
-		r, err := ev.eval(a, db, ev.newSpan(sp, a), gov)
+		r, err := ev.eval(a, db, ev.newSpan(sp, a), gov, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -353,8 +402,11 @@ func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, 
 
 // multi joins args, the inputs of the join node keyed key, aborting
 // mid-plan — and, under a governor, mid-join — as soon as any checkpoint
-// trips.
-func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
+// trips. Offered the sink out, which only a root node outside the result
+// store is (eval), a node seen for the first time that runs the tree join
+// writes its answer there and returns none; one that builds its answer
+// stores it.
+func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, gov *governor.Governor, out *written) (*relation.Relation, error) {
 	if sp != nil {
 		ins := make([]int, len(args))
 		for i, a := range args {
@@ -369,7 +421,49 @@ func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, 
 	// finds them computed.
 	p, known := ev.SharedCache.plan(key, x.Metrics, args)
 	sp.SetPlanKnown(known)
-	return ev.run(x, p, ev.choose(p, sp))
+	alg := ev.choose(p, sp)
+	if out == nil {
+		return ev.run(x, p, alg)
+	}
+	// Unknown facts are the first sight of this node's content: its answer
+	// is likely asked once, so it is written and not kept. Known facts
+	// mean it was asked before — here, by a request racing this one — and
+	// it is built to be stored.
+	build := func() (*relation.Relation, error) { return ev.run(x, p, alg) }
+	if _, tree := alg.(join.Yannakakis); tree && !known {
+		y := x
+		y.Out = out
+		r, err := ev.run(y, p, alg)
+		if r == nil || err != nil {
+			ev.SharedCache.streamed()
+			return r, err
+		}
+		// Built after all: the tree join of a cyclic or one-input node.
+		build = func() (*relation.Relation, error) { return r, nil }
+	}
+	if key == "" {
+		return build()
+	}
+	r, _, err := ev.SharedCache.results.Do(gov, key, build)
+	return r, err
+}
+
+// written is EvalTo's sink as the root node gets it, noting the answer's
+// size for the node's span.
+type written struct {
+	relation.Sink
+	rows int
+}
+
+func (w *written) Begin(scheme relation.Scheme, rows int) bool {
+	w.rows = rows
+	return w.Sink.Begin(scheme, rows)
+}
+
+// mayTreeJoin reports whether choose can route a node to the tree join.
+func (ev *Evaluator) mayTreeJoin() bool {
+	_, tree := ev.algorithm().(join.Yannakakis)
+	return tree || ev.AutoYannakakis
 }
 
 // choose picks the strategy for one join node: the configured algorithm

@@ -27,6 +27,13 @@ type Exec struct {
 	// Span is the join node's trace span: peak materialization, and the
 	// structure and search-effort annotations of the n-ary strategies.
 	Span *obs.Span
+	// Out, when set, is where the tree join writes its answer instead of
+	// building it: once its count has passed Sized and the output check,
+	// Out gets Begin with that count and then the rows, born sorted, and
+	// the join returns no relation. Every other strategy ignores it and
+	// returns its answer as always; so does the tree join's cyclic
+	// fallback.
+	Out relation.Sink
 }
 
 // Materialized accounts for one relation a join has just materialized —

@@ -551,13 +551,14 @@ func TestOverBudgetGenericJoinDiesWithinABatch(t *testing.T) {
 		}
 		tries[i] = *trie
 	}
-	j := newGenericJoin(shape, tries, -1, nil)
-	j.gov = gov
+	b := relation.NewBuilder(shape.out, -1)
+	j := newGenericJoin(shape, tries, b)
+	j.gov, j.charge = gov, true
 	j.search(0)
 	if !errors.Is(j.err, governor.ErrMemBudget) {
 		t.Fatalf("a search over a memory budget of a tenth of its output: want ErrMemBudget, got %v", j.err)
 	}
-	if built, most := j.out.Len(), int(budget/relation.RowBytes(3))+checkBatch; built > most {
+	if built, most := b.Len(), int(budget/relation.RowBytes(3))+checkBatch; built > most {
 		t.Errorf("the killed search built %d rows; the budget holds %d, one batch past it %d", built, budget/relation.RowBytes(3), most)
 	}
 	for budget, want := range map[int64]error{charge: nil, charge - 1: governor.ErrMemBudget} {

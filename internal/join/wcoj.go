@@ -97,14 +97,15 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 		tries[i] = *t
 		indexed += r.Len()
 	}
-	j := newGenericJoin(shape, tries, -1, nil)
-	j.gov = x.Gov
+	b := relation.NewBuilder(shape.out, -1)
+	j := newGenericJoin(shape, tries, b)
+	j.gov, j.charge = x.Gov, true
 	j.search(0)
 	if j.err != nil {
 		return nil, j.err
 	}
 
-	out := j.out.SortedRelation()
+	out := b.SortedRelation()
 	x.Metrics.JoinWork(indexed, j.candidates, out.Len())
 	x.Metrics.ObserveJoin(out.Len())
 	x.Metrics.WCOJ(j.candidates, j.intersections)
@@ -141,7 +142,7 @@ func Search(gov *governor.Governor, rels []*relation.Relation, vars []relation.S
 		}
 		tries[i] = *t
 	}
-	j := newGenericJoin(&shape, tries, 0, yield)
+	j := newGenericJoin(&shape, tries, yielder(yield))
 	j.gov = gov
 	if j.fix(fixed) {
 		j.search(len(fixed))
@@ -151,6 +152,13 @@ func Search(gov *governor.Governor, rels []*relation.Relation, vars []relation.S
 	}
 	return j.err
 }
+
+// yielder is Search's caller as the search's sink: every binding is
+// yielded, in the slice the search reuses.
+type yielder func([]relation.Value) bool
+
+func (yielder) Begin(relation.Scheme, int) bool { return true }
+func (y yielder) Row(t relation.Tuple) bool     { return y(t) }
 
 // fix binds the first len(fixed) attributes of the order to fixed's
 // values, narrowing every trie holding one of them to the rows that
@@ -315,14 +323,14 @@ type genericJoin struct {
 	// most once. Carved from one array with ranges.
 	saved []trieRange
 	bind  []relation.Value
-	// yield, when set, receives every complete binding (Search). Else out
-	// collects the output rows: exactly as many as the caller counted and
-	// charged to the memory budget before the search (counted, the tree
-	// join), or, in slabs, a count unknown until the search ends, each
-	// batch charged as it is built.
-	yield   func([]relation.Value) bool
-	out     *relation.Builder
-	counted bool
+	// out receives every complete binding: Search's caller, the tree
+	// join's sink of exactly as many rows as it counted and charged to the
+	// budgets before the search, or, under charge, the generic join's
+	// builder of a count unknown until the search ends, each batch of rows
+	// checked and charged as it is built.
+	out    relation.Sink
+	rows   int
+	charge bool
 
 	candidates    int
 	intersections int
@@ -337,10 +345,8 @@ type genericJoin struct {
 var errStopped = errors.New("join: search stopped")
 
 // newGenericJoin returns the search over tries in the order of shape,
-// yielding each binding to yield or, when yield is nil, writing it into a
-// builder of exactly rows rows when the caller counted them first, or of
-// an unknown number when rows < 0.
-func newGenericJoin(shape *genericShape, tries []sortedTrie, rows int, yield func([]relation.Value) bool) genericJoin {
+// writing each binding into out.
+func newGenericJoin(shape *genericShape, tries []sortedTrie, out relation.Sink) genericJoin {
 	flat := make([]trieRange, len(tries)+len(shape.parts))
 	ranges := flat[:len(tries)]
 	for i, tr := range tries {
@@ -352,10 +358,7 @@ func newGenericJoin(shape *genericShape, tries []sortedTrie, rows int, yield fun
 		ranges: ranges,
 		saved:  flat[len(tries):],
 		bind:   make([]relation.Value, shape.out.Len()),
-		yield:  yield,
-	}
-	if yield == nil {
-		j.out, j.counted = relation.NewBuilder(shape.out, rows), rows >= 0
+		out:    out,
 	}
 	return j
 }
@@ -430,19 +433,17 @@ func (j *genericJoin) search(k int) {
 	}
 }
 
-// emit yields or writes the complete binding. The order is the output's columns, so
-// the binding is the output row; distinct bindings are distinct rows, and
-// the result assembles without deduplication, in lexicographic order.
+// emit writes the complete binding into the sink. The order is the
+// output's columns, so the binding is the output row; distinct bindings
+// are distinct rows, and the result assembles without deduplication, in
+// lexicographic order.
 func (j *genericJoin) emit() {
-	if j.yield != nil {
-		if !j.yield(j.bind) {
-			j.err = errStopped
-		}
+	if !j.out.Row(j.bind) {
+		j.err = errStopped
 		return
 	}
-	j.out.Concat(j.bind, nil, nil)
-	if j.out.Len()%checkBatch == 0 {
-		if j.err = j.gov.CheckRows(j.out.Len()); j.err == nil && !j.counted {
+	if j.rows++; j.charge && j.rows%checkBatch == 0 {
+		if j.err = j.gov.CheckRows(j.rows); j.err == nil {
 			j.err = j.gov.ChargeBytes(checkBatch * relation.RowBytes(len(j.bind)))
 		}
 	}

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -84,7 +85,8 @@ func (Yannakakis) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 // (treeJoin): mark deletes every dangling tuple, count learns the
 // output's cardinality — and runs the row check and the byte charge on it
 // — before an output row exists, and the generic join's search over the
-// live rows writes the output once, at that size. It also returns the
+// live rows writes the output once, at that size: into a relation it
+// returns or, under x.Out, into that sink, returning none. It also returns the
 // number of semijoin passes and the total cardinality surviving them (the
 // "semijoin-pass cardinality" EXPLAIN ANALYZE reports; the inputs' total
 // minus this is the dangling tuples removed).
@@ -120,10 +122,23 @@ func joinTree(x Exec, p *Plan) (out *relation.Relation, semijoins, reducedRows i
 	}
 	// Only a count the budget accepted becomes an intermediate.
 	x.Metrics.ObserveJoin(total)
-	if out, err = t.search(total); err != nil {
+	var b *relation.Builder
+	sink := x.Out
+	if sink == nil {
+		b = new(relation.Builder)
+		sink = b
+	} else if err := x.Gov.CheckOutput(total); err != nil {
+		// The answer goes out as it is found: the result cap is checked
+		// on the count, before the first row.
+		return nil, 0, 0, err
+	}
+	if err := t.search(total, sink); err != nil {
 		return nil, 0, 0, err
 	}
 	x.Metrics.Yannakakis()
+	if b != nil {
+		out = b.SortedRelation()
+	}
 	return out, t.semijoins, reducedRows, nil
 }
 
@@ -391,7 +406,7 @@ func (t *treeJoin) survivors(i int) (*relation.Relation, error) {
 		if err := t.x.Gov.Tick(); err != nil {
 			return nil, err
 		}
-		b.Concat(rel.Tuple(r), nil, nil)
+		b.Row(rel.Tuple(r))
 	}
 	return b.Relation(), nil
 }
@@ -455,32 +470,33 @@ func (t *treeJoin) count() (int, error) {
 	return total, nil
 }
 
-// search writes the output, total rows over the shape's scheme, with the
-// generic join's search over the inputs' live rows (tries) in the shape's
-// column order, into a relation of exactly that size, born sorted. A
-// marked tree has no dead ends, and in this order the search meets none:
-// an input's block is bound only after its parent's row is fixed, and
-// every live row extends to an output row. Its work is linear in the live
-// rows plus the output, times the arity and a log (FuzzAcyclicJoin pins
-// the candidates examined).
-func (t *treeJoin) search(total int) (*relation.Relation, error) {
-	if total == 0 {
-		// Nothing lives; the search must not run, since over nullary
-		// schemes it binds the empty row whatever its tries hold.
-		return relation.NewBuilder(t.shape.out, 0).SortedRelation(), nil
+// search writes the output, total rows over the shape's scheme, into out
+// — Begin with that count, then the rows in lexicographic order — with
+// the generic join's search over the inputs' live rows (tries) in the
+// shape's column order. A sink that wants no rows (a count) gets none, and
+// no trie is built. A marked tree has no dead ends, and in this order the
+// search meets none: an input's block is bound only after its parent's
+// row is fixed, and every live row extends to an output row. Its work is
+// linear in the live rows plus the output, times the arity and a log
+// (FuzzAcyclicJoin pins the candidates examined).
+func (t *treeJoin) search(total int, out relation.Sink) error {
+	// With nothing alive the search must not run either, since over
+	// nullary schemes it binds the empty row whatever its tries hold.
+	if !out.Begin(t.shape.out, total) || total == 0 {
+		return nil
 	}
 	tries, err := t.tries()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	j := newGenericJoin(&t.shape.genericShape, tries, total, nil)
+	j := newGenericJoin(&t.shape.genericShape, tries, out)
 	j.gov = t.x.Gov
 	j.search(0)
 	t.candidates = j.candidates
-	if j.err != nil {
-		return nil, j.err
+	if errors.Is(j.err, errStopped) {
+		return nil // the sink's choice
 	}
-	return j.out.SortedRelation(), nil
+	return j.err
 }
 
 // tries returns the search's trie over each input: its trie fact

@@ -99,6 +99,7 @@ type Span struct {
 	Children []*Span `json:"children,omitempty"`
 
 	start time.Time
+	c     *Collector // whose slabs the span's descendants are carved from; nil outside one
 }
 
 // Child appends and returns a new child span.
@@ -106,9 +107,31 @@ func (s *Span) Child(op, label string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{Op: op, Label: label}
+	c := s.c.span(op, label)
 	s.Children = append(s.Children, c)
 	return c
+}
+
+// Reserve promises the span children children and its subtree
+// descendants spans below it in all, so that they are carved from the
+// collector's slabs: the spans from one, and the children lists — this
+// one now, each descendant's when it reserves in turn — from another.
+// Growing the promised tree then allocates nothing more. A subtree that
+// stays smaller than promised (a child served from a cache) leaves the
+// rest of the slabs unused. Outside a collector it does nothing.
+func (s *Span) Reserve(children, descendants int) {
+	if s == nil || s.c == nil {
+		return
+	}
+	c := s.c
+	if len(c.spans) < descendants {
+		c.spans = make([]Span, descendants)
+	}
+	if len(c.kids) < descendants {
+		c.kids = make([]*Span, descendants)
+	}
+	children = min(children, len(c.kids))
+	s.Children, c.kids = c.kids[:0:children], c.kids[children:]
 }
 
 // Begin marks the start of the node's evaluation.
@@ -243,6 +266,10 @@ type Collector struct {
 	Metrics Metrics
 
 	roots []*Span
+	// spans and kids are what is left of the slabs Span.Reserve carved:
+	// spans not handed out yet, and room for children lists.
+	spans []Span
+	kids  []*Span
 }
 
 // Start opens a root span for one evaluation and returns it.
@@ -250,8 +277,24 @@ func (c *Collector) Start(op, label string) *Span {
 	if c == nil {
 		return nil
 	}
-	s := &Span{Op: op, Label: label}
+	s := c.span(op, label)
 	c.roots = append(c.roots, s)
+	return s
+}
+
+// span returns a new span of the collector's, from its slab while the
+// slab lasts; a nil collector's span is on its own.
+func (c *Collector) span(op, label string) *Span {
+	if c == nil {
+		return &Span{Op: op, Label: label}
+	}
+	var s *Span
+	if len(c.spans) > 0 {
+		s, c.spans = &c.spans[0], c.spans[1:]
+	} else {
+		s = new(Span)
+	}
+	s.Op, s.Label, s.c = op, label, c
 	return s
 }
 

@@ -115,39 +115,6 @@ func WriteRelation(w io.Writer, name string, r *Relation) error {
 	return StreamRelation(w, name, r, 0, nil)
 }
 
-// StreamRelation is WriteRelation for a consumer that wants rows as they
-// are ready: after every `every` rows (when every > 0) it flushes its
-// buffer into w and calls flushed, so a large result streams instead of
-// buffering whole. The rows are a sorted view of r's own tuples, not
-// copies of them; a BornSorted relation is walked in store order.
-func StreamRelation(w io.Writer, name string, r *Relation, every int, flushed func()) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "relation %s\n", name)
-	fmt.Fprintln(bw, r.Scheme().String())
-	order := r.SortedOrder()
-	for i := 0; i < r.n; i++ {
-		row := i
-		if order != nil {
-			row = int(order[i])
-		}
-		for j, v := range r.at(row) {
-			if j > 0 {
-				bw.WriteByte(' ')
-			}
-			bw.WriteString(string(v))
-		}
-		bw.WriteByte('\n')
-		if every > 0 && (i+1)%every == 0 {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			flushed()
-		}
-	}
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
-}
-
 // WriteDatabase writes every relation of db in name order.
 func WriteDatabase(w io.Writer, db Database) error {
 	for _, name := range db.Names() {

@@ -153,7 +153,7 @@ func TestFingerprintMemo(t *testing.T) {
 	fresh := New(s)
 	r.Each(func(tp Tuple) bool { fresh.MustAdd(tp); return true })
 	built := NewBuilder(s, r.Len())
-	r.Each(func(tp Tuple) bool { built.Concat(tp, nil, nil); return true })
+	r.Each(func(tp Tuple) bool { return built.Row(tp) })
 	for name, o := range map[string]*Relation{"New+Add": fresh, "Builder": built.Relation(), "Clone": r.Clone()} {
 		if got := Fingerprint(o); got != after {
 			t.Errorf("%s relation fingerprints %s, want %s", name, got, after)
@@ -172,7 +172,7 @@ func TestFingerprintConcurrent(t *testing.T) {
 	}
 	b := NewBuilder(s, len(rows))
 	for _, row := range rows {
-		b.Concat(row, nil, nil)
+		b.Row(row)
 	}
 	r := b.Relation()
 	got := make([]string, 8)

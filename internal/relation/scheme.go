@@ -15,6 +15,7 @@ package relation
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 )
@@ -210,14 +211,25 @@ func (s Scheme) Sorted() Scheme {
 // String renders the scheme as a space-separated attribute list, matching
 // the paper's convention of writing schemes as attribute strings.
 func (s Scheme) String() string {
+	n := max(len(s.attrs)-1, 0)
+	for _, a := range s.attrs {
+		n += len(a)
+	}
 	var b strings.Builder
+	b.Grow(n)
+	s.WriteText(&b)
+	return b.String()
+}
+
+// WriteText writes the scheme as String renders it straight into w, with
+// no string of it built: a response header or a block's scheme line.
+func (s Scheme) WriteText(w io.StringWriter) {
 	for i, a := range s.attrs {
 		if i > 0 {
-			b.WriteByte(' ')
+			_, _ = w.WriteString(" ")
 		}
-		b.WriteString(string(a))
+		_, _ = w.WriteString(string(a))
 	}
-	return b.String()
 }
 
 // projection describes how to map tuples over a source scheme onto a target

@@ -208,38 +208,43 @@ func (s *rowStore) bytes() int64 {
 // each method takes its sources — so no writable row crosses the package
 // boundary.
 //
-// NewBuilder with a row count reserves exactly that many rows; that is
-// the form for every producer that can count before it builds. A negative
-// count means the count is unknowable and the builder grows in slabs.
+// A Builder is the Sink that materializes: Begin with a row count reserves
+// exactly that many rows; that is the form for every producer that can
+// count before it builds. A negative count means the count is unknowable
+// and the builder grows in slabs. NewBuilder is new(Builder) and Begin.
 type Builder Relation
 
 // NewBuilder returns a builder for a relation over scheme that will hold
 // exactly rows rows, or an unknown number when rows < 0.
 func NewBuilder(scheme Scheme, rows int) *Builder {
-	b := (*Builder)(New(scheme))
+	b := new(Builder)
+	b.Begin(scheme, rows)
+	return b
+}
+
+// Begin makes b, which must be new, the builder of a relation over scheme
+// of exactly rows rows, or of an unknown number when rows < 0. It wants
+// the rows: it reports true.
+func (b *Builder) Begin(scheme Scheme, rows int) bool {
+	b.scheme, b.width = scheme, scheme.Len()
 	if rows >= 0 {
 		b.reserve(rows)
 		b.fixed = true
 	}
-	return b
+	return true
 }
 
 // Len returns the number of rows built so far.
 func (b *Builder) Len() int { return b.n }
 
-// Concat appends the row left ++ (right[rest[0]], right[rest[1]], …): a
-// natural join's output tuple, all of left's columns and then the columns
-// of right that left does not have.
-func (b *Builder) Concat(left, right Tuple, rest []int) {
-	if len(left)+len(rest) != b.width {
-		panic(fmt.Sprintf("relation: Builder.Concat of %d+%d columns into scheme %v", len(left), len(rest), b.scheme))
+// Row appends a copy of t, a row over the builder's scheme, and asks for
+// the next.
+func (b *Builder) Row(t Tuple) bool {
+	if len(t) != b.width {
+		panic(fmt.Sprintf("relation: Builder.Row of %d columns into scheme %v", len(t), b.scheme))
 	}
-	row := b.next()
-	n := copy(row, left)
-	for i, c := range rest {
-		row[n+i] = right[c]
-	}
-	b.push()
+	b.copyRow(t)
+	return true
 }
 
 // Ref names one value among several source tuples: column Col of the

@@ -137,7 +137,7 @@ func TestRowsCostTheirCells(t *testing.T) {
 		"Builder": func() *Relation {
 			b := NewBuilder(abc, rows)
 			for i := 0; i < rows; i++ {
-				b.Concat(base.Tuple(i), nil, nil)
+				b.Row(base.Tuple(i))
 			}
 			return b.Relation()
 		},
@@ -298,7 +298,7 @@ func TestBornSortedMark(t *testing.T) {
 	build := func() *Builder {
 		b := NewBuilder(MustScheme("A", "B"), rows)
 		for i := 0; i < rows; i++ {
-			b.Concat(TupleOf(fmt.Sprintf("%04d", i), fmt.Sprint("v", i%17)), nil, nil)
+			b.Row(TupleOf(fmt.Sprintf("%04d", i), fmt.Sprint("v", i%17)))
 		}
 		return b
 	}

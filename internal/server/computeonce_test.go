@@ -139,9 +139,13 @@ func TestQueryConcurrentFirstUse(t *testing.T) {
 // TestWaiterDiesOnItsOwnDeadline: a request waiting on a node another
 // request is computing gives up at its own ?timeout= with 504, while the
 // leader — parked inside the computation — is still going and then
-// succeeds.
+// succeeds. The node was asked for once before: a first sight streams
+// outside the store, and nobody waits on it (TestStreamStalledClientBlocksNobody).
 func TestWaiterDiesOnItsOwnDeadline(t *testing.T) {
 	_, ts := newTestServer(t)
+	if status, _, err := query(ts, "acme", chainQuery, "count=1"); err != nil || status != http.StatusOK {
+		t.Fatalf("first sight: status %d, %v", status, err)
+	}
 	entered, release := blockNthNode(t, 2)
 
 	leader := make(chan int, 1)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"relquery/internal/algebra"
 	"relquery/internal/relation"
@@ -23,12 +23,12 @@ import (
 // request.
 func TestPooledWriterStreamsByteEqual(t *testing.T) {
 	big := relation.New(relation.MustScheme("A", "B"))
-	for i := 0; i < 3000; i++ { // past flushEvery and past the buffer, so it flushes mid-stream
+	for i := 0; i < 6000; i++ { // past the 32 KB buffer, so it flushes mid-stream
 		big.MustAdd(relation.TupleOf(fmt.Sprint("a", i), fmt.Sprint("b", i%7)))
 	}
 	small := relation.New(relation.MustScheme("C"))
 	small.MustAdd(relation.TupleOf("only"))
-	bw := responseWriters.Get().(*bufio.Writer)
+	o := responses.Get().(*response)
 	var last *httptest.ResponseRecorder
 	for _, out := range []*relation.Relation{big, small} {
 		expr := algebra.MustOperand("T", out.Scheme())
@@ -38,7 +38,10 @@ func TestPooledWriterStreamsByteEqual(t *testing.T) {
 			t.Fatal(err)
 		}
 		last = httptest.NewRecorder()
-		streamThrough(bw, last, expr, out)
+		o.open(last, expr, &queryRequest{strategy: "auto"}, nil, time.Now())
+		relation.Replay(out, o)
+		o.finish()
+		o.close()
 		if !bytes.Equal(last.Body.Bytes(), want.Bytes()) {
 			t.Fatalf("%d-row result through the pooled writer: %d bytes, want %d\n%.200s", out.Len(), last.Body.Len(), want.Len(), last.Body.String())
 		}
@@ -46,8 +49,8 @@ func TestPooledWriterStreamsByteEqual(t *testing.T) {
 	sent := last.Body.Len()
 	func() {
 		defer func() { _ = recover() }() // flushing to no destination panics; reaching the response would not
-		_, _ = bw.WriteString("late")
-		_ = bw.Flush()
+		_, _ = o.buf.WriteString("late")
+		_ = o.buf.Flush()
 	}()
 	if last.Body.Len() != sent {
 		t.Error("the pooled writer still points at a finished response")

@@ -206,29 +206,152 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	defer s.metrics.inflight.Add(-1)
 
 	start := time.Now()
-	out, err := ev.EvalContext(r.Context(), expr, cat.db)
-	wall := time.Since(start)
-	s.metrics.evalDone(t.name)
-	if err != nil {
-		s.writeEvalError(w, t, err)
+	if q.analyze {
+		out, err := ev.EvalContext(r.Context(), expr, cat.db)
+		s.metrics.evalDone(t.name)
+		if err != nil {
+			s.writeEvalError(w, t, err)
+			return
+		}
+		answerHeaders(w.Header(), out.Len(), time.Since(start), q.strategy, ev.Collector)
+		_, _ = io.WriteString(w, algebra.RenderTrace(ev.Collector.Trace()))
 		return
 	}
-
-	w.Header().Set("X-Relquery-Rows", strconv.Itoa(out.Len()))
-	w.Header().Set("X-Relquery-Wall", wall.String())
-	w.Header().Set("X-Relquery-Strategy", q.strategy)
-	snap := ev.Collector.Metrics.Snapshot()
-	w.Header().Set("X-Relquery-Cache-Hits", strconv.FormatInt(snap.CacheHits, 10))
-	switch {
-	case q.analyze:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = io.WriteString(w, algebra.RenderTrace(ev.Collector.Trace()))
-	case q.count:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "%d\n", out.Len())
-	default:
-		streamResult(w, expr, out)
+	o := responses.Get().(*response)
+	o.open(w, expr, q, ev.Collector, start)
+	err = ev.EvalTo(r.Context(), expr, cat.db, o)
+	s.metrics.evalDone(t.name)
+	if err != nil {
+		s.failResponse(o, t, err)
+	} else {
+		o.finish()
 	}
+	o.close()
+	responses.Put(o)
+}
+
+// ErrorTrailer is the HTTP trailer that carries the failure of a query
+// whose answer had begun to reach the client: its status code and message,
+// mapped as writeEvalError maps a failure it can still answer with a status.
+const ErrorTrailer = "X-Relquery-Error"
+
+// answerHeaders sets the headers of a query's answer: its size, the wall
+// time to it, the strategy asked for and the shared-cache hits so far.
+func answerHeaders(h http.Header, rows int, wall time.Duration, strategy string, c *obs.Collector) {
+	h.Set("X-Relquery-Rows", strconv.Itoa(rows))
+	h.Set("X-Relquery-Wall", wall.String())
+	h.Set("X-Relquery-Strategy", strategy)
+	h.Set("X-Relquery-Cache-Hits", strconv.FormatInt(c.M().Snapshot().CacheHits, 10))
+	h.Set("Content-Type", "text/plain; charset=utf-8")
+}
+
+// responseBuffer is the pooled response buffer's size: an answer under it
+// reaches the ResponseWriter in one write once the evaluation is over.
+const responseBuffer = 32 << 10
+
+// responses pools the query responses, each with its buffer. A pooled
+// response is always detached (close), so the pool never pins a
+// ResponseWriter — or the connection behind it — past its request.
+var responses = sync.Pool{New: func() any {
+	o := new(response)
+	o.buf = bufio.NewWriterSize(o, responseBuffer)
+	return o
+}}
+
+// response is a query's answer on its way to the client, and the
+// relation.Sink EvalTo writes it into. Begin sets the headers and, unless
+// only the count is wanted, writes the comment lines and the block's
+// header lines; Row writes a row, in the relation codec's block form,
+// reloadable through the upload path. Everything goes through one buffer
+// that writes into the ResponseWriter only when it fills and at the end,
+// so until the first 32 KB of an answer the status is still open: a
+// failure before then is answered as if the answer had been built first
+// (failResponse).
+type response struct {
+	w     http.ResponseWriter
+	buf   *bufio.Writer // writes into the response itself (Write)
+	block relation.BlockWriter
+	sent  bool // the buffer has written to w: the status line is out
+
+	expr      algebra.Expr
+	strategy  string
+	collector *obs.Collector
+	start     time.Time
+	count     bool // ?count=: the rows are not wanted, their number is
+	rows      int  // Begin's count
+}
+
+// open attaches the response to w for query q's answer to expr.
+func (o *response) open(w http.ResponseWriter, expr algebra.Expr, q *queryRequest, c *obs.Collector, start time.Time) {
+	o.w, o.sent = w, false
+	o.buf.Reset(o)
+	o.block = relation.BlockWriter{W: o.buf, Name: "result"}
+	o.expr, o.strategy, o.collector, o.start, o.count = expr, q.strategy, c, start, q.count
+}
+
+// close detaches the response from its request, dropping anything still
+// buffered.
+func (o *response) close() {
+	o.buf.Reset(o)
+	o.w, o.expr, o.collector = nil, nil, nil
+}
+
+// Write passes the buffer's bytes on to the ResponseWriter, which sends
+// the status line and the headers ahead of the first of them.
+func (o *response) Write(p []byte) (int, error) {
+	o.sent = true
+	return o.w.Write(p)
+}
+
+// Begin sets the answer's headers — X-Relquery-Wall is the time to here,
+// the first row when the answer streams — and writes its header lines.
+func (o *response) Begin(scheme relation.Scheme, rows int) bool {
+	o.rows = rows
+	answerHeaders(o.w.Header(), rows, time.Since(o.start), o.strategy, o.collector)
+	if o.count {
+		return false
+	}
+	o.buf.WriteString("# ")
+	o.buf.WriteString(o.expr.String())
+	o.buf.WriteString("\n# ")
+	o.buf.Write(strconv.AppendInt(o.buf.AvailableBuffer(), int64(rows), 10))
+	o.buf.WriteString(" tuples over ")
+	scheme.WriteText(o.buf)
+	o.buf.WriteByte('\n')
+	return o.block.Begin(scheme, rows)
+}
+
+// Row writes one row of the answer. It stops the rows once a write has
+// failed: the client is gone, and there is nobody left to tell.
+func (o *response) Row(t relation.Tuple) bool { return o.block.Row(t) }
+
+// finish ends a complete answer: the count, or the block's end line.
+func (o *response) finish() {
+	if o.count {
+		o.buf.Write(strconv.AppendInt(o.buf.AvailableBuffer(), int64(o.rows), 10))
+		o.buf.WriteByte('\n')
+	} else {
+		_ = o.block.End()
+	}
+	_ = o.buf.Flush()
+}
+
+// failResponse answers a query whose evaluation failed. While nothing has
+// reached the client, what the buffer holds is dropped and the failure
+// gets its status, as writeEvalError maps it. Once the first 32 KB went out
+// with status 200, the failure can only follow them: the block gets no end
+// line, and the ErrorTrailer names the status and the message.
+func (s *Server) failResponse(o *response, t *tenant, err error) {
+	o.buf.Reset(o)
+	if o.sent {
+		o.w.Header().Set(http.TrailerPrefix+ErrorTrailer, fmt.Sprintf("%d %v", evalStatus(err), err))
+		return
+	}
+	h := o.w.Header()
+	for _, k := range []string{"X-Relquery-Rows", "X-Relquery-Wall", "X-Relquery-Strategy", "X-Relquery-Cache-Hits"} {
+		h.Del(k)
+	}
+	s.writeEvalError(o.w, t, err)
 }
 
 // writeAdmissionReject answers 429 for a join node the engine's admission
@@ -244,57 +367,34 @@ func (s *Server) writeAdmissionReject(w http.ResponseWriter, t *tenant, err erro
 	writeJSON(w, http.StatusTooManyRequests, body)
 }
 
-// writeEvalError maps a failed evaluation to a status code: governor
+// evalStatus maps a failed evaluation to a status code: governor
 // sentinels carry resource semantics (429 admission, 504 deadline, 413
 // row/memory budget, 499 client cancel); a recovered engine panic is the
 // server's fault, 500; everything else is the client's 400 — the engine
 // rejected the query, not the server.
-func (s *Server) writeEvalError(w http.ResponseWriter, t *tenant, err error) {
+func evalStatus(err error) int {
 	switch {
 	case errors.Is(err, governor.ErrAdmission):
-		s.writeAdmissionReject(w, t, err)
+		return http.StatusTooManyRequests
 	case errors.Is(err, governor.ErrDeadline):
-		writeError(w, http.StatusGatewayTimeout, "%v", err)
+		return http.StatusGatewayTimeout
 	case errors.Is(err, governor.ErrRowBudget), errors.Is(err, governor.ErrMemBudget):
-		writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, governor.ErrCanceled):
-		writeError(w, StatusClientClosedRequest, "%v", err)
+		return StatusClientClosedRequest
 	case errors.Is(err, join.ErrPanic):
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		return http.StatusInternalServerError
 	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		return http.StatusBadRequest
 	}
 }
 
-// responseWriters pools the 4 KB buffers results are streamed through. A
-// pooled writer is always reset to nil, so the pool never pins a
-// ResponseWriter — or the connection behind it — past its request.
-var responseWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
-
-// streamResult writes the result in the relation codec's block form —
-// reloadable through the same upload path — flushing every flushEvery
-// rows so large results stream instead of buffering whole.
-func streamResult(w http.ResponseWriter, expr algebra.Expr, out *relation.Relation) {
-	bw := responseWriters.Get().(*bufio.Writer)
-	streamThrough(bw, w, expr, out)
-	responseWriters.Put(bw)
-}
-
-// streamThrough is streamResult through the given buffer, which it points
-// at w for exactly as long as it runs.
-func streamThrough(bw *bufio.Writer, w http.ResponseWriter, expr algebra.Expr, out *relation.Relation) {
-	const flushEvery = 1024
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	flush := func() {}
-	if flusher, ok := w.(http.Flusher); ok {
-		flush = flusher.Flush
+// writeEvalError answers a failed evaluation with its evalStatus; a 429
+// carries the admission numbers (writeAdmissionReject).
+func (s *Server) writeEvalError(w http.ResponseWriter, t *tenant, err error) {
+	if status := evalStatus(err); status != http.StatusTooManyRequests {
+		writeError(w, status, "%v", err)
+		return
 	}
-	bw.Reset(w)
-	defer bw.Reset(nil)
-	// The codec buffers through bw too (bufio.NewWriter returns a
-	// bufio.Writer it is handed), so header and block share one buffer.
-	fmt.Fprintf(bw, "# %s\n# %d tuples over %v\n", expr, out.Len(), out.Scheme())
-	// The status line is on the wire; a failed write means the client is
-	// gone, and there is nobody left to tell.
-	_ = relation.StreamRelation(bw, "result", out, flushEvery, flush)
+	s.writeAdmissionReject(w, t, err)
 }
