@@ -39,7 +39,7 @@ func TestAnswersAreBornSorted(t *testing.T) {
 	allocs := func(rs []*relation.Relation) float64 {
 		k := 0
 		return testing.AllocsPerRun(len(rs)-1, func() {
-			if err := relation.StreamRelation(bw, "result", rs[k], 0, nil); err != nil {
+			if err := relation.WriteRelation(bw, "result", rs[k]); err != nil {
 				t.Fatal(err)
 			}
 			k++

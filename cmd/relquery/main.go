@@ -52,7 +52,6 @@ func run(args []string) error {
 		stats     = fs.Bool("stats", false, "print evaluation statistics to stderr")
 		countOnly = fs.Bool("count", false, "print only the result cardinality")
 		cache     = fs.Bool("cache", false, "memoize repeated subexpressions (keyed by expression text and relation fingerprint)")
-		optimize  = fs.Bool("optimize", false, "rewrite the expression (projection pushdown etc.) before evaluating")
 		explain   = fs.Bool("explain", false, "print the operator tree with actual cardinalities instead of the result")
 		analyze   = fs.Bool("explain-analyze", false, "evaluate once and print the executed operator tree annotated with observed stats and AGM bounds instead of the result")
 		tracePath = fs.String("trace", "", "write a JSON evaluation trace (span tree + metrics) to this file, or \"-\" for stdout")
@@ -146,17 +145,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *optimize {
-		rewritten, err := algebra.Optimize(expr)
-		if err != nil {
-			return err
-		}
-		if *stats {
-			fmt.Fprintf(os.Stderr, "optimized: %s\n", rewritten)
-		}
-		expr = rewritten
-	}
-
 	if *explain {
 		plan, err := algebra.ExplainWith(ev, expr, db)
 		if err != nil {

@@ -50,19 +50,6 @@ func ExampleNewConstruction() {
 	// 22 rows over F1 F2 F3 X1 X2 X3 X4 X5 Y{1,2} Y{1,3} Y{2,3} S
 }
 
-// ExampleOptimize rewrites a query with projection pushdown.
-func ExampleOptimize() {
-	schemes := map[string]relquery.Scheme{
-		"T": relquery.MustScheme("A", "B", "C", "D"),
-		"U": relquery.MustScheme("C", "E"),
-	}
-	e, _ := relquery.ParseExpr("pi[A E](T * U)", schemes)
-	opt, _ := relquery.Optimize(e)
-	fmt.Println(opt)
-	// Output:
-	// pi[A E](pi[A C](T) * U)
-}
-
 // ExampleResultEquals verifies a conjectured query result — the paper's
 // Dᵖ-complete problem.
 func ExampleResultEquals() {

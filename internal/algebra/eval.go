@@ -340,19 +340,19 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 
 	case *Project:
 		sp.Reserve(1, Size(x)-1)
-		child, err := ev.eval(x.Of(), db, ev.newSpan(sp, x.Of()), gov, nil)
+		of := collapse(x)
+		if j, ok := of.(*Join); ok {
+			return ev.projectedJoin(x, j, key, db, sp, gov)
+		}
+		// Else of is an operand, and the projection a fact of it.
+		child, err := ev.eval(of, db, ev.newSpan(sp, of), gov, nil)
 		if err != nil {
 			return nil, err
 		}
 		if sp != nil {
 			sp.SetInputs([]int{child.Len()})
 		}
-		var out *relation.Relation
-		if lookup(x) {
-			out, err = child.Projection(x.Onto())
-		} else {
-			out, err = child.Project(x.Onto())
-		}
+		out, err := child.Projection(x.Onto())
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +366,7 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 		if err != nil {
 			return nil, err
 		}
-		return ev.multi(args, key, sp, gov, out)
+		return ev.multi(args, key, sp, gov, out, nil)
 
 	default:
 		return nil, fmt.Errorf("algebra: unknown expression type %T", e)
@@ -381,10 +381,78 @@ func lookup(e Expr) bool {
 	case *Operand:
 		return true
 	case *Project:
-		_, stored := x.Of().(*Operand)
+		_, stored := collapse(x).(*Operand)
 		return stored
 	}
 	return false
+}
+
+// collapse returns what p projects once directly nested projections are
+// collapsed: π_X(π_Y(e)) is π_X(e).
+func collapse(p *Project) Expr {
+	of := p.Of()
+	for inner, ok := of.(*Project); ok; inner, ok = of.(*Project) {
+		of = inner.Of()
+	}
+	return of
+}
+
+// projectedJoin computes π_X over the join j as one join node, planned
+// under the projection's key, which is the only cache entry: the join's
+// own span sits under the projection's, and its answer is π_X (join.Plan.
+// Onto). Each argument is narrowed first to the attributes the answer or
+// another argument needs — those in X or shared by two or more arguments
+// — a lookup through its Projection fact, anything else by Project.
+func (ev *Evaluator) projectedJoin(x *Project, j *Join, key string, db relation.Database, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
+	jsp := ev.newSpan(sp, j)
+	jsp.Begin()
+	jsp.Reserve(len(j.Args()), Size(j)-1)
+	exprs := j.Args()
+	args, err := ev.evalArgs(exprs, db, jsp, gov)
+	for i := 0; err == nil && i < len(exprs); i++ {
+		args[i], err = ev.narrow(args[i], lookup(exprs[i]), x.Onto(), exprs, gov)
+	}
+	var r *relation.Relation
+	if err == nil {
+		r, err = ev.multi(args, key, jsp, gov, nil, x)
+	}
+	if sp != nil && r != nil {
+		sp.SetInputs([]int{r.Len()})
+	}
+	return ev.finishSpan(jsp, "", r, nil, err)
+}
+
+// narrow returns r, the value of one of args, restricted to the attributes
+// in onto or in the schemes of two or more of args: r itself when it has
+// no other, else its Projection fact when stored (a lookup), else a
+// Project of it, charged like any materialization.
+func (ev *Evaluator) narrow(r *relation.Relation, stored bool, onto relation.Scheme, args []Expr, gov *governor.Governor) (*relation.Relation, error) {
+	sc := r.Scheme()
+	keep := make([]relation.Attribute, 0, sc.Len())
+	for c := 0; c < sc.Len(); c++ {
+		a, n := sc.Attr(c), 0
+		for _, e := range args {
+			if e.Scheme().Has(a) {
+				n++
+			}
+		}
+		if onto.Has(a) || n >= 2 {
+			keep = append(keep, a)
+		}
+	}
+	if len(keep) == sc.Len() {
+		return r, nil
+	}
+	project := r.Project
+	if stored {
+		project = r.Projection
+	}
+	out, err := project(relation.MustScheme(keep...))
+	if err != nil {
+		return nil, err
+	}
+	ev.Collector.M().ObserveIntermediate(out.Len())
+	return join.Exec{Gov: gov}.Materialized(out)
 }
 
 // evalArgs evaluates a join node's argument subtrees, in order.
@@ -402,11 +470,12 @@ func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, 
 
 // multi joins args, the inputs of the join node keyed key, aborting
 // mid-plan — and, under a governor, mid-join — as soon as any checkpoint
-// trips. Offered the sink out, which only a root node outside the result
-// store is (eval), a node seen for the first time that runs the tree join
-// writes its answer there and returns none; one that builds its answer
-// stores it.
-func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, gov *governor.Governor, out *written) (*relation.Relation, error) {
+// trips; under proj, non-nil, the node answers proj's projection of the
+// join (projectedJoin). Offered the sink out, which only a root node
+// outside the result store is (eval), a node seen for the first time that
+// runs the tree join writes its answer there and returns none; one that
+// builds its answer stores it.
+func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, gov *governor.Governor, out *written, proj *Project) (*relation.Relation, error) {
 	if sp != nil {
 		ins := make([]int, len(args))
 		for i, a := range args {
@@ -420,6 +489,9 @@ func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, 
 	// facts outlive the request, so the same node over the same content
 	// finds them computed.
 	p, known := ev.SharedCache.plan(key, x.Metrics, args)
+	if proj != nil {
+		p.Onto(proj.Onto())
+	}
 	sp.SetPlanKnown(known)
 	alg := ev.choose(p, sp)
 	if out == nil {

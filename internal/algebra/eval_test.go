@@ -178,9 +178,11 @@ func TestEvalStats(t *testing.T) {
 	if snap.Joins != 1 {
 		t.Errorf("Joins = %d", snap.Joins)
 	}
-	// Join result has 4 tuples (both A's match both C's via B=x).
-	if snap.MaxIntermediate != 4 {
-		t.Errorf("MaxIntermediate = %d, want 4", snap.MaxIntermediate)
+	// The full join has 4 tuples (both A's match both C's via B=x), but
+	// under pi[A] the right leg is narrowed to its join key B, one row, so
+	// the projected join node joins 2.
+	if snap.MaxIntermediate != 2 {
+		t.Errorf("MaxIntermediate = %d, want 2", snap.MaxIntermediate)
 	}
 }
 
@@ -250,10 +252,11 @@ func TestEvalCacheSharesSubexpressions(t *testing.T) {
 		MustProject(relation.MustScheme("A", "B"), op),
 		MustProject(relation.MustScheme("B", "C"), op),
 	)
-	// Two projections of the SAME join: with caching the join runs once.
+	// The same projection of a join, twice: with caching the projected
+	// join node runs once.
 	e := MustJoin(
-		MustProject(relation.MustScheme("A"), inner),
-		MustProject(relation.MustScheme("C"), inner),
+		MustProject(relation.MustScheme("A", "C"), inner),
+		MustProject(relation.MustScheme("A", "C"), inner),
 	)
 	plain, cached := &obs.Collector{}, &obs.Collector{}
 	evPlain := Evaluator{Collector: plain}

@@ -36,9 +36,9 @@ func TestExplainShape(t *testing.T) {
 	if !strings.Contains(lines[1], "natural join") {
 		t.Errorf("join line = %q", lines[1])
 	}
-	// The join node's count (5) exceeds the projection above it (4) —
-	// the shape Explain is meant to surface.
-	if !strings.Contains(lines[0], "rows=4") || !strings.Contains(lines[1], "rows=5") {
+	// The join under the projection is one projected join node: its count
+	// is the projection's (4), not the full join's (5).
+	if !strings.Contains(lines[0], "rows=4") || !strings.Contains(lines[1], "rows=4") {
 		t.Errorf("row counts wrong:\n%s", out)
 	}
 	// Tree connectors present.

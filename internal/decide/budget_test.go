@@ -16,9 +16,9 @@ import (
 // budgets: exactly at, one below, one above.
 func TestBudgetBoundary(t *testing.T) {
 	db := testDB(t)
-	// π_AC(π_AB(T) ∗ π_BC(T)) streams 5 valuation tuples, 4 distinct —
-	// duplicates included, so early-deciding and exhaustion-requiring
-	// cases have different deciding visits.
+	// π_AC(π_AB(T) ∗ π_BC(T)) has 5 valuations and streams its 4 tuples,
+	// each once, so early-deciding and exhaustion-requiring cases have
+	// different deciding visits.
 	phi := expr(t, "pi[A C](pi[A B](T) * pi[B C](T))", db)
 
 	cases := []struct {

@@ -8,9 +8,9 @@ import (
 )
 
 // The cardinality procedures implement Theorem 2's problems and Theorem
-// 3's count. Each is one Enumerate stream stopped by count, so space is
-// bounded by the number of DISTINCT tuples seen (at most d+1 for the
-// bounded variants), never by intermediate join sizes.
+// 3's count. Each is one Enumerate stream stopped by count, whose tuples
+// are distinct as they come: space is never an intermediate join's, and
+// for an unprojected query it is the query's, whatever the count.
 
 // CardAtLeast decides d ≤ |φ(db)| — NP-complete (guess d distinct tuples;
 // here: enumerate until d distinct tuples have been seen).
@@ -47,12 +47,12 @@ func CardBetween(phi algebra.Expr, db relation.Database, d1, d2 int, b Budget) (
 }
 
 // Count computes |φ(db)| exactly — the #P-hard enumeration problem of
-// Theorem 3 — by streaming every distinct tuple.
+// Theorem 3 — by streaming every tuple.
 func Count(phi algebra.Expr, db relation.Database, b Budget) (int, error) {
 	return count(phi, db, 0, b)
 }
 
-// count streams φ(db) and returns how many distinct tuples it saw,
+// count streams φ(db) and returns how many tuples it saw,
 // stopping once it has seen stop of them (0 = never stop early).
 func count(phi algebra.Expr, db relation.Database, stop int, b Budget) (int, error) {
 	n := 0

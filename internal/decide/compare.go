@@ -9,7 +9,7 @@ import (
 // The comparison procedures implement Theorems 4 and 5: containment and
 // equivalence with respect to a FIXED database. They realize the Π₂ᵖ
 // membership proof (Proposition 3): enumerate the left side's tuples (the
-// ∀ player, deduplicated on the fly) and, for each, ask the simulated NP
+// ∀ player, each tuple once) and, for each, ask the simulated NP
 // oracle whether the right side produces it.
 
 // ContainedFixedRelation decides φ₁(db) ⊆ φ₂(db) — Theorem 4's problem.
@@ -62,7 +62,7 @@ func Compare(phi1 algebra.Expr, db1 relation.Database, phi2 algebra.Expr, db2 re
 }
 
 // containedIn decides φ₁(db1) ⊆ φ₂(db2) by streaming the left side and
-// membership-testing each distinct tuple on the right.
+// membership-testing each of its tuples on the right.
 func containedIn(phi1 algebra.Expr, db1 relation.Database, phi2 algebra.Expr, db2 relation.Database, b Budget) (Comparison, error) {
 	t2, err := tableau.New(phi2)
 	if err != nil {
@@ -95,7 +95,7 @@ func subset(sx, sy relation.Scheme, each func(yield func(relation.Tuple) bool) e
 			return false
 		}
 		if !ok {
-			out = Comparison{Witness: tp, WitnessScheme: sx}
+			out = Comparison{Witness: tp.Clone(), WitnessScheme: sx}
 		}
 		return ok
 	})

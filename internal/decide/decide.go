@@ -14,9 +14,12 @@
 // tuple, and a Π₂ᵖ test a ∀-loop over one query's output with an NP-oracle
 // call per tuple. Both run the generic join's search over the tableau's
 // rows (tableau.Stream), and every procedure that walks φ(R) is a
-// stopping rule on one stream, Enumerate. Nothing materializes an
-// intermediate join: space is the operands' projections and their tries,
-// while time may be exponential — the honest trade the paper allows.
+// stopping rule on one stream, Enumerate, which yields each tuple once,
+// with one witness searched per tuple. Nothing materializes an
+// intermediate join: space is the operands' projections and their tries —
+// and, for a projection whose tuples two valuations can share, the tuples
+// seen — while time may be exponential, the honest trade the paper
+// allows.
 package decide
 
 import (
@@ -32,9 +35,8 @@ import (
 // Budget caps the work of a decision procedure. The zero Budget is
 // unlimited.
 type Budget struct {
-	// MaxTuples, when positive, bounds how many (not necessarily
-	// distinct) result tuples a streaming search may visit before giving
-	// up with ErrBudget.
+	// MaxTuples, when positive, bounds how many result tuples a
+	// streaming search may visit before giving up with ErrBudget.
 	MaxTuples int
 	// Gov, when non-nil, is ticked on every visited tuple, so streaming
 	// searches honor the resource governor's deadline and cancellation

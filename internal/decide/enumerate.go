@@ -8,11 +8,13 @@ import (
 	"relquery/internal/tableau"
 )
 
-// Enumerate streams the distinct tuples of φ(db) in first-discovery order,
-// calling yield for each until yield returns false or the result is
-// exhausted. Space grows with the number of distinct tuples seen (for
-// deduplication), never with intermediate join sizes. Each yielded tuple
-// is freshly allocated, so yield may keep it.
+// Enumerate streams the tuples of φ(db), each once, calling yield for each
+// until yield returns false or the result is exhausted. Space is the
+// query, its projections and their tries, never an intermediate join; the
+// stream remembers the tuples yielded only when two valuations can share
+// one (tableau.Stream) — never for an unprojected query, whose tuples come
+// in ascending order. The tuple yielded is reused: yield must Clone what
+// it keeps.
 //
 // This is the library's "lazy result" primitive and the one stream under
 // every decider: each Dᵖ, #P and Π₂ᵖ procedure is a stopping rule on it,
@@ -23,16 +25,9 @@ func Enumerate(phi algebra.Expr, db relation.Database, b Budget, yield func(rela
 	if err != nil {
 		return err
 	}
-	var seen relation.TupleSet
 	bc := budgetCounter{limit: b.MaxTuples, gov: b.Gov}
 	err = tb.Stream(db, b.Gov, func(tp relation.Tuple) bool {
-		if !bc.tick() {
-			return false
-		}
-		if _, fresh := seen.Add(tp); !fresh {
-			return true
-		}
-		return yield(tp)
+		return bc.tick() && yield(tp)
 	})
 	if err != nil {
 		return err
@@ -40,28 +35,18 @@ func Enumerate(phi algebra.Expr, db relation.Database, b Budget, yield func(rela
 	return bc.err
 }
 
-// First returns up to n distinct tuples of φ(db), in discovery order, as a
-// relation over the expression's target scheme.
+// First returns the first n tuples Enumerate yields, or all of them when
+// there are fewer, as a relation over the expression's target scheme.
 func First(phi algebra.Expr, db relation.Database, n int, b Budget) (*relation.Relation, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("decide: negative tuple count %d", n)
 	}
-	out := relation.New(phi.Scheme())
-	var addErr error
+	out := relation.NewBuilder(phi.Scheme(), -1)
 	err := Enumerate(phi, db, b, func(tp relation.Tuple) bool {
-		if out.Len() >= n {
-			return false
-		}
-		if _, addErr = out.Add(tp); addErr != nil {
-			return false
-		}
-		return out.Len() < n
+		return out.Len() < n && out.Row(tp) && out.Len() < n
 	})
-	if err == nil {
-		err = addErr
-	}
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return out.Relation(), nil
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"relquery/internal/algebra"
+	"relquery/internal/cnf"
+	"relquery/internal/reduction"
 	"relquery/internal/relation"
 )
 
@@ -80,5 +82,64 @@ func TestFirst(t *testing.T) {
 	}
 	if _, err := First(phi, db, -1, Budget{}); err == nil {
 		t.Error("negative count accepted")
+	}
+}
+
+// TestCountHoldsNoTuples: Count remembers nothing per tuple of φ(R), so on
+// two Lemma 1 gadgets of one size it allocates the same, up to a small
+// constant, although their model counts — |φ_G(R_G)| − |R_G|, Lemma 1 —
+// differ at least 256-fold. Both formulas have 9 variables and 21
+// clauses: in many every clause holds x1, so at least 2⁸ assignments
+// satisfy it; few forces every variable true, with all seven clauses over
+// each of three triples that the all-true assignment satisfies.
+func TestCountHoldsNoTuples(t *testing.T) {
+	var many, few []cnf.Clause
+	for a := 2; a <= 9 && len(many) < 21; a++ {
+		for b := a + 1; b <= 9 && len(many) < 21; b++ {
+			many = append(many, cnf.Clause{1, cnf.Lit(a), cnf.Lit(b)})
+		}
+	}
+	for _, v := range [][3]cnf.Lit{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}} {
+		for signs := 0; signs < 7; signs++ { // 7 = all negated: the one the all-true assignment falsifies
+			c := cnf.Clause{v[0], v[1], v[2]}
+			for i := range c {
+				if signs&(1<<i) != 0 {
+					c[i] = -c[i]
+				}
+			}
+			few = append(few, c)
+		}
+	}
+	allocs := func(clauses []cnf.Clause) (models int, n float64) {
+		g, err := cnf.New(9, clauses...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := reduction.New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phi, err := c.PhiG()
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := c.Database()
+		count := func() int {
+			n, err := Count(phi, db, Budget{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+		models = count() - c.R.Len() // and the projections and their tries are facts now
+		return models, testing.AllocsPerRun(5, func() { count() })
+	}
+	manyModels, manyAllocs := allocs(many)
+	fewModels, fewAllocs := allocs(few)
+	if fewModels != 1 || manyModels < 256 {
+		t.Fatalf("model counts %d and %d, want 1 and at least 256", fewModels, manyModels)
+	}
+	if manyAllocs > fewAllocs+16 || fewAllocs > manyAllocs+16 {
+		t.Errorf("Count allocates %v objects over %d models and %v over %d: it holds something per tuple", manyAllocs, manyModels, fewAllocs, fewModels)
 	}
 }

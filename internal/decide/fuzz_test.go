@@ -19,8 +19,11 @@ func FuzzDecideParity(f *testing.F) {
 	// Seeds 18 and 22 draw a π_∅ target; 18 a row with no relevant
 	// variable over a non-empty operand, 19 and 22 one over an empty
 	// operand; 19 a self-join; 79 a join on a variable that nothing else
-	// reads, which fails when the tableau projects it away.
-	for _, seed := range []int64{18, 19, 22, 79} {
+	// reads, which fails when the tableau projects it away. 65, 177, 277
+	// and 334 draw targets whose columns are not the atoms' left-to-right
+	// order: the stream binds them late, and two valuations can share a
+	// tuple.
+	for _, seed := range []int64{18, 19, 22, 79, 65, 177, 277, 334} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -125,6 +128,19 @@ func checkDecideParity(t *testing.T, rng *rand.Rand, phi algebra.Expr, db relati
 		t.Fatalf("%s over %v (|φ(R)| = %d): %s", phi, db, n, fmt.Sprintf(format, args...))
 	}
 	b := Budget{}
+	// Enumerate keeps no set: the stream must yield each tuple once.
+	yielded := relation.New(phi.Scheme())
+	if err := Enumerate(phi, db, b, func(tp relation.Tuple) bool {
+		if !truth.Contains(tp) {
+			fail("Enumerate yielded %v, which is not in φ(R)", tp)
+		}
+		if fresh, _ := yielded.Add(tp); !fresh {
+			fail("Enumerate yielded %v twice", tp)
+		}
+		return true
+	}); err != nil || yielded.Len() != n {
+		fail("Enumerate yielded %d tuples, %v", yielded.Len(), err)
+	}
 	if got, err := Count(phi, db, b); err != nil || got != n {
 		fail("Count = %d, %v", got, err)
 	}

@@ -31,8 +31,8 @@ type Exec struct {
 	// building it: once its count has passed Sized and the output check,
 	// Out gets Begin with that count and then the rows, born sorted, and
 	// the join returns no relation. Every other strategy ignores it and
-	// returns its answer as always; so does the tree join's cyclic
-	// fallback.
+	// returns its answer as always; so do the tree join's cyclic
+	// fallback and a projected node (Multi).
 	Out relation.Sink
 }
 

@@ -363,9 +363,9 @@ func FuzzAcyclicJoin(f *testing.F) {
 			checkOrder(t, fmt.Sprintf("%s tree join over %v", temperature, edges), got)
 		}
 		// Streamed into the codec's block writer, the answer is the bytes
-		// StreamRelation writes of the answer built.
+		// WriteRelation writes of the answer built.
 		var built, streamed bytes.Buffer
-		if err := relation.StreamRelation(&built, "result", got, 0, nil); err != nil {
+		if err := relation.WriteRelation(&built, "result", got); err != nil {
 			t.Fatal(err)
 		}
 		block := relation.BlockWriter{W: bufio.NewWriter(&streamed), Name: "result"}

@@ -553,7 +553,7 @@ func TestOverBudgetGenericJoinDiesWithinABatch(t *testing.T) {
 	}
 	b := relation.NewBuilder(shape.out, -1)
 	j := newGenericJoin(shape, tries, b)
-	j.gov, j.charge = gov, true
+	j.gov, j.built = gov, b
 	j.search(0)
 	if !errors.Is(j.err, governor.ErrMemBudget) {
 		t.Fatalf("a search over a memory budget of a tenth of its output: want ErrMemBudget, got %v", j.err)

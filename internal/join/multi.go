@@ -54,6 +54,11 @@ func OrderByName(name string) (Order, error) {
 // relation over the empty scheme holding the empty tuple — is almost never
 // what a caller wants); joining one relation returns it unchanged, folded
 // into the intermediate statistics.
+//
+// A projected plan (Plan.Onto) answers π_onto of the join. Generic looks
+// for one witness per output row and writes only the projection; Hash and
+// Yannakakis join the inputs and then project, building their answer even
+// under x.Out.
 func Multi(x Exec, p *Plan, alg Algorithm, order Order) (*relation.Relation, error) {
 	inputs := p.Inputs
 	switch len(inputs) {
@@ -61,9 +66,31 @@ func Multi(x Exec, p *Plan, alg Algorithm, order Order) (*relation.Relation, err
 		return nil, fmt.Errorf("join: Multi requires at least one input")
 	case 1:
 		x.Metrics.ObserveIntermediate(inputs[0].Len())
-		return inputs[0], nil
+		return p.project(x, inputs[0])
 	}
-	return alg.joinAll(x, p, order)
+	if _, search := alg.(Generic); search || p.onto == nil {
+		return alg.joinAll(x, p, order)
+	}
+	x.Out = nil
+	r, err := alg.joinAll(x, p, order)
+	if err != nil {
+		return nil, err
+	}
+	return p.project(x, r)
+}
+
+// project returns π_onto(r) of a projected plan, accounted as one more
+// materialization; r itself otherwise.
+func (p *Plan) project(x Exec, r *relation.Relation) (*relation.Relation, error) {
+	if p.onto == nil {
+		return r, nil
+	}
+	out, err := r.Project(*p.onto)
+	if err != nil {
+		return nil, err
+	}
+	x.Metrics.ObserveIntermediate(out.Len())
+	return x.Materialized(out)
 }
 
 // pickPair chooses the next pair to join among n pending relations, of

@@ -62,6 +62,26 @@ type Plan struct {
 
 	facts *Facts
 	hg    *hypergraph
+	onto  *relation.Scheme // the output scheme of a projected node (Onto)
+}
+
+// Onto makes p the plan of π_onto over its join and returns it: one
+// projected join node, whose answer is the projection and whose peak is
+// at most the join's (Multi). onto must be a subset of the inputs'
+// attributes, and the plan's facts must be a projected node's of the same
+// onto: the generic join's shape depends on it.
+func (p *Plan) Onto(onto relation.Scheme) *Plan {
+	p.onto = &onto
+	return p
+}
+
+// out returns the node's output scheme: the projection's, or the inputs'
+// left-to-right union.
+func (p *Plan) out() relation.Scheme {
+	if p.onto != nil {
+		return *p.onto
+	}
+	return unionScheme(p.Inputs)
 }
 
 // NewPlan returns the plan of the natural join of inputs over facts of its

@@ -33,9 +33,17 @@ import (
 // The global attribute order is the output scheme's column order, and the
 // search walks each attribute's values in ascending order, so a complete
 // binding is the output row itself and the answer is born sorted
-// (relation.Builder.SortedRelation). Any order keeps the work within the
-// AGM bound (Ngo–Ré–Rudra), and this one needs neither cover nor
-// hypergraph. On an acyclic path with a dangling hub it is quadratic,
+// (relation.Builder.SortedRelation). A projected node (Plan.Onto) searches
+// in the same order, but once the projection's last attribute is bound it
+// looks for one witness over the rest and backtracks, and it writes only
+// the projection: the node never holds more than its output. When an
+// attribute outside the projection comes before that level, two bindings
+// can write one output row, and the answer keeps the first (distinct).
+// Binding the projection first would need no dedup, but the order is the
+// one that stays fast: any order keeps the work within the full join's
+// AGM bound (Ngo–Ré–Rudra), yet binding φ_G's Y columns first is
+// exponential where the join's order is not (EXPERIMENTS.md, "One
+// projected join node"). On an acyclic path with a dangling hub it is quadratic,
 // because dead rows reach the search; the auto selector sends such a node
 // to Yannakakis, whose tree join runs this same search over the rows its
 // full reducer left alive (EXPERIMENTS.md, "One search").
@@ -67,9 +75,9 @@ func (g Generic) joinAll(x Exec, p *Plan, _ Order) (*relation.Relation, error) {
 	return g.JoinAll(x, p)
 }
 
-// JoinAll joins all of the plan's inputs in one attribute-at-a-time pass.
-// Like Multi, joining zero relations is an error and a single relation
-// passes through unchanged.
+// JoinAll joins all of the plan's inputs in one attribute-at-a-time pass,
+// projected when the plan is (Plan.Onto). Like Multi, joining zero
+// relations is an error and a single relation passes through unchanged.
 func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	fault.Hit(fault.JoinStart)
 	inputs := p.Inputs
@@ -82,7 +90,7 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	for _, r := range inputs {
 		if r.Empty() {
 			x.Metrics.ObserveJoin(0)
-			return x.Materialized(relation.New(unionScheme(inputs)))
+			return x.Materialized(relation.New(p.out()))
 		}
 	}
 
@@ -98,14 +106,26 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 		indexed += r.Len()
 	}
 	b := relation.NewBuilder(shape.out, -1)
-	j := newGenericJoin(shape, tries, b)
-	j.gov, j.charge = x.Gov, true
+	var sink relation.Sink = b
+	if shape.width > shape.out.Len() {
+		sink = distinct{relation.New(shape.out)}
+	}
+	j := newGenericJoin(shape, tries, sink)
+	j.gov, j.built = x.Gov, sink.(interface{ Len() int })
 	j.search(0)
 	if j.err != nil {
 		return nil, j.err
 	}
 
-	out := b.SortedRelation()
+	var out *relation.Relation
+	switch d, dedup := sink.(distinct); {
+	case dedup:
+		out = d.Relation
+	case shape.proj == nil: // the output leads the order, in its own order
+		out = b.SortedRelation()
+	default:
+		out = b.Relation()
+	}
 	x.Metrics.JoinWork(indexed, j.candidates, out.Len())
 	x.Metrics.ObserveJoin(out.Len())
 	x.Metrics.WCOJ(j.candidates, j.intersections)
@@ -117,14 +137,20 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	return out, nil
 }
 
-// Search streams the bindings of a conjunctive query with the generic
+// Search streams the answers of a conjunctive query with the generic
 // join's search: atom i reads rels[i] through its trie fact, with its
-// columns named by vars[i]. A binding lists a value for each attribute of order,
-// which holds exactly the attributes of the vars, and its first
-// len(fixed) values are fixed. yield gets each binding, in ascending
-// order and in a slice the search reuses, and returns false to stop. gov
-// is checked on entry, as joinTree does, and ticked per candidate.
-func Search(gov *governor.Governor, rels []*relation.Relation, vars []relation.Scheme, order relation.Scheme, fixed []relation.Value, yield func([]relation.Value) bool) error {
+// columns named by vars[i]. A binding lists a value for each attribute of
+// order, which holds exactly the attributes of the vars, and its first
+// len(fixed) values are fixed. An answer is a binding's values of out, a
+// subset of order: yield gets each one once, in out's column order and in
+// a slice the search reuses, and returns false to stop. Once out's last
+// attribute is bound the search looks for one witness and backtracks; when
+// an attribute outside out comes before that one, two bindings can share
+// an answer, and a set of the answers yielded skips the repeats. When out
+// leads order, in its own order, the answers come in ascending order and
+// no set is kept. gov is checked on entry, as joinTree does, and ticked
+// per candidate.
+func Search(gov *governor.Governor, rels []*relation.Relation, vars []relation.Scheme, order, out relation.Scheme, fixed []relation.Value, yield func([]relation.Value) bool) error {
 	if err := gov.Check(); err != nil {
 		return err
 	}
@@ -133,7 +159,7 @@ func Search(gov *governor.Governor, rels []*relation.Relation, vars []relation.S
 			return nil
 		}
 	}
-	shape := newGenericShape(vars, order)
+	shape := newGenericShape(vars, order, out)
 	tries := make([]sortedTrie, len(rels))
 	for i, r := range rels {
 		t, err := trieOf(r, shape.cols[i], gov)
@@ -141,6 +167,14 @@ func Search(gov *governor.Governor, rels []*relation.Relation, vars []relation.S
 			return err
 		}
 		tries[i] = *t
+	}
+	if shape.width > out.Len() {
+		var seen relation.TupleSet
+		first := yield
+		yield = func(t []relation.Value) bool {
+			_, fresh := seen.Add(t)
+			return !fresh || first(t)
+		}
 	}
 	j := newGenericJoin(&shape, tries, yielder(yield))
 	j.gov = gov
@@ -159,6 +193,18 @@ type yielder func([]relation.Value) bool
 
 func (yielder) Begin(relation.Scheme, int) bool { return true }
 func (y yielder) Row(t relation.Tuple) bool     { return y(t) }
+
+// distinct is the answer of a projected node whose order binds an
+// attribute outside the projection before the projection's last one, so
+// that two bindings can write one output row: it keeps the first
+// (Relation.Add copies it). The answer is the set.
+type distinct struct{ *relation.Relation }
+
+func (distinct) Begin(relation.Scheme, int) bool { return true }
+func (d distinct) Row(t relation.Tuple) bool {
+	_, err := d.Add(t) // t is over the answer's scheme: no arity error
+	return err == nil
+}
 
 // fix binds the first len(fixed) attributes of the order to fixed's
 // values, narrowing every trie holding one of them to the rows that
@@ -193,12 +239,18 @@ func unionScheme(inputs []*relation.Relation) relation.Scheme {
 // genericShape is what the generic join derives from the node's schemes
 // and its output scheme alone, so a node's Facts holds it
 // (Plan.genericShape, and the tree join's treeShape) and a warm plan
-// derives none of it again: the output scheme, whose column order is the
-// global attribute order, each input's trie levels, and the search's
-// index maps over the order. Read-only once built.
+// derives none of it again: the global attribute order, the output scheme
+// — all of it but in a projected node — each input's trie levels, and the
+// search's index maps over the order. Read-only once built.
 type genericShape struct {
-	out  relation.Scheme
-	cols [][]int // input -> its columns in the attribute order: its trie's levels
+	order, out relation.Scheme
+	// width is the number of levels up to the last that binds an output
+	// attribute: past it the search wants one witness. proj is each output
+	// column's level, nil when the output is the order's first attributes
+	// in its own order.
+	width int
+	proj  []int
+	cols  [][]int // input -> its columns in the attribute order: its trie's levels
 	// Level k of the search binds out.Attr(k). The inputs whose scheme
 	// contains it are parts[at[k]:at[k+1]], and depth[at[k]+i] is its trie
 	// level in input parts[at[k]+i]. The levels of every input, at, parts
@@ -207,45 +259,58 @@ type genericShape struct {
 }
 
 // genericShape returns the generic join's shape of the plan's node,
-// computing it on the first read like every fact.
+// computing it on the first read like every fact: in the order of the
+// inputs' left-to-right union, projected or not.
 func (p *Plan) genericShape() *genericShape {
 	f := p.facts
 	f.genericShapeOnce.Do(func() {
-		s := newGenericShape(SchemesOf(p.Inputs), unionScheme(p.Inputs))
+		s := newGenericShape(SchemesOf(p.Inputs), unionScheme(p.Inputs), p.out())
 		f.genericShape = &s
 	})
 	return f.genericShape
 }
 
 // newGenericShape returns the shape of a search over inputs of the given
-// schemes in the column order of out, which holds every attribute of
-// every scheme: the generic join's own order is the inputs' left-to-right
-// union, the tree join's its blocks in preorder (treeShape).
-func newGenericShape(schemes []relation.Scheme, out relation.Scheme) genericShape {
+// schemes in the column order of order, which holds every attribute of
+// every scheme, writing out, a subset of them: the generic join's own
+// order is the inputs' left-to-right union, the tree join's its blocks in
+// preorder (treeShape), Search's its caller's.
+func newGenericShape(schemes []relation.Scheme, order, out relation.Scheme) genericShape {
 	n := 0 // (input, attribute) incidences: the trie levels of all inputs
 	for _, sc := range schemes {
 		n += sc.Len()
 	}
-	s := genericShape{out: out, cols: make([][]int, len(schemes))}
-	flat := make([]int, 3*n+out.Len()+1)
-	s.parts, s.depth, s.at, flat = flat[:n], flat[n:2*n], flat[2*n:2*n+out.Len()+1], flat[2*n+out.Len()+1:]
+	s := genericShape{order: order, out: out, cols: make([][]int, len(schemes))}
+	leads := true // out is order's first attributes, in its own order
+	for i := 0; i < out.Len(); i++ {
+		k, _ := order.Pos(out.Attr(i))
+		s.width, leads = max(s.width, k+1), leads && k == i
+	}
+	if !leads {
+		s.proj = make([]int, out.Len())
+		for i := range s.proj {
+			s.proj[i], _ = order.Pos(out.Attr(i))
+		}
+	}
+	flat := make([]int, 3*n+order.Len()+1)
+	s.parts, s.depth, s.at, flat = flat[:n], flat[n:2*n], flat[2*n:2*n+order.Len()+1], flat[2*n+order.Len()+1:]
 	for i, sc := range schemes {
 		s.cols[i], flat = flat[:0:sc.Len()], flat[sc.Len():]
 	}
 	// A trie's levels follow the global order, so the level of an
 	// attribute in a trie is the number of earlier attributes it also has.
 	m := 0
-	for k := 0; k < out.Len(); k++ {
+	for k := 0; k < order.Len(); k++ {
 		s.at[k] = m
 		for i, sc := range schemes {
-			if c, ok := sc.Pos(out.Attr(k)); ok {
+			if c, ok := sc.Pos(order.Attr(k)); ok {
 				s.parts[m], s.depth[m] = i, len(s.cols[i])
 				s.cols[i] = append(s.cols[i], c)
 				m++
 			}
 		}
 	}
-	s.at[out.Len()] = m
+	s.at[order.Len()] = m
 	return s
 }
 
@@ -323,14 +388,19 @@ type genericJoin struct {
 	// most once. Carved from one array with ranges.
 	saved []trieRange
 	bind  []relation.Value
-	// out receives every complete binding: Search's caller, the tree
+	// found latches the witness of the output row just written: the levels
+	// past the shape's width stop their walk, and the last level before it
+	// clears it and goes on.
+	found bool
+	row   relation.Tuple // the output row, when the shape projects columns
+	// out receives every output row: Search's caller, the tree
 	// join's sink of exactly as many rows as it counted and charged to the
-	// budgets before the search, or, under charge, the generic join's
-	// builder of a count unknown until the search ends, each batch of rows
-	// checked and charged as it is built.
-	out    relation.Sink
-	rows   int
-	charge bool
+	// budgets before the search, or the generic join's answer of a count
+	// unknown until the search ends, which is also built, and whose rows
+	// are checked and charged batch by batch as it grows.
+	out   relation.Sink
+	built interface{ Len() int }
+	rows  int
 
 	candidates    int
 	intersections int
@@ -357,8 +427,11 @@ func newGenericJoin(shape *genericShape, tries []sortedTrie, out relation.Sink) 
 		tries:  tries,
 		ranges: ranges,
 		saved:  flat[len(tries):],
-		bind:   make([]relation.Value, shape.out.Len()),
+		bind:   make([]relation.Value, shape.order.Len()),
 		out:    out,
+	}
+	if shape.proj != nil {
+		j.row = make(relation.Tuple, len(shape.proj))
 	}
 	return j
 }
@@ -425,6 +498,12 @@ func (j *genericJoin) search(k int) {
 			if j.err != nil {
 				return
 			}
+			if j.found { // the binding completed an output row
+				if k >= j.shape.width {
+					break // a witness level: one witness is enough
+				}
+				j.found = false
+			}
 		}
 		lo = vhi
 	}
@@ -433,18 +512,33 @@ func (j *genericJoin) search(k int) {
 	}
 }
 
-// emit writes the complete binding into the sink. The order is the
-// output's columns, so the binding is the output row; distinct bindings
-// are distinct rows, and the result assembles without deduplication, in
-// lexicographic order.
+// emit writes the output row of the complete binding into the sink, its
+// first witness latching found. When the output leads the order in its own
+// order the row is the binding's prefix, each written once, and the result
+// assembles without deduplication, in lexicographic order.
 func (j *genericJoin) emit() {
-	if !j.out.Row(j.bind) {
+	s := j.shape
+	j.found = s.width < len(j.bind)
+	row := j.bind[:s.out.Len()]
+	if s.proj != nil {
+		row = j.row
+		for i, k := range s.proj {
+			row[i] = j.bind[k]
+		}
+	}
+	if !j.out.Row(row) {
 		j.err = errStopped
 		return
 	}
-	if j.rows++; j.charge && j.rows%checkBatch == 0 {
-		if j.err = j.gov.CheckRows(j.rows); j.err == nil {
-			j.err = j.gov.ChargeBytes(checkBatch * relation.RowBytes(len(j.bind)))
+	if j.built == nil {
+		return
+	}
+	// A distinct answer grows by the rows it kept.
+	if n := j.built.Len(); n > j.rows {
+		if j.rows = n; n%checkBatch == 0 {
+			if j.err = j.gov.CheckRows(n); j.err == nil {
+				j.err = j.gov.ChargeBytes(checkBatch * relation.RowBytes(len(row)))
+			}
 		}
 	}
 }

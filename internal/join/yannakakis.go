@@ -199,7 +199,7 @@ func newTreeShape(schemes []relation.Scheme, tree *JoinTree) *treeShape {
 		if p := tree.Parent[i]; p >= 0 {
 			acc[p] = acc[p].Union(acc[i])
 		} else {
-			s.genericShape = newGenericShape(schemes, acc[i])
+			s.genericShape = newGenericShape(schemes, acc[i], acc[i])
 		}
 	}
 	return s

@@ -110,9 +110,17 @@ func FingerprintDatabase(db Database, names []string) string {
 }
 
 // WriteRelation writes r as a single "relation <name> ... end" block,
-// rows in sorted order.
+// rows in sorted order: a Replay of r through a BlockWriter. The rows are
+// a sorted view of r's own tuples, not copies of them, and a BornSorted
+// relation is walked in store order. A w that is a large enough
+// bufio.Writer is written through directly.
 func WriteRelation(w io.Writer, name string, r *Relation) error {
-	return StreamRelation(w, name, r, 0, nil)
+	b := BlockWriter{W: bufio.NewWriter(w), Name: name}
+	Replay(r, &b)
+	if err := b.End(); err != nil {
+		return err
+	}
+	return b.W.Flush()
 }
 
 // WriteDatabase writes every relation of db in name order.

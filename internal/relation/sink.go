@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"bufio"
-	"io"
-)
+import "bufio"
 
 // Sink receives one relation's rows as its producer writes them: Begin
 // once, with the scheme and the exact number of rows to come, then Row
@@ -86,42 +83,4 @@ func (b *BlockWriter) line() bool {
 		b.err = err
 	}
 	return b.err == nil
-}
-
-// flushing is a BlockWriter that flushes its buffer into the underlying
-// writer after every every rows and then calls flushed: StreamRelation's
-// sink.
-type flushing struct {
-	BlockWriter
-	every, rows int
-	flushed     func()
-}
-
-func (f *flushing) Row(t Tuple) bool {
-	if !f.BlockWriter.Row(t) {
-		return false
-	}
-	if f.rows++; f.every > 0 && f.rows%f.every == 0 {
-		if err := f.W.Flush(); err != nil {
-			f.err = err
-			return false
-		}
-		f.flushed()
-	}
-	return true
-}
-
-// StreamRelation is WriteRelation for a consumer that wants rows as they
-// are ready: after every `every` rows (when every > 0) it flushes its
-// buffer into w and calls flushed, so a large result streams instead of
-// buffering whole. It is a Replay of r through a BlockWriter: the rows are
-// a sorted view of r's own tuples, not copies of them, and a BornSorted
-// relation is walked in store order.
-func StreamRelation(w io.Writer, name string, r *Relation, every int, flushed func()) error {
-	f := &flushing{BlockWriter: BlockWriter{W: bufio.NewWriter(w), Name: name}, every: every, flushed: flushed}
-	Replay(r, f)
-	if err := f.End(); err != nil {
-		return err
-	}
-	return f.W.Flush()
 }

@@ -193,7 +193,7 @@ func TestUploadCostsItsRowsNotItsLines(t *testing.T) {
 }
 
 // TestSortedOrderIsLexicographic: the permutation sort behind
-// WriteRelation, StreamRelation and Render produces the order sort.Slice
+// WriteRelation and Render produces the order sort.Slice
 // over Tuple.Less produced — the order every golden pins.
 func TestSortedOrderIsLexicographic(t *testing.T) {
 	r := New(MustScheme("A", "B"))
@@ -246,7 +246,7 @@ func TestSortedOrderIsMemoized(t *testing.T) {
 		wg.Add(1)
 		go func(out *bytes.Buffer) {
 			defer wg.Done()
-			if err := StreamRelation(out, "R", r, 256, func() {}); err != nil {
+			if err := WriteRelation(out, "R", r); err != nil {
 				t.Error(err)
 			}
 		}(&got[i])
@@ -328,11 +328,11 @@ func TestBornSortedMark(t *testing.T) {
 		t.Errorf("writing a born-sorted relation allocated %d bytes: a permutation's worth", spent)
 	}
 	var got bytes.Buffer
-	if err := StreamRelation(&got, "R", r, 100, func() {}); err != nil {
+	if err := WriteRelation(&got, "R", r); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("a born-sorted relation streams other bytes than its sorted clone")
+		t.Error("a born-sorted relation writes other bytes than its sorted clone")
 	}
 	if RenderSorted(r) != RenderSorted(r.Clone()) {
 		t.Error("a born-sorted relation renders other text than its sorted clone")

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func TestPooledWriterStreamsByteEqual(t *testing.T) {
 	}
 	small := relation.New(relation.MustScheme("C"))
 	small.MustAdd(relation.TupleOf("only"))
-	o := responses.Get().(*response)
+	o := New(Config{}).response()
 	var last *httptest.ResponseRecorder
 	for _, out := range []*relation.Relation{big, small} {
 		expr := algebra.MustOperand("T", out.Scheme())
@@ -108,5 +109,29 @@ func TestUploadBodyReadOnce(t *testing.T) {
 	}
 	if code, _ := old(bodies["at the cap"]); code != http.StatusOK {
 		t.Errorf("a body at the cap answered %d, want 200", code)
+	}
+}
+
+// TestResponseSurvivesGC: a response put back on the server's free list is
+// the one handed out next, even across a garbage collection — a sync.Pool
+// would have dropped it, and each relbench pass, which ends with two GCs,
+// paid for a new 32 KB buffer. The list holds one response per evaluation
+// slot and drops the rest.
+func TestResponseSurvivesGC(t *testing.T) {
+	s := New(Config{MaxConcurrent: 2})
+	a, b, c := s.response(), s.response(), s.response()
+	for _, o := range []*response{a, b, c} {
+		s.release(o)
+	}
+	runtime.GC()
+	runtime.GC()
+	if got := []*response{s.response(), s.response()}; got[0] != a || got[1] != b {
+		t.Error("a released response did not survive a GC")
+	}
+	if s.response() == c {
+		t.Error("the free list kept more responses than evaluation slots")
+	}
+	if cap(New(Config{MaxConcurrent: -1}).responses) != DefaultMaxConcurrent {
+		t.Error("an unbounded server's free list is not DefaultMaxConcurrent long")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"relquery/internal/algebra"
@@ -36,11 +35,10 @@ type queryRequest struct {
 	strategy string // one of join.StrategyNames
 	// ev is the request's one evaluator: ?strategy= and ?order= configure it
 	// here, serveQuery adds what the server and the tenant decide.
-	ev       algebra.Evaluator
-	timeout  time.Duration
-	analyze  bool // EXPLAIN ANALYZE output instead of tuples
-	count    bool // cardinality only
-	optimize bool
+	ev      algebra.Evaluator
+	timeout time.Duration
+	analyze bool // EXPLAIN ANALYZE output instead of tuples
+	count   bool // cardinality only
 }
 
 // parseQueryRequest decodes the body (raw expression text) and the
@@ -89,9 +87,6 @@ func parseQueryRequest(r *http.Request) (*queryRequest, error) {
 	if q.count, err = boolParam(params, "count"); err != nil {
 		return nil, err
 	}
-	if q.optimize, err = boolParam(params, "optimize"); err != nil {
-		return nil, err
-	}
 	return q, nil
 }
 
@@ -121,22 +116,15 @@ func (q *queryRequest) limitsFor(t *tenant) governor.Limits {
 // planKey keys the parse cache: parsing depends only on the query text and
 // the schemes it references, so content changes don't invalidate a parse,
 // schema changes do. Both strings are ones the request already holds.
-type planKey struct {
-	sig, src string
-	optimize bool
-}
+type planKey struct{ sig, src string }
 
-// parse returns q's parsed (and optionally optimized) expression over cat's
-// schemes, from the parse cache when it is there. Expressions are immutable,
-// so concurrent evaluations share one; result soundness is the subexpression
-// cache's job (fingerprint keys).
+// parse returns q's parsed expression over cat's schemes, from the parse
+// cache when it is there. Expressions are immutable, so concurrent
+// evaluations share one; result soundness is the subexpression cache's job
+// (fingerprint keys).
 func (s *Server) parse(q *queryRequest, cat *catalog) (algebra.Expr, error) {
-	expr, _, err := s.plans.Do(nil, planKey{sig: cat.sig, src: q.src, optimize: q.optimize}, func() (algebra.Expr, error) {
-		e, err := algebra.ParseForDatabase(q.src, cat.db)
-		if err != nil || !q.optimize {
-			return e, err
-		}
-		return algebra.Optimize(e)
+	expr, _, err := s.plans.Do(nil, planKey{sig: cat.sig, src: q.src}, func() (algebra.Expr, error) {
+		return algebra.ParseForDatabase(q.src, cat.db)
 	})
 	return expr, err
 }
@@ -217,7 +205,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 		_, _ = io.WriteString(w, algebra.RenderTrace(ev.Collector.Trace()))
 		return
 	}
-	o := responses.Get().(*response)
+	o := s.response()
 	o.open(w, expr, q, ev.Collector, start)
 	err = ev.EvalTo(r.Context(), expr, cat.db, o)
 	s.metrics.evalDone(t.name)
@@ -227,7 +215,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 		o.finish()
 	}
 	o.close()
-	responses.Put(o)
+	s.release(o)
 }
 
 // ErrorTrailer is the HTTP trailer that carries the failure of a query
@@ -245,18 +233,33 @@ func answerHeaders(h http.Header, rows int, wall time.Duration, strategy string,
 	h.Set("Content-Type", "text/plain; charset=utf-8")
 }
 
-// responseBuffer is the pooled response buffer's size: an answer under it
+// responseBuffer is the response buffer's size: an answer under it
 // reaches the ResponseWriter in one write once the evaluation is over.
 const responseBuffer = 32 << 10
 
-// responses pools the query responses, each with its buffer. A pooled
-// response is always detached (close), so the pool never pins a
-// ResponseWriter — or the connection behind it — past its request.
-var responses = sync.Pool{New: func() any {
-	o := new(response)
-	o.buf = bufio.NewWriterSize(o, responseBuffer)
-	return o
-}}
+// response takes a query response, with its buffer, off the server's free
+// list, or makes one when the list is empty.
+func (s *Server) response() *response {
+	select {
+	case o := <-s.responses:
+		return o
+	default:
+		o := new(response)
+		o.buf = bufio.NewWriterSize(o, responseBuffer)
+		return o
+	}
+}
+
+// release puts a detached response (close) back on the free list, so the
+// list never pins a ResponseWriter — or the connection behind it — past its
+// request. A full list drops it: the list holds at most one response per
+// evaluation slot, and unlike a sync.Pool a GC does not empty it.
+func (s *Server) release(o *response) {
+	select {
+	case s.responses <- o:
+	default:
+	}
+}
 
 // response is a query's answer on its way to the client, and the
 // relation.Sink EvalTo writes it into. Begin sets the headers and, unless

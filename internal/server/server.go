@@ -88,6 +88,9 @@ type Server struct {
 	shared *algebra.SubexprCache
 	plans  *algebra.Memo[planKey, algebra.Expr]
 	sem    chan struct{}
+	// responses is the free list of query responses, each with its 32 KB
+	// buffer: at most one per evaluation slot, so a GC empties nothing.
+	responses chan *response
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
@@ -113,12 +116,14 @@ func New(cfg Config) *Server {
 		plans:   algebra.NewMemo[planKey, algebra.Expr](planCacheMax, nil),
 		tenants: make(map[string]*tenant),
 	}
+	free := DefaultMaxConcurrent
 	if n := cfg.MaxConcurrent; n >= 0 {
 		if n == 0 {
 			n = DefaultMaxConcurrent
 		}
-		s.sem = make(chan struct{}, n)
+		s.sem, free = make(chan struct{}, n), n
 	}
+	s.responses = make(chan *response, free)
 	for name, limits := range cfg.Tenants {
 		s.tenants[name] = newTenant(name, limits)
 	}

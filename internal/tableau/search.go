@@ -86,6 +86,19 @@ func names(vs []Var) (relation.Scheme, error) {
 
 func name(v Var) relation.Attribute { return relation.Attribute(strconv.Itoa(int(v))) }
 
+// output returns the summary's distinct variables, in target order — the
+// search's output prefix — and for each target column the position of its
+// variable among them.
+func (t *Tableau) output() (first []Var, cols []int) {
+	cols = make([]int, len(t.Summary))
+	for i, v := range t.Summary {
+		if cols[i] = slices.Index(first, v); cols[i] < 0 {
+			cols[i], first = len(first), append(first, v)
+		}
+	}
+	return first, cols
+}
+
 // Member reports whether the named tuple belongs to φ(db), where the
 // tableau represents φ. This is the paper's Proposition 2 algorithm: fix
 // the summary to t and search for a valuation (the NP guess, realized as
@@ -99,52 +112,71 @@ func (t *Tableau) Member(nt relation.NamedTuple, db relation.Database, gov *gove
 	}
 	// Two target attributes may share a summary variable; conflicting
 	// values for it mean the tuple cannot be in the result.
-	var first []Var
-	var fixed []relation.Value
+	first, cols := t.output()
+	fixed := make([]relation.Value, len(first))
 	conflict := false
-	for i, v := range t.Summary {
+	for i, c := range cols {
 		pos, _ := nt.Scheme.Pos(t.Target.Attr(i))
-		if at := slices.Index(first, v); at >= 0 {
-			conflict = conflict || fixed[at] != nt.Vals[pos]
-			continue
+		if slices.Index(cols, c) == i {
+			fixed[c] = nt.Vals[pos]
+		} else {
+			conflict = conflict || fixed[c] != nt.Vals[pos]
 		}
-		first, fixed = append(first, v), append(fixed, nt.Vals[pos])
 	}
 	q, err := t.compile(db, first)
 	if err != nil || conflict {
 		return false, err
 	}
+	out, err := names(first)
+	if err != nil {
+		return false, err
+	}
 	found := false
-	err = join.Search(gov, q.rels, q.vars, q.order, fixed, func([]relation.Value) bool {
+	err = join.Search(gov, q.rels, q.vars, q.order, out, fixed, func([]relation.Value) bool {
 		found = true
 		return false
 	})
 	return found, err
 }
 
-// Stream enumerates the tuples of φ(db), calling yield for each summary
-// image of a valuation, in the generic join's own attribute order. Within
-// one Stream call duplicate tuples MAY be yielded (distinct valuations
-// can share a summary image), so callers needing set semantics must
-// deduplicate; callers searching for a witness (e.g. "is there a result
-// tuple outside r?") can stop early by returning false. Every yielded
-// tuple is freshly allocated: yield may keep it. gov, when non-nil, is
-// checked on entry and ticked per candidate value, so a violation aborts
-// the enumeration — including time spent in dead branches between yields
-// — and surfaces as the typed error.
+// Stream enumerates φ(db): it calls yield once for each tuple until yield
+// returns false. The search runs in the atoms' order and, once the
+// summary's last variable is bound, looks for one valuation of the rest
+// and backtracks (join.Search). When the summary's variables lead that
+// order, in target order — an unprojected query's do — no tuple can
+// repeat: the tuples come in ascending order and nothing is remembered,
+// so Stream holds the query and its tries whatever the number of tuples.
+// Otherwise a set of the tuples yielded skips the repeats. Binding the
+// summary first would need no set, but it is exponentially slower on the
+// paper's π_Y(φ_G) (EXPERIMENTS.md, "One projected join node"). The tuple
+// yielded is one the stream reuses: yield must Clone what it keeps. gov,
+// when non-nil, is checked on entry and ticked per candidate value, so a
+// violation aborts the enumeration — including time spent in dead
+// branches between yields — and surfaces as the typed error.
 func (t *Tableau) Stream(db relation.Database, gov *governor.Governor, yield func(relation.Tuple) bool) error {
+	_, err := t.stream(db, gov, yield)
+	return err
+}
+
+// stream is Stream, reporting whether the tuples came in ascending order.
+func (t *Tableau) stream(db relation.Database, gov *governor.Governor, yield func(relation.Tuple) bool) (ordered bool, err error) {
+	first, summary := t.output()
 	q, err := t.compile(db, nil)
 	if err != nil {
-		return err
+		return false, err
 	}
-	summary := make([]int, len(t.Summary))
-	for i, v := range t.Summary {
-		summary[i], _ = q.order.Pos(name(v))
+	out, err := names(first)
+	if err != nil {
+		return false, err
 	}
-	return join.Search(gov, q.rels, q.vars, q.order, nil, func(bind []relation.Value) bool {
-		tp := make(relation.Tuple, len(summary))
+	ordered = true
+	for i := range first {
+		ordered = ordered && q.order.Attr(i) == out.Attr(i)
+	}
+	tp := make(relation.Tuple, len(summary))
+	return ordered, join.Search(gov, q.rels, q.vars, q.order, out, nil, func(row []relation.Value) bool {
 		for i, c := range summary {
-			tp[i] = bind[c]
+			tp[i] = row[c]
 		}
 		return yield(tp)
 	})
@@ -152,15 +184,17 @@ func (t *Tableau) Stream(db relation.Database, gov *governor.Governor, yield fun
 
 // Eval materializes φ(db) from the tableau — an alternative to
 // algebra.Eval that never holds intermediate join results: its space is
-// bounded by the operands' projections, their tries and the output.
+// bounded by the operands' projections, their tries and the output, which
+// Stream yields distinct, so it is built without a set — and born sorted
+// when it came in order.
 func (t *Tableau) Eval(db relation.Database) (*relation.Relation, error) {
-	out := relation.New(t.Target)
-	err := t.Stream(db, nil, func(tp relation.Tuple) bool {
-		out.MustAdd(tp)
-		return true
-	})
+	b := relation.NewBuilder(t.Target, -1)
+	ordered, err := t.stream(db, nil, b.Row)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	if ordered {
+		return b.SortedRelation(), nil
+	}
+	return b.Relation(), nil
 }

@@ -15,7 +15,8 @@
 // The package builds the tableau of an algebra.Expr and compiles it onto
 // the generic join's search (join.Search) for membership testing — the
 // simulated NP guess — and for the stream of φ(db) under the Dᵖ/Π₂ᵖ
-// deciders. What stays symbolic is here too: canonical databases, and
+// deciders, which stops at one valuation per tuple and yields each tuple
+// once. What stays symbolic is here too: canonical databases, and
 // Chandra–Merlin homomorphism containment and minimization of queries.
 package tableau
 

@@ -132,9 +132,6 @@ var (
 	ParseExprForDatabase = algebra.ParseForDatabase
 	// Eval materializes e(db) with default settings.
 	Eval = algebra.Eval
-	// Optimize rewrites an expression with projection pushdown, cascade
-	// elimination and join deduplication, preserving its value.
-	Optimize = algebra.Optimize
 	// Explain renders an expression's operator tree with actual node
 	// cardinalities (it re-evaluates every subtree).
 	Explain = algebra.Explain

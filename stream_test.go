@@ -12,7 +12,7 @@ import (
 
 // TestStreamedFamiliesAreByteEqual: on the path, star and snowflake
 // families, EvalTo into the codec's block writer writes exactly the bytes
-// StreamRelation writes of the answer EvalContext builds — when the tree
+// WriteRelation writes of the answer EvalContext builds — when the tree
 // join streams it (the first sight, which stores nothing), when the second
 // request builds and stores it, and when the third is served it — also when
 // every tuple hash collides.
@@ -33,7 +33,7 @@ func TestStreamedFamiliesAreByteEqual(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want bytes.Buffer
-			if err := relation.StreamRelation(&want, "result", built, 0, nil); err != nil {
+			if err := relation.WriteRelation(&want, "result", built); err != nil {
 				t.Fatal(err)
 			}
 			ev.SharedCache = algebra.NewSubexprCache()
@@ -47,7 +47,7 @@ func TestStreamedFamiliesAreByteEqual(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Errorf("%s (collide %v), request %d: EvalTo wrote\n%s\nStreamRelation of the built answer\n%s", name, collide, i+1, got.Bytes(), want.Bytes())
+					t.Errorf("%s (collide %v), request %d: EvalTo wrote\n%s\nWriteRelation of the built answer\n%s", name, collide, i+1, got.Bytes(), want.Bytes())
 				}
 				if hits, _, _, entries := ev.SharedCache.Counters(); entries != stored || hits != i/2 {
 					t.Errorf("%s (collide %v), after request %d: %d stored, %d hits; want %d and %d", name, collide, i+1, entries, hits, stored, i/2)

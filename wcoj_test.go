@@ -269,3 +269,57 @@ func TestAutoWCOJSelection(t *testing.T) {
 		t.Errorf("default evaluator ran %d wcoj spans without opting in", n)
 	}
 }
+
+// TestProjectedGadgetPeakIsItsOutput: Proposition 1's π_Y(φ_G(R_G)) is one
+// projected join node. Under wcoj it binds the Y columns first and looks
+// for one witness per Y-tuple, so the join node's span peak — and the
+// row count it reports — is the projection's size, not φ_G(R_G)'s; under
+// auto the answer is the same. The answer is π_Y(R_G), plus u_G exactly
+// when G is satisfiable.
+func TestProjectedGadgetPeakIsItsOutput(t *testing.T) {
+	for name, g := range lemma1Families(t) {
+		c, err := reduction.New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phi, err := c.PhiG()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := algebra.Eval(phi, c.Database())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := full.Project(c.YScheme())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() >= full.Len() {
+			t.Fatalf("%s: π_Y keeps all %d rows of φ_G(R_G): no projection to show", name, full.Len())
+		}
+		py := algebra.MustProject(c.YScheme(), phi)
+		for _, strategy := range []string{"wcoj", "auto"} {
+			col := &obs.Collector{}
+			ev := algebra.Evaluator{Collector: col}
+			if err := ev.SetStrategy(strategy); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ev.Eval(py, c.Database())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) || !got.Scheme().SameOrder(c.YScheme()) {
+				t.Fatalf("%s under %s: %d rows over %v, want the %d of π_Y(φ_G(R_G))", name, strategy, got.Len(), got.Scheme(), want.Len())
+			}
+			root := col.Trace().Root()
+			if len(root.Children) != 1 || root.Children[0].Op != obs.OpJoin {
+				t.Fatalf("%s under %s: the projection's child is not one join node: %+v", name, strategy, root.Children)
+			}
+			j := root.Children[0]
+			if strategy == "wcoj" && (j.MaxIntermediate != got.Len() || j.OutputRows != got.Len()) {
+				t.Errorf("%s: the projected wcoj node's peak is %d and its rows %d, want its output, %d (φ_G(R_G) has %d)",
+					name, j.MaxIntermediate, j.OutputRows, got.Len(), full.Len())
+			}
+		}
+	}
+}
