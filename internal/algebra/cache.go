@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"relquery/internal/join"
@@ -30,6 +31,10 @@ import (
 // fingerprint and misses. Facts steer the strategy choice and admission,
 // never an answer, so even a colliding fingerprint cannot corrupt one.
 //
+// Beside them the cache records the keys asked for since the last Reset:
+// an answer that may stream is stored only when it is asked for again
+// (Evaluator.EvalTo).
+//
 // Both stores are Memos, under its rules. A SubexprCache is safe for
 // concurrent use — every request of a relqueryd process shares one. The zero
 // value is not ready — use NewSubexprCache.
@@ -38,6 +43,9 @@ type SubexprCache struct {
 	// facts is nil in the cache EvalContext makes for one call (Evaluator.
 	// Cache): a node repeated inside a call is a result hit and plans nothing.
 	facts *Memo[string, *join.Facts]
+	// asked holds the keys of the nodes EvalTo offered its sink since the
+	// last Reset; nil, like facts, in a one-call cache.
+	asked *askedKeys
 	// written counts the answers streamed past the results (Evaluator.
 	// EvalTo): misses that left nothing behind.
 	written atomic.Int64
@@ -56,9 +64,10 @@ type SubexprCache struct {
 // the rows bounds them too.
 const resultsMax = 4 << 20
 
-// factsMax bounds resident plan facts, in entries. An entry is its key and
-// under a kilobyte — a one-pass join's shape is the bulk of it — so the
-// bound only guards against an adversarial stream of distinct expressions.
+// factsMax bounds resident plan facts, in entries, and the asked record.
+// A fact is its key and under a kilobyte — a one-pass join's shape is the
+// bulk of it — so the bound only guards against an adversarial stream of
+// distinct expressions.
 const factsMax = 4096
 
 // NewSubexprCache returns an empty cache.
@@ -69,6 +78,7 @@ func newSubexprCache(maxValues int64) *SubexprCache {
 	return &SubexprCache{
 		results: NewMemo[string](maxValues, values),
 		facts:   NewMemo[string, *join.Facts](factsMax, nil),
+		asked:   new(askedKeys),
 	}
 }
 
@@ -116,10 +126,40 @@ func (c *SubexprCache) plan(key string, m *obs.Metrics, inputs []*relation.Relat
 	return p, hit
 }
 
-// seen reports whether the plan facts of the node keyed key are in the
-// store: whether that node was asked for over this content before. Without
-// a facts store nothing has been seen.
-func (c *SubexprCache) seen(key string) bool { return c.facts != nil && c.facts.Has(key) }
+// ask records that the node keyed key was asked for and reports whether
+// it had been since the last Reset. Without the record nothing has been.
+func (c *SubexprCache) ask(key string) bool {
+	return c.asked != nil && c.asked.add(key)
+}
+
+// askedKeys is the record of what was asked: a set that, like a Memo past
+// its bound, is dropped wholesale when it would pass factsMax keys. Nothing
+// is computed for a key, so nothing waits on one.
+type askedKeys struct {
+	mu   sync.Mutex
+	keys map[string]struct{}
+}
+
+// add records key and reports whether it was recorded already.
+func (a *askedKeys) add(key string) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if _, ok := a.keys[key]; ok {
+		return true
+	}
+	if a.keys == nil || len(a.keys) >= factsMax {
+		a.keys = make(map[string]struct{})
+	}
+	a.keys[key] = struct{}{}
+	return false
+}
+
+// drop forgets every key.
+func (a *askedKeys) drop() {
+	a.mu.Lock()
+	a.keys = nil
+	a.mu.Unlock()
+}
 
 // streamed counts an answer written without passing through the results.
 func (c *SubexprCache) streamed() {
@@ -137,7 +177,14 @@ func (c *SubexprCache) Counters() (hits, misses, invalidations, entries int) {
 	return hits, misses + int(c.written.Load()), invalidations, entries
 }
 
-// Reset drops every result, keeping the counters, and returns the number
-// dropped. It is about memory: results are whole relations. The plan facts
-// stay — they are small, bounded in number and exactly as valid as before.
-func (c *SubexprCache) Reset() int { return c.results.Drop() }
+// Reset drops every result and the record of what was asked, keeping the
+// counters, and returns the number of results dropped. It is about memory:
+// results are whole relations, and with the record gone an answer asked
+// once after the reset streams and is not stored. The plan facts stay —
+// they are small, bounded in number and exactly as valid as before.
+func (c *SubexprCache) Reset() int {
+	if c.asked != nil {
+		c.asked.drop()
+	}
+	return c.results.Drop()
+}

@@ -164,20 +164,22 @@ func (ev *Evaluator) EvalContext(ctx context.Context, e Expr, db relation.Databa
 
 // EvalTo is EvalContext writing the answer into sink instead of returning
 // it: Begin with the answer's scheme and cardinality, then its rows in
-// sorted order. An answer the process has not seen is not built at all
-// when the tree join can write it: a root join node whose plan facts the
-// shared cache did not know — the first sight of this expression over
-// this content — and that runs the tree join streams its rows into sink as
-// its search finds them, and stores nothing. Every other answer is
-// materialized and stored as EvalContext would, then replayed into sink
+// sorted order. An answer asked for the first time since the shared
+// cache's last Reset is not built at all when a one-pass join can write
+// it: a root join node that runs the tree join streams its rows into sink
+// as its search finds them, Begin with their count, and one that runs the
+// generic join does the same with Begin's count unknown (-1), known after
+// the last row. Either stores nothing. Every other answer is materialized
+// and stored as EvalContext would, then replayed into sink
 // (relation.Replay). So an answer is stored the second time it is asked
 // for, and served from the store from the third (DESIGN.md, "Caching").
 // A streaming node is evaluated outside the result store, so no other
 // request ever waits on how fast this one's sink takes its rows.
 //
 // An error after Begin leaves sink holding part of the answer; which
-// errors can come that late is the tree join's search's: the governor's
-// deadline and cancellation, and a recovered engine panic.
+// errors can come that late is the one-pass joins' searches': the
+// governor's deadline, cancellation and budgets, and a recovered engine
+// panic.
 func (ev *Evaluator) EvalTo(ctx context.Context, e Expr, db relation.Database, sink relation.Sink) error {
 	r, err := ev.evaluate(ctx, e, db, sink)
 	if err == nil && r != nil && sink != nil {
@@ -205,7 +207,7 @@ func (ev *Evaluator) evaluate(ctx context.Context, e Expr, db relation.Database,
 		w = &written{Sink: out}
 	}
 	r, err := ev.eval(e, db, ev.newSpan(nil, e), gov, w)
-	if r != nil { // else it streamed, and the join checked its size before the first row
+	if r != nil { // else it streamed, and the join checked its size
 		err = gov.CheckOutput(r.Len())
 	}
 	if ev.Registry != nil {
@@ -264,10 +266,10 @@ func spanOp(e Expr) string {
 // checkpoint, so cancellation reaches even join-free expressions; a failed
 // node is not cached (Memo), so an aborted evaluation leaves nothing partial.
 // out is the root's sink (EvalTo) and nil below the root. A root join
-// node the shared cache has not seen, and that may run the tree join, is
-// evaluated outside the result store, so that its answer can stream into
-// out (multi) while no other request waits on it; it returns no relation
-// when it did.
+// node that may run a one-pass join, asked for the first time since the
+// shared cache's last Reset, is evaluated outside the result store, so that
+// its answer can stream into out (multi) while no other request waits on
+// it; it returns no relation when it did.
 func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, gov *governor.Governor, out *written) (*relation.Relation, error) {
 	sp.Begin()
 	fault.Hit(fault.EvalNode)
@@ -284,7 +286,7 @@ func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, gov *gover
 	// Built once per node: the result's key here and, for a join that
 	// misses, its plan facts' key in multi.
 	key := contentKey(e.String(), e.Operands(), db)
-	if _, isJoin := e.(*Join); isJoin && out != nil && ev.mayTreeJoin() && !ev.SharedCache.seen(key) {
+	if _, isJoin := e.(*Join); isJoin && out != nil && ev.mayStream() && !ev.SharedCache.ask(key) {
 		ev.Collector.M().CacheMiss()
 		r, err := ev.evalNode(e, key, db, sp, gov, out)
 		return ev.finishSpan(sp, obs.CacheMiss, r, out, err)
@@ -313,7 +315,12 @@ func (ev *Evaluator) finishSpan(sp *obs.Span, cacheStatus string, r *relation.Re
 		if r != nil {
 			rows = r.Len()
 		} else if err == nil && out != nil {
+			// An unknown count is the generic join's, which observed its
+			// total as the span's peak (join.Exec.Out).
 			rows = out.rows
+			if rows < 0 {
+				rows = sp.MaxIntermediate
+			}
 		}
 		sp.Finish(rows)
 	}
@@ -405,6 +412,7 @@ func collapse(p *Project) Expr {
 // — a lookup through its Projection fact, anything else by Project.
 func (ev *Evaluator) projectedJoin(x *Project, j *Join, key string, db relation.Database, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
 	jsp := ev.newSpan(sp, j)
+	jsp.SetSchemeWidth(x.Scheme().Len()) // it writes π_X, not the join
 	jsp.Begin()
 	jsp.Reserve(len(j.Args()), Size(j)-1)
 	exprs := j.Args()
@@ -472,9 +480,9 @@ func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, 
 // mid-plan — and, under a governor, mid-join — as soon as any checkpoint
 // trips; under proj, non-nil, the node answers proj's projection of the
 // join (projectedJoin). Offered the sink out, which only a root node
-// outside the result store is (eval), a node seen for the first time that
-// runs the tree join writes its answer there and returns none; one that
-// builds its answer stores it.
+// asked for the first time is (eval), a node that runs a one-pass join
+// writes its answer there and returns none; one that builds its answer
+// stores it.
 func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, gov *governor.Governor, out *written, proj *Project) (*relation.Relation, error) {
 	if sp != nil {
 		ins := make([]int, len(args))
@@ -497,12 +505,10 @@ func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, 
 	if out == nil {
 		return ev.run(x, p, alg)
 	}
-	// Unknown facts are the first sight of this node's content: its answer
-	// is likely asked once, so it is written and not kept. Known facts
-	// mean it was asked before — here, by a request racing this one — and
-	// it is built to be stored.
+	// The first sight of this node's content since the last reset: its
+	// answer is likely asked once, so it is written and not kept.
 	build := func() (*relation.Relation, error) { return ev.run(x, p, alg) }
-	if _, tree := alg.(join.Yannakakis); tree && !known {
+	if streams(alg) {
 		y := x
 		y.Out = out
 		r, err := ev.run(y, p, alg)
@@ -510,7 +516,8 @@ func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, 
 			ev.SharedCache.streamed()
 			return r, err
 		}
-		// Built after all: the tree join of a cyclic or one-input node.
+		// Built after all: the tree join of a cyclic node, a one-input or
+		// empty node, a projected node.
 		build = func() (*relation.Relation, error) { return r, nil }
 	}
 	if key == "" {
@@ -521,7 +528,7 @@ func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, 
 }
 
 // written is EvalTo's sink as the root node gets it, noting the answer's
-// size for the node's span.
+// size for the node's span: Begin's count, -1 when that is unknown.
 type written struct {
 	relation.Sink
 	rows int
@@ -532,10 +539,19 @@ func (w *written) Begin(scheme relation.Scheme, rows int) bool {
 	return w.Sink.Begin(scheme, rows)
 }
 
-// mayTreeJoin reports whether choose can route a node to the tree join.
-func (ev *Evaluator) mayTreeJoin() bool {
-	_, tree := ev.algorithm().(join.Yannakakis)
-	return tree || ev.AutoYannakakis
+// streams reports whether alg can write a node's answer to Exec.Out: the
+// one-pass joins.
+func streams(alg join.Algorithm) bool {
+	switch alg.(type) {
+	case join.Yannakakis, join.Generic:
+		return true
+	}
+	return false
+}
+
+// mayStream reports whether choose can route a node to a one-pass join.
+func (ev *Evaluator) mayStream() bool {
+	return streams(ev.algorithm()) || ev.AutoYannakakis || ev.AutoWCOJ
 }
 
 // choose picks the strategy for one join node: the configured algorithm

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"relquery/internal/join"
@@ -9,9 +10,10 @@ import (
 )
 
 // TestEvalToStoresWhatItBuilds: on first sight EvalTo keeps nothing of
-// what the tree join wrote into the sink, but an answer it had to build —
-// the tree join's greedy fallback on a cyclic node — is stored, as
-// EvalContext would store it. Both reach the sink as the answer.
+// what the tree join or the generic join wrote into the sink, but an
+// answer it had to build — the tree join's greedy fallback on a cyclic
+// node — is stored, as EvalContext would store it. All reach the sink as
+// the answer.
 func TestEvalToStoresWhatItBuilds(t *testing.T) {
 	tri := relation.New(relation.MustScheme("A", "B", "C"))
 	for i := 0; i < 6; i++ {
@@ -20,12 +22,14 @@ func TestEvalToStoresWhatItBuilds(t *testing.T) {
 	chain, chainDB := chainWorkload(t)
 	for _, tc := range []struct {
 		name   string
+		alg    join.Algorithm
 		src    string
 		db     relation.Database
 		stored int
 	}{
-		{"acyclic chain, streamed", "", chainDB, 0},
-		{"cyclic triangle, built", "pi[A B](T) * pi[B C](T) * pi[A C](T)", relation.Single("T", tri), 1},
+		{"acyclic chain, streamed", join.Yannakakis{}, "", chainDB, 0},
+		{"cyclic triangle, built", join.Yannakakis{}, "pi[A B](T) * pi[B C](T) * pi[A C](T)", relation.Single("T", tri), 1},
+		{"cyclic triangle, searched", join.Generic{}, "pi[A B](T) * pi[B C](T) * pi[A C](T)", relation.Single("T", tri), 0},
 	} {
 		e := chain
 		if tc.src != "" {
@@ -35,7 +39,7 @@ func TestEvalToStoresWhatItBuilds(t *testing.T) {
 			}
 		}
 		shared := NewSubexprCache()
-		ev := Evaluator{Algorithm: join.Yannakakis{}, SharedCache: shared}
+		ev := Evaluator{Algorithm: tc.alg, SharedCache: shared}
 		var got relation.Builder
 		if err := ev.EvalTo(context.Background(), e, tc.db, &got); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -50,5 +54,28 @@ func TestEvalToStoresWhatItBuilds(t *testing.T) {
 		if !got.Relation().Equal(want) {
 			t.Errorf("%s: EvalTo wrote %v, Eval answers %v", tc.name, got.Relation(), want)
 		}
+	}
+}
+
+// TestStreamAskedRecordIsBounded: the record of what was asked since the
+// last Reset holds at most factsMax keys; past that it is dropped
+// wholesale, like the facts, and a key asked before is new again.
+func TestStreamAskedRecordIsBounded(t *testing.T) {
+	c := NewSubexprCache()
+	if c.ask("first") || !c.ask("first") {
+		t.Fatal("a key is not recorded as asked on its first ask")
+	}
+	for i := 1; i < factsMax; i++ {
+		c.ask(fmt.Sprint(i))
+	}
+	if !c.ask("first") {
+		t.Fatalf("%d keys dropped the record", factsMax)
+	}
+	c.ask("one more")
+	if c.ask("first") {
+		t.Errorf("%d keys did not drop the record", factsMax+1)
+	}
+	if c.Reset(); c.ask("one more") {
+		t.Error("Reset kept the record")
 	}
 }

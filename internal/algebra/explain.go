@@ -66,7 +66,7 @@ func (ev *Evaluator) traced(ctx context.Context, e Expr, db relation.Database) (
 // ceiling:
 //
 //	pi[A C]                                   rows=4 width=2 wall=41µs
-//	└─ * (natural join, 2 inputs)             rows=5 width=3 wall=28µs in=[3 3] alg=hash agm≤9
+//	└─ * (natural join, 2 inputs)             rows=4 width=2 wall=28µs in=[3 3] alg=hash peak=5 agm≤9
 //	   ├─ pi[A B]                             rows=3 width=2 wall=12µs in=[3]
 //	   │  └─ T                                rows=3 width=3 wall=1µs
 //	   └─ pi[B C]                             rows=3 width=2 wall=9µs in=[3]

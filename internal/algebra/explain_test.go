@@ -47,6 +47,32 @@ func TestExplainShape(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeProjectedJoinWidth: a projected join node writes only
+// the projection's columns, so EXPLAIN ANALYZE gives its span the
+// projection's width (2), not the full join's (3), under every strategy.
+func TestExplainAnalyzeProjectedJoinWidth(t *testing.T) {
+	r := mkrel(t, "A B C", "1 x p", "2 x q", "2 y q")
+	db := relation.Single("T", r)
+	e, err := ParseForDatabase("pi[A C](pi[A B](T) * pi[B C](T))", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range []string{"hash", "wcoj", "yannakakis"} {
+		var ev Evaluator
+		if err := ev.SetStrategy(strategy); err != nil {
+			t.Fatal(err)
+		}
+		out, err := ExplainAnalyzeWith(&ev, e, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(out, "\n")
+		if !strings.Contains(lines[1], "natural join") || !strings.Contains(lines[1], "width=2 ") {
+			t.Errorf("%s: the projected join's line is not width=2:\n%s", strategy, out)
+		}
+	}
+}
+
 func TestExplainOperandOnly(t *testing.T) {
 	r := mkrel(t, "A", "1", "2")
 	db := relation.Single("T", r)

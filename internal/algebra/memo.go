@@ -115,15 +115,6 @@ func (m *Memo[K, V]) dropLocked() int {
 	return n
 }
 
-// Has reports whether key is stored or being computed. It neither waits
-// nor counts.
-func (m *Memo[K, V]) Has(key K) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.entries[key]
-	return ok
-}
-
 // Drop empties the store and returns the number of entries dropped. A
 // computation in flight still serves its waiters; its value is not stored.
 func (m *Memo[K, V]) Drop() int {

@@ -27,12 +27,18 @@ type Exec struct {
 	// Span is the join node's trace span: peak materialization, and the
 	// structure and search-effort annotations of the n-ary strategies.
 	Span *obs.Span
-	// Out, when set, is where the tree join writes its answer instead of
-	// building it: once its count has passed Sized and the output check,
-	// Out gets Begin with that count and then the rows, born sorted, and
-	// the join returns no relation. Every other strategy ignores it and
-	// returns its answer as always; so do the tree join's cyclic
-	// fallback and a projected node (Multi).
+	// Out, when set, is where the tree join and the generic join write
+	// their answer instead of building it, born sorted, and the join
+	// returns no relation. The tree join calls Begin with its count once
+	// that has passed Sized and the output check. The generic join, which
+	// learns its count only from its search, calls Begin with -1 and runs
+	// the checks of the answer it would have built — the batch checks as
+	// the rows go out, then grown and the output check on the total, so
+	// that the span's peak is the count.
+	// Every other strategy ignores Out and returns its answer as always;
+	// so do the tree join's cyclic fallback, a generic join that keeps a
+	// dedup set or projects out of its order, and a projected node under
+	// any other strategy (Multi).
 	Out relation.Sink
 }
 

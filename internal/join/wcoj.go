@@ -105,15 +105,26 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 		tries[i] = *t
 		indexed += r.Len()
 	}
-	b := relation.NewBuilder(shape.out, -1)
-	var sink relation.Sink = b
-	if shape.width > shape.out.Len() {
+	var b *relation.Builder
+	var sink relation.Sink
+	switch {
+	case shape.width > shape.out.Len():
 		sink = distinct{relation.New(shape.out)}
+	case x.Out != nil && shape.proj == nil:
+		// Each row written once and in order: it goes out as it is found,
+		// and the count is known after the last.
+		if !x.Out.Begin(shape.out, -1) {
+			return nil, nil
+		}
+		sink = &tally{Sink: x.Out}
+	default:
+		b = relation.NewBuilder(shape.out, -1)
+		sink = b
 	}
 	j := newGenericJoin(shape, tries, sink)
 	j.gov, j.built = x.Gov, sink.(interface{ Len() int })
 	j.search(0)
-	if j.err != nil {
+	if j.err != nil && !errors.Is(j.err, errStopped) {
 		return nil, j.err
 	}
 
@@ -121,21 +132,36 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 	switch d, dedup := sink.(distinct); {
 	case dedup:
 		out = d.Relation
+	case b == nil: // written to x.Out
 	case shape.proj == nil: // the output leads the order, in its own order
 		out = b.SortedRelation()
 	default:
 		out = b.Relation()
 	}
-	x.Metrics.JoinWork(indexed, j.candidates, out.Len())
-	x.Metrics.ObserveJoin(out.Len())
+	total := j.built.Len()
+	x.Metrics.JoinWork(indexed, j.candidates, total)
+	x.Metrics.ObserveJoin(total)
 	x.Metrics.WCOJ(j.candidates, j.intersections)
 	x.Span.SetWCOJ(j.candidates, j.intersections)
 	// The search charged every whole batch as it built it.
-	if err := x.grown(out.Len(), out.Len()-out.Len()%checkBatch, out.Scheme().Len()); err != nil {
+	if err := x.grown(total, total-total%checkBatch, shape.out.Len()); err != nil {
 		return nil, err
+	}
+	if out == nil {
+		return nil, x.Gov.CheckOutput(total)
 	}
 	return out, nil
 }
+
+// tally is x.Out as the generic join's sink: it counts the rows written,
+// which the search checks and charges batch by batch as if it built them.
+type tally struct {
+	relation.Sink
+	n int
+}
+
+func (t *tally) Row(row relation.Tuple) bool { t.n++; return t.Sink.Row(row) }
+func (t *tally) Len() int                    { return t.n }
 
 // Search streams the answers of a conjunctive query with the generic
 // join's search: atom i reads rels[i] through its trie fact, with its
@@ -396,8 +422,9 @@ type genericJoin struct {
 	// out receives every output row: Search's caller, the tree
 	// join's sink of exactly as many rows as it counted and charged to the
 	// budgets before the search, or the generic join's answer of a count
-	// unknown until the search ends, which is also built, and whose rows
-	// are checked and charged batch by batch as it grows.
+	// unknown until the search ends — built, or written to Exec.Out —
+	// whose rows built reports and are checked and charged batch by batch
+	// as it grows.
 	out   relation.Sink
 	built interface{ Len() int }
 	rows  int

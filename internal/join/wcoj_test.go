@@ -1,11 +1,15 @@
 package join
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
@@ -421,5 +425,82 @@ func TestWorstCasePeakGreedy(t *testing.T) {
 	}
 	if worst, bound := WorstCasePeakGreedy(chain), AGMBoundOf(chain); worst > bound {
 		t.Errorf("chain: worst-case peak %g above n-ary bound %g", worst, bound)
+	}
+}
+
+// announced is a block writer that notes the count Begin announced.
+type announced struct {
+	relation.BlockWriter
+	rows int
+}
+
+func (a *announced) Begin(scheme relation.Scheme, rows int) bool {
+	a.rows = rows
+	return a.BlockWriter.Begin(scheme, rows)
+}
+
+// TestGenericJoinStreamsItsAnswer: under Exec.Out the generic join builds
+// nothing. It announces an unknown count, writes exactly the bytes
+// WriteRelation writes of the answer it builds without Out, and returns no
+// relation; its metrics and its span's peak are the built join's, and so
+// are its budgets — the memory charge of exactly the rows passes and one
+// byte less is refused, as is a result cap one row short. Also when every
+// tuple hash collides.
+func TestGenericJoinStreamsItsAnswer(t *testing.T) {
+	for _, collide := range []bool{false, true} {
+		if collide {
+			relation.CollideAllHashes(t)
+		}
+		l, r := skewedPair(200, 1)
+		tri := relation.New(relation.MustScheme("A", "B", "C"))
+		for i := 0; i < 120; i++ {
+			tri.MustAdd(relation.TupleOf(fmt.Sprint(i%5), fmt.Sprint(i%8), fmt.Sprint(i%11)))
+		}
+		legs := make([]*relation.Relation, 3)
+		for i, leg := range []relation.Scheme{relation.MustScheme("A", "B"), relation.MustScheme("B", "C"), relation.MustScheme("A", "C")} {
+			legs[i], _ = tri.Project(leg)
+		}
+		for name, inputs := range map[string][]*relation.Relation{"200 × 200": {l, r}, "triangle": legs} {
+			what := fmt.Sprintf("%s (collide %v)", name, collide)
+			var builtM, streamedM obs.Metrics
+			var c obs.Collector
+			builtSp, streamedSp := c.Start(obs.OpJoin, "built"), c.Start(obs.OpJoin, "streamed")
+			built, err := Generic{}.JoinAll(Exec{Metrics: &builtM, Span: builtSp}, NewPlan(inputs...))
+			if err != nil || built.Len() < checkBatch {
+				t.Fatalf("%s: %v, %v; want an answer of more than a batch", what, built, err)
+			}
+			var want, got bytes.Buffer
+			if err := relation.WriteRelation(&want, "result", built); err != nil {
+				t.Fatal(err)
+			}
+			out := &announced{BlockWriter: relation.BlockWriter{W: bufio.NewWriter(&got), Name: "result"}}
+			if r, err := (Generic{}).JoinAll(Exec{Metrics: &streamedM, Span: streamedSp, Out: out}, NewPlan(inputs...)); err != nil || r != nil {
+				t.Fatalf("%s: under Out the join returned %v, %v; want no relation", what, r, err)
+			}
+			if err := out.End(); err != nil || out.W.Flush() != nil {
+				t.Fatal(err)
+			}
+			if out.rows != -1 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s: announced %d rows and wrote\n%.300s\nWriteRelation of the built answer\n%.300s", what, out.rows, got.Bytes(), want.Bytes())
+			}
+			if builtM.Snapshot() != streamedM.Snapshot() || builtSp.MaxIntermediate != streamedSp.MaxIntermediate {
+				t.Errorf("%s: streamed metrics %+v, peak %d; built %+v, peak %d", what, streamedM.Snapshot(), streamedSp.MaxIntermediate, builtM.Snapshot(), builtSp.MaxIntermediate)
+			}
+			charge := int64(built.Len()) * relation.RowBytes(built.Scheme().Len())
+			for _, limits := range []governor.Limits{
+				{MaxMemoryBytes: charge},
+				{MaxMemoryBytes: charge - 1},
+				{MaxRows: built.Len()},
+				{MaxRows: built.Len() - 1},
+			} {
+				fails := limits.MaxMemoryBytes == charge-1 || limits.MaxRows == built.Len()-1
+				gov := governor.New(context.Background(), limits)
+				var discard bytes.Buffer
+				_, err := Generic{}.JoinAll(Exec{Gov: gov, Out: &relation.BlockWriter{W: bufio.NewWriter(&discard)}}, NewPlan(inputs...))
+				if (err != nil) != fails {
+					t.Errorf("%s under %+v: %v, want failure %v", what, limits, err, fails)
+				}
+			}
+		}
 	}
 }

@@ -4,11 +4,13 @@ import "bufio"
 
 // Sink receives one relation's rows as its producer writes them: Begin
 // once, with the scheme and the exact number of rows to come, then Row
-// per row, in order. Begin reports whether the sink wants the rows at all
-// — a sink that only counts does not, and its producer then builds none —
-// and Row whether it wants the next one. A Row that returns false stops
-// the producer; that is the sink's business, not an error of the
-// producer's.
+// per row, in order. A producer that learns its count only by producing
+// the rows — the generic join — calls Begin with rows < 0: the count is
+// then the number of Rows, known after the last. Begin reports whether
+// the sink wants the rows at all — a sink that only counts does not when
+// the count is known, and its producer then builds none — and Row
+// whether it wants the next one. A Row that returns false stops the
+// producer; that is the sink's business, not an error of the producer's.
 //
 // A Builder is the sink that materializes; a BlockWriter the one that
 // writes the codec's block form. Replay feeds a relation that exists to

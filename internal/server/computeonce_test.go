@@ -46,37 +46,63 @@ func blockNthNode(t *testing.T, n int64) (entered, release chan struct{}) {
 }
 
 // TestConcurrentIdenticalMissesComputeOnce: eight identical cold requests
-// at once evaluate the query's one composite node, the join, once between
-// them, and the other seven are served it. (The three legs are facts of T,
-// not cache entries: TestConcurrentFirstQueriesShareProjections.) Every
-// node evaluation is slowed so the requests overlap; the counts are exact
-// under any interleaving.
+// at once for a node that may stream. The one that asks first streams its
+// answer outside the store; of the seven that find it asked, one evaluates
+// the query's one composite node, the join, and stores it, and the other
+// six are served it. (The three legs are facts of T, not cache entries:
+// TestConcurrentFirstQueriesShareProjections.) Every node evaluation is
+// slowed so the requests overlap; the counts are exact under any
+// interleaving.
 func TestConcurrentIdenticalMissesComputeOnce(t *testing.T) {
+	const requests = 8
+	// A streamed answer is a miss that stores nothing.
+	misses, hits, entries := concurrentIdentical(t, requests, "count=1")
+	if misses != 2 || hits != requests-2 || entries != 1 {
+		t.Errorf("%d identical cold requests: %v shared-cache misses, %v hits, %d stored; want one streamed, the join computed once and stored, and %d requests served it",
+			requests, misses, hits, entries, requests-2)
+	}
+}
+
+// TestConcurrentIdenticalHashMissesComputeOnce: the same eight requests
+// under ?strategy=hash, whose answer cannot stream: the first builds it in
+// the store and the other seven are served it.
+func TestConcurrentIdenticalHashMissesComputeOnce(t *testing.T) {
+	const requests = 8
+	misses, hits, entries := concurrentIdentical(t, requests, "count=1&strategy=hash")
+	if misses != 1 || hits != requests-1 || entries != 1 {
+		t.Errorf("%d identical cold requests: %v shared-cache misses, %v hits, %d stored; want the join computed once and %d requests served it",
+			requests, misses, hits, entries, requests-1)
+	}
+}
+
+// concurrentIdentical sends n identical triangleQuery requests with params
+// at once to a fresh server, every node evaluation slowed so that they
+// overlap, and returns the shared-cache misses and hits /metrics counted
+// and the answers stored.
+func concurrentIdentical(t *testing.T, n int, params string) (misses, hits float64, entries int) {
+	t.Helper()
 	s, ts := newTestServer(t)
 	s.Load("acme", relation.Single("T", triangle(40)))
 	restore := fault.Set(fault.NewScript(fault.Rule{Point: fault.EvalNode, Every: true, Act: fault.Sleep, Delay: 2 * time.Millisecond}))
 	defer restore()
 
-	const requests = 8
 	before := scrape(t, ts)
 	var wg sync.WaitGroup
-	for i := 0; i < requests; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if status, _, err := query(ts, "acme", triangleQuery, "count=1"); err != nil || status != http.StatusOK {
+			if status, _, err := query(ts, "acme", triangleQuery, params); err != nil || status != http.StatusOK {
 				t.Errorf("concurrent cold request: status %d, %v", status, err)
 			}
 		}()
 	}
 	wg.Wait()
 	after := scrape(t, ts)
-	misses := after[obs.SeriesServerSharedCacheMisses] - before[obs.SeriesServerSharedCacheMisses]
-	hits := after[obs.SeriesServerSharedCacheHits] - before[obs.SeriesServerSharedCacheHits]
-	if misses != 1 || hits != requests-1 {
-		t.Errorf("%d identical cold requests: %v shared-cache misses, %v hits; want the join computed once and %d requests served it",
-			requests, misses, hits, requests-1)
-	}
+	_, _, _, entries = s.shared.Counters()
+	return after[obs.SeriesServerSharedCacheMisses] - before[obs.SeriesServerSharedCacheMisses],
+		after[obs.SeriesServerSharedCacheHits] - before[obs.SeriesServerSharedCacheHits],
+		entries
 }
 
 // TestQueryConcurrentFirstUse: eight first queries at once, each its own

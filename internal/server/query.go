@@ -209,10 +209,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	o.open(w, expr, q, ev.Collector, start)
 	err = ev.EvalTo(r.Context(), expr, cat.db, o)
 	s.metrics.evalDone(t.name)
+	if err == nil {
+		err = o.finish()
+	}
 	if err != nil {
 		s.failResponse(o, t, err)
-	} else {
-		o.finish()
 	}
 	o.close()
 	s.release(o)
@@ -253,8 +254,13 @@ func (s *Server) response() *response {
 // release puts a detached response (close) back on the free list, so the
 // list never pins a ResponseWriter — or the connection behind it — past its
 // request. A full list drops it: the list holds at most one response per
-// evaluation slot, and unlike a sync.Pool a GC does not empty it.
+// evaluation slot, and unlike a sync.Pool a GC does not empty it. Nor does
+// it keep a held answer's text past responseBuffer: a large answer's side
+// buffer goes with its request.
 func (s *Server) release(o *response) {
+	if cap(o.held.text) > responseBuffer {
+		o.held.text = nil
+	}
 	select {
 	case s.responses <- o:
 	default:
@@ -270,6 +276,12 @@ func (s *Server) release(o *response) {
 // so until the first 32 KB of an answer the status is still open: a
 // failure before then is answered as if the answer had been built first
 // (failResponse).
+//
+// An answer whose count Begin does not know is held: the headers and the
+// header lines wait for the count, the rows' text collects in a side
+// buffer, and finish writes it all in the same order, so the bytes are
+// the same. Nothing of a held answer reaches the client before its last
+// row, and every failure gets its status.
 type response struct {
 	w     http.ResponseWriter
 	buf   *bufio.Writer // writes into the response itself (Write)
@@ -281,7 +293,32 @@ type response struct {
 	collector *obs.Collector
 	start     time.Time
 	count     bool // ?count=: the rows are not wanted, their number is
-	rows      int  // Begin's count
+	rows      int  // Begin's count, or the rows so far of a held answer
+
+	scheme  relation.Scheme // a held answer's, for its header lines
+	holding bool            // the count is unknown until finish
+	hold    *bufio.Writer   // the block's while holding: writes into held
+	held    heldText
+}
+
+// heldText is a held answer's rows in block form; its buffer is reused. The
+// join charged the rows at their width (relation.RowBytes), not at their
+// values' length, so the text is held to the request's memory budget on
+// its own: a write that would take it past the budget fails with the
+// budget's error, which stops the rows and is the request's answer.
+type heldText struct {
+	text    []byte
+	budget  int64        // the request's MaxMemoryBytes, 0 for none
+	metrics *obs.Metrics // counts the violation
+}
+
+func (h *heldText) Write(p []byte) (int, error) {
+	if n := int64(len(h.text) + len(p)); h.budget > 0 && n > h.budget {
+		h.metrics.Violation(obs.ViolationMemBudget)
+		return 0, fmt.Errorf("%w: held answer ≈%d bytes > budget %d", governor.ErrMemBudget, n, h.budget)
+	}
+	h.text = append(h.text, p...)
+	return len(p), nil
 }
 
 // open attaches the response to w for query q's answer to expr.
@@ -290,6 +327,7 @@ func (o *response) open(w http.ResponseWriter, expr algebra.Expr, q *queryReques
 	o.buf.Reset(o)
 	o.block = relation.BlockWriter{W: o.buf, Name: "result"}
 	o.expr, o.strategy, o.collector, o.start, o.count = expr, q.strategy, c, start, q.count
+	o.held.budget, o.held.metrics = q.ev.Limits.MaxMemoryBytes, c.M()
 }
 
 // close detaches the response from its request, dropping anything still
@@ -297,6 +335,8 @@ func (o *response) open(w http.ResponseWriter, expr algebra.Expr, q *queryReques
 func (o *response) close() {
 	o.buf.Reset(o)
 	o.w, o.expr, o.collector = nil, nil, nil
+	o.scheme, o.holding = relation.Scheme{}, false
+	o.held.text, o.held.metrics = o.held.text[:0], nil
 }
 
 // Write passes the buffer's bytes on to the ResponseWriter, which sends
@@ -306,30 +346,67 @@ func (o *response) Write(p []byte) (int, error) {
 	return o.w.Write(p)
 }
 
-// Begin sets the answer's headers — X-Relquery-Wall is the time to here,
-// the first row when the answer streams — and writes its header lines.
+// Begin starts the answer: its head when the count is known, else it
+// holds the answer until finish, pointing the block at the side buffer.
 func (o *response) Begin(scheme relation.Scheme, rows int) bool {
+	if rows < 0 {
+		o.scheme, o.holding, o.rows = scheme, true, 0
+		if o.hold == nil {
+			o.hold = bufio.NewWriter(&o.held)
+		}
+		o.hold.Reset(&o.held)
+		o.block.W = o.hold
+		return true
+	}
 	o.rows = rows
-	answerHeaders(o.w.Header(), rows, time.Since(o.start), o.strategy, o.collector)
+	return o.head(scheme)
+}
+
+// head sets the answer's headers — X-Relquery-Wall is the time to here:
+// the first row when the answer streams, the last when it is held — and,
+// unless only the count is wanted, writes its header lines.
+func (o *response) head(scheme relation.Scheme) bool {
+	answerHeaders(o.w.Header(), o.rows, time.Since(o.start), o.strategy, o.collector)
 	if o.count {
 		return false
 	}
 	o.buf.WriteString("# ")
 	o.buf.WriteString(o.expr.String())
 	o.buf.WriteString("\n# ")
-	o.buf.Write(strconv.AppendInt(o.buf.AvailableBuffer(), int64(rows), 10))
+	o.buf.Write(strconv.AppendInt(o.buf.AvailableBuffer(), int64(o.rows), 10))
 	o.buf.WriteString(" tuples over ")
 	scheme.WriteText(o.buf)
 	o.buf.WriteByte('\n')
-	return o.block.Begin(scheme, rows)
+	return o.block.Begin(scheme, o.rows)
 }
 
 // Row writes one row of the answer. It stops the rows once a write has
-// failed: the client is gone, and there is nobody left to tell.
-func (o *response) Row(t relation.Tuple) bool { return o.block.Row(t) }
+// failed: the client is gone, and there is nobody left to tell, or a held
+// answer's text is past the budget. A held row is counted and, unless only
+// the count is wanted, written to the side buffer.
+func (o *response) Row(t relation.Tuple) bool {
+	if o.holding {
+		o.rows++
+		if o.count {
+			return true
+		}
+	}
+	return o.block.Row(t)
+}
 
-// finish ends a complete answer: the count, or the block's end line.
-func (o *response) finish() {
+// finish ends a complete answer: a held answer's head and rows, then the
+// count or the block's end line. A held answer whose text passed the
+// budget is not complete: finish returns the budget's error and writes
+// nothing.
+func (o *response) finish() error {
+	if o.holding {
+		if err := o.hold.Flush(); err != nil {
+			return err
+		}
+		o.block.W = o.buf
+		o.head(o.scheme)
+		o.buf.Write(o.held.text)
+	}
 	if o.count {
 		o.buf.Write(strconv.AppendInt(o.buf.AvailableBuffer(), int64(o.rows), 10))
 		o.buf.WriteByte('\n')
@@ -337,13 +414,15 @@ func (o *response) finish() {
 		_ = o.block.End()
 	}
 	_ = o.buf.Flush()
+	return nil
 }
 
 // failResponse answers a query whose evaluation failed. While nothing has
-// reached the client, what the buffer holds is dropped and the failure
-// gets its status, as writeEvalError maps it. Once the first 32 KB went out
-// with status 200, the failure can only follow them: the block gets no end
-// line, and the ErrorTrailer names the status and the message.
+// reached the client — always, for a held answer — what the buffer holds
+// is dropped and the failure gets its status, as writeEvalError maps it.
+// Once the first 32 KB went out with status 200, the failure can only
+// follow them: the block gets no end line, and the ErrorTrailer names the
+// status and the message.
 func (s *Server) failResponse(o *response, t *tenant, err error) {
 	o.buf.Reset(o)
 	if o.sent {

@@ -48,7 +48,7 @@ func TestStreamedCountStopsAtTheCount(t *testing.T) {
 }
 
 // TestStreamAdmission: the first request for an acyclic answer streams it
-// and stores nothing, the second finds the node's plan facts, builds the
+// and stores nothing, the second finds it asked before, builds the
 // answer and stores it, the third is served it; all three bodies are the
 // same bytes.
 func TestStreamAdmission(t *testing.T) {
@@ -122,10 +122,10 @@ func TestStreamFailsMidStream(t *testing.T) {
 }
 
 // TestStreamConcurrentFirstSight: eight identical first-sight requests
-// at once. The one that enters the node's plan facts streams; the others
-// find the facts, so one of them builds and stores the answer while the
-// rest wait on it and are served it. Every body is the same bytes, and
-// the answer is stored exactly once.
+// at once. The one that asks first streams; the others find it asked, so
+// one of them builds and stores the answer while the rest wait on it and
+// are served it. Every body is the same bytes, and the answer is stored
+// exactly once.
 func TestStreamConcurrentFirstSight(t *testing.T) {
 	s, ts := newTestServer(t)
 	restore := fault.Set(fault.NewScript(fault.Rule{Point: fault.EvalNode, Every: true, Act: fault.Sleep, Delay: 2 * time.Millisecond}))
