@@ -32,7 +32,7 @@ import (
 // never an answer, so even a colliding fingerprint cannot corrupt one.
 //
 // Beside them the cache records the keys asked for since the last Reset:
-// an answer that may stream is stored only when it is asked for again
+// a root join node's answer is stored only when it is asked for again
 // (Evaluator.EvalTo).
 //
 // Both stores are Memos, under its rules. A SubexprCache is safe for

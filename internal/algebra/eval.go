@@ -165,21 +165,22 @@ func (ev *Evaluator) EvalContext(ctx context.Context, e Expr, db relation.Databa
 // EvalTo is EvalContext writing the answer into sink instead of returning
 // it: Begin with the answer's scheme and cardinality, then its rows in
 // sorted order. An answer asked for the first time since the shared
-// cache's last Reset is not built at all when a one-pass join can write
-// it: a root join node that runs the tree join streams its rows into sink
-// as its search finds them, Begin with their count, and one that runs the
-// generic join does the same with Begin's count unknown (-1), known after
-// the last row. Either stores nothing. Every other answer is materialized
-// and stored as EvalContext would, then replayed into sink
+// cache's last Reset is not built at all when it is a root join node,
+// whatever its strategy: the tree join and the binary plan write its rows
+// into sink after Begin with their count, the binary plan sorting row ids
+// and not rows, and the generic join as its search finds them, with
+// Begin's count unknown (-1), known after the last row. None stores
+// anything. Every other answer — a projected node, a one-input node, the
+// generic join's empty answer, and any answer asked again — is
+// materialized and stored as EvalContext would, then replayed into sink
 // (relation.Replay). So an answer is stored the second time it is asked
 // for, and served from the store from the third (DESIGN.md, "Caching").
-// A streaming node is evaluated outside the result store, so no other
+// A written node is evaluated outside the result store, so no other
 // request ever waits on how fast this one's sink takes its rows.
 //
 // An error after Begin leaves sink holding part of the answer; which
-// errors can come that late is the one-pass joins' searches': the
-// governor's deadline, cancellation and budgets, and a recovered engine
-// panic.
+// errors can come that late is the joins' writing loops': the governor's
+// deadline, cancellation and budgets, and a recovered engine panic.
 func (ev *Evaluator) EvalTo(ctx context.Context, e Expr, db relation.Database, sink relation.Sink) error {
 	r, err := ev.evaluate(ctx, e, db, sink)
 	if err == nil && r != nil && sink != nil {
@@ -266,10 +267,10 @@ func spanOp(e Expr) string {
 // checkpoint, so cancellation reaches even join-free expressions; a failed
 // node is not cached (Memo), so an aborted evaluation leaves nothing partial.
 // out is the root's sink (EvalTo) and nil below the root. A root join
-// node that may run a one-pass join, asked for the first time since the
-// shared cache's last Reset, is evaluated outside the result store, so that
-// its answer can stream into out (multi) while no other request waits on
-// it; it returns no relation when it did.
+// node asked for the first time since the shared cache's last Reset is
+// evaluated outside the result store, so that its answer can stream into
+// out (multi) while no other request waits on it; it returns no relation
+// when it did.
 func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, gov *governor.Governor, out *written) (*relation.Relation, error) {
 	sp.Begin()
 	fault.Hit(fault.EvalNode)
@@ -286,7 +287,7 @@ func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, gov *gover
 	// Built once per node: the result's key here and, for a join that
 	// misses, its plan facts' key in multi.
 	key := contentKey(e.String(), e.Operands(), db)
-	if _, isJoin := e.(*Join); isJoin && out != nil && ev.mayStream() && !ev.SharedCache.ask(key) {
+	if _, isJoin := e.(*Join); isJoin && out != nil && !ev.SharedCache.ask(key) {
 		ev.Collector.M().CacheMiss()
 		r, err := ev.evalNode(e, key, db, sp, gov, out)
 		return ev.finishSpan(sp, obs.CacheMiss, r, out, err)
@@ -480,8 +481,8 @@ func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, 
 // mid-plan — and, under a governor, mid-join — as soon as any checkpoint
 // trips; under proj, non-nil, the node answers proj's projection of the
 // join (projectedJoin). Offered the sink out, which only a root node
-// asked for the first time is (eval), a node that runs a one-pass join
-// writes its answer there and returns none; one that builds its answer
+// asked for the first time is (eval), the node's join writes its answer
+// there and returns none; a node that builds its answer all the same
 // stores it.
 func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, gov *governor.Governor, out *written, proj *Project) (*relation.Relation, error) {
 	if sp != nil {
@@ -507,23 +508,17 @@ func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, 
 	}
 	// The first sight of this node's content since the last reset: its
 	// answer is likely asked once, so it is written and not kept.
-	build := func() (*relation.Relation, error) { return ev.run(x, p, alg) }
-	if streams(alg) {
-		y := x
-		y.Out = out
-		r, err := ev.run(y, p, alg)
-		if r == nil || err != nil {
-			ev.SharedCache.streamed()
-			return r, err
-		}
-		// Built after all: the tree join of a cyclic node, a one-input or
-		// empty node, a projected node.
-		build = func() (*relation.Relation, error) { return r, nil }
+	x.Out = out
+	r, err := ev.run(x, p, alg)
+	if r == nil || err != nil {
+		ev.SharedCache.streamed()
+		return r, err
 	}
+	// Built after all: a one-input node, the generic join's empty answer.
 	if key == "" {
-		return build()
+		return r, nil
 	}
-	r, _, err := ev.SharedCache.results.Do(gov, key, build)
+	r, _, err = ev.SharedCache.results.Do(gov, key, func() (*relation.Relation, error) { return r, nil })
 	return r, err
 }
 
@@ -537,21 +532,6 @@ type written struct {
 func (w *written) Begin(scheme relation.Scheme, rows int) bool {
 	w.rows = rows
 	return w.Sink.Begin(scheme, rows)
-}
-
-// streams reports whether alg can write a node's answer to Exec.Out: the
-// one-pass joins.
-func streams(alg join.Algorithm) bool {
-	switch alg.(type) {
-	case join.Yannakakis, join.Generic:
-		return true
-	}
-	return false
-}
-
-// mayStream reports whether choose can route a node to a one-pass join.
-func (ev *Evaluator) mayStream() bool {
-	return streams(ev.algorithm()) || ev.AutoYannakakis || ev.AutoWCOJ
 }
 
 // choose picks the strategy for one join node: the configured algorithm

@@ -10,10 +10,10 @@ import (
 )
 
 // TestEvalToStoresWhatItBuilds: on first sight EvalTo keeps nothing of
-// what the tree join or the generic join wrote into the sink, but an
-// answer it had to build — the tree join's greedy fallback on a cyclic
-// node — is stored, as EvalContext would store it. All reach the sink as
-// the answer.
+// what a join wrote into the sink — the tree join, its greedy fallback on
+// a cyclic node, the generic join, the binary plan — but an answer it had
+// to build — a projected node — is stored, as EvalContext would store it.
+// All reach the sink as the answer.
 func TestEvalToStoresWhatItBuilds(t *testing.T) {
 	tri := relation.New(relation.MustScheme("A", "B", "C"))
 	for i := 0; i < 6; i++ {
@@ -28,8 +28,10 @@ func TestEvalToStoresWhatItBuilds(t *testing.T) {
 		stored int
 	}{
 		{"acyclic chain, streamed", join.Yannakakis{}, "", chainDB, 0},
-		{"cyclic triangle, built", join.Yannakakis{}, "pi[A B](T) * pi[B C](T) * pi[A C](T)", relation.Single("T", tri), 1},
+		{"cyclic triangle, fallback written", join.Yannakakis{}, "pi[A B](T) * pi[B C](T) * pi[A C](T)", relation.Single("T", tri), 0},
 		{"cyclic triangle, searched", join.Generic{}, "pi[A B](T) * pi[B C](T) * pi[A C](T)", relation.Single("T", tri), 0},
+		{"cyclic triangle, hash written", join.Hash{}, "pi[A B](T) * pi[B C](T) * pi[A C](T)", relation.Single("T", tri), 0},
+		{"projected triangle, hash built", join.Hash{}, "pi[A C](pi[A B](T) * pi[B C](T) * pi[A C](T))", relation.Single("T", tri), 1},
 	} {
 		e := chain
 		if tc.src != "" {

@@ -61,6 +61,11 @@ func FuzzEvalParity(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
 	}
+	// Root join nodes that every strategy but wcoj writes on first sight
+	// through the binary plan:
+	f.Add(int64(2707)) // a cyclic node of seven inputs: Yannakakis' greedy fallback
+	f.Add(int64(291))  // a two-input hash join on one shared attribute
+	f.Add(int64(181))  // three non-empty inputs, an empty answer
 	f.Fuzz(func(t *testing.T, seed int64) {
 		if seed&3 == 3 {
 			relation.CollideAllHashes(t)

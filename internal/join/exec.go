@@ -27,18 +27,19 @@ type Exec struct {
 	// Span is the join node's trace span: peak materialization, and the
 	// structure and search-effort annotations of the n-ary strategies.
 	Span *obs.Span
-	// Out, when set, is where the tree join and the generic join write
-	// their answer instead of building it, born sorted, and the join
-	// returns no relation. The tree join calls Begin with its count once
-	// that has passed Sized and the output check. The generic join, which
-	// learns its count only from its search, calls Begin with -1 and runs
-	// the checks of the answer it would have built — the batch checks as
-	// the rows go out, then grown and the output check on the total, so
-	// that the span's peak is the count.
-	// Every other strategy ignores Out and returns its answer as always;
-	// so do the tree join's cyclic fallback, a generic join that keeps a
-	// dedup set or projects out of its order, and a projected node under
-	// any other strategy (Multi).
+	// Out, when set, is where the join writes its answer instead of
+	// building it, in sorted order, and returns no relation. Every strategy
+	// writes. The binary plan (hash, and Yannakakis' cyclic fallback) and
+	// the tree join call Begin with their count once it has passed Sized
+	// and the output check, before a row exists; the binary plan then
+	// writes its last step's row ids and sorts them by the values they
+	// name. The generic join, which learns its count only from its search,
+	// calls Begin with -1 and runs the checks of the answer it would have
+	// built — the batch checks as the rows go out, then grown and the
+	// output check on the total, so that the span's peak is the count.
+	// A one-input node, the generic join's empty answer, a generic join
+	// that keeps a dedup set, and a projected node under hash or the tree
+	// join (Multi) are built all the same, and returned.
 	Out relation.Sink
 }
 

@@ -66,8 +66,8 @@ func StrategyNames() []string { return append(Names(), "auto") }
 // before the output is allocated, at exactly that size, and filled. Over
 // more than two inputs (Multi) it runs as one binary plan whose
 // intermediates are row ids into the inputs and whose last step alone
-// writes values (hashPlan); a join of two relations is that plan's
-// one-step case.
+// writes values (hashPlan) — into Exec.Out, when set, in sorted order; a
+// join of two relations is that plan's one-step case.
 //
 // Metrics: built counts build-side rows, probed counts probe-side rows.
 // The governor is ticked once per build and probe tuple and once per

@@ -591,3 +591,104 @@ func TestOnePassProducersAllocatePerRelation(t *testing.T) {
 		}
 	}
 }
+
+// rowSink records what a producer writes into it: Begin's count, and a
+// copy of each row, until it has stop rows (0: all of them).
+type rowSink struct {
+	begun bool
+	count int
+	rows  []relation.Tuple
+	stop  int
+}
+
+func (s *rowSink) Begin(_ relation.Scheme, rows int) bool {
+	s.begun, s.count = true, rows
+	return true
+}
+
+func (s *rowSink) Row(t relation.Tuple) bool {
+	s.rows = append(s.rows, t.Clone())
+	return s.stop == 0 || len(s.rows) < s.stop
+}
+
+// TestStreamHashPlanWritesSortedOrder: under Exec.Out the binary plan
+// builds no answer. On random inputs over a three-letter alphabet — many
+// rows share a value, and many rows share a source row — it announces the
+// built answer's count and writes exactly its rows in SortedOrder, with
+// the built plan's metrics and peak, in both orders; so does Yannakakis'
+// greedy fallback on a cyclic node. A sink that declines a row stops the
+// rows. A result cap or a row budget below the count fails before Begin.
+// Also when every tuple hash collides.
+func TestStreamHashPlanWritesSortedOrder(t *testing.T) {
+	shapes := [][]string{
+		{"A B", "B C", "A C"},          // a triangle: cyclic
+		{"A B", "B C", "C D", "D A"},   // a four-cycle
+		{"A B", "B C", "D"},            // a chain and a cartesian component
+		{"A B C", "B C D", "A D", "C"}, // keys of two columns
+		{"A B", "A B"},                 // one scheme twice
+	}
+	for _, collide := range []bool{false, true} {
+		if collide {
+			relation.CollideAllHashes(t)
+		}
+		rng := rand.New(rand.NewSource(43))
+		for trial := 0; trial < 60; trial++ {
+			shape := shapes[trial%len(shapes)]
+			inputs := make([]*relation.Relation, len(shape))
+			for i, sc := range shape {
+				sc, err := relation.SchemeOf(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inputs[i] = randomRelation(rng, sc, 14)
+			}
+			for _, order := range []Order{Sequential, Greedy} {
+				what := fmt.Sprintf("%v under %v, trial %d (collide %v)", shape, order, trial, collide)
+				var builtM, writtenM obs.Metrics
+				var c obs.Collector
+				builtSp, writtenSp := c.Start(obs.OpJoin, "built"), c.Start(obs.OpJoin, "written")
+				built, err := hashPlan(Exec{Metrics: &builtM, Span: builtSp}, inputs, order)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got rowSink
+				if r, err := hashPlan(Exec{Metrics: &writtenM, Span: writtenSp, Out: &got}, inputs, order); r != nil || err != nil {
+					t.Fatalf("%s: under Out the plan returned %v, %v; want no relation", what, r, err)
+				}
+				if !got.begun || got.count != built.Len() || !slices.EqualFunc(got.rows, built.Sorted(), relation.Tuple.Equal) {
+					t.Fatalf("%s: announced %d rows and wrote %v; built %d rows, sorted %v", what, got.count, got.rows, built.Len(), built.Sorted())
+				}
+				if builtM.Snapshot() != writtenM.Snapshot() || builtSp.MaxIntermediate != writtenSp.MaxIntermediate {
+					t.Errorf("%s: written metrics %+v, peak %d; built %+v, peak %d", what, writtenM.Snapshot(), writtenSp.MaxIntermediate, builtM.Snapshot(), builtSp.MaxIntermediate)
+				}
+				if built.Len() < 2 {
+					continue
+				}
+				stopped := rowSink{stop: 1}
+				if _, err := hashPlan(Exec{Out: &stopped}, inputs, order); err != nil || len(stopped.rows) != 1 {
+					t.Errorf("%s: a sink that declines its second row got %d rows, %v", what, len(stopped.rows), err)
+				}
+				for _, limits := range []governor.Limits{{MaxRows: built.Len() - 1}, {MaxIntermediateRows: built.Len() - 1}} {
+					var refused rowSink
+					_, err := hashPlan(Exec{Gov: governor.New(context.Background(), limits), Out: &refused}, inputs, order)
+					if err == nil || refused.begun {
+						t.Errorf("%s under %+v: %v, begun %v; want a failure before Begin", what, limits, err, refused.begun)
+					}
+				}
+			}
+		}
+		tri := []*relation.Relation{
+			rel(t, "A B", "1 x", "2 x", "2 y", "3 y"),
+			rel(t, "B C", "x p", "x q", "y p"),
+			rel(t, "A C", "1 p", "2 q", "2 p", "3 p"),
+		}
+		built, err := Hash{}.joinAll(Exec{}, NewPlan(tri...), Greedy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got rowSink
+		if r, err := (Yannakakis{}).JoinAll(Exec{Out: &got}, NewPlan(tri...)); r != nil || err != nil || !slices.EqualFunc(got.rows, built.Sorted(), relation.Tuple.Equal) {
+			t.Errorf("Yannakakis' fallback under Out: %v, %v, wrote %v; want %v", r, err, got.rows, built.Sorted())
+		}
+	}
+}

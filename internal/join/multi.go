@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"relquery/internal/fault"
 	"relquery/internal/relation"
@@ -55,10 +56,11 @@ func OrderByName(name string) (Order, error) {
 // what a caller wants); joining one relation returns it unchanged, folded
 // into the intermediate statistics.
 //
-// A projected plan (Plan.Onto) answers π_onto of the join. Generic looks
-// for one witness per output row and writes only the projection; Hash and
-// Yannakakis join the inputs and then project, building their answer even
-// under x.Out.
+// Under x.Out every strategy writes its answer there and returns none
+// (Exec.Out). A projected plan (Plan.Onto) answers π_onto of the join.
+// Generic looks for one witness per output row and writes only the
+// projection; Hash and Yannakakis join the inputs and then project,
+// building their answer even under x.Out.
 func Multi(x Exec, p *Plan, alg Algorithm, order Order) (*relation.Relation, error) {
 	inputs := p.Inputs
 	switch len(inputs) {
@@ -164,6 +166,14 @@ func (o *operand) put(r int, w []int32) []int32 {
 	return w[copy(w, o.ids[r*k:(r+1)*k]):]
 }
 
+// fill sets row to the values of the row of o whose source row ids are
+// ids, one per source.
+func (o *operand) fill(ids []int32, row relation.Tuple) {
+	for c, f := range o.from {
+		row[c] = o.rels[f.Src].Tuple(int(ids[f.Src]))[f.Col]
+	}
+}
+
 func (o *operand) has(a int) bool { return o.set[a/64]&(1<<(a%64)) != 0 }
 
 // shares reports whether o and u have an attribute in common.
@@ -179,8 +189,9 @@ func (o *operand) shares(u *operand) bool {
 // binaryPlan is one run of a binary plan for Hash over a node's inputs:
 // each step builds a table on its smaller side, counts the output, and
 // either writes it as row ids — an intermediate — or, at the last step,
-// collects the answer's values from the input rows the ids name. The
-// intermediates are the paper's blow-up; only the answer holds values.
+// collects the answer's values from the input rows the ids name, or
+// writes them to Exec.Out. The intermediates are the paper's blow-up; only
+// the answer holds values, and a written one never holds them all.
 type binaryPlan struct {
 	x Exec
 	// Scratch of one input row per source: a build row, a probe row, a
@@ -357,13 +368,22 @@ func (pl *binaryPlan) intermediate(l, r *operand) (*operand, error) {
 	// Only a count the budget accepted becomes an intermediate.
 	x.Metrics.ObserveJoin(s.rows)
 	out.n, out.ids = s.rows, make([]int32, s.rows*k)
-	w := out.ids
+	if err := pl.ids(s, out.ids); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ids writes the row ids of s's output into w, one per source per row, in
+// the order the step writes its rows: probe row by probe row, each probe
+// row's matches in build order.
+func (pl *binaryPlan) ids(s step, w []int32) error {
 	for p := range pl.heads {
 		for i := int(pl.heads[p]); i >= 0; i = pl.table.after(i) {
 			// One probe row can match the entire build side under key
 			// skew, so the loop ticks per output row.
-			if err := x.Gov.Tick(); err != nil {
-				return nil, err
+			if err := pl.x.Gov.Tick(); err != nil {
+				return err
 			}
 			if s.buildIsLeft {
 				w = s.probe.put(p, s.build.put(i, w))
@@ -372,14 +392,15 @@ func (pl *binaryPlan) intermediate(l, r *operand) (*operand, error) {
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// answer joins l and r, the last step, into the node's answer: a relation
-// whose values are collected from the input rows the operands' ids name
-// (relation.Builder.Collect), sized on the count like every hash join's
-// output. A natural-join output row determines its source rows, so the
-// answer is duplicate-free as written: no dedup, no index.
+// answer joins l and r, the last step, into the node's answer, sized on
+// the count like every hash join's output. A natural-join output row
+// determines its source rows, so the answer is duplicate-free as written:
+// no dedup, no index. Under x.Out the answer is written there (write) and
+// none is returned; else it is a relation whose values are collected from
+// the input rows the operands' ids name (relation.Builder.Collect).
 func (pl *binaryPlan) answer(l, r *operand) (*relation.Relation, error) {
 	s, err := pl.join(l, r)
 	if err != nil {
@@ -398,6 +419,9 @@ func (pl *binaryPlan) answer(l, r *operand) (*relation.Relation, error) {
 		return nil, err
 	}
 	x.Metrics.ObserveJoin(s.rows)
+	if x.Out != nil {
+		return nil, pl.write(s, scheme)
+	}
 	// The answer's sources: l's, then r's, as out numbers them.
 	srcs := make([]relation.Tuple, len(out.rels))
 	left, right := srcs[:len(l.rels)], srcs[len(l.rels):]
@@ -417,4 +441,64 @@ func (pl *binaryPlan) answer(l, r *operand) (*relation.Relation, error) {
 		}
 	}
 	return b.Relation(), nil
+}
+
+// write writes the last step s's output, over scheme, to x.Out in sorted
+// order, holding row ids and not values: the result cap is checked on the
+// count and Begin told it before a row exists; then each row's ids, one
+// per source (ids); then a permutation of the rows, sorted by the values
+// their ids name; then the rows, through one reused tuple. Two rows that
+// share a source row agree on all of its columns, so the sort compares
+// ids before it reads a value. The write loop crosses a batch boundary
+// every checkBatch rows, where the governor is checked: a deadline can
+// still strike once rows have gone out.
+func (pl *binaryPlan) write(s step, scheme relation.Scheme) error {
+	x, out := pl.x, s.out
+	if err := x.Gov.CheckOutput(s.rows); err != nil {
+		return err
+	}
+	if !x.Out.Begin(scheme, s.rows) {
+		return nil
+	}
+	k, rels, from := len(out.rels), out.rels, out.from
+	ids := make([]int32, s.rows*k)
+	if err := pl.ids(s, ids); err != nil {
+		return err
+	}
+	order := make([]int32, s.rows)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ra, rb := ids[int(a)*k:int(a+1)*k], ids[int(b)*k:int(b+1)*k]
+		src := -1
+		var ta, tb relation.Tuple
+		for _, f := range from {
+			ia, ib := ra[f.Src], rb[f.Src]
+			if ia == ib {
+				continue
+			}
+			if f.Src != src {
+				src, ta, tb = f.Src, rels[f.Src].Tuple(int(ia)), rels[f.Src].Tuple(int(ib))
+			}
+			if c := strings.Compare(string(ta[f.Col]), string(tb[f.Col])); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	row := make(relation.Tuple, len(from))
+	for n, r := range order {
+		if n%checkBatch == 0 {
+			fault.Hit(fault.JoinBatch)
+			if err := x.Gov.Check(); err != nil {
+				return err
+			}
+		}
+		out.fill(ids[int(r)*k:int(r+1)*k], row)
+		if !x.Out.Row(row) {
+			return nil
+		}
+	}
+	return nil
 }

@@ -56,7 +56,7 @@ func blockNthNode(t *testing.T, n int64) (entered, release chan struct{}) {
 func TestConcurrentIdenticalMissesComputeOnce(t *testing.T) {
 	const requests = 8
 	// A streamed answer is a miss that stores nothing.
-	misses, hits, entries := concurrentIdentical(t, requests, "count=1")
+	misses, hits, entries := concurrentIdentical(t, requests, triangleQuery, "count=1")
 	if misses != 2 || hits != requests-2 || entries != 1 {
 		t.Errorf("%d identical cold requests: %v shared-cache misses, %v hits, %d stored; want one streamed, the join computed once and stored, and %d requests served it",
 			requests, misses, hits, entries, requests-2)
@@ -64,22 +64,36 @@ func TestConcurrentIdenticalMissesComputeOnce(t *testing.T) {
 }
 
 // TestConcurrentIdenticalHashMissesComputeOnce: the same eight requests
-// under ?strategy=hash, whose answer cannot stream: the first builds it in
-// the store and the other seven are served it.
+// under ?strategy=hash. The binary plan writes its answer like the
+// one-pass joins: the first streams it, one of the seven that find it
+// asked builds and stores it, and the other six are served it.
 func TestConcurrentIdenticalHashMissesComputeOnce(t *testing.T) {
 	const requests = 8
-	misses, hits, entries := concurrentIdentical(t, requests, "count=1&strategy=hash")
+	misses, hits, entries := concurrentIdentical(t, requests, triangleQuery, "count=1&strategy=hash")
+	if misses != 2 || hits != requests-2 || entries != 1 {
+		t.Errorf("%d identical cold requests: %v shared-cache misses, %v hits, %d stored; want one streamed, the join computed once and stored, and %d requests served it",
+			requests, misses, hits, entries, requests-2)
+	}
+}
+
+// TestConcurrentIdenticalProjectedHashMissesComputeOnce: eight identical
+// cold requests for a projection of the triangle under ?strategy=hash, an
+// answer that is always built: the first builds it in the store and the
+// other seven are served it.
+func TestConcurrentIdenticalProjectedHashMissesComputeOnce(t *testing.T) {
+	const requests = 8
+	misses, hits, entries := concurrentIdentical(t, requests, "pi[A C]("+triangleQuery+")", "count=1&strategy=hash")
 	if misses != 1 || hits != requests-1 || entries != 1 {
 		t.Errorf("%d identical cold requests: %v shared-cache misses, %v hits, %d stored; want the join computed once and %d requests served it",
 			requests, misses, hits, entries, requests-1)
 	}
 }
 
-// concurrentIdentical sends n identical triangleQuery requests with params
+// concurrentIdentical sends n identical requests for src with params
 // at once to a fresh server, every node evaluation slowed so that they
 // overlap, and returns the shared-cache misses and hits /metrics counted
 // and the answers stored.
-func concurrentIdentical(t *testing.T, n int, params string) (misses, hits float64, entries int) {
+func concurrentIdentical(t *testing.T, n int, src, params string) (misses, hits float64, entries int) {
 	t.Helper()
 	s, ts := newTestServer(t)
 	s.Load("acme", relation.Single("T", triangle(40)))
@@ -92,7 +106,7 @@ func concurrentIdentical(t *testing.T, n int, params string) (misses, hits float
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if status, _, err := query(ts, "acme", triangleQuery, params); err != nil || status != http.StatusOK {
+			if status, _, err := query(ts, "acme", src, params); err != nil || status != http.StatusOK {
 				t.Errorf("concurrent cold request: status %d, %v", status, err)
 			}
 		}()

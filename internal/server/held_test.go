@@ -13,6 +13,7 @@ import (
 	"relquery/internal/algebra"
 	"relquery/internal/fault"
 	"relquery/internal/governor"
+	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
@@ -36,6 +37,16 @@ func heldBody(t *testing.T, body string, rows int) string {
 // answer EvalContext builds, as is the second's, which stores it, and the
 // third's, served it. Also when every tuple hash collides.
 func TestStreamHeldAnswersAreByteEqual(t *testing.T) {
+	gadgetAnswersAreByteEqual(t, "wcoj", "auto")
+}
+
+// gadgetAnswersAreByteEqual asks each of strategies three times for φ_G
+// of two Lemma 1 gadgets, on a fresh server per strategy: every body is
+// the comment lines and then exactly what WriteRelation writes of the
+// answer EvalContext builds, and the answer is stored on the second ask,
+// not the first. Also when every tuple hash collides.
+func gadgetAnswersAreByteEqual(t *testing.T, strategies ...string) {
+	t.Helper()
 	for _, collide := range []bool{false, true} {
 		if collide {
 			relation.CollideAllHashes(t)
@@ -46,15 +57,21 @@ func TestStreamHeldAnswersAreByteEqual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			built, err := algebra.Eval(phi, c.Database())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want bytes.Buffer
-			if err := relation.WriteRelation(&want, "result", built); err != nil {
-				t.Fatal(err)
-			}
-			for _, strategy := range []string{"wcoj", "auto"} {
+			for _, strategy := range strategies {
+				// Built as the server evaluates: the binary plan's column
+				// order follows its order.
+				ev := algebra.Evaluator{Order: join.Greedy}
+				if err := ev.SetStrategy(strategy); err != nil {
+					t.Fatal(err)
+				}
+				built, err := ev.Eval(phi, c.Database())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want bytes.Buffer
+				if err := relation.WriteRelation(&want, "result", built); err != nil {
+					t.Fatal(err)
+				}
 				s := New(Config{Tenants: map[string]governor.Limits{"acme": {}}})
 				s.Load("acme", c.Database())
 				ts := httptest.NewServer(s.Handler())
@@ -252,11 +269,50 @@ func TestStreamAdmissionAfterReset(t *testing.T) {
 // to the request's memory budget. R * S over 200-byte values is 400 rows of
 // about 410 bytes of text each; the generic join charges them at their
 // width, 48 bytes a row, which a 64 KB budget admits. The first ask holds
-// the text and stops it once past the budget: 413 with the budget's error,
-// no part of the answer, and a side buffer that never grew to the answer.
-// The second ask builds the answer at its width, stores it and answers it.
+// the text and stops it once past the budget, with a side buffer that never
+// grew to the answer; it then builds the answer at its width, stores it and
+// answers it, 200 as the second ask, which is served it, answers: the
+// status does not depend on the ask.
 func TestStreamHeldTextKeepsToTheMemoryBudget(t *testing.T) {
 	const budget = 64 << 10
+	s := New(Config{MaxConcurrent: 1, Tenants: map[string]governor.Limits{"acme": {MaxMemoryBytes: budget}}})
+	s.Load("acme", longValuesDB())
+	o := s.response()
+	s.release(o)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	held := 0
+	restore := fault.Set(fault.NewScript(fault.Rule{Point: fault.EvalNode, Every: true, Act: fault.Call, Func: func() {
+		held = max(held, cap(o.held.text))
+	}}))
+	var bodies []string
+	for i, stage := range []struct{ hits, entries int }{{0, 1}, {1, 1}} {
+		resp := postQuery(t, ts, "acme", "R * S", "strategy=wcoj")
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Relquery-Rows") != "400" || len(body) < 400*400 || !strings.HasSuffix(body, "\nend\n") {
+			t.Fatalf("ask %d: status %d, X-Relquery-Rows %q, %d bytes; want 200 and the 400 rows", i+1, resp.StatusCode, resp.Header.Get("X-Relquery-Rows"), len(body))
+		}
+		bodies = append(bodies, body)
+		if hits, _, _, entries := s.shared.Counters(); hits != stage.hits || entries != stage.entries {
+			t.Errorf("after ask %d: %d hits, %d stored; want %+v", i+1, hits, entries, stage)
+		}
+	}
+	restore()
+	if bodies[1] != bodies[0] {
+		t.Errorf("the first ask answered %d bytes, the second %d", len(bodies[0]), len(bodies[1]))
+	}
+	if held == 0 || held > 2*budget {
+		t.Errorf("the side buffer grew to %d bytes against a budget of %d", held, budget)
+	}
+	if got := s.response(); got != o || cap(o.held.text) > 2*budget {
+		t.Errorf("the free-listed side buffer holds %d bytes against a budget of %d", cap(o.held.text), budget)
+	}
+}
+
+// longValuesDB is R(A,B) and S(B,C), 40 rows each, whose A and C values
+// are over 200 bytes long: R * S is 400 rows of about 410 bytes of text.
+func longValuesDB() relation.Database {
 	pad := strings.Repeat("v", 200)
 	r := relation.New(relation.MustScheme("A", "B"))
 	q := relation.New(relation.MustScheme("B", "C"))
@@ -267,30 +323,28 @@ func TestStreamHeldTextKeepsToTheMemoryBudget(t *testing.T) {
 	db := relation.NewDatabase()
 	db.Put("R", r)
 	db.Put("S", q)
-	s := New(Config{MaxConcurrent: 1, Tenants: map[string]governor.Limits{"acme": {MaxMemoryBytes: budget}}})
-	s.Load("acme", db)
-	o := s.response()
-	s.release(o)
+	return db
+}
+
+// TestStreamHeldRebuildKeepsTheDeadline: the answer built after its held
+// text passed the memory budget is built under what is left of the
+// request's deadline, not a deadline of its own. A 400 ms deadline, and a
+// 300 ms stall at the root of each of the two evaluations: either alone
+// meets the deadline, the request does not — 504.
+func TestStreamHeldRebuildKeepsTheDeadline(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1, Tenants: map[string]governor.Limits{"acme": {MaxMemoryBytes: 64 << 10, Deadline: 400 * time.Millisecond}}})
+	s.Load("acme", longValuesDB())
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-
+	// R * S crosses algebra.node three times: its root and two operands.
+	stall := func(n int64) fault.Rule {
+		return fault.Rule{Point: fault.EvalNode, N: n, Act: fault.Sleep, Delay: 300 * time.Millisecond}
+	}
+	restore := fault.Set(fault.NewScript(stall(1), stall(4)))
 	resp := postQuery(t, ts, "acme", "R * S", "strategy=wcoj")
 	body := readBody(t, resp)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.HasPrefix(body, "{") || !strings.Contains(body, "memory budget exceeded") {
-		t.Fatalf("first ask: status %d, body %.200q; want 413 and the memory budget's error alone", resp.StatusCode, body)
-	}
-	if got := s.response(); got != o || cap(o.held.text) > 2*budget {
-		t.Errorf("first ask: the side buffer grew to %d bytes against a budget of %d", cap(o.held.text), budget)
-	} else {
-		s.release(o)
-	}
-	if _, _, _, entries := s.shared.Counters(); entries != 0 {
-		t.Errorf("first ask: %d answers stored, want none", entries)
-	}
-
-	resp = postQuery(t, ts, "acme", "R * S", "strategy=wcoj")
-	body = readBody(t, resp)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Relquery-Rows") != "400" || len(body) < 400*400 {
-		t.Fatalf("second ask: status %d, X-Relquery-Rows %q, %d bytes; want 200 and the 400 rows", resp.StatusCode, resp.Header.Get("X-Relquery-Rows"), len(body))
+	restore()
+	if resp.StatusCode != http.StatusGatewayTimeout || strings.Contains(body, "relation result") {
+		t.Errorf("status %d, body %.200q; want 504 and the JSON error alone", resp.StatusCode, body)
 	}
 }

@@ -212,6 +212,20 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	if err == nil {
 		err = o.finish()
 	}
+	if errors.Is(err, errHeldPastBudget) {
+		// The held text passed the memory budget, which charged the rows at
+		// their width: the answer is built at that width and replayed, as
+		// the query's next ask would answer it.
+		o.unhold()
+		if d := ev.Limits.Deadline; d > 0 {
+			ev.Limits.Deadline = max(d-time.Since(start), time.Nanosecond) // the request's, not a second one
+		}
+		var built *relation.Relation
+		if built, err = ev.EvalContext(r.Context(), expr, cat.db); err == nil {
+			relation.Replay(built, o)
+			err = o.finish()
+		}
+	}
 	if err != nil {
 		s.failResponse(o, t, err)
 	}
@@ -304,18 +318,19 @@ type response struct {
 // heldText is a held answer's rows in block form; its buffer is reused. The
 // join charged the rows at their width (relation.RowBytes), not at their
 // values' length, so the text is held to the request's memory budget on
-// its own: a write that would take it past the budget fails with the
-// budget's error, which stops the rows and is the request's answer.
+// its own: a write that would take it past the budget fails with
+// errHeldPastBudget, which stops the rows, and the answer is then built
+// instead (serveQuery).
 type heldText struct {
-	text    []byte
-	budget  int64        // the request's MaxMemoryBytes, 0 for none
-	metrics *obs.Metrics // counts the violation
+	text   []byte
+	budget int64 // the request's MaxMemoryBytes, 0 for none
 }
 
+var errHeldPastBudget = errors.New("server: held answer past the memory budget")
+
 func (h *heldText) Write(p []byte) (int, error) {
-	if n := int64(len(h.text) + len(p)); h.budget > 0 && n > h.budget {
-		h.metrics.Violation(obs.ViolationMemBudget)
-		return 0, fmt.Errorf("%w: held answer ≈%d bytes > budget %d", governor.ErrMemBudget, n, h.budget)
+	if h.budget > 0 && int64(len(h.text)+len(p)) > h.budget {
+		return 0, errHeldPastBudget
 	}
 	h.text = append(h.text, p...)
 	return len(p), nil
@@ -327,7 +342,7 @@ func (o *response) open(w http.ResponseWriter, expr algebra.Expr, q *queryReques
 	o.buf.Reset(o)
 	o.block = relation.BlockWriter{W: o.buf, Name: "result"}
 	o.expr, o.strategy, o.collector, o.start, o.count = expr, q.strategy, c, start, q.count
-	o.held.budget, o.held.metrics = q.ev.Limits.MaxMemoryBytes, c.M()
+	o.held.budget = q.ev.Limits.MaxMemoryBytes
 }
 
 // close detaches the response from its request, dropping anything still
@@ -335,8 +350,15 @@ func (o *response) open(w http.ResponseWriter, expr algebra.Expr, q *queryReques
 func (o *response) close() {
 	o.buf.Reset(o)
 	o.w, o.expr, o.collector = nil, nil, nil
+	o.unhold()
+}
+
+// unhold drops a held answer, and the text held of it, so that the
+// response can take the answer again from its Begin.
+func (o *response) unhold() {
+	o.block = relation.BlockWriter{W: o.buf, Name: "result"}
 	o.scheme, o.holding = relation.Scheme{}, false
-	o.held.text, o.held.metrics = o.held.text[:0], nil
+	o.held.text = o.held.text[:0]
 }
 
 // Write passes the buffer's bytes on to the ResponseWriter, which sends
@@ -396,8 +418,8 @@ func (o *response) Row(t relation.Tuple) bool {
 
 // finish ends a complete answer: a held answer's head and rows, then the
 // count or the block's end line. A held answer whose text passed the
-// budget is not complete: finish returns the budget's error and writes
-// nothing.
+// budget is not complete: finish returns errHeldPastBudget and writes
+// nothing, and serveQuery builds the answer.
 func (o *response) finish() error {
 	if o.holding {
 		if err := o.hold.Flush(); err != nil {

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"relquery/internal/fault"
+	"relquery/internal/governor"
 	"relquery/internal/obs"
+	"relquery/internal/relation"
 )
 
 // TestStreamedCountStopsAtTheCount: a first-sight ?count=1 of an acyclic
@@ -224,4 +226,77 @@ func TestStreamStalledClientBlocksNobody(t *testing.T) {
 	}
 	close(stalled.release)
 	<-first
+}
+
+// TestStreamHashAnswersAreByteEqual: under ?strategy=hash the binary
+// plan writes its first-sight answer, count first, in sorted order: on
+// Lemma 1 gadgets every body is the bytes the built answer's are, and the
+// answer is stored on the second ask. Also when every tuple hash collides.
+func TestStreamHashAnswersAreByteEqual(t *testing.T) {
+	gadgetAnswersAreByteEqual(t, "hash")
+}
+
+// TestStreamHashFailsBeforeTheFirstByte: a written hash answer checks the
+// result cap and the memory charge on its count, so an answer over either
+// gets its 413 and its JSON error, and no part of the answer. A row budget
+// below the count is refused earlier still, 429 by admission: the greedy
+// plan's AGM peak bounds the count. (The join checks the row budget on the
+// count too: TestStreamHashPlanWritesSortedOrder.)
+func TestStreamHashFailsBeforeTheFirstByte(t *testing.T) {
+	const rows = 12_000 // chainQuery's answer, four columns
+	for _, tc := range []struct {
+		limits governor.Limits
+		status int
+	}{
+		{governor.Limits{MaxRows: rows - 1}, http.StatusRequestEntityTooLarge},
+		{governor.Limits{MaxMemoryBytes: rows * relation.RowBytes(4)}, http.StatusRequestEntityTooLarge},
+		{governor.Limits{MaxIntermediateRows: rows - 1}, http.StatusTooManyRequests},
+	} {
+		s := New(Config{Tenants: map[string]governor.Limits{"acme": tc.limits}})
+		s.Load("acme", chainDB())
+		ts := httptest.NewServer(s.Handler())
+		resp := postQuery(t, ts, "acme", chainQuery, "strategy=hash")
+		body := readBody(t, resp)
+		ts.Close()
+		if resp.StatusCode != tc.status || strings.Contains(body, "relation result") || !strings.HasPrefix(body, "{") {
+			t.Errorf("under %+v: status %d, body %.200q; want %d and the JSON error alone", tc.limits, resp.StatusCode, body, tc.status)
+		}
+	}
+}
+
+// TestStreamHashFailsMidStream: a written hash answer crosses a batch
+// boundary every checkBatch rows it writes. A panic there, or a stall past
+// the request's ?timeout=, at the last crossing of chainQuery's 12 000
+// rows — long after the first 32 KB went out with status 200 — ends the
+// body without the block's end line, and the ErrorTrailer names the status.
+func TestStreamHashFailsMidStream(t *testing.T) {
+	_, ts := newTestServer(t)
+	var crossings int64
+	restore := fault.Set(fault.NewScript(fault.Rule{Point: fault.JoinBatch, Every: true, Act: fault.Call, Func: func() { crossings++ }}))
+	resp := postQuery(t, ts, "acme", chainQuery, "strategy=hash")
+	readBody(t, resp)
+	restore()
+	for _, tc := range []struct {
+		name, params string
+		act          fault.Action
+		status       string
+	}{
+		{"panic", "strategy=hash", fault.Panic, "500"},
+		{"deadline", "strategy=hash&timeout=500ms", fault.Sleep, "504"},
+	} {
+		resetCache(t, ts)
+		restore := fault.Set(fault.NewScript(fault.Rule{Point: fault.JoinBatch, N: crossings, Act: tc.act, Delay: 700 * time.Millisecond}))
+		resp := postQuery(t, ts, "acme", chainQuery, tc.params)
+		body := readBody(t, resp)
+		restore()
+		if resp.StatusCode != http.StatusOK || len(body) < responseBuffer {
+			t.Fatalf("%s: status %d after %d bytes, want 200 after the first %d", tc.name, resp.StatusCode, len(body), responseBuffer)
+		}
+		if strings.HasSuffix(body, "\nend\n") {
+			t.Errorf("%s: the broken answer ends with the block's end line", tc.name)
+		}
+		if got := resp.Trailer.Get(ErrorTrailer); !strings.HasPrefix(got, tc.status+" ") {
+			t.Errorf("%s: trailer %s = %q, want status %s", tc.name, ErrorTrailer, got, tc.status)
+		}
+	}
 }
