@@ -40,7 +40,8 @@ type hashTable struct {
 }
 
 // build groups rel's rows by the key columns cols, ticking g once per
-// row.
+// row. The table is kept as a fact of rel, so it ends fitted to its
+// groups.
 func (t *hashTable) build(g *governor.Governor, rel *relation.Relation, cols keyCols) error {
 	t.rel, t.cols, t.next = rel, cols, make([]int32, rel.Len())
 	var tail []int32 // group -> its last row so far
@@ -48,11 +49,45 @@ func (t *hashTable) build(g *governor.Governor, rel *relation.Relation, cols key
 		if err := g.Tick(); err != nil {
 			return err
 		}
+		if i == relation.SizeSample {
+			tail = t.presize(len(t.next), tail)
+		}
 		row := rel.Tuple(i)
 		h := row.HashOf(cols)
 		tail = t.file(i, h, t.group(h, row, cols), tail)
 	}
+	t.ix.Fit()
+	t.head, t.size = fitted(t.head), fitted(t.size)
 	return nil
+}
+
+// presize sizes the index and the group arrays, tail among them, once,
+// for the groups n rows will make at the rate the first
+// relation.SizeSample made them, and returns tail grown.
+func (t *hashTable) presize(n int, tail []int32) []int32 {
+	groups := relation.Forecast(t.keys(), relation.SizeSample, n, n)
+	t.ix.Reserve(groups)
+	t.head, t.size = reserved(t.head, groups), reserved(t.size, groups)
+	return reserved(tail, groups)
+}
+
+// reserved returns s with room for n elements: s itself when it has it,
+// else a copy of s with capacity n. What Index.Reserve is for a group
+// array.
+func reserved(s []int32, n int) []int32 {
+	if cap(s) >= n {
+		return s
+	}
+	return append(make([]int32, 0, n), s...)
+}
+
+// fitted returns s, or a copy of it when s was reserved for more than
+// twice its length: what Index.Fit is for a group array.
+func fitted(s []int32) []int32 {
+	if cap(s) > 2*len(s) {
+		return append(make([]int32, 0, len(s)), s...)
+	}
+	return s
 }
 
 // file chains row i, whose key hashes to h, at the end of group grp, or
@@ -160,6 +195,9 @@ func (t *idTable) build(g *governor.Governor, side *operand, key []relation.Ref,
 	for i := range t.next {
 		if err := g.Tick(); err != nil {
 			return err
+		}
+		if i == relation.SizeSample {
+			t.tail = t.presize(side.n, t.tail)
 		}
 		side.load(i, row)
 		h := relation.HashRefs(row, key)

@@ -242,6 +242,62 @@ func TestWarmTreeJoinHashesNoRow(t *testing.T) {
 	}
 }
 
+// TestEdgeTableIsSizedOnce: a table over n rows sizes its index and group
+// arrays once, from the groups its first relation.SizeSample rows make,
+// and keeps what its groups need. With 1 025 distinct keys the build
+// allocates its row chain, three group arrays and one index reserved for
+// 1 025 groups — an eighth over, for the allocator's size classes — and
+// the little the sample grew, where growing row by row allocated slots
+// six times; with 2 keys the forecast of 32 groups is given back, and the
+// table holds what it held when it grew row by row: the chain, two
+// groups' arrays of two and an index of 8 slots and 2 hashes.
+func TestEdgeTableIsSizedOnce(t *testing.T) {
+	const n = 1025
+	for _, keys := range []int{n, 2} {
+		r := relation.New(relation.MustScheme("A", "B"))
+		for i := 0; i < n; i++ {
+			r.MustAdd(relation.TupleOf(fmt.Sprint("k", i%keys), fmt.Sprint("v", i)))
+		}
+		var exact relation.Index
+		exact.Reserve(keys)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tb := new(hashTable)
+		if err := tb.build(nil, r, keyCols{0}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if tb.keys() != keys {
+			t.Fatalf("%d keys: the table has %d groups", keys, tb.keys())
+		}
+		if got := tb.ix.Bytes(); got != exact.Bytes() {
+			t.Errorf("%d keys: the index holds %d bytes, one reserved for its groups %d", keys, got, exact.Bytes())
+		}
+		spent := int64(after.TotalAlloc - before.TotalAlloc)
+		switch keys {
+		case n:
+			if budget := (4*n+3*4*n+exact.Bytes())*9/8 + 4<<10; spent > budget {
+				t.Errorf("%d distinct keys: the build allocated %d bytes, budget %d", n, spent, budget)
+			}
+		case 2:
+			if want := int64(4*n + 4*2 + 4*2 + 4*8 + 8*2); tb.Bytes() != want {
+				t.Errorf("2 keys: the table holds %d bytes, %d grown row by row", tb.Bytes(), want)
+			}
+		}
+		for i := 0; i < n; i++ { // every row is found in its group
+			row := r.Tuple(i)
+			grp := tb.group(row.HashOf(keyCols{0}), row, keyCols{0})
+			found := false
+			for j := int(tb.head[grp]); j >= 0 && !found; j = tb.after(j) {
+				found = j == i
+			}
+			if !found {
+				t.Fatalf("%d keys: row %d is not in its group", keys, i)
+			}
+		}
+	}
+}
+
 // builds reports whether looking rel's edge table on cols up builds one,
 // leaving nothing behind: the lookup runs under a governor that has
 // already failed, so the build's first row aborts it unpublished.

@@ -351,23 +351,17 @@ func (c *Construction) set(t relation.Tuple, a relation.Attribute, v relation.Va
 	t[i] = v
 }
 
-// assignmentRow builds the Lemma 1 tuple for a full satisfying assignment:
-// every F_j = 1, every Y = x, S = a, X_i spelling the assignment, and (for
-// variants) U = c.
-func (c *Construction) assignmentRow(a cnf.Assignment) relation.Tuple {
-	t := make(relation.Tuple, c.scheme.Len())
+// assignmentTemplate builds the part of a Lemma 1 tuple that no
+// assignment changes — every F_j = 1, every Y = x, S = a, and (for
+// variants) U = c — and returns it with the positions of X_1 … X_n, the
+// only cells a satisfying assignment writes.
+func (c *Construction) assignmentTemplate() (t relation.Tuple, xs []int) {
+	t = make(relation.Tuple, c.scheme.Len())
 	for i := range t {
 		t[i] = valE
 	}
 	for j := 1; j <= c.M(); j++ {
 		c.set(t, c.FAttr(j), val1)
-	}
-	for i := 1; i <= c.N(); i++ {
-		if a.Value(i) {
-			c.set(t, c.XAttr(i), val1)
-		} else {
-			c.set(t, c.XAttr(i), val0)
-		}
 	}
 	for i := 1; i < c.M(); i++ {
 		for l := i + 1; l <= c.M(); l++ {
@@ -378,7 +372,11 @@ func (c *Construction) assignmentRow(a cnf.Assignment) relation.Tuple {
 	if c.Variant == WithFalsifiersAndU {
 		c.set(t, c.UAttr(), valC)
 	}
-	return t
+	xs = make([]int, c.N())
+	for i := range xs {
+		xs[i], _ = c.scheme.Pos(c.XAttr(i + 1))
+	}
+	return t, xs
 }
 
 // PhiG returns the paper's expression φ_G = π_F(T) ∗ ∏*_j π_{T_j}(T),
@@ -430,11 +428,18 @@ func (c *Construction) PhiGWithU() (algebra.Expr, error) {
 
 // RTilde computes Lemma 1's R̃_G by enumerating the satisfying assignments
 // of G with the SAT substrate: one row per model, over the construction's
-// scheme.
+// scheme. The row is laid out once; a model writes only its X cells.
 func (c *Construction) RTilde() (*relation.Relation, error) {
 	out := relation.New(c.scheme)
+	row, xs := c.assignmentTemplate()
 	err := sat.Enumerate(c.G, func(a cnf.Assignment) bool {
-		out.MustAdd(c.assignmentRow(a))
+		for i, p := range xs {
+			row[p] = val0
+			if a.Value(i + 1) {
+				row[p] = val1
+			}
+		}
+		out.MustAdd(row) // the relation stores a copy; row is rewritten for the next model
 		return true
 	})
 	if err != nil {

@@ -278,6 +278,68 @@ func TestRTildeMatchesModels(t *testing.T) {
 	}
 }
 
+// TestRTildeRowsSpellTheirModels: R̃_G's i-th row is the i-th model of G
+// written out attribute by attribute — every F = 1, every Y = x, S = a,
+// U = c where the variant has it, X_i the model's value and e nowhere —
+// for the plain, falsifier and U variants and a suffixed copy.
+func TestRTildeRowsSpellTheirModels(t *testing.T) {
+	g := cnf.PaperExample()
+	builds := map[string]func() (*Construction, error){
+		"R_G":    func() (*Construction, error) { return New(g) },
+		"R''_G":  func() (*Construction, error) { return NewVariant(g, WithFalsifiers) },
+		"R'_G":   func() (*Construction, error) { return NewVariant(g, WithFalsifiersAndU) },
+		"primed": func() (*Construction, error) { return NewSuffixed(g, "'") },
+	}
+	for name, build := range builds {
+		c, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := c.RTilde()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var models []cnf.Assignment
+		if err := sat.Enumerate(c.G, func(a cnf.Assignment) bool {
+			models = append(models, a.Clone())
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if rt.Len() != len(models) {
+			t.Fatalf("%s: |R̃_G| = %d, want %d", name, rt.Len(), len(models))
+		}
+		for k, a := range models {
+			want := map[relation.Attribute]relation.Value{c.SAttr(): "a"}
+			if c.Variant == WithFalsifiersAndU {
+				want[c.UAttr()] = "c"
+			}
+			for j := 1; j <= c.M(); j++ {
+				want[c.FAttr(j)] = "1"
+				for l := j + 1; l <= c.M(); l++ {
+					want[c.YAttr(j, l)] = "x"
+				}
+			}
+			for i := 1; i <= c.N(); i++ {
+				want[c.XAttr(i)] = "0"
+				if a.Value(i) {
+					want[c.XAttr(i)] = "1"
+				}
+			}
+			row := rt.Tuple(k)
+			for p, attr := range c.Scheme().Attrs() {
+				v, ok := want[attr]
+				if !ok {
+					v = "e"
+				}
+				if row[p] != v {
+					t.Fatalf("%s: row %d has %s = %q, want %q (%v)", name, k, attr, row[p], v, row)
+				}
+			}
+		}
+	}
+}
+
 func TestXSubScheme(t *testing.T) {
 	c := paperConstruction(t)
 	x, err := c.XSubScheme([]int{2, 4})

@@ -245,6 +245,8 @@ func ParseRelation(text string) (name string, rel *Relation, err error) {
 // until EOF. The returned name is always "".
 func readBare(text string) (name string, rel *Relation, err error) {
 	var out *Relation
+	var total, lines, head int // the text after the scheme line: its bytes, its lines, the scheme's line number
+	sized := false
 	for lineno := 1; text != ""; lineno++ {
 		var line string
 		line, text = cutLine(text)
@@ -262,18 +264,26 @@ func readBare(text string) (name string, rel *Relation, err error) {
 			// Count first: no more rows than lines are left, nor than the
 			// bytes left can write — a row's line is at least two bytes a
 			// value. Blank, comment and duplicate lines make no row, so the
-			// reservation is fitted to the rows at the end, and the dedup
-			// index grows with the rows rather than with the lines.
-			lines := strings.Count(text, "\n")
+			// reservation is fitted to the rows at the end.
+			total, lines, head = len(text), strings.Count(text, "\n"), lineno
 			if !strings.HasSuffix(text, "\n") {
 				lines++
 			}
 			out = New(scheme)
-			out.reserve(min(lines, len(text)/(2*scheme.Len())+1))
+			out.reserve(min(lines, total/(2*scheme.Len())+1))
 			continue
 		}
 		if n := out.addLine(line); n != out.scheme.Len() {
 			return "", nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme has %d attributes", lineno, n, out.scheme.Len())
+		}
+		if out.n == SizeSample && !sized {
+			// The dedup index is sized once, from its first rows: the rows
+			// the bytes left will write at the rate the bytes read wrote
+			// them, and no more than the lines left. Filler lines after the
+			// sample make it an over-estimate, which fit gives back.
+			left := lines - (lineno - head)
+			sized = true
+			out.index.Reserve(Forecast(out.n, total-len(text), total, out.n+left))
 		}
 	}
 	if out == nil {

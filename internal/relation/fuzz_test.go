@@ -76,3 +76,95 @@ func FuzzReadDatabase(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseRelation parses bare texts against a reference that is
+// strings.Fields and a set: the first meaningful line names the
+// attributes, every later one is a row of as many values or an error, and
+// blank lines, comment lines and repeated rows add nothing. The seeds put
+// their blank, comment and duplicate lines after SizeSample rows, where
+// the dedup index has been sized from a forecast and, when the rows fall
+// short of half of it, fitted; every row must still be found through it.
+func FuzzParseRelation(f *testing.F) {
+	for _, rows := range []int{SizeSample - 1, SizeSample, SizeSample + 1} {
+		var b strings.Builder
+		b.WriteString("A B\n")
+		for i := 0; i < rows; i++ {
+			fmt.Fprintf(&b, "a%d b%d\n", i, i%3)
+		}
+		b.WriteString("\n# after the sample\na0 b0\n  a1\tb1  \n\n")
+		f.Add(b.String())
+		f.Add(b.String() + "a-last b-last")
+		f.Add(b.String() + strings.Repeat("# filler\n", 100)) // forecast past twice the rows: fitted
+	}
+	f.Add("A\n")
+	f.Add("A B\n1\n")
+	f.Add("A A\n1 1\n")
+	f.Add("# only a comment\n\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		attrs, rows, refErr := bareReference(text)
+		if attrs != nil && len(attrs) == 2 && attrs[0] == "relation" {
+			return // a block header: ParseRelation reads the block form first
+		}
+		_, r, err := ParseRelation(text)
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("ParseRelation error %v, the reference's %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if got := r.Scheme().String(); got != strings.Join(attrs, " ") {
+			t.Fatalf("scheme %q, the reference's %q", got, attrs)
+		}
+		if r.Len() != len(rows) {
+			t.Fatalf("%d rows, the reference's %d", r.Len(), len(rows))
+		}
+		for i := 0; i < r.Len(); i++ {
+			if !rows[strings.Join(quoted(r.Tuple(i)), " ")] {
+				t.Fatalf("row %v is not the reference's", r.Tuple(i))
+			}
+			if !r.Contains(r.Tuple(i)) || r.MustAdd(r.Tuple(i).Clone()) {
+				t.Fatalf("row %d, %v, is not found through the index", i, r.Tuple(i))
+			}
+		}
+	})
+}
+
+// bareReference reads text as bare codec text with nothing but
+// strings.Fields: the attributes of the first line that has a field and
+// does not open with '#', and the set of later such lines, each keyed by
+// its quoted fields.
+func bareReference(text string) (attrs []string, rows map[string]bool, err error) {
+	rows = map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		fields := strings.Fields(line)
+		switch {
+		case len(fields) == 0 || strings.HasPrefix(fields[0], "#"):
+		case attrs == nil:
+			seen := map[string]bool{}
+			for _, a := range fields {
+				if seen[a] {
+					return fields, nil, fmt.Errorf("duplicate attribute %q", a)
+				}
+				seen[a] = true
+			}
+			attrs = fields
+		case len(fields) != len(attrs):
+			return attrs, nil, fmt.Errorf("%d values under %d attributes", len(fields), len(attrs))
+		default:
+			rows[strings.Join(quoted(TupleOf(fields...)), " ")] = true
+		}
+	}
+	if attrs == nil {
+		return nil, nil, fmt.Errorf("no scheme line")
+	}
+	return attrs, rows, nil
+}
+
+// quoted returns t's values, each Go-quoted.
+func quoted(t Tuple) []string {
+	out := make([]string, len(t))
+	for i, v := range t {
+		out[i] = fmt.Sprintf("%q", v)
+	}
+	return out
+}

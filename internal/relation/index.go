@@ -33,8 +33,8 @@ func (ix *Index) Reset() {
 	ix.hashes = ix.hashes[:0]
 }
 
-// reserve sizes the table for n ids, so inserting up to n never rehashes.
-func (ix *Index) reserve(n int) {
+// Reserve sizes the table for n ids, so inserting up to n never rehashes.
+func (ix *Index) Reserve(n int) {
 	if n > cap(ix.hashes) {
 		ix.hashes = append(make([]uint64, 0, n), ix.hashes...)
 	}
@@ -48,6 +48,37 @@ func (ix *Index) reserve(n int) {
 	ix.slots = make([]uint32, size)
 	for id, h := range ix.hashes {
 		ix.place(h, uint32(id)+1)
+	}
+}
+
+// Sizing a table that grows from an unknown count. Insert alone grows an
+// index by quadrupling its slots, so a table of 1 025 entries allocates
+// slots six times, 8 to 8 192, and keeps twice the slots and hashes it
+// needs. A build that knows its input but not how many entries the input
+// makes — an upload's rows, a join table's groups — instead files its
+// first SizeSample inputs, reserves once for Forecast and, if the table
+// is kept, Fits when it ends: an under-estimate grows as Insert always
+// did, an over-estimate is given back.
+const SizeSample = 64
+
+// Forecast returns how many entries a build will have made when it ends,
+// from the entries it made over the first read > 0 units of an input
+// total units long: the entries extrapolated at that rate to the whole
+// input, and at most bound, the most the input can make.
+func Forecast(entries, read, total, bound int) int {
+	return int(min(int64(bound), int64(entries)*int64(total)/int64(read)))
+}
+
+// Fit gives back what a reservation promised and no id used, when that is
+// more than the ids themselves: an index reserved for more than twice its
+// ids is rebuilt for exactly them.
+func (ix *Index) Fit() {
+	if n := ix.Len(); cap(ix.hashes) > 2*n {
+		fitted := Index{hashes: append(make([]uint64, 0, n), ix.hashes...)}
+		if n > 0 {
+			fitted.Reserve(n)
+		}
+		*ix = fitted
 	}
 }
 
@@ -67,7 +98,7 @@ func (ix *Index) place(h uint64, s uint32) {
 func (ix *Index) Insert(h uint64) int {
 	id := len(ix.hashes)
 	if 2*(id+1) > len(ix.slots) {
-		ix.reserve(2 * (id + 1))
+		ix.Reserve(2 * (id + 1))
 	}
 	ix.hashes = append(ix.hashes, h)
 	ix.place(h, uint32(id)+1)

@@ -70,7 +70,7 @@ func (r *Relation) ensureIndex() *Index {
 		if r.index.Len() == r.n {
 			return
 		}
-		r.index.reserve(r.n)
+		r.index.Reserve(r.n)
 		for i := r.index.Len(); i < r.n; i++ {
 			r.index.Insert(r.at(i).Hash())
 		}
@@ -97,7 +97,7 @@ func FromTuples(scheme Scheme, tuples []Tuple) (*Relation, error) {
 func FromRows(scheme Scheme, rows ...[]string) (*Relation, error) {
 	r := New(scheme)
 	r.reserve(len(rows))
-	r.index.reserve(len(rows))
+	r.index.Reserve(len(rows))
 	for _, vals := range rows {
 		if len(vals) != scheme.Len() {
 			return nil, r.arityError(TupleOf(vals...))
@@ -153,6 +153,14 @@ func (r *Relation) commit(row Tuple) bool {
 	r.push()
 	ix.Insert(h)
 	return true
+}
+
+// fit is rowStore.fit for the dedup index too: a relation whose
+// reservations were estimated from outside input — an upload's lines and
+// first rows — keeps what its rows need once it is read.
+func (r *Relation) fit() {
+	r.rowStore.fit()
+	r.index.Fit()
 }
 
 // MustAdd is Add for statically known tuples; it panics on arity errors.

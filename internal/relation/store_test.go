@@ -192,6 +192,95 @@ func TestUploadCostsItsRowsNotItsLines(t *testing.T) {
 	}
 }
 
+// legText is a bare upload like a churned leg's: a two-column scheme and
+// rows rows whose first value is fresh and whose second is shared.
+func legText(rows int) string {
+	var b strings.Builder
+	b.WriteString("A B\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, "t.a7_%d t.b0\n", i)
+	}
+	return b.String()
+}
+
+// TestUploadIndexIsSizedOnce: the bare codec sizes its dedup index once,
+// after SizeSample rows, for the rows the rest of the text forecasts. A
+// 1 025-row two-column leg allocates its cells, one index of 4 096 slots
+// and 1 025 hashes, and at most one chunk more — the scheme, the
+// directory, the index's growth over the sample, size-class rounding —
+// and keeps that one index, where an index grown row by row allocated
+// 8 + 32 + … + 8 192 slots and kept twice what it needed.
+func TestUploadIndexIsSizedOnce(t *testing.T) {
+	const rows = 1025
+	text := legText(rows)
+	var one Index
+	one.Reserve(rows)
+	if one.Bytes() != 4*4096+8*rows {
+		t.Fatalf("an index reserved for %d rows holds %d bytes", rows, one.Bytes())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, r, err := ParseRelation(text)
+	runtime.ReadMemStats(&after)
+	if err != nil || r.Len() != rows {
+		t.Fatalf("%v rows, %v", r.Len(), err)
+	}
+	if kept := r.index.Bytes(); kept > one.Bytes() {
+		t.Errorf("a %d-row upload keeps an index of %d bytes, want at most %d", rows, kept, one.Bytes())
+	}
+	cells := rows * RowBytes(2)
+	if spent, budget := int64(after.TotalAlloc-before.TotalAlloc), cells+one.Bytes()+chunkBytes; spent > budget {
+		t.Errorf("parsing a %d-row leg allocated %d bytes: %d beyond its cells and one index", rows, spent, spent-cells-one.Bytes())
+	}
+	for i := 0; i < rows; i++ {
+		if !r.Contains(r.Tuple(i)) {
+			t.Fatalf("row %d is not in the index", i)
+		}
+	}
+}
+
+// TestUploadFillerAfterTheSample: filler lines after the sample make the
+// forecast an over-estimate — the bytes left look like rows to come — and
+// fit gives it back. SizeSample rows followed by 2¹⁷ blank, comment,
+// duplicate or whitespace lines keep the rows' cells and an index no
+// larger than one reserved for them. What the forecast allocated in
+// between is at most 24 bytes a forecast row (a hash and four slots), and
+// a row's line is at least 4 bytes of text.
+func TestUploadFillerAfterTheSample(t *testing.T) {
+	const lines = 1 << 17
+	var want Index
+	want.Reserve(SizeSample)
+	for name, filler := range map[string]string{
+		"blank":     "\n",
+		"comment":   "# -\n",
+		"duplicate": "t.a7_0 t.b0\n",
+		"spaces":    "          \n",
+	} {
+		text := legText(SizeSample) + strings.Repeat(filler, lines)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, r, err := ParseRelation(text)
+		runtime.ReadMemStats(&after)
+		if err != nil || r.Len() != SizeSample {
+			t.Fatalf("%s: %v rows, %v", name, r.Len(), err)
+		}
+		if kept := r.index.Bytes(); kept > want.Bytes() {
+			t.Errorf("%s: %d rows keep an index of %d bytes, one reserved for them %d", name, SizeSample, kept, want.Bytes())
+		}
+		if kept := r.Bytes(); kept > SizeSample*RowBytes(2)+256 {
+			t.Errorf("%s: %d rows keep %d bytes of rows", name, SizeSample, kept)
+		}
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > 2*chunkBytes+6*uint64(len(text)) {
+			t.Errorf("%s: parsing %d bytes into %d rows allocated %d bytes", name, len(text), SizeSample, spent)
+		}
+		for i := 0; i < SizeSample; i++ {
+			if !r.Contains(r.Tuple(i)) {
+				t.Fatalf("%s: row %d is not in the fitted index", name, i)
+			}
+		}
+	}
+}
+
 // TestSortedOrderIsLexicographic: the permutation sort behind
 // WriteRelation and Render produces the order sort.Slice
 // over Tuple.Less produced — the order every golden pins.

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
+	"slices"
+	"unsafe"
 
 	"relquery/internal/relation"
 )
@@ -41,19 +42,29 @@ func bodyError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
-// readUpload reads an upload into one string, once: the buffer is sized from
-// the declared Content-Length (negative when there is none, and then it
-// grows as it fills), so a truthful client costs its body and a small copy
-// window, with no doubling and no second copy into a string. The
-// declaration is a hint only — a body longer than declared grows the
-// buffer, a shorter one leaves it part empty.
+// readUpload reads an upload into one string, once. The body is read
+// straight into a buffer sized from the declared Content-Length (negative
+// when there is none), one byte over it so that the read which finds the
+// end of a truthful body needs no room, and the string is that buffer, not
+// a copy: a truthful client costs its body and nothing else. The
+// declaration is a hint only — a body longer than declared, or one with
+// none, grows the buffer as it fills; a shorter one leaves it part empty.
 func readUpload(body io.Reader, declared int64) (string, error) {
-	var text strings.Builder
-	if declared > 0 {
-		text.Grow(int(declared))
+	buf := make([]byte, 0, max(declared, 0)+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			// buf is never written again: the string may share it.
+			return unsafe.String(unsafe.SliceData(buf), len(buf)), err
+		}
 	}
-	_, err := io.CopyBuffer(&text, body, make([]byte, 4<<10))
-	return text.String(), err
 }
 
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {

@@ -154,9 +154,12 @@ func TestWarmRequestPlansNothing(t *testing.T) {
 // unchanged catalog builds none, and a PUT of one relation rebuilds that
 // relation's table and no other. Measured in bytes allocated while the
 // query is answered: the chain R1 ∗ R2 ∗ R3 joins R1 and R3 as children
-// of R2, n rows each, so a table is a megabyte or so — its row chain, its
-// group arrays and index with their growth — against tens of kilobytes
-// for everything else a one-row answer costs.
+// of R2, n rows each, so a table is its row chain, its group arrays and
+// its index, at least 4 bytes a row. What the rest of a query costs is of
+// the same order — the tree join marks and counts every row — so the
+// tables are told apart by differences: two queries over an unchanged
+// catalog cost the same, the cold one costs two tables more, and the one
+// after the PUT one table more.
 func TestWarmQueryBuildsNoTable(t *testing.T) {
 	const n = 20_000
 	leg := func(a, b string) *relation.Relation {
@@ -196,12 +199,15 @@ func TestWarmQueryBuildsNoTable(t *testing.T) {
 	cold, warm := query(), query()
 	putRelation(t, ts, "acme", "R3", r3) // the same content, as a new relation
 	put, again := query(), query()
-	tables := cold - warm
+	tables := int64(cold) - int64(warm)
 	t.Logf("bytes allocated: cold %d, warm %d, after the PUT %d, then %d", cold, warm, put, again)
-	if warm > tables/4 || again > tables/4 {
-		t.Errorf("a query over an unchanged catalog allocated %d and %d bytes against %d for the cold one's two tables", warm, again, tables)
+	if tables < 2*4*n {
+		t.Errorf("the cold query allocated %d bytes more than a warm one: less than two tables' row chains", tables)
 	}
-	if rebuilt := put - warm; rebuilt < tables/4 || rebuilt > 3*tables/4 {
+	if d := int64(again) - int64(warm); d > tables/8 || -d > tables/8 {
+		t.Errorf("two queries over an unchanged catalog allocated %d and %d bytes, against %d for the cold one's two tables", warm, again, tables)
+	}
+	if rebuilt := int64(put) - int64(warm); rebuilt < tables/4 || rebuilt > 3*tables/4 {
 		t.Errorf("after a PUT of R3 the query allocated %d bytes more than a warm one: not one table of two (%d)", rebuilt, tables)
 	}
 }

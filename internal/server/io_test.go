@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"relquery/internal/algebra"
@@ -109,6 +110,30 @@ func TestUploadBodyReadOnce(t *testing.T) {
 	}
 	if code, _ := old(bodies["at the cap"]); code != http.StatusOK {
 		t.Errorf("a body at the cap answered %d, want 200", code)
+	}
+}
+
+// TestUploadReadsIntoItsBuffer: a body of its declared length is read
+// straight into the one buffer the string is made of — one allocation, no
+// copy window — and a body with no declared length, or longer or shorter
+// than declared, reads whole all the same.
+func TestUploadReadsIntoItsBuffer(t *testing.T) {
+	body := strings.Repeat("a1 b1\n", 2000)
+	src := strings.NewReader(body)
+	allocs := testing.AllocsPerRun(20, func() {
+		src.Reset(body)
+		if text, err := readUpload(src, int64(len(body))); err != nil || len(text) != len(body) {
+			t.Fatal(len(text), err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("reading a %d-byte body of its declared length made %v allocations, want 1", len(body), allocs)
+	}
+	for _, declared := range []int64{-1, 0, 1, int64(len(body)) / 2, int64(len(body)) - 1, int64(len(body)) + 1, 2 * int64(len(body))} {
+		src.Reset(body)
+		if text, err := readUpload(iotest.OneByteReader(src), declared); err != nil || text != body {
+			t.Errorf("Content-Length %d of %d: read %d bytes, %v", declared, len(body), len(text), err)
+		}
 	}
 }
 
