@@ -53,7 +53,7 @@ acyclic-bench:
 	  echo "node's AGM bound. The yannakakis/auto rows must keep peak_rows"; \
 	  echo "at or below output + largest input — never the greedy blow-up."; \
 	  echo; \
-	  $(GO) test -run '^$$' -bench 'AcyclicYannakakis|FullReducerDirect' -benchtime 10x -count 1 -benchmem .; \
+	  $(GO) test -run '^$$' -bench 'AcyclicYannakakis|FullReducerDirect|TreeJoinState' -benchtime 10x -count 1 -benchmem .; \
 	} | tee BENCH_acyclic.txt
 
 # Regenerate BENCH_obs.txt: the observability layer's cost on the E9

@@ -9,6 +9,7 @@ package relquery_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,6 +137,86 @@ func BenchmarkFullReducerDirect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTreeJoinState runs the tree join warm over relbench's three
+// acyclic families at 1 024 dangling rows a leg (relbenchFamilies), its
+// answer of 1 025 rows written into a sink that keeps none: the edge
+// tables, the tries of untouched inputs and the plan's facts are built by
+// a run before the timer starts, so B/op is what one evaluation keeps of its inputs
+// — the dead sets, the group flags and counts, the links of the rows that
+// reach the output, the tries of the reduced inputs — and not the answer.
+func BenchmarkTreeJoinState(b *testing.B) {
+	for _, fam := range relbenchFamilies(1024) {
+		b.Run(fam.name, func(b *testing.B) {
+			p, out := join.NewPlan(fam.rels...), new(rowCount)
+			run := func() {
+				*out = 0
+				if _, err := (join.Yannakakis{}).JoinAll(join.Exec{Out: out}, p); err != nil || *out != 1025 {
+					b.Fatal(*out, err)
+				}
+			}
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
+// rowCount is a sink that counts the rows written into it.
+type rowCount int
+
+func (c *rowCount) Begin(relation.Scheme, int) bool { return true }
+func (c *rowCount) Row(relation.Tuple) bool         { *c++; return true }
+
+// relbenchFamily is one of relbench's acyclic join families: its inputs.
+type relbenchFamily struct {
+	name string
+	rels []*relation.Relation
+}
+
+// relbenchFamilies builds the acyclic families relbench serves (its
+// acyclicFamily), n dangling rows and one live row a leg: the path
+// R1(A B) R2(B C) R3(C D), the star L1(A B) L2(A C) L3(A D) around A and
+// the snowflake FACT(A B C) with arms D1(A D) D2(B E) D3(C F). Each joins
+// to n+1 rows.
+func relbenchFamilies(n int) []relbenchFamily {
+	leg := func(attrs string, row func(i int) relation.Tuple, last relation.Tuple) *relation.Relation {
+		r := relation.New(relation.MustScheme(toAttrs(strings.Fields(attrs))...))
+		for i := 0; i < n; i++ {
+			r.MustAdd(row(i))
+		}
+		r.MustAdd(last)
+		return r
+	}
+	v := func(prefix string) func(i int) relation.Value {
+		return func(i int) relation.Value { return relation.Value(fmt.Sprint(prefix, i)) }
+	}
+	a, b, c, d, e, f := v("a"), v("b"), v("c"), v("d"), v("e"), v("f")
+	fanout := func(key string, val func(int) relation.Value) func(int) relation.Tuple {
+		return func(i int) relation.Tuple { return relation.Tuple{relation.Value(key), val(i)} }
+	}
+	return []relbenchFamily{
+		{"path", []*relation.Relation{
+			leg("A B", func(i int) relation.Tuple { return relation.Tuple{a(i), "b0"} }, relation.TupleOf("a*", "b1")),
+			leg("B C", fanout("b0", c), relation.TupleOf("b1", "c*")),
+			leg("C D", fanout("c*", d), relation.TupleOf("c*", "d*")),
+		}},
+		{"star", []*relation.Relation{
+			leg("A B", fanout("h0", b), relation.TupleOf("h1", "b*")),
+			leg("A C", fanout("h0", c), relation.TupleOf("h1", "c*")),
+			leg("A D", fanout("h1", d), relation.TupleOf("h1", "d*")),
+		}},
+		{"snowflake", []*relation.Relation{
+			leg("A B C", func(i int) relation.Tuple { return relation.Tuple{"a0", b(i), c(i)} }, relation.TupleOf("a1", "b*", "c*")),
+			leg("A D", fanout("a0", d), relation.TupleOf("a1", "d*")),
+			leg("B E", func(i int) relation.Tuple { return relation.Tuple{"bdead" + b(i), e(i)} }, relation.TupleOf("b*", "e*")),
+			leg("C F", fanout("c*", f), relation.TupleOf("c*", "f*")),
+		}},
+	}
 }
 
 // cloneDB returns a copy of db whose relations are fresh copies: equal

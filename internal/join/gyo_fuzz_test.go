@@ -303,9 +303,10 @@ func checkOrder(t *testing.T, what string, r *relation.Relation) {
 
 // FuzzAcyclicJoin holds the tree join to the reference oracle on every
 // acyclic hypergraph the generator draws, with relations large and skewed
-// enough for fat groups, dead groups and whole dead branches, and trees
-// whose nodes have several children: JoinAll — cold, and again over the
-// tables the first run memoized — must equal the fold of
+// enough for fat groups, dead groups and whole dead branches — up to 256
+// rows, past the relation.SizeSample the root's links are forecast from —
+// and trees whose nodes have several children: JoinAll — cold, and again
+// over the tables the first run memoized — must equal the fold of
 // relation.Relation.Join and come out born sorted, the hash join's answer
 // must carry no mark and still sort, the full reducer must leave exactly
 // the join's projections, the count pass must have learned the output's
@@ -318,6 +319,13 @@ func FuzzAcyclicJoin(f *testing.F) {
 	f.Add(byte(0b000011), byte(0b001100), byte(0b110000), byte(0), byte(0), byte(6), byte(7), int64(4))         // cartesian
 	f.Add(byte(0b000011), byte(0b000011), byte(0b000110), byte(0b000110), byte(0), byte(40), byte(1), int64(5)) // repeated schemes
 	f.Add(byte(0b000111), byte(0b001001), byte(0b011000), byte(0b100010), byte(0), byte(30), byte(3), int64(6)) // two children, one with a child
+	// Past relation.SizeSample rows, where the root's links are reserved
+	// from a forecast:
+	f.Add(byte(0b000111), byte(0b001001), byte(0b010010), byte(0b100100), byte(0), byte(224), byte(5), int64(1))        // a root with three children
+	f.Add(byte(0b101000), byte(0b101001), byte(0b100100), byte(0b111100), byte(0b101110), byte(200), byte(3), int64(1)) // an inner node with a leaf and an inner child
+	f.Add(byte(0b000011), byte(0b000111), byte(0b111100), byte(0), byte(0), byte(224), byte(7), int64(3))               // leaf groups of 30 rows
+	f.Add(byte(0b011111), byte(0b111110), byte(0b000011), byte(0), byte(0), byte(130), byte(7), int64(2))               // every row dangling
+	f.Add(byte(0b000111), byte(0b001001), byte(0b010010), byte(0b100100), byte(0), byte(100), byte(7), int64(1462))     // one live root row of 67
 	f.Fuzz(func(t *testing.T, m1, m2, m3, m4, m5, maxRows, domain byte, seed int64) {
 		var edges []relation.Scheme
 		for _, m := range []byte{m1, m2, m3, m4, m5} {
@@ -336,7 +344,7 @@ func FuzzAcyclicJoin(f *testing.F) {
 		rels := make([]*relation.Relation, len(edges))
 		for i, e := range edges {
 			rels[i] = relation.New(e)
-			for k, n := 0, rng.Intn(int(maxRows%48)+1); k < n; k++ {
+			for k, n := 0, rng.Intn(int(maxRows)+1); k < n; k++ {
 				row := make(relation.Tuple, e.Len())
 				for c := range row {
 					row[c] = relation.Value('0' + byte(rng.Intn(int(domain%8)+1)))
@@ -400,7 +408,10 @@ func FuzzAcyclicJoin(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tj := newTreeJoin(Exec{}, rels, tree, newTreeShape(edges, tree))
+		tj, err := newTreeJoin(Exec{}, rels, tree, newTreeShape(edges, tree))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := tj.mark(); err != nil {
 			t.Fatal(err)
 		}
@@ -409,9 +420,9 @@ func FuzzAcyclicJoin(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !r.Equal(proj) || tj.rows[i] != proj.Len() {
+			if !r.Equal(proj) || tj.in[i].rows != proj.Len() {
 				t.Fatalf("input %d over %v: reduced to %v (%d rows marked live), the join's projection is %v",
-					i, edges, r.Sorted(), tj.rows[i], proj.Sorted())
+					i, edges, r.Sorted(), tj.in[i].rows, proj.Sorted())
 			}
 		}
 		total, err := tj.count()
@@ -424,8 +435,8 @@ func FuzzAcyclicJoin(f *testing.F) {
 			t.Fatal(err)
 		}
 		live := 0
-		for _, n := range tj.rows {
-			live += n
+		for _, in := range tj.in {
+			live += in.rows
 		}
 		if bound := got.Scheme().Len() * (live + total); tj.candidates > bound {
 			t.Fatalf("the search over %v examined %d candidates; arity × (reduced input + output) is %d", edges, tj.candidates, bound)

@@ -290,7 +290,12 @@ type genericShape struct {
 func (p *Plan) genericShape() *genericShape {
 	f := p.facts
 	f.genericShapeOnce.Do(func() {
-		s := newGenericShape(SchemesOf(p.Inputs), unionScheme(p.Inputs), p.out())
+		order := unionScheme(p.Inputs)
+		out := order
+		if p.onto != nil {
+			out = *p.onto
+		}
+		s := newGenericShape(SchemesOf(p.Inputs), order, out)
 		f.genericShape = &s
 	})
 	return f.genericShape

@@ -97,18 +97,21 @@ func joinTree(x Exec, p *Plan) (out *relation.Relation, semijoins, reducedRows i
 	}
 	tree, _ := p.JoinTree()
 	root, shape := tree.Root(), p.treeShape()
-	t := newTreeJoin(x, p.Inputs, tree, shape)
+	t, err := newTreeJoin(x, p.Inputs, tree, shape)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	if err := t.mark(); err != nil {
 		return nil, 0, 0, err
 	}
-	for _, n := range t.rows {
-		reducedRows += n
+	for _, in := range t.in {
+		reducedRows += in.rows
 	}
 	total, err := t.count()
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	x.Metrics.JoinWork(reducedRows-t.rows[root], t.rows[root], total)
+	x.Metrics.JoinWork(reducedRows-t.in[root].rows, t.in[root].rows, total)
 	if total == math.MaxInt {
 		// More rows than an int counts: over any budget there is, and not
 		// a size to ask the allocator for when there is none.
@@ -224,82 +227,121 @@ func (p *Plan) treeShape() *treeShape {
 // of the child relation (edgeTable), not of the request: the next
 // evaluation over the same relation finds it built.
 //
-// What the request keeps is which rows are alive, and per edge each live
-// parent row's group and a number per group. Each pass walks a group's
-// chain at most once, skipping the rows that died before it, so the dead
-// rows a shared table holds cost each pass at most one step apiece: no
-// walk repeats per parent row — the output is written by a search over
-// the live rows alone (search), not by walking the groups.
+// What the request keeps follows the rows that survive, not the rows the
+// passes scan: a bit per row, a bit or a number per group of a child's
+// table, and, for the rows that reach the output only, the group each
+// joins in every child's table (input.link). A node's children are probed
+// in one sweep per direction, and no row of the root is probed twice.
+// Each pass walks a group's chain at most once, skipping the rows that
+// died before it, so the dead rows a shared table holds cost each pass at
+// most one step apiece: no walk repeats per parent row — the output is
+// written by a search over the live rows alone (search), not by walking
+// the groups.
 type treeJoin struct {
 	x          Exec
 	rels       []*relation.Relation
 	tree       *JoinTree
 	shape      *treeShape
-	dead       []bitset // per input: the rows a pass has deleted
-	rows       []int    // per input: how many it has not
-	edges      []edge   // per input: its edge to its parent; unused at the root
+	in         []input // per input
+	killed     []int32 // per child of the node an up sweep is over: the rows it deleted
 	semijoins  int
 	candidates int // values the search examined
 }
 
-// edge is one tree edge, seen from the child.
-type edge struct {
-	table *hashTable // the child's rows grouped on the shared attributes, shared with other requests
-	group []int32    // live parent row -> its group of table
-	// count is per group: after the up pass, 1 when the group holds a
-	// live row; after the down-sweep, 1 when a live parent row points at
-	// the group and 0 when none does (the group is dead); after the count
-	// pass, the number of output rows the child's subtree contributes per
-	// parent row pointing at it.
+// input is what one evaluation keeps of one input of the tree join.
+type input struct {
+	dead  bitset     // the rows a pass has deleted
+	rows  int        // how many it has not
+	table *hashTable // the rows grouped on the attributes shared with the parent; nil at the root
+	// A leaf's rows die in whole groups, and only in its down pass: flag
+	// marks the groups a live parent row joins, and a live group's count
+	// is its size. An inner node's count is per group instead: after its
+	// parent's up sweep, 1 when the group holds a live row; after its
+	// down pass, 1 when a live parent row joins the group and 0 when none
+	// does; after the count pass, the number of output rows its subtree
+	// contributes per parent row joining it. Neither at the root.
+	flag  bitset
 	count []int
+	// link is, for each live row in row order once the rows are final,
+	// its group in each child's table, children in the shape's order: the
+	// root's kept by its up sweep, an inner node's by its down sweep.
+	// rank counts an inner node's live rows before each 64-row word, for
+	// the count pass, which walks chains, to find a row's links (at).
+	link, rank []int32
 }
 
-func newTreeJoin(x Exec, rels []*relation.Relation, tree *JoinTree, shape *treeShape) treeJoin {
-	t := treeJoin{
-		x: x, rels: rels, tree: tree, shape: shape,
-		dead:  make([]bitset, len(rels)),
-		rows:  make([]int, len(rels)),
-		edges: make([]edge, len(rels)),
-	}
-	// The dead sets are carved from one array, and so are the edges'
-	// group arrays, one slot per row of the parent.
-	words, slots := 0, 0
-	for i, r := range rels {
-		words += (r.Len() + 63) / 64
-		if p := tree.Parent[i]; p >= 0 {
-			slots += rels[p].Len()
+// newTreeJoin returns an evaluation with every row alive, looking up
+// each edge's table — building it on first use — since what the
+// evaluation keeps per group is sized by the tables: one array of words
+// holds the dead sets and the leaves' flags, one of int32 the inner
+// nodes' ranks, the sweeps' counters and the root's links for its first
+// relation.SizeSample rows, and one of int the inner nodes' counts.
+func newTreeJoin(x Exec, rels []*relation.Relation, tree *JoinTree, shape *treeShape) (treeJoin, error) {
+	t := treeJoin{x: x, rels: rels, tree: tree, shape: shape, in: make([]input, len(rels))}
+	root := tree.Root()
+	words, ints, counts, most := 0, 0, 0, 0
+	for _, i := range tree.Order {
+		n, kids := rels[i].Len(), len(shape.kids[i])
+		words, most = words+wordsFor(n), max(most, kids)
+		if i == root {
+			ints += min(n, relation.SizeSample) * kids
+			continue
+		}
+		tb, err := edgeTable(x.Gov, rels[i], shape.childKey[i])
+		if err != nil {
+			return t, err
+		}
+		t.in[i].table = tb
+		if kids == 0 {
+			words += wordsFor(tb.keys())
+		} else {
+			ints, counts = ints+wordsFor(n), counts+tb.keys()
 		}
 	}
-	dead, groups := make(bitset, words), make([]int32, slots)
+	marks, flat, sums := make(bitset, words), make([]int32, ints+most), make([]int, counts)
+	t.killed = carve(&flat, most)
 	for i, r := range rels {
-		n := (r.Len() + 63) / 64
-		t.dead[i], dead = dead[:n:n], dead[n:]
-		t.rows[i] = r.Len()
-		if p := tree.Parent[i]; p >= 0 {
-			n = rels[p].Len()
-			t.edges[i].group, groups = groups[:n:n], groups[n:]
+		in, n, kids := &t.in[i], r.Len(), len(shape.kids[i])
+		in.dead, in.rows = carve(&marks, wordsFor(n)), n
+		switch {
+		case i == root:
+			in.link = carve(&flat, min(n, relation.SizeSample)*kids)[:0]
+		case kids == 0:
+			in.flag = carve(&marks, wordsFor(in.table.keys()))
+		default:
+			in.rank, in.count = carve(&flat, wordsFor(n)), carve(&sums, in.table.keys())
 		}
 	}
-	return t
+	return t, nil
+}
+
+// wordsFor returns the number of 64-bit words n bits take.
+func wordsFor(n int) int { return (n + 63) / 64 }
+
+// carve cuts the first n elements off *s and returns them, capped at n.
+func carve[S ~[]E, E any](s *S, n int) S {
+	out := (*s)[:n:n]
+	*s = (*s)[n:]
+	return out
 }
 
 // mark is the full reducer: a leaf-to-root sweep (parent ⋉ child, in
-// ear-removal order), then a root-to-leaf one (child ⋉ parent, reversed).
-// Afterwards the inputs are globally consistent: every tuple left alive
-// participates in at least one output tuple.
+// ear-removal order), then a root-to-leaf one (child ⋉ parent, reversed),
+// each taking a node's children together. Afterwards the inputs are
+// globally consistent: every tuple left alive participates in at least
+// one output tuple.
 func (t *treeJoin) mark() error {
-	order, parent := t.tree.Order, t.tree.Parent
-	for _, i := range order {
-		if p := parent[i]; p >= 0 {
-			if err := t.up(i, p); err != nil {
+	order, kids := t.tree.Order, t.shape.kids
+	for _, p := range order {
+		if len(kids[p]) > 0 {
+			if err := t.up(p); err != nil {
 				return err
 			}
 		}
 	}
 	for k := len(order) - 1; k >= 0; k-- {
-		i := order[k]
-		if p := parent[i]; p >= 0 {
-			if err := t.down(i, p); err != nil {
+		if p := order[k]; len(kids[p]) > 0 {
+			if err := t.down(p); err != nil {
 				return err
 			}
 		}
@@ -307,100 +349,190 @@ func (t *treeJoin) mark() error {
 	return nil
 }
 
-// up is the semijoin pass parent ⋉ child. It takes the child's table on
-// the edge's key, flags the groups that hold a live row, looks each live
-// parent row's group up once and remembers it, and deletes the parent
-// rows whose group is not flagged.
-func (t *treeJoin) up(i, p int) error {
-	fault.Hit(fault.Semijoin)
-	e, parent, key := &t.edges[i], t.rels[p], t.shape.key[i]
-	var err error
-	if e.table, err = edgeTable(t.x.Gov, t.rels[i], t.shape.childKey[i]); err != nil {
-		return err
+// up is the semijoin passes p ⋉ c over each child c of p in one sweep.
+// An inner child's groups that hold a live row are flagged first; a
+// leaf's all do. Each live row of p is then probed into its children's
+// tables in the shape's order, and deleted at the first child where its
+// group is missing or unflagged — the probes the passes one by one would
+// make. Each pass is accounted for with the survivors after it. The
+// root's rows are final after this sweep, so the root keeps each
+// survivor's groups (link), reserved once for the survivors its first
+// relation.SizeSample rows forecast.
+func (t *treeJoin) up(p int) error {
+	kids, in, parent := t.shape.kids[p], &t.in[p], t.rels[p]
+	for _, c := range kids {
+		fault.Hit(fault.Semijoin)
+		child := &t.in[c]
+		if child.count == nil {
+			continue
+		}
+		for grp, first := range child.table.head {
+			for r := int(first); r >= 0; r = child.table.after(r) {
+				if !child.dead.has(r) {
+					child.count[grp] = 1
+					break
+				}
+				if err := t.x.Gov.Tick(); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	e.count = make([]int, e.table.keys())
-	for grp, first := range e.table.head {
-		for r := int(first); r >= 0; r = e.table.after(r) {
-			if !t.dead[i].has(r) {
-				e.count[grp] = 1
+	root, killed, rows := p == t.tree.Root(), t.killed[:len(kids)], in.rows
+	clear(killed)
+	for r := 0; r < parent.Len(); r++ {
+		if root && r == relation.SizeSample {
+			n, width := parent.Len(), len(kids)
+			in.link = append(make([]int32, 0, relation.Forecast(len(in.link)/width, r, n, n)*width), in.link...)
+		}
+		if in.dead.has(r) {
+			continue
+		}
+		row, from := parent.Tuple(r), len(in.link)
+		for k, c := range kids {
+			if err := t.x.Gov.Tick(); err != nil {
+				return err
+			}
+			child, key := &t.in[c], t.shape.key[c]
+			grp := child.table.group(row.HashOf(key), row, key)
+			if grp < 0 || child.count != nil && child.count[grp] == 0 {
+				in.dead.set(r)
+				in.rows--
+				killed[k]++
+				in.link = in.link[:from]
 				break
 			}
+			if root {
+				in.link = append(in.link, int32(grp))
+			}
+		}
+	}
+	for _, n := range killed {
+		rows -= int(n)
+		if err := t.reduced(p, rows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// down is the semijoin passes c ⋉ p over each child c of p, once p's
+// rows are final: the root's after its up sweep, which kept their groups,
+// an inner node's after its own down pass, when its live rows are probed
+// (linked) — at most output × children groups, for every live row reaches
+// the output. Each child flags the groups a live row of p joins and
+// deletes the live rows of the others.
+func (t *treeJoin) down(p int) error {
+	if p != t.tree.Root() {
+		if err := t.linked(p); err != nil {
+			return err
+		}
+	}
+	kids, link := t.shape.kids[p], t.in[p].link
+	for k, c := range kids {
+		fault.Hit(fault.Semijoin)
+		child := &t.in[c]
+		clear(child.count)
+		for j := k; j < len(link); j += len(kids) {
 			if err := t.x.Gov.Tick(); err != nil {
 				return err
 			}
+			child.join(int(link[j]))
 		}
-	}
-	for r := 0; r < parent.Len(); r++ {
-		if t.dead[p].has(r) {
-			continue
+		for grp, first := range child.table.head {
+			if child.joined(grp) {
+				continue
+			}
+			for r := int(first); r >= 0; r = child.table.after(r) {
+				if err := t.x.Gov.Tick(); err != nil {
+					return err
+				}
+				if !child.dead.has(r) {
+					child.dead.set(r)
+					child.rows--
+				}
+			}
 		}
-		if err := t.x.Gov.Tick(); err != nil {
+		if err := t.reduced(c, child.rows); err != nil {
 			return err
 		}
-		row := parent.Tuple(r)
-		grp := e.table.group(row.HashOf(key), row, key)
-		if grp < 0 || e.count[grp] == 0 {
-			t.dead[p].set(r)
-			t.rows[p]--
-		}
-		e.group[r] = int32(grp)
 	}
-	return t.reduced(p)
+	return nil
 }
 
-// down is the semijoin pass child ⋉ parent: it flags the groups a live
-// parent row points at and deletes the live rows of the others.
-func (t *treeJoin) down(i, p int) error {
-	fault.Hit(fault.Semijoin)
-	e := &t.edges[i]
-	clear(e.count)
-	for r := 0; r < t.rels[p].Len(); r++ {
-		if t.dead[p].has(r) {
-			continue
-		}
-		if err := t.x.Gov.Tick(); err != nil {
-			return err
-		}
-		e.count[e.group[r]] = 1
+// linked keeps the groups inner node p's live rows join in its children's
+// tables, in row order and at exactly the size they need, and ranks its
+// words over its final dead set.
+func (t *treeJoin) linked(p int) error {
+	kids, in, rel := t.shape.kids[p], &t.in[p], t.rels[p]
+	live := 0
+	for w, dead := range in.dead {
+		in.rank[w] = int32(live)
+		live += 64 - bits.OnesCount64(dead)
 	}
-	for grp, first := range e.table.head {
-		if e.count[grp] != 0 {
+	in.link = make([]int32, 0, in.rows*len(kids))
+	for r := 0; r < rel.Len(); r++ {
+		if in.dead.has(r) {
 			continue
 		}
-		for r := int(first); r >= 0; r = e.table.after(r) {
+		row := rel.Tuple(r)
+		for _, c := range kids {
 			if err := t.x.Gov.Tick(); err != nil {
 				return err
 			}
-			if !t.dead[i].has(r) {
-				t.dead[i].set(r)
-				t.rows[i]--
-			}
+			key := t.shape.key[c]
+			in.link = append(in.link, int32(t.in[c].table.group(row.HashOf(key), row, key)))
 		}
 	}
-	return t.reduced(i)
+	return nil
 }
 
-// reduced accounts for one finished semijoin pass over input i exactly as
-// for the relation it would have produced: its cardinality goes to the
-// metrics, the span's peak and the row budget, and the memory budget is
-// charged for that many rows of i's arity — since the survivors are marks
-// in a bitset and not a relation, a conservative estimate.
-func (t *treeJoin) reduced(i int) error {
+// join flags group grp of a child's table as joined by a live parent row.
+func (in *input) join(grp int) {
+	if in.count != nil {
+		in.count[grp] = 1
+	} else {
+		in.flag.set(grp)
+	}
+}
+
+// joined reports whether join flagged group grp.
+func (in *input) joined(grp int) bool {
+	if in.count != nil {
+		return in.count[grp] != 0
+	}
+	return in.flag.has(grp)
+}
+
+// at returns live row r's place among an inner node's live rows: its
+// links start at link[at(r) × children].
+func (in *input) at(r int) int {
+	w := r >> 6
+	return int(in.rank[w]) + bits.OnesCount64(^in.dead[w]&(1<<(r&63)-1))
+}
+
+// reduced accounts for one finished semijoin pass over input i, which
+// left rows of it, exactly as for the relation it would have produced:
+// its cardinality goes to the metrics, the span's peak and the row
+// budget, and the memory budget is charged for that many rows of i's
+// arity — since the survivors are marks in a bitset and not a relation,
+// a conservative estimate.
+func (t *treeJoin) reduced(i, rows int) error {
 	t.semijoins++
-	t.x.Metrics.Semijoin(t.rows[i])
-	return t.x.Sized(t.rows[i], t.rels[i].Scheme().Len())
+	t.x.Metrics.Semijoin(rows)
+	return t.x.Sized(rows, t.rels[i].Scheme().Len())
 }
 
 // survivors returns input i restricted to its live rows: the input itself
 // when every row is.
 func (t *treeJoin) survivors(i int) (*relation.Relation, error) {
-	rel := t.rels[i]
-	if t.rows[i] == rel.Len() {
+	rel, in := t.rels[i], &t.in[i]
+	if in.rows == rel.Len() {
 		return rel, nil
 	}
-	b := relation.NewBuilder(rel.Scheme(), t.rows[i])
+	b := relation.NewBuilder(rel.Scheme(), in.rows)
 	for r := 0; r < rel.Len(); r++ {
-		if t.dead[i].has(r) {
+		if in.dead.has(r) {
 			continue
 		}
 		if err := t.x.Gov.Tick(); err != nil {
@@ -412,62 +544,68 @@ func (t *treeJoin) survivors(i int) (*relation.Relation, error) {
 }
 
 // count returns the output's cardinality, saturating at math.MaxInt,
-// without building a row of it. Bottom-up, a group's count becomes the
-// sum over its rows of the product of the counts of the groups the row
-// points at in its own children — summed into the group as its chain is
-// walked, so nothing is kept per row. On a marked tree no factor is zero:
-// there are no dead ends to count.
+// without building a row of it. Bottom-up, an inner node's group count
+// becomes the sum over its live rows of the product of the counts of the
+// groups the row joins in its children (weight), summed into the group as
+// its chain is walked; a leaf's is its group's size. The root's live rows
+// sum to the total. On a marked tree no factor is zero: there are no dead
+// ends to count.
 func (t *treeJoin) count() (int, error) {
-	kids := t.shape.kids
-	weight := func(i, r int) int {
-		w := 1
-		for _, c := range kids[i] {
-			e := &t.edges[c]
-			hi, lo := bits.Mul64(uint64(w), uint64(e.count[e.group[r]]))
-			if w = int(lo); hi != 0 || w < 0 {
-				return math.MaxInt
-			}
-		}
-		return w
-	}
 	root := t.tree.Root()
 	for _, i := range t.tree.Order {
-		if i == root {
+		in := &t.in[i]
+		if i == root || in.count == nil {
 			continue
 		}
-		e := &t.edges[i]
-		for grp, first := range e.table.head {
-			if e.count[grp] == 0 {
+		for grp, first := range in.table.head {
+			if in.count[grp] == 0 {
 				continue
 			}
 			n := 0
-			for r := int(first); r >= 0; r = e.table.after(r) {
+			for r := int(first); r >= 0; r = in.table.after(r) {
 				if err := t.x.Gov.Tick(); err != nil {
 					return 0, err
 				}
-				if t.dead[i].has(r) {
+				if in.dead.has(r) {
 					continue
 				}
-				if n += weight(i, r); n < 0 {
+				if n += t.weight(i, in.at(r)); n < 0 {
 					n = math.MaxInt
 				}
 			}
-			e.count[grp] = n
+			in.count[grp] = n
 		}
 	}
 	total := 0
-	for r := 0; r < t.rels[root].Len(); r++ {
-		if t.dead[root].has(r) {
-			continue
-		}
+	for j := range t.in[root].rows {
 		if err := t.x.Gov.Tick(); err != nil {
 			return 0, err
 		}
-		if total += weight(root, r); total < 0 {
+		if total += t.weight(root, j); total < 0 {
 			total = math.MaxInt
 		}
 	}
 	return total, nil
+}
+
+// weight returns the product of the counts of the groups the j-th live
+// row of input i joins in its children, saturating at math.MaxInt.
+func (t *treeJoin) weight(i, j int) int {
+	kids := t.shape.kids[i]
+	w, link := 1, t.in[i].link[j*len(kids):]
+	for k, c := range kids {
+		child, n := &t.in[c], 0
+		if child.count != nil {
+			n = child.count[link[k]]
+		} else {
+			n = int(child.table.size[link[k]])
+		}
+		hi, lo := bits.Mul64(uint64(w), uint64(n))
+		if w = int(lo); hi != 0 || w < 0 {
+			return math.MaxInt
+		}
+	}
+	return w
 }
 
 // search writes the output, total rows over the shape's scheme, into out
@@ -506,13 +644,13 @@ func (t *treeJoin) search(total int, out relation.Sink) error {
 func (t *treeJoin) tries() ([]sortedTrie, error) {
 	tries, live := make([]sortedTrie, len(t.rels)), 0
 	for i, r := range t.rels {
-		if t.rows[i] < r.Len() {
-			live += t.rows[i]
+		if t.in[i].rows < r.Len() {
+			live += t.in[i].rows
 		}
 	}
 	views := make([]relation.Tuple, 0, live)
 	for i, r := range t.rels {
-		if t.rows[i] == r.Len() {
+		if t.in[i].rows == r.Len() {
 			fact, err := trieOf(r, t.shape.cols[i], t.x.Gov)
 			if err != nil {
 				return nil, err
@@ -522,7 +660,7 @@ func (t *treeJoin) tries() ([]sortedTrie, error) {
 		}
 		from := len(views)
 		for k := 0; k < r.Len(); k++ {
-			if t.dead[i].has(k) {
+			if t.in[i].dead.has(k) {
 				continue
 			}
 			if err := t.x.Gov.Tick(); err != nil {
@@ -546,13 +684,15 @@ func FullReduce(rels []*relation.Relation) ([]*relation.Relation, int, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("join: full reduction requires an acyclic join (schemes %v)", SchemesOf(rels))
 	}
-	t := newTreeJoin(Exec{}, rels, tree, p.treeShape())
+	t, err := newTreeJoin(Exec{}, rels, tree, p.treeShape())
+	if err != nil {
+		return nil, 0, err
+	}
 	if err := t.mark(); err != nil {
 		return nil, t.semijoins, err
 	}
 	out := make([]*relation.Relation, len(rels))
 	for i := range rels {
-		var err error
 		if out[i], err = t.survivors(i); err != nil {
 			return nil, t.semijoins, err
 		}
@@ -566,8 +706,11 @@ func FullReduce(rels []*relation.Relation) ([]*relation.Relation, int, error) {
 // result is r itself if s is nonempty and empty otherwise.
 func Semijoin(r, s *relation.Relation) (*relation.Relation, error) {
 	rels, tree := []*relation.Relation{r, s}, &JoinTree{Parent: []int{-1, 0}, Order: []int{1, 0}}
-	t := newTreeJoin(Exec{}, rels, tree, newTreeShape(SchemesOf(rels), tree))
-	if err := t.up(1, 0); err != nil {
+	t, err := newTreeJoin(Exec{}, rels, tree, newTreeShape(SchemesOf(rels), tree))
+	if err != nil {
+		return nil, err
+	}
+	if err := t.up(0); err != nil {
 		return nil, err
 	}
 	return t.survivors(0)

@@ -233,12 +233,59 @@ func TestWarmTreeJoinHashesNoRow(t *testing.T) {
 		if cold-warm < 2*table {
 			t.Errorf("%d rows: cold %v against warm %v allocations: the warm join built a table (%v each)", rows, cold, warm, table)
 		}
-		if besides[rows] > 10 { // 10 measured: the marks, the per-edge arrays, the search's tries and ranges
+		if besides[rows] > 10 { // 7 measured: the state's carved arrays, the root's links, the search's tries and ranges
 			t.Errorf("%d rows: warm join allocates %v besides its output", rows, besides[rows])
 		}
 	}
 	if grew := besides[4096] - besides[1024]; grew != 0 {
 		t.Errorf("warm allocations besides the output grew by %v from 1024 to 4096 rows", grew)
+	}
+}
+
+// TestTreeJoinStateFollowsTheOutput: what a warm evaluation keeps of its
+// inputs is a bit per row and per leaf group, plus the groups of the rows
+// that reach the output. On the chain R1 ∗ R2 ∗ R3 whose one output row
+// is the only path through n rows a relation, the mark and count passes
+// allocate at most a byte more per input row added from 1 024 to 4 096
+// rows a relation — where a group id per parent row per edge and a
+// number per child group cost 8 bytes or more.
+func TestTreeJoinStateFollowsTheOutput(t *testing.T) {
+	const runs = 8
+	spent, inputs := map[int]float64{}, map[int]int{}
+	for _, n := range []int{1024, 4096} {
+		r1, r2, r3 := relation.New(relation.MustScheme("A", "B")), relation.New(relation.MustScheme("B", "C")), relation.New(relation.MustScheme("C", "D"))
+		for i := 0; i < n; i++ {
+			r1.MustAdd(relation.TupleOf(fmt.Sprint("a", i), fmt.Sprint("b", i)))
+			r2.MustAdd(relation.TupleOf(fmt.Sprint("b", i), fmt.Sprint("c", i)))
+			r3.MustAdd(relation.TupleOf(fmt.Sprint("x", i), fmt.Sprint("d", i)))
+		}
+		r3.MustAdd(relation.TupleOf("c0", "d*"))
+		rels := []*relation.Relation{r1, r2, r3}
+		p := NewPlan(rels...)
+		if out, err := (Yannakakis{}).JoinAll(Exec{}, p); err != nil || out.Len() != 1 {
+			t.Fatal(out, err) // and the edge tables are built
+		}
+		tree, _ := p.JoinTree()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			tj, err := newTreeJoin(Exec{}, rels, tree, p.treeShape())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tj.mark(); err != nil {
+				t.Fatal(err)
+			}
+			if total, err := tj.count(); err != nil || total != 1 {
+				t.Fatalf("counted %d rows (%v); want 1", total, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		spent[n], inputs[n] = float64(after.TotalAlloc-before.TotalAlloc)/runs, r1.Len()+r2.Len()+r3.Len()
+		t.Logf("%d input rows: mark and count allocate %.0f bytes", inputs[n], spent[n])
+	}
+	if grew := (spent[4096] - spent[1024]) / float64(inputs[4096]-inputs[1024]); grew > 1 {
+		t.Errorf("mark and count allocate %.2f bytes more per input row added; want at most 1", grew)
 	}
 }
 
@@ -607,7 +654,10 @@ func TestTreeJoinCountSaturates(t *testing.T) {
 	if !ok {
 		t.Fatal("disjoint schemes are acyclic")
 	}
-	tj := newTreeJoin(Exec{}, rels, tree, p.treeShape())
+	tj, err := newTreeJoin(Exec{}, rels, tree, p.treeShape())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tj.mark(); err != nil {
 		t.Fatal(err)
 	}

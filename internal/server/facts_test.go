@@ -155,11 +155,11 @@ func TestWarmRequestPlansNothing(t *testing.T) {
 // relation's table and no other. Measured in bytes allocated while the
 // query is answered: the chain R1 ∗ R2 ∗ R3 joins R1 and R3 as children
 // of R2, n rows each, so a table is its row chain, its group arrays and
-// its index, at least 4 bytes a row. What the rest of a query costs is of
-// the same order — the tree join marks and counts every row — so the
-// tables are told apart by differences: two queries over an unchanged
-// catalog cost the same, the cold one costs two tables more, and the one
-// after the PUT one table more.
+// its index, at least 4 bytes a row, where the tree join keeps a bit per
+// row and per leaf group besides the one row that reaches the answer: a
+// warm query costs at most a quarter of the cold one's two tables. Two
+// queries over an unchanged catalog cost the same, the cold one costs two
+// tables more, and the one after the PUT one table more.
 func TestWarmQueryBuildsNoTable(t *testing.T) {
 	const n = 20_000
 	leg := func(a, b string) *relation.Relation {
@@ -203,6 +203,9 @@ func TestWarmQueryBuildsNoTable(t *testing.T) {
 	t.Logf("bytes allocated: cold %d, warm %d, after the PUT %d, then %d", cold, warm, put, again)
 	if tables < 2*4*n {
 		t.Errorf("the cold query allocated %d bytes more than a warm one: less than two tables' row chains", tables)
+	}
+	if int64(warm) > tables/4 || int64(again) > tables/4 {
+		t.Errorf("a query over an unchanged catalog allocated %d and %d bytes against %d for the cold one's two tables", warm, again, tables)
 	}
 	if d := int64(again) - int64(warm); d > tables/8 || -d > tables/8 {
 		t.Errorf("two queries over an unchanged catalog allocated %d and %d bytes, against %d for the cold one's two tables", warm, again, tables)
