@@ -58,23 +58,41 @@ func FuzzParse(f *testing.F) {
 // Every strategy answers under no cache, a cold shared cache and the same
 // cache warm, through EvalContext and through EvalTo.
 func FuzzEvalParity(f *testing.F) {
-	for seed := int64(0); seed < 16; seed++ {
+	for _, seed := range evalParitySeeds {
 		f.Add(seed)
 	}
+	f.Fuzz(evalParity)
+}
+
+// evalParitySeeds is FuzzEvalParity's corpus.
+var evalParitySeeds = []int64{
+	0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
 	// Root join nodes that every strategy but wcoj writes on first sight
 	// through the binary plan:
-	f.Add(int64(2707)) // a cyclic node of seven inputs: Yannakakis' greedy fallback
-	f.Add(int64(291))  // a two-input hash join on one shared attribute
-	f.Add(int64(181))  // three non-empty inputs, an empty answer
-	f.Fuzz(func(t *testing.T, seed int64) {
-		if seed&3 == 3 {
-			relation.CollideAllHashes(t)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		db := randomDatabase(rng)
-		e := randomExpr(rng, db, 3)
-		checkEvalParity(t, e, db, join.Order(seed>>2&1))
-	})
+	2707, // a cyclic node of seven inputs: Yannakakis' greedy fallback
+	291,  // a two-input hash join on one shared attribute
+	181,  // three non-empty inputs, an empty answer
+}
+
+func evalParity(t *testing.T, seed int64) {
+	if seed&3 == 3 {
+		relation.CollideAllHashes(t)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	db := randomDatabase(rng)
+	e := randomExpr(rng, db, 3)
+	checkEvalParity(t, e, db, join.Order(seed>>2&1))
+}
+
+// TestDirtyScratchCannotChangeAnAnswer runs FuzzEvalParity's corpus with
+// every slab a join releases filled with 0xFF bytes, so that a join call
+// reading a working array it did not write reads garbage: every strategy,
+// cold and warm, still writes the fold's answer.
+func TestDirtyScratchCannotChangeAnAnswer(t *testing.T) {
+	join.DirtyScratch(t)
+	for _, seed := range evalParitySeeds {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { evalParity(t, seed) })
+	}
 }
 
 // checkEvalParity evaluates e every way the evaluator can and fails

@@ -408,7 +408,7 @@ func FuzzAcyclicJoin(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tj, err := newTreeJoin(Exec{}, rels, tree, newTreeShape(edges, tree))
+		tj, err := newTreeJoin(new(scratch), Exec{}, rels, tree, newTreeShape(edges, tree))
 		if err != nil {
 			t.Fatal(err)
 		}

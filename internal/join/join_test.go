@@ -450,11 +450,12 @@ func TestOrderByName(t *testing.T) {
 // counts before it materializes, what it needs is a constant number of
 // flat slices for the table and the probe pass, the growth steps of the
 // table's per-key slices, and the output's header slice and backing
-// arrays — 53 measured for 4096 output tuples (45 before the join became
-// the one-step case of the binary plan, whose operands and column refs
-// are a few small slices), where one make per output tuple took 4143 and
-// the string-keyed join 18170.
+// arrays — 42 measured for 4096 output tuples with every working array a
+// make of its own (FreshScratch; 53 before they came from a scratch, 45
+// before the join became the one-step case of the binary plan), where one
+// make per output tuple took 4143 and the string-keyed join 18170.
 func TestZeroExecAllocatesNothing(t *testing.T) {
+	FreshScratch(t)
 	l, r := skewedPair(256, 16)
 	const ceiling = 64
 	got := testing.AllocsPerRun(20, func() {
@@ -487,9 +488,12 @@ func skewedPair(n, keys int) (l, r *relation.Relation) {
 // then; it has allocated the build table and the probe pass's flat
 // slices, a few bytes per input row, and not one output row (when the
 // probe emitted as it went, those 512 000 matches were 37 MB of tuples
-// before the check saw them). The memory budget is charged on the same
-// count, and a budget of exactly the output lets a join through.
+// before the check saw them). Every working array is a make of its own
+// (FreshScratch), so that a reused scratch hides none of them. The memory
+// budget is charged on the same count, and a budget of exactly the output
+// lets a join through.
 func TestOverBudgetJoinDiesBeforeItMaterializes(t *testing.T) {
+	FreshScratch(t)
 	l, r := skewedPair(2000, 1)
 	alg := Hash{}
 	var before, after runtime.MemStats
@@ -552,7 +556,7 @@ func TestOverBudgetGenericJoinDiesWithinABatch(t *testing.T) {
 		tries[i] = *trie
 	}
 	b := relation.NewBuilder(shape.out, -1)
-	j := newGenericJoin(shape, tries, b)
+	j := newGenericJoin(new(scratch), shape, tries, b)
 	j.gov, j.built = gov, b
 	j.search(0)
 	if !errors.Is(j.err, governor.ErrMemBudget) {
@@ -572,8 +576,10 @@ func TestOverBudgetGenericJoinDiesWithinABatch(t *testing.T) {
 
 // TestOnePassProducersAllocatePerRelation: the generic join and the
 // semijoin allocate per flat slice and per growth step on 4096-row
-// inputs — no trie row, no output row and no kept-row header of its own.
+// inputs — no trie row, no output row and no kept-row header of its own —
+// with every working array a make of its own (FreshScratch).
 func TestOnePassProducersAllocatePerRelation(t *testing.T) {
+	FreshScratch(t)
 	const rows = 4096
 	l, r := skewedPair(rows, rows)
 	for name, run := range map[string]func() (*relation.Relation, error){

@@ -193,15 +193,12 @@ func (o *operand) shares(u *operand) bool {
 // writes them to Exec.Out. The intermediates are the paper's blow-up; only
 // the answer holds values, and a written one never holds them all.
 type binaryPlan struct {
-	x Exec
-	// Scratch of one input row per source: a build row, a probe row, a
-	// candidate group's first row.
+	x  Exec
+	sc *scratch // the plan, its operands, tables and ids are carved from it
+	// One input row per source: a build row, a probe row, a candidate
+	// group's first row.
 	build, probe, cand []relation.Tuple
-	// The step at hand's table and each of its probe rows' first match
-	// (-1 for none): a step's are dead once its output is written, so
-	// every step reuses the arrays of the one before.
-	table idTable
-	heads []int32
+	table              idTable // the step at hand's
 }
 
 // hashPlan joins inputs (at least two) pairwise in the given order,
@@ -214,43 +211,44 @@ type binaryPlan struct {
 // over the same pairs writes. Only the charge differs: an intermediate is
 // charged its ids, not values (Exec.counted).
 func hashPlan(x Exec, inputs []*relation.Relation, order Order) (*relation.Relation, error) {
-	pl, pending := newBinaryPlan(x, inputs)
+	sc := takeScratch()
+	defer sc.release()
+	pl, pending := newBinaryPlan(x, inputs, sc)
 	for len(pending) > 2 {
 		i, j := 0, 1
 		if order == Greedy {
 			i, j = pickPair(len(pending), func(a, b int) (bool, int) {
-				return pending[a].shares(pending[b]), pending[a].n * pending[b].n
+				return pending[a].shares(&pending[b]), pending[a].n * pending[b].n
 			})
 		}
-		joined, err := pl.intermediate(pending[i], pending[j])
+		joined, err := pl.intermediate(&pending[i], &pending[j])
 		if err != nil {
 			return nil, err
 		}
 		pending = slices.Delete(pending, j, j+1)
 		pending[i] = joined
 	}
-	return pl.answer(pending[0], pending[1])
+	return pl.answer(&pending[0], &pending[1])
 }
 
 // newBinaryPlan numbers the inputs' attributes — an attribute's number is
 // the position of its first occurrence among all the inputs' columns, so
 // no map is built — and returns the plan with one operand per input.
-func newBinaryPlan(x Exec, inputs []*relation.Relation) (*binaryPlan, []*operand) {
+func newBinaryPlan(x Exec, inputs []*relation.Relation, sc *scratch) (*binaryPlan, []operand) {
 	k, total, widest := len(inputs), 0, 0
 	for _, in := range inputs {
 		total += in.Scheme().Len()
 		widest = max(widest, in.Scheme().Len())
 	}
 	words := (total + 63) / 64
-	pl := &binaryPlan{x: x}
-	tuples := make([]relation.Tuple, 3*k)
-	pl.build, pl.probe, pl.cand = tuples[:k:k], tuples[k:2*k:2*k], tuples[2*k:]
-	identity := make([]relation.Ref, widest) // an input's own columns
+	pl := &sc.plan
+	pl.x, pl.sc = x, sc
+	pl.build, pl.probe, pl.cand = sc.tuples.take(k), sc.tuples.take(k), sc.tuples.take(k)
+	identity := sc.refs.take(widest) // an input's own columns
 	for c := range identity {
 		identity[c] = relation.Ref{Col: c}
 	}
-	numbers, sets := make([]int, total), make([]uint64, k*words)
-	ops, pending := make([]operand, k), make([]*operand, k)
+	numbers, sets, ops := sc.ints.take(total), sc.words.take(k*words), sc.ops.take(k)
 	base := 0
 	for i, in := range inputs {
 		sc := in.Scheme()
@@ -272,19 +270,19 @@ func newBinaryPlan(x Exec, inputs []*relation.Relation) (*binaryPlan, []*operand
 			a := o.attrs[c]
 			o.set[a/64] |= 1 << (a % 64)
 		}
-		pending[i] = o
 		base += sc.Len()
 	}
-	return pl, pending
+	return pl, ops
 }
 
 // step is one binary join of a plan, counted and not yet written; its
-// table and probe heads are the plan's.
+// table is the plan's.
 type step struct {
-	out          *operand // the output's sources and columns; no rows yet
+	out          operand // the output's sources and columns; no rows yet
 	build, probe *operand
 	buildIsLeft  bool
-	rows         int // the output's cardinality
+	heads        []int32 // each probe row's first match, -1 for none
+	rows         int     // the output's cardinality
 }
 
 // join runs step l ∗ r up to its count: the table over the smaller side
@@ -293,9 +291,9 @@ type step struct {
 // the row budget per batch.
 func (pl *binaryPlan) join(l, r *operand) (step, error) {
 	fault.Hit(fault.JoinStart)
-	x := pl.x
-	s := step{out: combine(l, r), build: l, probe: r, buildIsLeft: true}
-	var keyL, keyR []relation.Ref
+	x, sc := pl.x, pl.sc
+	s := step{out: combine(sc, l, r), build: l, probe: r, buildIsLeft: true}
+	keyL, keyR := sc.refs.take(len(l.attrs))[:0], sc.refs.take(len(l.attrs))[:0]
 	for c, a := range l.attrs {
 		if r.has(a) {
 			keyL = append(keyL, l.from[c])
@@ -307,11 +305,11 @@ func (pl *binaryPlan) join(l, r *operand) (step, error) {
 		s.build, s.probe, s.buildIsLeft = r, l, false
 		keyBuild, keyProbe = keyR, keyL
 	}
-	if err := pl.table.build(x.Gov, s.build, keyBuild, pl.build, pl.cand); err != nil {
+	if err := pl.table.build(sc, x.Gov, s.build, keyBuild, pl.build, pl.cand); err != nil {
 		return step{}, err
 	}
-	pl.heads = slices.Grow(pl.heads[:0], s.probe.n)[:s.probe.n]
-	for p := range pl.heads {
+	s.heads = sc.i32.take(s.probe.n)
+	for p := range s.heads {
 		if p%checkBatch == 0 {
 			fault.Hit(fault.JoinBatch)
 			if err := x.Gov.CheckRows(s.rows); err != nil {
@@ -323,7 +321,7 @@ func (pl *binaryPlan) join(l, r *operand) (step, error) {
 		}
 		s.probe.load(p, pl.probe)
 		first, n := pl.table.matches(relation.HashRefs(pl.probe, keyProbe), pl.probe, keyProbe)
-		pl.heads[p] = int32(first)
+		s.heads[p] = int32(first)
 		s.rows += n
 	}
 	x.Metrics.JoinWork(s.build.n, s.probe.n, s.rows)
@@ -332,13 +330,13 @@ func (pl *binaryPlan) join(l, r *operand) (step, error) {
 
 // combine returns the operand l ∗ r without rows: the sources of l, then
 // those of r; the columns of l, then those of r that l does not have.
-func combine(l, r *operand) *operand {
-	kl := len(l.rels)
-	out := &operand{
-		rels:  append(append(make([]*relation.Relation, 0, kl+len(r.rels)), l.rels...), r.rels...),
-		attrs: append(make([]int, 0, len(l.attrs)+len(r.attrs)), l.attrs...),
-		from:  append(make([]relation.Ref, 0, len(l.attrs)+len(r.attrs)), l.from...),
-		set:   make([]uint64, len(l.set)),
+func combine(sc *scratch, l, r *operand) operand {
+	kl, width := len(l.rels), len(l.attrs)+len(r.attrs)
+	out := operand{
+		rels:  append(append(sc.rels.take(kl + len(r.rels))[:0], l.rels...), r.rels...),
+		attrs: append(sc.ints.take(width)[:0], l.attrs...),
+		from:  append(sc.refs.take(width)[:0], l.from...),
+		set:   sc.words.take(len(l.set)),
 	}
 	for c, a := range r.attrs {
 		if !l.has(a) {
@@ -355,31 +353,28 @@ func combine(l, r *operand) *operand {
 
 // intermediate joins l and r into an operand of row ids, charged for its
 // ids before they exist.
-func (pl *binaryPlan) intermediate(l, r *operand) (*operand, error) {
+func (pl *binaryPlan) intermediate(l, r *operand) (operand, error) {
 	s, err := pl.join(l, r)
 	if err != nil {
-		return nil, err
+		return operand{}, err
 	}
 	out, x := s.out, pl.x
 	k := len(out.rels)
 	if err := x.counted(s.rows, int64(s.rows)*idBytes*int64(k)); err != nil {
-		return nil, err
+		return operand{}, err
 	}
 	// Only a count the budget accepted becomes an intermediate.
 	x.Metrics.ObserveJoin(s.rows)
-	out.n, out.ids = s.rows, make([]int32, s.rows*k)
-	if err := pl.ids(s, out.ids); err != nil {
-		return nil, err
-	}
-	return out, nil
+	out.n, out.ids = s.rows, pl.sc.i32.take(s.rows*k)
+	return out, pl.ids(s, out.ids)
 }
 
 // ids writes the row ids of s's output into w, one per source per row, in
 // the order the step writes its rows: probe row by probe row, each probe
 // row's matches in build order.
 func (pl *binaryPlan) ids(s step, w []int32) error {
-	for p := range pl.heads {
-		for i := int(pl.heads[p]); i >= 0; i = pl.table.after(i) {
+	for p := range s.heads {
+		for i := int(s.heads[p]); i >= 0; i = pl.table.after(i) {
 			// One probe row can match the entire build side under key
 			// skew, so the loop ticks per output row.
 			if err := pl.x.Gov.Tick(); err != nil {
@@ -423,16 +418,16 @@ func (pl *binaryPlan) answer(l, r *operand) (*relation.Relation, error) {
 		return nil, pl.write(s, scheme)
 	}
 	// The answer's sources: l's, then r's, as out numbers them.
-	srcs := make([]relation.Tuple, len(out.rels))
+	srcs := pl.sc.tuples.take(len(out.rels))
 	left, right := srcs[:len(l.rels)], srcs[len(l.rels):]
 	buildRow, probeRow := left, right
 	if !s.buildIsLeft {
 		buildRow, probeRow = right, left
 	}
 	b := relation.NewBuilder(scheme, s.rows)
-	for p := range pl.heads {
+	for p := range s.heads {
 		s.probe.load(p, probeRow)
-		for i := int(pl.heads[p]); i >= 0; i = pl.table.after(i) {
+		for i := int(s.heads[p]); i >= 0; i = pl.table.after(i) {
 			if err := x.Gov.Tick(); err != nil {
 				return nil, err
 			}
@@ -461,11 +456,11 @@ func (pl *binaryPlan) write(s step, scheme relation.Scheme) error {
 		return nil
 	}
 	k, rels, from := len(out.rels), out.rels, out.from
-	ids := make([]int32, s.rows*k)
+	ids := pl.sc.i32.take(s.rows * k)
 	if err := pl.ids(s, ids); err != nil {
 		return err
 	}
-	order := make([]int32, s.rows)
+	order := pl.sc.i32.take(s.rows)
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -487,7 +482,7 @@ func (pl *binaryPlan) write(s step, scheme relation.Scheme) error {
 		}
 		return 0
 	})
-	row := make(relation.Tuple, len(from))
+	row := relation.Tuple(pl.sc.values.take(len(from)))
 	for n, r := range order {
 		if n%checkBatch == 0 {
 			fault.Hit(fault.JoinBatch)

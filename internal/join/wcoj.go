@@ -94,9 +94,10 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 		}
 	}
 
+	sc := takeScratch()
+	defer sc.release()
 	shape := p.genericShape()
-	tries := make([]sortedTrie, len(inputs))
-	indexed := 0
+	tries, indexed := sc.tries.take(len(inputs)), 0
 	for i, r := range inputs {
 		t, err := trieOf(r, shape.cols[i], x.Gov)
 		if err != nil {
@@ -121,7 +122,7 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 		b = relation.NewBuilder(shape.out, -1)
 		sink = b
 	}
-	j := newGenericJoin(shape, tries, sink)
+	j := newGenericJoin(sc, shape, tries, sink)
 	j.gov, j.built = x.Gov, sink.(interface{ Len() int })
 	j.search(0)
 	if j.err != nil && !errors.Is(j.err, errStopped) {
@@ -185,8 +186,10 @@ func Search(gov *governor.Governor, rels []*relation.Relation, vars []relation.S
 			return nil
 		}
 	}
+	sc := takeScratch()
+	defer sc.release()
 	shape := newGenericShape(vars, order, out)
-	tries := make([]sortedTrie, len(rels))
+	tries := sc.tries.take(len(rels))
 	for i, r := range rels {
 		t, err := trieOf(r, shape.cols[i], gov)
 		if err != nil {
@@ -202,7 +205,7 @@ func Search(gov *governor.Governor, rels []*relation.Relation, vars []relation.S
 			return !fresh || first(t)
 		}
 	}
-	j := newGenericJoin(&shape, tries, yielder(yield))
+	j := newGenericJoin(sc, &shape, tries, yielder(yield))
 	j.gov = gov
 	if j.fix(fixed) {
 		j.search(len(fixed))
@@ -447,9 +450,9 @@ type genericJoin struct {
 var errStopped = errors.New("join: search stopped")
 
 // newGenericJoin returns the search over tries in the order of shape,
-// writing each binding into out.
-func newGenericJoin(shape *genericShape, tries []sortedTrie, out relation.Sink) genericJoin {
-	flat := make([]trieRange, len(tries)+len(shape.parts))
+// writing each binding into out, its ranges and binding taken from sc.
+func newGenericJoin(sc *scratch, shape *genericShape, tries []sortedTrie, out relation.Sink) genericJoin {
+	flat := sc.ranges.take(len(tries) + len(shape.parts))
 	ranges := flat[:len(tries)]
 	for i, tr := range tries {
 		ranges[i] = trieRange{0, len(tr.rows)}
@@ -459,11 +462,11 @@ func newGenericJoin(shape *genericShape, tries []sortedTrie, out relation.Sink) 
 		tries:  tries,
 		ranges: ranges,
 		saved:  flat[len(tries):],
-		bind:   make([]relation.Value, shape.order.Len()),
+		bind:   sc.values.take(shape.order.Len()),
 		out:    out,
 	}
 	if shape.proj != nil {
-		j.row = make(relation.Tuple, len(shape.proj))
+		j.row = sc.values.take(len(shape.proj))
 	}
 	return j
 }

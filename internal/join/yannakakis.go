@@ -96,8 +96,9 @@ func joinTree(x Exec, p *Plan) (out *relation.Relation, semijoins, reducedRows i
 		return nil, 0, 0, err
 	}
 	tree, _ := p.JoinTree()
-	root, shape := tree.Root(), p.treeShape()
-	t, err := newTreeJoin(x, p.Inputs, tree, shape)
+	root, shape, sc := tree.Root(), p.treeShape(), takeScratch()
+	defer sc.release()
+	t, err := newTreeJoin(sc, x, p.Inputs, tree, shape)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -239,6 +240,7 @@ func (p *Plan) treeShape() *treeShape {
 // the groups.
 type treeJoin struct {
 	x          Exec
+	sc         *scratch // what the evaluation keeps is carved from it
 	rels       []*relation.Relation
 	tree       *JoinTree
 	shape      *treeShape
@@ -272,44 +274,27 @@ type input struct {
 
 // newTreeJoin returns an evaluation with every row alive, looking up
 // each edge's table — building it on first use — since what the
-// evaluation keeps per group is sized by the tables: one array of words
-// holds the dead sets and the leaves' flags, one of int32 the inner
-// nodes' ranks, the sweeps' counters and the root's links for its first
-// relation.SizeSample rows, and one of int the inner nodes' counts.
-func newTreeJoin(x Exec, rels []*relation.Relation, tree *JoinTree, shape *treeShape) (treeJoin, error) {
-	t := treeJoin{x: x, rels: rels, tree: tree, shape: shape, in: make([]input, len(rels))}
-	root := tree.Root()
-	words, ints, counts, most := 0, 0, 0, 0
+// evaluation keeps per group is sized by the tables: dead sets and the
+// leaves' flags in words, the inner nodes' ranks, the sweeps' counters
+// and the root's links for its first relation.SizeSample rows in int32,
+// the inner nodes' counts in int, all taken from sc.
+func newTreeJoin(sc *scratch, x Exec, rels []*relation.Relation, tree *JoinTree, shape *treeShape) (treeJoin, error) {
+	t := treeJoin{x: x, sc: sc, rels: rels, tree: tree, shape: shape, in: sc.ins.take(len(rels)), killed: sc.i32.take(len(rels))}
 	for _, i := range tree.Order {
-		n, kids := rels[i].Len(), len(shape.kids[i])
-		words, most = words+wordsFor(n), max(most, kids)
-		if i == root {
-			ints += min(n, relation.SizeSample) * kids
+		in, n, kids := &t.in[i], rels[i].Len(), len(shape.kids[i])
+		in.dead, in.rows = sc.words.take(wordsFor(n)), n
+		if i == tree.Root() {
+			in.link = sc.i32.take(min(n, relation.SizeSample) * kids)[:0]
 			continue
 		}
 		tb, err := edgeTable(x.Gov, rels[i], shape.childKey[i])
 		if err != nil {
 			return t, err
 		}
-		t.in[i].table = tb
-		if kids == 0 {
-			words += wordsFor(tb.keys())
+		if in.table = tb; kids == 0 {
+			in.flag = sc.words.take(wordsFor(tb.keys()))
 		} else {
-			ints, counts = ints+wordsFor(n), counts+tb.keys()
-		}
-	}
-	marks, flat, sums := make(bitset, words), make([]int32, ints+most), make([]int, counts)
-	t.killed = carve(&flat, most)
-	for i, r := range rels {
-		in, n, kids := &t.in[i], r.Len(), len(shape.kids[i])
-		in.dead, in.rows = carve(&marks, wordsFor(n)), n
-		switch {
-		case i == root:
-			in.link = carve(&flat, min(n, relation.SizeSample)*kids)[:0]
-		case kids == 0:
-			in.flag = carve(&marks, wordsFor(in.table.keys()))
-		default:
-			in.rank, in.count = carve(&flat, wordsFor(n)), carve(&sums, in.table.keys())
+			in.rank, in.count = sc.i32.take(wordsFor(n)), sc.ints.take(tb.keys())
 		}
 	}
 	return t, nil
@@ -317,13 +302,6 @@ func newTreeJoin(x Exec, rels []*relation.Relation, tree *JoinTree, shape *treeS
 
 // wordsFor returns the number of 64-bit words n bits take.
 func wordsFor(n int) int { return (n + 63) / 64 }
-
-// carve cuts the first n elements off *s and returns them, capped at n.
-func carve[S ~[]E, E any](s *S, n int) S {
-	out := (*s)[:n:n]
-	*s = (*s)[n:]
-	return out
-}
 
 // mark is the full reducer: a leaf-to-root sweep (parent ⋉ child, in
 // ear-removal order), then a root-to-leaf one (child ⋉ parent, reversed),
@@ -383,7 +361,7 @@ func (t *treeJoin) up(p int) error {
 	for r := 0; r < parent.Len(); r++ {
 		if root && r == relation.SizeSample {
 			n, width := parent.Len(), len(kids)
-			in.link = append(make([]int32, 0, relation.Forecast(len(in.link)/width, r, n, n)*width), in.link...)
+			in.link = append(t.sc.i32.take(relation.Forecast(len(in.link)/width, r, n, n) * width)[:0], in.link...)
 		}
 		if in.dead.has(r) {
 			continue
@@ -470,7 +448,7 @@ func (t *treeJoin) linked(p int) error {
 		in.rank[w] = int32(live)
 		live += 64 - bits.OnesCount64(dead)
 	}
-	in.link = make([]int32, 0, in.rows*len(kids))
+	in.link = t.sc.i32.take(in.rows * len(kids))[:0]
 	for r := 0; r < rel.Len(); r++ {
 		if in.dead.has(r) {
 			continue
@@ -627,7 +605,7 @@ func (t *treeJoin) search(total int, out relation.Sink) error {
 	if err != nil {
 		return err
 	}
-	j := newGenericJoin(&t.shape.genericShape, tries, out)
+	j := newGenericJoin(t.sc, &t.shape.genericShape, tries, out)
 	j.gov = t.x.Gov
 	j.search(0)
 	t.candidates = j.candidates
@@ -642,13 +620,13 @@ func (t *treeJoin) search(total int, out relation.Sink) error {
 // of its live rows alone, views cut from one array and sorted for this
 // request, one tick per row. Dead rows never reach the search.
 func (t *treeJoin) tries() ([]sortedTrie, error) {
-	tries, live := make([]sortedTrie, len(t.rels)), 0
+	tries, live := t.sc.tries.take(len(t.rels)), 0
 	for i, r := range t.rels {
 		if t.in[i].rows < r.Len() {
 			live += t.in[i].rows
 		}
 	}
-	views := make([]relation.Tuple, 0, live)
+	views := t.sc.tuples.take(live)[:0]
 	for i, r := range t.rels {
 		if t.in[i].rows == r.Len() {
 			fact, err := trieOf(r, t.shape.cols[i], t.x.Gov)
@@ -684,7 +662,7 @@ func FullReduce(rels []*relation.Relation) ([]*relation.Relation, int, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("join: full reduction requires an acyclic join (schemes %v)", SchemesOf(rels))
 	}
-	t, err := newTreeJoin(Exec{}, rels, tree, p.treeShape())
+	t, err := newTreeJoin(new(scratch), Exec{}, rels, tree, p.treeShape())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -706,7 +684,7 @@ func FullReduce(rels []*relation.Relation) ([]*relation.Relation, int, error) {
 // result is r itself if s is nonempty and empty otherwise.
 func Semijoin(r, s *relation.Relation) (*relation.Relation, error) {
 	rels, tree := []*relation.Relation{r, s}, &JoinTree{Parent: []int{-1, 0}, Order: []int{1, 0}}
-	t, err := newTreeJoin(Exec{}, rels, tree, newTreeShape(SchemesOf(rels), tree))
+	t, err := newTreeJoin(new(scratch), Exec{}, rels, tree, newTreeShape(SchemesOf(rels), tree))
 	if err != nil {
 		return nil, err
 	}

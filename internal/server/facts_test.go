@@ -12,6 +12,7 @@ import (
 	"relquery/internal/algebra"
 	"relquery/internal/cnf"
 	"relquery/internal/governor"
+	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/reduction"
 	"relquery/internal/relation"
@@ -159,8 +160,11 @@ func TestWarmRequestPlansNothing(t *testing.T) {
 // row and per leaf group besides the one row that reaches the answer: a
 // warm query costs at most a quarter of the cold one's two tables. Two
 // queries over an unchanged catalog cost the same, the cold one costs two
-// tables more, and the one after the PUT one table more.
+// tables more, and the one after the PUT one table more. The joins make
+// their working arrays (join.FreshScratch): a scratch reused from the
+// request before would hide them.
 func TestWarmQueryBuildsNoTable(t *testing.T) {
+	join.FreshScratch(t)
 	const n = 20_000
 	leg := func(a, b string) *relation.Relation {
 		r := relation.New(relation.MustScheme(relation.Attribute(a), relation.Attribute(b)))
