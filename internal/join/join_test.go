@@ -450,7 +450,7 @@ func TestOrderByName(t *testing.T) {
 // counts before it materializes, what it needs is a constant number of
 // flat slices for the table and the probe pass, the growth steps of the
 // table's per-key slices, and the output's header slice and backing
-// arrays — 42 measured for 4096 output tuples with every working array a
+// arrays — 54 measured for 4096 output tuples with every working array a
 // make of its own (FreshScratch; 53 before they came from a scratch, 45
 // before the join became the one-step case of the binary plan), where one
 // make per output tuple took 4143 and the string-keyed join 18170.

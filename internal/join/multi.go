@@ -194,11 +194,14 @@ func (o *operand) shares(u *operand) bool {
 // the answer holds values, and a written one never holds them all.
 type binaryPlan struct {
 	x  Exec
-	sc *scratch // the plan, its operands, tables and ids are carved from it
-	// One input row per source: a build row, a probe row, a candidate
-	// group's first row.
+	sc *scratch // the plan is its scratch's; its operands and ids are carved from it
+	// One input row per source each: a build, a probe, a group's first row.
 	build, probe, cand []relation.Tuple
-	table              idTable // the step at hand's
+	// The step at hand's table and each of its probe rows' first match
+	// (-1 for none): every step reuses the arrays of the one before, and
+	// the scratch keeps them for its next call.
+	table idTable
+	heads []int32
 }
 
 // hashPlan joins inputs (at least two) pairwise in the given order,
@@ -211,9 +214,8 @@ type binaryPlan struct {
 // over the same pairs writes. Only the charge differs: an intermediate is
 // charged its ids, not values (Exec.counted).
 func hashPlan(x Exec, inputs []*relation.Relation, order Order) (*relation.Relation, error) {
-	sc := takeScratch()
-	defer sc.release()
-	pl, pending := newBinaryPlan(x, inputs, sc)
+	pl, pending := newBinaryPlan(x, inputs)
+	defer pl.sc.release()
 	for len(pending) > 2 {
 		i, j := 0, 1
 		if order == Greedy {
@@ -231,16 +233,17 @@ func hashPlan(x Exec, inputs []*relation.Relation, order Order) (*relation.Relat
 	return pl.answer(&pending[0], &pending[1])
 }
 
-// newBinaryPlan numbers the inputs' attributes — an attribute's number is
-// the position of its first occurrence among all the inputs' columns, so
-// no map is built — and returns the plan with one operand per input.
-func newBinaryPlan(x Exec, inputs []*relation.Relation, sc *scratch) (*binaryPlan, []operand) {
+// newBinaryPlan returns the plan, on a scratch its caller releases, with
+// one operand per input, numbering their attributes without a map: an
+// attribute's number is its first position among all the inputs' columns.
+func newBinaryPlan(x Exec, inputs []*relation.Relation) (*binaryPlan, []operand) {
 	k, total, widest := len(inputs), 0, 0
 	for _, in := range inputs {
 		total += in.Scheme().Len()
 		widest = max(widest, in.Scheme().Len())
 	}
 	words := (total + 63) / 64
+	sc := takeScratch()
 	pl := &sc.plan
 	pl.x, pl.sc = x, sc
 	pl.build, pl.probe, pl.cand = sc.tuples.take(k), sc.tuples.take(k), sc.tuples.take(k)
@@ -276,13 +279,12 @@ func newBinaryPlan(x Exec, inputs []*relation.Relation, sc *scratch) (*binaryPla
 }
 
 // step is one binary join of a plan, counted and not yet written; its
-// table is the plan's.
+// table and probe heads are the plan's.
 type step struct {
 	out          operand // the output's sources and columns; no rows yet
 	build, probe *operand
 	buildIsLeft  bool
-	heads        []int32 // each probe row's first match, -1 for none
-	rows         int     // the output's cardinality
+	rows         int // the output's cardinality
 }
 
 // join runs step l ∗ r up to its count: the table over the smaller side
@@ -305,11 +307,11 @@ func (pl *binaryPlan) join(l, r *operand) (step, error) {
 		s.build, s.probe, s.buildIsLeft = r, l, false
 		keyBuild, keyProbe = keyR, keyL
 	}
-	if err := pl.table.build(sc, x.Gov, s.build, keyBuild, pl.build, pl.cand); err != nil {
+	if err := pl.table.build(x.Gov, s.build, keyBuild, pl.build, pl.cand); err != nil {
 		return step{}, err
 	}
-	s.heads = sc.i32.take(s.probe.n)
-	for p := range s.heads {
+	pl.heads = slices.Grow(pl.heads[:0], s.probe.n)[:s.probe.n]
+	for p := range pl.heads {
 		if p%checkBatch == 0 {
 			fault.Hit(fault.JoinBatch)
 			if err := x.Gov.CheckRows(s.rows); err != nil {
@@ -321,7 +323,7 @@ func (pl *binaryPlan) join(l, r *operand) (step, error) {
 		}
 		s.probe.load(p, pl.probe)
 		first, n := pl.table.matches(relation.HashRefs(pl.probe, keyProbe), pl.probe, keyProbe)
-		s.heads[p] = int32(first)
+		pl.heads[p] = int32(first)
 		s.rows += n
 	}
 	x.Metrics.JoinWork(s.build.n, s.probe.n, s.rows)
@@ -373,8 +375,8 @@ func (pl *binaryPlan) intermediate(l, r *operand) (operand, error) {
 // the order the step writes its rows: probe row by probe row, each probe
 // row's matches in build order.
 func (pl *binaryPlan) ids(s step, w []int32) error {
-	for p := range s.heads {
-		for i := int(s.heads[p]); i >= 0; i = pl.table.after(i) {
+	for p := range pl.heads {
+		for i := int(pl.heads[p]); i >= 0; i = pl.table.after(i) {
 			// One probe row can match the entire build side under key
 			// skew, so the loop ticks per output row.
 			if err := pl.x.Gov.Tick(); err != nil {
@@ -425,9 +427,9 @@ func (pl *binaryPlan) answer(l, r *operand) (*relation.Relation, error) {
 		buildRow, probeRow = right, left
 	}
 	b := relation.NewBuilder(scheme, s.rows)
-	for p := range s.heads {
+	for p := range pl.heads {
 		s.probe.load(p, probeRow)
-		for i := int(s.heads[p]); i >= 0; i = pl.table.after(i) {
+		for i := int(pl.heads[p]); i >= 0; i = pl.table.after(i) {
 			if err := x.Gov.Tick(); err != nil {
 				return nil, err
 			}

@@ -9,38 +9,42 @@ import (
 )
 
 // scratch holds the working arrays of one join call: the binary plan's
-// tables, probe heads and intermediate ids, the searches' ranges and
-// bindings, the tree join's marks and links. A call takes one from the
-// free list on entry and releases it on return, and the next call carves
-// its arrays from the same memory; a nested call (a Search yield that
-// joins again) takes its own. Nothing a caller receives — an answer, a
-// fact memoized on a relation — is carved from it.
+// operands, tables and ids, the searches' ranges and bindings, the tree
+// join's marks and links. A call takes one from the free list and
+// releases it on return; a nested call (a Search yield that joins again)
+// takes its own. Nothing a caller receives is carved from it.
 type scratch struct {
-	i32    slab[int32]
-	ints   slab[int]
-	words  slab[uint64]
-	refs   slab[relation.Ref]
-	ranges slab[trieRange]
-	tuples slab[relation.Tuple] // this one and those below hold pointers
+	i32    plainSlab[int32]
+	ints   plainSlab[int]
+	words  plainSlab[uint64]
+	refs   plainSlab[relation.Ref]
+	ranges plainSlab[trieRange]
+	tuples slab[relation.Tuple]
 	values slab[relation.Value]
 	rels   slab[*relation.Relation]
 	ops    slab[operand]
 	tries  slab[sortedTrie]
 	ins    slab[input]
-	plan   binaryPlan // only its table's index is kept from call to call
+	plan   binaryPlan // only its table's arrays and probe heads are kept from call to call
 }
 
 type anySlab interface {
 	kept() int64
-	reset(pointers, dirty bool)
+	reset(dirty bool)
 }
 
-// slabs lists s's slabs, the pointerFree ones without pointers first.
 func (s *scratch) slabs() [11]anySlab {
 	return [...]anySlab{&s.i32, &s.ints, &s.words, &s.refs, &s.ranges, &s.tuples, &s.values, &s.rels, &s.ops, &s.tries, &s.ins}
 }
 
-const pointerFree = 5
+// bytes is what s holds: its slabs' arrays and the plan's table and heads.
+func (s *scratch) bytes() int64 {
+	n := s.plan.table.Bytes() + 4*int64(cap(s.plan.table.tail)+cap(s.plan.heads))
+	for _, b := range s.slabs() {
+		n += b.kept()
+	}
+	return n
+}
 
 // scratchCap is the most a kept scratch holds: one whose arrays passed it
 // is dropped on release, and a large join's arrays go back to the heap.
@@ -61,20 +65,18 @@ func takeScratch() *scratch {
 }
 
 // release empties s, clearing every pointer so that it pins no relation,
-// and returns it to the free list unless its arrays passed scratchCap or
-// the list is full. No slice carved from s is used after.
+// and returns it to the free list unless it passed scratchCap or the list
+// is full. No slice carved from s is used after.
 func (s *scratch) release() {
-	all, kept := s.slabs(), s.plan.table.ix.Bytes()
-	for _, b := range all {
-		kept += b.kept()
-	}
-	if freshScratch.Load() || kept > scratchCap {
+	if freshScratch.Load() || s.bytes() > scratchCap {
 		return
 	}
-	for i, b := range all {
-		b.reset(i >= pointerFree, dirtyScratch.Load())
+	for _, b := range s.slabs() {
+		b.reset(dirtyScratch.Load())
 	}
-	s.plan = binaryPlan{table: idTable{hashTable: hashTable{ix: s.plan.table.ix}}}
+	t := s.plan.table
+	s.plan = binaryPlan{heads: s.plan.heads, table: idTable{tail: t.tail,
+		hashTable: hashTable{ix: t.ix, next: t.next, head: t.head, size: t.size}}}
 	select {
 	case scratches <- s:
 	default:
@@ -89,52 +91,48 @@ type slab[E any] struct {
 	used int // elements handed out since the last release
 }
 
-// take returns n zeroed elements, capped at n. A nil slab makes them — a
-// table kept as a fact takes from none — and so does any under
-// FreshScratch.
+// take returns n zeroed elements, capped at n.
 func (b *slab[E]) take(n int) []E {
-	if b == nil || freshScratch.Load() {
-		return make([]E, n)
-	}
 	if b.used += n; len(b.buf)+n > cap(b.buf) {
 		return make([]E, n)
 	}
-	at := len(b.buf)
-	b.buf = b.buf[:at+n]
-	out := b.buf[at : at+n : at+n]
+	b.buf = b.buf[:len(b.buf)+n]
+	out := b.buf[len(b.buf)-n : len(b.buf) : len(b.buf)]
 	clear(out)
 	return out
 }
 
-func (b *slab[E]) size() int64 { var e E; return int64(unsafe.Sizeof(e)) }
-func (b *slab[E]) kept() int64 { return int64(max(cap(b.buf), b.used)) * b.size() }
+func (b *slab[E]) kept() int64 { return int64(max(cap(b.buf), b.used)) * int64(unsafe.Sizeof(*new(E))) }
 
-// reset empties the slab for its next call, its array grown to all that
-// the last call took: a pointer-bearing one is cleared, and dirty fills
-// any other with 0xFF bytes.
-func (b *slab[E]) reset(pointers, dirty bool) {
-	if pointers {
-		clear(b.buf)
-	}
-	if b.used > cap(b.buf) {
+// reset clears the slab, so that it pins nothing, and empties it for its
+// next call, its array grown to all that the last call took.
+func (b *slab[E]) reset(bool) {
+	if clear(b.buf); b.used > cap(b.buf) {
 		b.buf = make([]E, 0, b.used)
 	}
 	b.buf, b.used = b.buf[:0], 0
-	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b.buf[:cap(b.buf)]))), int64(cap(b.buf))*b.size())
-	for i := 0; dirty && !pointers && i < len(raw); i++ {
+}
+
+// plainSlab is a slab whose elements hold no pointer, which dirty fills
+// with 0xFF bytes once it is reset.
+type plainSlab[E any] struct{ slab[E] }
+
+func (b *plainSlab[E]) reset(dirty bool) {
+	b.slab.reset(dirty)
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b.buf[:cap(b.buf)]))), uintptr(cap(b.buf))*unsafe.Sizeof(*new(E)))
+	for i := 0; dirty && i < len(raw); i++ {
 		raw[i] = 0xFF
 	}
 }
 
 var freshScratch, dirtyScratch atomic.Bool // test hooks, false but under the two below
 
-// FreshScratch makes every take a make and keeps no scratch until t's
-// cleanup: a join call allocates its working arrays as if it had no
-// scratch, for a test that measures them in heap bytes or allocations.
+// FreshScratch keeps no scratch until t's cleanup: every call carves from
+// an empty one, so its working arrays are makes a test can count.
 func FreshScratch(t interface{ Cleanup(func()) }) { scratchHook(t, &freshScratch) }
 
-// DirtyScratch fills every released pointer-free slab with 0xFF bytes
-// until t's cleanup: a call that reads what it did not write sees them.
+// DirtyScratch fills every released plain slab with 0xFF bytes until t's
+// cleanup: a call that reads what it did not write sees them.
 func DirtyScratch(t interface{ Cleanup(func()) }) { scratchHook(t, &dirtyScratch) }
 
 // scratchHook sets hook and empties the free list of what it kept before.

@@ -5,33 +5,12 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"weak"
+	"time"
 
 	"relquery/internal/relation"
 )
-
-// handed is the bytes the slab handed out since its last release.
-func (b *slab[E]) handed() int64 { return int64(b.used) * b.size() }
-
-// handed is the bytes sc handed out since it was taken: what the call's
-// arrays would have cost it in makes.
-func handed(sc *scratch) int64 {
-	var n int64
-	for _, b := range sc.slabs() {
-		n += b.(interface{ handed() int64 }).handed()
-	}
-	return n
-}
-
-// held is the bytes sc holds: its slabs' arrays and the plan's index.
-func held(sc *scratch) int64 {
-	n := sc.plan.table.ix.Bytes()
-	for _, b := range sc.slabs() {
-		n += b.kept()
-	}
-	return n
-}
 
 // emptyFreeList takes every scratch off the free list.
 func emptyFreeList() {
@@ -64,17 +43,15 @@ func TestScratchPastItsCapIsNotKept(t *testing.T) {
 	if n := len(scratches); n != 1 {
 		t.Fatalf("after a small join the list holds %d scratches, want 1", n)
 	}
-	if sc := takeScratch(); held(sc) > scratchCap || held(sc) == 0 {
-		t.Errorf("the kept scratch holds %d bytes; want some, and at most %d", held(sc), scratchCap)
+	if sc := takeScratch(); sc.bytes() > scratchCap || sc.bytes() == 0 {
+		t.Errorf("the kept scratch holds %d bytes; want some, and at most %d", sc.bytes(), scratchCap)
 	}
 }
 
 // TestFreeListIsBounded: however many joins run at once, the free list
-// keeps at most GOMAXPROCS scratches, each within scratchCap.
+// keeps at most as many scratches as it has room for, each within
+// scratchCap.
 func TestFreeListIsBounded(t *testing.T) {
-	if cap(scratches) != runtime.GOMAXPROCS(0) {
-		t.Fatalf("the free list has room for %d scratches; GOMAXPROCS is %d", cap(scratches), runtime.GOMAXPROCS(0))
-	}
 	l, r := skewedPair(256, 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 4*cap(scratches)+4; g++ {
@@ -94,8 +71,8 @@ func TestFreeListIsBounded(t *testing.T) {
 		t.Errorf("after the joins the list holds %d scratches; want 1 to %d", n, cap(scratches))
 	}
 	for len(scratches) > 0 {
-		if sc := <-scratches; held(sc) > scratchCap {
-			t.Errorf("a kept scratch holds %d bytes, past the cap of %d", held(sc), scratchCap)
+		if sc := <-scratches; sc.bytes() > scratchCap {
+			t.Errorf("a kept scratch holds %d bytes, past the cap of %d", sc.bytes(), scratchCap)
 		}
 	}
 }
@@ -103,24 +80,30 @@ func TestFreeListIsBounded(t *testing.T) {
 // TestReleasedScratchPinsNoRelation: once a join has released its
 // scratch, the free list keeps nothing of its inputs: relations joined
 // by every strategy, the tree join and the generic join's search among
-// them, are collected.
+// them, are collected. Each input's first array of values carries a
+// finalizer, reached from the relation and from every row of it, and the
+// relation is not: its memoized facts point back to it, and a finalizer
+// on a block in a cycle need never run.
 func TestReleasedScratchPinsNoRelation(t *testing.T) {
 	emptyFreeList()
-	ptrs := joinedAndDropped(t)
-	runtime.GC()
+	var collected atomic.Int32
+	inputs := joinedAndDropped(t, &collected)
+	for i := 0; i < 100 && collected.Load() < inputs; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
 	if len(scratches) == 0 {
 		t.Fatal("no scratch was kept: the test shows nothing")
 	}
-	for i, p := range ptrs {
-		if p.Value() != nil {
-			t.Errorf("input %d is still reachable after its joins released their scratch", i)
-		}
+	if n := collected.Load(); n != inputs {
+		t.Errorf("%d of %d inputs are still reachable after their joins released their scratch", inputs-n, inputs)
 	}
 }
 
 // joinedAndDropped joins a chain and a triangle under every strategy and
-// returns weak pointers to their inputs.
-func joinedAndDropped(t *testing.T) []weak.Pointer[relation.Relation] {
+// returns how many inputs they had, each of which adds one to collected
+// once its rows are.
+func joinedAndDropped(t *testing.T, collected *atomic.Int32) int32 {
 	chain := []*relation.Relation{
 		rel(t, "A B", "1 x", "2 x", "3 y"),
 		rel(t, "B C", "x p", "y q", "z r"),
@@ -131,7 +114,7 @@ func joinedAndDropped(t *testing.T) []weak.Pointer[relation.Relation] {
 		rel(t, "B C", "x p", "y p"),
 		rel(t, "A C", "1 p", "2 p"),
 	}
-	var ptrs []weak.Pointer[relation.Relation]
+	var inputs int32
 	for _, rels := range [][]*relation.Relation{chain, tri} {
 		for _, alg := range allAlgorithms(t) {
 			if _, err := Multi(Exec{}, NewPlan(rels...), alg, Greedy); err != nil {
@@ -139,10 +122,11 @@ func joinedAndDropped(t *testing.T) []weak.Pointer[relation.Relation] {
 			}
 		}
 		for _, r := range rels {
-			ptrs = append(ptrs, weak.Make(r))
+			runtime.SetFinalizer(&r.Tuple(0)[0], func(*relation.Value) { collected.Add(1) })
+			inputs++
 		}
 	}
-	return ptrs
+	return inputs
 }
 
 // TestConcurrentJoinsOverDirtyScratch: eight goroutines run the three
@@ -182,4 +166,31 @@ func TestConcurrentJoinsOverDirtyScratch(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPlanStepsReuseOneTable: each step of a binary plan builds its table
+// and probe heads in the arrays of the step before, so a chain of equal
+// steps — 512 rows each, its table presized — allocates per step added
+// its combined operand, its keys and its ids and no table: 7.75 measured
+// with every working array a make of its own (FreshScratch), where a
+// table made per step costs at least one array more.
+func TestPlanStepsReuseOneTable(t *testing.T) {
+	FreshScratch(t)
+	allocs := func(k int) float64 {
+		rels := make([]*relation.Relation, k)
+		for i := range rels {
+			rels[i] = relation.New(relation.MustScheme(relation.Attribute(fmt.Sprint("A", i)), relation.Attribute(fmt.Sprint("A", i+1))))
+			for v := 0; v < 512; v++ {
+				rels[i].MustAdd(relation.TupleOf(fmt.Sprint(v), fmt.Sprint(v)))
+			}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if out, err := Multi(Exec{}, NewPlan(rels...), Hash{}, Sequential); err != nil || out.Len() != 512 {
+				t.Fatal(out, err)
+			}
+		})
+	}
+	if perStep := (allocs(8) - allocs(4)) / 4; perStep > 8 {
+		t.Errorf("a plan step allocates %.2f times; want at most 8, no table of its own", perStep)
+	}
 }

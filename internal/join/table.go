@@ -48,7 +48,7 @@ func (t *hashTable) build(g *governor.Governor, rel *relation.Relation, cols key
 			return err
 		}
 		if i == relation.SizeSample {
-			tail = t.presize(len(t.next), tail, nil)
+			tail = t.presize(len(t.next), tail)
 		}
 		row := rel.Tuple(i)
 		h := row.HashOf(cols)
@@ -60,23 +60,23 @@ func (t *hashTable) build(g *governor.Governor, rel *relation.Relation, cols key
 }
 
 // presize sizes the index and the group arrays, tail among them, once,
-// from from, for the groups n rows will make at the rate the first
+// for the groups n rows will make at the rate the first
 // relation.SizeSample made them, and returns tail grown.
-func (t *hashTable) presize(n int, tail []int32, from *slab[int32]) []int32 {
+func (t *hashTable) presize(n int, tail []int32) []int32 {
 	groups := relation.Forecast(t.keys(), relation.SizeSample, n, n)
 	t.ix.Reserve(groups)
-	t.head, t.size = reserved(t.head, groups, from), reserved(t.size, groups, from)
-	return reserved(tail, groups, from)
+	t.head, t.size = reserved(t.head, groups), reserved(t.size, groups)
+	return reserved(tail, groups)
 }
 
 // reserved returns s with room for n elements: s itself when it has it,
-// else a copy of s with capacity n taken from from. What Index.Reserve is
-// for a group array.
-func reserved(s []int32, n int, from *slab[int32]) []int32 {
+// else a copy of s with capacity n. What Index.Reserve is for a group
+// array.
+func reserved(s []int32, n int) []int32 {
 	if cap(s) >= n {
 		return s
 	}
-	return append(from.take(n)[:0], s...)
+	return append(make([]int32, 0, n), s...)
 }
 
 // fitted returns s, or a copy of it when s was reserved for more than
@@ -182,19 +182,20 @@ type idTable struct {
 }
 
 // build groups side's rows by key, ticking g once per row; row and cand
-// hold one input row per source. Its arrays are taken from sc, and its
-// index, emptied, is the one the scratch keeps.
-func (t *idTable) build(sc *scratch, g *governor.Governor, side *operand, key []relation.Ref, row, cand []relation.Tuple) error {
+// hold one input row per source. It empties the table first and keeps its
+// arrays: a plan builds one table per step in one idTable, so only the
+// largest is allocated.
+func (t *idTable) build(g *governor.Governor, side *operand, key []relation.Ref, row, cand []relation.Tuple) error {
 	t.side, t.key, t.cand = side, key, cand
-	sample := min(side.n, relation.SizeSample)
-	t.next, t.head, t.size, t.tail = sc.i32.take(side.n), sc.i32.take(sample)[:0], sc.i32.take(sample)[:0], sc.i32.take(sample)[:0]
+	t.next = reserved(t.next[:0], side.n)[:side.n]
+	t.head, t.size, t.tail = t.head[:0], t.size[:0], t.tail[:0]
 	t.ix.Reset()
 	for i := range t.next {
 		if err := g.Tick(); err != nil {
 			return err
 		}
 		if i == relation.SizeSample {
-			t.tail = t.presize(side.n, t.tail, &sc.i32)
+			t.tail = t.presize(side.n, t.tail)
 		}
 		side.load(i, row)
 		h := relation.HashRefs(row, key)
