@@ -77,10 +77,10 @@ obs-bench:
 	  echo "the path behind the telemetry server's /metrics endpoint."; \
 	  echo; \
 	  echo "RegistryObserveTraceRing is the steady-state cost of publishing"; \
-	  echo "one trace into a full ring: the circular buffer (ISSUE 9) keeps"; \
-	  echo "it O(1)/0 B regardless of capacity, where the old slice-trim"; \
-	  echo "reallocated and copied the whole ring per eviction (1.1us/768B"; \
-	  echo "at cap 32 up to 43.6us/82KB at cap 4096 before the fix)."; \
+	  echo "one trace into a full ring, which copies it over its oldest slot"; \
+	  echo "in the arena that slot reuses: O(1) in the capacity and 0 B, for"; \
+	  echo "a one-span tree and for the 18 spans of a phi_G gadget query"; \
+	  echo "(spans18*), where a copy that allocated per span would show."; \
 	  echo; \
 	  $(GO) test -run '^$$' -bench 'E9Eval' -benchtime 10x -count 1 -benchmem .; \
 	  $(GO) test -run '^$$' -bench 'RegistryObserveTraceRing' -count 1 -benchmem ./internal/obs/; \

@@ -212,7 +212,7 @@ func (ev *Evaluator) evaluate(ctx context.Context, e Expr, db relation.Database,
 		err = gov.CheckOutput(r.Len())
 	}
 	if ev.Registry != nil {
-		ev.Registry.Observe(ev.Collector.Trace(), time.Since(start))
+		ev.Registry.ObserveCollector(ev.Collector, time.Since(start))
 	}
 	if err != nil {
 		return nil, ev.violation(err)

@@ -122,15 +122,23 @@ type Registry struct {
 	evals  int64
 	totals MetricsSnapshot
 	plans  PlanningSnapshot
-	// traces is a circular buffer of the most recent span trees: it grows
-	// by append until it reaches the effective cap, after which each new
-	// trace overwrites the oldest slot in place — a single store per
-	// evaluation, never a reallocation (see BenchmarkRegistryObserveTraceRing).
-	traces []*Trace
+	// traces is a circular buffer of copies of the most recent span trees:
+	// it grows by append until it reaches the effective cap, after which
+	// each new trace is copied over the oldest slot in place, into the
+	// slot's own arena (see BenchmarkRegistryObserveTraceRing).
+	traces []traceSlot
 	// head indexes the oldest retained trace once the buffer is full;
 	// while the buffer is still growing it stays 0 (slot 0 is the oldest).
 	head     int
 	traceCap int // 0 means DefaultTraceCap
+}
+
+// traceSlot is one entry of the trace ring: a copy of a trace whose spans,
+// children lists and input cardinalities are carved from the slot's arena,
+// which the next copy into the slot reuses.
+type traceSlot struct {
+	trace Trace
+	arena spanArena
 }
 
 // NewRegistry returns a Registry with the default trace retention.
@@ -138,7 +146,7 @@ func NewRegistry() *Registry { return &Registry{} }
 
 // SetTraceCap bounds the trace ring to the n most recent evaluations
 // (n <= 0 disables retention). Existing excess traces are dropped oldest
-// first.
+// first; the rest keep their slots, content and arena alike.
 func (r *Registry) SetTraceCap(n int) {
 	if r == nil {
 		return
@@ -153,23 +161,18 @@ func (r *Registry) SetTraceCap(n int) {
 	r.traceCap = n
 	// Rebuild the ring in oldest-first order, trimmed to the new cap.
 	// Resizing is a rare operator action; Observe never pays this copy.
-	ordered := r.orderedLocked()
-	if len(ordered) > n {
-		ordered = ordered[len(ordered)-n:]
+	keep := min(len(r.traces), n)
+	ring := make([]traceSlot, keep)
+	for i := range ring {
+		ring[i] = *r.slotLocked(len(r.traces) - keep + i)
 	}
-	r.traces, r.head = append([]*Trace(nil), ordered...), 0
+	r.traces, r.head = ring, 0
 }
 
-// orderedLocked returns the retained traces oldest first; callers hold
-// r.mu. The returned slice aliases r.traces only when the ring has not
-// wrapped (head 0), which every caller immediately copies or replaces.
-func (r *Registry) orderedLocked() []*Trace {
-	if r.head == 0 {
-		return r.traces
-	}
-	out := make([]*Trace, 0, len(r.traces))
-	out = append(out, r.traces[r.head:]...)
-	return append(out, r.traces[:r.head]...)
+// slotLocked returns the i-th oldest retained trace's slot; callers hold
+// r.mu.
+func (r *Registry) slotLocked(i int) *traceSlot {
+	return &r.traces[(r.head+i)%len(r.traces)]
 }
 
 // ringCap resolves the effective ring capacity; callers hold r.mu.
@@ -186,9 +189,11 @@ func (r *Registry) ringCap() int {
 
 // Observe folds one finished (or aborted) evaluation into the registry:
 // wall time into the latency histogram and, when a trace was collected,
-// its metrics into the totals, its peak into the distributions, and the
-// span tree into the ring. A nil trace still counts the evaluation —
-// collector-less evaluations contribute latency only.
+// its metrics into the totals, its peak into the distributions, and a
+// copy of the span tree into the ring. The registry keeps nothing of t,
+// so the caller may reuse what t points into once Observe returns. A nil
+// trace still counts the evaluation — collector-less evaluations
+// contribute latency only.
 func (r *Registry) Observe(t *Trace, wall time.Duration) {
 	if r == nil {
 		return
@@ -206,17 +211,36 @@ func (r *Registry) Observe(t *Trace, wall time.Duration) {
 	}
 	r.totals.fold(t.Metrics)
 	r.plans.fold(t.Planning)
+	var slot *traceSlot
 	switch n := r.ringCap(); {
 	case n <= 0:
-		// Retention disabled.
+		return // retention disabled
 	case len(r.traces) < n:
-		r.traces = append(r.traces, t)
+		r.traces = append(r.traces, traceSlot{})
+		slot = &r.traces[len(r.traces)-1]
 	default:
-		// Full ring: overwrite the oldest slot in place and advance —
-		// O(1) per evaluation regardless of the cap.
-		r.traces[r.head] = t
+		// Full ring: copy over the oldest slot in place and advance —
+		// O(1) in the cap, and nothing allocated once the slot's arena
+		// has held a tree as large.
+		slot = &r.traces[r.head]
 		r.head = (r.head + 1) % len(r.traces)
 	}
+	slot.arena.copyTrace(&slot.trace, t)
+}
+
+// ObserveCollector is Observe of the trace c has collected so far, read in
+// place: the ring copies it, so c may be Reset once this returns. A nil
+// collector counts the evaluation's latency only.
+func (r *Registry) ObserveCollector(c *Collector, wall time.Duration) {
+	if r == nil {
+		return
+	}
+	if c == nil {
+		r.Observe(nil, wall)
+		return
+	}
+	t := c.view()
+	r.Observe(&t, wall)
 }
 
 // maxAGMRatio walks span trees and returns the largest ratio of a join
@@ -267,17 +291,103 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	}
 }
 
-// Traces returns the retained span trees, oldest first. The trace
-// pointers are shared with past Observe callers, like Collector.Trace.
+// Traces returns copies of the retained span trees, oldest first, taken
+// under the lock: no later Observe writes into them.
 func (r *Registry) Traces() []*Trace {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	copies := make([]Trace, len(r.traces))
 	out := make([]*Trace, len(r.traces))
-	copy(out, r.orderedLocked())
+	for i := range out {
+		var a spanArena
+		a.copyTrace(&copies[i], &r.slotLocked(i).trace)
+		out[i] = &copies[i]
+	}
 	return out
+}
+
+// spanArena is the storage a copied span tree is carved from: its spans,
+// its children lists (the root list among them) and its input
+// cardinalities.
+type spanArena struct {
+	spans []Span
+	kids  []*Span
+	rows  []int
+}
+
+// copyTrace copies t into dst, the span tree deep, carving it from the
+// arena, which grows first if the tree does not fit.
+func (a *spanArena) copyTrace(dst, t *Trace) {
+	var n treeSize
+	n.count(t.Roots)
+	if len(a.spans) < n.spans {
+		a.spans = make([]Span, n.spans)
+	}
+	if len(a.kids) < n.kids {
+		a.kids = make([]*Span, n.kids)
+	}
+	if len(a.rows) < n.rows {
+		a.rows = make([]int, n.rows)
+	}
+	clear(a.spans[n.spans:]) // a larger tree's spans, no longer used
+	free := *a
+	dst.Roots = free.list(t.Roots)
+	dst.Metrics, dst.Planning = t.Metrics, t.Planning
+}
+
+// treeSize is what a copy of a span tree takes of an arena.
+type treeSize struct{ spans, kids, rows int }
+
+// count adds what a copy of the span list l takes.
+func (n *treeSize) count(l []*Span) {
+	n.kids += len(l)
+	for _, s := range l {
+		if s != nil {
+			n.spans++
+			n.rows += len(s.InputRows)
+			n.count(s.Children)
+		}
+	}
+}
+
+// list copies the span list l out of the arena's free room. A nil list
+// stays nil and an empty one empty: a root list encodes as null or [].
+func (a *spanArena) list(l []*Span) []*Span {
+	if l == nil {
+		return nil
+	}
+	if len(l) == 0 {
+		return []*Span{}
+	}
+	out := a.kids[:len(l):len(l)]
+	a.kids = a.kids[len(l):]
+	for i, s := range l {
+		out[i] = a.span(s)
+	}
+	return out
+}
+
+// span copies one span and its subtree out of the arena's free room.
+func (a *spanArena) span(src *Span) *Span {
+	if src == nil {
+		return nil
+	}
+	s := &a.spans[0]
+	a.spans = a.spans[1:]
+	*s = *src
+	s.start, s.c = time.Time{}, nil
+	switch n := len(src.InputRows); {
+	case n > 0:
+		s.InputRows, a.rows = a.rows[:n:n], a.rows[n:]
+		copy(s.InputRows, src.InputRows)
+	case src.InputRows != nil:
+		s.InputRows = []int{}
+	}
+	s.Children = a.list(src.Children)
+	return s
 }
 
 // RegistrySnapshot is a plain-value copy of a Registry, ready for JSON

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -129,9 +130,19 @@ func TestRegistryObserve(t *testing.T) {
 	if s.TracesHeld != 2 {
 		t.Errorf("TracesHeld = %d, want 2", s.TracesHeld)
 	}
-	if traces := reg.Traces(); len(traces) != 2 || traces[0] != t1 || traces[1] != t2 {
-		t.Errorf("Traces() = %v, want [t1 t2] oldest first", traces)
+	if got, want := tracesJSON(reg.Traces()...), tracesJSON(t1, t2); got != want {
+		t.Errorf("Traces() = %s, want [t1 t2] oldest first: %s", got, want)
 	}
+}
+
+// tracesJSON renders traces as their JSON, the content /debug/traces and
+// the -trace file serve: what a copy of a trace must keep.
+func tracesJSON(traces ...*Trace) string {
+	b, err := json.Marshal(traces)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
 }
 
 func TestRegistryTraceRingBounded(t *testing.T) {
@@ -143,19 +154,13 @@ func TestRegistryTraceRingBounded(t *testing.T) {
 		want = append(want, tr)
 		reg.Observe(tr, time.Millisecond)
 	}
-	got := reg.Traces()
-	if len(got) != 3 {
-		t.Fatalf("ring holds %d traces, want 3", len(got))
-	}
-	for i, tr := range got {
-		if tr != want[7+i] {
-			t.Fatalf("ring[%d] = joins %d, want the 3 newest traces", i, tr.Metrics.Joins)
-		}
+	if got := reg.Traces(); tracesJSON(got...) != tracesJSON(want[7:]...) {
+		t.Fatalf("ring holds %s, want the 3 newest traces oldest first", tracesJSON(got...))
 	}
 	// Shrinking the cap drops oldest first; disabling clears.
 	reg.SetTraceCap(1)
-	if got := reg.Traces(); len(got) != 1 || got[0] != want[9] {
-		t.Fatalf("after SetTraceCap(1): %v", got)
+	if got := reg.Traces(); tracesJSON(got...) != tracesJSON(want[9]) {
+		t.Fatalf("after SetTraceCap(1): %s", tracesJSON(got...))
 	}
 	reg.SetTraceCap(0)
 	if got := reg.Traces(); len(got) != 0 {
@@ -164,6 +169,122 @@ func TestRegistryTraceRingBounded(t *testing.T) {
 	reg.Observe(&Trace{}, 0)
 	if got := reg.Traces(); len(got) != 0 {
 		t.Fatalf("retention disabled but trace stored")
+	}
+	// Re-enabled, the ring fills and wraps again, oldest first.
+	reg.SetTraceCap(2)
+	for _, tr := range want[:3] {
+		reg.Observe(tr, time.Millisecond)
+	}
+	if got := reg.Traces(); tracesJSON(got...) != tracesJSON(want[1:3]...) {
+		t.Fatalf("re-enabled at cap 2: %s, want traces 1 and 2", tracesJSON(got...))
+	}
+}
+
+// TestRingKeepsCopies: the ring holds copies of what it is handed, and
+// Traces hands out copies of its own, so neither a reused collector nor a
+// later Observe changes a trace once it is in or out of the ring.
+func TestRingKeepsCopies(t *testing.T) {
+	reg := NewRegistry()
+	reg.SetTraceCap(3)
+	var c Collector
+	fill := func(width, rows int) {
+		root := c.Start(OpJoin, fmt.Sprint("join", width))
+		root.Reserve(width, width)
+		root.Begin()
+		ins := make([]int, width)
+		for i := range ins {
+			ins[i] = rows + i
+			child := root.Child(OpScan, fmt.Sprint("R", i))
+			child.Begin()
+			child.Finish(ins[i])
+		}
+		root.SetInputs(ins)
+		root.ObservePeak(rows * width)
+		root.Finish(rows)
+		c.Metrics.ObserveIntermediate(rows * width)
+	}
+
+	// A collector Reset and refilled after Observe leaves the ring as it was.
+	fill(4, 10)
+	reg.ObserveCollector(&c, time.Millisecond)
+	kept := tracesJSON(reg.Traces()...)
+	if want := tracesJSON(c.Trace()); kept != want {
+		t.Fatalf("ring holds %s, want the collector's trace %s", kept, want)
+	}
+	c.Reset()
+	fill(4, 99)
+	if got := tracesJSON(reg.Traces()...); got != kept {
+		t.Fatalf("refilling the collector changed the ring:\n got %s\nwant %s", got, kept)
+	}
+
+	// A Traces result stays as it was while cap more trees, larger and
+	// smaller, are copied over the slots it was taken from.
+	for _, width := range []int{2, 5} {
+		c.Reset()
+		fill(width, width)
+		reg.ObserveCollector(&c, time.Millisecond)
+	}
+	out := reg.Traces()
+	before := tracesJSON(out...)
+	for _, width := range []int{7, 1, 3} {
+		c.Reset()
+		fill(width, 1000+width)
+		reg.ObserveCollector(&c, time.Millisecond)
+	}
+	if got := tracesJSON(out...); got != before {
+		t.Fatalf("a later Observe wrote into a Traces result:\n got %s\nwant %s", got, before)
+	}
+
+	// Resizing the ring keeps each slot's content, oldest first.
+	c.Reset()
+	fill(6, 6) // wraps the ring, so the oldest slot is not slot 0
+	reg.ObserveCollector(&c, time.Millisecond)
+	ring := reg.Traces()
+	reg.SetTraceCap(5)
+	if got, want := tracesJSON(reg.Traces()...), tracesJSON(ring...); got != want {
+		t.Fatalf("growing the cap changed the ring:\n got %s\nwant %s", got, want)
+	}
+	reg.SetTraceCap(2)
+	if got, want := tracesJSON(reg.Traces()...), tracesJSON(ring[1:]...); got != want {
+		t.Fatalf("shrinking the cap kept %s, want the newest two %s", got, want)
+	}
+}
+
+// TestReusedCollectorAllocatesNoSpan: a collector Reset between
+// evaluations, publishing a φ_G-sized tree (a join over 17 arguments)
+// into a full ring, allocates nothing once both have held such a tree.
+func TestReusedCollectorAllocatesNoSpan(t *testing.T) {
+	const args = 17
+	labels := make([]string, args)
+	for i := range labels {
+		labels[i] = fmt.Sprint("pi[A", i, "](T)")
+	}
+	ins := make([]int, args)
+	reg := NewRegistry()
+	var c Collector
+	evaluate := func() {
+		c.Reset()
+		root := c.Start(OpJoin, "join17")
+		root.Reserve(args, args)
+		root.Begin()
+		for i, label := range labels {
+			child := root.Child(OpProject, label)
+			child.Begin()
+			child.Finish(i)
+		}
+		root.SetInputs(ins)
+		root.ObservePeak(4096)
+		root.Finish(64)
+		reg.ObserveCollector(&c, time.Millisecond)
+	}
+	for i := 0; i < DefaultTraceCap; i++ {
+		evaluate()
+	}
+	if allocs := testing.AllocsPerRun(100, evaluate); allocs != 0 {
+		t.Fatalf("Reset + an 18-span tree + Observe into a full ring: %v allocations, want 0", allocs)
+	}
+	if got := reg.Traces(); len(got) != DefaultTraceCap || len(got[0].Root().Children) != args {
+		t.Fatalf("ring holds %d traces of %d children, want %d of %d", len(got), len(got[0].Root().Children), DefaultTraceCap, args)
 	}
 }
 
@@ -188,8 +309,19 @@ func TestRegistryConcurrent(t *testing.T) {
 				t.Errorf("mid-run snapshot: Latency.Count = %d, Evals = %d", s.Latency.Count, s.Evals)
 				return
 			}
-			_ = reg.Traces()
+			_ = tracesJSON(reg.Traces()...) // reads every copied span
 		}
+	}()
+	// Resizing the ring while it fills and is read: a trace is never read
+	// from a slot an Observe is copying over. The workers' second halves
+	// wait for the last resize, so the ring ends full.
+	resized := make(chan struct{})
+	go func() {
+		defer close(resized)
+		for i := 0; i < 100; i++ {
+			reg.SetTraceCap(1 + i%(2*DefaultTraceCap))
+		}
+		reg.SetTraceCap(DefaultTraceCap)
 	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -197,7 +329,13 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				tr := &Trace{Metrics: MetricsSnapshot{Joins: 1, MaxIntermediate: int64(w*perWorker + i)}}
+				if i == perWorker/2 {
+					<-resized
+				}
+				tr := &Trace{
+					Roots:   []*Span{{Op: OpJoin, InputRows: []int{w, i}, Children: []*Span{{Op: OpScan}}}},
+					Metrics: MetricsSnapshot{Joins: 1, MaxIntermediate: int64(w*perWorker + i)},
+				}
 				// A power of two, so the float sum is exact in any order.
 				reg.Observe(tr, 2*time.Second)
 			}

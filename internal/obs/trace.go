@@ -125,10 +125,12 @@ func (s *Span) Reserve(children, descendants int) {
 	}
 	c := s.c
 	if len(c.spans) < descendants {
-		c.spans = make([]Span, descendants)
+		c.spanSlab = make([]Span, descendants)
+		c.spans = c.spanSlab
 	}
 	if len(c.kids) < descendants {
-		c.kids = make([]*Span, descendants)
+		c.kidSlab = make([]*Span, descendants)
+		c.kids = c.kidSlab
 	}
 	children = min(children, len(c.kids))
 	s.Children, c.kids = c.kids[:0:children], c.kids[children:]
@@ -259,17 +261,25 @@ func (s *Span) Wall() time.Duration {
 // Collector gathers one (or more) evaluations' spans and metrics. The
 // zero value is ready to use; a nil *Collector is a valid "tracing off"
 // collector on which every method no-ops. Like the evaluation it
-// records, a Collector belongs to one goroutine: use one Collector per
-// traced evaluation, never one across concurrent Eval calls.
+// records, a Collector belongs to one goroutine: never share one across
+// concurrent Eval calls.
+//
+// A collector is reused after Reset, which keeps its slabs: its spans are
+// valid until then, so whatever outlives the evaluation holds a copy
+// (Registry.Observe keeps one).
 type Collector struct {
 	// Metrics accumulates the evaluation-wide counters.
 	Metrics Metrics
 
 	roots []*Span
-	// spans and kids are what is left of the slabs Span.Reserve carved:
-	// spans not handed out yet, and room for children lists.
-	spans []Span
-	kids  []*Span
+	// root is the first root span, so that Start takes no span from the
+	// slabs its own Reserve sizes.
+	root Span
+	// spanSlab and kidSlab are the slabs Span.Reserve made, whole; spans
+	// and kids are what is left of them: spans not handed out yet, and
+	// room for children lists.
+	spanSlab, spans []Span
+	kidSlab, kids   []*Span
 }
 
 // Start opens a root span for one evaluation and returns it.
@@ -277,9 +287,31 @@ func (c *Collector) Start(op, label string) *Span {
 	if c == nil {
 		return nil
 	}
-	s := c.span(op, label)
+	var s *Span
+	if len(c.roots) == 0 {
+		c.root = Span{Op: op, Label: label, c: c}
+		s = &c.root
+	} else {
+		s = c.span(op, label)
+	}
 	c.roots = append(c.roots, s)
 	return s
+}
+
+// Reset empties the collector for its next evaluation. It keeps the
+// slabs, so a span tree no larger than the largest before it allocates
+// nothing; every span the collector handed out is invalid from here on.
+func (c *Collector) Reset() {
+	if c == nil {
+		return
+	}
+	clear(c.roots)
+	c.roots = c.roots[:0]
+	c.root = Span{}
+	clear(c.spanSlab[:len(c.spanSlab)-len(c.spans)])
+	clear(c.kidSlab[:len(c.kidSlab)-len(c.kids)])
+	c.spans, c.kids = c.spanSlab, c.kidSlab
+	c.Metrics = Metrics{}
 }
 
 // span returns a new span of the collector's, from its slab while the
@@ -309,14 +341,22 @@ func (c *Collector) M() *Metrics {
 
 // Trace snapshots the collector into a serializable Trace. The root list
 // is copied, so a later Start does not show in it; the span pointers are
-// shared, so take the trace after the evaluation finishes.
+// shared, so take the trace after the evaluation finishes, and read it
+// before the collector's next Reset.
 func (c *Collector) Trace() *Trace {
 	if c == nil {
 		return nil
 	}
-	roots := make([]*Span, len(c.roots))
-	copy(roots, c.roots)
-	return &Trace{Roots: roots, Metrics: c.Metrics.Snapshot(), Planning: c.Metrics.Planning()}
+	t := c.view()
+	t.Roots = make([]*Span, len(c.roots))
+	copy(t.Roots, c.roots)
+	return &t
+}
+
+// view is the collector's trace in place: its root list and spans are the
+// collector's own.
+func (c *Collector) view() Trace {
+	return Trace{Roots: c.roots, Metrics: c.Metrics.Snapshot(), Planning: c.Metrics.Planning()}
 }
 
 // Trace is a finished evaluation's span tree plus its metrics, the

@@ -42,11 +42,12 @@ func bodyError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
-// readUpload reads an upload into one string, once. The body is read
-// straight into a buffer sized from the declared Content-Length (negative
-// when there is none), one byte over it so that the read which finds the
-// end of a truthful body needs no room, and the string is that buffer, not
-// a copy: a truthful client costs its body and nothing else. The
+// readUpload reads an upload, or a query's text, into one string, once.
+// The body is read straight into a buffer sized from the declared
+// Content-Length (negative when there is none), one byte over it so that
+// the read which finds the end of a truthful body needs no room, and the
+// string is that buffer, not a copy: a truthful client costs its body and
+// nothing else. The
 // declaration is a hint only — a body longer than declared, or one with
 // none, grows the buffer as it fills; a shorter one leaves it part empty.
 func readUpload(body io.Reader, declared int64) (string, error) {

@@ -40,7 +40,7 @@ func TestPooledWriterStreamsByteEqual(t *testing.T) {
 			t.Fatal(err)
 		}
 		last = httptest.NewRecorder()
-		o.open(last, expr, &queryRequest{strategy: "auto"}, nil, time.Now())
+		o.open(last, expr, &queryRequest{strategy: "auto"}, time.Now())
 		relation.Replay(out, o)
 		o.finish()
 		o.close()

@@ -44,12 +44,12 @@ type queryRequest struct {
 // parseQueryRequest decodes the body (raw expression text) and the
 // tuning query parameters.
 func parseQueryRequest(r *http.Request) (*queryRequest, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxQueryBytes))
+	body, err := readUpload(http.MaxBytesReader(nil, r.Body, maxQueryBytes), min(r.ContentLength, maxQueryBytes))
 	if err != nil {
 		return nil, fmt.Errorf("reading query body: %w", err)
 	}
 	q := &queryRequest{
-		src:      strings.TrimSpace(string(body)),
+		src:      strings.TrimSpace(body),
 		strategy: "auto",
 	}
 	q.ev.Order = join.Greedy
@@ -174,7 +174,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	}
 	ev := &q.ev
 	ev.SharedCache = s.shared
-	ev.Collector = &obs.Collector{}
 	ev.Registry = s.reg
 	ev.Limits = q.limitsFor(t)
 	ev.Admit = true
@@ -195,6 +194,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 
 	start := time.Now()
 	if q.analyze {
+		ev.Collector = &obs.Collector{} // EXPLAIN ANALYZE renders its own
 		out, err := ev.EvalContext(r.Context(), expr, cat.db)
 		s.metrics.evalDone(t.name)
 		if err != nil {
@@ -206,7 +206,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 		return
 	}
 	o := s.response()
-	o.open(w, expr, q, ev.Collector, start)
+	o.open(w, expr, q, start)
+	ev.Collector = &o.collector
 	err = ev.EvalTo(r.Context(), expr, cat.db, o)
 	s.metrics.evalDone(t.name)
 	if err == nil {
@@ -304,7 +305,7 @@ type response struct {
 
 	expr      algebra.Expr
 	strategy  string
-	collector *obs.Collector
+	collector obs.Collector // the query's trace, Reset by open: the registry keeps a copy
 	start     time.Time
 	count     bool // ?count=: the rows are not wanted, their number is
 	rows      int  // Begin's count, or the rows so far of a held answer
@@ -336,12 +337,14 @@ func (h *heldText) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// open attaches the response to w for query q's answer to expr.
-func (o *response) open(w http.ResponseWriter, expr algebra.Expr, q *queryRequest, c *obs.Collector, start time.Time) {
+// open attaches the response to w for query q's answer to expr, with its
+// collector reset for the query's trace.
+func (o *response) open(w http.ResponseWriter, expr algebra.Expr, q *queryRequest, start time.Time) {
 	o.w, o.sent = w, false
 	o.buf.Reset(o)
 	o.block = relation.BlockWriter{W: o.buf, Name: "result"}
-	o.expr, o.strategy, o.collector, o.start, o.count = expr, q.strategy, c, start, q.count
+	o.expr, o.strategy, o.start, o.count = expr, q.strategy, start, q.count
+	o.collector.Reset()
 	o.held.budget = q.ev.Limits.MaxMemoryBytes
 }
 
@@ -349,7 +352,7 @@ func (o *response) open(w http.ResponseWriter, expr algebra.Expr, q *queryReques
 // buffered.
 func (o *response) close() {
 	o.buf.Reset(o)
-	o.w, o.expr, o.collector = nil, nil, nil
+	o.w, o.expr = nil, nil
 	o.unhold()
 }
 
@@ -388,7 +391,7 @@ func (o *response) Begin(scheme relation.Scheme, rows int) bool {
 // the first row when the answer streams, the last when it is held — and,
 // unless only the count is wanted, writes its header lines.
 func (o *response) head(scheme relation.Scheme) bool {
-	answerHeaders(o.w.Header(), o.rows, time.Since(o.start), o.strategy, o.collector)
+	answerHeaders(o.w.Header(), o.rows, time.Since(o.start), o.strategy, &o.collector)
 	if o.count {
 		return false
 	}
