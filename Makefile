@@ -135,8 +135,8 @@ relbench-compare:
 # harness suites in full, then every injected failure path — cancel
 # mid-join, engine panic, admission rejection, deadline kill — across
 # all three join strategies, the three SAT solvers and two model counters
-# (satreduce's -check searches too), the tableau's search under decide's
-# deciders, and the xorchain2 Lemma 1
+# (satreduce's -check searches too), decide's deciders on the evaluator's
+# generic join, and the xorchain2 Lemma 1
 # acceptance gadget, plus eight goroutines planning one cold join node
 # through shared join.Facts, concurrent first users of one relation's
 # access paths (projections, tries, edge tables) publishing each once,
@@ -156,7 +156,7 @@ stress:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/governor/
 	$(GO) test -race -count=1 \
 	  -run 'Cancel|Panic|Governor|Admi|JoinNodeReads|PlansOnce|ComputeOnce|ConcurrentFirstUse|Waiter|Bounded|Deadline|XorChain2|SolveContext|Satisfiable|Interrupted|Solvers|RunEndToEnd|Concurrent|Scrape|Stream' \
-	  ./internal/algebra/ ./internal/join/ ./internal/relation/ ./internal/sat/ ./internal/decide/ ./internal/tableau/ ./internal/server/ ./internal/obs/ ./internal/telemetry/ ./cmd/relqueryd/ ./cmd/satreduce/ .
+	  ./internal/algebra/ ./internal/join/ ./internal/relation/ ./internal/sat/ ./internal/decide/ ./internal/server/ ./internal/obs/ ./internal/telemetry/ ./cmd/relqueryd/ ./cmd/satreduce/ .
 
 # Regenerate BENCH_fault.txt: the cost of a compiled-in injection site
 # when no script is registered (the production configuration — must be

@@ -22,7 +22,6 @@ import (
 	"relquery/internal/reduction"
 	"relquery/internal/relation"
 	"relquery/internal/sat"
-	"relquery/internal/tableau"
 )
 
 // mustConstruction builds R_G for a formula already in reduction form.
@@ -73,7 +72,7 @@ func BenchmarkE0PaperExample(b *testing.B) {
 	}
 }
 
-// BenchmarkE1Lemma1 evaluates φ_G(R_G) with the tableau engine across
+// BenchmarkE1Lemma1 evaluates φ_G(R_G) with the generic join across
 // formula sizes (E1). Expected shape: cost grows with m and with a(G),
 // not with the exponential intermediate sizes of naive evaluation.
 func BenchmarkE1Lemma1(b *testing.B) {
@@ -90,15 +89,12 @@ func BenchmarkE1Lemma1(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tb, err := tableau.New(phi)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ev := algebra.Evaluator{Algorithm: join.Generic{}}
 			db := c.Database()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := tb.Eval(db); err != nil {
+				if _, err := ev.Eval(phi, db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -215,7 +211,7 @@ func BenchmarkE6Pi2Relations(b *testing.B) {
 
 // BenchmarkE7Blowup contrasts materializing evaluation (whose intermediate
 // results explode exponentially with padding clauses — the Introduction's
-// claim) with tableau evaluation, whose space stays bounded (E7).
+// claim) with the generic join, whose space stays flat (E7).
 func BenchmarkE7Blowup(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	core8, err := cnf.Unsatisfiable3CNF(rng, 3, 8)
@@ -243,14 +239,11 @@ func BenchmarkE7Blowup(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("tableau/m=%d", c.M()), func(b *testing.B) {
-			tb, err := tableau.New(phi)
-			if err != nil {
-				b.Fatal(err)
-			}
+		b.Run(fmt.Sprintf("wcoj/m=%d", c.M()), func(b *testing.B) {
+			ev := algebra.Evaluator{Algorithm: join.Generic{}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := tb.Eval(db); err != nil {
+				if _, err := ev.Eval(phi, db); err != nil {
 					b.Fatal(err)
 				}
 			}

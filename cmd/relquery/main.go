@@ -6,9 +6,8 @@
 //	relquery -db data.rel -query 'pi[A C](pi[A B](T) * pi[B C](T))'
 //
 // The database file holds "relation <name> ... end" blocks (see package
-// relation's codec). The query references relations by name; the engine
-// flag selects the materializing evaluator (with pluggable join algorithm
-// and order) or the space-bounded tableau engine.
+// relation's codec). The query references relations by name; -join and
+// -order select the evaluator's join algorithm and order.
 package main
 
 import (
@@ -28,7 +27,6 @@ import (
 	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
-	"relquery/internal/tableau"
 	"relquery/internal/telemetry"
 )
 
@@ -45,9 +43,8 @@ func run(args []string) error {
 		dbPath    = fs.String("db", "", "path to the relations file (required)")
 		query     = fs.String("query", "", "project-join expression, e.g. 'pi[A B](T) * pi[B C](T)'")
 		queryFile = fs.String("query-file", "", "read the expression from a file instead")
-		engine    = fs.String("engine", "materialize", "evaluation engine: materialize or tableau")
-		algName   = fs.String("join", "hash", "join strategy for the materializing engine: "+strings.Join(join.StrategyNames(), ", ")+"; auto routes acyclic n-ary joins to yannakakis, blow-up-prone cyclic ones to wcoj, the rest to the binary default")
-		orderName = fs.String("order", "greedy", "join order for the materializing engine: greedy or sequential")
+		algName   = fs.String("join", "hash", "join strategy: "+strings.Join(join.StrategyNames(), ", ")+"; auto routes acyclic n-ary joins to yannakakis, blow-up-prone cyclic ones to wcoj, the rest to the binary default")
+		orderName = fs.String("order", "greedy", "join order: greedy or sequential")
 		budget    = fs.Int("budget", 0, "abort if any intermediate relation exceeds this many tuples (0 = unlimited)")
 		stats     = fs.Bool("stats", false, "print evaluation statistics to stderr")
 		countOnly = fs.Bool("count", false, "print only the result cardinality")
@@ -58,7 +55,7 @@ func run(args []string) error {
 		metrics   = fs.Bool("metrics", false, "print per-evaluation metrics (tuple traffic, cache counters) to stderr")
 		pprofPre  = fs.String("pprof", "", "capture profiles around evaluation into <prefix>.cpu.pprof and <prefix>.mem.pprof")
 		contains  = fs.String("contains", "", "instead of evaluating, test whether this whitespace-separated tuple (in target-scheme order) is in the result")
-		timeout   = fs.String("timeout", "", "wall-clock deadline for the materializing engine, as a duration (250ms, 2s, 1m30s) or seconds; empty or 0 = none")
+		timeout   = fs.String("timeout", "", "wall-clock deadline, as a duration (250ms, 2s, 1m30s) or seconds; empty or 0 = none")
 		maxRows   = fs.String("max-rows", "", "abort when the final result exceeds this many rows (optional k/m/g suffix; 0 = unlimited)")
 		admit     = fs.Bool("admit", false, "pre-flight admission control: reject a join whose predicted peak intermediate exceeds -budget instead of running it (output-bounded strategies are always admitted)")
 		serveAddr = fs.String("serve", "", "serve telemetry over HTTP on this address (host:port) for the duration of the run: /metrics (Prometheus text), /debug/pprof/, /debug/traces (Chrome trace-event JSON)")
@@ -80,12 +77,6 @@ func run(args []string) error {
 	if err != nil {
 		return usageError(fs, "-order: unknown order %q (want greedy or sequential)", *orderName)
 	}
-	if *engine != "materialize" && *engine != "tableau" {
-		return usageError(fs, "-engine: unknown engine %q (want materialize or tableau)", *engine)
-	}
-	if *engine == "tableau" && (*analyze || *tracePath != "" || *metrics || *serveAddr != "") {
-		return usageError(fs, "-explain-analyze, -trace, -metrics and -serve require -engine materialize")
-	}
 	if *traceFmt != "json" && *traceFmt != "chrome" {
 		return usageError(fs, "-trace-format: unknown format %q (want json or chrome)", *traceFmt)
 	}
@@ -95,16 +86,13 @@ func run(args []string) error {
 	if *linger > 0 && *serveAddr == "" {
 		return usageError(fs, "-serve-linger requires -serve")
 	}
-	if *engine == "tableau" && (*timeout != "" || *maxRows != "" || *admit) {
-		return usageError(fs, "-timeout, -max-rows and -admit require -engine materialize")
-	}
 	limits, err := governor.ParseLimits(*timeout, *maxRows, 0, 0)
 	if err != nil {
 		return usageError(fs, "%v", err)
 	}
 	limits.MaxIntermediateRows = *budget
 	// One evaluator, built from the parsed flags, serves -explain and
-	// -engine materialize alike. A collector is attached only when some
+	// evaluation alike. A collector is attached only when some
 	// observability output was requested: a nil collector keeps the engine
 	// on its zero-overhead fast path. -serve implies one — the telemetry
 	// endpoints are only interesting with metrics and traces behind them.
@@ -161,9 +149,9 @@ func run(args []string) error {
 			return fmt.Errorf("-contains: %d values for target scheme %v (arity %d)", len(vals), target, target.Len())
 		}
 		nt := relation.NamedTuple{Scheme: target, Vals: relation.TupleOf(vals...)}
-		// -timeout governs the membership search too: it is exponential
-		// in the worst case, so it polls per candidate value like every
-		// other engine.
+		// The limits govern the membership search too: it is exponential
+		// in the worst case, so it polls per candidate value, and what it
+		// materializes counts against -budget and -max-rows.
 		ok, err := decide.MemberBudget(nt, expr, db, decide.Budget{Gov: governor.New(context.Background(), limits)})
 		if err != nil {
 			return err
@@ -172,85 +160,62 @@ func run(args []string) error {
 		return nil
 	}
 
-	var result *relation.Relation
-	switch *engine {
-	case "materialize":
-		if *serveAddr != "" {
-			ev.Registry = obs.NewRegistry()
-			srv, err := telemetry.Start(*serveAddr, ev.Registry)
-			if err != nil {
-				return fmt.Errorf("-serve: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", srv.Addr())
-			defer srv.Close()
-			// Lingering runs before the deferred Close (LIFO), on success
-			// and error paths alike — a governor kill is exactly when the
-			// endpoints are worth a look.
-			defer func() {
-				if *linger > 0 {
-					fmt.Fprintf(os.Stderr, "telemetry: lingering %s before shutdown\n", *linger)
-					time.Sleep(*linger)
-				}
-			}()
-		}
-		stopProfiles, err := startProfiles(*pprofPre)
+	if *serveAddr != "" {
+		ev.Registry = obs.NewRegistry()
+		srv, err := telemetry.Start(*serveAddr, ev.Registry)
 		if err != nil {
-			return err
+			return fmt.Errorf("-serve: %w", err)
 		}
-		result, err = ev.Eval(expr, db)
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
-		}
-		// The trace is worth emitting even when evaluation aborts (a
-		// budget abort's partial spans show where the blow-up happened).
-		if *tracePath != "" {
-			if terr := writeTrace(*tracePath, *traceFmt, collector.Trace()); terr != nil && err == nil {
-				err = terr
+		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", srv.Addr())
+		defer srv.Close()
+		// Lingering runs before the deferred Close (LIFO), on success
+		// and error paths alike — a governor kill is exactly when the
+		// endpoints are worth a look.
+		defer func() {
+			if *linger > 0 {
+				fmt.Fprintf(os.Stderr, "telemetry: lingering %s before shutdown\n", *linger)
+				time.Sleep(*linger)
 			}
+		}()
+	}
+	stopProfiles, err := startProfiles(*pprofPre)
+	if err != nil {
+		return err
+	}
+	result, err := ev.Eval(expr, db)
+	if perr := stopProfiles(); perr != nil && err == nil {
+		err = perr
+	}
+	// The trace is worth emitting even when evaluation aborts (a
+	// budget abort's partial spans show where the blow-up happened).
+	if *tracePath != "" {
+		if terr := writeTrace(*tracePath, *traceFmt, collector.Trace()); terr != nil && err == nil {
+			err = terr
 		}
-		if *metrics {
-			fmt.Fprintln(os.Stderr, collector.Metrics.Snapshot().String())
-		}
-		if err != nil {
-			// A governor kill still has a story to tell: render the spans
-			// executed up to the abort, error annotations included, so the
-			// user sees where the budget died.
-			if *analyze {
-				if t := governor.TraceOf(err); t != nil {
-					fmt.Print(algebra.RenderTrace(t))
-				}
-			}
-			return err
-		}
-		if *stats {
-			snap := collector.Metrics.Snapshot()
-			fmt.Fprintf(os.Stderr, "engine=materialize join=%s order=%s cache=%v joins=%d max_intermediate=%d intermediate_tuples=%d\n",
-				ev.AlgorithmName(), order, *cache,
-				snap.Joins, snap.MaxIntermediate, snap.IntermediateTuples)
-		}
+	}
+	if *metrics {
+		fmt.Fprintln(os.Stderr, collector.Metrics.Snapshot().String())
+	}
+	if err != nil {
+		// A governor kill still has a story to tell: render the spans
+		// executed up to the abort, error annotations included, so the
+		// user sees where the budget died.
 		if *analyze {
-			fmt.Print(algebra.RenderTrace(collector.Trace()))
-			return nil
+			if t := governor.TraceOf(err); t != nil {
+				fmt.Print(algebra.RenderTrace(t))
+			}
 		}
-	case "tableau":
-		tb, err := tableau.New(expr)
-		if err != nil {
-			return err
-		}
-		stopProfiles, err := startProfiles(*pprofPre)
-		if err != nil {
-			return err
-		}
-		result, err = tb.Eval(db)
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
-		}
-		if err != nil {
-			return err
-		}
-		if *stats {
-			fmt.Fprintf(os.Stderr, "engine=tableau rows=%d vars=%d\n", len(tb.Rows), len(tb.Vars()))
-		}
+		return err
+	}
+	if *stats {
+		snap := collector.Metrics.Snapshot()
+		fmt.Fprintf(os.Stderr, "join=%s order=%s cache=%v joins=%d max_intermediate=%d intermediate_tuples=%d\n",
+			ev.AlgorithmName(), order, *cache,
+			snap.Joins, snap.MaxIntermediate, snap.IntermediateTuples)
+	}
+	if *analyze {
+		fmt.Print(algebra.RenderTrace(collector.Trace()))
+		return nil
 	}
 
 	if *countOnly {

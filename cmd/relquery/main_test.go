@@ -2,11 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/join"
 	"relquery/internal/obs"
 )
@@ -31,10 +33,10 @@ end
 
 func TestRunEvaluatesQuery(t *testing.T) {
 	db := writeFile(t, "db.rel", testDB)
-	for _, engine := range []string{"materialize", "tableau"} {
-		err := run([]string{"-db", db, "-query", "pi[A C](pi[A B](T) * pi[B C](T))", "-engine", engine, "-count"})
+	for _, alg := range []string{"hash", "wcoj"} {
+		err := run([]string{"-db", db, "-query", "pi[A C](pi[A B](T) * pi[B C](T))", "-join", alg, "-count"})
 		if err != nil {
-			t.Errorf("engine %s: %v", engine, err)
+			t.Errorf("-join %s: %v", alg, err)
 		}
 	}
 }
@@ -91,22 +93,21 @@ func TestRunErrors(t *testing.T) {
 		{"-db", db}, // no query
 		{"-db", db, "-query", "a", "-query-file", "b"}, // both
 		{"-db", db, "-query", "Z"},                     // unknown operand
-		{"-db", db, "-query", "T", "-engine", "bogus"},
 		{"-db", db, "-query", "T", "-join", "bogus"},
 		{"-db", db, "-query", "T", "-order", "bogus"},
 		{"-db", "/does/not/exist", "-query", "T"},
-		{"-db", db, "-query", "T", "-engine", "tableau", "-explain-analyze"},
-		{"-db", db, "-query", "T", "-engine", "tableau", "-metrics"},
-		{"-db", db, "-query", "T", "-engine", "tableau", "-trace", "-"},
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("case %d (%v): no error", i, args)
 		}
 	}
-	// There is no -parallel: asking for workers is an error, not a no-op.
-	if err := run([]string{"-db", db, "-query", "T", "-parallel", "2"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Errorf("-parallel 2: %v, want flag provided but not defined", err)
+	// There is no -parallel and no -engine: asking for workers or for a
+	// second engine is an error, not a no-op.
+	for _, flag := range [][]string{{"-parallel", "2"}, {"-engine", "tableau"}} {
+		if err := run(append([]string{"-db", db, "-query", "T"}, flag...)); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: %v, want flag provided but not defined", flag, err)
+		}
 	}
 }
 
@@ -215,6 +216,14 @@ func TestRunContains(t *testing.T) {
 	if err := run([]string{"-db", db, "-query", "pi[A B](T)", "-contains", "1"}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
+	// -budget bounds what the membership search materializes: the
+	// three-row projection it reads passes a budget of 3 and not of 2.
+	if err := run([]string{"-db", db, "-query", "pi[A B](T)", "-contains", "1 x", "-budget", "3"}); err != nil {
+		t.Error(err)
+	}
+	if err := run([]string{"-db", db, "-query", "pi[A B](T)", "-contains", "1 x", "-budget", "2"}); !errors.Is(err, governor.ErrRowBudget) {
+		t.Errorf("-contains under -budget 2: %v, want governor.ErrRowBudget", err)
+	}
 }
 
 func TestRunTraceFormatChrome(t *testing.T) {
@@ -264,7 +273,6 @@ func TestRunTelemetryFlagErrors(t *testing.T) {
 	db := writeFile(t, "db.rel", testDB)
 	cases := [][]string{
 		{"-db", db, "-query", "T", "-trace", "-", "-trace-format", "bogus"},
-		{"-db", db, "-query", "T", "-engine", "tableau", "-serve", "127.0.0.1:0"},
 		{"-db", db, "-query", "T", "-serve-linger", "1s"}, // linger without serve
 		{"-db", db, "-query", "T", "-serve", "127.0.0.1:0", "-serve-linger", "-1s"},
 	}

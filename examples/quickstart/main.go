@@ -62,8 +62,8 @@ func main() {
 	}
 	fmt.Printf("\nparsed %q -> %d tuples (equal: %v)\n", expr, result.Len(), result.Equal(who))
 
-	// Tableau-based membership (Proposition 2 of the paper): is a tuple in
-	// the result, decided without materializing the query?
+	// Membership (Proposition 2 of the paper): is a tuple in the result,
+	// decided by a search for one witness, without materializing the query?
 	nt, err := relquery.NewScheme("Supplier", "Machine")
 	if err != nil {
 		log.Fatal(err)

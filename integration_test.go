@@ -7,18 +7,19 @@ import (
 
 	"relquery"
 
+	"relquery/internal/algebra"
 	"relquery/internal/cnf"
 	"relquery/internal/decide"
+	"relquery/internal/join"
 	"relquery/internal/qbf"
 	"relquery/internal/reduction"
 	"relquery/internal/relation"
 	"relquery/internal/sat"
-	"relquery/internal/tableau"
 )
 
 // TestGrandTour drives a full pipeline end to end for a batch of random
 // formulas: build the gadget, serialize and reload it through the text
-// codec, evaluate φ_G with both engines, and decide every catalogued
+// codec, evaluate φ_G with the generic join, and decide every catalogued
 // problem on it, cross-checking each against the direct solvers.
 func TestGrandTour(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
@@ -59,8 +60,8 @@ func grandTour(t *testing.T, rng *rand.Rand, g *cnf.Formula) {
 		t.Fatalf("codec round trip lost the gadget: %v", err)
 	}
 
-	// 2. Evaluate φ_G two ways: materialize and tableau. Both must agree
-	// with Lemma 1's prediction.
+	// 2. Evaluate φ_G with the generic join: it must agree with Lemma 1's
+	// prediction.
 	phi, err := c.PhiG()
 	if err != nil {
 		t.Fatal(err)
@@ -69,16 +70,13 @@ func grandTour(t *testing.T, rng *rand.Rand, g *cnf.Formula) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := tableau.New(phi)
+	ev := algebra.Evaluator{Algorithm: join.Generic{}}
+	viaWCOJ, err := ev.Eval(phi, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTableau, err := tb.Eval(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !viaTableau.Equal(want) {
-		t.Fatalf("tableau eval violates Lemma 1 for %v", g)
+	if !viaWCOJ.Equal(want) {
+		t.Fatalf("the generic join violates Lemma 1 for %v", g)
 	}
 
 	// 3. Decide every catalogued problem and cross-check.

@@ -159,7 +159,7 @@ func (ev *Evaluator) Eval(e Expr, db relation.Database) (*relation.Relation, err
 // died. A background context with zero Limits keeps the whole governance
 // layer on its nil fast path.
 func (ev *Evaluator) EvalContext(ctx context.Context, e Expr, db relation.Database) (*relation.Relation, error) {
-	return ev.evaluate(ctx, e, db, nil)
+	return ev.evaluate(ev.governor(ctx), e, db, nil)
 }
 
 // EvalTo is EvalContext writing the answer into sink instead of returning
@@ -170,33 +170,50 @@ func (ev *Evaluator) EvalContext(ctx context.Context, e Expr, db relation.Databa
 // into sink after Begin with their count, the binary plan sorting row ids
 // and not rows, and the generic join as its search finds them, with
 // Begin's count unknown (-1), known after the last row. None stores
-// anything. Every other answer — a projected node, a one-input node, the
-// generic join's empty answer, and any answer asked again — is
-// materialized and stored as EvalContext would, then replayed into sink
-// (relation.Replay). So an answer is stored the second time it is asked
-// for, and served from the store from the third (DESIGN.md, "Caching").
-// A written node is evaluated outside the result store, so no other
-// request ever waits on how fast this one's sink takes its rows.
+// anything. Without a cache, a root projected node whose generic join
+// finds its rows in order is written too. Every other answer — a
+// projected node, a one-input node, the generic join's empty answer, and
+// any answer asked again — is materialized and stored as EvalContext
+// would, then replayed into sink (relation.Replay). So an answer is
+// stored the second time it is asked for, and served from the store from
+// the third (DESIGN.md, "Caching"). A written node is evaluated outside
+// the result store, so no other request ever waits on how fast this
+// one's sink takes its rows. A sink whose Row declines a row stops the
+// evaluation there, and EvalTo returns no error.
 //
 // An error after Begin leaves sink holding part of the answer; which
 // errors can come that late is the joins' writing loops': the governor's
 // deadline, cancellation and budgets, and a recovered engine panic.
 func (ev *Evaluator) EvalTo(ctx context.Context, e Expr, db relation.Database, sink relation.Sink) error {
-	r, err := ev.evaluate(ctx, e, db, sink)
+	return ev.EvalUnder(ev.governor(ctx), e, db, sink)
+}
+
+// EvalUnder is EvalTo under gov, a governor the caller holds, in place of
+// one made from a context and the evaluator's Limits, which it does not
+// read: a caller that evaluates many times under one deadline, budget or
+// cancellation — a decision procedure — passes it to each. A nil gov is
+// ungoverned.
+func (ev *Evaluator) EvalUnder(gov *governor.Governor, e Expr, db relation.Database, sink relation.Sink) error {
+	r, err := ev.evaluate(gov, e, db, sink)
 	if err == nil && r != nil && sink != nil {
 		relation.Replay(r, sink)
 	}
 	return err
 }
 
-// evaluate is EvalContext, offering the root join node the sink out
+// governor returns the governor of one evaluation under ctx and the
+// evaluator's Limits, reporting to its collector.
+func (ev *Evaluator) governor(ctx context.Context) *governor.Governor {
+	return governor.New(ctx, ev.Limits).WithMetrics(ev.Collector.M())
+}
+
+// evaluate is EvalContext under gov, offering the root node the sink out
 // (EvalTo): it returns no relation and no error when the answer went there.
-func (ev *Evaluator) evaluate(ctx context.Context, e Expr, db relation.Database, out relation.Sink) (*relation.Relation, error) {
+func (ev *Evaluator) evaluate(gov *governor.Governor, e Expr, db relation.Database, out relation.Sink) (*relation.Relation, error) {
 	var start time.Time
 	if ev.Registry != nil {
 		start = time.Now() // clock read only when telemetry is on
 	}
-	gov := governor.New(ctx, ev.Limits).WithMetrics(ev.Collector.M())
 	// One cache per call: the shared one, else its own under Cache, else none.
 	if ev.SharedCache == nil && ev.Cache {
 		call := *ev
@@ -316,12 +333,7 @@ func (ev *Evaluator) finishSpan(sp *obs.Span, cacheStatus string, r *relation.Re
 		if r != nil {
 			rows = r.Len()
 		} else if err == nil && out != nil {
-			// An unknown count is the generic join's, which observed its
-			// total as the span's peak (join.Exec.Out).
 			rows = out.rows
-			if rows < 0 {
-				rows = sp.MaxIntermediate
-			}
 		}
 		sp.Finish(rows)
 	}
@@ -350,7 +362,7 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 		sp.Reserve(1, Size(x)-1)
 		of := collapse(x)
 		if j, ok := of.(*Join); ok {
-			return ev.projectedJoin(x, j, key, db, sp, gov)
+			return ev.projectedJoin(x, j, key, db, sp, gov, out)
 		}
 		// Else of is an operand, and the projection a fact of it.
 		child, err := ev.eval(of, db, ev.newSpan(sp, of), gov, nil)
@@ -358,7 +370,7 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 			return nil, err
 		}
 		if sp != nil {
-			sp.SetInputs([]int{child.Len()})
+			sp.Inputs(1)[0] = child.Len()
 		}
 		out, err := child.Projection(x.Onto())
 		if err != nil {
@@ -410,8 +422,10 @@ func collapse(p *Project) Expr {
 // own span sits under the projection's, and its answer is π_X (join.Plan.
 // Onto). Each argument is narrowed first to the attributes the answer or
 // another argument needs — those in X or shared by two or more arguments
-// — a lookup through its Projection fact, anything else by Project.
-func (ev *Evaluator) projectedJoin(x *Project, j *Join, key string, db relation.Database, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
+// — a lookup through its Projection fact, anything else by Project. out
+// is as for eval: offered it, a generic join that finds π_X's rows in
+// order writes them there (multi).
+func (ev *Evaluator) projectedJoin(x *Project, j *Join, key string, db relation.Database, sp *obs.Span, gov *governor.Governor, out *written) (*relation.Relation, error) {
 	jsp := ev.newSpan(sp, j)
 	jsp.SetSchemeWidth(x.Scheme().Len()) // it writes π_X, not the join
 	jsp.Begin()
@@ -423,12 +437,13 @@ func (ev *Evaluator) projectedJoin(x *Project, j *Join, key string, db relation.
 	}
 	var r *relation.Relation
 	if err == nil {
-		r, err = ev.multi(args, key, jsp, gov, nil, x)
+		r, err = ev.multi(args, key, jsp, gov, out, x)
 	}
-	if sp != nil && r != nil {
-		sp.SetInputs([]int{r.Len()})
+	r, err = ev.finishSpan(jsp, "", r, out, err)
+	if sp != nil && err == nil {
+		sp.Inputs(1)[0] = jsp.OutputRows
 	}
-	return ev.finishSpan(jsp, "", r, nil, err)
+	return r, err
 }
 
 // narrow returns r, the value of one of args, restricted to the attributes
@@ -437,20 +452,29 @@ func (ev *Evaluator) projectedJoin(x *Project, j *Join, key string, db relation.
 // Project of it, charged like any materialization.
 func (ev *Evaluator) narrow(r *relation.Relation, stored bool, onto relation.Scheme, args []Expr, gov *governor.Governor) (*relation.Relation, error) {
 	sc := r.Scheme()
-	keep := make([]relation.Attribute, 0, sc.Len())
-	for c := 0; c < sc.Len(); c++ {
-		a, n := sc.Attr(c), 0
+	needed := func(a relation.Attribute) bool {
+		n := 0
 		for _, e := range args {
 			if e.Scheme().Has(a) {
 				n++
 			}
 		}
-		if onto.Has(a) || n >= 2 {
+		return onto.Has(a) || n >= 2
+	}
+	// c is the first attribute to go, if any: keep is made only then, as
+	// a membership test narrows nothing on most of its calls.
+	c := 0
+	for c < sc.Len() && needed(sc.Attr(c)) {
+		c++
+	}
+	if c == sc.Len() {
+		return r, nil
+	}
+	keep := make([]relation.Attribute, 0, sc.Len()-1)
+	for i := 0; i < sc.Len(); i++ {
+		if a := sc.Attr(i); i < c || i > c && needed(a) {
 			keep = append(keep, a)
 		}
-	}
-	if len(keep) == sc.Len() {
-		return r, nil
 	}
 	project := r.Project
 	if stored {
@@ -486,11 +510,10 @@ func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, 
 // stores it.
 func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, gov *governor.Governor, out *written, proj *Project) (*relation.Relation, error) {
 	if sp != nil {
-		ins := make([]int, len(args))
+		ins := sp.Inputs(len(args))
 		for i, a := range args {
 			ins[i] = a.Len()
 		}
-		sp.SetInputs(ins)
 	}
 	x := join.Exec{Gov: gov, Metrics: ev.Collector.M(), Span: sp}
 	// The node's one plan: the selector, the admission gate, the span
@@ -522,16 +545,16 @@ func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, 
 	return r, err
 }
 
-// written is EvalTo's sink as the root node gets it, noting the answer's
-// size for the node's span: Begin's count, -1 when that is unknown.
+// written is EvalTo's sink as the root node gets it, counting the rows
+// it takes for the node's span.
 type written struct {
 	relation.Sink
 	rows int
 }
 
-func (w *written) Begin(scheme relation.Scheme, rows int) bool {
-	w.rows = rows
-	return w.Sink.Begin(scheme, rows)
+func (w *written) Row(t relation.Tuple) bool {
+	w.rows++
+	return w.Sink.Row(t)
 }
 
 // choose picks the strategy for one join node: the configured algorithm

@@ -39,7 +39,6 @@ var enginePkgs = map[string]bool{
 	"join":    true,
 	"algebra": true,
 	"decide":  true,
-	"tableau": true,
 }
 
 // governorMethods are the *governor.Governor methods that count as a

@@ -15,10 +15,10 @@ import (
 	"relquery/internal/algebra"
 	"relquery/internal/cnf"
 	"relquery/internal/decide"
+	"relquery/internal/join"
 	"relquery/internal/qbf"
 	"relquery/internal/reduction"
 	"relquery/internal/relation"
-	"relquery/internal/tableau"
 )
 
 // Result reports a query-side decision together with the work performed,
@@ -222,7 +222,7 @@ func Q3SATViaRelationComparison(inst *qbf.Instance) (Result, error) {
 }
 
 // VerifyLemma1 checks Lemma 1 on g by materializing φ_G(R_G) with the
-// tableau engine and comparing against R_G ∪ R̃_G; it reports a
+// generic join (evalWCOJ) and comparing against R_G ∪ R̃_G; it reports a
 // descriptive error on any mismatch.
 func VerifyLemma1(g *cnf.Formula) error {
 	g, err := cnf.Normalize(g)
@@ -237,11 +237,7 @@ func VerifyLemma1(g *cnf.Formula) error {
 	if err != nil {
 		return err
 	}
-	tb, err := tableau.New(phi)
-	if err != nil {
-		return err
-	}
-	got, err := tb.Eval(c.Database())
+	got, err := evalWCOJ(phi, c.Database())
 	if err != nil {
 		return err
 	}
@@ -276,11 +272,7 @@ func VerifyProposition1(g *cnf.Formula, satisfiable bool) error {
 	if err != nil {
 		return err
 	}
-	tb, err := tableau.New(py)
-	if err != nil {
-		return err
-	}
-	got, err := tb.Eval(c.Database())
+	got, err := evalWCOJ(py, c.Database())
 	if err != nil {
 		return err
 	}
@@ -304,7 +296,7 @@ func VerifyProposition1(g *cnf.Formula, satisfiable bool) error {
 	return nil
 }
 
-// EvalGadget materializes φ_G(R_G) via the tableau engine, returning the
+// EvalGadget materializes φ_G(R_G) with the generic join, returning the
 // construction for inspection. It is the shared workhorse of the
 // experiment drivers.
 func EvalGadget(g *cnf.Formula) (*reduction.Construction, *relation.Relation, error) {
@@ -320,13 +312,17 @@ func EvalGadget(g *cnf.Formula) (*reduction.Construction, *relation.Relation, er
 	if err != nil {
 		return nil, nil, err
 	}
-	tb, err := tableau.New(phi)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := tb.Eval(c.Database())
+	out, err := evalWCOJ(phi, c.Database())
 	if err != nil {
 		return nil, nil, err
 	}
 	return c, out, nil
+}
+
+// evalWCOJ materializes e(db) with the generic join on every join node,
+// whose space is the output's and never an intermediate's: the gadgets'
+// blow-up does not reach it.
+func evalWCOJ(e algebra.Expr, db relation.Database) (*relation.Relation, error) {
+	ev := algebra.Evaluator{Algorithm: join.Generic{}}
+	return ev.Eval(e, db)
 }

@@ -26,7 +26,7 @@ func Catalog() []Problem {
 			Statement: "given R, project-join φ and tuple t, is t ∈ φ(R)?",
 			Class:     "NP-complete",
 			PaperRef:  "Proposition 2 + Proposition 1 (hardness after Yannakakis 1981)",
-			Procedure: "decide.Member (tableau valuation search)",
+			Procedure: "decide.Member (witness search of the generic join)",
 			Reduction: "u_G ∈ π_Y(φ_G(R_G)) ⇔ G satisfiable",
 		},
 		{

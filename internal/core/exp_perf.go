@@ -14,7 +14,6 @@ import (
 	"relquery/internal/obs"
 	"relquery/internal/reduction"
 	"relquery/internal/relation"
-	"relquery/internal/tableau"
 )
 
 // runE7 measures the Introduction's headline claim: for φ_G over an
@@ -36,7 +35,7 @@ func runE7(cfg *Config) error {
 	}
 	const budget = 2_000_000
 	fmt.Fprintf(cfg.Out, "workload: 8-clause unsat core + k padding clauses; input = output = 7m+1 rows\n")
-	t := newTable(cfg.Out, "m", "input_rows", "output_rows", "max_intermediate(seq)", "max_intermediate(greedy)", "blowup(greedy)", "tableau_ms")
+	t := newTable(cfg.Out, "m", "input_rows", "output_rows", "max_intermediate(seq)", "max_intermediate(greedy)", "blowup(greedy)", "wcoj_ms")
 	// The largest greedy evaluation's trace is kept for cfg.Trace: its span
 	// tree pinpoints the join node where the intermediate blow-up happens.
 	var lastTrace *obs.Trace
@@ -83,21 +82,17 @@ func runE7(cfg *Config) error {
 		greedyStr, greedyMax, greedyTrace := measure(join.Greedy)
 		lastTrace = greedyTrace
 
-		tb, err := tableau.New(phi)
-		if err != nil {
-			return err
-		}
 		start := time.Now()
-		out, err := tb.Eval(c.Database())
+		out, err := evalWCOJ(phi, c.Database())
 		if err != nil {
 			return err
 		}
-		tabDur := time.Since(start)
+		wcojDur := time.Since(start)
 		blowup := "-"
 		if greedyMax > 0 {
 			blowup = fmt.Sprintf("%.1fx", float64(greedyMax)/float64(c.R.Len()))
 		}
-		t.row(c.M(), c.R.Len(), out.Len(), seqStr, greedyStr, blowup, tabDur.Milliseconds())
+		t.row(c.M(), c.R.Len(), out.Len(), seqStr, greedyStr, blowup, wcojDur.Milliseconds())
 	}
 	if err := t.flush(); err != nil {
 		return err

@@ -1,4 +1,4 @@
-package tableau
+package decide
 
 import (
 	"fmt"
@@ -9,7 +9,7 @@ import (
 	"relquery/internal/relation"
 )
 
-// BenchmarkEvalVsMaterialize compares the tableau engine against
+// BenchmarkEvalVsMaterialize compares the deciders' stream against
 // materializing evaluation on a chain of projections whose intermediate
 // joins exceed the output.
 func BenchmarkEvalVsMaterialize(b *testing.B) {
@@ -29,14 +29,10 @@ func BenchmarkEvalVsMaterialize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("tableau", func(b *testing.B) {
-		tb, err := New(e)
-		if err != nil {
-			b.Fatal(err)
-		}
+	b.Run("enumerate", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := tb.Eval(db); err != nil {
+			if _, err := Count(e, db, Budget{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -52,7 +48,8 @@ func BenchmarkEvalVsMaterialize(b *testing.B) {
 }
 
 // BenchmarkMember measures the Proposition 2 membership test for present
-// and absent tuples.
+// and absent tuples, on a membership query built once, as the deciders
+// that ask many times build it.
 func BenchmarkMember(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	scheme := relation.MustScheme("A", "B", "C")
@@ -69,7 +66,7 @@ func BenchmarkMember(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tb, err := New(e)
+	m, err := newMember(e, db)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,18 +74,18 @@ func BenchmarkMember(b *testing.B) {
 		Vals: relation.Tuple{r.Tuple(0)[0], r.Tuple(0)[2]}}
 	miss := relation.NamedTuple{Scheme: relation.MustScheme("A", "C"),
 		Vals: relation.TupleOf("nope", "nada")}
-	b.Run("hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tb.Member(hit, db, nil); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		nt   relation.NamedTuple
+		want bool
+	}{{"hit", hit, true}, {"miss", miss, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ok, err := m.test(c.nt, nil); err != nil || ok != c.want {
+					b.Fatal(ok, err)
+				}
 			}
-		}
-	})
-	b.Run("miss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tb.Member(miss, db, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

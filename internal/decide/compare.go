@@ -3,7 +3,6 @@ package decide
 import (
 	"relquery/internal/algebra"
 	"relquery/internal/relation"
-	"relquery/internal/tableau"
 )
 
 // The comparison procedures implement Theorems 4 and 5: containment and
@@ -62,17 +61,18 @@ func Compare(phi1 algebra.Expr, db1 relation.Database, phi2 algebra.Expr, db2 re
 }
 
 // containedIn decides φ₁(db1) ⊆ φ₂(db2) by streaming the left side and
-// membership-testing each of its tuples on the right.
+// membership-testing each of its tuples on the right, through one
+// membership query built for all of them.
 func containedIn(phi1 algebra.Expr, db1 relation.Database, phi2 algebra.Expr, db2 relation.Database, b Budget) (Comparison, error) {
-	t2, err := tableau.New(phi2)
+	m, err := newMember(phi2, db2)
 	if err != nil {
 		return Comparison{}, err
 	}
 	s1 := phi1.Scheme()
-	return subset(s1, phi2.Scheme(), func(yield func(relation.Tuple) bool) error {
+	return subset(s1, m.x, func(yield func(relation.Tuple) bool) error {
 		return Enumerate(phi1, db1, b, yield)
 	}, func(tp relation.Tuple) (bool, error) {
-		return t2.Member(relation.NamedTuple{Scheme: s1, Vals: tp}, db2, b.Gov)
+		return m.test(relation.NamedTuple{Scheme: s1, Vals: tp}, b.Gov)
 	})
 }
 

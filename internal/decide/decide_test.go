@@ -452,3 +452,90 @@ func TestSchemeRuleForEveryComparison(t *testing.T) {
 		}
 	}
 }
+
+func TestMemberMatchesEval(t *testing.T) {
+	db := testDB(t)
+	// Every tuple over the active domain is in π_AC(π_AB(T) ⋈ π_BC(T))
+	// iff Member says so.
+	proj := expr(t, "pi[A C](pi[A B](T) * pi[B C](T))", db)
+	result, err := algebra.Eval(proj, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []string{"1", "2"} {
+		for _, c := range []string{"p", "q"} {
+			nt := relation.NamedTuple{Scheme: proj.Scheme(), Vals: relation.TupleOf(a, c)}
+			got, err := Member(nt, proj, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != result.ContainsNamed(nt) {
+				t.Errorf("Member(%s %s) = %v, eval says %v", a, c, got, result.ContainsNamed(nt))
+			}
+		}
+	}
+	abc := relation.MustScheme("A", "B", "C")
+	// The self-join over T's projections onto A B and B C, tested on each
+	// tuple of the active domain: (2 y p) is in both projections value by
+	// value, but not in the join, since (y p) ∉ π_BC(T).
+	phi := expr(t, "pi[A B](T) * pi[B C](T)", db)
+	full, err := algebra.Eval(phi, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []string{"1", "2"} {
+		for _, b := range []string{"x", "y"} {
+			for _, c := range []string{"p", "q"} {
+				nt := relation.NamedTuple{Scheme: abc, Vals: relation.TupleOf(a, b, c)}
+				got, err := Member(nt, phi, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != full.ContainsNamed(nt) {
+					t.Errorf("self-join Member(%s %s %s) = %v, eval says %v", a, b, c, got, full.ContainsNamed(nt))
+				}
+			}
+		}
+	}
+	// Wrong scheme errors.
+	bad := relation.NamedTuple{Scheme: relation.MustScheme("A", "Z"), Vals: relation.TupleOf("1", "1")}
+	if _, err := Member(bad, expr(t, "pi[A C](T)", db), db); err == nil {
+		t.Error("mismatched scheme accepted")
+	}
+}
+
+func TestMemberReorderedScheme(t *testing.T) {
+	db := relation.Single("T", mkrel(t, "A B", "1 x"))
+	nt := relation.NamedTuple{Scheme: relation.MustScheme("B", "A"), Vals: relation.TupleOf("x", "1")}
+	ok, err := Member(nt, expr(t, "T", db), db)
+	if err != nil || !ok {
+		t.Errorf("Member reordered = %v, %v", ok, err)
+	}
+	// ConjecturedSubset reads r's columns by name too.
+	cmp, err := ConjecturedSubset(mkrel(t, "B A", "x 1"), expr(t, "T", db), db, Budget{})
+	if err != nil || !cmp.Holds {
+		t.Errorf("ConjecturedSubset reordered = %+v, %v", cmp, err)
+	}
+}
+
+// TestDecidersValidateOperands: an operand missing from the database, or
+// declared over another scheme than its relation's, is an error from
+// every route, never an answer.
+func TestDecidersValidateOperands(t *testing.T) {
+	phi := expr(t, "T", relation.Single("T", mkrel(t, "A B C")))
+	nt := relation.NamedTuple{Scheme: phi.Scheme(), Vals: relation.TupleOf("1", "x", "p")}
+	for name, db := range map[string]relation.Database{
+		"missing":      relation.NewDatabase(),
+		"wrong scheme": relation.Single("T", mkrel(t, "A B", "1 x")),
+	} {
+		if _, err := Member(nt, phi, db); err == nil {
+			t.Errorf("%s: Member accepted it", name)
+		}
+		if _, err := Count(phi, db, Budget{}); err == nil {
+			t.Errorf("%s: Count accepted it", name)
+		}
+		if _, err := ConjecturedSubset(mkrel(t, "A B C", "1 x p"), phi, db, Budget{}); err == nil {
+			t.Errorf("%s: ConjecturedSubset accepted it", name)
+		}
+	}
+}

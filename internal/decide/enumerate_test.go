@@ -2,6 +2,7 @@ package decide
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"relquery/internal/algebra"
@@ -141,5 +142,88 @@ func TestCountHoldsNoTuples(t *testing.T) {
 	}
 	if manyAllocs > fewAllocs+16 || fewAllocs > manyAllocs+16 {
 		t.Errorf("Count allocates %v objects over %d models and %v over %d: it holds something per tuple", manyAllocs, manyModels, fewAllocs, fewModels)
+	}
+}
+
+func TestEnumerateProjectionPushdown(t *testing.T) {
+	db := relation.Single("T", mkrel(t, "A B", "1 x", "2 x"))
+	// pi[B](T): the A column is an existential don't-care, so the stream
+	// holds the distinct B-projections — exactly one yield, not one per
+	// source tuple.
+	count := 0
+	if err := Enumerate(expr(t, "pi[B](T)", db), db, Budget{}, func(relation.Tuple) bool {
+		count++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if count != 1 {
+		t.Errorf("stream yielded %d, want 1 (projection pushdown)", count)
+	}
+}
+
+func TestEnumerateDuplicatesAcrossRowsAndEarlyStop(t *testing.T) {
+	db := relation.Single("T", mkrel(t, "A B C", "1 x p", "1 y q"))
+	// pi[A](pi[A B](T) * pi[B C](T)): A=1 arises from two (A,B) patterns,
+	// two witnesses with one image. The search binds A first and stops at
+	// its first witness, so the stream yields (1) once.
+	phi := expr(t, "pi[A](pi[A B](T) * pi[B C](T))", db)
+	count := 0
+	if err := Enumerate(phi, db, Budget{}, func(tp relation.Tuple) bool {
+		if tp[0] != "1" {
+			t.Errorf("unexpected tuple %v", tp)
+		}
+		count++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if count != 1 {
+		t.Errorf("stream yielded %d, want 1 (one tuple, however many witnesses)", count)
+	}
+	// Early stop.
+	count = 0
+	if err := Enumerate(phi, db, Budget{}, func(relation.Tuple) bool {
+		count++
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if count != 1 {
+		t.Errorf("stream after stop yielded %d", count)
+	}
+}
+
+// TestEnumerateYieldsTuplesTheCalleeMustClone pins Enumerate's contract
+// on a join node, whose answer streams as the search finds it: each tuple
+// of φ(db) is yielded once, in one tuple the stream reuses — so the
+// stream allocates nothing per tuple, and a caller that keeps a tuple
+// clones it.
+func TestEnumerateYieldsTuplesTheCalleeMustClone(t *testing.T) {
+	db := relation.Single("T", mkrel(t, "A B C", "1 x p", "2 x q", "2 y q", "3 y r"))
+	phi := expr(t, "pi[A B](T) * pi[B C](T)", db)
+	var kept, copies []relation.Tuple
+	if err := Enumerate(phi, db, Budget{}, func(tp relation.Tuple) bool {
+		kept = append(kept, tp)
+		copies = append(copies, tp.Clone())
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) < 2 {
+		t.Fatalf("stream yielded %d tuples, want several", len(kept))
+	}
+	for i := range kept {
+		if &kept[i][0] != &kept[0][0] {
+			t.Errorf("tuple %d is a fresh slice, not the stream's own", i)
+		}
+	}
+	want, err := algebra.Eval(phi, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(copies, relation.Tuple.Compare)
+	if got := want.Sorted(); !slices.EqualFunc(got, copies, relation.Tuple.Equal) {
+		t.Errorf("the clones are %v, φ(db) is %v", copies, got)
 	}
 }

@@ -3,12 +3,14 @@ package decide
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"relquery/internal/algebra"
 	"relquery/internal/cnf"
 	"relquery/internal/governor"
 	"relquery/internal/reduction"
+	"relquery/internal/relation"
 )
 
 // pigeonholeGadget builds the Lemma 1 gadget for a pigeonhole formula:
@@ -106,5 +108,121 @@ func TestGovernedSearchesMatchUngoverned(t *testing.T) {
 	}
 	if want.Holds != got.Holds {
 		t.Fatalf("governed ResultEquals says %v, ungoverned says %v", got.Holds, want.Holds)
+	}
+}
+
+// crossDB builds three disjoint-scheme relations of 16 rows each: their
+// join is a pure cross product with 16³ = 4096 tuples, so the streaming
+// search is guaranteed to pass a 256-tick governor poll.
+func crossDB(t *testing.T) (algebra.Expr, relation.Database) {
+	t.Helper()
+	db := relation.Database{}
+	for i, pair := range [][2]relation.Attribute{{"A", "B"}, {"C", "D"}, {"E", "F"}} {
+		r := relation.New(relation.MustScheme(pair[0], pair[1]))
+		for k := 0; k < 16; k++ {
+			r.MustAdd(relation.TupleOf(fmt.Sprintf("v%d_%d", i, k), fmt.Sprintf("w%d_%d", i, k)))
+		}
+		db[fmt.Sprintf("R%d", i)] = r
+	}
+	return expr(t, "R0 * R1 * R2", db), db
+}
+
+// TestEnumerateGovCanceled aborts a 4096-tuple enumeration with a
+// pre-canceled context: Enumerate must stop within one poll batch and
+// surface governor.ErrCanceled instead of silently returning a truncated
+// stream. A search that would finish inside one poll batch fails too, on
+// entry, and so does Member.
+func TestEnumerateGovCanceled(t *testing.T) {
+	phi, db := crossDB(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b := Budget{Gov: governor.New(ctx, governor.Limits{})}
+	yields := 0
+	err := Enumerate(phi, db, b, func(relation.Tuple) bool {
+		yields++
+		return true
+	})
+	if !errors.Is(err, governor.ErrCanceled) {
+		t.Fatalf("want governor.ErrCanceled, got %v (after %d yields)", err, yields)
+	}
+	if yields >= 4096 {
+		t.Fatal("search ran to exhaustion despite the canceled context")
+	}
+	small := relation.Single("T", mkrel(t, "A", "a"))
+	one := algebra.MustOperand("T", small["T"].Scheme())
+	err = Enumerate(one, small, b, func(relation.Tuple) bool {
+		yields = -1
+		return true
+	})
+	if !errors.Is(err, governor.ErrCanceled) || yields < 0 {
+		t.Fatalf("a one-row stream under a canceled context: want governor.ErrCanceled and no yield, got %v", err)
+	}
+	hit := relation.NamedTuple{Scheme: small["T"].Scheme(), Vals: relation.TupleOf("a")}
+	if ok, err := MemberBudget(hit, one, small, b); !errors.Is(err, governor.ErrCanceled) || ok {
+		t.Fatalf("a one-row membership test under a canceled context: want governor.ErrCanceled, got %v, %v", ok, err)
+	}
+}
+
+// TestEnumerateNilGovernorIsUnlimited verifies the nil governor is
+// exactly an unlimited one: same tuples, same count.
+func TestEnumerateNilGovernorIsUnlimited(t *testing.T) {
+	phi, db := crossDB(t)
+	count := func(gov *governor.Governor) (int, error) {
+		return Count(phi, db, Budget{Gov: gov})
+	}
+	ungoverned, err := count(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	governed, err := count(governor.New(context.Background(), governor.Limits{MaxIntermediateRows: 1 << 20}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ungoverned != governed || ungoverned != 16*16*16 {
+		t.Fatalf("governed stream yielded %d tuples, ungoverned %d, want %d", governed, ungoverned, 16*16*16)
+	}
+}
+
+// TestDecidersHonorRowBudget: the budget's governor bounds what the
+// evaluations materialize and answer, as it bounds the materializing
+// engines. The membership search reads π_AB(T) and π_BC(T), three rows
+// each, so a row budget of 3 passes it and one of 2 stops it with
+// governor.ErrRowBudget; the stream of the projection also collects its
+// four tuples first.
+func TestDecidersHonorRowBudget(t *testing.T) {
+	db := testDB(t)
+	phi := expr(t, "pi[A C](pi[A B](T) * pi[B C](T))", db)
+	nt := relation.NamedTuple{Scheme: phi.Scheme(), Vals: relation.TupleOf("1", "p")}
+	under := func(rows int) Budget {
+		return Budget{Gov: governor.New(context.Background(), governor.Limits{MaxIntermediateRows: rows})}
+	}
+	for _, c := range []struct {
+		name string
+		run  func(Budget) error
+		fits int
+	}{
+		{"Member", func(b Budget) error { _, err := MemberBudget(nt, phi, db, b); return err }, 3},
+		{"Count", func(b Budget) error { _, err := Count(phi, db, b); return err }, 4},
+	} {
+		if err := c.run(under(c.fits)); err != nil {
+			t.Errorf("%s under a budget of %d rows: %v", c.name, c.fits, err)
+		}
+		if err := c.run(under(c.fits - 1)); !errors.Is(err, governor.ErrRowBudget) {
+			t.Errorf("%s under a budget of %d rows: %v, want governor.ErrRowBudget", c.name, c.fits-1, err)
+		}
+	}
+	// The output cap bounds each evaluation's answer: Count's collects
+	// φ(db)'s four tuples, Member's is one row at most.
+	capped := func(rows int) Budget {
+		return Budget{Gov: governor.New(context.Background(), governor.Limits{MaxRows: rows})}
+	}
+	if _, err := Count(phi, db, capped(4)); err != nil {
+		t.Errorf("Count under an output cap of 4 rows: %v", err)
+	}
+	if _, err := Count(phi, db, capped(3)); !errors.Is(err, governor.ErrRowBudget) {
+		t.Errorf("Count under an output cap of 3 rows: %v, want governor.ErrRowBudget", err)
+	}
+	if ok, err := MemberBudget(nt, phi, db, capped(1)); err != nil || !ok {
+		t.Errorf("Member under an output cap of 1 row: %v, %v", ok, err)
 	}
 }

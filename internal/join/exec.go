@@ -38,8 +38,9 @@ type Exec struct {
 	// built — the batch checks as the rows go out, then grown and the
 	// output check on the total, so that the span's peak is the count.
 	// A one-input node, the generic join's empty answer, a generic join
-	// that keeps a dedup set, and a projected node under hash or the tree
-	// join (Multi) are built all the same, and returned.
+	// that keeps a dedup set or whose projection does not lead its order in
+	// its own order, and a projected node under hash or the tree join
+	// (Multi) are built all the same, and returned.
 	Out relation.Sink
 }
 

@@ -11,7 +11,7 @@ import (
 // scratch holds the working arrays of one join call: the binary plan's
 // operands, tables and ids, the searches' ranges and bindings, the tree
 // join's marks and links. A call takes one from the free list and
-// releases it on return; a nested call (a Search yield that joins again)
+// releases it on return; a nested call (a sink's Row that joins again)
 // takes its own. Nothing a caller receives is carved from it.
 type scratch struct {
 	i32    plainSlab[int32]

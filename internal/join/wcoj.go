@@ -164,65 +164,6 @@ type tally struct {
 func (t *tally) Row(row relation.Tuple) bool { t.n++; return t.Sink.Row(row) }
 func (t *tally) Len() int                    { return t.n }
 
-// Search streams the answers of a conjunctive query with the generic
-// join's search: atom i reads rels[i] through its trie fact, with its
-// columns named by vars[i]. A binding lists a value for each attribute of
-// order, which holds exactly the attributes of the vars, and its first
-// len(fixed) values are fixed. An answer is a binding's values of out, a
-// subset of order: yield gets each one once, in out's column order and in
-// a slice the search reuses, and returns false to stop. Once out's last
-// attribute is bound the search looks for one witness and backtracks; when
-// an attribute outside out comes before that one, two bindings can share
-// an answer, and a set of the answers yielded skips the repeats. When out
-// leads order, in its own order, the answers come in ascending order and
-// no set is kept. gov is checked on entry, as joinTree does, and ticked
-// per candidate.
-func Search(gov *governor.Governor, rels []*relation.Relation, vars []relation.Scheme, order, out relation.Scheme, fixed []relation.Value, yield func([]relation.Value) bool) error {
-	if err := gov.Check(); err != nil {
-		return err
-	}
-	for _, r := range rels {
-		if r.Empty() {
-			return nil
-		}
-	}
-	sc := takeScratch()
-	defer sc.release()
-	shape := newGenericShape(vars, order, out)
-	tries := sc.tries.take(len(rels))
-	for i, r := range rels {
-		t, err := trieOf(r, shape.cols[i], gov)
-		if err != nil {
-			return err
-		}
-		tries[i] = *t
-	}
-	if shape.width > out.Len() {
-		var seen relation.TupleSet
-		first := yield
-		yield = func(t []relation.Value) bool {
-			_, fresh := seen.Add(t)
-			return !fresh || first(t)
-		}
-	}
-	j := newGenericJoin(sc, &shape, tries, yielder(yield))
-	j.gov = gov
-	if j.fix(fixed) {
-		j.search(len(fixed))
-	}
-	if errors.Is(j.err, errStopped) {
-		return nil
-	}
-	return j.err
-}
-
-// yielder is Search's caller as the search's sink: every binding is
-// yielded, in the slice the search reuses.
-type yielder func([]relation.Value) bool
-
-func (yielder) Begin(relation.Scheme, int) bool { return true }
-func (y yielder) Row(t relation.Tuple) bool     { return y(t) }
-
 // distinct is the answer of a projected node whose order binds an
 // attribute outside the projection before the projection's last one, so
 // that two bindings can write one output row: it keeps the first
@@ -235,34 +176,24 @@ func (d distinct) Row(t relation.Tuple) bool {
 	return err == nil
 }
 
-// fix binds the first len(fixed) attributes of the order to fixed's
-// values, narrowing every trie holding one of them to the rows that
-// agree, and reports whether every trie still has such a row. The fixed
-// attributes come first, so they are each trie's first levels.
-func (j *genericJoin) fix(fixed []relation.Value) bool {
-	for k, v := range fixed {
-		lv, end := j.shape.at[k], j.shape.at[k+1]
-		for i, p := range j.shape.parts[lv:end] {
-			t, d, r := &j.tries[p], j.shape.depth[lv+i], j.ranges[p]
-			lo := lowerBound(t, r.lo, r.hi, d, v)
-			if lo == r.hi || t.at(lo, d) != v {
-				return false
-			}
-			j.ranges[p] = trieRange{lo, upperBound(t, lo, r.hi, d, v)}
-		}
-		j.bind[k] = v
-	}
-	return true
-}
-
 // unionScheme returns the output scheme of joining inputs: the
 // left-to-right union, the column layout of a sequential binary plan.
 func unionScheme(inputs []*relation.Relation) relation.Scheme {
-	out := inputs[0].Scheme()
-	for _, r := range inputs[1:] {
-		out = out.Union(r.Scheme())
+	var attrs []relation.Attribute
+	for i, r := range inputs {
+		sc := r.Scheme()
+	next:
+		for c := 0; c < sc.Len(); c++ {
+			a := sc.Attr(c)
+			for _, l := range inputs[:i] {
+				if l.Scheme().Has(a) {
+					continue next
+				}
+			}
+			attrs = append(attrs, a)
+		}
 	}
-	return out
+	return relation.MustScheme(attrs...)
 }
 
 // genericShape is what the generic join derives from the node's schemes
@@ -308,7 +239,7 @@ func (p *Plan) genericShape() *genericShape {
 // schemes in the column order of order, which holds every attribute of
 // every scheme, writing out, a subset of them: the generic join's own
 // order is the inputs' left-to-right union, the tree join's its blocks in
-// preorder (treeShape), Search's its caller's.
+// preorder (treeShape).
 func newGenericShape(schemes []relation.Scheme, order, out relation.Scheme) genericShape {
 	n := 0 // (input, attribute) incidences: the trie levels of all inputs
 	for _, sc := range schemes {
@@ -427,12 +358,11 @@ type genericJoin struct {
 	// clears it and goes on.
 	found bool
 	row   relation.Tuple // the output row, when the shape projects columns
-	// out receives every output row: Search's caller, the tree
-	// join's sink of exactly as many rows as it counted and charged to the
-	// budgets before the search, or the generic join's answer of a count
-	// unknown until the search ends — built, or written to Exec.Out —
-	// whose rows built reports and are checked and charged batch by batch
-	// as it grows.
+	// out receives every output row: the tree join's sink of exactly as
+	// many rows as it counted and charged to the budgets before the
+	// search, or the generic join's answer of a count unknown until the
+	// search ends — built, or written to Exec.Out — whose rows built
+	// reports and are checked and charged batch by batch as it grows.
 	out   relation.Sink
 	built interface{ Len() int }
 	rows  int
@@ -446,7 +376,7 @@ type genericJoin struct {
 	err error
 }
 
-// errStopped latches a search whose yield asked it to stop.
+// errStopped latches a search whose sink declined a row.
 var errStopped = errors.New("join: search stopped")
 
 // newGenericJoin returns the search over tries in the order of shape,

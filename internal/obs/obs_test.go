@@ -56,7 +56,7 @@ func TestNilSafety(t *testing.T) {
 	sp.Begin()
 	sp.Finish(7)
 	sp.SetSchemeWidth(2)
-	sp.SetInputs([]int{1, 2})
+	copy(sp.Inputs(2), []int{1, 2})
 	sp.SetAlgorithm("hash")
 	sp.SetCache(CacheHit)
 	sp.SetAGMBound(64)
@@ -127,11 +127,11 @@ func TestSpanTreeAndJSON(t *testing.T) {
 	l.Finish(3)
 	r.Begin()
 	r.Finish(4)
-	j.SetInputs([]int{3, 4})
+	copy(j.Inputs(2), []int{3, 4})
 	j.SetAlgorithm("hash")
 	j.SetAGMBound(12)
 	j.Finish(5)
-	root.SetInputs([]int{5})
+	root.Inputs(1)[0] = 5
 	root.Finish(2)
 	c.M().ObserveJoin(5)
 

@@ -198,7 +198,7 @@ func TestRingKeepsCopies(t *testing.T) {
 			child.Begin()
 			child.Finish(ins[i])
 		}
-		root.SetInputs(ins)
+		copy(root.Inputs(len(ins)), ins)
 		root.ObservePeak(rows * width)
 		root.Finish(rows)
 		c.Metrics.ObserveIntermediate(rows * width)
@@ -251,15 +251,15 @@ func TestRingKeepsCopies(t *testing.T) {
 }
 
 // TestReusedCollectorAllocatesNoSpan: a collector Reset between
-// evaluations, publishing a φ_G-sized tree (a join over 17 arguments)
-// into a full ring, allocates nothing once both have held such a tree.
+// evaluations, publishing a φ_G-sized tree (a join over 17 arguments,
+// with its input counts) into a full ring, allocates nothing once both
+// have held such a tree.
 func TestReusedCollectorAllocatesNoSpan(t *testing.T) {
 	const args = 17
 	labels := make([]string, args)
 	for i := range labels {
 		labels[i] = fmt.Sprint("pi[A", i, "](T)")
 	}
-	ins := make([]int, args)
 	reg := NewRegistry()
 	var c Collector
 	evaluate := func() {
@@ -272,7 +272,10 @@ func TestReusedCollectorAllocatesNoSpan(t *testing.T) {
 			child.Begin()
 			child.Finish(i)
 		}
-		root.SetInputs(ins)
+		ins := root.Inputs(args)
+		for i, child := range root.Children {
+			ins[i] = child.OutputRows
+		}
 		root.ObservePeak(4096)
 		root.Finish(64)
 		reg.ObserveCollector(&c, time.Millisecond)
@@ -283,8 +286,8 @@ func TestReusedCollectorAllocatesNoSpan(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, evaluate); allocs != 0 {
 		t.Fatalf("Reset + an 18-span tree + Observe into a full ring: %v allocations, want 0", allocs)
 	}
-	if got := reg.Traces(); len(got) != DefaultTraceCap || len(got[0].Root().Children) != args {
-		t.Fatalf("ring holds %d traces of %d children, want %d of %d", len(got), len(got[0].Root().Children), DefaultTraceCap, args)
+	if got := reg.Traces(); len(got) != DefaultTraceCap || len(got[0].Root().Children) != args || got[0].Root().InputRows[args-1] != args-1 {
+		t.Fatalf("ring holds %d traces of %d children, want %d of %d with their input counts", len(got), len(got[0].Root().Children), DefaultTraceCap, args)
 	}
 }
 

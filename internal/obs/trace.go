@@ -114,8 +114,9 @@ func (s *Span) Child(op, label string) *Span {
 
 // Reserve promises the span children children and its subtree
 // descendants spans below it in all, so that they are carved from the
-// collector's slabs: the spans from one, and the children lists — this
-// one now, each descendant's when it reserves in turn — from another.
+// collector's slabs: the spans from one, the children lists — this
+// one now, each descendant's when it reserves in turn — from another, and
+// the input counts (Inputs) from a third.
 // Growing the promised tree then allocates nothing more. A subtree that
 // stays smaller than promised (a child served from a cache) leaves the
 // rest of the slabs unused. Outside a collector it does nothing.
@@ -131,6 +132,10 @@ func (s *Span) Reserve(children, descendants int) {
 	if len(c.kids) < descendants {
 		c.kidSlab = make([]*Span, descendants)
 		c.kids = c.kidSlab
+	}
+	if len(c.ints) < descendants { // every descendant is one input of its parent
+		c.intSlab = make([]int, descendants)
+		c.ints = c.intSlab
 	}
 	children = min(children, len(c.kids))
 	s.Children, c.kids = c.kids[:0:children], c.kids[children:]
@@ -162,12 +167,19 @@ func (s *Span) SetSchemeWidth(w int) {
 	s.SchemeWidth = w
 }
 
-// SetInputs records the observed input cardinalities in argument order.
-func (s *Span) SetInputs(rows []int) {
+// Inputs sets InputRows to n slots, carved from the collector's slab like
+// the span itself, and returns them for the caller to fill with the
+// observed input cardinalities in argument order. Nil on a nil span.
+func (s *Span) Inputs(n int) []int {
 	if s == nil {
-		return
+		return nil
 	}
-	s.InputRows = rows
+	if c := s.c; c != nil && len(c.ints) >= n {
+		s.InputRows, c.ints = c.ints[:n:n], c.ints[n:]
+	} else {
+		s.InputRows = make([]int, n)
+	}
+	return s.InputRows
 }
 
 // SetAlgorithm records the join algorithm.
@@ -275,11 +287,12 @@ type Collector struct {
 	// root is the first root span, so that Start takes no span from the
 	// slabs its own Reserve sizes.
 	root Span
-	// spanSlab and kidSlab are the slabs Span.Reserve made, whole; spans
-	// and kids are what is left of them: spans not handed out yet, and
-	// room for children lists.
+	// spanSlab, kidSlab and intSlab are the slabs Span.Reserve made,
+	// whole; spans, kids and ints are what is left of them: spans not
+	// handed out yet, and room for children lists and input counts.
 	spanSlab, spans []Span
 	kidSlab, kids   []*Span
+	intSlab, ints   []int
 }
 
 // Start opens a root span for one evaluation and returns it.
@@ -310,7 +323,7 @@ func (c *Collector) Reset() {
 	c.root = Span{}
 	clear(c.spanSlab[:len(c.spanSlab)-len(c.spans)])
 	clear(c.kidSlab[:len(c.kidSlab)-len(c.kids)])
-	c.spans, c.kids = c.spanSlab, c.kidSlab
+	c.spans, c.kids, c.ints = c.spanSlab, c.kidSlab, c.intSlab
 	c.Metrics = Metrics{}
 }
 

@@ -6,22 +6,19 @@ import (
 
 	"relquery/internal/algebra"
 	"relquery/internal/cnf"
+	"relquery/internal/join"
 	"relquery/internal/qbf"
 	"relquery/internal/relation"
 	"relquery/internal/sat"
-	"relquery/internal/tableau"
 )
 
-// evalExpr materializes an expression via the tableau engine, whose space
+// evalExpr materializes an expression with the generic join, whose space
 // stays bounded by input and output — the paper's gadgets are exactly the
 // queries whose intermediate joins explode.
 func evalExpr(t *testing.T, e algebra.Expr, db relation.Database) *relation.Relation {
 	t.Helper()
-	tb, err := tableau.New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := tb.Eval(db)
+	ev := algebra.Evaluator{Algorithm: join.Generic{}}
+	out, err := ev.Eval(e, db)
 	if err != nil {
 		t.Fatal(err)
 	}

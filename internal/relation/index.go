@@ -159,11 +159,11 @@ next:
 }
 
 // TupleSet is a set of tuples in insertion order — a Relation without a
-// scheme, for the seen-sets of the deciders, the tableau search and the
-// dependency checks. It is the relation's own row store: an Index over
-// rows carved from slabs, deduplicating by hash and Tuple.Equal. Its
-// tuples all have the width of the first one added. The zero TupleSet is
-// empty and ready to use; it is not safe for concurrent mutation.
+// scheme, for the seen-sets of the dependency checks. It is the
+// relation's own row store: an Index over rows carved from slabs,
+// deduplicating by hash and Tuple.Equal. Its tuples all have the width
+// of the first one added. The zero TupleSet is empty and ready to use;
+// it is not safe for concurrent mutation.
 type TupleSet struct {
 	rowStore
 	ix Index

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"relquery/internal/algebra"
+	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -158,5 +159,29 @@ func TestResponseSurvivesGC(t *testing.T) {
 	}
 	if cap(New(Config{MaxConcurrent: -1}).responses) != DefaultMaxConcurrent {
 		t.Error("an unbounded server's free list is not DefaultMaxConcurrent long")
+	}
+}
+
+// TestAnswerHeadersMatchSet: the headers answerHeaders assigns are
+// the ones a Header.Set per header sets, keys and values, allocating the
+// wall time's text and one slice for the five values, where five Sets
+// allocate five slices.
+func TestAnswerHeadersMatchSet(t *testing.T) {
+	c := new(obs.Collector)
+	c.Metrics.CacheHit()
+	got := http.Header{}
+	answerHeaders(got, 7, 1500*time.Microsecond, "auto", c)
+	want := http.Header{}
+	want.Set("X-Relquery-Rows", "7")
+	want.Set("X-Relquery-Wall", "1.5ms")
+	want.Set("X-Relquery-Strategy", "auto")
+	want.Set("X-Relquery-Cache-Hits", "1")
+	want.Set("Content-Type", "text/plain; charset=utf-8")
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("answerHeaders set %v, want %v", got, want)
+	}
+	h := make(http.Header, 8)
+	if n := testing.AllocsPerRun(100, func() { answerHeaders(h, 7, time.Millisecond, "auto", c) }); n != 2 {
+		t.Errorf("answerHeaders allocates %v times, want 2", n)
 	}
 }

@@ -3,6 +3,8 @@ package tableau
 import (
 	"fmt"
 
+	"relquery/internal/algebra"
+	"relquery/internal/decide"
 	"relquery/internal/relation"
 )
 
@@ -58,27 +60,27 @@ func freeze(v Var) relation.Value {
 	return relation.Value(fmt.Sprintf("v%d", v))
 }
 
-// ContainedInViaCanonical decides t ⊑ u by evaluating u's query over t's
-// canonical database and testing for the frozen summary — an independent
-// implementation of ContainedIn used to cross-check the homomorphism
-// search.
-func (t *Tableau) ContainedInViaCanonical(u *Tableau) (bool, error) {
-	if !t.Target.Equal(u.Target) {
-		return false, fmt.Errorf("tableau: targets %v and %v differ", t.Target, u.Target)
+// ContainedInViaCanonical decides t ⊑ q, for q the expression of
+// another tableau, by evaluating q over t's canonical database and testing
+// for the frozen summary (decide.Member) — an independent implementation
+// of ContainedIn used to cross-check the homomorphism search.
+func (t *Tableau) ContainedInViaCanonical(q algebra.Expr) (bool, error) {
+	if !t.Target.Equal(q.Scheme()) {
+		return false, fmt.Errorf("tableau: targets %v and %v differ", t.Target, q.Scheme())
 	}
 	db, err := t.CanonicalDatabase()
 	if err != nil {
 		return false, err
 	}
-	// u may reference operands t never mentions; such a query can only
+	// q may reference operands t never mentions; such a query can only
 	// contain t if it has no rows over them, which New guarantees it
 	// doesn't — a missing operand therefore means non-containment is
 	// undecidable over this canonical db, and in fact the queries are
 	// incomparable. Report a descriptive error.
-	for _, row := range u.Rows {
-		if _, ok := db[row.Operand]; !ok {
-			return false, fmt.Errorf("tableau: query mentions operand %q absent from the other query", row.Operand)
+	for _, name := range q.Operands() {
+		if _, ok := db[name]; !ok {
+			return false, fmt.Errorf("tableau: query mentions operand %q absent from the other query", name)
 		}
 	}
-	return u.Member(t.FrozenSummary(), db, nil)
+	return decide.Member(t.FrozenSummary(), q, db)
 }

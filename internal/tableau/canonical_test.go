@@ -6,11 +6,13 @@ import (
 	"testing/quick"
 
 	"relquery/internal/algebra"
+	"relquery/internal/decide"
 	"relquery/internal/relation"
 )
 
 func TestCanonicalDatabaseShape(t *testing.T) {
-	tb := tbOf(t, "pi[A B](T) * pi[B C](T)")
+	const src = "pi[A B](T) * pi[B C](T)"
+	tb := tbOf(t, src)
 	db, err := tb.CanonicalDatabase()
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +25,7 @@ func TestCanonicalDatabaseShape(t *testing.T) {
 		t.Fatalf("canonical relation has %d rows, want 2", r.Len())
 	}
 	// The frozen summary is produced by the query on its own canonical db.
-	ok, err := tb.Member(tb.FrozenSummary(), db, nil)
+	ok, err := decide.Member(tb.FrozenSummary(), parse(t, src, abcScheme), db)
 	if err != nil || !ok {
 		t.Errorf("frozen summary not in own canonical result: %v %v", ok, err)
 	}
@@ -44,7 +46,7 @@ func TestContainedInViaCanonicalMatchesHomomorphism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		viaCanon, err := t1.ContainedInViaCanonical(t2)
+		viaCanon, err := t1.ContainedInViaCanonical(parse(t, p[1], abcScheme))
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -89,7 +91,7 @@ func TestQuickCanonicalAgreesWithHomomorphism(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		viaCanon, err := t1.ContainedInViaCanonical(t2)
+		viaCanon, err := t1.ContainedInViaCanonical(e2)
 		if err != nil {
 			return false
 		}
@@ -103,8 +105,15 @@ func TestQuickCanonicalAgreesWithHomomorphism(t *testing.T) {
 func TestCanonicalCounterexample(t *testing.T) {
 	// q1 = pi[A C](T) is NOT contained in the recombination query; the
 	// canonical database must witness it.
-	q1 := tbOf(t, "pi[A B](T) * pi[B C](T)")
-	q2 := tbOf(t, "pi[A B C](T)")
+	e1, e2 := parse(t, "pi[A B](T) * pi[B C](T)", abcScheme), parse(t, "pi[A B C](T)", abcScheme)
+	q1, err := New(e1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := New(e2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	contained, err := q1.ContainedIn(q2)
 	if err != nil || contained {
 		t.Fatalf("setup: %v %v", contained, err)
@@ -113,11 +122,11 @@ func TestCanonicalCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := q1.Eval(db)
+	r1, err := algebra.Eval(e1, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := q2.Eval(db)
+	r2, err := algebra.Eval(e2, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +141,7 @@ func TestCanonicalCounterexample(t *testing.T) {
 
 func TestContainedInViaCanonicalErrors(t *testing.T) {
 	a := tbOf(t, "pi[A](T)")
-	b := tbOf(t, "pi[B](T)")
-	if _, err := a.ContainedInViaCanonical(b); err == nil {
+	if _, err := a.ContainedInViaCanonical(parse(t, "pi[B](T)", abcScheme)); err == nil {
 		t.Error("different targets accepted")
 	}
 	// Query over a foreign operand.
@@ -143,11 +151,7 @@ func TestContainedInViaCanonicalErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb2, err := New(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.ContainedInViaCanonical(tb2); err == nil {
+	if _, err := a.ContainedInViaCanonical(other); err == nil {
 		t.Error("foreign operand accepted")
 	}
 }

@@ -169,15 +169,7 @@ func TestMinimizePreservesSemantics(t *testing.T) {
 			return false
 		}
 		db := relation.Single("T", randomRelation(rng, relation.MustScheme("A", "B", "C"), 8))
-		full, err := tb.Eval(db)
-		if err != nil {
-			return false
-		}
-		reduced, err := min.Eval(db)
-		if err != nil {
-			return false
-		}
-		return full.Equal(reduced)
+		return valuate(t, tb, db).Equal(valuate(t, min, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

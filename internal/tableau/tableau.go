@@ -12,12 +12,11 @@
 //	φ(db) = { ρ(summary) : ρ maps variables to values such that every
 //	          row's image is a tuple of its operand's relation }.
 //
-// The package builds the tableau of an algebra.Expr and compiles it onto
-// the generic join's search (join.Search) for membership testing — the
-// simulated NP guess — and for the stream of φ(db) under the Dᵖ/Π₂ᵖ
-// deciders, which stops at one valuation per tuple and yields each tuple
-// once. What stays symbolic is here too: canonical databases, and
-// Chandra–Merlin homomorphism containment and minimization of queries.
+// The package builds the tableau of an algebra.Expr and keeps what stays
+// symbolic: canonical databases, and Chandra–Merlin homomorphism
+// containment and minimization of queries. Evaluating a query — the
+// simulated NP guess of membership and the stream under the Dᵖ/Π₂ᵖ
+// deciders — is package decide's, on the evaluator's generic join.
 package tableau
 
 import (

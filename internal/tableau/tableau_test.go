@@ -2,7 +2,6 @@ package tableau
 
 import (
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,11 +118,7 @@ func TestTableauEvalMatchesAlgebraEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		got, err := tb.Eval(db)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		if !got.Equal(want) {
+		if got := valuate(t, tb, db); !got.Equal(want) {
 			t.Errorf("%q: tableau eval %v ≠ algebra eval %v", src, got.Sorted(), want.Sorted())
 		}
 	}
@@ -165,220 +160,55 @@ func TestQuickTableauEvalMatchesAlgebra(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := tb.Eval(db)
-		if err != nil {
-			return false
-		}
-		return got.Equal(want)
+		return valuate(t, tb, db).Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestMemberMatchesEval(t *testing.T) {
-	r := mkrel(t, "A B C", "1 x p", "2 x q", "2 y q")
-	db := relation.Single("T", r)
-	e, err := algebra.ParseForDatabase("pi[A C](pi[A B](T) * pi[B C](T))", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	result, err := algebra.Eval(e, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every tuple over the active domain is in the result iff Member says so.
-	for _, a := range []string{"1", "2"} {
-		for _, c := range []string{"p", "q"} {
-			nt := relation.NamedTuple{Scheme: relation.MustScheme("A", "C"), Vals: relation.TupleOf(a, c)}
-			got, err := tb.Member(nt, db, nil)
-			if err != nil {
-				t.Fatal(err)
+// valuate is φ(db) by the tableau's definition: the summary's image under
+// every valuation that maps each row onto a tuple of its operand's
+// relation, found by trying every tuple for every row.
+func valuate(t *testing.T, tb *Tableau, db relation.Database) *relation.Relation {
+	t.Helper()
+	out := relation.New(tb.Target)
+	rho := map[Var]relation.Value{}
+	var walk func(i int)
+	walk = func(i int) {
+		if i == len(tb.Rows) {
+			tp := make(relation.Tuple, len(tb.Summary))
+			for k, v := range tb.Summary {
+				tp[k] = rho[v]
 			}
-			if got != result.Contains(nt.Vals) {
-				t.Errorf("Member(%s %s) = %v, eval says %v", a, c, got, result.Contains(nt.Vals))
-			}
+			out.MustAdd(tp)
+			return
 		}
-	}
-	// The self-join over T's projections onto A B and B C, fixed to each
-	// tuple of the active domain: (2 y p) is in both projections value by
-	// value, but its fixed prefix conflicts, since (y p) ∉ π_BC(T).
-	join, err := New(parse(t, "pi[A B](T) * pi[B C](T)", abcScheme))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := algebra.Eval(parse(t, "pi[A B](T) * pi[B C](T)", abcScheme), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range []string{"1", "2"} {
-		for _, b := range []string{"x", "y"} {
-			for _, c := range []string{"p", "q"} {
-				nt := relation.NamedTuple{Scheme: abcScheme["T"], Vals: relation.TupleOf(a, b, c)}
-				got, err := join.Member(nt, db, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != full.ContainsNamed(nt) {
-					t.Errorf("self-join Member(%s %s %s) = %v, eval says %v", a, b, c, got, full.ContainsNamed(nt))
+		row := tb.Rows[i]
+		r, err := db.Get(row.Operand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Each(func(tp relation.Tuple) bool {
+			var bound []Var
+			ok := true
+			for k, v := range row.Vars {
+				pos, _ := r.Scheme().Pos(row.Scheme.Attr(k))
+				if w, set := rho[v]; !set {
+					rho[v], bound = tp[pos], append(bound, v)
+				} else if ok = w == tp[pos]; !ok {
+					break
 				}
 			}
-		}
+			if ok {
+				walk(i + 1)
+			}
+			for _, v := range bound {
+				delete(rho, v)
+			}
+			return true
+		})
 	}
-	// Wrong scheme errors.
-	bad := relation.NamedTuple{Scheme: relation.MustScheme("A", "Z"), Vals: relation.TupleOf("1", "1")}
-	if _, err := tb.Member(bad, db, nil); err == nil {
-		t.Error("mismatched scheme accepted")
-	}
-}
-
-func TestMemberReorderedScheme(t *testing.T) {
-	r := mkrel(t, "A B", "1 x")
-	db := relation.Single("T", r)
-	e, err := algebra.ParseForDatabase("T", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nt := relation.NamedTuple{Scheme: relation.MustScheme("B", "A"), Vals: relation.TupleOf("x", "1")}
-	ok, err := tb.Member(nt, db, nil)
-	if err != nil || !ok {
-		t.Errorf("Member reordered = %v, %v", ok, err)
-	}
-}
-
-func TestStreamProjectionPushdown(t *testing.T) {
-	r := mkrel(t, "A B", "1 x", "2 x")
-	db := relation.Single("T", r)
-	// pi[B](T): the A column is an existential don't-care, so the search
-	// iterates distinct B-projections — exactly one yield, not one per
-	// source tuple.
-	e, err := algebra.ParseForDatabase("pi[B](T)", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	if err := tb.Stream(db, nil, func(relation.Tuple) bool {
-		count++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Errorf("stream yielded %d, want 1 (projection pushdown)", count)
-	}
-}
-
-func TestStreamDuplicatesAcrossRowsAndEarlyStop(t *testing.T) {
-	r := mkrel(t, "A B C", "1 x p", "1 y q")
-	db := relation.Single("T", r)
-	// pi[A](pi[A B](T) * pi[B C](T)): A=1 arises from two (A,B) patterns,
-	// two valuations with one summary image. The search binds A first and
-	// stops at its first witness, so the stream yields (1) once.
-	e, err := algebra.ParseForDatabase("pi[A](pi[A B](T) * pi[B C](T))", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	if err := tb.Stream(db, nil, func(tp relation.Tuple) bool {
-		if tp[0] != "1" {
-			t.Errorf("unexpected tuple %v", tp)
-		}
-		count++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Errorf("stream yielded %d, want 1 (one tuple, however many valuations)", count)
-	}
-	// Early stop.
-	count = 0
-	if err := tb.Stream(db, nil, func(relation.Tuple) bool {
-		count++
-		return false
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Errorf("stream after stop yielded %d", count)
-	}
-}
-
-func TestTableauOperandValidation(t *testing.T) {
-	e := parse(t, "T", abcScheme)
-	tb, err := New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Missing relation.
-	if _, err := tb.Eval(relation.NewDatabase()); err == nil {
-		t.Error("missing operand accepted")
-	}
-	// Wrong scheme in db.
-	db := relation.Single("T", mkrel(t, "A B"))
-	if _, err := tb.Eval(db); err == nil {
-		t.Error("wrong operand scheme accepted")
-	}
-	// A variable unified across two attributes of one row, outside the
-	// one-attribute scoping of variables.
-	tb.Unify(tb.Rows[0].Vars[1], tb.Rows[0].Vars[0])
-	if _, err := tb.Eval(relation.Single("T", mkrel(t, "A B C", "1 1 p"))); err == nil {
-		t.Error("a row repeating a variable accepted")
-	}
-}
-
-// TestStreamYieldsTuplesTheCalleeMustClone pins Stream's contract: each
-// tuple of φ(db) is yielded once, in one tuple the stream reuses — so the
-// stream allocates nothing per tuple, and a caller that keeps a tuple
-// clones it.
-func TestStreamYieldsTuplesTheCalleeMustClone(t *testing.T) {
-	db := relation.Single("T", mkrel(t, "A B C", "1 x p", "2 x q", "2 y q", "3 y r"))
-	e, err := algebra.ParseForDatabase("pi[A C](pi[A B](T) * pi[B C](T))", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kept, copies []relation.Tuple
-	if err := tb.Stream(db, nil, func(tp relation.Tuple) bool {
-		kept = append(kept, tp)
-		copies = append(copies, tp.Clone())
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) < 2 {
-		t.Fatalf("stream yielded %d tuples, want several", len(kept))
-	}
-	for i := range kept {
-		if &kept[i][0] != &kept[0][0] {
-			t.Errorf("tuple %d is a fresh slice, not the stream's own", i)
-		}
-	}
-	want, err := tb.Eval(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slices.SortFunc(copies, relation.Tuple.Compare)
-	if got := want.Sorted(); !slices.EqualFunc(got, copies, relation.Tuple.Equal) {
-		t.Errorf("the clones are %v, φ(db) is %v", copies, got)
-	}
+	walk(0)
+	return out
 }

@@ -4,8 +4,8 @@
 //	Queries", Information and Control 58, 101–112 (1983).
 //
 // It packages a relational-algebra engine for project–join queries
-// (relations, expressions, parsing, three join algorithms, tableau-based
-// streaming evaluation), the propositional substrate (3CNF, DPLL, #SAT,
+// (relations, expressions, parsing, three join algorithms, streaming
+// evaluation, tableaux), the propositional substrate (3CNF, DPLL, #SAT,
 // ∀∃-QBF), the paper's gadget constructions (R_G, φ_G and their
 // Theorem 1–5 variants), and decision procedures for every problem whose
 // complexity the paper pins down: result verification (Dᵖ), cardinality
@@ -153,11 +153,10 @@ type (
 )
 
 var (
-	// NewTableau builds the tableau of an expression. Tableau.Eval and
-	// Tableau.Member, the paper's Proposition 2 NP membership test, run
-	// the generic join's search over the operands' projections, so no
-	// intermediate join is held; Tableau.ContainedIn is Chandra–Merlin
-	// all-databases containment.
+	// NewTableau builds the tableau of an expression; Tableau.ContainedIn
+	// is Chandra–Merlin all-databases containment. Evaluating a query —
+	// Member, the paper's Proposition 2 NP membership test, among them —
+	// is the evaluator's.
 	NewTableau = tableau.New
 )
 

@@ -32,17 +32,17 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("eval = %d tuples, want 4", out.Len())
 	}
 
-	// Tableau engine agrees.
-	tb, err := relquery.NewTableau(e)
-	if err != nil {
+	// The generic join agrees.
+	ev := relquery.Evaluator{}
+	if err := ev.SetStrategy("wcoj"); err != nil {
 		t.Fatal(err)
 	}
-	out2, err := tb.Eval(db)
+	out2, err := ev.Eval(e, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Equal(out2) {
-		t.Error("tableau eval disagrees with materializing eval")
+		t.Error("the generic join disagrees with the hash join")
 	}
 
 	// Decision procedures.
