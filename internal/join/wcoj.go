@@ -179,7 +179,11 @@ func (d distinct) Row(t relation.Tuple) bool {
 // unionScheme returns the output scheme of joining inputs: the
 // left-to-right union, the column layout of a sequential binary plan.
 func unionScheme(inputs []*relation.Relation) relation.Scheme {
-	var attrs []relation.Attribute
+	n := 0
+	for _, r := range inputs {
+		n += r.Scheme().Len()
+	}
+	attrs := make([]relation.Attribute, 0, n)
 	for i, r := range inputs {
 		sc := r.Scheme()
 	next:
