@@ -133,61 +133,57 @@ func WriteDatabase(w io.Writer, db Database) error {
 	return nil
 }
 
-// ReadDatabase parses all relation blocks from r.
+// ReadDatabase is ParseDatabase of the text r holds, read once.
 func ReadDatabase(r io.Reader) (Database, error) {
-	db := NewDatabase()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	lineno := 0
-	next := func() (string, bool) {
-		for sc.Scan() {
-			lineno++
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			return line, true
-		}
-		return "", false
+	var text strings.Builder
+	if _, err := io.Copy(&text, r); err != nil {
+		return nil, err
 	}
-	for {
-		line, ok := next()
-		if !ok {
-			break
-		}
+	return ParseDatabase(text.String())
+}
+
+// ParseDatabase parses all relation blocks of text. Each block is read
+// from one copy of its own text, so a relation's values pin that copy and
+// nothing else: replacing one relation of a catalog frees its text.
+func ParseDatabase(text string) (Database, error) {
+	return readBlocks(text, true)
+}
+
+// readBlocks reads each "relation <name> ... end" block of text through
+// readBody — the first meaningful line after the header is the scheme line,
+// whatever it says — in a copy of its own if copied is set, else in place.
+func readBlocks(text string, copied bool) (Database, error) {
+	db := NewDatabase()
+	l := lines{text: text}
+	for line := l.next(); line != ""; line = l.next() {
 		fields := strings.Fields(line)
 		if fields[0] != "relation" || len(fields) != 2 {
-			return nil, fmt.Errorf("relation: line %d: expected \"relation <name>\", got %q", lineno, line)
+			return nil, fmt.Errorf("relation: line %d: expected \"relation <name>\", got %q", l.n, line)
 		}
-		name := fields[1]
+		name := strings.Clone(fields[1])
 		if _, dup := db[name]; dup {
-			return nil, fmt.Errorf("relation: line %d: duplicate relation %q", lineno, name)
+			return nil, fmt.Errorf("relation: line %d: duplicate relation %q", l.n, name)
 		}
-		schemeLine, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("relation: line %d: relation %q missing scheme line", lineno, name)
+		body := l
+		if l.next() == "" {
+			return nil, fmt.Errorf("relation: line %d: relation %q missing scheme line", l.n, name)
 		}
-		scheme, err := SchemeOf(schemeLine)
+		rest, end := l.text, ""
+		for end = l.next(); end != "end" && end != ""; end = l.next() {
+			rest = l.text
+		}
+		body.text = body.text[:len(body.text)-len(rest)]
+		if copied {
+			body.text = strings.Clone(body.text)
+		}
+		rel, err := readBody(body, true)
+		if err == nil && end == "" { // a row's error lies before the end of the text: it comes first
+			err = fmt.Errorf("relation: relation %q not terminated by \"end\"", name)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("relation: line %d: %w", lineno, err)
-		}
-		rel := New(scheme)
-		for {
-			line, ok := next()
-			if !ok {
-				return nil, fmt.Errorf("relation: relation %q not terminated by \"end\"", name)
-			}
-			if line == "end" {
-				break
-			}
-			if n := rel.addLine(line); n != scheme.Len() {
-				return nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme %v has %d attributes", lineno, n, scheme, scheme.Len())
-			}
+			return nil, err
 		}
 		db.Put(name, rel)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	return db, nil
 }
@@ -205,11 +201,11 @@ func ReadDatabase(r io.Reader) (Database, error) {
 // it is the stricter one, requiring a scheme line and an "end" footer —
 // and falling back to the bare form when the block parse fails.
 func ReadRelation(r io.Reader) (name string, rel *Relation, err error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	var text strings.Builder
+	if _, err := io.Copy(&text, r); err != nil {
 		return "", nil, err
 	}
-	return ParseRelation(string(data))
+	return ParseRelation(text.String())
 }
 
 // ParseRelation is ReadRelation for a caller that holds the whole text
@@ -217,91 +213,93 @@ func ReadRelation(r io.Reader) (name string, rel *Relation, err error) {
 // declared length. The relation's values are substrings of text.
 func ParseRelation(text string) (name string, rel *Relation, err error) {
 	// Decide on the first meaningful (non-blank, non-comment) line.
-	first := ""
-	for rest := text; rest != "" && first == ""; {
-		first, rest = cutLine(rest)
+	if f := strings.Fields((&lines{text: text}).next()); len(f) != 2 || f[0] != "relation" {
+		rel, err = readBody(lines{text: text}, false)
+		return "", rel, err
 	}
-	if fields := strings.Fields(first); len(fields) == 2 && fields[0] == "relation" {
-		db, blockErr := ReadDatabase(strings.NewReader(text))
-		if blockErr == nil {
-			names := db.Names()
-			if len(names) != 1 {
-				return "", nil, fmt.Errorf("relation: expected exactly one relation, found %d", len(names))
-			}
-			return names[0], db[names[0]], nil
-		}
+	db, err := readBlocks(text, false)
+	if err != nil {
 		// Not a well-formed block: re-read as a bare relation whose scheme
 		// is the two-field first line. If that fails too, the block error
 		// is the more informative one — the input led with "relation".
-		if name, rel, bareErr := readBare(text); bareErr == nil {
-			return name, rel, nil
+		if rel, bareErr := readBody(lines{text: text}, false); bareErr == nil {
+			return "", rel, nil
 		}
-		return "", nil, blockErr
+		return "", nil, err
 	}
-	return readBare(text)
+	if len(db) != 1 {
+		return "", nil, fmt.Errorf("relation: expected exactly one relation, found %d", len(db))
+	}
+	name = db.Names()[0]
+	return name, db[name], nil
 }
 
-// readBare parses the bare form: a scheme line followed by tuple lines
-// until EOF. The returned name is always "".
-func readBare(text string) (name string, rel *Relation, err error) {
-	var out *Relation
-	var total, lines, head int // the text after the scheme line: its bytes, its lines, the scheme's line number
-	sized := false
-	for lineno := 1; text != ""; lineno++ {
-		var line string
-		line, text = cutLine(text)
-		if line == "" {
-			continue
-		}
-		if out == nil {
-			// The attribute names are copied out of text: unlike the values,
-			// they outlive the relation, in the plan facts of every join over
-			// it, and must not pin the whole upload.
-			scheme, err := SchemeOf(strings.Clone(line))
-			if err != nil {
-				return "", nil, fmt.Errorf("relation: line %d: %w", lineno, err)
+// readBody is the codec's one reader of rows: it parses the rest of l,
+// the bare form or a block's body, whose first meaningful line is the
+// scheme line and every later one a row. A block's arity error names its
+// scheme.
+func readBody(l lines, block bool) (*Relation, error) {
+	line := l.next()
+	if line == "" {
+		return nil, fmt.Errorf("relation: empty input")
+	}
+	// The attribute names are copied out of the text: unlike the values,
+	// they outlive the relation, in the plan facts of every join over it,
+	// and must not pin the whole upload.
+	scheme, err := SchemeOf(strings.Clone(line))
+	if err != nil {
+		return nil, fmt.Errorf("relation: line %d: %w", l.n, err)
+	}
+	// Count first: no more rows than lines are left, nor than the bytes
+	// left can write — a row's line is at least two bytes a value. Blank,
+	// comment and duplicate lines make no row, so the reservation is
+	// fitted to the rows at the end.
+	total, left, head := len(l.text), strings.Count(l.text, "\n"), l.n
+	if !strings.HasSuffix(l.text, "\n") {
+		left++
+	}
+	out := New(scheme)
+	out.reserve(min(left, total/(2*scheme.Len())+1))
+	for line := l.next(); line != ""; line = l.next() {
+		if n := out.addLine(line); n != scheme.Len() {
+			if block {
+				return nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme %v has %d attributes", l.n, n, scheme, scheme.Len())
 			}
-			// Count first: no more rows than lines are left, nor than the
-			// bytes left can write — a row's line is at least two bytes a
-			// value. Blank, comment and duplicate lines make no row, so the
-			// reservation is fitted to the rows at the end.
-			total, lines, head = len(text), strings.Count(text, "\n"), lineno
-			if !strings.HasSuffix(text, "\n") {
-				lines++
-			}
-			out = New(scheme)
-			out.reserve(min(lines, total/(2*scheme.Len())+1))
-			continue
+			return nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme has %d attributes", l.n, n, scheme.Len())
 		}
-		if n := out.addLine(line); n != out.scheme.Len() {
-			return "", nil, fmt.Errorf("relation: line %d: tuple has %d values, scheme has %d attributes", lineno, n, out.scheme.Len())
-		}
-		if out.n == SizeSample && !sized {
+		if out.n == SizeSample {
 			// The dedup index is sized once, from its first rows: the rows
 			// the bytes left will write at the rate the bytes read wrote
 			// them, and no more than the lines left. Filler lines after the
-			// sample make it an over-estimate, which fit gives back.
-			left := lines - (lineno - head)
-			sized = true
-			out.index.Reserve(Forecast(out.n, total-len(text), total, out.n+left))
+			// sample make it an over-estimate, which fit gives back; a
+			// duplicate of a sample row forecasts no more: it reserves nothing.
+			out.index.Reserve(Forecast(out.n, total-len(l.text), total, out.n+left-(l.n-head)))
 		}
 	}
-	if out == nil {
-		return "", nil, fmt.Errorf("relation: empty input")
-	}
 	out.fit()
-	return "", out, nil
+	return out, nil
 }
 
-// cutLine cuts text at its first newline and returns the line before it,
-// trimmed, with a comment line read as blank, and the text after it.
-func cutLine(text string) (line, rest string) {
-	line, rest, _ = strings.Cut(text, "\n")
-	line = strings.TrimSpace(line)
-	if strings.HasPrefix(line, "#") {
-		line = ""
+// lines walks a codec text line by line: text is what is left of it, n
+// the number of the line last cut.
+type lines struct {
+	text string
+	n    int
+}
+
+// next cuts the lines up to the next meaningful one and returns it,
+// trimmed, or "" at the end of the text: blank and comment lines are
+// skipped.
+func (l *lines) next() string {
+	for l.text != "" {
+		var line string
+		line, l.text, _ = strings.Cut(l.text, "\n")
+		l.n++
+		if line = strings.TrimSpace(line); line != "" && line[0] != '#' {
+			return line
+		}
 	}
-	return line, rest
+	return ""
 }
 
 // addLine adds the tuple written on line — its whitespace-separated

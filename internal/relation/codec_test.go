@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/big"
 	"math/bits"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -86,46 +87,142 @@ A B
 // its text, which lives as long as the relation; its attribute names are
 // copies, because schemes outlive the relation in the plan facts of every
 // join over it (join.Facts) and would otherwise keep every old upload of a
-// churning catalog alive.
+// churning catalog alive. A catalog's relation names are copies too, and
+// each of its relations reads its values from a copy of its own block: no
+// value lies in the catalog's text, nor among another relation's values.
 func TestParsedSchemeDoesNotPinTheText(t *testing.T) {
-	text := "Alpha Beta\n1 x\n2 y\n"
-	_, r, err := ParseRelation(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	within := func(s string) bool {
+	within := func(s, text string) bool {
 		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(text)))
 		return p >= lo && p < lo+uintptr(len(text))
 	}
-	for i := 0; i < r.Scheme().Len(); i++ {
-		if within(string(r.Scheme().Attr(i))) {
-			t.Errorf("attribute %q is a substring of the upload", r.Scheme().Attr(i))
+	for _, text := range []string{"Alpha Beta\n1 x\n2 y\n", "relation Named\nAlpha Beta\n1 x\n2 y\nend\n"} {
+		name, r, err := ParseRelation(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != "" && within(name, text) {
+			t.Errorf("name %q is a substring of the upload", name)
+		}
+		for i := 0; i < r.Scheme().Len(); i++ {
+			if within(string(r.Scheme().Attr(i)), text) {
+				t.Errorf("attribute %q is a substring of the upload", r.Scheme().Attr(i))
+			}
+		}
+		if !within(string(r.Tuple(0)[1]), text) {
+			t.Errorf("%q: values are copies of the upload: the zero-copy read is gone, and this test with it", text)
 		}
 	}
-	if !within(string(r.Tuple(0)[1])) {
-		t.Error("values are copies of the upload: the zero-copy read is gone, and this test with it")
+
+	catalog := "relation First\nAlpha Beta\n1 x\n2 y\nend\n# between\nrelation Second\nGamma\nz\nw\nend\n"
+	db, err := ParseDatabase(catalog)
+	if err != nil || len(db) != 2 {
+		t.Fatal(db, err)
+	}
+	spans := map[string][2]uintptr{} // a relation's values lie in [lo, hi)
+	for name, r := range db {
+		lo, hi := ^uintptr(0), uintptr(0)
+		r.Each(func(row Tuple) bool {
+			for _, v := range row {
+				p := uintptr(unsafe.Pointer(unsafe.StringData(string(v))))
+				lo, hi = min(lo, p), max(hi, p+uintptr(len(v)))
+			}
+			return true
+		})
+		spans[name] = [2]uintptr{lo, hi}
+		if within(name, catalog) {
+			t.Errorf("relation name %q is a substring of the catalog", name)
+		}
+		for i := 0; i < r.Scheme().Len(); i++ {
+			if within(string(r.Scheme().Attr(i)), catalog) {
+				t.Errorf("%s: attribute %q is a substring of the catalog", name, r.Scheme().Attr(i))
+			}
+		}
+	}
+	for name, r := range db {
+		r.Each(func(row Tuple) bool {
+			for _, v := range row {
+				p := uintptr(unsafe.Pointer(unsafe.StringData(string(v))))
+				if within(string(v), catalog) {
+					t.Errorf("%s: value %q lies in the catalog's text", name, v)
+				}
+				for other, span := range spans {
+					if other != name && p >= span[0] && p < span[1] {
+						t.Errorf("%s: value %q lies among %s's values", name, v, other)
+					}
+				}
+			}
+			return true
+		})
 	}
 }
 
+// TestDroppedRelationFreesItsBlock: a catalog's relation pins the copy of
+// its own block and nothing more, so a catalog that keeps one relation of
+// two and drops the other — as a tenant does when the other is replaced —
+// keeps the one relation's text alone, not the 4 MB block of the other,
+// which a value cut from the whole text, or from one copy of it, would keep.
+func TestDroppedRelationFreesItsBlock(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := func() *Relation {
+		var b strings.Builder
+		b.WriteString("relation Small\nA\n1\n2\nend\nrelation Big\nA\n")
+		for i := 0; i < 64; i++ {
+			fmt.Fprintf(&b, "%s%d\n", strings.Repeat("x", 64<<10), i)
+		}
+		b.WriteString("end\n")
+		db, err := ParseDatabase(b.String())
+		if err != nil || db["Big"].Len() != 64 {
+			t.Fatal(db, err)
+		}
+		return db["Small"]
+	}()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held > 1<<20 {
+		t.Errorf("a two-row relation of a catalog keeps %d bytes alive", held)
+	}
+	if kept.Len() != 2 {
+		t.Errorf("the kept relation holds %d rows", kept.Len())
+	}
+}
+
+// TestReadDatabaseErrors pins each error as the codec words it, line
+// numbers counted over the whole text included: a row's error comes before
+// the missing "end" it lies above, and a CRLF text numbers its lines as an
+// LF one does.
 func TestReadDatabaseErrors(t *testing.T) {
 	cases := []struct {
-		name  string
-		input string
+		name, input, want string
 	}{
-		{"bad header", "relational R\nA B\nend\n"},
-		{"missing end", "relation R\nA B\n1 2\n"},
-		{"arity mismatch", "relation R\nA B\n1\nend\n"},
-		{"duplicate name", "relation R\nA\n1\nend\nrelation R\nA\n2\nend\n"},
-		{"missing scheme", "relation R\n"},
-		{"dup attribute", "relation R\nA A\nend\n"},
+		{"bad header", "relational R\nA B\nend\n", `relation: line 1: expected "relation <name>", got "relational R"`},
+		{"three-field header", "relation R S\nA\nend\n", `relation: line 1: expected "relation <name>", got "relation R S"`},
+		{"text after the last end", "relation R\nA\n1\nend\ngarbage here\n", `relation: line 5: expected "relation <name>", got "garbage here"`},
+		{"missing end", "relation R\nA B\n1 2\n", `relation: relation "R" not terminated by "end"`},
+		{"scheme line reads end", "relation R\nend\n", `relation: relation "R" not terminated by "end"`},
+		{"arity mismatch", "relation R\nA B\n1\nend\n", "relation: line 3: tuple has 1 values, scheme A B has 2 attributes"},
+		{"arity mismatch, no end", "relation R\nA B\n1\n", "relation: line 3: tuple has 1 values, scheme A B has 2 attributes"},
+		{"arity mismatch, CRLF", "\n\nrelation R\r\nA B\r\n# x\r\n\r\n1 2 3\r\nend\r\n", "relation: line 7: tuple has 3 values, scheme A B has 2 attributes"},
+		{"duplicate name", "relation R\nA\n1\nend\nrelation R\nA\n2\nend\n", `relation: line 5: duplicate relation "R"`},
+		{"missing scheme", "relation R\n", `relation: line 1: relation "R" missing scheme line`},
+		{"missing scheme after filler", "relation R\n\n# c\n", `relation: line 3: relation "R" missing scheme line`},
+		{"dup attribute", "relation R\nA A\nend\n", `relation: line 2: relation: duplicate attribute "A" at positions 0 and 1`},
 	}
 	for _, tc := range cases {
-		if _, err := ReadDatabase(strings.NewReader(tc.input)); err == nil {
-			t.Errorf("%s: no error", tc.name)
+		_, err := ReadDatabase(strings.NewReader(tc.input))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %s", tc.name, err, tc.want)
+		}
+		if _, perr := ParseDatabase(tc.input); fmt.Sprint(perr) != fmt.Sprint(err) {
+			t.Errorf("%s: ParseDatabase says %v, ReadDatabase %v", tc.name, perr, err)
 		}
 	}
-	if _, _, err := ReadRelation(strings.NewReader("   \n# only comments\n")); err == nil {
-		t.Error("empty input: no error")
+	if _, _, err := ReadRelation(strings.NewReader("   \n# only comments\n")); err == nil || err.Error() != "relation: empty input" {
+		t.Errorf("empty input: error %v", err)
+	}
+	if _, _, err := ReadRelation(strings.NewReader("relation R\nA\n1\nend\nrelation S\nA\n1\nend\n")); err == nil || err.Error() != "relation: expected exactly one relation, found 2" {
+		t.Errorf("two blocks: error %v", err)
 	}
 }
 

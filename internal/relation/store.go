@@ -22,14 +22,12 @@ import (
 // The rule:
 //
 //   - a producer that can learn its row count before it builds a row
-//     (hash join, tree join, Project, Clone, alignTo, FromRows, the codec's
-//     parser of a whole text) reserves exactly that many rows: a chunk is
-//     as large as chunkBytes allows, and the last one holds exactly the
-//     rows left;
-//   - a producer that cannot (Add of a caller's tuple, the streaming codec
-//     reader, the generic join's emit) grows in slabs: a chunk is as large
-//     as slabBytes allows, allocated whole when its first row is carved
-//     and never copied.
+//     (hash join, tree join, Project, Clone, alignTo, FromRows, the codec)
+//     reserves exactly that many rows: a chunk is as large as chunkBytes
+//     allows, and the last one holds exactly the rows left;
+//   - a producer that cannot (Add of a caller's tuple, the generic join's
+//     emit) grows in slabs: a chunk is as large as slabBytes allows,
+//     allocated whole when its first row is carved and never copied.
 //
 // Go's allocator is already byte-exact for rows up to 256 B, so a slab
 // saves mallocs but costs bytes — a partly empty tail slab per relation.

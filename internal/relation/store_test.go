@@ -203,6 +203,20 @@ func legText(rows int) string {
 	return b.String()
 }
 
+// catalogText is a catalog of relations blocks R0, R1, … each of rows rows
+// over a two-column scheme of its own, its values written as legText's.
+func catalogText(relations, rows int) string {
+	var b strings.Builder
+	for r := 0; r < relations; r++ {
+		fmt.Fprintf(&b, "relation R%d\nA%d B%d\n", r, r, r)
+		for i := 0; i < rows; i++ {
+			fmt.Fprintf(&b, "t.a%d_%d t.b0\n", r, i)
+		}
+		b.WriteString("end\n")
+	}
+	return b.String()
+}
+
 // TestUploadIndexIsSizedOnce: the bare codec sizes its dedup index once,
 // after SizeSample rows, for the rows the rest of the text forecasts. A
 // 1 025-row two-column leg allocates its cells, one index of 4 096 slots
@@ -277,6 +291,30 @@ func TestUploadFillerAfterTheSample(t *testing.T) {
 			if !r.Contains(r.Tuple(i)) {
 				t.Fatalf("%s: row %d is not in the fitted index", name, i)
 			}
+		}
+	}
+}
+
+// TestCatalogParseAllocatesPerRelation: a catalog is read as an upload
+// is — one pass over the text in hand, a relation's rows reserved from its
+// block's lines and its dedup index sized once — so parsing three blocks
+// of 1 025 rows allocates a bounded number of times per relation: its
+// name, its block's copy, its scheme, its store and its index. A reader
+// that made a string per line allocated over a thousand times a relation.
+func TestCatalogParseAllocatesPerRelation(t *testing.T) {
+	const relations, rows, perRelation = 3, 1025, 32
+	text := catalogText(relations, rows)
+	for name, parse := range map[string]func() (Database, error){
+		"ParseDatabase": func() (Database, error) { return ParseDatabase(text) },
+		"ReadDatabase":  func() (Database, error) { return ReadDatabase(strings.NewReader(text)) },
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if db, err := parse(); err != nil || len(db) != relations || db["R2"].Len() != rows {
+				t.Fatal(db, err)
+			}
+		})
+		if allocs > relations*perRelation {
+			t.Errorf("%s: a catalog of %d relations of %d rows allocated %v times, want at most %d a relation", name, relations, rows, allocs, perRelation)
 		}
 	}
 }

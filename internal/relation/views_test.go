@@ -105,7 +105,7 @@ func TestStoredRowsAreViews(t *testing.T) {
 		t.Errorf("New/Add with a duplicate after every row holds %d rows, want the %d of FromRows", producers["New/Add"].Len(), len(tuples))
 	}
 	if !producers["codec bare"].Equal(base) || !producers["codec block"].Equal(base) {
-		t.Error("the codec's readers do not return what was written")
+		t.Error("the codec does not return what was written")
 	}
 }
 

@@ -42,14 +42,14 @@ func bodyError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
-// readUpload reads an upload, or a query's text, into one string, once.
-// The body is read straight into a buffer sized from the declared
-// Content-Length (negative when there is none), one byte over it so that
-// the read which finds the end of a truthful body needs no room, and the
-// string is that buffer, not a copy: a truthful client costs its body and
-// nothing else. The
-// declaration is a hint only — a body longer than declared, or one with
-// none, grows the buffer as it fills; a shorter one leaves it part empty.
+// readUpload reads an upload — a relation or a catalog — or a query's
+// text into one string, once. The body is read straight into a buffer
+// sized from the declared Content-Length (negative when there is none),
+// one byte over it so that the read which finds the end of a truthful
+// body needs no room, and the string is that buffer, not a copy: a
+// truthful client costs its body and nothing else. The declaration is a
+// hint only — a body longer than declared, or one with none, grows the
+// buffer as it fills; a shorter one leaves it part empty.
 func readUpload(body io.Reader, declared int64) (string, error) {
 	buf := make([]byte, 0, max(declared, 0)+1)
 	for {
@@ -166,10 +166,17 @@ func (s *Server) handleDropRelation(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLoadCatalog loads a whole database file ("relation ... end"
-// blocks) into the tenant's catalog in one request.
+// blocks) into the tenant's catalog in one request. The body is read once,
+// into one buffer, as an upload is; each relation keeps a copy of its own
+// block, not the body.
 func (s *Server) handleLoadCatalog(w http.ResponseWriter, r *http.Request) {
 	t := s.tenant(r.PathValue("tenant"))
-	db, err := relation.ReadDatabase(http.MaxBytesReader(w, r.Body, s.maxBody()))
+	text, err := readUpload(http.MaxBytesReader(w, r.Body, s.maxBody()), min(r.ContentLength, s.maxBody()))
+	if err != nil {
+		bodyError(w, err)
+		return
+	}
+	db, err := relation.ParseDatabase(text)
 	if err != nil {
 		bodyError(w, err)
 		return

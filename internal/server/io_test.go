@@ -114,6 +114,72 @@ func TestUploadBodyReadOnce(t *testing.T) {
 	}
 }
 
+// TestCatalogBodyReadOnce: a catalog is read into one buffer sized from
+// Content-Length, as an upload is, and answers exactly what reading it
+// with ReadDatabase does — status and body, byte for byte — whether the
+// declared length is the truth, short of it, past it or absent, for
+// catalogs that parse, catalogs the codec rejects and bodies at and over
+// the cap.
+func TestCatalogBodyReadOnce(t *testing.T) {
+	const limit = 256
+	s, ref := New(Config{MaxBodyBytes: limit}), New(Config{MaxBodyBytes: limit})
+	h := s.Handler()
+	tenants := 0 // every load goes to a tenant of its own
+	old := func(body string) (int, string) {
+		rec := httptest.NewRecorder()
+		db, err := relation.ReadDatabase(http.MaxBytesReader(rec, io.NopCloser(strings.NewReader(body)), limit))
+		if err != nil {
+			bodyError(rec, err)
+			return rec.Code, rec.Body.String()
+		}
+		tenants++
+		tn := ref.tenant(fmt.Sprint("t", tenants))
+		tn.loadAll(db)
+		writeJSON(rec, http.StatusOK, tn.listing())
+		return rec.Code, rec.Body.String()
+	}
+	atCap := "relation R\nAB\n" + strings.Repeat("v\n", (limit-18)/2) + "end\n"
+	bodies := map[string]string{
+		"one block":        "relation R\nA B\n1 x\n2 y\nend\n",
+		"two blocks":       "# catalog\nrelation R\nA\n1\nend\n\nrelation S\nB C\nx y\nend\n",
+		"crlf":             "relation R\r\nA B\r\n1 x\r\nend\r\n",
+		"empty":            "",
+		"comments only":    "# nothing\n\n",
+		"bare":             "A B\n1 x\n",
+		"arity":            "relation R\nA B\n1 x\n2\nend\n",
+		"bad scheme":       "relation R\nA A\nend\n",
+		"unclosed block":   "relation R\nA B C\n1 x\n",
+		"duplicate name":   "relation R\nA\n1\nend\nrelation R\nA\n2\nend\n",
+		"missing scheme":   "relation R\n\n",
+		"text after end":   "relation R\nA\n1\nend\ntrailing\n",
+		"at the cap":       atCap,
+		"one over":         atCap + "\n",
+		"far over":         "relation R\nA\n" + strings.Repeat("some value\n", 100) + "end\n",
+		"no final newline": "relation R\nA B\n1 x\nend",
+	}
+	if len(bodies["at the cap"]) != limit {
+		t.Fatalf("the body at the cap is %d bytes, want %d", len(bodies["at the cap"]), limit)
+	}
+	for name, body := range bodies {
+		wantCode, wantBody := old(body)
+		for _, declared := range []int64{int64(len(body)), int64(len(body)) / 2, int64(len(body))*2 + 7, 1 << 40, 0, -1} {
+			tenants++
+			req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/v1/tenants/t%d/catalog", tenants), io.NopCloser(strings.NewReader(body)))
+			req.ContentLength = declared
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != wantCode || rec.Body.String() != wantBody {
+				t.Errorf("%s, Content-Length %d of %d: %d %q, want %d %q", name, declared, len(body), rec.Code, rec.Body.String(), wantCode, wantBody)
+			}
+		}
+	}
+	for name, want := range map[string]int{"far over": http.StatusRequestEntityTooLarge, "one over": http.StatusRequestEntityTooLarge, "at the cap": http.StatusOK, "two blocks": http.StatusOK} {
+		if code, _ := old(bodies[name]); code != want {
+			t.Errorf("%s answered %d, want %d", name, code, want)
+		}
+	}
+}
+
 // TestUploadReadsIntoItsBuffer: a body of its declared length is read
 // straight into the one buffer the string is made of — one allocation, no
 // copy window — and a body with no declared length, or longer or shorter
