@@ -1,7 +1,7 @@
 package algebra
 
 import (
-	"strings"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -31,20 +31,22 @@ import (
 // fingerprint and misses. Facts steer the strategy choice and admission,
 // never an answer, so even a colliding fingerprint cannot corrupt one.
 //
-// Beside them the cache records the keys asked for since the last Reset:
-// a root join node's answer is stored only when it is asked for again
-// (Evaluator.EvalTo).
+// Beside them the cache records the keys asked for since the last Reset,
+// as seeded 64-bit digests: a root join node's answer is stored only when
+// it is asked for again (Evaluator.EvalTo). Two keys that share a digest
+// make a first sight look like a second one, so that answer is stored
+// instead of streamed — the same bytes either way.
 //
 // Both stores are Memos, under its rules. A SubexprCache is safe for
 // concurrent use — every request of a relqueryd process shares one. The zero
 // value is not ready — use NewSubexprCache.
 type SubexprCache struct {
-	results *Memo[string, *relation.Relation]
+	results *Memo[*relation.Relation]
 	// facts is nil in the cache EvalContext makes for one call (Evaluator.
 	// Cache): a node repeated inside a call is a result hit and plans nothing.
-	facts *Memo[string, *join.Facts]
-	// asked holds the keys of the nodes EvalTo offered its sink since the
-	// last Reset; nil, like facts, in a one-call cache.
+	facts *Memo[*join.Facts]
+	// asked holds the digests of the keys of the nodes EvalTo offered its
+	// sink since the last Reset; nil, like facts, in a one-call cache.
 	asked *askedKeys
 	// written counts the answers streamed past the results (Evaluator.
 	// EvalTo): misses that left nothing behind.
@@ -76,88 +78,82 @@ func NewSubexprCache() *SubexprCache { return newSubexprCache(resultsMax) }
 func newSubexprCache(maxValues int64) *SubexprCache {
 	values := func(r *relation.Relation) int64 { return int64(r.Len()) * int64(r.Scheme().Len()) }
 	return &SubexprCache{
-		results: NewMemo[string](maxValues, values),
-		facts:   NewMemo[string, *join.Facts](factsMax, nil),
-		asked:   new(askedKeys),
+		results: NewMemo(maxValues, values),
+		facts:   NewMemo[*join.Facts](factsMax, nil),
+		asked:   &askedKeys{seed: maphash.MakeSeed()},
 	}
 }
 
-// contentKey is the cache key of a node against db: the node's text, then
-// the name and fingerprint of every relation it references, in first-use
-// order.
-func contentKey(text string, operands []string, db relation.Database) string {
-	const missing = "!missing"
-	fingerprint := func(name string) string {
+// appendKey appends the cache key of a node against db to dst: the node's
+// text, then the name and fingerprint of every relation it references, in
+// first-use order.
+func appendKey(dst []byte, text string, operands []string, db relation.Database) []byte {
+	dst = append(dst, text...)
+	for _, name := range operands {
+		fingerprint := "!missing" // the evaluation will fail; the key stays deterministic
 		if r, ok := db[name]; ok {
-			return relation.Fingerprint(r)
+			fingerprint = relation.Fingerprint(r)
 		}
-		return missing // the evaluation will fail; the key stays deterministic
+		dst = append(append(append(append(dst, 0), name...), '='), fingerprint...)
 	}
-	size := len(text)
-	for _, name := range operands {
-		size += len(name) + len(fingerprint(name)) + 2
-	}
-	var b strings.Builder
-	b.Grow(size)
-	b.WriteString(text)
-	for _, name := range operands {
-		b.WriteByte('\x00')
-		b.WriteString(name)
-		b.WriteByte('=')
-		b.WriteString(fingerprint(name))
-	}
-	return b.String()
+	return dst
 }
 
-// plan returns the plan of the join node keyed key over inputs, its facts
-// taken from the store — or entered into it, the first time — and whether
-// they were there, which it also reports to m. Without a facts store it
-// plans from nothing and reports nothing.
-func (c *SubexprCache) plan(key string, m *obs.Metrics, inputs []*relation.Relation) (*join.Plan, bool) {
+// plan sets *p to the plan of the join node keyed key over inputs, its
+// facts taken from the store — or entered into it, the first time — and
+// reports whether they were there, which it also reports to m. Without a
+// facts store it plans from nothing and reports nothing.
+func (c *SubexprCache) plan(p *join.Plan, key []byte, m *obs.Metrics, inputs []*relation.Relation) bool {
 	if c == nil || c.facts == nil {
-		p := join.NewPlan(inputs...)
+		*p = new(join.Facts).Plan(inputs...)
 		p.Metrics = m
-		return p, false
+		return false
 	}
 	facts, hit, _ := c.facts.Do(nil, key, func() (*join.Facts, error) { return new(join.Facts), nil })
 	m.PlanFacts(hit)
-	p := facts.Plan(inputs...)
+	*p = facts.Plan(inputs...)
 	p.Metrics = m
-	return p, hit
+	return hit
 }
 
 // ask records that the node keyed key was asked for and reports whether
 // it had been since the last Reset. Without the record nothing has been.
-func (c *SubexprCache) ask(key string) bool {
+func (c *SubexprCache) ask(key []byte) bool {
 	return c.asked != nil && c.asked.add(key)
 }
 
-// askedKeys is the record of what was asked: a set that, like a Memo past
-// its bound, is dropped wholesale when it would pass factsMax keys. Nothing
-// is computed for a key, so nothing waits on one.
+// askedKeys is the record of what was asked: a set of the keys' seeded
+// digests that, like a Memo past its bound, is emptied wholesale when it
+// would pass factsMax keys. Nothing is computed for a key, so nothing
+// waits on one.
 type askedKeys struct {
+	seed maphash.Seed
 	mu   sync.Mutex
-	keys map[string]struct{}
+	keys map[uint64]struct{}
 }
 
-// add records key and reports whether it was recorded already.
-func (a *askedKeys) add(key string) bool {
+// add records key and reports whether it, or a key of the same digest,
+// was recorded already.
+func (a *askedKeys) add(key []byte) bool {
+	d := maphash.Bytes(a.seed, key)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, ok := a.keys[key]; ok {
+	if _, ok := a.keys[d]; ok {
 		return true
 	}
-	if a.keys == nil || len(a.keys) >= factsMax {
-		a.keys = make(map[string]struct{})
+	if a.keys == nil {
+		a.keys = make(map[uint64]struct{})
+	} else if len(a.keys) >= factsMax {
+		clear(a.keys)
 	}
-	a.keys[key] = struct{}{}
+	a.keys[d] = struct{}{}
 	return false
 }
 
 // drop forgets every key.
 func (a *askedKeys) drop() {
 	a.mu.Lock()
-	a.keys = nil
+	clear(a.keys)
 	a.mu.Unlock()
 }
 

@@ -3,6 +3,8 @@ package algebra
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -216,15 +218,18 @@ func (ev *Evaluator) evaluate(gov *governor.Governor, e Expr, db relation.Databa
 	}
 	// One cache per call: the shared one, else its own under Cache, else none.
 	if ev.SharedCache == nil && ev.Cache {
-		call := *ev
-		call.SharedCache = &SubexprCache{results: NewMemo[string, *relation.Relation](0, nil)} // unbounded: it dies with the call
-		ev = &call
+		own := *ev
+		own.SharedCache = &SubexprCache{results: NewMemo[*relation.Relation](0, nil)} // unbounded: it dies with the call
+		ev = &own
 	}
+	c := takeCall(gov)
+	defer c.release()
 	var w *written
 	if out != nil {
-		w = &written{Sink: out}
+		c.out = written{Sink: out}
+		w = &c.out
 	}
-	r, err := ev.eval(e, db, ev.newSpan(nil, e), gov, w)
+	r, err := ev.eval(e, db, ev.newSpan(nil, e), c, w)
 	if r != nil { // else it streamed, and the join checked its size
 		err = gov.CheckOutput(r.Len())
 	}
@@ -288,38 +293,43 @@ func spanOp(e Expr) string {
 // evaluated outside the result store, so that its answer can stream into
 // out (multi) while no other request waits on it; it returns no relation
 // when it did.
-func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, gov *governor.Governor, out *written) (*relation.Relation, error) {
+func (ev *Evaluator) eval(e Expr, db relation.Database, sp *obs.Span, c *call, out *written) (*relation.Relation, error) {
 	sp.Begin()
 	fault.Hit(fault.EvalNode)
-	if err := gov.Check(); err != nil {
+	if err := c.gov.Check(); err != nil {
 		return ev.finishSpan(sp, "", nil, nil, err)
 	}
 	// Operands and their projections are lookups — a catalog relation and
 	// a fact of it (Relation.Projection) — so one relation has one home;
 	// only the other composite nodes are memoized.
 	if lookup(e) || ev.SharedCache == nil {
-		r, err := ev.evalNode(e, "", db, sp, gov, out)
+		r, err := ev.evalNode(e, nil, db, sp, c, out)
 		return ev.finishSpan(sp, "", r, out, err)
 	}
 	// Built once per node: the result's key here and, for a join that
 	// misses, its plan facts' key in multi.
-	key := contentKey(e.String(), e.Operands(), db)
+	key := c.pushKey(e, db)
+	var r *relation.Relation
+	var err error
+	cacheStatus := obs.CacheMiss
 	if _, isJoin := e.(*Join); isJoin && out != nil && !ev.SharedCache.ask(key) {
 		ev.Collector.M().CacheMiss()
-		r, err := ev.evalNode(e, key, db, sp, gov, out)
-		return ev.finishSpan(sp, obs.CacheMiss, r, out, err)
-	}
-	r, hit, err := ev.SharedCache.results.Do(gov, key, func() (*relation.Relation, error) {
-		return ev.evalNode(e, key, db, sp, gov, nil)
-	})
-	cacheStatus := obs.CacheMiss
-	if hit {
-		cacheStatus = obs.CacheHit
-		ev.Collector.M().CacheHit()
+		r, err = ev.evalNode(e, key, db, sp, c, out)
 	} else {
-		ev.Collector.M().CacheMiss()
+		var hit bool
+		r, hit, err = ev.SharedCache.results.Do(c.gov, key, func() (*relation.Relation, error) {
+			return ev.evalNode(e, key, db, sp, c, nil)
+		})
+		if hit {
+			cacheStatus = obs.CacheHit
+			ev.Collector.M().CacheHit()
+		} else {
+			ev.Collector.M().CacheMiss()
+		}
+		out = nil
 	}
-	return ev.finishSpan(sp, cacheStatus, r, nil, err)
+	c.popKey(key)
+	return ev.finishSpan(sp, cacheStatus, r, out, err)
 }
 
 // finishSpan closes sp with the node's outcome and passes the result
@@ -345,7 +355,7 @@ func (ev *Evaluator) finishSpan(sp *obs.Span, cacheStatus string, r *relation.Re
 
 // evalNode computes one node from its children. key is the node's content
 // key when the call has a cache, else empty; out is as for eval.
-func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.Span, gov *governor.Governor, out *written) (*relation.Relation, error) {
+func (ev *Evaluator) evalNode(e Expr, key []byte, db relation.Database, sp *obs.Span, c *call, out *written) (*relation.Relation, error) {
 	switch x := e.(type) {
 	case *Operand:
 		r, err := db.Get(x.Name())
@@ -362,10 +372,10 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 		sp.Reserve(1, Size(x)-1)
 		of := collapse(x)
 		if j, ok := of.(*Join); ok {
-			return ev.projectedJoin(x, j, key, db, sp, gov, out)
+			return ev.projectedJoin(x, j, key, db, sp, c, out)
 		}
 		// Else of is an operand, and the projection a fact of it.
-		child, err := ev.eval(of, db, ev.newSpan(sp, of), gov, nil)
+		child, err := ev.eval(of, db, ev.newSpan(sp, of), c, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -378,15 +388,17 @@ func (ev *Evaluator) evalNode(e Expr, key string, db relation.Database, sp *obs.
 		}
 		// Charged like any materialization, found or built.
 		ev.Collector.M().ObserveIntermediate(out.Len())
-		return join.Exec{Gov: gov}.Materialized(out)
+		return join.Exec{Gov: c.gov}.Materialized(out)
 
 	case *Join:
 		sp.Reserve(len(x.Args()), Size(x)-1)
-		args, err := ev.evalArgs(x.Args(), db, sp, gov)
-		if err != nil {
-			return nil, err
+		args, err := ev.evalArgs(x.Args(), db, sp, c)
+		var r *relation.Relation
+		if err == nil {
+			r, err = ev.multi(args, key, sp, c, out, nil)
 		}
-		return ev.multi(args, key, sp, gov, out, nil)
+		c.popArgs(len(x.Args()))
+		return r, err
 
 	default:
 		return nil, fmt.Errorf("algebra: unknown expression type %T", e)
@@ -425,20 +437,21 @@ func collapse(p *Project) Expr {
 // — a lookup through its Projection fact, anything else by Project. out
 // is as for eval: offered it, a generic join that finds π_X's rows in
 // order writes them there (multi).
-func (ev *Evaluator) projectedJoin(x *Project, j *Join, key string, db relation.Database, sp *obs.Span, gov *governor.Governor, out *written) (*relation.Relation, error) {
+func (ev *Evaluator) projectedJoin(x *Project, j *Join, key []byte, db relation.Database, sp *obs.Span, c *call, out *written) (*relation.Relation, error) {
 	jsp := ev.newSpan(sp, j)
 	jsp.SetSchemeWidth(x.Scheme().Len()) // it writes π_X, not the join
 	jsp.Begin()
 	jsp.Reserve(len(j.Args()), Size(j)-1)
 	exprs := j.Args()
-	args, err := ev.evalArgs(exprs, db, jsp, gov)
+	args, err := ev.evalArgs(exprs, db, jsp, c)
 	for i := 0; err == nil && i < len(exprs); i++ {
-		args[i], err = ev.narrow(args[i], lookup(exprs[i]), x.Onto(), exprs, gov)
+		args[i], err = ev.narrow(args[i], lookup(exprs[i]), x.Onto(), exprs, c.gov)
 	}
 	var r *relation.Relation
 	if err == nil {
-		r, err = ev.multi(args, key, jsp, gov, out, x)
+		r, err = ev.multi(args, key, jsp, c, out, x)
 	}
+	c.popArgs(len(exprs))
 	r, err = ev.finishSpan(jsp, "", r, out, err)
 	if sp != nil && err == nil {
 		sp.Inputs(1)[0] = jsp.OutputRows
@@ -488,11 +501,13 @@ func (ev *Evaluator) narrow(r *relation.Relation, stored bool, onto relation.Sch
 	return join.Exec{Gov: gov}.Materialized(out)
 }
 
-// evalArgs evaluates a join node's argument subtrees, in order.
-func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, gov *governor.Governor) ([]*relation.Relation, error) {
-	args := make([]*relation.Relation, len(exprs))
+// evalArgs evaluates a join node's argument subtrees, in order, into
+// arguments pushed onto c's stack: the caller pops them once the node is
+// done, error or not.
+func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, c *call) ([]*relation.Relation, error) {
+	args := c.pushArgs(len(exprs))
 	for i, a := range exprs {
-		r, err := ev.eval(a, db, ev.newSpan(sp, a), gov, nil)
+		r, err := ev.eval(a, db, ev.newSpan(sp, a), c, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -508,19 +523,20 @@ func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, sp *obs.Span, 
 // asked for the first time is (eval), the node's join writes its answer
 // there and returns none; a node that builds its answer all the same
 // stores it.
-func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, gov *governor.Governor, out *written, proj *Project) (*relation.Relation, error) {
+func (ev *Evaluator) multi(args []*relation.Relation, key []byte, sp *obs.Span, c *call, out *written, proj *Project) (*relation.Relation, error) {
 	if sp != nil {
 		ins := sp.Inputs(len(args))
 		for i, a := range args {
 			ins[i] = a.Len()
 		}
 	}
-	x := join.Exec{Gov: gov, Metrics: ev.Collector.M(), Span: sp}
+	x := join.Exec{Gov: c.gov, Metrics: ev.Collector.M(), Span: sp}
 	// The node's one plan: the selector, the admission gate, the span
 	// annotation and the strategy all read it. With a shared cache its
 	// facts outlive the request, so the same node over the same content
-	// finds them computed.
-	p, known := ev.SharedCache.plan(key, x.Metrics, args)
+	// finds them computed. One node runs at a time, so the call keeps one.
+	p := &c.plan
+	known := ev.SharedCache.plan(p, key, x.Metrics, args)
 	if proj != nil {
 		p.Onto(proj.Onto())
 	}
@@ -538,10 +554,10 @@ func (ev *Evaluator) multi(args []*relation.Relation, key string, sp *obs.Span, 
 		return r, err
 	}
 	// Built after all: a one-input node, the generic join's empty answer.
-	if key == "" {
+	if len(key) == 0 {
 		return r, nil
 	}
-	r, _, err = ev.SharedCache.results.Do(gov, key, func() (*relation.Relation, error) { return r, nil })
+	r, _, err = ev.SharedCache.results.Do(c.gov, key, func() (*relation.Relation, error) { return r, nil })
 	return r, err
 }
 
@@ -555,6 +571,77 @@ type written struct {
 func (w *written) Row(t relation.Tuple) bool {
 	w.rows++
 	return w.Sink.Row(t)
+}
+
+// call is one evaluation's working state, kept from one evaluation to the
+// next on a bounded free list, as a join keeps its scratch: the governor,
+// the content keys and the join arguments of the nodes under evaluation —
+// each a stack, a node's above its parent's and cut off on its return —
+// the plan of the one join node that runs at a time, and the root's sink.
+// A released call holds no pointer, so it pins nothing of its evaluation.
+type call struct {
+	gov  *governor.Governor
+	keys []byte
+	args []*relation.Relation
+	plan join.Plan
+	out  written
+}
+
+// callCap is the most a kept call's stacks hold, in bytes: a call whose
+// stacks passed it is dropped on release, and a huge query's keys go back
+// to the heap.
+const callCap = 64 << 10
+
+// calls is the free list, one call per processor that can evaluate at once.
+var calls = make(chan *call, runtime.GOMAXPROCS(0))
+
+// takeCall returns a kept call, or a new one when none is, under gov.
+func takeCall(gov *governor.Governor) *call {
+	var c *call
+	select {
+	case c = <-calls:
+	default:
+		c = new(call)
+	}
+	c.gov = gov
+	return c
+}
+
+// release empties c and returns it to the free list, unless its stacks
+// passed callCap or the list is full.
+func (c *call) release() {
+	if cap(c.keys)+8*cap(c.args) > callCap {
+		return
+	}
+	clear(c.args[:cap(c.args)])
+	*c = call{keys: c.keys[:0], args: c.args[:0]}
+	select {
+	case calls <- c:
+	default:
+	}
+}
+
+// pushKey pushes the content key of node e against db and returns it. The
+// key is the caller's until popKey.
+func (c *call) pushKey(e Expr, db relation.Database) []byte {
+	from := len(c.keys)
+	c.keys = appendKey(c.keys, e.String(), e.Operands(), db)
+	return c.keys[from:len(c.keys):len(c.keys)]
+}
+
+// popKey pops key, the top of the stack.
+func (c *call) popKey(key []byte) { c.keys = c.keys[:len(c.keys)-len(key)] }
+
+// pushArgs pushes room for n join arguments and returns it.
+func (c *call) pushArgs(n int) []*relation.Relation {
+	c.args = slices.Grow(c.args, n)[:len(c.args)+n]
+	return c.args[len(c.args)-n : len(c.args) : len(c.args)]
+}
+
+// popArgs pops the top n arguments, clearing them.
+func (c *call) popArgs(n int) {
+	clear(c.args[len(c.args)-n:])
+	c.args = c.args[:len(c.args)-n]
 }
 
 // choose picks the strategy for one join node: the configured algorithm

@@ -3,7 +3,10 @@ package algebra
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"relquery/internal/join"
 	"relquery/internal/relation"
@@ -64,20 +67,62 @@ func TestEvalToStoresWhatItBuilds(t *testing.T) {
 // wholesale, like the facts, and a key asked before is new again.
 func TestStreamAskedRecordIsBounded(t *testing.T) {
 	c := NewSubexprCache()
-	if c.ask("first") || !c.ask("first") {
+	if c.ask([]byte("first")) || !c.ask([]byte("first")) {
 		t.Fatal("a key is not recorded as asked on its first ask")
 	}
 	for i := 1; i < factsMax; i++ {
-		c.ask(fmt.Sprint(i))
+		c.ask(fmt.Append(nil, i))
 	}
-	if !c.ask("first") {
+	if !c.ask([]byte("first")) {
 		t.Fatalf("%d keys dropped the record", factsMax)
 	}
-	c.ask("one more")
-	if c.ask("first") {
+	c.ask([]byte("one more"))
+	if c.ask([]byte("first")) {
 		t.Errorf("%d keys did not drop the record", factsMax+1)
 	}
-	if c.Reset(); c.ask("one more") {
+	if c.Reset(); c.ask([]byte("one more")) {
 		t.Error("Reset kept the record")
+	}
+}
+
+// discard is a sink that wants every row and keeps none.
+type discard struct{ rows int }
+
+func (*discard) Begin(relation.Scheme, int) bool { return true }
+func (d *discard) Row(relation.Tuple) bool       { d.rows++; return true }
+
+// TestReleasedCallPinsNothing: an evaluation's working state — content
+// keys, join arguments, the node's plan, the governor, the root's sink —
+// goes back to the free list holding no pointer, so a kept call pins
+// neither the relations it evaluated over nor the sink it wrote to.
+func TestReleasedCallPinsNothing(t *testing.T) {
+	for len(calls) > 0 {
+		<-calls
+	}
+	var collected atomic.Int32
+	const objects = 4 // three relations and the sink
+	func() {
+		e, db := chainWorkload(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ev := Evaluator{SharedCache: NewSubexprCache(), Algorithm: join.Hash{}}
+		sink := new(discard)
+		if err := ev.EvalTo(ctx, e, db, sink); err != nil || sink.rows == 0 {
+			t.Fatalf("EvalTo: %v, %d rows", err, sink.rows)
+		}
+		for _, r := range db {
+			runtime.SetFinalizer(&r.Tuple(0)[0], func(*relation.Value) { collected.Add(1) })
+		}
+		runtime.SetFinalizer(sink, func(*discard) { collected.Add(1) })
+	}()
+	for i := 0; i < 100 && collected.Load() < objects; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if len(calls) == 0 {
+		t.Fatal("no call was kept: the test shows nothing")
+	}
+	if n := collected.Load(); n != objects {
+		t.Errorf("%d of %d relations and sinks are still reachable after their evaluation released its call", objects-n, objects)
 	}
 }

@@ -15,11 +15,12 @@ import (
 // workload's join node, for asking what earlier evaluations left there.
 func storedPlan(t *testing.T, shared *SubexprCache, e Expr, db relation.Database) *join.Plan {
 	t.Helper()
-	facts, ok, _ := shared.facts.Do(nil, contentKey(e.String(), e.Operands(), db), func() (*join.Facts, error) { return new(join.Facts), nil })
+	facts, ok, _ := shared.facts.Do(nil, appendKey(nil, e.String(), e.Operands(), db), func() (*join.Facts, error) { return new(join.Facts), nil })
 	if !ok {
 		t.Fatal("the shared cache holds no facts for the node")
 	}
-	return facts.Plan(chainPlan(t).Inputs...)
+	p := facts.Plan(chainPlan(t).Inputs...)
+	return &p
 }
 
 // TestStoredFactsStayLazy: through a shared cache a node still computes
@@ -145,7 +146,8 @@ func TestFactsStoreIsBounded(t *testing.T) {
 		return entries
 	}
 	for i := 0; i < factsMax+factsMax/2; i++ {
-		if _, hit := shared.plan(fmt.Sprintf("distinct-%d", i), nil, inputs); hit {
+		var p join.Plan
+		if hit := shared.plan(&p, fmt.Appendf(nil, "distinct-%d", i), nil, inputs); hit {
 			t.Fatalf("key %d was never entered, yet hit", i)
 		}
 		if resident() > factsMax {

@@ -22,15 +22,18 @@ import (
 //     to maintain on the hit path, and the bound only has to stop a stream of
 //     distinct keys from growing the process without limit.
 //
+// A key is bytes the caller may reuse once Do returns: it is looked up
+// without a copy and copied only when a miss stores it.
+//
 // Waiting cannot deadlock as long as a computation asks the store only for
 // keys smaller than its own in a well-founded order; the evaluator's follow
 // the expression tree.
-type Memo[K comparable, V any] struct {
+type Memo[V any] struct {
 	max   int64         // resident weight bound; 0 is unbounded
 	weigh func(V) int64 // nil weighs every value 1
 
 	mu      sync.Mutex
-	entries map[K]*memoCell[V]
+	entries map[string]*memoCell[V]
 	weight  int64
 	misses  int
 	dropped int
@@ -47,18 +50,18 @@ type memoCell[V any] struct {
 
 // NewMemo returns an empty store holding at most max weight, each value
 // weighing weigh(v), or 1 under a nil weigh; max 0 is unbounded.
-func NewMemo[K comparable, V any](max int64, weigh func(V) int64) *Memo[K, V] {
-	return &Memo[K, V]{max: max, weigh: weigh, entries: make(map[K]*memoCell[V])}
+func NewMemo[V any](max int64, weigh func(V) int64) *Memo[V] {
+	return &Memo[V]{max: max, weigh: weigh, entries: make(map[string]*memoCell[V])}
 }
 
 // Do returns the value under key: the stored one, the one a concurrent
 // caller is computing once it lands, or compute's own, which it stores. hit
 // reports that this call did not run compute. gov is the caller's governor
 // and bounds only its waiting.
-func (m *Memo[K, V]) Do(gov *governor.Governor, key K, compute func() (V, error)) (v V, hit bool, err error) {
+func (m *Memo[V]) Do(gov *governor.Governor, key []byte, compute func() (V, error)) (v V, hit bool, err error) {
 	for {
 		m.mu.Lock()
-		e, found := m.entries[key]
+		e, found := m.entries[string(key)]
 		if !found {
 			break
 		}
@@ -72,11 +75,12 @@ func (m *Memo[K, V]) Do(gov *governor.Governor, key K, compute func() (V, error)
 		}
 	}
 	e := &memoCell[V]{done: make(chan struct{})}
-	m.entries[key] = e
+	stored := string(key)
+	m.entries[stored] = e
 	m.misses++
 	m.mu.Unlock()
 	// Deferred so that a panicking compute still releases its waiters.
-	defer m.settle(key, e)
+	defer m.settle(stored, e)
 	e.v, err = compute()
 	e.ok = err == nil
 	return e.v, false, err
@@ -85,7 +89,7 @@ func (m *Memo[K, V]) Do(gov *governor.Governor, key K, compute func() (V, error)
 // settle publishes e to its waiters and accounts for it: a failure leaves
 // the store, a value is weighed and, should it take the store past the
 // bound, everything resident before it is dropped.
-func (m *Memo[K, V]) settle(key K, e *memoCell[V]) {
+func (m *Memo[V]) settle(key string, e *memoCell[V]) {
 	w := int64(1)
 	if e.ok && m.weigh != nil {
 		w = m.weigh(e.v)
@@ -107,17 +111,17 @@ func (m *Memo[K, V]) settle(key K, e *memoCell[V]) {
 	close(e.done)
 }
 
-func (m *Memo[K, V]) dropLocked() int {
+func (m *Memo[V]) dropLocked() int {
 	n := len(m.entries)
 	m.dropped += n
-	m.entries = make(map[K]*memoCell[V])
+	m.entries = make(map[string]*memoCell[V])
 	m.weight = 0
 	return n
 }
 
 // Drop empties the store and returns the number of entries dropped. A
 // computation in flight still serves its waiters; its value is not stored.
-func (m *Memo[K, V]) Drop() int {
+func (m *Memo[V]) Drop() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.dropLocked()
@@ -126,7 +130,7 @@ func (m *Memo[K, V]) Drop() int {
 // Counters reports the lifetime counters — calls served from the store,
 // computations started, entries dropped by Drop or by the bound — and the
 // resident entries and their weight.
-func (m *Memo[K, V]) Counters() (hits, misses, dropped, entries int, weight int64) {
+func (m *Memo[V]) Counters() (hits, misses, dropped, entries int, weight int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return int(m.hits.Load()), m.misses, m.dropped, len(m.entries), m.weight

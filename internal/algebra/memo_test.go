@@ -17,11 +17,11 @@ import (
 // parkedLeader starts a Do on key and returns once its compute is running;
 // the compute returns (v, err) when release is closed, and done yields Do's
 // error.
-func parkedLeader(m *Memo[string, int], key string, v int, err error) (release chan struct{}, done chan error) {
+func parkedLeader(m *Memo[int], key string, v int, err error) (release chan struct{}, done chan error) {
 	entered := make(chan struct{})
 	release, done = make(chan struct{}), make(chan error, 1)
 	go func() {
-		_, _, derr := m.Do(nil, key, func() (int, error) {
+		_, _, derr := m.Do(nil, []byte(key), func() (int, error) {
 			close(entered)
 			<-release
 			return v, err
@@ -35,14 +35,14 @@ func parkedLeader(m *Memo[string, int], key string, v int, err error) (release c
 // TestMemoComputeOnceAcrossCallers: sixteen concurrent callers of one cold
 // key run compute once between them; the other fifteen are hits.
 func TestMemoComputeOnceAcrossCallers(t *testing.T) {
-	m := NewMemo[string, int](0, nil)
+	m := NewMemo[int](0, nil)
 	var computed, hits atomic.Int32
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, hit, err := m.Do(nil, "k", func() (int, error) {
+			v, hit, err := m.Do(nil, []byte("k"), func() (int, error) {
 				computed.Add(1)
 				time.Sleep(time.Millisecond) // let the others arrive mid-computation
 				return 42, nil
@@ -68,14 +68,14 @@ func TestMemoComputeOnceAcrossCallers(t *testing.T) {
 // leader's. A caller that waited on it computes for itself, and what it
 // computed is what the store then holds.
 func TestMemoWaiterComputesAfterLeaderFails(t *testing.T) {
-	m := NewMemo[string, int](0, nil)
+	m := NewMemo[int](0, nil)
 	boom := errors.New("leader's own budget")
 	release, leader := parkedLeader(m, "k", 0, boom)
 
 	waiter := make(chan struct{})
 	go func() {
 		defer close(waiter)
-		if v, hit, err := m.Do(nil, "k", func() (int, error) { return 7, nil }); v != 7 || hit || err != nil {
+		if v, hit, err := m.Do(nil, []byte("k"), func() (int, error) { return 7, nil }); v != 7 || hit || err != nil {
 			t.Errorf("waiter got %d, hit=%v, %v; want its own 7, computed", v, hit, err)
 		}
 	}()
@@ -84,7 +84,7 @@ func TestMemoWaiterComputesAfterLeaderFails(t *testing.T) {
 		t.Errorf("leader got %v, want its own error", err)
 	}
 	<-waiter
-	if v, hit, err := m.Do(nil, "k", func() (int, error) { return 0, errors.New("not reached") }); v != 7 || !hit || err != nil {
+	if v, hit, err := m.Do(nil, []byte("k"), func() (int, error) { return 0, errors.New("not reached") }); v != 7 || !hit || err != nil {
 		t.Errorf("after the failure: %d, hit=%v, %v; want the waiter's 7 from the store", v, hit, err)
 	}
 }
@@ -93,17 +93,17 @@ func TestMemoWaiterComputesAfterLeaderFails(t *testing.T) {
 // a deadline leaves with ErrDeadline and one whose context is canceled with
 // ErrCanceled; the leader's value still lands.
 func TestMemoWaiterStopsAtItsOwnLimits(t *testing.T) {
-	m := NewMemo[string, int](0, nil)
+	m := NewMemo[int](0, nil)
 	release, leader := parkedLeader(m, "k", 42, nil)
 	unreached := func() (int, error) { return 0, errors.New("a waiter computed behind a live leader") }
 
 	gov := governor.New(context.Background(), governor.Limits{Deadline: 10 * time.Millisecond})
-	if _, _, err := m.Do(gov, "k", unreached); !errors.Is(err, governor.ErrDeadline) {
+	if _, _, err := m.Do(gov, []byte("k"), unreached); !errors.Is(err, governor.ErrDeadline) {
 		t.Errorf("waiter with a 10ms deadline: %v, want ErrDeadline", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(10*time.Millisecond, cancel)
-	if _, _, err := m.Do(governor.New(ctx, governor.Limits{}), "k", unreached); !errors.Is(err, governor.ErrCanceled) {
+	if _, _, err := m.Do(governor.New(ctx, governor.Limits{}), []byte("k"), unreached); !errors.Is(err, governor.ErrCanceled) {
 		t.Errorf("waiter whose context is canceled: %v, want ErrCanceled", err)
 	}
 
@@ -111,7 +111,7 @@ func TestMemoWaiterStopsAtItsOwnLimits(t *testing.T) {
 	if err := <-leader; err != nil {
 		t.Fatal(err)
 	}
-	if v, hit, err := m.Do(nil, "k", unreached); v != 42 || !hit || err != nil {
+	if v, hit, err := m.Do(nil, []byte("k"), unreached); v != 42 || !hit || err != nil {
 		t.Errorf("after the waiters left: %d, hit=%v, %v; want the leader's 42", v, hit, err)
 	}
 }
@@ -119,12 +119,12 @@ func TestMemoWaiterStopsAtItsOwnLimits(t *testing.T) {
 // TestMemoPanickingLeaderReleasesWaiters: a compute that panics takes its
 // entry with it, so nobody waits on it for ever.
 func TestMemoPanickingLeaderReleasesWaiters(t *testing.T) {
-	m := NewMemo[string, int](0, nil)
+	m := NewMemo[int](0, nil)
 	entered, release := make(chan struct{}), make(chan struct{})
 	leader := make(chan any, 1)
 	go func() {
 		defer func() { leader <- recover() }()
-		m.Do(nil, "k", func() (int, error) {
+		m.Do(nil, []byte("k"), func() (int, error) {
 			close(entered)
 			<-release
 			panic("engine bug")
@@ -133,7 +133,7 @@ func TestMemoPanickingLeaderReleasesWaiters(t *testing.T) {
 	<-entered
 	waiter := make(chan int, 1)
 	go func() {
-		v, _, _ := m.Do(nil, "k", func() (int, error) { return 7, nil })
+		v, _, _ := m.Do(nil, []byte("k"), func() (int, error) { return 7, nil })
 		waiter <- v
 	}()
 	close(release)

@@ -212,7 +212,9 @@ func TestComputeOnceCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ev.evalArgs(e.Args(), db, nil, nil)
+	c := takeCall(nil)
+	defer c.release()
+	got, err := ev.evalArgs(e.Args(), db, nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,14 @@
 // wrappers MustScheme/SchemeOf).
 //
 // Invariant guarded: a Scheme is an ordered sequence of *distinct,
-// non-empty* attributes with a position index kept consistent with the
-// attribute list. Everything downstream leans on that: the AGM bound's
+// non-empty* attributes with a position index — the attributes'
+// positions sorted by name, which Pos binary-searches — kept consistent
+// with the attribute list. Everything downstream leans on that: the AGM bound's
 // fractional cover treats each attribute as one LP dimension (a
 // duplicate would double-count and break the wcoj-vs-greedy peak
 // comparison), the generic join's trie ordering assumes Pos is a
 // bijection, and projection arithmetic indexes tuples by Pos. A scheme
-// literal — or a write to Scheme.attrs/Scheme.pos outside NewScheme —
+// literal — or a write to Scheme.attrs/Scheme.index outside NewScheme —
 // can violate any of these silently; only NewScheme validates.
 package schemecanon
 
@@ -65,11 +66,11 @@ func checkLiteral(pass *framework.Pass, cl *ast.CompositeLit, stack []ast.Node) 
 		return
 	}
 	pass.Reportf(cl.Pos(),
-		"Scheme built ad hoc: construct schemes with NewScheme/MustScheme/SchemeOf so duplicate and empty attributes are rejected and the position index stays consistent")
+		"Scheme built ad hoc: construct schemes with NewScheme/MustScheme/SchemeOf so duplicate and empty attributes are rejected and the position index stays consistent with the attributes")
 }
 
 // checkFieldWrite flags writes to Scheme fields (s.attrs = ...,
-// s.pos[a] = ...) outside NewScheme.
+// s.index[k] = ...) outside NewScheme.
 func checkFieldWrite(pass *framework.Pass, st *ast.AssignStmt, stack []ast.Node) {
 	if inConstructor(stack) {
 		return
@@ -86,7 +87,7 @@ func checkFieldWrite(pass *framework.Pass, st *ast.AssignStmt, stack []ast.Node)
 }
 
 // schemeFieldSelector unwraps an assignment target down to a selector on
-// a Scheme field: s.attrs, s.pos[a], s.attrs[i].
+// a Scheme field: s.attrs, s.index[k], s.attrs[i].
 func schemeFieldSelector(pass *framework.Pass, e ast.Expr) *ast.SelectorExpr {
 	for {
 		switch v := ast.Unparen(e).(type) {

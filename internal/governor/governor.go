@@ -131,13 +131,33 @@ type Governor struct {
 // returned when ctx is context.Background() (or nil) and no limit is
 // set, so ungoverned callers stay on the zero-overhead path.
 func New(ctx context.Context, limits Limits) *Governor {
+	if !governed(ctx, limits) {
+		return nil
+	}
+	return new(Governor).Reset(ctx, limits)
+}
+
+// governed reports whether an evaluation under ctx and limits needs a
+// governor: a limit is set or ctx can end.
+func governed(ctx context.Context, limits Limits) bool {
+	return limits.Enabled() || ctx != nil && ctx.Done() != nil
+}
+
+// Reset makes g, in place, the governor New(ctx, limits) returns, with
+// nothing of an earlier evaluation's left, and returns it — or returns nil
+// where New does, leaving g as it was. A caller that evaluates once per
+// request keeps one Governor and resets it per request. A nil g is New's.
+func (g *Governor) Reset(ctx context.Context, limits Limits) *Governor {
+	if g == nil {
+		return New(ctx, limits)
+	}
+	if !governed(ctx, limits) {
+		return nil
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !limits.Enabled() && ctx.Done() == nil {
-		return nil
-	}
-	g := &Governor{ctx: ctx, limits: limits}
+	*g = Governor{ctx: ctx, limits: limits}
 	if limits.Deadline > 0 {
 		g.deadline = time.Now().Add(limits.Deadline)
 	}

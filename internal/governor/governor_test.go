@@ -49,6 +49,38 @@ func TestNewReturnsNilWhenUngoverned(t *testing.T) {
 	}
 }
 
+// TestResetStartsClean: a governor reset for a new evaluation keeps
+// nothing of the last one — its sticky failure, its ticks and bytes, its
+// limits, its deadline, its metrics — and is exactly what New makes; reset
+// for an ungoverned evaluation it is nil, as New's is, and a nil governor
+// resets into a new one.
+func TestResetStartsClean(t *testing.T) {
+	var g Governor
+	m := &obs.Metrics{}
+	used := g.Reset(context.Background(), Limits{Deadline: time.Hour, MaxIntermediateRows: 1, MaxMemoryBytes: 8}).WithMetrics(m)
+	used.Tick()
+	if err := used.ChargeBytes(64); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("ChargeBytes past the budget = %v", err)
+	}
+	limits := Limits{MaxRows: 5}
+	if got := g.Reset(context.Background(), limits); got != &g {
+		t.Fatalf("Reset returned %p, want its receiver %p", got, &g)
+	}
+	if want := New(context.Background(), limits); g != *want {
+		t.Errorf("reset governor %+v, want New's %+v", g, *want)
+	}
+	if err := g.CheckRows(1 << 20); err != nil {
+		t.Errorf("the reset governor kept the old row budget: %v", err)
+	}
+	if g.Reset(context.Background(), Limits{}) != nil {
+		t.Error("Reset for an ungoverned evaluation is not nil")
+	}
+	var none *Governor
+	if got := none.Reset(context.Background(), limits); got == nil || got.Limits() != limits {
+		t.Errorf("a nil governor reset to %+v", got)
+	}
+}
+
 func TestCancelSurfacesErrCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g := New(ctx, Limits{})

@@ -128,8 +128,9 @@ func BenchmarkPlanFacts(b *testing.B) {
 		}
 		b.Run("cold/"+w.name, func(b *testing.B) { predict(b, func() *join.Facts { return new(join.Facts) }) })
 		known := new(join.Facts)
-		known.Plan(legs...).Peak()
-		known.Plan(legs...).AGMBound()
+		p := known.Plan(legs...)
+		p.Peak()
+		p.AGMBound()
 		b.Run("warm/"+w.name, func(b *testing.B) { predict(b, func() *join.Facts { return known }) })
 	}
 }

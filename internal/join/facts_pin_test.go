@@ -116,7 +116,8 @@ func TestPlanFactsPinned(t *testing.T) {
 	for name, rels := range nodes {
 		facts := new(Facts)
 		for _, temperature := range []string{"cold", "warm"} {
-			if got := pinFacts(facts.Plan(rels...)); !reflect.DeepEqual(got, want[name]) {
+			p := facts.Plan(rels...)
+			if got := pinFacts(&p); !reflect.DeepEqual(got, want[name]) {
 				t.Errorf("%s, %s:\n got  %+v\n want %+v", name, temperature, got, want[name])
 			}
 		}

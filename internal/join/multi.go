@@ -404,7 +404,7 @@ func (pl *binaryPlan) answer(l, r *operand) (*relation.Relation, error) {
 		return nil, err
 	}
 	out, x := s.out, pl.x
-	attrs := make([]relation.Attribute, len(out.from))
+	attrs := pl.sc.attrs.take(len(out.from)) // NewScheme copies them
 	for c, f := range out.from {
 		attrs[c] = out.rels[f.Src].Scheme().Attr(f.Col)
 	}

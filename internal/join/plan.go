@@ -45,8 +45,10 @@ type Facts struct {
 
 // Plan returns the plan of the natural join of inputs that reads and
 // completes f. The inputs must be the ones f describes, in the same order.
-func (f *Facts) Plan(inputs ...*relation.Relation) *Plan {
-	return &Plan{Inputs: inputs, facts: f}
+// It is a value, so that a caller running one join node at a time keeps it
+// in one place from node to node.
+func (f *Facts) Plan(inputs ...*relation.Relation) Plan {
+	return Plan{Inputs: inputs, facts: f}
 }
 
 // Plan is one execution's view of one n-ary join node: its materialized
@@ -86,7 +88,10 @@ func (p *Plan) out() relation.Scheme {
 
 // NewPlan returns the plan of the natural join of inputs over facts of its
 // own. It computes nothing.
-func NewPlan(inputs ...*relation.Relation) *Plan { return new(Facts).Plan(inputs...) }
+func NewPlan(inputs ...*relation.Relation) *Plan {
+	p := new(Facts).Plan(inputs...)
+	return &p
+}
 
 // hypergraph returns the join hypergraph in index form, built on the first
 // read of a fact nobody has computed yet.

@@ -152,7 +152,8 @@ func TestAdmissionCarriesPlanNumbers(t *testing.T) {
 func TestFactsAreCompletedNotRecomputed(t *testing.T) {
 	facts := new(Facts)
 	inputs := trianglePlan(t).Inputs
-	tree, _ := facts.Plan(inputs...).JoinTree()
+	first := facts.Plan(inputs...)
+	tree, _ := first.JoinTree()
 
 	m := &obs.Metrics{}
 	second := facts.Plan(inputs...)
@@ -167,11 +168,11 @@ func TestFactsAreCompletedNotRecomputed(t *testing.T) {
 	if solved != 2 { // the n-ary LP and the one intermediate accumulator of three inputs
 		t.Errorf("completing the facts solved %d LPs, want 2", solved)
 	}
-	checkPlanParity(t, second)
+	checkPlanParity(t, &second)
 
 	third := facts.Plan(inputs...)
 	third.Metrics = m
-	if got := knownFacts(third); !got.tree || !got.bound || !got.peaks || got.hypergraph {
+	if got := knownFacts(&third); !got.tree || !got.bound || !got.peaks || got.hypergraph {
 		t.Errorf("a plan over complete facts computed something: %+v", got)
 	}
 	if m.Planning().CoverLPSolves != solved {

@@ -21,11 +21,13 @@ type scratch struct {
 	ranges plainSlab[trieRange]
 	tuples slab[relation.Tuple]
 	values slab[relation.Value]
+	attrs  slab[relation.Attribute]
 	rels   slab[*relation.Relation]
 	ops    slab[operand]
 	tries  slab[sortedTrie]
 	ins    slab[input]
 	plan   binaryPlan // only its table's arrays and probe heads are kept from call to call
+	tally  tally      // the generic join's written answer, counted
 }
 
 type anySlab interface {
@@ -33,8 +35,8 @@ type anySlab interface {
 	reset(dirty bool)
 }
 
-func (s *scratch) slabs() [11]anySlab {
-	return [...]anySlab{&s.i32, &s.ints, &s.words, &s.refs, &s.ranges, &s.tuples, &s.values, &s.rels, &s.ops, &s.tries, &s.ins}
+func (s *scratch) slabs() [12]anySlab {
+	return [...]anySlab{&s.i32, &s.ints, &s.words, &s.refs, &s.ranges, &s.tuples, &s.values, &s.attrs, &s.rels, &s.ops, &s.tries, &s.ins}
 }
 
 // bytes is what s holds: its slabs' arrays and the plan's table and heads.
@@ -77,6 +79,7 @@ func (s *scratch) release() {
 	t := s.plan.table
 	s.plan = binaryPlan{heads: s.plan.heads, table: idTable{tail: t.tail,
 		hashTable: hashTable{ix: t.ix, next: t.next, head: t.head, size: t.size}}}
+	s.tally = tally{}
 	select {
 	case scratches <- s:
 	default:

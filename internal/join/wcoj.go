@@ -117,7 +117,8 @@ func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, error) {
 		if !x.Out.Begin(shape.out, -1) {
 			return nil, nil
 		}
-		sink = &tally{Sink: x.Out}
+		sc.tally = tally{Sink: x.Out}
+		sink = &sc.tally
 	default:
 		b = relation.NewBuilder(shape.out, -1)
 		sink = b

@@ -206,12 +206,13 @@ func TestGenericNeverExceedsAGM(t *testing.T) {
 func TestWarmGenericJoinDerivesNoShape(t *testing.T) {
 	facts := new(Facts)
 	inputs := trianglePlan(t).Inputs
-	cold, err := Generic{}.JoinAll(Exec{}, facts.Plan(inputs...))
+	first := facts.Plan(inputs...)
+	cold, err := Generic{}.JoinAll(Exec{}, &first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := facts.Plan(inputs...)
-	out, err := Generic{}.JoinAll(Exec{}, warm)
+	out, err := Generic{}.JoinAll(Exec{}, &warm)
 	if err != nil || !out.Equal(cold) || !out.Scheme().SameOrder(cold.Scheme()) {
 		t.Fatalf("warm join = %v, %v; cold %v", out, err, cold)
 	}
@@ -219,7 +220,8 @@ func TestWarmGenericJoinDerivesNoShape(t *testing.T) {
 		t.Error("the warm plan built the hypergraph: it derived the shape again")
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := (Generic{}).JoinAll(Exec{}, facts.Plan(inputs...)); err != nil {
+		p := facts.Plan(inputs...)
+		if _, err := (Generic{}).JoinAll(Exec{}, &p); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -381,6 +381,9 @@ func (t *treeJoin) up(p int) error {
 				break
 			}
 			if root {
+				if len(in.link) == cap(in.link) { // past the forecast: grown in the scratch too
+					in.link = append(t.sc.i32.take(min(2*cap(in.link)+len(kids), parent.Len()*len(kids)))[:0], in.link...)
+				}
 				in.link = append(in.link, int32(grp))
 			}
 		}

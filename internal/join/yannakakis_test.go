@@ -437,7 +437,8 @@ func TestTreeJoinConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := (Yannakakis{}).JoinAll(Exec{}, facts.Plan(rels...))
+			p := facts.Plan(rels...)
+			out, err := (Yannakakis{}).JoinAll(Exec{}, &p)
 			if err != nil || !out.Equal(want) {
 				t.Errorf("concurrent join: %v, %v", out, err)
 			}

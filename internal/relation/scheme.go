@@ -14,9 +14,10 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -38,25 +39,40 @@ type Value string
 // The zero Scheme is the empty scheme.
 type Scheme struct {
 	attrs []Attribute
-	pos   map[Attribute]int
+	// index holds the positions of attrs in ascending attribute order: Pos
+	// is a binary search over it, and two schemes' indexes walk in step for
+	// the set comparisons.
+	index []int32
 }
 
 // NewScheme builds a scheme from the given attributes, preserving order.
-// It reports an error if an attribute repeats.
+// It reports an error if an attribute is empty or repeats: the first
+// position, in writing order, where either happens.
 func NewScheme(attrs ...Attribute) (Scheme, error) {
 	s := Scheme{
 		attrs: make([]Attribute, len(attrs)),
-		pos:   make(map[Attribute]int, len(attrs)),
+		index: make([]int32, len(attrs)),
 	}
 	copy(s.attrs, attrs)
-	for i, a := range s.attrs {
-		if a == "" {
-			return Scheme{}, fmt.Errorf("relation: empty attribute name at position %d", i)
+	for i := range s.index {
+		s.index[i] = int32(i)
+	}
+	slices.SortFunc(s.index, func(i, j int32) int {
+		return cmp.Or(strings.Compare(string(s.attrs[i]), string(s.attrs[j])), cmp.Compare(i, j))
+	})
+	// Equal attributes are adjacent in the index, in writing order: the
+	// first pair of a run is where the attribute repeats first.
+	empty, dup, of := slices.Index(s.attrs, ""), len(attrs), 0
+	for k := 1; k < len(s.index); k++ {
+		if i, j := s.index[k-1], s.index[k]; s.attrs[i] == s.attrs[j] && int(j) < dup {
+			dup, of = int(j), int(i)
 		}
-		if j, dup := s.pos[a]; dup {
-			return Scheme{}, fmt.Errorf("relation: duplicate attribute %q at positions %d and %d", a, j, i)
-		}
-		s.pos[a] = i
+	}
+	if empty >= 0 && empty < dup {
+		return Scheme{}, fmt.Errorf("relation: empty attribute name at position %d", empty)
+	}
+	if dup < len(attrs) {
+		return Scheme{}, fmt.Errorf("relation: duplicate attribute %q at positions %d and %d", s.attrs[dup], of, dup)
 	}
 	return s, nil
 }
@@ -98,13 +114,34 @@ func (s Scheme) Attrs() []Attribute {
 // Pos returns the position of attribute a in the scheme and whether it is
 // present.
 func (s Scheme) Pos(a Attribute) (int, bool) {
-	i, ok := s.pos[a]
-	return i, ok
+	k := s.search(a)
+	if k < len(s.index) && s.attrs[s.index[k]] == a {
+		return int(s.index[k]), true
+	}
+	return 0, false
 }
+
+// search returns the first place in the index whose attribute is not
+// below a.
+func (s Scheme) search(a Attribute) int {
+	lo, hi := 0, len(s.index)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.attrs[s.index[m]] < a {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// sorted returns the k-th attribute in ascending order.
+func (s Scheme) sorted(k int) Attribute { return s.attrs[s.index[k]] }
 
 // Has reports whether attribute a belongs to the scheme.
 func (s Scheme) Has(a Attribute) bool {
-	_, ok := s.pos[a]
+	_, ok := s.Pos(a)
 	return ok
 }
 
@@ -114,8 +151,8 @@ func (s Scheme) Equal(t Scheme) bool {
 	if len(s.attrs) != len(t.attrs) {
 		return false
 	}
-	for _, a := range s.attrs {
-		if !t.Has(a) {
+	for k := range s.index {
+		if s.sorted(k) != t.sorted(k) {
 			return false
 		}
 	}
@@ -125,15 +162,7 @@ func (s Scheme) Equal(t Scheme) bool {
 // SameOrder reports whether s and t list the same attributes in the same
 // order (column-for-column identity).
 func (s Scheme) SameOrder(t Scheme) bool {
-	if len(s.attrs) != len(t.attrs) {
-		return false
-	}
-	for i, a := range s.attrs {
-		if t.attrs[i] != a {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(s.attrs, t.attrs)
 }
 
 // ContainsAll reports whether every attribute of t belongs to s (t ⊆ s as
@@ -142,8 +171,13 @@ func (s Scheme) ContainsAll(t Scheme) bool {
 	if len(t.attrs) > len(s.attrs) {
 		return false
 	}
-	for _, a := range t.attrs {
-		if !s.Has(a) {
+	k := 0
+	for m := range t.index {
+		a := t.sorted(m)
+		for k < len(s.index) && s.sorted(k) < a {
+			k++
+		}
+		if k == len(s.index) || s.sorted(k) != a {
 			return false
 		}
 	}
@@ -152,13 +186,14 @@ func (s Scheme) ContainsAll(t Scheme) bool {
 
 // Disjoint reports whether s and t share no attribute.
 func (s Scheme) Disjoint(t Scheme) bool {
-	small, large := s, t
-	if large.Len() < small.Len() {
-		small, large = large, small
-	}
-	for _, a := range small.attrs {
-		if large.Has(a) {
+	for k, m := 0, 0; k < len(s.index) && m < len(t.index); {
+		switch a, b := s.sorted(k), t.sorted(m); {
+		case a == b:
 			return false
+		case a < b:
+			k++
+		default:
+			m++
 		}
 	}
 	return true
@@ -203,8 +238,10 @@ func (s Scheme) Minus(t Scheme) Scheme {
 // Sorted returns a copy of the scheme with attributes in lexicographic
 // order. Useful for canonical printing of set-valued schemes.
 func (s Scheme) Sorted() Scheme {
-	attrs := s.Attrs()
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
+	attrs := make([]Attribute, len(s.index))
+	for k := range attrs {
+		attrs[k] = s.sorted(k)
+	}
 	return MustScheme(attrs...)
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"unsafe"
@@ -42,28 +43,43 @@ func bodyError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
-// readUpload reads an upload — a relation or a catalog — or a query's
-// text into one string, once. The body is read straight into a buffer
-// sized from the declared Content-Length (negative when there is none),
-// one byte over it so that the read which finds the end of a truthful
-// body needs no room, and the string is that buffer, not a copy: a
-// truthful client costs its body and nothing else. The declaration is a
-// hint only — a body longer than declared, or one with none, grows the
-// buffer as it fills; a shorter one leaves it part empty.
+// readUpload reads an upload — a relation or a catalog — into one string,
+// once. The body is read straight into a buffer sized from the declared
+// Content-Length (negative when there is none), one byte over it so that
+// the read which finds the end of a truthful body needs no room, and the
+// string is that buffer, not a copy: a truthful client costs its body and
+// nothing else. The declaration is a hint only — a body longer than
+// declared, or one with none, grows the buffer as it fills; a shorter one
+// leaves it part empty.
 func readUpload(body io.Reader, declared int64) (string, error) {
-	buf := make([]byte, 0, max(declared, 0)+1)
+	buf, err := appendBody(make([]byte, 0, max(declared, 0)+1), body, math.MaxInt64)
+	// buf is never written again: the string may share it.
+	return unsafe.String(unsafe.SliceData(buf), len(buf)), err
+}
+
+// appendBody appends body, read to its end, to buf, growing buf only when
+// it is full. A body of more than limit bytes is an *http.MaxBytesError,
+// found by reading one byte past the limit and no further.
+func appendBody(buf []byte, body io.Reader, limit int64) ([]byte, error) {
+	start := len(buf)
 	for {
 		if len(buf) == cap(buf) {
 			buf = slices.Grow(buf, 512)
 		}
-		n, err := body.Read(buf[len(buf):cap(buf)])
+		end := cap(buf)
+		if left := limit - int64(len(buf)-start); left < int64(end-len(buf)) {
+			end = len(buf) + int(left) + 1
+		}
+		n, err := body.Read(buf[len(buf):end])
 		buf = buf[:len(buf)+n]
+		if int64(len(buf)-start) > limit {
+			return buf, &http.MaxBytesError{Limit: limit}
+		}
 		if err != nil {
 			if err == io.EOF {
 				err = nil
 			}
-			// buf is never written again: the string may share it.
-			return unsafe.String(unsafe.SliceData(buf), len(buf)), err
+			return buf, err
 		}
 	}
 }

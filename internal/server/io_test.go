@@ -2,18 +2,19 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
 
 	"relquery/internal/algebra"
-	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -41,7 +42,8 @@ func TestPooledWriterStreamsByteEqual(t *testing.T) {
 			t.Fatal(err)
 		}
 		last = httptest.NewRecorder()
-		o.open(last, expr, &queryRequest{strategy: "auto"}, time.Now())
+		o.q = queryRequest{strategy: "auto"}
+		o.open(last, expr, time.Now())
 		relation.Replay(out, o)
 		o.finish()
 		o.close()
@@ -183,7 +185,10 @@ func TestCatalogBodyReadOnce(t *testing.T) {
 // TestUploadReadsIntoItsBuffer: a body of its declared length is read
 // straight into the one buffer the string is made of — one allocation, no
 // copy window — and a body with no declared length, or longer or shorter
-// than declared, reads whole all the same.
+// than declared, reads whole all the same. A query's body is read into its
+// response's buffer, kept from request to request: no allocation once the
+// buffer has held a body that long, and a body past maxQueryBytes is an
+// *http.MaxBytesError.
 func TestUploadReadsIntoItsBuffer(t *testing.T) {
 	body := strings.Repeat("a1 b1\n", 2000)
 	src := strings.NewReader(body)
@@ -200,6 +205,28 @@ func TestUploadReadsIntoItsBuffer(t *testing.T) {
 		src.Reset(body)
 		if text, err := readUpload(iotest.OneByteReader(src), declared); err != nil || text != body {
 			t.Errorf("Content-Length %d of %d: read %d bytes, %v", declared, len(body), len(text), err)
+		}
+	}
+
+	req := httptest.NewRequest("POST", "/v1/query", src)
+	var buf []byte
+	allocs = testing.AllocsPerRun(20, func() {
+		src.Reset(body)
+		var err error
+		if buf, err = readQuery(buf[:0], req); err != nil || string(buf) != body {
+			t.Fatal(len(buf), err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("reading a %d-byte query body into a warm buffer made %v allocations, want 0", len(body), allocs)
+	}
+	for _, size := range []int{maxQueryBytes, maxQueryBytes + 1} {
+		src.Reset(strings.Repeat("x", size))
+		req.ContentLength = -1
+		got, err := readQuery(nil, req)
+		var tooLarge *http.MaxBytesError
+		if over := errors.As(err, &tooLarge); over != (size > maxQueryBytes) || !over && len(got) != size {
+			t.Errorf("a %d-byte query body: %d bytes read, %v", size, len(got), err)
 		}
 	}
 }
@@ -229,25 +256,30 @@ func TestResponseSurvivesGC(t *testing.T) {
 }
 
 // TestAnswerHeadersMatchSet: the headers answerHeaders assigns are
-// the ones a Header.Set per header sets, keys and values, allocating the
-// wall time's text and one slice for the five values, where five Sets
-// allocate five slices.
+// the ones a Header.Set per header sets, keys and values, with the
+// Content-Length of a whole answer or without one, allocating one string
+// for all the values' text and one slice for the six values, where a Set
+// per header allocates a slice each and the numbers and the wall time a
+// string each.
 func TestAnswerHeadersMatchSet(t *testing.T) {
-	c := new(obs.Collector)
-	c.Metrics.CacheHit()
-	got := http.Header{}
-	answerHeaders(got, 7, 1500*time.Microsecond, "auto", c)
-	want := http.Header{}
-	want.Set("X-Relquery-Rows", "7")
-	want.Set("X-Relquery-Wall", "1.5ms")
-	want.Set("X-Relquery-Strategy", "auto")
-	want.Set("X-Relquery-Cache-Hits", "1")
-	want.Set("Content-Type", "text/plain; charset=utf-8")
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("answerHeaders set %v, want %v", got, want)
+	for _, length := range []int{-1, 0, 40960} {
+		got := http.Header{}
+		answerHeaders(got, 1234, 1500*time.Microsecond, "auto", 101, length)
+		want := http.Header{}
+		want.Set("X-Relquery-Rows", "1234")
+		want.Set("X-Relquery-Wall", "1.5ms")
+		want.Set("X-Relquery-Strategy", "auto")
+		want.Set("X-Relquery-Cache-Hits", "101")
+		want.Set("Content-Type", "text/plain; charset=utf-8")
+		if length >= 0 {
+			want.Set("Content-Length", strconv.Itoa(length))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("answerHeaders set %v, want %v", got, want)
+		}
 	}
 	h := make(http.Header, 8)
-	if n := testing.AllocsPerRun(100, func() { answerHeaders(h, 7, time.Millisecond, "auto", c) }); n != 2 {
+	if n := testing.AllocsPerRun(100, func() { answerHeaders(h, 1234, time.Millisecond+time.Nanosecond, "yannakakis", 101, 40960) }); n != 2 {
 		t.Errorf("answerHeaders allocates %v times, want 2", n)
 	}
 }

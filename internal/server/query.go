@@ -2,11 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -29,9 +31,10 @@ const StatusClientClosedRequest = 499
 // override it.
 const TenantHeader = "X-Relquery-Tenant"
 
-// queryRequest is one parsed query submission.
+// queryRequest is one parsed query submission. It lives in the pooled
+// response (read), and nothing of it outlives its request.
 type queryRequest struct {
-	src      string
+	src      []byte // the body, trimmed: in the response's body buffer
 	strategy string // one of join.StrategyNames
 	// ev is the request's one evaluator: ?strategy= and ?order= configure it
 	// here, serveQuery adds what the server and the tenant decide.
@@ -41,58 +44,87 @@ type queryRequest struct {
 	count   bool // cardinality only
 }
 
-// parseQueryRequest decodes the body (raw expression text) and the
-// tuning query parameters.
-func parseQueryRequest(r *http.Request) (*queryRequest, error) {
-	body, err := readUpload(http.MaxBytesReader(nil, r.Body, maxQueryBytes), min(r.ContentLength, maxQueryBytes))
+// read reads r's body (raw expression text) into o's body buffer and the
+// tuning query parameters into o.q, which starts from nothing: no field of
+// an earlier request's survives.
+func (o *response) read(r *http.Request) error {
+	var err error
+	o.body, err = readQuery(o.body[:0], r)
 	if err != nil {
-		return nil, fmt.Errorf("reading query body: %w", err)
+		return fmt.Errorf("reading query body: %w", err)
 	}
-	q := &queryRequest{
-		src:      strings.TrimSpace(body),
-		strategy: "auto",
-	}
+	q := &o.q
+	*q = queryRequest{src: bytes.TrimSpace(o.body), strategy: "auto"}
 	q.ev.Order = join.Greedy
-	if q.src == "" {
-		return nil, errors.New("empty query body (POST the expression text, e.g. pi[A C](pi[A B](T) * pi[B C](T)))")
+	if len(q.src) == 0 {
+		return errors.New("empty query body (POST the expression text, e.g. pi[A C](pi[A B](T) * pi[B C](T)))")
 	}
-	params := r.URL.Query()
-	if v := params.Get("strategy"); v != "" {
+	raw := r.URL.RawQuery
+	if v := queryParam(raw, "strategy"); v != "" {
 		q.strategy = v
 	}
 	if err := q.ev.SetStrategy(q.strategy); err != nil {
-		return nil, fmt.Errorf("strategy: %w", err)
+		return fmt.Errorf("strategy: %w", err)
 	}
-	if v := params.Get("order"); v != "" {
+	if v := queryParam(raw, "order"); v != "" {
 		order, err := join.OrderByName(v)
 		if err != nil {
-			return nil, fmt.Errorf("order: %w", err)
+			return fmt.Errorf("order: %w", err)
 		}
 		q.ev.Order = order
 	}
-	if v := params.Get("timeout"); v != "" {
+	if v := queryParam(raw, "timeout"); v != "" {
 		d, err := governor.ParseTimeout(v)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		q.timeout = d
 	}
-	switch v := params.Get("explain"); v {
+	switch v := queryParam(raw, "explain"); v {
 	case "", "none":
 	case "analyze":
 		q.analyze = true
 	default:
-		return nil, fmt.Errorf("explain: unknown mode %q (want analyze)", v)
+		return fmt.Errorf("explain: unknown mode %q (want analyze)", v)
 	}
-	if q.count, err = boolParam(params, "count"); err != nil {
-		return nil, err
+	q.count, err = boolParam(raw, "count")
+	return err
+}
+
+// readQuery appends the body of r, at most maxQueryBytes, to buf, and
+// closes it: read to its end and closed, a body leaves net/http nothing to
+// discard.
+func readQuery(buf []byte, r *http.Request) ([]byte, error) {
+	defer r.Body.Close()
+	buf = slices.Grow(buf, int(min(max(r.ContentLength, 0), maxQueryBytes))+1)
+	return appendBody(buf, r.Body, maxQueryBytes)
+}
+
+// queryParam returns what url.Values.Get(name) returns on
+// url.ParseQuery(raw) — the value of the first well-formed pair whose key
+// is name, unescaped — reading raw in place: no map, and no string but an
+// unescaped key or value that holds an escape.
+func queryParam(raw, name string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
 	}
-	return q, nil
+	return ""
 }
 
 // boolParam reads an on/off query parameter: absent or empty is off.
-func boolParam(params url.Values, name string) (bool, error) {
-	v := params.Get(name)
+func boolParam(raw, name string) (bool, error) {
+	v := queryParam(raw, name)
 	if v == "" {
 		return false, nil
 	}
@@ -113,18 +145,18 @@ func (q *queryRequest) limitsFor(t *tenant) governor.Limits {
 	return l
 }
 
-// planKey keys the parse cache: parsing depends only on the query text and
-// the schemes it references, so content changes don't invalidate a parse,
-// schema changes do. Both strings are ones the request already holds.
-type planKey struct{ sig, src string }
-
-// parse returns q's parsed expression over cat's schemes, from the parse
-// cache when it is there. Expressions are immutable, so concurrent
-// evaluations share one; result soundness is the subexpression cache's job
-// (fingerprint keys).
-func (s *Server) parse(q *queryRequest, cat *catalog) (algebra.Expr, error) {
-	expr, _, err := s.plans.Do(nil, planKey{sig: cat.sig, src: q.src}, func() (algebra.Expr, error) {
-		return algebra.ParseForDatabase(q.src, cat.db)
+// parse returns the request's parsed expression over cat's schemes, from
+// the parse cache when it is there. Parsing depends only on the query text
+// and the schemes it references, so content changes don't invalidate a
+// parse, schema changes do: the key is the bytes "sig NUL text", built in
+// the response's key buffer, and the text becomes a string only on a miss.
+// Expressions are immutable, so concurrent evaluations share one; result
+// soundness is the subexpression cache's job (fingerprint keys).
+func (s *Server) parse(o *response, cat *catalog) (algebra.Expr, error) {
+	src := o.q.src
+	o.key = append(append(append(o.key[:0], cat.sig...), 0), src...)
+	expr, _, err := s.plans.Do(nil, o.key, func() (algebra.Expr, error) {
+		return algebra.ParseForDatabase(string(src), cat.db)
 	})
 	return expr, err
 }
@@ -143,7 +175,7 @@ type admissionReject struct {
 // handleQuery serves POST /v1/query, resolving the tenant from the
 // ?tenant= parameter or the X-Relquery-Tenant header.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("tenant")
+	name := queryParam(r.URL.RawQuery, "tenant")
 	if name == "" {
 		name = r.Header.Get(TenantHeader)
 	}
@@ -158,16 +190,20 @@ func (s *Server) handleTenantQuery(w http.ResponseWriter, r *http.Request) {
 // serveQuery runs one query for one tenant: parse (plan cache), queue
 // (worker pool), evaluate (on this goroutine, over the shared subexpression
 // cache, published to the registry, each join node admitted against the
-// tenant budget before it runs), stream the result.
+// tenant budget before it runs), stream the result. The request's state —
+// its body, parameters, evaluator and governor — lives in a pooled
+// response, taken first and released last.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	s.metrics.requests.Add(1)
-	q, err := parseQueryRequest(r)
-	if err != nil {
+	o := s.response()
+	defer s.release(o)
+	if err := o.read(r); err != nil {
 		bodyError(w, err)
 		return
 	}
+	q := &o.q
 	cat := t.snapshot()
-	expr, err := s.parse(q, cat)
+	expr, err := s.parse(o, cat)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -179,15 +215,21 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	ev.Admit = true
 
 	// Worker pool: bound concurrently executing evaluations. Waiters hold
-	// no engine resources; a context that dies in the queue costs 503.
+	// no engine resources; a context that dies in the queue costs 503. A
+	// free slot is taken without asking for the context's channel, which
+	// is made only for a request that has to wait.
 	if s.sem != nil {
 		select {
 		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-r.Context().Done():
-			writeError(w, http.StatusServiceUnavailable, "queued too long for a worker slot: %v", r.Context().Err())
-			return
+		default:
+			select {
+			case s.sem <- struct{}{}:
+			case <-r.Context().Done():
+				writeError(w, http.StatusServiceUnavailable, "queued too long for a worker slot: %v", r.Context().Err())
+				return
+			}
 		}
+		defer func() { <-s.sem }()
 	}
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
@@ -201,14 +243,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 			s.writeEvalError(w, t, err)
 			return
 		}
-		answerHeaders(w.Header(), out.Len(), time.Since(start), q.strategy, ev.Collector)
+		answerHeaders(w.Header(), out.Len(), time.Since(start), q.strategy, ev.Collector.M().Snapshot().CacheHits, -1)
 		_, _ = io.WriteString(w, algebra.RenderTrace(ev.Collector.Trace()))
 		return
 	}
-	o := s.response()
-	o.open(w, expr, q, start)
+	o.open(w, expr, start)
 	ev.Collector = &o.collector
-	err = ev.EvalTo(r.Context(), expr, cat.db, o)
+	gov := o.gov.Reset(r.Context(), ev.Limits).WithMetrics(ev.Collector.M())
+	err = ev.EvalUnder(gov, expr, cat.db, o)
 	s.metrics.evalDone(t.name)
 	if err == nil {
 		err = o.finish()
@@ -230,8 +272,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	if err != nil {
 		s.failResponse(o, t, err)
 	}
-	o.close()
-	s.release(o)
 }
 
 // ErrorTrailer is the HTTP trailer that carries the failure of a query
@@ -240,29 +280,42 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 const ErrorTrailer = "X-Relquery-Error"
 
 // answerHeaders sets the headers of a query's answer: its size, the wall
-// time to it, the strategy asked for and the shared-cache hits so far. The
-// keys are canonical and the values one slice, cut in five, where a Set
-// per header would allocate one slice each.
-func answerHeaders(h http.Header, rows int, wall time.Duration, strategy string, c *obs.Collector) {
-	v := []string{
-		strconv.Itoa(rows),
-		wall.String(),
-		strategy,
-		strconv.FormatInt(c.M().Snapshot().CacheHits, 10),
-		"text/plain; charset=utf-8",
+// time to it, the strategy asked for, the shared-cache hits so far and,
+// when length is not negative, its Content-Length. The keys are canonical,
+// and the values are one string cut into parts and one slice, cut in
+// six, where a Set per header would allocate a slice and a string each.
+func answerHeaders(h http.Header, rows int, wall time.Duration, strategy string, hits int64, length int) {
+	var b [128]byte
+	var cut [5]int
+	text := strconv.AppendInt(b[:0], int64(rows), 10)
+	cut[0] = len(text)
+	text = append(text, wall.String()...)
+	cut[1] = len(text)
+	text = append(text, strategy...)
+	cut[2] = len(text)
+	text = strconv.AppendInt(text, hits, 10)
+	cut[3] = len(text)
+	if length >= 0 {
+		text = strconv.AppendInt(text, int64(length), 10)
 	}
+	cut[4] = len(text)
+	one := string(text)
+	v := []string{one[:cut[0]], one[cut[0]:cut[1]], one[cut[1]:cut[2]], one[cut[2]:cut[3]], "text/plain; charset=utf-8", one[cut[3]:cut[4]]}
 	h["X-Relquery-Rows"] = v[0:1:1]
 	h["X-Relquery-Wall"] = v[1:2:2]
 	h["X-Relquery-Strategy"] = v[2:3:3]
 	h["X-Relquery-Cache-Hits"] = v[3:4:4]
 	h["Content-Type"] = v[4:5:5]
+	if length >= 0 {
+		h["Content-Length"] = v[5:6:6]
+	}
 }
 
 // responseBuffer is the response buffer's size: an answer under it
 // reaches the ResponseWriter in one write once the evaluation is over.
 const responseBuffer = 32 << 10
 
-// response takes a query response, with its buffer, off the server's free
+// response takes a query response, with its buffers, off the server's free
 // list, or makes one when the list is empty.
 func (s *Server) response() *response {
 	select {
@@ -275,15 +328,22 @@ func (s *Server) response() *response {
 	}
 }
 
-// release puts a detached response (close) back on the free list, so the
-// list never pins a ResponseWriter — or the connection behind it — past its
-// request. A full list drops it: the list holds at most one response per
-// evaluation slot, and unlike a sync.Pool a GC does not empty it. Nor does
-// it keep a held answer's text past responseBuffer: a large answer's side
-// buffer goes with its request.
+// release detaches the response from its request (close) and puts it back
+// on the free list, so the list never pins a ResponseWriter — or the
+// connection behind it — past its request. A full list drops it: the list
+// holds at most one response per evaluation slot, and unlike a sync.Pool a
+// GC does not empty it. Nor does it keep a buffer past responseBuffer: a
+// large body or held answer's text goes with its request.
 func (s *Server) release(o *response) {
+	o.close()
 	if cap(o.held.text) > responseBuffer {
 		o.held.text = nil
+	}
+	if cap(o.body) > responseBuffer {
+		o.body = nil
+	}
+	if cap(o.key) > responseBuffer {
+		o.key = nil
 	}
 	select {
 	case s.responses <- o:
@@ -312,12 +372,21 @@ type response struct {
 	block relation.BlockWriter
 	sent  bool // the buffer has written to w: the status line is out
 
+	// The request's own state: read resets q, EvalUnder runs under gov
+	// (Reset per request), and the body and the parse cache's key are
+	// read and built in buffers kept from request to request.
+	q         queryRequest
+	gov       governor.Governor
+	body, key []byte
+
 	expr      algebra.Expr
-	strategy  string
 	collector obs.Collector // the query's trace, Reset by open: the registry keeps a copy
 	start     time.Time
-	count     bool // ?count=: the rows are not wanted, their number is
-	rows      int  // Begin's count, or the rows so far of a held answer
+	rows      int // Begin's count, or the rows so far of a held answer
+	// What head found for the headers, which go out with the first bytes
+	// of the answer (headers): the time to the head, and the cache hits.
+	wall time.Duration
+	hits int64
 
 	scheme  relation.Scheme // a held answer's, for its header lines
 	holding bool            // the count is unknown until finish
@@ -346,22 +415,25 @@ func (h *heldText) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// open attaches the response to w for query q's answer to expr, with its
-// collector reset for the query's trace.
-func (o *response) open(w http.ResponseWriter, expr algebra.Expr, q *queryRequest, start time.Time) {
+// open attaches the response to w for the answer to expr, the query it
+// has read, with its collector reset for the query's trace.
+func (o *response) open(w http.ResponseWriter, expr algebra.Expr, start time.Time) {
 	o.w, o.sent = w, false
 	o.buf.Reset(o)
 	o.block = relation.BlockWriter{W: o.buf, Name: "result"}
-	o.expr, o.strategy, o.start, o.count = expr, q.strategy, start, q.count
+	o.expr, o.start = expr, start
 	o.collector.Reset()
-	o.held.budget = q.ev.Limits.MaxMemoryBytes
+	o.held.budget = o.q.ev.Limits.MaxMemoryBytes
 }
 
 // close detaches the response from its request, dropping anything still
-// buffered.
+// buffered and every pointer the request left: its writer, expression,
+// parameters, evaluator and governor.
 func (o *response) close() {
 	o.buf.Reset(o)
 	o.w, o.expr = nil, nil
+	o.q, o.gov = queryRequest{}, governor.Governor{}
+	o.body, o.key = o.body[:0], o.key[:0]
 	o.unhold()
 }
 
@@ -374,10 +446,20 @@ func (o *response) unhold() {
 }
 
 // Write passes the buffer's bytes on to the ResponseWriter, which sends
-// the status line and the headers ahead of the first of them.
+// the status line and the headers ahead of the first of them: the buffer
+// is full, so the answer streams, chunked.
 func (o *response) Write(p []byte) (int, error) {
-	o.sent = true
+	if !o.sent {
+		o.sent = true
+		o.headers(-1)
+	}
 	return o.w.Write(p)
+}
+
+// headers sets the answer's headers from what head found, with the
+// answer's length when the whole of it is known (finish).
+func (o *response) headers(length int) {
+	answerHeaders(o.w.Header(), o.rows, o.wall, o.q.strategy, o.hits, length)
 }
 
 // Begin starts the answer: its head when the count is known, else it
@@ -396,12 +478,12 @@ func (o *response) Begin(scheme relation.Scheme, rows int) bool {
 	return o.head(scheme)
 }
 
-// head sets the answer's headers — X-Relquery-Wall is the time to here:
-// the first row when the answer streams, the last when it is held — and,
-// unless only the count is wanted, writes its header lines.
+// head takes what the answer's headers say — X-Relquery-Wall is the time
+// to here: the first row when the answer streams, the last when it is held
+// — and, unless only the count is wanted, writes its header lines.
 func (o *response) head(scheme relation.Scheme) bool {
-	answerHeaders(o.w.Header(), o.rows, time.Since(o.start), o.strategy, &o.collector)
-	if o.count {
+	o.wall, o.hits = time.Since(o.start), o.collector.M().Snapshot().CacheHits
+	if o.q.count {
 		return false
 	}
 	o.buf.WriteString("# ")
@@ -421,7 +503,7 @@ func (o *response) head(scheme relation.Scheme) bool {
 func (o *response) Row(t relation.Tuple) bool {
 	if o.holding {
 		o.rows++
-		if o.count {
+		if o.q.count {
 			return true
 		}
 	}
@@ -441,11 +523,15 @@ func (o *response) finish() error {
 		o.head(o.scheme)
 		o.buf.Write(o.held.text)
 	}
-	if o.count {
+	if o.q.count {
 		o.buf.Write(strconv.AppendInt(o.buf.AvailableBuffer(), int64(o.rows), 10))
 		o.buf.WriteByte('\n')
 	} else {
 		_ = o.block.End()
+	}
+	if !o.sent { // the whole answer is in the buffer: no chunks
+		o.sent = true
+		o.headers(o.buf.Buffered())
 	}
 	_ = o.buf.Flush()
 	return nil
@@ -453,7 +539,8 @@ func (o *response) finish() error {
 
 // failResponse answers a query whose evaluation failed. While nothing has
 // reached the client — always, for a held answer — what the buffer holds
-// is dropped and the failure gets its status, as writeEvalError maps it.
+// is dropped and the failure gets its status, as writeEvalError maps it:
+// the answer's headers go out with its first bytes, so none is set yet.
 // Once the first 32 KB went out with status 200, the failure can only
 // follow them: the block gets no end line, and the ErrorTrailer names the
 // status and the message.
@@ -462,10 +549,6 @@ func (s *Server) failResponse(o *response, t *tenant, err error) {
 	if o.sent {
 		o.w.Header().Set(http.TrailerPrefix+ErrorTrailer, fmt.Sprintf("%d %v", evalStatus(err), err))
 		return
-	}
-	h := o.w.Header()
-	for _, k := range []string{"X-Relquery-Rows", "X-Relquery-Wall", "X-Relquery-Strategy", "X-Relquery-Cache-Hits"} {
-		h.Del(k)
 	}
 	s.writeEvalError(o.w, t, err)
 }

@@ -86,7 +86,7 @@ type Server struct {
 	cfg    Config
 	reg    *obs.Registry
 	shared *algebra.SubexprCache
-	plans  *algebra.Memo[planKey, algebra.Expr]
+	plans  *algebra.Memo[algebra.Expr]
 	sem    chan struct{}
 	// responses is the free list of query responses, each with its 32 KB
 	// buffer: at most one per evaluation slot, so a GC empties nothing.
@@ -113,7 +113,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		reg:     reg,
 		shared:  algebra.NewSubexprCache(),
-		plans:   algebra.NewMemo[planKey, algebra.Expr](planCacheMax, nil),
+		plans:   algebra.NewMemo[algebra.Expr](planCacheMax, nil),
 		tenants: make(map[string]*tenant),
 	}
 	free := DefaultMaxConcurrent

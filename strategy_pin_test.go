@@ -210,8 +210,9 @@ func TestFamilyPlanFactsPinned(t *testing.T) {
 	got, warm := map[string]factsPin{}, map[string]factsPin{}
 	for name, rels := range pinnedJoinInputs(t) {
 		facts := new(join.Facts)
-		got[name] = pinFacts(facts.Plan(rels...))
-		warm[name] = pinFacts(facts.Plan(rels...))
+		cold, again := facts.Plan(rels...), facts.Plan(rels...)
+		got[name] = pinFacts(&cold)
+		warm[name] = pinFacts(&again)
 	}
 	if *updateStrategyPin {
 		data, err := json.MarshalIndent(got, "", " ")
